@@ -230,7 +230,10 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Conservative MBR of a unit without any expansion.
+    /// Conservative MBR of a unit without any expansion; `len` is the
+    /// unit length `for_each_unit` handed to its closure
+    /// (finite by construction), so a gap's shortest-path distance is
+    /// looked up once per unit, not twice.
     ///
     /// Node units use the precomputed table. Gap units use a cheap
     /// over-approximation instead of walking the shortest path: every
@@ -238,19 +241,14 @@ impl<'a> QueryEngine<'a> {
     /// `gap/2` of either `a`'s head or `b`'s tail, hence within Euclidean
     /// distance `gap/2` of one of them. Over-approximation only costs
     /// extra candidate expansions — it can never exclude a true hit.
-    fn unit_mbr(&self, unit: Unit) -> Result<Mbr> {
+    fn unit_mbr(&self, unit: Unit, len: f64) -> Mbr {
         match unit {
-            Unit::Node(n) => Ok(*self.model.node_mbr(n)),
+            Unit::Node(n) => *self.model.node_mbr(n),
             Unit::Gap(a, b) => {
-                let sp = self.model.sp();
-                let net = sp.network();
-                let gap = sp.gap_dist(a, b);
-                if !gap.is_finite() {
-                    return Err(PressError::NoShortestPath(a, b));
-                }
+                let net = self.model.sp().network();
                 let mut mbr = Mbr::of_point(&net.edge_end(a));
                 mbr.expand_point(&net.edge_start(b));
-                Ok(mbr.inflate(gap / 2.0))
+                mbr.inflate(len / 2.0)
             }
         }
     }
@@ -453,7 +451,7 @@ impl<'a> QueryEngine<'a> {
         let mut dacu = 0.0f64;
         let mut found: Option<f64> = None;
         self.for_each_unit(cs, |unit, len| {
-            let mbr = self.unit_mbr(unit)?;
+            let mbr = self.unit_mbr(unit, len);
             // MBR test is a *may-contain* filter (paper: "the fact
             // (x,y) ∈ MBR(SP(ei,ej)) does not guarantee (x,y) ∈ SP(ei,ej)").
             if mbr.min_dist_to_point(&p) <= tolerance {
@@ -528,7 +526,7 @@ impl<'a> QueryEngine<'a> {
                 return Ok(true);
             }
             let overlaps_window = dacu <= d2 && dacu + len >= d1;
-            if overlaps_window && self.unit_mbr(unit)?.intersects(region) {
+            if overlaps_window && self.unit_mbr(unit, len).intersects(region) {
                 let edges = self.expand_unit(unit)?;
                 let mut local = dacu;
                 for &e in &edges {
@@ -579,7 +577,7 @@ impl<'a> QueryEngine<'a> {
             }
             let overlaps_window = dacu <= d2 && dacu + len >= d1;
             // Skip a whole unit when its MBR is farther than `dist`.
-            if overlaps_window && self.unit_mbr(unit)?.min_dist_to_point(&p) <= dist {
+            if overlaps_window && self.unit_mbr(unit, len).min_dist_to_point(&p) <= dist {
                 let edges = self.expand_unit(unit)?;
                 let mut local = dacu;
                 for &e in &edges {
@@ -667,8 +665,8 @@ impl<'a> QueryEngine<'a> {
     /// blocks, never a missed hit.
     pub fn spatial_mbr(&self, cs: &CompressedSpatial) -> Result<Mbr> {
         let mut mbr = Mbr::empty();
-        self.for_each_unit(cs, |unit, _| {
-            mbr.expand(&self.unit_mbr(unit)?);
+        self.for_each_unit(cs, |unit, len| {
+            mbr.expand(&self.unit_mbr(unit, len));
             Ok(false)
         })?;
         Ok(mbr)
@@ -677,8 +675,8 @@ impl<'a> QueryEngine<'a> {
     /// Collects `(unit, mbr)` summaries for a compressed path.
     fn collect_units(&self, cs: &CompressedSpatial) -> Result<Vec<(Unit, Mbr)>> {
         let mut units = Vec::new();
-        self.for_each_unit(cs, |unit, _| {
-            let mbr = self.unit_mbr(unit)?;
+        self.for_each_unit(cs, |unit, len| {
+            let mbr = self.unit_mbr(unit, len);
             units.push((unit, mbr));
             Ok(false)
         })?;

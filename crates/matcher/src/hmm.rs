@@ -1,6 +1,8 @@
 //! HMM map matching (Newson & Krumm, GIS'09) over a PRESS road network.
 
-use press_network::{dijkstra_bounded, EdgeId, EdgeSpatialIndex, Point, Projection, RoadNetwork};
+use press_network::{
+    dijkstra_sparse, EdgeId, EdgeSpatialIndex, NodeId, Point, Projection, RoadNetwork, SparseTree,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -192,6 +194,85 @@ struct Candidate {
     proj: Projection,
 }
 
+/// The candidate lattice, flattened: row `i` — the candidates of the
+/// `i`-th kept sample, closest first — is `cands[row[i]..row[i + 1]]`.
+struct Lattice {
+    cands: Vec<Candidate>,
+    row: Vec<usize>,
+    /// Input index of each kept sample (samples without candidates are
+    /// dropped), so errors can point back into the caller's slice.
+    kept: Vec<usize>,
+}
+
+impl Lattice {
+    fn steps(&self) -> usize {
+        self.kept.len()
+    }
+
+    fn range(&self, step: usize) -> std::ops::Range<usize> {
+        self.row[step]..self.row[step + 1]
+    }
+}
+
+/// The per-trajectory search memo: one bounded search per **distinct
+/// candidate head node**, shared by every Viterbi row and stitching step
+/// that leaves from that node.
+///
+/// Each source is searched once, at the largest `max_route` of any step
+/// it can serve as a predecessor in. That is answer-preserving: a node
+/// whose true distance is within a bound is settled with the same
+/// distance bits and canonical predecessor under any larger bound, and
+/// everything beyond a step's own bound is discarded by that step's
+/// `route > max_route` filter either way.
+struct SourceMemo {
+    /// `slot[c]` — the entry of flat candidate `c`'s head node
+    /// (`u32::MAX` in the last row, which is never a predecessor).
+    slot: Vec<u32>,
+    entries: Vec<MemoEntry>,
+}
+
+struct MemoEntry {
+    source: NodeId,
+    bound: f64,
+    tree: Option<SparseTree>,
+}
+
+impl SourceMemo {
+    /// `max_route[step]` bounds the transitions *into* `step` (one entry
+    /// per lattice step; entry 0 is unused).
+    fn new(net: &RoadNetwork, lattice: &Lattice, max_route: &[f64]) -> Self {
+        let mut heads: Vec<(NodeId, usize, f64)> = Vec::with_capacity(lattice.cands.len());
+        for (step, &bound) in max_route.iter().enumerate().skip(1) {
+            for c in lattice.range(step - 1) {
+                heads.push((net.edge(lattice.cands[c].edge).to, c, bound));
+            }
+        }
+        heads.sort_unstable_by_key(|h| h.0);
+        let mut slot = vec![u32::MAX; lattice.cands.len()];
+        let mut entries: Vec<MemoEntry> = Vec::new();
+        for (source, c, bound) in heads {
+            match entries.last_mut() {
+                Some(last) if last.source == source => last.bound = last.bound.max(bound),
+                _ => entries.push(MemoEntry {
+                    source,
+                    bound,
+                    tree: None,
+                }),
+            }
+            slot[c] = (entries.len() - 1) as u32;
+        }
+        SourceMemo { slot, entries }
+    }
+
+    /// The search from candidate `c`'s head node, run on first use.
+    fn tree(&mut self, net: &RoadNetwork, c: usize) -> &SparseTree {
+        let entry = &mut self.entries[self.slot[c] as usize];
+        entry
+            .tree
+            .get_or_insert_with(|| dijkstra_sparse(net, entry.source, entry.bound))
+    }
+}
+
 /// The HMM map matcher. Holds a spatial index over the network's edges;
 /// build once, match many.
 pub struct MapMatcher {
@@ -236,6 +317,11 @@ impl MapMatcher {
     /// [`MatcherError::BudgetExceeded`] **before** any Dijkstra runs. The
     /// budget is a function of the input alone — never of wall time — so
     /// shedding decisions replay identically during crash recovery.
+    ///
+    /// Transition distances come from one sparse bounded search per
+    /// distinct candidate head node of the trajectory (a memo that lives
+    /// for this call only), so matching cost follows the balls explored,
+    /// not the size of the network.
     pub fn match_trajectory_budgeted(
         &self,
         samples: &[GpsSample],
@@ -245,37 +331,18 @@ impl MapMatcher {
             return Err(MatcherError::EmptyInput);
         }
         validate_samples(samples)?;
-        let net = self.index.network().clone();
-        // 1. Candidate generation (samples without candidates are dropped;
-        //    `kept_idx` remembers each kept sample's input index so errors
-        //    can point back into the caller's slice).
-        let mut kept: Vec<&GpsSample> = Vec::with_capacity(samples.len());
-        let mut kept_idx: Vec<usize> = Vec::with_capacity(samples.len());
-        let mut lattice: Vec<Vec<Candidate>> = Vec::with_capacity(samples.len());
-        for (i, s) in samples.iter().enumerate() {
-            let found = self
-                .index
-                .edges_near(&s.point, self.config.candidate_radius);
-            if found.is_empty() {
-                continue;
-            }
-            lattice.push(
-                found
-                    .into_iter()
-                    .take(self.config.max_candidates)
-                    .map(|(edge, proj)| Candidate { edge, proj })
-                    .collect(),
-            );
-            kept.push(s);
-            kept_idx.push(i);
-        }
-        if lattice.is_empty() {
+        let net: &RoadNetwork = self.index.network();
+        // 1. Candidate generation.
+        let lattice = self.build_lattice(samples);
+        let steps = lattice.steps();
+        if steps == 0 {
             return Err(MatcherError::NoCandidates);
         }
         if max_lattice_work > 0 {
-            let mut work = lattice[0].len() as u64;
-            for w in lattice.windows(2) {
-                work = work.saturating_add(w[0].len() as u64 * w[1].len() as u64);
+            let mut work = lattice.range(0).len() as u64;
+            for step in 1..steps {
+                let pairs = lattice.range(step - 1).len() as u64 * lattice.range(step).len() as u64;
+                work = work.saturating_add(pairs);
             }
             if work > max_lattice_work {
                 return Err(MatcherError::BudgetExceeded {
@@ -284,78 +351,107 @@ impl MapMatcher {
                 });
             }
         }
+        // Per-step straight-line distance and transition pruning bound
+        // (entry 0 is unused: nothing transitions into the first step).
+        let mut gc = vec![0.0; steps];
+        let mut max_route = vec![0.0; steps];
+        for step in 1..steps {
+            let a = &samples[lattice.kept[step - 1]].point;
+            gc[step] = a.dist(&samples[lattice.kept[step]].point);
+            max_route[step] = self.config.route_slack + self.config.route_factor * gc[step];
+        }
+        let mut memo = SourceMemo::new(net, &lattice, &max_route);
         // 2. Viterbi.
         let sigma2 = 2.0 * self.config.gps_sigma * self.config.gps_sigma;
-        let emission = |c: &Candidate| -(c.proj.dist * c.proj.dist) / sigma2;
-        let mut score: Vec<Vec<f64>> = Vec::with_capacity(lattice.len());
-        let mut back: Vec<Vec<usize>> = Vec::with_capacity(lattice.len());
-        score.push(lattice[0].iter().map(emission).collect());
-        back.push(vec![usize::MAX; lattice[0].len()]);
-        for step in 1..lattice.len() {
-            let gc = kept[step - 1].point.dist(&kept[step].point);
-            let max_route = self.config.route_slack + self.config.route_factor * gc;
-            let prev_states = &lattice[step - 1];
-            let cur_states = &lattice[step];
-            let mut cur_score = vec![f64::NEG_INFINITY; cur_states.len()];
-            let mut cur_back = vec![usize::MAX; cur_states.len()];
-            for (pi, pc) in prev_states.iter().enumerate() {
-                if score[step - 1][pi] == f64::NEG_INFINITY {
+        let emission: Vec<f64> = lattice
+            .cands
+            .iter()
+            .map(|c| -(c.proj.dist * c.proj.dist) / sigma2)
+            .collect();
+        let mut score = vec![f64::NEG_INFINITY; lattice.cands.len()];
+        let mut back = vec![usize::MAX; lattice.cands.len()];
+        let first = lattice.range(0);
+        score[first.clone()].copy_from_slice(&emission[first]);
+        for step in 1..steps {
+            let cur = lattice.range(step);
+            for pi in lattice.range(step - 1) {
+                if score[pi] == f64::NEG_INFINITY {
                     continue;
                 }
-                // One bounded Dijkstra from the previous candidate's head
+                // One bounded search from the previous candidate's head
                 // covers route distances to every current candidate.
-                let tree = dijkstra_bounded(&net, net.edge(pc.edge).to, max_route);
-                for (ci, cc) in cur_states.iter().enumerate() {
-                    let route = route_distance(&net, pc, cc, &tree.dist);
-                    if !route.is_finite() || route > max_route {
+                let pc = &lattice.cands[pi];
+                let tree = memo.tree(net, pi);
+                for ci in cur.clone() {
+                    let route = route_distance(net, pc, &lattice.cands[ci], tree);
+                    if !route.is_finite() || route > max_route[step] {
                         continue;
                     }
-                    let trans = -(route - gc).abs() / self.config.beta;
-                    let cand = score[step - 1][pi] + trans + emission(cc);
-                    if cand > cur_score[ci] {
-                        cur_score[ci] = cand;
-                        cur_back[ci] = pi;
+                    let trans = -(route - gc[step]).abs() / self.config.beta;
+                    let cand = score[pi] + trans + emission[ci];
+                    if cand > score[ci] {
+                        score[ci] = cand;
+                        back[ci] = pi;
                     }
                 }
             }
             // Broken step: restart the chain at the best-emission candidate
             // (stitched later through a shortest path).
-            if cur_score.iter().all(|s| *s == f64::NEG_INFINITY) {
-                for (ci, cc) in cur_states.iter().enumerate() {
-                    cur_score[ci] = emission(cc);
-                    cur_back[ci] = usize::MAX;
+            if score[cur.clone()].iter().all(|s| *s == f64::NEG_INFINITY) {
+                score[cur.clone()].copy_from_slice(&emission[cur]);
+            }
+        }
+        // 3. Backtrack the best state sequence (flat candidate indices).
+        let best_in = |range: std::ops::Range<usize>| {
+            let mut best = (range.start, f64::NEG_INFINITY);
+            for c in range {
+                if score[c] > best.1 {
+                    best = (c, score[c]);
                 }
             }
-            score.push(cur_score);
-            back.push(cur_back);
-        }
-        // 3. Backtrack the best state sequence.
-        let last = score.len() - 1;
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for (ci, &s) in score[last].iter().enumerate() {
-            if s > best.1 {
-                best = (ci, s);
-            }
-        }
-        let mut states = vec![0usize; lattice.len()];
-        states[last] = best.0;
-        for step in (1..=last).rev() {
-            let b = back[step][states[step]];
-            if b == usize::MAX {
+            best.0
+        };
+        let mut states = vec![0usize; steps];
+        states[steps - 1] = best_in(lattice.range(steps - 1));
+        for step in (1..steps).rev() {
+            let b = back[states[step]];
+            states[step - 1] = if b == usize::MAX {
                 // Restarted step: pick the best predecessor independently.
-                let mut pb = (0usize, f64::NEG_INFINITY);
-                for (pi, &s) in score[step - 1].iter().enumerate() {
-                    if s > pb.1 {
-                        pb = (pi, s);
-                    }
-                }
-                states[step - 1] = pb.0;
+                best_in(lattice.range(step - 1))
             } else {
-                states[step - 1] = b;
-            }
+                b
+            };
         }
         // 4. Build the edge path and per-sample positions.
-        self.build_output(&net, &kept, &kept_idx, &lattice, &states)
+        self.build_output(net, samples, &lattice, &states, &max_route, &mut memo)
+    }
+
+    /// Projects every sample onto its nearby edges; samples without
+    /// candidates are dropped.
+    fn build_lattice(&self, samples: &[GpsSample]) -> Lattice {
+        let mut lattice = Lattice {
+            cands: Vec::new(),
+            row: Vec::with_capacity(samples.len() + 1),
+            kept: Vec::with_capacity(samples.len()),
+        };
+        lattice.row.push(0);
+        let mut found = Vec::new();
+        for (i, s) in samples.iter().enumerate() {
+            self.index
+                .edges_near_into(&s.point, self.config.candidate_radius, &mut found);
+            if found.is_empty() {
+                continue;
+            }
+            lattice.cands.extend(
+                found
+                    .iter()
+                    .take(self.config.max_candidates)
+                    .map(|&(edge, proj)| Candidate { edge, proj }),
+            );
+            lattice.row.push(lattice.cands.len());
+            lattice.kept.push(i);
+        }
+        lattice
     }
 
     /// Degraded-mode matching for streaming ingest: instead of aborting a
@@ -380,95 +476,35 @@ impl MapMatcher {
         max_lattice_work: u64,
         max_splits: usize,
     ) -> SalvageReport {
-        let mut report = SalvageReport::default();
-        let mut splits_left = max_splits;
-        self.salvage_into(samples, 0, max_lattice_work, &mut splits_left, &mut report);
-        report
+        salvage(samples, max_splits, &|piece| {
+            self.match_trajectory_budgeted(piece, max_lattice_work)
+        })
     }
 
-    /// `base` is the offset of `samples` within the original input, so
-    /// every `at_sample` recorded in the report indexes the caller's
-    /// slice even after recursive splits.
-    fn salvage_into(
-        &self,
-        samples: &[GpsSample],
-        base: usize,
-        max_lattice_work: u64,
-        splits_left: &mut usize,
-        report: &mut SalvageReport,
-    ) {
-        if samples.is_empty() {
-            return;
-        }
-        match self.match_trajectory_budgeted(samples, max_lattice_work) {
-            Ok(m) => report.pieces.push(m),
-            Err(MatcherError::BrokenChain { at_sample })
-                if *splits_left > 0 && at_sample > 0 && at_sample < samples.len() =>
-            {
-                *splits_left -= 1;
-                report.splits += 1;
-                self.salvage_into(
-                    &samples[..at_sample],
-                    base,
-                    max_lattice_work,
-                    splits_left,
-                    report,
-                );
-                self.salvage_into(
-                    &samples[at_sample..],
-                    base + at_sample,
-                    max_lattice_work,
-                    splits_left,
-                    report,
-                );
-            }
-            Err(MatcherError::InvalidSample { at_sample, reason }) if *splits_left > 0 => {
-                *splits_left -= 1;
-                report.splits += 1;
-                report.dropped.push(MatcherError::InvalidSample {
-                    at_sample: base + at_sample,
-                    reason,
-                });
-                self.salvage_into(
-                    &samples[..at_sample],
-                    base,
-                    max_lattice_work,
-                    splits_left,
-                    report,
-                );
-                self.salvage_into(
-                    &samples[at_sample + 1..],
-                    base + at_sample + 1,
-                    max_lattice_work,
-                    splits_left,
-                    report,
-                );
-            }
-            Err(e) => report.dropped.push(rebase_error(e, base)),
-        }
-    }
-
-    /// Stitches the chosen candidates into one connected edge path.
+    /// Stitches the chosen candidates (flat indices, one per step) into
+    /// one connected edge path.
     fn build_output(
         &self,
         net: &RoadNetwork,
-        kept: &[&GpsSample],
-        kept_idx: &[usize],
-        lattice: &[Vec<Candidate>],
+        input: &[GpsSample],
+        lattice: &Lattice,
         states: &[usize],
+        max_route: &[f64],
+        memo: &mut SourceMemo,
     ) -> Result<MatchedTrajectory, MatcherError> {
+        let time_of = |step: usize| input[lattice.kept[step]].t;
         let mut edges: Vec<EdgeId> = Vec::new();
         let mut samples: Vec<MatchedSample> = Vec::with_capacity(states.len());
-        let first = &lattice[0][states[0]];
+        let first = &lattice.cands[states[0]];
         edges.push(first.edge);
         samples.push(MatchedSample {
             edge_idx: 0,
             frac: first.proj.t,
-            t: kept[0].t,
+            t: time_of(0),
         });
         for step in 1..states.len() {
-            let prev = &lattice[step - 1][states[step - 1]];
-            let cur = &lattice[step][states[step]];
+            let prev = &lattice.cands[states[step - 1]];
+            let cur = &lattice.cands[states[step]];
             if prev.edge == cur.edge {
                 // Same edge: nothing to append. Backward jitter is clamped
                 // to the previous position (the re-formatter's monotone
@@ -476,59 +512,115 @@ impl MapMatcher {
                 samples.push(MatchedSample {
                     edge_idx: edges.len() - 1,
                     frac: cur.proj.t.max(prev.proj.t),
-                    t: kept[step].t,
+                    t: time_of(step),
                 });
                 continue;
             }
             // Route from prev.edge's head to cur.edge's tail.
             let from = net.edge(prev.edge).to;
             let to = net.edge(cur.edge).from;
-            let tree = dijkstra_bounded(
-                net,
-                from,
-                self.config.route_slack
-                    + self.config.route_factor * kept[step - 1].point.dist(&kept[step].point),
-            );
-            let Some(route) = tree.edge_path_to(net, to) else {
-                // Stitch through an unbounded shortest path as a last resort.
-                let full = press_network::dijkstra(net, from);
-                match full.edge_path_to(net, to) {
-                    Some(route) => {
-                        edges.extend(route);
-                        edges.push(cur.edge);
-                        samples.push(MatchedSample {
-                            edge_idx: edges.len() - 1,
-                            frac: cur.proj.t,
-                            t: kept[step].t,
-                        });
-                        continue;
-                    }
-                    None => {
-                        return Err(MatcherError::BrokenChain {
-                            at_sample: kept_idx[step],
-                        })
-                    }
-                }
+            // The memoized search is exact up to its own (larger or equal)
+            // bound, so within this step's bound it holds the canonical
+            // path — always the case after an admitted transition. Only
+            // a restarted step can put the target beyond the bound, where
+            // a search at exactly this step's bound decides between a
+            // tentative path and none.
+            let tree = memo.tree(net, states[step - 1]);
+            let route = if tree.dist(to) <= max_route[step] {
+                tree.edge_path_to(net, to)
+            } else {
+                dijkstra_sparse(net, from, max_route[step])
+                    .edge_path_to(net, to)
+                    // Stitch through an unbounded shortest path as a last
+                    // resort.
+                    .or_else(|| dijkstra_sparse(net, from, f64::INFINITY).edge_path_to(net, to))
+            };
+            let Some(route) = route else {
+                return Err(MatcherError::BrokenChain {
+                    at_sample: lattice.kept[step],
+                });
             };
             edges.extend(route);
             edges.push(cur.edge);
             samples.push(MatchedSample {
                 edge_idx: edges.len() - 1,
                 frac: cur.proj.t,
-                t: kept[step].t,
+                t: time_of(step),
             });
         }
         Ok(MatchedTrajectory { edges, samples })
     }
 }
 
+/// Matches one slice of the input; what [`salvage`] splits around.
+type MatchPiece<'a> = &'a dyn Fn(&[GpsSample]) -> Result<MatchedTrajectory, MatcherError>;
+
+/// The salvaging recursion of [`MapMatcher::match_trajectory_salvaging`]
+/// over any piece matcher.
+fn salvage(samples: &[GpsSample], max_splits: usize, match_piece: MatchPiece) -> SalvageReport {
+    let mut report = SalvageReport::default();
+    let mut splits_left = max_splits;
+    salvage_into(samples, 0, match_piece, &mut splits_left, &mut report);
+    report
+}
+
+/// `base` is the offset of `samples` within the original input, so
+/// every `at_sample` recorded in the report indexes the caller's
+/// slice even after recursive splits.
+fn salvage_into(
+    samples: &[GpsSample],
+    base: usize,
+    match_piece: MatchPiece,
+    splits_left: &mut usize,
+    report: &mut SalvageReport,
+) {
+    if samples.is_empty() {
+        return;
+    }
+    match match_piece(samples) {
+        Ok(m) => report.pieces.push(m),
+        Err(MatcherError::BrokenChain { at_sample })
+            if *splits_left > 0 && at_sample > 0 && at_sample < samples.len() =>
+        {
+            *splits_left -= 1;
+            report.splits += 1;
+            let (left, right) = samples.split_at(at_sample);
+            salvage_into(left, base, match_piece, splits_left, report);
+            salvage_into(right, base + at_sample, match_piece, splits_left, report);
+        }
+        Err(MatcherError::InvalidSample { at_sample, reason }) if *splits_left > 0 => {
+            *splits_left -= 1;
+            report.splits += 1;
+            report.dropped.push(MatcherError::InvalidSample {
+                at_sample: base + at_sample,
+                reason,
+            });
+            salvage_into(
+                &samples[..at_sample],
+                base,
+                match_piece,
+                splits_left,
+                report,
+            );
+            salvage_into(
+                &samples[at_sample + 1..],
+                base + at_sample + 1,
+                match_piece,
+                splits_left,
+                report,
+            );
+        }
+        Err(e) => report.dropped.push(rebase_error(e, base)),
+    }
+}
+
 /// On-network route distance from candidate `a` to candidate `b`, given the
-/// Dijkstra distances from `a`'s edge head.
+/// bounded search from `a`'s edge head.
 fn route_distance(
     net: &RoadNetwork,
     a: &Candidate,
     b: &Candidate,
-    dist_from_a_head: &[f64],
+    from_a_head: &SparseTree,
 ) -> f64 {
     if a.edge == b.edge {
         // Same edge: forward progress is the fraction delta; *backward*
@@ -539,9 +631,12 @@ fn route_distance(
     }
     let rest_of_a = (1.0 - a.proj.t) * net.weight(a.edge);
     let into_b = b.proj.t * net.weight(b.edge);
-    let gap = dist_from_a_head[net.edge(b.edge).from.index()];
+    let gap = from_a_head.dist(net.edge(b.edge).from);
     rest_of_a + gap + into_b
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -883,6 +978,193 @@ mod tests {
         for piece in &report.pieces {
             net.validate_path(&piece.edges).unwrap();
         }
+    }
+
+    /// Asserts the production matcher reproduces the dense per-row
+    /// reference — plain and salvaging, under every work budget.
+    fn assert_equals_reference(m: &MapMatcher, samples: &[GpsSample]) {
+        let full = match m.match_trajectory_budgeted(samples, 1) {
+            Err(MatcherError::BudgetExceeded { work, .. }) => work,
+            _ => 1,
+        };
+        for work in [0, 1, full / 2, full, full + 1] {
+            assert_eq!(
+                m.match_trajectory_budgeted(samples, work),
+                reference::match_budgeted(m, samples, work),
+                "budget {work}"
+            );
+            assert_eq!(
+                m.match_trajectory_salvaging(samples, work, 8),
+                reference::match_salvaging(m, samples, work, 8),
+                "salvaging, budget {work}"
+            );
+        }
+    }
+
+    /// Two disconnected jittered grids 50 km apart.
+    fn two_islands() -> Arc<RoadNetwork> {
+        use press_network::RoadNetworkBuilder;
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut b = RoadNetworkBuilder::new();
+        for island in 0..2 {
+            let y0 = island as f64 * 50_000.0;
+            let mut ids = Vec::new();
+            for j in 0..5 {
+                for i in 0..5 {
+                    ids.push(b.add_node(Point::new(i as f64 * 100.0, y0 + j as f64 * 100.0)));
+                }
+            }
+            for j in 0..5 {
+                for i in 0..5 {
+                    for (di, dj) in [(1, 0), (0, 1)] {
+                        if i + di < 5 && j + dj < 5 {
+                            let w = 100.0 * rng.gen_range(0.9..1.1);
+                            b.add_two_way(ids[j * 5 + i], ids[(j + dj) * 5 + i + di], w)
+                                .unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        Arc::new(b.build())
+    }
+
+    #[test]
+    fn sparse_memoized_matcher_equals_the_dense_per_row_reference() {
+        let before = reference::WITNESS.get();
+        let grid = |jitter: f64| {
+            Arc::new(grid_network(&GridConfig {
+                nx: 12,
+                ny: 12,
+                weight_jitter: jitter,
+                seed: 5,
+                ..GridConfig::default()
+            }))
+        };
+        // Tight pruning makes Manhattan detours inadmissible, so chains
+        // restart and stitching meets targets beyond the step bound.
+        let tight = MatcherConfig {
+            route_factor: 1.0,
+            route_slack: 20.0,
+            ..MatcherConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(2024);
+        // Jittered (unique shortest paths), fully tied, and weights far
+        // from geometry — where a tentative beyond-bound path is often
+        // not the shortest one, so reusing a larger-bound search outside
+        // the step's own bound would change the stitched edges.
+        for net in [grid(0.15), grid(0.0), grid(0.9)] {
+            for config in [MatcherConfig::default(), tight] {
+                let m = MapMatcher::new(net.clone(), config);
+                for _ in 0..6 {
+                    let (a, b) = (rng.gen_range(0..144u32), rng.gen_range(0..144u32));
+                    let path = shortest_path(&net, a, b);
+                    // 12 m between fixes is 1 Hz at city speed — the
+                    // same head nodes for a dozen rows running — and
+                    // 120 m is the 10 s trace.
+                    for spacing in [12.0, 120.0] {
+                        let samples = sample_path(&net, &path, spacing, 9.0, &mut rng);
+                        if samples.len() < 3 {
+                            continue;
+                        }
+                        assert_equals_reference(&m, &samples);
+                        // A long GPS gap: one step with a huge bound,
+                        // whose sources also serve ordinary steps.
+                        let mut gapped = samples.clone();
+                        let cut = gapped.len() / 3;
+                        gapped.drain(cut..(cut + 45).min(gapped.len() - 1));
+                        assert_equals_reference(&m, &gapped);
+                    }
+                }
+            }
+        }
+        // An outage across disconnected components: the chain breaks and
+        // salvaging splits it.
+        let islands = two_islands();
+        for config in [MatcherConfig::default(), tight] {
+            let m = MapMatcher::new(islands.clone(), config);
+            let first = sample_path(
+                &islands,
+                &shortest_path(&islands, 0, 24),
+                12.0,
+                6.0,
+                &mut rng,
+            );
+            let second = sample_path(
+                &islands,
+                &shortest_path(&islands, 27, 45),
+                12.0,
+                6.0,
+                &mut rng,
+            );
+            let t0 = first.last().unwrap().t + 600.0;
+            let samples: Vec<GpsSample> = first
+                .iter()
+                .copied()
+                .chain(second.iter().map(|s| GpsSample {
+                    point: s.point,
+                    t: s.t + t0,
+                }))
+                .collect();
+            assert!(matches!(
+                m.match_trajectory(&samples),
+                Err(MatcherError::BrokenChain { .. })
+            ));
+            assert!(m.match_trajectory_salvaging(&samples, 0, 8).splits >= 1);
+            assert_equals_reference(&m, &samples);
+        }
+        // The traces above did reach the rare paths.
+        let after = reference::WITNESS.get();
+        assert!(after.restarted_steps > before.restarted_steps);
+        assert!(after.tentative_stitches > before.tentative_stitches);
+        assert!(after.unbounded_stitches > before.unbounded_stitches);
+    }
+
+    #[test]
+    fn restarted_step_reproduces_the_tentative_non_shortest_stitch() {
+        // F reaches T directly at weight 1000 or through A at 200. The
+        // step into T has bound 76 — A is never expanded, so the dense
+        // tree of that step holds T *tentatively* through the direct
+        // edge, and today's output stitches through it. F's memoized
+        // search runs at the first step's bound of 202 and knows the
+        // true route through A; reusing it beyond the step's own bound
+        // would change the published edges.
+        use press_network::RoadNetworkBuilder;
+        let mut b = RoadNetworkBuilder::new();
+        let x = b.add_node(Point::new(-200.0, 0.0));
+        let f = b.add_node(Point::new(0.0, 0.0));
+        let t = b.add_node(Point::new(40.0, 0.0));
+        let y = b.add_node(Point::new(240.0, 0.0));
+        let a = b.add_node(Point::new(20.0, 60.0));
+        let into_f = b.add_edge(x, f, 200.0).unwrap();
+        let direct = b.add_edge(f, t, 1000.0).unwrap();
+        b.add_edge(f, a, 100.0).unwrap();
+        b.add_edge(a, t, 100.0).unwrap();
+        let out_of_t = b.add_edge(t, y, 200.0).unwrap();
+        let m = MapMatcher::new(
+            Arc::new(b.build()),
+            MatcherConfig {
+                candidate_radius: 5.0,
+                route_factor: 1.0,
+                route_slack: 20.0,
+                ..MatcherConfig::default()
+            },
+        );
+        let samples: Vec<GpsSample> = [(-190.0, 0.5), (-8.0, 1.0), (48.0, 1.0), (150.0, 0.5)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| GpsSample {
+                point: Point::new(x, y),
+                t: i as f64 * 10.0,
+            })
+            .collect();
+        let before = reference::WITNESS.get();
+        let matched = m.match_trajectory(&samples).unwrap();
+        assert_eq!(matched.edges, vec![into_f, direct, out_of_t]);
+        assert_equals_reference(&m, &samples);
+        let after = reference::WITNESS.get();
+        assert!(after.restarted_steps > before.restarted_steps);
+        assert!(after.tentative_stitches > before.tentative_stitches);
     }
 
     #[test]

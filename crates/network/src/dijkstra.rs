@@ -2,7 +2,8 @@
 //!
 //! Used in three places:
 //! * building the all-pair shortest-path table of §3.1 (one tree per node),
-//! * the HMM map matcher's transition probabilities (bounded searches),
+//! * the HMM map matcher's transition probabilities ([`dijkstra_sparse`]:
+//!   bounded searches whose cost follows the ball explored, not `|V|`),
 //! * the MMTC baseline's sub-path replacement search.
 //!
 //! Ties are broken **canonically**: distances only update on a strict
@@ -21,6 +22,7 @@
 
 use crate::graph::RoadNetwork;
 use crate::id::{EdgeId, NodeId};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -51,6 +53,14 @@ impl PartialOrd for HeapEntry {
 }
 
 /// The shortest-path tree rooted at one source node.
+///
+/// A tree from a **bounded** search ([`dijkstra_bounded`]) is exact only
+/// up to its bound: nodes beyond it that the search relaxed but never
+/// settled keep a finite *tentative* distance and predecessor, so
+/// [`ShortestPathTree::reachable`] and
+/// [`ShortestPathTree::edge_path_to`] may then report a connected but
+/// non-shortest path. Compare `dist[v]` against the bound before
+/// trusting either.
 #[derive(Clone, Debug)]
 pub struct ShortestPathTree {
     /// Root of the tree.
@@ -63,13 +73,17 @@ pub struct ShortestPathTree {
 }
 
 impl ShortestPathTree {
-    /// True if `target` is reachable from the source.
+    /// True if `target` has a finite distance — which on a bounded tree
+    /// includes tentative entries beyond the bound (see the type docs).
     pub fn reachable(&self, target: NodeId) -> bool {
         self.dist[target.index()].is_finite()
     }
 
     /// Reconstructs the node-path edges from the source to `target`
     /// (in order). Empty when `target == source`; `None` when unreachable.
+    /// The path is the canonical shortest one whenever `dist[target]` is
+    /// within the search bound; a tentative beyond-bound target yields a
+    /// connected path that need not be shortest.
     pub fn edge_path_to(&self, net: &RoadNetwork, target: NodeId) -> Option<Vec<EdgeId>> {
         if !self.reachable(target) {
             return None;
@@ -146,7 +160,19 @@ pub fn dijkstra_with(net: &RoadNetwork, source: NodeId, weights: &[f64]) -> Shor
 
 /// Runs Dijkstra from `source`, abandoning nodes farther than `max_dist`.
 ///
-/// The returned tree is exact for all nodes with distance `<= max_dist`.
+/// The returned tree is exact — distance and canonical predecessor — for
+/// all nodes with distance `<= max_dist`, and those entries are the same
+/// under any larger bound. Nodes **beyond** the bound are not all
+/// `INFINITY`/`None`: every out-neighbor of a settled node was relaxed,
+/// so it carries a finite *tentative* distance (always `> max_dist`, an
+/// upper bound on the true one) and a predecessor, and the one node
+/// popped past the bound carries its exact distance. Callers that need
+/// shortest paths must compare `dist[v]` against `max_dist`; see
+/// [`ShortestPathTree`].
+///
+/// This is the dense form — three `|V|`-sized vectors per call — for
+/// full trees and as the oracle of [`dijkstra_sparse`], which runs the
+/// same loop at a cost that follows the ball instead of the graph.
 pub fn dijkstra_bounded(net: &RoadNetwork, source: NodeId, max_dist: f64) -> ShortestPathTree {
     let n = net.num_nodes();
     let mut dist = vec![f64::INFINITY; n];
@@ -191,6 +217,184 @@ pub fn dijkstra_bounded(net: &RoadNetwork, source: NodeId, max_dist: f64) -> Sho
         dist,
         pred_edge,
     }
+}
+
+/// "No predecessor" in the packed `u32` predecessor slots.
+const NO_EDGE: u32 = u32::MAX;
+
+/// One node a sparse search reached.
+#[derive(Clone, Copy, Debug)]
+struct Touched {
+    node: u32,
+    pred: u32,
+    dist: f64,
+}
+
+/// The result of [`dijkstra_sparse`]: the part of a bounded
+/// shortest-path tree the search actually touched, as triples sorted by
+/// node id. Every node not listed is at `INFINITY` with no predecessor,
+/// exactly as in the dense [`ShortestPathTree`] of the same search — and
+/// like there, listed nodes beyond the bound hold tentative entries.
+#[derive(Clone, Debug)]
+pub struct SparseTree {
+    source: NodeId,
+    nodes: Vec<Touched>,
+}
+
+impl SparseTree {
+    /// Number of nodes the search touched (assigned a finite distance) —
+    /// the work the search did, independent of `|V|`.
+    pub fn touched(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn find(&self, v: NodeId) -> Option<&Touched> {
+        self.nodes
+            .binary_search_by_key(&v.0, |t| t.node)
+            .ok()
+            .map(|k| &self.nodes[k])
+    }
+
+    /// Distance from the source to `v`; `f64::INFINITY` when untouched.
+    pub fn dist(&self, v: NodeId) -> f64 {
+        self.find(v).map_or(f64::INFINITY, |t| t.dist)
+    }
+
+    /// The final edge on the tree path to `v`; `None` for the source and
+    /// for untouched nodes.
+    pub fn pred_edge(&self, v: NodeId) -> Option<EdgeId> {
+        self.find(v).and_then(|t| unpack_edge(t.pred))
+    }
+
+    /// [`ShortestPathTree::edge_path_to`] on the sparse tree, with the
+    /// same beyond-bound caveat.
+    pub fn edge_path_to(&self, net: &RoadNetwork, target: NodeId) -> Option<Vec<EdgeId>> {
+        self.find(target)?;
+        let mut edges = Vec::new();
+        let mut cur = target;
+        while cur != self.source {
+            let e = self.pred_edge(cur)?;
+            edges.push(e);
+            cur = net.edge(e).from;
+        }
+        edges.reverse();
+        Some(edges)
+    }
+}
+
+fn unpack_edge(pred: u32) -> Option<EdgeId> {
+    (pred != NO_EDGE).then_some(EdgeId(pred))
+}
+
+/// Reusable per-thread state of [`dijkstra_sparse`]: `|V|`-sized arrays
+/// allocated once per worker and "reset" by bumping `version` (the
+/// `LabelScratch` idiom of [`crate::hub_labels`]). `dist`/`pred` of a
+/// node are meaningful only while `touched_at[node] == version`.
+#[derive(Default)]
+struct SparseScratch {
+    version: u32,
+    dist: Vec<f64>,
+    pred: Vec<u32>,
+    touched_at: Vec<u32>,
+    settled_at: Vec<u32>,
+    touched: Vec<u32>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+thread_local! {
+    static SPARSE_SCRATCH: RefCell<SparseScratch> = RefCell::new(SparseScratch::default());
+}
+
+/// [`dijkstra_bounded`] at a cost of `O(ball · log ball)` instead of
+/// `O(|V|)`: the identical relax / canonical-tie-break / stop-past-the-
+/// bound loop over thread-local versioned scratch, returning only the
+/// touched nodes. Every touched node's distance bits and predecessor
+/// equal the dense tree's, tentative beyond-bound entries included, and
+/// every other node is `INFINITY`/`None` there (property-tested).
+pub fn dijkstra_sparse(net: &RoadNetwork, source: NodeId, max_dist: f64) -> SparseTree {
+    SPARSE_SCRATCH.with(|cell| {
+        let s = &mut *cell.borrow_mut();
+        let n = net.num_nodes();
+        if s.dist.len() < n {
+            s.dist.resize(n, f64::INFINITY);
+            s.pred.resize(n, NO_EDGE);
+            s.touched_at.resize(n, 0);
+            s.settled_at.resize(n, 0);
+        }
+        if s.version == u32::MAX {
+            s.touched_at.fill(0);
+            s.settled_at.fill(0);
+            s.version = 0;
+        }
+        s.version += 1;
+        let ver = s.version;
+        s.touched.clear();
+        s.heap.clear();
+        let si = source.index();
+        s.dist[si] = 0.0;
+        s.pred[si] = NO_EDGE;
+        s.touched_at[si] = ver;
+        s.touched.push(source.0);
+        s.heap.push(HeapEntry {
+            dist: 0.0,
+            node: source,
+        });
+        while let Some(HeapEntry { dist: d, node: u }) = s.heap.pop() {
+            if s.settled_at[u.index()] == ver {
+                continue;
+            }
+            s.settled_at[u.index()] = ver;
+            if d > max_dist {
+                break;
+            }
+            for &e in net.out_edges(u) {
+                let edge = net.edge(e);
+                let nd = d + edge.weight;
+                let v = edge.to;
+                let vi = v.index();
+                let seen = s.touched_at[vi] == ver;
+                let cur = if seen { s.dist[vi] } else { f64::INFINITY };
+                if nd < cur {
+                    // Strict improvement: adopt the new distance and edge.
+                    if !seen {
+                        s.touched_at[vi] = ver;
+                        s.touched.push(v.0);
+                    }
+                    s.dist[vi] = nd;
+                    s.pred[vi] = e.0;
+                    s.heap.push(HeapEntry { dist: nd, node: v });
+                } else if seen
+                    && nd == cur
+                    && edge.weight > 0.0
+                    && edge.from != edge.to
+                    && s.pred[vi] != NO_EDGE
+                    && e.0 < s.pred[vi]
+                {
+                    // Canonical tie-break: among float-tight predecessors,
+                    // keep the smallest edge id (see module docs).
+                    s.pred[vi] = e.0;
+                }
+            }
+        }
+        s.touched.sort_unstable();
+        let nodes = s
+            .touched
+            .iter()
+            .map(|&v| Touched {
+                node: v,
+                pred: s.pred[v as usize],
+                dist: s.dist[v as usize],
+            })
+            .collect();
+        SparseTree { source, nodes }
+    })
+}
+
+/// Test hook: moves this thread's scratch version so a test can force
+/// the `u32` wrap without running four billion searches.
+#[cfg(test)]
+fn set_sparse_scratch_version(version: u32) {
+    SPARSE_SCRATCH.with(|cell| cell.borrow_mut().version = version);
 }
 
 /// Dijkstra over the **reversed** graph: `dist[v]` is the shortest
@@ -470,6 +674,112 @@ mod tests {
         if tree.dist[3].is_finite() {
             assert_eq!(tree.dist[3], 2.0);
         }
+    }
+
+    #[test]
+    fn bounded_tree_keeps_tentative_entries_beyond_the_bound() {
+        // v0 -> v1 (1), v1 -> v3 (1), v0 -> v3 (5): true d(v3) = 2. With
+        // bound 0 only v0 is expanded, so v3 keeps the tentative 5 via
+        // the direct edge — finite, "reachable", and not shortest — and
+        // v1 is the node popped past the bound, exact at 1.
+        let mut b = RoadNetworkBuilder::new();
+        let v0 = b.add_node(Point::new(0.0, 0.0));
+        let v1 = b.add_node(Point::new(1.0, 0.0));
+        let v2 = b.add_node(Point::new(9.0, 9.0));
+        let v3 = b.add_node(Point::new(2.0, 0.0));
+        b.add_edge(v0, v1, 1.0).unwrap(); // e0
+        b.add_edge(v1, v3, 1.0).unwrap(); // e1
+        b.add_edge(v0, v3, 5.0).unwrap(); // e2
+        b.add_edge(v3, v2, 1.0).unwrap(); // e3
+        let net = b.build();
+        let dense = dijkstra_bounded(&net, v0, 0.0);
+        assert_eq!(dense.dist[v3.index()], 5.0);
+        assert!(dense.reachable(v3));
+        assert_eq!(dense.edge_path_to(&net, v3), Some(vec![EdgeId(2)]));
+        assert_eq!(dense.dist[v1.index()], 1.0);
+        // v2 was never relaxed: untouched.
+        assert!(!dense.reachable(v2));
+        // The sparse search is held to exactly the same behaviour.
+        let sparse = dijkstra_sparse(&net, v0, 0.0);
+        assert_eq!(sparse.touched(), 3);
+        assert_eq!(sparse.dist(v3), 5.0);
+        assert_eq!(sparse.edge_path_to(&net, v3), Some(vec![EdgeId(2)]));
+        assert_eq!(sparse.dist(v2), f64::INFINITY);
+        assert_eq!(sparse.edge_path_to(&net, v2), None);
+        // Within a bound that covers it, v3 is exact under either form.
+        assert_eq!(dijkstra_bounded(&net, v0, 2.0).dist[v3.index()], 2.0);
+        assert_eq!(
+            dijkstra_sparse(&net, v0, 2.0).edge_path_to(&net, v3),
+            Some(vec![EdgeId(0), EdgeId(1)])
+        );
+    }
+
+    /// Every touched node equals the dense tree bit for bit, and every
+    /// untouched node is `INFINITY`/`None` there.
+    fn assert_sparse_equals_dense(net: &RoadNetwork, source: NodeId, bound: f64) {
+        let dense = dijkstra_bounded(net, source, bound);
+        let sparse = dijkstra_sparse(net, source, bound);
+        for v in net.node_ids() {
+            assert_eq!(
+                sparse.dist(v).to_bits(),
+                dense.dist[v.index()].to_bits(),
+                "dist {source}->{v} at bound {bound}"
+            );
+            assert_eq!(sparse.pred_edge(v), dense.pred_edge[v.index()]);
+            assert_eq!(sparse.edge_path_to(net, v), dense.edge_path_to(net, v));
+        }
+        let finite = dense.dist.iter().filter(|d| d.is_finite()).count();
+        assert_eq!(sparse.touched(), finite);
+    }
+
+    fn tied_grid() -> RoadNetwork {
+        crate::generators::grid_network(&crate::generators::GridConfig {
+            nx: 9,
+            ny: 9,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn sparse_scratch_survives_version_wrap() {
+        let net = tied_grid();
+        // Version 1 stamps every node touched and settled; then jump to
+        // the brink. The search after `u32::MAX` wraps back to version 1
+        // and must not mistake those stale stamps for its own.
+        assert_sparse_equals_dense(&net, NodeId(0), f64::INFINITY);
+        set_sparse_scratch_version(u32::MAX - 1);
+        for s in 0..8u32 {
+            assert_sparse_equals_dense(&net, NodeId(s * 9 + 4), 250.0);
+        }
+        assert_sparse_equals_dense(&net, NodeId(80), f64::INFINITY);
+    }
+
+    #[test]
+    fn sparse_scratch_is_reused_across_networks_and_threads() {
+        // One thread alternates between a large and a small network (the
+        // scratch only ever grows); two more, released together by a
+        // barrier so they do overlap, search on their own thread-local
+        // scratch.
+        let big = tied_grid();
+        let small = diamond();
+        for s in 0..4 {
+            assert_sparse_equals_dense(&big, NodeId(40 + s), 300.0);
+            assert_sparse_equals_dense(&small, NodeId(s), 1.0);
+        }
+        let big = &big;
+        let start = &std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2u32 {
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..40u32 {
+                        let source = NodeId((i * 7 + t * 13) % 81);
+                        let bound = [0.0, 150.0, 400.0, f64::INFINITY][(i % 4) as usize];
+                        assert_sparse_equals_dense(big, source, bound);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

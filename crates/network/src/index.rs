@@ -70,42 +70,44 @@ impl EdgeSpatialIndex {
     }
 
     /// All edges whose embedding lies within `radius` meters of `p`,
-    /// with their projections, sorted by distance.
+    /// with their projections, sorted by `(distance, edge id)`.
     pub fn edges_near(&self, p: &Point, radius: f64) -> Vec<(EdgeId, Projection)> {
-        let query = Mbr::of_point(p).inflate(radius);
-        let (ix0, iy0) = Self::cell_of(
-            self.origin,
-            self.cell,
-            self.nx,
-            self.ny,
-            &Point::new(query.min_x, query.min_y),
-        );
-        let (ix1, iy1) = Self::cell_of(
-            self.origin,
-            self.cell,
-            self.nx,
-            self.ny,
-            &Point::new(query.max_x, query.max_y),
-        );
-        let mut seen = vec![];
         let mut out = Vec::new();
+        self.edges_near_into(p, radius, &mut out);
+        out
+    }
+
+    /// [`EdgeSpatialIndex::edges_near`] into a caller-owned buffer
+    /// (cleared first), so a per-fix loop allocates nothing.
+    pub fn edges_near_into(&self, p: &Point, radius: f64, out: &mut Vec<(EdgeId, Projection)>) {
+        out.clear();
+        let query = Mbr::of_point(p).inflate(radius);
+        let cell_of = |x: f64, y: f64| {
+            Self::cell_of(self.origin, self.cell, self.nx, self.ny, &Point::new(x, y))
+        };
+        let (ix0, iy0) = cell_of(query.min_x, query.min_y);
+        let (ix1, iy1) = cell_of(query.max_x, query.max_y);
         for iy in iy0..=iy1 {
             for ix in ix0..=ix1 {
                 for &e in &self.cells[iy * self.nx + ix] {
-                    if seen.contains(&e) {
+                    // An edge sits in every cell of its box's cell
+                    // rectangle; take it only from the first cell (in
+                    // visit order) that rectangle shares with the query
+                    // window, which dedupes without a seen-set.
+                    let a = self.net.edge_start(e);
+                    let b = self.net.edge_end(e);
+                    let (ex0, ey0) = cell_of(a.x.min(b.x), a.y.min(b.y));
+                    if ix != ex0.max(ix0) || iy != ey0.max(iy0) {
                         continue;
                     }
-                    seen.push(e);
-                    let proj =
-                        project_onto_segment(p, &self.net.edge_start(e), &self.net.edge_end(e));
+                    let proj = project_onto_segment(p, &a, &b);
                     if proj.dist <= radius {
                         out.push((e, proj));
                     }
                 }
             }
         }
-        out.sort_by(|a, b| a.1.dist.total_cmp(&b.1.dist).then(a.0.cmp(&b.0)));
-        out
+        out.sort_unstable_by(|a, b| a.1.dist.total_cmp(&b.1.dist).then(a.0.cmp(&b.0)));
     }
 
     /// The closest edge to `p`, searching outward in growing rings.
@@ -167,6 +169,40 @@ mod tests {
         }
         for (_, proj) in &found {
             assert!(proj.dist <= 30.0);
+        }
+    }
+
+    #[test]
+    fn edges_near_equals_a_linear_scan() {
+        // Each edge exactly once, in `(dist, edge id)` order — for cell
+        // sizes below, near and above the edge length, and for points on
+        // nodes, inside blocks and outside the grid.
+        let net = Arc::new(grid_network(&GridConfig {
+            weight_jitter: 0.2,
+            removal_prob: 0.05,
+            ..GridConfig::default()
+        }));
+        for cell in [25.0, 60.0, 100.0, 350.0] {
+            let idx = EdgeSpatialIndex::build(net.clone(), cell);
+            for i in 0..60u32 {
+                let p = Point::new(
+                    -150.0 + (i * 37 % 120) as f64 * 10.0,
+                    -150.0 + (i * 53 % 120) as f64 * 10.0,
+                );
+                for radius in [0.0, 60.0, 140.0] {
+                    let mut want: Vec<(EdgeId, Projection)> = net
+                        .edge_ids()
+                        .map(|e| {
+                            let proj =
+                                project_onto_segment(&p, &net.edge_start(e), &net.edge_end(e));
+                            (e, proj)
+                        })
+                        .filter(|(_, proj)| proj.dist <= radius)
+                        .collect();
+                    want.sort_by(|a, b| a.1.dist.total_cmp(&b.1.dist).then(a.0.cmp(&b.0)));
+                    assert_eq!(idx.edges_near(&p, radius), want, "cell {cell} p {p:?}");
+                }
+            }
         }
     }
 

@@ -60,8 +60,8 @@ mod store_codec;
 
 pub use ch::{ChConfig, ContractionHierarchy, MappedContractionHierarchy};
 pub use dijkstra::{
-    bidirectional_distance, dijkstra, dijkstra_bounded, dijkstra_with, node_distance,
-    reverse_distances, ShortestPathTree,
+    bidirectional_distance, dijkstra, dijkstra_bounded, dijkstra_sparse, dijkstra_with,
+    node_distance, reverse_distances, ShortestPathTree, SparseTree,
 };
 pub use error::NetworkError;
 pub use generators::{

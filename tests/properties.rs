@@ -632,3 +632,101 @@ proptest! {
         }
     }
 }
+
+/// The sparse search equals the dense tree at every node, bit for bit —
+/// tentative beyond-bound entries included — and touched exactly the
+/// nodes the dense tree holds at a finite distance, so every other node
+/// is `INFINITY`/`None` in both.
+fn check_sparse_equals_dense(
+    net: &RoadNetwork,
+    source: NodeId,
+    bound: f64,
+) -> Result<(), TestCaseError> {
+    use press::network::{dijkstra_bounded, dijkstra_sparse};
+    let dense = dijkstra_bounded(net, source, bound);
+    let sparse = dijkstra_sparse(net, source, bound);
+    for v in net.node_ids() {
+        prop_assert_eq!(
+            sparse.dist(v).to_bits(),
+            dense.dist[v.index()].to_bits(),
+            "dist {} -> {} at bound {}",
+            source,
+            v,
+            bound
+        );
+        prop_assert_eq!(sparse.pred_edge(v), dense.pred_edge[v.index()]);
+        prop_assert_eq!(sparse.edge_path_to(net, v), dense.edge_path_to(net, v));
+    }
+    let finite = dense.dist.iter().filter(|d| d.is_finite()).count();
+    prop_assert_eq!(sparse.touched(), finite);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The matcher's kernel: `dijkstra_sparse` is `dijkstra_bounded`
+    /// restricted to the touched nodes — on random geometric networks
+    /// (unique paths, disconnected pieces) and on fully tied grids
+    /// (where only the canonical tie-break keeps predecessors aligned),
+    /// from random sources, at bounds of zero, mid-range and infinity.
+    /// Searches share one thread-local scratch, so the sequence also
+    /// exercises reuse across networks of different sizes.
+    #[test]
+    fn sparse_search_matches_dense_bounded_dijkstra(
+        nodes in 2usize..120,
+        radius in 60.0f64..260.0,
+        nx in 2usize..9,
+        ny in 2usize..9,
+        removal_milli in 0u32..150,
+        seed in 0u64..1000,
+        picks in proptest::collection::vec((0u32..10_000, 0.0f64..900.0), 1..6),
+    ) {
+        use press::network::{random_geometric_network, RandomGeometricConfig};
+        let geometric = random_geometric_network(&RandomGeometricConfig {
+            nodes,
+            extent: 1000.0,
+            radius,
+            seed,
+        });
+        let tied = grid_network(&GridConfig {
+            nx,
+            ny,
+            spacing: 100.0,
+            weight_jitter: 0.0,
+            removal_prob: removal_milli as f64 / 1000.0,
+            seed,
+        });
+        for &(pick, mid) in &picks {
+            for net in [&geometric, &tied] {
+                let source = NodeId(pick % net.num_nodes() as u32);
+                for bound in [0.0, mid, f64::INFINITY] {
+                    check_sparse_equals_dense(net, source, bound)?;
+                }
+            }
+        }
+    }
+}
+
+/// Size independence as a count, not a timing: the same 350 m ball costs
+/// the same number of touched nodes on a 6,400-node and a 102,400-node
+/// grid.
+#[test]
+fn sparse_search_work_is_independent_of_network_size() {
+    use press::network::dijkstra_sparse;
+    let ball = |n: usize| {
+        let net = grid_network(&GridConfig {
+            nx: n,
+            ny: n,
+            ..GridConfig::default()
+        });
+        // The same interior intersection on either grid.
+        let source = NodeId((20 * n + 20) as u32);
+        dijkstra_sparse(&net, source, 350.0).touched()
+    };
+    let small = ball(80);
+    assert_eq!(small, ball(320));
+    // |dx| + |dy| <= 3 hops settle (25 nodes) and their 4-hop rim (16)
+    // is relaxed before the search stops.
+    assert_eq!(small, 41);
+}
