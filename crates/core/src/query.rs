@@ -290,7 +290,7 @@ impl<'a> QueryEngine<'a> {
     /// resolved by walking the predecessor tree from its far end, without
     /// materializing the expansion.
     pub fn point_at_distance(&self, cs: &CompressedSpatial, d: f64) -> Result<Point> {
-        let net = self.model.sp().network().clone();
+        let net = self.model.sp().network();
         let sp = self.model.sp();
         let trie = self.model.trie();
         let mut dacu = 0.0f64;
@@ -447,7 +447,7 @@ impl<'a> QueryEngine<'a> {
         p: Point,
         tolerance: f64,
     ) -> Result<f64> {
-        let net = self.model.sp().network().clone();
+        let net = self.model.sp().network();
         let mut dacu = 0.0f64;
         let mut found: Option<f64> = None;
         self.for_each_unit(cs, |unit, len| {
@@ -514,7 +514,7 @@ impl<'a> QueryEngine<'a> {
         if ct.temporal.is_empty() {
             return Err(PressError::OutOfDomain("empty temporal sequence".into()));
         }
-        let net = self.model.sp().network().clone();
+        let net = self.model.sp().network();
         let (d1, d2) = ordered(
             self.dis(&ct.temporal.points, t1),
             self.dis(&ct.temporal.points, t2),
@@ -564,7 +564,7 @@ impl<'a> QueryEngine<'a> {
         if ct.temporal.is_empty() {
             return Err(PressError::OutOfDomain("empty temporal sequence".into()));
         }
-        let net = self.model.sp().network().clone();
+        let net = self.model.sp().network();
         let (d1, d2) = ordered(
             self.dis(&ct.temporal.points, t1),
             self.dis(&ct.temporal.points, t2),
@@ -602,7 +602,7 @@ impl<'a> QueryEngine<'a> {
     /// compressed trajectories (§5.4), with unit-pair MBR pruning against
     /// the best distance found so far.
     pub fn min_distance(&self, a: &CompressedTrajectory, b: &CompressedTrajectory) -> Result<f64> {
-        let net = self.model.sp().network().clone();
+        let net = self.model.sp().network();
         // Collect unit summaries (cheap: ids + table lookups).
         let units_a = self.collect_units(&a.spatial)?;
         let units_b = self.collect_units(&b.spatial)?;

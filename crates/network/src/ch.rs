@@ -1921,13 +1921,13 @@ impl SpProvider for ContractionHierarchy {
         if u == v {
             return None;
         }
-        let (d, path) = self.query(u, v)?;
+        let (d, _) = self.query(u, v)?;
         match self.canonical_pred(u, v, d) {
             Some((e, _)) => Some(e),
             // Unreachable in practice (the Dijkstra predecessor always
             // satisfies the float-tight equation); keep the unpacked
             // path's last edge as a safety net.
-            None => path.last().copied(),
+            None => self.query(u, v)?.1.last().copied(),
         }
     }
 

@@ -16,12 +16,12 @@
 //! d(s, t) = min over h ∈ L↑(s) ∩ L↓(t) of  d↑(s, h) + d↓(h, t)
 //! ```
 //!
-//! so a query is a **sorted merge of two flat arrays** — no heap, no
-//! versioned scratch, no graph traversal. At 102k nodes that turns the
-//! ~1.4 ms CH search into a few microseconds: the merge touches a few
-//! hundred label entries, and the remaining cost is unpacking the winning
-//! up-down path to re-accumulate its exact weight (see below). The price
-//! is memory: labels store the whole search space per node per direction
+//! so a query is a **flat scan over precomputed arrays** — no heap, no
+//! graph traversal. At 102k nodes that turns the ~1.4 ms CH search into
+//! a few microseconds: the scan touches a few hundred label entries, and
+//! the remaining cost of an exact *distance* is unpacking the winning
+//! up-down path to re-accumulate its weight (see below). The price is
+//! memory: labels store the whole search space per node per direction
 //! (~10× the CH footprint), the classic precompute-then-probe trade.
 //!
 //! # Construction
@@ -37,19 +37,92 @@
 //! loop, and the result is **bit-identical for any thread count** because
 //! each label is a pure function of the hierarchy.
 //!
+//! # The pinned-source row
+//!
+//! PRESS asks its questions in runs that share a source: `SPend(e_index,
+//! e_{i+1})` keeps `e_index` while a compression run lasts, and every
+//! probe of an `sp_interior` walk starts at the same node. The meet
+//! therefore does not merge two sorted labels; each querying thread keeps
+//! one **row** of `(forward distance, forward position)` indexed by hub
+//! id — the source's forward label scattered into a dense array, every
+//! other slot `+∞` — and a lookup is one linear pass over the *target's*
+//! backward label reading `row[hub] + d↓`. Absent hubs contribute `+∞`,
+//! so the pass has no "is this hub shared" branch. The winner rule is the
+//! sorted merge's: minimal sum, and — hubs ascend and only strict
+//! improvements replace the best — the smallest hub id among ties, so the
+//! selected `(forward, backward)` entry pair is identical. The row is
+//! keyed by `(instance id, source)`: ids come from a process-wide
+//! counter, never repeat, and are never derived from an address, so a
+//! row scattered from a dropped instance cannot be mistaken for a live
+//! one's. Re-pinning un-sets the previous source's hubs (kept in a side
+//! list, so the previous instance need not be alive) and sets the new
+//! ones — O(label), not O(|V|). Cost: 16 B × |V| per querying thread.
+//!
 //! # Bit-identical answers
 //!
 //! The same discipline as the CH backend (see [`crate::ch`], "Bit-identical
-//! answers"): label distances are only used to *select* the meet hub;
-//! the returned distance is re-accumulated **left-to-right over the
+//! answers"): label distances are only used to *select* — never returned.
+//! A returned **distance** is re-accumulated **left-to-right over the
 //! unpacked original edges** — the exact float-addition order canonical
-//! Dijkstra uses — and `pred_edge`/`sp_interior` walk the canonical
-//! tight-edge equation `node_dist(u, p) + w(e) == node_dist(u, v)`.
-//! Every label entry carries the parent arc of its search tree, so the
-//! winning up-down path unpacks without touching any graph: forward
-//! parents chain the hub back to `s`, backward parents chain it down
-//! to `t`, and each arc expands to original edges via the carried
-//! arc table carried from the hierarchy.
+//! Dijkstra uses. Every label entry carries the parent arc of its search
+//! tree, so the winning up-down path unpacks without touching any graph:
+//! forward parents chain the hub back to `s`, backward parents chain it
+//! down to `t`, and each arc expands to original edges via the arc table
+//! carried from the hierarchy.
+//!
+//! A **predecessor** (`pred_edge`, hence `SPend`, and each step of
+//! `sp_interior`) has two routes to the same answer.
+//!
+//! *The exact route* — the definition, and the reference every test
+//! compares against — walks the canonical tight-edge equation: the first
+//! in-edge `e = (p, v)` with `node_dist(u, p) + w(e) == node_dist(u, v)`,
+//! every distance exact as above. That is one unpack per in-edge.
+//!
+//! *The margin route* decides from label sums alone whenever they cannot
+//! be wrong about the winner:
+//!
+//! 1. **The identity.** For strictly positive weights the oracle's
+//!    (canonical Dijkstra's) distances satisfy, for every `v ≠ u`,
+//!    `dist[v] = min over in-edges (p′, v) of fl(dist[p′] + w′)`: every
+//!    reachable tail is settled at its final distance and relaxes all its
+//!    out-edges, distances only ever drop, and nothing relaxed after `v`
+//!    settles can undercut it. The canonical predecessor is the smallest
+//!    edge id attaining that minimum — so an in-edge that attains it
+//!    **alone** is the canonical predecessor, whatever its id.
+//! 2. **Where `τ` comes from.** A label sum `a(u, p′) = d↑ + d↓` at the
+//!    winning hub and the oracle's `dist[p′]` are both float sums of the
+//!    positive weights of a `u → p′` path, in some association order, and
+//!    neither path is longer in exact arithmetic than the true shortest
+//!    one by more than its own rounding (Dijkstra's value is bounded above
+//!    by the left-to-right sum along the true shortest path because float
+//!    addition is monotone; the label minimum is bounded above by the sum
+//!    along that path's up-down representation, which the 2-hop cover
+//!    keeps in the labels). Any-order summation of `n` positive terms
+//!    errs by at most `(n − 1)·ε/2` relative (`ε = f64::EPSILON`), and a
+//!    simple path has `n ≤ |V| − 1` edges, so each value is within
+//!    `|V|·ε/2` of the true distance and the two are within `|V|·ε` of
+//!    each other. `τ = 8·|V|·ε` (`tie_margin`) takes that bound with 8×
+//!    headroom, which also absorbs the one rounding of the final
+//!    `+ w′` on each side. It is derived from `|V|`, not configured.
+//! 3. **Why a unique margin winner is the canonical predecessor.** Put
+//!    `c(e′) = a(u, p′) + w′` (`a = 0` for `p′ = u`; `+∞` when the labels
+//!    share no hub). Then `|c(e′) − fl(dist[p′] + w′)| ≤ τ·c(e′)`. If the
+//!    smallest candidate `c₁` and the runner-up `c₂` satisfy
+//!    `c₁ < c₂·(1 − 2τ)`, then `fl(dist[p₁] + w₁) ≤ c₁(1 + τ) <
+//!    c₂(1 − τ) ≤ fl(dist[p′] + w′)` for every other in-edge: edge 1
+//!    attains the oracle's minimum alone, and by (1) it is the canonical
+//!    predecessor. No unpack, no exact distance, no allocation. All
+//!    candidates `+∞` means no tail is reachable, i.e. `v` is not.
+//! 4. **What falls back.** Anything closer than `2τ`: exactly tied grids,
+//!    parallel edges of equal weight, sums that collide within a few ulps.
+//!    Those take the exact route unchanged. `sp_interior` walks the margin
+//!    pick backwards from the target under one pinned source and abandons
+//!    the walk for the exact one (the shared `probe::canonical_walk`
+//!    over a `SourceProbe`) at the first near-tie.
+//!
+//! The exact route is thus both the fallback and the oracle the margin
+//! route is property-tested against (`margin == exact == dense`), per the
+//! "accelerations are provably pure" invariant in `docs/ARCHITECTURE.md`.
 //!
 //! Precondition: strictly positive edge weights (inherited from the
 //! hierarchy the labels are built from).
@@ -61,13 +134,15 @@ use crate::provider::SpProvider;
 use press_store::FlatSlice;
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One direction's labels for all nodes, in flat CSR storage: node `v`'s
-/// entries live at `index[v]..index[v+1]`, sorted by hub id (which is
-/// what makes the query a sorted merge). `parent` is the arc (into the
-/// carried arc table) that reached the hub in `v`'s search tree —
-/// [`NO_ARC`] exactly for the self entry `(v, 0.0)`.
+/// entries live at `index[v]..index[v+1]`, sorted by hub id (which
+/// fixes the meet's tie rule and lets parent chains binary-search).
+/// `parent` is the arc (into the carried arc table) that reached the hub
+/// in `v`'s search tree — [`NO_ARC`] exactly for the self entry
+/// `(v, 0.0)`.
 ///
 /// The arrays are [`FlatSlice`]s: owned after a build or an owned load,
 /// zero-copy borrows of the artifact's flat sections after a mapped open
@@ -119,6 +194,96 @@ thread_local! {
     /// path, so `node_dist` performs no per-lookup heap allocation.
     static QUERY_BUFS: RefCell<(Vec<u32>, Vec<EdgeId>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
+    /// This thread's pinned-source row; see the module docs.
+    static PINNED: RefCell<PinnedRow> = const { RefCell::new(PinnedRow::new()) };
+}
+
+/// One slot of the pinned row: the pinned source's forward-label distance
+/// to this hub and that entry's position in the forward CSR. A hub the
+/// source's label lacks reads `+∞`, so summing through it can never win.
+#[derive(Clone, Copy)]
+struct RowSlot {
+    dist: f64,
+    pos: u32,
+}
+
+const ABSENT: RowSlot = RowSlot {
+    dist: f64::INFINITY,
+    pos: 0,
+};
+
+/// The forward label of one `(instance, source)` scattered by hub id.
+struct PinnedRow {
+    /// [`HubLabels::id`] of the instance the row was scattered from;
+    /// `0` (never issued) while nothing valid is pinned.
+    owner: u64,
+    source: u32,
+    slots: Vec<RowSlot>,
+    /// The hubs currently set, so re-pinning un-sets exactly those —
+    /// without needing the previous owner, which may be gone.
+    set: Vec<u32>,
+}
+
+impl PinnedRow {
+    const fn new() -> Self {
+        PinnedRow {
+            owner: 0,
+            source: 0,
+            slots: Vec::new(),
+            set: Vec::new(),
+        }
+    }
+}
+
+/// Source of [`HubLabels::id`]: process-wide, starts at 1, never repeats.
+/// `Relaxed` suffices — the id publishes no other data, it only has to
+/// be unique.
+static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_instance_id() -> u64 {
+    NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// `τ`, the relative distance within which a label sum and the oracle's
+/// distance for the same pair may differ — `8·|V|·ε`; derivation in the
+/// module docs, "Bit-identical answers" (2).
+fn tie_margin(num_nodes: usize) -> f64 {
+    8.0 * num_nodes as f64 * f64::EPSILON
+}
+
+/// What the label sums alone could say about a predecessor question.
+enum Margin<T> {
+    /// The answer, provably the exact route's.
+    Decided(T),
+    /// Two candidates within `2τ`: only the exact route can tell.
+    NearTie,
+}
+
+/// Which route answered, per thread — how the tests prove the jittered
+/// regime never unpacks and the tied regime always falls back.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default)]
+struct Witness {
+    /// Predecessors decided by margin.
+    margin_picks: usize,
+    /// Near-ties handed to the exact route.
+    fallbacks: usize,
+    /// Up-down paths unpacked.
+    unpacks: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    static WITNESS: std::cell::Cell<Witness> = std::cell::Cell::new(Witness::default());
+}
+
+#[cfg(test)]
+fn witness(bump: impl FnOnce(&mut Witness)) {
+    WITNESS.with(|cell| {
+        let mut w = cell.get();
+        bump(&mut w);
+        cell.set(w);
+    });
 }
 
 /// One label entry as produced by the search: (hub, dist, parent arc).
@@ -211,6 +376,8 @@ pub(crate) fn label_search(
 
 /// A built hub labeling over one road network; see module docs.
 pub struct HubLabels {
+    /// Key of this instance's pinned rows; unique per construction.
+    id: u64,
     net: Arc<RoadNetwork>,
     /// The augmented arc set of the hierarchy the labels were built from
     /// (originals first, then shortcuts) — label parent pointers index
@@ -316,6 +483,7 @@ impl HubLabels {
             "label entry count overflows the CSR index type"
         );
         HubLabels {
+            id: next_instance_id(),
             net: ch.net.clone(),
             arcs: ch.arcs.clone(),
             fwd: assemble(|p| &p.0),
@@ -329,37 +497,81 @@ impl HubLabels {
     }
 
     /// Mean label entries per node per direction — the expected cost of
-    /// one merge (and the memory driver).
+    /// one label scan (and the memory driver).
     pub fn avg_label_len(&self) -> f64 {
         self.num_label_entries() as f64 / (2 * self.net.num_nodes().max(1)) as f64
     }
 
-    /// The sorted merge itself: positions of the winning meet hub in
-    /// `s`'s forward and `t`'s backward label, or `None` when the labels
-    /// share no hub (unreachable).
-    fn meet(&self, s: NodeId, t: NodeId) -> Option<(usize, usize)> {
-        let (mut i, fhi) = self.fwd.range(s);
-        let (mut j, bhi) = self.bwd.range(t);
+    /// Runs `f` over this thread's row pinned to `(self, s)`, scattering
+    /// `s`'s forward label into it first unless it is already there. `f`
+    /// must not query `self` again (the row is exclusively borrowed).
+    fn with_row<R>(&self, s: NodeId, f: impl FnOnce(&[RowSlot]) -> R) -> R {
+        PINNED.with(|cell| {
+            let row = &mut *cell.borrow_mut();
+            if row.owner != self.id || row.source != s.0 {
+                self.pin(row, s);
+            }
+            f(&row.slots)
+        })
+    }
+
+    /// Re-scatters `row` for source `s`: un-set the previous hubs, set
+    /// `s`'s. The row only ever grows, so a smaller instance shares the
+    /// allocation a larger one made (its hubs index below its own `|V|`,
+    /// every other slot is `+∞`).
+    fn pin(&self, row: &mut PinnedRow, s: NodeId) {
+        row.owner = 0; // nothing valid until the scatter completes
+        for &h in &row.set {
+            row.slots[h as usize] = ABSENT;
+        }
+        row.set.clear();
+        let n = self.net.num_nodes();
+        if row.slots.len() < n {
+            row.slots.resize(n, ABSENT);
+        }
+        let (lo, hi) = self.fwd.range(s);
+        for k in lo..hi {
+            row.slots[self.fwd.hub[k] as usize] = RowSlot {
+                dist: self.fwd.dist[k],
+                pos: k as u32,
+            };
+        }
+        row.set.extend_from_slice(&self.fwd.hub[lo..hi]);
+        row.owner = self.id;
+        row.source = s.0;
+    }
+
+    /// One pass over `t`'s backward label against the pinned row: the
+    /// minimal label sum and the backward position attaining it (first,
+    /// i.e. smallest hub id, among ties — the sorted merge's rule).
+    /// `(+∞, _)` when the labels share no hub (unreachable).
+    #[inline]
+    fn scan(&self, slots: &[RowSlot], t: NodeId) -> (f64, usize) {
+        let (blo, bhi) = self.bwd.range(t);
         let mut best = f64::INFINITY;
-        let mut meet: Option<(usize, usize)> = None;
-        while i < fhi && j < bhi {
-            let hf = self.fwd.hub[i];
-            let hb = self.bwd.hub[j];
-            if hf < hb {
-                i += 1;
-            } else if hb < hf {
-                j += 1;
-            } else {
-                let total = self.fwd.dist[i] + self.bwd.dist[j];
-                if total < best {
-                    best = total;
-                    meet = Some((i, j));
-                }
-                i += 1;
-                j += 1;
+        let mut at = blo;
+        for (j, (&h, &d)) in self.bwd.hub[blo..bhi]
+            .iter()
+            .zip(&self.bwd.dist[blo..bhi])
+            .enumerate()
+        {
+            let total = slots[h as usize].dist + d;
+            if total < best {
+                best = total;
+                at = blo + j;
             }
         }
-        meet
+        (best, at)
+    }
+
+    /// Positions of the winning meet hub in `s`'s forward and `t`'s
+    /// backward label, or `None` when the labels share no hub
+    /// (unreachable).
+    fn meet(&self, s: NodeId, t: NodeId) -> Option<(usize, usize)> {
+        self.with_row(s, |slots| {
+            let (best, bi) = self.scan(slots, t);
+            (best < f64::INFINITY).then(|| (slots[self.bwd.hub[bi] as usize].pos as usize, bi))
+        })
     }
 
     /// Unpacks the winning up-down path through meet `(fi, bi)` into
@@ -377,6 +589,8 @@ impl HubLabels {
         chain: &mut Vec<u32>,
         edges: &mut Vec<EdgeId>,
     ) {
+        #[cfg(test)]
+        witness(|w| w.unpacks += 1);
         chain.clear();
         edges.clear();
         let mut k = fi;
@@ -433,7 +647,7 @@ impl HubLabels {
         })
     }
 
-    /// The sorted-merge query. Returns the exact distance (re-accumulated
+    /// The path-returning query. Returns the exact distance (re-accumulated
     /// left-to-right over the unpacked original edges, bit-identical to
     /// the canonical Dijkstra distance) and the unpacked edge path.
     /// `None` when `t` is unreachable from `s` (the labels share no hub);
@@ -470,6 +684,130 @@ impl HubLabels {
             }
         }
         None
+    }
+
+    /// The exact route of `pred_edge` (`u != v`): the reference
+    /// definition, and the fallback for near-ties.
+    fn exact_pred_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        let d = self.query_dist(u, v)?;
+        match self.canonical_pred(u, v, d) {
+            Some((e, _)) => Some(e),
+            // Unreachable in practice (the Dijkstra predecessor always
+            // satisfies the float-tight equation); keep the unpacked
+            // path's last edge as a safety net.
+            None => self.query(u, v)?.1.last().copied(),
+        }
+    }
+
+    /// The exact route of `sp_interior` for the gap `u → target`
+    /// (`u != target`): the reference definition, and the fallback for
+    /// near-ties.
+    fn exact_interior(&self, u: NodeId, target: NodeId) -> Option<Vec<EdgeId>> {
+        let d = self.query_dist(u, target)?;
+        // Walk the canonical tree backwards (the shared tight-edge loop,
+        // `crate::probe::canonical_walk`) with a one-shot
+        // [`SourceProbe`](crate::probe): the forward side of every
+        // `d(u, p)` probe — u's label and the re-accumulated distances to
+        // its hubs — is materialized once for the whole walk, so each
+        // tight-edge check costs one label merge plus the backward chain
+        // of its up-down path instead of a full query. A failed walk
+        // falls back to the unpacked up-down path, still a shortest path.
+        let (flo, fhi) = self.fwd.range(u);
+        let mut probe = crate::probe::SourceProbe::from_entries(
+            (flo..fhi).map(|k| (self.fwd.hub[k], self.fwd.dist[k], self.fwd.parent[k])),
+        );
+        let interior = crate::probe::canonical_walk(&self.net, u, target, d, |p| {
+            let (blo, bhi) = self.bwd.range(p);
+            probe.dist_to(
+                &self.net,
+                &self.arcs,
+                &self.bwd.hub[blo..bhi],
+                &self.bwd.dist[blo..bhi],
+                &self.bwd.parent[blo..bhi],
+            )
+        });
+        interior.or_else(|| Some(self.query(u, target)?.1))
+    }
+
+    /// The margin route for one predecessor (module docs, "Bit-identical
+    /// answers" (3)) over a row pinned to `u`: every in-edge's label-sum
+    /// candidate, decided when the smallest clears the runner-up by more
+    /// than `2·tau`. `u != v`.
+    fn margin_pred(
+        &self,
+        slots: &[RowSlot],
+        u: NodeId,
+        v: NodeId,
+        tau: f64,
+    ) -> Margin<Option<EdgeId>> {
+        let mut best = f64::INFINITY;
+        let mut runner_up = f64::INFINITY;
+        let mut pick = None;
+        for &e in self.net.in_edges(v) {
+            let edge = self.net.edge(e);
+            if edge.from == edge.to {
+                continue;
+            }
+            let a = if edge.from == u {
+                0.0
+            } else {
+                self.scan(slots, edge.from).0
+            };
+            let c = a + edge.weight;
+            if c < best {
+                runner_up = best;
+                best = c;
+                pick = Some(e);
+            } else if c < runner_up {
+                runner_up = c;
+            }
+        }
+        // `pick` is `None` exactly when no tail is reachable from `u`.
+        let decided = pick.is_none() || best < runner_up * (1.0 - 2.0 * tau);
+        #[cfg(test)]
+        witness(|w| {
+            if decided {
+                w.margin_picks += 1
+            } else {
+                w.fallbacks += 1
+            }
+        });
+        if decided {
+            Margin::Decided(pick)
+        } else {
+            Margin::NearTie
+        }
+    }
+
+    /// The margin route for a whole gap: the canonical-tree path
+    /// `u → target` (`u != target`) as a backward walk of
+    /// [`Self::margin_pred`], every probe against the one pinned source.
+    /// `Decided(None)` when `target` is unreachable.
+    fn margin_walk(&self, u: NodeId, target: NodeId) -> Margin<Option<Vec<EdgeId>>> {
+        let tau = tie_margin(self.net.num_nodes());
+        self.with_row(u, |slots| {
+            let mut interior = Vec::new();
+            let mut cur = target;
+            while cur != u {
+                // Each decided step moves strictly closer to `u` in the
+                // oracle's tree, so a longer walk means `τ` was violated:
+                // let the exact route answer.
+                if interior.len() >= self.net.num_nodes() {
+                    return Margin::NearTie;
+                }
+                match self.margin_pred(slots, u, cur, tau) {
+                    Margin::Decided(Some(e)) => {
+                        interior.push(e);
+                        cur = self.net.edge(e).from;
+                    }
+                    // Only the first step can find nothing reachable.
+                    Margin::Decided(None) => return Margin::Decided(None),
+                    Margin::NearTie => return Margin::NearTie,
+                }
+            }
+            interior.reverse();
+            Margin::Decided(Some(interior))
+        })
     }
 
     // -----------------------------------------------------------------
@@ -670,6 +1008,7 @@ impl HubLabels {
         let fwd = read_set("fwd_index_c", "fwd_hub_c", "fwd_parent", fwd_entries, true)?;
         let bwd = read_set("bwd_index_c", "bwd_hub_c", "bwd_parent", bwd_entries, false)?;
         Ok(HubLabels {
+            id: next_instance_id(),
             net,
             arcs,
             fwd,
@@ -887,6 +1226,7 @@ impl MappedHubLabels {
         let fwd = read_set("fwd", fwd_entries, true)?;
         let bwd = read_set("bwd", bwd_entries, false)?;
         Ok(HubLabels {
+            id: next_instance_id(),
             net,
             arcs,
             fwd,
@@ -1017,14 +1357,11 @@ impl SpProvider for HubLabels {
         if u == v {
             return None;
         }
-        let (d, path) = self.query(u, v)?;
-        match self.canonical_pred(u, v, d) {
-            Some((e, _)) => Some(e),
-            // Unreachable in practice (the Dijkstra predecessor always
-            // satisfies the float-tight equation); keep the unpacked
-            // path's last edge as a safety net.
-            None => path.last().copied(),
+        let tau = tie_margin(self.net.num_nodes());
+        if let Margin::Decided(e) = self.with_row(u, |slots| self.margin_pred(slots, u, v, tau)) {
+            return e;
         }
+        self.exact_pred_edge(u, v)
     }
 
     fn approx_bytes(&self) -> usize {
@@ -1040,31 +1377,10 @@ impl SpProvider for HubLabels {
         if a.to == b.from {
             return Some(Vec::new());
         }
-        let u = a.to;
-        let (d, path) = self.query(u, b.from)?;
-        // Walk the canonical tree backwards (the shared tight-edge loop,
-        // `crate::probe::canonical_walk`) with a one-shot
-        // [`SourceProbe`](crate::probe): the forward side of every
-        // `d(u, p)` probe — u's label and the re-accumulated distances to
-        // its hubs — is materialized once for the whole walk, so each
-        // tight-edge check costs one label merge plus the backward chain
-        // of its up-down path instead of a full query. A failed walk
-        // falls back to the unpacked up-down path, still a shortest path.
-        let (flo, fhi) = self.fwd.range(u);
-        let mut probe = crate::probe::SourceProbe::from_entries(
-            (flo..fhi).map(|k| (self.fwd.hub[k], self.fwd.dist[k], self.fwd.parent[k])),
-        );
-        let interior = crate::probe::canonical_walk(&self.net, u, b.from, d, |p| {
-            let (blo, bhi) = self.bwd.range(p);
-            probe.dist_to(
-                &self.net,
-                &self.arcs,
-                &self.bwd.hub[blo..bhi],
-                &self.bwd.dist[blo..bhi],
-                &self.bwd.parent[blo..bhi],
-            )
-        });
-        Some(interior.unwrap_or(path))
+        if let Margin::Decided(interior) = self.margin_walk(a.to, b.from) {
+            return interior;
+        }
+        self.exact_interior(a.to, b.from)
     }
 }
 
@@ -1483,6 +1799,305 @@ mod tests {
         assert!(owned.fwd.index.len() > 1);
     }
 
+    /// `pred_edge` by the exact route alone — the reference the margin
+    /// route must reproduce.
+    fn exact_pred(hl: &HubLabels, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        if u == v {
+            None
+        } else {
+            hl.exact_pred_edge(u, v)
+        }
+    }
+
+    /// `sp_interior` by the exact route alone.
+    fn exact_sp_interior(hl: &HubLabels, ei: EdgeId, ej: EdgeId) -> Option<Vec<EdgeId>> {
+        if ei == ej {
+            return None;
+        }
+        let (a, b) = (*hl.net.edge(ei), *hl.net.edge(ej));
+        if a.to == b.from {
+            return Some(Vec::new());
+        }
+        hl.exact_interior(a.to, b.from)
+    }
+
+    /// `margin == exact == dense` on everything the provider answers:
+    /// every node pair (so `u == v` and disconnected pairs included) and
+    /// a strided sample of edge pairs.
+    pub(super) fn assert_margin_exact_dense_agree(net: &Arc<RoadNetwork>, hl: &HubLabels) {
+        let dense = SpTable::build(net.clone());
+        for u in net.node_ids() {
+            for v in net.node_ids() {
+                let want = dense.pred_edge(u, v);
+                assert_eq!(hl.pred_edge(u, v), want, "pred {u} -> {v}");
+                assert_eq!(exact_pred(hl, u, v), want, "exact pred {u} -> {v}");
+                assert_eq!(
+                    hl.node_dist(u, v).to_bits(),
+                    dense.node_dist(u, v).to_bits(),
+                    "dist {u} -> {v}"
+                );
+            }
+        }
+        let edges: Vec<EdgeId> = net.edge_ids().collect();
+        for &ei in edges.iter().step_by(3) {
+            for &ej in edges.iter().rev().step_by(5) {
+                let want = dense.sp_interior(ei, ej);
+                assert_eq!(hl.sp_end(ei, ej), dense.sp_end(ei, ej), "sp_end {ei} {ej}");
+                assert_eq!(hl.sp_interior(ei, ej), want, "interior {ei} {ej}");
+                assert_eq!(exact_sp_interior(hl, ei, ej), want, "exact {ei} {ej}");
+            }
+        }
+    }
+
+    /// `net` plus the degenerate furniture the margin must leave to the
+    /// exact route: for every `stride`-th edge a parallel twin of equal
+    /// weight and one a single ulp heavier, and a self-loop at its head.
+    pub(super) fn with_parallel_edges_and_loops(net: &RoadNetwork, stride: usize) -> RoadNetwork {
+        let mut b = RoadNetworkBuilder::with_capacity(net.num_nodes(), net.num_edges() * 2);
+        for v in net.node_ids() {
+            b.add_node(net.node(v).point);
+        }
+        for e in net.edge_ids() {
+            let edge = net.edge(e);
+            b.add_edge(edge.from, edge.to, edge.weight).unwrap();
+        }
+        for e in net.edge_ids().step_by(stride) {
+            let edge = *net.edge(e);
+            b.add_edge(edge.from, edge.to, edge.weight).unwrap();
+            let ulp_heavier = f64::from_bits(edge.weight.to_bits() + 1);
+            b.add_edge(edge.from, edge.to, ulp_heavier).unwrap();
+            b.add_edge(edge.to, edge.to, edge.weight).unwrap();
+        }
+        b.build()
+    }
+
+    fn witness_delta(f: impl FnOnce()) -> Witness {
+        let before = WITNESS.get();
+        f();
+        let after = WITNESS.get();
+        Witness {
+            margin_picks: after.margin_picks - before.margin_picks,
+            fallbacks: after.fallbacks - before.fallbacks,
+            unpacks: after.unpacks - before.unpacks,
+        }
+    }
+
+    #[test]
+    fn jittered_grid_is_decided_by_margin_and_tied_grid_by_fallback() {
+        let grid = |jitter: f64| {
+            Arc::new(grid_network(&GridConfig {
+                nx: 9,
+                ny: 9,
+                weight_jitter: jitter,
+                seed: 21,
+                ..GridConfig::default()
+            }))
+        };
+        // Jittered: continuous weights, unique shortest paths — every
+        // predecessor clears the margin, so nothing is ever unpacked.
+        let net = grid(0.2);
+        let hl = HubLabels::build(net.clone());
+        let dense = SpTable::build(net.clone());
+        let edges: Vec<EdgeId> = net.edge_ids().collect();
+        let w = witness_delta(|| {
+            for u in net.node_ids() {
+                for v in net.node_ids() {
+                    assert_eq!(hl.pred_edge(u, v), dense.pred_edge(u, v));
+                }
+            }
+            for &ei in edges.iter().step_by(5) {
+                for &ej in edges.iter().rev().step_by(7) {
+                    assert_eq!(hl.sp_interior(ei, ej), dense.sp_interior(ei, ej));
+                }
+            }
+        });
+        assert!(w.margin_picks > 6000, "{w:?}");
+        assert!(
+            w.margin_picks * 100 >= (w.margin_picks + w.fallbacks) * 99,
+            "{w:?}"
+        );
+        assert_eq!(w.unpacks, 0, "a margin pick reached the unpacker: {w:?}");
+
+        // Fully tied: a target off the source's row and column has two
+        // in-edges on shortest paths of exactly equal sums (multiples of
+        // the spacing are exact in f64) — every such question must go to
+        // the exact route, and still equal the oracle.
+        let net = grid(0.0);
+        let hl = HubLabels::build(net.clone());
+        let dense = SpTable::build(net.clone());
+        let (nx, mut asked) = (9u32, 0);
+        for u in net.node_ids() {
+            for v in net.node_ids() {
+                if u.0 % nx == v.0 % nx || u.0 / nx == v.0 / nx {
+                    continue;
+                }
+                asked += 1;
+                let w = witness_delta(|| assert_eq!(hl.pred_edge(u, v), dense.pred_edge(u, v)));
+                assert_eq!((w.margin_picks, w.fallbacks), (0, 1), "{u} -> {v}");
+                assert!(w.unpacks > 0);
+            }
+        }
+        assert!(asked > 5000);
+        let edges: Vec<EdgeId> = net.edge_ids().collect();
+        let w = witness_delta(|| {
+            for &ei in edges.iter().step_by(5) {
+                for &ej in edges.iter().rev().step_by(7) {
+                    assert_eq!(hl.sp_interior(ei, ej), dense.sp_interior(ei, ej));
+                }
+            }
+        });
+        assert!(w.fallbacks > 0, "{w:?}");
+    }
+
+    /// Two routes into `v` that the oracle ties exactly but the label
+    /// sums separate by one ulp, in the wrong direction. `weights` are
+    /// the three edges of the long prefix `u → x → y → p`; `boost` gets
+    /// pendant streets so the ordering ranks it late.
+    fn near_tie_network(weights: [f64; 3], boost: usize) -> (Arc<RoadNetwork>, NodeId, NodeId) {
+        let mut b = RoadNetworkBuilder::new();
+        let n: Vec<NodeId> = (0..6)
+            .map(|i| b.add_node(Point::new(i as f64, 0.0)))
+            .collect();
+        let (u, x, y, p, q, v) = (n[0], n[1], n[2], n[3], n[4], n[5]);
+        let [w1, w2, w3] = weights;
+        // The oracle reaches p at exactly the left-to-right sum; q is
+        // placed at that very float, so with the same last weight the two
+        // in-edges of v are bit-tied and the smaller id — (q, v) — wins.
+        let tail = 0.05;
+        b.add_edge(q, v, tail).unwrap();
+        b.add_edge(p, v, tail).unwrap();
+        b.add_edge(u, x, w1).unwrap();
+        b.add_edge(x, y, w2).unwrap();
+        b.add_edge(y, p, w3).unwrap();
+        b.add_edge(u, q, (w1 + w2) + w3).unwrap();
+        for k in 0..3 {
+            let leaf = b.add_node(Point::new(boost as f64, 1.0 + k as f64));
+            b.add_two_way(n[boost], leaf, 7.0).unwrap();
+        }
+        (Arc::new(b.build()), u, v)
+    }
+
+    #[test]
+    fn near_tie_falls_back_where_a_zero_margin_would_publish_the_wrong_edge() {
+        // 0.1, 0.2, 0.3 sum to 0.6000000000000001 left-to-right and to
+        // 0.6 in any other association: whenever the meet hub of (u, p)
+        // is not p or y, the label sum is one ulp below the oracle's
+        // distance — and one ulp below the rival route's. (Reversed, the
+        // ulp lands on the other side and a zero margin is right by luck.)
+        let mut diverged = 0;
+        for weights in [[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.1, 0.3]] {
+            for boost in 0..4 {
+                let (net, u, v) = near_tie_network(weights, boost);
+                let hl = HubLabels::build(net.clone());
+                let dense = SpTable::build(net.clone());
+                let want = dense.pred_edge(u, v);
+                assert_eq!(
+                    want,
+                    Some(EdgeId(0)),
+                    "the oracle ties and takes the smaller id"
+                );
+                let w = witness_delta(|| assert_eq!(hl.pred_edge(u, v), want));
+                assert_eq!((w.margin_picks, w.fallbacks), (0, 1));
+                // Mutation check: the same question with τ shrunk to 0.
+                let zero = hl.with_row(u, |slots| hl.margin_pred(slots, u, v, 0.0));
+                if matches!(zero, Margin::Decided(e) if e != want) {
+                    diverged += 1;
+                }
+            }
+        }
+        assert!(
+            diverged > 0,
+            "no variant separated the label sums: the case no longer bites"
+        );
+    }
+
+    #[test]
+    fn pinned_rows_never_leak_between_instances_sources_or_threads() {
+        let grid = |nx: usize, ny: usize, seed: u64| {
+            Arc::new(grid_network(&GridConfig {
+                nx,
+                ny,
+                weight_jitter: 0.2,
+                removal_prob: 0.04,
+                seed,
+                ..GridConfig::default()
+            }))
+        };
+        let small_net = grid(4, 4, 3);
+        let big_net = grid(7, 6, 9);
+        let small = HubLabels::build(small_net.clone());
+        let big = HubLabels::build(big_net.clone());
+        // An owned and a mapped load of one artifact: equal labels,
+        // distinct instances.
+        let path = temp_artifact("hl-hygiene", &big.to_store_bytes());
+        let owned = HubLabels::load_from(big_net.clone(), &path).unwrap();
+        let mapped = HubLabels::open_mapped(big_net.clone(), &path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let ids = [small.id, big.id, owned.id, mapped.id];
+        for (i, a) in ids.iter().enumerate() {
+            assert!(ids[i + 1..].iter().all(|b| a != b), "instance ids repeat");
+        }
+        let small_dense = SpTable::build(small_net.clone());
+        let big_dense = SpTable::build(big_net.clone());
+        // Both threads start together and hop between all four instances
+        // on every question, same node numbers throughout, so a row keyed
+        // by anything less than (instance, source) would be read stale.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2u32 {
+                let (start, small, big, owned, mapped) = (&start, &small, &big, &owned, &mapped);
+                let (small_dense, big_dense) = (&small_dense, &big_dense);
+                let (ns, nb) = (small_net.num_nodes() as u32, big_net.num_nodes() as u32);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..400u32 {
+                        let k = i * 7 + t * 3;
+                        let (u, v) = (NodeId(k % ns), NodeId((k / 3 + 1) % ns));
+                        assert_eq!(small.pred_edge(u, v), small_dense.pred_edge(u, v));
+                        for hl in [big, owned, mapped] {
+                            // Same source as the small instance just pinned.
+                            let v = NodeId((k / 2 + 5) % nb);
+                            assert_eq!(hl.pred_edge(u, v), big_dense.pred_edge(u, v));
+                            assert_eq!(
+                                hl.node_dist(u, v).to_bits(),
+                                big_dense.node_dist(u, v).to_bits()
+                            );
+                        }
+                        let (u, v) = (NodeId(k % nb), NodeId((k * 5 + 2) % nb));
+                        assert_eq!(big.pred_edge(u, v), big_dense.pred_edge(u, v));
+                        assert_eq!(
+                            small
+                                .node_dist(NodeId(u.0 % ns), NodeId(v.0 % ns))
+                                .to_bits(),
+                            small_dense
+                                .node_dist(NodeId(u.0 % ns), NodeId(v.0 % ns))
+                                .to_bits()
+                        );
+                    }
+                });
+            }
+        });
+        // Dropped, then rebuilt over different weights: a fresh id, so the
+        // row this thread pinned for the old instance cannot answer.
+        let u = NodeId(5);
+        let old_net = grid(5, 5, 1);
+        let old = HubLabels::build(old_net.clone());
+        let old_id = old.id;
+        let _ = old.pred_edge(u, NodeId(19));
+        drop(old);
+        let new_net = grid(5, 5, 2);
+        let new = HubLabels::build(new_net.clone());
+        assert_ne!(new.id, old_id);
+        let dense = SpTable::build(new_net.clone());
+        for v in new_net.node_ids() {
+            assert_eq!(new.pred_edge(u, v), dense.pred_edge(u, v));
+            assert_eq!(
+                new.node_dist(u, v).to_bits(),
+                dense.node_dist(u, v).to_bits()
+            );
+        }
+    }
+
     #[test]
     #[ignore = "perf smoke: run explicitly with --ignored --nocapture"]
     fn large_grid_label_and_query_smoke() {
@@ -1528,5 +2143,61 @@ mod tests {
             q,
             q.as_secs_f64() * 1e6 / pairs as f64
         );
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::tests::{assert_margin_exact_dense_agree, with_parallel_edges_and_loops};
+    use super::*;
+    use crate::generators::{
+        grid_network, random_geometric_network, GridConfig, RandomGeometricConfig,
+    };
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The identity the margin route stands on: whatever it decides
+        /// equals the exact route equals the dense oracle — `pred_edge`,
+        /// `sp_end`, `sp_interior`, `node_dist` — across the regimes that
+        /// decide differently: jittered grids (margin), fully tied grids
+        /// (fallback), random geometric graphs, and either grid carrying
+        /// parallel edges of equal and 1-ulp-apart weight plus self-loops.
+        /// Street removal and sparse geometric graphs supply disconnected
+        /// pairs; every `u == v` is asked.
+        #[test]
+        fn margin_equals_exact_equals_dense_oracle(
+            kind in 0u8..5,
+            nx in 3usize..7,
+            ny in 3usize..7,
+            seed in 0u64..1000,
+            jitter_milli in 1u32..300,
+            removal_milli in 0u32..120,
+        ) {
+            let grid = |jitter: f64| grid_network(&GridConfig {
+                nx,
+                ny,
+                spacing: 90.0,
+                weight_jitter: jitter,
+                removal_prob: removal_milli as f64 / 1000.0,
+                seed,
+            });
+            let net = match kind {
+                0 => grid(jitter_milli as f64 / 1000.0),
+                1 => grid(0.0),
+                2 => random_geometric_network(&RandomGeometricConfig {
+                    nodes: nx * ny,
+                    extent: 600.0,
+                    radius: 140.0 + jitter_milli as f64 / 3.0,
+                    seed,
+                }),
+                3 => with_parallel_edges_and_loops(&grid(jitter_milli as f64 / 1000.0), 3),
+                _ => with_parallel_edges_and_loops(&grid(0.0), 4),
+            };
+            let net = Arc::new(net);
+            let hl = HubLabels::build_with_threads(net.clone(), 1);
+            assert_margin_exact_dense_agree(&net, &hl);
+        }
     }
 }

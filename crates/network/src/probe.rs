@@ -8,6 +8,13 @@
 //! plus a full unpack-and-re-accumulate of the winning up-down path — per
 //! in-edge per step, making decompression cost quadratic in path length.
 //!
+//! The CH backend walks this way always. The HL backend gets here only
+//! on a **near-tie**: it first walks label-sum margin picks under a
+//! pinned source ([`crate::hub_labels`], "Bit-identical answers"), which
+//! decides every step whose best in-edge clears the rounding margin, and
+//! hands the whole gap to this exact walk — its fallback and its test
+//! reference — the moment one does not (tied grids, parallel edges).
+//!
 //! [`SourceProbe`] hoists everything source-side out of the loop, one
 //! shot per walk:
 //!

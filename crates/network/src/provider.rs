@@ -115,7 +115,7 @@ pub trait SpProvider: Send + Sync {
         if ei == ej {
             return None;
         }
-        let net = self.network().clone();
+        let net = self.network();
         let a = net.edge(ei);
         let b = net.edge(ej);
         if a.to == b.from {
@@ -151,7 +151,7 @@ pub trait SpProvider: Send + Sync {
     /// MBR of the embedding of `SP(ei, ej)` (used by `whenat`/`range`
     /// pruning, §5.2). `None` when unreachable.
     fn sp_mbr(&self, ei: EdgeId, ej: EdgeId) -> Option<Mbr> {
-        let net = self.network().clone();
+        let net = self.network();
         let path = self.sp_path(ei, ej)?;
         let mut mbr = Mbr::empty();
         for e in path {

@@ -612,6 +612,52 @@ proptest! {
         }
     }
 
+    /// The hub-label predecessor kernel (margin pick on a jittered grid,
+    /// exact fallback on a fully tied one) under the codec that consumes
+    /// it: `sp_compress` → `sp_decompress` and the streaming encoder at
+    /// every cut produce exactly what the dense backend produces.
+    #[test]
+    fn hl_sp_codec_and_stream_match_dense_on_tied_and_jittered_grids(
+        tied in any::<bool>(),
+        start in 0u32..49,
+        choices in proptest::collection::vec(0u8..8, 0..24),
+    ) {
+        type Grid = (Arc<RoadNetwork>, Arc<SpTable>, Arc<HubLabels>);
+        static GRIDS: OnceLock<[Grid; 2]> = OnceLock::new();
+        let grids = GRIDS.get_or_init(|| {
+            [0.0, 0.2].map(|weight_jitter| {
+                let net = Arc::new(grid_network(&GridConfig {
+                    nx: 7,
+                    ny: 7,
+                    spacing: 100.0,
+                    weight_jitter,
+                    removal_prob: 0.0,
+                    seed: 17,
+                }));
+                let dense = Arc::new(SpTable::build(net.clone()));
+                let hl = Arc::new(HubLabels::build(net.clone()));
+                (net, dense, hl)
+            })
+        });
+        let (net, dense, hl) = &grids[usize::from(!tied)];
+        let path = walk_from_choices(net, start, &choices);
+        let compressed = sp_compress(dense, &path);
+        prop_assert_eq!(&sp_compress(hl, &path), &compressed);
+        prop_assert_eq!(
+            sp_decompress(hl, &compressed).unwrap(),
+            sp_decompress(dense, &compressed).unwrap()
+        );
+        let provider: Arc<dyn SpProvider> = hl.clone();
+        let mut enc = OnlineSpCompressor::new(provider);
+        let mut emitted: Vec<EdgeId> = Vec::new();
+        for (i, &e) in path.iter().enumerate() {
+            emitted.extend(enc.push(e));
+            let mut cut = emitted.clone();
+            cut.extend(enc.clone().finish());
+            prop_assert_eq!(&cut, &sp_compress(dense, &path[..=i]), "cut after edge {}", i);
+        }
+    }
+
     #[test]
     fn online_btc_equals_batch_at_every_cut(
         incs in proptest::collection::vec((0u16..400, 0u16..200), 0..40),
