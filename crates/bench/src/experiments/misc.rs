@@ -40,6 +40,10 @@ pub fn aux_sizes(env: &Env) -> Table {
         "trie node MBRs".into(),
         aux.node_mbr_bytes.to_string(),
     ]);
+    table.row(vec![
+        "trie node links (hidden SP gaps)".into(),
+        aux.node_link_bytes.to_string(),
+    ]);
     table.row(vec!["TOTAL".into(), aux.total().to_string()]);
     table
 }

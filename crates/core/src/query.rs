@@ -16,13 +16,17 @@
 //! coded unit by adding one number), per-Trie-node MBRs and shortest-path
 //! MBRs (skip a unit/gap by one rectangle test), and the shortest-path
 //! distance table (skip an SP gap without expanding it). Only the units
-//! that can contain the answer are expanded.
+//! that can contain the answer are expanded — from the model's link
+//! arena: a unit's hidden gaps, and every gap between two units the
+//! training corpus ever put side by side, are read from the model, and
+//! only an unseen pair of edges reaches the shortest-path layer.
 //!
 //! Every query also has a `_raw` twin operating on the uncompressed
 //! representation — the baseline the paper's Figs. 15–17 compare against.
 
 use crate::error::{PressError, Result};
 use crate::press::CompressedTrajectory;
+use crate::spatial::hsc::path_len;
 use crate::spatial::{symbol_to_node, CompressedSpatial, HscModel, TrieNodeId};
 use crate::types::{DtPoint, Trajectory};
 use press_network::{project_onto_segment, EdgeId, Mbr, Point};
@@ -134,11 +138,12 @@ pub struct QueryEngine<'a> {
 }
 
 /// A decoded coding unit: either a Trie sub-trajectory or the shortest-path
-/// gap between two consecutive units.
+/// gap between two consecutive units — with its interior when the model
+/// knows the pair ([`HscModel::known_gap`]).
 #[derive(Clone, Copy, Debug)]
-enum Unit {
+enum Unit<'a> {
     Node(TrieNodeId),
-    Gap(EdgeId, EdgeId),
+    Gap(EdgeId, EdgeId, Option<&'a [EdgeId]>),
 }
 
 impl<'a> QueryEngine<'a> {
@@ -181,7 +186,7 @@ impl<'a> QueryEngine<'a> {
     fn for_each_unit(
         &self,
         cs: &CompressedSpatial,
-        mut f: impl FnMut(Unit, f64) -> Result<bool>,
+        mut f: impl FnMut(Unit<'a>, f64) -> Result<bool>,
     ) -> Result<()> {
         let trie = self.model.trie();
         let sp = self.model.sp();
@@ -194,11 +199,18 @@ impl<'a> QueryEngine<'a> {
             let first = trie.first_edge(node);
             if let Some(pl) = prev_last {
                 if !net.consecutive(pl, first) {
-                    let gap = sp.gap_dist(pl, first);
+                    let (gap, known) = match self.model.known_gap(pl, first) {
+                        Some((len, link)) => (len, Some(link)),
+                        None => {
+                            #[cfg(test)]
+                            crate::spatial::hsc::witness(|w| w.sp_fallbacks += 1);
+                            (sp.gap_dist(pl, first), None)
+                        }
+                    };
                     if !gap.is_finite() {
                         return Err(PressError::NoShortestPath(pl, first));
                     }
-                    if f(Unit::Gap(pl, first), gap)? {
+                    if f(Unit::Gap(pl, first, known), gap)? {
                         return Ok(());
                     }
                 }
@@ -215,18 +227,13 @@ impl<'a> QueryEngine<'a> {
         Ok(())
     }
 
-    /// Expands a unit into its full edge sequence.
-    fn expand_unit(&self, unit: Unit) -> Result<Vec<EdgeId>> {
+    /// Replaces `out` with the unit's full edge sequence. Callers keep
+    /// one buffer per query, so expanding a unit allocates nothing.
+    fn expand_unit_into(&self, unit: Unit<'a>, out: &mut Vec<EdgeId>) -> Result<()> {
+        out.clear();
         match unit {
-            Unit::Node(n) => {
-                let sub = self.model.trie().sub_trajectory(n);
-                crate::spatial::sp_decompress(self.model.sp(), &sub)
-            }
-            Unit::Gap(a, b) => self
-                .model
-                .sp()
-                .sp_interior(a, b)
-                .ok_or(PressError::NoShortestPath(a, b)),
+            Unit::Node(n) => self.model.expand_node_into(n, out),
+            Unit::Gap(a, b, known) => self.model.expand_gap_into(a, b, known, out),
         }
     }
 
@@ -241,10 +248,10 @@ impl<'a> QueryEngine<'a> {
     /// `gap/2` of either `a`'s head or `b`'s tail, hence within Euclidean
     /// distance `gap/2` of one of them. Over-approximation only costs
     /// extra candidate expansions — it can never exclude a true hit.
-    fn unit_mbr(&self, unit: Unit, len: f64) -> Mbr {
+    fn unit_mbr(&self, unit: Unit<'_>, len: f64) -> Mbr {
         match unit {
             Unit::Node(n) => *self.model.node_mbr(n),
-            Unit::Gap(a, b) => {
+            Unit::Gap(a, b, _) => {
                 let net = self.model.sp().network();
                 let mut mbr = Mbr::of_point(&net.edge_end(a));
                 mbr.expand_point(&net.edge_start(b));
@@ -287,11 +294,10 @@ impl<'a> QueryEngine<'a> {
     /// Follows §5.1's procedure: whole coded units are skipped by their
     /// precomputed lengths; inside the containing unit only the Trie edges
     /// (≤ θ of them) and *one* shortest-path gap are touched — the gap is
-    /// resolved by walking the predecessor tree from its far end, without
-    /// materializing the expansion.
+    /// resolved by walking it from its far end, without materializing the
+    /// expansion.
     pub fn point_at_distance(&self, cs: &CompressedSpatial, d: f64) -> Result<Point> {
         let net = self.model.sp().network();
-        let sp = self.model.sp();
         let trie = self.model.trie();
         let mut dacu = 0.0f64;
         let mut answer: Option<Point> = None;
@@ -300,29 +306,28 @@ impl<'a> QueryEngine<'a> {
             if dacu + len >= d {
                 let offset = d - dacu;
                 answer = Some(match unit {
-                    Unit::Gap(a, b) => self.point_in_gap(a, b, len, offset)?,
+                    Unit::Gap(a, b, known) => self.point_in_gap(a, b, known, len, offset)?,
                     Unit::Node(n) => {
-                        // Walk the unit's Trie edges, descending into at
-                        // most one intra-unit gap.
+                        // Walk the unit's Trie edges root→n, descending
+                        // into at most one intra-unit gap (its link).
                         let mut local = offset;
                         let mut prev: Option<EdgeId> = None;
                         let mut found = None;
-                        // Reconstruct root→n order without allocation:
-                        // depth ≤ θ (tiny), so walk via repeated ancestor
-                        // lookups.
-                        let depth = trie.depth(n);
-                        'walk: for level in 0..depth {
-                            let mut cur = n;
-                            for _ in 0..depth - 1 - level {
-                                cur = trie.parent(cur);
-                            }
+                        for &cur in trie.chain(n).as_slice() {
                             let e = trie.last_edge(cur);
                             if let Some(p) = prev {
                                 if !net.consecutive(p, e) {
-                                    let gap = sp.gap_dist(p, e);
+                                    let link = self.model.node_link(cur);
+                                    let gap = path_len(net, link);
                                     if local <= gap {
-                                        found = Some(self.point_in_gap(p, e, gap, local)?);
-                                        break 'walk;
+                                        found = Some(self.point_in_gap(
+                                            p,
+                                            e,
+                                            Some(link),
+                                            gap,
+                                            local,
+                                        )?);
+                                        break;
                                     }
                                     local -= gap;
                                 }
@@ -331,7 +336,7 @@ impl<'a> QueryEngine<'a> {
                             if local <= w {
                                 let frac = if w <= f64::EPSILON { 0.0 } else { local / w };
                                 found = Some(net.point_on_edge(e, frac * net.edge_length(e)));
-                                break 'walk;
+                                break;
                             }
                             local -= w;
                             prev = Some(e);
@@ -358,10 +363,19 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Point at `offset` into the *interior* of the gap between `a` and
-    /// `b` (`0 ≤ offset ≤ gap`), located by walking the predecessor tree
-    /// backwards from `b`'s tail — no allocation, and only the tail part
-    /// of the gap is visited.
-    fn point_in_gap(&self, a: EdgeId, b: EdgeId, gap: f64, offset: f64) -> Result<Point> {
+    /// `b` (`0 ≤ offset ≤ gap`), located by walking the gap backwards
+    /// from `b`'s tail — no allocation, and only the tail part of the gap
+    /// is visited. A `known` interior is walked in place; an unseen gap
+    /// walks the predecessor tree, which yields the same edges in the
+    /// same order.
+    fn point_in_gap(
+        &self,
+        a: EdgeId,
+        b: EdgeId,
+        known: Option<&[EdgeId]>,
+        gap: f64,
+        offset: f64,
+    ) -> Result<Point> {
         let sp = self.model.sp();
         let net = sp.network();
         if gap <= f64::EPSILON {
@@ -369,34 +383,45 @@ impl<'a> QueryEngine<'a> {
         }
         let from_end = (gap - offset).max(0.0);
         let mut acc = 0.0f64;
-        let mut cur = net.edge(b).from;
-        let target = net.edge(a).to;
-        // One tree fetch for the whole walk: lazy backends hand out the
-        // Arc'd tree (one cache touch instead of per-node), dense backends
-        // answer per-node from the table.
-        let tree = sp.source_tree(target);
-        let pred = |cur: press_network::NodeId| -> Option<EdgeId> {
-            match &tree {
-                Some(t) => t.pred_edge[cur.index()],
-                None => sp.pred_edge(target, cur),
-            }
-        };
-        while cur != target {
-            // Predecessor edge of `cur` in the tree rooted at a's head.
-            let Some(pe) = pred(cur) else {
-                return Err(PressError::NoShortestPath(a, b));
-            };
+        // The point on `pe` when the walk from the far end reaches
+        // `from_end` inside it.
+        let mut step = |pe: EdgeId| -> Option<Point> {
             let w = net.weight(pe);
             if acc + w >= from_end {
-                // The answer lies on `pe`, measured from its start:
-                // remaining-from-end inside this edge is (from_end - acc),
+                // Remaining-from-end inside this edge is (from_end - acc),
                 // so from the start it is w - (from_end - acc).
                 let into = (w - (from_end - acc)).clamp(0.0, w);
                 let frac = if w <= f64::EPSILON { 0.0 } else { into / w };
-                return Ok(net.point_on_edge(pe, frac * net.edge_length(pe)));
+                return Some(net.point_on_edge(pe, frac * net.edge_length(pe)));
             }
             acc += w;
-            cur = net.edge(pe).from;
+            None
+        };
+        if let Some(link) = known {
+            if let Some(p) = link.iter().rev().find_map(|&pe| step(pe)) {
+                return Ok(p);
+            }
+        } else {
+            #[cfg(test)]
+            crate::spatial::hsc::witness(|w| w.sp_fallbacks += 1);
+            let mut cur = net.edge(b).from;
+            let target = net.edge(a).to;
+            // One tree fetch for the whole walk: lazy backends hand out
+            // the Arc'd tree (one cache touch instead of per-node), dense
+            // backends answer per-node from the table.
+            let tree = sp.source_tree(target);
+            while cur != target {
+                // Predecessor edge of `cur` in the tree rooted at a's head.
+                let pe = match &tree {
+                    Some(t) => t.pred_edge[cur.index()],
+                    None => sp.pred_edge(target, cur),
+                }
+                .ok_or(PressError::NoShortestPath(a, b))?;
+                if let Some(p) = step(pe) {
+                    return Ok(p);
+                }
+                cur = net.edge(pe).from;
+            }
         }
         // offset == 0 resolves to the gap start.
         Ok(net.point_on_edge(a, net.edge_length(a)))
@@ -450,12 +475,13 @@ impl<'a> QueryEngine<'a> {
         let net = self.model.sp().network();
         let mut dacu = 0.0f64;
         let mut found: Option<f64> = None;
+        let mut edges = Vec::new();
         self.for_each_unit(cs, |unit, len| {
             let mbr = self.unit_mbr(unit, len);
             // MBR test is a *may-contain* filter (paper: "the fact
             // (x,y) ∈ MBR(SP(ei,ej)) does not guarantee (x,y) ∈ SP(ei,ej)").
             if mbr.min_dist_to_point(&p) <= tolerance {
-                let edges = self.expand_unit(unit)?;
+                self.expand_unit_into(unit, &mut edges)?;
                 let mut local = 0.0f64;
                 for &e in &edges {
                     let proj = project_onto_segment(&p, &net.edge_start(e), &net.edge_end(e));
@@ -521,13 +547,14 @@ impl<'a> QueryEngine<'a> {
         );
         let mut dacu = 0.0f64;
         let mut hit = false;
+        let mut edges = Vec::new();
         self.for_each_unit(&ct.spatial, |unit, len| {
             if dacu > d2 {
                 return Ok(true);
             }
             let overlaps_window = dacu <= d2 && dacu + len >= d1;
             if overlaps_window && self.unit_mbr(unit, len).intersects(region) {
-                let edges = self.expand_unit(unit)?;
+                self.expand_unit_into(unit, &mut edges)?;
                 let mut local = dacu;
                 for &e in &edges {
                     let w = net.weight(e);
@@ -571,6 +598,7 @@ impl<'a> QueryEngine<'a> {
         );
         let mut dacu = 0.0f64;
         let mut hit = false;
+        let mut edges = Vec::new();
         self.for_each_unit(&ct.spatial, |unit, len| {
             if dacu > d2 {
                 return Ok(true);
@@ -578,7 +606,7 @@ impl<'a> QueryEngine<'a> {
             let overlaps_window = dacu <= d2 && dacu + len >= d1;
             // Skip a whole unit when its MBR is farther than `dist`.
             if overlaps_window && self.unit_mbr(unit, len).min_dist_to_point(&p) <= dist {
-                let edges = self.expand_unit(unit)?;
+                self.expand_unit_into(unit, &mut edges)?;
                 let mut local = dacu;
                 for &e in &edges {
                     let w = net.weight(e);
@@ -624,11 +652,12 @@ impl<'a> QueryEngine<'a> {
                 if mbr_a.min_dist_to_mbr(&mbr_b) >= best {
                     continue;
                 }
-                if cache_a[i].is_none() {
-                    cache_a[i] = Some(self.expand_unit(ua)?);
-                }
-                if cache_b[j].is_none() {
-                    cache_b[j] = Some(self.expand_unit(ub)?);
+                for (slot, unit) in [(&mut cache_a[i], ua), (&mut cache_b[j], ub)] {
+                    if slot.is_none() {
+                        let mut edges = Vec::new();
+                        self.expand_unit_into(unit, &mut edges)?;
+                        *slot = Some(edges);
+                    }
                 }
                 // Both slots were just filled; an empty expansion stays a
                 // valid `Some(vec![])` rather than a refill sentinel, so no
@@ -673,7 +702,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Collects `(unit, mbr)` summaries for a compressed path.
-    fn collect_units(&self, cs: &CompressedSpatial) -> Result<Vec<(Unit, Mbr)>> {
+    fn collect_units(&self, cs: &CompressedSpatial) -> Result<Vec<(Unit<'a>, Mbr)>> {
         let mut units = Vec::new();
         self.for_each_unit(cs, |unit, len| {
             let mbr = self.unit_mbr(unit, len);
@@ -692,6 +721,9 @@ fn ordered(a: f64, b: f64) -> (f64, f64) {
         (b, a)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1054,5 +1086,166 @@ mod tests {
         assert!(engine
             .range(&empty, 0.0, 1.0, &Mbr::new(0.0, 0.0, 1.0, 1.0))
             .is_err());
+    }
+
+    /// Bit patterns of a query answer, so `-0.0`/NaN cannot hide behind
+    /// float equality.
+    fn point_bits(r: Result<Point>) -> Result<(u64, u64)> {
+        r.map(|p| (p.x.to_bits(), p.y.to_bits()))
+    }
+
+    /// A compressed trajectory over `path` with evenly spaced knots.
+    fn knotted(model: &HscModel, path: &[EdgeId]) -> CompressedTrajectory {
+        let net = model.sp().network();
+        let total: f64 = path.iter().map(|&e| net.weight(e)).sum();
+        let pts = (0..=4)
+            .map(|k| DtPoint::new(total * k as f64 / 4.0, 15.0 * k as f64))
+            .collect();
+        CompressedTrajectory {
+            spatial: model.compress(path).unwrap(),
+            temporal: TemporalSequence::new(pts).unwrap(),
+        }
+    }
+
+    /// All five engine entry points plus `whereat`/`whenat`, against the
+    /// SP-only engine the arena replaced: same bits, same errors — on
+    /// training paths (which must not reach the SP layer at all), on
+    /// held-out walks (which must reach it), and on a model poisoned by
+    /// a disconnected training pair.
+    #[test]
+    fn node_link_queries_match_the_sp_only_reference() {
+        use crate::spatial::node_link_tests::{two_components, walk, witness_delta, CountingSp};
+        use press_network::SpBackend;
+        let net = Arc::new(grid_network(&GridConfig {
+            nx: 8,
+            ny: 8,
+            weight_jitter: 0.15,
+            seed: 17,
+            ..GridConfig::default()
+        }));
+        let walks = |salt: u32| -> Vec<Vec<EdgeId>> {
+            (0..24u32)
+                .map(|k| {
+                    let choices: Vec<u8> = (0..20)
+                        .map(|i| ((k * 7 + i * 3 + salt) % 5) as u8)
+                        .collect();
+                    walk(&net, k * 11 + salt, &choices)
+                })
+                .collect()
+        };
+        let (training, held_out) = (walks(0), walks(3));
+        let bb = net.bounding_box();
+        let mut rng = StdRng::seed_from_u64(21);
+        for backend in [SpBackend::Dense, SpBackend::Hl] {
+            let sp = CountingSp::over(backend.build(net.clone()));
+            let model = HscModel::train(sp.clone(), &training, 3).unwrap();
+            let engine = QueryEngine::new(&model);
+            let oracle = reference::SpOnlyEngine { model: &model };
+            for (paths, trained) in [(&training, true), (&held_out, false)] {
+                let cts: Vec<_> = paths.iter().map(|p| knotted(&model, p)).collect();
+                let mut calls = 0;
+                let seen = witness_delta(|| {
+                    for (i, ct) in cts.iter().enumerate() {
+                        let next = &cts[(i + 1) % cts.len()];
+                        let mut on_path = Vec::new();
+                        for k in 0..=12 {
+                            let t = -5.0 + 70.0 * k as f64 / 12.0;
+                            let before = sp.calls();
+                            let got = engine.whereat(ct, t);
+                            on_path.extend(got.clone().ok());
+                            let d = dis_linear(&ct.temporal.points, t);
+                            let at = engine.point_at_distance(&ct.spatial, d);
+                            assert_eq!(point_bits(at), point_bits(got.clone()));
+                            calls += sp.calls() - before;
+                            assert_eq!(point_bits(got), point_bits(oracle.whereat(ct, t)));
+                        }
+                        on_path.push(Point::new(1e7, 1e7));
+                        for &p in &on_path {
+                            let half = rng.gen_range(20.0..250.0);
+                            let cx = rng.gen_range(bb.min_x..bb.max_x);
+                            let cy = rng.gen_range(bb.min_y..bb.max_y);
+                            let region = Mbr::new(cx - half, cy - half, cx + half, cy + half);
+                            let (t1, t2) = (rng.gen_range(0.0..30.0), rng.gen_range(20.0..60.0));
+                            let before = sp.calls();
+                            let mine = (
+                                engine.whenat(ct, p, 0.5).map(f64::to_bits),
+                                engine
+                                    .distance_of_point(&ct.spatial, p, 25.0)
+                                    .map(f64::to_bits),
+                                engine.range(ct, t1, t2, &region),
+                                engine.passes_near(ct, p, half, t1, t2),
+                            );
+                            calls += sp.calls() - before;
+                            let theirs = (
+                                oracle.whenat(ct, p, 0.5).map(f64::to_bits),
+                                oracle
+                                    .distance_of_point(&ct.spatial, p, 25.0)
+                                    .map(f64::to_bits),
+                                oracle.range(ct, t1, t2, &region),
+                                oracle.passes_near(ct, p, half, t1, t2),
+                            );
+                            assert_eq!(mine, theirs);
+                        }
+                        let before = sp.calls();
+                        let mine = engine.min_distance(ct, next).map(f64::to_bits);
+                        calls += sp.calls() - before;
+                        assert_eq!(mine, oracle.min_distance(ct, next).map(f64::to_bits));
+                    }
+                });
+                assert!(seen.arena_hits > 0, "{seen:?}");
+                if trained {
+                    assert_eq!((calls, seen.sp_fallbacks), (0, 0), "{seen:?}");
+                } else {
+                    assert!(calls > 0 && seen.sp_fallbacks > 0, "{calls} {seen:?}");
+                }
+            }
+        }
+
+        // A pair across two components: every query reports it, as before.
+        let (net, e0, e1) = two_components();
+        for theta in [1, 2] {
+            let model =
+                HscModel::train(SpBackend::Dense.build(net.clone()), &[vec![e0, e1]], theta)
+                    .unwrap();
+            let engine = QueryEngine::new(&model);
+            let oracle = reference::SpOnlyEngine { model: &model };
+            let ct = CompressedTrajectory {
+                spatial: model.compress(&[e0, e1]).unwrap(),
+                temporal: TemporalSequence::new(vec![
+                    DtPoint::new(0.0, 0.0),
+                    DtPoint::new(200.0, 10.0),
+                ])
+                .unwrap(),
+            };
+            let err = Err(PressError::NoShortestPath(e0, e1));
+            let p = Point::new(1050.0, 0.0);
+            let all = Mbr::new(-1e6, -1e6, 1e6, 1e6);
+            assert_eq!(
+                point_bits(engine.whereat(&ct, 9.0)),
+                err.clone().map(|()| (0, 0))
+            );
+            assert_eq!(
+                point_bits(oracle.whereat(&ct, 9.0)),
+                err.clone().map(|()| (0, 0))
+            );
+            assert_eq!(engine.whenat(&ct, p, 1.0), err.clone().map(|()| 0.0));
+            assert_eq!(oracle.whenat(&ct, p, 1.0), err.clone().map(|()| 0.0));
+            assert_eq!(engine.min_distance(&ct, &ct), err.clone().map(|()| 0.0));
+            assert_eq!(oracle.min_distance(&ct, &ct), err.clone().map(|()| 0.0));
+            // The window [0, 200] reaches the second edge only through
+            // the missing gap.
+            assert_eq!(
+                engine.range(&ct, 9.0, 10.0, &all),
+                oracle.range(&ct, 9.0, 10.0, &all)
+            );
+            assert_eq!(
+                engine.passes_near(&ct, p, 1.0, 0.0, 10.0),
+                oracle.passes_near(&ct, p, 1.0, 0.0, 10.0)
+            );
+            assert_eq!(
+                engine.passes_near(&ct, p, 1.0, 0.0, 10.0),
+                err.clone().map(|()| false)
+            );
+        }
     }
 }

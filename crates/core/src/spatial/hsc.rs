@@ -7,18 +7,28 @@
 //! Huffman tree, plus the per-Trie-node distances and MBRs the query
 //! processor needs (§5.1–§5.2).
 //!
+//! Beside those two tables sits a third, the **link arena**: for every
+//! Trie node at depth ≥ 2, the shortest-path interior hidden between its
+//! parent's last edge and its own (empty when the two are consecutive).
+//! Training has to expand those gaps anyway to fill the §5.1 distances;
+//! keeping the expansion means decompression and the queries read a gap
+//! the corpus has shown before from the model
+//! ([`HscModel::expand_node_into`], [`HscModel::known_gap`]) and ask the
+//! shortest-path layer only about edge pairs training never put side by
+//! side.
+//!
 //! Spatial compression is **lossless**: `decompress(compress(p)) == p` for
 //! every valid path `p` (property-tested in `tests/`), and both directions
 //! run in `O(|T|)`.
 
-use crate::error::Result;
+use crate::error::{PressError, Result};
 use crate::spatial::ac::AcAutomaton;
 use crate::spatial::bits::{BitStream, BitWriter};
 use crate::spatial::decompose::decompose_dp;
 use crate::spatial::huffman::Huffman;
-use crate::spatial::sp::{sp_compress, sp_decompress};
+use crate::spatial::sp::sp_compress;
 use crate::spatial::trie::{node_to_symbol, symbol_to_node, Trie, TrieNodeId};
-use press_network::{EdgeId, Mbr, SpProvider};
+use press_network::{EdgeId, Mbr, RoadNetwork, SpProvider};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -60,6 +70,8 @@ pub struct AuxiliarySizes {
     pub node_dist_bytes: usize,
     /// Per-Trie-node MBRs (§5.2 whenat/range support).
     pub node_mbr_bytes: usize,
+    /// Per-Trie-node link arena (offsets + hidden shortest-path gaps).
+    pub node_link_bytes: usize,
 }
 
 impl AuxiliarySizes {
@@ -70,7 +82,120 @@ impl AuxiliarySizes {
             + self.huffman_bytes
             + self.node_dist_bytes
             + self.node_mbr_bytes
+            + self.node_link_bytes
     }
+}
+
+/// Per-Trie-node edge slices in one flat allocation: node `n`'s slice is
+/// `edges[off[n]..off[n + 1]]`.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct LinkArena {
+    off: Vec<u32>,
+    edges: Vec<EdgeId>,
+}
+
+impl LinkArena {
+    /// An arena with no nodes yet; [`LinkArena::seal_node`] appends one.
+    fn with_capacity(nodes: usize) -> Self {
+        let mut off = Vec::with_capacity(nodes + 1);
+        off.push(0);
+        LinkArena {
+            off,
+            edges: Vec::new(),
+        }
+    }
+
+    /// Closes the current node's slice: everything pushed onto `edges`
+    /// since the previous call is this node's link.
+    fn seal_node(&mut self) -> Result<()> {
+        let end = u32::try_from(self.edges.len()).map_err(|_| {
+            PressError::InvalidTraining("link arena outgrew its u32 offsets".into())
+        })?;
+        self.off.push(end);
+        Ok(())
+    }
+
+    /// Reassembles a persisted arena over `nodes` Trie nodes: offsets
+    /// must start at 0, never decrease, and end at the edge count.
+    pub(crate) fn from_raw(
+        nodes: usize,
+        off: Vec<u32>,
+        edges: Vec<EdgeId>,
+    ) -> std::result::Result<Self, String> {
+        if off.len() != nodes + 1 {
+            return Err(format!("{} link offsets for {nodes} nodes", off.len()));
+        }
+        if off[0] != 0 || off.windows(2).any(|w| w[0] > w[1]) {
+            return Err("link offsets are not monotone from 0".into());
+        }
+        if off[nodes] as usize != edges.len() {
+            return Err(format!(
+                "link offsets end at {} but the arena holds {} edges",
+                off[nodes],
+                edges.len()
+            ));
+        }
+        Ok(LinkArena { off, edges })
+    }
+
+    /// The raw `(offsets, edges)` arrays, as persisted.
+    pub(crate) fn as_raw(&self) -> (&[u32], &[EdgeId]) {
+        (&self.off, &self.edges)
+    }
+
+    #[inline]
+    fn link(&self, node: TrieNodeId) -> &[EdgeId] {
+        let n = node as usize;
+        &self.edges[self.off[n] as usize..self.off[n + 1] as usize]
+    }
+
+    fn approx_bytes(&self) -> usize {
+        (self.off.len() + self.edges.len()) * 4
+    }
+}
+
+/// Summed weight of `edges`, accumulated left to right from `0.0` — the
+/// float-addition order of Dijkstra's `dist[v] = dist[p] + w(e)`, which
+/// every shortest-path backend reproduces. Over a canonical
+/// `sp_interior(a, b)` the result is therefore bit-equal to
+/// `gap_dist(a, b)`.
+#[inline]
+pub(crate) fn path_len(net: &RoadNetwork, edges: &[EdgeId]) -> f64 {
+    edges.iter().fold(0.0, |d, &e| d + net.weight(e))
+}
+
+/// `Tsub(n).d` from its parent's: the hidden gap between the two last
+/// edges (`None` when they are consecutive, `∞` when no path joins
+/// them), then the node's own edge. The one definition training and the
+/// load-time cross-check share, so they agree to the bit.
+#[inline]
+fn extend_dist(parent: f64, gap: Option<f64>, weight: f64) -> f64 {
+    gap.map_or(parent, |g| parent + g) + weight
+}
+
+/// Which side answered a gap, per thread — how the tests prove both the
+/// arena and the shortest-path fallback run.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct Witness {
+    /// Gaps answered by [`HscModel::known_gap`].
+    pub(crate) arena_hits: usize,
+    /// Gaps training never saw, handed to the shortest-path layer.
+    pub(crate) sp_fallbacks: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    pub(crate) static WITNESS: std::cell::Cell<Witness> = std::cell::Cell::new(Witness::default());
+}
+
+#[cfg(test)]
+pub(crate) fn witness(bump: impl FnOnce(&mut Witness)) {
+    WITNESS.with(|cell| {
+        let mut w = cell.get();
+        bump(&mut w);
+        cell.set(w);
+    });
 }
 
 /// A trained HSC model: every static structure needed to compress,
@@ -84,6 +209,10 @@ pub struct HscModel {
     node_dist: Vec<f64>,
     /// MBR of each Trie node's fully-decompressed sub-trajectory (§5.2).
     node_mbr: Vec<Mbr>,
+    /// Per node at depth ≥ 2: the canonical
+    /// `sp_interior(last_edge(parent), last_edge(node))`; empty when the
+    /// two are consecutive or no path joins them.
+    node_link: LinkArena,
 }
 
 impl HscModel {
@@ -102,13 +231,14 @@ impl HscModel {
         let compressed = Self::sp_compress_corpus(sp.as_ref(), training_paths);
         let trie = Trie::build(&compressed, theta, sp.network().num_edges())?;
         let huffman = Huffman::from_freqs(&trie.symbol_freqs())?;
-        let (node_dist, node_mbr) = Self::node_tables(sp.as_ref(), &trie);
+        let (node_dist, node_mbr, node_link) = Self::node_tables(sp.as_ref(), &trie)?;
         Ok(HscModel {
             sp,
             ac: AcAutomaton::build(trie),
             huffman,
             node_dist,
             node_mbr,
+            node_link,
         })
     }
 
@@ -140,13 +270,15 @@ impl HscModel {
     /// Reassembles a model from its persisted parts (the artifact tier's
     /// load path — see [`crate::store`]). The automaton is rebuilt from
     /// the trie by the same deterministic BFS construction training uses,
-    /// so a loaded model is indistinguishable from the trained one.
+    /// so a loaded model is indistinguishable from the trained one. The
+    /// caller has run [`HscModel::check_links`] over the three tables.
     pub(crate) fn from_parts(
         sp: Arc<dyn SpProvider>,
         trie: crate::spatial::trie::Trie,
         huffman: Huffman,
         node_dist: Vec<f64>,
         node_mbr: Vec<Mbr>,
+        node_link: LinkArena,
     ) -> Self {
         HscModel {
             sp,
@@ -154,48 +286,117 @@ impl HscModel {
             huffman,
             node_dist,
             node_mbr,
+            node_link,
         }
     }
 
-    /// Computes per-node decompressed distances and MBRs. A node's
-    /// sub-trajectory comes from SP-compressed text, so consecutive edges
-    /// may hide a shortest-path gap that must be expanded (§5.1: "we need
-    /// to decompress the sub-trajectory Tsub(n) based on SP decompression
-    /// in order to calculate the distance Tsub(n).d").
-    fn node_tables(sp: &dyn SpProvider, trie: &Trie) -> (Vec<f64>, Vec<Mbr>) {
+    /// Computes the three per-node tables in one parents-first pass. A
+    /// node's sub-trajectory comes from SP-compressed text, so consecutive
+    /// edges may hide a shortest-path gap that must be expanded (§5.1: "we
+    /// need to decompress the sub-trajectory Tsub(n) based on SP
+    /// decompression in order to calculate the distance Tsub(n).d"); the
+    /// expansion is kept as the node's link, and its length and MBR feed
+    /// the other two tables.
+    fn node_tables(sp: &dyn SpProvider, trie: &Trie) -> Result<(Vec<f64>, Vec<Mbr>, LinkArena)> {
         let net = sp.network();
         let n = trie.num_nodes();
         let mut dist = vec![0.0f64; n];
         let mut mbr = vec![Mbr::empty(); n];
+        let mut link = LinkArena::with_capacity(n);
+        // The root's (empty) slot.
+        link.seal_node()?;
         // Node ids are created parents-first, so each node extends its
-        // parent by one edge: dist/mbr build incrementally in one pass.
+        // parent by one edge: the tables build incrementally in one pass.
         for node in trie.node_ids() {
             let parent = trie.parent(node);
             let e = trie.last_edge(node);
-            let mut d = dist[parent as usize];
             let mut m = mbr[parent as usize];
+            let mut gap = None;
             if parent != Trie::ROOT {
                 let prev = trie.last_edge(parent);
                 if !net.consecutive(prev, e) {
-                    let gap = sp.gap_dist(prev, e);
-                    if gap.is_finite() {
-                        d += gap;
-                        if let Some(gap_mbr) = sp.sp_mbr(prev, e) {
-                            m.expand(&gap_mbr);
+                    match sp.sp_interior(prev, e) {
+                        Some(interior) => {
+                            let len = path_len(net, &interior);
+                            debug_assert_eq!(len.to_bits(), sp.gap_dist(prev, e).to_bits());
+                            for &g in &interior {
+                                m.expand(&net.edge_mbr(g));
+                            }
+                            link.edges.extend(interior);
+                            gap = Some(len);
                         }
-                    } else {
-                        // Disconnected training pair: poison the node so
-                        // queries fall back to full decompression.
-                        d = f64::INFINITY;
+                        // Disconnected training pair: poison the node, so
+                        // decompression and queries report the pair.
+                        None => gap = Some(f64::INFINITY),
                     }
                 }
             }
-            d += net.weight(e);
+            link.seal_node()?;
             m.expand(&net.edge_mbr(e));
-            dist[node as usize] = d;
+            dist[node as usize] = extend_dist(dist[parent as usize], gap, net.weight(e));
             mbr[node as usize] = m;
         }
-        (dist, mbr)
+        Ok((dist, mbr, link))
+    }
+
+    /// The link arena of `trie` recomputed through the shortest-path
+    /// layer — the load path of a model file written before the
+    /// `node_link` section existed.
+    pub(crate) fn links_via_sp(sp: &dyn SpProvider, trie: &Trie) -> Result<LinkArena> {
+        Ok(Self::node_tables(sp, trie)?.2)
+    }
+
+    /// Cross-checks a loaded `node_dist` table against a loaded link
+    /// arena, with no shortest-path call: per node the chain
+    /// `last_edge(parent) → link… → last_edge(node)` is connected and
+    /// inside the alphabet, the link is empty exactly when the pair is
+    /// consecutive or the node is poisoned, and the distance is the bits
+    /// [`HscModel::node_tables`] would have produced from its parent's.
+    /// That the link is a *shortest* path is the section CRC's word, as
+    /// it is for `node_dist` itself.
+    pub(crate) fn check_links(
+        net: &RoadNetwork,
+        trie: &Trie,
+        node_dist: &[f64],
+        node_link: &LinkArena,
+    ) -> std::result::Result<(), String> {
+        if node_dist[Trie::ROOT as usize].to_bits() != 0 || !node_link.link(Trie::ROOT).is_empty() {
+            return Err("the root carries a distance or a link".into());
+        }
+        for node in trie.node_ids() {
+            let parent = trie.parent(node);
+            let e = trie.last_edge(node);
+            let link = node_link.link(node);
+            if let Some(g) = link.iter().find(|g| g.index() >= trie.alphabet_size()) {
+                return Err(format!("node {node} links through out-of-alphabet {g}"));
+            }
+            let consecutive = parent == Trie::ROOT || net.consecutive(trie.last_edge(parent), e);
+            let gap = if consecutive {
+                if !link.is_empty() {
+                    return Err(format!("node {node} needs no link but carries one"));
+                }
+                None
+            } else if link.is_empty() {
+                Some(f64::INFINITY)
+            } else {
+                let mut prev = trie.last_edge(parent);
+                for &g in link.iter().chain(std::iter::once(&e)) {
+                    if !net.consecutive(prev, g) {
+                        return Err(format!("node {node} link breaks between {prev} and {g}"));
+                    }
+                    prev = g;
+                }
+                Some(path_len(net, link))
+            };
+            let want = extend_dist(node_dist[parent as usize], gap, net.weight(e));
+            if node_dist[node as usize].to_bits() != want.to_bits() {
+                return Err(format!(
+                    "node {node} distance {} is not its chain's {want}",
+                    node_dist[node as usize]
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Compresses a raw spatial path: SP compression, greedy decomposition,
@@ -261,9 +462,135 @@ impl HscModel {
     }
 
     /// Fully decompresses back to the original spatial path. `O(|T|)`.
+    ///
+    /// Equal to `sp_decompress(decode_sp_form(cs))` — the reference
+    /// composition — but walks the decoded nodes directly: a unit's hidden
+    /// gaps come from the link arena, and only a boundary between two
+    /// units that training never saw side by side reaches the
+    /// shortest-path layer.
     pub fn decompress(&self, cs: &CompressedSpatial) -> Result<Vec<EdgeId>> {
-        let spc = self.decode_sp_form(cs)?;
-        sp_decompress(self.sp.as_ref(), &spc)
+        let trie = self.ac.trie();
+        let net = self.sp.network();
+        let mut out = Vec::new();
+        let mut reader = cs.bits.reader();
+        let mut prev: Option<EdgeId> = None;
+        while !reader.is_exhausted() {
+            let node = symbol_to_node(self.huffman.decode_symbol(&mut reader)?);
+            let chain = trie.chain(node);
+            let chain = chain.as_slice();
+            let first = trie.last_edge(chain[0]);
+            if let Some(p) = prev {
+                if !net.consecutive(p, first) {
+                    self.expand_gap_into(p, first, self.known_link(p, first), &mut out)?;
+                }
+            }
+            self.expand_chain_into(chain, &mut out)?;
+            prev = Some(trie.last_edge(node));
+        }
+        Ok(out)
+    }
+
+    /// Appends the fully decompressed `Tsub(node)` to `out`: along the
+    /// root→`node` chain, each ancestor's link then its last edge — no
+    /// shortest-path call. A node trained over a disconnected pair
+    /// reports that pair, as SP decompression would.
+    pub fn expand_node_into(&self, node: TrieNodeId, out: &mut Vec<EdgeId>) -> Result<()> {
+        self.expand_chain_into(self.ac.trie().chain(node).as_slice(), out)
+    }
+
+    /// [`HscModel::expand_node_into`] over an already climbed chain.
+    fn expand_chain_into(&self, chain: &[TrieNodeId], out: &mut Vec<EdgeId>) -> Result<()> {
+        let Some(&node) = chain.last() else {
+            return Ok(());
+        };
+        if !self.node_dist[node as usize].is_finite() {
+            return Err(self.unreachable_pair(chain));
+        }
+        let trie = self.ac.trie();
+        for &a in chain {
+            out.extend_from_slice(self.node_link.link(a));
+            out.push(trie.last_edge(a));
+        }
+        Ok(())
+    }
+
+    /// The first pair along a poisoned chain that no path joins.
+    #[cold]
+    fn unreachable_pair(&self, chain: &[TrieNodeId]) -> PressError {
+        let trie = self.ac.trie();
+        let net = self.sp.network();
+        for w in chain.windows(2) {
+            let (p, e) = (trie.last_edge(w[0]), trie.last_edge(w[1]));
+            if self.node_link.link(w[1]).is_empty() && !net.consecutive(p, e) {
+                return PressError::NoShortestPath(p, e);
+            }
+        }
+        PressError::NoShortestPath(
+            trie.last_edge(chain[0]),
+            trie.last_edge(chain[chain.len() - 1]),
+        )
+    }
+
+    /// The shortest-path gap between `a` and `b` when the training corpus
+    /// ever put the two edges side by side: the Trie holds every such
+    /// pair as a depth-2 node, whose link is the canonical
+    /// `sp_interior(a, b)`. The length is bit-equal to `gap_dist(a, b)`
+    /// (the left-to-right fold of the link's weights is Dijkstra's own
+    /// addition order). `None` for a pair training never saw, and for
+    /// one it saw across two components.
+    pub fn known_gap(&self, a: EdgeId, b: EdgeId) -> Option<(f64, &[EdgeId])> {
+        let link = self.known_link(a, b)?;
+        Some((path_len(self.sp.network(), link), link))
+    }
+
+    /// The interior half of [`HscModel::known_gap`], for callers that do
+    /// not need the length.
+    fn known_link(&self, a: EdgeId, b: EdgeId) -> Option<&[EdgeId]> {
+        let trie = self.ac.trie();
+        let node = trie.child(trie.level1(a), b)?;
+        if !self.node_dist[node as usize].is_finite() {
+            return None;
+        }
+        #[cfg(test)]
+        witness(|w| w.arena_hits += 1);
+        Some(self.node_link.link(node))
+    }
+
+    /// Appends the interior of the gap between `a` and `b` to `out`: the
+    /// `known` slice when [`HscModel::known_gap`] had one, else one
+    /// `sp_interior` call.
+    pub(crate) fn expand_gap_into(
+        &self,
+        a: EdgeId,
+        b: EdgeId,
+        known: Option<&[EdgeId]>,
+        out: &mut Vec<EdgeId>,
+    ) -> Result<()> {
+        match known {
+            Some(link) => out.extend_from_slice(link),
+            None => {
+                #[cfg(test)]
+                witness(|w| w.sp_fallbacks += 1);
+                let mut interior = self
+                    .sp
+                    .sp_interior(a, b)
+                    .ok_or(PressError::NoShortestPath(a, b))?;
+                out.append(&mut interior);
+            }
+        }
+        Ok(())
+    }
+
+    /// The hidden shortest-path gap between a node's parent's last edge
+    /// and its own (empty at depth 1 and for consecutive pairs).
+    #[inline]
+    pub(crate) fn node_link(&self, node: TrieNodeId) -> &[EdgeId] {
+        self.node_link.link(node)
+    }
+
+    /// The whole link arena, as persisted.
+    pub(crate) fn link_arena(&self) -> &LinkArena {
+        &self.node_link
     }
 
     /// The shortest-path provider.
@@ -306,6 +633,7 @@ impl HscModel {
             huffman_bytes: self.huffman.approx_bytes(),
             node_dist_bytes: self.node_dist.len() * 8,
             node_mbr_bytes: self.node_mbr.len() * std::mem::size_of::<Mbr>(),
+            node_link_bytes: self.node_link.approx_bytes(),
         }
     }
 }
@@ -315,6 +643,7 @@ impl std::fmt::Debug for HscModel {
         f.debug_struct("HscModel")
             .field("trie_nodes", &self.trie().num_nodes())
             .field("theta", &self.trie().theta())
+            .field("node_link_bytes", &self.node_link.approx_bytes())
             .field("aux_bytes", &self.auxiliary_sizes().total())
             .finish()
     }
@@ -323,6 +652,7 @@ impl std::fmt::Debug for HscModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spatial::sp::sp_decompress;
     use press_network::{grid_network, GridConfig, NodeId, RoadNetwork, SpTable};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -504,6 +834,7 @@ mod tests {
         assert!(aux.huffman_bytes > 0);
         assert!(aux.node_dist_bytes > 0);
         assert!(aux.node_mbr_bytes > 0);
+        assert!(aux.node_link_bytes > 0);
         assert_eq!(
             aux.total(),
             aux.sp_table_bytes
@@ -511,6 +842,7 @@ mod tests {
                 + aux.huffman_bytes
                 + aux.node_dist_bytes
                 + aux.node_mbr_bytes
+                + aux.node_link_bytes
         );
     }
 }

@@ -16,6 +16,8 @@ pub mod bits;
 pub mod decompose;
 pub mod hsc;
 pub mod huffman;
+#[cfg(test)]
+pub(crate) mod node_link_tests;
 pub mod online;
 pub mod sp;
 pub mod trie;

@@ -273,6 +273,26 @@ impl Trie {
         edges
     }
 
+    /// The root→`node` chain of node ids (the depth-1 ancestor first,
+    /// `node` itself last; empty for the root), built in one climb.
+    pub(crate) fn chain(&self, node: TrieNodeId) -> NodeChain {
+        let depth = self.depth(node);
+        let mut chain = NodeChain {
+            inline: [Self::ROOT; NodeChain::INLINE],
+            spill: Vec::new(),
+            len: depth,
+        };
+        if depth > NodeChain::INLINE {
+            chain.spill = vec![Self::ROOT; depth];
+        }
+        let mut cur = node;
+        for slot in chain.as_mut_slice().iter_mut().rev() {
+            *slot = cur;
+            cur = self.nodes[cur as usize].parent;
+        }
+        chain
+    }
+
     /// Iterator over all non-root node ids.
     pub fn node_ids(&self) -> impl ExactSizeIterator<Item = TrieNodeId> {
         1..self.nodes.len() as TrieNodeId
@@ -293,6 +313,37 @@ impl Trie {
                 .map(|n| n.children.len() * 8)
                 .sum::<usize>()
             + self.level1.len() * 4
+    }
+}
+
+/// A root→node chain of Trie node ids ([`Trie::chain`]). Depth is at
+/// most θ (3 in the paper), so the chain lives on the stack; only a
+/// model with θ beyond the inline capacity spills to the heap.
+pub(crate) struct NodeChain {
+    inline: [TrieNodeId; Self::INLINE],
+    spill: Vec<TrieNodeId>,
+    len: usize,
+}
+
+impl NodeChain {
+    const INLINE: usize = 8;
+
+    /// The chain, depth-1 ancestor first.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[TrieNodeId] {
+        if self.len <= Self::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [TrieNodeId] {
+        if self.len <= Self::INLINE {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spill
+        }
     }
 }
 
@@ -387,6 +438,22 @@ mod tests {
         assert_eq!(t.last_edge(n_e1e5e8), e(8));
         assert_eq!(t.depth(n_e1e5e8), 3);
         assert_eq!(t.sub_trajectory(Trie::ROOT), Vec::<EdgeId>::new());
+    }
+
+    #[test]
+    fn chain_lists_ancestors_root_first_at_any_depth() {
+        // Twelve levels: past the inline capacity, so the spill runs too.
+        let path: Vec<EdgeId> = (0..12).map(EdgeId).collect();
+        let t = Trie::build(std::slice::from_ref(&path), 12, 12).unwrap();
+        assert!(t.chain(Trie::ROOT).as_slice().is_empty());
+        let mut n = Trie::ROOT;
+        for &e in &path {
+            n = t.child(n, e).unwrap();
+            let chain = t.chain(n);
+            assert_eq!(chain.as_slice().last(), Some(&n));
+            let edges: Vec<EdgeId> = chain.as_slice().iter().map(|&a| t.last_edge(a)).collect();
+            assert_eq!(edges, t.sub_trajectory(n));
+        }
     }
 
     #[test]

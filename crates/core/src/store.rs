@@ -7,8 +7,11 @@
 //! [`HscModel`] training is a corpus-wide pass (SP compression of every
 //! training path, trie mining, Huffman construction, per-node tables);
 //! the result is small and static. `HscModel::save_to` persists the trie
-//! records, the canonical Huffman code lengths, and the per-node
-//! distance/MBR tables; `HscModel::load_from` reassembles the model over
+//! records, the canonical Huffman code lengths, and the three per-node
+//! tables — distances, MBRs, and the link arena (the additive
+//! `node_link` section; a file without it rebuilds the arena through the
+//! shortest-path layer, and either way the distances are cross-checked
+//! against it at load); `HscModel::load_from` reassembles the model over
 //! a shortest-path provider, rebuilding the Aho–Corasick automaton with
 //! the same deterministic construction training uses — so a loaded model
 //! compresses, decompresses and answers queries **bit-identically** to
@@ -59,6 +62,7 @@
 use crate::error::{PressError, Result};
 use crate::press::CompressedTrajectory;
 use crate::query::QueryEngine;
+use crate::spatial::hsc::LinkArena;
 use crate::spatial::{BitStream, CompressedSpatial, HscModel, Huffman, Trie};
 use crate::types::{DtPoint, TemporalSequence};
 use press_network::{EdgeId, Mbr, Point, SpProvider};
@@ -76,8 +80,8 @@ use std::sync::{Arc, Mutex};
 
 impl HscModel {
     /// Serializes the trained model into a [`press_store`] container: the
-    /// trie's per-node records, the canonical Huffman code lengths, and
-    /// the per-node distance/MBR tables of §5.1–§5.2.
+    /// trie's per-node records, the canonical Huffman code lengths, the
+    /// per-node distance/MBR tables of §5.1–§5.2, and the link arena.
     pub fn to_store_bytes(&self) -> Vec<u8> {
         let trie = self.trie();
         let n = trie.num_nodes();
@@ -103,12 +107,21 @@ impl HscModel {
             mbr.put_f64(m.max_x);
             mbr.put_f64(m.max_y);
         }
+        let (off, edges) = self.link_arena().as_raw();
+        let mut link = ByteWriter::with_capacity((off.len() + edges.len()) * 4);
+        for &o in off {
+            link.put_u32(o);
+        }
+        for e in edges {
+            link.put_u32(e.0);
+        }
         let mut w = StoreWriter::new(kind::HSC_MODEL);
         w.section("meta", meta.into_bytes());
         w.section("trie", nodes.into_bytes());
         w.section("hufflens", lens);
         w.section("node_dist", dist.into_bytes());
         w.section("node_mbr", mbr.into_bytes());
+        w.section("node_link", link.into_bytes());
         w.to_bytes()
     }
 
@@ -121,8 +134,10 @@ impl HscModel {
     }
 
     /// Reassembles a model over `sp` from container bytes, validating the
-    /// trie structure, the Huffman code lengths (Kraft equality), and the
-    /// table sizes. The model's edge alphabet must match `sp`'s network.
+    /// trie structure, the Huffman code lengths (Kraft equality), the
+    /// table sizes, and `node_dist` against the link arena (connected
+    /// chains, bit-equal distances — no shortest-path call). The model's
+    /// edge alphabet must match `sp`'s network.
     pub fn from_store_bytes(
         sp: Arc<dyn SpProvider>,
         bytes: Vec<u8>,
@@ -183,7 +198,35 @@ impl HscModel {
             });
         }
         r.expect_end("node_mbr")?;
-        Ok(HscModel::from_parts(sp, trie, huffman, node_dist, node_mbr))
+        let node_link = if file.has_section("node_link") {
+            // Loaded, never recomputed: opening a model costs no
+            // shortest-path call.
+            let raw = file.section("node_link")?;
+            if raw.len() % 4 != 0 || raw.len() / 4 <= num_nodes {
+                return Err(StoreError::Corrupt(format!(
+                    "node_link: {} bytes cannot hold {} u32 offsets and whole u32 edges",
+                    raw.len(),
+                    num_nodes + 1
+                )));
+            }
+            let mut words = raw
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes(w.try_into().expect("chunks_exact(4)")));
+            let off: Vec<u32> = words.by_ref().take(num_nodes + 1).collect();
+            let edges: Vec<EdgeId> = words.map(EdgeId).collect();
+            LinkArena::from_raw(num_nodes, off, edges)
+                .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?
+        } else {
+            // A file written before the section existed: rebuild it
+            // through the shortest-path layer.
+            HscModel::links_via_sp(sp.as_ref(), &trie)
+                .map_err(|e| StoreError::Corrupt(format!("node_link rebuild: {e}")))?
+        };
+        HscModel::check_links(sp.network(), &trie, &node_dist, &node_link)
+            .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?;
+        Ok(HscModel::from_parts(
+            sp, trie, huffman, node_dist, node_mbr, node_link,
+        ))
     }
 
     /// Loads a model artifact from `path` (one contiguous read).
@@ -912,6 +955,40 @@ mod tests {
             HscModel::from_store_bytes(other_sp, bytes),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    /// A present `node_link` section is loaded, never recomputed: opening
+    /// the model asks the shortest-path layer nothing. A file written
+    /// before the section existed rebuilds it through the layer, and
+    /// re-saves to the very bytes a fresh model writes.
+    #[test]
+    fn node_link_section_loads_sp_free_and_rebuilds_when_absent() {
+        use crate::spatial::node_link_tests::CountingSp;
+        let (press, _, compressed) = fixture();
+        let model = press.model();
+        let bytes = model.to_store_bytes();
+        let sp = CountingSp::over(model.sp().clone());
+        let loaded = HscModel::from_store_bytes(sp.clone(), bytes.clone()).unwrap();
+        assert_eq!(sp.calls(), 0, "a present section must not be recomputed");
+        assert_eq!(loaded.to_store_bytes(), bytes);
+
+        let file = StoreFile::from_bytes(bytes.clone()).unwrap();
+        let mut legacy = StoreWriter::new(file.kind());
+        for name in file.section_names().filter(|&n| n != "node_link") {
+            legacy.section(name, file.section(name).unwrap().to_vec());
+        }
+        let rebuilt = HscModel::from_store_bytes(sp.clone(), legacy.to_bytes()).unwrap();
+        assert!(
+            sp.calls() > 0,
+            "an absent section is rebuilt through the SP layer"
+        );
+        assert_eq!(rebuilt.to_store_bytes(), bytes);
+        for ct in &compressed {
+            assert_eq!(
+                rebuilt.decompress(&ct.spatial).unwrap(),
+                model.decompress(&ct.spatial).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -59,6 +59,59 @@ fn walk_from_choices(net: &RoadNetwork, start: u32, choices: &[u8]) -> Vec<EdgeI
     path
 }
 
+/// The fixture of the `node_link` tests: a model trained on a fixed set
+/// of walks over a fixed jittered grid.
+fn link_fixture() -> (
+    Arc<RoadNetwork>,
+    Arc<dyn SpProvider>,
+    Vec<Vec<EdgeId>>,
+    HscModel,
+) {
+    let net = net_from(6, 6, 0.12, 29);
+    let sp: Arc<dyn SpProvider> = Arc::new(SpTable::build(net.clone()));
+    let mut training = Vec::new();
+    for s in 0..24u64 {
+        let choices: Vec<u8> = (0..14).map(|i| ((s * 9 + i * 5) % 7) as u8).collect();
+        let p = walk_from_choices(&net, (s * 3) as u32, &choices);
+        if p.len() >= 3 {
+            training.push(p);
+        }
+    }
+    let model = HscModel::train(sp.clone(), &training, 3).expect("train");
+    (net, sp, training, model)
+}
+
+/// Rewrites a model container section by section — each section CRC
+/// stays valid — passing every `(name, payload)` through `f`; `None`
+/// drops the section.
+fn rewrite_sections(bytes: &[u8], f: impl Fn(&str, &[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
+    use press_store::{StoreFile, StoreWriter};
+    let file = StoreFile::from_bytes(bytes.to_vec()).expect("parse");
+    let mut w = StoreWriter::new(file.kind());
+    for name in file.section_names() {
+        if let Some(payload) = f(name, file.section(name).expect("section")) {
+            w.section(name, payload);
+        }
+    }
+    w.to_bytes()
+}
+
+/// A `node_link` payload as `(offsets, edges)`, and back.
+fn parse_link(payload: &[u8], nodes: usize) -> (Vec<u32>, Vec<u32>) {
+    let words: Vec<u32> = payload
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+        .collect();
+    (words[..=nodes].to_vec(), words[nodes + 1..].to_vec())
+}
+
+fn link_payload(off: &[u32], edges: &[u32]) -> Vec<u8> {
+    off.iter()
+        .chain(edges)
+        .flat_map(|w| w.to_le_bytes())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -278,6 +331,33 @@ proptest! {
             }
         }
     }
+    /// Any single-word change to a CRC-valid `node_link` section is a
+    /// typed error, or a load that still decompresses every training
+    /// path exactly — never a panic, never a silently different path.
+    #[test]
+    fn node_link_word_corruption_never_panics(word in 0usize..100_000, value in 0u32..2_000, add in 0usize..2) {
+        let (_, sp, training, model) = link_fixture();
+        let good = model.to_store_bytes();
+        let bad = rewrite_sections(&good, |name, payload| {
+            let mut payload = payload.to_vec();
+            if name == "node_link" {
+                let at = (word % (payload.len() / 4)) * 4;
+                let old = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
+                let new = if add == 0 { value } else { old.wrapping_add(value + 1) };
+                payload[at..at + 4].copy_from_slice(&new.to_le_bytes());
+            }
+            Some(payload)
+        });
+        match HscModel::from_store_bytes(sp, bad) {
+            Err(_) => {}
+            Ok(loaded) => {
+                for path in &training {
+                    let cs = model.compress(path).expect("compress");
+                    prop_assert_eq!(&loaded.decompress(&cs).expect("decompress"), path);
+                }
+            }
+        }
+    }
 }
 
 /// Non-proptest corruption matrix: the exact typed error per mode.
@@ -320,6 +400,197 @@ fn corruption_modes_are_typed() {
         SpTable::from_store_bytes(net.clone(), bad),
         Err(StoreError::ChecksumMismatch { .. })
     ));
+}
+
+/// `node_link` corruption matrix: a bit flip is the section CRC's; a
+/// CRC-valid but inconsistent section — truncated, non-monotone offsets,
+/// an edge outside the alphabet, a chain that does not connect, a link
+/// dropped or invented, a `node_dist` one ulp off its chain — is a typed
+/// `Corrupt`, never a model that decompresses or measures wrongly.
+#[test]
+fn node_link_corruption_matrix() {
+    use press_store::{StoreError, StoreFile};
+    let (net, sp, _, model) = link_fixture();
+    let good = model.to_store_bytes();
+    let nodes = model.trie().num_nodes();
+    let file = StoreFile::from_bytes(good.clone()).expect("parse");
+    let payload = file.section("node_link").expect("section").to_vec();
+    let (off, edges) = parse_link(&payload, nodes);
+    assert!(!edges.is_empty(), "fixture must hide at least one gap");
+    let load = |bytes: Vec<u8>| HscModel::from_store_bytes(sp.clone(), bytes);
+    let with_link = |off: &[u32], edges: &[u32]| {
+        let replacement = link_payload(off, edges);
+        rewrite_sections(&good, |name, p| {
+            Some(if name == "node_link" {
+                replacement.clone()
+            } else {
+                p.to_vec()
+            })
+        })
+    };
+    let corrupt = |bytes: Vec<u8>, what: &str| match load(bytes) {
+        Err(StoreError::Corrupt(_)) => {}
+        other => panic!(
+            "{what}: expected Corrupt, got {:?}",
+            other.map(|_| "a model")
+        ),
+    };
+    load(with_link(&off, &edges)).expect("the untouched rewrite loads");
+
+    // Bit flip in the stored payload: the section CRC names it.
+    let at = good
+        .windows(payload.len())
+        .position(|w| w == payload)
+        .expect("payload is in the file");
+    let mut flipped = good.clone();
+    flipped[at + payload.len() / 2] ^= 0x04;
+    match load(flipped) {
+        Err(StoreError::ChecksumMismatch { section }) => assert_eq!(section, "node_link"),
+        other => panic!(
+            "expected a checksum mismatch, got {:?}",
+            other.map(|_| "a model")
+        ),
+    }
+
+    // Truncations: whole words, a ragged tail, and the file itself.
+    corrupt(with_link(&off, &edges[..edges.len() - 1]), "last edge cut");
+    corrupt(with_link(&off[..nodes], &[]), "offsets cut");
+    let ragged = payload[..payload.len() - 2].to_vec();
+    corrupt(
+        rewrite_sections(&good, |name, p| {
+            Some(if name == "node_link" {
+                ragged.clone()
+            } else {
+                p.to_vec()
+            })
+        }),
+        "ragged tail",
+    );
+    assert!(load(good[..good.len() - 3].to_vec()).is_err());
+
+    // The first node that hides a gap, and one that does not.
+    let linked = (0..nodes)
+        .find(|&n| off[n + 1] > off[n])
+        .expect("a linked node");
+    let bare = (1..nodes)
+        .find(|&n| off[n + 1] == off[n] && model.trie().depth(n as u32) > 1)
+        .expect("a consecutive pair");
+    let (lo, hi) = (off[linked] as usize, off[linked + 1] as usize);
+
+    let mut o = off.clone();
+    o[linked + 1] = o[linked] + edges.len() as u32 + 1;
+    corrupt(with_link(&o, &edges), "offset past the arena");
+    let mut o = off.clone();
+    o.swap(linked, linked + 1);
+    corrupt(with_link(&o, &edges), "non-monotone offsets");
+    let mut e = edges.clone();
+    e[lo] = net.num_edges() as u32;
+    corrupt(with_link(&off, &e), "edge outside the alphabet");
+    let mut e = edges.clone();
+    e[lo] = (0..net.num_edges() as u32)
+        .find(|&g| {
+            !net.consecutive(
+                model.trie().last_edge(model.trie().parent(linked as u32)),
+                EdgeId(g),
+            )
+        })
+        .expect("a non-adjacent edge");
+    corrupt(with_link(&off, &e), "broken chain");
+    // The link dropped: the pair is not consecutive, so the node would
+    // have to be poisoned — its finite distance says otherwise.
+    let mut o = off.clone();
+    for x in &mut o[linked + 1..] {
+        *x -= (hi - lo) as u32;
+    }
+    let mut e = edges.clone();
+    e.drain(lo..hi);
+    corrupt(with_link(&o, &e), "dropped link");
+    // A link invented for a consecutive pair.
+    let mut o = off.clone();
+    for x in &mut o[bare + 1..] {
+        *x += 1;
+    }
+    let mut e = edges.clone();
+    e.insert(off[bare] as usize, edges[lo]);
+    corrupt(with_link(&o, &e), "invented link");
+
+    // `node_dist` one ulp off — on a linked node, a bare one, a level-1
+    // node and the root.
+    for n in [linked, bare, 1, 0] {
+        let bad = rewrite_sections(&good, |name, p| {
+            let mut p = p.to_vec();
+            if name == "node_dist" {
+                let d = f64::from_le_bytes(p[n * 8..n * 8 + 8].try_into().expect("8 bytes"));
+                p[n * 8..n * 8 + 8].copy_from_slice(&f64::from_bits(d.to_bits() + 1).to_le_bytes());
+            }
+            Some(p)
+        });
+        corrupt(bad, &format!("node_dist[{n}] one ulp off"));
+    }
+}
+
+/// A model file written before the `node_link` section existed loads,
+/// answers identically and re-saves with the section; and the five
+/// older sections of a freshly trained model are, byte for byte, what
+/// the pre-arena writer produced (CRCs pinned from that build).
+#[test]
+fn node_link_legacy_file_and_unchanged_sections() {
+    use press_store::StoreFile;
+    let (net, sp, training, model) = link_fixture();
+    let good = model.to_store_bytes();
+    let file = StoreFile::from_bytes(good.clone()).expect("parse");
+    assert_eq!(model.trie().num_nodes(), 287);
+    for (name, crc) in [
+        ("meta", 0xf364b4a5u32),
+        ("trie", 0x873292d8),
+        ("hufflens", 0x4c8b135a),
+        ("node_dist", 0xf19b2274),
+        ("node_mbr", 0xad0f5652),
+    ] {
+        assert_eq!(
+            press_store::crc32(file.section(name).expect("section")),
+            crc,
+            "{name}"
+        );
+    }
+
+    let legacy = rewrite_sections(&good, |name, p| (name != "node_link").then(|| p.to_vec()));
+    assert!(!StoreFile::from_bytes(legacy.clone())
+        .expect("parse")
+        .has_section("node_link"));
+    let old = HscModel::from_store_bytes(sp, legacy).expect("a pre-arena file must load");
+    assert_eq!(
+        old.to_store_bytes(),
+        good,
+        "re-saving adds the section back"
+    );
+    let (fresh, warm) = (QueryEngine::new(&model), QueryEngine::new(&old));
+    for path in &training {
+        let cs = model.compress(path).expect("compress");
+        assert_eq!(old.compress(path).expect("compress"), cs);
+        assert_eq!(&old.decompress(&cs).expect("decompress"), path);
+        let total: f64 = path.iter().map(|&e| net.weight(e)).sum();
+        let ct = CompressedTrajectory {
+            spatial: cs,
+            temporal: TemporalSequence::new(vec![
+                DtPoint::new(0.0, 0.0),
+                DtPoint::new(total, 60.0),
+            ])
+            .expect("temporal"),
+        };
+        for k in 0..=6 {
+            let a = fresh.whereat(&ct, 10.0 * k as f64).expect("whereat");
+            let b = warm.whereat(&ct, 10.0 * k as f64).expect("whereat legacy");
+            assert_eq!(
+                (a.x.to_bits(), a.y.to_bits()),
+                (b.x.to_bits(), b.y.to_bits())
+            );
+            assert_eq!(
+                fresh.whenat(&ct, a, 0.5).expect("whenat").to_bits(),
+                warm.whenat(&ct, a, 0.5).expect("whenat legacy").to_bits()
+            );
+        }
+    }
 }
 
 /// Mapped flat-section corruption matrix: a bit flip inside a flat
