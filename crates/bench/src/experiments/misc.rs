@@ -44,6 +44,10 @@ pub fn aux_sizes(env: &Env) -> Table {
         "trie node links (hidden SP gaps)".into(),
         aux.node_link_bytes.to_string(),
     ]);
+    table.row(vec![
+        "SPend index (pass + stop facts)".into(),
+        aux.spend_index_bytes.to_string(),
+    ]);
     table.row(vec!["TOTAL".into(), aux.total().to_string()]);
     table
 }

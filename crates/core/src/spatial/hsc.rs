@@ -17,6 +17,41 @@
 //! shortest-path layer only about edge pairs training never put side by
 //! side.
 //!
+//! # The `SPend` index
+//!
+//! The arena is also the answer sheet of Algorithm 1, stored the other
+//! way round. The scan's one test, `SPend(anchor, next) == prev`, depends
+//! only on the node pair `(anchor.to, next.from)` — it is
+//! `pred_edge(anchor.to, next.from)` — and `sp_interior(a, b)` *is* a walk
+//! of `pred_edge(a.to, ·)` answers. So [`HscModel`] keeps a sparse,
+//! immutable index from node pairs to canonical predecessor edges, built
+//! in one pass over the depth-2 nodes `(a, b)` at [`HscModel::train`] and
+//! at load, from **pass facts** — every edge `g` of the node's link says
+//! `pred_edge(a.to, g.to) = g`, no shortest-path call — and **stop
+//! facts** — `pred_edge(a.to, b.to)`, the one thing the arena cannot say,
+//! recorded by training (one call per depth-2 node) and persisted beside
+//! the arena. [`HscModel::compress`] and [`HscModel::online_sp`] consult
+//! the index first and call `pred_edge` only on a miss.
+//!
+//! Recompressing a training path `p` makes **no** shortest-path call:
+//!
+//! 1. Let `a`, `b` be neighbours in `sp_compress(p)`. For θ ≥ 2 the Trie
+//!    holds `(a, b)` at depth 2, and since SP compression is lossless the
+//!    edges of `p` between them are its link `g₁ … g_k`.
+//! 2. Every *passing* test of that run is `pred_edge(a.to, g_i.to) = g_i`
+//!    — a pass fact; the *failing* test that made the scan emit `b` is
+//!    `pred_edge(a.to, b.to) ≠ b` — the node's stop fact.
+//! 3. The tests that need no tree never reach the index:
+//!    `anchor == next` (no `SPend`) and `anchor.to == next.from` (`SPend`
+//!    is the anchor), exactly as in [`SpProvider::sp_end`].
+//!
+//! At θ = 1 there is no depth-2 node and the index is empty. A poisoned
+//! `(a, b)` (no path joins the pair — no valid path produces one) has an
+//! empty link and no stop fact, so it contributes nothing. All facts out
+//! of one source node come from one canonical shortest-path tree, so two
+//! that name different predecessors for one node are corruption, and
+//! building the index checks it.
+//!
 //! Spatial compression is **lossless**: `decompress(compress(p)) == p` for
 //! every valid path `p` (property-tested in `tests/`), and both directions
 //! run in `O(|T|)`.
@@ -26,9 +61,10 @@ use crate::spatial::ac::AcAutomaton;
 use crate::spatial::bits::{BitStream, BitWriter};
 use crate::spatial::decompose::decompose_dp;
 use crate::spatial::huffman::Huffman;
-use crate::spatial::sp::sp_compress;
+use crate::spatial::online::OnlineSpCompressor;
+use crate::spatial::sp::{sp_compress, sp_scan, SpEnd};
 use crate::spatial::trie::{node_to_symbol, symbol_to_node, Trie, TrieNodeId};
-use press_network::{EdgeId, Mbr, RoadNetwork, SpProvider};
+use press_network::{EdgeId, Mbr, NodeId, RoadNetwork, SpProvider};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -72,6 +108,9 @@ pub struct AuxiliarySizes {
     pub node_mbr_bytes: usize,
     /// Per-Trie-node link arena (offsets + hidden shortest-path gaps).
     pub node_link_bytes: usize,
+    /// `SPend` index (per-source-node offsets + facts) and the stop facts
+    /// it is built from.
+    pub spend_index_bytes: usize,
 }
 
 impl AuxiliarySizes {
@@ -83,6 +122,7 @@ impl AuxiliarySizes {
             + self.node_dist_bytes
             + self.node_mbr_bytes
             + self.node_link_bytes
+            + self.spend_index_bytes
     }
 }
 
@@ -173,6 +213,120 @@ fn extend_dist(parent: f64, gap: Option<f64>, weight: f64) -> f64 {
     gap.map_or(parent, |g| parent + g) + weight
 }
 
+/// "No stop fact" in [`HscModel`]'s `node_stop` table and its file
+/// section.
+pub(crate) const NO_STOP: EdgeId = EdgeId(u32::MAX);
+
+/// CSR offsets over per-slot lengths: `off[i]..off[i + 1]` is slot `i`.
+fn csr_offsets(lens: impl IntoIterator<Item = usize>) -> std::result::Result<Vec<u32>, String> {
+    let mut off = vec![0u32];
+    let mut end = 0u32;
+    for len in lens {
+        end = u32::try_from(len)
+            .ok()
+            .and_then(|len| end.checked_add(len))
+            .ok_or("the SPend index outgrew its u32 offsets")?;
+        off.push(end);
+    }
+    Ok(off)
+}
+
+/// The `SPend` facts the model holds, keyed by node pair: per source
+/// node `s`, the `(head node v, canonical pred edge of v in the tree of
+/// s)` pairs sorted by `v`. Sparse and immutable; see the module docs.
+#[derive(Debug)]
+pub(crate) struct SpendIndex {
+    off: Vec<u32>,
+    facts: Vec<(NodeId, EdgeId)>,
+}
+
+impl SpendIndex {
+    /// Collects the pass facts of `node_link` and the stop facts of
+    /// `node_stop` (one per depth-2 node, in node order) into the index.
+    /// The arena has passed [`HscModel::check_links`]; the stop facts are
+    /// checked here — one per depth-2 node, [`NO_STOP`] on a poisoned
+    /// pair, otherwise inside the alphabet and an in-edge of the pair's
+    /// head — and so is the property that makes the index an index: all
+    /// facts out of one source node agree, i.e. form a tree.
+    fn build(
+        net: &RoadNetwork,
+        trie: &Trie,
+        node_dist: &[f64],
+        node_link: &LinkArena,
+        node_stop: &[EdgeId],
+    ) -> std::result::Result<Self, String> {
+        let mut raw: Vec<(NodeId, NodeId, EdgeId)> = Vec::with_capacity(node_link.edges.len());
+        let mut stops = node_stop.iter();
+        for node in trie.node_ids().filter(|&n| trie.depth(n) == 2) {
+            let s = net.edge(trie.last_edge(trie.parent(node))).to;
+            let head = net.edge(trie.last_edge(node)).to;
+            raw.extend(node_link.link(node).iter().map(|&g| (s, net.edge(g).to, g)));
+            let &stop = stops.next().ok_or_else(|| {
+                format!(
+                    "{} stop facts, fewer than the depth-2 nodes",
+                    node_stop.len()
+                )
+            })?;
+            if stop == NO_STOP {
+                continue;
+            }
+            if !node_dist[node as usize].is_finite() {
+                return Err(format!("poisoned node {node} carries stop fact {stop}"));
+            }
+            if stop.index() >= trie.alphabet_size() || net.edge(stop).to != head {
+                return Err(format!(
+                    "node {node} stop fact {stop} is no in-edge of {head}"
+                ));
+            }
+            raw.push((s, head, stop));
+        }
+        if stops.next().is_some() {
+            return Err(format!(
+                "{} stop facts, more than the depth-2 nodes",
+                node_stop.len()
+            ));
+        }
+        // Group by source node (a counting sort), then order each source's
+        // handful of facts by head; a fact two pairs share stays twice.
+        let mut lens = vec![0usize; net.num_nodes()];
+        for f in &raw {
+            lens[f.0.index()] += 1;
+        }
+        let off = csr_offsets(lens)?;
+        let mut next = off[..net.num_nodes()].to_vec();
+        let mut facts = vec![(NodeId(0), NO_STOP); raw.len()];
+        for &(s, v, g) in &raw {
+            facts[next[s.index()] as usize] = (v, g);
+            next[s.index()] += 1;
+        }
+        for (s, w) in off.windows(2).enumerate() {
+            let out = &mut facts[w[0] as usize..w[1] as usize];
+            out.sort_unstable();
+            if let Some(p) = out
+                .windows(2)
+                .find(|p| p[0].0 == p[1].0 && p[0].1 != p[1].1)
+            {
+                return Err(format!(
+                    "facts out of node {s} disagree on the predecessor of {}: {} and {}",
+                    p[0].0, p[0].1, p[1].1
+                ));
+            }
+        }
+        Ok(SpendIndex { off, facts })
+    }
+
+    /// `pred_edge(s, v)` when a fact holds it.
+    #[inline]
+    fn get(&self, s: NodeId, v: NodeId) -> Option<EdgeId> {
+        let out = &self.facts[self.off[s.index()] as usize..self.off[s.index() + 1] as usize];
+        out.binary_search_by_key(&v, |f| f.0).ok().map(|i| out[i].1)
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.off.len() * 4 + self.facts.len() * 8
+    }
+}
+
 /// Which side answered a gap, per thread — how the tests prove both the
 /// arena and the shortest-path fallback run.
 #[cfg(test)]
@@ -182,6 +336,10 @@ pub(crate) struct Witness {
     pub(crate) arena_hits: usize,
     /// Gaps training never saw, handed to the shortest-path layer.
     pub(crate) sp_fallbacks: usize,
+    /// `SPend` tests answered by the model's index.
+    pub(crate) spend_known: usize,
+    /// `SPend` tests the index missed, handed to `pred_edge`.
+    pub(crate) spend_sp: usize,
 }
 
 #[cfg(test)]
@@ -213,6 +371,12 @@ pub struct HscModel {
     /// `sp_interior(last_edge(parent), last_edge(node))`; empty when the
     /// two are consecutive or no path joins them.
     node_link: LinkArena,
+    /// Per depth-2 node `(a, b)`, in node order: `pred_edge(a.to, b.to)`
+    /// — the answer to the failing `SPend` test that ends a run at `b` —
+    /// or [`NO_STOP`].
+    node_stop: Vec<EdgeId>,
+    /// Every `SPend` fact `node_link` and `node_stop` hold, by node pair.
+    spend: SpendIndex,
 }
 
 impl HscModel {
@@ -232,14 +396,9 @@ impl HscModel {
         let trie = Trie::build(&compressed, theta, sp.network().num_edges())?;
         let huffman = Huffman::from_freqs(&trie.symbol_freqs())?;
         let (node_dist, node_mbr, node_link) = Self::node_tables(sp.as_ref(), &trie)?;
-        Ok(HscModel {
-            sp,
-            ac: AcAutomaton::build(trie),
-            huffman,
-            node_dist,
-            node_mbr,
-            node_link,
-        })
+        let node_stop = Self::stops_via_sp(sp.as_ref(), &trie, &node_dist);
+        Self::from_parts(sp, trie, huffman, node_dist, node_mbr, node_link, node_stop)
+            .map_err(|e| PressError::InvalidTraining(format!("node_link/node_stop: {e}")))
     }
 
     /// SP-compresses the whole training corpus, in parallel across the
@@ -271,23 +430,29 @@ impl HscModel {
     /// load path — see [`crate::store`]). The automaton is rebuilt from
     /// the trie by the same deterministic BFS construction training uses,
     /// so a loaded model is indistinguishable from the trained one. The
-    /// caller has run [`HscModel::check_links`] over the three tables.
+    /// caller has run [`HscModel::check_links`] over the three tables;
+    /// the stop facts are checked here, as the `SPend` index is built
+    /// from them and the arena (the error says what disagreed).
     pub(crate) fn from_parts(
         sp: Arc<dyn SpProvider>,
-        trie: crate::spatial::trie::Trie,
+        trie: Trie,
         huffman: Huffman,
         node_dist: Vec<f64>,
         node_mbr: Vec<Mbr>,
         node_link: LinkArena,
-    ) -> Self {
-        HscModel {
+        node_stop: Vec<EdgeId>,
+    ) -> std::result::Result<Self, String> {
+        let spend = SpendIndex::build(sp.network(), &trie, &node_dist, &node_link, &node_stop)?;
+        Ok(HscModel {
             sp,
             ac: AcAutomaton::build(trie),
             huffman,
             node_dist,
             node_mbr,
             node_link,
-        }
+            node_stop,
+            spend,
+        })
     }
 
     /// Computes the three per-node tables in one parents-first pass. A
@@ -344,6 +509,27 @@ impl HscModel {
     /// `node_link` section existed.
     pub(crate) fn links_via_sp(sp: &dyn SpProvider, trie: &Trie) -> Result<LinkArena> {
         Ok(Self::node_tables(sp, trie)?.2)
+    }
+
+    /// The stop facts of `trie`, one `pred_edge` call per depth-2 node
+    /// `(a, b)` that a path joins — training's last step, and the load
+    /// path of a model file written before the `node_stop` section
+    /// existed. [`NO_STOP`] where the pair is poisoned, where
+    /// `a.to == b.to` (Algorithm 1 never asks), or where the layer has no
+    /// answer.
+    pub(crate) fn stops_via_sp(sp: &dyn SpProvider, trie: &Trie, node_dist: &[f64]) -> Vec<EdgeId> {
+        let net = sp.network();
+        trie.node_ids()
+            .filter(|&n| trie.depth(n) == 2)
+            .map(|n| {
+                let s = net.edge(trie.last_edge(trie.parent(n))).to;
+                let head = net.edge(trie.last_edge(n)).to;
+                if s == head || !node_dist[n as usize].is_finite() {
+                    return NO_STOP;
+                }
+                sp.pred_edge(s, head).unwrap_or(NO_STOP)
+            })
+            .collect()
     }
 
     /// Cross-checks a loaded `node_dist` table against a loaded link
@@ -412,8 +598,14 @@ impl HscModel {
         path: &[EdgeId],
         decomposer: Decomposer,
     ) -> Result<CompressedSpatial> {
-        let spc = sp_compress(self.sp.as_ref(), path);
-        self.encode_sp_form(&spc, decomposer)
+        self.encode_sp_form(&sp_scan(self, path), decomposer)
+    }
+
+    /// A streaming SP compressor whose `SPend` tests read this model's
+    /// facts first — output identical to
+    /// [`OnlineSpCompressor::new`]`(self.sp().clone())`.
+    pub fn online_sp(&self) -> OnlineSpCompressor<&HscModel> {
+        OnlineSpCompressor::over(self)
     }
 
     /// Encodes an **already SP-compressed** edge sequence (`T'` of §3.1):
@@ -593,6 +785,11 @@ impl HscModel {
         &self.node_link
     }
 
+    /// The stop facts, one per depth-2 node in node order, as persisted.
+    pub(crate) fn stop_facts(&self) -> &[EdgeId] {
+        &self.node_stop
+    }
+
     /// The shortest-path provider.
     pub fn sp(&self) -> &Arc<dyn SpProvider> {
         &self.sp
@@ -634,6 +831,36 @@ impl HscModel {
             node_dist_bytes: self.node_dist.len() * 8,
             node_mbr_bytes: self.node_mbr.len() * std::mem::size_of::<Mbr>(),
             node_link_bytes: self.node_link.approx_bytes(),
+            spend_index_bytes: self.spend.approx_bytes() + self.node_stop.len() * 4,
+        }
+    }
+}
+
+/// `SPend` from the model: the two cases that need no tree
+/// ([`SpProvider::sp_end`]'s own), then the index, then — for a node
+/// pair no training run passed or stopped at — the provider.
+impl SpEnd for HscModel {
+    #[inline]
+    fn sp_end_edge(&self, anchor: EdgeId, next: EdgeId) -> Option<EdgeId> {
+        if anchor == next {
+            return None;
+        }
+        let net = self.sp.network();
+        let (s, v) = (net.edge(anchor).to, net.edge(next).from);
+        if s == v {
+            return Some(anchor);
+        }
+        match self.spend.get(s, v) {
+            Some(e) => {
+                #[cfg(test)]
+                witness(|w| w.spend_known += 1);
+                Some(e)
+            }
+            None => {
+                #[cfg(test)]
+                witness(|w| w.spend_sp += 1);
+                self.sp.pred_edge(s, v)
+            }
         }
     }
 }
@@ -824,6 +1051,106 @@ mod tests {
         );
     }
 
+    /// Two equal routes `s → x → v` and `s → y → v` under three trained
+    /// pairs: `(a, b)` and `(a2, b)` enter `s` and leave `v`; `(a, g2)`
+    /// stops inside the first route.
+    fn diamond() -> (RoadNetwork, Trie, Vec<f64>, [EdgeId; 7]) {
+        use press_network::{Point, RoadNetworkBuilder};
+        let mut nb = RoadNetworkBuilder::new();
+        let n: Vec<_> = (0..7)
+            .map(|i| nb.add_node(Point::new(i as f64 * 10.0, (i % 3) as f64 * 10.0)))
+            .collect();
+        let (p, p2, s, x, y, v, q) = (n[0], n[1], n[2], n[3], n[4], n[5], n[6]);
+        let mut edge = |u, w| nb.add_edge(u, w, 1.0).unwrap();
+        let e @ [a, a2, _, g2, _, _, b] = [
+            edge(p, s),
+            edge(p2, s),
+            edge(s, x),
+            edge(x, v),
+            edge(s, y),
+            edge(y, v),
+            edge(v, q),
+        ];
+        let net = nb.build();
+        let trie = Trie::build(&[vec![a, b], vec![a2, b], vec![a, g2]], 2, 7).unwrap();
+        // Root, seven level-1 nodes, then (a, b), (a2, b), (a, g2).
+        let mut dist = vec![1.0; trie.num_nodes()];
+        dist[0] = 0.0;
+        dist[8..].copy_from_slice(&[4.0, 4.0, 3.0]);
+        (net, trie, dist, e)
+    }
+
+    fn diamond_arena(second: [EdgeId; 2], e: &[EdgeId; 7]) -> LinkArena {
+        let [_, _, g1, g2, ..] = *e;
+        let off = [0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 4, 5].to_vec();
+        LinkArena::from_raw(11, off, vec![g1, g2, second[0], second[1], g1]).unwrap()
+    }
+
+    #[test]
+    fn spend_index_answers_every_fact_and_nothing_else() {
+        let (net, trie, dist, e) = diamond();
+        let [a, _, g1, g2, h1, _, b] = e;
+        let arena = diamond_arena([g1, g2], &e);
+        HscModel::check_links(&net, &trie, &dist, &arena).unwrap();
+        let index = SpendIndex::build(&net, &trie, &dist, &arena, &[b, b, g2]).unwrap();
+        let (s, x, y, v, q) = (
+            net.edge(a).to,
+            net.edge(g1).to,
+            net.edge(h1).to,
+            net.edge(g2).to,
+            net.edge(b).to,
+        );
+        assert_eq!(index.get(s, x), Some(g1));
+        assert_eq!(index.get(s, v), Some(g2));
+        assert_eq!(index.get(s, q), Some(b));
+        assert_eq!(index.get(s, y), None);
+        assert_eq!(index.get(x, v), None);
+        // (s, x) → g1 under all three pairs, (s, v) → g2 under two of
+        // them and as a stop fact, (s, q) → b twice.
+        assert_eq!(index.facts.len(), 8);
+    }
+
+    /// Facts out of one source that name two predecessors for one node
+    /// are an error — between two links (an arena `check_links` passes:
+    /// both chains connect and sum right), and between a link and a stop
+    /// fact.
+    #[test]
+    fn spend_index_rejects_facts_that_do_not_form_a_tree() {
+        let (net, trie, dist, e) = diamond();
+        let [_, _, g1, g2, h1, h2, b] = e;
+        let forked = diamond_arena([h1, h2], &e);
+        HscModel::check_links(&net, &trie, &dist, &forked).unwrap();
+        let err = SpendIndex::build(&net, &trie, &dist, &forked, &[b, b, NO_STOP]).unwrap_err();
+        assert!(err.contains("disagree"), "{err}");
+
+        let arena = diamond_arena([g1, g2], &e);
+        let err = SpendIndex::build(&net, &trie, &dist, &arena, &[b, b, h2]).unwrap_err();
+        assert!(err.contains("disagree"), "{err}");
+    }
+
+    #[test]
+    fn spend_index_rejects_malformed_stop_facts() {
+        let (net, trie, mut dist, e) = diamond();
+        let [_, _, g1, g2, _, _, b] = e;
+        let arena = diamond_arena([g1, g2], &e);
+        let build = |dist: &[f64], stops: &[EdgeId]| {
+            SpendIndex::build(&net, &trie, dist, &arena, stops).unwrap_err()
+        };
+        assert!(build(&dist, &[b, b]).contains("fewer"));
+        assert!(build(&dist, &[b, b, g2, g2]).contains("more"));
+        assert!(build(&dist, &[b, b, g1]).contains("no in-edge"));
+        assert!(build(&dist, &[b, EdgeId(7), g2]).contains("no in-edge"));
+        dist[9] = f64::INFINITY;
+        assert!(build(&dist, &[b, b, g2]).contains("poisoned"));
+    }
+
+    #[test]
+    fn spend_index_offsets_overflow_is_an_error() {
+        assert_eq!(csr_offsets([2, 0, 3]).unwrap(), [0, 2, 2, 5]);
+        assert!(csr_offsets([u32::MAX as usize, 1]).is_err());
+        assert!(csr_offsets([u32::MAX as usize + 1]).is_err());
+    }
+
     #[test]
     fn auxiliary_sizes_all_populated() {
         let net = test_net();
@@ -835,6 +1162,7 @@ mod tests {
         assert!(aux.node_dist_bytes > 0);
         assert!(aux.node_mbr_bytes > 0);
         assert!(aux.node_link_bytes > 0);
+        assert!(aux.spend_index_bytes > 0);
         assert_eq!(
             aux.total(),
             aux.sp_table_bytes
@@ -843,6 +1171,7 @@ mod tests {
                 + aux.node_dist_bytes
                 + aux.node_mbr_bytes
                 + aux.node_link_bytes
+                + aux.spend_index_bytes
         );
     }
 }

@@ -20,6 +20,8 @@ pub mod huffman;
 pub(crate) mod node_link_tests;
 pub mod online;
 pub mod sp;
+#[cfg(test)]
+mod spend_tests;
 pub mod trie;
 
 pub use ac::AcAutomaton;
@@ -28,5 +30,5 @@ pub use decompose::{decompose_dp, decomposition_bits};
 pub use hsc::{AuxiliarySizes, CompressedSpatial, Decomposer, HscModel};
 pub use huffman::Huffman;
 pub use online::OnlineSpCompressor;
-pub use sp::{sp_compress, sp_compressed_weight, sp_decompress};
+pub use sp::{sp_compress, sp_compressed_weight, sp_decompress, SpEnd};
 pub use trie::{node_to_symbol, symbol_to_node, Trie, TrieNodeId};

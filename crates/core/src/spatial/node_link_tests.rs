@@ -86,11 +86,13 @@ pub(crate) fn witness_delta(f: impl FnOnce()) -> Witness {
     Witness {
         arena_hits: after.arena_hits - before.arena_hits,
         sp_fallbacks: after.sp_fallbacks - before.sp_fallbacks,
+        spend_known: after.spend_known - before.spend_known,
+        spend_sp: after.spend_sp - before.spend_sp,
     }
 }
 
 /// Jittered grid, fully tied grid, or random geometric graph.
-fn net_of(kind: usize, seed: u64) -> Arc<RoadNetwork> {
+pub(crate) fn net_of(kind: usize, seed: u64) -> Arc<RoadNetwork> {
     Arc::new(match kind {
         0 => grid_network(&GridConfig {
             nx: 5,
@@ -143,6 +145,18 @@ pub(crate) fn walk(net: &RoadNetwork, start: u32, choices: &[u8]) -> Vec<EdgeId>
         node = net.edge(e).to;
     }
     path
+}
+
+/// `n` deterministic walks over `net`, a different family per `salt`.
+pub(crate) fn walks(net: &RoadNetwork, salt: u32, n: u32) -> Vec<Vec<EdgeId>> {
+    (0..n)
+        .map(|k| {
+            let choices: Vec<u8> = (0..18)
+                .map(|i| ((k * 7 + i * 3 + salt) % 5) as u8)
+                .collect();
+            walk(net, k * 11 + salt, &choices)
+        })
+        .collect()
 }
 
 /// Two one-edge components: no path joins `e0` and `e1`.
@@ -271,18 +285,8 @@ fn witness_sees_the_arena_and_the_sp_fallback() {
         seed: 5,
         ..GridConfig::default()
     }));
-    let walks = |salt: u32, n: u32| -> Vec<Vec<EdgeId>> {
-        (0..n)
-            .map(|k| {
-                let choices: Vec<u8> = (0..18)
-                    .map(|i| ((k * 7 + i * 3 + salt) % 5) as u8)
-                    .collect();
-                walk(&net, k * 11 + salt, &choices)
-            })
-            .collect()
-    };
-    let training = walks(0, 30);
-    let held_out = walks(3, 30);
+    let training = walks(&net, 0, 30);
+    let held_out = walks(&net, 3, 30);
     let sp = CountingSp::over(SpBackend::Dense.build(net.clone()));
     let model = HscModel::train(sp.clone(), &training, 3).expect("train");
 

@@ -4,32 +4,44 @@
 //! anchor and a one-edge lookahead, so — as the paper observes in §7.1.2 —
 //! it adapts directly to online operation: edges arrive one at a time from
 //! the live map matcher, retained edges are emitted as soon as they are
-//! decided, and the state is O(1) (anchor + previous edge).
+//! decided, and the state is O(1) (anchor + previous edge) — the very
+//! state machine ([`crate::spatial::sp`]'s `SpScan`) the batch form runs.
 //!
 //! Emitted output is **identical** to the batch
 //! [`crate::spatial::sp_compress`] (property-tested). FST coding needs the
 //! whole SP-compressed prefix and is applied when the trip closes.
 
+use crate::spatial::sp::{SpEnd, SpScan};
 use press_network::{EdgeId, SpProvider};
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// Streaming SP compressor for one in-progress trajectory.
+/// Streaming SP compressor for one in-progress trajectory: the shared
+/// Algorithm 1 scan behind a handle `O` to whatever answers `SPend` — a
+/// shortest-path provider ([`OnlineSpCompressor::new`]) or a trained
+/// model ([`HscModel::online_sp`](crate::spatial::HscModel::online_sp)).
 #[derive(Clone)]
-pub struct OnlineSpCompressor {
-    sp: Arc<dyn SpProvider>,
-    /// Last emitted edge (the anchor of Algorithm 1).
-    anchor: Option<EdgeId>,
-    /// Most recent edge seen (Algorithm 1's lookahead slot).
-    prev: Option<EdgeId>,
+pub struct OnlineSpCompressor<O = Arc<dyn SpProvider>> {
+    oracle: O,
+    scan: SpScan,
 }
 
 impl OnlineSpCompressor {
     /// New streaming compressor over a shortest-path table.
     pub fn new(sp: Arc<dyn SpProvider>) -> Self {
+        Self::over(sp)
+    }
+}
+
+impl<O> OnlineSpCompressor<O>
+where
+    O: Deref,
+    O::Target: SpEnd,
+{
+    pub(crate) fn over(oracle: O) -> Self {
         OnlineSpCompressor {
-            sp,
-            anchor: None,
-            prev: None,
+            oracle,
+            scan: SpScan::default(),
         }
     }
 
@@ -37,36 +49,22 @@ impl OnlineSpCompressor {
     /// permanently part of the compressed output.
     pub fn push(&mut self, e: EdgeId) -> Vec<EdgeId> {
         let mut out = Vec::new();
-        match (self.anchor, self.prev) {
-            (None, _) => {
-                // First edge: always kept, emitted immediately.
-                self.anchor = Some(e);
-                self.prev = Some(e);
-                out.push(e);
-            }
-            (Some(anchor), Some(prev)) if prev == anchor => {
-                // Second edge of the window: just fill the lookahead.
-                self.prev = Some(e);
-            }
-            (Some(anchor), Some(prev)) => {
-                // Algorithm 1's check on the interior edge `prev`.
-                if self.sp.sp_end(anchor, e) != Some(prev) {
-                    out.push(prev);
-                    self.anchor = Some(prev);
-                }
-                self.prev = Some(e);
-            }
-            (Some(_), None) => unreachable!("anchor implies a previous edge"),
-        }
+        self.push_into(e, &mut out);
         out
+    }
+
+    /// [`OnlineSpCompressor::push`] appending to a caller-owned buffer —
+    /// no allocation per edge.
+    #[inline]
+    pub fn push_into(&mut self, e: EdgeId, out: &mut Vec<EdgeId>) {
+        self.scan.push_into(&*self.oracle, e, out);
     }
 
     /// Closes the trajectory: the final edge is always retained.
     pub fn finish(self) -> Vec<EdgeId> {
-        match (self.anchor, self.prev) {
-            (Some(anchor), Some(prev)) if prev != anchor => vec![prev],
-            _ => Vec::new(),
-        }
+        let mut out = Vec::new();
+        self.scan.finish_into(&mut out);
+        out
     }
 }
 

@@ -11,34 +11,112 @@
 //!
 //! Both compression and decompression are `O(|T|)` — every edge is visited
 //! a constant number of times.
+//!
+//! There is one copy of the scan (`SpScan`), generic over who answers
+//! `SPend` ([`SpEnd`]): a shortest-path provider, or a trained model that
+//! reads the answers training already walked before asking its provider
+//! (see [`crate::spatial::hsc`] § the `SPend` index). [`sp_compress`] and
+//! the streaming [`OnlineSpCompressor`](crate::spatial::OnlineSpCompressor)
+//! are both thin drivers of it.
 
 use crate::error::{PressError, Result};
 use press_network::{EdgeId, SpProvider};
+
+/// The one question Algorithm 1 asks: `SPend(anchor, next)`, the edge
+/// right before `next` on `SP(anchor, next)` — `anchor` itself when
+/// `next` directly follows it, `None` when the two are equal or no path
+/// joins them. Every shortest-path provider answers it
+/// ([`SpProvider::sp_end`]); a trained [`HscModel`](crate::spatial::HscModel)
+/// answers it from the facts training already walked and asks its
+/// provider only about the rest.
+pub trait SpEnd {
+    /// `SPend(anchor, next)`.
+    fn sp_end_edge(&self, anchor: EdgeId, next: EdgeId) -> Option<EdgeId>;
+}
+
+impl<P: SpProvider + ?Sized> SpEnd for P {
+    #[inline]
+    fn sp_end_edge(&self, anchor: EdgeId, next: EdgeId) -> Option<EdgeId> {
+        self.sp_end(anchor, next)
+    }
+}
+
+/// Algorithm 1 as a state machine — the only copy of the greedy scan:
+/// [`sp_compress`] drives it over a whole path, the streaming
+/// [`OnlineSpCompressor`](crate::spatial::OnlineSpCompressor) one edge
+/// at a time.
+///
+/// Invariant of `Run`: `⟨anchor, …, prev⟩` equals `SP(anchor, prev)`.
+/// Adjacent edges are trivially each other's shortest path, so it holds
+/// whenever a new anchor is set; the `SPend` check extends it one edge
+/// at a time (prefix consistency of the SP trees).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum SpScan {
+    /// No edge seen yet.
+    #[default]
+    Empty,
+    /// One edge seen: emitted, and the anchor of the first run.
+    First(EdgeId),
+    /// `anchor` is the last emitted edge, `prev` the undecided latest one.
+    Run { anchor: EdgeId, prev: EdgeId },
+}
+
+impl SpScan {
+    /// Feeds the next traversed edge; appends to `out` the edge this
+    /// decides, if any.
+    #[inline]
+    pub(crate) fn push_into<O: SpEnd + ?Sized>(
+        &mut self,
+        oracle: &O,
+        e: EdgeId,
+        out: &mut Vec<EdgeId>,
+    ) {
+        *self = match *self {
+            SpScan::Empty => {
+                out.push(e);
+                SpScan::First(e)
+            }
+            SpScan::First(anchor) => SpScan::Run { anchor, prev: e },
+            SpScan::Run { anchor, prev } => {
+                if oracle.sp_end_edge(anchor, e) == Some(prev) {
+                    SpScan::Run { anchor, prev: e }
+                } else {
+                    out.push(prev);
+                    SpScan::Run {
+                        anchor: prev,
+                        prev: e,
+                    }
+                }
+            }
+        };
+    }
+
+    /// Closes the path: the final edge is always retained.
+    #[inline]
+    pub(crate) fn finish_into(self, out: &mut Vec<EdgeId>) {
+        if let SpScan::Run { prev, .. } = self {
+            out.push(prev);
+        }
+    }
+}
+
+/// [`sp_compress`] over any `SPend` oracle.
+pub(crate) fn sp_scan<O: SpEnd + ?Sized>(oracle: &O, path: &[EdgeId]) -> Vec<EdgeId> {
+    let mut out = Vec::with_capacity(path.len() / 2 + 2);
+    let mut scan = SpScan::default();
+    for &e in path {
+        scan.push_into(oracle, e, &mut out);
+    }
+    scan.finish_into(&mut out);
+    out
+}
 
 /// Compresses a spatial path by shortest-path skipping (Algorithm 1).
 ///
 /// The output always starts with the first and ends with the last edge of
 /// the input; inputs with fewer than three edges are returned unchanged.
 pub fn sp_compress(sp: &dyn SpProvider, path: &[EdgeId]) -> Vec<EdgeId> {
-    if path.len() < 3 {
-        return path.to_vec();
-    }
-    let n = path.len();
-    let mut out = Vec::with_capacity(path.len() / 2 + 2);
-    out.push(path[0]);
-    let mut anchor = path[0];
-    // Invariant: ⟨anchor, …, path[i]⟩ equals SP(anchor, path[i]) for the
-    // current run. Adjacent edges are trivially each other's shortest path,
-    // so the invariant holds whenever a new anchor is set; the SPend check
-    // extends it one edge at a time (prefix consistency of the SP trees).
-    for i in 1..n - 1 {
-        if sp.sp_end(anchor, path[i + 1]) != Some(path[i]) {
-            out.push(path[i]);
-            anchor = path[i];
-        }
-    }
-    out.push(path[n - 1]);
-    out
+    sp_scan(sp, path)
 }
 
 /// Decompresses an SP-compressed path by re-expanding every non-adjacent

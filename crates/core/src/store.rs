@@ -11,11 +11,13 @@
 //! tables — distances, MBRs, and the link arena (the additive
 //! `node_link` section; a file without it rebuilds the arena through the
 //! shortest-path layer, and either way the distances are cross-checked
-//! against it at load); `HscModel::load_from` reassembles the model over
-//! a shortest-path provider, rebuilding the Aho–Corasick automaton with
-//! the same deterministic construction training uses — so a loaded model
-//! compresses, decompresses and answers queries **bit-identically** to
-//! the trained one.
+//! against it at load) — and the stop facts of the `SPend` index (the
+//! additive `node_stop` section, same policy; the index itself is derived
+//! at load and checked to be a forest of trees); `HscModel::load_from`
+//! reassembles the model over a shortest-path provider, rebuilding the
+//! Aho–Corasick automaton with the same deterministic construction
+//! training uses — so a loaded model compresses, decompresses and answers
+//! queries **bit-identically** to the trained one.
 //!
 //! # The block store
 //!
@@ -81,7 +83,8 @@ use std::sync::{Arc, Mutex};
 impl HscModel {
     /// Serializes the trained model into a [`press_store`] container: the
     /// trie's per-node records, the canonical Huffman code lengths, the
-    /// per-node distance/MBR tables of §5.1–§5.2, and the link arena.
+    /// per-node distance/MBR tables of §5.1–§5.2, the link arena, and the
+    /// stop facts.
     pub fn to_store_bytes(&self) -> Vec<u8> {
         let trie = self.trie();
         let n = trie.num_nodes();
@@ -115,6 +118,11 @@ impl HscModel {
         for e in edges {
             link.put_u32(e.0);
         }
+        let stops = self.stop_facts();
+        let mut stop = ByteWriter::with_capacity(stops.len() * 4);
+        for e in stops {
+            stop.put_u32(e.0);
+        }
         let mut w = StoreWriter::new(kind::HSC_MODEL);
         w.section("meta", meta.into_bytes());
         w.section("trie", nodes.into_bytes());
@@ -122,6 +130,7 @@ impl HscModel {
         w.section("node_dist", dist.into_bytes());
         w.section("node_mbr", mbr.into_bytes());
         w.section("node_link", link.into_bytes());
+        w.section("node_stop", stop.into_bytes());
         w.to_bytes()
     }
 
@@ -136,8 +145,9 @@ impl HscModel {
     /// Reassembles a model over `sp` from container bytes, validating the
     /// trie structure, the Huffman code lengths (Kraft equality), the
     /// table sizes, and `node_dist` against the link arena (connected
-    /// chains, bit-equal distances — no shortest-path call). The model's
-    /// edge alphabet must match `sp`'s network.
+    /// chains, bit-equal distances — no shortest-path call), and that the
+    /// arena's and the stop facts' `SPend` answers form one tree per
+    /// source node. The model's edge alphabet must match `sp`'s network.
     pub fn from_store_bytes(
         sp: Arc<dyn SpProvider>,
         bytes: Vec<u8>,
@@ -209,9 +219,7 @@ impl HscModel {
                     num_nodes + 1
                 )));
             }
-            let mut words = raw
-                .chunks_exact(4)
-                .map(|w| u32::from_le_bytes(w.try_into().expect("chunks_exact(4)")));
+            let mut words = le_words(raw);
             let off: Vec<u32> = words.by_ref().take(num_nodes + 1).collect();
             let edges: Vec<EdgeId> = words.map(EdgeId).collect();
             LinkArena::from_raw(num_nodes, off, edges)
@@ -224,15 +232,36 @@ impl HscModel {
         };
         HscModel::check_links(sp.network(), &trie, &node_dist, &node_link)
             .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?;
-        Ok(HscModel::from_parts(
-            sp, trie, huffman, node_dist, node_mbr, node_link,
-        ))
+        let node_stop = if file.has_section("node_stop") {
+            // Loaded like the arena: no shortest-path call.
+            let raw = file.section("node_stop")?;
+            if raw.len() % 4 != 0 {
+                return Err(StoreError::Corrupt(format!(
+                    "node_stop: {} bytes are not whole u32 edges",
+                    raw.len()
+                )));
+            }
+            le_words(raw).map(EdgeId).collect()
+        } else {
+            // A file written before the section existed: one `pred_edge`
+            // per depth-2 node.
+            HscModel::stops_via_sp(sp.as_ref(), &trie, &node_dist)
+        };
+        HscModel::from_parts(sp, trie, huffman, node_dist, node_mbr, node_link, node_stop)
+            .map_err(|e| StoreError::Corrupt(format!("node_link/node_stop: {e}")))
     }
 
     /// Loads a model artifact from `path` (one contiguous read).
     pub fn load_from(sp: Arc<dyn SpProvider>, path: &Path) -> press_store::Result<HscModel> {
         Self::from_store_bytes(sp, std::fs::read(path)?)
     }
+}
+
+/// The little-endian `u32` words of `raw`, whose length the caller has
+/// checked to be a multiple of four.
+fn le_words(raw: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    raw.chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("chunks_exact(4)")))
 }
 
 /// Rejects code-length vectors that could not have come from a Huffman
@@ -895,6 +924,19 @@ mod tests {
         (press, trajs, compressed)
     }
 
+    /// `file` rewritten section by section — every CRC stays valid —
+    /// with each `(name, payload)` passed through `f`; `None` drops the
+    /// section.
+    fn rewrite_sections(file: &StoreFile, f: impl Fn(&str, &[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
+        let mut w = StoreWriter::new(file.kind());
+        for name in file.section_names() {
+            if let Some(payload) = f(name, file.section(name).unwrap()) {
+                w.section(name, payload);
+            }
+        }
+        w.to_bytes()
+    }
+
     #[test]
     fn model_store_roundtrip_is_bit_identical() {
         let (press, trajs, compressed) = fixture();
@@ -973,11 +1015,8 @@ mod tests {
         assert_eq!(loaded.to_store_bytes(), bytes);
 
         let file = StoreFile::from_bytes(bytes.clone()).unwrap();
-        let mut legacy = StoreWriter::new(file.kind());
-        for name in file.section_names().filter(|&n| n != "node_link") {
-            legacy.section(name, file.section(name).unwrap().to_vec());
-        }
-        let rebuilt = HscModel::from_store_bytes(sp.clone(), legacy.to_bytes()).unwrap();
+        let legacy = rewrite_sections(&file, |name, p| (name != "node_link").then(|| p.to_vec()));
+        let rebuilt = HscModel::from_store_bytes(sp.clone(), legacy).unwrap();
         assert!(
             sp.calls() > 0,
             "an absent section is rebuilt through the SP layer"
@@ -989,6 +1028,70 @@ mod tests {
                 model.decompress(&ct.spatial).unwrap()
             );
         }
+    }
+
+    /// `node_stop` follows the same policy: present → loaded with no
+    /// shortest-path call (the test above counts zero over both
+    /// sections); absent — alone, as in a file the previous writer
+    /// produced, or together with `node_link` — → rebuilt through the
+    /// layer to the same bytes and the same compression; CRC-valid but
+    /// malformed → a typed `Corrupt`.
+    #[test]
+    fn node_stop_section_rebuilds_when_absent_and_rejects_malformed_payloads() {
+        use crate::spatial::node_link_tests::CountingSp;
+        let (press, trajs, compressed) = fixture();
+        let model = press.model();
+        let bytes = model.to_store_bytes();
+        let file = StoreFile::from_bytes(bytes.clone()).unwrap();
+        for dropped in [&["node_stop"][..], &["node_link", "node_stop"]] {
+            let sp = CountingSp::over(model.sp().clone());
+            let legacy = rewrite_sections(&file, |name, p| {
+                (!dropped.contains(&name)).then(|| p.to_vec())
+            });
+            let rebuilt = HscModel::from_store_bytes(sp.clone(), legacy).unwrap();
+            assert!(
+                sp.calls() > 0,
+                "{dropped:?} is rebuilt through the SP layer"
+            );
+            assert_eq!(rebuilt.to_store_bytes(), bytes);
+            for (traj, ct) in trajs.iter().zip(&compressed) {
+                assert_eq!(rebuilt.compress(&traj.path.edges).unwrap(), ct.spatial);
+            }
+        }
+
+        let stops: Vec<u32> = le_words(file.section("node_stop").unwrap()).collect();
+        assert!(stops.iter().any(|&g| g != u32::MAX), "fixture has stops");
+        let with_stops = |words: &[u32], tail: &[u8]| {
+            let mut payload: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            payload.extend_from_slice(tail);
+            let bad = rewrite_sections(&file, |name, p| {
+                Some(if name == "node_stop" {
+                    payload.clone()
+                } else {
+                    p.to_vec()
+                })
+            });
+            HscModel::from_store_bytes(model.sp().clone(), bad)
+        };
+        with_stops(&stops, &[]).expect("the untouched rewrite loads");
+        let corrupt = |r: press_store::Result<HscModel>, what: &str| {
+            assert!(matches!(r, Err(StoreError::Corrupt(_))), "{what}");
+        };
+        corrupt(with_stops(&stops[1..], &[]), "one fact short");
+        corrupt(with_stops(&stops, &[0, 0]), "ragged tail");
+        let mut long = stops.clone();
+        long.push(u32::MAX);
+        corrupt(with_stops(&long, &[]), "one fact too many");
+        let at = stops.iter().position(|&g| g != u32::MAX).unwrap();
+        let net = model.sp().network();
+        let mut bad = stops.clone();
+        bad[at] = net.num_edges() as u32;
+        corrupt(with_stops(&bad, &[]), "outside the alphabet");
+        let head = net.edge(EdgeId(stops[at])).to;
+        bad[at] = (0..net.num_edges() as u32)
+            .find(|&g| net.edge(EdgeId(g)).to != head)
+            .unwrap();
+        corrupt(with_stops(&bad, &[]), "not an in-edge of the pair's head");
     }
 
     #[test]

@@ -79,7 +79,6 @@ use crate::manifest;
 use crate::session::{Disposition, QuarantineReason, Session, SessionPolicy};
 use crate::wal::{Wal, WalError, WalRecord};
 use press_core::reformat::{reformat, PathSample};
-use press_core::spatial::online::OnlineSpCompressor;
 use press_core::store::TrajectoryStore;
 use press_core::temporal::online::OnlineBtc;
 use press_core::types::TemporalSequence;
@@ -1684,10 +1683,10 @@ impl IngestEngine {
                             // reduction + `encode_sp_form`, online BTC. The
                             // chunking proptests pin these bit-identical to
                             // the batch pipeline.
-                            let mut spc = OnlineSpCompressor::new(Arc::clone(model.sp()));
+                            let mut spc = model.online_sp();
                             let mut sp_form = Vec::with_capacity(traj.path.edges.len());
                             for &e in &traj.path.edges {
-                                sp_form.extend(spc.push(e));
+                                spc.push_into(e, &mut sp_form);
                             }
                             sp_form.extend(spc.finish());
                             let spatial =

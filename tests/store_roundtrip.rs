@@ -358,6 +358,35 @@ proptest! {
             }
         }
     }
+
+    /// Any single-word change to a CRC-valid `node_stop` section is a
+    /// typed error or a model that loads and runs — never a panic. A
+    /// stop fact is an `SPend` answer taken on the CRC's word (a wrong
+    /// in-edge that forks no tree cannot be told from a right one), so
+    /// what a surviving model still owes is only what does not read it:
+    /// exact decompression.
+    #[test]
+    fn node_stop_word_corruption_never_panics(word in 0usize..100_000, value in 0u32..2_000, add in 0usize..2) {
+        let (_, sp, training, model) = link_fixture();
+        let good = model.to_store_bytes();
+        let bad = rewrite_sections(&good, |name, payload| {
+            let mut payload = payload.to_vec();
+            if name == "node_stop" {
+                let at = (word % (payload.len() / 4)) * 4;
+                let old = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
+                let new = if add == 0 { value } else { old.wrapping_add(value + 1) };
+                payload[at..at + 4].copy_from_slice(&new.to_le_bytes());
+            }
+            Some(payload)
+        });
+        if let Ok(loaded) = HscModel::from_store_bytes(sp, bad) {
+            for path in &training {
+                loaded.compress(path).expect("compress");
+                let cs = model.compress(path).expect("compress");
+                prop_assert_eq!(&loaded.decompress(&cs).expect("decompress"), path);
+            }
+        }
+    }
 }
 
 /// Non-proptest corruption matrix: the exact typed error per mode.
@@ -402,10 +431,12 @@ fn corruption_modes_are_typed() {
     ));
 }
 
-/// `node_link` corruption matrix: a bit flip is the section CRC's; a
-/// CRC-valid but inconsistent section — truncated, non-monotone offsets,
-/// an edge outside the alphabet, a chain that does not connect, a link
-/// dropped or invented, a `node_dist` one ulp off its chain — is a typed
+/// `node_link` / `node_stop` corruption matrix: a bit flip is the
+/// section CRC's; a CRC-valid but inconsistent section — truncated,
+/// non-monotone offsets, an edge outside the alphabet, a chain that does
+/// not connect, a link dropped or invented, a `node_dist` one ulp off
+/// its chain; a stop fact missing, extra, outside the alphabet, into the
+/// wrong node, or at odds with another fact of its source — is a typed
 /// `Corrupt`, never a model that decompresses or measures wrongly.
 #[test]
 fn node_link_corruption_matrix() {
@@ -527,12 +558,100 @@ fn node_link_corruption_matrix() {
         });
         corrupt(bad, &format!("node_dist[{n}] one ulp off"));
     }
+
+    // `node_stop`: one u32 per depth-2 node, in node order.
+    let trie = model.trie();
+    let payload = file.section("node_stop").expect("section").to_vec();
+    let stops: Vec<u32> = payload
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+        .collect();
+    let pairs: Vec<(NodeId, NodeId)> = trie
+        .node_ids()
+        .filter(|&n| trie.depth(n) == 2)
+        .map(|n| {
+            let (a, b) = (trie.last_edge(trie.parent(n)), trie.last_edge(n));
+            (net.edge(a).to, net.edge(b).to)
+        })
+        .collect();
+    assert_eq!(stops.len(), pairs.len());
+    let with_stops = |payload: Vec<u8>| {
+        rewrite_sections(&good, |name, p| {
+            Some(if name == "node_stop" {
+                payload.clone()
+            } else {
+                p.to_vec()
+            })
+        })
+    };
+    load(with_stops(link_payload(&stops, &[]))).expect("the untouched rewrite loads");
+    let at = good
+        .windows(payload.len())
+        .position(|w| w == payload)
+        .expect("payload is in the file");
+    let mut flipped = good.clone();
+    flipped[at + payload.len() / 2] ^= 0x04;
+    match load(flipped) {
+        Err(StoreError::ChecksumMismatch { section }) => assert_eq!(section, "node_stop"),
+        other => panic!(
+            "expected a checksum mismatch, got {:?}",
+            other.map(|_| "a model")
+        ),
+    }
+    corrupt(
+        with_stops(link_payload(&stops[1..], &[])),
+        "a stop fact short",
+    );
+    corrupt(
+        with_stops(link_payload(&stops, &[u32::MAX])),
+        "a stop fact too many",
+    );
+    corrupt(
+        with_stops(payload[..payload.len() - 2].to_vec()),
+        "ragged stop tail",
+    );
+    let k = stops
+        .iter()
+        .position(|&g| g != u32::MAX)
+        .expect("a stop fact");
+    let mut bad = stops.clone();
+    bad[k] = net.num_edges() as u32;
+    corrupt(
+        with_stops(link_payload(&bad, &[])),
+        "stop outside the alphabet",
+    );
+    bad[k] = (0..net.num_edges() as u32)
+        .find(|&g| net.edge(EdgeId(g)).to != pairs[k].1)
+        .expect("an edge with another head");
+    corrupt(
+        with_stops(link_payload(&bad, &[])),
+        "stop that is no in-edge of the pair's head",
+    );
+    // Two pairs out of one node that stop at one head must name one
+    // predecessor: another in-edge of that head, valid on its own, forks
+    // the tree.
+    let (i, fork) = (0..pairs.len())
+        .filter(|&i| stops[i] != u32::MAX)
+        .find_map(|i| {
+            let twin = (0..i).any(|j| pairs[j] == pairs[i] && stops[j] != u32::MAX);
+            let other = (0..net.num_edges() as u32)
+                .find(|&g| g != stops[i] && net.edge(EdgeId(g)).to == pairs[i].1)?;
+            twin.then_some((i, other))
+        })
+        .expect("two pairs with one source and one head");
+    let mut bad = stops.clone();
+    bad[i] = fork;
+    corrupt(
+        with_stops(link_payload(&bad, &[])),
+        "stop facts that fork the tree",
+    );
 }
 
 /// A model file written before the `node_link` section existed loads,
-/// answers identically and re-saves with the section; and the five
-/// older sections of a freshly trained model are, byte for byte, what
-/// the pre-arena writer produced (CRCs pinned from that build).
+/// answers identically and re-saves with the section — as does one
+/// written before `node_stop` did; and the older sections of a freshly
+/// trained model are, byte for byte, what the writers before each
+/// addition produced (CRCs pinned from those builds).
 #[test]
 fn node_link_legacy_file_and_unchanged_sections() {
     use press_store::StoreFile;
@@ -546,6 +665,7 @@ fn node_link_legacy_file_and_unchanged_sections() {
         ("hufflens", 0x4c8b135a),
         ("node_dist", 0xf19b2274),
         ("node_mbr", 0xad0f5652),
+        ("node_link", 0x3af3f94e),
     ] {
         assert_eq!(
             press_store::crc32(file.section(name).expect("section")),
@@ -558,12 +678,23 @@ fn node_link_legacy_file_and_unchanged_sections() {
     assert!(!StoreFile::from_bytes(legacy.clone())
         .expect("parse")
         .has_section("node_link"));
-    let old = HscModel::from_store_bytes(sp, legacy).expect("a pre-arena file must load");
+    let old = HscModel::from_store_bytes(sp.clone(), legacy).expect("a pre-arena file must load");
     assert_eq!(
         old.to_store_bytes(),
         good,
         "re-saving adds the section back"
     );
+    // The previous writer's file: the arena, but no `node_stop`.
+    let pre_stop = rewrite_sections(&good, |name, p| (name != "node_stop").then(|| p.to_vec()));
+    let pre_stop =
+        HscModel::from_store_bytes(sp.clone(), pre_stop).expect("a pre-node_stop file must load");
+    assert_eq!(pre_stop.to_store_bytes(), good);
+    for path in &training {
+        assert_eq!(
+            pre_stop.compress(path).expect("compress"),
+            model.compress(path).expect("compress")
+        );
+    }
     let (fresh, warm) = (QueryEngine::new(&model), QueryEngine::new(&old));
     for path in &training {
         let cs = model.compress(path).expect("compress");
