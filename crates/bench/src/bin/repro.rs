@@ -167,6 +167,7 @@ fn main() {
     }
     if want("aux") {
         experiments::aux_sizes(&env).print();
+        experiments::stored_form(&env).print();
     }
     if want("ablations") {
         experiments::train_size(&env, scale).print();

@@ -5,7 +5,7 @@
 use crate::setup::{Env, Scale};
 use crate::table::{f2, f3, Table};
 use press_core::spatial::HscModel;
-use press_core::stats::CompressionStats;
+use press_core::stats::{CompressionStats, StoredBytes, DT_TUPLE_BYTES};
 use press_core::temporal::{bopw_compress, btc_compress, BtcBounds};
 use press_core::DtPoint;
 use std::hint::black_box;
@@ -49,6 +49,34 @@ pub fn aux_sizes(env: &Env) -> Table {
         aux.spend_index_bytes.to_string(),
     ]);
     table.row(vec!["TOTAL".into(), aux.total().to_string()]);
+    table
+}
+
+/// The evaluation set's compressed form in both units: the byte model
+/// `compression_ratio` is computed from, and what a corpus block stores.
+pub fn stored_form(env: &Env) -> Table {
+    let mut table = Table::new(
+        "Compressed form: byte model vs stored bytes (evaluation set)",
+        &["unit", "bytes_per_tuple", "bytes_per_trajectory"],
+    );
+    let compressed: Vec<_> = env
+        .eval_trajectories()
+        .iter()
+        .map(|t| env.press.compress(t).expect("compress"))
+        .collect();
+    let n = compressed.len().max(1) as f64;
+    let model: usize = compressed.iter().map(|c| c.storage_bytes()).sum();
+    let stored: StoredBytes = compressed.iter().map(StoredBytes::of).sum();
+    table.row(vec![
+        "byte model".into(),
+        f2(DT_TUPLE_BYTES as f64),
+        f2(model as f64 / n),
+    ]);
+    table.row(vec![
+        "stored".into(),
+        f2(stored.per_tuple()),
+        f2(stored.per_trajectory()),
+    ]);
     table
 }
 
@@ -147,6 +175,14 @@ mod tests {
             let v: usize = row[1].parse().unwrap();
             assert!(v > 0, "{row:?}");
         }
+    }
+
+    #[test]
+    fn stored_form_is_reported_beside_the_byte_model() {
+        let t = stored_form(env());
+        assert_eq!(t.rows[0][1], "8.00");
+        let stored: f64 = t.rows[1][1].parse().unwrap();
+        assert!(stored > 0.0 && stored < 16.0, "{stored} B per stored tuple");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | fig15  | [`experiments::fig15`]  | whereat time ratio |
 //! | fig16  | [`experiments::fig16`]  | whenat time ratio |
 //! | fig17  | [`experiments::fig17`]  | range accuracy/time |
-//! | aux    | [`experiments::aux_sizes`] | auxiliary structure sizes |
+//! | aux    | [`experiments::aux_sizes`], [`experiments::stored_form`] | auxiliary structure sizes; byte model vs stored bytes |
 //! | extra  | [`experiments::train_size`], [`experiments::btc_vs_bopw`] | ablations |
 
 pub mod experiments;

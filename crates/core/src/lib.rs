@@ -15,6 +15,7 @@ pub mod query;
 /// share it); this alias keeps the historical `press_core::parallel` path
 /// working for batch compression and HSC corpus training call sites.
 pub use press_network::parallel;
+pub mod record;
 pub mod reformat;
 pub mod spatial;
 pub mod stats;

@@ -158,6 +158,11 @@ impl<'a> QueryEngine<'a> {
         QueryEngine { model, scan }
     }
 
+    /// The model the engine decodes under.
+    pub fn model(&self) -> &'a HscModel {
+        self.model
+    }
+
     /// `Dis(T, t)` under the engine's scan mode.
     #[inline]
     fn dis(&self, seq: &[DtPoint], t: f64) -> f64 {

@@ -377,6 +377,8 @@ pub struct HscModel {
     node_stop: Vec<EdgeId>,
     /// Every `SPend` fact `node_link` and `node_stop` hold, by node pair.
     spend: SpendIndex,
+    /// [`HscModel::fingerprint`], computed on first use.
+    pub(crate) fingerprint: std::sync::OnceLock<u32>,
 }
 
 impl HscModel {
@@ -452,6 +454,7 @@ impl HscModel {
             node_link,
             node_stop,
             spend,
+            fingerprint: std::sync::OnceLock::new(),
         })
     }
 

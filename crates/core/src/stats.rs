@@ -2,8 +2,7 @@
 //!
 //! The paper reports compression ratio as `|T| / |T'|` — original storage
 //! cost over compressed storage cost (§6.1). Ratios only make sense with an
-//! explicit byte model, so this module pins one down (documented in
-//! DESIGN.md §4):
+//! explicit byte model, so this module pins one down:
 //!
 //! * a raw GPS sample `(x, y, t)` costs 20 bytes (two `f64` + one `u32`),
 //! * an edge id in an uncompressed spatial path costs 4 bytes,
@@ -12,7 +11,12 @@
 //!   whole bytes,
 //! * a BTC-compressed temporal sequence costs 8 bytes per retained tuple
 //!   (same format as uncompressed — no decompression step exists).
+//!
+//! The byte model is the paper's accounting, not the file's: what a
+//! trajectory takes in a corpus block is [`StoredBytes`], reported beside
+//! the model wherever the model is printed so the two units stay apart.
 
+use crate::press::CompressedTrajectory;
 use serde::{Deserialize, Serialize};
 
 /// Bytes per raw GPS `(x, y, t)` sample.
@@ -88,6 +92,80 @@ impl std::iter::Sum for CompressionStats {
             total.accumulate(&s);
         }
         total
+    }
+}
+
+/// What trajectories take in a corpus block ([`crate::record`]), by what
+/// the bytes hold — the stored unit, beside the byte model's
+/// [`DT_TUPLE_BYTES`] per tuple.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StoredBytes {
+    /// Trajectories counted.
+    pub trajectories: usize,
+    /// `(d, t)` tuples they keep.
+    pub tuples: usize,
+    /// Framing: directory entry, tuple and bit counts, code byte.
+    pub framing_bytes: usize,
+    /// The `t` and `d` columns.
+    pub tuple_bytes: usize,
+    /// The spatial code.
+    pub spatial_bytes: usize,
+}
+
+impl StoredBytes {
+    /// The stored size of one trajectory.
+    pub fn of(ct: &CompressedTrajectory) -> Self {
+        let [framing_bytes, tuple_bytes, spatial_bytes] = crate::record::stored_parts(ct);
+        StoredBytes {
+            trajectories: 1,
+            tuples: ct.temporal.len(),
+            framing_bytes,
+            tuple_bytes,
+            spatial_bytes,
+        }
+    }
+
+    /// All stored bytes.
+    pub fn total(&self) -> usize {
+        self.framing_bytes + self.tuple_bytes + self.spatial_bytes
+    }
+
+    /// Stored bytes per kept tuple (columns only), 0 without tuples.
+    pub fn per_tuple(&self) -> f64 {
+        self.tuple_bytes as f64 / self.tuples.max(1) as f64
+    }
+
+    /// Stored bytes per trajectory, 0 without trajectories.
+    pub fn per_trajectory(&self) -> f64 {
+        self.total() as f64 / self.trajectories.max(1) as f64
+    }
+}
+
+impl std::iter::Sum for StoredBytes {
+    fn sum<I: Iterator<Item = StoredBytes>>(iter: I) -> Self {
+        iter.fold(StoredBytes::default(), |a, b| StoredBytes {
+            trajectories: a.trajectories + b.trajectories,
+            tuples: a.tuples + b.tuples,
+            framing_bytes: a.framing_bytes + b.framing_bytes,
+            tuple_bytes: a.tuple_bytes + b.tuple_bytes,
+            spatial_bytes: a.spatial_bytes + b.spatial_bytes,
+        })
+    }
+}
+
+impl std::fmt::Display for StoredBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "stored {:.2} B/tuple (byte model {DT_TUPLE_BYTES}), {:.1} B/trajectory \
+             ({} framing + {} tuples + {} spatial over {} trajectories)",
+            self.per_tuple(),
+            self.per_trajectory(),
+            self.framing_bytes,
+            self.tuple_bytes,
+            self.spatial_bytes,
+            self.trajectories
+        )
     }
 }
 

@@ -34,7 +34,11 @@
 //! * [`TrajectoryStore::whenat`] rejects probes outside the containing
 //!   block's (tolerance-inflated) MBR without decoding it;
 //! * [`TrajectoryStore::whereat`]/[`TrajectoryStore::get`] decode only
-//!   the one block holding the requested trajectory.
+//!   the one **record** they name: a block payload is a directory of
+//!   record lengths followed by the records ([`crate::record`]), so a
+//!   point query slices its record out of the (owned or mapped) section
+//!   and a range query reads each record's time span from its `t`
+//!   column before decoding anything else of it.
 //!
 //! Synopses are conservative over-approximations: a skipped block can
 //! never contain a hit, so store-level answers equal the brute-force
@@ -53,34 +57,62 @@
 //! O(candidates · branching + levels) rather than O(#blocks);
 //! [`TrajectoryStore::range_linear`] keeps the linear walk alive as the
 //! reference path and [`TrajectoryStore::io_stats`] exposes how many
-//! block synopses were never even considered. The index is persisted as
-//! the **additive** `"index"` section of the container (see
-//! `docs/FORMATS.md`): files written before it exist load fine (the
-//! hierarchy is rebuilt in memory from the synopses), and because the
-//! build is deterministic, a loaded section must equal the rebuild
-//! bit-for-bit — an inconsistent one is [`StoreError::Corrupt`] at
-//! load, never a silently wrong (block-skipping) answer.
+//! block synopses were never even considered. The hierarchy is rebuilt
+//! from the synopses at every open (the build is deterministic and costs
+//! one pass over the block directory), so this writer does not persist
+//! it. A file that does carry the **additive** `"index"` section (see
+//! `docs/FORMATS.md`) is still validated: the loaded section must equal
+//! the rebuild bit-for-bit — an inconsistent one is
+//! [`StoreError::Corrupt`] at load, never a silently wrong
+//! (block-skipping) answer.
 
 use crate::error::{PressError, Result};
 use crate::press::CompressedTrajectory;
 use crate::query::QueryEngine;
+use crate::record::{self, RECORD_FORMAT};
 use crate::spatial::hsc::LinkArena;
-use crate::spatial::{BitStream, CompressedSpatial, HscModel, Huffman, Trie};
-use crate::types::{DtPoint, TemporalSequence};
+use crate::spatial::{HscModel, Huffman, Trie};
 use press_network::{EdgeId, Mbr, Point, SpProvider};
 use press_store::{
-    kind, ByteReader, ByteWriter, IndexEntry, StoreError, StoreFile, StoreWriter, SynopsisIndex,
+    crc32, kind, ByteWriter, IndexEntry, StoreError, StoreFile, StoreWriter, SynopsisIndex,
     DEFAULT_BRANCHING,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // HSC model persistence
 // ---------------------------------------------------------------------
 
 impl HscModel {
+    /// The `trie` section: one 18-byte record per non-root node.
+    fn trie_section(&self) -> Vec<u8> {
+        let trie = self.trie();
+        let mut nodes = ByteWriter::with_capacity((trie.num_nodes() - 1) * 18);
+        for id in trie.node_ids() {
+            nodes.put_u32(trie.parent(id));
+            nodes.put_u32(trie.last_edge(id).0);
+            nodes.put_u16(trie.depth(id) as u16);
+            nodes.put_u64(trie.freq(id));
+        }
+        nodes.into_bytes()
+    }
+
+    /// What a spatial code was written under: the CRC32 of the `trie`
+    /// section bytes followed by the `hufflens` section bytes — the code
+    /// book, which alone decides how a bit stream parses. A corpus names
+    /// it in its `meta` ([`TrajectoryStore::model_fingerprint`]), so
+    /// reading one under another model is a typed error where a reader
+    /// compares the two. Computed on first use and kept.
+    pub fn fingerprint(&self) -> u32 {
+        *self.fingerprint.get_or_init(|| {
+            let mut book = self.trie_section();
+            book.extend_from_slice(&self.huffman().code_lengths());
+            crc32(&book)
+        })
+    }
+
     /// Serializes the trained model into a [`press_store`] container: the
     /// trie's per-node records, the canonical Huffman code lengths, the
     /// per-node distance/MBR tables of §5.1–§5.2, the link arena, and the
@@ -92,13 +124,6 @@ impl HscModel {
         meta.put_u64(trie.theta() as u64);
         meta.put_u64(trie.alphabet_size() as u64);
         meta.put_u64(n as u64);
-        let mut nodes = ByteWriter::with_capacity((n - 1) * 18);
-        for id in trie.node_ids() {
-            nodes.put_u32(trie.parent(id));
-            nodes.put_u32(trie.last_edge(id).0);
-            nodes.put_u16(trie.depth(id) as u16);
-            nodes.put_u64(trie.freq(id));
-        }
         let lens = self.huffman().code_lengths();
         let mut dist = ByteWriter::with_capacity(n * 8);
         let mut mbr = ByteWriter::with_capacity(n * 32);
@@ -125,7 +150,7 @@ impl HscModel {
         }
         let mut w = StoreWriter::new(kind::HSC_MODEL);
         w.section("meta", meta.into_bytes());
-        w.section("trie", nodes.into_bytes());
+        w.section("trie", self.trie_section());
         w.section("hufflens", lens);
         w.section("node_dist", dist.into_bytes());
         w.section("node_mbr", mbr.into_bytes());
@@ -346,12 +371,14 @@ pub struct TrajectoryStore {
     file: StoreFile,
     block_size: usize,
     len: usize,
+    model_fingerprint: u32,
     blocks: Vec<BlockSynopsis>,
-    /// Packed hierarchy over the block synopses (loaded from the
-    /// additive `"index"` section, or rebuilt for pre-index files).
+    /// Section-table slot of each `blk{b}`, resolved once at open.
+    block_slots: Vec<usize>,
+    /// Packed hierarchy over the block synopses, rebuilt from them at
+    /// open (and checked against the `"index"` section of a file that
+    /// carries one).
     index: SynopsisIndex,
-    /// Most-recently-decoded block (queries stream block-locally).
-    cache: Mutex<Option<(usize, Arc<Vec<CompressedTrajectory>>)>>,
     blocks_decoded: AtomicU64,
     blocks_skipped: AtomicU64,
 }
@@ -369,10 +396,10 @@ impl TrajectoryStore {
     }
 
     /// [`TrajectoryStore::to_store_bytes`] plus caller-owned **extra
-    /// sections** written after the index (and before the blocks).
-    /// Extra sections ride the container's CRC framing but are opaque
-    /// to the store itself — readers that don't know a name ignore it
-    /// (the store loader tolerates unknown sections), and
+    /// sections** written after the block directory (and before the
+    /// blocks). Extra sections ride the container's CRC framing but are
+    /// opaque to the store itself — readers that don't know a name
+    /// ignore it (the store loader tolerates unknown sections), and
     /// writers that know it read it back via
     /// [`TrajectoryStore::extra_section`]. press-serve uses this to
     /// persist each ingest shard's canonical merge keys inside its
@@ -403,30 +430,22 @@ impl TrajectoryStore {
         let num_blocks = trajectories.len().div_ceil(block_size);
         let mut synopsis = ByteWriter::with_capacity(num_blocks * 64);
         let mut w = StoreWriter::new(kind::TRAJECTORY_STORE);
-        let mut meta = ByteWriter::with_capacity(24);
+        let mut meta = ByteWriter::with_capacity(32);
         meta.put_u64(trajectories.len() as u64);
         meta.put_u64(block_size as u64);
         meta.put_u64(num_blocks as u64);
+        meta.put_u32(RECORD_FORMAT);
+        meta.put_u32(engine.model().fingerprint());
         let mut payloads = Vec::with_capacity(num_blocks);
-        let mut leaves = Vec::with_capacity(num_blocks);
         for (b, chunk) in trajectories.chunks(block_size).enumerate() {
             let mut mbr = Mbr::empty();
             let mut t0 = f64::INFINITY;
             let mut t1 = f64::NEG_INFINITY;
-            let mut payload = ByteWriter::new();
             for ct in chunk {
                 mbr.expand(&engine.spatial_mbr(&ct.spatial)?);
                 if let Some((a, b)) = ct.temporal.time_range() {
                     t0 = t0.min(a);
                     t1 = t1.max(b);
-                }
-                let bits = &ct.spatial.bits;
-                payload.put_u64(bits.len_bits());
-                payload.put_bytes(&bits.to_bytes());
-                payload.put_u64(ct.temporal.len() as u64);
-                for p in &ct.temporal.points {
-                    payload.put_f64(p.d);
-                    payload.put_f64(p.t);
                 }
             }
             synopsis.put_f64(mbr.min_x);
@@ -437,19 +456,14 @@ impl TrajectoryStore {
             synopsis.put_f64(t1);
             synopsis.put_u64((b * block_size) as u64);
             synopsis.put_u64(chunk.len() as u64);
-            leaves.push(IndexEntry::new(
-                mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y, t0, t1,
-            ));
-            payloads.push(payload.into_bytes());
+            payloads.push(record::encode_block(chunk));
         }
-        let index = SynopsisIndex::build(leaves, DEFAULT_BRANCHING);
         w.section("meta", meta.into_bytes());
         // The block directory is already fixed-width (64 B per block);
         // writing it 8-byte aligned makes it the store's flat section, so
         // a mapped open walks it in place. Alignment gaps are invisible
         // to readers (sections are addressed via the table offset).
         w.section_aligned("synopsis", synopsis.into_bytes());
-        w.section("index", index.to_section_bytes());
         for (name, payload) in extra {
             w.section(&name, payload);
         }
@@ -498,6 +512,20 @@ impl TrajectoryStore {
         let len = meta.get_len(u32::MAX as usize, "trajectory")?;
         let block_size = meta.get_len(u32::MAX as usize, "block size")?;
         let num_blocks = meta.get_len(u32::MAX as usize, "block")?;
+        // The fixed-width records of earlier builds came with a `meta`
+        // that ends here; they must never be parsed as this format.
+        let record_format = if meta.remaining() == 0 {
+            1
+        } else {
+            meta.get_u32()?
+        };
+        if record_format != RECORD_FORMAT {
+            return Err(StoreError::Corrupt(format!(
+                "record format {record_format}: this build reads record format {RECORD_FORMAT}"
+            ))
+            .into());
+        }
+        let model_fingerprint = meta.get_u32()?;
         meta.expect_end("meta")?;
         if block_size == 0 || num_blocks != len.div_ceil(block_size) {
             return Err(StoreError::Corrupt(format!(
@@ -507,6 +535,7 @@ impl TrajectoryStore {
         }
         let mut r = file.reader("synopsis")?;
         let mut blocks = Vec::with_capacity(num_blocks);
+        let mut block_slots = Vec::with_capacity(num_blocks);
         for b in 0..num_blocks {
             let mbr = Mbr {
                 min_x: r.get_f64()?,
@@ -527,8 +556,10 @@ impl TrajectoryStore {
                 ))
                 .into());
             }
-            if !file.has_section(&format!("blk{b}")) {
-                return Err(StoreError::MissingSection(format!("blk{b}")).into());
+            let name = format!("blk{b}");
+            match file.section_slot(&name) {
+                Some(slot) => block_slots.push(slot),
+                None => return Err(StoreError::MissingSection(name).into()),
             }
             blocks.push(BlockSynopsis {
                 mbr,
@@ -539,34 +570,29 @@ impl TrajectoryStore {
             });
         }
         r.expect_end("synopsis")?;
-        // The hierarchy a consistent index section MUST hold: the
-        // deterministic rebuild from the validated block directory.
-        let rebuilt = index_of(&blocks);
-        let index = if file.has_section("index") {
-            let loaded = SynopsisIndex::from_section_bytes(file.section("index")?)?;
-            // Bit-exact equality doubles as the full structural check
-            // (leaves equal the synopses, every interior entry is the
-            // exact union of its children): a CRC-valid but logically
-            // inconsistent section can never skip a matching block — it
-            // is a typed error instead of a wrong answer.
-            if loaded != rebuilt {
-                return Err(StoreError::Corrupt(
-                    "index section is inconsistent with the block synopses".into(),
-                )
-                .into());
-            }
-            loaded
-        } else {
-            // Pre-index store file: serve from the in-memory rebuild.
-            rebuilt
-        };
+        // The hierarchy is the deterministic rebuild from the validated
+        // block directory. A file that carries an index section must hold
+        // exactly that: bit-exact equality doubles as the full structural
+        // check (leaves equal the synopses, every interior entry is the
+        // exact union of its children), so a CRC-valid but logically
+        // inconsistent section is a typed error, never a skipped block.
+        let index = index_of(&blocks);
+        if file.has_section("index")
+            && SynopsisIndex::from_section_bytes(file.section("index")?)? != index
+        {
+            return Err(StoreError::Corrupt(
+                "index section is inconsistent with the block synopses".into(),
+            )
+            .into());
+        }
         Ok(TrajectoryStore {
             file,
             block_size,
             len,
+            model_fingerprint,
             blocks,
+            block_slots,
             index,
-            cache: Mutex::new(None),
             blocks_decoded: AtomicU64::new(0),
             blocks_skipped: AtomicU64::new(0),
         })
@@ -629,52 +655,33 @@ impl TrajectoryStore {
         )
     }
 
-    /// Decodes (or returns the cached) block `b`.
-    ///
-    /// The one-block cache tolerates lock poisoning: a panic in another
-    /// thread mid-update leaves at worst a stale-but-valid `(idx, block)`
-    /// pair (both fields are written together), so a serving path must
-    /// keep answering rather than propagate the panic.
-    fn block(&self, b: usize) -> Result<Arc<Vec<CompressedTrajectory>>> {
-        {
-            let guard = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some((idx, block)) = guard.as_ref() {
-                if *idx == b {
-                    return Ok(block.clone());
-                }
-            }
-        }
-        let syn = &self.blocks[b];
-        let mut r = self.file.reader(&format!("blk{b}"))?;
-        let mut out = Vec::with_capacity(syn.len);
-        for _ in 0..syn.len {
-            out.push(decode_trajectory(&mut r)?);
-        }
-        r.expect_end("block")?;
-        self.blocks_decoded.fetch_add(1, Ordering::Relaxed);
-        let block = Arc::new(out);
-        *self.cache.lock().unwrap_or_else(|e| e.into_inner()) = Some((b, block.clone()));
-        Ok(block)
+    /// What the corpus was coded under: the writing model's
+    /// [`HscModel::fingerprint`], from `meta`.
+    pub fn model_fingerprint(&self) -> u32 {
+        self.model_fingerprint
+    }
+
+    /// The CRC-checked payload of block `b`, split into its records.
+    fn block(&self, b: usize) -> Result<record::Block<'_>> {
+        let payload = self.file.section_at(self.block_slots[b])?;
+        Ok(record::Block::parse(payload, self.blocks[b].len)?)
     }
 
     /// Decodes every block, returning the whole corpus in index order.
     /// Used by crash recovery (press-serve rebuilds its in-memory
-    /// finished list from the last checkpoint) — the blocks are decoded
-    /// once each, bypassing the one-block cache.
+    /// finished list from the last checkpoint).
     pub fn decode_all(&self) -> Result<Vec<CompressedTrajectory>> {
         let mut out = Vec::with_capacity(self.len);
         for b in 0..self.blocks.len() {
-            let syn = &self.blocks[b];
-            let mut r = self.file.reader(&format!("blk{b}"))?;
-            for _ in 0..syn.len {
-                out.push(decode_trajectory(&mut r)?);
+            for rec in self.block(b)?.records() {
+                out.push(record::decode(rec)?);
             }
-            r.expect_end("block")?;
         }
         Ok(out)
     }
 
-    /// The compressed trajectory at `idx`, decoding only its block.
+    /// The compressed trajectory at `idx`, decoding only its record
+    /// (counted as one decoded block in [`TrajectoryStore::io_stats`]).
     pub fn get(&self, idx: usize) -> Result<CompressedTrajectory> {
         if idx >= self.len {
             return Err(PressError::OutOfDomain(format!(
@@ -682,28 +689,27 @@ impl TrajectoryStore {
                 self.len
             )));
         }
-        let block = self.block(idx / self.block_size)?;
-        Ok(block[idx % self.block_size].clone())
+        let rec = self
+            .block(idx / self.block_size)?
+            .records()
+            .nth(idx % self.block_size)
+            .expect("the directory holds one length per trajectory of the block");
+        let ct = record::decode(rec)?;
+        self.blocks_decoded.fetch_add(1, Ordering::Relaxed);
+        Ok(ct)
     }
 
-    /// `whereat` on trajectory `idx`: decodes only the containing block
-    /// and answers identically to
-    /// [`QueryEngine::whereat`] on the in-memory trajectory.
+    /// `whereat` on trajectory `idx`: decodes only its record and answers
+    /// identically to [`QueryEngine::whereat`] on the in-memory
+    /// trajectory.
     pub fn whereat(&self, engine: &QueryEngine<'_>, idx: usize, t: f64) -> Result<Point> {
-        if idx >= self.len {
-            return Err(PressError::OutOfDomain(format!(
-                "trajectory {idx} out of range 0..{}",
-                self.len
-            )));
-        }
-        let block = self.block(idx / self.block_size)?;
-        engine.whereat(&block[idx % self.block_size], t)
+        engine.whereat(&self.get(idx)?, t)
     }
 
     /// `whenat` on trajectory `idx`. The containing block's synopsis is
     /// consulted first: a probe farther than `tolerance` from the block
-    /// MBR cannot lie on any of its trajectories, so the block is not
-    /// decoded at all (same `OutOfDomain` answer, zero I/O).
+    /// MBR cannot lie on any of its trajectories, so nothing is decoded
+    /// at all (same `OutOfDomain` answer, zero I/O).
     pub fn whenat(
         &self,
         engine: &QueryEngine<'_>,
@@ -711,22 +717,16 @@ impl TrajectoryStore {
         p: Point,
         tolerance: f64,
     ) -> Result<f64> {
-        if idx >= self.len {
-            return Err(PressError::OutOfDomain(format!(
-                "trajectory {idx} out of range 0..{}",
-                self.len
-            )));
-        }
-        let b = idx / self.block_size;
-        if self.blocks[b].mbr.min_dist_to_point(&p) > tolerance {
+        if idx < self.len
+            && self.blocks[idx / self.block_size].mbr.min_dist_to_point(&p) > tolerance
+        {
             self.blocks_skipped.fetch_add(1, Ordering::Relaxed);
             return Err(PressError::OutOfDomain(format!(
                 "point ({}, {}) not on the trajectory (tolerance {tolerance})",
                 p.x, p.y
             )));
         }
-        let block = self.block(b)?;
-        engine.whenat(&block[idx % self.block_size], p, tolerance)
+        engine.whenat(&self.get(idx)?, p, tolerance)
     }
 
     /// Indices of all trajectories whose observed time span overlaps
@@ -770,8 +770,8 @@ impl TrajectoryStore {
 
     /// [`TrajectoryStore::range`] via the pre-index linear directory
     /// scan: every block synopsis is tested in order. Kept as the
-    /// reference path — the query benchmark (`query_report`) measures
-    /// the indexed descent against it, and the equality
+    /// reference path — the benchmarks measure and verify the indexed
+    /// descent against it, and the equality
     /// `range(..) == range_linear(..)` is the store's correctness
     /// oracle in tests.
     pub fn range_linear(
@@ -793,9 +793,10 @@ impl TrajectoryStore {
         Ok(hits)
     }
 
-    /// Decodes block `b` and appends its qualifying trajectory indices —
-    /// the shared per-block half of both range paths, so indexed and
-    /// linear answers can only differ in which blocks they *consider*.
+    /// Appends block `b`'s qualifying trajectory indices — the shared
+    /// per-block half of both range paths, so indexed and linear answers
+    /// can only differ in which blocks they *consider*. A record whose
+    /// time span misses the window is skipped from its `t` column alone.
     fn range_in_block(
         &self,
         engine: &QueryEngine<'_>,
@@ -806,18 +807,14 @@ impl TrajectoryStore {
         hits: &mut Vec<usize>,
     ) -> Result<()> {
         let start = self.blocks[b].start;
-        let block = self.block(b)?;
-        for (i, ct) in block.iter().enumerate() {
-            let Some((a, z)) = ct.temporal.time_range() else {
-                continue;
-            };
-            if z < lo || a > hi {
-                continue;
-            }
-            if engine.range(ct, lo, hi, region)? {
-                hits.push(start + i);
+        for (i, rec) in self.block(b)?.records().enumerate() {
+            if let Some(ct) = record::decode_if_overlaps(rec, lo, hi)? {
+                if engine.range(&ct, lo, hi, region)? {
+                    hits.push(start + i);
+                }
             }
         }
+        self.blocks_decoded.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -851,29 +848,11 @@ impl std::fmt::Debug for TrajectoryStore {
     }
 }
 
-/// Decodes one trajectory record (spatial bit stream + temporal tuples).
-fn decode_trajectory(r: &mut ByteReader<'_>) -> Result<CompressedTrajectory> {
-    let len_bits = r.get_len(r.remaining().saturating_mul(8), "spatial bit")? as u64;
-    let byte_len = (len_bits as usize).div_ceil(8);
-    let bits = BitStream::from_bytes(r.get_bytes(byte_len)?, len_bits);
-    let count = r.get_len(r.remaining() / 16 + 1, "temporal tuple")?;
-    let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
-        let d = r.get_f64()?;
-        let t = r.get_f64()?;
-        points.push(DtPoint::new(d, t));
-    }
-    Ok(CompressedTrajectory {
-        spatial: CompressedSpatial { bits },
-        temporal: TemporalSequence::new_unchecked(points),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::press::{Press, PressConfig};
-    use crate::types::{SpatialPath, Trajectory};
+    use crate::types::{DtPoint, SpatialPath, TemporalSequence, Trajectory};
     use press_network::{grid_network, GridConfig, NodeId, SpBackend, SpTable};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -906,12 +885,13 @@ mod tests {
                 let total: f64 = p.iter().map(|&e| net.weight(e)).sum();
                 let mut pts = Vec::new();
                 let mut d = 0.0;
-                // Stagger start times so time-span synopses differ.
+                // Stagger start times so time-span synopses differ; fixes
+                // arrive on a fleet's whole-second clock.
                 let mut t = (k as f64) * 500.0;
                 while d < total {
                     pts.push(DtPoint::new(d, t));
                     d = (d + rng.gen_range(20.0f64..50.0)).min(total);
-                    t += rng.gen_range(3.0..7.0);
+                    t += rng.gen_range(3u32..7) as f64;
                 }
                 pts.push(DtPoint::new(total, t));
                 Trajectory::new(
@@ -1116,19 +1096,104 @@ mod tests {
         for (i, ct) in compressed.iter().enumerate() {
             assert_eq!(store.get(i).unwrap(), *ct, "trajectory {i} roundtrip");
         }
-        // Accessing one trajectory decodes exactly one block (cached after).
-        let fresh = TrajectoryStore::from_store_bytes(
-            TrajectoryStore::to_store_bytes(&engine, &compressed, 8).unwrap(),
-        )
-        .unwrap();
-        let _ = fresh.get(3).unwrap();
-        let _ = fresh.get(5).unwrap();
+        // A point read decodes its one record and counts as one block.
+        let before = store.io_stats().0;
+        let _ = store.get(3).unwrap();
+        let _ = store.get(5).unwrap();
+        assert_eq!(store.io_stats().0, before + 2);
+        assert!(store.get(compressed.len()).is_err());
         assert_eq!(
-            fresh.io_stats().0,
-            1,
-            "same-block reads must share a decode"
+            store.model_fingerprint(),
+            press.model().fingerprint(),
+            "meta names the model the corpus was coded under"
         );
-        assert!(fresh.get(compressed.len()).is_err());
+    }
+
+    /// A point read decodes the same trajectory `decode_all` puts at that
+    /// index, from an owned and from a mapped file, for every index of a
+    /// multi-block corpus whose last block is short.
+    #[test]
+    fn single_record_decode_equals_decode_all_owned_and_mapped() {
+        let (press, _, compressed) = fixture();
+        let engine = QueryEngine::new(press.model());
+        let bytes = TrajectoryStore::to_store_bytes(&engine, &compressed, 7).unwrap();
+        let path = temp_corpus("single-record", &bytes);
+        let owned = TrajectoryStore::from_store_bytes(bytes).unwrap();
+        let mapped = TrajectoryStore::open_mapped(&path).unwrap();
+        assert!(owned.num_blocks() > 2 && !owned.len().is_multiple_of(7));
+        let all = owned.decode_all().unwrap();
+        assert_eq!(all, compressed);
+        assert_eq!(mapped.decode_all().unwrap(), all);
+        for (i, ct) in all.iter().enumerate() {
+            assert_eq!(owned.get(i).unwrap(), *ct, "owned {i}");
+            assert_eq!(mapped.get(i).unwrap(), *ct, "mapped {i}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The encoding cannot silently fatten: on this fixture (whole-second
+    /// clock, arbitrary distances) a stored tuple stays under 9.5 bytes
+    /// and a record's framing is the two counts, the code byte and its
+    /// directory entry — 4 bytes, 5 for a record of 128 bytes or more,
+    /// which most of these ~19-tuple trajectories are.
+    #[test]
+    fn stored_record_size_guard() {
+        use crate::stats::StoredBytes;
+        let (_, _, compressed) = fixture();
+        let stored: StoredBytes = compressed.iter().map(StoredBytes::of).sum();
+        assert!(stored.tuples > 200, "{stored}");
+        assert!(stored.per_tuple() <= 9.5, "{stored}");
+        assert!(stored.framing_bytes <= 5 * stored.trajectories, "{stored}");
+        let short = StoredBytes::of(&CompressedTrajectory {
+            temporal: TemporalSequence::new_unchecked(compressed[0].temporal.points[..6].to_vec()),
+            ..compressed[0].clone()
+        });
+        assert_eq!(short.framing_bytes, 4, "{short}");
+    }
+
+    /// `meta` names the record format: the 24-byte `meta` of earlier
+    /// builds is a typed error, never a mis-decode, and every single-byte
+    /// mutation and every truncation of this build's `meta` — behind a
+    /// valid CRC — is a typed error or a store that decodes the same.
+    #[test]
+    fn record_format_is_checked_and_meta_mutations_are_typed() {
+        let (press, _, compressed) = fixture();
+        let engine = QueryEngine::new(press.model());
+        let bytes = TrajectoryStore::to_store_bytes(&engine, &compressed[..9], 4).unwrap();
+        let file = StoreFile::from_bytes(bytes).unwrap();
+        let meta = file.section("meta").unwrap().to_vec();
+        assert_eq!(meta.len(), 32);
+        let with_meta = |meta: &[u8]| {
+            TrajectoryStore::from_store_bytes(rewrite_sections(&file, |name, p| {
+                Some(if name == "meta" { meta } else { p }.to_vec())
+            }))
+        };
+        assert_eq!(
+            with_meta(&meta).unwrap().decode_all().unwrap(),
+            compressed[..9]
+        );
+        match with_meta(&meta[..24]) {
+            Err(PressError::Store(StoreError::Corrupt(msg))) => {
+                assert!(msg.starts_with("record format 1"), "{msg}")
+            }
+            other => panic!("a parent-format meta must be a typed error, got {other:?}"),
+        }
+        for cut in 0..meta.len() {
+            assert!(with_meta(&meta[..cut]).is_err(), "meta cut at {cut}");
+        }
+        for at in 0..meta.len() {
+            for value in 0..=255u8 {
+                let mut bad = meta.clone();
+                bad[at] = value;
+                if let Ok(store) = with_meta(&bad) {
+                    assert_eq!(
+                        store.decode_all().unwrap(),
+                        compressed[..9],
+                        "meta[{at}] = {value}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

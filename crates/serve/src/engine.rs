@@ -86,7 +86,7 @@ use press_core::{
     parallel::{work_steal_map, work_steal_map_eager},
     query::QueryEngine,
 };
-use press_core::{CompressedTrajectory, Press, PressError};
+use press_core::{CompressedTrajectory, HscModel, Press, PressError};
 use press_matcher::{GpsSample, MapMatcher, MatcherError};
 use press_network::{LazySpCache, Point};
 use press_store::io::{self as store_io, IoBackend};
@@ -479,28 +479,36 @@ struct TrajKey {
 /// Name of the corpus extra section carrying the merge keys and the
 /// per-vehicle segment-sequence counters (see `encode_ingest_section`).
 const INGEST_SECTION: &str = "ingest";
-/// Version tag of the `ingest` section payload.
-const INGEST_SECTION_VERSION: u32 = 1;
+/// Version tag of the `ingest` section payload. Version 1 was the
+/// fixed-width layout (21 B per key, 16 B per counter).
+const INGEST_SECTION_VERSION: u32 = 2;
 
 /// Serializes a shard's merge keys (aligned with its trajectory order)
 /// and per-vehicle `next_seg` counters into the corpus `ingest`
-/// section. Counters are sorted by vehicle so the bytes are canonical.
+/// section. Keys arrive sorted by `(rank, vehicle, seg, piece)` and
+/// counters are sorted by vehicle here, so the bytes are canonical and
+/// the vehicle ids delta down to a byte (the delta wraps, so any order
+/// still round-trips).
 fn encode_ingest_section(keys: &[TrajKey], next_seg: &HashMap<u64, u64>) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(24 + keys.len() * 21 + next_seg.len() * 16);
+    let mut w = ByteWriter::with_capacity(8 + keys.len() * 4 + next_seg.len() * 2);
     w.put_u32(INGEST_SECTION_VERSION);
-    w.put_u64(keys.len() as u64);
+    w.put_uvarint(keys.len() as u64);
+    let mut prev = 0u64;
     for k in keys {
         w.put_u8(k.rank);
-        w.put_u64(k.vehicle);
-        w.put_u64(k.seg);
-        w.put_u32(k.piece);
+        w.put_uvarint(k.vehicle.wrapping_sub(prev));
+        w.put_uvarint(k.seg);
+        w.put_uvarint(u64::from(k.piece));
+        prev = k.vehicle;
     }
     let mut counters: Vec<(u64, u64)> = next_seg.iter().map(|(&v, &s)| (v, s)).collect();
     counters.sort_unstable();
-    w.put_u64(counters.len() as u64);
+    w.put_uvarint(counters.len() as u64);
+    let mut prev = 0u64;
     for (v, s) in counters {
-        w.put_u64(v);
-        w.put_u64(s);
+        w.put_uvarint(v.wrapping_sub(prev));
+        w.put_uvarint(s);
+        prev = v;
     }
     w.into_bytes()
 }
@@ -520,31 +528,43 @@ fn decode_ingest_section(
     if version != INGEST_SECTION_VERSION {
         return Err(bad(format_args!("unsupported version {version}")));
     }
-    let n = r.get_u64().map_err(bad)? as usize;
-    if n != n_trajs {
+    let n = r.get_uvarint().map_err(bad)?;
+    if n != n_trajs as u64 {
         return Err(bad(format_args!(
             "key count {n} does not match corpus trajectory count {n_trajs}"
         )));
     }
-    let mut keys = Vec::with_capacity(n);
-    for _ in 0..n {
+    let mut keys = Vec::with_capacity(n_trajs);
+    let mut vehicle = 0u64;
+    for _ in 0..n_trajs {
         let rank = r.get_u8().map_err(bad)?;
         if rank > 1 {
             return Err(bad(format_args!("unknown key rank {rank}")));
         }
+        vehicle = vehicle.wrapping_add(r.get_uvarint().map_err(bad)?);
+        let seg = r.get_uvarint().map_err(bad)?;
+        let piece = r.get_uvarint().map_err(bad)?;
         keys.push(TrajKey {
             rank,
-            vehicle: r.get_u64().map_err(bad)?,
-            seg: r.get_u64().map_err(bad)?,
-            piece: r.get_u32().map_err(bad)?,
+            vehicle,
+            seg,
+            piece: u32::try_from(piece)
+                .map_err(|_| bad(format_args!("piece index {piece} overflows u32")))?,
         });
     }
-    let m = r.get_u64().map_err(bad)? as usize;
-    let mut next_seg = HashMap::with_capacity(m);
+    let m = r.get_uvarint().map_err(bad)?;
+    // Two bytes at least per counter bound the allocation by the payload.
+    if m > (r.remaining() / 2) as u64 {
+        return Err(bad(format_args!(
+            "counter count {m} exceeds what {} remaining bytes can hold",
+            r.remaining()
+        )));
+    }
+    let mut next_seg = HashMap::with_capacity(m as usize);
+    let mut vehicle = 0u64;
     for _ in 0..m {
-        let vehicle = r.get_u64().map_err(bad)?;
-        let seg = r.get_u64().map_err(bad)?;
-        next_seg.insert(vehicle, seg);
+        vehicle = vehicle.wrapping_add(r.get_uvarint().map_err(bad)?);
+        next_seg.insert(vehicle, r.get_uvarint().map_err(bad)?);
     }
     r.expect_end("ingest section").map_err(bad)?;
     Ok((keys, next_seg))
@@ -949,9 +969,11 @@ struct ShardRecovery {
 /// per-vehicle segment counters.
 type ShardCorpus = (Vec<TrajKey>, Vec<CompressedTrajectory>, HashMap<u64, u64>);
 
-/// Loads one shard's corpus slice. A pre-key corpus (no `ingest`
-/// section) gets synthetic rank-0 keys pinning its original order.
-fn load_shard_corpus(path: &Path) -> Result<ShardCorpus> {
+/// Loads one shard's corpus slice, which must have been coded under
+/// `model` (its spatial codes mean nothing under another code book). A
+/// pre-key corpus (no `ingest` section) gets synthetic rank-0 keys
+/// pinning its original order.
+fn load_shard_corpus(path: &Path, model: &HscModel) -> Result<ShardCorpus> {
     if !path.exists() {
         return Ok((Vec::new(), Vec::new(), HashMap::new()));
     }
@@ -960,6 +982,14 @@ fn load_shard_corpus(path: &Path) -> Result<ShardCorpus> {
     // (and CRC-checked) once as `decode_all` visits it, and the answers
     // are bit-identical to an owned open.
     let store = TrajectoryStore::open_mapped(path)?;
+    if store.model_fingerprint() != model.fingerprint() {
+        return Err(ServeError::Config(format!(
+            "{} was coded under model {:#010x} but the engine's model is {:#010x}",
+            path.display(),
+            store.model_fingerprint(),
+            model.fingerprint()
+        )));
+    }
     let finished = store.decode_all()?;
     match store.extra_section(INGEST_SECTION)? {
         Some(bytes) => {
@@ -990,13 +1020,14 @@ fn recover_shard(
     generation: u64,
     legacy: bool,
     k: usize,
+    model: &HscModel,
 ) -> Result<ShardRecovery> {
     let corpus_name = if legacy {
         manifest::corpus_file_name(generation)
     } else {
         manifest::corpus_shard_file_name(generation, k as u32)
     };
-    let (keys, finished, next_seg) = load_shard_corpus(&dir.join(corpus_name))?;
+    let (keys, finished, next_seg) = load_shard_corpus(&dir.join(corpus_name), model)?;
     let corpus_trajectories = finished.len();
     let wal_name = if legacy {
         manifest::wal_file_name(generation)
@@ -1209,7 +1240,15 @@ impl IngestEngine {
         let shard_ids: Vec<usize> = (0..config.shards).collect();
         let recovered: Vec<Result<ShardRecovery>> =
             work_steal_map_eager(&shard_ids, config.threads, |_, &k| {
-                recover_shard(dir, &config, io.clone(), generation, legacy_layout, k)
+                recover_shard(
+                    dir,
+                    &config,
+                    io.clone(),
+                    generation,
+                    legacy_layout,
+                    k,
+                    press.model(),
+                )
             });
         let mut shards = Vec::with_capacity(config.shards);
         let mut max_time = f64::NEG_INFINITY;
@@ -2029,5 +2068,130 @@ impl IngestEngine {
     /// shards.
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn keyed(vehicle: u64, seg: u64, piece: u32) -> TrajKey {
+        TrajKey {
+            rank: 1,
+            vehicle,
+            seg,
+            piece,
+        }
+    }
+
+    fn sidecar() -> (Vec<TrajKey>, HashMap<u64, u64>) {
+        let mut keys = vec![
+            TrajKey {
+                rank: 0,
+                vehicle: 0,
+                seg: 0,
+                piece: 0,
+            },
+            TrajKey {
+                rank: 0,
+                vehicle: 1,
+                seg: 0,
+                piece: 0,
+            },
+        ];
+        let mut next_seg = HashMap::new();
+        for v in 0..40u64 {
+            let vehicle = 7 + v * 3;
+            for seg in 0..3 {
+                keys.push(keyed(vehicle, seg, 0));
+            }
+            keys.push(keyed(vehicle, 2, 1));
+            next_seg.insert(vehicle, 4);
+        }
+        // Ids a delta cannot shrink, and one the wrap has to carry.
+        keys.push(keyed(u64::MAX - 5, 1 << 40, u32::MAX));
+        next_seg.insert(u64::MAX - 5, u64::MAX);
+        (keys, next_seg)
+    }
+
+    fn error_of(bytes: &[u8], n_trajs: usize) -> String {
+        match decode_ingest_section(bytes, n_trajs) {
+            Err(ServeError::Manifest(msg)) => msg,
+            other => panic!("expected a typed sidecar error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ingest_section_roundtrips_in_about_four_bytes_a_key() {
+        let (keys, next_seg) = sidecar();
+        let bytes = encode_ingest_section(&keys, &next_seg);
+        let (k, n) = decode_ingest_section(&bytes, keys.len()).expect("decode");
+        assert_eq!((k, n), (keys.clone(), next_seg.clone()));
+        assert!(
+            bytes.len() < keys.len() * 5 + next_seg.len() * 3,
+            "{} bytes for {} keys and {} counters",
+            bytes.len(),
+            keys.len(),
+            next_seg.len()
+        );
+        // Unsorted keys still round-trip: the vehicle delta wraps.
+        let mut shuffled = keys.clone();
+        shuffled.reverse();
+        let bytes = encode_ingest_section(&shuffled, &next_seg);
+        assert_eq!(
+            decode_ingest_section(&bytes, shuffled.len())
+                .expect("decode")
+                .0,
+            shuffled
+        );
+        let empty = encode_ingest_section(&[], &HashMap::new());
+        assert_eq!(empty.len(), 6);
+        decode_ingest_section(&empty, 0).expect("empty");
+    }
+
+    #[test]
+    fn ingest_section_malformations_are_typed() {
+        let (keys, next_seg) = sidecar();
+        let good = encode_ingest_section(&keys, &next_seg);
+        // The fixed-width layout of version 1 is refused by its tag.
+        let mut v1 = ByteWriter::new();
+        v1.put_u32(1);
+        v1.put_u64(0);
+        v1.put_u64(0);
+        assert!(error_of(&v1.into_bytes(), 0).contains("unsupported version 1"));
+        assert!(error_of(&good, keys.len() + 1).contains("key count"));
+        let mut bad = good.clone();
+        assert!((128..1 << 14).contains(&keys.len()));
+        bad[6] = 2; // the first key's rank, after a u32 and a two-byte count
+        assert!(error_of(&bad, keys.len()).contains("unknown key rank 2"));
+        let mut long = good.clone();
+        long.push(0);
+        assert!(error_of(&long, keys.len()).contains("trailing"));
+        for cut in 0..good.len() {
+            error_of(&good[..cut], keys.len());
+        }
+        let section = |fill: &dyn Fn(&mut ByteWriter)| {
+            let mut w = ByteWriter::new();
+            w.put_u32(INGEST_SECTION_VERSION);
+            w.put_uvarint(1);
+            w.put_u8(1);
+            fill(&mut w);
+            w.into_bytes()
+        };
+        let overflow = section(&|w| w.put_bytes(&[0xFF; 11]));
+        assert!(error_of(&overflow, 1).contains("varint"));
+        let piece = section(&|w| {
+            w.put_uvarint(3);
+            w.put_uvarint(0);
+            w.put_uvarint(1 << 32);
+        });
+        assert!(error_of(&piece, 1).contains("overflows u32"));
+        let counters = section(&|w| {
+            w.put_uvarint(3);
+            w.put_uvarint(0);
+            w.put_uvarint(0);
+            w.put_uvarint(1 << 50);
+        });
+        assert!(error_of(&counters, 1).contains("counter count"));
     }
 }

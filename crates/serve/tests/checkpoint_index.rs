@@ -1,13 +1,16 @@
 //! Checkpoint ↔ synopsis-index integration tests.
 //!
-//! A checkpointed corpus must carry the persisted `index` section, a
-//! pre-index corpus (section stripped) must still recover with identical
-//! answers, and a logically corrupted index must surface as a typed
-//! error at recovery — never a wrong answer.
+//! A checkpoint persists no `index` section — every open rebuilds the
+//! hierarchy from the block synopses — so what must hold is that the
+//! indexed range path over a checkpointed and over a recovered corpus
+//! equals the linear path and brute force, that a corpus which does
+//! carry a consistent section recovers with identical answers, and that
+//! a logically corrupted one surfaces as a typed error at recovery —
+//! never a wrong answer.
 
 use press_core::query::QueryEngine;
 use press_core::store::TrajectoryStore;
-use press_core::{BtcBounds, Press, PressConfig, PressError, QueryBatch};
+use press_core::{BtcBounds, CompressedTrajectory, Press, PressConfig, PressError, QueryBatch};
 use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
 use press_network::{grid_network, GridConfig, Mbr, RoadNetwork, SpBackend};
 use press_serve::{Ack, Event, IngestConfig, IngestEngine, ServeError, SessionPolicy};
@@ -116,15 +119,16 @@ fn checkpointed(dir: &std::path::Path) -> IngestEngine {
     engine
 }
 
-/// Rewrites the container at `path`, applying `f` to choose each
-/// section's replacement payload (`None` drops the section).
-fn rewrite_corpus(path: &std::path::Path, f: impl Fn(&str, &[u8]) -> Option<Vec<u8>>) {
+/// Rewrites the container at `path` with `index` injected as its
+/// `index` section (after `synopsis`).
+fn inject_index(path: &std::path::Path, index: Vec<u8>) {
     let bytes = std::fs::read(path).expect("read corpus");
     let file = StoreFile::from_bytes(bytes).expect("parse corpus");
     let mut w = StoreWriter::new(file.kind());
     for name in file.section_names() {
-        if let Some(payload) = f(name, file.section(name).expect("section")) {
-            w.section(name, payload);
+        w.section(name, file.section(name).expect("section").to_vec());
+        if name == "synopsis" {
+            w.section("index", index.clone());
         }
     }
     std::fs::write(path, w.to_bytes()).expect("rewrite corpus");
@@ -149,30 +153,73 @@ fn answers(path: &std::path::Path, press: &Press) -> Vec<press_core::StoreAnswer
         .expect("batch")
 }
 
-#[test]
-fn checkpoint_publishes_the_index_section() {
-    let dir = test_dir("publish");
-    let engine = checkpointed(&dir);
-    let bytes = std::fs::read(engine.corpus_path()).expect("corpus bytes");
-    let file = StoreFile::from_bytes(bytes).expect("parse");
-    assert!(
-        file.has_section("index"),
-        "checkpointed corpus must persist the synopsis index"
-    );
-    let store = TrajectoryStore::open(&engine.corpus_path()).expect("open");
-    assert!(!store.is_empty(), "fixture produced an empty corpus");
-    assert_eq!(
-        store.synopsis_index().num_leaves(),
-        SynopsisIndex::from_section_bytes(file.section("index").expect("index section"))
-            .expect("decode index")
-            .num_leaves()
-    );
+/// Indexed == linear == brute force over `expected`, for a spread of
+/// windows and regions.
+fn assert_range_paths_agree(
+    path: &std::path::Path,
+    press: &Press,
+    expected: &[CompressedTrajectory],
+) {
+    let store = TrajectoryStore::open(path).expect("open store");
+    let engine = QueryEngine::new(press.model());
+    assert_eq!(store.decode_all().expect("decode_all"), expected);
+    let mut probes = 0;
+    for (t1, t2) in [(0.0, 2000.0), (100.0, 180.0), (300.0, 260.0), (5e5, 6e5)] {
+        for region in [
+            Mbr::new(0.0, 0.0, 1200.0, 1200.0),
+            Mbr::new(200.0, 200.0, 520.0, 640.0),
+            Mbr::new(900.0, 40.0, 1100.0, 300.0),
+        ] {
+            let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
+            let brute: Vec<usize> = expected
+                .iter()
+                .enumerate()
+                .filter(|(_, ct)| {
+                    let (a, z) = ct.temporal.time_range().expect("time range");
+                    z >= lo && a <= hi && engine.range(ct, lo, hi, &region).expect("range")
+                })
+                .map(|(i, _)| i)
+                .collect();
+            probes += brute.len();
+            assert_eq!(store.range(&engine, t1, t2, &region).expect("range"), brute);
+            assert_eq!(
+                store
+                    .range_linear(&engine, t1, t2, &region)
+                    .expect("linear"),
+                brute
+            );
+        }
+    }
+    assert!(probes > 0, "every probe missed: the fixture checks nothing");
 }
 
 #[test]
-fn pre_index_corpus_recovers_with_identical_answers() {
+fn indexed_equals_linear_equals_brute_force_after_checkpoint_and_recovery() {
     let f = fleet();
-    let dir = test_dir("preindex");
+    let dir = test_dir("agree");
+    let engine = checkpointed(&dir);
+    let finished = engine.finished();
+    assert!(!finished.is_empty(), "fixture produced an empty corpus");
+    let corpus = engine.corpus_path();
+    assert_range_paths_agree(&corpus, &f.press, &finished);
+    drop(engine);
+
+    let reopened = IngestEngine::open(
+        &dir,
+        Arc::clone(&f.matcher),
+        f.press.reconfigured(f.press.config()),
+        config(),
+    )
+    .expect("recovery");
+    assert_eq!(reopened.finished(), finished);
+    assert_eq!(reopened.recovery().corpus_trajectories, finished.len());
+    assert_range_paths_agree(&reopened.corpus_path(), &f.press, &finished);
+}
+
+#[test]
+fn corpus_carrying_a_consistent_index_recovers_with_identical_answers() {
+    let f = fleet();
+    let dir = test_dir("carried");
     let engine = checkpointed(&dir);
     let corpus = engine.corpus_path();
     let generation = engine.generation();
@@ -180,24 +227,21 @@ fn pre_index_corpus_recovers_with_identical_answers() {
     let press = f.press.reconfigured(f.press.config());
     let expected = answers(&corpus, &press);
 
-    // Strip the index section — the file a pre-index writer produced.
-    rewrite_corpus(&corpus, |name, payload| {
-        (name != "index").then(|| payload.to_vec())
-    });
-    let file = StoreFile::from_bytes(std::fs::read(&corpus).expect("read")).expect("parse");
-    assert!(!file.has_section("index"));
+    // The file an index-persisting writer produced.
+    let index = TrajectoryStore::open(&corpus)
+        .expect("open")
+        .synopsis_index()
+        .to_section_bytes();
+    inject_index(&corpus, index);
 
-    // Old-format corpus answers identically (index rebuilt in memory)...
     assert_eq!(answers(&corpus, &press), expected);
-
-    // ...and full engine recovery accepts it.
     let reopened = IngestEngine::open(
         &dir,
         Arc::clone(&f.matcher),
         f.press.reconfigured(f.press.config()),
         config(),
     )
-    .expect("recovery over a pre-index corpus");
+    .expect("recovery over a corpus that carries its index");
     assert_eq!(reopened.generation(), generation);
 }
 
@@ -210,17 +254,15 @@ fn corrupted_index_is_a_typed_error_at_recovery() {
     drop(engine);
 
     // CRC-valid but logically wrong index: one leaf too few.
-    rewrite_corpus(&corpus, |name, payload| {
-        if name == "index" {
-            let idx = SynopsisIndex::from_section_bytes(payload).expect("decode");
-            let leaves: Vec<IndexEntry> = (0..idx.num_leaves().saturating_sub(1))
-                .map(|i| *idx.leaf(i))
-                .collect();
-            Some(SynopsisIndex::build(leaves, idx.branching()).to_section_bytes())
-        } else {
-            Some(payload.to_vec())
-        }
-    });
+    let store = TrajectoryStore::open(&corpus).expect("open");
+    let idx = store.synopsis_index();
+    let leaves: Vec<IndexEntry> = (0..idx.num_leaves().saturating_sub(1))
+        .map(|i| *idx.leaf(i))
+        .collect();
+    inject_index(
+        &corpus,
+        SynopsisIndex::build(leaves, idx.branching()).to_section_bytes(),
+    );
 
     let err = TrajectoryStore::open(&corpus).expect_err("wrong index must not load");
     assert!(

@@ -731,3 +731,86 @@ proptest! {
         let _ = std::fs::remove_dir_all(&ref_dir);
     }
 }
+
+/// Checkpoint → reopen hands back the very trajectories that were
+/// finished — through the column-coded corpus — and the very segment
+/// counters — through the `ingest` sidecar: the reopened engine, fed the
+/// rest of the stream, publishes the bytes of an engine that never
+/// stopped, at every shard count.
+#[test]
+fn checkpoint_reopen_preserves_finished_and_segment_counters() {
+    let f = fleet();
+    let split = f.events.len() / 2;
+    for shards in [1usize, 3] {
+        let cfg = IngestConfig {
+            idle_timeout: 300.0,
+            max_session_points: 16,
+            shards,
+            ..config()
+        };
+        let dir = test_dir(&format!("reopen-{shards}"));
+        let (mut engine, _) = run_clean(&dir, cfg, &f.events[..split]);
+        engine.checkpoint().expect("checkpoint");
+        let finished = engine.finished();
+        assert!(
+            finished.len() > 3,
+            "the cap must have cut segments by the checkpoint"
+        );
+        drop(engine);
+
+        let mut reopened =
+            IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("reopen");
+        assert_eq!(reopened.recovery().corpus_trajectories, finished.len());
+        assert_eq!(reopened.finished(), finished);
+        for &(v, s) in &f.events[split..] {
+            reopened.push(v, s).expect("push");
+        }
+        let resumed = finish_merged(&mut reopened);
+
+        let clean_dir = test_dir(&format!("reopen-clean-{shards}"));
+        let (mut clean, _) = run_clean(&clean_dir, cfg, &f.events);
+        assert_eq!(
+            resumed,
+            finish_merged(&mut clean),
+            "{shards} shards: a checkpoint and a reopen must be invisible in the corpus"
+        );
+        let stored = TrajectoryStore::from_store_bytes(resumed).expect("merged corpus loads");
+        assert_eq!(stored.decode_all().expect("decode_all"), clean.finished());
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&clean_dir);
+    }
+}
+
+/// A corpus names the model it was coded under; recovering it under a
+/// model with another code book is a typed refusal, not garbage paths.
+#[test]
+fn corpus_of_another_model_is_a_typed_refusal() {
+    let f = fleet();
+    let dir = test_dir("other-model");
+    let (mut engine, _) = run_clean(&dir, config(), &f.events);
+    finish(&mut engine);
+    drop(engine);
+    let sp = f.press.model().sp().clone();
+    let workload = Workload::generate(
+        f.net.clone(),
+        sp.clone(),
+        WorkloadConfig {
+            num_trajectories: 12,
+            seed: 99,
+            ..WorkloadConfig::default()
+        },
+    );
+    let paths: Vec<_> = workload.records.iter().map(|r| r.path.clone()).collect();
+    let other = Press::train(sp, &paths, f.press.config()).expect("training");
+    assert_ne!(other.model().fingerprint(), f.press.model().fingerprint());
+    match IngestEngine::open(&dir, Arc::clone(&f.matcher), other, config()) {
+        Err(press_serve::ServeError::Config(msg)) => {
+            assert!(msg.contains("was coded under model"), "{msg}")
+        }
+        Err(e) => panic!("expected a typed model mismatch, got {e:?}"),
+        Ok(_) => panic!("a corpus of another model must not be adopted"),
+    }
+    IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config())
+        .expect("the writing model still recovers it");
+    let _ = std::fs::remove_dir_all(&dir);
+}

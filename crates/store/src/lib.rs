@@ -375,8 +375,8 @@ pub struct StoreFile {
     kind: u32,
     data: Arc<Backing>,
     table: Vec<SectionEntry>,
-    // name → table position. Section lookups happen per block decode on
-    // the query path, so they must not scan a 10^5-entry directory.
+    // name → table position, so a lookup does not scan a 10^5-entry
+    // directory.
     lookup: std::collections::HashMap<String, usize>,
     /// `Some` for mapped opens: payload CRC is validated lazily, once
     /// per section, on first touch (the whole point of a mapped open is
@@ -515,22 +515,38 @@ impl StoreFile {
 
     /// True when a section exists.
     pub fn has_section(&self, name: &str) -> bool {
-        self.lookup.contains_key(name)
+        self.section_slot(name).is_some()
     }
 
     /// CRC-checked payload of a section. Owned loads check the CRC on
     /// every access; mapped opens check it once, on the section's first
     /// touch, and cache the verdict (a cached failure keeps failing).
     pub fn section(&self, name: &str) -> Result<&[u8]> {
-        let idx = *self
-            .lookup
-            .get(name)
+        let slot = self
+            .section_slot(name)
             .ok_or_else(|| StoreError::MissingSection(name.to_string()))?;
-        let entry = &self.table[idx];
+        self.section_at(slot)
+    }
+
+    /// Table position of a section, for readers that resolve a name once
+    /// at open and then address the section by position
+    /// ([`StoreFile::section_at`]) on their hot path.
+    pub fn section_slot(&self, name: &str) -> Option<usize> {
+        self.lookup.get(name).copied()
+    }
+
+    /// [`StoreFile::section`] by table position.
+    ///
+    /// # Panics
+    ///
+    /// When `slot` did not come from [`StoreFile::section_slot`] of this
+    /// file.
+    pub fn section_at(&self, slot: usize) -> Result<&[u8]> {
+        let entry = &self.table[slot];
         let payload = &self.data.bytes()[entry.offset..entry.offset + entry.len];
         let ok = match &self.lazy_crc {
             None => crc32(payload) == entry.crc,
-            Some(states) => match states[idx].load(Ordering::Acquire) {
+            Some(states) => match states[slot].load(Ordering::Acquire) {
                 CRC_OK => true,
                 CRC_BAD => false,
                 _ => {
@@ -538,14 +554,14 @@ impl StoreFile {
                     // verdict over the same immutable bytes; the double
                     // store is benign.
                     let ok = crc32(payload) == entry.crc;
-                    states[idx].store(if ok { CRC_OK } else { CRC_BAD }, Ordering::Release);
+                    states[slot].store(if ok { CRC_OK } else { CRC_BAD }, Ordering::Release);
                     ok
                 }
             },
         };
         if !ok {
             return Err(StoreError::ChecksumMismatch {
-                section: name.to_string(),
+                section: entry.name.clone(),
             });
         }
         Ok(payload)
@@ -885,6 +901,13 @@ impl<'a> ByteReader<'a> {
     /// Over-long encodings (more than 10 bytes, or bits beyond the 64th)
     /// are corruption, not extensions.
     pub fn get_uvarint(&mut self) -> Result<u64> {
+        // Most varints are one byte (small deltas, short lengths).
+        if let Some(&b) = self.buf.get(self.pos) {
+            if b < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -908,6 +931,30 @@ impl<'a> ByteReader<'a> {
     pub fn get_ivarint(&mut self) -> Result<i64> {
         let z = self.get_uvarint()?;
         Ok((z >> 1) as i64 ^ -((z & 1) as i64))
+    }
+
+    /// Reads the low `n <= 8` bytes of a little-endian `u64` (the rest
+    /// zero) — a value stored with its leading zero bytes trimmed.
+    ///
+    /// # Panics
+    ///
+    /// When `n > 8`.
+    pub fn get_uint_le(&mut self, n: usize) -> Result<u64> {
+        assert!(n <= 8, "a u64 has 8 bytes, asked for {n}");
+        // One unaligned load and a mask when eight bytes are there to
+        // load; byte by byte at the very end of the payload.
+        if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
+            self.pos += n;
+            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            return Ok(if n == 8 {
+                word
+            } else {
+                word & ((1u64 << (8 * n)) - 1)
+            });
+        }
+        let mut word = [0u8; 8];
+        word[..n].copy_from_slice(self.take(n, "trimmed u64")?);
+        Ok(u64::from_le_bytes(word))
     }
 
     /// Reads `n` raw bytes.
@@ -1095,6 +1142,31 @@ mod tests {
             ByteReader::new(&bytes[..3]).get_f64(),
             Err(StoreError::Truncated { .. })
         ));
+        // Trimmed words: every width, on the fast path (eight bytes left
+        // to load) and at the very end of the payload.
+        let word = 0x0807_0605_0403_0201u64;
+        for n in 0..=8usize {
+            let expect = if n == 8 {
+                word
+            } else {
+                word & ((1 << (8 * n)) - 1)
+            };
+            let mut padded = word.to_le_bytes()[..n].to_vec();
+            padded.extend_from_slice(&[0xEE; 9]);
+            let mut r = ByteReader::new(&padded);
+            assert_eq!(r.get_uint_le(n).unwrap(), expect);
+            assert_eq!(r.remaining(), 9);
+            let exact = &word.to_le_bytes()[..n];
+            let mut r = ByteReader::new(exact);
+            assert_eq!(r.get_uint_le(n).unwrap(), expect);
+            assert_eq!(r.remaining(), 0);
+            if n > 0 {
+                assert!(matches!(
+                    ByteReader::new(&exact[..n - 1]).get_uint_le(n),
+                    Err(StoreError::Truncated { .. })
+                ));
+            }
+        }
     }
 
     #[test]

@@ -141,15 +141,23 @@ fn main() {
     );
 
     // --- 7. Dataset-level savings. ---------------------------------------
-    let mut total = press::core::stats::CompressionStats::default();
+    use press::core::stats::{CompressionStats, StoredBytes};
+    let mut total = CompressionStats::default();
+    let mut stored = Vec::new();
     for r in eval {
         let t = r.truth_trajectory(30.0);
         let c = press.compress(&t).expect("compress");
         total.accumulate(&press.stats_vs_raw_gps(t.temporal.len(), &c));
+        stored.push(StoredBytes::of(&c));
     }
     println!(
         "whole evaluation set: ratio {:.2} ({:.1}% saved)",
         total.ratio(),
         total.savings_pct()
+    );
+    // The ratio is the paper's byte model; this is the corpus file's unit.
+    println!(
+        "in a corpus block: {}",
+        stored.into_iter().sum::<StoredBytes>()
     );
 }

@@ -885,11 +885,12 @@ fn trajectory_store_open_rejects_empty_and_torn_directory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Index-section corruption matrix: a bit flip inside the persisted
-/// synopsis index is a CRC failure; a CRC-valid but logically wrong
-/// index is a typed `Corrupt` error; a *stripped* index section (a file
-/// written before the index existed) loads fine and answers identically
-/// — the index is rebuilt in memory, never guessed.
+/// Index-section matrix. The writer persists no synopsis index — the
+/// loader rebuilds it from the block directory — so the matrix injects
+/// one: the consistent section loads and answers identically; a bit flip
+/// inside it is a CRC failure; a CRC-valid but logically wrong one is a
+/// typed `Corrupt` error, never a skipped block. With or without the
+/// section, indexed == linear == brute force.
 #[test]
 fn index_section_corruption_matrix() {
     use press_store::{IndexEntry, StoreError, StoreFile, StoreWriter, SynopsisIndex};
@@ -925,32 +926,55 @@ fn index_section_corruption_matrix() {
     let good = TrajectoryStore::to_store_bytes(&engine, &compressed, 3).expect("bytes");
     let store = TrajectoryStore::from_store_bytes(good.clone()).expect("load");
     let region = Mbr::new(-1e9, -1e9, 1e9, 1e9);
-    let reference = store.range(&engine, 0.0, 700.0, &region).expect("range");
+    let windows = [(0.0, 700.0), (650.0, 1500.0), (2990.0, 3010.0), (1e6, 2e6)];
+    let agrees_with_brute_force = |store: &TrajectoryStore| {
+        for (t1, t2) in windows {
+            let brute: Vec<usize> = compressed
+                .iter()
+                .enumerate()
+                .filter(|(_, ct)| {
+                    let (a, z) = ct.temporal.time_range().expect("range");
+                    z >= t1 && a <= t2 && engine.range(ct, t1, t2, &region).expect("range")
+                })
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(store.range(&engine, t1, t2, &region).expect("range"), brute);
+            assert_eq!(
+                store
+                    .range_linear(&engine, t1, t2, &region)
+                    .expect("linear"),
+                brute
+            );
+        }
+    };
+    agrees_with_brute_force(&store);
 
-    // Rewrites the container, replacing the index section via `f`.
-    let rebuild = |f: &dyn Fn(&[u8]) -> Option<Vec<u8>>| -> Vec<u8> {
+    // The container with `index` injected after `synopsis`.
+    let with_index = |index: Vec<u8>| -> Vec<u8> {
         let file = StoreFile::from_bytes(good.clone()).expect("parse");
         let mut w = StoreWriter::new(file.kind());
         for name in file.section_names() {
-            let payload = file.section(name).expect("section");
-            if name == "index" {
-                if let Some(p) = f(payload) {
-                    w.section(name, p);
-                }
-            } else {
-                w.section(name, payload.to_vec());
+            w.section(name, file.section(name).expect("section").to_vec());
+            if name == "synopsis" {
+                w.section("index", index.clone());
             }
         }
         w.to_bytes()
     };
 
-    // 1. Bit flip inside the index payload: the section CRC catches it.
+    // 1. The consistent section is validated and changes nothing.
     let index_payload = store.synopsis_index().to_section_bytes();
-    let pos = good
+    let carried = with_index(index_payload.clone());
+    let old = TrajectoryStore::from_store_bytes(carried.clone()).expect("a carried index loads");
+    assert_eq!(old.synopsis_index(), store.synopsis_index());
+    agrees_with_brute_force(&old);
+
+    // 2. Bit flip inside the index payload: the section CRC catches it.
+    let pos = carried
         .windows(index_payload.len())
         .position(|w| w == index_payload)
         .expect("index payload must appear in the file");
-    let mut flipped = good.clone();
+    let mut flipped = carried;
     flipped[pos + index_payload.len() / 2] ^= 0x10;
     match TrajectoryStore::from_store_bytes(flipped) {
         Err(PressError::Store(StoreError::ChecksumMismatch { section })) => {
@@ -959,34 +983,15 @@ fn index_section_corruption_matrix() {
         other => panic!("expected index checksum mismatch, got {other:?}"),
     }
 
-    // 2. CRC-valid but logically wrong index (one leaf dropped): typed
+    // 3. CRC-valid but logically wrong index (one leaf dropped): typed
     //    Corrupt, never a silently wrong answer.
-    let wrong = rebuild(&|payload: &[u8]| {
-        let idx = SynopsisIndex::from_section_bytes(payload).expect("decode");
-        let leaves: Vec<IndexEntry> = (0..idx.num_leaves() - 1).map(|i| *idx.leaf(i)).collect();
-        Some(SynopsisIndex::build(leaves, idx.branching()).to_section_bytes())
-    });
+    let idx = store.synopsis_index();
+    let leaves: Vec<IndexEntry> = (0..idx.num_leaves() - 1).map(|i| *idx.leaf(i)).collect();
+    let wrong = with_index(SynopsisIndex::build(leaves, idx.branching()).to_section_bytes());
     assert!(matches!(
         TrajectoryStore::from_store_bytes(wrong),
         Err(PressError::Store(StoreError::Corrupt(_)))
     ));
-
-    // 3. Stripped index section (pre-index file): loads, rebuilds in
-    //    memory, and answers identically.
-    let stripped = rebuild(&|_| None);
-    let file = StoreFile::from_bytes(stripped.clone()).expect("parse");
-    assert!(!file.has_section("index"));
-    let old = TrajectoryStore::from_store_bytes(stripped).expect("pre-index file must load");
-    assert_eq!(
-        old.range(&engine, 0.0, 700.0, &region).expect("range"),
-        reference
-    );
-    assert_eq!(
-        old.range_linear(&engine, 0.0, 700.0, &region)
-            .expect("linear"),
-        reference
-    );
-    assert_eq!(old.synopsis_index(), store.synopsis_index());
 }
 
 /// End-to-end: a trajectory corpus written as a block store round-trips
