@@ -53,7 +53,9 @@ pub fn aux_sizes(env: &Env) -> Table {
 }
 
 /// The evaluation set's compressed form in both units: the byte model
-/// `compression_ratio` is computed from, and what a corpus block stores.
+/// `compression_ratio` is computed from, and what a corpus block stores —
+/// with the stored spatial code split into its unit symbols and the gap
+/// runs that let the read path do without a shortest-path layer.
 pub fn stored_form(env: &Env) -> Table {
     let mut table = Table::new(
         "Compressed form: byte model vs stored bytes (evaluation set)",
@@ -66,7 +68,13 @@ pub fn stored_form(env: &Env) -> Table {
         .collect();
     let n = compressed.len().max(1) as f64;
     let model: usize = compressed.iter().map(|c| c.storage_bytes()).sum();
-    let stored: StoredBytes = compressed.iter().map(StoredBytes::of).sum();
+    let stored: StoredBytes = compressed
+        .iter()
+        .map(|c| StoredBytes::of_coded(env.press.model(), c).expect("a stream this build wrote"))
+        .sum();
+    let run_bits = stored
+        .run_bits
+        .expect("every part was read under the model");
     table.row(vec![
         "byte model".into(),
         f2(DT_TUPLE_BYTES as f64),
@@ -77,6 +85,15 @@ pub fn stored_form(env: &Env) -> Table {
         f2(stored.per_tuple()),
         f2(stored.per_trajectory()),
     ]);
+    for (unit, bits) in [
+        (
+            "stored spatial: unit symbols",
+            stored.spatial_bits - run_bits,
+        ),
+        ("stored spatial: gap runs", run_bits),
+    ] {
+        table.row(vec![unit.into(), "-".into(), f2(bits as f64 / 8.0 / n)]);
+    }
     table
 }
 
@@ -183,6 +200,10 @@ mod tests {
         assert_eq!(t.rows[0][1], "8.00");
         let stored: f64 = t.rows[1][1].parse().unwrap();
         assert!(stored > 0.0 && stored < 16.0, "{stored} B per stored tuple");
+        // The spatial split: both parts present, and inside the total.
+        let per_traj = |r: usize| t.rows[r][2].parse::<f64>().unwrap();
+        assert!(per_traj(2) > 0.0 && per_traj(3) > 0.0, "{:?}", t.rows);
+        assert!(per_traj(2) + per_traj(3) < per_traj(1), "{:?}", t.rows);
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //! [`HscModel`] carries: per-Trie-node decompressed distances (skip a whole
 //! coded unit by adding one number), per-Trie-node MBRs and shortest-path
 //! MBRs (skip a unit/gap by one rectangle test), and the shortest-path
-//! distance table (skip an SP gap without expanding it). Only the units
-//! that can contain the answer are expanded — from the model's link
-//! arena: a unit's hidden gaps, and every gap between two units the
-//! training corpus ever put side by side, are read from the model, and
-//! only an unseen pair of edges reaches the shortest-path layer.
+//! interior every gap comes with (skip an SP gap by adding its length).
+//! Only the units that can contain the answer are expanded, and nothing
+//! here calls the shortest-path layer: a unit's hidden gaps, and every
+//! gap between two units the training corpus ever put side by side, are
+//! read from the model's link arena; a gap between two edges it never
+//! saw together is read from the stream itself
+//! ([`crate::spatial::hsc`] § the stream).
 //!
 //! Every query also has a `_raw` twin operating on the uncompressed
 //! representation — the baseline the paper's Figs. 15–17 compare against.
@@ -27,7 +29,7 @@
 use crate::error::{PressError, Result};
 use crate::press::CompressedTrajectory;
 use crate::spatial::hsc::path_len;
-use crate::spatial::{symbol_to_node, CompressedSpatial, HscModel, TrieNodeId};
+use crate::spatial::{CompressedSpatial, HscModel, TrieNodeId};
 use crate::types::{DtPoint, Trajectory};
 use press_network::{project_onto_segment, EdgeId, Mbr, Point};
 
@@ -138,12 +140,12 @@ pub struct QueryEngine<'a> {
 }
 
 /// A decoded coding unit: either a Trie sub-trajectory or the shortest-path
-/// gap between two consecutive units — with its interior when the model
-/// knows the pair ([`HscModel::known_gap`]).
+/// gap between two consecutive units, with its interior — lent by the
+/// stream reader for as long as it stands on the gap.
 #[derive(Clone, Copy, Debug)]
-enum Unit<'a> {
+enum Unit<'u> {
     Node(TrieNodeId),
-    Gap(EdgeId, EdgeId, Option<&'a [EdgeId]>),
+    Gap(EdgeId, EdgeId, &'u [EdgeId]),
 }
 
 impl<'a> QueryEngine<'a> {
@@ -187,65 +189,50 @@ impl<'a> QueryEngine<'a> {
 
     /// Streams the coding units of a compressed spatial path in order,
     /// calling `f(unit, unit_length)` for each; `f` returns `true` to stop.
-    /// Unit lengths come from the precomputed tables — no expansion.
+    /// A node's length comes from the precomputed table, a gap's is the
+    /// left-to-right sum of its interior's weights (bit-equal to the
+    /// shortest-path layer's `gap_dist`: Dijkstra adds in that order).
     fn for_each_unit(
         &self,
         cs: &CompressedSpatial,
-        mut f: impl FnMut(Unit<'a>, f64) -> Result<bool>,
+        mut f: impl FnMut(Unit<'_>, f64) -> Result<bool>,
     ) -> Result<()> {
         let trie = self.model.trie();
-        let sp = self.model.sp();
-        let net = sp.network();
-        let huffman = self.model.huffman();
-        let mut reader = cs.bits.reader();
-        let mut prev_last: Option<EdgeId> = None;
-        while !reader.is_exhausted() {
-            let node = symbol_to_node(huffman.decode_symbol(&mut reader)?);
-            let first = trie.first_edge(node);
-            if let Some(pl) = prev_last {
-                if !net.consecutive(pl, first) {
-                    let (gap, known) = match self.model.known_gap(pl, first) {
-                        Some((len, link)) => (len, Some(link)),
-                        None => {
-                            #[cfg(test)]
-                            crate::spatial::hsc::witness(|w| w.sp_fallbacks += 1);
-                            (sp.gap_dist(pl, first), None)
-                        }
-                    };
-                    if !gap.is_finite() {
-                        return Err(PressError::NoShortestPath(pl, first));
-                    }
-                    if f(Unit::Gap(pl, first, known), gap)? {
-                        return Ok(());
-                    }
+        let net = self.model.sp().network();
+        self.model.for_each_unit(cs, |gap, node| {
+            if let Some(gap) = gap {
+                let len = path_len(net, gap.interior);
+                if f(Unit::Gap(gap.a, gap.b, gap.interior), len)? {
+                    return Ok(true);
                 }
             }
             let nd = self.model.node_dist(node);
             if !nd.is_finite() {
-                return Err(PressError::NoShortestPath(first, trie.last_edge(node)));
+                return Err(PressError::NoShortestPath(
+                    trie.first_edge(node),
+                    trie.last_edge(node),
+                ));
             }
-            if f(Unit::Node(node), nd)? {
-                return Ok(());
-            }
-            prev_last = Some(trie.last_edge(node));
-        }
-        Ok(())
+            f(Unit::Node(node), nd)
+        })
     }
 
     /// Replaces `out` with the unit's full edge sequence. Callers keep
     /// one buffer per query, so expanding a unit allocates nothing.
-    fn expand_unit_into(&self, unit: Unit<'a>, out: &mut Vec<EdgeId>) -> Result<()> {
+    fn expand_unit_into(&self, unit: Unit<'_>, out: &mut Vec<EdgeId>) -> Result<()> {
         out.clear();
         match unit {
             Unit::Node(n) => self.model.expand_node_into(n, out),
-            Unit::Gap(a, b, known) => self.model.expand_gap_into(a, b, known, out),
+            Unit::Gap(_, _, interior) => {
+                out.extend_from_slice(interior);
+                Ok(())
+            }
         }
     }
 
     /// Conservative MBR of a unit without any expansion; `len` is the
     /// unit length `for_each_unit` handed to its closure
-    /// (finite by construction), so a gap's shortest-path distance is
-    /// looked up once per unit, not twice.
+    /// (finite by construction).
     ///
     /// Node units use the precomputed table. Gap units use a cheap
     /// over-approximation instead of walking the shortest path: every
@@ -311,7 +298,7 @@ impl<'a> QueryEngine<'a> {
             if dacu + len >= d {
                 let offset = d - dacu;
                 answer = Some(match unit {
-                    Unit::Gap(a, b, known) => self.point_in_gap(a, b, known, len, offset)?,
+                    Unit::Gap(a, b, interior) => self.point_in_gap(a, b, interior, len, offset),
                     Unit::Node(n) => {
                         // Walk the unit's Trie edges root→n, descending
                         // into at most one intra-unit gap (its link).
@@ -325,13 +312,7 @@ impl<'a> QueryEngine<'a> {
                                     let link = self.model.node_link(cur);
                                     let gap = path_len(net, link);
                                     if local <= gap {
-                                        found = Some(self.point_in_gap(
-                                            p,
-                                            e,
-                                            Some(link),
-                                            gap,
-                                            local,
-                                        )?);
+                                        found = Some(self.point_in_gap(p, e, link, gap, local));
                                         break;
                                     }
                                     local -= gap;
@@ -367,69 +348,37 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Point at `offset` into the *interior* of the gap between `a` and
+    /// Point at `offset` into the `interior` of the gap between `a` and
     /// `b` (`0 ≤ offset ≤ gap`), located by walking the gap backwards
     /// from `b`'s tail — no allocation, and only the tail part of the gap
-    /// is visited. A `known` interior is walked in place; an unseen gap
-    /// walks the predecessor tree, which yields the same edges in the
-    /// same order.
+    /// is visited.
     fn point_in_gap(
         &self,
         a: EdgeId,
         b: EdgeId,
-        known: Option<&[EdgeId]>,
+        interior: &[EdgeId],
         gap: f64,
         offset: f64,
-    ) -> Result<Point> {
-        let sp = self.model.sp();
-        let net = sp.network();
+    ) -> Point {
+        let net = self.model.sp().network();
         if gap <= f64::EPSILON {
-            return Ok(net.edge_start(b));
+            return net.edge_start(b);
         }
         let from_end = (gap - offset).max(0.0);
         let mut acc = 0.0f64;
-        // The point on `pe` when the walk from the far end reaches
-        // `from_end` inside it.
-        let mut step = |pe: EdgeId| -> Option<Point> {
+        for &pe in interior.iter().rev() {
             let w = net.weight(pe);
             if acc + w >= from_end {
                 // Remaining-from-end inside this edge is (from_end - acc),
                 // so from the start it is w - (from_end - acc).
                 let into = (w - (from_end - acc)).clamp(0.0, w);
                 let frac = if w <= f64::EPSILON { 0.0 } else { into / w };
-                return Some(net.point_on_edge(pe, frac * net.edge_length(pe)));
+                return net.point_on_edge(pe, frac * net.edge_length(pe));
             }
             acc += w;
-            None
-        };
-        if let Some(link) = known {
-            if let Some(p) = link.iter().rev().find_map(|&pe| step(pe)) {
-                return Ok(p);
-            }
-        } else {
-            #[cfg(test)]
-            crate::spatial::hsc::witness(|w| w.sp_fallbacks += 1);
-            let mut cur = net.edge(b).from;
-            let target = net.edge(a).to;
-            // One tree fetch for the whole walk: lazy backends hand out
-            // the Arc'd tree (one cache touch instead of per-node), dense
-            // backends answer per-node from the table.
-            let tree = sp.source_tree(target);
-            while cur != target {
-                // Predecessor edge of `cur` in the tree rooted at a's head.
-                let pe = match &tree {
-                    Some(t) => t.pred_edge[cur.index()],
-                    None => sp.pred_edge(target, cur),
-                }
-                .ok_or(PressError::NoShortestPath(a, b))?;
-                if let Some(p) = step(pe) {
-                    return Ok(p);
-                }
-                cur = net.edge(pe).from;
-            }
         }
         // offset == 0 resolves to the gap start.
-        Ok(net.point_on_edge(a, net.edge_length(a)))
+        net.point_on_edge(a, net.edge_length(a))
     }
 
     // ------------------------------------------------------------------
@@ -636,40 +585,24 @@ impl<'a> QueryEngine<'a> {
     /// the best distance found so far.
     pub fn min_distance(&self, a: &CompressedTrajectory, b: &CompressedTrajectory) -> Result<f64> {
         let net = self.model.sp().network();
-        // Collect unit summaries (cheap: ids + table lookups).
         let units_a = self.collect_units(&a.spatial)?;
         let units_b = self.collect_units(&b.spatial)?;
         if units_a.is_empty() || units_b.is_empty() {
             return Err(PressError::EmptyPath);
         }
         let mut best = f64::INFINITY;
-        let mut cache_a: Vec<Option<Vec<EdgeId>>> = vec![None; units_a.len()];
-        let mut cache_b: Vec<Option<Vec<EdgeId>>> = vec![None; units_b.len()];
-        for (i, &(ua, mbr_a)) in units_a.iter().enumerate() {
+        for (mbr_a, ea) in &units_a {
             // Prune whole rows by MBR distance.
             if units_b
                 .iter()
-                .all(|&(_, mbr_b)| mbr_a.min_dist_to_mbr(&mbr_b) >= best)
+                .all(|(mbr_b, _)| mbr_a.min_dist_to_mbr(mbr_b) >= best)
             {
                 continue;
             }
-            for (j, &(ub, mbr_b)) in units_b.iter().enumerate() {
-                if mbr_a.min_dist_to_mbr(&mbr_b) >= best {
+            for (mbr_b, eb) in &units_b {
+                if mbr_a.min_dist_to_mbr(mbr_b) >= best {
                     continue;
                 }
-                for (slot, unit) in [(&mut cache_a[i], ua), (&mut cache_b[j], ub)] {
-                    if slot.is_none() {
-                        let mut edges = Vec::new();
-                        self.expand_unit_into(unit, &mut edges)?;
-                        *slot = Some(edges);
-                    }
-                }
-                // Both slots were just filled; an empty expansion stays a
-                // valid `Some(vec![])` rather than a refill sentinel, so no
-                // unwrap is reachable on this serving path.
-                let (Some(ea), Some(eb)) = (&cache_a[i], &cache_b[j]) else {
-                    continue;
-                };
                 for &e1 in ea {
                     let (a1, a2) = (net.edge_start(e1), net.edge_end(e1));
                     for &e2 in eb {
@@ -706,12 +639,15 @@ impl<'a> QueryEngine<'a> {
         Ok(mbr)
     }
 
-    /// Collects `(unit, mbr)` summaries for a compressed path.
-    fn collect_units(&self, cs: &CompressedSpatial) -> Result<Vec<(Unit<'a>, Mbr)>> {
+    /// Collects each unit's MBR and edges for a compressed path (a gap's
+    /// interior is only lent while the stream reader stands on it, so
+    /// the edges are taken on the spot).
+    fn collect_units(&self, cs: &CompressedSpatial) -> Result<Vec<(Mbr, Vec<EdgeId>)>> {
         let mut units = Vec::new();
         self.for_each_unit(cs, |unit, len| {
-            let mbr = self.unit_mbr(unit, len);
-            units.push((unit, mbr));
+            let mut edges = Vec::new();
+            self.expand_unit_into(unit, &mut edges)?;
+            units.push((self.unit_mbr(unit, len), edges));
             Ok(false)
         })?;
         Ok(units)
@@ -1099,27 +1035,77 @@ mod tests {
         r.map(|p| (p.x.to_bits(), p.y.to_bits()))
     }
 
-    /// A compressed trajectory over `path` with evenly spaced knots.
-    fn knotted(model: &HscModel, path: &[EdgeId]) -> CompressedTrajectory {
-        let net = model.sp().network();
-        let total: f64 = path.iter().map(|&e| net.weight(e)).sum();
-        let pts = (0..=4)
-            .map(|k| DtPoint::new(total * k as f64 / 4.0, 15.0 * k as f64))
-            .collect();
-        CompressedTrajectory {
-            spatial: model.compress(path).unwrap(),
-            temporal: TemporalSequence::new(pts).unwrap(),
+    /// All five engine entry points plus `whereat`/`whenat` over `cts`,
+    /// against the SP-only oracle: same bits, same errors. Returns how
+    /// many shortest-path calls the engine's side made.
+    fn compare_with_the_sp_only_reference(
+        model: &HscModel,
+        sp: &crate::spatial::node_link_tests::CountingSp,
+        cts: &[CompressedTrajectory],
+        rng: &mut StdRng,
+    ) -> usize {
+        let engine = QueryEngine::new(model);
+        let oracle = reference::SpOnlyEngine { model };
+        let bb = model.sp().network().bounding_box();
+        let mut calls = 0;
+        for (i, ct) in cts.iter().enumerate() {
+            let next = &cts[(i + 1) % cts.len()];
+            let mut on_path = Vec::new();
+            for k in 0..=12 {
+                let t = -5.0 + 70.0 * k as f64 / 12.0;
+                let before = sp.calls();
+                let got = engine.whereat(ct, t);
+                on_path.extend(got.clone().ok());
+                let d = dis_linear(&ct.temporal.points, t);
+                let at = engine.point_at_distance(&ct.spatial, d);
+                assert_eq!(point_bits(at), point_bits(got.clone()));
+                calls += sp.calls() - before;
+                assert_eq!(point_bits(got), point_bits(oracle.whereat(ct, t)));
+            }
+            on_path.push(Point::new(1e7, 1e7));
+            for &p in &on_path {
+                let half = rng.gen_range(20.0..250.0);
+                let cx = rng.gen_range(bb.min_x..bb.max_x);
+                let cy = rng.gen_range(bb.min_y..bb.max_y);
+                let region = Mbr::new(cx - half, cy - half, cx + half, cy + half);
+                let (t1, t2) = (rng.gen_range(0.0..30.0), rng.gen_range(20.0..60.0));
+                let before = sp.calls();
+                let mine = (
+                    engine.whenat(ct, p, 0.5).map(f64::to_bits),
+                    engine
+                        .distance_of_point(&ct.spatial, p, 25.0)
+                        .map(f64::to_bits),
+                    engine.range(ct, t1, t2, &region),
+                    engine.passes_near(ct, p, half, t1, t2),
+                );
+                calls += sp.calls() - before;
+                let theirs = (
+                    oracle.whenat(ct, p, 0.5).map(f64::to_bits),
+                    oracle
+                        .distance_of_point(&ct.spatial, p, 25.0)
+                        .map(f64::to_bits),
+                    oracle.range(ct, t1, t2, &region),
+                    oracle.passes_near(ct, p, half, t1, t2),
+                );
+                assert_eq!(mine, theirs);
+            }
+            let before = sp.calls();
+            let mine = engine.min_distance(ct, next).map(f64::to_bits);
+            calls += sp.calls() - before;
+            assert_eq!(mine, oracle.min_distance(ct, next).map(f64::to_bits));
         }
+        calls
     }
 
-    /// All five engine entry points plus `whereat`/`whenat`, against the
-    /// SP-only engine the arena replaced: same bits, same errors — on
-    /// training paths (which must not reach the SP layer at all), on
-    /// held-out walks (which must reach it), and on a model poisoned by
-    /// a disconnected training pair.
+    /// The engine against the SP-only oracle on training paths (every
+    /// gap from the arena), on held-out walks (some from the stream) —
+    /// neither reaching the SP layer — and on a model poisoned by a
+    /// disconnected training pair.
     #[test]
     fn node_link_queries_match_the_sp_only_reference() {
-        use crate::spatial::node_link_tests::{two_components, walk, witness_delta, CountingSp};
+        use crate::spatial::node_link_tests::{
+            knotted, two_components, walks, witness_delta, CountingSp,
+        };
         use press_network::SpBackend;
         let net = Arc::new(grid_network(&GridConfig {
             nx: 8,
@@ -1128,129 +1114,104 @@ mod tests {
             seed: 17,
             ..GridConfig::default()
         }));
-        let walks = |salt: u32| -> Vec<Vec<EdgeId>> {
-            (0..24u32)
-                .map(|k| {
-                    let choices: Vec<u8> = (0..20)
-                        .map(|i| ((k * 7 + i * 3 + salt) % 5) as u8)
-                        .collect();
-                    walk(&net, k * 11 + salt, &choices)
-                })
-                .collect()
-        };
-        let (training, held_out) = (walks(0), walks(3));
-        let bb = net.bounding_box();
+        let (training, held_out) = (walks(&net, 0, 24), walks(&net, 3, 24));
         let mut rng = StdRng::seed_from_u64(21);
         for backend in [SpBackend::Dense, SpBackend::Hl] {
             let sp = CountingSp::over(backend.build(net.clone()));
             let model = HscModel::train(sp.clone(), &training, 3).unwrap();
-            let engine = QueryEngine::new(&model);
-            let oracle = reference::SpOnlyEngine { model: &model };
             for (paths, trained) in [(&training, true), (&held_out, false)] {
                 let cts: Vec<_> = paths.iter().map(|p| knotted(&model, p)).collect();
                 let mut calls = 0;
                 let seen = witness_delta(|| {
-                    for (i, ct) in cts.iter().enumerate() {
-                        let next = &cts[(i + 1) % cts.len()];
-                        let mut on_path = Vec::new();
-                        for k in 0..=12 {
-                            let t = -5.0 + 70.0 * k as f64 / 12.0;
-                            let before = sp.calls();
-                            let got = engine.whereat(ct, t);
-                            on_path.extend(got.clone().ok());
-                            let d = dis_linear(&ct.temporal.points, t);
-                            let at = engine.point_at_distance(&ct.spatial, d);
-                            assert_eq!(point_bits(at), point_bits(got.clone()));
-                            calls += sp.calls() - before;
-                            assert_eq!(point_bits(got), point_bits(oracle.whereat(ct, t)));
-                        }
-                        on_path.push(Point::new(1e7, 1e7));
-                        for &p in &on_path {
-                            let half = rng.gen_range(20.0..250.0);
-                            let cx = rng.gen_range(bb.min_x..bb.max_x);
-                            let cy = rng.gen_range(bb.min_y..bb.max_y);
-                            let region = Mbr::new(cx - half, cy - half, cx + half, cy + half);
-                            let (t1, t2) = (rng.gen_range(0.0..30.0), rng.gen_range(20.0..60.0));
-                            let before = sp.calls();
-                            let mine = (
-                                engine.whenat(ct, p, 0.5).map(f64::to_bits),
-                                engine
-                                    .distance_of_point(&ct.spatial, p, 25.0)
-                                    .map(f64::to_bits),
-                                engine.range(ct, t1, t2, &region),
-                                engine.passes_near(ct, p, half, t1, t2),
-                            );
-                            calls += sp.calls() - before;
-                            let theirs = (
-                                oracle.whenat(ct, p, 0.5).map(f64::to_bits),
-                                oracle
-                                    .distance_of_point(&ct.spatial, p, 25.0)
-                                    .map(f64::to_bits),
-                                oracle.range(ct, t1, t2, &region),
-                                oracle.passes_near(ct, p, half, t1, t2),
-                            );
-                            assert_eq!(mine, theirs);
-                        }
-                        let before = sp.calls();
-                        let mine = engine.min_distance(ct, next).map(f64::to_bits);
-                        calls += sp.calls() - before;
-                        assert_eq!(mine, oracle.min_distance(ct, next).map(f64::to_bits));
-                    }
+                    calls = compare_with_the_sp_only_reference(&model, &sp, &cts, &mut rng);
                 });
                 assert!(seen.arena_hits > 0, "{seen:?}");
-                if trained {
-                    assert_eq!((calls, seen.sp_fallbacks), (0, 0), "{seen:?}");
-                } else {
-                    assert!(calls > 0 && seen.sp_fallbacks > 0, "{calls} {seen:?}");
-                }
+                assert_eq!((calls, seen.sp_fallbacks), (0, 0), "{seen:?}");
+                assert_eq!(seen.gap_runs == 0, trained, "{seen:?}");
             }
         }
 
-        // A pair across two components: every query reports it, as before.
+        // A pair across two components inside a unit: every query reports
+        // it, as before. (Between two units — θ = 1 — `compress` does.)
         let (net, e0, e1) = two_components();
-        for theta in [1, 2] {
-            let model =
-                HscModel::train(SpBackend::Dense.build(net.clone()), &[vec![e0, e1]], theta)
-                    .unwrap();
-            let engine = QueryEngine::new(&model);
-            let oracle = reference::SpOnlyEngine { model: &model };
-            let ct = CompressedTrajectory {
-                spatial: model.compress(&[e0, e1]).unwrap(),
-                temporal: TemporalSequence::new(vec![
-                    DtPoint::new(0.0, 0.0),
-                    DtPoint::new(200.0, 10.0),
-                ])
-                .unwrap(),
+        let model =
+            HscModel::train(SpBackend::Dense.build(net.clone()), &[vec![e0, e1]], 2).unwrap();
+        let engine = QueryEngine::new(&model);
+        let oracle = reference::SpOnlyEngine { model: &model };
+        let ct = CompressedTrajectory {
+            spatial: model.compress(&[e0, e1]).unwrap(),
+            temporal: TemporalSequence::new(vec![
+                DtPoint::new(0.0, 0.0),
+                DtPoint::new(200.0, 10.0),
+            ])
+            .unwrap(),
+        };
+        let err = Err(PressError::NoShortestPath(e0, e1));
+        let p = Point::new(1050.0, 0.0);
+        let all = Mbr::new(-1e6, -1e6, 1e6, 1e6);
+        assert_eq!(
+            point_bits(engine.whereat(&ct, 9.0)),
+            err.clone().map(|()| (0, 0))
+        );
+        assert_eq!(
+            point_bits(oracle.whereat(&ct, 9.0)),
+            err.clone().map(|()| (0, 0))
+        );
+        assert_eq!(engine.whenat(&ct, p, 1.0), err.clone().map(|()| 0.0));
+        assert_eq!(oracle.whenat(&ct, p, 1.0), err.clone().map(|()| 0.0));
+        assert_eq!(engine.min_distance(&ct, &ct), err.clone().map(|()| 0.0));
+        assert_eq!(oracle.min_distance(&ct, &ct), err.clone().map(|()| 0.0));
+        assert_eq!(
+            engine.range(&ct, 9.0, 10.0, &all),
+            oracle.range(&ct, 9.0, 10.0, &all)
+        );
+        assert_eq!(
+            engine.passes_near(&ct, p, 1.0, 0.0, 10.0),
+            oracle.passes_near(&ct, p, 1.0, 0.0, 10.0)
+        );
+        assert_eq!(
+            engine.passes_near(&ct, p, 1.0, 0.0, 10.0),
+            err.clone().map(|()| false)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
+
+        /// The SP-free engine equals the SP-only oracle, bit for bit, on
+        /// training paths and held-out walks — on jittered, fully tied
+        /// and random-geometric nets, all four backends, θ 1–4 — and
+        /// makes no shortest-path call doing so.
+        #[test]
+        fn gap_run_queries_match_the_sp_only_reference_on_every_backend(
+            kind in 0usize..3,
+            seed in 0u64..400,
+            theta in 1usize..5,
+            walks in proptest::collection::vec(
+                (0u32..1000, proptest::collection::vec(0u8..8, 3..22)), 6..12),
+        ) {
+            use crate::spatial::node_link_tests::{
+                knotted, net_of, walk, witness_delta, CountingSp,
             };
-            let err = Err(PressError::NoShortestPath(e0, e1));
-            let p = Point::new(1050.0, 0.0);
-            let all = Mbr::new(-1e6, -1e6, 1e6, 1e6);
-            assert_eq!(
-                point_bits(engine.whereat(&ct, 9.0)),
-                err.clone().map(|()| (0, 0))
-            );
-            assert_eq!(
-                point_bits(oracle.whereat(&ct, 9.0)),
-                err.clone().map(|()| (0, 0))
-            );
-            assert_eq!(engine.whenat(&ct, p, 1.0), err.clone().map(|()| 0.0));
-            assert_eq!(oracle.whenat(&ct, p, 1.0), err.clone().map(|()| 0.0));
-            assert_eq!(engine.min_distance(&ct, &ct), err.clone().map(|()| 0.0));
-            assert_eq!(oracle.min_distance(&ct, &ct), err.clone().map(|()| 0.0));
-            // The window [0, 200] reaches the second edge only through
-            // the missing gap.
-            assert_eq!(
-                engine.range(&ct, 9.0, 10.0, &all),
-                oracle.range(&ct, 9.0, 10.0, &all)
-            );
-            assert_eq!(
-                engine.passes_near(&ct, p, 1.0, 0.0, 10.0),
-                oracle.passes_near(&ct, p, 1.0, 0.0, 10.0)
-            );
-            assert_eq!(
-                engine.passes_near(&ct, p, 1.0, 0.0, 10.0),
-                err.clone().map(|()| false)
-            );
+            use press_network::SpBackend;
+            let net = net_of(kind, seed);
+            let paths: Vec<Vec<EdgeId>> = walks
+                .iter()
+                .map(|(s, cs)| walk(&net, *s, cs))
+                .filter(|p| !p.is_empty())
+                .collect();
+            proptest::prop_assume!(paths.len() >= 4);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for backend in [SpBackend::Dense, SpBackend::lazy(), SpBackend::Ch, SpBackend::Hl] {
+                let sp = CountingSp::over(backend.build(net.clone()));
+                let model = HscModel::train(sp.clone(), &paths[..paths.len() / 2], theta).unwrap();
+                let cts: Vec<_> = paths.iter().map(|p| knotted(&model, p)).collect();
+                let mut calls = 0;
+                let seen = witness_delta(|| {
+                    calls = compare_with_the_sp_only_reference(&model, &sp, &cts, &mut rng);
+                });
+                proptest::prop_assert_eq!((calls, seen.sp_fallbacks), (0, 0), "{:?} {:?}", backend, seen);
+            }
         }
     }
 }

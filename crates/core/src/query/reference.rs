@@ -1,13 +1,14 @@
-//! The query engine as it was before the link arena: every hidden gap,
-//! inside a unit or between two, is answered by the shortest-path layer
-//! (`gap_dist`, `sp_interior`, a `pred_edge` walk). Test-only — the
-//! oracle the arena-reading [`super::QueryEngine`] must match bit for
-//! bit. Linear temporal scan only.
+//! The query engine as it was before the link arena and the in-stream
+//! runs: every hidden gap, inside a unit or between two, is answered by
+//! the shortest-path layer (`gap_dist`, `sp_interior`, a `pred_edge`
+//! walk) and the stream is read for its unit symbols only. Test-only —
+//! the oracle the SP-free [`super::QueryEngine`] must match bit for bit.
+//! Linear temporal scan only.
 
 use super::{dis_linear, ordered, tim_linear};
 use crate::error::{PressError, Result};
 use crate::press::CompressedTrajectory;
-use crate::spatial::{symbol_to_node, CompressedSpatial, HscModel, TrieNodeId};
+use crate::spatial::{CompressedSpatial, HscModel, TrieNodeId};
 use press_network::{project_onto_segment, EdgeId, Mbr, Point};
 
 pub(super) struct SpOnlyEngine<'a> {
@@ -29,11 +30,8 @@ impl SpOnlyEngine<'_> {
         let trie = self.model.trie();
         let sp = self.model.sp();
         let net = sp.network();
-        let huffman = self.model.huffman();
-        let mut reader = cs.bits.reader();
         let mut prev_last: Option<EdgeId> = None;
-        while !reader.is_exhausted() {
-            let node = symbol_to_node(huffman.decode_symbol(&mut reader)?);
+        for node in self.model.decode_nodes(cs)? {
             let first = trie.first_edge(node);
             if let Some(pl) = prev_last {
                 if !net.consecutive(pl, first) {

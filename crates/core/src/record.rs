@@ -10,8 +10,11 @@
 //!   for bit** by an integer count of seconds (or, failing that, of
 //!   milliseconds), the column is that count as varint deltas: one byte
 //!   per kept tuple at fleet sampling rates. The writer proves the round
-//!   trip value by value (`TimeCode::quantize`); a trajectory with a
-//!   single timestamp that does not pass keeps raw `f64`s.
+//!   trip value by value (`TimeCode::quantize`). A trajectory in which a
+//!   few timestamps do not pass keeps the quantum **with exceptions** —
+//!   a bitmap names them, they stay raw `f64`s in place, the rest are
+//!   deltas as before — when that is strictly shorter than `m` raw
+//!   `f64`s, which is what it falls back to.
 //! * `d` — cumulative distances are monotone with arbitrary mantissas, so
 //!   each is XOR-ed with its predecessor (sign, exponent and the top of
 //!   the mantissa cancel) and only the significant low bytes are kept,
@@ -40,19 +43,30 @@ use press_store::{ByteReader, ByteWriter, Result, StoreError};
 
 /// Record-format number written into the corpus `meta` section. Format 1
 /// (never numbered on disk) was the fixed-width record of earlier builds:
-/// `u64 n_bits · bits · u64 m · m × (f64 d, f64 t)`.
-pub const RECORD_FORMAT: u32 = 2;
+/// `u64 n_bits · bits · u64 m · m × (f64 d, f64 t)`; format 2 had this
+/// layout but a spatial code without gap runs
+/// ([`crate::spatial::hsc`] § the stream), which this reader would
+/// mis-parse — so the number moved with the stream grammar.
+pub const RECORD_FORMAT: u32 = 3;
 
 /// Bit 4 of a record's code byte: the `d` column is XOR-trimmed (clear:
-/// raw `f64`s). Bits 0–1 hold the [`TimeCode`]; all others are zero.
+/// raw `f64`s). Bits 0–1 hold the [`TimeCode`], bit 2 is
+/// [`T_EXCEPTIONS`]; all others are zero.
 const D_XOR: u8 = 0x10;
+
+/// Bit 2 of a record's code byte, with a quantum [`TimeCode`] only: the
+/// `t` column opens with a `⌈m/8⌉`-byte bitmap (tuple `i` is bit `i % 8`
+/// of byte `i / 8`, padding bits zero); a tuple whose bit is set is a raw
+/// `f64` in place, the others are the quantum's varints, each a delta
+/// against the previous *quantised* tuple.
+const T_EXCEPTIONS: u8 = 0x04;
 
 /// How a record's `t` column is stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TimeCode {
     /// `m` raw `f64`s.
     Raw = 0,
-    /// Whole seconds: `ivarint q₀`, then `m − 1` `uvarint` deltas.
+    /// Whole seconds: `ivarint q₀`, then `uvarint` deltas.
     Seconds = 1,
     /// Whole milliseconds, same layout.
     Millis = 2,
@@ -80,12 +94,59 @@ impl TimeCode {
         }
     }
 
-    /// The coarsest quantum every timestamp of `points` round-trips in.
-    fn pick(points: &[DtPoint]) -> TimeCode {
-        [TimeCode::Seconds, TimeCode::Millis]
+    /// How to store the `t` column of `points`: the coarsest quantum every
+    /// timestamp round-trips in; failing that, the quantum whose column
+    /// with exceptions is shortest, when that beats raw `f64`s; failing
+    /// that, raw. The flag says whether exceptions are marked.
+    fn pick(points: &[DtPoint]) -> (TimeCode, bool) {
+        let quanta = [TimeCode::Seconds, TimeCode::Millis];
+        if let Some(code) = quanta
             .into_iter()
             .find(|code| points.iter().all(|p| code.quantize(p.t).is_some()))
-            .unwrap_or(TimeCode::Raw)
+        {
+            return (code, false);
+        }
+        let mut best = (TimeCode::Raw, false);
+        let mut best_len = points.len() * 8;
+        for code in quanta {
+            let mut column = ByteWriter::new();
+            code.put_column(points, true, &mut column);
+            if column.len() < best_len {
+                best = (code, true);
+                best_len = column.len();
+            }
+        }
+        best
+    }
+
+    /// Appends the `t` column under this code: the exception bitmap when
+    /// `exceptions` are marked, then per tuple a varint for a timestamp
+    /// the quantum reproduces bit for bit and a raw `f64` for one it does
+    /// not — every one under [`TimeCode::Raw`], otherwise none unless
+    /// marked (`pick` proved it).
+    fn put_column(self, points: &[DtPoint], exceptions: bool, w: &mut ByteWriter) {
+        if exceptions {
+            for chunk in points.chunks(8) {
+                let bits = chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| u8::from(self.quantize(p.t).is_none()) << i);
+                w.put_u8(bits.sum());
+            }
+        }
+        let mut prev: Option<i64> = None;
+        for p in points {
+            let Some(q) = self.quantize(p.t) else {
+                debug_assert!(exceptions || self == TimeCode::Raw);
+                w.put_f64(p.t);
+                continue;
+            };
+            match prev {
+                None => w.put_ivarint(q),
+                Some(prev) => w.put_uvarint(q.wrapping_sub(prev) as u64),
+            }
+            prev = Some(q);
+        }
     }
 }
 
@@ -111,25 +172,12 @@ pub(crate) fn encode(ct: &CompressedTrajectory, w: &mut ByteWriter) {
     let m = points.len();
     w.put_uvarint(m as u64);
     if m > 0 {
-        let time = TimeCode::pick(points);
+        let (time, exceptions) = TimeCode::pick(points);
         let xor_len = m.div_ceil(2) + xor_words(points).map(significant_bytes).sum::<usize>();
         let d_xor = xor_len < m * 8;
-        w.put_u8(time as u8 | if d_xor { D_XOR } else { 0 });
-        if time == TimeCode::Raw {
-            for p in points {
-                w.put_f64(p.t);
-            }
-        } else {
-            let mut quanta = points
-                .iter()
-                .map(|p| time.quantize(p.t).expect("pick proved every timestamp"));
-            let mut prev = quanta.next().expect("m > 0");
-            w.put_ivarint(prev);
-            for q in quanta {
-                w.put_uvarint(q.wrapping_sub(prev) as u64);
-                prev = q;
-            }
-        }
+        let flags = if exceptions { T_EXCEPTIONS } else { 0 } | if d_xor { D_XOR } else { 0 };
+        w.put_u8(time as u8 | flags);
+        time.put_column(points, exceptions, w);
         if d_xor {
             let mut words = xor_words(points).map(significant_bytes);
             while let Some(lo) = words.next() {
@@ -186,8 +234,8 @@ fn decode_windowed(rec: &[u8], window: Option<(f64, f64)>) -> Result<Option<Comp
         }
     } else {
         let code = r.get_u8()?;
-        let time = match code & !D_XOR {
-            0 => TimeCode::Raw,
+        let time = match code & !(D_XOR | T_EXCEPTIONS) {
+            0 if code & T_EXCEPTIONS == 0 => TimeCode::Raw,
             1 => TimeCode::Seconds,
             2 => TimeCode::Millis,
             _ => {
@@ -196,17 +244,31 @@ fn decode_windowed(rec: &[u8], window: Option<(f64, f64)>) -> Result<Option<Comp
                 )))
             }
         };
-        if time == TimeCode::Raw {
-            for _ in 0..m {
-                points.push(DtPoint::new(0.0, r.get_f64()?));
-            }
-        } else {
-            let mut q = r.get_ivarint()?;
-            points.push(DtPoint::new(0.0, time.dequantize(q)));
-            for _ in 1..m {
-                q = q.wrapping_add(r.get_uvarint()? as i64);
-                points.push(DtPoint::new(0.0, time.dequantize(q)));
-            }
+        let exceptions = code & T_EXCEPTIONS != 0;
+        let bitmap = r.get_bytes(if exceptions { m.div_ceil(8) } else { 0 })?;
+        if m % 8 != 0 && bitmap.last().is_some_and(|last| last >> (m % 8) != 0) {
+            return Err(StoreError::Corrupt(
+                "non-zero padding bits in the timestamp exception bitmap".into(),
+            ));
+        }
+        let mut prev: Option<i64> = None;
+        for i in 0..m {
+            let raw = if exceptions {
+                bitmap[i / 8] >> (i % 8) & 1 == 1
+            } else {
+                time == TimeCode::Raw
+            };
+            let t = if raw {
+                r.get_f64()?
+            } else {
+                let q = match prev {
+                    None => r.get_ivarint()?,
+                    Some(prev) => prev.wrapping_add(r.get_uvarint()? as i64),
+                };
+                prev = Some(q);
+                time.dequantize(q)
+            };
+            points.push(DtPoint::new(0.0, t));
         }
         if let Some((lo, hi)) = window {
             if points[m - 1].t < lo || points[0].t > hi {
@@ -320,13 +382,15 @@ impl<'a> Block<'a> {
     }
 }
 
+/// Bytes of `v` as a `uvarint`.
+fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Bytes one trajectory takes in a corpus block, split into `[framing,
 /// (d, t) columns, spatial code]` — framing being its directory entry,
 /// the two counts and the code byte. Feeds [`crate::stats::StoredBytes`].
 pub(crate) fn stored_parts(ct: &CompressedTrajectory) -> [usize; 3] {
-    fn uvarint_len(v: u64) -> usize {
-        (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
-    }
     let mut record = ByteWriter::new();
     encode(ct, &mut record);
     let m = ct.temporal.len();
@@ -398,11 +462,13 @@ mod tests {
 
     fn timestamps(kind: u8, m: usize, rng: &mut StdRng) -> Vec<f64> {
         let mut t = rng.gen_range(0u32..200_000) as f64;
+        let fractional_share = rng.gen_range(0.0f64..1.0);
         (0..m)
             .map(|i| {
                 t += match kind {
-                    // Whole seconds; one fractional value among them.
-                    0 | 4 => rng.gen_range(1u32..90) as f64,
+                    // Whole seconds; one fractional value among them (4),
+                    // or each fractional with some probability (7).
+                    0 | 4 | 7 => rng.gen_range(1u32..90) as f64,
                     // Whole milliseconds.
                     1 => rng.gen_range(1u32..90_000) as f64 / 1000.0,
                     // Sub-millisecond.
@@ -419,7 +485,7 @@ mod tests {
                     // Any bit pattern: NaNs, infinities, -0.0, subnormals.
                     _ => return f64::from_bits(rng.gen()),
                 };
-                if kind == 4 && i == m / 2 {
+                if (kind == 4 && i == m / 2) || (kind == 7 && rng.gen_bool(fractional_share)) {
                     t + rng.gen_range(0.0001f64..0.9999)
                 } else {
                     t
@@ -463,7 +529,7 @@ mod tests {
         #[test]
         fn record_roundtrip_is_bit_identical(
             seed in any::<u64>(),
-            t_kind in 0u8..7,
+            t_kind in 0u8..8,
             d_kind in 0u8..4,
             m in 0usize..40,
             n_bits in 0usize..200,
@@ -494,6 +560,66 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// `k` fractional timestamps among `m` whole seconds, `k = 0..=m`:
+        /// bit-identical whatever `k`; the quantum with exceptions is
+        /// chosen exactly when it is strictly shorter than raw `f64`s,
+        /// never when every timestamp is whole, and is as long as the
+        /// layout says.
+        #[test]
+        fn record_k_fractional_timestamps_among_integral(
+            seed in any::<u64>(),
+            m in 1usize..40,
+            k_of_m in 0.0f64..=1.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k = (k_of_m * m as f64).round() as usize;
+            let mut fractional = vec![false; m];
+            let mut placed = 0;
+            while placed < k {
+                let at = rng.gen_range(0..m);
+                placed += usize::from(!std::mem::replace(&mut fractional[at], true));
+            }
+            // The column's length, worked out from the layout: bitmap,
+            // eight bytes per exception, a zig-zag start and unsigned
+            // deltas between the whole tuples.
+            let mut expected = m.div_ceil(8) + 8 * k;
+            let mut prev_whole: Option<u64> = None;
+            let mut t = rng.gen_range(0u64..200_000);
+            let points: Vec<DtPoint> = fractional
+                .iter()
+                .map(|&f| {
+                    t += rng.gen_range(1u64..90);
+                    if f {
+                        // A quarter-millisecond is exact in binary and a
+                        // whole count of neither quantum.
+                        return DtPoint::new(t as f64, t as f64 + 0.00025);
+                    }
+                    expected += match prev_whole.replace(t) {
+                        None => uvarint_len(t << 1),
+                        Some(prev) => uvarint_len(t - prev),
+                    };
+                    DtPoint::new(t as f64, t as f64)
+                })
+                .collect();
+            let ct = trajectory(points, &[true]);
+            assert_roundtrip(&ct);
+            let code = code_byte(&ct) & !D_XOR;
+            if k == 0 {
+                prop_assert_eq!(code, TimeCode::Seconds as u8);
+            } else if expected < 8 * m {
+                prop_assert_eq!(code, TimeCode::Seconds as u8 | T_EXCEPTIONS);
+                let mut column = ByteWriter::new();
+                TimeCode::Seconds.put_column(&ct.temporal.points, true, &mut column);
+                prop_assert_eq!(column.len(), expected);
+            } else {
+                prop_assert_eq!(code, TimeCode::Raw as u8);
+            }
+        }
+    }
+
     #[test]
     fn record_edge_cases_roundtrip_under_the_expected_codes() {
         let bits = [true, false, true, true, false];
@@ -506,23 +632,42 @@ mod tests {
         // byte), n_bits, one byte of bits.
         assert_eq!(assert_roundtrip(&seconds).len(), 25);
         // One fractional timestamp that is a whole millisecond moves the
-        // record to the finer quantum; one that is not, to raw.
+        // record to the finer quantum; one that is not stays an exception
+        // among whole seconds (a bitmap byte and the raw value for one
+        // delta byte); with all three like that, raw.
         let millis = trajectory(pts(&[(0.0, 100.0), (17.25, 101.5), (40.5, 130.0)]), &bits);
         assert_eq!(code_byte(&millis), TimeCode::Millis as u8 | D_XOR);
         assert_roundtrip(&millis);
-        let raw = trajectory(
+        let excepted = trajectory(
             pts(&[(0.0, 100.0), (17.25, 101.00037), (40.5, 130.0)]),
+            &bits,
+        );
+        let raw = trajectory(
+            pts(&[(0.0, 100.00037), (17.25, 101.00037), (40.5, 130.00037)]),
             &bits,
         );
         assert_eq!(code_byte(&raw), TimeCode::Raw as u8 | D_XOR);
         assert_roundtrip(&raw);
+        assert_eq!(
+            code_byte(&excepted),
+            TimeCode::Seconds as u8 | T_EXCEPTIONS | D_XOR
+        );
+        assert_eq!(
+            assert_roundtrip(&excepted).len(),
+            assert_roundtrip(&seconds).len() + 1 + 8 - 1
+        );
         // 2^60 s is an integer an `i64` holds; 2^60 ms is not 2^57 s.
         let far = trajectory(pts(&[(0.0, 2f64.powi(60)), (1.0, 2f64.powi(61))]), &bits);
         assert_eq!(code_byte(&far) & !D_XOR, TimeCode::Seconds as u8);
         assert_roundtrip(&far);
-        // Past what `i64` counts, and the values integers never decode to.
+        // Past what `i64` counts, and the values integers never decode
+        // to: an exception beside a whole second, raw on their own.
         for t in [1e19, -1e19, -0.0, f64::NAN, f64::INFINITY, 5e-324] {
             let odd = trajectory(pts(&[(0.0, 5.0), (1.0, t)]), &bits);
+            let code = TimeCode::Seconds as u8 | T_EXCEPTIONS;
+            assert_eq!(code_byte(&odd) & !D_XOR, code, "t = {t}");
+            assert_roundtrip(&odd);
+            let odd = trajectory(pts(&[(0.0, t), (1.0, t)]), &bits);
             assert_eq!(code_byte(&odd) & !D_XOR, TimeCode::Raw as u8, "t = {t}");
             assert_roundtrip(&odd);
         }
@@ -632,6 +777,67 @@ mod tests {
         }
     }
 
+    /// The same sweep over a block whose spatial codes carry gap runs
+    /// (held-out walks under a trained model): whatever a mutation or a
+    /// truncation lets through the record decoder, the stream reader
+    /// turns into a path or a typed error — in bounded steps, no panic.
+    #[test]
+    fn record_block_with_gap_runs_survives_every_mutation_and_truncation() {
+        use crate::query::QueryEngine;
+        use crate::spatial::node_link_tests::{net_of, walks};
+        use crate::spatial::HscModel;
+        use press_network::{Mbr, SpBackend};
+        let net = net_of(0, 9);
+        let model =
+            HscModel::train(SpBackend::Dense.build(net.clone()), &walks(&net, 0, 10), 3).unwrap();
+        let engine = QueryEngine::new(&model);
+        let block: Vec<CompressedTrajectory> = walks(&net, 3, 3)
+            .iter()
+            .map(|path| CompressedTrajectory {
+                spatial: model.compress(path).unwrap(),
+                temporal: TemporalSequence::new_unchecked(vec![
+                    DtPoint::new(0.0, 10.0),
+                    DtPoint::new(net.path_weight(path), 70.0),
+                ]),
+            })
+            .collect();
+        let runs: u64 = block
+            .iter()
+            .map(|ct| model.run_cost(&ct.spatial).unwrap().0)
+            .sum();
+        assert!(runs > 0, "the block must carry runs");
+        let everywhere = Mbr::new(-1e7, -1e7, 1e7, 1e7);
+        let read = |payload: &[u8]| {
+            let Ok(trajectories) = decode_block(payload, block.len()) else {
+                return false;
+            };
+            for ct in &trajectories {
+                let bits = ct.spatial.bits.len_bits();
+                if let Ok(edges) = model.decompress(&ct.spatial) {
+                    assert!(edges.len() as u64 <= bits * 4 * net.num_nodes() as u64);
+                }
+                let _ = engine.range(ct, 0.0, 100.0, &everywhere);
+                let _ = engine.whereat(ct, 40.0);
+            }
+            true
+        };
+        let payload = encode_block(&block);
+        assert!(read(&payload));
+        for at in 0..payload.len() {
+            for value in 0..=255u8 {
+                let mut bad = payload.clone();
+                bad[at] = value;
+                read(&bad);
+            }
+        }
+        for cut in 0..payload.len() {
+            assert!(
+                !read(&payload[..cut]),
+                "a block cut at {cut} must not decode"
+            );
+        }
+    }
+
     #[test]
     fn record_decoder_rejects_counts_the_bytes_cannot_back() {
         let corrupt = |rec: &[u8], what: &str| match decode(rec) {
@@ -665,8 +871,26 @@ mod tests {
             bad[at] = value;
             bad
         };
-        corrupt(&with(1, good[1] | 0x04), "reserved code bit");
+        corrupt(&with(1, good[1] | 0x08), "reserved code bit");
         corrupt(&with(1, 3 | D_XOR), "unknown time code");
+        corrupt(&with(1, T_EXCEPTIONS | D_XOR), "exceptions to no quantum");
+        // Three tuples use three bitmap bits; a fourth set is padding.
+        let excepted = encoded(&trajectory(
+            vec![
+                DtPoint::new(0.0, 1.0),
+                DtPoint::new(2.5, 2.00037),
+                DtPoint::new(4.0, 3.0),
+            ],
+            &[true],
+        ));
+        assert_eq!(
+            (excepted[1], excepted[2]),
+            (1 | T_EXCEPTIONS | D_XOR, 0b010)
+        );
+        decode(&excepted).expect("clean");
+        let mut bad = excepted.clone();
+        bad[2] |= 0b1000;
+        corrupt(&bad, "bitmap padding bit");
         corrupt(&with(5, 0x09), "nibble of nine bytes");
         corrupt(&with(6, good[6] | 0x10), "padding nibble");
         let last = good.len() - 1;

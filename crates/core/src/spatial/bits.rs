@@ -114,9 +114,23 @@ impl BitWriter {
     /// matching the "walk the Huffman tree from the root" convention.
     pub fn push_code(&mut self, code: u64, len: u8) {
         debug_assert!(len as u32 <= 64);
-        for i in (0..len).rev() {
-            self.push_bit((code >> i) & 1 == 1);
+        if len == 0 {
+            return;
         }
+        let len = u32::from(len);
+        // Stream bits sit LSB-first inside a word, so the code goes in
+        // reversed: bit `i` of `rev` is the `i`-th bit emitted.
+        let rev = code.reverse_bits() >> (64 - len);
+        let word_idx = (self.len_bits / 64) as usize;
+        let off = (self.len_bits % 64) as u32;
+        if word_idx == self.words.len() {
+            self.words.push(0);
+        }
+        self.words[word_idx] |= rev << off;
+        if off + len > 64 {
+            self.words.push(rev >> (64 - off));
+        }
+        self.len_bits += u64::from(len);
     }
 
     /// Number of bits written so far.
@@ -234,6 +248,29 @@ mod tests {
         assert!(s.bit(0));
         assert!(!s.bit(1));
         assert!(s.bit(2));
+    }
+
+    #[test]
+    fn push_code_equals_bit_by_bit_at_every_offset_and_length() {
+        for lead in 0..70u32 {
+            for len in 0..=64u8 {
+                let code = 0x9e37_79b9_7f4a_7c15u64.rotate_left(lead + u32::from(len));
+                let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
+                for w in [&mut fast, &mut slow] {
+                    for i in 0..lead {
+                        w.push_bit(i % 3 == 0);
+                    }
+                }
+                fast.push_code(code, len);
+                for i in (0..len).rev() {
+                    slow.push_bit((code >> i) & 1 == 1);
+                }
+                // And whatever follows lands after it.
+                fast.push_code(0b101, 3);
+                slow.push_code(0b101, 3);
+                assert_eq!(fast.finish(), slow.finish(), "lead {lead} len {len}");
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,29 @@
 //! Training has to expand those gaps anyway to fill the §5.1 distances;
 //! keeping the expansion means decompression and the queries read a gap
 //! the corpus has shown before from the model
-//! ([`HscModel::expand_node_into`], [`HscModel::known_gap`]) and ask the
-//! shortest-path layer only about edge pairs training never put side by
-//! side.
+//! ([`HscModel::expand_node_into`], [`HscModel::known_gap`]).
+//!
+//! # The stream
+//!
+//! A gap between two coding units whose edge pair `(a, b)` training never
+//! put side by side is in no table — so the stream carries it. The
+//! compressor is holding that interior when it creates the gap (it is the
+//! run of input edges Algorithm 1 elides), and writes it right after the
+//! Huffman symbol of the unit that starts at `b`, as **turns**: per
+//! interior edge its index among the out-edges of the node the walk
+//! stands on, in `⌈log₂ out-degree⌉` bits, starting at `a`'s head and
+//! ending — implicitly — on arrival at `b`'s tail (a shortest path is
+//! simple, so the first arrival is the end). The reader makes the same
+//! test the writer made (`a`, `b` not consecutive, [`HscModel::known_gap`]
+//! silent), so no flag bit says whether a run follows. One grammar,
+//! `unit (run? unit)*` in path order, one writer (`HscModel::encode`)
+//! and one reader (`HscModel::for_each_unit`): decompression and every
+//! §5 query see a slice for **every** gap and never call the
+//! shortest-path layer. What
+//! the reader proves about a run is structure — each turn indexes a real
+//! out-edge, the walk arrives within `|V|` steps, the stream does not end
+//! inside it; that the run is the *shortest* path is the word of whatever
+//! checksum guards the stream, as it is for the link arena.
 //!
 //! # The `SPend` index
 //!
@@ -58,7 +78,7 @@
 
 use crate::error::{PressError, Result};
 use crate::spatial::ac::AcAutomaton;
-use crate::spatial::bits::{BitStream, BitWriter};
+use crate::spatial::bits::{BitReader, BitStream, BitWriter};
 use crate::spatial::decompose::decompose_dp;
 use crate::spatial::huffman::Huffman;
 use crate::spatial::online::OnlineSpCompressor;
@@ -204,6 +224,23 @@ pub(crate) fn path_len(net: &RoadNetwork, edges: &[EdgeId]) -> f64 {
     edges.iter().fold(0.0, |d, &e| d + net.weight(e))
 }
 
+/// Bits of one turn at a node with `out_degree` out-edges: the fixed
+/// width that indexes them, `⌈log₂ out_degree⌉` — none where the walk has
+/// no choice.
+#[inline]
+fn turn_bits(out_degree: usize) -> u32 {
+    out_degree.next_power_of_two().trailing_zeros()
+}
+
+/// The shortest-path gap in front of a unit: the two edges it joins and
+/// its interior, lent from the model's arena or from the reader's buffer
+/// for the length of one [`HscModel::for_each_unit`] callback.
+pub(crate) struct Gap<'r> {
+    pub(crate) a: EdgeId,
+    pub(crate) b: EdgeId,
+    pub(crate) interior: &'r [EdgeId],
+}
+
 /// `Tsub(n).d` from its parent's: the hidden gap between the two last
 /// edges (`None` when they are consecutive, `∞` when no path joins
 /// them), then the node's own edge. The one definition training and the
@@ -328,13 +365,18 @@ impl SpendIndex {
 }
 
 /// Which side answered a gap, per thread — how the tests prove both the
-/// arena and the shortest-path fallback run.
+/// arena and the in-stream runs are read, and that nothing on the read
+/// path falls back to the shortest-path layer.
 #[cfg(test)]
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct Witness {
     /// Gaps answered by [`HscModel::known_gap`].
     pub(crate) arena_hits: usize,
-    /// Gaps training never saw, handed to the shortest-path layer.
+    /// Gaps training never saw, written to or read from the stream as a
+    /// run of turns.
+    pub(crate) gap_runs: usize,
+    /// Runs the encoder was not handed ([`HscModel::encode_sp_form`]) and
+    /// asked the shortest-path layer for.
     pub(crate) sp_fallbacks: usize,
     /// `SPend` tests answered by the model's index.
     pub(crate) spend_known: usize,
@@ -595,13 +637,18 @@ impl HscModel {
     }
 
     /// Compresses with an explicit decomposition strategy (used by the
-    /// Fig. 11 greedy-vs-DP experiment).
+    /// Fig. 11 greedy-vs-DP experiment). The runs the stream carries are
+    /// the slices of `path` the scan elided — no shortest-path call. A
+    /// `path` in which two kept neighbours are joined by nothing (it is
+    /// not connected there) is [`PressError::NoShortestPath`].
     pub fn compress_with(
         &self,
         path: &[EdgeId],
         decomposer: Decomposer,
     ) -> Result<CompressedSpatial> {
-        self.encode_sp_form(&sp_scan(self, path), decomposer)
+        let kept = sp_scan(self, path);
+        let spc: Vec<EdgeId> = kept.iter().map(|&at| path[at]).collect();
+        self.encode(&spc, decomposer, Some((path, &kept)))
     }
 
     /// A streaming SP compressor whose `SPend` tests read this model's
@@ -612,76 +659,228 @@ impl HscModel {
     }
 
     /// Encodes an **already SP-compressed** edge sequence (`T'` of §3.1):
-    /// decomposition + Huffman only, no second SP pass. This is the entry
-    /// point for streaming ingest, where [`crate::spatial::OnlineSpCompressor`]
-    /// produced `spc` incrementally; `encode_sp_form(spc) ==
-    /// compress_with(path)` whenever `spc == sp_compress(path)`. Inverse
-    /// of [`HscModel::decode_sp_form`].
+    /// decomposition + Huffman, no second SP pass — the entry point for a
+    /// caller that streamed the path through
+    /// [`crate::spatial::OnlineSpCompressor`] and no longer holds it, so
+    /// each run the stream must carry costs one `sp_interior` call here.
+    /// `encode_sp_form(spc) == compress_with(path)` whenever
+    /// `spc == sp_compress(path)`. Inverse of [`HscModel::decode_sp_form`].
     pub fn encode_sp_form(
         &self,
         spc: &[EdgeId],
         decomposer: Decomposer,
     ) -> Result<CompressedSpatial> {
+        self.encode(spc, decomposer, None)
+    }
+
+    /// The one writer of the stream grammar (module docs § the stream):
+    /// a Huffman symbol per unit, and after the symbol of a unit that
+    /// starts at `spc[k]`, the run hidden in front of it when the pair
+    /// `(spc[k - 1], spc[k])` is neither consecutive nor known to the
+    /// model. `handed` is the path `spc` was scanned from and the
+    /// positions it kept, when the caller has them: the run is then the
+    /// slice the scan elided; otherwise one `sp_interior` call.
+    fn encode(
+        &self,
+        spc: &[EdgeId],
+        decomposer: Decomposer,
+        handed: Option<(&[EdgeId], &[usize])>,
+    ) -> Result<CompressedSpatial> {
         let parts = match decomposer {
             Decomposer::Greedy => self.ac.decompose_greedy(spc)?,
             Decomposer::Dp => decompose_dp(self.ac.trie(), &self.huffman, spc)?,
         };
+        let trie = self.ac.trie();
+        let net = self.sp.network();
         let mut w = BitWriter::with_capacity_bits(parts.len() * 8);
+        // Position in `spc` of the current unit's first edge.
+        let mut k = 0;
         for &node in &parts {
             self.huffman.encode_symbol(node_to_symbol(node), &mut w);
+            if k > 0 {
+                let (a, b) = (spc[k - 1], spc[k]);
+                if !net.consecutive(a, b) && self.known_link(a, b).is_none() {
+                    let fetched;
+                    let run = match handed {
+                        Some((path, kept)) => &path[kept[k - 1] + 1..kept[k]],
+                        None => {
+                            #[cfg(test)]
+                            witness(|w| w.sp_fallbacks += 1);
+                            let interior = self.sp.sp_interior(a, b);
+                            fetched = interior.ok_or(PressError::NoShortestPath(a, b))?;
+                            &fetched
+                        }
+                    };
+                    self.write_run(a, b, run, &mut w)?;
+                    // Every elided edge is its successor's predecessor in
+                    // the tree of `a`'s head, so an elided run that starts
+                    // at that head is the canonical path, edge for edge.
+                    debug_assert!(
+                        handed.is_none() || self.sp.sp_interior(a, b).as_deref() == Some(run)
+                    );
+                }
+            }
+            k += trie.depth(node);
         }
         Ok(CompressedSpatial { bits: w.finish() })
     }
 
-    /// Decodes the Huffman stream back to the Trie node sequence.
-    pub fn decode_nodes(&self, cs: &CompressedSpatial) -> Result<Vec<TrieNodeId>> {
-        let mut reader = cs.bits.reader();
-        let mut nodes = Vec::new();
-        while !reader.is_exhausted() {
-            let sym = self.huffman.decode_symbol(&mut reader)?;
-            nodes.push(symbol_to_node(sym));
+    /// Appends `run`, the interior of the gap between `a` and `b`, as
+    /// turns. A run that does not walk from `a`'s head to `b`'s tail,
+    /// arriving there exactly once, is no shortest path between the two
+    /// — and would not read back.
+    fn write_run(&self, a: EdgeId, b: EdgeId, run: &[EdgeId], w: &mut BitWriter) -> Result<()> {
+        #[cfg(test)]
+        witness(|w| w.gap_runs += 1);
+        let net = self.sp.network();
+        let target = net.edge(b).from;
+        let mut head = net.edge(a).to;
+        for &g in run {
+            let out = net.out_edges(head);
+            let turn = out
+                .iter()
+                .position(|&o| o == g)
+                .filter(|_| head != target)
+                .ok_or(PressError::NoShortestPath(a, b))?;
+            w.push_code(turn as u64, turn_bits(out.len()) as u8);
+            head = net.edge(g).to;
         }
+        if head != target {
+            return Err(PressError::NoShortestPath(a, b));
+        }
+        Ok(())
+    }
+
+    /// Reads the run [`HscModel::write_run`] wrote between `a` and `b`
+    /// into `run`, proving its structure as it goes: every turn names an
+    /// out-edge of the node the walk stands on, and the walk reaches
+    /// `b`'s tail within `|V|` steps (a simple path has fewer; the bound
+    /// is also what stops a chain of zero-bit turns through out-degree-1
+    /// nodes, which consumes no input).
+    fn read_run(
+        &self,
+        a: EdgeId,
+        b: EdgeId,
+        bits: &mut BitReader<'_>,
+        run: &mut Vec<EdgeId>,
+    ) -> Result<()> {
+        #[cfg(test)]
+        witness(|w| w.gap_runs += 1);
+        let net = self.sp.network();
+        let corrupt =
+            |what: &str| PressError::CorruptBitstream(format!("gap run from {a} to {b} {what}"));
+        run.clear();
+        let target = net.edge(b).from;
+        let mut head = net.edge(a).to;
+        while head != target {
+            if run.len() >= net.num_nodes() {
+                return Err(corrupt("has not arrived after |V| steps"));
+            }
+            let out = net.out_edges(head);
+            let width = turn_bits(out.len());
+            let (turn, got) = bits.peek_bits(width);
+            if got < width {
+                return Err(corrupt("is cut short by the end of the stream"));
+            }
+            bits.advance(width);
+            let &g = out
+                .get(turn as usize)
+                .ok_or_else(|| corrupt("takes a turn beyond the node's out-degree"))?;
+            run.push(g);
+            head = net.edge(g).to;
+        }
+        Ok(())
+    }
+
+    /// The one reader of the stream grammar (module docs § the stream):
+    /// calls `f(gap, node)` per unit in path order, `gap` being what lies
+    /// in front of the unit when its first edge does not follow the
+    /// previous unit's last; `f` returns `true` to stop. A run is decoded
+    /// into one buffer per call, reused gap after gap.
+    pub(crate) fn for_each_unit(
+        &self,
+        cs: &CompressedSpatial,
+        mut f: impl FnMut(Option<Gap<'_>>, TrieNodeId) -> Result<bool>,
+    ) -> Result<()> {
+        let trie = self.ac.trie();
+        let net = self.sp.network();
+        let mut bits = cs.bits.reader();
+        let mut run = Vec::new();
+        let mut prev_last = None;
+        while !bits.is_exhausted() {
+            let node = symbol_to_node(self.huffman.decode_symbol(&mut bits)?);
+            let b = trie.first_edge(node);
+            let gap = match prev_last.replace(trie.last_edge(node)) {
+                Some(a) if !net.consecutive(a, b) => {
+                    let interior = match self.known_link(a, b) {
+                        Some(link) => link,
+                        None => {
+                            self.read_run(a, b, &mut bits, &mut run)?;
+                            &run
+                        }
+                    };
+                    Some(Gap { a, b, interior })
+                }
+                _ => None,
+            };
+            if f(gap, node)? {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes the stream back to the Trie node sequence.
+    pub fn decode_nodes(&self, cs: &CompressedSpatial) -> Result<Vec<TrieNodeId>> {
+        let mut nodes = Vec::new();
+        self.for_each_unit(cs, |_, node| {
+            nodes.push(node);
+            Ok(false)
+        })?;
         Ok(nodes)
     }
 
-    /// Decodes to the SP-compressed edge sequence (`T'` of §3.1) without
-    /// expanding shortest paths.
+    /// Decodes to the SP-compressed edge sequence (`T'` of §3.1): the
+    /// units' own edges, without the gaps between or inside them.
     pub fn decode_sp_form(&self, cs: &CompressedSpatial) -> Result<Vec<EdgeId>> {
-        let nodes = self.decode_nodes(cs)?;
         let trie = self.ac.trie();
         let mut edges = Vec::new();
-        for &n in &nodes {
+        for n in self.decode_nodes(cs)? {
             edges.extend(trie.sub_trajectory(n));
         }
         Ok(edges)
     }
 
+    /// `(bits, interior edges)` of the gap runs `cs` carries — what the
+    /// stream pays to need no shortest-path layer, beside its unit
+    /// symbols (everything else in it).
+    pub fn run_cost(&self, cs: &CompressedSpatial) -> Result<(u64, usize)> {
+        let (mut bits, mut edges) = (cs.bits.len_bits(), 0);
+        self.for_each_unit(cs, |gap, node| {
+            bits -= u64::from(self.huffman.code_len(node_to_symbol(node)));
+            if let Some(gap) = gap.filter(|g| self.known_link(g.a, g.b).is_none()) {
+                edges += gap.interior.len();
+            }
+            Ok(false)
+        })?;
+        Ok((bits, edges))
+    }
+
     /// Fully decompresses back to the original spatial path. `O(|T|)`.
     ///
     /// Equal to `sp_decompress(decode_sp_form(cs))` — the reference
-    /// composition — but walks the decoded nodes directly: a unit's hidden
-    /// gaps come from the link arena, and only a boundary between two
-    /// units that training never saw side by side reaches the
-    /// shortest-path layer.
+    /// composition — without a shortest-path call: a unit's hidden gaps
+    /// come from the link arena, a gap between two units from the arena
+    /// or from the stream.
     pub fn decompress(&self, cs: &CompressedSpatial) -> Result<Vec<EdgeId>> {
-        let trie = self.ac.trie();
-        let net = self.sp.network();
         let mut out = Vec::new();
-        let mut reader = cs.bits.reader();
-        let mut prev: Option<EdgeId> = None;
-        while !reader.is_exhausted() {
-            let node = symbol_to_node(self.huffman.decode_symbol(&mut reader)?);
-            let chain = trie.chain(node);
-            let chain = chain.as_slice();
-            let first = trie.last_edge(chain[0]);
-            if let Some(p) = prev {
-                if !net.consecutive(p, first) {
-                    self.expand_gap_into(p, first, self.known_link(p, first), &mut out)?;
-                }
+        self.for_each_unit(cs, |gap, node| {
+            if let Some(gap) = gap {
+                out.extend_from_slice(gap.interior);
             }
-            self.expand_chain_into(chain, &mut out)?;
-            prev = Some(trie.last_edge(node));
-        }
+            self.expand_node_into(node, &mut out)?;
+            Ok(false)
+        })?;
         Ok(out)
     }
 
@@ -738,8 +937,8 @@ impl HscModel {
         Some((path_len(self.sp.network(), link), link))
     }
 
-    /// The interior half of [`HscModel::known_gap`], for callers that do
-    /// not need the length.
+    /// The interior half of [`HscModel::known_gap`] — the test the stream's
+    /// writer and reader both make to decide whether a run follows.
     fn known_link(&self, a: EdgeId, b: EdgeId) -> Option<&[EdgeId]> {
         let trie = self.ac.trie();
         let node = trie.child(trie.level1(a), b)?;
@@ -749,31 +948,6 @@ impl HscModel {
         #[cfg(test)]
         witness(|w| w.arena_hits += 1);
         Some(self.node_link.link(node))
-    }
-
-    /// Appends the interior of the gap between `a` and `b` to `out`: the
-    /// `known` slice when [`HscModel::known_gap`] had one, else one
-    /// `sp_interior` call.
-    pub(crate) fn expand_gap_into(
-        &self,
-        a: EdgeId,
-        b: EdgeId,
-        known: Option<&[EdgeId]>,
-        out: &mut Vec<EdgeId>,
-    ) -> Result<()> {
-        match known {
-            Some(link) => out.extend_from_slice(link),
-            None => {
-                #[cfg(test)]
-                witness(|w| w.sp_fallbacks += 1);
-                let mut interior = self
-                    .sp
-                    .sp_interior(a, b)
-                    .ok_or(PressError::NoShortestPath(a, b))?;
-                out.append(&mut interior);
-            }
-        }
-        Ok(())
     }
 
     /// The hidden shortest-path gap between a node's parent's last edge

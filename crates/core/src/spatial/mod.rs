@@ -14,6 +14,8 @@
 pub mod ac;
 pub mod bits;
 pub mod decompose;
+#[cfg(test)]
+mod gap_run_tests;
 pub mod hsc;
 pub mod huffman;
 #[cfg(test)]

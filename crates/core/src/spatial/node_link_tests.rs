@@ -1,11 +1,14 @@
 //! Identity tests of the link arena: whatever [`HscModel`] reads from
 //! its third per-node table must equal what the shortest-path layer
 //! would have answered — on every backend, on tied and jittered
-//! geometry, for pairs training saw and pairs it never did.
+//! geometry, for pairs training saw and pairs it never did (those are
+//! read from the stream: `gap_run_tests`).
 
 use crate::error::PressError;
-use crate::spatial::hsc::{HscModel, Witness, WITNESS};
+use crate::press::CompressedTrajectory;
+use crate::spatial::hsc::{Decomposer, HscModel, Witness, WITNESS};
 use crate::spatial::sp::sp_decompress;
+use crate::types::{DtPoint, TemporalSequence};
 use press_network::{
     grid_network, random_geometric_network, EdgeId, GridConfig, Mbr, NodeId, Point,
     RandomGeometricConfig, RoadNetwork, RoadNetworkBuilder, ShortestPathTree, SpBackend,
@@ -85,6 +88,7 @@ pub(crate) fn witness_delta(f: impl FnOnce()) -> Witness {
     let after = WITNESS.get();
     Witness {
         arena_hits: after.arena_hits - before.arena_hits,
+        gap_runs: after.gap_runs - before.gap_runs,
         sp_fallbacks: after.sp_fallbacks - before.sp_fallbacks,
         spend_known: after.spend_known - before.spend_known,
         spend_sp: after.spend_sp - before.spend_sp,
@@ -157,6 +161,20 @@ pub(crate) fn walks(net: &RoadNetwork, salt: u32, n: u32) -> Vec<Vec<EdgeId>> {
             walk(net, k * 11 + salt, &choices)
         })
         .collect()
+}
+
+/// `path` compressed under `model`, with five evenly spaced knots over
+/// 60 s — a trajectory the query tests can probe.
+pub(crate) fn knotted(model: &HscModel, path: &[EdgeId]) -> CompressedTrajectory {
+    let net = model.sp().network();
+    let total: f64 = path.iter().map(|&e| net.weight(e)).sum();
+    let pts = (0..=4)
+        .map(|k| DtPoint::new(total * k as f64 / 4.0, 15.0 * k as f64))
+        .collect();
+    CompressedTrajectory {
+        spatial: model.compress(path).unwrap(),
+        temporal: TemporalSequence::new(pts).unwrap(),
+    }
 }
 
 /// Two one-edge components: no path joins `e0` and `e1`.
@@ -274,10 +292,10 @@ proptest! {
 }
 
 /// Both branches run: held-out walks read some gaps from the arena and
-/// hand others to the shortest-path layer; a training path never
-/// reaches the layer at all.
+/// others from the stream; a training path reads every gap from the
+/// arena; neither reaches the shortest-path layer.
 #[test]
-fn witness_sees_the_arena_and_the_sp_fallback() {
+fn witness_sees_the_arena_and_the_stream_runs() {
     let net = Arc::new(grid_network(&GridConfig {
         nx: 8,
         ny: 8,
@@ -290,58 +308,68 @@ fn witness_sees_the_arena_and_the_sp_fallback() {
     let sp = CountingSp::over(SpBackend::Dense.build(net.clone()));
     let model = HscModel::train(sp.clone(), &training, 3).expect("train");
 
-    let compressed: Vec<_> = training
-        .iter()
-        .map(|p| model.compress(p).unwrap())
-        .collect();
-    let calls = sp.calls();
-    let seen = witness_delta(|| {
-        for (p, cs) in training.iter().zip(&compressed) {
-            assert_eq!(&model.decompress(cs).unwrap(), p);
-        }
-    });
-    assert_eq!(sp.calls(), calls, "a training path must decompress SP-free");
-    assert!(seen.arena_hits > 0, "{seen:?}");
-    assert_eq!(seen.sp_fallbacks, 0, "{seen:?}");
-
-    let seen = witness_delta(|| {
-        for p in &held_out {
-            let cs = model.compress(p).unwrap();
-            assert_eq!(&model.decompress(&cs).unwrap(), p);
-        }
-    });
-    assert!(seen.arena_hits > 0 && seen.sp_fallbacks > 0, "{seen:?}");
+    let decompress_all = |paths: &[Vec<EdgeId>]| {
+        let compressed: Vec<_> = paths.iter().map(|p| model.compress(p).unwrap()).collect();
+        let calls = sp.calls();
+        let seen = witness_delta(|| {
+            for (p, cs) in paths.iter().zip(&compressed) {
+                assert_eq!(&model.decompress(cs).unwrap(), p);
+            }
+        });
+        assert_eq!(sp.calls(), calls, "decompression must be SP-free");
+        assert!(seen.arena_hits > 0, "{seen:?}");
+        assert_eq!(seen.sp_fallbacks, 0, "{seen:?}");
+        seen
+    };
+    let seen = decompress_all(&training);
+    assert_eq!(seen.gap_runs, 0, "{seen:?}");
+    let seen = decompress_all(&held_out);
+    assert!(seen.gap_runs > 0, "{seen:?}");
 }
 
-/// A training pair across two components keeps the error SP
-/// decompression reports, whether the pair sits inside a unit (θ = 2,
-/// a poisoned node) or between two (θ = 1).
+/// A pair across two components keeps the error SP decompression
+/// reports, on every backend and through a save/load. Inside a unit
+/// (θ = 2, a poisoned node) it is raised where it always was, at
+/// `decompress`; between two units (θ = 1) there is no run to write, so
+/// it is raised at `compress` / `encode_sp_form` — no stream exists that
+/// a reader could trip over.
 #[test]
 fn disconnected_training_pair_keeps_no_shortest_path() {
     let (net, e0, e1) = two_components();
-    for backend in [SpBackend::Dense, SpBackend::Hl] {
+    let err = PressError::NoShortestPath(e0, e1);
+    for backend in [
+        SpBackend::Dense,
+        SpBackend::lazy(),
+        SpBackend::Ch,
+        SpBackend::Hl,
+    ] {
         for theta in [1, 2] {
             let model =
                 HscModel::train(backend.build(net.clone()), &[vec![e0, e1]], theta).unwrap();
-            let cs = model.compress(&[e0, e1]).unwrap();
-            assert_eq!(model.decode_nodes(&cs).unwrap().len(), 3 - theta);
-            assert_eq!(
-                model.decompress(&cs),
-                Err(PressError::NoShortestPath(e0, e1))
-            );
             assert_eq!(model.known_gap(e0, e1), None);
-            // The model still round-trips through its file.
-            let loaded = HscModel::from_store_bytes(model.sp().clone(), model.to_store_bytes());
-            assert_eq!(
-                loaded.expect("load").decompress(&cs),
-                Err(PressError::NoShortestPath(e0, e1))
-            );
+            let loaded = HscModel::from_store_bytes(model.sp().clone(), model.to_store_bytes())
+                .expect("the model still round-trips through its file");
+            for model in [&model, &loaded] {
+                let compressed = model.compress(&[e0, e1]);
+                assert_eq!(
+                    compressed,
+                    model.encode_sp_form(&[e0, e1], Decomposer::Greedy)
+                );
+                if theta == 1 {
+                    assert_eq!(compressed, Err(err.clone()), "{backend:?}");
+                } else {
+                    let cs = compressed.unwrap();
+                    assert_eq!(model.decode_nodes(&cs).unwrap().len(), 1);
+                    assert_eq!(model.decompress(&cs), Err(err.clone()), "{backend:?}");
+                }
+            }
         }
     }
 }
 
 /// θ = 1 has no bigrams: the arena is empty, no gap is ever known, and
-/// decompression is the reference composition's, SP call for SP call.
+/// every gap the reference composition asks the shortest-path layer
+/// about is a run in the stream.
 #[test]
 fn theta_one_reads_nothing_from_the_arena() {
     let net = net_of(0, 9);
@@ -359,12 +387,13 @@ fn theta_one_reads_nothing_from_the_arena() {
     );
     for p in &paths {
         let cs = model.compress(p).unwrap();
+        let spc = model.decode_sp_form(&cs).unwrap();
         let before = sp.calls();
-        let reference = sp_decompress(model.sp(), &model.decode_sp_form(&cs).unwrap()).unwrap();
+        let reference = sp_decompress(model.sp(), &spc).unwrap();
         let reference_calls = sp.calls() - before;
         let seen = witness_delta(|| assert_eq!(model.decompress(&cs).unwrap(), reference));
-        assert_eq!(sp.calls() - before, 2 * reference_calls);
+        assert_eq!(sp.calls() - before, reference_calls);
         assert_eq!(seen.arena_hits, 0);
-        assert_eq!(seen.sp_fallbacks, reference_calls);
+        assert_eq!(seen.gap_runs, reference_calls);
     }
 }

@@ -57,14 +57,12 @@ where
     /// no allocation per edge.
     #[inline]
     pub fn push_into(&mut self, e: EdgeId, out: &mut Vec<EdgeId>) {
-        self.scan.push_into(&*self.oracle, e, out);
+        out.extend(self.scan.push(&*self.oracle, e));
     }
 
     /// Closes the trajectory: the final edge is always retained.
     pub fn finish(self) -> Vec<EdgeId> {
-        let mut out = Vec::new();
-        self.scan.finish_into(&mut out);
-        out
+        self.scan.finish().into_iter().collect()
     }
 }
 

@@ -62,53 +62,61 @@ pub(crate) enum SpScan {
 }
 
 impl SpScan {
-    /// Feeds the next traversed edge; appends to `out` the edge this
-    /// decides, if any.
+    /// Feeds the next traversed edge; returns the edge this decides to
+    /// keep, if any — `e` itself for the first edge of a path, otherwise
+    /// the edge fed right before it.
     #[inline]
-    pub(crate) fn push_into<O: SpEnd + ?Sized>(
-        &mut self,
-        oracle: &O,
-        e: EdgeId,
-        out: &mut Vec<EdgeId>,
-    ) {
-        *self = match *self {
+    pub(crate) fn push<O: SpEnd + ?Sized>(&mut self, oracle: &O, e: EdgeId) -> Option<EdgeId> {
+        match *self {
             SpScan::Empty => {
-                out.push(e);
-                SpScan::First(e)
+                *self = SpScan::First(e);
+                Some(e)
             }
-            SpScan::First(anchor) => SpScan::Run { anchor, prev: e },
+            SpScan::First(anchor) => {
+                *self = SpScan::Run { anchor, prev: e };
+                None
+            }
             SpScan::Run { anchor, prev } => {
                 if oracle.sp_end_edge(anchor, e) == Some(prev) {
-                    SpScan::Run { anchor, prev: e }
+                    *self = SpScan::Run { anchor, prev: e };
+                    None
                 } else {
-                    out.push(prev);
-                    SpScan::Run {
+                    *self = SpScan::Run {
                         anchor: prev,
                         prev: e,
-                    }
+                    };
+                    Some(prev)
                 }
             }
-        };
+        }
     }
 
     /// Closes the path: the final edge is always retained.
     #[inline]
-    pub(crate) fn finish_into(self, out: &mut Vec<EdgeId>) {
-        if let SpScan::Run { prev, .. } = self {
-            out.push(prev);
+    pub(crate) fn finish(self) -> Option<EdgeId> {
+        match self {
+            SpScan::Run { prev, .. } => Some(prev),
+            _ => None,
         }
     }
 }
 
-/// [`sp_compress`] over any `SPend` oracle.
-pub(crate) fn sp_scan<O: SpEnd + ?Sized>(oracle: &O, path: &[EdgeId]) -> Vec<EdgeId> {
-    let mut out = Vec::with_capacity(path.len() / 2 + 2);
+/// [`sp_compress`] over any `SPend` oracle, as the ascending positions in
+/// `path` of the edges it keeps — so a caller holding `path` also holds
+/// every run the scan elided: `path[kept[k] + 1..kept[k + 1]]`.
+pub(crate) fn sp_scan<O: SpEnd + ?Sized>(oracle: &O, path: &[EdgeId]) -> Vec<usize> {
+    let mut kept = Vec::with_capacity(path.len() / 2 + 2);
     let mut scan = SpScan::default();
-    for &e in path {
-        scan.push_into(oracle, e, &mut out);
+    for (at, &e) in path.iter().enumerate() {
+        if scan.push(oracle, e).is_some() {
+            // The first edge decides itself, every later one its predecessor.
+            kept.push(at.saturating_sub(1));
+        }
     }
-    scan.finish_into(&mut out);
-    out
+    if scan.finish().is_some() {
+        kept.push(path.len() - 1);
+    }
+    kept
 }
 
 /// Compresses a spatial path by shortest-path skipping (Algorithm 1).
@@ -116,7 +124,7 @@ pub(crate) fn sp_scan<O: SpEnd + ?Sized>(oracle: &O, path: &[EdgeId]) -> Vec<Edg
 /// The output always starts with the first and ends with the last edge of
 /// the input; inputs with fewer than three edges are returned unchanged.
 pub fn sp_compress(sp: &dyn SpProvider, path: &[EdgeId]) -> Vec<EdgeId> {
-    sp_scan(sp, path)
+    sp_scan(sp, path).into_iter().map(|at| path[at]).collect()
 }
 
 /// Decompresses an SP-compressed path by re-expanding every non-adjacent

@@ -19,6 +19,9 @@ struct TrieNode {
     parent: TrieNodeId,
     /// Label of the link from `parent` to this node. Unused for the root.
     edge: EdgeId,
+    /// Label of the depth-1 ancestor: the *first* edge of the node's
+    /// sub-trajectory, copied down from the parent when the node is made.
+    first: EdgeId,
     depth: u16,
     freq: u64,
     /// Children sorted by edge id for binary search.
@@ -57,6 +60,7 @@ impl Trie {
             nodes: vec![TrieNode {
                 parent: 0,
                 edge: EdgeId(u32::MAX),
+                first: EdgeId(u32::MAX),
                 depth: 0,
                 freq: 0,
                 children: Vec::with_capacity(num_edges),
@@ -126,6 +130,7 @@ impl Trie {
             nodes: vec![TrieNode {
                 parent: 0,
                 edge: EdgeId(u32::MAX),
+                first: EdgeId(u32::MAX),
                 depth: 0,
                 freq: 0,
                 children: Vec::with_capacity(num_edges),
@@ -170,9 +175,15 @@ impl Trie {
 
     fn push_node(&mut self, parent: TrieNodeId, edge: EdgeId, depth: u16) -> TrieNodeId {
         let id = self.nodes.len() as TrieNodeId;
+        let first = if depth == 1 {
+            edge
+        } else {
+            self.nodes[parent as usize].first
+        };
         self.nodes.push(TrieNode {
             parent,
             edge,
+            first,
             depth,
             freq: 0,
             children: Vec::new(),
@@ -252,13 +263,10 @@ impl Trie {
     }
 
     /// The *first* edge of the node's sub-trajectory (the level-1 ancestor's
-    /// label). Meaningless for the root.
+    /// label) — a table read, not a climb. Meaningless for the root.
+    #[inline]
     pub fn first_edge(&self, node: TrieNodeId) -> EdgeId {
-        let mut cur = node;
-        while self.nodes[cur as usize].depth > 1 {
-            cur = self.nodes[cur as usize].parent;
-        }
-        self.nodes[cur as usize].edge
+        self.nodes[node as usize].first
     }
 
     /// Reconstructs the sub-trajectory `Tsub(node)` (path from the root).
@@ -306,7 +314,7 @@ impl Trie {
 
     /// Approximate in-memory footprint in bytes (§6.2 auxiliary report).
     pub fn approx_bytes(&self) -> usize {
-        self.nodes.len() * (4 + 4 + 2 + 8 + std::mem::size_of::<Vec<(EdgeId, TrieNodeId)>>())
+        self.nodes.len() * (4 + 4 + 4 + 2 + 8 + std::mem::size_of::<Vec<(EdgeId, TrieNodeId)>>())
             + self
                 .nodes
                 .iter()
@@ -453,6 +461,7 @@ mod tests {
             assert_eq!(chain.as_slice().last(), Some(&n));
             let edges: Vec<EdgeId> = chain.as_slice().iter().map(|&a| t.last_edge(a)).collect();
             assert_eq!(edges, t.sub_trajectory(n));
+            assert_eq!(t.first_edge(n), path[0]);
         }
     }
 

@@ -16,7 +16,9 @@
 //! trajectory takes in a corpus block is [`StoredBytes`], reported beside
 //! the model wherever the model is printed so the two units stay apart.
 
+use crate::error::Result;
 use crate::press::CompressedTrajectory;
+use crate::spatial::HscModel;
 use serde::{Deserialize, Serialize};
 
 /// Bytes per raw GPS `(x, y, t)` sample.
@@ -108,8 +110,17 @@ pub struct StoredBytes {
     pub framing_bytes: usize,
     /// The `t` and `d` columns.
     pub tuple_bytes: usize,
-    /// The spatial code.
+    /// The spatial code: unit symbols and gap runs, in whole bytes per
+    /// trajectory.
     pub spatial_bytes: usize,
+    /// The spatial code's exact length in bits.
+    pub spatial_bits: u64,
+    /// Of those, the bits that spell gap runs
+    /// ([`crate::spatial::hsc`] § the stream) — the rest are unit
+    /// symbols. Telling them apart takes the model, so
+    /// [`StoredBytes::of_coded`] fills this in and [`StoredBytes::of`]
+    /// leaves it `None`.
+    pub run_bits: Option<u64>,
 }
 
 impl StoredBytes {
@@ -122,7 +133,19 @@ impl StoredBytes {
             framing_bytes,
             tuple_bytes,
             spatial_bytes,
+            spatial_bits: ct.spatial.bits.len_bits(),
+            run_bits: None,
         }
+    }
+
+    /// [`StoredBytes::of`] with the spatial code split into unit-symbol
+    /// bits and run bits, by reading it under the `model` it was coded
+    /// with.
+    pub fn of_coded(model: &HscModel, ct: &CompressedTrajectory) -> Result<Self> {
+        Ok(StoredBytes {
+            run_bits: Some(model.run_cost(&ct.spatial)?.0),
+            ..Self::of(ct)
+        })
     }
 
     /// All stored bytes.
@@ -143,12 +166,19 @@ impl StoredBytes {
 
 impl std::iter::Sum for StoredBytes {
     fn sum<I: Iterator<Item = StoredBytes>>(iter: I) -> Self {
-        iter.fold(StoredBytes::default(), |a, b| StoredBytes {
+        let zero = StoredBytes {
+            run_bits: Some(0),
+            ..StoredBytes::default()
+        };
+        iter.fold(zero, |a, b| StoredBytes {
             trajectories: a.trajectories + b.trajectories,
             tuples: a.tuples + b.tuples,
             framing_bytes: a.framing_bytes + b.framing_bytes,
             tuple_bytes: a.tuple_bytes + b.tuple_bytes,
             spatial_bytes: a.spatial_bytes + b.spatial_bytes,
+            spatial_bits: a.spatial_bits + b.spatial_bits,
+            // Known for the sum only when known for every part.
+            run_bits: a.run_bits.zip(b.run_bits).map(|(a, b)| a + b),
         })
     }
 }
@@ -165,7 +195,15 @@ impl std::fmt::Display for StoredBytes {
             self.tuple_bytes,
             self.spatial_bytes,
             self.trajectories
-        )
+        )?;
+        match self.run_bits {
+            Some(run_bits) => write!(
+                f,
+                "; spatial code {} unit bits + {run_bits} run bits",
+                self.spatial_bits - run_bits
+            ),
+            None => Ok(()),
+        }
     }
 }
 

@@ -513,7 +513,8 @@ impl TrajectoryStore {
         let block_size = meta.get_len(u32::MAX as usize, "block size")?;
         let num_blocks = meta.get_len(u32::MAX as usize, "block")?;
         // The fixed-width records of earlier builds came with a `meta`
-        // that ends here; they must never be parsed as this format.
+        // that ends here; they, and format 2's run-less spatial codes,
+        // must never be parsed as this format.
         let record_format = if meta.remaining() == 0 {
             1
         } else {
@@ -1151,8 +1152,56 @@ mod tests {
         assert_eq!(short.framing_bytes, 4, "{short}");
     }
 
+    /// What the gap runs cost: held-out walks over the fixture's grid
+    /// (out-degree ≤ 4, so a turn is at most two bits) pay no more than
+    /// 2.2 bits per interior edge the stream spells out, and
+    /// `StoredBytes::of_coded` reports exactly those bits.
+    #[test]
+    fn gap_run_size_guard() {
+        use crate::spatial::node_link_tests::walks;
+        use crate::stats::StoredBytes;
+        let (press, _, compressed) = fixture();
+        let model = press.model();
+        let net = model.sp().network();
+        let held_out: Vec<CompressedTrajectory> = walks(net, 3, 40)
+            .iter()
+            .map(|path| CompressedTrajectory {
+                spatial: model.compress(path).unwrap(),
+                temporal: compressed[0].temporal.clone(),
+            })
+            .collect();
+        let (mut bits, mut edges) = (0, 0);
+        for ct in &held_out {
+            let (b, e) = model.run_cost(&ct.spatial).unwrap();
+            bits += b;
+            edges += e;
+        }
+        assert!(
+            edges > 100,
+            "the walks must carry runs: {edges} interior edges"
+        );
+        assert!(
+            bits as f64 <= 2.2 * edges as f64,
+            "{bits} run bits for {edges} interior edges"
+        );
+        let stored: StoredBytes = held_out
+            .iter()
+            .map(|ct| StoredBytes::of_coded(model, ct).unwrap())
+            .sum();
+        assert_eq!(stored.run_bits, Some(bits), "{stored}");
+        assert!(stored.spatial_bits > bits, "{stored}");
+        // The fixture's own trajectories are its training paths: no runs.
+        let trained: StoredBytes = compressed
+            .iter()
+            .map(|ct| StoredBytes::of_coded(model, ct).unwrap())
+            .sum();
+        assert_eq!(trained.run_bits, Some(0), "{trained}");
+    }
+
     /// `meta` names the record format: the 24-byte `meta` of earlier
-    /// builds is a typed error, never a mis-decode, and every single-byte
+    /// builds and the parent's format 2 (same records, but spatial codes
+    /// without gap runs) are typed errors, never a mis-decode, and every
+    /// single-byte
     /// mutation and every truncation of this build's `meta` — behind a
     /// valid CRC — is a typed error or a store that decodes the same.
     #[test]
@@ -1175,6 +1224,14 @@ mod tests {
         match with_meta(&meta[..24]) {
             Err(PressError::Store(StoreError::Corrupt(msg))) => {
                 assert!(msg.starts_with("record format 1"), "{msg}")
+            }
+            other => panic!("a format-1 meta must be a typed error, got {other:?}"),
+        }
+        let mut parent = meta.clone();
+        parent[24..28].copy_from_slice(&2u32.to_le_bytes());
+        match with_meta(&parent) {
+            Err(PressError::Store(StoreError::Corrupt(msg))) => {
+                assert!(msg.starts_with("record format 2"), "{msg}")
             }
             other => panic!("a parent-format meta must be a typed error, got {other:?}"),
         }

@@ -1718,18 +1718,14 @@ impl IngestEngine {
                         .collect();
                     let compressed = reformat(matcher.network(), piece.edges, &path_samples)
                         .and_then(|traj| {
-                            // Streaming form of `Press::compress`: online SP
-                            // reduction + `encode_sp_form`, online BTC. The
-                            // chunking proptests pin these bit-identical to
-                            // the batch pipeline.
-                            let mut spc = model.online_sp();
-                            let mut sp_form = Vec::with_capacity(traj.path.edges.len());
-                            for &e in &traj.path.edges {
-                                spc.push_into(e, &mut sp_form);
-                            }
-                            sp_form.extend(spc.finish());
+                            // `Press::compress` with the temporal half
+                            // streamed: the whole path is in hand, so HSC
+                            // is the batch call (it takes the gap runs
+                            // from the path); online BTC is pinned
+                            // bit-identical to the batch form by the
+                            // chunking proptests.
                             let spatial =
-                                model.encode_sp_form(&sp_form, press_config.decomposer)?;
+                                model.compress_with(&traj.path.edges, press_config.decomposer)?;
                             let mut btc = OnlineBtc::new(press_config.bounds);
                             let mut kept = Vec::with_capacity(traj.temporal.len());
                             for &p in &traj.temporal.points {

@@ -994,6 +994,205 @@ fn index_section_corruption_matrix() {
     ));
 }
 
+/// Corpus matrix over spatial codes that carry **gap runs** (held-out
+/// walks: the other fixtures here store their own training paths, whose
+/// gaps the model knows). Clean: the corpus round-trips, every stream
+/// reads back to its walk, indexed == linear == brute force. A bit flip
+/// in a block is the block CRC's. Behind a valid CRC, every single-bit
+/// change and every truncation of a run-carrying stream is a typed error
+/// (the record's padding check, or the stream reader's structure checks)
+/// or some other well-formed path — never a panic, never an unbounded
+/// walk — at `get`, `whereat`, `range` and `decompress` alike. And the
+/// parent's record format is refused by number.
+#[test]
+fn gap_run_corpus_corruption_matrix() {
+    use press_store::StoreError;
+    let net = net_from(6, 6, 0.15, 23);
+    let sp: Arc<dyn SpProvider> = Arc::new(SpTable::build(net.clone()));
+    let walks = |salt: u64, n: u64| -> Vec<Vec<EdgeId>> {
+        (0..n)
+            .map(|s| {
+                let choices: Vec<u8> = (0..16)
+                    .map(|i| ((s * 13 + i * 5 + salt) % 6) as u8)
+                    .collect();
+                walk_from_choices(&net, (s * 7 + salt) as u32, &choices)
+            })
+            .filter(|p| p.len() >= 4)
+            .collect()
+    };
+    let model = HscModel::train(sp, &walks(0, 20), 3).expect("train");
+    let press = Press::with_model(Arc::new(model), PressConfig::default());
+    let held_out = walks(4, 9);
+    let compressed: Vec<CompressedTrajectory> = held_out
+        .iter()
+        .enumerate()
+        .map(|(k, p)| {
+            let traj = Trajectory::new(
+                SpatialPath::new_unchecked(p.clone()),
+                TemporalSequence::new(vec![
+                    DtPoint::new(0.0, k as f64 * 100.0),
+                    DtPoint::new(net.path_weight(p), k as f64 * 100.0 + 90.0),
+                ])
+                .expect("temporal"),
+            );
+            press.compress(&traj).expect("compress")
+        })
+        .collect();
+    let model = press.model();
+    let engine = QueryEngine::new(model);
+    let (run_bits, run_edges) = compressed
+        .iter()
+        .map(|ct| model.run_cost(&ct.spatial).expect("run cost"))
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+    assert!(
+        run_bits > 0 && run_edges > 0,
+        "the corpus must carry gap runs"
+    );
+
+    // Clean.
+    let good = TrajectoryStore::to_store_bytes(&engine, &compressed, 3).expect("bytes");
+    let store = TrajectoryStore::from_store_bytes(good.clone()).expect("load");
+    assert_eq!(store.decode_all().expect("decode_all"), compressed);
+    let region = Mbr::new(-1e9, -1e9, 1e9, 1e9);
+    for (i, p) in held_out.iter().enumerate() {
+        let ct = store.get(i).expect("get");
+        assert_eq!(&model.decompress(&ct.spatial).expect("decompress"), p);
+    }
+    for (t1, t2) in [(0.0, 250.0), (300.0, 1000.0)] {
+        let brute: Vec<usize> = compressed
+            .iter()
+            .enumerate()
+            .filter(|(_, ct)| {
+                let (a, z) = ct.temporal.time_range().expect("range");
+                z >= t1 && a <= t2 && engine.range(ct, t1, t2, &region).expect("range")
+            })
+            .map(|(i, _)| i)
+            .collect();
+        assert!(!brute.is_empty());
+        assert_eq!(store.range(&engine, t1, t2, &region).expect("range"), brute);
+        assert_eq!(
+            store
+                .range_linear(&engine, t1, t2, &region)
+                .expect("linear"),
+            brute
+        );
+    }
+
+    // A flipped payload bit without the CRC to match.
+    let mut flipped = good.clone();
+    let n = flipped.len();
+    flipped[n - 3] ^= 0x04;
+    assert!(matches!(
+        TrajectoryStore::from_store_bytes(flipped).and_then(|s| s.get(compressed.len() - 1)),
+        Err(PressError::Store(StoreError::ChecksumMismatch { .. }))
+    ));
+
+    // Behind a valid CRC: the first run-carrying trajectory.
+    let victim = (0..compressed.len())
+        .find(|&i| model.run_cost(&compressed[i].spatial).expect("cost").0 > 0)
+        .expect("some trajectory carries a run");
+    let block = format!("blk{}", victim / 3);
+    let stream = compressed[victim].spatial.bits.to_bytes();
+    let len_bits = compressed[victim].spatial.bits.len_bits();
+    let payload = press_store::StoreFile::from_bytes(good.clone())
+        .expect("parse")
+        .section(&block)
+        .expect("the victim's block")
+        .to_vec();
+    let at = payload
+        .windows(stream.len())
+        .position(|w| w == stream)
+        .expect("the stream's bytes appear in its block");
+    let with_stream = |bytes: &[u8], len_byte: Option<u8>| {
+        let rewritten = rewrite_sections(&good, |name, payload| {
+            let mut payload = payload.to_vec();
+            if name == block {
+                payload[at..at + stream.len()].copy_from_slice(bytes);
+                if let Some(b) = len_byte {
+                    payload[at - 1] = b;
+                }
+            }
+            Some(payload)
+        });
+        TrajectoryStore::from_store_bytes(rewritten).expect("meta and synopsis are untouched")
+    };
+    assert_eq!(
+        with_stream(&stream, None).get(victim).expect("get"),
+        compressed[victim]
+    );
+    let mut outcomes = [0usize; 3];
+    let mut read = |store: TrajectoryStore| {
+        let typed = |e: &PressError| {
+            matches!(
+                e,
+                PressError::CorruptBitstream(_)
+                    | PressError::NoShortestPath(..)
+                    | PressError::Store(StoreError::Corrupt(_))
+                    | PressError::Store(StoreError::Truncated { .. })
+            )
+        };
+        let ct = match store.get(victim) {
+            Ok(ct) => ct,
+            Err(e) => {
+                assert!(typed(&e), "{e:?}");
+                outcomes[0] += 1;
+                return;
+            }
+        };
+        let path = model.decompress(&ct.spatial);
+        let point = store.whereat(&engine, victim, victim as f64 * 100.0 + 45.0);
+        let hits = store.range(&engine, 0.0, 250.0, &region);
+        match path {
+            Ok(edges) => {
+                assert!(edges.len() <= 4 * net.num_nodes() * len_bits as usize);
+                net.validate_path(&edges)
+                    .expect("a decoded path is connected");
+                point.expect("whereat on a well-formed stream");
+                hits.expect("range on a well-formed stream");
+                outcomes[1] += 1;
+            }
+            Err(e) => {
+                assert!(typed(&e), "{e:?}");
+                for e in [point.err(), hits.err()].into_iter().flatten() {
+                    assert!(typed(&e), "{e:?}");
+                }
+                outcomes[2] += 1;
+            }
+        }
+    };
+    for flip in 0..8 * stream.len() {
+        let mut bad = stream.clone();
+        bad[flip / 8] ^= 1 << (flip % 8);
+        read(with_stream(&bad, None));
+    }
+    // The bit count is the varint byte right before the stream (< 128
+    // bits here): every shorter count is a truncation of the grammar.
+    assert!(len_bits < 128 && payload[at - 1] == len_bits as u8);
+    for cut in (len_bits.saturating_sub(7)..len_bits).rev() {
+        read(with_stream(&stream, Some(cut as u8)));
+    }
+    let [at_record, other_path, at_stream] = outcomes;
+    assert!(
+        at_record > 0 && other_path > 0 && at_stream > 0,
+        "padding flips fail at the record, the rest read as another path or fail in the stream: {outcomes:?}"
+    );
+
+    // The parent wrote record format 2: same records, no runs.
+    let parent = rewrite_sections(&good, |name, payload| {
+        let mut payload = payload.to_vec();
+        if name == "meta" {
+            payload[24..28].copy_from_slice(&2u32.to_le_bytes());
+        }
+        Some(payload)
+    });
+    match TrajectoryStore::from_store_bytes(parent) {
+        Err(PressError::Store(StoreError::Corrupt(msg))) => {
+            assert!(msg.starts_with("record format 2"), "{msg}")
+        }
+        other => panic!("expected a typed record-format refusal, got {other:?}"),
+    }
+}
+
 /// End-to-end: a trajectory corpus written as a block store round-trips
 /// and answers queries identically to the in-memory compressed forms.
 #[test]
