@@ -148,6 +148,14 @@ enum Unit<'u> {
     Gap(EdgeId, EdgeId, &'u [EdgeId]),
 }
 
+/// A unit of [`QueryEngine::min_distance`], kept past the stream reader's
+/// visit: `node` is a Trie unit not expanded into `edges` yet.
+struct HeldUnit {
+    mbr: Mbr,
+    node: Option<TrieNodeId>,
+    edges: Vec<EdgeId>,
+}
+
 impl<'a> QueryEngine<'a> {
     /// Creates an engine over a trained model (paper-faithful linear
     /// temporal scans).
@@ -585,24 +593,25 @@ impl<'a> QueryEngine<'a> {
     /// the best distance found so far.
     pub fn min_distance(&self, a: &CompressedTrajectory, b: &CompressedTrajectory) -> Result<f64> {
         let net = self.model.sp().network();
-        let units_a = self.collect_units(&a.spatial)?;
-        let units_b = self.collect_units(&b.spatial)?;
+        let mut units_a = self.collect_units(&a.spatial)?;
+        let mut units_b = self.collect_units(&b.spatial)?;
         if units_a.is_empty() || units_b.is_empty() {
             return Err(PressError::EmptyPath);
         }
         let mut best = f64::INFINITY;
-        for (mbr_a, ea) in &units_a {
+        for ua in &mut units_a {
             // Prune whole rows by MBR distance.
             if units_b
                 .iter()
-                .all(|(mbr_b, _)| mbr_a.min_dist_to_mbr(mbr_b) >= best)
+                .all(|ub| ua.mbr.min_dist_to_mbr(&ub.mbr) >= best)
             {
                 continue;
             }
-            for (mbr_b, eb) in &units_b {
-                if mbr_a.min_dist_to_mbr(mbr_b) >= best {
+            for ub in &mut units_b {
+                if ua.mbr.min_dist_to_mbr(&ub.mbr) >= best {
                     continue;
                 }
+                let (ea, eb) = (self.held_edges(ua)?, self.held_edges(ub)?);
                 for &e1 in ea {
                     let (a1, a2) = (net.edge_start(e1), net.edge_end(e1));
                     for &e2 in eb {
@@ -639,18 +648,33 @@ impl<'a> QueryEngine<'a> {
         Ok(mbr)
     }
 
-    /// Collects each unit's MBR and edges for a compressed path (a gap's
-    /// interior is only lent while the stream reader stands on it, so
-    /// the edges are taken on the spot).
-    fn collect_units(&self, cs: &CompressedSpatial) -> Result<Vec<(Mbr, Vec<EdgeId>)>> {
+    /// Collects each unit's MBR for a compressed path, and of a unit only
+    /// what does not outlive the stream reader's visit: a gap's lent
+    /// interior is copied on the spot, a Trie node keeps its id.
+    fn collect_units(&self, cs: &CompressedSpatial) -> Result<Vec<HeldUnit>> {
         let mut units = Vec::new();
         self.for_each_unit(cs, |unit, len| {
-            let mut edges = Vec::new();
-            self.expand_unit_into(unit, &mut edges)?;
-            units.push((self.unit_mbr(unit, len), edges));
+            let (node, edges) = match unit {
+                Unit::Node(n) => (Some(n), Vec::new()),
+                Unit::Gap(_, _, interior) => (None, interior.to_vec()),
+            };
+            units.push(HeldUnit {
+                mbr: self.unit_mbr(unit, len),
+                node,
+                edges,
+            });
             Ok(false)
         })?;
         Ok(units)
+    }
+
+    /// The edges of a held unit, expanding a Trie node the first time a
+    /// pair it is in survives MBR pruning.
+    fn held_edges<'h>(&self, unit: &'h mut HeldUnit) -> Result<&'h [EdgeId]> {
+        if let Some(n) = unit.node.take() {
+            self.model.expand_node_into(n, &mut unit.edges)?;
+        }
+        Ok(&unit.edges)
     }
 }
 

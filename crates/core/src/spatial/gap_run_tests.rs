@@ -14,7 +14,7 @@ use crate::query::QueryEngine;
 use crate::spatial::bits::{BitStream, BitWriter};
 use crate::spatial::hsc::{CompressedSpatial, Decomposer, HscModel};
 use crate::spatial::node_link_tests::{knotted, net_of, walk, walks, witness_delta, CountingSp};
-use crate::spatial::sp::sp_compress;
+use crate::spatial::sp::{sp_compress, sp_decompress};
 use crate::spatial::trie::node_to_symbol;
 use press_network::{
     grid_network, EdgeId, GridConfig, Mbr, Point, RoadNetwork, RoadNetworkBuilder, SpBackend,
@@ -132,6 +132,46 @@ fn gap_run_read_path_makes_no_sp_call() {
             assert_eq!(seen.gap_runs == 0, trained, "{seen:?}");
         }
     }
+}
+
+/// Input that is not connected (two walks spliced end to end) is one
+/// behaviour, handed or fetched: the stream bridges the break with the
+/// shortest path, exactly what SP compression of the same input stands
+/// for, and the encoder fetches only the runs that start at a break.
+#[test]
+fn gap_run_unconnected_input_is_bridged_the_same_handed_or_fetched() {
+    let net = Arc::new(grid_network(&GridConfig {
+        nx: 8,
+        ny: 8,
+        weight_jitter: 0.15,
+        seed: 5,
+        ..GridConfig::default()
+    }));
+    let sp = SpBackend::Dense.build(net.clone());
+    let model = HscModel::train(sp.clone(), &walks(&net, 0, 30), 3).expect("train");
+    let held_out = walks(&net, 3, 30);
+    let mut fetched = 0;
+    for (x, y) in held_out.iter().zip(held_out.iter().skip(1)) {
+        for cut in [2, x.len() / 2, x.len() - 1] {
+            let spliced = [&x[..cut], &y[y.len() / 2..]].concat();
+            if net.consecutive(spliced[cut - 1], spliced[cut]) {
+                continue;
+            }
+            let spc = sp_compress(sp.as_ref(), &spliced);
+            let mut cs = None;
+            let seen = witness_delta(|| cs = Some(model.compress(&spliced).expect("compress")));
+            assert!(seen.sp_fallbacks <= 1, "{seen:?}");
+            fetched += seen.sp_fallbacks;
+            let cs = cs.unwrap();
+            let encoded = model.encode_sp_form(&spc, Decomposer::Greedy);
+            assert_eq!(cs.bits, encoded.expect("encode").bits);
+            assert_eq!(
+                model.decompress(&cs).expect("decompress"),
+                sp_decompress(sp.as_ref(), &spc).expect("reference")
+            );
+        }
+    }
+    assert!(fetched > 0, "no splice broke right after a kept edge");
 }
 
 /// `x → r0 → r1 → r2 → r0` (a ring of out-degree-1 nodes) and, apart

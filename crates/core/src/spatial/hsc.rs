@@ -638,9 +638,11 @@ impl HscModel {
 
     /// Compresses with an explicit decomposition strategy (used by the
     /// Fig. 11 greedy-vs-DP experiment). The runs the stream carries are
-    /// the slices of `path` the scan elided — no shortest-path call. A
-    /// `path` in which two kept neighbours are joined by nothing (it is
-    /// not connected there) is [`PressError::NoShortestPath`].
+    /// the slices of `path` the scan elided — no shortest-path call on a
+    /// connected `path`. Where `path` is not connected, the stream carries
+    /// the shortest path across the break, as [`HscModel::encode_sp_form`]
+    /// of its SP form would, or the call is
+    /// [`PressError::NoShortestPath`] when there is none.
     pub fn compress_with(
         &self,
         path: &[EdgeId],
@@ -702,8 +704,15 @@ impl HscModel {
                 if !net.consecutive(a, b) && self.known_link(a, b).is_none() {
                     let fetched;
                     let run = match handed {
-                        Some((path, kept)) => &path[kept[k - 1] + 1..kept[k]],
-                        None => {
+                        // Every elided edge precedes its successor in the
+                        // tree of `a`'s head, so a slice whose first step
+                        // leaves that head is the canonical interior; one
+                        // that does not (`path` is not connected right
+                        // after `a`) is fetched like a run never handed.
+                        Some((path, kept)) if net.consecutive(a, path[kept[k - 1] + 1]) => {
+                            &path[kept[k - 1] + 1..kept[k]]
+                        }
+                        _ => {
                             #[cfg(test)]
                             witness(|w| w.sp_fallbacks += 1);
                             let interior = self.sp.sp_interior(a, b);
@@ -712,9 +721,6 @@ impl HscModel {
                         }
                     };
                     self.write_run(a, b, run, &mut w)?;
-                    // Every elided edge is its successor's predecessor in
-                    // the tree of `a`'s head, so an elided run that starts
-                    // at that head is the canonical path, edge for edge.
                     debug_assert!(
                         handed.is_none() || self.sp.sp_interior(a, b).as_deref() == Some(run)
                     );
