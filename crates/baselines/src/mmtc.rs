@@ -51,7 +51,8 @@ pub struct MmtcTrajectory {
 }
 
 impl MmtcTrajectory {
-    /// Storage bytes under the DESIGN.md §4 model.
+    /// Storage bytes under the byte model of `press_core::stats` (4 B per
+    /// edge id, 4 B per timestamp).
     pub fn storage_bytes(&self) -> usize {
         self.edges.len() * 4 + self.times.len() * 4
     }

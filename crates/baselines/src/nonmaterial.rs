@@ -44,7 +44,8 @@ pub struct NonmaterialTrajectory {
 }
 
 impl NonmaterialTrajectory {
-    /// Storage bytes under the DESIGN.md §4 model.
+    /// Storage bytes under the byte model of `press_core::stats` (4 B per
+    /// edge id, 8 B per anchor).
     pub fn storage_bytes(&self) -> usize {
         self.edges.len() * 4 + self.anchors.len() * 8
     }

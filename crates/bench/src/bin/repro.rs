@@ -99,7 +99,7 @@ fn main() {
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
 
     eprintln!(
-        "Building environment (scale {scale:?}, seed {seed}); see DESIGN.md §5 for the experiment index…"
+        "Building environment (scale {scale:?}, seed {seed}); `repro --help` lists the experiments…"
     );
     let t0 = Instant::now();
     let env = Env::standard_sp_threads(scale, seed, backend, store, threads);

@@ -93,7 +93,7 @@ pub fn tsed_values(scale: Scale) -> Vec<f64> {
 /// Nonmaterial, plus the (TSED-independent) ZIP-like and RAR-like
 /// reference ratios.
 ///
-/// Axis mapping for PRESS (documented in DESIGN.md §5): Theorem 2 gives
+/// Axis mapping for PRESS: Theorem 2 gives
 /// TSND ≥ TSED, so bounding TSND at the TSED budget is conservative —
 /// τ = TSED and η = TSED / mean-speed. For Nonmaterial the tolerance *is*
 /// a synchronized network distance; for MMTC the length-deviation budget

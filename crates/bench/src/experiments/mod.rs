@@ -1,5 +1,5 @@
-//! One module per evaluation artifact of the paper's §6 (see DESIGN.md §5
-//! for the experiment index).
+//! One module per evaluation artifact of the paper's §6 (the experiment
+//! index is the crate documentation, `crates/bench/src/lib.rs`).
 
 pub mod comparative;
 pub mod misc;

@@ -2,10 +2,10 @@
 //!
 //! Experiment harness reproducing every table and figure of the PRESS
 //! paper's evaluation (§6) on the synthetic workload. The `repro` binary
-//! prints the same rows/series the paper plots; Criterion benches under
-//! `benches/` cover the micro-level timing claims.
+//! prints the same rows/series the paper plots. Performance numbers are
+//! not this crate's job: `press-benchmark` (`benchmark/`) measures them.
 //!
-//! Experiment index (matching DESIGN.md §5):
+//! Experiment index:
 //!
 //! | id | function | paper artifact |
 //! |----|----------|----------------|
@@ -23,10 +23,8 @@
 //! | extra  | [`experiments::train_size`], [`experiments::btc_vs_bopw`] | ablations |
 
 pub mod experiments;
-pub mod json;
 pub mod setup;
 pub mod table;
 
-pub use json::Json;
 pub use setup::{Env, Scale, StoreMode};
 pub use table::Table;

@@ -59,12 +59,8 @@
 //! reference path and [`TrajectoryStore::io_stats`] exposes how many
 //! block synopses were never even considered. The hierarchy is rebuilt
 //! from the synopses at every open (the build is deterministic and costs
-//! one pass over the block directory), so this writer does not persist
-//! it. A file that does carry the **additive** `"index"` section (see
-//! `docs/FORMATS.md`) is still validated: the loaded section must equal
-//! the rebuild bit-for-bit — an inconsistent one is
-//! [`StoreError::Corrupt`] at load, never a silently wrong
-//! (block-skipping) answer.
+//! one pass over the block directory) and is never persisted; `"index"`
+//! is a retired section name (see `docs/FORMATS.md`) that readers ignore.
 
 use crate::error::{PressError, Result};
 use crate::press::CompressedTrajectory;
@@ -355,16 +351,6 @@ impl BlockSynopsis {
     }
 }
 
-/// Rebuilds the packed hierarchy a block directory implies — the
-/// deterministic construction both the writer and the loader use, so
-/// equality with a persisted index is a validity proof.
-fn index_of(blocks: &[BlockSynopsis]) -> SynopsisIndex {
-    SynopsisIndex::build(
-        blocks.iter().map(|b| b.index_entry()).collect(),
-        DEFAULT_BRANCHING,
-    )
-}
-
 /// A block-oriented on-disk store of compressed trajectories; see the
 /// module docs for the skipping semantics.
 pub struct TrajectoryStore {
@@ -376,8 +362,7 @@ pub struct TrajectoryStore {
     /// Section-table slot of each `blk{b}`, resolved once at open.
     block_slots: Vec<usize>,
     /// Packed hierarchy over the block synopses, rebuilt from them at
-    /// open (and checked against the `"index"` section of a file that
-    /// carries one).
+    /// open.
     index: SynopsisIndex,
     blocks_decoded: AtomicU64,
     blocks_skipped: AtomicU64,
@@ -571,21 +556,10 @@ impl TrajectoryStore {
             });
         }
         r.expect_end("synopsis")?;
-        // The hierarchy is the deterministic rebuild from the validated
-        // block directory. A file that carries an index section must hold
-        // exactly that: bit-exact equality doubles as the full structural
-        // check (leaves equal the synopses, every interior entry is the
-        // exact union of its children), so a CRC-valid but logically
-        // inconsistent section is a typed error, never a skipped block.
-        let index = index_of(&blocks);
-        if file.has_section("index")
-            && SynopsisIndex::from_section_bytes(file.section("index")?)? != index
-        {
-            return Err(StoreError::Corrupt(
-                "index section is inconsistent with the block synopses".into(),
-            )
-            .into());
-        }
+        let index = SynopsisIndex::build(
+            blocks.iter().map(|b| b.index_entry()).collect(),
+            DEFAULT_BRANCHING,
+        );
         Ok(TrajectoryStore {
             file,
             block_size,

@@ -908,25 +908,14 @@ impl ContractionHierarchy {
         let mut sel: Vec<u32> = Vec::new();
         let mut stale_sel: Vec<u32> = Vec::new();
         let mut next_rank = 0u32;
-        let stats = std::env::var("CH_BUILD_STATS").is_ok();
-        let mut rounds = 0usize;
-        let mut prio_evals = n;
-        let mut sel_ms = 0.0f64;
-        let mut freshen_ms = 0.0f64;
-        let mut wit_ms = 0.0f64;
-        let mut commit_ms = 0.0f64;
         // Phase 0: one full parallel priority pass seeds every node.
-        let t0 = std::time::Instant::now();
         let counts = crate::parallel::work_steal_map_indexed(&seed, &mut scratch, |scr, _, &v| {
             ov.count_shortcuts(scr, NodeId(v))
         });
         for (&v, &c) in seed.iter().zip(&counts) {
             prio[v as usize] = ov.priority(NodeId(v), c);
         }
-        let seed_ms = t0.elapsed().as_secs_f64() * 1e3;
         while (next_rank as usize) < n {
-            rounds += 1;
-            let t0 = std::time::Instant::now();
             // Phases 1+2, fused: deterministic independent set — live
             // nodes whose (priority, id) key beats every live overlay
             // neighbor's — with lazy freshening. Candidates whose stored
@@ -956,8 +945,6 @@ impl ContractionHierarchy {
                 if stale_sel.is_empty() {
                     break;
                 }
-                let fr_t0 = std::time::Instant::now();
-                prio_evals += stale_sel.len();
                 let counts = crate::parallel::work_steal_map_indexed(
                     &stale_sel,
                     &mut scratch,
@@ -973,7 +960,6 @@ impl ContractionHierarchy {
                         ov.push_with_neighbors(v, &mut recheck, &mut recheck_mark);
                     }
                 }
-                freshen_ms += fr_t0.elapsed().as_secs_f64() * 1e3;
             }
             debug_assert!(!sel.is_empty(), "the global minimum is always selected");
             // Quality guard: contract only candidates whose priority is
@@ -995,16 +981,12 @@ impl ContractionHierarchy {
             for &v in &sel {
                 ov.selected[v as usize] = true;
             }
-            sel_ms += t0.elapsed().as_secs_f64() * 1e3;
-            let t0 = std::time::Instant::now();
             // Phase 3: definitive witness searches for the whole selected
             // set, in parallel, all against the same immutable overlay.
             let shortcut_lists =
                 crate::parallel::work_steal_map_indexed(&sel, &mut scratch, |scr, _, &v| {
                     ov.collect_shortcuts(scr, NodeId(v))
                 });
-            wit_ms += t0.elapsed().as_secs_f64() * 1e3;
-            let t0 = std::time::Instant::now();
             // Phase 4: sequential commit in ascending node id.
             for (&v, shortcuts) in sel.iter().zip(shortcut_lists) {
                 ov.contract(
@@ -1021,13 +1003,6 @@ impl ContractionHierarchy {
                 ov.selected[v as usize] = false;
                 is_cand[v as usize] = false;
             }
-            commit_ms += t0.elapsed().as_secs_f64() * 1e3;
-        }
-        if stats {
-            eprintln!(
-                "[ch build] {rounds} rounds, {prio_evals} priority evals, phases: seed {seed_ms:.0} ms, freshen {freshen_ms:.0} ms, select {:.0} ms, witness {wit_ms:.0} ms, commit {commit_ms:.0} ms",
-                sel_ms - freshen_ms
-            );
         }
         debug_assert_eq!(next_rank as usize, n);
 
@@ -2215,49 +2190,6 @@ mod tests {
         b.add_edge(v0, v1, 0.0).unwrap();
         let net = Arc::new(b.build());
         let _ = ContractionHierarchy::build(net);
-    }
-
-    #[test]
-    #[ignore = "perf smoke: run explicitly with --ignored --nocapture"]
-    fn large_grid_build_and_query_smoke() {
-        let nx = std::env::var("CH_SMOKE_NX")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(120usize);
-        let net = Arc::new(grid_network(&GridConfig {
-            nx,
-            ny: nx,
-            spacing: 160.0,
-            weight_jitter: 0.15,
-            removal_prob: 0.03,
-            seed: 3,
-        }));
-        let t0 = std::time::Instant::now();
-        let ch = ContractionHierarchy::build(net.clone());
-        let build = t0.elapsed();
-        let n = net.num_nodes() as u64;
-        let mut acc = 0.0f64;
-        let pairs = 200u64;
-        let t0 = std::time::Instant::now();
-        for i in 0..pairs {
-            let u = NodeId(((i * 6364136223846793005 + 1) % n) as u32);
-            let v = NodeId(((i * 1442695040888963407 + 7) % n) as u32);
-            let d = ch.node_dist(u, v);
-            if d.is_finite() {
-                acc += d;
-            }
-        }
-        let q = t0.elapsed();
-        println!(
-            "{} nodes: build {:.2?}, {} shortcuts, {:.1} MiB, {} queries in {:.2?} ({:.1} us/query), acc {acc:.0}",
-            net.num_nodes(),
-            build,
-            ch.num_shortcuts(),
-            ch.approx_bytes() as f64 / (1 << 20) as f64,
-            pairs,
-            q,
-            q.as_secs_f64() * 1e6 / pairs as f64
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! PRESS algorithms care about: bounded-degree planar-ish connectivity,
 //! heterogeneous edge weights (so shortest paths are non-trivial), and
 //! alternative routes between most origin–destination pairs (so detours and
-//! shortest-path compression are both exercised). See DESIGN.md §2.
+//! shortest-path compression are both exercised).
 
 use crate::geometry::Point;
 use crate::graph::{RoadNetwork, RoadNetworkBuilder};

@@ -2097,53 +2097,6 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    #[ignore = "perf smoke: run explicitly with --ignored --nocapture"]
-    fn large_grid_label_and_query_smoke() {
-        let nx = std::env::var("HL_SMOKE_NX")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(120usize);
-        let net = Arc::new(grid_network(&GridConfig {
-            nx,
-            ny: nx,
-            spacing: 160.0,
-            weight_jitter: 0.15,
-            removal_prob: 0.03,
-            seed: 3,
-        }));
-        let t0 = std::time::Instant::now();
-        let ch = ContractionHierarchy::build(net.clone());
-        let ch_build = t0.elapsed();
-        let t0 = std::time::Instant::now();
-        let hl = HubLabels::from_ch(&ch, 0);
-        let label_build = t0.elapsed();
-        let n = net.num_nodes() as u64;
-        let pairs = 2000u64;
-        let mut acc = 0.0f64;
-        let t0 = std::time::Instant::now();
-        for i in 0..pairs {
-            let u = NodeId(((i * 6364136223846793005 + 1) % n) as u32);
-            let v = NodeId(((i * 1442695040888963407 + 7) % n) as u32);
-            let d = hl.node_dist(u, v);
-            if d.is_finite() {
-                acc += d;
-            }
-        }
-        let q = t0.elapsed();
-        println!(
-            "{} nodes: ch build {:.2?}, labels {:.2?} (avg len {:.1}), {:.1} MiB, {} lookups in {:.2?} ({:.2} us/query), acc {acc:.0}",
-            net.num_nodes(),
-            ch_build,
-            label_build,
-            hl.avg_label_len(),
-            hl.approx_bytes() as f64 / (1 << 20) as f64,
-            pairs,
-            q,
-            q.as_secs_f64() * 1e6 / pairs as f64
-        );
-    }
 }
 
 #[cfg(test)]

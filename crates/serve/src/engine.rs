@@ -53,11 +53,8 @@
 //! checkpoint leftovers and are garbage-collected. The rebuilt engine
 //! is in the same state a clean run would reach after pushing exactly
 //! the acked prefix of each shard — the recovery proptests assert the
-//! resulting corpora are byte-identical. Directories written by the
-//! pre-shard format (a v1 manifest, un-suffixed artifact names) open
-//! with `shards == 1` and are migrated to the sharded naming by the
-//! next checkpoint; opening them with any other shard count — or a
-//! sharded directory with a different count — is a typed
+//! resulting corpora are byte-identical. Opening a directory with a
+//! shard count other than the one its manifest commits is a typed
 //! [`ServeError::Config`] (resharding is not supported).
 //!
 //! # Incremental checkpoints
@@ -1018,22 +1015,13 @@ fn recover_shard(
     config: &IngestConfig,
     io: Arc<dyn IoBackend>,
     generation: u64,
-    legacy: bool,
     k: usize,
     model: &HscModel,
 ) -> Result<ShardRecovery> {
-    let corpus_name = if legacy {
-        manifest::corpus_file_name(generation)
-    } else {
-        manifest::corpus_shard_file_name(generation, k as u32)
-    };
+    let corpus_name = manifest::corpus_shard_file_name(generation, k as u32);
     let (keys, finished, next_seg) = load_shard_corpus(&dir.join(corpus_name), model)?;
     let corpus_trajectories = finished.len();
-    let wal_name = if legacy {
-        manifest::wal_file_name(generation)
-    } else {
-        manifest::wal_shard_file_name(generation, k as u32)
-    };
+    let wal_name = manifest::wal_shard_file_name(generation, k as u32);
     let (wal, replay) = Wal::open_with(&dir.join(wal_name), io)?;
     let mut shard = Shard::new(wal, config, keys, finished, next_seg);
     let mut clock = f64::NEG_INFINITY;
@@ -1128,9 +1116,6 @@ pub struct IngestEngine {
     /// Committed checkpoint generation — names the live corpus/journal
     /// shard set (see [`crate::manifest`]).
     generation: u64,
-    /// True while the directory still has the pre-shard (v1 manifest,
-    /// un-suffixed names) layout; the next checkpoint migrates it.
-    legacy_layout: bool,
     shards: Vec<Shard>,
     /// Largest timestamp ever accepted on any shard — the observed
     /// stream clock that drives idle sweeps (never wall clock: replay
@@ -1189,35 +1174,21 @@ impl IngestEngine {
         }
         config.durability.validate().map_err(ServeError::Config)?;
         std::fs::create_dir_all(dir)?;
-        let (generation, legacy_layout) =
+        let generation =
             match manifest::read(dir).map_err(|e| ServeError::Manifest(e.to_string()))? {
                 Some(m) => {
-                    match m.shards {
-                        // A pre-shard directory: one implicit shard,
-                        // un-suffixed artifact names. Only a 1-shard
-                        // config may open it (the next checkpoint
-                        // migrates the naming); resharding is refused.
-                        None if config.shards != 1 => {
-                            return Err(ServeError::Config(format!(
-                                "directory has a legacy single-shard layout; open it with \
-                                 shards = 1 (got {}) — the next checkpoint migrates it",
-                                config.shards
-                            )));
-                        }
-                        Some(s) if s as usize != config.shards => {
-                            return Err(ServeError::Config(format!(
-                                "directory is committed with {s} ingest shards but the \
-                                 config asks for {}; resharding is not supported",
-                                config.shards
-                            )));
-                        }
-                        _ => {}
+                    if m.shards as usize != config.shards {
+                        return Err(ServeError::Config(format!(
+                            "directory is committed with {} ingest shards but the \
+                             config asks for {}; resharding is not supported",
+                            m.shards, config.shards
+                        )));
                     }
                     // Uncommitted leftovers of a checkpoint that crashed
                     // before its manifest rename (or a superseded generation
                     // whose cleanup was interrupted) are garbage.
                     manifest::gc(dir, m.generation)?;
-                    (m.generation, m.shards.is_none())
+                    m.generation
                 }
                 None => {
                     // Artifacts without a manifest mean the manifest was
@@ -1230,7 +1201,7 @@ impl IngestEngine {
                     }
                     manifest::commit_with(io.as_ref(), dir, 0, config.shards as u32)
                         .map_err(|e| ServeError::Manifest(e.to_string()))?;
-                    (0, false)
+                    0
                 }
             };
         // All shard journals replay in parallel on the shared
@@ -1240,15 +1211,7 @@ impl IngestEngine {
         let shard_ids: Vec<usize> = (0..config.shards).collect();
         let recovered: Vec<Result<ShardRecovery>> =
             work_steal_map_eager(&shard_ids, config.threads, |_, &k| {
-                recover_shard(
-                    dir,
-                    &config,
-                    io.clone(),
-                    generation,
-                    legacy_layout,
-                    k,
-                    press.model(),
-                )
+                recover_shard(dir, &config, io.clone(), generation, k, press.model())
             });
         let mut shards = Vec::with_capacity(config.shards);
         let mut max_time = f64::NEG_INFINITY;
@@ -1288,7 +1251,6 @@ impl IngestEngine {
             press,
             io,
             generation,
-            legacy_layout,
             shards,
             max_time,
             arrival_seq,
@@ -1787,9 +1749,9 @@ impl IngestEngine {
             let next_path = self
                 .dir
                 .join(manifest::corpus_shard_file_name(next, k as u32));
-            let prev_path = self.shard_corpus_path_at(self.generation, k);
+            let prev_path = self.shard_corpus_path(k);
             let shard = &self.shards[k];
-            if shard.dirty || self.legacy_layout || !prev_path.exists() {
+            if shard.dirty || !prev_path.exists() {
                 let extra = vec![(
                     INGEST_SECTION.to_string(),
                     encode_ingest_section(&shard.keys, &shard.next_seg),
@@ -1839,7 +1801,6 @@ impl IngestEngine {
         manifest::commit_with(self.io.as_ref(), &self.dir, next, self.config.shards as u32)
             .map_err(|e| ServeError::Manifest(e.to_string()))?;
         self.generation = next;
-        self.legacy_layout = false;
         for (k, wal) in new_wals.into_iter().enumerate() {
             let shard = &mut self.shards[k];
             shard.wal = wal;
@@ -1935,15 +1896,6 @@ impl IngestEngine {
         self.shards.len()
     }
 
-    fn shard_corpus_path_at(&self, gen: u64, shard: usize) -> PathBuf {
-        if self.legacy_layout && shard == 0 {
-            self.dir.join(manifest::corpus_file_name(gen))
-        } else {
-            self.dir
-                .join(manifest::corpus_shard_file_name(gen, shard as u32))
-        }
-    }
-
     /// Path of shard 0's published corpus file (current generation).
     /// With one shard this is the whole corpus; multi-shard readers
     /// should walk [`IngestEngine::shard_corpus_path`] over
@@ -1955,7 +1907,10 @@ impl IngestEngine {
 
     /// Path of `shard`'s published corpus file (current generation).
     pub fn shard_corpus_path(&self, shard: usize) -> PathBuf {
-        self.shard_corpus_path_at(self.generation, shard)
+        self.dir.join(manifest::corpus_shard_file_name(
+            self.generation,
+            shard as u32,
+        ))
     }
 
     /// Path of shard 0's journal (current generation).

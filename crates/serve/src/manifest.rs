@@ -39,11 +39,9 @@
 //! [8B magic "PRESSMFT"][u32 version=2][u64 generation][u32 shards][u32 crc32 of the first 24 bytes]
 //! ```
 //!
-//! Version 1 (pre-sharding, 24 bytes, still read) lacks the shard
-//! count; its artifacts use the legacy un-sharded names
-//! `corpus.<gen>.press` / `ingest.<gen>.wal` and behave as a single
-//! shard. The first checkpoint over a legacy directory migrates it to
-//! version 2 and sharded names atomically.
+//! Any other version — including the 24-byte pre-sharding version 1,
+//! which no writer in this tree has produced since sharding landed — is
+//! refused as an unsupported version.
 
 use press_store::crc32;
 use press_store::io::{self as store_io, IoBackend};
@@ -59,37 +57,15 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"PRESSMFT";
 pub const MANIFEST_VERSION: u32 = 2;
 /// Encoded length of a version-2 manifest in bytes.
 pub const MANIFEST_LEN: usize = 28;
-/// Encoded length of a legacy version-1 manifest in bytes.
-pub const MANIFEST_LEN_V1: usize = 24;
 
-/// The committed state a manifest names: a generation, and — for
-/// version 2 — how many ingest shards its artifact set has. `None`
-/// marks a legacy version-1 directory (un-sharded artifact names, one
-/// implicit shard).
+/// The committed state a manifest names: a generation and how many
+/// ingest shards its artifact set has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Manifest {
     /// The committed generation number.
     pub generation: u64,
-    /// Number of ingest shards, or `None` for a legacy v1 manifest.
-    pub shards: Option<u32>,
-}
-
-impl Manifest {
-    /// The shard count this manifest implies (a legacy manifest is one
-    /// shard).
-    pub fn shard_count(&self) -> u32 {
-        self.shards.unwrap_or(1)
-    }
-}
-
-/// Legacy (v1, un-sharded) corpus artifact name for `gen`.
-pub fn corpus_file_name(gen: u64) -> String {
-    format!("corpus.{gen}.press")
-}
-
-/// Legacy (v1, un-sharded) journal artifact name for `gen`.
-pub fn wal_file_name(gen: u64) -> String {
-    format!("ingest.{gen}.wal")
+    /// Number of ingest shards (at least 1).
+    pub shards: u32,
 }
 
 /// Corpus artifact name for shard `shard` of `gen`.
@@ -102,11 +78,10 @@ pub fn wal_shard_file_name(gen: u64, shard: u32) -> String {
     format!("ingest.{gen}.s{shard}.wal")
 }
 
-/// Parses a generation-stamped artifact name — legacy
-/// (`corpus.<gen>.press`, `ingest.<gen>.wal`) or sharded
-/// (`corpus.<gen>.s<k>.press`, `ingest.<gen>.s<k>.wal`) — returning
-/// its generation and shard (`None` for legacy names).
-pub fn artifact_parts(name: &str) -> Option<(u64, Option<u32>)> {
+/// Parses a generation-stamped artifact name
+/// (`corpus.<gen>.s<k>.press`, `ingest.<gen>.s<k>.wal`), returning its
+/// generation and shard.
+pub fn artifact_parts(name: &str) -> Option<(u64, u32)> {
     let rest = name
         .strip_prefix("corpus.")
         .and_then(|rest| rest.strip_suffix(".press"))
@@ -114,14 +89,12 @@ pub fn artifact_parts(name: &str) -> Option<(u64, Option<u32>)> {
             name.strip_prefix("ingest.")
                 .and_then(|rest| rest.strip_suffix(".wal"))
         })?;
-    match rest.split_once(".s") {
-        Some((gen, shard)) => Some((gen.parse().ok()?, Some(shard.parse().ok()?))),
-        None => Some((rest.parse().ok()?, None)),
-    }
+    let (gen, shard) = rest.split_once(".s")?;
+    Some((gen.parse().ok()?, shard.parse().ok()?))
 }
 
-/// The generation of a generation-stamped artifact name (legacy or
-/// sharded); see [`artifact_parts`].
+/// The generation of a generation-stamped artifact name; see
+/// [`artifact_parts`].
 pub fn artifact_generation(name: &str) -> Option<u64> {
     artifact_parts(name).map(|(gen, _)| gen)
 }
@@ -140,58 +113,38 @@ pub fn read(dir: &Path) -> io::Result<Option<Manifest>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    if bytes.len() != MANIFEST_LEN && bytes.len() != MANIFEST_LEN_V1 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "manifest is {} bytes, expected {MANIFEST_LEN} (v2) or {MANIFEST_LEN_V1} (v1)",
-                bytes.len()
-            ),
+    let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+    // Magic and version sit at the same offsets in every version, so a
+    // manifest of another version is named as such before this
+    // version's length and checksum layout are assumed.
+    if bytes.len() >= 12 && bytes[..8] == MANIFEST_MAGIC {
+        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        if version != MANIFEST_VERSION {
+            return invalid(format!(
+                "unsupported manifest version {version} (this build reads version \
+                 {MANIFEST_VERSION})"
+            ));
+        }
+    }
+    if bytes.len() != MANIFEST_LEN {
+        return invalid(format!(
+            "manifest is {} bytes, expected {MANIFEST_LEN}",
+            bytes.len()
         ));
     }
     if bytes[..8] != MANIFEST_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "manifest has bad magic",
-        ));
+        return invalid("manifest has bad magic".into());
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let body = bytes.len() - 4;
-    let stored_crc = u32::from_le_bytes(bytes[body..].try_into().expect("4 bytes"));
-    if crc32(&bytes[..body]) != stored_crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "manifest checksum mismatch",
-        ));
+    let stored_crc = u32::from_le_bytes(bytes[24..].try_into().expect("4 bytes"));
+    if crc32(&bytes[..24]) != stored_crc {
+        return invalid("manifest checksum mismatch".into());
     }
     let generation = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    match version {
-        1 if bytes.len() == MANIFEST_LEN_V1 => Ok(Some(Manifest {
-            generation,
-            shards: None,
-        })),
-        2 if bytes.len() == MANIFEST_LEN => {
-            let shards = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-            if shards == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "manifest names zero shards",
-                ));
-            }
-            Ok(Some(Manifest {
-                generation,
-                shards: Some(shards),
-            }))
-        }
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "unsupported manifest version {version} for {} bytes \
-                 (this build reads v1 and v{MANIFEST_VERSION})",
-                bytes.len()
-            ),
-        )),
+    let shards = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
+    if shards == 0 {
+        return invalid("manifest names zero shards".into());
     }
+    Ok(Some(Manifest { generation, shards }))
 }
 
 /// Atomically commits `gen` with `shards` ingest shards as the live
@@ -257,17 +210,10 @@ pub fn gc(dir: &Path, keep: u64) -> io::Result<()> {
 
 /// The committed journal path of shard `shard` — where a simulated
 /// kill must tear. A directory with no manifest resolves to generation
-/// 0 (a fresh engine commits generation 0 on first open); a legacy v1
-/// directory resolves shard 0 to its un-sharded journal name.
+/// 0 (a fresh engine commits generation 0 on first open).
 pub fn live_shard_wal_path(dir: &Path, shard: u32) -> io::Result<PathBuf> {
-    let manifest = read(dir)?;
-    let gen = manifest.map(|m| m.generation).unwrap_or(0);
-    let legacy = manifest.is_some_and(|m| m.shards.is_none());
-    if legacy && shard == 0 {
-        Ok(dir.join(wal_file_name(gen)))
-    } else {
-        Ok(dir.join(wal_shard_file_name(gen, shard)))
-    }
+    let gen = read(dir)?.map_or(0, |m| m.generation);
+    Ok(dir.join(wal_shard_file_name(gen, shard)))
 }
 
 /// [`live_shard_wal_path`] for shard 0 — the whole journal of a
@@ -296,7 +242,7 @@ mod tests {
             read(&dir).expect("read"),
             Some(Manifest {
                 generation: 0,
-                shards: Some(1)
+                shards: 1
             })
         );
         commit(&dir, 7, 3).expect("commit 7");
@@ -304,14 +250,11 @@ mod tests {
             read(&dir).expect("read"),
             Some(Manifest {
                 generation: 7,
-                shards: Some(3)
+                shards: 3
             })
         );
-        // GC keeps only the committed generation's artifacts — legacy
-        // and sharded names alike.
+        // GC keeps only the committed generation's artifacts.
         for name in [
-            corpus_file_name(6),
-            wal_file_name(6),
             corpus_shard_file_name(6, 1),
             wal_shard_file_name(6, 2),
             corpus_shard_file_name(7, 0),
@@ -323,8 +266,6 @@ mod tests {
             std::fs::write(dir.join(&name), b"x").expect("write");
         }
         gc(&dir, 7).expect("gc");
-        assert!(!dir.join(corpus_file_name(6)).exists());
-        assert!(!dir.join(wal_file_name(6)).exists());
         assert!(!dir.join(corpus_shard_file_name(6, 1)).exists());
         assert!(!dir.join(wal_shard_file_name(6, 2)).exists());
         assert!(!dir.join("MANIFEST.tmp").exists());
@@ -344,29 +285,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_manifest_reads_as_unsharded() {
-        let dir = tmp_dir("legacy");
-        // A hand-written v1 manifest: 24 bytes, version 1, gen 5.
-        let mut buf = Vec::with_capacity(MANIFEST_LEN_V1);
+    fn v1_manifest_is_an_unsupported_version() {
+        let dir = tmp_dir("v1");
+        // A well-formed pre-sharding manifest: 24 bytes, version 1,
+        // generation 5, valid checksum.
+        let mut buf = Vec::with_capacity(24);
         buf.extend_from_slice(&MANIFEST_MAGIC);
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&5u64.to_le_bytes());
         buf.extend_from_slice(&crc32(&buf).to_le_bytes());
         std::fs::write(dir.join(MANIFEST_FILE), &buf).expect("write");
-        let m = read(&dir).expect("read").expect("present");
-        assert_eq!(
-            m,
-            Manifest {
-                generation: 5,
-                shards: None
-            }
+        let err = read(&dir).expect_err("v1 must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unsupported manifest version 1"),
+            "{err}"
         );
-        assert_eq!(m.shard_count(), 1);
-        // Shard 0 of a legacy directory is the un-sharded journal.
-        assert_eq!(
-            live_wal_path(&dir).expect("live"),
-            dir.join(wal_file_name(5))
-        );
+        assert!(live_wal_path(&dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -383,8 +318,8 @@ mod tests {
         // Truncated manifest.
         std::fs::write(dir.join(MANIFEST_FILE), &good[..10]).expect("write");
         assert!(read(&dir).is_err());
-        // A v2-length manifest claiming version 1 (and vice versa) is
-        // typed, not misparsed.
+        // A v2-length manifest claiming another version is typed, not
+        // misparsed.
         let mut bad = good.clone();
         bad[8] = 1;
         let crc = crc32(&bad[..24]).to_le_bytes();
@@ -408,10 +343,11 @@ mod tests {
 
     #[test]
     fn artifact_names_parse_and_reject() {
-        assert_eq!(artifact_parts("corpus.0.press"), Some((0, None)));
-        assert_eq!(artifact_parts("ingest.42.wal"), Some((42, None)));
-        assert_eq!(artifact_parts("corpus.7.s2.press"), Some((7, Some(2))));
-        assert_eq!(artifact_parts("ingest.0.s11.wal"), Some((0, Some(11))));
+        assert_eq!(artifact_parts("corpus.7.s2.press"), Some((7, 2)));
+        assert_eq!(artifact_parts("ingest.0.s11.wal"), Some((0, 11)));
+        // Un-suffixed (pre-sharding) names are not artifacts.
+        assert_eq!(artifact_parts("corpus.0.press"), None);
+        assert_eq!(artifact_parts("ingest.42.wal"), None);
         assert_eq!(artifact_generation("corpus.7.s2.press"), Some(7));
         assert_eq!(artifact_parts("corpus.press"), None);
         assert_eq!(artifact_parts("ingest.x.wal"), None);

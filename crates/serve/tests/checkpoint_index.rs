@@ -1,21 +1,17 @@
 //! Checkpoint ↔ synopsis-index integration tests.
 //!
-//! A checkpoint persists no `index` section — every open rebuilds the
-//! hierarchy from the block synopses — so what must hold is that the
-//! indexed range path over a checkpointed and over a recovered corpus
-//! equals the linear path and brute force, that a corpus which does
-//! carry a consistent section recovers with identical answers, and that
-//! a logically corrupted one surfaces as a typed error at recovery —
-//! never a wrong answer.
+//! A checkpoint persists no index — every open rebuilds the hierarchy
+//! from the block synopses — so what must hold is that the indexed range
+//! path over a checkpointed and over a recovered corpus equals the
+//! linear path and brute force.
 
 use press_core::query::QueryEngine;
 use press_core::store::TrajectoryStore;
-use press_core::{BtcBounds, CompressedTrajectory, Press, PressConfig, PressError, QueryBatch};
+use press_core::{BtcBounds, CompressedTrajectory, Press, PressConfig};
 use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
 use press_network::{grid_network, GridConfig, Mbr, RoadNetwork, SpBackend};
-use press_serve::{Ack, Event, IngestConfig, IngestEngine, ServeError, SessionPolicy};
-use press_store::{IndexEntry, StoreError, StoreFile, StoreWriter, SynopsisIndex};
-use press_workload::{query_mix, QueryMixConfig, Workload, WorkloadConfig};
+use press_serve::{Ack, Event, IngestConfig, IngestEngine, SessionPolicy};
+use press_workload::{Workload, WorkloadConfig};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -119,40 +115,6 @@ fn checkpointed(dir: &std::path::Path) -> IngestEngine {
     engine
 }
 
-/// Rewrites the container at `path` with `index` injected as its
-/// `index` section (after `synopsis`).
-fn inject_index(path: &std::path::Path, index: Vec<u8>) {
-    let bytes = std::fs::read(path).expect("read corpus");
-    let file = StoreFile::from_bytes(bytes).expect("parse corpus");
-    let mut w = StoreWriter::new(file.kind());
-    for name in file.section_names() {
-        w.section(name, file.section(name).expect("section").to_vec());
-        if name == "synopsis" {
-            w.section("index", index.clone());
-        }
-    }
-    std::fs::write(path, w.to_bytes()).expect("rewrite corpus");
-}
-
-/// Answers a mixed query batch against the corpus at `path`.
-fn answers(path: &std::path::Path, press: &Press) -> Vec<press_core::StoreAnswer> {
-    let store = TrajectoryStore::open(path).expect("open store");
-    let engine = QueryEngine::new(press.model());
-    let mix = query_mix(&QueryMixConfig {
-        num_queries: 200,
-        seed: 11,
-        bbox: Mbr::new(0.0, 0.0, 1200.0, 1200.0),
-        t_min: 0.0,
-        t_max: 2000.0,
-        window_fraction: 0.1,
-        num_trajectories: store.len(),
-        ..QueryMixConfig::default()
-    });
-    QueryBatch::from_queries(mix)
-        .run(&store, &engine, 3)
-        .expect("batch")
-}
-
 /// Indexed == linear == brute force over `expected`, for a spread of
 /// windows and regions.
 fn assert_range_paths_agree(
@@ -214,75 +176,4 @@ fn indexed_equals_linear_equals_brute_force_after_checkpoint_and_recovery() {
     assert_eq!(reopened.finished(), finished);
     assert_eq!(reopened.recovery().corpus_trajectories, finished.len());
     assert_range_paths_agree(&reopened.corpus_path(), &f.press, &finished);
-}
-
-#[test]
-fn corpus_carrying_a_consistent_index_recovers_with_identical_answers() {
-    let f = fleet();
-    let dir = test_dir("carried");
-    let engine = checkpointed(&dir);
-    let corpus = engine.corpus_path();
-    let generation = engine.generation();
-    drop(engine);
-    let press = f.press.reconfigured(f.press.config());
-    let expected = answers(&corpus, &press);
-
-    // The file an index-persisting writer produced.
-    let index = TrajectoryStore::open(&corpus)
-        .expect("open")
-        .synopsis_index()
-        .to_section_bytes();
-    inject_index(&corpus, index);
-
-    assert_eq!(answers(&corpus, &press), expected);
-    let reopened = IngestEngine::open(
-        &dir,
-        Arc::clone(&f.matcher),
-        f.press.reconfigured(f.press.config()),
-        config(),
-    )
-    .expect("recovery over a corpus that carries its index");
-    assert_eq!(reopened.generation(), generation);
-}
-
-#[test]
-fn corrupted_index_is_a_typed_error_at_recovery() {
-    let f = fleet();
-    let dir = test_dir("corrupt");
-    let engine = checkpointed(&dir);
-    let corpus = engine.corpus_path();
-    drop(engine);
-
-    // CRC-valid but logically wrong index: one leaf too few.
-    let store = TrajectoryStore::open(&corpus).expect("open");
-    let idx = store.synopsis_index();
-    let leaves: Vec<IndexEntry> = (0..idx.num_leaves().saturating_sub(1))
-        .map(|i| *idx.leaf(i))
-        .collect();
-    inject_index(
-        &corpus,
-        SynopsisIndex::build(leaves, idx.branching()).to_section_bytes(),
-    );
-
-    let err = TrajectoryStore::open(&corpus).expect_err("wrong index must not load");
-    assert!(
-        matches!(err, PressError::Store(StoreError::Corrupt(_))),
-        "expected typed Corrupt error, got {err:?}"
-    );
-    let serve_err = match IngestEngine::open(
-        &dir,
-        Arc::clone(&f.matcher),
-        f.press.reconfigured(f.press.config()),
-        config(),
-    ) {
-        Ok(_) => panic!("recovery must reject a corrupted index"),
-        Err(e) => e,
-    };
-    assert!(
-        matches!(
-            serve_err,
-            ServeError::Press(PressError::Store(StoreError::Corrupt(_)))
-        ),
-        "expected typed Corrupt error, got {serve_err:?}"
-    );
 }

@@ -10,8 +10,9 @@
 //!
 //! Also here: the memory-budget/eviction determinism proptest (eviction
 //! order and corpus bytes identical across flush-worker counts, and
-//! reproduced exactly by journal replay) and the fleets-larger-than-
-//! memory budget test.
+//! reproduced exactly by journal replay), the fleets-larger-than-memory
+//! budget test, and the two clean-run invariances (flush-worker count,
+//! durability policy).
 
 use press_core::{BtcBounds, Press, PressConfig};
 use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
@@ -440,6 +441,66 @@ fn fleet_larger_than_memory_stays_bounded_and_recovers() {
         "eviction and the crash must be invisible in the corpus bytes"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The flush-worker count only parallelizes salvage matching: a clean,
+/// uninterrupted ingest publishes the same corpus bytes with 1, 2, 3 or
+/// 7 workers.
+#[test]
+fn published_corpus_is_flush_worker_count_invariant() {
+    let f = fleet();
+    let run = |threads: usize| {
+        let cfg = IngestConfig {
+            threads,
+            ..config()
+        };
+        reference_corpus(&format!("threads-{threads}"), cfg, &f.events)
+    };
+    let single = run(1);
+    for threads in [2usize, 3, 7] {
+        assert_eq!(
+            run(threads),
+            single,
+            "corpus at {threads} flush workers must be byte-identical to the 1-worker run"
+        );
+    }
+}
+
+/// A durability policy decides *when* the journal is fsynced and nothing
+/// else: syncing after every push and the group-commit default write the
+/// same journal bytes and publish the same corpus bytes.
+#[test]
+fn durability_policy_changes_neither_journal_nor_corpus() {
+    let f = fleet();
+    let run = |tag: &str, durability: DurabilityPolicy| {
+        let dir = test_dir(tag);
+        let cfg = IngestConfig {
+            durability,
+            ..config()
+        };
+        let mut engine =
+            IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+        for &(v, s) in &f.events {
+            engine.push(v, s).expect("push");
+        }
+        engine.sync().expect("covering sync");
+        let syncs = engine.stats().sync_calls;
+        let journal = std::fs::read(engine.wal_path()).expect("journal bytes");
+        let corpus = finish(&mut engine);
+        let _ = std::fs::remove_dir_all(&dir);
+        (syncs, journal, corpus)
+    };
+    let (syncs_pp, journal_pp, corpus_pp) = run("policy-per-push", DurabilityPolicy::per_push());
+    let (syncs_gc, journal_gc, corpus_gc) = run("policy-group", DurabilityPolicy::group_commit());
+    assert!(
+        syncs_pp > 10 * syncs_gc,
+        "the policies must differ in what they control: {syncs_pp} vs {syncs_gc} fsyncs"
+    );
+    assert_eq!(
+        journal_pp, journal_gc,
+        "sync policy leaked into the journal"
+    );
+    assert_eq!(corpus_pp, corpus_gc, "sync policy leaked into the corpus");
 }
 
 /// The deterministic seeded matrix the CI `disk-fault-smoke` job runs:

@@ -27,11 +27,9 @@
 //! returns **exactly** the leaves a linear scan with the same predicate
 //! would keep (tested below, and property-tested against the store's
 //! brute-force scan in `tests/query_serving.rs`). Construction from a
-//! given leaf sequence is deterministic, which is what lets a reader
-//! *validate* a persisted index by rebuilding it from the block
-//! directory and requiring bit-identical levels — a CRC-valid but
-//! logically inconsistent section is a typed [`StoreError::Corrupt`],
-//! never a wrong answer.
+//! given leaf sequence is deterministic and costs one pass over it, so
+//! the hierarchy is never persisted: every open rebuilds it from the
+//! block directory.
 //!
 //! # Example
 //!
@@ -51,14 +49,7 @@
 //! // A probe touching only leaf 2's rectangle and time span.
 //! let probe = IndexEntry::new(210.0, 10.0, 220.0, 20.0, 21.0, 29.0);
 //! assert_eq!(index.candidates(&probe), vec![2]);
-//!
-//! // Its serialized form round-trips and survives validation.
-//! let bytes = index.to_section_bytes();
-//! let loaded = SynopsisIndex::from_section_bytes(&bytes).unwrap();
-//! assert_eq!(loaded, index);
 //! ```
-
-use crate::{ByteReader, ByteWriter, Result, StoreError};
 
 /// Default fan-out of interior levels. Sixteen keeps the tree shallow
 /// (a million 64-trajectory blocks is four levels) while each pruning
@@ -189,11 +180,6 @@ impl SynopsisIndex {
         self.levels.len()
     }
 
-    /// Leaf entry `i` (block `i`'s synopsis).
-    pub fn leaf(&self, i: usize) -> &IndexEntry {
-        &self.levels[0][i]
-    }
-
     /// Ids of every leaf matching `probe`, ascending — exactly the set a
     /// linear scan of the leaf level with [`IndexEntry::matches`] keeps.
     /// Subtrees whose union entry misses the probe are pruned without
@@ -228,84 +214,6 @@ impl SynopsisIndex {
         for child in first..last {
             self.descend(level - 1, child, probe, out);
         }
-    }
-
-    /// Serializes the hierarchy for the additive `"index"` section of a
-    /// trajectory-store container: branching, leaf count, level count,
-    /// then each level's entry count and entries as six IEEE `f64` bit
-    /// patterns. Old readers ignore the section; new readers rebuild the
-    /// hierarchy when it is absent.
-    pub fn to_section_bytes(&self) -> Vec<u8> {
-        let total: usize = self.levels.iter().map(|l| l.len()).sum();
-        let mut w = ByteWriter::with_capacity(24 + self.levels.len() * 8 + total * 48);
-        w.put_u64(self.branching as u64);
-        w.put_u64(self.num_leaves() as u64);
-        w.put_u64(self.levels.len() as u64);
-        for level in &self.levels {
-            w.put_u64(level.len() as u64);
-            for e in level {
-                w.put_f64(e.min_x);
-                w.put_f64(e.min_y);
-                w.put_f64(e.max_x);
-                w.put_f64(e.max_y);
-                w.put_f64(e.t0);
-                w.put_f64(e.t1);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a serialized hierarchy, validating its structural shape
-    /// (level sizes must telescope by `branching`). This checks the
-    /// *encoding*; whether the decoded hierarchy is consistent with a
-    /// given block directory is the caller's job — compare against
-    /// [`SynopsisIndex::build`] of the directory's leaves (deterministic
-    /// construction makes that an equality test).
-    pub fn from_section_bytes(bytes: &[u8]) -> Result<SynopsisIndex> {
-        let mut r = ByteReader::new(bytes);
-        let branching = r.get_len(u32::MAX as usize, "index branching")?;
-        if branching < 2 {
-            return Err(StoreError::Corrupt(format!(
-                "index branching factor {branching} below 2"
-            )));
-        }
-        let num_leaves = r.get_len(u32::MAX as usize, "index leaf")?;
-        let num_levels = r.get_len(64, "index level")?;
-        if num_levels == 0 {
-            return Err(StoreError::Corrupt("index has no levels".into()));
-        }
-        let mut levels = Vec::with_capacity(num_levels);
-        let mut expected = num_leaves;
-        for l in 0..num_levels {
-            let count = r.get_len(num_leaves.max(1), "index entry")?;
-            if count != expected {
-                return Err(StoreError::Corrupt(format!(
-                    "index level {l} holds {count} entries, expected {expected}"
-                )));
-            }
-            let mut level = Vec::with_capacity(count);
-            for _ in 0..count {
-                level.push(IndexEntry {
-                    min_x: r.get_f64()?,
-                    min_y: r.get_f64()?,
-                    max_x: r.get_f64()?,
-                    max_y: r.get_f64()?,
-                    t0: r.get_f64()?,
-                    t1: r.get_f64()?,
-                });
-            }
-            levels.push(level);
-            expected = expected.div_ceil(branching);
-        }
-        let top_len = levels.last().expect("at least one level").len();
-        if top_len > branching {
-            return Err(StoreError::Corrupt(format!(
-                "index top level holds {top_len} entries, more than the branching factor \
-                 {branching}"
-            )));
-        }
-        r.expect_end("index")?;
-        Ok(SynopsisIndex { branching, levels })
     }
 }
 
@@ -444,50 +352,5 @@ mod tests {
         assert!(!a.matches(&IndexEntry::new(10.1, 0.0, 20.0, 10.0, 0.0, 5.0)));
         // Disjoint in time only.
         assert!(!a.matches(&IndexEntry::new(0.0, 0.0, 10.0, 10.0, 5.1, 9.0)));
-    }
-
-    #[test]
-    fn section_roundtrip_is_bit_identical() {
-        let mut rng = Xs(29);
-        for &n in &[0usize, 1, 16, 77, 400] {
-            let index = SynopsisIndex::build(random_leaves(&mut rng, n), 5);
-            let loaded = SynopsisIndex::from_section_bytes(&index.to_section_bytes()).unwrap();
-            assert_eq!(loaded, index);
-        }
-    }
-
-    #[test]
-    fn malformed_sections_are_typed() {
-        let mut rng = Xs(43);
-        let index = SynopsisIndex::build(random_leaves(&mut rng, 40), 4);
-        let bytes = index.to_section_bytes();
-        // Truncation at every boundary is Truncated or Corrupt.
-        for cut in 0..bytes.len() {
-            assert!(
-                SynopsisIndex::from_section_bytes(&bytes[..cut]).is_err(),
-                "cut {cut} accepted"
-            );
-        }
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(matches!(
-            SynopsisIndex::from_section_bytes(&long),
-            Err(StoreError::Corrupt(_))
-        ));
-        // Branching below 2.
-        let mut bad = bytes.clone();
-        bad[..8].copy_from_slice(&1u64.to_le_bytes());
-        assert!(matches!(
-            SynopsisIndex::from_section_bytes(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
-        // Level-size mismatch: claim one more leaf than level 0 holds.
-        let mut bad = bytes;
-        bad[8..16].copy_from_slice(&41u64.to_le_bytes());
-        assert!(matches!(
-            SynopsisIndex::from_section_bytes(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
     }
 }

@@ -78,9 +78,9 @@
 //! assert_eq!(f.section("payload").unwrap(), &[1, 2, 3]);
 //! ```
 //!
-//! The [`SynopsisIndex`] module layers a packed block-skipping
-//! hierarchy on top of this container (the trajectory store's
-//! additive `"index"` section); see [`index`] for its format and
+//! The [`index`] module holds [`SynopsisIndex`], the packed
+//! block-skipping hierarchy the trajectory store rebuilds over its
+//! block directory at every open; see it for the shape and the
 //! correctness contract.
 
 use std::borrow::Cow;

@@ -1,4 +1,5 @@
-//! Dataset assembly: the Singapore-taxi stand-in (DESIGN.md §2).
+//! Dataset assembly: the Singapore-taxi stand-in (see the crate docs for
+//! the properties it reproduces).
 //!
 //! A [`Workload`] is a deterministic, seeded collection of
 //! [`TrajectoryRecord`]s over one road network. Each record carries its

@@ -3,7 +3,7 @@
 //! Synthetic trajectory workload generator standing in for the Singapore
 //! taxi dataset of the PRESS paper (465k trajectories, January 2011 — not
 //! publicly available). The generator reproduces the statistical
-//! properties the PRESS algorithms exploit (DESIGN.md §2):
+//! properties the PRESS algorithms exploit:
 //!
 //! * trips follow **mostly shortest paths** with occasional detours
 //!   ([`trips`]) → SP compression has bite;

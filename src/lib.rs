@@ -5,7 +5,8 @@
 //! the road-network substrate, an HMM map matcher, the two published
 //! baselines (MMTC, Nonmaterial), ZIP/RAR-like byte compressors, a
 //! synthetic taxi workload, and an experiment harness regenerating every
-//! table and figure of the paper (see `DESIGN.md` / `EXPERIMENTS.md`).
+//! table and figure of the paper (the experiment index is the crate
+//! documentation of `press-bench`, `crates/bench/src/lib.rs`).
 //!
 //! ## Quickstart
 //!

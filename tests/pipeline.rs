@@ -347,3 +347,113 @@ fn lazy_backend_reproduces_dense_pipeline_bit_for_bit() {
     // The lazy cache stayed within its configured bound the whole time.
     assert!(lazy.sp.approx_bytes() <= 64 * dense.net.num_nodes() * 16 + (1 << 20));
 }
+
+#[test]
+fn every_backend_and_every_loaded_form_agrees_at_1024_nodes() {
+    // Backend identity at a size the 6x6 and 10x10 fixtures cannot
+    // reach: on one jittered 32x32 grid the dense table, the lazy cache,
+    // a fresh CH and HL, and the CH and HL read back from their saved
+    // files (owned load and mapped open) must train the same model
+    // bytes, compress to the same bits and decompress to the same paths,
+    // and agree bit for bit on sampled distances and interior walks.
+    let net = Arc::new(grid_network(&GridConfig {
+        nx: 32,
+        ny: 32,
+        spacing: 160.0,
+        weight_jitter: 0.15,
+        removal_prob: 0.03,
+        seed: 3,
+    }));
+    let dense = SpBackend::Dense.build(net.clone());
+    let ch = ContractionHierarchy::build(net.clone());
+    let hl = HubLabels::from_ch(&ch, 2);
+    let dir = std::env::temp_dir().join(format!("press-pipeline-1024-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (ch_path, hl_path) = (dir.join("sp_ch.press"), dir.join("sp_hl.press"));
+    ch.save_to(&ch_path).expect("save ch");
+    hl.save_to(&hl_path).expect("save hl");
+    let others: Vec<(&str, Arc<dyn SpProvider>)> = vec![
+        (
+            "lazy",
+            SpBackend::Lazy { capacity_trees: 64 }.build(net.clone()),
+        ),
+        ("ch", Arc::new(ch)),
+        ("hl", Arc::new(hl)),
+        (
+            "loaded ch",
+            Arc::new(ContractionHierarchy::load_from(net.clone(), &ch_path).expect("load ch")),
+        ),
+        (
+            "mapped ch",
+            Arc::new(ContractionHierarchy::open_mapped(net.clone(), &ch_path).expect("map ch")),
+        ),
+        (
+            "loaded hl",
+            Arc::new(HubLabels::load_from(net.clone(), &hl_path).expect("load hl")),
+        ),
+        (
+            "mapped hl",
+            Arc::new(HubLabels::open_mapped(net.clone(), &hl_path).expect("map hl")),
+        ),
+    ];
+
+    let workload = Workload::generate(
+        net.clone(),
+        dense.clone(),
+        WorkloadConfig {
+            num_trajectories: 45,
+            seed: 3,
+            min_trip_edges: 20,
+            ..WorkloadConfig::default()
+        },
+    );
+    let split = workload.records.len() / 3;
+    assert!(split >= 5, "fixture produced too few trips");
+    let training: Vec<_> = workload.records[..split]
+        .iter()
+        .map(|r| r.path.clone())
+        .collect();
+    let trajs: Vec<_> = workload.records[split..]
+        .iter()
+        .map(|r| r.truth_trajectory(30.0))
+        .collect();
+    let pipeline = |sp: &Arc<dyn SpProvider>| {
+        let press = Press::train(sp.clone(), &training, PressConfig::default()).expect("train");
+        let compressed = press.compress_batch(&trajs, 2).expect("compress");
+        let paths: Vec<_> = compressed
+            .iter()
+            .map(|ct| press.decompress(ct).expect("decompress").path)
+            .collect();
+        (press.model().to_store_bytes(), compressed, paths)
+    };
+    let reference = pipeline(&dense);
+    for (traj, path) in trajs.iter().zip(&reference.2) {
+        assert_eq!(&traj.path, path, "HSC must be lossless");
+    }
+
+    let n = net.num_nodes() as u32;
+    let m = net.num_edges() as u32;
+    for (name, sp) in &others {
+        assert!(
+            pipeline(sp) == reference,
+            "{name}: model bytes, compressed bits or decompressed paths differ from dense"
+        );
+        for k in 0..64u32 {
+            let (u, v) = (NodeId(k * 7919 % n), NodeId(k * 104_729 % n));
+            assert_eq!(
+                sp.node_dist(u, v).to_bits(),
+                dense.node_dist(u, v).to_bits(),
+                "{name}: node_dist({u}, {v})"
+            );
+            let (a, b) = (EdgeId(k * 7919 % m), EdgeId(k * 104_729 % m));
+            assert_eq!(
+                sp.sp_interior(a, b),
+                dense.sp_interior(a, b),
+                "{name}: sp_interior({}, {})",
+                a.0,
+                b.0
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

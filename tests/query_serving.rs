@@ -141,17 +141,17 @@ fn canon(a: &StoreAnswer) -> StoreAnswer {
     }
 }
 
-/// The mixed query workload for a corpus of `n` trajectories, plus
-/// hand-picked edge probes (out-of-range ids, reversed/degenerate
-/// windows, far-future windows).
-fn queries_for(n: usize, seed: u64) -> Vec<StoreQuery> {
+/// The mixed query workload for a corpus of `n` trajectories observed
+/// within `[0, t_max]`, plus hand-picked edge probes (out-of-range ids,
+/// reversed/degenerate windows, far-future windows).
+fn queries_for(n: usize, seed: u64, t_max: f64) -> Vec<StoreQuery> {
     let mut qs = query_mix(&QueryMixConfig {
         num_queries: 40,
         seed,
         range_fraction: if n == 0 { 1.0 } else { 0.5 },
         bbox: Mbr::new(0.0, 0.0, 600.0, 600.0),
         t_min: 0.0,
-        t_max: 1500.0,
+        t_max,
         window_fraction: 0.05,
         region_fraction: 0.4,
         miss_fraction: 0.25,
@@ -184,14 +184,20 @@ fn queries_for(n: usize, seed: u64) -> Vec<StoreQuery> {
     qs
 }
 
-fn check_store(press: &Press, cts: &[CompressedTrajectory], block_size: usize, seed: u64) {
+fn check_store(
+    press: &Press,
+    cts: &[CompressedTrajectory],
+    block_size: usize,
+    seed: u64,
+    t_max: f64,
+) -> TrajectoryStore {
     let engine = QueryEngine::new(press.model());
     let store = TrajectoryStore::from_store_bytes(
         TrajectoryStore::to_store_bytes(&engine, cts, block_size).expect("store bytes"),
     )
     .expect("store load");
     assert_eq!(store.len(), cts.len());
-    let qs = queries_for(cts.len(), seed);
+    let qs = queries_for(cts.len(), seed, t_max);
     let batch = QueryBatch::from_queries(qs.clone());
     let reference = batch.run(&store, &engine, 1).expect("batch");
     // 1 worker == 2 == 3 == 7, bit-for-bit.
@@ -216,6 +222,7 @@ fn check_store(press: &Press, cts: &[CompressedTrajectory], block_size: usize, s
             );
         }
     }
+    store
 }
 
 proptest! {
@@ -234,7 +241,7 @@ proptest! {
     ) {
         let stagger = [0.0, 30.0, 400.0][stagger_sel as usize];
         let (press, cts) = corpus(n, tied == 1, stagger, seed);
-        check_store(&press, &cts, block_size, seed);
+        check_store(&press, &cts, block_size, seed, 1500.0);
     }
 }
 
@@ -242,14 +249,14 @@ proptest! {
 #[test]
 fn empty_store_serves() {
     let (press, cts) = corpus(0, false, 0.0, 3);
-    check_store(&press, &cts, 4, 3);
+    check_store(&press, &cts, 4, 3, 1500.0);
 }
 
 /// Single-block store (block_size > n): the hierarchy is one leaf.
 #[test]
 fn single_block_store_serves() {
     let (press, cts) = corpus(7, false, 120.0, 5);
-    check_store(&press, &cts, 64, 5);
+    check_store(&press, &cts, 64, 5, 1500.0);
 }
 
 /// All-tied MBRs and time spans: the index can skip nothing, but must
@@ -257,5 +264,23 @@ fn single_block_store_serves() {
 #[test]
 fn all_tied_corpus_serves() {
     let (press, cts) = corpus(18, true, 0.0, 8);
-    check_store(&press, &cts, 3, 8);
+    check_store(&press, &cts, 3, 8, 1500.0);
+}
+
+/// A corpus deep enough that the hierarchy has interior levels above
+/// interior levels: the same few routes showing up across the day at
+/// 30 s offsets, so blocks are clustered in time the way ingest lays
+/// them down, probed across the whole horizon. Every pruned subtree must
+/// hold no answer.
+#[test]
+fn four_level_index_serves() {
+    let n = 8300;
+    let (press, cts) = corpus(n, false, 30.0, 11);
+    let store = check_store(&press, &cts, 2, 11, n as f64 * 30.0 + 90.0);
+    assert!(store.synopsis_index().num_levels() >= 4);
+    let (decoded, skipped) = store.io_stats();
+    assert!(
+        skipped > 10 * decoded,
+        "selective probes must skip most blocks ({decoded} decoded, {skipped} skipped)"
+    );
 }

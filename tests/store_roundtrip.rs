@@ -885,115 +885,6 @@ fn trajectory_store_open_rejects_empty_and_torn_directory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Index-section matrix. The writer persists no synopsis index — the
-/// loader rebuilds it from the block directory — so the matrix injects
-/// one: the consistent section loads and answers identically; a bit flip
-/// inside it is a CRC failure; a CRC-valid but logically wrong one is a
-/// typed `Corrupt` error, never a skipped block. With or without the
-/// section, indexed == linear == brute force.
-#[test]
-fn index_section_corruption_matrix() {
-    use press_store::{IndexEntry, StoreError, StoreFile, StoreWriter, SynopsisIndex};
-    let net = net_from(5, 5, 0.1, 19);
-    let sp: Arc<dyn SpProvider> = Arc::new(SpTable::build(net.clone()));
-    let mut training = Vec::new();
-    for s in 0..16u64 {
-        let choices: Vec<u8> = (0..10).map(|i| ((s * 9 + i * 5) % 5) as u8).collect();
-        let p = walk_from_choices(&net, (s * 3) as u32, &choices);
-        if p.len() >= 3 {
-            training.push(p);
-        }
-    }
-    let model = HscModel::train(sp, &training, 3).expect("train");
-    let press = Press::with_model(Arc::new(model), PressConfig::default());
-    let compressed: Vec<CompressedTrajectory> = training
-        .iter()
-        .enumerate()
-        .map(|(k, p)| {
-            let total: f64 = p.iter().map(|&e| net.weight(e)).sum();
-            let traj = Trajectory::new(
-                SpatialPath::new_unchecked(p.clone()),
-                TemporalSequence::new(vec![
-                    DtPoint::new(0.0, k as f64 * 200.0),
-                    DtPoint::new(total, k as f64 * 200.0 + 80.0),
-                ])
-                .expect("temporal"),
-            );
-            press.compress(&traj).expect("compress")
-        })
-        .collect();
-    let engine = QueryEngine::new(press.model());
-    let good = TrajectoryStore::to_store_bytes(&engine, &compressed, 3).expect("bytes");
-    let store = TrajectoryStore::from_store_bytes(good.clone()).expect("load");
-    let region = Mbr::new(-1e9, -1e9, 1e9, 1e9);
-    let windows = [(0.0, 700.0), (650.0, 1500.0), (2990.0, 3010.0), (1e6, 2e6)];
-    let agrees_with_brute_force = |store: &TrajectoryStore| {
-        for (t1, t2) in windows {
-            let brute: Vec<usize> = compressed
-                .iter()
-                .enumerate()
-                .filter(|(_, ct)| {
-                    let (a, z) = ct.temporal.time_range().expect("range");
-                    z >= t1 && a <= t2 && engine.range(ct, t1, t2, &region).expect("range")
-                })
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(store.range(&engine, t1, t2, &region).expect("range"), brute);
-            assert_eq!(
-                store
-                    .range_linear(&engine, t1, t2, &region)
-                    .expect("linear"),
-                brute
-            );
-        }
-    };
-    agrees_with_brute_force(&store);
-
-    // The container with `index` injected after `synopsis`.
-    let with_index = |index: Vec<u8>| -> Vec<u8> {
-        let file = StoreFile::from_bytes(good.clone()).expect("parse");
-        let mut w = StoreWriter::new(file.kind());
-        for name in file.section_names() {
-            w.section(name, file.section(name).expect("section").to_vec());
-            if name == "synopsis" {
-                w.section("index", index.clone());
-            }
-        }
-        w.to_bytes()
-    };
-
-    // 1. The consistent section is validated and changes nothing.
-    let index_payload = store.synopsis_index().to_section_bytes();
-    let carried = with_index(index_payload.clone());
-    let old = TrajectoryStore::from_store_bytes(carried.clone()).expect("a carried index loads");
-    assert_eq!(old.synopsis_index(), store.synopsis_index());
-    agrees_with_brute_force(&old);
-
-    // 2. Bit flip inside the index payload: the section CRC catches it.
-    let pos = carried
-        .windows(index_payload.len())
-        .position(|w| w == index_payload)
-        .expect("index payload must appear in the file");
-    let mut flipped = carried;
-    flipped[pos + index_payload.len() / 2] ^= 0x10;
-    match TrajectoryStore::from_store_bytes(flipped) {
-        Err(PressError::Store(StoreError::ChecksumMismatch { section })) => {
-            assert_eq!(section, "index")
-        }
-        other => panic!("expected index checksum mismatch, got {other:?}"),
-    }
-
-    // 3. CRC-valid but logically wrong index (one leaf dropped): typed
-    //    Corrupt, never a silently wrong answer.
-    let idx = store.synopsis_index();
-    let leaves: Vec<IndexEntry> = (0..idx.num_leaves() - 1).map(|i| *idx.leaf(i)).collect();
-    let wrong = with_index(SynopsisIndex::build(leaves, idx.branching()).to_section_bytes());
-    assert!(matches!(
-        TrajectoryStore::from_store_bytes(wrong),
-        Err(PressError::Store(StoreError::Corrupt(_)))
-    ));
-}
-
 /// Corpus matrix over spatial codes that carry **gap runs** (held-out
 /// walks: the other fixtures here store their own training paths, whose
 /// gaps the model knows). Clean: the corpus round-trips, every stream
