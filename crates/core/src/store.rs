@@ -351,6 +351,22 @@ impl BlockSynopsis {
     }
 }
 
+/// `blk{b}`, the section name of block `b`.
+fn block_name(b: usize) -> String {
+    format!("blk{b}")
+}
+
+/// The `b` of a section named [`block_name`]`(b)`, spelled exactly as
+/// the writer spells it (no sign, no leading zero); `None` for any other
+/// name.
+fn block_index(name: &str) -> Option<usize> {
+    let digits = name.strip_prefix("blk")?;
+    if !digits.bytes().all(|c| c.is_ascii_digit()) || (digits.starts_with('0') && digits != "0") {
+        return None;
+    }
+    digits.parse().ok()
+}
+
 /// A block-oriented on-disk store of compressed trajectories; see the
 /// module docs for the skipping semantics.
 pub struct TrajectoryStore {
@@ -453,7 +469,7 @@ impl TrajectoryStore {
             w.section(&name, payload);
         }
         for (b, payload) in payloads.into_iter().enumerate() {
-            w.section(&format!("blk{b}"), payload);
+            w.section(&block_name(b), payload);
         }
         Ok(w.to_bytes())
     }
@@ -521,7 +537,19 @@ impl TrajectoryStore {
         }
         let mut r = file.reader("synopsis")?;
         let mut blocks = Vec::with_capacity(num_blocks);
-        let mut block_slots = Vec::with_capacity(num_blocks);
+        // Every block's section, resolved in one pass over the table (a
+        // lookup per block would be a binary search per block). File
+        // order, so the first of (malformed) duplicate names wins, as in
+        // `section_slot`; a table shorter than the block count is missing
+        // some block, which the loop below reports.
+        let mut block_slots = vec![usize::MAX; num_blocks.min(file.section_count())];
+        for (slot, name) in file.section_names().enumerate() {
+            if let Some(s) = block_index(name).and_then(|b| block_slots.get_mut(b)) {
+                if *s == usize::MAX {
+                    *s = slot;
+                }
+            }
+        }
         for b in 0..num_blocks {
             let mbr = Mbr {
                 min_x: r.get_f64()?,
@@ -542,10 +570,8 @@ impl TrajectoryStore {
                 ))
                 .into());
             }
-            let name = format!("blk{b}");
-            match file.section_slot(&name) {
-                Some(slot) => block_slots.push(slot),
-                None => return Err(StoreError::MissingSection(name).into()),
+            if block_slots.get(b).is_none_or(|&s| s == usize::MAX) {
+                return Err(StoreError::MissingSection(block_name(b)).into());
             }
             blocks.push(BlockSynopsis {
                 mbr,
@@ -1082,6 +1108,14 @@ mod tests {
             press.model().fingerprint(),
             "meta names the model the corpus was coded under"
         );
+        // An open resolves block sections by parsing the names the writer
+        // spells, and nothing else.
+        for b in [0, 7, 10, 99, 12_499, usize::MAX] {
+            assert_eq!(block_index(&block_name(b)), Some(b));
+        }
+        for name in ["blk", "blk01", "blk+1", "blk-0", "blk1x", "Blk1", "meta"] {
+            assert_eq!(block_index(name), None, "{name}");
+        }
     }
 
     /// A point read decodes the same trajectory `decode_all` puts at that
@@ -1365,11 +1399,12 @@ mod tests {
     fn mapped_store_defers_block_crc_to_first_touch() {
         let (press, _, compressed) = fixture();
         let engine = QueryEngine::new(press.model());
-        let mut bytes = TrajectoryStore::to_store_bytes(&engine, &compressed, 4).unwrap();
+        let clean = TrajectoryStore::to_store_bytes(&engine, &compressed, 4).unwrap();
         // Flip a bit in the last block's payload: the mapped open only
         // walks metadata + directory, so it must succeed; the corrupted
         // block is a typed checksum error at its first decode, and the
         // untouched blocks keep answering.
+        let mut bytes = clean.clone();
         let len = bytes.len();
         bytes[len - 2] ^= 0x20;
         let path = temp_corpus("lazy-crc", &bytes);
@@ -1379,6 +1414,31 @@ mod tests {
             store.get(compressed.len() - 1),
             Err(PressError::Store(StoreError::ChecksumMismatch { .. }))
         ));
+        std::fs::remove_file(&path).unwrap();
+
+        // The same inside the 4-lane fold of a block long enough for the
+        // carry-less-multiply CRC kernel (≥ 128 B).
+        let blk1 = StoreFile::from_bytes(clean.clone())
+            .unwrap()
+            .section("blk1")
+            .unwrap()
+            .to_vec();
+        assert!(blk1.len() >= 192, "blk1 is only {} B", blk1.len());
+        let at = clean.windows(blk1.len()).position(|w| w == blk1).unwrap();
+        let mut bytes = clean;
+        bytes[at + 70] ^= 0x01;
+        let path = temp_corpus("lazy-crc-fold", &bytes);
+        let store = TrajectoryStore::open_mapped(&path).unwrap();
+        assert_eq!(store.get(3).unwrap(), compressed[3]);
+        for _ in 0..2 {
+            match store.get(5) {
+                Err(PressError::Store(StoreError::ChecksumMismatch { section })) => {
+                    assert_eq!(section, "blk1")
+                }
+                other => panic!("expected a checksum mismatch in blk1, got {other:?}"),
+            }
+        }
+        assert_eq!(store.get(8).unwrap(), compressed[8]);
         std::fs::remove_file(&path).unwrap();
     }
 }

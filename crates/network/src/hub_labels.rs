@@ -1039,10 +1039,10 @@ impl HubLabels {
 /// with **only its metadata touched** — header, section table, the small
 /// `meta` section (counts + network fingerprint), and length-only checks
 /// that every flat section is present with exactly the declared extent.
-/// Open cost is O(page faults on a few KB) — this is the number the
-/// `hl_mmap_open` benchmark gate measures — versus the seconds-long
-/// owned load that varint-decodes every section and recomputes 10⁷-scale
-/// label distances.
+/// Open cost is O(page faults on a few KB) — the open half of what
+/// `press-benchmark` reports as `network.sp.open_mapped_ms` — versus the
+/// seconds-long owned load that varint-decodes every section and
+/// recomputes 10⁷-scale label distances.
 ///
 /// [`Self::validate`] is the only way to reach a queryable
 /// [`HubLabels`]: it consumes the handle, CRCs each flat section on
@@ -1741,27 +1741,52 @@ mod tests {
     #[test]
     fn mapped_open_surfaces_flat_corruption_as_typed_checksum_error() {
         let net = Arc::new(grid_network(&GridConfig {
-            nx: 4,
-            ny: 4,
+            nx: 8,
+            ny: 8,
             weight_jitter: 0.1,
             seed: 6,
             ..GridConfig::default()
         }));
-        let mut bytes = HubLabels::build(net.clone()).to_store_bytes();
-        // Flat sections are declared last, so the final payload byte lives
-        // in `bwd_parent_f`. Flip it: the O(metadata) open must still
-        // succeed, and the first touch during validation must surface a
-        // typed checksum error — never a panic or a silently wrong label.
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        let path = temp_artifact("hl-corrupt", &bytes);
-        let opened = MappedHubLabels::open(net.clone(), &path).unwrap();
-        let err = opened.validate();
-        std::fs::remove_file(&path).unwrap();
+        let bytes = HubLabels::build(net.clone()).to_store_bytes();
+        // One flip per region of the CRC kernel over a distance section
+        // that spans many 64 B fold blocks and ends in a sub-16 B tail:
+        // the O(metadata) open must still succeed, and the first touch
+        // during validation must surface a typed checksum error naming
+        // the section — never a panic or a silently wrong label.
+        let file = press_store::StoreFile::from_bytes(bytes.clone()).unwrap();
+        let name = ["fwd_dist_f", "bwd_dist_f"]
+            .into_iter()
+            .find(|nm| file.section_len(nm).is_some_and(|len| len % 16 != 0))
+            .expect("a distance section with a sub-16 B tail");
+        let payload = file.section(name).unwrap();
+        let len = payload.len();
+        let at = bytes.windows(len).position(|w| w == payload).unwrap();
+        let four_lane_end = len / 64 * 64;
+        let one_lane_end = len / 16 * 16;
         assert!(
-            matches!(err, Err(press_store::StoreError::ChecksumMismatch { .. })),
-            "expected ChecksumMismatch, got {err:?}"
+            four_lane_end >= 8 * 64 && one_lane_end > four_lane_end,
+            "{name} is {len} B"
         );
+        let flips = [
+            ("first byte", 0),
+            ("4-lane fold", four_lane_end / 2 + 5),
+            ("16 B fold", four_lane_end + 3),
+            ("tail", len - 1),
+        ];
+        for (region, offset) in flips {
+            let mut flipped = bytes.clone();
+            flipped[at + offset] ^= 0x40;
+            let path = temp_artifact("hl-corrupt", &flipped);
+            let opened = MappedHubLabels::open(net.clone(), &path).unwrap();
+            let err = opened.validate();
+            std::fs::remove_file(&path).unwrap();
+            match err {
+                Err(press_store::StoreError::ChecksumMismatch { section }) => {
+                    assert_eq!(section, name, "{region}")
+                }
+                other => panic!("{region}: expected ChecksumMismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -83,6 +83,8 @@
 //! block directory at every open; see it for the shape and the
 //! correctness contract.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
@@ -326,13 +328,33 @@ impl StoreWriter {
 // Reader
 // ---------------------------------------------------------------------
 
-/// One parsed section-table entry.
+/// One parsed section-table entry. The name stays in its 16-byte table
+/// field, zero past `name_len` and validated as UTF-8 once at open, so
+/// parsing a table allocates nothing per entry.
 #[derive(Debug, Clone)]
 struct SectionEntry {
-    name: String,
+    name: [u8; MAX_SECTION_NAME],
+    name_len: u8,
     offset: usize,
     len: usize,
     crc: u32,
+}
+
+impl SectionEntry {
+    fn name(&self) -> &str {
+        std::str::from_utf8(&self.name[..self.name_len as usize])
+            .expect("section names are validated as UTF-8 at open")
+    }
+}
+
+/// A section name of at most [`MAX_SECTION_NAME`] bytes as one integer:
+/// its bytes read as a big-endian number (`"ab"` is `0x6162`). A stored
+/// name holds no NUL, so its first byte is non-zero and integer order is
+/// (length, bytes) order: `blk9` sorts before `blk10`, and a table written
+/// `blk0, blk1, …` is one ascending run. Two stored names share a key
+/// only when they are equal.
+fn name_key(name: &[u8]) -> u128 {
+    name.iter().fold(0, |k, &b| (k << 8) | u128::from(b))
 }
 
 /// The byte storage behind a [`StoreFile`]: a heap buffer for owned
@@ -375,9 +397,11 @@ pub struct StoreFile {
     kind: u32,
     data: Arc<Backing>,
     table: Vec<SectionEntry>,
-    // name → table position, so a lookup does not scan a 10^5-entry
-    // directory.
-    lookup: std::collections::HashMap<String, usize>,
+    // (name key, table position), sorted: a lookup is a binary search,
+    // not a scan of a 10^5-entry directory, and no file-controlled name
+    // is ever hashed. Equal keys sort by position, so the first entry
+    // wins on (malformed) duplicate names.
+    lookup: Vec<(u128, u32)>,
     /// `Some` for mapped opens: payload CRC is validated lazily, once
     /// per section, on first touch (the whole point of a mapped open is
     /// not reading every byte up front). `None` for owned loads, which
@@ -434,39 +458,41 @@ impl StoreFile {
             });
         }
         let mut table = Vec::with_capacity(count);
-        for i in 0..count {
-            let e = &table_bytes[i * DIR_ENTRY_BYTES..(i + 1) * DIR_ENTRY_BYTES];
-            let name_end = e[..MAX_SECTION_NAME]
+        let mut lookup = Vec::with_capacity(count);
+        for (i, e) in table_bytes.chunks_exact(DIR_ENTRY_BYTES).enumerate() {
+            let name_len = e[..MAX_SECTION_NAME]
                 .iter()
                 .position(|&b| b == 0)
                 .unwrap_or(MAX_SECTION_NAME);
-            let name = std::str::from_utf8(&e[..name_end])
-                .map_err(|_| StoreError::Corrupt("section name is not UTF-8".into()))?
-                .to_string();
+            let mut name = [0u8; MAX_SECTION_NAME];
+            name[..name_len].copy_from_slice(&e[..name_len]);
+            let shown = std::str::from_utf8(&name[..name_len])
+                .map_err(|_| StoreError::Corrupt("section name is not UTF-8".into()))?;
             let offset = u64::from_le_bytes(e[16..24].try_into().unwrap());
             let len = u64::from_le_bytes(e[24..32].try_into().unwrap());
             let crc = u32::from_le_bytes(e[32..36].try_into().unwrap());
-            let end = offset.checked_add(len).ok_or(StoreError::Truncated {
-                what: format!("section '{name}'"),
-            })?;
+            let end = offset
+                .checked_add(len)
+                .ok_or_else(|| StoreError::Truncated {
+                    what: format!("section '{shown}'"),
+                })?;
             if end > data.len() as u64 {
                 return Err(StoreError::Truncated {
-                    what: format!("section '{name}'"),
+                    what: format!("section '{shown}'"),
                 });
             }
+            lookup.push((name_key(&name[..name_len]), i as u32));
             table.push(SectionEntry {
                 name,
+                name_len: name_len as u8,
                 offset: offset as usize,
                 len: len as usize,
                 crc,
             });
         }
-        let mut lookup = std::collections::HashMap::with_capacity(table.len());
-        for (i, e) in table.iter().enumerate() {
-            // First entry wins on (malformed) duplicate names, matching
-            // the previous first-match scan.
-            lookup.entry(e.name.clone()).or_insert(i);
-        }
+        // The stable sort merges natural runs, so the `blk0, blk1, …`
+        // tables writers emit sort in linear time.
+        lookup.sort();
         let lazy_crc = lazy.then(|| {
             (0..table.len())
                 .map(|_| AtomicU8::new(CRC_UNCHECKED))
@@ -508,9 +534,15 @@ impl StoreFile {
         Ok(())
     }
 
-    /// Names of all sections, in file order.
+    /// Number of section-table entries.
+    pub fn section_count(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Names of all sections, in file order: the `i`-th is the section at
+    /// slot `i` (see [`StoreFile::section_at`]).
     pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.table.iter().map(|e| e.name.as_str())
+        self.table.iter().map(SectionEntry::name)
     }
 
     /// True when a section exists.
@@ -532,15 +564,23 @@ impl StoreFile {
     /// at open and then address the section by position
     /// ([`StoreFile::section_at`]) on their hot path.
     pub fn section_slot(&self, name: &str) -> Option<usize> {
-        self.lookup.get(name).copied()
+        if name.len() > MAX_SECTION_NAME {
+            return None;
+        }
+        let key = name_key(name.as_bytes());
+        let first = self.lookup.partition_point(|&(k, _)| k < key);
+        let &(k, slot) = self.lookup.get(first)?;
+        // A queried name with leading NULs has a stored name's key; the
+        // length tells them apart.
+        (k == key && self.table[slot as usize].name_len as usize == name.len())
+            .then_some(slot as usize)
     }
 
     /// [`StoreFile::section`] by table position.
     ///
     /// # Panics
     ///
-    /// When `slot` did not come from [`StoreFile::section_slot`] of this
-    /// file.
+    /// When `slot` is not below [`StoreFile::section_count`].
     pub fn section_at(&self, slot: usize) -> Result<&[u8]> {
         let entry = &self.table[slot];
         let payload = &self.data.bytes()[entry.offset..entry.offset + entry.len];
@@ -561,7 +601,7 @@ impl StoreFile {
         };
         if !ok {
             return Err(StoreError::ChecksumMismatch {
-                section: entry.name.clone(),
+                section: entry.name().to_string(),
             });
         }
         Ok(payload)
@@ -569,7 +609,7 @@ impl StoreFile {
 
     /// Byte length of a section, if present (no CRC touch).
     pub fn section_len(&self, name: &str) -> Option<usize> {
-        self.lookup.get(name).map(|&i| self.table[i].len)
+        self.section_slot(name).map(|i| self.table[i].len)
     }
 
     /// A [`ByteReader`] over a CRC-checked section.
@@ -597,12 +637,13 @@ impl StoreFile {
         #[cfg(target_endian = "little")]
         if (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>()) {
             // SAFETY: `T: FlatPod` guarantees no padding and no invalid
-            // bit patterns; alignment was just checked; the bytes are
-            // immutable and outlive the slice because the returned view
-            // clones the `Arc` on the backing. The 'static lifetime is a
-            // private fiction: `FlatSlice` never lends the slice beyond
-            // its own lifetime.
+            // bit patterns; alignment was just checked; `n * width` is
+            // exactly `bytes.len()`, so the view covers only the payload.
             let slice = unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, n) };
+            // SAFETY: the bytes are immutable and outlive the slice
+            // because the returned view clones the `Arc` on the backing.
+            // The 'static lifetime is a private fiction: `FlatSlice`
+            // never lends the slice beyond its own lifetime.
             let slice: &'static [T] = unsafe { std::mem::transmute::<&[T], &'static [T]>(slice) };
             return Ok(FlatSlice {
                 _backing: Some(self.data.clone()),
@@ -642,18 +683,23 @@ pub unsafe trait FlatPod: Copy + Send + Sync + 'static {
     fn from_le_chunk(chunk: &[u8]) -> Self;
 }
 
+// SAFETY: a primitive integer: no padding, every bit pattern valid, and
+// its little-endian in-memory form is the `from_le_bytes` encoding.
 unsafe impl FlatPod for u32 {
     fn from_le_chunk(chunk: &[u8]) -> Self {
         u32::from_le_bytes(chunk.try_into().unwrap())
     }
 }
 
+// SAFETY: as for `u32`.
 unsafe impl FlatPod for u64 {
     fn from_le_chunk(chunk: &[u8]) -> Self {
         u64::from_le_bytes(chunk.try_into().unwrap())
     }
 }
 
+// SAFETY: 8 bytes, no padding, every bit pattern a valid `f64` (NaNs
+// included), stored as the little-endian bits `from_bits` decodes.
 unsafe impl FlatPod for f64 {
     fn from_le_chunk(chunk: &[u8]) -> Self {
         f64::from_bits(u64::from_le_bytes(chunk.try_into().unwrap()))
@@ -1110,6 +1156,48 @@ mod tests {
                 section: "section table".into()
             }
         );
+    }
+
+    #[test]
+    fn section_lookup_finds_every_name_and_the_first_of_duplicates() {
+        let names: Vec<String> = ["meta", "synopsis", "sixteen_bytes_ab", "x"]
+            .into_iter()
+            .map(String::from)
+            .chain((0..300).map(|b| format!("blk{b}")))
+            .collect();
+        let mut w = StoreWriter::new(kind::META);
+        for (i, name) in names.iter().enumerate() {
+            w.section(name, vec![i as u8]);
+        }
+        let mut bytes = w.to_bytes();
+        let f = StoreFile::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(f.section_count(), names.len());
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(f.section_slot(name), Some(i), "{name}");
+            assert_eq!(f.section_at(i).unwrap(), &[i as u8]);
+        }
+        for absent in [
+            "",
+            "met",
+            "blk01",
+            "blk300",
+            "\0x",
+            "x\0",
+            "sixteen_bytes_abc",
+        ] {
+            assert_eq!(f.section_slot(absent), None, "{absent:?}");
+        }
+        // Rename entry 1 to "meta" and re-seal the table: the first of
+        // the two entries wins, and the renamed name is gone.
+        let entry = HEADER_BYTES + DIR_ENTRY_BYTES;
+        bytes[entry..entry + MAX_SECTION_NAME].fill(0);
+        bytes[entry..entry + 4].copy_from_slice(b"meta");
+        let table_crc = crc32(&bytes[HEADER_BYTES..HEADER_BYTES + names.len() * DIR_ENTRY_BYTES]);
+        bytes[20..24].copy_from_slice(&table_crc.to_le_bytes());
+        let f = StoreFile::from_bytes(bytes).unwrap();
+        assert_eq!(f.section_slot("meta"), Some(0));
+        assert_eq!(f.section_slot("synopsis"), None);
+        assert_eq!(f.section("meta").unwrap(), &[0]);
     }
 
     #[test]

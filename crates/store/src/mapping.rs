@@ -16,6 +16,16 @@
 //!   exercise the fallback deliberately).
 //!
 //! Both are `Send + Sync`: the region is immutable for its entire life.
+//!
+//! **A file truncated under a live mapping.** `MAP_PRIVATE` does not
+//! protect a mapping from its file shrinking: a read of a page past the
+//! new end raises `SIGBUS`. Every writer in this workspace replaces an
+//! artifact by rename ([`crate::atomic_write_file`]), never by writing
+//! into it in place, so a live mapping keeps the old inode and its bytes
+//! stay valid until it is dropped. A process outside the workspace that
+//! truncates a mapped artifact in place is outside that contract; the
+//! arena fallback, which owns a copy, is what to use where that cannot
+//! be ruled out.
 
 use std::fmt;
 use std::path::Path;
@@ -105,7 +115,8 @@ impl Mapping for MmapRegion {
 #[cfg(all(unix, target_pointer_width = "64"))]
 impl Drop for MmapRegion {
     fn drop(&mut self) {
-        // SAFETY: unmapping the exact region this struct owns.
+        // SAFETY: unmapping the exact region this struct owns, once; every
+        // slice `bytes` lent borrows `self`, so none outlives the unmap.
         unsafe {
             sys::munmap(self.ptr, self.len);
         }
@@ -119,10 +130,14 @@ impl fmt::Debug for MmapRegion {
     }
 }
 
-// SAFETY: the region is immutable (PROT_READ, private) for its entire
-// lifetime; shared reads from any thread are fine and drop runs once.
+// SAFETY: the raw pointer is the only non-`Send` field, and the region
+// it names is owned by this struct alone; unmapping it from another
+// thread is as valid as from the mapping one, and drop runs once.
 #[cfg(all(unix, target_pointer_width = "64"))]
 unsafe impl Send for MmapRegion {}
+// SAFETY: the region is immutable (PROT_READ, private) for its entire
+// lifetime and `&self` only ever reads it, so shared reads from any
+// thread cannot race.
 #[cfg(all(unix, target_pointer_width = "64"))]
 unsafe impl Sync for MmapRegion {}
 
@@ -151,8 +166,9 @@ impl ArenaMapping {
             )
         })?;
         let mut arena = vec![0u64; len.div_ceil(8)];
-        // SAFETY: a u64 slice viewed as initialized bytes; `len` is
-        // within the allocation by construction.
+        // SAFETY: a u64 slice viewed as initialized bytes; the arena holds
+        // `len.div_ceil(8) * 8 >= len` bytes, and the exclusive borrow of
+        // `arena` ends before `arena` is next used.
         let dst = unsafe { std::slice::from_raw_parts_mut(arena.as_mut_ptr() as *mut u8, len) };
         file.read_exact(dst)?;
         Ok(ArenaMapping { arena, len })
@@ -162,7 +178,8 @@ impl ArenaMapping {
     /// when a caller has bytes but wants mapping-grade alignment.
     pub fn from_bytes(bytes: &[u8]) -> ArenaMapping {
         let mut arena = vec![0u64; bytes.len().div_ceil(8)];
-        // SAFETY: same in-bounds byte view as above.
+        // SAFETY: a u64 slice viewed as initialized bytes; the arena holds
+        // `bytes.len().div_ceil(8) * 8 >= bytes.len()` bytes.
         let dst =
             unsafe { std::slice::from_raw_parts_mut(arena.as_mut_ptr() as *mut u8, bytes.len()) };
         dst.copy_from_slice(bytes);

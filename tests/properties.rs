@@ -394,8 +394,9 @@ proptest! {
 
     /// Full-pipeline bit-identity: training and compressing the same
     /// corpus over the CH and HL backends yields byte-identical output to
-    /// the dense oracle (the property `sp_backend_report` asserts at
-    /// scale).
+    /// the dense oracle (at 1,024 nodes, with the saved-then-loaded and
+    /// saved-then-mapped forms too, the same property is
+    /// `tests/pipeline.rs::every_backend_and_every_loaded_form_agrees_at_1024_nodes`).
     #[test]
     fn ch_and_hl_pipeline_output_matches_dense(
         seed in 0u64..200,
