@@ -241,7 +241,7 @@ pub fn compress(sp: &dyn SpProvider, traj: &Trajectory, cfg: &MmtcConfig) -> Mmt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use press_network::{grid_network, GridConfig, LazySpCache};
+    use press_network::{grid_network, GridConfig, SpTable};
     use std::sync::Arc;
 
     /// A deliberately wiggly path (staircase) that a fewer-intersection
@@ -285,7 +285,7 @@ mod tests {
         }
         pts.push(DtPoint::new(total, t));
         (
-            Arc::new(LazySpCache::with_default_config(net.clone())),
+            Arc::new(SpTable::build(net.clone())),
             Trajectory::new(
                 SpatialPath::new_unchecked(path),
                 TemporalSequence::new(pts).unwrap(),

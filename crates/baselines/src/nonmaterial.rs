@@ -138,7 +138,7 @@ pub fn decompress(nm: &NonmaterialTrajectory) -> Trajectory {
 mod tests {
     use super::*;
     use press_core::temporal::tsnd;
-    use press_network::{grid_network, GridConfig, LazySpCache, NodeId};
+    use press_network::{grid_network, GridConfig, NodeId, SpTable};
     use std::sync::Arc;
 
     fn fixture() -> (Arc<dyn SpProvider>, Trajectory) {
@@ -166,7 +166,7 @@ mod tests {
         }
         pts.push(DtPoint::new(total, t));
         (
-            Arc::new(LazySpCache::with_default_config(net.clone())),
+            Arc::new(SpTable::build(net.clone())),
             Trajectory::new(
                 SpatialPath::new_unchecked(path),
                 TemporalSequence::new(pts).unwrap(),

@@ -21,7 +21,7 @@ pub fn aux_sizes(env: &Env) -> Table {
     );
     let aux = env.press.model().auxiliary_sizes();
     table.row(vec![
-        "sp_table (dist + SPend)".into(),
+        format!("SP provider ({:?})", env.backend),
         aux.sp_table_bytes.to_string(),
     ]);
     table.row(vec![

@@ -13,10 +13,7 @@
 //! is regenerated — it is seeded and cheap).
 
 use press_core::{HscModel, Press, PressConfig, Trajectory};
-use press_network::{
-    ContractionHierarchy, HubLabels, LazySpCache, LazySpConfig, RoadNetwork, SpBackend, SpProvider,
-    SpTable,
-};
+use press_network::{ContractionHierarchy, HubLabels, RoadNetwork, SpBackend, SpProvider, SpTable};
 use press_workload::{TrajectoryRecord, Workload, WorkloadConfig};
 use std::path::Path;
 use std::sync::Arc;
@@ -55,8 +52,8 @@ pub enum StoreMode<'a> {
     /// Warm-start through the zero-copy mapped tier: CH/HL structures
     /// open as read-only mappings whose flat sections are borrowed in
     /// place (open cost is page faults, not decode), answering
-    /// bit-identically to `Load`. Backends without flat artifacts
-    /// (dense table, lazy hot-tree set) fall back to the owned load.
+    /// bit-identically to `Load`. The dense table has no flat artifact
+    /// and falls back to the owned load.
     Map(&'a Path),
 }
 
@@ -64,7 +61,6 @@ pub enum StoreMode<'a> {
 fn sp_file_name(backend: SpBackend) -> &'static str {
     match backend {
         SpBackend::Dense => "sp_dense.press",
-        SpBackend::Lazy { .. } => "sp_lazy.press",
         SpBackend::Ch => "sp_ch.press",
         SpBackend::Hl => "sp_hl.press",
     }
@@ -82,11 +78,10 @@ pub struct Env {
     pub train_fraction: f64,
 }
 
-/// An SP provider kept concretely typed so it can be persisted after the
-/// run warms it up (the trait object cannot be downcast).
+/// An SP provider kept concretely typed so it can be persisted (the
+/// trait object cannot be downcast).
 enum ConcreteSp {
     Dense(Arc<SpTable>),
-    Lazy(Arc<LazySpCache>),
     Ch(Arc<ContractionHierarchy>),
     Hl(Arc<HubLabels>),
 }
@@ -102,13 +97,6 @@ impl ConcreteSp {
         };
         match backend {
             SpBackend::Dense => ConcreteSp::Dense(Arc::new(SpTable::build(net))),
-            SpBackend::Lazy { capacity_trees } => ConcreteSp::Lazy(Arc::new(LazySpCache::new(
-                net,
-                LazySpConfig {
-                    capacity_trees,
-                    ..LazySpConfig::default()
-                },
-            ))),
             SpBackend::Ch => {
                 ConcreteSp::Ch(Arc::new(ContractionHierarchy::build_with(net, ch_cfg)))
             }
@@ -119,17 +107,14 @@ impl ConcreteSp {
     fn load(backend: SpBackend, net: Arc<RoadNetwork>, path: &Path) -> press_store::Result<Self> {
         Ok(match backend {
             SpBackend::Dense => ConcreteSp::Dense(Arc::new(SpTable::load_from(net, path)?)),
-            SpBackend::Lazy { .. } => {
-                ConcreteSp::Lazy(Arc::new(LazySpCache::load_from(net, path)?))
-            }
             SpBackend::Ch => ConcreteSp::Ch(Arc::new(ContractionHierarchy::load_from(net, path)?)),
             SpBackend::Hl => ConcreteSp::Hl(Arc::new(HubLabels::load_from(net, path)?)),
         })
     }
 
     /// [`ConcreteSp::load`] through the zero-copy mapped tier where one
-    /// exists (CH, HL); dense tables and lazy hot-tree sets have no flat
-    /// artifact and fall back to the owned load.
+    /// exists (CH, HL); the dense table has no flat artifact and falls
+    /// back to the owned load.
     fn open_mapped(
         backend: SpBackend,
         net: Arc<RoadNetwork>,
@@ -147,7 +132,6 @@ impl ConcreteSp {
     fn save(&self, path: &Path) -> press_store::Result<()> {
         match self {
             ConcreteSp::Dense(t) => t.save_to(path),
-            ConcreteSp::Lazy(c) => c.save_hot_trees(path),
             ConcreteSp::Ch(ch) => ch.save_to(path),
             ConcreteSp::Hl(hl) => hl.save_to(path),
         }
@@ -156,7 +140,6 @@ impl ConcreteSp {
     fn erased(&self) -> Arc<dyn SpProvider> {
         match self {
             ConcreteSp::Dense(t) => t.clone(),
-            ConcreteSp::Lazy(c) => c.clone(),
             ConcreteSp::Ch(ch) => ch.clone(),
             ConcreteSp::Hl(hl) => hl.clone(),
         }
@@ -173,7 +156,7 @@ impl Env {
     }
 
     /// [`Env::standard`] over an explicit SP backend, so every experiment
-    /// can run dense or lazy.
+    /// can run on any of them.
     pub fn standard_with_backend(scale: Scale, seed: u64, backend: SpBackend) -> Env {
         Self::standard_with_store(scale, seed, backend, StoreMode::None)
     }
@@ -293,14 +276,16 @@ impl Env {
         w.put_u64(wl.seed);
         w.put_u64(wl.min_trip_edges as u64);
         w.put_f64(wl.sampling_interval);
-        let (tag, cap) = match backend {
-            SpBackend::Dense => (0u64, 0u64),
-            SpBackend::Lazy { capacity_trees } => (1, capacity_trees as u64),
-            SpBackend::Ch => (2, 0),
-            SpBackend::Hl => (3, 0),
+        // Tag 1 is retired and the second word, a retired backend
+        // parameter, is always 0: the bytes stay what they were, so
+        // directories saved earlier still load.
+        let tag = match backend {
+            SpBackend::Dense => 0u64,
+            SpBackend::Ch => 2,
+            SpBackend::Hl => 3,
         };
         w.put_u64(tag);
-        w.put_u64(cap);
+        w.put_u64(0);
         w.into_bytes()
     }
 
@@ -376,8 +361,6 @@ impl Env {
                 .unwrap_or_else(|e| fail("create the store directory", e.into()));
             net.save_to(&dir.join("network.press"))
                 .unwrap_or_else(|e| fail("save the network", e));
-            // Saved after the workload + training passes so a lazy cache
-            // persists its warmed hot set.
             concrete
                 .save(&dir.join(sp_file_name(backend)))
                 .unwrap_or_else(|e| fail("save the SP structure", e));
@@ -441,11 +424,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lazy_and_ch_envs_match_dense_env() {
+    fn ch_and_hl_envs_match_dense_env() {
         // Same seed, different backend: identical workload, identical
         // compression output.
         let dense = Env::standard(Scale::Small, 5);
-        for backend in [SpBackend::lazy(), SpBackend::Ch, SpBackend::Hl] {
+        for backend in [SpBackend::Ch, SpBackend::Hl] {
             let other = Env::standard_with_backend(Scale::Small, 5, backend);
             assert_eq!(dense.workload.records.len(), other.workload.records.len());
             for (a, b) in dense.workload.records.iter().zip(&other.workload.records) {
@@ -495,12 +478,7 @@ mod tests {
     fn saved_then_loaded_env_is_bit_identical() {
         let dir = std::env::temp_dir().join(format!("press-env-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        for backend in [
-            SpBackend::Dense,
-            SpBackend::lazy(),
-            SpBackend::Ch,
-            SpBackend::Hl,
-        ] {
+        for backend in [SpBackend::Dense, SpBackend::Ch, SpBackend::Hl] {
             let built = Env::standard_with_store(Scale::Small, 5, backend, StoreMode::Save(&dir));
             let warm = Env::standard_with_store(Scale::Small, 5, backend, StoreMode::Load(&dir));
             let mapped = Env::standard_with_store(Scale::Small, 5, backend, StoreMode::Map(&dir));

@@ -135,12 +135,10 @@ impl Press {
     /// Work distribution is the shared
     /// [`work_steal_map`](crate::parallel::work_steal_map) loop —
     /// work-stealing over an atomic cursor rather than fixed chunking:
-    /// trajectory costs vary wildly (length, cache hits in a lazy SP
-    /// provider), so pre-chunking leaves threads idle behind the slowest
-    /// slice, while stealing one index at a time keeps every worker busy
-    /// until the batch is drained. All workers share the model's single
-    /// `SpProvider`, which is the point of the sharded lazy cache: one
-    /// worker's Dijkstra tree warms the others.
+    /// trajectory costs vary wildly with length, so pre-chunking leaves
+    /// threads idle behind the slowest slice, while stealing one index at
+    /// a time keeps every worker busy until the batch is drained. All
+    /// workers share the model's single `SpProvider`.
     pub fn compress_batch(
         &self,
         trajectories: &[Trajectory],

@@ -116,7 +116,9 @@ impl CompressedSpatial {
 /// 101 MB / 121 MB for its dataset; `repro aux` prints ours).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AuxiliarySizes {
-    /// All-pair shortest-path table (distances + `SPend`).
+    /// The SP provider's footprint (`approx_bytes`): the all-pair table
+    /// (distances + `SPend`) on the dense backend, the hierarchy or the
+    /// labels on the others.
     pub sp_table_bytes: usize,
     /// Trie + failure links (the AC automaton).
     pub automaton_bytes: usize,
@@ -428,7 +430,7 @@ impl HscModel {
     /// trajectory corpus **after** SP compression; we take raw paths and
     /// apply SP compression here so callers can't get the order wrong).
     ///
-    /// * `sp` — shortest-path provider (dense table or lazy cache).
+    /// * `sp` — shortest-path provider (any [`SpProvider`] backend).
     /// * `training_paths` — raw (uncompressed) spatial paths.
     /// * `theta` — maximum FST length (paper's optimum for its data: 3).
     pub fn train(
@@ -449,7 +451,7 @@ impl HscModel {
     /// available cores, via the shared
     /// [`work_steal_map`](crate::parallel::work_steal_map) loop (the same
     /// atomic-cursor work-stealing `Press::compress_batch` uses): path
-    /// costs vary wildly (length, SP-cache hits), so fixed chunking would
+    /// costs vary wildly with length, so fixed chunking would
     /// idle threads behind the slowest slice. Output order is preserved,
     /// so training is bit-for-bit identical to the sequential pass
     /// regardless of thread count.

@@ -2,11 +2,12 @@
 //! [`SpProvider`] backend.
 //!
 //! The dense [`SpTable`](crate::SpTable) answers point lookups in `O(1)`
-//! but stores `O(|V|²)` entries; the [`LazySpCache`](crate::LazySpCache)
-//! stores almost nothing but pays a full Dijkstra on every cache miss.
-//! A contraction hierarchy sits between the two: an `O(|V| + shortcuts)`
-//! structure built once per network, answering random point queries in
-//! microseconds by searching only "upward" in a node hierarchy.
+//! but stores `O(|V|²)` entries. A contraction hierarchy is an
+//! `O(|V| + shortcuts)` structure built once per network, answering
+//! random point queries in microseconds by searching only "upward" in a
+//! node hierarchy. Its order and arcs are also what the
+//! [`HubLabels`](crate::HubLabels) are built from, and as a provider it
+//! serves at ~16× less memory than the labels.
 //!
 //! # Preprocessing: ordering and witness search
 //!

@@ -2,9 +2,11 @@
 //!
 //! Used in three places:
 //! * building the all-pair shortest-path table of §3.1 (one tree per node),
+//!   the dense oracle every other backend is tested against,
 //! * the HMM map matcher's transition probabilities ([`dijkstra_sparse`]:
 //!   bounded searches whose cost follows the ball explored, not `|V|`),
-//! * the MMTC baseline's sub-path replacement search.
+//! * workload generation's trip routing ([`dijkstra_with`] under perceived
+//!   weights, [`reverse_distances`] toward a fixed destination).
 //!
 //! Ties are broken **canonically**: distances only update on a strict
 //! improvement, and when a relaxation reaches a node at exactly its current
@@ -432,152 +434,6 @@ pub fn reverse_distances(net: &RoadNetwork, target: NodeId) -> Vec<f64> {
     dist
 }
 
-/// Bounded bidirectional point-to-point distance; `f64::INFINITY` when
-/// unreachable.
-///
-/// A forward Dijkstra ball around `s` and a backward ball (over reversed
-/// edges) around `t` grow alternately — always the side with the smaller
-/// frontier key — and stop as soon as the two frontier keys sum past the
-/// best meeting total, so a probe explores two balls of roughly half the
-/// radius instead of one full source tree (the miss cost a
-/// [`LazySpCache`](crate::LazySpCache) pays when only a distance is
-/// wanted). State is kept in hash maps, so cost scales with the balls,
-/// not `O(|V|)`.
-///
-/// **Bit-identity:** the search only *selects* a shortest path, tracking
-/// predecessor edges on both sides; a forward/backward meeting sum would
-/// associate float additions differently, so the return value is instead
-/// re-accumulated left-to-right along the selected path — the same
-/// float-addition order the canonical tree's `dist[t]` was built with
-/// (see [`crate::ch`]'s bit-identity discussion for the scope of the
-/// guarantee: exact under quantized/tied weights, unique-path under
-/// jittered weights; property-tested in both regimes).
-pub fn bidirectional_distance(net: &RoadNetwork, s: NodeId, t: NodeId) -> f64 {
-    if s == t {
-        return 0.0;
-    }
-    use std::collections::HashMap;
-    // node -> (distance, predecessor edge on that side's tree)
-    let mut fwd: HashMap<u32, (f64, Option<EdgeId>)> = HashMap::new();
-    let mut bwd: HashMap<u32, (f64, Option<EdgeId>)> = HashMap::new();
-    let mut fheap = BinaryHeap::new();
-    let mut bheap = BinaryHeap::new();
-    fwd.insert(s.0, (0.0, None));
-    bwd.insert(t.0, (0.0, None));
-    fheap.push(HeapEntry { dist: 0.0, node: s });
-    bheap.push(HeapEntry { dist: 0.0, node: t });
-    let mut best = f64::INFINITY;
-    let mut meet: Option<u32> = None;
-    loop {
-        let fmin = fheap.peek().map_or(f64::INFINITY, |e| e.dist);
-        let bmin = bheap.peek().map_or(f64::INFINITY, |e| e.dist);
-        if fmin + bmin >= best || (fmin.is_infinite() && bmin.is_infinite()) {
-            break;
-        }
-        let forward = fmin <= bmin;
-        let (heap, this, other) = if forward {
-            (&mut fheap, &mut fwd, &bwd)
-        } else {
-            (&mut bheap, &mut bwd, &fwd)
-        };
-        let Some(HeapEntry { dist: d, node: u }) = heap.pop() else {
-            break;
-        };
-        if this.get(&u.0).is_none_or(|&(cur, _)| d > cur) {
-            continue; // stale
-        }
-        if let Some(&(od, _)) = other.get(&u.0) {
-            let total = d + od;
-            if total < best {
-                best = total;
-                meet = Some(u.0);
-            }
-        }
-        let edges = if forward {
-            net.out_edges(u)
-        } else {
-            net.in_edges(u)
-        };
-        for &e in edges {
-            let edge = net.edge(e);
-            let v = if forward { edge.to } else { edge.from };
-            let nd = d + edge.weight;
-            let slot = this.entry(v.0).or_insert((f64::INFINITY, None));
-            if nd < slot.0 {
-                *slot = (nd, Some(e));
-                heap.push(HeapEntry { dist: nd, node: v });
-                if let Some(&(od, _)) = other.get(&v.0) {
-                    let total = nd + od;
-                    if total < best {
-                        best = total;
-                        meet = Some(v.0);
-                    }
-                }
-            }
-        }
-    }
-    let Some(m) = meet else {
-        return f64::INFINITY;
-    };
-    // Re-accumulate left-to-right along the selected path: forward chain
-    // m -> s (reversed), then backward chain m -> t.
-    let mut path = Vec::new();
-    let mut cur = m;
-    while let Some(&(_, Some(e))) = fwd.get(&cur) {
-        path.push(e);
-        cur = net.edge(e).from.0;
-    }
-    path.reverse();
-    let mut cur = m;
-    while let Some(&(_, Some(e))) = bwd.get(&cur) {
-        path.push(e);
-        cur = net.edge(e).to.0;
-    }
-    let mut dist = 0.0f64;
-    for &e in &path {
-        dist += net.weight(e);
-    }
-    dist
-}
-
-/// Shortest network distance between two nodes; `f64::INFINITY` when
-/// unreachable. Terminates as soon as the target is settled.
-pub fn node_distance(net: &RoadNetwork, source: NodeId, target: NodeId) -> f64 {
-    if source == target {
-        return 0.0;
-    }
-    let n = net.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[source.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: source,
-    });
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if settled[u.index()] {
-            continue;
-        }
-        if u == target {
-            return d;
-        }
-        settled[u.index()] = true;
-        for &e in net.out_edges(u) {
-            let edge = net.edge(e);
-            let nd = d + edge.weight;
-            if nd < dist[edge.to.index()] {
-                dist[edge.to.index()] = nd;
-                heap.push(HeapEntry {
-                    dist: nd,
-                    node: edge.to,
-                });
-            }
-        }
-    }
-    f64::INFINITY
-}
-
 /// Reference all-pairs implementation (Floyd–Warshall) used only by tests to
 /// validate Dijkstra and the SP table on small networks.
 pub fn floyd_warshall(net: &RoadNetwork) -> Vec<Vec<f64>> {
@@ -661,7 +517,6 @@ mod tests {
         let tree = dijkstra(&net, NodeId(1));
         assert!(!tree.reachable(NodeId(0)));
         assert!(tree.edge_path_to(&net, NodeId(0)).is_none());
-        assert_eq!(node_distance(&net, NodeId(1), NodeId(0)), f64::INFINITY);
     }
 
     #[test]
@@ -796,15 +651,6 @@ mod tests {
                     fwd
                 );
             }
-        }
-    }
-
-    #[test]
-    fn node_distance_matches_tree() {
-        let net = diamond();
-        let tree = dijkstra(&net, NodeId(0));
-        for v in net.node_ids() {
-            assert_eq!(node_distance(&net, NodeId(0), v), tree.dist[v.index()]);
         }
     }
 

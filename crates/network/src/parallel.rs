@@ -5,7 +5,7 @@
 //! (`sp_compress` over the training paths), and hub-label construction
 //! ([`HubLabels`](crate::hub_labels::HubLabels), one label search per
 //! node) — has the same shape: per-item costs vary wildly (path length,
-//! SP-cache hits, label sizes), so fixed chunking idles threads behind
+//! label sizes), so fixed chunking idles threads behind
 //! the slowest slice, while stealing one index at a time from a shared
 //! atomic cursor keeps every worker busy until the input drains. This
 //! module is that one shared loop; output order is preserved (workers
@@ -14,18 +14,19 @@
 //! `press-network` (the lowest compute crate) and is re-exported as
 //! `press_core::parallel` for the historical call sites.
 //!
-//! [`work_steal_map_indexed`] is the same loop for passes whose items
-//! need heavyweight reusable state (the batched CH contraction's witness
-//! searches): the caller owns a pool of per-worker scratch that survives
-//! across calls, so repeated rounds pay zero allocation churn.
+//! [`work_steal_map_indexed`] is the loop; its caller owns a pool of
+//! per-worker scratch that survives across calls, so repeated rounds of
+//! heavyweight items (the batched CH contraction's witness searches) pay
+//! zero allocation churn. [`work_steal_map`] is the same loop over a pool
+//! of unit slots, for passes that need no scratch.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maps `f` over `items` with `threads` workers stealing indices from a
 /// shared atomic cursor. Results come back in input order.
 ///
-/// Falls back to a plain sequential map when `threads <= 1` or the input
-/// is too small to amortize thread startup (< 2 items per worker). `f`
+/// [`work_steal_map_indexed`] over a pool of `threads` unit scratch
+/// slots (`0` is clamped to 1), so the worker rule is that loop's. `f`
 /// receives `(index, item)`; it must be `Sync` because all workers share
 /// it.
 ///
@@ -38,114 +39,24 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads.max(1);
-    if threads == 1 || items.len() < 2 * threads {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
-                            break;
-                        };
-                        local.push((i, f(i, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("work-stealing worker panicked"))
-            .collect()
-    });
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    for (i, r) in parts.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("all indices drained"))
-        .collect()
+    let mut pool = vec![(); threads.max(1)];
+    work_steal_map_indexed(items, &mut pool, |_, i, t| f(i, t))
 }
 
-/// [`work_steal_map`] without the small-input sequential shortcut: the
-/// variant for *few heavy items* — per-shard journal replay in
-/// `press-serve` recovers a handful of shards, each of which may replay
-/// millions of frames, so "< 2 items per worker" is exactly the input
-/// shape that still wants real threads. Spawns `min(threads,
-/// items.len())` workers; sequential only when that is 1. Output order
-/// and results are bit-identical to [`work_steal_map`].
+/// The work-stealing loop, with a caller-owned pool of per-worker
+/// scratch state — for passes whose per-item work needs large reusable
+/// buffers (the batched contraction's witness searches carry `O(|V|)`
+/// versioned distance arrays).
 ///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all workers first).
-pub fn work_steal_map_eager<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
-                            break;
-                        };
-                        local.push((i, f(i, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("work-stealing worker panicked"))
-            .collect()
-    });
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    for (i, r) in parts.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("all indices drained"))
-        .collect()
-}
-
-/// [`work_steal_map`] with a caller-owned pool of per-worker scratch
-/// state — the variant for passes whose per-item work needs large
-/// reusable buffers (the batched contraction's witness searches carry
-/// `O(|V|)` versioned distance arrays).
-///
-/// `scratch` supplies one slot per worker; its length *is* the thread
-/// count. Worker `w` gets exclusive `&mut` access to `scratch[w]` for the
-/// whole call, so the pool survives across calls with no per-call (let
-/// alone per-item) allocation churn — reset stays whatever cheap scheme
-/// the scratch itself uses (typically version stamps). Results come back
-/// in input order, so the map is bit-for-bit identical to the sequential
-/// fold for any pool size.
-///
-/// Falls back to a plain sequential map over `scratch[0]` when the pool
-/// has one slot or the input is too small to amortize thread startup.
+/// **Worker rule:** `min(scratch.len(), items.len())` workers, and a
+/// plain sequential map over `scratch[0]` when that is at most 1. A
+/// handful of heavy items (per-shard journal replay) still gets one
+/// worker each. Worker `w` gets exclusive `&mut` access to `scratch[w]`
+/// for the whole call, so the pool survives across calls with no
+/// per-call (let alone per-item) allocation churn — reset stays whatever
+/// cheap scheme the scratch itself uses (typically version stamps).
+/// Results come back in input order, so the map is bit-for-bit identical
+/// to the sequential fold for any pool size.
 ///
 /// # Panics
 ///
@@ -162,14 +73,14 @@ where
         !scratch.is_empty(),
         "work_steal_map_indexed needs at least one scratch slot"
     );
-    let threads = scratch.len();
-    if threads == 1 || items.len() < 2 * threads {
+    let threads = scratch.len().min(items.len());
+    if threads <= 1 {
         let s = &mut scratch[0];
         return items.iter().enumerate().map(|(i, t)| f(s, i, t)).collect();
     }
     let next = AtomicUsize::new(0);
     let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = scratch
+        let handles: Vec<_> = scratch[..threads]
             .iter_mut()
             .map(|s| {
                 let next = &next;
@@ -209,32 +120,25 @@ mod tests {
 
     #[test]
     fn preserves_order_for_any_thread_count() {
-        let items: Vec<u64> = (0..101).collect();
-        let sequential: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
-        for threads in [1, 2, 3, 4, 7, 16, 200] {
-            let parallel = work_steal_map(&items, threads, |_, &x| x * x + 1);
-            assert_eq!(sequential, parallel, "order broken at {threads} threads");
+        // Inputs longer than, as long as, and shorter than the pool: a
+        // tiny input still runs one real worker per item, and every item
+        // is visited exactly once in every case.
+        for len in [0u64, 1, 2, 3, 101] {
+            let items: Vec<u64> = (0..len).collect();
+            let sequential: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
+            for threads in [1, 2, 3, 4, 7, 16, 200] {
+                let calls = AtomicUsize::new(0);
+                let parallel = work_steal_map(&items, threads, |_, &x| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    x * x + 1
+                });
+                assert_eq!(
+                    sequential, parallel,
+                    "order broken: {len} items, {threads} threads"
+                );
+                assert_eq!(calls.load(Ordering::Relaxed), items.len());
+            }
         }
-    }
-
-    #[test]
-    fn eager_variant_parallelizes_tiny_inputs_and_matches_sequential() {
-        // Fewer items than 2*threads — work_steal_map would go
-        // sequential; the eager variant must still produce identical
-        // output (and visit every item exactly once) with real workers.
-        let items: Vec<u64> = (0..3).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| x * 7 + 2).collect();
-        for threads in [1, 2, 3, 8] {
-            let calls = AtomicUsize::new(0);
-            let out = work_steal_map_eager(&items, threads, |_, &x| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                x * 7 + 2
-            });
-            assert_eq!(out, expect, "order broken at {threads} threads");
-            assert_eq!(calls.load(Ordering::Relaxed), items.len());
-        }
-        let empty: Vec<u32> = Vec::new();
-        assert!(work_steal_map_eager(&empty, 4, |_, &x| x).is_empty());
     }
 
     #[test]
@@ -263,7 +167,7 @@ mod tests {
     fn empty_and_tiny_inputs() {
         let empty: Vec<u32> = Vec::new();
         assert!(work_steal_map(&empty, 8, |_, &x| x).is_empty());
-        // Below the 2*threads threshold: the sequential path runs.
+        // Fewer items than threads: one worker per item.
         let tiny = vec![1u32, 2, 3];
         assert_eq!(work_steal_map(&tiny, 8, |_, &x| x + 1), vec![2, 3, 4]);
         // threads = 0 is clamped to 1.

@@ -11,19 +11,15 @@
 //! * [`SpTable`](crate::SpTable) — the dense table. `O(|V|²)` memory,
 //!   `O(1)` lookups. Right for small networks, and the correctness oracle
 //!   for everything else.
-//! * [`LazySpCache`](crate::LazySpCache) — one Dijkstra tree per *source
-//!   on demand*, kept in a sharded, capacity-bounded LRU cache.
-//!   `O(cached trees · |V|)` memory, amortized `O(1)` lookups on hot
-//!   sources. The right trade once `|V|²` stops fitting in RAM and the
-//!   workload has source locality.
 //! * [`ContractionHierarchy`](crate::ContractionHierarchy) — a node
 //!   hierarchy with shortcut arcs, preprocessed once in
 //!   `O(|V| + shortcuts)` memory; random point queries resolve via
-//!   bidirectional upward search, with no per-source state at all.
+//!   bidirectional upward search, with no per-source state at all. It is
+//!   also the hub labels' builder.
 //! * [`HubLabels`](crate::HubLabels) — 2-hop labels precomputed from the
 //!   CH order: per-node sorted hub arrays answering random point queries
-//!   by a flat merge in microseconds, trading ~10× the CH memory for
-//!   ~100× its lookup speed. The backend for lookup-dominated serving.
+//!   by a flat merge in microseconds, trading ~16× the CH memory for
+//!   ~60× its lookup speed. The backend for lookup-dominated serving.
 //!
 //! All backends derive every query from the same **canonical**
 //! shortest-path trees (see [`crate::dijkstra`](mod@crate::dijkstra) for the tie-break rule),
@@ -45,8 +41,8 @@ use std::sync::Arc;
 /// algorithms consume (`SPend`, gap distances, path expansion, MBRs) is
 /// derived in default methods, so the derived semantics — including the
 /// SP-containment property Theorem 1 relies on — are shared by
-/// construction. Backends may still override the derived methods to batch
-/// tree lookups (as [`LazySpCache`](crate::LazySpCache) does).
+/// construction. Backends may still override the derived methods with a
+/// native walk (as the CH and HL backends do for `sp_interior`).
 pub trait SpProvider: Send + Sync {
     /// The underlying network.
     fn network(&self) -> &Arc<RoadNetwork>;
@@ -164,7 +160,7 @@ pub trait SpProvider: Send + Sync {
     /// can hand one out cheaply (`None` means "derive what you need from
     /// the point lookups instead"). Consumers that stream many lookups
     /// against one source (unit expansion, gap walks) use this to avoid
-    /// per-call cache traffic.
+    /// one point lookup per call. No built-in backend hands one out.
     fn source_tree(&self, _source: NodeId) -> Option<Arc<ShortestPathTree>> {
         None
     }
@@ -173,8 +169,8 @@ pub trait SpProvider: Send + Sync {
 /// Forwarding impl so an `&Arc<dyn SpProvider>` (or `&Arc<SpTable>`)
 /// coerces straight into `&dyn SpProvider` at call sites. Every method —
 /// including the derived ones — forwards to the inner provider, so
-/// backend overrides (e.g. the lazy cache's memoized `sp_mbr`) are never
-/// bypassed by the trait defaults.
+/// backend overrides (e.g. the hub labels' native `sp_interior`) are
+/// never bypassed by the trait defaults.
 impl<P: SpProvider + ?Sized> SpProvider for Arc<P> {
     fn network(&self) -> &Arc<RoadNetwork> {
         (**self).network()
@@ -220,13 +216,6 @@ pub enum SpBackend {
     /// Eager dense all-pair table ([`SpTable`](crate::SpTable)):
     /// `O(|V|²)` memory, built up front.
     Dense,
-    /// Lazy per-source cache ([`LazySpCache`](crate::LazySpCache)) holding
-    /// at most `capacity_trees` Dijkstra trees.
-    Lazy {
-        /// Maximum number of cached shortest-path trees (each is
-        /// `O(|V|)` bytes).
-        capacity_trees: usize,
-    },
     /// Contraction hierarchy
     /// ([`ContractionHierarchy`](crate::ContractionHierarchy)):
     /// `O(|V| + shortcuts)` memory, sub-millisecond point queries after a
@@ -234,20 +223,13 @@ pub enum SpBackend {
     /// weights.
     Ch,
     /// 2-hop hub labels ([`HubLabels`](crate::HubLabels)) computed from
-    /// the CH order: ~10× the CH memory for point lookups that are a
+    /// the CH order: ~16× the CH memory for point lookups that are a
     /// flat sorted merge (single-digit microseconds at 100k nodes).
     /// Requires strictly positive edge weights.
     Hl,
 }
 
 impl SpBackend {
-    /// A lazy backend with the default cache capacity.
-    pub fn lazy() -> Self {
-        SpBackend::Lazy {
-            capacity_trees: crate::lazy_sp::LazySpConfig::default().capacity_trees,
-        }
-    }
-
     /// Builds the selected provider over `net`, preprocessing with one
     /// worker per available core where the backend parallelizes (the
     /// CH contraction rounds and the HL label pass). Results are
@@ -263,13 +245,6 @@ impl SpBackend {
     pub fn build_with_threads(self, net: Arc<RoadNetwork>, threads: usize) -> Arc<dyn SpProvider> {
         match self {
             SpBackend::Dense => Arc::new(crate::sp_table::SpTable::build(net)),
-            SpBackend::Lazy { capacity_trees } => Arc::new(crate::lazy_sp::LazySpCache::new(
-                net,
-                crate::lazy_sp::LazySpConfig {
-                    capacity_trees,
-                    ..crate::lazy_sp::LazySpConfig::default()
-                },
-            )),
             SpBackend::Ch => Arc::new(crate::ch::ContractionHierarchy::build_with(
                 net,
                 crate::ch::ChConfig {

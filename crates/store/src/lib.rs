@@ -2,8 +2,8 @@
 //!
 //! The on-disk artifact tier of PRESS: **one** versioned, checksummed,
 //! little-endian binary container format shared by every artifact the
-//! pipeline produces — road networks, dense SP tables, lazy-cache hot
-//! trees, contraction hierarchies, trained HSC models, and block-oriented
+//! pipeline produces — road networks, dense SP tables, contraction
+//! hierarchies, hub labels, trained HSC models, and block-oriented
 //! compressed-trajectory stores.
 //!
 //! # File layout
@@ -126,8 +126,9 @@ pub mod kind {
     pub const NETWORK: u32 = 1;
     /// The dense all-pair `SpTable`.
     pub const SP_TABLE: u32 = 2;
-    /// Serialized `LazySpCache` hot trees (config + resident trees).
-    pub const SP_LAZY_TREES: u32 = 3;
+    // Id 3 is retired (it named a deleted per-source tree-cache
+    // artifact) and must never be reissued: files written with it must
+    // stay a typed kind mismatch, never a misread.
     /// A built `ContractionHierarchy`.
     pub const CONTRACTION_HIERARCHY: u32 = 4;
     /// A trained HSC model (trie + Huffman + per-node tables).

@@ -32,10 +32,10 @@ impl Default for RoutingConfig {
 
 /// The shortest-path next edge from `u` towards the target, if reachable:
 /// the out-edge minimizing `w(e) + dist(e.to, target)`, answered from one
-/// reverse-Dijkstra distance array (`rev[v] = d(v, target)`). A per-source
-/// SP provider is the wrong shape for this fixed-target pattern — every
-/// probe would be a fresh source, i.e. a fresh full Dijkstra on a lazy
-/// backend — so routing carries its own reverse tree instead.
+/// reverse-Dijkstra distance array (`rev[v] = d(v, target)`). A
+/// point-lookup SP provider is the wrong shape for this fixed-target
+/// pattern — every probe would be a fresh source — so routing carries its
+/// own reverse tree instead.
 fn sp_next_edge(net: &RoadNetwork, rev: &[f64], u: NodeId) -> Option<EdgeId> {
     let mut best: Option<(f64, EdgeId)> = None;
     for &e in net.out_edges(u) {

@@ -19,9 +19,9 @@ fn main() {
         seed: 31,
         ..GridConfig::default()
     }));
-    // Any SpProvider backend works here; the lazy cache keeps the demo's
-    // memory proportional to the sources actually touched.
-    let sp = SpBackend::lazy().build(net.clone());
+    // Any SpProvider backend works here; on a 144-node grid the dense
+    // table is the smallest build and the fastest lookup.
+    let sp = SpBackend::Dense.build(net.clone());
     let workload = Workload::generate(
         net.clone(),
         sp.clone(),

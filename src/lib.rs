@@ -16,7 +16,7 @@
 //!
 //! // 1. A road network and a shortest-path provider (static, per city).
 //! //    `SpBackend::Dense` precomputes the O(|V|^2) table; at city scale
-//! //    use `SpBackend::lazy()` for the bounded per-source cache instead.
+//! //    use `SpBackend::Hl` (hub labels) or `SpBackend::Ch` instead.
 //! let net = Arc::new(grid_network(&GridConfig::default()));
 //! let sp = SpBackend::Dense.build(net.clone());
 //!
@@ -40,7 +40,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`network`] | `press-network` | graph, geometry, Dijkstra, SP table, generators |
+//! | [`network`] | `press-network` | graph, geometry, Dijkstra, the three SP backends, generators |
 //! | [`matcher`] | `press-matcher` | HMM map matching |
 //! | [`core`] | `press-core` | representation, HSC, BTC, queries, the `Press` façade |
 //! | [`serve`] | `press-serve` | fault-tolerant streaming fleet ingest (WAL, quarantine, recovery) |
@@ -71,8 +71,8 @@ pub mod prelude {
     };
     pub use press_matcher::{MapMatcher, MatcherConfig};
     pub use press_network::{
-        grid_network, ChConfig, ContractionHierarchy, EdgeId, GridConfig, HubLabels, LazySpCache,
-        LazySpConfig, MappedContractionHierarchy, MappedHubLabels, Mbr, NodeId, Point, RoadNetwork,
+        grid_network, ChConfig, ContractionHierarchy, EdgeId, GridConfig, HubLabels,
+        MappedContractionHierarchy, MappedHubLabels, Mbr, NodeId, Point, RoadNetwork,
         RoadNetworkBuilder, SpBackend, SpProvider, SpTable,
     };
     pub use press_serve::{

@@ -17,10 +17,6 @@ struct World {
 }
 
 fn world(seed: u64, bounds: BtcBounds) -> World {
-    world_with_backend(seed, bounds, SpBackend::Dense)
-}
-
-fn world_with_backend(seed: u64, bounds: BtcBounds, backend: SpBackend) -> World {
     let net = Arc::new(grid_network(&GridConfig {
         nx: 10,
         ny: 10,
@@ -29,7 +25,7 @@ fn world_with_backend(seed: u64, bounds: BtcBounds, backend: SpBackend) -> World
         removal_prob: 0.02,
         seed,
     }));
-    let sp = backend.build(net.clone());
+    let sp = SpBackend::Dense.build(net.clone());
     let workload = Workload::generate(
         net.clone(),
         sp.clone(),
@@ -305,54 +301,10 @@ fn theorem2_tsnd_dominates_tsed() {
 }
 
 #[test]
-fn lazy_backend_reproduces_dense_pipeline_bit_for_bit() {
-    // The tiered SP engine's contract: swapping the dense table for the
-    // lazy cache changes memory behaviour, never answers. Run the whole
-    // pipeline (workload -> train -> compress -> decompress -> queries)
-    // under both backends and compare outputs exactly.
-    let bounds = BtcBounds::new(60.0, 20.0);
-    let dense = world(17, bounds);
-    let lazy = world_with_backend(17, bounds, SpBackend::Lazy { capacity_trees: 64 });
-    assert_eq!(dense.workload.records.len(), lazy.workload.records.len());
-    let d_engine = QueryEngine::new(dense.press.model());
-    let l_engine = QueryEngine::new(lazy.press.model());
-    let (_, eval) = dense.workload.split(0.4);
-    for (record, l_record) in eval.iter().zip(lazy.workload.split(0.4).1).take(15) {
-        assert_eq!(record.path, l_record.path, "workloads must be identical");
-        let traj = record.truth_trajectory(30.0);
-        let cd = dense.press.compress(&traj).unwrap();
-        let cl = lazy.press.compress(&traj).unwrap();
-        assert_eq!(cd, cl, "compressed forms must match bit-for-bit");
-        assert_eq!(
-            dense.press.decompress(&cd).unwrap().path,
-            lazy.press.decompress(&cl).unwrap().path
-        );
-        let (t0, t1) = traj.temporal.time_range().unwrap();
-        for k in 0..=4 {
-            let t = t0 + (t1 - t0) * k as f64 / 4.0;
-            let a = d_engine.whereat(&cd, t).unwrap();
-            let b = l_engine.whereat(&cl, t).unwrap();
-            assert!(a.dist(&b) < 1e-12, "whereat differs between backends");
-        }
-        let total = traj.path.weight(&dense.net);
-        let probe = traj.path.point_at(&dense.net, total * 0.5).unwrap();
-        match (
-            d_engine.whenat(&cd, probe, 0.5),
-            l_engine.whenat(&cl, probe, 0.5),
-        ) {
-            (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-            (a, b) => assert_eq!(a.is_err(), b.is_err()),
-        }
-    }
-    // The lazy cache stayed within its configured bound the whole time.
-    assert!(lazy.sp.approx_bytes() <= 64 * dense.net.num_nodes() * 16 + (1 << 20));
-}
-
-#[test]
 fn every_backend_and_every_loaded_form_agrees_at_1024_nodes() {
     // Backend identity at a size the 6x6 and 10x10 fixtures cannot
-    // reach: on one jittered 32x32 grid the dense table, the lazy cache,
-    // a fresh CH and HL, and the CH and HL read back from their saved
+    // reach: on one jittered 32x32 grid the dense table, a fresh CH and
+    // HL, and the CH and HL read back from their saved
     // files (owned load and mapped open) must train the same model
     // bytes, compress to the same bits and decompress to the same paths,
     // and agree bit for bit on sampled distances and interior walks.
@@ -373,10 +325,6 @@ fn every_backend_and_every_loaded_form_agrees_at_1024_nodes() {
     ch.save_to(&ch_path).expect("save ch");
     hl.save_to(&hl_path).expect("save hl");
     let others: Vec<(&str, Arc<dyn SpProvider>)> = vec![
-        (
-            "lazy",
-            SpBackend::Lazy { capacity_trees: 64 }.build(net.clone()),
-        ),
         ("ch", Arc::new(ch)),
         ("hl", Arc::new(hl)),
         (

@@ -222,61 +222,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Tentpole invariant: on arbitrary jittered grid networks, the lazy
-    /// per-source cache returns **bit-identical** distances, predecessor
-    /// edges and shortest-path MBRs to the dense all-pair oracle — for
-    /// every node pair and a sweep of edge pairs — even with a capacity
-    /// small enough to force evictions mid-scan.
-    #[test]
-    fn lazy_cache_matches_dense_oracle(
-        nx in 3usize..7,
-        ny in 3usize..7,
-        seed in 0u64..1000,
-        jitter_milli in 0u32..300,
-        capacity in 2usize..12,
-    ) {
-        let net = Arc::new(grid_network(&GridConfig {
-            nx,
-            ny,
-            spacing: 90.0,
-            weight_jitter: jitter_milli as f64 / 1000.0,
-            removal_prob: 0.04,
-            seed,
-        }));
-        let dense = SpTable::build(net.clone());
-        // Probe budget on: the first lookups per source go through the
-        // bounded bidirectional point search, which must be bit-identical
-        // too (including the fully tied regime).
-        let lazy = LazySpCache::new(
-            net.clone(),
-            LazySpConfig {
-                capacity_trees: capacity,
-                shards: 2,
-                mbr_capacity: 32,
-                point_probe_budget: 3,
-            },
-        );
-        for u in net.node_ids() {
-            for v in net.node_ids() {
-                prop_assert_eq!(
-                    dense.node_dist(u, v).to_bits(),
-                    lazy.node_dist(u, v).to_bits(),
-                    "distance mismatch {} -> {}", u, v
-                );
-                prop_assert_eq!(dense.pred_edge(u, v), lazy.pred_edge(u, v));
-            }
-        }
-        let edges: Vec<EdgeId> = net.edge_ids().collect();
-        for &ei in edges.iter().step_by(7) {
-            for &ej in edges.iter().rev().step_by(11) {
-                prop_assert_eq!(dense.sp_end(ei, ej), lazy.sp_end(ei, ej));
-                prop_assert_eq!(dense.sp_interior(ei, ej), lazy.sp_interior(ei, ej));
-                prop_assert_eq!(dense.sp_mbr(ei, ej), lazy.sp_mbr(ei, ej));
-            }
-        }
-        prop_assert!(lazy.cached_trees() <= lazy.capacity_trees());
-    }
-
     /// Tentpole invariant (PR 2): the contraction-hierarchy backend is
     /// **bit-identical** to the dense all-pair oracle on arbitrary grid
     /// networks — distances, canonical predecessor edges, interiors and
@@ -478,57 +423,6 @@ proptest! {
                 &HubLabels::from_ch(&multi, threads).to_store_bytes(),
                 "sp_hl.press bytes differ at {} workers", threads
             );
-        }
-    }
-
-    /// Cache-eviction stress: hammering every source under a tiny budget
-    /// keeps residency (and therefore memory) bounded while answers stay
-    /// equal to the oracle — evicted trees are recomputed, not lost.
-    #[test]
-    fn lazy_cache_memory_stays_bounded_under_churn(
-        seed in 0u64..1000,
-        capacity in 1usize..6,
-        rounds in 1usize..4,
-    ) {
-        let net = Arc::new(grid_network(&GridConfig {
-            nx: 6,
-            ny: 6,
-            spacing: 100.0,
-            weight_jitter: 0.2,
-            removal_prob: 0.0,
-            seed,
-        }));
-        // Probes off: this test measures tree churn, so every miss must
-        // actually build (and evict) a tree.
-        let lazy = LazySpCache::new(
-            net.clone(),
-            LazySpConfig {
-                capacity_trees: capacity,
-                shards: 1,
-                mbr_capacity: 8,
-                point_probe_budget: 0,
-            },
-        );
-        let per_tree_bytes = net.num_nodes() * 16;
-        let bound = lazy.capacity_trees() * per_tree_bytes + 8 * 64;
-        for _ in 0..rounds {
-            for u in net.node_ids() {
-                let _ = lazy.node_dist(u, NodeId(0));
-                prop_assert!(lazy.cached_trees() <= lazy.capacity_trees());
-                prop_assert!(
-                    lazy.approx_bytes() <= bound,
-                    "resident bytes {} exceed bound {}", lazy.approx_bytes(), bound
-                );
-            }
-        }
-        let stats = lazy.stats();
-        prop_assert!(stats.tree_evictions > 0, "churn must evict under capacity {}", capacity);
-        // Spot-check correctness after heavy eviction.
-        let dense = SpTable::build(net.clone());
-        for u in net.node_ids().take(8) {
-            for v in net.node_ids() {
-                prop_assert_eq!(dense.node_dist(u, v).to_bits(), lazy.node_dist(u, v).to_bits());
-            }
         }
     }
 }

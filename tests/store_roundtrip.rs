@@ -8,8 +8,7 @@ use press::core::query::QueryEngine;
 use press::core::spatial::HscModel;
 use press::core::TrajectoryStore;
 use press::network::{
-    grid_network, ContractionHierarchy, GridConfig, HubLabels, LazySpCache, RoadNetwork,
-    SpProvider, SpTable,
+    grid_network, ContractionHierarchy, GridConfig, HubLabels, RoadNetwork, SpProvider, SpTable,
 };
 use press::prelude::*;
 use proptest::prelude::*;
@@ -115,7 +114,7 @@ fn link_payload(off: &[u32], edges: &[u32]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// All four SP backends: the loaded structure answers node_dist /
+    /// All three SP backends: the loaded structure answers node_dist /
     /// pred_edge / sp_mbr bit-identically to the built one on random
     /// networks.
     #[test]
@@ -129,14 +128,6 @@ proptest! {
         let dense = SpTable::build(net.clone());
         let dense_loaded =
             SpTable::from_store_bytes(net.clone(), dense.to_store_bytes()).expect("dense load");
-        let lazy = LazySpCache::with_default_config(net.clone());
-        for u in net.node_ids() {
-            // tree(), not node_dist(): distance probes deliberately stay
-            // treeless now, and this test wants a warm resident set.
-            let _ = lazy.tree(u);
-        }
-        let lazy_loaded =
-            LazySpCache::from_store_bytes(net.clone(), lazy.to_store_bytes()).expect("lazy load");
         let ch = ContractionHierarchy::build(net.clone());
         let ch_loaded =
             ContractionHierarchy::from_store_bytes(net.clone(), ch.to_store_bytes())
@@ -146,7 +137,6 @@ proptest! {
             HubLabels::from_store_bytes(net.clone(), hl.to_store_bytes()).expect("hl load");
         let pairs: Vec<ProviderPair> = vec![
             (Arc::new(dense), Arc::new(dense_loaded), "dense"),
-            (Arc::new(lazy), Arc::new(lazy_loaded), "lazy"),
             (Arc::new(ch), Arc::new(ch_loaded), "ch"),
             (Arc::new(hl), Arc::new(hl_loaded), "hl"),
         ];
