@@ -13,12 +13,17 @@
 //! position), its `depth − 1` predecessors are skipped, and so on — this
 //! yields a partition of the trajectory into Trie sub-trajectories, longest
 //! matches last-to-first, in `O(|T'|)` time.
+//!
+//! The automaton is the Trie plus one array, `fail`. Construction walks
+//! the Trie's child CSR breadth-first (the level-1 nodes `1..=|E|` first,
+//! then each node's run), so it allocates nothing per node; a failure
+//! chain that reaches the root resolves by arithmetic, since the root's
+//! children are implicit (see [`crate::spatial::trie`]).
 
 use crate::error::{PressError, Result};
 use crate::spatial::trie::{Trie, TrieNodeId};
 use press_network::EdgeId;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// The Aho–Corasick automaton over a sub-trajectory Trie.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -33,39 +38,26 @@ impl AcAutomaton {
     /// linear in the Trie size.
     pub fn build(trie: Trie) -> Self {
         let n = trie.num_nodes();
-        // One-pass child adjacency (Trie node ids are created parents-first,
-        // so a child always has a larger id than its parent).
-        let mut children: Vec<Vec<(EdgeId, TrieNodeId)>> = vec![Vec::new(); n];
-        for c in trie.node_ids() {
-            children[trie.parent(c) as usize].push((trie.last_edge(c), c));
-        }
         let mut fail = vec![Trie::ROOT; n];
-        let mut queue = VecDeque::new();
+        // The BFS queue: every node is appended once, after its parent.
         // Depth-1 nodes fail to the root.
-        for e in 0..trie.alphabet_size() as u32 {
-            queue.push_back(trie.level1(EdgeId(e)));
-        }
-        while let Some(u) = queue.pop_front() {
+        let mut order: Vec<TrieNodeId> = Vec::with_capacity(n - 1);
+        order.extend(1..=trie.alphabet_size() as TrieNodeId);
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
             // For each child (labelled c) of u: fail(child) = delta(fail(u), c).
-            for &(c, v) in &children[u as usize] {
+            // The walk ends at the latest at the root, where every edge
+            // has its level-1 node — never `v` itself, which is deeper.
+            for &(c, v) in trie.children(u) {
                 let mut f = fail[u as usize];
-                loop {
+                fail[v as usize] = loop {
                     if let Some(w) = trie.child(f, c) {
-                        if w != v {
-                            fail[v as usize] = w;
-                            break;
-                        }
-                    }
-                    if f == Trie::ROOT {
-                        // Longest proper suffix is the single edge c (depth-1
-                        // node) unless v itself is that node.
-                        let lvl1 = trie.level1(c);
-                        fail[v as usize] = if lvl1 == v { Trie::ROOT } else { lvl1 };
-                        break;
+                        break w;
                     }
                     f = fail[f as usize];
-                }
-                queue.push_back(v);
+                };
+                order.push(v);
             }
         }
         AcAutomaton { trie, fail }
@@ -91,14 +83,11 @@ impl AcAutomaton {
                 "edge {e} outside the automaton alphabet"
             )));
         }
+        // The root has a child for every edge of the alphabet, so the
+        // failure chain stops there at the latest.
         loop {
             if let Some(child) = self.trie.child(node, e) {
                 return Ok(child);
-            }
-            if node == Trie::ROOT {
-                // First level is complete, so this is reachable only via the
-                // `child` call above; keep as a defensive invariant.
-                return Ok(self.trie.level1(e));
             }
             node = self.fail[node as usize];
         }

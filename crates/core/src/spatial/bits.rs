@@ -181,7 +181,7 @@ impl BitReader<'_> {
         self.pos
     }
 
-    /// Peeks up to `k` bits ahead (`k ≤ 57`) without consuming them,
+    /// Peeks up to `k` bits ahead (`k ≤ 64`) without consuming them,
     /// MSB-first (matching [`BitWriter::push_code`]'s emission order).
     /// Returns the peeked value and how many bits were actually available.
     ///
@@ -190,7 +190,7 @@ impl BitReader<'_> {
     /// stream order at bit positions 0.., and one `reverse_bits` converts
     /// to the MSB-first code convention.
     pub fn peek_bits(&self, k: u32) -> (u64, u32) {
-        debug_assert!(k <= 57);
+        debug_assert!(k <= 64);
         let avail = (self.stream.len_bits - self.pos).min(u64::from(k)) as u32;
         if avail == 0 {
             return (0, 0);
@@ -345,6 +345,26 @@ mod peek_tests {
             assert_eq!(v, expect, "pos {pos}");
             // Peek must not consume.
             assert_eq!(r.position(), pos);
+        }
+    }
+
+    #[test]
+    fn a_full_word_peek_matches_sequential_bits_at_every_offset() {
+        let mut w = BitWriter::new();
+        for i in 0..300u32 {
+            w.push_bit((i * 11 + i / 5) % 7 < 3);
+        }
+        let s = w.finish();
+        for pos in 0..300u64 {
+            let mut r = s.reader();
+            r.advance(pos as u32);
+            let (v, avail) = r.peek_bits(64);
+            assert_eq!(avail, (300 - pos).min(64) as u32, "pos {pos}");
+            let mut expect = 0u64;
+            for i in 0..u64::from(avail) {
+                expect = (expect << 1) | s.bit(pos + i) as u64;
+            }
+            assert_eq!(v, expect, "pos {pos}");
         }
     }
 

@@ -13,6 +13,15 @@
 //! tree, while the two-queue method keeps the zero-weight part balanced
 //! (depth `⌈log₂ k⌉`). Codes are then made *canonical* so encoding is a
 //! table lookup and decoding is a per-length range check.
+//!
+//! Decoding peeks the next (up to) 64 bits once, left-justified in a
+//! register. A code of at most `FAST_BITS` (11) bits — every popular
+//! sub-trajectory — resolves with one table lookup on the register's top
+//! bits; a longer one — the zero-frequency first-level edges — by
+//! comparing the register against each length's canonical left-justified
+//! limit (the end of that length's code range, shifted to the top of 64
+//! bits), which needs no further read. Code lengths are at most 64, so
+//! one peek covers every code.
 
 use crate::error::{PressError, Result};
 use crate::spatial::bits::{BitReader, BitWriter};
@@ -24,7 +33,7 @@ use serde::{Deserialize, Serialize};
 const MAX_CODE_LEN: usize = 64;
 
 /// Width of the one-shot decode table: codes up to this many bits decode
-/// with a single lookup; longer codes fall back to the per-length scan.
+/// with a single lookup; longer codes fall back to the per-length limits.
 const FAST_BITS: usize = 11;
 
 /// A canonical Huffman code book over symbols `0..n`.
@@ -42,10 +51,15 @@ pub struct Huffman {
     count: Vec<u32>,
     /// Symbols sorted by (length, canonical order).
     sym_by_code: Vec<u32>,
+    /// `limit[l]` — one past the last canonical code of length `l`,
+    /// left-justified to 64 bits (so up to `2^64`): a 64-bit register
+    /// holding the next bits, MSB-first, starts with a code of length `l`
+    /// for the smallest `l` whose limit exceeds it.
+    limit: Vec<u128>,
     max_len: usize,
     /// One-shot decode table, indexed by the next `FAST_BITS` bits
     /// (MSB-first): `(symbol, code length)`, length 0 = fall back to the
-    /// scan. Rebuilt on construction, skipped by serde.
+    /// limits. Rebuilt on construction, skipped by serde.
     #[serde(skip, default)]
     fast: Vec<(u32, u8)>,
 }
@@ -158,38 +172,44 @@ impl Huffman {
         self.codes.iter().map(|&(_, l)| l).collect()
     }
 
-    /// Builds the canonical code book from code lengths.
+    /// Builds the canonical code book from code lengths: a counting sort
+    /// by length orders the symbols (ascending symbol within a length, as
+    /// canonical codes are handed out), in one pass with the codes.
     fn from_lengths(lens: Vec<u8>) -> Result<Self> {
         let max_len = lens.iter().copied().max().unwrap_or(0) as usize;
+        if max_len > MAX_CODE_LEN {
+            return Err(PressError::InvalidTraining(format!(
+                "Huffman code length {max_len} exceeds the supported maximum {MAX_CODE_LEN}"
+            )));
+        }
         let mut count = vec![0u32; max_len + 1];
         for &l in &lens {
             count[l as usize] += 1;
         }
-        // Kraft check (count[0] counts unused symbols only when n == 1 hack
-        // is not in play; by construction every symbol has a length >= 1).
-        let mut sym_by_code: Vec<u32> = (0..lens.len() as u32).collect();
-        sym_by_code.sort_by_key(|&s| (lens[s as usize], s));
+        // Symbols of length 0 (none from a real build) sit at the front of
+        // `sym_by_code`, before every offset, and get no code.
         let mut first_code = vec![0u64; max_len + 2];
         let mut offset = vec![0u32; max_len + 2];
+        let mut limit = vec![0u128; max_len + 1];
         let mut code = 0u64;
-        let mut off = 0u32;
         for l in 1..=max_len {
-            code = (code + count[l - 1] as u64) << 1;
+            code = code.wrapping_add(u64::from(count[l - 1])) << 1;
             first_code[l] = code;
-            offset[l] = off + count[l - 1];
-            off += count[l - 1];
+            offset[l] = offset[l - 1] + count[l - 1];
+            limit[l] = (u128::from(code) + u128::from(count[l])) << (64 - l);
         }
-        // count[0] symbols (none in practice) sit at the front of
-        // sym_by_code; skip them via offsets.
-        let mut codes = vec![(0u64, 0u8); lens.len()];
+        let mut slot = offset.clone();
         let mut next = first_code.clone();
-        for &sym in &sym_by_code {
-            let l = lens[sym as usize] as usize;
-            if l == 0 {
-                continue;
+        let mut sym_by_code = vec![0u32; lens.len()];
+        let mut codes = vec![(0u64, 0u8); lens.len()];
+        for (sym, &l) in lens.iter().enumerate() {
+            let l = l as usize;
+            sym_by_code[slot[l] as usize] = sym as u32;
+            slot[l] += 1;
+            if l > 0 {
+                codes[sym] = (next[l], l as u8);
+                next[l] = next[l].wrapping_add(1);
             }
-            codes[sym as usize] = (next[l], l as u8);
-            next[l] += 1;
         }
         let mut huffman = Huffman {
             codes,
@@ -197,6 +217,7 @@ impl Huffman {
             offset,
             count,
             sym_by_code,
+            limit,
             max_len,
             fast: Vec::new(),
         };
@@ -241,41 +262,49 @@ impl Huffman {
         out.push_code(code, len);
     }
 
-    /// Decodes one symbol from the reader: a single table lookup for codes
-    /// up to `FAST_BITS` bits (the overwhelmingly common case — popular
-    /// sub-trajectories have short codes), falling back to the canonical
-    /// per-length scan for rare long codes.
+    /// Decodes one symbol from the reader: one 64-bit peek, then a single
+    /// table lookup for codes up to `FAST_BITS` bits (the overwhelmingly
+    /// common case — popular sub-trajectories have short codes), or the
+    /// first length whose canonical limit exceeds the peeked register for
+    /// the rare long codes. A stream that ends inside a code, or bits no
+    /// code starts with, is [`PressError::CorruptBitstream`].
     pub fn decode_symbol(&self, reader: &mut BitReader<'_>) -> Result<u32> {
-        if !self.fast.is_empty() {
-            let (peek, avail) = reader.peek_bits(FAST_BITS as u32);
-            if avail > 0 {
-                // Left-align short peeks so prefixes index correctly.
-                let idx = (peek << (FAST_BITS as u32 - avail)) as usize;
-                let (sym, len) = self.fast[idx];
-                if len > 0 && u32::from(len) <= avail {
-                    reader.advance(u32::from(len));
-                    return Ok(sym);
-                }
+        let (peek, avail) = reader.peek_bits(64);
+        if avail == 0 {
+            return Err(PressError::CorruptBitstream(
+                "bit stream ended mid-code".into(),
+            ));
+        }
+        // The next bits at the top of the register, zeros past the end.
+        let bits = peek << (64 - avail);
+        if let Some(&(sym, len)) = self.fast.get((bits >> (64 - FAST_BITS)) as usize) {
+            if len > 0 && u32::from(len) <= avail {
+                reader.advance(u32::from(len));
+                return Ok(sym);
             }
         }
-        let mut code = 0u64;
-        for l in 1..=self.max_len {
-            let bit = reader
-                .next_bit()
-                .ok_or_else(|| PressError::CorruptBitstream("bit stream ended mid-code".into()))?;
-            code = (code << 1) | bit as u64;
-            let cnt = self.count[l] as u64;
-            if cnt > 0 {
-                let first = self.first_code[l];
-                if code >= first && code - first < cnt {
-                    let idx = self.offset[l] as u64 + (code - first);
-                    return Ok(self.sym_by_code[idx as usize]);
-                }
-            }
+        let Some(l) = (1..=self.max_len).find(|&l| u128::from(bits) < self.limit[l]) else {
+            return Err(PressError::CorruptBitstream(
+                if self.max_len > avail as usize {
+                    "bit stream ended mid-code".into()
+                } else {
+                    "no symbol matches the read bits".into()
+                },
+            ));
+        };
+        if l > avail as usize {
+            return Err(PressError::CorruptBitstream(
+                "bit stream ended mid-code".into(),
+            ));
         }
-        Err(PressError::CorruptBitstream(
-            "no symbol matches the read bits".into(),
-        ))
+        let index = (bits >> (64 - l)).wrapping_sub(self.first_code[l]);
+        if index >= u64::from(self.count[l]) {
+            return Err(PressError::CorruptBitstream(
+                "no symbol matches the read bits".into(),
+            ));
+        }
+        reader.advance(l as u32);
+        Ok(self.sym_by_code[(u64::from(self.offset[l]) + index) as usize])
     }
 
     /// Weighted average code length in bits given the training frequencies
@@ -293,12 +322,15 @@ impl Huffman {
         bits / total as f64
     }
 
-    /// Approximate in-memory footprint in bytes (§6.2 auxiliary report).
+    /// In-memory footprint in bytes (§6.2 auxiliary report): every table
+    /// the code book keeps, the one-shot decode table included.
     pub fn approx_bytes(&self) -> usize {
-        self.codes.len() * 9
-            + self.sym_by_code.len() * 4
-            + (self.first_code.len()) * 8
-            + (self.offset.len() + self.count.len()) * 4
+        use std::mem::size_of;
+        self.codes.len() * size_of::<(u64, u8)>()
+            + self.first_code.len() * size_of::<u64>()
+            + (self.offset.len() + self.count.len() + self.sym_by_code.len()) * size_of::<u32>()
+            + self.limit.len() * size_of::<u128>()
+            + self.fast.len() * size_of::<(u32, u8)>()
     }
 }
 
@@ -438,9 +470,122 @@ mod tests {
         }
     }
 
+    /// `approx_bytes` is every resident table, the 2,048-entry one-shot
+    /// decode table (16 KiB) included.
     #[test]
-    fn approx_bytes_positive() {
+    fn approx_bytes_is_the_resident_layout() {
+        use std::mem::size_of;
         let h = Huffman::from_freqs(&[1, 2, 3]).unwrap();
-        assert!(h.approx_bytes() > 0);
+        assert_eq!(h.code_lengths(), vec![2, 2, 1]);
+        let (n, max_len) = (3, 2);
+        let fast = (1 << FAST_BITS) * size_of::<(u32, u8)>();
+        assert_eq!(fast, 16 * 1024);
+        assert_eq!(
+            h.approx_bytes(),
+            n * size_of::<(u64, u8)>()
+                + (max_len + 2) * size_of::<u64>()
+                + ((max_len + 2) + (max_len + 1) + n) * size_of::<u32>()
+                + (max_len + 1) * size_of::<u128>()
+                + fast
+        );
+    }
+
+    /// Encodes `symbols` under `h` and decodes them back one by one.
+    fn roundtrip_book(h: &Huffman, symbols: impl Iterator<Item = u32> + Clone) {
+        let mut w = BitWriter::new();
+        for s in symbols.clone() {
+            h.encode_symbol(s, &mut w);
+        }
+        let stream = w.finish();
+        let mut r = stream.reader();
+        for s in symbols {
+            assert_eq!(h.decode_symbol(&mut r).unwrap(), s, "symbol {s}");
+        }
+        assert!(r.is_exhausted());
+    }
+
+    /// A Trie-sized book: 24,000 symbols, 18,000 of them never seen —
+    /// the zero-frequency first-level edges — so thousands of codes are
+    /// longer than the one-shot table and decode through the limits.
+    fn large_book() -> (Vec<u64>, Huffman) {
+        let freqs: Vec<u64> = (0..24_000u64)
+            .map(|s| if s % 4 == 0 { s * 7919 % 1000 + 1 } else { 0 })
+            .collect();
+        let h = Huffman::from_freqs(&freqs).unwrap();
+        (freqs, h)
+    }
+
+    #[test]
+    fn a_large_book_with_thousands_of_unseen_symbols_roundtrips() {
+        let (freqs, h) = large_book();
+        let long = (0..freqs.len() as u32)
+            .filter(|&s| usize::from(h.code_len(s)) > FAST_BITS)
+            .count();
+        assert!(long > 10_000, "{long} long codes");
+        // Every symbol, in an order that interleaves short and long codes
+        // and lands codes across every word offset.
+        let n = freqs.len() as u32;
+        roundtrip_book(&h, (0..n).map(|i| i.wrapping_mul(7_919) % n));
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_long_code_is_a_corrupt_stream() {
+        let (freqs, h) = large_book();
+        let mut checked = 0;
+        for sym in 0..freqs.len() as u32 {
+            let (code, len) = h.codes[sym as usize];
+            if usize::from(len) <= FAST_BITS {
+                continue;
+            }
+            for cut in 1..len {
+                let mut w = BitWriter::new();
+                w.push_code(code >> (len - cut), cut);
+                let stream = w.finish();
+                assert!(
+                    matches!(
+                        h.decode_symbol(&mut stream.reader()),
+                        Err(PressError::CorruptBitstream(_))
+                    ),
+                    "symbol {sym} cut at {cut} of {len} bits"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 100_000, "{checked} prefixes");
+    }
+
+    /// Lengths 1..=63 plus 64, 64 fill the code space exactly; the codes
+    /// past the 57 bits a byte-refilled reader could peek decode like any
+    /// other, after any lead, and each one cut short is corrupt.
+    #[test]
+    fn a_book_reaching_64_bit_codes_decodes_every_symbol() {
+        let mut lens: Vec<u8> = (1..=63).chain([64, 64]).collect();
+        // Not in length order: symbol `s` gets the `(s * 23) % 65`-th length.
+        lens = (0..65).map(|s| lens[s * 23 % 65]).collect();
+        let h = Huffman::from_code_lengths(lens.clone()).unwrap();
+        assert_eq!(h.code_lengths(), lens);
+        for lead in [0u32, 1, 31, 63] {
+            let mut w = BitWriter::new();
+            for i in 0..lead {
+                w.push_bit(i % 2 == 0);
+            }
+            for s in 0..65u32 {
+                h.encode_symbol(s, &mut w);
+            }
+            let stream = w.finish();
+            let mut r = stream.reader();
+            r.advance(lead);
+            for s in 0..65u32 {
+                assert_eq!(h.decode_symbol(&mut r).unwrap(), s, "lead {lead}");
+            }
+            assert!(r.is_exhausted());
+        }
+        for s in 0..65u32 {
+            let (code, len) = h.codes[s as usize];
+            let mut w = BitWriter::new();
+            w.push_code(code >> 1, len - 1);
+            assert!(h.decode_symbol(&mut w.finish().reader()).is_err(), "{s}");
+        }
+        assert!(Huffman::from_code_lengths(vec![65, 1]).is_err());
     }
 }

@@ -6,35 +6,48 @@
 //! pass through it (the link labels of the paper's Fig. 5). The first
 //! level is completed with *all* network edges (frequency 0 where unseen)
 //! so that the Aho–Corasick decomposition can always make progress.
+//!
+//! # Layout
+//!
+//! The Trie is flat: one array per node field (`parent`, `edge`, `first`,
+//! `depth`, `freq`), indexed by node id, plus one CSR of children — node
+//! `n`'s children are `kids[kid_off[n]..kid_off[n + 1]]`, `(edge, child)`
+//! pairs sorted by edge, so [`Trie::child`] is a binary search over one
+//! contiguous run and no node owns an allocation. The root's children are
+//! implicit: the first level is complete and in edge order, so the
+//! level-1 node of edge `e` is node `e + 1` and `child(ROOT, e)` is
+//! arithmetic; the root's CSR run is empty. Node ids are parents-first
+//! (`parent < id`) — as [`Trie::build`] creates them and as the persisted
+//! records list them — so the arrays fill in one pass over the nodes and
+//! the CSR is one counting sort by parent.
 
 use crate::error::{PressError, Result};
 use press_network::EdgeId;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Identifier of a Trie node; `Trie::ROOT` (= 0) is the root.
 pub type TrieNodeId = u32;
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct TrieNode {
-    parent: TrieNodeId,
-    /// Label of the link from `parent` to this node. Unused for the root.
-    edge: EdgeId,
-    /// Label of the depth-1 ancestor: the *first* edge of the node's
-    /// sub-trajectory, copied down from the parent when the node is made.
-    first: EdgeId,
-    depth: u16,
-    freq: u64,
-    /// Children sorted by edge id for binary search.
-    children: Vec<(EdgeId, TrieNodeId)>,
-}
-
-/// The sub-trajectory Trie.
+/// The sub-trajectory Trie (see the module docs for its layout).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Trie {
-    nodes: Vec<TrieNode>,
     theta: usize,
-    /// Per network edge: its first-level node (complete by construction).
-    level1: Vec<TrieNodeId>,
+    /// Size of the edge alphabet; the level-1 nodes are `1..=alphabet`.
+    alphabet: usize,
+    parent: Vec<TrieNodeId>,
+    /// Label of the link from `parent` to the node. Unused for the root.
+    edge: Vec<EdgeId>,
+    /// Label of the depth-1 ancestor: the *first* edge of the node's
+    /// sub-trajectory, copied down from the parent when the node is made.
+    first: Vec<EdgeId>,
+    depth: Vec<u16>,
+    freq: Vec<u64>,
+    /// CSR offsets of each node's run in `kids` (the root's run is empty).
+    kid_off: Vec<u32>,
+    /// `(edge, child)` of every node at depth ≥ 2, grouped by parent and
+    /// sorted by edge within a group.
+    kids: Vec<(EdgeId, TrieNodeId)>,
 }
 
 impl Trie {
@@ -56,25 +69,16 @@ impl Trie {
         if num_edges == 0 {
             return Err(PressError::InvalidTraining("network has no edges".into()));
         }
-        let mut trie = Trie {
-            nodes: vec![TrieNode {
-                parent: 0,
-                edge: EdgeId(u32::MAX),
-                first: EdgeId(u32::MAX),
-                depth: 0,
-                freq: 0,
-                children: Vec::with_capacity(num_edges),
-            }],
-            theta,
-            level1: vec![0; num_edges],
-        };
+        let mut trie = Trie::with_root(theta, num_edges, num_edges + 1);
         // Complete first level, in edge order (paper: "the nodes in the
         // first level correspond to all the edges in the original road
         // network").
         for e in 0..num_edges as u32 {
-            let id = trie.push_node(Self::ROOT, EdgeId(e), 1);
-            trie.level1[e as usize] = id;
+            trie.push_node(Self::ROOT, EdgeId(e), 1, 0);
         }
+        // The growing form: the children of non-root nodes by (parent,
+        // edge), frozen into the CSR once every node exists.
+        let mut grown: HashMap<(TrieNodeId, EdgeId), TrieNodeId> = HashMap::new();
         for traj in training {
             for (i, &first) in traj.iter().enumerate() {
                 if first.index() >= num_edges {
@@ -90,29 +94,43 @@ impl Trie {
                             "training edge {e} outside network of {num_edges} edges"
                         )));
                     }
-                    node = trie.child_or_insert(node, e);
-                    trie.nodes[node as usize].freq += 1;
+                    node = if node == Self::ROOT {
+                        trie.level1(e)
+                    } else {
+                        *grown.entry((node, e)).or_insert_with(|| {
+                            let depth = trie.depth[node as usize] + 1;
+                            trie.push_node(node, e, depth, 0)
+                        })
+                    };
+                    trie.freq[node as usize] += 1;
                 }
             }
         }
+        let duplicate = trie.index_children();
+        debug_assert_eq!(duplicate, None, "the growing form has one child per label");
         Ok(trie)
     }
 
     /// Reconstructs a Trie from its serialized per-node records (the
-    /// artifact tier's load path). `nodes[i]` describes non-root node
-    /// `i + 1` as `(parent, last edge, depth, frequency)`; nodes must be
-    /// listed parents-first (`parent < id`), exactly as [`Trie::build`]
+    /// artifact tier's load path). The `i`-th record describes non-root
+    /// node `i + 1` as `(parent, last edge, depth, frequency)`; nodes must
+    /// be listed parents-first (`parent < id`), exactly as [`Trie::build`]
     /// creates them, and the first `num_edges` nodes must be the complete
-    /// first level in edge order. Children/level1 indexes are rebuilt;
-    /// because children are re-inserted in the same id order the builder
-    /// used, the reconstructed Trie is field-for-field identical.
+    /// first level in edge order. The records fill the node arrays in one
+    /// pass and the child CSR is derived from them, so the reconstructed
+    /// Trie is field-for-field identical to the one that was saved.
     ///
     /// Violations return an error string (the caller maps it to a typed
-    /// store error) — never a panic.
+    /// store error) — never a panic. The refusal is the first node, in id
+    /// order, that breaks a rule, and the first rule it breaks: its parent
+    /// is not earlier, its edge is outside the alphabet, its depth is not
+    /// its parent's + 1 or exceeds θ, it is not the level-1 node the
+    /// complete first level puts at its id, or its parent already has a
+    /// child with its label.
     pub(crate) fn from_raw_parts(
         theta: usize,
         num_edges: usize,
-        nodes: &[(TrieNodeId, EdgeId, u16, u64)],
+        nodes: impl ExactSizeIterator<Item = (TrieNodeId, EdgeId, u16, u64)>,
     ) -> std::result::Result<Self, String> {
         if theta == 0 {
             return Err("theta must be at least 1".into());
@@ -126,99 +144,172 @@ impl Trie {
                 nodes.len()
             ));
         }
-        let mut trie = Trie {
-            nodes: vec![TrieNode {
-                parent: 0,
-                edge: EdgeId(u32::MAX),
-                first: EdgeId(u32::MAX),
-                depth: 0,
-                freq: 0,
-                children: Vec::with_capacity(num_edges),
-            }],
-            theta,
-            level1: vec![0; num_edges],
-        };
-        for (i, &(parent, edge, depth, freq)) in nodes.iter().enumerate() {
+        let mut trie = Trie::with_root(theta, num_edges, nodes.len() + 1);
+        for (i, (parent, edge, depth, freq)) in nodes.enumerate() {
             let id = (i + 1) as TrieNodeId;
-            if parent >= id {
-                return Err(format!("node {id} has non-prior parent {parent}"));
+            if let Err(refusal) = trie.check_record(id, parent, edge, depth) {
+                // A node below `id` that repeats a sibling's label was
+                // refused first.
+                return Err(trie
+                    .index_children()
+                    .map_or(refusal, |dup| trie.duplicate_of(dup)));
             }
-            if edge.index() >= num_edges {
-                return Err(format!("node {id} labelled with out-of-alphabet {edge}"));
-            }
-            let expected_depth = trie.nodes[parent as usize].depth + 1;
-            if depth != expected_depth {
-                return Err(format!(
-                    "node {id} depth {depth} != parent depth + 1 ({expected_depth})"
-                ));
-            }
-            if depth as usize > theta {
-                return Err(format!("node {id} deeper than theta {theta}"));
-            }
-            if i < num_edges && (parent != Self::ROOT || edge != EdgeId(i as u32)) {
-                return Err(format!(
-                    "node {id} must be the level-1 node of edge e{i} (complete first level)"
-                ));
-            }
-            if trie.child(parent, edge).is_some() {
-                return Err(format!("node {id} duplicates child {edge} of {parent}"));
-            }
-            let created = trie.push_node(parent, edge, depth);
-            debug_assert_eq!(created, id);
-            trie.nodes[id as usize].freq = freq;
-            if depth == 1 {
-                trie.level1[edge.index()] = id;
-            }
+            trie.push_node(parent, edge, depth, freq);
         }
-        Ok(trie)
+        match trie.index_children() {
+            Some(dup) => Err(trie.duplicate_of(dup)),
+            None => Ok(trie),
+        }
     }
 
-    fn push_node(&mut self, parent: TrieNodeId, edge: EdgeId, depth: u16) -> TrieNodeId {
-        let id = self.nodes.len() as TrieNodeId;
+    /// The rules [`Trie::from_raw_parts`] can check as the record of node
+    /// `id` arrives: all but a repeated label under a non-root parent,
+    /// which the CSR build finds.
+    fn check_record(
+        &self,
+        id: TrieNodeId,
+        parent: TrieNodeId,
+        edge: EdgeId,
+        depth: u16,
+    ) -> std::result::Result<(), String> {
+        if parent >= id {
+            return Err(format!("node {id} has non-prior parent {parent}"));
+        }
+        if edge.index() >= self.alphabet {
+            return Err(format!("node {id} labelled with out-of-alphabet {edge}"));
+        }
+        let expected_depth = u32::from(self.depth[parent as usize]) + 1;
+        if u32::from(depth) != expected_depth {
+            return Err(format!(
+                "node {id} depth {depth} != parent depth + 1 ({expected_depth})"
+            ));
+        }
+        if depth as usize > self.theta {
+            return Err(format!("node {id} deeper than theta {}", self.theta));
+        }
+        let level1 = id as usize <= self.alphabet;
+        if level1 && (parent != Self::ROOT || edge != EdgeId(id - 1)) {
+            return Err(format!(
+                "node {id} must be the level-1 node of edge e{} (complete first level)",
+                id - 1
+            ));
+        }
+        if !level1 && parent == Self::ROOT {
+            // The complete first level already holds every root child.
+            return Err(duplicate_refusal(id, parent, edge));
+        }
+        Ok(())
+    }
+
+    /// The refusal of node `id`, already in the arrays, as a duplicate.
+    fn duplicate_of(&self, id: TrieNodeId) -> String {
+        duplicate_refusal(id, self.parent[id as usize], self.edge[id as usize])
+    }
+
+    /// A Trie holding only the root, with room for `capacity` nodes.
+    fn with_root(theta: usize, alphabet: usize, capacity: usize) -> Self {
+        let mut trie = Trie {
+            theta,
+            alphabet,
+            parent: Vec::with_capacity(capacity),
+            edge: Vec::with_capacity(capacity),
+            first: Vec::with_capacity(capacity),
+            depth: Vec::with_capacity(capacity),
+            freq: Vec::with_capacity(capacity),
+            kid_off: Vec::new(),
+            kids: Vec::new(),
+        };
+        trie.parent.push(Self::ROOT);
+        trie.edge.push(EdgeId(u32::MAX));
+        trie.first.push(EdgeId(u32::MAX));
+        trie.depth.push(0);
+        trie.freq.push(0);
+        trie
+    }
+
+    /// Appends a node to the arrays (the CSR is built afterwards).
+    fn push_node(&mut self, parent: TrieNodeId, edge: EdgeId, depth: u16, freq: u64) -> TrieNodeId {
+        let id = self.parent.len() as TrieNodeId;
         let first = if depth == 1 {
             edge
         } else {
-            self.nodes[parent as usize].first
+            self.first[parent as usize]
         };
-        self.nodes.push(TrieNode {
-            parent,
-            edge,
-            first,
-            depth,
-            freq: 0,
-            children: Vec::new(),
-        });
-        let pos = self.nodes[parent as usize]
-            .children
-            .binary_search_by_key(&edge, |&(e, _)| e)
-            .unwrap_err();
-        self.nodes[parent as usize].children.insert(pos, (edge, id));
+        self.parent.push(parent);
+        self.edge.push(edge);
+        self.first.push(first);
+        self.depth.push(depth);
+        self.freq.push(freq);
         id
     }
 
-    fn child_or_insert(&mut self, node: TrieNodeId, e: EdgeId) -> TrieNodeId {
-        match self.child(node, e) {
-            Some(c) => c,
-            None => {
-                let depth = self.nodes[node as usize].depth + 1;
-                self.push_node(node, e, depth)
+    /// (Re)builds the child CSR over every node in the arrays: a counting
+    /// sort by parent, then each run sorted by edge. Returns the first node,
+    /// in id order, whose parent already has a child with its label.
+    fn index_children(&mut self) -> Option<TrieNodeId> {
+        let n = self.parent.len();
+        // Per-parent counts, prefix-summed to run ends; the fill below
+        // walks each end back to its run's start.
+        let mut off = vec![0u32; n + 1];
+        for &p in &self.parent[1..] {
+            if p != Self::ROOT {
+                off[p as usize] += 1;
             }
         }
+        let mut end = 0;
+        for o in &mut off[..n] {
+            end += *o;
+            *o = end;
+        }
+        off[n] = end;
+        let mut kids = vec![(EdgeId(0), Self::ROOT); end as usize];
+        for id in (1..n).rev() {
+            let p = self.parent[id] as usize;
+            if p != Self::ROOT as usize {
+                off[p] -= 1;
+                kids[off[p] as usize] = (self.edge[id], id as TrieNodeId);
+            }
+        }
+        let mut duplicate: Option<TrieNodeId> = None;
+        for w in off.windows(2) {
+            let run = &mut kids[w[0] as usize..w[1] as usize];
+            if run.len() > 1 {
+                run.sort_unstable();
+                for pair in run.windows(2).filter(|p| p[0].0 == p[1].0) {
+                    duplicate = Some(duplicate.map_or(pair[1].1, |d| d.min(pair[1].1)));
+                }
+            }
+        }
+        self.kid_off = off;
+        self.kids = kids;
+        duplicate
     }
 
-    /// The child of `node` labelled `e`, if present.
+    /// The child of `node` labelled `e`, if present — arithmetic at the
+    /// root, a binary search over the node's CSR run below it.
     #[inline]
     pub fn child(&self, node: TrieNodeId, e: EdgeId) -> Option<TrieNodeId> {
-        let children = &self.nodes[node as usize].children;
-        children
-            .binary_search_by_key(&e, |&(edge, _)| edge)
+        if node == Self::ROOT {
+            return (e.index() < self.alphabet).then_some(e.0 + 1);
+        }
+        let kids = self.children(node);
+        kids.binary_search_by_key(&e, |&(edge, _)| edge)
             .ok()
-            .map(|i| children[i].1)
+            .map(|i| kids[i].1)
+    }
+
+    /// `(edge, child)` of every child of a non-root `node`, sorted by
+    /// edge. Empty for the root, whose children are implicit
+    /// ([`Trie::level1`]).
+    #[inline]
+    pub(crate) fn children(&self, node: TrieNodeId) -> &[(EdgeId, TrieNodeId)] {
+        let n = node as usize;
+        &self.kids[self.kid_off[n] as usize..self.kid_off[n + 1] as usize]
     }
 
     /// Number of nodes including the root.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.parent.len()
     }
 
     /// Maximum sub-trajectory length θ the Trie was built with.
@@ -228,45 +319,47 @@ impl Trie {
 
     /// Size of the edge alphabet (network edge count).
     pub fn alphabet_size(&self) -> usize {
-        self.level1.len()
+        self.alphabet
     }
 
     /// Parent of a node (root's parent is root).
     #[inline]
     pub fn parent(&self, node: TrieNodeId) -> TrieNodeId {
-        self.nodes[node as usize].parent
+        self.parent[node as usize]
     }
 
     /// Label of the link from the node's parent — i.e. the *last* edge of
     /// the node's sub-trajectory. Meaningless for the root.
     #[inline]
     pub fn last_edge(&self, node: TrieNodeId) -> EdgeId {
-        self.nodes[node as usize].edge
+        self.edge[node as usize]
     }
 
     /// Depth of a node = length of its sub-trajectory.
     #[inline]
     pub fn depth(&self, node: TrieNodeId) -> usize {
-        self.nodes[node as usize].depth as usize
+        self.depth[node as usize] as usize
     }
 
     /// Training frequency of the node's sub-trajectory (prefix counted).
     #[inline]
     pub fn freq(&self, node: TrieNodeId) -> u64 {
-        self.nodes[node as usize].freq
+        self.freq[node as usize]
     }
 
-    /// First-level node of a network edge (guaranteed to exist).
+    /// First-level node of a network edge (guaranteed to exist): node
+    /// `e + 1`.
     #[inline]
     pub fn level1(&self, e: EdgeId) -> TrieNodeId {
-        self.level1[e.index()]
+        debug_assert!(e.index() < self.alphabet, "{e} outside the alphabet");
+        e.0 + 1
     }
 
     /// The *first* edge of the node's sub-trajectory (the level-1 ancestor's
     /// label) — a table read, not a climb. Meaningless for the root.
     #[inline]
     pub fn first_edge(&self, node: TrieNodeId) -> EdgeId {
-        self.nodes[node as usize].first
+        self.first[node as usize]
     }
 
     /// Reconstructs the sub-trajectory `Tsub(node)` (path from the root).
@@ -274,8 +367,8 @@ impl Trie {
         let mut edges = Vec::with_capacity(self.depth(node));
         let mut cur = node;
         while cur != Self::ROOT {
-            edges.push(self.nodes[cur as usize].edge);
-            cur = self.nodes[cur as usize].parent;
+            edges.push(self.edge[cur as usize]);
+            cur = self.parent[cur as usize];
         }
         edges.reverse();
         edges
@@ -296,32 +389,37 @@ impl Trie {
         let mut cur = node;
         for slot in chain.as_mut_slice().iter_mut().rev() {
             *slot = cur;
-            cur = self.nodes[cur as usize].parent;
+            cur = self.parent[cur as usize];
         }
         chain
     }
 
     /// Iterator over all non-root node ids.
     pub fn node_ids(&self) -> impl ExactSizeIterator<Item = TrieNodeId> {
-        1..self.nodes.len() as TrieNodeId
+        1..self.parent.len() as TrieNodeId
     }
 
     /// Per-symbol frequencies for Huffman construction: symbol `s`
     /// corresponds to node `s + 1` (the root is not a symbol).
     pub fn symbol_freqs(&self) -> Vec<u64> {
-        self.nodes[1..].iter().map(|n| n.freq).collect()
+        self.freq[1..].to_vec()
     }
 
-    /// Approximate in-memory footprint in bytes (§6.2 auxiliary report).
+    /// In-memory footprint in bytes (§6.2 auxiliary report): the five node
+    /// arrays and the child CSR.
     pub fn approx_bytes(&self) -> usize {
-        self.nodes.len() * (4 + 4 + 4 + 2 + 8 + std::mem::size_of::<Vec<(EdgeId, TrieNodeId)>>())
-            + self
-                .nodes
-                .iter()
-                .map(|n| n.children.len() * 8)
-                .sum::<usize>()
-            + self.level1.len() * 4
+        use std::mem::size_of;
+        self.parent.len() * size_of::<TrieNodeId>()
+            + (self.edge.len() + self.first.len()) * size_of::<EdgeId>()
+            + self.depth.len() * size_of::<u16>()
+            + self.freq.len() * size_of::<u64>()
+            + self.kid_off.len() * size_of::<u32>()
+            + self.kids.len() * size_of::<(EdgeId, TrieNodeId)>()
     }
+}
+
+fn duplicate_refusal(id: TrieNodeId, parent: TrieNodeId, edge: EdgeId) -> String {
+    format!("node {id} duplicates child {edge} of {parent}")
 }
 
 /// A root→node chain of Trie node ids ([`Trie::chain`]). Depth is at
@@ -514,8 +612,47 @@ mod tests {
         assert!(t.child(n_e6e3, e(1)).is_none());
     }
 
+    /// `approx_bytes` is the resident layout: five node arrays, the CSR
+    /// offsets and one `(edge, child)` pair per node below depth 1.
     #[test]
-    fn approx_bytes_positive() {
-        assert!(paper_trie().approx_bytes() > 0);
+    fn approx_bytes_is_the_resident_layout() {
+        use std::mem::size_of;
+        let t = paper_trie();
+        let n = t.num_nodes();
+        let kids = n - 1 - t.alphabet_size();
+        assert_eq!(kids, 17);
+        let per_node =
+            size_of::<TrieNodeId>() + 2 * size_of::<EdgeId>() + size_of::<u16>() + size_of::<u64>();
+        assert_eq!(
+            t.approx_bytes(),
+            n * per_node + (n + 1) * size_of::<u32>() + kids * size_of::<(EdgeId, TrieNodeId)>()
+        );
+        assert_eq!(t.approx_bytes(), 28 * 22 + 29 * 4 + 17 * 8);
+    }
+
+    /// The root's children are the level-1 nodes `e + 1`, a child lookup
+    /// outside the alphabet finds nothing, and every node's CSR run lists
+    /// exactly the nodes naming it as parent, sorted by edge.
+    #[test]
+    fn root_children_are_implicit_and_runs_are_sorted() {
+        let t = paper_trie();
+        for e in 0..10u32 {
+            assert_eq!(t.child(Trie::ROOT, EdgeId(e)), Some(e + 1));
+            assert_eq!(t.level1(EdgeId(e)), e + 1);
+        }
+        assert_eq!(t.child(Trie::ROOT, EdgeId(10)), None);
+        assert!(t.children(Trie::ROOT).is_empty());
+        for p in t.node_ids() {
+            let run = t.children(p);
+            assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "node {p}");
+            let named: Vec<TrieNodeId> = t.node_ids().filter(|&c| t.parent(c) == p).collect();
+            let mut listed: Vec<TrieNodeId> = run.iter().map(|&(_, c)| c).collect();
+            listed.sort_unstable();
+            assert_eq!(listed, named, "node {p}");
+            for &(e, c) in run {
+                assert_eq!(t.last_edge(c), e);
+                assert_eq!(t.child(p, e), Some(c));
+            }
+        }
     }
 }

@@ -85,7 +85,7 @@ impl HscModel {
     /// The `trie` section: one 18-byte record per non-root node.
     fn trie_section(&self) -> Vec<u8> {
         let trie = self.trie();
-        let mut nodes = ByteWriter::with_capacity((trie.num_nodes() - 1) * 18);
+        let mut nodes = ByteWriter::with_capacity((trie.num_nodes() - 1) * TRIE_RECORD_BYTES);
         for id in trie.node_ids() {
             nodes.put_u32(trie.parent(id));
             nodes.put_u32(trie.last_edge(id).0);
@@ -189,18 +189,22 @@ impl HscModel {
         if num_nodes == 0 {
             return Err(StoreError::Corrupt("trie has no root".into()));
         }
-        let mut r = file.reader("trie")?;
-        let mut records = Vec::with_capacity(num_nodes - 1);
-        for _ in 1..num_nodes {
-            let parent = r.get_u32()?;
-            let edge = EdgeId(r.get_u32()?);
-            let depth = r.get_u16()?;
-            let freq = r.get_u64()?;
-            records.push((parent, edge, depth, freq));
-        }
-        r.expect_end("trie")?;
-        let trie = Trie::from_raw_parts(theta, alphabet, &records)
-            .map_err(|e| StoreError::Corrupt(format!("trie: {e}")))?;
+        // Fixed-width sections decode in bulk, straight into the vectors
+        // the model keeps.
+        let records = fixed_records(&file, "trie", num_nodes - 1, TRIE_RECORD_BYTES)?;
+        let trie = Trie::from_raw_parts(
+            theta,
+            alphabet,
+            records.chunks_exact(TRIE_RECORD_BYTES).map(|r| {
+                (
+                    u32::from_le_bytes(le(r, 0)),
+                    EdgeId(u32::from_le_bytes(le(r, 4))),
+                    u16::from_le_bytes(le(r, 8)),
+                    u64::from_le_bytes(le(r, 10)),
+                )
+            }),
+        )
+        .map_err(|e| StoreError::Corrupt(format!("trie: {e}")))?;
         let lens = file.section("hufflens")?.to_vec();
         if lens.len() != num_nodes - 1 {
             return Err(StoreError::Corrupt(format!(
@@ -212,23 +216,22 @@ impl HscModel {
         validate_code_lengths(&lens)?;
         let huffman = Huffman::from_code_lengths(lens)
             .map_err(|e| StoreError::Corrupt(format!("huffman: {e}")))?;
-        let mut r = file.reader("node_dist")?;
-        let mut node_dist = Vec::with_capacity(num_nodes);
-        for _ in 0..num_nodes {
-            node_dist.push(r.get_f64()?);
-        }
-        r.expect_end("node_dist")?;
-        let mut r = file.reader("node_mbr")?;
-        let mut node_mbr = Vec::with_capacity(num_nodes);
-        for _ in 0..num_nodes {
-            node_mbr.push(Mbr {
-                min_x: r.get_f64()?,
-                min_y: r.get_f64()?,
-                max_x: r.get_f64()?,
-                max_y: r.get_f64()?,
-            });
-        }
-        r.expect_end("node_mbr")?;
+        let node_dist: Vec<f64> = fixed_records(&file, "node_dist", num_nodes, 8)?
+            .chunks_exact(8)
+            .map(|d| f64::from_le_bytes(le(d, 0)))
+            .collect();
+        let node_mbr: Vec<Mbr> = fixed_records(&file, "node_mbr", num_nodes, 32)?
+            .chunks_exact(32)
+            .map(|m| {
+                let f = |k: usize| f64::from_le_bytes(le(m, 8 * k));
+                Mbr {
+                    min_x: f(0),
+                    min_y: f(1),
+                    max_x: f(2),
+                    max_y: f(3),
+                }
+            })
+            .collect();
         let node_link = if file.has_section("node_link") {
             // Loaded, never recomputed: opening a model costs no
             // shortest-path call.
@@ -240,9 +243,9 @@ impl HscModel {
                     num_nodes + 1
                 )));
             }
-            let mut words = le_words(raw);
-            let off: Vec<u32> = words.by_ref().take(num_nodes + 1).collect();
-            let edges: Vec<EdgeId> = words.map(EdgeId).collect();
+            let (off, edges) = raw.split_at((num_nodes + 1) * 4);
+            let off: Vec<u32> = le_words(off).collect();
+            let edges: Vec<EdgeId> = le_words(edges).map(EdgeId).collect();
             LinkArena::from_raw(num_nodes, off, edges)
                 .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?
         } else {
@@ -276,6 +279,38 @@ impl HscModel {
     pub fn load_from(sp: Arc<dyn SpProvider>, path: &Path) -> press_store::Result<HscModel> {
         Self::from_store_bytes(sp, std::fs::read(path)?)
     }
+}
+
+/// Bytes of one `trie` record: parent `u32`, edge `u32`, depth `u16`,
+/// frequency `u64`.
+const TRIE_RECORD_BYTES: usize = 18;
+
+/// The payload of section `name`, which must hold exactly `count` records
+/// of `width` bytes: a short one is `Truncated`, a long one `Corrupt` —
+/// what a field-by-field read of it reports.
+fn fixed_records<'f>(
+    file: &'f StoreFile,
+    name: &str,
+    count: usize,
+    width: usize,
+) -> press_store::Result<&'f [u8]> {
+    let raw = file.section(name)?;
+    match count.checked_mul(width) {
+        Some(want) if raw.len() > want => Err(StoreError::Corrupt(format!(
+            "{} trailing bytes after {name}",
+            raw.len() - want
+        ))),
+        Some(want) if raw.len() == want => Ok(raw),
+        _ => Err(StoreError::Truncated { what: name.into() }),
+    }
+}
+
+/// The `N` bytes of a fixed-width record at `at`, which the record's
+/// width covers.
+fn le<const N: usize>(record: &[u8], at: usize) -> [u8; N] {
+    record[at..at + N]
+        .try_into()
+        .expect("a field inside its fixed-width record")
 }
 
 /// The little-endian `u32` words of `raw`, whose length the caller has
@@ -928,16 +963,33 @@ mod tests {
         let (a, b) = (model.trie(), loaded.trie());
         assert_eq!(a.num_nodes(), b.num_nodes());
         assert_eq!(a.theta(), b.theta());
+        assert_eq!(a.alphabet_size(), b.alphabet_size());
         for id in a.node_ids() {
             assert_eq!(a.parent(id), b.parent(id));
             assert_eq!(a.last_edge(id), b.last_edge(id));
+            assert_eq!(a.first_edge(id), b.first_edge(id));
             assert_eq!(a.depth(id), b.depth(id));
             assert_eq!(a.freq(id), b.freq(id));
+            assert_eq!(a.chain(id).as_slice(), b.chain(id).as_slice());
             assert_eq!(
                 model.node_dist(id).to_bits(),
                 loaded.node_dist(id).to_bits()
             );
             assert_eq!(model.node_mbr(id), loaded.node_mbr(id));
+        }
+        // Every transition, from every node (the root included) over every
+        // edge label and one past the alphabet.
+        let mut found = 0;
+        for id in std::iter::once(Trie::ROOT).chain(a.node_ids()) {
+            for e in 0..=a.alphabet_size() as u32 {
+                let child = a.child(id, EdgeId(e));
+                assert_eq!(child, b.child(id, EdgeId(e)), "child({id}, e{e})");
+                found += usize::from(child.is_some());
+            }
+        }
+        assert_eq!(found, a.num_nodes() - 1, "every node is one transition");
+        for e in 0..a.alphabet_size() as u32 {
+            assert_eq!(a.level1(EdgeId(e)), b.level1(EdgeId(e)));
         }
         assert_eq!(
             model.huffman().code_lengths(),
@@ -1073,6 +1125,157 @@ mod tests {
             .find(|&g| net.edge(EdgeId(g)).to != head)
             .unwrap();
         corrupt(with_stops(&bad, &[]), "not an in-edge of the pair's head");
+    }
+
+    /// Each rule the `trie` records must satisfy, broken once in a
+    /// CRC-valid rewrite of `hsc.press`: the load refuses with
+    /// `Corrupt("trie: …")` and the rule's own message.
+    #[test]
+    fn trie_refusal_matrix() {
+        let (press, _, _) = fixture();
+        let model = press.model();
+        let trie = model.trie();
+        let (theta, alphabet) = (trie.theta(), trie.alphabet_size());
+        let file = StoreFile::from_bytes(model.to_store_bytes()).unwrap();
+        let records: Vec<(u32, u32, u16, u64)> = file
+            .section("trie")
+            .unwrap()
+            .chunks_exact(TRIE_RECORD_BYTES)
+            .map(|r| {
+                (
+                    u32::from_le_bytes(r[0..4].try_into().unwrap()),
+                    u32::from_le_bytes(r[4..8].try_into().unwrap()),
+                    u16::from_le_bytes(r[8..10].try_into().unwrap()),
+                    u64::from_le_bytes(r[10..18].try_into().unwrap()),
+                )
+            })
+            .collect();
+        // The rewrite carries `theta` in its `meta`: the records need no
+        // more than their deepest node.
+        let load = |theta: usize, recs: &[(u32, u32, u16, u64)]| {
+            let mut meta = ByteWriter::with_capacity(24);
+            meta.put_u64(theta as u64);
+            meta.put_u64(alphabet as u64);
+            meta.put_u64(recs.len() as u64 + 1);
+            let mut payload = ByteWriter::with_capacity(recs.len() * TRIE_RECORD_BYTES);
+            for &(parent, edge, depth, freq) in recs {
+                payload.put_u32(parent);
+                payload.put_u32(edge);
+                payload.put_u16(depth);
+                payload.put_u64(freq);
+            }
+            let (meta, payload) = (meta.into_bytes(), payload.into_bytes());
+            let bytes = rewrite_sections(&file, |name, p| match name {
+                "meta" => Some(meta.clone()),
+                "trie" => Some(payload.clone()),
+                _ => Some(p.to_vec()),
+            });
+            HscModel::from_store_bytes(model.sp().clone(), bytes)
+        };
+        let tight = records.iter().map(|r| r.2).max().unwrap();
+        load(theta, &records).expect("the untouched rewrite loads");
+        load(tight as usize, &records).expect("θ = the deepest node's depth loads");
+        let id = |at: usize| at as u32 + 1;
+        let at_depth = |d: u16| records.iter().position(|r| r.2 == d).unwrap();
+        let deep = at_depth(2);
+        let last = records.len() - 1;
+        let top = at_depth(tight);
+        assert!(top < last && records[last].2 >= 2, "fixture shape");
+        // Two depth ≥ 2 siblings: the later one takes the earlier's label.
+        let (older, younger) = (alphabet..records.len())
+            .flat_map(|a| (a + 1..records.len()).map(move |b| (a, b)))
+            .find(|&(a, b)| records[a].0 == records[b].0)
+            .unwrap();
+        assert!(younger < last, "fixture shape");
+        type Edit = Box<dyn Fn(&mut Vec<(u32, u32, u16, u64)>)>;
+        let cases: Vec<(usize, Edit, String)> = vec![
+            (
+                theta,
+                Box::new(move |r| r[deep].0 = id(deep)),
+                format!("node {0} has non-prior parent {0}", id(deep)),
+            ),
+            (
+                theta,
+                Box::new(move |r| r[deep].1 = alphabet as u32),
+                format!(
+                    "node {} labelled with out-of-alphabet e{alphabet}",
+                    id(deep)
+                ),
+            ),
+            (
+                theta,
+                Box::new(move |r| r[deep].2 = 3),
+                format!("node {} depth 3 != parent depth + 1 (2)", id(deep)),
+            ),
+            (
+                tight as usize,
+                Box::new(move |r| {
+                    r[last].0 = id(top);
+                    r[last].2 = tight + 1;
+                }),
+                format!("node {} deeper than theta {tight}", id(last)),
+            ),
+            (
+                theta,
+                Box::new(|r| r.swap(0, 1)),
+                "node 1 must be the level-1 node of edge e0 (complete first level)".into(),
+            ),
+            (
+                theta,
+                Box::new(|r| {
+                    r[4].0 = 1;
+                    r[4].2 = 2;
+                }),
+                "node 5 must be the level-1 node of edge e4 (complete first level)".into(),
+            ),
+            (
+                theta,
+                Box::new(move |r| r.truncate(alphabet - 1)),
+                format!(
+                    "{} nodes cannot hold a complete {alphabet}-edge first level",
+                    alphabet - 1
+                ),
+            ),
+            (
+                theta,
+                Box::new(move |r| r[last] = (0, 4, 1, 0)),
+                format!("node {} duplicates child e4 of 0", id(last)),
+            ),
+            (
+                theta,
+                Box::new(move |r| r[younger].1 = r[older].1),
+                format!(
+                    "node {} duplicates child e{} of {}",
+                    id(younger),
+                    records[older].1,
+                    records[older].0
+                ),
+            ),
+            // The first refusal in id order wins, even when it is a
+            // duplicate only the child index sees and a later node breaks
+            // a rule checked record by record.
+            (
+                theta,
+                Box::new(move |r| {
+                    r[younger].1 = r[older].1;
+                    r[last].2 = 9;
+                }),
+                format!(
+                    "node {} duplicates child e{} of {}",
+                    id(younger),
+                    records[older].1,
+                    records[older].0
+                ),
+            ),
+        ];
+        for (theta, edit, message) in cases {
+            let mut recs = records.clone();
+            edit(&mut recs);
+            match load(theta, &recs) {
+                Err(StoreError::Corrupt(got)) => assert_eq!(got, format!("trie: {message}")),
+                other => panic!("{message}: got {other:?}"),
+            }
+        }
     }
 
     #[test]

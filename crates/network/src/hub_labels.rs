@@ -1147,7 +1147,23 @@ impl MappedHubLabels {
     /// entry. Returns labels whose arrays borrow the mapping zero-copy
     /// (the mapping stays alive through them), answering bit-identically
     /// to an owned [`HubLabels::load_from`] of the same artifact.
+    ///
+    /// The arcs come first; then the forward and the backward label set —
+    /// each its four section CRCs and its structural scan, independent of
+    /// the other — run side by side through
+    /// [`work_steal_map`](crate::parallel::work_steal_map) on up to
+    /// `available_parallelism()` workers (one core: the two in sequence).
+    /// Every check runs on every open. When both sets are corrupt, the
+    /// forward set's error is the one returned, as in the sequential pass.
     pub fn validate(self) -> press_store::Result<HubLabels> {
+        let workers = std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1);
+        self.validate_with(workers)
+    }
+
+    /// [`Self::validate`] on `workers` workers.
+    fn validate_with(self, workers: usize) -> press_store::Result<HubLabels> {
         use press_store::StoreError;
         let MappedHubLabels {
             net,
@@ -1223,8 +1239,13 @@ impl MappedHubLabels {
                     parent,
                 })
             };
-        let fwd = read_set("fwd", fwd_entries, true)?;
-        let bwd = read_set("bwd", bwd_entries, false)?;
+        let sets = [("fwd", fwd_entries, true), ("bwd", bwd_entries, false)];
+        let mut checked =
+            crate::parallel::work_steal_map(&sets, workers, |_, &(p, e, f)| read_set(p, e, f))
+                .into_iter();
+        // In set order, so the forward error wins when both sets are corrupt.
+        let fwd = checked.next().expect("one result per label set")?;
+        let bwd = checked.next().expect("one result per label set")?;
         Ok(HubLabels {
             id: next_instance_id(),
             net,
@@ -1787,6 +1808,123 @@ mod tests {
                 other => panic!("{region}: expected ChecksumMismatch, got {other:?}"),
             }
         }
+    }
+
+    /// The forward and backward label sets are validated side by side;
+    /// the verdict is the sequential pass's for 1 worker and for 2: a
+    /// flipped byte in a `bwd_*_f` section is that section's checksum
+    /// mismatch, a CRC-valid structural fault there is the same typed
+    /// `Corrupt`, and when both sets are faulty the forward one is
+    /// reported.
+    #[test]
+    fn mapped_open_validates_both_label_sets_in_parallel_as_in_sequence() {
+        use press_store::{StoreError, StoreFile, StoreWriter};
+        let net = Arc::new(grid_network(&GridConfig {
+            nx: 6,
+            ny: 6,
+            weight_jitter: 0.1,
+            seed: 5,
+            ..GridConfig::default()
+        }));
+        let bytes = HubLabels::build(net.clone()).to_store_bytes();
+        let file = StoreFile::from_bytes(bytes.clone()).unwrap();
+        // The artifact with one section's payload replaced, every CRC valid.
+        let rewrite = |name: &str, payload: Vec<u8>| {
+            let mut w = StoreWriter::new(file.kind());
+            for nm in file.section_names() {
+                let p = if nm == name {
+                    payload.clone()
+                } else {
+                    file.section(nm).unwrap().to_vec()
+                };
+                if nm.ends_with("_f") {
+                    w.section_aligned(nm, p);
+                } else {
+                    w.section(nm, p);
+                }
+            }
+            w.to_bytes()
+        };
+        // A byte flipped inside `name`'s payload, its CRC left stale.
+        let flip = |bytes: &[u8], name: &str| {
+            let f = StoreFile::from_bytes(bytes.to_vec()).unwrap();
+            let payload = f.section(name).unwrap();
+            let at = bytes
+                .windows(payload.len())
+                .position(|w| w == payload)
+                .unwrap();
+            let mut out = bytes.to_vec();
+            out[at + payload.len() / 2] ^= 0x10;
+            out
+        };
+        // Repeats the first hub of the first label holding two.
+        let unsorted = |set: &str| {
+            let index: Vec<u32> = le_u32s(file.section(&format!("{set}_index_f")).unwrap());
+            let mut hub: Vec<u32> = le_u32s(file.section(&format!("{set}_hub_f")).unwrap());
+            let v = (0..index.len() - 1)
+                .find(|&v| index[v + 1] - index[v] >= 2)
+                .unwrap();
+            hub[index[v] as usize + 1] = hub[index[v] as usize];
+            let payload = hub.iter().flat_map(|h| h.to_le_bytes()).collect();
+            (
+                rewrite(&format!("{set}_hub_f"), payload),
+                StoreError::Corrupt(format!(
+                    "{set}_hub_f: hubs of node {v} are not strictly ascending node ids"
+                )),
+            )
+        };
+        let (bwd_structure, bwd_structure_err) = unsorted("bwd");
+        let (fwd_structure, fwd_structure_err) = unsorted("fwd");
+        let checksum = |section: &str| StoreError::ChecksumMismatch {
+            section: section.into(),
+        };
+        let cases = [
+            (
+                "bwd flip",
+                flip(&bytes, "bwd_parent_f"),
+                checksum("bwd_parent_f"),
+            ),
+            ("bwd structure", bwd_structure.clone(), bwd_structure_err),
+            (
+                "fwd flip + bwd structure",
+                flip(&bwd_structure, "fwd_dist_f"),
+                checksum("fwd_dist_f"),
+            ),
+            (
+                "fwd structure + bwd flip",
+                flip(&fwd_structure, "bwd_hub_f"),
+                fwd_structure_err,
+            ),
+        ];
+        for (what, corrupt, want) in cases {
+            let path = temp_artifact("hl-par", &corrupt);
+            for workers in [1, 2] {
+                let got = MappedHubLabels::open(net.clone(), &path)
+                    .unwrap()
+                    .validate_with(workers);
+                assert_eq!(got.err(), Some(want.clone()), "{what}, {workers} workers");
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+        // And the clean artifact validates to the same labels either way.
+        let path = temp_artifact("hl-par-clean", &bytes);
+        let one = MappedHubLabels::open(net.clone(), &path)
+            .unwrap()
+            .validate_with(1)
+            .unwrap();
+        let two = MappedHubLabels::open(net.clone(), &path)
+            .unwrap()
+            .validate_with(2)
+            .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(one.fwd.hub, two.fwd.hub);
+        assert_eq!(one.bwd.parent, two.bwd.parent);
+    }
+
+    fn le_u32s(raw: &[u8]) -> Vec<u32> {
+        raw.chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect()
     }
 
     #[test]
