@@ -196,94 +196,12 @@ pub(crate) fn expand_arc(arcs: &[ChArc], arc: u32, out: &mut Vec<EdgeId>) {
     }
 }
 
-/// Encodes an arc set as the compact `arcs_c` section (delta+varint).
-///
-/// Two structural facts make the arc array almost free to store:
-///
-/// * the contractor lays out **original arcs first, in edge-id order**,
-///   so arc `i < |E|` is exactly network edge `i` — zero bytes each;
-/// * a **shortcut** is fully determined by its two child arc ids: tail,
-///   head, and weight are `first.tail`, `second.head`, and the exact
-///   float sum `first.weight + second.weight` the contraction computed
-///   (the legacy loader validated those equalities byte-for-byte, which
-///   is what licenses deriving them instead of storing them).
-///
-/// So the section is just two zigzag varint deltas (child id − own id)
-/// per shortcut — ~3–6 B instead of the legacy 25 B per arc, with no
-/// floats at all. Shared by the contraction-hierarchy and hub-label
-/// artifacts.
-pub(crate) fn encode_arcs_compact(arcs: &[ChArc], num_original: usize) -> Vec<u8> {
-    let mut w = press_store::ByteWriter::with_capacity((arcs.len() - num_original) * 4);
-    for (id, arc) in arcs.iter().enumerate() {
-        match arc.unpack {
-            Unpack::Original(e) => {
-                debug_assert_eq!(e.0 as usize, id, "original arcs must mirror edge ids");
-            }
-            Unpack::Shortcut(first, second) => {
-                debug_assert!(id >= num_original, "shortcuts come after originals");
-                w.put_ivarint(first as i64 - id as i64);
-                w.put_ivarint(second as i64 - id as i64);
-            }
-        }
-    }
-    w.into_bytes()
-}
-
-/// Decodes the compact `arcs_c` section back to the full arc set (see
-/// [`encode_arcs_compact`]), validating every derived invariant: child
-/// ids strictly below the shortcut's own id, and children contiguous at
-/// the middle node. Original arcs are materialized straight from the
-/// network, so there is nothing about them to corrupt.
-pub(crate) fn decode_arcs_compact(
-    net: &RoadNetwork,
-    bytes: &[u8],
-    num_arcs: usize,
-) -> press_store::Result<Vec<ChArc>> {
-    use press_store::StoreError;
-    let mut arcs = Vec::with_capacity(num_arcs);
-    for e in net.edge_ids() {
-        let edge = net.edge(e);
-        arcs.push(ChArc {
-            tail: edge.from,
-            head: edge.to,
-            weight: edge.weight,
-            unpack: Unpack::Original(e),
-        });
-    }
-    let mut r = press_store::ByteReader::new(bytes);
-    for id in net.num_edges()..num_arcs {
-        let first = id as i64 + r.get_ivarint()?;
-        let second = id as i64 + r.get_ivarint()?;
-        if first < 0 || second < 0 || first >= id as i64 || second >= id as i64 {
-            return Err(StoreError::Corrupt(format!(
-                "shortcut arc {id} unpacks to an out-of-range arc ({first}, {second})"
-            )));
-        }
-        let a = arcs[first as usize];
-        let b = arcs[second as usize];
-        if a.head != b.tail {
-            return Err(StoreError::Corrupt(format!(
-                "shortcut arc {id} does not concatenate its children ({first}, {second})"
-            )));
-        }
-        arcs.push(ChArc {
-            tail: a.tail,
-            head: b.head,
-            weight: a.weight + b.weight,
-            unpack: Unpack::Shortcut(first as u32, second as u32),
-        });
-    }
-    r.expect_end("arcs_c")?;
-    Ok(arcs)
-}
-
 /// Encodes an arc set as the flat `arcs_f` section: 24 fixed-width bytes
 /// per arc — tail `u32`, head `u32`, weight as `f64` bits, then the two
 /// unpack ids (`(edge id, NO_ARC)` for an original, the child arc ids
-/// for a shortcut). Redundant with `arcs_c` by design: the flat twin is
-/// what a mapped open decodes without touching the varint machinery, and
-/// the redundancy (endpoints and weights that `arcs_c` derives) is
-/// exactly what [`decode_arcs_flat`] cross-checks against the network.
+/// for a shortcut). Endpoints and weights are derivable from the network
+/// and the children; storing them anyway is what lets
+/// [`decode_arcs_flat`] cross-check every arc against the network.
 pub(crate) fn encode_arcs_flat(arcs: &[ChArc]) -> Vec<u8> {
     let mut out = Vec::with_capacity(arcs.len() * 24);
     for arc in arcs {
@@ -300,12 +218,11 @@ pub(crate) fn encode_arcs_flat(arcs: &[ChArc]) -> Vec<u8> {
     out
 }
 
-/// Decodes the flat `arcs_f` section (see [`encode_arcs_flat`]) with the
-/// full validation the legacy fixed-width decoder performed: originals
-/// must match the network edge byte-for-byte, shortcuts must reference
-/// strictly earlier arcs, concatenate at the middle node, and carry the
-/// exact float sum of their children. Shared by the mapped
-/// contraction-hierarchy and hub-label opens.
+/// Decodes the flat `arcs_f` section (see [`encode_arcs_flat`]):
+/// originals must match the network edge byte-for-byte, shortcuts must
+/// reference strictly earlier arcs, concatenate at the middle node, and
+/// carry the exact float sum of their children. Shared by the
+/// contraction-hierarchy and hub-label readers.
 pub(crate) fn decode_arcs_flat(
     net: &RoadNetwork,
     bytes: &[u8],
@@ -373,12 +290,11 @@ pub(crate) fn decode_arcs_flat(
     Ok(arcs)
 }
 
-/// Validates that a CSR search graph files every arc under the right
-/// node and that every arc points up in rank — the invariant both the
-/// owned loader and the mapped [`MappedContractionHierarchy::validate`]
-/// pass enforce before any query runs. `forward` selects which CSR is
-/// being checked: up-arcs grouped by tail (forward search) or down-arcs
-/// grouped by head (backward).
+/// Validates that a CSR search graph lists each node's arcs in strictly
+/// ascending id order, files every arc under the right node, and only
+/// arcs that point up in rank — checked before any query runs. `forward`
+/// selects which CSR is being checked: up-arcs grouped by tail (forward
+/// search) or down-arcs grouped by head (backward).
 fn check_csr_membership(
     arcs: &[ChArc],
     rank: &[u32],
@@ -391,7 +307,13 @@ fn check_csr_membership(
     let n = index.len() - 1;
     let num_arcs = arcs.len();
     for node in 0..n {
-        for &a in &ids[index[node] as usize..index[node + 1] as usize] {
+        let group = &ids[index[node] as usize..index[node + 1] as usize];
+        if group.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(StoreError::Corrupt(format!(
+                "{arcs_name}: arc ids of node {node} are not strictly ascending"
+            )));
+        }
+        for &a in group {
             let Some(arc) = arcs.get(a as usize) else {
                 return Err(StoreError::Corrupt(format!(
                     "{arcs_name} references arc {a} outside 0..{num_arcs}"
@@ -486,9 +408,9 @@ thread_local! {
 /// Internals are crate-visible so the hub-label backend can be built from
 /// the same rank order and upward search graphs.
 /// The id-array fields are [`press_store::FlatSlice`]s: owned vectors
-/// after a build or an owned load, zero-copy borrows of the artifact's
-/// flat sections after a mapped open ([`MappedContractionHierarchy`]) —
-/// `Deref<Target = [u32]>` keeps every query identical either way.
+/// after a build, borrows of the artifact's flat sections after a load
+/// or a mapped open — `Deref<Target = [u32]>` keeps every query
+/// identical either way.
 pub struct ContractionHierarchy {
     pub(crate) net: Arc<RoadNetwork>,
     /// Contraction order of each node (higher = contracted later = more
@@ -1078,74 +1000,31 @@ impl ContractionHierarchy {
     /// contraction entirely (the dominant preprocessing cost at city
     /// scale: ~100 s at 102k nodes vs a single small read).
     ///
-    /// The arc and CSR sections are **delta+varint compressed**
-    /// (`arcs_c`, `*_c` — see the crate-private `store_codec` module and
-    /// `encode_arcs_compact`): original arcs are implicit in the
-    /// network, a shortcut is fully determined by its two child arc ids,
-    /// and the id arrays delta down to mostly one byte per element. This
-    /// is a purely additive section change (no container format-version
-    /// bump): this reader still accepts files written with the raw
-    /// fixed-width sections of earlier builds.
-    ///
-    /// Alongside the compact sections the writer also emits the
-    /// **flat** twins (`arcs_f`, `*_f` — fixed-width little-endian,
-    /// 8-byte aligned via `section_aligned`) that the zero-copy
-    /// [`MappedContractionHierarchy`] tier borrows in place. Also purely
-    /// additive: owned loads keep reading the compact sections and old
-    /// readers ignore the flat ones.
+    /// Every array is one fixed-width little-endian section, 8-byte
+    /// aligned (`rank`, `arcs_f`, `{fwd,bwd}_{index,arcs}_f`; see the
+    /// crate-private `store_codec` module), so an owned load and a mapped
+    /// open read the same bytes through the same validator, and a mapped
+    /// open borrows them in place. `meta` holds the node, arc and
+    /// shortcut counts and the network's edge fingerprint. The compact
+    /// sections earlier writers emitted beside these (`arcs_c`,
+    /// `*_index_c`, `*_arcs_c`) are retired names that readers ignore, so
+    /// such files still load; a file without the flat family is refused
+    /// with a typed `MissingSection`.
     pub fn to_store_bytes(&self) -> Vec<u8> {
+        use crate::store_codec::encode_u32s_flat;
         let mut meta = press_store::ByteWriter::with_capacity(28);
         meta.put_u64(self.rank.len() as u64);
         meta.put_u64(self.arcs.len() as u64);
         meta.put_u64(self.num_shortcuts as u64);
-        // Edge-set fingerprint: the compact arc codec derives original
-        // arcs from the load-time network, so the pairing check that the
-        // legacy weight-carrying section performed byte-for-byte moves
-        // here (see `store_codec::edge_fingerprint`).
         meta.put_u32(crate::store_codec::edge_fingerprint(&self.net));
         let mut w = press_store::StoreWriter::new(press_store::kind::CONTRACTION_HIERARCHY);
         w.section("meta", meta.into_bytes());
-        // "rank" was always raw u32 LE; writing it aligned (a no-op for
-        // readers, which address sections by table offset) lets the
-        // mapped tier borrow it in place like the *_f sections below.
-        w.section_aligned("rank", crate::store_codec::encode_u32s_flat(&self.rank));
-        w.section(
-            "arcs_c",
-            encode_arcs_compact(&self.arcs, self.net.num_edges()),
-        );
-        w.section(
-            "fwd_index_c",
-            crate::store_codec::encode_index(&self.fwd_index),
-        );
-        w.section(
-            "fwd_arcs_c",
-            crate::store_codec::encode_grouped_ascending(&self.fwd_index, &self.fwd_arcs),
-        );
-        w.section(
-            "bwd_index_c",
-            crate::store_codec::encode_index(&self.bwd_index),
-        );
-        w.section(
-            "bwd_arcs_c",
-            crate::store_codec::encode_grouped_ascending(&self.bwd_index, &self.bwd_arcs),
-        );
+        w.section_aligned("rank", encode_u32s_flat(&self.rank));
         w.section_aligned("arcs_f", encode_arcs_flat(&self.arcs));
-        w.section_aligned(
-            "fwd_index_f",
-            crate::store_codec::encode_u32s_flat(&self.fwd_index),
-        );
-        w.section_aligned(
-            "fwd_arcs_f",
-            crate::store_codec::encode_u32s_flat(&self.fwd_arcs),
-        );
-        w.section_aligned(
-            "bwd_index_f",
-            crate::store_codec::encode_u32s_flat(&self.bwd_index),
-        );
-        w.section_aligned(
-            "bwd_arcs_f",
-            crate::store_codec::encode_u32s_flat(&self.bwd_arcs),
-        );
+        w.section_aligned("fwd_index_f", encode_u32s_flat(&self.fwd_index));
+        w.section_aligned("fwd_arcs_f", encode_u32s_flat(&self.fwd_arcs));
+        w.section_aligned("bwd_index_f", encode_u32s_flat(&self.bwd_index));
+        w.section_aligned("bwd_arcs_f", encode_u32s_flat(&self.bwd_arcs));
         w.to_bytes()
     }
 
@@ -1155,233 +1034,90 @@ impl ContractionHierarchy {
         Ok(())
     }
 
-    /// Decodes the raw fixed-width `arcs` section written by builds that
-    /// predate the compact codec, with the full validation the format
-    /// always had (endpoints in range, originals matching the network
-    /// edge byte-for-byte, shortcuts concatenating their children).
-    fn decode_arcs_legacy(
-        net: &RoadNetwork,
-        file: &press_store::StoreFile,
-        num_arcs: usize,
-    ) -> press_store::Result<Vec<ChArc>> {
-        use press_store::StoreError;
-        let n = net.num_nodes();
-        let mut r = file.reader("arcs")?;
-        let mut arcs = Vec::with_capacity(num_arcs);
-        for id in 0..num_arcs {
-            let tail = NodeId(r.get_u32()?);
-            let head = NodeId(r.get_u32()?);
-            let weight = r.get_f64()?;
-            let tag = r.get_u8()?;
-            let a = r.get_u32()?;
-            let b = r.get_u32()?;
-            if tail.index() >= n || head.index() >= n {
-                return Err(StoreError::Corrupt(format!(
-                    "arc {id} references node outside 0..{n}"
-                )));
-            }
-            let unpack = match tag {
-                0 => {
-                    let e = EdgeId(a);
-                    let Ok(edge) = net.try_edge(e) else {
-                        return Err(StoreError::Corrupt(format!(
-                            "arc {id} unpacks to missing edge {e}"
-                        )));
-                    };
-                    if edge.from != tail
-                        || edge.to != head
-                        || edge.weight.to_bits() != weight.to_bits()
-                    {
-                        return Err(StoreError::Corrupt(format!(
-                            "arc {id} does not match network edge {e}"
-                        )));
-                    }
-                    Unpack::Original(e)
-                }
-                1 => {
-                    if a as usize >= id || b as usize >= id {
-                        return Err(StoreError::Corrupt(format!(
-                            "shortcut arc {id} unpacks to a later arc ({a}, {b})"
-                        )));
-                    }
-                    Unpack::Shortcut(a, b)
-                }
-                t => {
-                    return Err(StoreError::Corrupt(format!(
-                        "arc {id} has unknown unpack tag {t}"
-                    )))
-                }
-            };
-            // A shortcut must concatenate its children: same endpoints,
-            // contiguous at the middle node, weight the exact float sum
-            // the contraction computed. Anything else would let `query`
-            // report a distance its own unpacked path does not have.
-            if let Unpack::Shortcut(a, b) = unpack {
-                let first: &ChArc = &arcs[a as usize];
-                let second: &ChArc = &arcs[b as usize];
-                if first.tail != tail
-                    || second.head != head
-                    || first.head != second.tail
-                    || (first.weight + second.weight).to_bits() != weight.to_bits()
-                {
-                    return Err(StoreError::Corrupt(format!(
-                        "shortcut arc {id} does not concatenate its children ({a}, {b})"
-                    )));
-                }
-            }
-            arcs.push(ChArc {
-                tail,
-                head,
-                weight,
-                unpack,
-            });
-        }
-        r.expect_end("arcs")?;
-        Ok(arcs)
-    }
-
-    /// Reconstructs a hierarchy over `net` from container bytes,
-    /// validating every structural invariant (rank permutation, arc
-    /// endpoints, original arcs matching the network's edges, shortcut
-    /// unpack acyclicity, CSR monotonicity) so corrupt input yields a
-    /// typed error instead of unsound queries.
+    /// Reconstructs a hierarchy over `net` from container bytes; see
+    /// [`Self::open_mapped`] for what is validated.
     pub fn from_store_bytes(
         net: Arc<RoadNetwork>,
         bytes: Vec<u8>,
     ) -> press_store::Result<ContractionHierarchy> {
-        use press_store::StoreError;
-        let file = press_store::StoreFile::from_bytes(bytes)?;
+        Self::from_file(net, press_store::StoreFile::from_bytes(bytes)?)
+    }
+
+    /// Loads a hierarchy artifact from `path` (one contiguous read); see
+    /// [`Self::open_mapped`] for what is validated.
+    pub fn load_from(
+        net: Arc<RoadNetwork>,
+        path: &std::path::Path,
+    ) -> press_store::Result<ContractionHierarchy> {
+        Self::from_file(net, press_store::StoreFile::open(path)?)
+    }
+
+    /// Opens a hierarchy artifact as a read-only mapping whose id arrays
+    /// the hierarchy borrows in place (the mapping stays alive through
+    /// them). Before returning, every section is CRC-checked on first
+    /// touch and every structural invariant validated — the rank
+    /// permutation, each arc against the network (originals byte for
+    /// byte, shortcuts concatenating their children with the exact weight
+    /// sum), and both CSR search graphs (shape, ascending ids, each arc
+    /// filed under its own node and pointing up) — so corrupt input is a
+    /// typed [`press_store::StoreError`], never a panic or a wrong
+    /// answer. The owned loads run the same reader.
+    pub fn open_mapped(
+        net: Arc<RoadNetwork>,
+        path: &std::path::Path,
+    ) -> press_store::Result<ContractionHierarchy> {
+        Self::from_file(net, press_store::StoreFile::open_mapped(path)?)
+    }
+
+    /// The one reader behind every load path (see [`Self::open_mapped`]).
+    fn from_file(
+        net: Arc<RoadNetwork>,
+        file: press_store::StoreFile,
+    ) -> press_store::Result<ContractionHierarchy> {
+        use press_store::{FlatSlice, StoreError};
         file.expect_kind(press_store::kind::CONTRACTION_HIERARCHY)?;
         let mut meta = file.reader("meta")?;
         let n = meta.get_len(u32::MAX as usize, "node")?;
         let num_arcs = meta.get_len(u32::MAX as usize, "arc")?;
         let num_shortcuts = meta.get_len(u32::MAX as usize, "shortcut")?;
-        // Files from builds that predate the compact codec have no
-        // fingerprint — their raw arcs section carries every weight and
-        // the legacy decoder cross-checks those against the network.
-        if meta.remaining() > 0 {
-            let fp = meta.get_u32()?;
-            let expect = crate::store_codec::edge_fingerprint(&net);
-            if fp != expect {
-                return Err(StoreError::Corrupt(
-                    "hierarchy was built over a network with a different edge set \
-                     (weight fingerprint mismatch)"
-                        .into(),
-                ));
-            }
-        }
+        let fp = meta.get_u32()?;
         meta.expect_end("meta")?;
-        if n != net.num_nodes() {
+        crate::store_codec::check_meta(&net, "hierarchy", fp, n, num_arcs, num_shortcuts)?;
+        let rank: FlatSlice<u32> = file.flat_section("rank")?;
+        if rank.len() != n {
             return Err(StoreError::Corrupt(format!(
-                "hierarchy covers {n} nodes but the network has {}",
-                net.num_nodes()
+                "rank: {} entries instead of the declared {n}",
+                rank.len()
             )));
         }
-        if num_arcs < net.num_edges() || num_arcs - net.num_edges() != num_shortcuts {
-            return Err(StoreError::Corrupt(format!(
-                "arc count {num_arcs} inconsistent with {} original edges + {num_shortcuts} shortcuts",
-                net.num_edges()
-            )));
-        }
-        let mut r = file.reader("rank")?;
-        let mut rank = Vec::with_capacity(n);
         let mut seen = vec![false; n];
-        for v in 0..n {
-            let rk = r.get_u32()?;
+        for (v, &rk) in rank.iter().enumerate() {
             if rk as usize >= n || std::mem::replace(&mut seen[rk as usize], true) {
                 return Err(StoreError::Corrupt(format!(
                     "rank of node {v} ({rk}) breaks the 0..{n} permutation"
                 )));
             }
-            rank.push(rk);
         }
-        r.expect_end("rank")?;
-        let arcs = if file.has_section("arcs_c") {
-            decode_arcs_compact(&net, file.section("arcs_c")?, num_arcs)?
-        } else {
-            Self::decode_arcs_legacy(&net, &file, num_arcs)?
-        };
-        // `forward` selects which CSR is read: up-arcs grouped by tail
-        // (forward search) or down-arcs grouped by head (backward); each
-        // arc must belong to its group's node and point up in rank.
-        // Compact (`*_c`, delta+varint) sections are preferred; the raw
-        // fixed-width sections of earlier builds are still accepted.
-        let read_csr = |compact_index: &str,
-                        compact_arcs: &str,
-                        index_name: &str,
-                        arcs_name: &str,
-                        forward: bool|
-         -> press_store::Result<(Vec<u32>, Vec<u32>)> {
-            let (index, ids) = if file.has_section(compact_index) {
-                let index = crate::store_codec::decode_index(
-                    file.section(compact_index)?,
-                    n + 1,
-                    arcs.len() as u64,
-                    compact_index,
-                )?;
-                let ids = crate::store_codec::decode_grouped_ascending(
-                    file.section(compact_arcs)?,
-                    &index,
-                    arcs.len() as u64,
-                    compact_arcs,
-                )?;
-                (index, ids)
-            } else {
-                let mut r = file.reader(index_name)?;
-                let mut index = Vec::with_capacity(n + 1);
-                for _ in 0..n + 1 {
-                    index.push(r.get_u32()?);
-                }
-                r.expect_end(index_name)?;
-                if index[0] != 0 || index.windows(2).any(|w| w[0] > w[1]) {
-                    return Err(StoreError::Corrupt(format!(
-                        "{index_name} is not a monotone CSR index"
-                    )));
-                }
-                let count = index[n] as usize;
-                let mut r = file.reader(arcs_name)?;
-                let mut ids = Vec::with_capacity(count);
-                for _ in 0..count {
-                    ids.push(r.get_u32()?);
-                }
-                r.expect_end(arcs_name)?;
-                (index, ids)
-            };
+        let arcs = decode_arcs_flat(&net, file.section("arcs_f")?, num_arcs)?;
+        let read_csr = |index_name: &str, arcs_name: &str, forward: bool| {
+            let index: FlatSlice<u32> = file.flat_section(index_name)?;
+            let ids: FlatSlice<u32> = file.flat_section(arcs_name)?;
+            crate::store_codec::check_flat_index(&index, n + 1, ids.len() as u64, index_name)?;
             check_csr_membership(&arcs, &rank, &index, &ids, forward, arcs_name)?;
-            Ok((index, ids))
+            Ok::<_, StoreError>((index, ids))
         };
-        let (fwd_index, fwd_arcs) =
-            read_csr("fwd_index_c", "fwd_arcs_c", "fwd_index", "fwd_arcs", true)?;
-        let (bwd_index, bwd_arcs) =
-            read_csr("bwd_index_c", "bwd_arcs_c", "bwd_index", "bwd_arcs", false)?;
+        let (fwd_index, fwd_arcs) = read_csr("fwd_index_f", "fwd_arcs_f", true)?;
+        let (bwd_index, bwd_arcs) = read_csr("bwd_index_f", "bwd_arcs_f", false)?;
         Ok(ContractionHierarchy {
             net,
-            rank: rank.into(),
+            rank,
             arcs,
-            fwd_index: fwd_index.into(),
-            fwd_arcs: fwd_arcs.into(),
-            bwd_index: bwd_index.into(),
-            bwd_arcs: bwd_arcs.into(),
+            fwd_index,
+            fwd_arcs,
+            bwd_index,
+            bwd_arcs,
             num_shortcuts,
         })
-    }
-
-    /// Loads a hierarchy artifact from `path` (one contiguous read).
-    pub fn load_from(
-        net: Arc<RoadNetwork>,
-        path: &std::path::Path,
-    ) -> press_store::Result<ContractionHierarchy> {
-        Self::from_store_bytes(net, std::fs::read(path)?)
-    }
-
-    /// Opens a hierarchy artifact through the zero-copy mapped tier:
-    /// [`MappedContractionHierarchy::open`] followed by
-    /// [`MappedContractionHierarchy::validate`].
-    pub fn open_mapped(
-        net: Arc<RoadNetwork>,
-        path: &std::path::Path,
-    ) -> press_store::Result<ContractionHierarchy> {
-        MappedContractionHierarchy::open(net, path)?.validate()
     }
 
     /// Contraction rank of a node (0 = contracted first).
@@ -1697,187 +1433,6 @@ impl ContractionHierarchy {
             }
             Some(acc)
         })
-    }
-}
-
-/// Phase one of the zero-copy load path: a hierarchy artifact opened as
-/// a read-only mapping with **only its metadata touched** — magic,
-/// section table, the (small) `meta` section, the network fingerprint,
-/// and length-only checks that every flat section is present with
-/// exactly the declared extent. Open cost is O(page faults on a few KB),
-/// which is what makes mapped warm starts milliseconds instead of
-/// seconds; the flat payloads stay cold until [`Self::validate`].
-///
-/// `validate` is the only way forward: it consumes the handle, runs the
-/// per-section CRCs (lazily triggered on first touch) plus the
-/// structural bounds scans, and only then yields a usable
-/// [`ContractionHierarchy`] — so no [`SpProvider`] can exist over
-/// unvalidated mapped bytes, and a bit-flip anywhere in a flat section
-/// surfaces as a typed [`press_store::StoreError`], never a panic or a
-/// wrong answer.
-pub struct MappedContractionHierarchy {
-    net: Arc<RoadNetwork>,
-    file: press_store::StoreFile,
-    n: usize,
-    num_arcs: usize,
-    num_shortcuts: usize,
-}
-
-impl MappedContractionHierarchy {
-    /// Maps `path` and checks metadata only (see the type docs). Fails
-    /// with a typed error on kind/fingerprint/extent mismatches and on
-    /// artifacts written before the flat tier existed (those load fine
-    /// through [`ContractionHierarchy::load_from`]).
-    pub fn open(
-        net: Arc<RoadNetwork>,
-        path: &std::path::Path,
-    ) -> press_store::Result<MappedContractionHierarchy> {
-        use press_store::StoreError;
-        let file = press_store::StoreFile::open_mapped(path)?;
-        file.expect_kind(press_store::kind::CONTRACTION_HIERARCHY)?;
-        let mut meta = file.reader("meta")?;
-        let n = meta.get_len(u32::MAX as usize, "node")?;
-        let num_arcs = meta.get_len(u32::MAX as usize, "arc")?;
-        let num_shortcuts = meta.get_len(u32::MAX as usize, "shortcut")?;
-        if meta.remaining() == 0 {
-            return Err(StoreError::Corrupt(
-                "hierarchy artifact predates the flat/mapped tier; re-save it \
-                 or load it owned"
-                    .into(),
-            ));
-        }
-        let fp = meta.get_u32()?;
-        meta.expect_end("meta")?;
-        if fp != crate::store_codec::edge_fingerprint(&net) {
-            return Err(StoreError::Corrupt(
-                "hierarchy was built over a network with a different edge set \
-                 (weight fingerprint mismatch)"
-                    .into(),
-            ));
-        }
-        if n != net.num_nodes() {
-            return Err(StoreError::Corrupt(format!(
-                "hierarchy covers {n} nodes but the network has {}",
-                net.num_nodes()
-            )));
-        }
-        if num_arcs < net.num_edges() || num_arcs - net.num_edges() != num_shortcuts {
-            return Err(StoreError::Corrupt(format!(
-                "arc count {num_arcs} inconsistent with {} original edges + {num_shortcuts} shortcuts",
-                net.num_edges()
-            )));
-        }
-        // Length-only presence checks (no payload touch, no CRC): the
-        // fixed-extent sections must match the meta counts exactly; the
-        // CSR payload extents are data-dependent and are reconciled
-        // against their index at validate time.
-        let fixed = [
-            ("rank", n * 4),
-            ("arcs_f", num_arcs * 24),
-            ("fwd_index_f", (n + 1) * 4),
-            ("bwd_index_f", (n + 1) * 4),
-        ];
-        for (name, want) in fixed {
-            match file.section_len(name) {
-                None => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: artifact predates the flat/mapped tier; re-save it \
-                         or load it owned"
-                    )))
-                }
-                Some(len) if len != want => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: {len} B does not match the declared extent ({want} B)"
-                    )))
-                }
-                Some(_) => {}
-            }
-        }
-        for name in ["fwd_arcs_f", "bwd_arcs_f"] {
-            match file.section_len(name) {
-                None => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: artifact predates the flat/mapped tier; re-save it \
-                         or load it owned"
-                    )))
-                }
-                Some(len) if len % 4 != 0 => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: {len} B is not a whole number of u32 ids"
-                    )))
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(MappedContractionHierarchy {
-            net,
-            file,
-            n,
-            num_arcs,
-            num_shortcuts,
-        })
-    }
-
-    /// Phase two: CRC every flat section on first touch, decode and
-    /// cross-check the arc set against the network, validate the rank
-    /// permutation and both CSR search graphs, and return the hierarchy
-    /// — its id arrays borrowing the mapping zero-copy (the mapping is
-    /// kept alive by the slices). Answers are bit-identical to an owned
-    /// [`ContractionHierarchy::load_from`] of the same artifact.
-    pub fn validate(self) -> press_store::Result<ContractionHierarchy> {
-        use press_store::StoreError;
-        let MappedContractionHierarchy {
-            net,
-            file,
-            n,
-            num_arcs,
-            num_shortcuts,
-        } = self;
-        let rank: press_store::FlatSlice<u32> = file.flat_section("rank")?;
-        let mut seen = vec![false; n];
-        for (v, &rk) in rank.iter().enumerate() {
-            if rk as usize >= n || std::mem::replace(&mut seen[rk as usize], true) {
-                return Err(StoreError::Corrupt(format!(
-                    "rank of node {v} ({rk}) breaks the 0..{n} permutation"
-                )));
-            }
-        }
-        let arcs = decode_arcs_flat(&net, file.section("arcs_f")?, num_arcs)?;
-        let read_csr = |index_name: &str,
-                        arcs_name: &str,
-                        forward: bool|
-         -> press_store::Result<(
-            press_store::FlatSlice<u32>,
-            press_store::FlatSlice<u32>,
-        )> {
-            let index: press_store::FlatSlice<u32> = file.flat_section(index_name)?;
-            let ids: press_store::FlatSlice<u32> = file.flat_section(arcs_name)?;
-            crate::store_codec::check_flat_index(&index, n + 1, ids.len() as u64, index_name)?;
-            check_csr_membership(&arcs, &rank, &index, &ids, forward, arcs_name)?;
-            Ok((index, ids))
-        };
-        let (fwd_index, fwd_arcs) = read_csr("fwd_index_f", "fwd_arcs_f", true)?;
-        let (bwd_index, bwd_arcs) = read_csr("bwd_index_f", "bwd_arcs_f", false)?;
-        Ok(ContractionHierarchy {
-            net,
-            rank,
-            arcs,
-            fwd_index,
-            fwd_arcs,
-            bwd_index,
-            bwd_arcs,
-            num_shortcuts,
-        })
-    }
-}
-
-impl std::fmt::Debug for MappedContractionHierarchy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MappedContractionHierarchy")
-            .field("nodes", &self.n)
-            .field("arcs", &self.num_arcs)
-            .field("shortcuts", &self.num_shortcuts)
-            .finish()
     }
 }
 
@@ -2327,47 +1882,152 @@ mod tests {
         let built = ContractionHierarchy::build(net.clone());
         let mut bytes = built.to_store_bytes();
         // Flat sections are emitted last, so the file's final byte lies
-        // in `bwd_arcs_f`. The flip must not fail the O(metadata) open —
-        // lazy CRC means nothing has touched the payload yet — but must
-        // surface as a typed checksum error at validate.
+        // in `bwd_arcs_f`: both loads name it as a checksum mismatch.
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
-        let path = temp_artifact("map-flip", &bytes);
-        let opened = MappedContractionHierarchy::open(net.clone(), &path).unwrap();
-        assert!(matches!(
-            opened.validate(),
-            Err(press_store::StoreError::ChecksumMismatch { .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
+        let want = Some(press_store::StoreError::ChecksumMismatch {
+            section: "bwd_arcs_f".into(),
+        });
+        let got = crate::store_codec::tests::verdicts(
+            &bytes,
+            |b| ContractionHierarchy::from_store_bytes(net.clone(), b),
+            |p| ContractionHierarchy::open_mapped(net.clone(), p),
+        );
+        assert_eq!(got, (want.clone(), want));
     }
 
+    /// One CRC-valid rewrite per rule the reader enforces: both loads
+    /// refuse it with the same typed `Corrupt` naming that rule.
     #[test]
-    fn mapped_open_rejects_pre_flat_artifacts_that_owned_load_accepts() {
+    fn mapped_open_and_owned_load_refuse_every_broken_rule() {
+        use crate::store_codec::encode_u32s_flat as le;
+        use crate::store_codec::tests::{csr_insert, section_u32s, verdicts, with_section};
         let net = Arc::new(grid_network(&GridConfig {
-            nx: 4,
-            ny: 4,
-            weight_jitter: 0.1,
-            seed: 6,
+            nx: 5,
+            ny: 5,
+            weight_jitter: 0.12,
+            removal_prob: 0.04,
+            seed: 11,
             ..GridConfig::default()
         }));
         let built = ContractionHierarchy::build(net.clone());
-        // Strip the flat sections, simulating an artifact from a build
-        // that predates the mapped tier.
-        let file = press_store::StoreFile::from_bytes(built.to_store_bytes()).unwrap();
-        let mut w = press_store::StoreWriter::new(press_store::kind::CONTRACTION_HIERARCHY);
-        for name in file.section_names() {
-            if !name.ends_with("_f") {
-                w.section(name, file.section(name).unwrap().to_vec());
-            }
+        let good = built.to_store_bytes();
+        let (n, s) = (net.num_nodes(), net.num_edges());
+        let (index, ids) = (
+            section_u32s(&good, "fwd_index_f"),
+            section_u32s(&good, "fwd_arcs_f"),
+        );
+        let csr = |(index, ids): (Vec<u32>, Vec<u32>)| {
+            let bytes = with_section(&good, "fwd_index_f", le(&index));
+            with_section(&bytes, "fwd_arcs_f", le(&ids))
+        };
+        // `arcs_f` as u32 words, six per arc: tail, head, weight (2), a, b.
+        let arcs = section_u32s(&good, "arcs_f");
+        let arcs_with = |word: usize, value: u32| {
+            let mut words = arcs.clone();
+            words[word] = value;
+            with_section(&good, "arcs_f", le(&words))
+        };
+        assert_eq!(
+            arcs_with(0, arcs[0]),
+            good,
+            "a rewrite alone changes nothing"
+        );
+        let Unpack::Shortcut(c1, c2) = built.arcs[s].unpack else {
+            panic!("arc {s} is the first shortcut")
+        };
+        let concat =
+            format!("arcs_f: shortcut arc {s} does not concatenate its children ({c1}, {c2})");
+        let mut rank = section_u32s(&good, "rank");
+        rank[1] = rank[0];
+        let (mut starts_high, mut unsorted, mut long) = (index.clone(), index.clone(), ids.clone());
+        starts_high[0] = 1;
+        unsorted[1] = unsorted[2] + 1;
+        long.push(0);
+        let pair = (0..n).find(|&v| index[v + 1] - index[v] >= 2).unwrap();
+        let mut dup = ids.clone();
+        dup[index[pair] as usize + 1] = dup[index[pair] as usize];
+        let w = (0..n).find(|&w| index[w + 1] > index[w]).unwrap();
+        let (foreign, other) = (ids[index[w] as usize], (w + 1) % n);
+        let down = section_u32s(&good, "bwd_arcs_f")[0];
+        let tail = built.arcs[down as usize].tail.index();
+        let misfiled = |a: u32, v: usize| {
+            format!("fwd_arcs_f: arc {a} filed under node {v} is not one of its upward arcs")
+        };
+        let rows = [
+            (
+                "rank is no permutation",
+                with_section(&good, "rank", le(&rank)),
+                format!("rank of node 1 ({}) breaks the 0..{n} permutation", rank[0]),
+            ),
+            (
+                "index starts above 0",
+                csr((starts_high, ids.clone())),
+                "fwd_index_f: CSR index does not start at 0".into(),
+            ),
+            (
+                "index not monotone",
+                csr((unsorted, ids.clone())),
+                "fwd_index_f: CSR index is not monotone".into(),
+            ),
+            (
+                "index ends short",
+                csr((index.clone(), long)),
+                format!(
+                    "fwd_index_f: CSR index covers {} entries but the payload has {}",
+                    ids.len(),
+                    ids.len() + 1
+                ),
+            ),
+            (
+                "duplicate arc id in a group",
+                csr((index.clone(), dup)),
+                format!("fwd_arcs_f: arc ids of node {pair} are not strictly ascending"),
+            ),
+            (
+                "arc filed under another node",
+                csr(csr_insert(&index, &ids, other, foreign)),
+                misfiled(foreign, other),
+            ),
+            (
+                "arc not upward",
+                csr(csr_insert(&index, &ids, tail, down)),
+                misfiled(down, tail),
+            ),
+            (
+                "original arc is not its edge",
+                arcs_with(2, arcs[2] ^ 1),
+                "arcs_f: original arc 0 does not match network edge 0".into(),
+            ),
+            (
+                "shortcut does not concatenate",
+                arcs_with(6 * s, (arcs[6 * s] + 1) % n as u32),
+                concat.clone(),
+            ),
+            (
+                "shortcut weight is no exact sum",
+                arcs_with(6 * s + 2, arcs[6 * s + 2] ^ 1),
+                concat,
+            ),
+            (
+                "shortcut child not earlier",
+                arcs_with(6 * s + 4, s as u32),
+                format!("arcs_f: shortcut arc {s} unpacks to an out-of-range arc ({s}, {c2})"),
+            ),
+        ];
+        for (what, bytes, want) in rows {
+            let (owned, mapped) = verdicts(
+                &bytes,
+                |b| ContractionHierarchy::from_store_bytes(net.clone(), b),
+                |p| ContractionHierarchy::open_mapped(net.clone(), p),
+            );
+            assert_eq!(
+                owned,
+                Some(press_store::StoreError::Corrupt(want)),
+                "{what}"
+            );
+            assert_eq!(mapped, owned, "{what}: mapped");
         }
-        let path = temp_artifact("map-legacy", &w.to_bytes());
-        assert!(matches!(
-            MappedContractionHierarchy::open(net.clone(), &path),
-            Err(press_store::StoreError::Corrupt(_))
-        ));
-        // The owned loader still accepts it — flat sections are additive.
-        assert!(ContractionHierarchy::load_from(net.clone(), &path).is_ok());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -144,9 +144,9 @@ use std::sync::Arc;
 /// in `v`'s search tree — [`NO_ARC`] exactly for the self entry
 /// `(v, 0.0)`.
 ///
-/// The arrays are [`FlatSlice`]s: owned after a build or an owned load,
-/// zero-copy borrows of the artifact's flat sections after a mapped open
-/// ([`MappedHubLabels`]) — `Deref` keeps the query code identical.
+/// The arrays are [`FlatSlice`]s: owned after a build, borrows of the
+/// artifact's flat sections after a load or a mapped open — `Deref`
+/// keeps the query code identical.
 struct LabelSet {
     index: FlatSlice<u32>,
     hub: FlatSlice<u32>,
@@ -815,87 +815,33 @@ impl HubLabels {
     // -----------------------------------------------------------------
 
     /// Serializes the labeling into a [`press_store`] container
-    /// (`sp_hl.press`). Everything derivable is derived rather than
-    /// stored: the arc set uses the shared compact codec of the
-    /// hierarchy artifact ([`crate::ch`]'s `arcs_c` — originals implicit,
-    /// shortcuts as child-id deltas), label hubs are strictly-ascending
-    /// delta varints, and label **distances are not stored at all** —
-    /// each entry's distance is exactly `dist(parent hub) + w(parent
-    /// arc)` in its search tree, so the loader recomputes them
-    /// bit-exactly from the parent chains (validating the chains in the
-    /// process). The compact sections therefore contain no
-    /// floating-point payload whatsoever.
-    ///
-    /// Alongside the compact sections the writer emits the **flat**
-    /// twins (`arcs_f`, `*_index_f`/`*_hub_f`/`*_dist_f`/`*_parent_f` —
-    /// fixed-width little-endian, 8-byte aligned) that the zero-copy
-    /// [`MappedHubLabels`] tier borrows in place; `*_dist_f` stores the
-    /// label distances as IEEE bit patterns precisely so the mapped open
-    /// can skip the recompute that dominates the owned load. Purely
-    /// additive: owned loads keep reading the compact sections and old
-    /// readers ignore the flat ones.
+    /// (`sp_hl.press`): `meta` (node, arc, shortcut, forward-entry and
+    /// backward-entry counts, then the network's edge fingerprint), the
+    /// arc table as `arcs_f` (the hierarchy's flat encoding), and per
+    /// direction `{d}_index_f`, `{d}_hub_f`, `{d}_dist_f` (IEEE bits) and
+    /// `{d}_parent_f` — fixed-width little-endian and 8-byte aligned, so
+    /// a mapped open borrows every array in place. The compact sections
+    /// earlier writers emitted beside these (`arcs_c`, `*_index_c`,
+    /// `*_hub_c`, `fwd_parent`, `bwd_parent`) are retired names readers
+    /// ignore.
     pub fn to_store_bytes(&self) -> Vec<u8> {
+        use crate::store_codec::{encode_f64s_flat, encode_u32s_flat};
         let mut meta = press_store::ByteWriter::with_capacity(44);
         meta.put_u64(self.net.num_nodes() as u64);
         meta.put_u64(self.arcs.len() as u64);
         meta.put_u64((self.arcs.len() - self.net.num_edges()) as u64);
         meta.put_u64(self.fwd.hub.len() as u64);
         meta.put_u64(self.bwd.hub.len() as u64);
-        // Pairing guard: arcs and distances are derived from the
-        // load-time network, so reject one with a different edge set.
         meta.put_u32(crate::store_codec::edge_fingerprint(&self.net));
-        let parents = |set: &LabelSet| {
-            let mut w = press_store::ByteWriter::with_capacity(set.parent.len() * 2);
-            for &p in set.parent.iter() {
-                w.put_uvarint(if p == NO_ARC { 0 } else { p as u64 + 1 });
-            }
-            w.into_bytes()
-        };
         let mut w = press_store::StoreWriter::new(press_store::kind::HUB_LABELS);
         w.section("meta", meta.into_bytes());
-        w.section(
-            "arcs_c",
-            crate::ch::encode_arcs_compact(&self.arcs, self.net.num_edges()),
-        );
-        w.section(
-            "fwd_index_c",
-            crate::store_codec::encode_index(&self.fwd.index),
-        );
-        w.section(
-            "fwd_hub_c",
-            crate::store_codec::encode_grouped_ascending(&self.fwd.index, &self.fwd.hub),
-        );
-        w.section("fwd_parent", parents(&self.fwd));
-        w.section(
-            "bwd_index_c",
-            crate::store_codec::encode_index(&self.bwd.index),
-        );
-        w.section(
-            "bwd_hub_c",
-            crate::store_codec::encode_grouped_ascending(&self.bwd.index, &self.bwd.hub),
-        );
-        w.section("bwd_parent", parents(&self.bwd));
         w.section_aligned("arcs_f", crate::ch::encode_arcs_flat(&self.arcs));
-        let mut flat = |prefix: &str, set: &LabelSet| {
-            w.section_aligned(
-                &format!("{prefix}_index_f"),
-                crate::store_codec::encode_u32s_flat(&set.index),
-            );
-            w.section_aligned(
-                &format!("{prefix}_hub_f"),
-                crate::store_codec::encode_u32s_flat(&set.hub),
-            );
-            w.section_aligned(
-                &format!("{prefix}_dist_f"),
-                crate::store_codec::encode_f64s_flat(&set.dist),
-            );
-            w.section_aligned(
-                &format!("{prefix}_parent_f"),
-                crate::store_codec::encode_u32s_flat(&set.parent),
-            );
-        };
-        flat("fwd", &self.fwd);
-        flat("bwd", &self.bwd);
+        for (d, set) in [("fwd", &self.fwd), ("bwd", &self.bwd)] {
+            w.section_aligned(&format!("{d}_index_f"), encode_u32s_flat(&set.index));
+            w.section_aligned(&format!("{d}_hub_f"), encode_u32s_flat(&set.hub));
+            w.section_aligned(&format!("{d}_dist_f"), encode_f64s_flat(&set.dist));
+            w.section_aligned(&format!("{d}_parent_f"), encode_u32s_flat(&set.parent));
+        }
         w.to_bytes()
     }
 
@@ -905,174 +851,60 @@ impl HubLabels {
         Ok(())
     }
 
-    /// Reconstructs a labeling over `net` from container bytes,
-    /// validating every structural invariant: the arc set (via the shared
-    /// compact decoder), CSR monotonicity, strictly ascending hubs within
-    /// bounds, and — while recomputing distances — that every parent arc
-    /// enters its own hub, every parent chain stays inside the label and
-    /// terminates at the node's self entry without cycling. Corrupt input
-    /// yields a typed error, never a panic or a silently wrong label.
+    /// Reconstructs a labeling over `net` from container bytes: the
+    /// checks of [`Self::open_mapped`], and on top of them every stored
+    /// distance verified against its parent chain.
     pub fn from_store_bytes(
         net: Arc<RoadNetwork>,
         bytes: Vec<u8>,
     ) -> press_store::Result<HubLabels> {
-        use press_store::StoreError;
-        let file = press_store::StoreFile::from_bytes(bytes)?;
-        file.expect_kind(press_store::kind::HUB_LABELS)?;
-        let mut meta = file.reader("meta")?;
-        let n = meta.get_len(u32::MAX as usize, "node")?;
-        let num_arcs = meta.get_len(u32::MAX as usize, "arc")?;
-        let num_shortcuts = meta.get_len(u32::MAX as usize, "shortcut")?;
-        let fwd_entries = meta.get_len(u32::MAX as usize, "forward label entry")?;
-        let bwd_entries = meta.get_len(u32::MAX as usize, "backward label entry")?;
-        let fp = meta.get_u32()?;
-        meta.expect_end("meta")?;
-        if fp != crate::store_codec::edge_fingerprint(&net) {
-            return Err(StoreError::Corrupt(
-                "labeling was built over a network with a different edge set \
-                 (weight fingerprint mismatch)"
-                    .into(),
-            ));
-        }
-        if n != net.num_nodes() {
-            return Err(StoreError::Corrupt(format!(
-                "labeling covers {n} nodes but the network has {}",
-                net.num_nodes()
-            )));
-        }
-        if num_arcs < net.num_edges() || num_arcs - net.num_edges() != num_shortcuts {
-            return Err(StoreError::Corrupt(format!(
-                "arc count {num_arcs} inconsistent with {} original edges + {num_shortcuts} shortcuts",
-                net.num_edges()
-            )));
-        }
-        let arcs = crate::ch::decode_arcs_compact(&net, file.section("arcs_c")?, num_arcs)?;
-        let read_set = |index_name: &str,
-                        hub_name: &str,
-                        parent_name: &str,
-                        entries: usize,
-                        forward: bool|
-         -> press_store::Result<LabelSet> {
-            let index = crate::store_codec::decode_index(
-                file.section(index_name)?,
-                n + 1,
-                entries as u64,
-                index_name,
-            )?;
-            if index[n] as usize != entries {
-                return Err(StoreError::Corrupt(format!(
-                    "{index_name}: index covers {} entries but meta declares {entries}",
-                    index[n]
-                )));
-            }
-            let hub = crate::store_codec::decode_grouped_ascending(
-                file.section(hub_name)?,
-                &index,
-                n as u64,
-                hub_name,
-            )?;
-            let mut r = file.reader(parent_name)?;
-            let mut parent = Vec::with_capacity(entries);
-            for _ in 0..entries {
-                let p = r.get_uvarint()?;
-                if p == 0 {
-                    parent.push(NO_ARC);
-                } else if (p - 1) as usize >= num_arcs {
-                    return Err(StoreError::Corrupt(format!(
-                        "{parent_name}: parent arc {} outside 0..{num_arcs}",
-                        p - 1
-                    )));
-                } else {
-                    parent.push((p - 1) as u32);
-                }
-            }
-            r.expect_end(parent_name)?;
-            let mut dist = vec![0.0; entries];
-            recompute_dists(
-                &index,
-                &hub,
-                &parent,
-                &mut dist,
-                &arcs,
-                n,
-                forward,
-                parent_name,
-            )?;
-            Ok(LabelSet {
-                index: index.into(),
-                hub: hub.into(),
-                dist: dist.into(),
-                parent: parent.into(),
-            })
-        };
-        let fwd = read_set("fwd_index_c", "fwd_hub_c", "fwd_parent", fwd_entries, true)?;
-        let bwd = read_set("bwd_index_c", "bwd_hub_c", "bwd_parent", bwd_entries, false)?;
-        Ok(HubLabels {
-            id: next_instance_id(),
-            net,
-            arcs,
-            fwd,
-            bwd,
-        })
+        Self::from_file(net, press_store::StoreFile::from_bytes(bytes)?, workers())
     }
 
-    /// Loads a label artifact from `path` (one contiguous read).
+    /// Loads a label artifact from `path` (one contiguous read), checked
+    /// as [`Self::from_store_bytes`] checks.
     pub fn load_from(
         net: Arc<RoadNetwork>,
         path: &std::path::Path,
     ) -> press_store::Result<HubLabels> {
-        Self::from_store_bytes(net, std::fs::read(path)?)
+        Self::from_file(net, press_store::StoreFile::open(path)?, workers())
     }
 
-    /// Opens a label artifact through the zero-copy mapped tier:
-    /// [`MappedHubLabels::open`] followed by
-    /// [`MappedHubLabels::validate`].
+    /// Opens a label artifact as a read-only mapping whose label arrays
+    /// the labeling borrows in place (the mapping stays alive through
+    /// them). Before returning, every section is CRC-checked on first
+    /// touch, the arc set is decoded and cross-checked against the
+    /// network, and the label arrays are scanned: CSR shape, strictly
+    /// ascending in-bounds hubs, parent arcs in range and entering their
+    /// hub, the parentless self entry. Corrupt input is a typed
+    /// [`press_store::StoreError`]. What the open *trusts* under the
+    /// section CRCs — each distance, and that each parent chain stays in
+    /// its label and ends — is what [`Self::from_store_bytes`]
+    /// additionally verifies; `docs/FORMATS.md` states the trade.
+    ///
+    /// The arcs come first; then the forward and the backward label set —
+    /// each its four section CRCs and its checks, independent of the
+    /// other — run side by side through
+    /// [`work_steal_map`](crate::parallel::work_steal_map) on up to
+    /// `available_parallelism()` workers (one core: the two in sequence).
+    /// When both sets are corrupt, the forward set's error is the one
+    /// returned, as in a sequential pass.
     pub fn open_mapped(
         net: Arc<RoadNetwork>,
         path: &std::path::Path,
     ) -> press_store::Result<HubLabels> {
-        MappedHubLabels::open(net, path)?.validate()
+        Self::from_file(net, press_store::StoreFile::open_mapped(path)?, workers())
     }
-}
 
-/// Phase one of the zero-copy label load: the artifact mapped read-only
-/// with **only its metadata touched** — header, section table, the small
-/// `meta` section (counts + network fingerprint), and length-only checks
-/// that every flat section is present with exactly the declared extent.
-/// Open cost is O(page faults on a few KB) — the open half of what
-/// `press-benchmark` reports as `network.sp.open_mapped_ms` — versus the
-/// seconds-long owned load that varint-decodes every section and
-/// recomputes 10⁷-scale label distances.
-///
-/// [`Self::validate`] is the only way to reach a queryable
-/// [`HubLabels`]: it consumes the handle, CRCs each flat section on
-/// first touch, decodes and cross-checks the arc set, and bounds-scans
-/// the label arrays, so no [`SpProvider`] exists over unvalidated
-/// mapped bytes and a bit-flip surfaces as a typed
-/// [`press_store::StoreError`] — never a panic or a wrong answer. The
-/// label *distances* are covered by CRC and trusted structurally (their
-/// semantic recomputation is exactly the cost this tier removes); see
-/// `docs/FORMATS.md` for the precise trust statement.
-pub struct MappedHubLabels {
-    net: Arc<RoadNetwork>,
-    file: press_store::StoreFile,
-    n: usize,
-    num_arcs: usize,
-    fwd_entries: usize,
-    bwd_entries: usize,
-}
-
-impl MappedHubLabels {
-    /// Maps `path` and checks metadata only (see the type docs). Typed
-    /// errors on kind/fingerprint/extent mismatches and on artifacts
-    /// written before the flat tier existed (those still load through
-    /// [`HubLabels::load_from`]).
-    pub fn open(
+    /// The one reader behind every load path, on `workers` workers: the
+    /// checks of [`Self::open_mapped`], plus [`verify_dists`] when `file`
+    /// is owned.
+    fn from_file(
         net: Arc<RoadNetwork>,
-        path: &std::path::Path,
-    ) -> press_store::Result<MappedHubLabels> {
+        file: press_store::StoreFile,
+        workers: usize,
+    ) -> press_store::Result<HubLabels> {
         use press_store::StoreError;
-        let file = press_store::StoreFile::open_mapped(path)?;
         file.expect_kind(press_store::kind::HUB_LABELS)?;
         let mut meta = file.reader("meta")?;
         let n = meta.get_len(u32::MAX as usize, "node")?;
@@ -1082,163 +914,87 @@ impl MappedHubLabels {
         let bwd_entries = meta.get_len(u32::MAX as usize, "backward label entry")?;
         let fp = meta.get_u32()?;
         meta.expect_end("meta")?;
-        if fp != crate::store_codec::edge_fingerprint(&net) {
-            return Err(StoreError::Corrupt(
-                "labeling was built over a network with a different edge set \
-                 (weight fingerprint mismatch)"
-                    .into(),
-            ));
-        }
-        if n != net.num_nodes() {
-            return Err(StoreError::Corrupt(format!(
-                "labeling covers {n} nodes but the network has {}",
-                net.num_nodes()
-            )));
-        }
-        if num_arcs < net.num_edges() || num_arcs - net.num_edges() != num_shortcuts {
-            return Err(StoreError::Corrupt(format!(
-                "arc count {num_arcs} inconsistent with {} original edges + {num_shortcuts} shortcuts",
-                net.num_edges()
-            )));
-        }
-        // Length-only presence checks: no payload is touched (and hence
-        // no CRC runs), keeping the open O(metadata).
-        let need = [
-            ("arcs_f", num_arcs * 24),
-            ("fwd_index_f", (n + 1) * 4),
-            ("fwd_hub_f", fwd_entries * 4),
-            ("fwd_dist_f", fwd_entries * 8),
-            ("fwd_parent_f", fwd_entries * 4),
-            ("bwd_index_f", (n + 1) * 4),
-            ("bwd_hub_f", bwd_entries * 4),
-            ("bwd_dist_f", bwd_entries * 8),
-            ("bwd_parent_f", bwd_entries * 4),
-        ];
-        for (name, want) in need {
-            match file.section_len(name) {
-                None => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: artifact predates the flat/mapped tier; re-save it \
-                         or load it owned"
-                    )))
-                }
-                Some(len) if len != want => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: {len} B does not match the declared extent ({want} B)"
-                    )))
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(MappedHubLabels {
-            net,
-            file,
-            n,
-            num_arcs,
-            fwd_entries,
-            bwd_entries,
-        })
-    }
-
-    /// Phase two: CRC every flat section on first touch, decode and
-    /// cross-check the arc set against the network, and bounds-scan the
-    /// label arrays — CSR shape, strictly ascending in-bounds hubs,
-    /// parent arcs in range and entering their hub, the parentless self
-    /// entry. Returns labels whose arrays borrow the mapping zero-copy
-    /// (the mapping stays alive through them), answering bit-identically
-    /// to an owned [`HubLabels::load_from`] of the same artifact.
-    ///
-    /// The arcs come first; then the forward and the backward label set —
-    /// each its four section CRCs and its structural scan, independent of
-    /// the other — run side by side through
-    /// [`work_steal_map`](crate::parallel::work_steal_map) on up to
-    /// `available_parallelism()` workers (one core: the two in sequence).
-    /// Every check runs on every open. When both sets are corrupt, the
-    /// forward set's error is the one returned, as in the sequential pass.
-    pub fn validate(self) -> press_store::Result<HubLabels> {
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.validate_with(workers)
-    }
-
-    /// [`Self::validate`] on `workers` workers.
-    fn validate_with(self, workers: usize) -> press_store::Result<HubLabels> {
-        use press_store::StoreError;
-        let MappedHubLabels {
-            net,
-            file,
-            n,
-            num_arcs,
-            fwd_entries,
-            bwd_entries,
-        } = self;
+        crate::store_codec::check_meta(&net, "labeling", fp, n, num_arcs, num_shortcuts)?;
         let arcs = crate::ch::decode_arcs_flat(&net, file.section("arcs_f")?, num_arcs)?;
-        let read_set =
-            |prefix: &str, entries: usize, forward: bool| -> press_store::Result<LabelSet> {
-                let index: FlatSlice<u32> = file.flat_section(&format!("{prefix}_index_f"))?;
-                let hub: FlatSlice<u32> = file.flat_section(&format!("{prefix}_hub_f"))?;
-                let dist: FlatSlice<f64> = file.flat_section(&format!("{prefix}_dist_f"))?;
-                let parent: FlatSlice<u32> = file.flat_section(&format!("{prefix}_parent_f"))?;
-                crate::store_codec::check_flat_index(
-                    &index,
-                    n + 1,
-                    entries as u64,
-                    &format!("{prefix}_index_f"),
-                )?;
-                for v in 0..n {
-                    let lo = index[v] as usize;
-                    let hi = index[v + 1] as usize;
-                    let mut prev: Option<u32> = None;
-                    let mut has_self = hi == lo;
-                    for k in lo..hi {
-                        let h = hub[k];
-                        if h as usize >= n || prev.is_some_and(|p| p >= h) {
-                            return Err(StoreError::Corrupt(format!(
-                                "{prefix}_hub_f: hubs of node {v} are not strictly \
-                             ascending node ids"
-                            )));
-                        }
-                        prev = Some(h);
-                        let pa = parent[k];
-                        if pa == NO_ARC {
-                            if h != v as u32 {
-                                return Err(StoreError::Corrupt(format!(
-                                    "{prefix}_parent_f: entry for hub {h} of node {v} \
-                                 has no parent arc"
-                                )));
-                            }
-                            has_self = true;
-                        } else {
-                            if pa as usize >= num_arcs {
-                                return Err(StoreError::Corrupt(format!(
-                                    "{prefix}_parent_f: parent arc {pa} outside 0..{num_arcs}"
-                                )));
-                            }
-                            let arc = arcs[pa as usize];
-                            let enters = if forward { arc.head } else { arc.tail };
-                            if enters.0 != h {
-                                return Err(StoreError::Corrupt(format!(
-                                    "{prefix}_parent_f: parent arc {pa} of node {v}'s \
-                                 hub {h} does not enter it"
-                                )));
-                            }
-                        }
-                    }
-                    if !has_self {
+        let read_set = |prefix: &str, entries: usize, forward: bool| {
+            let index: FlatSlice<u32> = file.flat_section(&format!("{prefix}_index_f"))?;
+            let hub: FlatSlice<u32> = file.flat_section(&format!("{prefix}_hub_f"))?;
+            let dist: FlatSlice<f64> = file.flat_section(&format!("{prefix}_dist_f"))?;
+            let parent: FlatSlice<u32> = file.flat_section(&format!("{prefix}_parent_f"))?;
+            crate::store_codec::check_flat_index(
+                &index,
+                n + 1,
+                entries as u64,
+                &format!("{prefix}_index_f"),
+            )?;
+            for (name, len) in [
+                ("hub", hub.len()),
+                ("dist", dist.len()),
+                ("parent", parent.len()),
+            ] {
+                if len != entries {
+                    return Err(StoreError::Corrupt(format!(
+                        "{prefix}_{name}_f: {len} entries instead of the declared {entries}"
+                    )));
+                }
+            }
+            for v in 0..n {
+                let lo = index[v] as usize;
+                let hi = index[v + 1] as usize;
+                let mut prev: Option<u32> = None;
+                let mut has_self = hi == lo;
+                for k in lo..hi {
+                    let h = hub[k];
+                    if h as usize >= n || prev.is_some_and(|p| p >= h) {
                         return Err(StoreError::Corrupt(format!(
-                            "{prefix}_parent_f: label of node {v} lacks a parentless \
-                         self entry"
+                            "{prefix}_hub_f: hubs of node {v} are not strictly \
+                             ascending node ids"
                         )));
                     }
+                    prev = Some(h);
+                    let pa = parent[k];
+                    if pa == NO_ARC {
+                        if h != v as u32 {
+                            return Err(StoreError::Corrupt(format!(
+                                "{prefix}_parent_f: entry for hub {h} of node {v} \
+                                 has no parent arc"
+                            )));
+                        }
+                        has_self = true;
+                    } else {
+                        if pa as usize >= num_arcs {
+                            return Err(StoreError::Corrupt(format!(
+                                "{prefix}_parent_f: parent arc {pa} outside 0..{num_arcs}"
+                            )));
+                        }
+                        let arc = arcs[pa as usize];
+                        let enters = if forward { arc.head } else { arc.tail };
+                        if enters.0 != h {
+                            return Err(StoreError::Corrupt(format!(
+                                "{prefix}_parent_f: parent arc {pa} of node {v}'s \
+                                 hub {h} does not enter it"
+                            )));
+                        }
+                    }
                 }
-                Ok(LabelSet {
-                    index,
-                    hub,
-                    dist,
-                    parent,
-                })
+                if !has_self {
+                    return Err(StoreError::Corrupt(format!(
+                        "{prefix}_parent_f: label of node {v} lacks a parentless \
+                         self entry"
+                    )));
+                }
+            }
+            let set = LabelSet {
+                index,
+                hub,
+                dist,
+                parent,
             };
+            if !file.is_mapped() {
+                verify_dists(&set, &arcs, forward, prefix)?;
+            }
+            Ok(set)
+        };
         let sets = [("fwd", fwd_entries, true), ("bwd", bwd_entries, false)];
         let mut checked =
             crate::parallel::work_steal_map(&sets, workers, |_, &(p, e, f)| read_set(p, e, f))
@@ -1256,54 +1012,43 @@ impl MappedHubLabels {
     }
 }
 
-impl std::fmt::Debug for MappedHubLabels {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MappedHubLabels")
-            .field("nodes", &self.n)
-            .field("arcs", &self.num_arcs)
-            .field("label_entries", &(self.fwd_entries + self.bwd_entries))
-            .finish()
-    }
+/// The worker count every load path validates the two label sets on.
+fn workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
 }
 
-/// Recomputes every label distance from its parent chain — the exact
-/// float sums the build produced — validating chain structure along the
-/// way (see [`HubLabels::from_store_bytes`]).
-#[allow(clippy::too_many_arguments)]
-fn recompute_dists(
-    index: &[u32],
-    hub: &[u32],
-    parent: &[u32],
-    dist: &mut [f64],
+/// Verifies every stored distance of one label set against its parent
+/// chain: resolving each entry's chain down to the node's self entry, an
+/// entry's distance must be bit for bit its parent hub's plus the parent
+/// arc's weight — the exact float sums the build produced — and the self
+/// entry's must be `0.0`. A chain that leaves its label or cycles is
+/// refused. Runs after the structural scan of [`HubLabels::from_file`],
+/// which has already proved the hubs ascending, each parent arc in range
+/// and entering its hub, and the one parentless entry the self entry.
+fn verify_dists(
+    set: &LabelSet,
     arcs: &[ChArc],
-    n: usize,
     forward: bool,
-    what: &str,
+    prefix: &str,
 ) -> press_store::Result<()> {
     use press_store::StoreError;
-    // 0 = unresolved, 1 = on the resolution stack, 2 = done.
+    let LabelSet {
+        index,
+        hub,
+        dist,
+        parent,
+    } = set;
+    // 0 = unresolved, 1 = on the resolution stack, 2 = verified.
     let mut state: Vec<u8> = Vec::new();
     let mut stack: Vec<usize> = Vec::new();
-    for v in 0..n {
+    for v in 0..index.len() - 1 {
         let lo = index[v] as usize;
         let hi = index[v + 1] as usize;
-        let count = hi - lo;
-        if count == 0 {
-            continue;
-        }
-        // Every non-empty label roots at the node's self entry.
-        let self_pos = hub[lo..hi].binary_search(&(v as u32));
-        match self_pos {
-            Ok(k) if parent[lo + k] == NO_ARC => {}
-            _ => {
-                return Err(StoreError::Corrupt(format!(
-                    "{what}: label of node {v} lacks a parentless self entry"
-                )));
-            }
-        }
         state.clear();
-        state.resize(count, 0);
-        for start in 0..count {
+        state.resize(hi - lo, 0);
+        for start in 0..hi - lo {
             if state[start] == 2 {
                 continue;
             }
@@ -1312,53 +1057,42 @@ fn recompute_dists(
             state[start] = 1;
             while let Some(&cur) = stack.last() {
                 let pa = parent[lo + cur];
-                if pa == NO_ARC {
-                    if hub[lo + cur] != v as u32 {
+                let (want, next) = if pa == NO_ARC {
+                    (0.0, None)
+                } else {
+                    let arc = arcs[pa as usize];
+                    let from = if forward { arc.tail } else { arc.head };
+                    let Ok(pk) = hub[lo..hi].binary_search(&from.0) else {
                         return Err(StoreError::Corrupt(format!(
-                            "{what}: entry for hub {} of node {v} has no parent arc",
-                            hub[lo + cur]
+                            "{prefix}_parent_f: parent chain of node {v} leaves the label at hub {}",
+                            from.0
                         )));
+                    };
+                    match state[pk] {
+                        2 => (dist[lo + pk] + arc.weight, None),
+                        1 => {
+                            return Err(StoreError::Corrupt(format!(
+                                "{prefix}_parent_f: parent chain of node {v} cycles at hub {}",
+                                from.0
+                            )));
+                        }
+                        _ => (0.0, Some(pk)),
                     }
-                    dist[lo + cur] = 0.0;
-                    state[cur] = 2;
-                    stack.pop();
+                };
+                if let Some(pk) = next {
+                    state[pk] = 1;
+                    stack.push(pk);
                     continue;
                 }
-                let arc = arcs[pa as usize];
-                let (enters, from) = if forward {
-                    (arc.head, arc.tail)
-                } else {
-                    (arc.tail, arc.head)
-                };
-                if enters.0 != hub[lo + cur] {
+                if dist[lo + cur].to_bits() != want.to_bits() {
                     return Err(StoreError::Corrupt(format!(
-                        "{what}: parent arc {pa} of node {v}'s hub {} does not enter it",
+                        "{prefix}_dist_f: distance of node {v}'s hub {} is not the sum \
+                         along its parent chain",
                         hub[lo + cur]
                     )));
                 }
-                let Ok(pk) = hub[lo..hi].binary_search(&from.0) else {
-                    return Err(StoreError::Corrupt(format!(
-                        "{what}: parent chain of node {v} leaves the label at hub {}",
-                        from.0
-                    )));
-                };
-                match state[pk] {
-                    2 => {
-                        dist[lo + cur] = dist[lo + pk] + arc.weight;
-                        state[cur] = 2;
-                        stack.pop();
-                    }
-                    1 => {
-                        return Err(StoreError::Corrupt(format!(
-                            "{what}: parent chain of node {v} cycles at hub {}",
-                            from.0
-                        )));
-                    }
-                    _ => {
-                        state[pk] = 1;
-                        stack.push(pk);
-                    }
-                }
+                state[cur] = 2;
+                stack.pop();
             }
         }
     }
@@ -1423,6 +1157,9 @@ mod tests {
     use crate::geometry::Point;
     use crate::graph::RoadNetworkBuilder;
     use crate::sp_table::SpTable;
+    use crate::store_codec::encode_u32s_flat;
+    use crate::store_codec::tests::{section_u32s, verdicts, with_section};
+    use press_store::StoreError;
 
     fn assert_matches_dense(net: &Arc<RoadNetwork>, hl: &HubLabels) {
         let dense = SpTable::build(net.clone());
@@ -1598,8 +1335,8 @@ mod tests {
         assert_eq!(loaded.bwd.index, built.bwd.index);
         assert_eq!(loaded.bwd.hub, built.bwd.hub);
         assert_eq!(loaded.bwd.parent, built.bwd.parent);
-        // Distances were NOT stored — they were recomputed from parent
-        // chains — and still match bit-for-bit.
+        // Distances are stored, verified against their parent chains on
+        // load, and match bit-for-bit.
         for (a, b) in built.fwd.dist.iter().zip(loaded.fwd.dist.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1616,36 +1353,6 @@ mod tests {
                 assert_eq!(built.pred_edge(u, v), loaded.pred_edge(u, v));
             }
         }
-    }
-
-    #[test]
-    fn store_artifact_is_compact() {
-        let net = Arc::new(grid_network(&GridConfig {
-            nx: 8,
-            ny: 8,
-            weight_jitter: 0.15,
-            seed: 3,
-            ..GridConfig::default()
-        }));
-        let hl = HubLabels::build(net.clone());
-        // The *compact* sections store no floats and delta-code every id
-        // array, so they must be well under half the resident footprint.
-        // The flat (`*_f`) twins exist for the mapped tier and are
-        // full-width by design — exclude them from the compactness claim.
-        let bytes = hl.to_store_bytes();
-        let file = press_store::StoreFile::from_bytes(bytes.clone()).unwrap();
-        let flat: usize = file
-            .section_names()
-            .filter(|nm| nm.ends_with("_f"))
-            .map(|nm| file.section_len(nm).unwrap())
-            .sum();
-        assert!(flat > 0, "flat twins missing from the artifact");
-        assert!(
-            (bytes.len() - flat) * 2 < hl.approx_bytes(),
-            "compact sections {} B vs resident {} B",
-            bytes.len() - flat,
-            hl.approx_bytes()
-        );
     }
 
     #[test]
@@ -1726,7 +1433,7 @@ mod tests {
         let mapped = HubLabels::open_mapped(net.clone(), &path).unwrap();
         std::fs::remove_file(&path).unwrap();
         // Field-for-field identity, including the distances the owned
-        // load recomputes but the mapped open reads straight from disk.
+        // load verifies but the mapped open trusts under their CRC.
         assert_eq!(mapped.fwd.index, built.fwd.index);
         assert_eq!(mapped.fwd.hub, built.fwd.hub);
         assert_eq!(mapped.fwd.parent, built.fwd.parent);
@@ -1771,9 +1478,8 @@ mod tests {
         let bytes = HubLabels::build(net.clone()).to_store_bytes();
         // One flip per region of the CRC kernel over a distance section
         // that spans many 64 B fold blocks and ends in a sub-16 B tail:
-        // the O(metadata) open must still succeed, and the first touch
-        // during validation must surface a typed checksum error naming
-        // the section — never a panic or a silently wrong label.
+        // both loads must surface a typed checksum error naming the
+        // section — never a panic or a silently wrong label.
         let file = press_store::StoreFile::from_bytes(bytes.clone()).unwrap();
         let name = ["fwd_dist_f", "bwd_dist_f"]
             .into_iter()
@@ -1797,28 +1503,20 @@ mod tests {
         for (region, offset) in flips {
             let mut flipped = bytes.clone();
             flipped[at + offset] ^= 0x40;
-            let path = temp_artifact("hl-corrupt", &flipped);
-            let opened = MappedHubLabels::open(net.clone(), &path).unwrap();
-            let err = opened.validate();
-            std::fs::remove_file(&path).unwrap();
-            match err {
-                Err(press_store::StoreError::ChecksumMismatch { section }) => {
-                    assert_eq!(section, name, "{region}")
-                }
-                other => panic!("{region}: expected ChecksumMismatch, got {other:?}"),
-            }
+            let want = Some(press_store::StoreError::ChecksumMismatch {
+                section: name.into(),
+            });
+            let got = verdicts(
+                &flipped,
+                |b| HubLabels::from_store_bytes(net.clone(), b),
+                |p| HubLabels::open_mapped(net.clone(), p),
+            );
+            assert_eq!(got, (want.clone(), want), "{region}");
         }
     }
 
-    /// The forward and backward label sets are validated side by side;
-    /// the verdict is the sequential pass's for 1 worker and for 2: a
-    /// flipped byte in a `bwd_*_f` section is that section's checksum
-    /// mismatch, a CRC-valid structural fault there is the same typed
-    /// `Corrupt`, and when both sets are faulty the forward one is
-    /// reported.
-    #[test]
-    fn mapped_open_validates_both_label_sets_in_parallel_as_in_sequence() {
-        use press_store::{StoreError, StoreFile, StoreWriter};
+    /// The labeling fixture of the refusal tests, and its artifact.
+    fn refusal_fixture() -> (Arc<RoadNetwork>, HubLabels, Vec<u8>) {
         let net = Arc::new(grid_network(&GridConfig {
             nx: 6,
             ny: 6,
@@ -1826,25 +1524,162 @@ mod tests {
             seed: 5,
             ..GridConfig::default()
         }));
-        let bytes = HubLabels::build(net.clone()).to_store_bytes();
-        let file = StoreFile::from_bytes(bytes.clone()).unwrap();
-        // The artifact with one section's payload replaced, every CRC valid.
-        let rewrite = |name: &str, payload: Vec<u8>| {
-            let mut w = StoreWriter::new(file.kind());
-            for nm in file.section_names() {
-                let p = if nm == name {
-                    payload.clone()
-                } else {
-                    file.section(nm).unwrap().to_vec()
-                };
-                if nm.ends_with("_f") {
-                    w.section_aligned(nm, p);
-                } else {
-                    w.section(nm, p);
-                }
-            }
-            w.to_bytes()
+        let hl = HubLabels::build(net.clone());
+        let bytes = hl.to_store_bytes();
+        (net, hl, bytes)
+    }
+
+    /// `bytes` with the first hub of `set`'s first two-entry label
+    /// repeated, and the message that refuses it.
+    fn repeat_hub(bytes: &[u8], set: &str) -> (Vec<u8>, String) {
+        let index = section_u32s(bytes, &format!("{set}_index_f"));
+        let mut hub = section_u32s(bytes, &format!("{set}_hub_f"));
+        let v = (0..index.len() - 1)
+            .find(|&v| index[v + 1] - index[v] >= 2)
+            .unwrap();
+        hub[index[v] as usize + 1] = hub[index[v] as usize];
+        (
+            with_section(bytes, &format!("{set}_hub_f"), encode_u32s_flat(&hub)),
+            format!("{set}_hub_f: hubs of node {v} are not strictly ascending node ids"),
+        )
+    }
+
+    /// One CRC-valid rewrite per rule the reader enforces. The structural
+    /// rows are refused by both loads with the same typed `Corrupt`; the
+    /// parent-chain and distance rows by the owned load only — the mapped
+    /// open trusts those under the section CRC (`docs/FORMATS.md`).
+    #[test]
+    fn mapped_open_and_owned_load_refuse_every_broken_rule() {
+        let (net, hl, good) = refusal_fixture();
+        let (n, num_arcs, arcs) = (net.num_nodes(), hl.arcs.len(), &hl.arcs);
+        let (index, hub, parent) = (&hl.fwd.index, &hl.fwd.hub, &hl.fwd.parent);
+        let with = |name: &str, edit: &dyn Fn(&mut Vec<u32>)| {
+            let mut words = section_u32s(&good, name);
+            edit(&mut words);
+            with_section(&good, name, encode_u32s_flat(&words))
         };
+        let label = |v: usize| index[v] as usize..index[v + 1] as usize;
+        // The first entry reached over a parent arc, and where it lives.
+        let (v, k) = (0..n)
+            .find_map(|v| label(v).find(|&k| parent[k] != NO_ARC).map(|k| (v, k)))
+            .unwrap();
+        let h = hub[k];
+        let last = label(v).end - 1;
+        let stray = (0..num_arcs).find(|&a| arcs[a].head.0 != h).unwrap();
+        let into = arcs[0].head;
+        let own = hl.fwd.find(into, into.0).unwrap();
+        // An entry re-parented onto an arc from outside its label.
+        let (lv, lk, leave) = (0..n)
+            .find_map(|v| {
+                label(v).filter(|&k| parent[k] != NO_ARC).find_map(|k| {
+                    let a = (0..num_arcs).find(|&a| {
+                        arcs[a].head.0 == hub[k]
+                            && hl.fwd.find(NodeId(v as u32), arcs[a].tail.0).is_none()
+                    })?;
+                    Some((v, k, a))
+                })
+            })
+            .unwrap();
+        // Entry `j` (hub `u`) re-parented onto an arc from its own child.
+        let (cv, cj, back) = (0..n)
+            .find_map(|v| {
+                label(v).filter(|&k| parent[k] != NO_ARC).find_map(|k| {
+                    let u = arcs[parent[k] as usize].tail;
+                    let j = hl
+                        .fwd
+                        .find(NodeId(v as u32), u.0)
+                        .filter(|_| u.index() != v)?;
+                    let c =
+                        (0..num_arcs).find(|&c| arcs[c].tail.0 == hub[k] && arcs[c].head == u)?;
+                    Some((v, j, c))
+                })
+            })
+            .unwrap();
+        let mut dist = hl.fwd.dist.to_vec();
+        dist[k] = f64::from_bits(dist[k].to_bits() ^ 1);
+        let (repeated, repeated_err) = repeat_hub(&good, "fwd");
+        let rows = [
+            ("hubs not ascending", repeated, repeated_err, false),
+            (
+                "hub outside the network",
+                with("fwd_hub_f", &|w| w[last] = n as u32),
+                format!("fwd_hub_f: hubs of node {v} are not strictly ascending node ids"),
+                false,
+            ),
+            (
+                "parent arc out of range",
+                with("fwd_parent_f", &|w| w[k] = num_arcs as u32),
+                format!("fwd_parent_f: parent arc {num_arcs} outside 0..{num_arcs}"),
+                false,
+            ),
+            (
+                "parent arc does not enter its hub",
+                with("fwd_parent_f", &|w| w[k] = stray as u32),
+                format!("fwd_parent_f: parent arc {stray} of node {v}'s hub {h} does not enter it"),
+                false,
+            ),
+            (
+                "entry other than self without a parent",
+                with("fwd_parent_f", &|w| w[k] = NO_ARC),
+                format!("fwd_parent_f: entry for hub {h} of node {v} has no parent arc"),
+                false,
+            ),
+            (
+                "no parentless self entry",
+                with("fwd_parent_f", &|w| w[own] = 0),
+                format!("fwd_parent_f: label of node {} lacks a parentless self entry", into.0),
+                false,
+            ),
+            (
+                "parent chain leaves the label",
+                with("fwd_parent_f", &|w| w[lk] = leave as u32),
+                format!(
+                    "fwd_parent_f: parent chain of node {lv} leaves the label at hub {}",
+                    arcs[leave].tail.0
+                ),
+                true,
+            ),
+            (
+                "parent chain cycles",
+                with("fwd_parent_f", &|w| w[cj] = back as u32),
+                format!("fwd_parent_f: parent chain of node {cv} cycles at hub "),
+                true,
+            ),
+            (
+                "distance is not the chain sum",
+                with_section(&good, "fwd_dist_f", crate::store_codec::encode_f64s_flat(&dist)),
+                format!("fwd_dist_f: distance of node {v}'s hub {h} is not the sum along its parent chain"),
+                true,
+            ),
+        ];
+        for (what, bytes, want, owned_only) in rows {
+            let (owned, mapped) = verdicts(
+                &bytes,
+                |b| HubLabels::from_store_bytes(net.clone(), b),
+                |p| HubLabels::open_mapped(net.clone(), p),
+            );
+            assert!(
+                matches!(&owned, Some(StoreError::Corrupt(m)) if m.starts_with(&want)),
+                "{what}: {owned:?}"
+            );
+            assert_eq!(
+                mapped,
+                if owned_only { None } else { owned },
+                "{what}: mapped"
+            );
+        }
+    }
+
+    /// The forward and backward label sets are validated side by side;
+    /// the verdict is the sequential pass's for 1 worker and for 2, owned
+    /// and mapped: a flipped byte in a `bwd_*_f` section is that section's
+    /// checksum mismatch, a CRC-valid structural fault there is the same
+    /// typed `Corrupt`, and when both sets are faulty the forward one is
+    /// reported.
+    #[test]
+    fn mapped_open_validates_both_label_sets_in_parallel_as_in_sequence() {
+        use press_store::StoreFile;
+        let (net, _, bytes) = refusal_fixture();
         // A byte flipped inside `name`'s payload, its CRC left stale.
         let flip = |bytes: &[u8], name: &str| {
             let f = StoreFile::from_bytes(bytes.to_vec()).unwrap();
@@ -1857,24 +1692,8 @@ mod tests {
             out[at + payload.len() / 2] ^= 0x10;
             out
         };
-        // Repeats the first hub of the first label holding two.
-        let unsorted = |set: &str| {
-            let index: Vec<u32> = le_u32s(file.section(&format!("{set}_index_f")).unwrap());
-            let mut hub: Vec<u32> = le_u32s(file.section(&format!("{set}_hub_f")).unwrap());
-            let v = (0..index.len() - 1)
-                .find(|&v| index[v + 1] - index[v] >= 2)
-                .unwrap();
-            hub[index[v] as usize + 1] = hub[index[v] as usize];
-            let payload = hub.iter().flat_map(|h| h.to_le_bytes()).collect();
-            (
-                rewrite(&format!("{set}_hub_f"), payload),
-                StoreError::Corrupt(format!(
-                    "{set}_hub_f: hubs of node {v} are not strictly ascending node ids"
-                )),
-            )
-        };
-        let (bwd_structure, bwd_structure_err) = unsorted("bwd");
-        let (fwd_structure, fwd_structure_err) = unsorted("fwd");
+        let (bwd_structure, bwd_err) = repeat_hub(&bytes, "bwd");
+        let (fwd_structure, fwd_err) = repeat_hub(&bytes, "fwd");
         let checksum = |section: &str| StoreError::ChecksumMismatch {
             section: section.into(),
         };
@@ -1884,7 +1703,11 @@ mod tests {
                 flip(&bytes, "bwd_parent_f"),
                 checksum("bwd_parent_f"),
             ),
-            ("bwd structure", bwd_structure.clone(), bwd_structure_err),
+            (
+                "bwd structure",
+                bwd_structure.clone(),
+                StoreError::Corrupt(bwd_err),
+            ),
             (
                 "fwd flip + bwd structure",
                 flip(&bwd_structure, "fwd_dist_f"),
@@ -1893,73 +1716,35 @@ mod tests {
             (
                 "fwd structure + bwd flip",
                 flip(&fwd_structure, "bwd_hub_f"),
-                fwd_structure_err,
+                StoreError::Corrupt(fwd_err),
             ),
         ];
         for (what, corrupt, want) in cases {
             let path = temp_artifact("hl-par", &corrupt);
             for workers in [1, 2] {
-                let got = MappedHubLabels::open(net.clone(), &path)
-                    .unwrap()
-                    .validate_with(workers);
+                let mapped = StoreFile::open_mapped(&path).unwrap();
+                let got = HubLabels::from_file(net.clone(), mapped, workers);
                 assert_eq!(got.err(), Some(want.clone()), "{what}, {workers} workers");
+                let owned = StoreFile::from_bytes(corrupt.clone()).unwrap();
+                let got = HubLabels::from_file(net.clone(), owned, workers);
+                assert_eq!(
+                    got.err(),
+                    Some(want.clone()),
+                    "{what}, {workers} workers, owned"
+                );
             }
             std::fs::remove_file(&path).unwrap();
         }
         // And the clean artifact validates to the same labels either way.
         let path = temp_artifact("hl-par-clean", &bytes);
-        let one = MappedHubLabels::open(net.clone(), &path)
-            .unwrap()
-            .validate_with(1)
-            .unwrap();
-        let two = MappedHubLabels::open(net.clone(), &path)
-            .unwrap()
-            .validate_with(2)
-            .unwrap();
+        let open = |workers| {
+            HubLabels::from_file(net.clone(), StoreFile::open_mapped(&path).unwrap(), workers)
+                .unwrap()
+        };
+        let (one, two) = (open(1), open(2));
         std::fs::remove_file(&path).unwrap();
         assert_eq!(one.fwd.hub, two.fwd.hub);
         assert_eq!(one.bwd.parent, two.bwd.parent);
-    }
-
-    fn le_u32s(raw: &[u8]) -> Vec<u32> {
-        raw.chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
-            .collect()
-    }
-
-    #[test]
-    fn mapped_open_rejects_pre_flat_artifacts_that_owned_load_accepts() {
-        let net = Arc::new(grid_network(&GridConfig {
-            nx: 4,
-            ny: 4,
-            weight_jitter: 0.1,
-            seed: 6,
-            ..GridConfig::default()
-        }));
-        let bytes = HubLabels::build(net.clone()).to_store_bytes();
-        // Rebuild the container with every flat twin stripped — the shape
-        // artifacts had before this tier existed.
-        let file = press_store::StoreFile::from_bytes(bytes).unwrap();
-        let mut w = press_store::StoreWriter::new(press_store::kind::HUB_LABELS);
-        let names: Vec<String> = file
-            .section_names()
-            .filter(|nm| !nm.ends_with("_f"))
-            .map(str::to_owned)
-            .collect();
-        for nm in &names {
-            w.section(nm, file.section(nm).unwrap().to_vec());
-        }
-        let path = temp_artifact("hl-preflat", &w.to_bytes());
-        let mapped = MappedHubLabels::open(net.clone(), &path);
-        assert!(
-            matches!(mapped, Err(press_store::StoreError::Corrupt(_))),
-            "expected an actionable Corrupt error, got {mapped:?}"
-        );
-        // The owned loader still accepts the stripped artifact: the flat
-        // tier is additive, not a format break.
-        let owned = HubLabels::load_from(net, &path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert!(owned.fwd.index.len() > 1);
     }
 
     /// `pred_edge` by the exact route alone — the reference the margin

@@ -54,7 +54,7 @@ pub mod provider;
 pub mod sp_table;
 mod store_codec;
 
-pub use ch::{ChConfig, ContractionHierarchy, MappedContractionHierarchy};
+pub use ch::{ChConfig, ContractionHierarchy};
 pub use dijkstra::{
     dijkstra, dijkstra_bounded, dijkstra_sparse, dijkstra_with, reverse_distances,
     ShortestPathTree, SparseTree,
@@ -69,7 +69,7 @@ pub use geometry::{
     project_onto_segment, segments_intersect, Mbr, Point, Projection,
 };
 pub use graph::{Edge, Node, RoadNetwork, RoadNetworkBuilder};
-pub use hub_labels::{HubLabels, MappedHubLabels};
+pub use hub_labels::HubLabels;
 pub use id::{EdgeId, NodeId};
 pub use index::EdgeSpatialIndex;
 pub use provider::{SpBackend, SpProvider};

@@ -1,27 +1,23 @@
-//! Delta+varint section codecs shared by the contraction-hierarchy and
-//! hub-label artifacts.
+//! Flat section codecs shared by the contraction-hierarchy and hub-label
+//! artifacts.
 //!
-//! Both artifacts are dominated by large arrays of node/arc ids with
-//! strong local structure: CSR index arrays are monotone non-decreasing,
-//! and per-group id lists (a node's upward arcs, a node's label hubs) are
-//! strictly ascending. Delta-encoding those arrays and writing the deltas
-//! as LEB128 varints ([`press_store::ByteWriter::put_uvarint`]) turns the
-//! common 4-byte element into one byte, shrinking the dominant sections
-//! ~4× with no information loss. Decoders validate shape as they read:
-//! a negative delta in a monotone array, a zero delta in a strictly
-//! ascending group, or an id beyond its declared bound is a typed
+//! Both artifacts store every array as one fixed-width little-endian
+//! section (`rank` and the `*_f` family), written through
+//! [`press_store::StoreWriter::section_aligned`] so that a mapped open
+//! borrows it in place as a `FlatSlice` and an owned load reads the very
+//! same bytes — one encoding, one reader. The sections carry no
+//! redundancy beyond their CRC, so the readers validate shape as they go;
+//! the checks both artifacts share live here, and a violation is a typed
 //! [`press_store::StoreError::Corrupt`], never a panic.
 
 use crate::graph::RoadNetwork;
-use press_store::{ByteReader, ByteWriter, Result, StoreError};
+use press_store::{Result, StoreError};
 
 /// CRC32 fingerprint of a network's full edge set (from, to, weight bit
-/// pattern per edge). The compact arc codec derives original arcs *from
-/// the network it is loaded against* instead of storing them, so this
-/// fingerprint — recorded at save time, verified at load time — is what
-/// rejects pairing an artifact with a network whose weights differ: a
-/// hierarchy contracted under other weights would otherwise decode into
-/// a structurally coherent but silently wrong search graph.
+/// pattern per edge), recorded in the artifact's `meta` at save time.
+/// Checked at open time before any payload is touched, it refuses a
+/// network with a different edge set in one message, instead of at
+/// whichever arc of `arcs_f` happens to differ first.
 pub(crate) fn edge_fingerprint(net: &RoadNetwork) -> u32 {
     let mut buf = Vec::with_capacity(net.num_edges() * 16);
     for e in net.edge_ids() {
@@ -33,109 +29,40 @@ pub(crate) fn edge_fingerprint(net: &RoadNetwork) -> u32 {
     press_store::crc32(&buf)
 }
 
-/// Encodes a monotone non-decreasing CSR index array (`index[0] == 0`)
-/// as first-value + unsigned deltas.
-pub(crate) fn encode_index(index: &[u32]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(index.len() + 8);
-    let mut prev = 0u32;
-    for &v in index {
-        debug_assert!(v >= prev, "CSR index must be monotone");
-        w.put_uvarint((v - prev) as u64);
-        prev = v;
-    }
-    w.into_bytes()
-}
-
-/// Decodes a CSR index of `len` entries whose values must stay within
-/// `max_value` (the length of the array the index points into). The first
-/// entry must be 0 — every CSR index starts there, and group slicing
-/// depends on it.
-pub(crate) fn decode_index(
-    bytes: &[u8],
-    len: usize,
-    max_value: u64,
+/// Checks the `meta` fields both artifacts open with against the network
+/// they are opened over: the edge fingerprint `fp`, the node count `n`,
+/// and `num_arcs = |E| + num_shortcuts`. `what` names the artifact in
+/// the messages ("hierarchy", "labeling").
+pub(crate) fn check_meta(
+    net: &RoadNetwork,
     what: &str,
-) -> Result<Vec<u32>> {
-    let mut r = ByteReader::new(bytes);
-    let mut index = Vec::with_capacity(len);
-    let mut cur = 0u64;
-    for _ in 0..len {
-        cur += r.get_uvarint()?;
-        if cur > max_value || cur > u32::MAX as u64 {
-            return Err(StoreError::Corrupt(format!(
-                "{what}: CSR index value {cur} exceeds bound {max_value}"
-            )));
-        }
-        index.push(cur as u32);
-    }
-    r.expect_end(what)?;
-    if index.first().copied().unwrap_or(0) != 0 {
+    fp: u32,
+    n: usize,
+    num_arcs: usize,
+    num_shortcuts: usize,
+) -> Result<()> {
+    if fp != edge_fingerprint(net) {
         return Err(StoreError::Corrupt(format!(
-            "{what}: CSR index does not start at 0"
+            "{what} was built over a network with a different edge set \
+             (weight fingerprint mismatch)"
         )));
     }
-    Ok(index)
-}
-
-/// Encodes grouped id lists (CSR payload) where ids are **strictly
-/// ascending within each group**: per group, first id raw, then deltas.
-pub(crate) fn encode_grouped_ascending(index: &[u32], ids: &[u32]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(ids.len() + 8);
-    for g in 0..index.len().saturating_sub(1) {
-        let group = &ids[index[g] as usize..index[g + 1] as usize];
-        let mut prev = 0u64;
-        for (i, &id) in group.iter().enumerate() {
-            if i == 0 {
-                w.put_uvarint(id as u64);
-            } else {
-                debug_assert!(id as u64 > prev, "group ids must be strictly ascending");
-                w.put_uvarint(id as u64 - prev);
-            }
-            prev = id as u64;
-        }
+    if n != net.num_nodes() {
+        return Err(StoreError::Corrupt(format!(
+            "{what} covers {n} nodes but the network has {}",
+            net.num_nodes()
+        )));
     }
-    w.into_bytes()
-}
-
-/// Decodes grouped strictly-ascending id lists; every id must be below
-/// `id_bound`. The group boundaries come from the (already decoded and
-/// validated) CSR `index`.
-pub(crate) fn decode_grouped_ascending(
-    bytes: &[u8],
-    index: &[u32],
-    id_bound: u64,
-    what: &str,
-) -> Result<Vec<u32>> {
-    let mut r = ByteReader::new(bytes);
-    let total = *index.last().unwrap_or(&0) as usize;
-    let mut ids = Vec::with_capacity(total);
-    for g in 0..index.len().saturating_sub(1) {
-        let count = (index[g + 1] - index[g]) as usize;
-        let mut cur = 0u64;
-        for i in 0..count {
-            let delta = r.get_uvarint()?;
-            if i > 0 && delta == 0 {
-                return Err(StoreError::Corrupt(format!(
-                    "{what}: duplicate id in strictly ascending group {g}"
-                )));
-            }
-            cur += delta;
-            if cur >= id_bound {
-                return Err(StoreError::Corrupt(format!(
-                    "{what}: id {cur} in group {g} exceeds bound {id_bound}"
-                )));
-            }
-            ids.push(cur as u32);
-        }
+    if num_arcs < net.num_edges() || num_arcs - net.num_edges() != num_shortcuts {
+        return Err(StoreError::Corrupt(format!(
+            "arc count {num_arcs} inconsistent with {} original edges + {num_shortcuts} shortcuts",
+            net.num_edges()
+        )));
     }
-    r.expect_end(what)?;
-    Ok(ids)
+    Ok(())
 }
 
-/// Encodes a `u32` array as raw fixed-width little-endian values — the
-/// flat (`*_f`) twin of the compact codecs above. Written through
-/// [`press_store::StoreWriter::section_aligned`] so a mapped open can
-/// borrow the section in place as a `FlatSlice<u32>` with zero decoding.
+/// Encodes a `u32` array as raw fixed-width little-endian values.
 pub(crate) fn encode_u32s_flat(vals: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 4);
     for &v in vals {
@@ -144,8 +71,7 @@ pub(crate) fn encode_u32s_flat(vals: &[u32]) -> Vec<u8> {
     out
 }
 
-/// Encodes an `f64` array as raw little-endian IEEE-754 bit patterns
-/// (the flat twin for float payloads; see [`encode_u32s_flat`]).
+/// Encodes an `f64` array as raw little-endian IEEE-754 bit patterns.
 pub(crate) fn encode_f64s_flat(vals: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 8);
     for &v in vals {
@@ -156,9 +82,7 @@ pub(crate) fn encode_f64s_flat(vals: &[f64]) -> Vec<u8> {
 
 /// Validates the shape of a flat CSR index: exactly `len` entries,
 /// starting at 0, monotone non-decreasing, ending at `total` (the length
-/// of the array it points into). Flat sections carry no redundancy
-/// beyond the per-section CRC, so these structural checks are what keeps
-/// a mapped load panic-free.
+/// of the array it points into).
 pub(crate) fn check_flat_index(index: &[u32], len: usize, total: u64, what: &str) -> Result<()> {
     if index.len() != len {
         return Err(StoreError::Corrupt(format!(
@@ -186,43 +110,70 @@ pub(crate) fn check_flat_index(index: &[u32], len: usize, total: u64, what: &str
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn index_roundtrip_and_bounds() {
-        let index = vec![0u32, 3, 3, 7, 20];
-        let bytes = encode_index(&index);
-        assert!(bytes.len() < index.len() * 4);
-        assert_eq!(decode_index(&bytes, 5, 20, "t").unwrap(), index);
-        // A bound below the final value is corruption.
-        assert!(decode_index(&bytes, 5, 19, "t").is_err());
-        // Truncation is typed.
-        assert!(decode_index(&bytes[..2], 5, 20, "t").is_err());
+    /// `bytes` with section `name`'s payload replaced by `payload`, every
+    /// CRC valid and every section still 8-byte aligned.
+    pub(crate) fn with_section(bytes: &[u8], name: &str, payload: Vec<u8>) -> Vec<u8> {
+        let file = press_store::StoreFile::from_bytes(bytes.to_vec()).unwrap();
+        let mut w = press_store::StoreWriter::new(file.kind());
+        for nm in file.section_names() {
+            let p = if nm == name {
+                payload.clone()
+            } else {
+                file.section(nm).unwrap().to_vec()
+            };
+            w.section_aligned(nm, p);
+        }
+        w.to_bytes()
     }
 
-    #[test]
-    fn grouped_roundtrip_and_strictness() {
-        let index = vec![0u32, 2, 2, 5];
-        let ids = vec![4u32, 9, 0, 3, 11];
-        let bytes = encode_grouped_ascending(&index, &ids);
-        assert_eq!(
-            decode_grouped_ascending(&bytes, &index, 12, "t").unwrap(),
-            ids
-        );
-        // Bound violation is typed.
-        assert!(decode_grouped_ascending(&bytes, &index, 11, "t").is_err());
-        // A zero delta after the first element (duplicate id) is typed.
-        let mut w = ByteWriter::new();
-        w.put_uvarint(4);
-        w.put_uvarint(0);
-        let dup = w.into_bytes();
-        assert!(decode_grouped_ascending(&dup, &[0, 2], 10, "t").is_err());
-        // Empty groups are fine.
-        let empty = encode_grouped_ascending(&[0, 0, 0], &[]);
-        assert!(decode_grouped_ascending(&empty, &[0, 0, 0], 1, "t")
+    /// Section `name` of `bytes` read as little-endian `u32`s.
+    pub(crate) fn section_u32s(bytes: &[u8], name: &str) -> Vec<u32> {
+        let file = press_store::StoreFile::from_bytes(bytes.to_vec()).unwrap();
+        file.section(name)
             .unwrap()
-            .is_empty());
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect()
+    }
+
+    /// A CSR `(index, ids)` with `id` filed under `node`, in id order.
+    pub(crate) fn csr_insert(
+        index: &[u32],
+        ids: &[u32],
+        node: usize,
+        id: u32,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let (lo, hi) = (index[node] as usize, index[node + 1] as usize);
+        let at = lo + ids[lo..hi].partition_point(|&x| x < id);
+        let mut ids = ids.to_vec();
+        ids.insert(at, id);
+        let index = (0..index.len())
+            .map(|v| index[v] + u32::from(v > node))
+            .collect();
+        (index, ids)
+    }
+
+    /// The owned (`from_store_bytes`) and the mapped (`open_mapped`)
+    /// verdict on `bytes`: the error, or `None` when the load succeeds.
+    pub(crate) fn verdicts<T>(
+        bytes: &[u8],
+        owned: impl FnOnce(Vec<u8>) -> Result<T>,
+        mapped: impl FnOnce(&std::path::Path) -> Result<T>,
+    ) -> (Option<StoreError>, Option<StoreError>) {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "press-verdict-{}-{}.press",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let mapped = mapped(&path).err();
+        std::fs::remove_file(&path).unwrap();
+        (owned(bytes.to_vec()).err(), mapped)
     }
 
     #[test]
@@ -242,5 +193,9 @@ mod tests {
         assert!(check_flat_index(&[1, 2, 2, 5], 4, 5, "t").is_err());
         assert!(check_flat_index(&[0, 3, 2, 5], 4, 5, "t").is_err());
         assert!(check_flat_index(&[0, 2, 2, 4], 4, 5, "t").is_err());
+        assert_eq!(
+            csr_insert(&[0, 2, 2, 3], &[4, 9, 1], 0, 6),
+            (vec![0, 3, 3, 4], vec![4, 6, 9, 1])
+        );
     }
 }

@@ -71,9 +71,8 @@ pub mod prelude {
     };
     pub use press_matcher::{MapMatcher, MatcherConfig};
     pub use press_network::{
-        grid_network, ChConfig, ContractionHierarchy, EdgeId, GridConfig, HubLabels,
-        MappedContractionHierarchy, MappedHubLabels, Mbr, NodeId, Point, RoadNetwork,
-        RoadNetworkBuilder, SpBackend, SpProvider, SpTable,
+        grid_network, ChConfig, ContractionHierarchy, EdgeId, GridConfig, HubLabels, Mbr, NodeId,
+        Point, RoadNetwork, RoadNetworkBuilder, SpBackend, SpProvider, SpTable,
     };
     pub use press_serve::{
         Ack, DurabilityPolicy, FaultPlan, IngestConfig, IngestEngine, QuarantineReason, ServeError,

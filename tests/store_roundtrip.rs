@@ -111,6 +111,81 @@ fn link_payload(off: &[u32], edges: &[u32]) -> Vec<u8> {
         .collect()
 }
 
+/// What a load of an SP artifact yields: a provider or the typed error.
+type Loaded = Result<Arc<dyn SpProvider>, press_store::StoreError>;
+
+/// The owned (`from_store_bytes`) and the mapped (`open_mapped`) load of
+/// a hierarchy (`which == 0`) or hub-label artifact.
+fn load_both(net: &Arc<RoadNetwork>, which: usize, bytes: &[u8]) -> [Loaded; 2] {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "press-sp-load-{}-{}.press",
+        std::process::id(),
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).expect("write artifact");
+    let (owned, mapped): (Loaded, Loaded) = if which == 0 {
+        (
+            ContractionHierarchy::from_store_bytes(net.clone(), bytes.to_vec())
+                .map(|c| Arc::new(c) as _),
+            ContractionHierarchy::open_mapped(net.clone(), &path).map(|c| Arc::new(c) as _),
+        )
+    } else {
+        (
+            HubLabels::from_store_bytes(net.clone(), bytes.to_vec()).map(|h| Arc::new(h) as _),
+            HubLabels::open_mapped(net.clone(), &path).map(|h| Arc::new(h) as _),
+        )
+    };
+    let _ = std::fs::remove_file(&path);
+    [owned, mapped]
+}
+
+/// A seeded 4×4 network, the freshly built hierarchy (`which == 0`) or
+/// hub labels on it, and that provider's artifact with bit `bit` of
+/// byte `flip` (modulo its length) flipped.
+fn corrupted_sp_artifact(
+    seed: u64,
+    flip: usize,
+    bit: u8,
+    which: usize,
+) -> (Arc<RoadNetwork>, Arc<dyn SpProvider>, Vec<u8>) {
+    let net = net_from(4, 4, 0.1, seed);
+    let ch = ContractionHierarchy::build(net.clone());
+    let (fresh, mut bytes): (Arc<dyn SpProvider>, Vec<u8>) = if which == 0 {
+        let bytes = ch.to_store_bytes();
+        (Arc::new(ch), bytes)
+    } else {
+        let hl = HubLabels::from_ch(&ch, 1);
+        let bytes = hl.to_store_bytes();
+        (Arc::new(hl), bytes)
+    };
+    let idx = flip % bytes.len();
+    bytes[idx] ^= 1 << bit;
+    (net, fresh, bytes)
+}
+
+/// The hierarchy and the hub labels of `net` as `(which, artifact bytes,
+/// the exact sections its writer emits, in order)`.
+fn sp_artifacts(net: &Arc<RoadNetwork>) -> [(usize, Vec<u8>, Vec<&'static str>); 2] {
+    let ch = ContractionHierarchy::build(net.clone());
+    let hl = HubLabels::from_ch(&ch, 1);
+    let ch_sections = "meta rank arcs_f fwd_index_f fwd_arcs_f bwd_index_f bwd_arcs_f";
+    let hl_sections = "meta arcs_f fwd_index_f fwd_hub_f fwd_dist_f fwd_parent_f \
+                       bwd_index_f bwd_hub_f bwd_dist_f bwd_parent_f";
+    [
+        (
+            0,
+            ch.to_store_bytes(),
+            ch_sections.split_whitespace().collect(),
+        ),
+        (
+            1,
+            hl.to_store_bytes(),
+            hl_sections.split_whitespace().collect(),
+        ),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -211,70 +286,11 @@ proptest! {
         }
     }
 
-    /// The mapped open path under single-byte corruption: opening a
-    /// damaged artifact through the zero-copy tier either fails with a
-    /// typed error (at the O(metadata) open or at first touch inside
-    /// `validate`) or yields a provider whose answers are bit-identical
-    /// to the freshly built one — never a panic, never a silently wrong
-    /// structure. Flips landing in sections the mapped path never reads
-    /// (the compact `_c` payloads, alignment gaps, their stored CRCs)
-    /// are *allowed* to go unnoticed: that deferral is the lazy-CRC
-    /// contract, and the answers must still match exactly.
-    #[test]
-    fn mapped_single_byte_corruption_never_panics(
-        seed in 0u64..200,
-        flip in 0usize..4096,
-        bit in 0u8..8,
-        which in 0usize..2,
-    ) {
-        let net = net_from(4, 4, 0.1, seed);
-        let ch = ContractionHierarchy::build(net.clone());
-        let (fresh, mut bytes): (Arc<dyn SpProvider>, Vec<u8>) = if which == 0 {
-            let bytes = ch.to_store_bytes();
-            (Arc::new(ch), bytes)
-        } else {
-            let hl = HubLabels::from_ch(&ch, 1);
-            let bytes = hl.to_store_bytes();
-            (Arc::new(hl), bytes)
-        };
-        let idx = flip % bytes.len();
-        bytes[idx] ^= 1 << bit;
-        let path = std::env::temp_dir().join(format!(
-            "press-mapcorrupt-{}-{}-{}-{}-{}.press",
-            std::process::id(), seed, flip, bit, which
-        ));
-        std::fs::write(&path, &bytes).expect("write corrupted artifact");
-        let loaded: Result<Arc<dyn SpProvider>, press_store::StoreError> = if which == 0 {
-            MappedContractionHierarchy::open(net.clone(), &path)
-                .and_then(|m| m.validate())
-                .map(|c| Arc::new(c) as Arc<dyn SpProvider>)
-        } else {
-            MappedHubLabels::open(net.clone(), &path)
-                .and_then(|m| m.validate())
-                .map(|h| Arc::new(h) as Arc<dyn SpProvider>)
-        };
-        let _ = std::fs::remove_file(&path);
-        match loaded {
-            Err(_) => {}
-            Ok(loaded) => {
-                for u in net.node_ids().take(6) {
-                    for v in net.node_ids().take(6) {
-                        prop_assert_eq!(
-                            fresh.node_dist(u, v).to_bits(),
-                            loaded.node_dist(u, v).to_bits()
-                        );
-                        prop_assert_eq!(fresh.pred_edge(u, v), loaded.pred_edge(u, v));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Corrupting any single byte of any artifact yields a typed error or
-    /// an unchanged (still-valid) load — never a panic and never a
-    /// structurally different artifact that answers differently. Covers
-    /// both the hierarchy and the hub-label artifacts (the two compact
-    /// delta+varint formats).
+    /// Corrupting any single byte of a hierarchy or hub-label artifact
+    /// makes the owned load (`from_store_bytes`) fail with a typed error,
+    /// or yield a provider answering bit-identically to the freshly built
+    /// one (the flip hit an alignment gap) — never a panic, never a
+    /// silently wrong structure.
     #[test]
     fn single_byte_corruption_never_panics(
         seed in 0u64..200,
@@ -282,45 +298,61 @@ proptest! {
         bit in 0u8..8,
         which in 0usize..2,
     ) {
-        let net = net_from(4, 4, 0.1, seed);
-        let ch = ContractionHierarchy::build(net.clone());
-        let fresh: Arc<dyn SpProvider> = if which == 0 {
-            Arc::new(ContractionHierarchy::from_store_bytes(net.clone(), ch.to_store_bytes()).expect("ch reload"))
-        } else {
-            Arc::new(HubLabels::from_ch(&ch, 1))
-        };
-        let bytes = if which == 0 {
-            ch.to_store_bytes()
-        } else {
-            HubLabels::from_ch(&ch, 1).to_store_bytes()
-        };
-        let idx = flip % bytes.len();
-        let mut corrupted = bytes.clone();
-        corrupted[idx] ^= 1 << bit;
-        let loaded: Result<Arc<dyn SpProvider>, press_store::StoreError> = if which == 0 {
-            ContractionHierarchy::from_store_bytes(net.clone(), corrupted)
-                .map(|c| Arc::new(c) as Arc<dyn SpProvider>)
-        } else {
-            HubLabels::from_store_bytes(net.clone(), corrupted)
-                .map(|h| Arc::new(h) as Arc<dyn SpProvider>)
-        };
-        match loaded {
-            // CRCs catch payload damage; header damage is typed.
-            Err(_) => {}
-            Ok(loaded) => {
-                // A flip that still loads must have hit dead bytes
-                // (section padding/reserved): answers are unchanged.
-                for u in net.node_ids().take(6) {
-                    for v in net.node_ids().take(6) {
-                        prop_assert_eq!(
-                            fresh.node_dist(u, v).to_bits(),
-                            loaded.node_dist(u, v).to_bits()
-                        );
-                    }
+        let (net, fresh, bytes) = corrupted_sp_artifact(seed, flip, bit, which);
+        let [owned, _] = load_both(&net, which, &bytes);
+        if let Ok(owned) = owned {
+            for u in net.node_ids().take(6) {
+                for v in net.node_ids().take(6) {
+                    prop_assert_eq!(
+                        fresh.node_dist(u, v).to_bits(),
+                        owned.node_dist(u, v).to_bits()
+                    );
+                    prop_assert_eq!(fresh.pred_edge(u, v), owned.pred_edge(u, v));
                 }
             }
         }
     }
+
+    /// The mapped open (`open_mapped`) of a single-byte-corrupted
+    /// hierarchy or hub-label artifact gives the same verdict as the
+    /// owned load: a typed error of the same variant from both, or two
+    /// providers answering bit-identically to the freshly built one —
+    /// never a panic, never a silently wrong structure.
+    #[test]
+    fn mapped_single_byte_corruption_never_panics(
+        seed in 0u64..200,
+        flip in 0usize..4096,
+        bit in 0u8..8,
+        which in 0usize..2,
+    ) {
+        let (net, fresh, bytes) = corrupted_sp_artifact(seed, flip, bit, which);
+        let [owned, mapped] = load_both(&net, which, &bytes);
+        match (owned, mapped) {
+            (Err(a), Err(b)) => prop_assert_eq!(
+                std::mem::discriminant(&a),
+                std::mem::discriminant(&b),
+                "owned {:?}, mapped {:?}", a, b
+            ),
+            (Ok(owned), Ok(mapped)) => {
+                for u in net.node_ids().take(6) {
+                    for v in net.node_ids().take(6) {
+                        for loaded in [&owned, &mapped] {
+                            prop_assert_eq!(
+                                fresh.node_dist(u, v).to_bits(),
+                                loaded.node_dist(u, v).to_bits()
+                            );
+                            prop_assert_eq!(fresh.pred_edge(u, v), loaded.pred_edge(u, v));
+                        }
+                    }
+                }
+            }
+            (owned, mapped) => prop_assert!(
+                false,
+                "owned {:?} but mapped {:?}", owned.err(), mapped.err()
+            ),
+        }
+    }
+
     /// Any single-word change to a CRC-valid `node_link` section is a
     /// typed error, or a load that still decompresses every training
     /// path exactly — never a panic, never a silently different path.
@@ -715,13 +747,12 @@ fn node_link_legacy_file_and_unchanged_sections() {
 }
 
 /// Mapped flat-section corruption matrix: a bit flip inside a flat
-/// (mapped-tier) section of the hierarchy, hub-label, or corpus
-/// artifact is invisible to the O(metadata) `open` — the damaged bytes
-/// have not been read yet — and surfaces as a typed
-/// `StoreError::ChecksumMismatch` on first touch: `validate()` for the
-/// SP artifacts, the first decode of the damaged block for the corpus.
-/// The flat payloads are declared last, so flipping the final file
-/// bytes deterministically lands in a flat section.
+/// section of the hierarchy, hub-label, or corpus artifact surfaces as a
+/// typed `StoreError::ChecksumMismatch` naming the section on first
+/// touch: inside `open_mapped` for the SP artifacts, which checks every
+/// section before it returns, and at the first decode of the damaged
+/// block for the corpus. The last section of each file is flat, so
+/// flipping its final bytes deterministically lands in one.
 #[test]
 fn mapped_flat_section_bit_flip_is_typed_checksum_error_on_first_touch() {
     use press_store::StoreError;
@@ -729,33 +760,30 @@ fn mapped_flat_section_bit_flip_is_typed_checksum_error_on_first_touch() {
     let dir = std::env::temp_dir().join(format!("press-map-flip-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
 
-    // Contraction hierarchy: open is fine, validate reports the damage.
+    // Contraction hierarchy and hub labels: the open names the section.
     let ch = ContractionHierarchy::build(net.clone());
-    let mut bytes = ch.to_store_bytes();
-    let n = bytes.len();
-    bytes[n - 1] ^= 0x04;
-    let path = dir.join("sp_ch.press");
-    std::fs::write(&path, &bytes).expect("write");
-    let mapped = MappedContractionHierarchy::open(net.clone(), &path)
-        .expect("mapped open is O(metadata); the flipped byte is unread");
-    assert!(matches!(
-        mapped.validate(),
-        Err(StoreError::ChecksumMismatch { .. })
-    ));
-
-    // Hub labels: same two-phase contract.
     let hl = HubLabels::from_ch(&ch, 1);
-    let mut bytes = hl.to_store_bytes();
-    let n = bytes.len();
-    bytes[n - 1] ^= 0x40;
-    let path = dir.join("sp_hl.press");
-    std::fs::write(&path, &bytes).expect("write");
-    let mapped = MappedHubLabels::open(net.clone(), &path)
-        .expect("mapped open is O(metadata); the flipped byte is unread");
-    assert!(matches!(
-        mapped.validate(),
-        Err(StoreError::ChecksumMismatch { .. })
-    ));
+    for (name, mut bytes, last) in [
+        ("sp_ch.press", ch.to_store_bytes(), "bwd_arcs_f"),
+        ("sp_hl.press", hl.to_store_bytes(), "bwd_parent_f"),
+    ] {
+        let n = bytes.len();
+        bytes[n - 1] ^= 0x04;
+        let path = dir.join(name);
+        std::fs::write(&path, &bytes).expect("write");
+        let err = if name == "sp_ch.press" {
+            ContractionHierarchy::open_mapped(net.clone(), &path).err()
+        } else {
+            HubLabels::open_mapped(net.clone(), &path).err()
+        };
+        assert_eq!(
+            err,
+            Some(StoreError::ChecksumMismatch {
+                section: last.into()
+            }),
+            "{name}"
+        );
+    }
 
     // Corpus: blocks decode lazily, so a flip in the last block is
     // reported by the first `get` that touches it — earlier blocks and
@@ -800,6 +828,79 @@ fn mapped_flat_section_bit_flip_is_typed_checksum_error_on_first_touch() {
         Err(PressError::Store(StoreError::ChecksumMismatch { .. }))
     ));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each SP writer emits exactly its flat family, in this order.
+#[test]
+fn sp_writers_emit_exactly_their_flat_sections() {
+    let net = net_from(5, 5, 0.12, 31);
+    for (_, bytes, sections) in sp_artifacts(&net) {
+        let file = press_store::StoreFile::from_bytes(bytes).expect("parse");
+        assert_eq!(file.section_names().collect::<Vec<_>>(), sections);
+    }
+}
+
+/// Files written before the flat family became the only one also carry
+/// the compact sections. Their names are retired: appended here with
+/// junk payloads, both loads answer bit-identically to the clean file.
+#[test]
+fn retired_sp_sections_are_ignored_by_both_loads() {
+    let net = net_from(5, 5, 0.12, 31);
+    let retired = [
+        "arcs_c",
+        "fwd_index_c",
+        "bwd_index_c",
+        "fwd_hub_c",
+        "bwd_hub_c",
+        "fwd_arcs_c",
+        "bwd_arcs_c",
+        "fwd_parent",
+        "bwd_parent",
+    ];
+    for (which, bytes, _) in sp_artifacts(&net) {
+        let file = press_store::StoreFile::from_bytes(bytes.clone()).expect("parse");
+        let mut w = press_store::StoreWriter::new(file.kind());
+        for name in file.section_names() {
+            w.section_aligned(name, file.section(name).expect("section").to_vec());
+        }
+        for name in retired {
+            w.section(name, vec![0xA5; 13]);
+        }
+        let [clean, _] = load_both(&net, which, &bytes);
+        let clean = clean.expect("clean load");
+        for loaded in load_both(&net, which, &w.to_bytes()) {
+            let loaded = loaded.expect("retired sections are ignored");
+            for u in net.node_ids() {
+                for v in net.node_ids() {
+                    assert_eq!(
+                        clean.node_dist(u, v).to_bits(),
+                        loaded.node_dist(u, v).to_bits()
+                    );
+                    assert_eq!(clean.pred_edge(u, v), loaded.pred_edge(u, v));
+                }
+            }
+        }
+    }
+}
+
+/// Every section an SP writer emits is required: without any one of
+/// them, both loads fail with a typed `MissingSection` naming it.
+#[test]
+fn sp_artifact_missing_any_section_is_typed_on_both_loads() {
+    use press_store::StoreError;
+    let net = net_from(4, 4, 0.1, 17);
+    for (which, bytes, sections) in sp_artifacts(&net) {
+        for gone in sections {
+            let dropped = rewrite_sections(&bytes, |name, p| (name != gone).then(|| p.to_vec()));
+            for loaded in load_both(&net, which, &dropped) {
+                assert_eq!(
+                    loaded.err(),
+                    Some(StoreError::MissingSection(gone.into())),
+                    "{gone}"
+                );
+            }
+        }
+    }
 }
 
 /// `TrajectoryStore::open` corruption matrix: the 0-byte file (a crash
