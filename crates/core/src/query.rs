@@ -33,23 +33,6 @@ use crate::spatial::{CompressedSpatial, HscModel, TrieNodeId};
 use crate::types::{DtPoint, Trajectory};
 use press_network::{project_onto_segment, EdgeId, Mbr, Point};
 
-/// How the engine locates a time/distance in a temporal sequence.
-///
-/// The paper's cost model is a linear scan ("it visits m/2 temporal
-/// tuples … on average", §5.1), and its measured speed-ups compare raw vs
-/// compressed under that same scan — so [`ScanMode::Linear`] is the
-/// faithful default. [`ScanMode::Binary`] is an opt-in `O(log m)`
-/// refinement that returns **identical** answers (same interpolation,
-/// same tie handling; unit-tested) and wins on long temporal sequences.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Paper-faithful `O(m)` scan.
-    #[default]
-    Linear,
-    /// `O(log m)` partition-point search; identical answers.
-    Binary,
-}
-
 /// Linear-scan `Dis(T, t)` — the paper's query cost model: "it visits m/2
 /// temporal tuples … on average" (§5.1). The compressed form scans the
 /// same way over its (β× shorter) sequence, so the measured speed-ups
@@ -71,29 +54,6 @@ pub fn dis_linear(seq: &[DtPoint], t: f64) -> f64 {
     seq[seq.len() - 1].d
 }
 
-/// Binary-search `Dis(T, t)`: same interpolation and edge handling as
-/// [`dis_linear`], located in `O(log m)`.
-pub fn dis_binary(seq: &[DtPoint], t: f64) -> f64 {
-    debug_assert!(!seq.is_empty());
-    if t <= seq[0].t {
-        return seq[0].d;
-    }
-    // First knot with `knot.t >= t`; matches the linear scan's first
-    // window `w` with `t <= w[1].t` (ties resolve to the earliest knot).
-    // `i == 0` only happens for a NaN probe (every comparison false),
-    // where the linear scan falls through to the last knot — match it.
-    let i = seq.partition_point(|p| p.t < t);
-    if i == 0 || i >= seq.len() {
-        return seq[seq.len() - 1].d;
-    }
-    let (a, b) = (seq[i - 1], seq[i]);
-    let span = b.t - a.t;
-    if span <= f64::EPSILON {
-        return a.d;
-    }
-    a.d + (b.d - a.d) * (t - a.t) / span
-}
-
 /// Linear-scan `Tim(T, d)` (earliest-time convention), matching §5.2's
 /// cost model.
 pub fn tim_linear(seq: &[DtPoint], d: f64) -> f64 {
@@ -113,30 +73,9 @@ pub fn tim_linear(seq: &[DtPoint], d: f64) -> f64 {
     seq[seq.len() - 1].t
 }
 
-/// Binary-search `Tim(T, d)` (earliest-time convention): same answers as
-/// [`tim_linear`] in `O(log m)`.
-pub fn tim_binary(seq: &[DtPoint], d: f64) -> f64 {
-    debug_assert!(!seq.is_empty());
-    if d <= seq[0].d {
-        return seq[0].t;
-    }
-    // `i == 0` only for NaN probes; the linear scan returns the last knot.
-    let i = seq.partition_point(|p| p.d < d);
-    if i == 0 || i >= seq.len() {
-        return seq[seq.len() - 1].t;
-    }
-    let (a, b) = (seq[i - 1], seq[i]);
-    let span = b.d - a.d;
-    if span <= f64::EPSILON {
-        return a.t;
-    }
-    a.t + (b.t - a.t) * (d - a.d) / span
-}
-
 /// Query engine bound to a trained HSC model.
 pub struct QueryEngine<'a> {
     model: &'a HscModel,
-    scan: ScanMode,
 }
 
 /// A decoded coding unit: either a Trie sub-trajectory or the shortest-path
@@ -160,35 +99,12 @@ impl<'a> QueryEngine<'a> {
     /// Creates an engine over a trained model (paper-faithful linear
     /// temporal scans).
     pub fn new(model: &'a HscModel) -> Self {
-        Self::with_scan(model, ScanMode::default())
-    }
-
-    /// Creates an engine with an explicit temporal [`ScanMode`].
-    pub fn with_scan(model: &'a HscModel, scan: ScanMode) -> Self {
-        QueryEngine { model, scan }
+        QueryEngine { model }
     }
 
     /// The model the engine decodes under.
     pub fn model(&self) -> &'a HscModel {
         self.model
-    }
-
-    /// `Dis(T, t)` under the engine's scan mode.
-    #[inline]
-    fn dis(&self, seq: &[DtPoint], t: f64) -> f64 {
-        match self.scan {
-            ScanMode::Linear => dis_linear(seq, t),
-            ScanMode::Binary => dis_binary(seq, t),
-        }
-    }
-
-    /// `Tim(T, d)` under the engine's scan mode.
-    #[inline]
-    fn tim(&self, seq: &[DtPoint], d: f64) -> f64 {
-        match self.scan {
-            ScanMode::Linear => tim_linear(seq, d),
-            ScanMode::Binary => tim_binary(seq, d),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -271,7 +187,7 @@ impl<'a> QueryEngine<'a> {
         if traj.temporal.is_empty() {
             return Err(PressError::OutOfDomain("empty temporal sequence".into()));
         }
-        let d = self.dis(&traj.temporal.points, t);
+        let d = dis_linear(&traj.temporal.points, t);
         traj.path.point_at(self.model.sp().network(), d)
     }
 
@@ -284,7 +200,7 @@ impl<'a> QueryEngine<'a> {
         if ct.temporal.is_empty() {
             return Err(PressError::OutOfDomain("empty temporal sequence".into()));
         }
-        let d = self.dis(&ct.temporal.points, t);
+        let d = dis_linear(&ct.temporal.points, t);
         self.point_at_distance(&ct.spatial, d)
     }
 
@@ -405,7 +321,7 @@ impl<'a> QueryEngine<'a> {
             let proj = project_onto_segment(&p, &net.edge_start(e), &net.edge_end(e));
             if proj.dist <= tolerance {
                 let d = dacu + proj.t * net.weight(e);
-                return Ok(self.tim(&traj.temporal.points, d));
+                return Ok(tim_linear(&traj.temporal.points, d));
             }
             dacu += net.weight(e);
         }
@@ -423,7 +339,7 @@ impl<'a> QueryEngine<'a> {
             return Err(PressError::OutOfDomain("empty temporal sequence".into()));
         }
         let d = self.distance_of_point(&ct.spatial, p, tolerance)?;
-        Ok(self.tim(&ct.temporal.points, d))
+        Ok(tim_linear(&ct.temporal.points, d))
     }
 
     /// Cumulative distance at which the compressed path first passes within
@@ -478,8 +394,8 @@ impl<'a> QueryEngine<'a> {
         }
         let net = self.model.sp().network();
         let (d1, d2) = ordered(
-            self.dis(&traj.temporal.points, t1),
-            self.dis(&traj.temporal.points, t2),
+            dis_linear(&traj.temporal.points, t1),
+            dis_linear(&traj.temporal.points, t2),
         );
         let mut dacu = 0.0f64;
         for &e in &traj.path.edges {
@@ -504,8 +420,8 @@ impl<'a> QueryEngine<'a> {
         }
         let net = self.model.sp().network();
         let (d1, d2) = ordered(
-            self.dis(&ct.temporal.points, t1),
-            self.dis(&ct.temporal.points, t2),
+            dis_linear(&ct.temporal.points, t1),
+            dis_linear(&ct.temporal.points, t2),
         );
         let mut dacu = 0.0f64;
         let mut hit = false;
@@ -555,8 +471,8 @@ impl<'a> QueryEngine<'a> {
         }
         let net = self.model.sp().network();
         let (d1, d2) = ordered(
-            self.dis(&ct.temporal.points, t1),
-            self.dis(&ct.temporal.points, t2),
+            dis_linear(&ct.temporal.points, t1),
+            dis_linear(&ct.temporal.points, t2),
         );
         let mut dacu = 0.0f64;
         let mut hit = false;
@@ -952,88 +868,6 @@ mod tests {
                     (fast - brute).abs() < 1e-9,
                     "min_distance {fast} vs brute {brute}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn binary_scan_matches_linear_exactly() {
-        // Random monotone sequences with duplicate knots (stalls and
-        // same-timestamp collisions) — the binary variants must return
-        // bit-identical results at every probe, including out-of-range.
-        let mut rng = StdRng::seed_from_u64(1234);
-        for _ in 0..200 {
-            let n = rng.gen_range(1..40);
-            let mut seq = Vec::with_capacity(n);
-            let (mut d, mut t) = (0.0f64, 0.0f64);
-            for _ in 0..n {
-                seq.push(DtPoint::new(d, t));
-                // Zero increments allowed: degenerate spans must agree too.
-                if rng.gen_bool(0.3) {
-                    d += rng.gen_range(0.0..50.0);
-                }
-                if rng.gen_bool(0.8) {
-                    t += rng.gen_range(0.0..20.0);
-                }
-            }
-            let (t0, t1) = (seq[0].t, seq[n - 1].t);
-            let (d0, d1) = (seq[0].d, seq[n - 1].d);
-            for k in -2..=12 {
-                let tp = t0 + (t1 - t0 + 1.0) * k as f64 / 10.0;
-                assert_eq!(
-                    dis_linear(&seq, tp).to_bits(),
-                    dis_binary(&seq, tp).to_bits(),
-                    "Dis mismatch at t={tp} on {seq:?}"
-                );
-                let dp = d0 + (d1 - d0 + 1.0) * k as f64 / 10.0;
-                assert_eq!(
-                    tim_linear(&seq, dp).to_bits(),
-                    tim_binary(&seq, dp).to_bits(),
-                    "Tim mismatch at d={dp} on {seq:?}"
-                );
-            }
-            // NaN probes: linear falls through to the last knot; binary
-            // must not panic and must agree.
-            assert_eq!(
-                dis_linear(&seq, f64::NAN).to_bits(),
-                dis_binary(&seq, f64::NAN).to_bits()
-            );
-            assert_eq!(
-                tim_linear(&seq, f64::NAN).to_bits(),
-                tim_binary(&seq, f64::NAN).to_bits()
-            );
-            // Probe exactly at every knot (tie territory).
-            for p in &seq {
-                assert_eq!(
-                    dis_linear(&seq, p.t).to_bits(),
-                    dis_binary(&seq, p.t).to_bits()
-                );
-                assert_eq!(
-                    tim_linear(&seq, p.d).to_bits(),
-                    tim_binary(&seq, p.d).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn binary_scan_engine_agrees_on_queries() {
-        let f = fixture(BtcBounds::lossless());
-        let linear = QueryEngine::new(f.press.model());
-        let binary = QueryEngine::with_scan(f.press.model(), ScanMode::Binary);
-        for (traj, ct) in f.trajs.iter().zip(&f.compressed).take(12) {
-            let (t0, t1) = traj.temporal.time_range().unwrap();
-            for k in 0..=6 {
-                let t = t0 + (t1 - t0) * k as f64 / 6.0;
-                let a = linear.whereat(ct, t).unwrap();
-                let b = binary.whereat(ct, t).unwrap();
-                assert!(a.dist(&b) < 1e-12, "whereat scan mismatch at t={t}");
-            }
-            let total = traj.path.weight(&f.net);
-            let probe = traj.path.point_at(&f.net, total * 0.5).unwrap();
-            match (linear.whenat(ct, probe, 0.5), binary.whenat(ct, probe, 0.5)) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                (a, b) => assert_eq!(a.is_err(), b.is_err()),
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Tests of the in-stream gap runs ([`crate::spatial::hsc`] § the
-//! stream): the bits are the same whether the encoder is handed the run
-//! or fetches it, they read back to the path on every backend, nothing
-//! on the read path calls the shortest-path layer, and a malformed run
-//! is a typed error within a bounded number of steps.
+//! stream): the stream decodes to the SP form Algorithm 1 keeps and
+//! reads back to the path on every backend, nothing on the read path
+//! calls the shortest-path layer, and a malformed run is a typed error
+//! within a bounded number of steps.
 //!
 //! (The query side of the identity — the engine against the SP-only
 //! oracle — is `gap_run_queries_match_the_sp_only_reference_on_every_backend`
@@ -25,11 +25,10 @@ use std::sync::Arc;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `decompress(compress(p)) == p`, and the stream is the same bits
-    /// whether the runs were handed over (`compress_with`) or fetched
-    /// (`encode_sp_form`) — greedy and DP, training and held-out walks,
-    /// all three backends (which agree on the bits), θ 1–4, jittered,
-    /// fully tied and random-geometric nets.
+    /// `decompress(compress(p)) == p` and
+    /// `decode_sp_form(compress(p)) == sp_compress(p)` — greedy and DP,
+    /// training and held-out walks, all three backends (which agree on
+    /// the bits), θ 1–4, jittered, fully tied and random-geometric nets.
     #[test]
     fn gap_run_codec_roundtrips_on_every_backend(
         kind in 0usize..3,
@@ -54,13 +53,8 @@ proptest! {
                 for decomposer in [Decomposer::Greedy, Decomposer::Dp] {
                     let cs = model.compress_with(path, decomposer).expect("compress");
                     let spc = sp_compress(sp.as_ref(), path);
-                    prop_assert_eq!(
-                        &cs.bits,
-                        &model.encode_sp_form(&spc, decomposer).expect("encode").bits,
-                        "{:?}", backend
-                    );
+                    prop_assert_eq!(&model.decode_sp_form(&cs).expect("decode"), &spc, "{:?}", backend);
                     prop_assert_eq!(&model.decompress(&cs).expect("decompress"), path);
-                    prop_assert_eq!(&model.decode_sp_form(&cs).expect("decode"), &spc);
                     all.push(cs);
                 }
             }
@@ -134,12 +128,12 @@ fn gap_run_read_path_makes_no_sp_call() {
     }
 }
 
-/// Input that is not connected (two walks spliced end to end) is one
-/// behaviour, handed or fetched: the stream bridges the break with the
-/// shortest path, exactly what SP compression of the same input stands
-/// for, and the encoder fetches only the runs that start at a break.
+/// Input that is not connected (two walks spliced end to end): the
+/// stream bridges the break with the shortest path, exactly what SP
+/// compression of the same input stands for, and the encoder fetches
+/// only the runs that start at a break.
 #[test]
-fn gap_run_unconnected_input_is_bridged_the_same_handed_or_fetched() {
+fn gap_run_unconnected_input_is_bridged_by_the_shortest_path() {
     let net = Arc::new(grid_network(&GridConfig {
         nx: 8,
         ny: 8,
@@ -163,8 +157,7 @@ fn gap_run_unconnected_input_is_bridged_the_same_handed_or_fetched() {
             assert!(seen.sp_fallbacks <= 1, "{seen:?}");
             fetched += seen.sp_fallbacks;
             let cs = cs.unwrap();
-            let encoded = model.encode_sp_form(&spc, Decomposer::Greedy);
-            assert_eq!(cs.bits, encoded.expect("encode").bits);
+            assert_eq!(model.decode_sp_form(&cs).expect("decode"), spc);
             assert_eq!(
                 model.decompress(&cs).expect("decompress"),
                 sp_decompress(sp.as_ref(), &spc).expect("reference")

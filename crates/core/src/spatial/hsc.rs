@@ -50,8 +50,8 @@
 //! `pred_edge(a.to, g.to) = g`, no shortest-path call — and **stop
 //! facts** — `pred_edge(a.to, b.to)`, the one thing the arena cannot say,
 //! recorded by training (one call per depth-2 node) and persisted beside
-//! the arena. [`HscModel::compress`] and [`HscModel::online_sp`] consult
-//! the index first and call `pred_edge` only on a miss.
+//! the arena. [`HscModel::compress`] consults the index first and calls
+//! `pred_edge` only on a miss.
 //!
 //! Recompressing a training path `p` makes **no** shortest-path call:
 //!
@@ -81,7 +81,6 @@ use crate::spatial::ac::AcAutomaton;
 use crate::spatial::bits::{BitReader, BitStream, BitWriter};
 use crate::spatial::decompose::decompose_dp;
 use crate::spatial::huffman::Huffman;
-use crate::spatial::online::OnlineSpCompressor;
 use crate::spatial::sp::{sp_compress, sp_scan, SpEnd};
 use crate::spatial::trie::{node_to_symbol, symbol_to_node, Trie, TrieNodeId};
 use press_network::{EdgeId, Mbr, NodeId, RoadNetwork, SpProvider};
@@ -377,8 +376,8 @@ pub(crate) struct Witness {
     /// Gaps training never saw, written to or read from the stream as a
     /// run of turns.
     pub(crate) gap_runs: usize,
-    /// Runs the encoder was not handed ([`HscModel::encode_sp_form`]) and
-    /// asked the shortest-path layer for.
+    /// Runs the handed path does not carry (it is not connected right
+    /// after the gap's first edge), asked of the shortest-path layer.
     pub(crate) sp_fallbacks: usize,
     /// `SPend` tests answered by the model's index.
     pub(crate) spend_known: usize,
@@ -551,20 +550,11 @@ impl HscModel {
         Ok((dist, mbr, link))
     }
 
-    /// The link arena of `trie` recomputed through the shortest-path
-    /// layer — the load path of a model file written before the
-    /// `node_link` section existed.
-    pub(crate) fn links_via_sp(sp: &dyn SpProvider, trie: &Trie) -> Result<LinkArena> {
-        Ok(Self::node_tables(sp, trie)?.2)
-    }
-
     /// The stop facts of `trie`, one `pred_edge` call per depth-2 node
-    /// `(a, b)` that a path joins — training's last step, and the load
-    /// path of a model file written before the `node_stop` section
-    /// existed. [`NO_STOP`] where the pair is poisoned, where
-    /// `a.to == b.to` (Algorithm 1 never asks), or where the layer has no
-    /// answer.
-    pub(crate) fn stops_via_sp(sp: &dyn SpProvider, trie: &Trie, node_dist: &[f64]) -> Vec<EdgeId> {
+    /// `(a, b)` that a path joins — training's last step. [`NO_STOP`]
+    /// where the pair is poisoned, where `a.to == b.to` (Algorithm 1 never
+    /// asks), or where the layer has no answer.
+    fn stops_via_sp(sp: &dyn SpProvider, trie: &Trie, node_dist: &[f64]) -> Vec<EdgeId> {
         let net = sp.network();
         trie.node_ids()
             .filter(|&n| trie.depth(n) == 2)
@@ -642,57 +632,32 @@ impl HscModel {
     /// Fig. 11 greedy-vs-DP experiment). The runs the stream carries are
     /// the slices of `path` the scan elided — no shortest-path call on a
     /// connected `path`. Where `path` is not connected, the stream carries
-    /// the shortest path across the break, as [`HscModel::encode_sp_form`]
-    /// of its SP form would, or the call is
-    /// [`PressError::NoShortestPath`] when there is none.
+    /// the shortest path across the break (what its SP form stands for),
+    /// or the call is [`PressError::NoShortestPath`] when there is none.
     pub fn compress_with(
         &self,
         path: &[EdgeId],
         decomposer: Decomposer,
     ) -> Result<CompressedSpatial> {
-        let kept = sp_scan(self, path);
-        let spc: Vec<EdgeId> = kept.iter().map(|&at| path[at]).collect();
-        self.encode(&spc, decomposer, Some((path, &kept)))
+        self.encode(path, &sp_scan(self, path), decomposer)
     }
 
-    /// A streaming SP compressor whose `SPend` tests read this model's
-    /// facts first — output identical to
-    /// [`OnlineSpCompressor::new`]`(self.sp().clone())`.
-    pub fn online_sp(&self) -> OnlineSpCompressor<&HscModel> {
-        OnlineSpCompressor::over(self)
-    }
-
-    /// Encodes an **already SP-compressed** edge sequence (`T'` of §3.1):
-    /// decomposition + Huffman, no second SP pass — the entry point for a
-    /// caller that streamed the path through
-    /// [`crate::spatial::OnlineSpCompressor`] and no longer holds it, so
-    /// each run the stream must carry costs one `sp_interior` call here.
-    /// `encode_sp_form(spc) == compress_with(path)` whenever
-    /// `spc == sp_compress(path)`. Inverse of [`HscModel::decode_sp_form`].
-    pub fn encode_sp_form(
-        &self,
-        spc: &[EdgeId],
-        decomposer: Decomposer,
-    ) -> Result<CompressedSpatial> {
-        self.encode(spc, decomposer, None)
-    }
-
-    /// The one writer of the stream grammar (module docs § the stream):
-    /// a Huffman symbol per unit, and after the symbol of a unit that
-    /// starts at `spc[k]`, the run hidden in front of it when the pair
-    /// `(spc[k - 1], spc[k])` is neither consecutive nor known to the
-    /// model. `handed` is the path `spc` was scanned from and the
-    /// positions it kept, when the caller has them: the run is then the
-    /// slice the scan elided; otherwise one `sp_interior` call.
+    /// The one writer of the stream grammar (module docs § the stream)
+    /// over `spc`, the edges of `path` at the positions `kept` the scan
+    /// kept: a Huffman symbol per unit, and after the symbol of a unit
+    /// that starts at `spc[k]`, the run hidden in front of it when the
+    /// pair `(spc[k - 1], spc[k])` is neither consecutive nor known to
+    /// the model — the slice of `path` the scan elided.
     fn encode(
         &self,
-        spc: &[EdgeId],
+        path: &[EdgeId],
+        kept: &[usize],
         decomposer: Decomposer,
-        handed: Option<(&[EdgeId], &[usize])>,
     ) -> Result<CompressedSpatial> {
+        let spc: Vec<EdgeId> = kept.iter().map(|&at| path[at]).collect();
         let parts = match decomposer {
-            Decomposer::Greedy => self.ac.decompose_greedy(spc)?,
-            Decomposer::Dp => decompose_dp(self.ac.trie(), &self.huffman, spc)?,
+            Decomposer::Greedy => self.ac.decompose_greedy(&spc)?,
+            Decomposer::Dp => decompose_dp(self.ac.trie(), &self.huffman, &spc)?,
         };
         let trie = self.ac.trie();
         let net = self.sp.network();
@@ -705,27 +670,21 @@ impl HscModel {
                 let (a, b) = (spc[k - 1], spc[k]);
                 if !net.consecutive(a, b) && self.known_link(a, b).is_none() {
                     let fetched;
-                    let run = match handed {
-                        // Every elided edge precedes its successor in the
-                        // tree of `a`'s head, so a slice whose first step
-                        // leaves that head is the canonical interior; one
-                        // that does not (`path` is not connected right
-                        // after `a`) is fetched like a run never handed.
-                        Some((path, kept)) if net.consecutive(a, path[kept[k - 1] + 1]) => {
-                            &path[kept[k - 1] + 1..kept[k]]
-                        }
-                        _ => {
-                            #[cfg(test)]
-                            witness(|w| w.sp_fallbacks += 1);
-                            let interior = self.sp.sp_interior(a, b);
-                            fetched = interior.ok_or(PressError::NoShortestPath(a, b))?;
-                            &fetched
-                        }
+                    // Every elided edge precedes its successor in the tree
+                    // of `a`'s head, so a slice whose first step leaves
+                    // that head is the canonical interior; where `path` is
+                    // not connected right after `a`, the run is fetched.
+                    let run = if net.consecutive(a, path[kept[k - 1] + 1]) {
+                        &path[kept[k - 1] + 1..kept[k]]
+                    } else {
+                        #[cfg(test)]
+                        witness(|w| w.sp_fallbacks += 1);
+                        let interior = self.sp.sp_interior(a, b);
+                        fetched = interior.ok_or(PressError::NoShortestPath(a, b))?;
+                        &fetched
                     };
                     self.write_run(a, b, run, &mut w)?;
-                    debug_assert!(
-                        handed.is_none() || self.sp.sp_interior(a, b).as_deref() == Some(run)
-                    );
+                    debug_assert_eq!(self.sp.sp_interior(a, b).as_deref(), Some(run));
                 }
             }
             k += trie.depth(node);

@@ -32,5 +32,5 @@ pub use decompose::{decompose_dp, decomposition_bits};
 pub use hsc::{AuxiliarySizes, CompressedSpatial, Decomposer, HscModel};
 pub use huffman::Huffman;
 pub use online::OnlineSpCompressor;
-pub use sp::{sp_compress, sp_compressed_weight, sp_decompress, SpEnd};
+pub use sp::{sp_compress, sp_decompress};
 pub use trie::{node_to_symbol, symbol_to_node, Trie, TrieNodeId};

@@ -6,7 +6,7 @@
 
 use crate::error::PressError;
 use crate::press::CompressedTrajectory;
-use crate::spatial::hsc::{Decomposer, HscModel, Witness, WITNESS};
+use crate::spatial::hsc::{HscModel, Witness, WITNESS};
 use crate::spatial::sp::sp_decompress;
 use crate::types::{DtPoint, TemporalSequence};
 use press_network::{
@@ -331,8 +331,8 @@ fn witness_sees_the_arena_and_the_stream_runs() {
 /// reports, on every backend and through a save/load. Inside a unit
 /// (θ = 2, a poisoned node) it is raised where it always was, at
 /// `decompress`; between two units (θ = 1) there is no run to write, so
-/// it is raised at `compress` / `encode_sp_form` — no stream exists that
-/// a reader could trip over.
+/// it is raised at `compress` — no stream exists that a reader could trip
+/// over.
 #[test]
 fn disconnected_training_pair_keeps_no_shortest_path() {
     let (net, e0, e1) = two_components();
@@ -346,10 +346,6 @@ fn disconnected_training_pair_keeps_no_shortest_path() {
                 .expect("the model still round-trips through its file");
             for model in [&model, &loaded] {
                 let compressed = model.compress(&[e0, e1]);
-                assert_eq!(
-                    compressed,
-                    model.encode_sp_form(&[e0, e1], Decomposer::Greedy)
-                );
                 if theta == 1 {
                     assert_eq!(compressed, Err(err.clone()), "{backend:?}");
                 } else {

@@ -8,39 +8,27 @@
 //! state machine ([`crate::spatial::sp`]'s `SpScan`) the batch form runs.
 //!
 //! Emitted output is **identical** to the batch
-//! [`crate::spatial::sp_compress`] (property-tested). FST coding needs the
-//! whole SP-compressed prefix and is applied when the trip closes.
+//! [`crate::spatial::sp_compress`] at every cut of the stream
+//! (property-tested). FST coding needs the whole path and is applied when
+//! the trip closes, by [`HscModel::compress`](crate::spatial::HscModel::compress).
 
-use crate::spatial::sp::{SpEnd, SpScan};
+use crate::spatial::sp::SpScan;
 use press_network::{EdgeId, SpProvider};
-use std::ops::Deref;
 use std::sync::Arc;
 
 /// Streaming SP compressor for one in-progress trajectory: the shared
-/// Algorithm 1 scan behind a handle `O` to whatever answers `SPend` — a
-/// shortest-path provider ([`OnlineSpCompressor::new`]) or a trained
-/// model ([`HscModel::online_sp`](crate::spatial::HscModel::online_sp)).
+/// Algorithm 1 scan over a shortest-path provider.
 #[derive(Clone)]
-pub struct OnlineSpCompressor<O = Arc<dyn SpProvider>> {
-    oracle: O,
+pub struct OnlineSpCompressor {
+    sp: Arc<dyn SpProvider>,
     scan: SpScan,
 }
 
 impl OnlineSpCompressor {
-    /// New streaming compressor over a shortest-path table.
+    /// New streaming compressor over a shortest-path provider.
     pub fn new(sp: Arc<dyn SpProvider>) -> Self {
-        Self::over(sp)
-    }
-}
-
-impl<O> OnlineSpCompressor<O>
-where
-    O: Deref,
-    O::Target: SpEnd,
-{
-    pub(crate) fn over(oracle: O) -> Self {
         OnlineSpCompressor {
-            oracle,
+            sp,
             scan: SpScan::default(),
         }
     }
@@ -57,7 +45,7 @@ where
     /// no allocation per edge.
     #[inline]
     pub fn push_into(&mut self, e: EdgeId, out: &mut Vec<EdgeId>) {
-        out.extend(self.scan.push(&*self.oracle, e));
+        out.extend(self.scan.push(self.sp.as_ref(), e));
     }
 
     /// Closes the trajectory: the final edge is always retained.

@@ -13,11 +13,12 @@
 //! a constant number of times.
 //!
 //! There is one copy of the scan (`SpScan`), generic over who answers
-//! `SPend` ([`SpEnd`]): a shortest-path provider, or a trained model that
+//! `SPend` (`SpEnd`): a shortest-path provider, or a trained model that
 //! reads the answers training already walked before asking its provider
-//! (see [`crate::spatial::hsc`] § the `SPend` index). [`sp_compress`] and
-//! the streaming [`OnlineSpCompressor`](crate::spatial::OnlineSpCompressor)
-//! are both thin drivers of it.
+//! (see [`crate::spatial::hsc`] § the `SPend` index). [`sp_compress`], the
+//! streaming [`OnlineSpCompressor`](crate::spatial::OnlineSpCompressor)
+//! and [`HscModel::compress`](crate::spatial::HscModel::compress) are all
+//! thin drivers of it.
 
 use crate::error::{PressError, Result};
 use press_network::{EdgeId, SpProvider};
@@ -29,7 +30,7 @@ use press_network::{EdgeId, SpProvider};
 /// ([`SpProvider::sp_end`]); a trained [`HscModel`](crate::spatial::HscModel)
 /// answers it from the facts training already walked and asks its
 /// provider only about the rest.
-pub trait SpEnd {
+pub(crate) trait SpEnd {
     /// `SPend(anchor, next)`.
     fn sp_end_edge(&self, anchor: EdgeId, next: EdgeId) -> Option<EdgeId>;
 }
@@ -150,29 +151,6 @@ pub fn sp_decompress(sp: &dyn SpProvider, compressed: &[EdgeId]) -> Result<Vec<E
         prev = e;
     }
     Ok(out)
-}
-
-/// The cumulative network distance spanned by an SP-compressed path,
-/// without materializing the decompressed edges. Used by the query
-/// processor to accumulate `d` while skipping whole shortest-path gaps.
-pub fn sp_compressed_weight(sp: &dyn SpProvider, compressed: &[EdgeId]) -> Result<f64> {
-    let net = sp.network();
-    let mut total = 0.0;
-    let mut prev: Option<EdgeId> = None;
-    for &e in compressed {
-        if let Some(p) = prev {
-            if !net.consecutive(p, e) {
-                let gap = sp.gap_dist(p, e);
-                if !gap.is_finite() {
-                    return Err(PressError::NoShortestPath(p, e));
-                }
-                total += gap;
-            }
-        }
-        total += net.weight(e);
-        prev = Some(e);
-    }
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -302,16 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_weight_matches_decompressed() {
-        let (net, chain) = fig4_like();
-        let sp = SpTable::build(net.clone());
-        let compressed = sp_compress(&sp, &chain);
-        let w = sp_compressed_weight(&sp, &compressed).unwrap();
-        assert!((w - net.path_weight(&chain)).abs() < 1e-9);
-        assert_eq!(sp_compressed_weight(&sp, &[]).unwrap(), 0.0);
-    }
-
-    #[test]
     fn decompress_errors_on_disconnected_pair() {
         // Two disconnected components.
         let mut b = RoadNetworkBuilder::new();
@@ -326,6 +294,5 @@ mod tests {
             sp_decompress(&sp, &[e0, e1]),
             Err(PressError::NoShortestPath(e0, e1))
         );
-        assert!(sp_compressed_weight(&sp, &[e0, e1]).is_err());
     }
 }

@@ -1,14 +1,15 @@
 //! Identity tests of the `SPend` index: an Algorithm 1 scan that reads
 //! [`HscModel`]'s facts first must emit what the scan over the bare
 //! shortest-path layer emits — on every backend, on tied and jittered
-//! geometry, batch and streaming — and must not reach the layer at all
-//! for a path training has seen.
+//! geometry — and must not reach the layer at all for a path training
+//! has seen.
 
-use crate::spatial::hsc::{Decomposer, HscModel};
+use crate::spatial::hsc::HscModel;
 use crate::spatial::node_link_tests::{
     net_of, two_components, walk, walks, witness_delta, CountingSp,
 };
-use crate::spatial::sp::{sp_compress, sp_decompress};
+use crate::spatial::sp::sp_compress;
+use crate::spatial::OnlineSpCompressor;
 use press_network::{grid_network, EdgeId, GridConfig, SpBackend};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -32,18 +33,17 @@ fn spend_witness_training_paths_are_sp_free_and_held_out_walks_use_both() {
 
     let reference: Vec<_> = training
         .iter()
-        .map(|p| {
-            let spc = sp_compress(model.sp().as_ref(), p);
-            model.encode_sp_form(&spc, Decomposer::Greedy).unwrap()
-        })
+        .map(|p| sp_compress(model.sp().as_ref(), p))
         .collect();
     let calls = sp.calls();
-    let seen = witness_delta(|| {
-        for (p, want) in training.iter().zip(&reference) {
-            assert_eq!(&model.compress(p).unwrap(), want);
-        }
-    });
+    let mut compressed = Vec::new();
+    let seen =
+        witness_delta(|| compressed.extend(training.iter().map(|p| model.compress(p).unwrap())));
     assert_eq!(sp.calls(), calls, "a training path must compress SP-free");
+    for ((p, spc), cs) in training.iter().zip(&reference).zip(&compressed) {
+        assert_eq!(&model.decode_sp_form(cs).unwrap(), spc);
+        assert_eq!(&model.decompress(cs).unwrap(), p);
+    }
     assert!(seen.spend_known > 0, "{seen:?}");
     assert_eq!(seen.spend_sp, 0, "{seen:?}");
 
@@ -97,9 +97,10 @@ fn spend_poisoned_pair_contributes_nothing() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The model-backed scan equals the provider-backed one, batch and
-    /// streaming at every cut, on training and held-out walks — on all
-    /// three backends, on jittered, fully tied and random-geometric nets.
+    /// The model-backed scan equals the provider-backed one — batch, and
+    /// the streaming form at every cut — on training and held-out walks,
+    /// on all three backends, on jittered, fully tied and
+    /// random-geometric nets.
     #[test]
     fn spend_compress_equals_sp_compress_on_every_backend(
         kind in 0usize..3,
@@ -122,13 +123,9 @@ proptest! {
             for path in &paths {
                 let spc = sp_compress(sp.as_ref(), path);
                 let cs = model.compress(path).expect("compress");
-                prop_assert_eq!(
-                    &cs.bits,
-                    &model.encode_sp_form(&spc, Decomposer::Greedy).expect("encode").bits,
-                    "{:?}", backend
-                );
-                prop_assert_eq!(&sp_decompress(sp.as_ref(), &spc).expect("decompress"), path);
-                let mut enc = model.online_sp();
+                prop_assert_eq!(&model.decode_sp_form(&cs).expect("decode"), &spc, "{:?}", backend);
+                prop_assert_eq!(&model.decompress(&cs).expect("decompress"), path);
+                let mut enc = OnlineSpCompressor::new(sp.clone());
                 let mut emitted = Vec::new();
                 for (i, &e) in path.iter().enumerate() {
                     enc.push_into(e, &mut emitted);

@@ -8,16 +8,16 @@
 //! training path, trie mining, Huffman construction, per-node tables);
 //! the result is small and static. `HscModel::save_to` persists the trie
 //! records, the canonical Huffman code lengths, and the three per-node
-//! tables — distances, MBRs, and the link arena (the additive
-//! `node_link` section; a file without it rebuilds the arena through the
-//! shortest-path layer, and either way the distances are cross-checked
-//! against it at load) — and the stop facts of the `SPend` index (the
-//! additive `node_stop` section, same policy; the index itself is derived
-//! at load and checked to be a forest of trees); `HscModel::load_from`
-//! reassembles the model over a shortest-path provider, rebuilding the
-//! Aho–Corasick automaton with the same deterministic construction
-//! training uses — so a loaded model compresses, decompresses and answers
-//! queries **bit-identically** to the trained one.
+//! tables — distances, MBRs, and the link arena (`node_link`; the
+//! distances are cross-checked against it at load) — and the stop facts
+//! of the `SPend` index (`node_stop`; the index itself is derived at load
+//! and checked to be a forest of trees). Every section is required: a
+//! file without one is [`StoreError::MissingSection`], and opening a
+//! model makes no shortest-path call. `HscModel::load_from` reassembles
+//! the model over a shortest-path provider, rebuilding the Aho–Corasick
+//! automaton with the same deterministic construction training uses — so
+//! a loaded model compresses, decompresses and answers queries
+//! **bit-identically** to the trained one.
 //!
 //! # The block store
 //!
@@ -232,45 +232,29 @@ impl HscModel {
                 }
             })
             .collect();
-        let node_link = if file.has_section("node_link") {
-            // Loaded, never recomputed: opening a model costs no
-            // shortest-path call.
-            let raw = file.section("node_link")?;
-            if raw.len() % 4 != 0 || raw.len() / 4 <= num_nodes {
-                return Err(StoreError::Corrupt(format!(
-                    "node_link: {} bytes cannot hold {} u32 offsets and whole u32 edges",
-                    raw.len(),
-                    num_nodes + 1
-                )));
-            }
-            let (off, edges) = raw.split_at((num_nodes + 1) * 4);
-            let off: Vec<u32> = le_words(off).collect();
-            let edges: Vec<EdgeId> = le_words(edges).map(EdgeId).collect();
-            LinkArena::from_raw(num_nodes, off, edges)
-                .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?
-        } else {
-            // A file written before the section existed: rebuild it
-            // through the shortest-path layer.
-            HscModel::links_via_sp(sp.as_ref(), &trie)
-                .map_err(|e| StoreError::Corrupt(format!("node_link rebuild: {e}")))?
-        };
+        let raw = file.section("node_link")?;
+        if raw.len() % 4 != 0 || raw.len() / 4 <= num_nodes {
+            return Err(StoreError::Corrupt(format!(
+                "node_link: {} bytes cannot hold {} u32 offsets and whole u32 edges",
+                raw.len(),
+                num_nodes + 1
+            )));
+        }
+        let (off, edges) = raw.split_at((num_nodes + 1) * 4);
+        let off: Vec<u32> = le_words(off).collect();
+        let edges: Vec<EdgeId> = le_words(edges).map(EdgeId).collect();
+        let node_link = LinkArena::from_raw(num_nodes, off, edges)
+            .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?;
         HscModel::check_links(sp.network(), &trie, &node_dist, &node_link)
             .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?;
-        let node_stop = if file.has_section("node_stop") {
-            // Loaded like the arena: no shortest-path call.
-            let raw = file.section("node_stop")?;
-            if raw.len() % 4 != 0 {
-                return Err(StoreError::Corrupt(format!(
-                    "node_stop: {} bytes are not whole u32 edges",
-                    raw.len()
-                )));
-            }
-            le_words(raw).map(EdgeId).collect()
-        } else {
-            // A file written before the section existed: one `pred_edge`
-            // per depth-2 node.
-            HscModel::stops_via_sp(sp.as_ref(), &trie, &node_dist)
-        };
+        let raw = file.section("node_stop")?;
+        if raw.len() % 4 != 0 {
+            return Err(StoreError::Corrupt(format!(
+                "node_stop: {} bytes are not whole u32 edges",
+                raw.len()
+            )));
+        }
+        let node_stop = le_words(raw).map(EdgeId).collect();
         HscModel::from_parts(sp, trie, huffman, node_dist, node_mbr, node_link, node_stop)
             .map_err(|e| StoreError::Corrupt(format!("node_link/node_stop: {e}")))
     }
@@ -1032,66 +1016,62 @@ mod tests {
         ));
     }
 
-    /// A present `node_link` section is loaded, never recomputed: opening
-    /// the model asks the shortest-path layer nothing. A file written
-    /// before the section existed rebuilds it through the layer, and
-    /// re-saves to the very bytes a fresh model writes.
+    /// The `node_link` and `node_stop` sections are loaded, never
+    /// recomputed: opening the model asks the shortest-path layer
+    /// nothing, and the loaded model re-saves to the very bytes it came
+    /// from.
     #[test]
-    fn node_link_section_loads_sp_free_and_rebuilds_when_absent() {
+    fn node_link_and_node_stop_load_sp_free() {
         use crate::spatial::node_link_tests::CountingSp;
-        let (press, _, compressed) = fixture();
+        let (press, trajs, compressed) = fixture();
         let model = press.model();
         let bytes = model.to_store_bytes();
         let sp = CountingSp::over(model.sp().clone());
         let loaded = HscModel::from_store_bytes(sp.clone(), bytes.clone()).unwrap();
-        assert_eq!(sp.calls(), 0, "a present section must not be recomputed");
+        assert_eq!(sp.calls(), 0, "opening a model makes no SP call");
         assert_eq!(loaded.to_store_bytes(), bytes);
-
-        let file = StoreFile::from_bytes(bytes.clone()).unwrap();
-        let legacy = rewrite_sections(&file, |name, p| (name != "node_link").then(|| p.to_vec()));
-        let rebuilt = HscModel::from_store_bytes(sp.clone(), legacy).unwrap();
-        assert!(
-            sp.calls() > 0,
-            "an absent section is rebuilt through the SP layer"
-        );
-        assert_eq!(rebuilt.to_store_bytes(), bytes);
-        for ct in &compressed {
+        for (traj, ct) in trajs.iter().zip(&compressed) {
+            assert_eq!(loaded.compress(&traj.path.edges).unwrap(), ct.spatial);
             assert_eq!(
-                rebuilt.decompress(&ct.spatial).unwrap(),
+                loaded.decompress(&ct.spatial).unwrap(),
                 model.decompress(&ct.spatial).unwrap()
             );
         }
     }
 
-    /// `node_stop` follows the same policy: present → loaded with no
-    /// shortest-path call (the test above counts zero over both
-    /// sections); absent — alone, as in a file the previous writer
-    /// produced, or together with `node_link` — → rebuilt through the
-    /// layer to the same bytes and the same compression; CRC-valid but
-    /// malformed → a typed `Corrupt`.
+    /// A model file has one shape: without `node_link`, `node_stop` or
+    /// both, the load is a typed `MissingSection` naming the first one it
+    /// needs — never a model rebuilt through the shortest-path layer.
     #[test]
-    fn node_stop_section_rebuilds_when_absent_and_rejects_malformed_payloads() {
+    fn node_link_or_node_stop_absent_is_missing_section() {
         use crate::spatial::node_link_tests::CountingSp;
-        let (press, trajs, compressed) = fixture();
+        let (press, _, _) = fixture();
         let model = press.model();
-        let bytes = model.to_store_bytes();
-        let file = StoreFile::from_bytes(bytes.clone()).unwrap();
-        for dropped in [&["node_stop"][..], &["node_link", "node_stop"]] {
+        let file = StoreFile::from_bytes(model.to_store_bytes()).unwrap();
+        for (dropped, named) in [
+            (&["node_link"][..], "node_link"),
+            (&["node_stop"], "node_stop"),
+            (&["node_link", "node_stop"], "node_link"),
+        ] {
             let sp = CountingSp::over(model.sp().clone());
-            let legacy = rewrite_sections(&file, |name, p| {
+            let bytes = rewrite_sections(&file, |name, p| {
                 (!dropped.contains(&name)).then(|| p.to_vec())
             });
-            let rebuilt = HscModel::from_store_bytes(sp.clone(), legacy).unwrap();
-            assert!(
-                sp.calls() > 0,
-                "{dropped:?} is rebuilt through the SP layer"
-            );
-            assert_eq!(rebuilt.to_store_bytes(), bytes);
-            for (traj, ct) in trajs.iter().zip(&compressed) {
-                assert_eq!(rebuilt.compress(&traj.path.edges).unwrap(), ct.spatial);
+            match HscModel::from_store_bytes(sp.clone(), bytes) {
+                Err(StoreError::MissingSection(got)) => assert_eq!(got, named, "{dropped:?}"),
+                other => panic!("{dropped:?}: got {:?}", other.map(|_| "a model")),
             }
+            assert_eq!(sp.calls(), 0, "{dropped:?}");
         }
+    }
 
+    /// A CRC-valid but malformed `node_stop` section is a typed
+    /// `Corrupt`.
+    #[test]
+    fn node_stop_section_rejects_malformed_payloads() {
+        let (press, _, _) = fixture();
+        let model = press.model();
+        let file = StoreFile::from_bytes(model.to_store_bytes()).unwrap();
         let stops: Vec<u32> = le_words(file.section("node_stop").unwrap()).collect();
         assert!(stops.iter().any(|&g| g != u32::MAX), "fixture has stops");
         let with_stops = |words: &[u32], tail: &[u8]| {

@@ -19,6 +19,9 @@
 //!   `[(p.d−a.d)/(p.t+η−a.t), (p.d−a.d)/(p.t−η−a.t)]`, where the upper
 //!   bound is `+∞` when `p.t−η ≤ a.t` (the window reaches back to the
 //!   anchor, so arbitrarily steep segments pass).
+//!
+//! There is one copy of the scan (`BtcScan`): [`btc_compress`] and the
+//! streaming [`OnlineBtc`](crate::temporal::OnlineBtc) both drive it.
 
 use crate::types::DtPoint;
 use serde::{Deserialize, Serialize};
@@ -100,37 +103,72 @@ impl SlopeRange {
     }
 }
 
+/// Algorithm 3 as a state machine — the only copy of BTC:
+/// [`btc_compress`] drives it over a whole sequence, the streaming
+/// [`OnlineBtc`](crate::temporal::OnlineBtc) one tuple at a time. State:
+/// the anchor (the last kept tuple), the latest tuple since it, and the
+/// angular range every tuple since the anchor admits.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BtcScan {
+    anchor: Option<DtPoint>,
+    last: Option<DtPoint>,
+    range: SlopeRange,
+}
+
+impl Default for BtcScan {
+    fn default() -> Self {
+        BtcScan {
+            anchor: None,
+            last: None,
+            range: SlopeRange::full(),
+        }
+    }
+}
+
+impl BtcScan {
+    /// Feeds the next tuple (strictly increasing `t`); returns the tuple
+    /// this decides to keep, if any — `p` itself for the first tuple,
+    /// otherwise the tuple fed right before it.
+    #[inline]
+    pub(crate) fn push(&mut self, p: DtPoint, bounds: BtcBounds) -> Option<DtPoint> {
+        let (anchor, kept) = match (self.anchor, self.last) {
+            (None, _) => {
+                self.anchor = Some(p);
+                return Some(p);
+            }
+            // p cannot be reached within tolerance: keep its predecessor
+            // as the new anchor and take p under a fresh range (its own
+            // slope always falls inside the full one).
+            (Some(anchor), Some(prev)) if !self.range.contains_slope_to(anchor, p) => {
+                self.anchor = Some(prev);
+                self.range = SlopeRange::full();
+                (prev, Some(prev))
+            }
+            (Some(anchor), _) => (anchor, None),
+        };
+        self.range
+            .intersect(SlopeRange::of_point(anchor, p, bounds));
+        self.last = Some(p);
+        kept
+    }
+
+    /// Closes the sequence: the final tuple is always retained.
+    #[inline]
+    pub(crate) fn finish(self) -> Option<DtPoint> {
+        self.last
+    }
+}
+
 /// Compresses a temporal sequence with bounded TSND/NSTD error
 /// (Algorithm 3). The output is a subsequence of the input, always keeping
 /// the first and last tuples. `O(|T|)`.
 pub fn btc_compress(points: &[DtPoint], bounds: BtcBounds) -> Vec<DtPoint> {
-    if points.len() <= 2 {
-        return points.to_vec();
+    let mut out = Vec::with_capacity(points.len() / 2 + 2);
+    let mut scan = BtcScan::default();
+    for &p in points {
+        out.extend(scan.push(p, bounds));
     }
-    let n = points.len();
-    let mut out = Vec::with_capacity(n / 2 + 2);
-    out.push(points[0]);
-    let mut anchor = points[0];
-    let mut range = SlopeRange::full();
-    let mut i = 1;
-    while i < n {
-        let p = points[i];
-        if range.contains_slope_to(anchor, p) {
-            range.intersect(SlopeRange::of_point(anchor, p, bounds));
-            i += 1;
-        } else {
-            // p cannot be reached within tolerance: keep its predecessor as
-            // the new anchor and re-evaluate p against a fresh range.
-            let kept = points[i - 1];
-            out.push(kept);
-            anchor = kept;
-            range = SlopeRange::full();
-            // Do not advance i: p is re-examined under the new anchor (it
-            // always falls inside the fresh full range, so progress is
-            // guaranteed — each iteration either advances i or appends).
-        }
-    }
-    out.push(points[n - 1]);
+    out.extend(scan.finish());
     out
 }
 

@@ -2,59 +2,16 @@
 //!
 //! Paper §7.1.2: "the compression procedure scans the spatial path and
 //! temporal sequence from head to tail without tracing back. This means
-//! PRESS can be adapted to online compression." This module delivers that
-//! adaptation for BTC: points are pushed one at a time as the GPS unit
-//! reports them; retained tuples are emitted as soon as they are decided,
-//! with O(1) state (the anchor plus one angular range).
-//!
-//! The emitted sequence is **identical** to the batch
-//! [`crate::temporal::btc_compress`] output (property-tested).
+//! PRESS can be adapted to online compression." So the online form is the
+//! batch scan fed one tuple at a time: [`OnlineBtc`] drives the very
+//! state machine ([`crate::temporal::btc`]'s `BtcScan`) that
+//! [`crate::temporal::btc_compress`] runs — O(1) state (the anchor, the
+//! latest tuple and one angular range), and retained tuples are emitted
+//! as soon as they are decided. Its output equals the batch output at
+//! every cut of the stream (property-tested).
 
-use crate::temporal::btc::BtcBounds;
+use crate::temporal::btc::{BtcBounds, BtcScan};
 use crate::types::DtPoint;
-
-/// Admissible-slope interval in the d–t plane (the angular range of §4.2).
-#[derive(Clone, Copy, Debug)]
-struct SlopeRange {
-    lo: f64,
-    hi: f64,
-}
-
-impl SlopeRange {
-    fn full() -> Self {
-        SlopeRange {
-            lo: f64::NEG_INFINITY,
-            hi: f64::INFINITY,
-        }
-    }
-
-    fn of_point(anchor: DtPoint, p: DtPoint, bounds: BtcBounds) -> Self {
-        let dt = p.t - anchor.t;
-        let dd = p.d - anchor.d;
-        let v_lo = (dd - bounds.tsnd) / dt;
-        let v_hi = (dd + bounds.tsnd) / dt;
-        let h_lo = dd / (dt + bounds.nstd);
-        let h_hi = if dt - bounds.nstd > 0.0 {
-            dd / (dt - bounds.nstd)
-        } else {
-            f64::INFINITY
-        };
-        SlopeRange {
-            lo: v_lo.max(h_lo),
-            hi: v_hi.min(h_hi),
-        }
-    }
-
-    fn contains_slope_to(&self, anchor: DtPoint, p: DtPoint) -> bool {
-        let slope = (p.d - anchor.d) / (p.t - anchor.t);
-        slope >= self.lo && slope <= self.hi
-    }
-
-    fn intersect(&mut self, other: SlopeRange) {
-        self.lo = self.lo.max(other.lo);
-        self.hi = self.hi.min(other.hi);
-    }
-}
 
 /// Streaming BTC compressor.
 ///
@@ -73,13 +30,7 @@ impl SlopeRange {
 #[derive(Clone, Debug)]
 pub struct OnlineBtc {
     bounds: BtcBounds,
-    /// Last emitted tuple (window anchor).
-    anchor: Option<DtPoint>,
-    /// Most recent tuple seen (candidate for emission on window break).
-    last: Option<DtPoint>,
-    range: SlopeRange,
-    /// True until the first point (which is always emitted).
-    emitted_any: bool,
+    scan: BtcScan,
 }
 
 impl OnlineBtc {
@@ -87,53 +38,19 @@ impl OnlineBtc {
     pub fn new(bounds: BtcBounds) -> Self {
         OnlineBtc {
             bounds,
-            anchor: None,
-            last: None,
-            range: SlopeRange::full(),
-            emitted_any: false,
+            scan: BtcScan::default(),
         }
     }
 
     /// Pushes the next tuple (strictly increasing `t`, non-decreasing
     /// `d`); returns any tuples that are now permanently decided.
     pub fn push(&mut self, p: DtPoint) -> Vec<DtPoint> {
-        let mut out = Vec::new();
-        let Some(anchor) = self.anchor else {
-            // First point: always kept, emitted immediately.
-            self.anchor = Some(p);
-            self.last = Some(p);
-            self.emitted_any = true;
-            out.push(p);
-            return out;
-        };
-        debug_assert!(p.t > self.last.map_or(f64::NEG_INFINITY, |l| l.t));
-        if self.range.contains_slope_to(anchor, p) {
-            self.range
-                .intersect(SlopeRange::of_point(anchor, p, self.bounds));
-            self.last = Some(p);
-            return out;
-        }
-        // Window breaks: the previous point becomes the new anchor and is
-        // emitted; re-examine p against the fresh range (always inside).
-        let kept = self.last.expect("window break implies a previous point");
-        out.push(kept);
-        self.anchor = Some(kept);
-        self.range = SlopeRange::full();
-        self.range
-            .intersect(SlopeRange::of_point(kept, p, self.bounds));
-        self.last = Some(p);
-        out
+        self.scan.push(p, self.bounds).into_iter().collect()
     }
 
     /// Flushes the stream end: the final point is always retained.
-    pub fn finish(mut self) -> Vec<DtPoint> {
-        let mut out = Vec::new();
-        if let (Some(anchor), Some(last)) = (self.anchor.take(), self.last.take()) {
-            if last != anchor {
-                out.push(last);
-            }
-        }
-        out
+    pub fn finish(self) -> Vec<DtPoint> {
+        self.scan.finish().into_iter().collect()
     }
 }
 

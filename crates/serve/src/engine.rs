@@ -77,8 +77,6 @@ use crate::session::{Disposition, QuarantineReason, Session, SessionPolicy};
 use crate::wal::{Wal, WalError, WalRecord};
 use press_core::reformat::{reformat, PathSample};
 use press_core::store::TrajectoryStore;
-use press_core::temporal::online::OnlineBtc;
-use press_core::types::TemporalSequence;
 use press_core::{parallel::work_steal_map, query::QueryEngine};
 use press_core::{CompressedTrajectory, HscModel, Press, PressError};
 use press_matcher::{GpsSample, MapMatcher, MatcherError};
@@ -1572,8 +1570,7 @@ impl IngestEngine {
         // comes from the keys.
         tagged.sort_by_key(|(_, seg)| (seg.vehicle, seg.seg));
         let matcher = Arc::clone(&self.matcher);
-        let model = self.press.model();
-        let press_config = self.press.config();
+        let press = &self.press;
         let max_work = self.config.max_lattice_work;
         let max_splits = self.config.max_salvage_splits;
         let outcomes: Vec<SegmentOutcome> =
@@ -1603,26 +1600,7 @@ impl IngestEngine {
                         })
                         .collect();
                     let compressed = reformat(matcher.network(), piece.edges, &path_samples)
-                        .and_then(|traj| {
-                            // `Press::compress` with the temporal half
-                            // streamed: the whole path is in hand, so HSC
-                            // is the batch call (it takes the gap runs
-                            // from the path); online BTC is pinned
-                            // bit-identical to the batch form by the
-                            // chunking proptests.
-                            let spatial =
-                                model.compress_with(&traj.path.edges, press_config.decomposer)?;
-                            let mut btc = OnlineBtc::new(press_config.bounds);
-                            let mut kept = Vec::with_capacity(traj.temporal.len());
-                            for &p in &traj.temporal.points {
-                                kept.extend(btc.push(p));
-                            }
-                            kept.extend(btc.finish());
-                            Ok(CompressedTrajectory {
-                                spatial,
-                                temporal: TemporalSequence::new_unchecked(kept),
-                            })
-                        });
+                        .and_then(|traj| press.compress(&traj));
                     match compressed {
                         Ok(ct) => out.compressed.push(ct),
                         Err(_) => out.dropped += 1,

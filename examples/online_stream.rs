@@ -7,10 +7,12 @@
 //! compressors would produce for the completed trip.
 //!
 //! The final section pushes the same live feed through the crash-safe
-//! ingest engine (`press-serve`), which wires these online compressors
-//! behind a WAL: every fix is vetted, journaled, and acked, and defective
-//! fixes are quarantined with typed reasons instead of corrupting the
-//! stream.
+//! ingest engine (`press-serve`), which keeps each session behind a WAL:
+//! every fix is vetted, journaled, and acked, and defective fixes are
+//! quarantined with typed reasons instead of corrupting the stream. Its
+//! flush map-matches each closed session and compresses it with
+//! `Press::compress` — the same output, since the streaming compressors
+//! above equal the batch ones at every cut.
 //!
 //! Run with: `cargo run --release --example online_stream`
 
@@ -90,9 +92,9 @@ fn main() {
     println!("online and batch outputs are identical — §7.1.2 holds.");
 
     // --- The same feed through the crash-safe ingest engine. -------------
-    // In production the online compressors sit behind `press-serve`:
-    // push(vehicle, fix) vets, journals, and acks each fix; finalize +
-    // flush runs the matcher and the streaming compressors above.
+    // In production the fixes go through `press-serve`: push(vehicle,
+    // fix) vets, journals, and acks each fix; finalize + flush runs the
+    // matcher and `Press::compress` on every closed session.
     let training_paths: Vec<_> = workload.records[1..]
         .iter()
         .map(|r| r.path.clone())
@@ -136,8 +138,6 @@ fn main() {
     println!("\ningest engine: {accepted} fixes acked + journaled; NaN fix -> {ack:?}");
     engine.finalize_all().expect("finalize");
     let pieces = engine.flush().expect("flush");
-    println!(
-        "flush matched + online-compressed the live session into {pieces} trajectory piece(s)."
-    );
+    println!("flush matched + compressed the live session into {pieces} trajectory piece(s).");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -62,7 +62,6 @@ pub use press_workload as workload;
 /// The commonly-used types in one import.
 pub mod prelude {
     pub use press_core::query::QueryEngine;
-    pub use press_core::query::ScanMode;
     pub use press_core::store::TrajectoryStore;
     pub use press_core::{
         btc_compress, nstd, reformat, tsnd, BtcBounds, CompressedTrajectory, Decomposer, DtPoint,

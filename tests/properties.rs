@@ -481,9 +481,10 @@ proptest! {
     /// the stream one element at a time and closing it at ANY prefix — a
     /// cloned encoder `finish()`ed mid-stream — is bit-identical to the
     /// batch compressor over exactly that prefix, and the mid-stream
-    /// clone never perturbs the continuing encoder. This is the invariant
-    /// the press-serve ingest engine's segmentation (idle timeouts,
-    /// session caps, crash-recovery replay) is built on.
+    /// clone never perturbs the continuing encoder: a stream closed at
+    /// any cut (an idle timeout, a session cap, a crash) equals the batch
+    /// compression of what it saw. Each streaming form drives the batch
+    /// form's own state machine, so these pin the drivers.
     #[test]
     fn online_sp_equals_batch_at_every_cut(
         start in 0u32..49,
@@ -494,22 +495,14 @@ proptest! {
         let sp: Arc<dyn SpProvider> = f.sp.clone();
         let mut enc = OnlineSpCompressor::new(sp.clone());
         let mut emitted: Vec<EdgeId> = Vec::new();
-        // The same stream through the model-backed compressor (SPend
-        // from the trained facts first), which press-serve's flush runs.
-        let mut model_enc = f.model.online_sp();
-        let mut model_emitted: Vec<EdgeId> = Vec::new();
         // Empty stream: finish alone emits nothing, batch agrees.
         prop_assert_eq!(OnlineSpCompressor::new(sp.clone()).finish(), sp_compress(&f.sp, &[]));
-        prop_assert_eq!(f.model.online_sp().finish(), sp_compress(&f.sp, &[]));
         for (i, &e) in path.iter().enumerate() {
             emitted.extend(enc.push(e));
-            model_enc.push_into(e, &mut model_emitted);
-            prop_assert_eq!(&model_emitted, &emitted, "after edge {}", i);
             // Cut here: emitted-so-far + a cloned finish == batch(prefix).
             let mut cut = emitted.clone();
             cut.extend(enc.clone().finish());
             prop_assert_eq!(&cut, &sp_compress(&f.sp, &path[..=i]), "cut after edge {}", i);
-            prop_assert_eq!(model_enc.clone().finish(), enc.clone().finish());
             // Already-emitted output is a committed prefix of every cut.
             prop_assert!(cut.len() >= emitted.len());
         }

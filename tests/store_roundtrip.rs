@@ -669,14 +669,15 @@ fn node_link_corruption_matrix() {
     );
 }
 
-/// A model file written before the `node_link` section existed loads,
-/// answers identically and re-saves with the section — as does one
-/// written before `node_stop` did; and the older sections of a freshly
-/// trained model are, byte for byte, what the writers before each
-/// addition produced (CRCs pinned from those builds).
+/// A model file written before the `node_link` or the `node_stop`
+/// section existed is refused with a typed `MissingSection` (every file
+/// written since both exist carries them); the older sections of a
+/// freshly trained model are, byte for byte, what the writers before each
+/// addition produced (CRCs pinned from those builds); and a loaded model
+/// answers exactly as the trained one.
 #[test]
 fn node_link_legacy_file_and_unchanged_sections() {
-    use press_store::StoreFile;
+    use press_store::{StoreError, StoreFile};
     let (net, sp, training, model) = link_fixture();
     let good = model.to_store_bytes();
     let file = StoreFile::from_bytes(good.clone()).expect("parse");
@@ -696,32 +697,20 @@ fn node_link_legacy_file_and_unchanged_sections() {
         );
     }
 
-    let legacy = rewrite_sections(&good, |name, p| (name != "node_link").then(|| p.to_vec()));
-    assert!(!StoreFile::from_bytes(legacy.clone())
-        .expect("parse")
-        .has_section("node_link"));
-    let old = HscModel::from_store_bytes(sp.clone(), legacy).expect("a pre-arena file must load");
-    assert_eq!(
-        old.to_store_bytes(),
-        good,
-        "re-saving adds the section back"
-    );
-    // The previous writer's file: the arena, but no `node_stop`.
-    let pre_stop = rewrite_sections(&good, |name, p| (name != "node_stop").then(|| p.to_vec()));
-    let pre_stop =
-        HscModel::from_store_bytes(sp.clone(), pre_stop).expect("a pre-node_stop file must load");
-    assert_eq!(pre_stop.to_store_bytes(), good);
-    for path in &training {
-        assert_eq!(
-            pre_stop.compress(path).expect("compress"),
-            model.compress(path).expect("compress")
-        );
+    for gone in ["node_link", "node_stop"] {
+        let legacy = rewrite_sections(&good, |name, p| (name != gone).then(|| p.to_vec()));
+        match HscModel::from_store_bytes(sp.clone(), legacy) {
+            Err(StoreError::MissingSection(name)) => assert_eq!(name, gone),
+            other => panic!("a file without {gone}: got {:?}", other.map(|_| "a model")),
+        }
     }
-    let (fresh, warm) = (QueryEngine::new(&model), QueryEngine::new(&old));
+    let loaded = HscModel::from_store_bytes(sp.clone(), good.clone()).expect("load");
+    assert_eq!(loaded.to_store_bytes(), good);
+    let (fresh, warm) = (QueryEngine::new(&model), QueryEngine::new(&loaded));
     for path in &training {
         let cs = model.compress(path).expect("compress");
-        assert_eq!(old.compress(path).expect("compress"), cs);
-        assert_eq!(&old.decompress(&cs).expect("decompress"), path);
+        assert_eq!(loaded.compress(path).expect("compress"), cs);
+        assert_eq!(&loaded.decompress(&cs).expect("decompress"), path);
         let total: f64 = path.iter().map(|&e| net.weight(e)).sum();
         let ct = CompressedTrajectory {
             spatial: cs,
@@ -733,14 +722,14 @@ fn node_link_legacy_file_and_unchanged_sections() {
         };
         for k in 0..=6 {
             let a = fresh.whereat(&ct, 10.0 * k as f64).expect("whereat");
-            let b = warm.whereat(&ct, 10.0 * k as f64).expect("whereat legacy");
+            let b = warm.whereat(&ct, 10.0 * k as f64).expect("whereat loaded");
             assert_eq!(
                 (a.x.to_bits(), a.y.to_bits()),
                 (b.x.to_bits(), b.y.to_bits())
             );
             assert_eq!(
                 fresh.whenat(&ct, a, 0.5).expect("whenat").to_bits(),
-                warm.whenat(&ct, a, 0.5).expect("whenat legacy").to_bits()
+                warm.whenat(&ct, a, 0.5).expect("whenat loaded").to_bits()
             );
         }
     }
