@@ -3,15 +3,15 @@
 //!
 //! Usage:
 //! ```text
-//! repro [EXPERIMENT…] [--full] [--seed N] [--ch] [--hl]
+//! repro [EXPERIMENT…] [--full] [--seed N] [--hl]
 //!       [--threads N] [--save-dir DIR] [--load-dir DIR] [--map]
 //!
 //! EXPERIMENT: all (default) | fig10a | fig10b | fig11 | fig12a | fig12b |
 //!             fig13 | fig14 | fig15 | fig16 | fig17 | aux | ablations
 //! --full          paper-shaped sweep sizes (slower)
 //! --seed N        workload seed (default 3)
-//! --ch            run on the ContractionHierarchy SP backend instead of the dense table
-//! --hl            run on the HubLabels SP backend (2-hop labels over the CH order)
+//! --hl            run on the HubLabels SP backend (2-hop labels over a
+//!                 contraction order) instead of the dense table
 //! --threads N     SP preprocessing workers (default 0 = one per core);
 //!                 never changes any result — builds are bit-identical
 //!                 for every thread count — only how fast preprocessing runs
@@ -21,7 +21,7 @@
 //!                 the same seed and backend, skipping SP preprocessing and
 //!                 training; outputs are bit-identical to a fresh build
 //! --map           with --load-dir: open the SP structure through the
-//!                 zero-copy mapped tier (CH/HL; the dense table falls
+//!                 zero-copy mapped tier (HL; the dense table falls
 //!                 back to the owned load) — same bit-identical outputs, O(page
 //!                 faults) open cost instead of a full decode
 //! ```
@@ -44,7 +44,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--full" => scale = Scale::Full,
-            "--ch" => backend = SpBackend::Ch,
             "--hl" => backend = SpBackend::Hl,
             "--seed" => {
                 seed = it
@@ -179,7 +178,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [all|fig10a|fig10b|fig11|fig12a|fig12b|fig13|fig14|fig15|fig16|fig17|aux|ablations]… \
-         [--full] [--seed N] [--ch] [--hl] [--threads N] [--save-dir DIR] [--load-dir DIR] [--map]"
+         [--full] [--seed N] [--hl] [--threads N] [--save-dir DIR] [--load-dir DIR] [--map]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

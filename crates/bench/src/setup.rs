@@ -13,7 +13,7 @@
 //! is regenerated — it is seeded and cheap).
 
 use press_core::{HscModel, Press, PressConfig, Trajectory};
-use press_network::{ContractionHierarchy, HubLabels, RoadNetwork, SpBackend, SpProvider, SpTable};
+use press_network::{HubLabels, RoadNetwork, SpBackend, SpProvider, SpTable};
 use press_workload::{TrajectoryRecord, Workload, WorkloadConfig};
 use std::path::Path;
 use std::sync::Arc;
@@ -49,8 +49,8 @@ pub enum StoreMode<'a> {
     Save(&'a Path),
     /// Warm-start: load the artifacts saved by a previous `Save` run.
     Load(&'a Path),
-    /// Warm-start through the zero-copy mapped tier: CH/HL structures
-    /// open as read-only mappings whose flat sections are borrowed in
+    /// Warm-start through the zero-copy mapped tier: hub labels open as
+    /// read-only mappings whose flat sections are borrowed in
     /// place (open cost is page faults, not decode), answering
     /// bit-identically to `Load`. The dense table has no flat artifact
     /// and falls back to the owned load.
@@ -61,7 +61,6 @@ pub enum StoreMode<'a> {
 fn sp_file_name(backend: SpBackend) -> &'static str {
     match backend {
         SpBackend::Dense => "sp_dense.press",
-        SpBackend::Ch => "sp_ch.press",
         SpBackend::Hl => "sp_hl.press",
     }
 }
@@ -82,24 +81,15 @@ pub struct Env {
 /// trait object cannot be downcast).
 enum ConcreteSp {
     Dense(Arc<SpTable>),
-    Ch(Arc<ContractionHierarchy>),
     Hl(Arc<HubLabels>),
 }
 
 impl ConcreteSp {
     /// Builds the backend with `threads` preprocessing workers (0 = one
-    /// per core; bit-identical output for any value). The HL backend
-    /// contracts **once** and derives its labels from that hierarchy.
+    /// per core; bit-identical output for any value).
     fn build(backend: SpBackend, net: Arc<RoadNetwork>, threads: usize) -> ConcreteSp {
-        let ch_cfg = press_network::ChConfig {
-            threads,
-            ..press_network::ChConfig::default()
-        };
         match backend {
             SpBackend::Dense => ConcreteSp::Dense(Arc::new(SpTable::build(net))),
-            SpBackend::Ch => {
-                ConcreteSp::Ch(Arc::new(ContractionHierarchy::build_with(net, ch_cfg)))
-            }
             SpBackend::Hl => ConcreteSp::Hl(Arc::new(HubLabels::build_with_threads(net, threads))),
         }
     }
@@ -107,32 +97,27 @@ impl ConcreteSp {
     fn load(backend: SpBackend, net: Arc<RoadNetwork>, path: &Path) -> press_store::Result<Self> {
         Ok(match backend {
             SpBackend::Dense => ConcreteSp::Dense(Arc::new(SpTable::load_from(net, path)?)),
-            SpBackend::Ch => ConcreteSp::Ch(Arc::new(ContractionHierarchy::load_from(net, path)?)),
             SpBackend::Hl => ConcreteSp::Hl(Arc::new(HubLabels::load_from(net, path)?)),
         })
     }
 
     /// [`ConcreteSp::load`] through the zero-copy mapped tier where one
-    /// exists (CH, HL); the dense table has no flat artifact and falls
-    /// back to the owned load.
+    /// exists (HL); the dense table has no flat artifact and falls back
+    /// to the owned load.
     fn open_mapped(
         backend: SpBackend,
         net: Arc<RoadNetwork>,
         path: &Path,
     ) -> press_store::Result<Self> {
         Ok(match backend {
-            SpBackend::Ch => {
-                ConcreteSp::Ch(Arc::new(ContractionHierarchy::open_mapped(net, path)?))
-            }
             SpBackend::Hl => ConcreteSp::Hl(Arc::new(HubLabels::open_mapped(net, path)?)),
-            other => return Self::load(other, net, path),
+            SpBackend::Dense => return Self::load(SpBackend::Dense, net, path),
         })
     }
 
     fn save(&self, path: &Path) -> press_store::Result<()> {
         match self {
             ConcreteSp::Dense(t) => t.save_to(path),
-            ConcreteSp::Ch(ch) => ch.save_to(path),
             ConcreteSp::Hl(hl) => hl.save_to(path),
         }
     }
@@ -140,7 +125,6 @@ impl ConcreteSp {
     fn erased(&self) -> Arc<dyn SpProvider> {
         match self {
             ConcreteSp::Dense(t) => t.clone(),
-            ConcreteSp::Ch(ch) => ch.clone(),
             ConcreteSp::Hl(hl) => hl.clone(),
         }
     }
@@ -276,12 +260,12 @@ impl Env {
         w.put_u64(wl.seed);
         w.put_u64(wl.min_trip_edges as u64);
         w.put_f64(wl.sampling_interval);
-        // Tag 1 is retired and the second word, a retired backend
-        // parameter, is always 0: the bytes stay what they were, so
-        // directories saved earlier still load.
+        // Tags 1 and 2 are retired (2 was the deleted contraction-
+        // hierarchy backend) and never reissued, and the second word, a
+        // retired backend parameter, is always 0: the bytes stay what
+        // they were, so directories saved earlier still load.
         let tag = match backend {
             SpBackend::Dense => 0u64,
-            SpBackend::Ch => 2,
             SpBackend::Hl => 3,
         };
         w.put_u64(tag);
@@ -424,29 +408,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ch_and_hl_envs_match_dense_env() {
+    fn hl_env_matches_dense_env() {
         // Same seed, different backend: identical workload, identical
         // compression output.
         let dense = Env::standard(Scale::Small, 5);
-        for backend in [SpBackend::Ch, SpBackend::Hl] {
-            let other = Env::standard_with_backend(Scale::Small, 5, backend);
-            assert_eq!(dense.workload.records.len(), other.workload.records.len());
-            for (a, b) in dense.workload.records.iter().zip(&other.workload.records) {
-                assert_eq!(a.path, b.path);
-            }
-            for (ta, tb) in dense
-                .eval_trajectories()
-                .iter()
-                .zip(&other.eval_trajectories())
-                .take(10)
-            {
-                let ca = dense.press.compress(ta).unwrap();
-                let cb = other.press.compress(tb).unwrap();
-                assert_eq!(
-                    ca, cb,
-                    "{backend:?} must produce identical compression to dense"
-                );
-            }
+        let hl = Env::standard_with_backend(Scale::Small, 5, SpBackend::Hl);
+        assert_eq!(dense.workload.records.len(), hl.workload.records.len());
+        for (a, b) in dense.workload.records.iter().zip(&hl.workload.records) {
+            assert_eq!(a.path, b.path);
+        }
+        for (ta, tb) in dense
+            .eval_trajectories()
+            .iter()
+            .zip(&hl.eval_trajectories())
+            .take(10)
+        {
+            let ca = dense.press.compress(ta).unwrap();
+            let cb = hl.press.compress(tb).unwrap();
+            assert_eq!(ca, cb, "HL must produce identical compression to dense");
         }
     }
 
@@ -478,7 +457,7 @@ mod tests {
     fn saved_then_loaded_env_is_bit_identical() {
         let dir = std::env::temp_dir().join(format!("press-env-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        for backend in [SpBackend::Dense, SpBackend::Ch, SpBackend::Hl] {
+        for backend in [SpBackend::Dense, SpBackend::Hl] {
             let built = Env::standard_with_store(Scale::Small, 5, backend, StoreMode::Save(&dir));
             let warm = Env::standard_with_store(Scale::Small, 5, backend, StoreMode::Load(&dir));
             let mapped = Env::standard_with_store(Scale::Small, 5, backend, StoreMode::Map(&dir));

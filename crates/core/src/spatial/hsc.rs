@@ -116,8 +116,8 @@ impl CompressedSpatial {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AuxiliarySizes {
     /// The SP provider's footprint (`approx_bytes`): the all-pair table
-    /// (distances + `SPend`) on the dense backend, the hierarchy or the
-    /// labels on the others.
+    /// (distances + `SPend`) on the dense backend, the label arrays and
+    /// arc set on hub labels.
     pub sp_table_bytes: usize,
     /// Trie + failure links (the AC automaton).
     pub automaton_bytes: usize,

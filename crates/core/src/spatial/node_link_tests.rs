@@ -262,7 +262,7 @@ proptest! {
     /// Every Trie node expands to `sp_decompress(Tsub(n))`, every
     /// depth-2 link is the canonical `sp_interior` with `gap_dist`'s
     /// bits, and `decompress ≡ sp_decompress ∘ decode_sp_form` on
-    /// training and held-out walks — on all three backends, which also
+    /// training and held-out walks — on both backends, which also
     /// agree on the model's bytes.
     #[test]
     fn arena_equals_the_sp_layer_on_every_backend(
@@ -281,7 +281,7 @@ proptest! {
         prop_assume!(paths.len() >= 4);
         let training = &paths[..paths.len() / 2];
         let mut bytes: Option<Vec<u8>> = None;
-        for backend in [SpBackend::Dense, SpBackend::Ch, SpBackend::Hl] {
+        for backend in [SpBackend::Dense, SpBackend::Hl] {
             let model = HscModel::train(backend.build(net.clone()), training, theta).expect("train");
             check_model(&model, &paths)?;
             let mine = model.to_store_bytes();
@@ -337,7 +337,7 @@ fn witness_sees_the_arena_and_the_stream_runs() {
 fn disconnected_training_pair_keeps_no_shortest_path() {
     let (net, e0, e1) = two_components();
     let err = PressError::NoShortestPath(e0, e1);
-    for backend in [SpBackend::Dense, SpBackend::Ch, SpBackend::Hl] {
+    for backend in [SpBackend::Dense, SpBackend::Hl] {
         for theta in [1, 2] {
             let model =
                 HscModel::train(backend.build(net.clone()), &[vec![e0, e1]], theta).unwrap();

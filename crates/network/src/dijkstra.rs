@@ -15,9 +15,9 @@
 //! therefore a pure function of the distance values — `pred[v]` is the
 //! minimum edge id `e = (p, v)` with `dist[p] + w(e) == dist[v]` (float
 //! comparison) — and does not depend on heap pop order. That matters
-//! beyond determinism: alternative shortest-path backends (the contraction
-//! hierarchy in [`crate::ch`]) reproduce the same trees from distances
-//! alone, which is what makes every backend bit-identical. The PRESS
+//! beyond determinism: the [`HubLabels`](crate::HubLabels) backend
+//! reproduces the same trees from distances alone, which is what makes
+//! every backend bit-identical. The PRESS
 //! SP-compression proof (Theorem 1) relies on *one* consistent shortest
 //! path per pair, which a single canonical tree per source provides by
 //! construction.

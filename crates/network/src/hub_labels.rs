@@ -1,10 +1,11 @@
-//! 2-hop **hub labels** — the fastest-lookup [`SpProvider`] backend,
-//! built from the contraction-hierarchy order.
+//! 2-hop **hub labels** — the city-scale [`SpProvider`] backend, built
+//! from a contraction-hierarchy order.
 //!
-//! A [`ContractionHierarchy`] answers a point query with a bidirectional
-//! upward *search*: two Dijkstra frontiers over the up-arc graphs, a heap
-//! and a versioned label array each, meeting at an apex. Hub labeling
-//! **precomputes those frontiers**. For every node `v` we run the forward
+//! A contraction hierarchy (the crate-private `ch` module builds one)
+//! could answer a point query with a bidirectional upward *search*: two
+//! Dijkstra frontiers over the up-arc graphs, a heap and a versioned
+//! label array each, meeting at an apex. Hub labeling **precomputes
+//! those frontiers**. For every node `v` we run the forward
 //! upward search to exhaustion once and store its settled set — the
 //! *forward label* `L↑(v)`: pairs `(hub, dist)` with the parent arc that
 //! reached the hub — and symmetrically the backward upward search as the
@@ -17,25 +18,27 @@
 //! ```
 //!
 //! so a query is a **flat scan over precomputed arrays** — no heap, no
-//! graph traversal. At 102k nodes that turns the ~1.4 ms CH search into
-//! a few microseconds: the scan touches a few hundred label entries, and
-//! the remaining cost of an exact *distance* is unpacking the winning
-//! up-down path to re-accumulate its weight (see below). The price is
-//! memory: labels store the whole search space per node per direction
-//! (~10× the CH footprint), the classic precompute-then-probe trade.
+//! graph traversal. At 102k nodes that is a few microseconds: the scan
+//! touches a few hundred label entries, and the remaining cost of an
+//! exact *distance* is unpacking the winning up-down path to
+//! re-accumulate its weight (see below). The price is memory: labels
+//! store the whole search space per node per direction, the classic
+//! precompute-then-probe trade.
 //!
 //! # Construction
 //!
-//! Labels are **independent per node**: one exhaustive upward Dijkstra
-//! per direction per node over the already-built CH search graphs, with
-//! the same *strict* stall-on-demand rule the CH query uses (a settled
+//! [`HubLabels::build_with_threads`] first contracts the network (batched
+//! independent-set rounds, bit-identical for any thread count; see the
+//! `ch` module), then labels it. Labels are **independent per node**: one
+//! exhaustive upward Dijkstra per direction per node over the
+//! contraction's search graphs, with *strict* stall-on-demand (a settled
 //! node whose label is strictly beaten by a detour over a higher-ranked
 //! neighbor is pruned from the label; strictness keeps exactly-tied
 //! apexes alive, preserving canonical tie handling). Independence makes
-//! the build embarrassingly parallel — [`HubLabels::from_ch`] fans out
-//! over the shared [`work_steal_map`](crate::parallel::work_steal_map)
-//! loop, and the result is **bit-identical for any thread count** because
-//! each label is a pure function of the hierarchy.
+//! the label pass embarrassingly parallel — it fans out over the shared
+//! [`work_steal_map`](crate::parallel::work_steal_map) loop, and the
+//! result is **bit-identical for any thread count** because each label
+//! is a pure function of the hierarchy.
 //!
 //! # The pinned-source row
 //!
@@ -60,15 +63,14 @@
 //!
 //! # Bit-identical answers
 //!
-//! The same discipline as the CH backend (see [`crate::ch`], "Bit-identical
-//! answers"): label distances are only used to *select* — never returned.
+//! Label distances are only used to *select* — never returned.
 //! A returned **distance** is re-accumulated **left-to-right over the
 //! unpacked original edges** — the exact float-addition order canonical
 //! Dijkstra uses. Every label entry carries the parent arc of its search
 //! tree, so the winning up-down path unpacks without touching any graph:
 //! forward parents chain the hub back to `s`, backward parents chain it
 //! down to `t`, and each arc expands to original edges via the arc table
-//! carried from the hierarchy.
+//! carried from the contraction.
 //!
 //! A **predecessor** (`pred_edge`, hence `SPend`, and each step of
 //! `sp_interior`) has two routes to the same answer.
@@ -124,10 +126,10 @@
 //! route is property-tested against (`margin == exact == dense`), per the
 //! "accelerations are provably pure" invariant in `docs/ARCHITECTURE.md`.
 //!
-//! Precondition: strictly positive edge weights (inherited from the
-//! hierarchy the labels are built from).
+//! Precondition: strictly positive edge weights (asserted by the
+//! contraction the labels are built from).
 
-use crate::ch::{expand_arc, ChArc, ContractionHierarchy, QueueEntry, NO_ARC};
+use crate::ch::{expand_arc, ChArc, Contraction, QueueEntry, NO_ARC};
 use crate::graph::RoadNetwork;
 use crate::id::{EdgeId, NodeId};
 use crate::provider::SpProvider;
@@ -293,13 +295,12 @@ type RawEntry = (u32, f64, u32);
 /// backward).
 type RawNodeLabels = (Vec<RawEntry>, Vec<RawEntry>);
 
-/// Exhaustive upward Dijkstra from `source` over one CH search graph with
-/// strict stall-on-demand; the settled, non-stalled nodes (with final
-/// distances and parent arcs) are the label, sorted by hub id. Crate-
-/// visible so the CH backend can materialize one-off labels for its
-/// probe-based canonical walk.
+/// Exhaustive upward Dijkstra from `source` over one upward search graph
+/// of the contraction with strict stall-on-demand; the settled,
+/// non-stalled nodes (with final distances and parent arcs) are the
+/// label, sorted by hub id.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn label_search(
+fn label_search(
     arcs: &[ChArc],
     index: &[u32],
     arc_ids: &[u32],
@@ -337,9 +338,9 @@ pub(crate) fn label_search(
             if d > s.dist[xi] {
                 continue; // stale
             }
-            // Stall-on-demand, exactly as the CH query prunes: a strictly
-            // better label through a higher-ranked neighbor proves x is
-            // off every minimal up-down path, so it never becomes a hub.
+            // Stall-on-demand: a strictly better label through a
+            // higher-ranked neighbor proves x is off every minimal
+            // up-down path, so it never becomes a hub.
             let mut stalled = false;
             for &aid in &stall_arc_ids[stall_index[xi] as usize..stall_index[xi + 1] as usize] {
                 let arc = arcs[aid as usize];
@@ -379,8 +380,8 @@ pub struct HubLabels {
     /// Key of this instance's pinned rows; unique per construction.
     id: u64,
     net: Arc<RoadNetwork>,
-    /// The augmented arc set of the hierarchy the labels were built from
-    /// (originals first, then shortcuts) — label parent pointers index
+    /// The augmented arc set of the contraction the labels were built
+    /// from (originals first, then shortcuts) — label parent pointers index
     /// into it, and unpack through it to original edges.
     arcs: Vec<ChArc>,
     fwd: LabelSet,
@@ -388,10 +389,9 @@ pub struct HubLabels {
 }
 
 impl HubLabels {
-    /// Builds labels from scratch: contracts the network with default
-    /// tuning (batched rounds over every available core), then labels it
-    /// with one worker per available core. Both stages are bit-identical
-    /// for any core count.
+    /// Builds labels from scratch: contracts the network (batched rounds
+    /// over every available core), then labels it with one worker per
+    /// available core. Both stages are bit-identical for any core count.
     pub fn build(net: Arc<RoadNetwork>) -> Self {
         Self::build_with_threads(net, 0)
     }
@@ -399,32 +399,15 @@ impl HubLabels {
     /// [`HubLabels::build`] with an explicit worker count for both
     /// stages — the contraction rounds and the label pass (`0` = one per
     /// available core). Purely a throughput knob; the labeling is
-    /// bit-identical for any value.
+    /// bit-identical for any value: the contraction is (module docs of
+    /// `ch`), and each node's label is an independent pure function of
+    /// it, computed via the shared
+    /// [`work_steal_map`](crate::parallel::work_steal_map) loop. Panics if
+    /// any edge weight is not strictly positive.
     pub fn build_with_threads(net: Arc<RoadNetwork>, threads: usize) -> Self {
-        let ch = ContractionHierarchy::build_with(
-            net,
-            crate::ch::ChConfig {
-                threads,
-                ..crate::ch::ChConfig::default()
-            },
-        );
-        Self::from_ch(&ch, threads)
-    }
-
-    /// Builds labels from an existing hierarchy. `threads == 0` means one
-    /// worker per available core. The result is **bit-identical for any
-    /// thread count**: each node's label is an independent pure function
-    /// of the hierarchy, computed via the shared
-    /// [`work_steal_map`](crate::parallel::work_steal_map) loop.
-    pub fn from_ch(ch: &ContractionHierarchy, threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        let n = ch.net.num_nodes();
+        let threads = if threads == 0 { workers() } else { threads };
+        let ch = Contraction::build(&net, threads);
+        let n = net.num_nodes();
         let nodes: Vec<u32> = (0..n as u32).collect();
         let per_node: Vec<RawNodeLabels> =
             crate::parallel::work_steal_map(&nodes, threads, |_, &v| {
@@ -484,8 +467,8 @@ impl HubLabels {
         );
         HubLabels {
             id: next_instance_id(),
-            net: ch.net.clone(),
-            arcs: ch.arcs.clone(),
+            net,
+            arcs: ch.arcs,
             fwd: assemble(|p| &p.0),
             bwd: assemble(|p| &p.1),
         }
@@ -817,7 +800,7 @@ impl HubLabels {
     /// Serializes the labeling into a [`press_store`] container
     /// (`sp_hl.press`): `meta` (node, arc, shortcut, forward-entry and
     /// backward-entry counts, then the network's edge fingerprint), the
-    /// arc table as `arcs_f` (the hierarchy's flat encoding), and per
+    /// arc table as `arcs_f` (the contraction's arc set, 24 B per arc), and per
     /// direction `{d}_index_f`, `{d}_hub_f`, `{d}_dist_f` (IEEE bits) and
     /// `{d}_parent_f` — fixed-width little-endian and 8-byte aligned, so
     /// a mapped open borrows every array in place. The compact sections
@@ -914,7 +897,7 @@ impl HubLabels {
         let bwd_entries = meta.get_len(u32::MAX as usize, "backward label entry")?;
         let fp = meta.get_u32()?;
         meta.expect_end("meta")?;
-        crate::store_codec::check_meta(&net, "labeling", fp, n, num_arcs, num_shortcuts)?;
+        crate::store_codec::check_meta(&net, fp, n, num_arcs, num_shortcuts)?;
         let arcs = crate::ch::decode_arcs_flat(&net, file.section("arcs_f")?, num_arcs)?;
         let read_set = |prefix: &str, entries: usize, forward: bool| {
             let index: FlatSlice<u32> = file.flat_section(&format!("{prefix}_index_f"))?;
@@ -1153,6 +1136,7 @@ impl std::fmt::Debug for HubLabels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ch::Unpack;
     use crate::generators::{grid_network, GridConfig};
     use crate::geometry::Point;
     use crate::graph::RoadNetworkBuilder;
@@ -1269,28 +1253,37 @@ mod tests {
 
     #[test]
     fn parallel_build_is_bit_identical_for_any_thread_count() {
-        let net = Arc::new(grid_network(&GridConfig {
-            nx: 6,
-            ny: 5,
-            weight_jitter: 0.15,
-            removal_prob: 0.05,
-            seed: 8,
-            ..GridConfig::default()
-        }));
-        let ch = ContractionHierarchy::build(net.clone());
-        let single = HubLabels::from_ch(&ch, 1);
-        for threads in [2, 3, 7] {
-            let multi = HubLabels::from_ch(&ch, threads);
-            assert_eq!(single.fwd.index, multi.fwd.index, "{threads} threads");
-            assert_eq!(single.fwd.hub, multi.fwd.hub);
-            assert_eq!(single.fwd.parent, multi.fwd.parent);
-            assert_eq!(single.bwd.index, multi.bwd.index);
-            assert_eq!(single.bwd.hub, multi.bwd.hub);
-            assert_eq!(single.bwd.parent, multi.bwd.parent);
-            let dist_bits = |s: &LabelSet| s.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            assert_eq!(dist_bits(&single.fwd), dist_bits(&multi.fwd));
-            assert_eq!(dist_bits(&single.bwd), dist_bits(&multi.bwd));
+        // The worker count drives the contraction rounds and the label
+        // pass together; the artifact bytes (arc set, both label sets)
+        // must not depend on it — jittered and fully tied regimes both.
+        for jitter in [0.15, 0.0] {
+            let net = Arc::new(grid_network(&GridConfig {
+                nx: 6,
+                ny: 5,
+                weight_jitter: jitter,
+                removal_prob: 0.05,
+                seed: 8,
+                ..GridConfig::default()
+            }));
+            let single = HubLabels::build_with_threads(net.clone(), 1).to_store_bytes();
+            for threads in [2, 3, 7] {
+                let multi = HubLabels::build_with_threads(net.clone(), threads);
+                assert!(
+                    single == multi.to_store_bytes(),
+                    "sp_hl.press bytes differ at {threads} threads, jitter {jitter}"
+                );
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly positive")]
+    fn zero_weight_edges_are_rejected() {
+        let mut b = RoadNetworkBuilder::new();
+        let v0 = b.add_node(Point::new(0.0, 0.0));
+        let v1 = b.add_node(Point::new(1.0, 0.0));
+        b.add_edge(v0, v1, 0.0).unwrap();
+        let _ = HubLabels::build(Arc::new(b.build()));
     }
 
     #[test]
@@ -1302,8 +1295,7 @@ mod tests {
             seed: 2,
             ..GridConfig::default()
         }));
-        let ch = ContractionHierarchy::build(net.clone());
-        let hl = HubLabels::from_ch(&ch, 1);
+        let hl = HubLabels::build_with_threads(net.clone(), 1);
         // Labels are non-trivial (more than just self entries) and every
         // node has its self entry.
         assert!(hl.avg_label_len() > 1.0);
@@ -1311,9 +1303,6 @@ mod tests {
             assert!(hl.fwd.find(v, v.0).is_some(), "missing self entry for {v}");
             assert!(hl.bwd.find(v, v.0).is_some());
         }
-        // The memory trade goes the expected way: labels are bigger than
-        // the hierarchy they were derived from.
-        assert!(hl.approx_bytes() > ch.approx_bytes());
     }
 
     #[test]
@@ -1382,12 +1371,22 @@ mod tests {
         let mut bytes = built.to_store_bytes();
         bytes.truncate(bytes.len() / 2);
         assert!(HubLabels::from_store_bytes(net.clone(), bytes).is_err());
-        // Wrong artifact kind is typed.
-        let ch = ContractionHierarchy::build(net.clone());
-        assert!(matches!(
-            HubLabels::from_store_bytes(net, ch.to_store_bytes()),
-            Err(press_store::StoreError::WrongKind { .. })
-        ));
+        // Wrong artifact kind is typed — among them a `sp_ch.press` left
+        // on disk by an older build (the retired kind id 4), on the owned
+        // and the mapped load alike.
+        let retired = press_store::StoreWriter::new(4).to_bytes();
+        for bytes in [SpTable::build(net.clone()).to_store_bytes(), retired] {
+            let (owned, mapped) = verdicts(
+                &bytes,
+                |b| HubLabels::from_store_bytes(net.clone(), b),
+                |p| HubLabels::open_mapped(net.clone(), p),
+            );
+            assert!(
+                matches!(owned, Some(StoreError::WrongKind { .. })),
+                "{owned:?}"
+            );
+            assert_eq!(mapped, owned);
+        }
     }
 
     #[test]
@@ -1598,7 +1597,61 @@ mod tests {
         let mut dist = hl.fwd.dist.to_vec();
         dist[k] = f64::from_bits(dist[k].to_bits() ^ 1);
         let (repeated, repeated_err) = repeat_hub(&good, "fwd");
+        // `arcs_f` as u32 words, six per arc: tail, head, weight (2), a, b;
+        // arc `e` is the first shortcut.
+        let e = net.num_edges();
+        let Unpack::Shortcut(c1, c2) = arcs[e].unpack else {
+            panic!("arc {e} is the first shortcut")
+        };
+        let concat =
+            format!("arcs_f: shortcut arc {e} does not concatenate its children ({c1}, {c2})");
         let rows = [
+            (
+                "original arc is not its edge",
+                with("arcs_f", &|w| w[2] ^= 1),
+                "arcs_f: original arc 0 does not match network edge 0".into(),
+                false,
+            ),
+            (
+                "shortcut does not concatenate",
+                with("arcs_f", &|w| w[6 * e] = (w[6 * e] + 1) % n as u32),
+                concat.clone(),
+                false,
+            ),
+            (
+                "shortcut weight is no exact sum",
+                with("arcs_f", &|w| w[6 * e + 2] ^= 1),
+                concat,
+                false,
+            ),
+            (
+                "shortcut child not earlier",
+                with("arcs_f", &|w| w[6 * e + 4] = e as u32),
+                format!("arcs_f: shortcut arc {e} unpacks to an out-of-range arc ({e}, {c2})"),
+                false,
+            ),
+            (
+                "index starts above 0",
+                with("fwd_index_f", &|w| w[0] = 1),
+                "fwd_index_f: CSR index does not start at 0".into(),
+                false,
+            ),
+            (
+                "index not monotone",
+                with("fwd_index_f", &|w| w[1] = w[2] + 1),
+                "fwd_index_f: CSR index is not monotone".into(),
+                false,
+            ),
+            (
+                "index ends short",
+                with("fwd_index_f", &|w| w[n] -= 1),
+                format!(
+                    "fwd_index_f: CSR index covers {} entries but the payload has {}",
+                    hub.len() - 1,
+                    hub.len()
+                ),
+                false,
+            ),
             ("hubs not ascending", repeated, repeated_err, false),
             (
                 "hub outside the network",

@@ -11,9 +11,9 @@
 //! * [Dijkstra](mod@crate::dijkstra) shortest paths with deterministic
 //!   tie-breaking,
 //! * the [`SpProvider`] abstraction over the paper's `SP(ei, ej)` /
-//!   `SPend(ei, ej)` structures (§3.1), with three interchangeable
-//!   backends — the eager dense [`SpTable`], the [`ContractionHierarchy`],
-//!   and the 2-hop [`HubLabels`] built from the CH order — selected by
+//!   `SPend(ei, ej)` structures (§3.1), with two interchangeable
+//!   backends — the eager dense [`SpTable`] and the 2-hop [`HubLabels`]
+//!   built from a contraction-hierarchy order — selected by
 //!   [`SpBackend`],
 //! * a uniform-grid [spatial index](crate::index) over edges, and
 //! * [synthetic generators](crate::generators) (grid, ring-radial, random
@@ -23,23 +23,21 @@
 //!
 //! The dense [`SpTable`] stores `O(|V|²)` distances/predecessors for
 //! `O(1)` lookups — the correctness oracle and the small-grid default,
-//! impossible at city scale (100k nodes ≈ 120 GB). The
-//! [`ContractionHierarchy`] preprocesses a node hierarchy in
-//! `O(|V| + shortcuts)` memory — batched independent-set contraction
-//! spreads the one-time build over every core, bit-identically for any
-//! thread count — and answers random point lookups in about a
-//! millisecond at 100k nodes via bidirectional upward search; it is also
-//! the builder of the hub labels. The [`HubLabels`] backend precomputes
-//! those searches into per-node label arrays (~16× the CH memory) and
-//! answers the same lookups in microseconds by a flat sorted merge — the
-//! backend for lookup-dominated serving at city scale. All three derive
-//! from the same canonical shortest-path trees, so results are
-//! bit-identical; pick with [`SpBackend`] based on network size and RAM.
+//! impossible at city scale (100k nodes ≈ 120 GB). The [`HubLabels`]
+//! backend first contracts the network into a node hierarchy — batched
+//! independent-set contraction spreads the one-time build over every
+//! core, bit-identically for any thread count; the contraction is only
+//! the labels' builder, not a provider — then precomputes every node's
+//! exhaustive upward searches into per-node label arrays, and answers
+//! random point lookups in microseconds by a flat label scan — the
+//! backend at city scale. Both derive from the same canonical
+//! shortest-path trees, so results are bit-identical; pick with
+//! [`SpBackend`] based on network size and RAM.
 //! Everything downstream (map matcher, compressors, query processor,
 //! baselines, workload generator) consumes the trait, not a concrete
 //! backend.
 
-pub mod ch;
+mod ch;
 pub mod dijkstra;
 pub mod error;
 pub mod generators;
@@ -54,7 +52,6 @@ pub mod provider;
 pub mod sp_table;
 mod store_codec;
 
-pub use ch::{ChConfig, ContractionHierarchy};
 pub use dijkstra::{
     dijkstra, dijkstra_bounded, dijkstra_sparse, dijkstra_with, reverse_distances,
     ShortestPathTree, SparseTree,

@@ -1,28 +1,27 @@
 //! One-shot source context for the canonical tight-edge walk.
 //!
-//! `sp_interior` on the CH and HL backends reconstructs the canonical
-//! shortest-path tree path by walking backwards from the target: at every
-//! node it scans incoming edges in ascending id for the first *tight* one
-//! (`d(u, p) + w(e) == d(u, cur)`). Those `d(u, p)` probes all share the
-//! same source `u`, but the naive walk re-ran a full point query — search
-//! plus a full unpack-and-re-accumulate of the winning up-down path — per
-//! in-edge per step, making decompression cost quadratic in path length.
+//! The exact route of the hub labels' `sp_interior` reconstructs the
+//! canonical shortest-path tree path by walking backwards from the
+//! target: at every node it scans incoming edges in ascending id for the
+//! first *tight* one (`d(u, p) + w(e) == d(u, cur)`). Those `d(u, p)`
+//! probes all share the same source `u`, but a naive walk re-runs a full
+//! point query — meet plus a full unpack-and-re-accumulate of the winning
+//! up-down path — per in-edge per step, making decompression cost
+//! quadratic in path length.
 //!
-//! The CH backend walks this way always. The HL backend gets here only
-//! on a **near-tie**: it first walks label-sum margin picks under a
-//! pinned source ([`crate::hub_labels`], "Bit-identical answers"), which
-//! decides every step whose best in-edge clears the rounding margin, and
-//! hands the whole gap to this exact walk — its fallback and its test
-//! reference — the moment one does not (tied grids, parallel edges).
+//! The walk runs only on a **near-tie**: the labels first walk
+//! label-sum margin picks under a pinned source ([`crate::hub_labels`],
+//! "Bit-identical answers"), which decides every step whose best in-edge
+//! clears the rounding margin, and hand the whole gap to this exact walk
+//! — their fallback and their test reference — the moment one does not
+//! (tied grids, parallel edges).
 //!
 //! [`SourceProbe`] hoists everything source-side out of the loop, one
 //! shot per walk:
 //!
 //! * `u`'s **forward label** (its exhaustive upward search space) is
-//!   materialized once — the HL backend already stores it, the CH backend
-//!   runs one label search — so each probe only needs the *target's*
-//!   backward label (a flat slice for HL, one backward upward search for
-//!   CH) and a sorted merge to find the meet hub.
+//!   materialized once, so each probe only needs the *target's* backward
+//!   label (a flat slice) and a sorted merge to find the meet hub.
 //! * the **left-to-right re-accumulated distance `u → hub`** is memoized
 //!   per forward-label entry ([`SourceProbe::cum`]), so a probe unpacks
 //!   only the *backward* chain of the up-down path — hub down to target —
@@ -32,27 +31,27 @@
 //! accumulation over a concatenation equals folding the second part on
 //! top of the fold of the first (`fold(fold(0, F), B) == fold(0, F++B)`
 //! as the *same* sequence of f64 additions), and the meet selection is
-//! the exact merge rule the HL query uses (minimal label-distance sum,
+//! the exact merge rule of the label query (minimal label-distance sum,
 //! smallest hub id among ties). The tight-edge verification itself — the
-//! reason CH/HL `sp_interior` matches the dense oracle on massively tied
-//! grids — is unchanged.
+//! reason `sp_interior` matches the dense oracle on massively tied grids
+//! — is unchanged.
 //!
 //! Scope: a probe may select a *different* minimal meet than the
-//! bidirectional query would among label-distance ties, which matters
-//! only in the adversarial regime already documented in [`crate::ch`]
-//! ("Bit-identical answers"): two distinct shortest paths whose
-//! left-to-right sums collide within rounding error. There — exactly as
-//! everywhere else in that scope — [`canonical_walk`] finds no
-//! float-tight in-edge and the caller falls back to the unpacked
-//! up-down path, which is still a shortest path; quantized (every tied
-//! sum exact) and continuous (unique shortest path) regimes are
-//! unaffected, as the tied-grid oracle proptests assert.
+//! pinned-row query would among label-distance ties, which matters only
+//! for two distinct shortest paths whose left-to-right sums collide
+//! within rounding error while the labels' differently-associated totals
+//! rank them the other way — never observed under the property tests.
+//! There [`canonical_walk`] finds no float-tight in-edge and the caller
+//! falls back to the unpacked up-down path, which is still a shortest
+//! path; quantized (every tied sum exact) and continuous (unique shortest
+//! path) regimes are unaffected, as the tied-grid oracle proptests
+//! assert.
 
 use crate::ch::{ChArc, Unpack, NO_ARC};
 use crate::graph::RoadNetwork;
 use crate::id::{EdgeId, NodeId};
 
-/// The canonical tight-edge walk shared by every backend-native
+/// The canonical tight-edge walk behind the hub labels' exact
 /// `sp_interior`: reconstructs the canonical-tree interior from `target`
 /// back to the source `u`, asking `dist` for `d(u, p)` (never called for
 /// `p == u`) and taking at each node the first (= minimum id) incoming
@@ -110,7 +109,7 @@ pub(crate) fn canonical_walk(
 /// summing left-to-right, without materializing the list. `stack` is
 /// caller-provided scratch (cleared here) so walks allocate nothing per
 /// probe.
-pub(crate) fn fold_arc_weights(
+fn fold_arc_weights(
     net: &RoadNetwork,
     arcs: &[ChArc],
     arc: u32,
@@ -149,7 +148,7 @@ pub(crate) struct SourceProbe {
 impl SourceProbe {
     /// Builds the context from the source's forward-label entries
     /// `(hub, label distance, parent arc)`, which must be hub-ascending —
-    /// both producers (the HL CSR slice and a fresh label search) are.
+    /// as the label CSR slice is.
     pub(crate) fn from_entries(entries: impl Iterator<Item = (u32, f64, u32)>) -> SourceProbe {
         let (lo, hi) = entries.size_hint();
         let cap = hi.unwrap_or(lo);
@@ -171,23 +170,11 @@ impl SourceProbe {
         probe
     }
 
-    /// Label distance and entry index of `hub` in the forward label
-    /// (binary search on the sorted hub array) — the meet lookup for
-    /// callers whose backward half is a search rather than a label.
-    pub(crate) fn find_hub(&self, hub: u32) -> Option<(f64, usize)> {
-        self.hubs
-            .binary_search(&hub)
-            .ok()
-            .map(|i| (self.dists[i], i))
-    }
-
     /// Memoized re-accumulated distance from the source to the hub of
     /// forward entry `i`: resolved by walking the (acyclic, in-label)
     /// parent chain down to the first already-known prefix, then folding
-    /// each parent arc's expansion back up in path order. Crate-visible
-    /// so the CH walk, whose backward half is a search rather than a
-    /// label, can combine it with its own parent chains.
-    pub(crate) fn cum(&mut self, net: &RoadNetwork, arcs: &[ChArc], i: usize) -> f64 {
+    /// each parent arc's expansion back up in path order.
+    fn cum(&mut self, net: &RoadNetwork, arcs: &[ChArc], i: usize) -> f64 {
         if self.cum[i].is_nan() {
             self.memo_stack.clear();
             let mut k = i;
@@ -223,7 +210,7 @@ impl SourceProbe {
     /// `d(u, t)` for a target with backward label `(bwd_hubs, bwd_dists,
     /// bwd_parents)` — hub-ascending; parents are **global arc ids**
     /// into `arcs` (the chain is followed by binary-searching the
-    /// slice's hubs, exactly like the HL CSR stores them): merge for the
+    /// slice's hubs, exactly like the label CSR stores them): merge for the
     /// winning meet hub, then re-accumulate the memoized forward prefix
     /// plus the unpacked backward chain. `None` when the labels share no
     /// hub (unreachable). The caller handles `t == u`.

@@ -11,15 +11,11 @@
 //! * [`SpTable`](crate::SpTable) — the dense table. `O(|V|²)` memory,
 //!   `O(1)` lookups. Right for small networks, and the correctness oracle
 //!   for everything else.
-//! * [`ContractionHierarchy`](crate::ContractionHierarchy) — a node
-//!   hierarchy with shortcut arcs, preprocessed once in
-//!   `O(|V| + shortcuts)` memory; random point queries resolve via
-//!   bidirectional upward search, with no per-source state at all. It is
-//!   also the hub labels' builder.
-//! * [`HubLabels`](crate::HubLabels) — 2-hop labels precomputed from the
-//!   CH order: per-node sorted hub arrays answering random point queries
-//!   by a flat merge in microseconds, trading ~16× the CH memory for
-//!   ~60× its lookup speed. The backend for lookup-dominated serving.
+//! * [`HubLabels`](crate::HubLabels) — 2-hop labels precomputed from a
+//!   contraction-hierarchy order (the contraction is their builder, not
+//!   a provider of its own): per-node sorted hub arrays answering random
+//!   point queries by a flat scan in microseconds. The backend at city
+//!   scale.
 //!
 //! All backends derive every query from the same **canonical**
 //! shortest-path trees (see [`crate::dijkstra`](mod@crate::dijkstra) for the tie-break rule),
@@ -42,7 +38,7 @@ use std::sync::Arc;
 /// derived in default methods, so the derived semantics — including the
 /// SP-containment property Theorem 1 relies on — are shared by
 /// construction. Backends may still override the derived methods with a
-/// native walk (as the CH and HL backends do for `sp_interior`).
+/// native walk (as the hub labels do for `sp_interior`).
 pub trait SpProvider: Send + Sync {
     /// The underlying network.
     fn network(&self) -> &Arc<RoadNetwork>;
@@ -216,42 +212,30 @@ pub enum SpBackend {
     /// Eager dense all-pair table ([`SpTable`](crate::SpTable)):
     /// `O(|V|²)` memory, built up front.
     Dense,
-    /// Contraction hierarchy
-    /// ([`ContractionHierarchy`](crate::ContractionHierarchy)):
-    /// `O(|V| + shortcuts)` memory, sub-millisecond point queries after a
-    /// one-time preprocessing pass. Requires strictly positive edge
-    /// weights.
-    Ch,
     /// 2-hop hub labels ([`HubLabels`](crate::HubLabels)) computed from
-    /// the CH order: ~16× the CH memory for point lookups that are a
-    /// flat sorted merge (single-digit microseconds at 100k nodes).
-    /// Requires strictly positive edge weights.
+    /// a contraction order: point lookups that are a flat label scan
+    /// (single-digit microseconds at 100k nodes) after a one-time
+    /// preprocessing pass. Requires strictly positive edge weights.
     Hl,
 }
 
 impl SpBackend {
     /// Builds the selected provider over `net`, preprocessing with one
     /// worker per available core where the backend parallelizes (the
-    /// CH contraction rounds and the HL label pass). Results are
+    /// HL contraction rounds and label pass). Results are
     /// bit-identical for any worker count, so this is always safe.
     pub fn build(self, net: Arc<RoadNetwork>) -> Arc<dyn SpProvider> {
         self.build_with_threads(net, 0)
     }
 
     /// [`SpBackend::build`] with an explicit preprocessing worker count
-    /// (`0` = one per available core; see [`crate::ChConfig::threads`]).
+    /// (`0` = one per available core; see
+    /// [`HubLabels::build_with_threads`](crate::HubLabels::build_with_threads)).
     /// Purely a throughput knob — the built provider answers every query
     /// bit-identically for any value.
     pub fn build_with_threads(self, net: Arc<RoadNetwork>, threads: usize) -> Arc<dyn SpProvider> {
         match self {
             SpBackend::Dense => Arc::new(crate::sp_table::SpTable::build(net)),
-            SpBackend::Ch => Arc::new(crate::ch::ContractionHierarchy::build_with(
-                net,
-                crate::ch::ChConfig {
-                    threads,
-                    ..crate::ch::ChConfig::default()
-                },
-            )),
             SpBackend::Hl => Arc::new(crate::hub_labels::HubLabels::build_with_threads(
                 net, threads,
             )),

@@ -27,8 +27,7 @@
 //! makes this table the **correctness oracle** the property tests compare
 //! against, and `repro`'s default on its small grids. Beyond that the
 //! quadratic RAM wall dominates — a 100k-node metro network would need
-//! ~120 GB — and the [`ContractionHierarchy`](crate::ContractionHierarchy)
-//! or the [`HubLabels`](crate::HubLabels) built from it take over.
+//! ~120 GB — and the [`HubLabels`](crate::HubLabels) take over.
 //! Derived queries (`SPend`, gaps, MBRs) live on the [`SpProvider`] trait
 //! so every backend shares one implementation; sp-path MBRs are computed
 //! on demand.

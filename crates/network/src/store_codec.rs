@@ -1,13 +1,12 @@
-//! Flat section codecs shared by the contraction-hierarchy and hub-label
-//! artifacts.
+//! Flat section codecs of the hub-label artifact (`sp_hl.press`).
 //!
-//! Both artifacts store every array as one fixed-width little-endian
-//! section (`rank` and the `*_f` family), written through
+//! The artifact stores every array as one fixed-width little-endian
+//! section (the `*_f` family), written through
 //! [`press_store::StoreWriter::section_aligned`] so that a mapped open
 //! borrows it in place as a `FlatSlice` and an owned load reads the very
 //! same bytes — one encoding, one reader. The sections carry no
-//! redundancy beyond their CRC, so the readers validate shape as they go;
-//! the checks both artifacts share live here, and a violation is a typed
+//! redundancy beyond their CRC, so the reader validates shape as it goes;
+//! the generic checks live here, and a violation is a typed
 //! [`press_store::StoreError::Corrupt`], never a panic.
 
 use crate::graph::RoadNetwork;
@@ -29,27 +28,26 @@ pub(crate) fn edge_fingerprint(net: &RoadNetwork) -> u32 {
     press_store::crc32(&buf)
 }
 
-/// Checks the `meta` fields both artifacts open with against the network
-/// they are opened over: the edge fingerprint `fp`, the node count `n`,
-/// and `num_arcs = |E| + num_shortcuts`. `what` names the artifact in
-/// the messages ("hierarchy", "labeling").
+/// Checks the `meta` fields the artifact opens with against the network
+/// it is opened over: the edge fingerprint `fp`, the node count `n`,
+/// and `num_arcs = |E| + num_shortcuts`.
 pub(crate) fn check_meta(
     net: &RoadNetwork,
-    what: &str,
     fp: u32,
     n: usize,
     num_arcs: usize,
     num_shortcuts: usize,
 ) -> Result<()> {
     if fp != edge_fingerprint(net) {
-        return Err(StoreError::Corrupt(format!(
-            "{what} was built over a network with a different edge set \
+        return Err(StoreError::Corrupt(
+            "labeling was built over a network with a different edge set \
              (weight fingerprint mismatch)"
-        )));
+                .into(),
+        ));
     }
     if n != net.num_nodes() {
         return Err(StoreError::Corrupt(format!(
-            "{what} covers {n} nodes but the network has {}",
+            "labeling covers {n} nodes but the network has {}",
             net.num_nodes()
         )));
     }
@@ -140,23 +138,6 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// A CSR `(index, ids)` with `id` filed under `node`, in id order.
-    pub(crate) fn csr_insert(
-        index: &[u32],
-        ids: &[u32],
-        node: usize,
-        id: u32,
-    ) -> (Vec<u32>, Vec<u32>) {
-        let (lo, hi) = (index[node] as usize, index[node + 1] as usize);
-        let at = lo + ids[lo..hi].partition_point(|&x| x < id);
-        let mut ids = ids.to_vec();
-        ids.insert(at, id);
-        let index = (0..index.len())
-            .map(|v| index[v] + u32::from(v > node))
-            .collect();
-        (index, ids)
-    }
-
     /// The owned (`from_store_bytes`) and the mapped (`open_mapped`)
     /// verdict on `bytes`: the error, or `None` when the load succeeds.
     pub(crate) fn verdicts<T>(
@@ -193,9 +174,5 @@ pub(crate) mod tests {
         assert!(check_flat_index(&[1, 2, 2, 5], 4, 5, "t").is_err());
         assert!(check_flat_index(&[0, 3, 2, 5], 4, 5, "t").is_err());
         assert!(check_flat_index(&[0, 2, 2, 4], 4, 5, "t").is_err());
-        assert_eq!(
-            csr_insert(&[0, 2, 2, 3], &[4, 9, 1], 0, 6),
-            (vec![0, 3, 3, 4], vec![4, 6, 9, 1])
-        );
     }
 }

@@ -120,24 +120,23 @@ const HEADER_BYTES: usize = 24;
 pub const MAX_SECTION_NAME: usize = 16;
 
 /// Artifact kind ids, stored in the header so a reader can refuse to
-/// interpret (say) a trajectory store as a contraction hierarchy.
+/// interpret (say) a trajectory store as a hub labeling.
 pub mod kind {
     /// A [`RoadNetwork`](../../press_network/graph/struct.RoadNetwork.html).
     pub const NETWORK: u32 = 1;
     /// The dense all-pair `SpTable`.
     pub const SP_TABLE: u32 = 2;
-    // Id 3 is retired (it named a deleted per-source tree-cache
-    // artifact) and must never be reissued: files written with it must
-    // stay a typed kind mismatch, never a misread.
-    /// A built `ContractionHierarchy`.
-    pub const CONTRACTION_HIERARCHY: u32 = 4;
+    // Ids 3 and 4 are retired and must never be reissued: 3 named a
+    // deleted per-source tree-cache artifact, 4 the deleted
+    // contraction-hierarchy query backend's `sp_ch.press`. Files written
+    // with either must stay a typed kind mismatch, never a misread.
     /// A trained HSC model (trie + Huffman + per-node tables).
     pub const HSC_MODEL: u32 = 5;
     /// A block-oriented compressed-trajectory store.
     pub const TRAJECTORY_STORE: u32 = 6;
     /// Free-form store-directory metadata (build timings etc.).
     pub const META: u32 = 7;
-    /// A 2-hop hub labeling built from a contraction-hierarchy order.
+    /// A 2-hop hub labeling built from a contraction order.
     pub const HUB_LABELS: u32 = 8;
 }
 

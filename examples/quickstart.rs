@@ -24,10 +24,9 @@ fn main() {
 
     // --- 2. A shortest-path provider (the paper's SPend structure). -----
     // Dense = eager O(|V|^2) table for small networks and the oracle;
-    // `SpBackend::Ch` = contraction hierarchy, city scale at a small
-    // memory footprint; `SpBackend::Hl` = 2-hop hub labels over the CH
-    // order, trading ~16x the CH memory for flat-merge microsecond point
-    // lookups. All three answer bit-identically.
+    // `SpBackend::Hl` = 2-hop hub labels over a contraction-hierarchy
+    // order, microsecond point lookups at city scale. Both answer
+    // bit-identically.
     let sp = SpBackend::Dense.build(net.clone());
     println!(
         "sp backend (dense): {:.1} MiB",
@@ -60,24 +59,11 @@ fn main() {
     let training_paths: Vec<_> = train.iter().map(|r| r.path.clone()).collect();
     let press = Press::train(sp, &training_paths, config).expect("training");
     let sample = eval[0].truth_trajectory(30.0);
-    // The same training under the contraction hierarchy: sub-quadratic
-    // preprocessing — batched independent-set contraction over every
-    // core, bit-identical for any core count — microsecond point lookups,
-    // still identical compressed bits.
-    let ch = SpBackend::Ch.build(net.clone());
-    let press_ch = Press::train(ch.clone(), &training_paths, config).expect("training (ch)");
-    assert_eq!(
-        press.compress(&sample).expect("dense compress"),
-        press_ch.compress(&sample).expect("ch compress"),
-        "CH backend must compress identically"
-    );
-    println!(
-        "ch sp backend: {:.2} MiB resident, same compressed bits",
-        ch.approx_bytes() as f64 / (1 << 20) as f64
-    );
-    // And hub labels: the CH searches precomputed into per-node label
-    // arrays — point lookups become a flat sorted merge, the fastest
-    // backend for lookup-dominated serving, still bit-identical.
+    // The same training under hub labels: sub-quadratic preprocessing —
+    // batched independent-set contraction over every core, then every
+    // node's upward searches precomputed into label arrays, bit-identical
+    // for any core count — point lookups become a flat label scan, still
+    // identical compressed bits.
     let hl = SpBackend::Hl.build(net.clone());
     let press_hl = Press::train(hl.clone(), &training_paths, config).expect("training (hl)");
     assert_eq!(

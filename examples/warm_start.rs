@@ -2,16 +2,16 @@
 //! press-store tier, and restart serving from disk — the
 //! build-once/serve-many shape.
 //!
-//! The pipeline's dominant preprocessing costs (contraction-hierarchy
-//! construction, HSC training) are paid in phase 1 and **skipped** in
-//! phase 2: a fresh "process" loads the network, the hierarchy, the
-//! trained model, and the block-oriented trajectory store, then answers
-//! queries bit-identically to the builder.
+//! The pipeline's dominant preprocessing costs (hub-label construction,
+//! HSC training) are paid in phase 1 and **skipped** in phase 2: a fresh
+//! "process" loads the network, the hub labels, the trained model, and
+//! the block-oriented trajectory store, then answers queries
+//! bit-identically to the builder.
 //!
 //! Run with: `cargo run --release --example warm_start`
 //!
 //! Pass `--map` to run phase 2 through the **zero-copy mapped tier**:
-//! the hierarchy and the corpus are `mmap`ed instead of decoded into
+//! the hub labels and the corpus are `mmap`ed instead of decoded into
 //! owned memory — the open costs O(page faults), per-section CRCs run
 //! lazily on first touch, and the answers are still bit-identical:
 //!
@@ -20,7 +20,6 @@
 use press::core::query::QueryEngine;
 use press::core::spatial::HscModel;
 use press::core::TrajectoryStore;
-use press::network::ContractionHierarchy;
 use press::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,9 +40,9 @@ fn main() {
         seed: 7,
     }));
     let t0 = Instant::now();
-    let ch = Arc::new(ContractionHierarchy::build(net.clone()));
-    let build_ch = t0.elapsed();
-    let sp: Arc<dyn SpProvider> = ch.clone();
+    let hl = Arc::new(HubLabels::build(net.clone()));
+    let build_hl = t0.elapsed();
+    let sp: Arc<dyn SpProvider> = hl.clone();
 
     let workload = Workload::generate(
         net.clone(),
@@ -79,21 +78,21 @@ fn main() {
 
     net.save_to(&dir.join("network.press"))
         .expect("save network");
-    ch.save_to(&dir.join("sp_ch.press"))
-        .expect("save hierarchy");
+    hl.save_to(&dir.join("sp_hl.press"))
+        .expect("save hub labels");
     press
         .model()
         .save_to(&dir.join("hsc.press"))
         .expect("save model");
     TrajectoryStore::create(&dir.join("corpus.press"), &engine, &compressed, 16)
         .expect("save corpus");
-    let artifact_bytes: u64 = ["network.press", "sp_ch.press", "hsc.press", "corpus.press"]
+    let artifact_bytes: u64 = ["network.press", "sp_hl.press", "hsc.press", "corpus.press"]
         .iter()
         .map(|f| std::fs::metadata(dir.join(f)).map(|m| m.len()).unwrap_or(0))
         .sum();
     println!(
-        "  built: CH in {:.2?}, HSC training in {:.2?}; saved 4 artifacts ({:.1} MiB) to {}",
-        build_ch,
+        "  built: hub labels in {:.2?}, HSC training in {:.2?}; saved 4 artifacts ({:.1} MiB) to {}",
+        build_hl,
         train_time,
         artifact_bytes as f64 / (1 << 20) as f64,
         dir.display()
@@ -112,17 +111,15 @@ fn main() {
     );
     let t0 = Instant::now();
     let net2 = Arc::new(RoadNetwork::load_from(&dir.join("network.press")).expect("load network"));
-    // With --map the hierarchy's flat sections are borrowed straight out
-    // of the page cache and the corpus defers each block's CRC to its
-    // first decode; without it, both are fully decoded into owned memory.
-    let ch2 = Arc::new(if map {
-        ContractionHierarchy::open_mapped(net2.clone(), &dir.join("sp_ch.press"))
-            .expect("map hierarchy")
+    // With --map the labels' flat sections are borrowed straight out of
+    // the page cache and the corpus defers each block's CRC to its first
+    // decode; without it, both are fully decoded into owned memory.
+    let hl2 = Arc::new(if map {
+        HubLabels::open_mapped(net2.clone(), &dir.join("sp_hl.press")).expect("map hub labels")
     } else {
-        ContractionHierarchy::load_from(net2.clone(), &dir.join("sp_ch.press"))
-            .expect("load hierarchy")
+        HubLabels::load_from(net2.clone(), &dir.join("sp_hl.press")).expect("load hub labels")
     });
-    let sp2: Arc<dyn SpProvider> = ch2;
+    let sp2: Arc<dyn SpProvider> = hl2;
     let model2 = HscModel::load_from(sp2, &dir.join("hsc.press")).expect("load model");
     let store = if map {
         TrajectoryStore::open_mapped(&dir.join("corpus.press")).expect("map corpus")
@@ -131,12 +128,12 @@ fn main() {
     };
     assert_eq!(store.is_mapped(), map);
     let load_time = t0.elapsed();
-    let speedup = (build_ch + train_time).as_secs_f64() / load_time.as_secs_f64().max(1e-9);
+    let speedup = (build_hl + train_time).as_secs_f64() / load_time.as_secs_f64().max(1e-9);
     println!(
         "  loaded all 4 artifacts in {:.2?} — {:.0}x faster than the {:.2?} build",
         load_time,
         speedup,
-        build_ch + train_time
+        build_hl + train_time
     );
 
     // Same answers, straight from disk.

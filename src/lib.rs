@@ -16,7 +16,7 @@
 //!
 //! // 1. A road network and a shortest-path provider (static, per city).
 //! //    `SpBackend::Dense` precomputes the O(|V|^2) table; at city scale
-//! //    use `SpBackend::Hl` (hub labels) or `SpBackend::Ch` instead.
+//! //    use `SpBackend::Hl` (hub labels) instead.
 //! let net = Arc::new(grid_network(&GridConfig::default()));
 //! let sp = SpBackend::Dense.build(net.clone());
 //!
@@ -70,8 +70,8 @@ pub mod prelude {
     };
     pub use press_matcher::{MapMatcher, MatcherConfig};
     pub use press_network::{
-        grid_network, ChConfig, ContractionHierarchy, EdgeId, GridConfig, HubLabels, Mbr, NodeId,
-        Point, RoadNetwork, RoadNetworkBuilder, SpBackend, SpProvider, SpTable,
+        grid_network, EdgeId, GridConfig, HubLabels, Mbr, NodeId, Point, RoadNetwork,
+        RoadNetworkBuilder, SpBackend, SpProvider, SpTable,
     };
     pub use press_serve::{
         Ack, DurabilityPolicy, FaultPlan, IngestConfig, IngestEngine, QuarantineReason, ServeError,

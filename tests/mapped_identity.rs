@@ -66,7 +66,7 @@ fn scratch(name: &str) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// CH and HL: the mapped open answers `node_dist` / `pred_edge` /
+    /// Hub labels: the mapped open answers `node_dist` / `pred_edge` /
     /// `sp_interior` bit-identically to the owned load of the same file.
     /// `tied` forces jitter 0 — every grid edge the same weight, so the
     /// network is saturated with equal-length shortest paths and any
@@ -81,48 +81,36 @@ proptest! {
     ) {
         let jitter = if tied { 0.0 } else { jitter };
         let net = net_from(nx, ny, jitter, seed);
-        let ch = ContractionHierarchy::build(net.clone());
-        let hl = HubLabels::from_ch(&ch, 2);
+        let hl = HubLabels::build_with_threads(net.clone(), 2);
         let dir = scratch("sp");
-        let ch_path = dir.join("sp_ch.press");
         let hl_path = dir.join("sp_hl.press");
-        ch.save_to(&ch_path).expect("save ch");
         hl.save_to(&hl_path).expect("save hl");
 
-        let owned_ch = ContractionHierarchy::load_from(net.clone(), &ch_path).expect("load ch");
-        let mapped_ch = ContractionHierarchy::open_mapped(net.clone(), &ch_path).expect("map ch");
-        let owned_hl = HubLabels::load_from(net.clone(), &hl_path).expect("load hl");
-        let mapped_hl = HubLabels::open_mapped(net.clone(), &hl_path).expect("map hl");
-        type ProviderPair = (Arc<dyn SpProvider>, Arc<dyn SpProvider>, &'static str);
-        let pairs: Vec<ProviderPair> = vec![
-            (Arc::new(owned_ch), Arc::new(mapped_ch), "ch"),
-            (Arc::new(owned_hl), Arc::new(mapped_hl), "hl"),
-        ];
-        for (owned, mapped, name) in &pairs {
-            for u in net.node_ids() {
-                for v in net.node_ids() {
-                    prop_assert_eq!(
-                        owned.node_dist(u, v).to_bits(),
-                        mapped.node_dist(u, v).to_bits(),
-                        "{} node_dist({}, {})", name, u, v
-                    );
-                    prop_assert_eq!(
-                        owned.pred_edge(u, v),
-                        mapped.pred_edge(u, v),
-                        "{} pred_edge({}, {})", name, u, v
-                    );
-                }
+        let owned = HubLabels::load_from(net.clone(), &hl_path).expect("load hl");
+        let mapped = HubLabels::open_mapped(net.clone(), &hl_path).expect("map hl");
+        for u in net.node_ids() {
+            for v in net.node_ids() {
+                prop_assert_eq!(
+                    owned.node_dist(u, v).to_bits(),
+                    mapped.node_dist(u, v).to_bits(),
+                    "node_dist({}, {})", u, v
+                );
+                prop_assert_eq!(
+                    owned.pred_edge(u, v),
+                    mapped.pred_edge(u, v),
+                    "pred_edge({}, {})", u, v
+                );
             }
-            let edges: Vec<EdgeId> = net.edge_ids().collect();
-            for &ei in edges.iter().step_by(5) {
-                for &ej in edges.iter().rev().step_by(9) {
-                    prop_assert_eq!(owned.sp_end(ei, ej), mapped.sp_end(ei, ej));
-                    prop_assert_eq!(
-                        owned.sp_interior(ei, ej),
-                        mapped.sp_interior(ei, ej),
-                        "{} sp_interior({}, {})", name, ei.0, ej.0
-                    );
-                }
+        }
+        let edges: Vec<EdgeId> = net.edge_ids().collect();
+        for &ei in edges.iter().step_by(5) {
+            for &ej in edges.iter().rev().step_by(9) {
+                prop_assert_eq!(owned.sp_end(ei, ej), mapped.sp_end(ei, ej));
+                prop_assert_eq!(
+                    owned.sp_interior(ei, ej),
+                    mapped.sp_interior(ei, ej),
+                    "sp_interior({}, {})", ei.0, ej.0
+                );
             }
         }
     }
@@ -235,7 +223,7 @@ fn two_process_shared_mapping_smoke() {
         // Child: map the file the parent is holding mapped right now.
         let mapped = HubLabels::open_mapped(net.clone(), std::path::Path::new(&path))
             .expect("child maps the shared artifact");
-        let reference = HubLabels::from_ch(&ContractionHierarchy::build(net.clone()), 1);
+        let reference = HubLabels::build_with_threads(net.clone(), 1);
         for u in net.node_ids() {
             for v in net.node_ids().step_by(3) {
                 assert_eq!(
@@ -248,7 +236,7 @@ fn two_process_shared_mapping_smoke() {
         return;
     }
 
-    let hl = HubLabels::from_ch(&ContractionHierarchy::build(net.clone()), 1);
+    let hl = HubLabels::build_with_threads(net.clone(), 1);
     let dir = scratch("smoke");
     let path = dir.join("sp_hl.press");
     hl.save_to(&path).expect("save hl");

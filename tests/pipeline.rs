@@ -303,9 +303,9 @@ fn theorem2_tsnd_dominates_tsed() {
 #[test]
 fn every_backend_and_every_loaded_form_agrees_at_1024_nodes() {
     // Backend identity at a size the 6x6 and 10x10 fixtures cannot
-    // reach: on one jittered 32x32 grid the dense table, a fresh CH and
-    // HL, and the CH and HL read back from their saved
-    // files (owned load and mapped open) must train the same model
+    // reach: on one jittered 32x32 grid the dense table, fresh hub
+    // labels, and the labels read back from their saved file (owned
+    // load and mapped open) must train the same model
     // bytes, compress to the same bits and decompress to the same paths,
     // and agree bit for bit on sampled distances and interior walks.
     let net = Arc::new(grid_network(&GridConfig {
@@ -317,24 +317,13 @@ fn every_backend_and_every_loaded_form_agrees_at_1024_nodes() {
         seed: 3,
     }));
     let dense = SpBackend::Dense.build(net.clone());
-    let ch = ContractionHierarchy::build(net.clone());
-    let hl = HubLabels::from_ch(&ch, 2);
+    let hl = HubLabels::build_with_threads(net.clone(), 2);
     let dir = std::env::temp_dir().join(format!("press-pipeline-1024-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let (ch_path, hl_path) = (dir.join("sp_ch.press"), dir.join("sp_hl.press"));
-    ch.save_to(&ch_path).expect("save ch");
+    let hl_path = dir.join("sp_hl.press");
     hl.save_to(&hl_path).expect("save hl");
     let others: Vec<(&str, Arc<dyn SpProvider>)> = vec![
-        ("ch", Arc::new(ch)),
         ("hl", Arc::new(hl)),
-        (
-            "loaded ch",
-            Arc::new(ContractionHierarchy::load_from(net.clone(), &ch_path).expect("load ch")),
-        ),
-        (
-            "mapped ch",
-            Arc::new(ContractionHierarchy::open_mapped(net.clone(), &ch_path).expect("map ch")),
-        ),
         (
             "loaded hl",
             Arc::new(HubLabels::load_from(net.clone(), &hl_path).expect("load hl")),

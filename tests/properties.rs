@@ -222,64 +222,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Tentpole invariant (PR 2): the contraction-hierarchy backend is
-    /// **bit-identical** to the dense all-pair oracle on arbitrary grid
-    /// networks — distances, canonical predecessor edges, interiors and
-    /// MBRs — including `v == u`, disconnected pairs (`f64::INFINITY` /
-    /// `None`), and the zero-jitter regime where shortest paths tie
-    /// massively and only the canonical tie-break keeps answers aligned.
-    #[test]
-    fn ch_matches_dense_oracle(
-        nx in 3usize..7,
-        ny in 3usize..7,
-        seed in 0u64..1000,
-        jitter_milli in 0u32..300,
-        removal_milli in 0u32..120,
-    ) {
-        let net = Arc::new(grid_network(&GridConfig {
-            nx,
-            ny,
-            spacing: 90.0,
-            weight_jitter: jitter_milli as f64 / 1000.0,
-            removal_prob: removal_milli as f64 / 1000.0,
-            seed,
-        }));
-        let dense = SpTable::build(net.clone());
-        let ch = ContractionHierarchy::build(net.clone());
-        let mut saw_disconnected = false;
-        for u in net.node_ids() {
-            for v in net.node_ids() {
-                let dd = dense.node_dist(u, v);
-                let dc = ch.node_dist(u, v);
-                prop_assert_eq!(
-                    dd.to_bits(), dc.to_bits(),
-                    "distance mismatch {} -> {}: dense {} vs ch {}", u, v, dd, dc
-                );
-                prop_assert_eq!(
-                    dense.pred_edge(u, v), ch.pred_edge(u, v),
-                    "pred mismatch {} -> {}", u, v
-                );
-                if u == v {
-                    prop_assert_eq!(dc, 0.0);
-                    prop_assert_eq!(ch.pred_edge(u, v), None);
-                }
-                if dd == f64::INFINITY {
-                    saw_disconnected = true;
-                    prop_assert_eq!(ch.pred_edge(u, v), None);
-                }
-            }
-        }
-        let _ = saw_disconnected; // not guaranteed, but exercised when removal hits
-        let edges: Vec<EdgeId> = net.edge_ids().collect();
-        for &ei in edges.iter().step_by(7) {
-            for &ej in edges.iter().rev().step_by(11) {
-                prop_assert_eq!(dense.sp_end(ei, ej), ch.sp_end(ei, ej));
-                prop_assert_eq!(dense.sp_interior(ei, ej), ch.sp_interior(ei, ej));
-                prop_assert_eq!(dense.sp_mbr(ei, ej), ch.sp_mbr(ei, ej));
-            }
-        }
-    }
-
     /// Tentpole invariant (PR 4): the hub-label backend is
     /// **bit-identical** to the dense all-pair oracle on arbitrary grid
     /// networks — distances, canonical predecessor edges, interiors and
@@ -338,12 +280,12 @@ proptest! {
     }
 
     /// Full-pipeline bit-identity: training and compressing the same
-    /// corpus over the CH and HL backends yields byte-identical output to
-    /// the dense oracle (at 1,024 nodes, with the saved-then-loaded and
+    /// corpus over the HL backend yields byte-identical output to the
+    /// dense oracle (at 1,024 nodes, with the saved-then-loaded and
     /// saved-then-mapped forms too, the same property is
     /// `tests/pipeline.rs::every_backend_and_every_loaded_form_agrees_at_1024_nodes`).
     #[test]
-    fn ch_and_hl_pipeline_output_matches_dense(
+    fn hl_pipeline_output_matches_dense(
         seed in 0u64..200,
         starts in proptest::collection::vec((0u32..36, proptest::collection::vec(0u8..6, 4..18)), 8..20),
     ) {
@@ -362,30 +304,25 @@ proptest! {
             .collect();
         prop_assume!(paths.len() >= 4);
         let dense: Arc<dyn SpProvider> = Arc::new(SpTable::build(net.clone()));
-        let ch: Arc<dyn SpProvider> = Arc::new(ContractionHierarchy::build(net.clone()));
         let hl: Arc<dyn SpProvider> = Arc::new(HubLabels::build(net.clone()));
         let split = paths.len() / 2;
         let md = HscModel::train(dense, &paths[..split], 3).unwrap();
-        let mc = HscModel::train(ch, &paths[..split], 3).unwrap();
         let mh = HscModel::train(hl, &paths[..split], 3).unwrap();
         for p in &paths[split..] {
             let cd = md.compress(p).unwrap();
-            let cc = mc.compress(p).unwrap();
-            let ch_ = mh.compress(p).unwrap();
-            prop_assert_eq!(&cd, &cc, "compressed bits differ between dense and CH");
-            prop_assert_eq!(&cd, &ch_, "compressed bits differ between dense and HL");
-            prop_assert_eq!(mc.decompress(&cc).unwrap(), p.clone());
-            prop_assert_eq!(mh.decompress(&ch_).unwrap(), p.clone());
+            let chl = mh.compress(p).unwrap();
+            prop_assert_eq!(&cd, &chl, "compressed bits differ between dense and HL");
+            prop_assert_eq!(mh.decompress(&chl).unwrap(), p.clone());
         }
     }
 
     /// Tentpole invariant (PR 5): batched independent-set contraction is
     /// a **pure function of the network** — the worker count used for
     /// the parallel priority and witness phases never leaks into the
-    /// result. The rank order, shortcut arcs, and the serialized
-    /// `sp_ch.press` bytes are byte-identical across 1/2/3/7 workers,
-    /// and so are the `sp_hl.press` bytes of the labeling derived from
-    /// each hierarchy — jittered and fully tied regimes both.
+    /// result, and neither does the one used for the label pass: the
+    /// `sp_hl.press` bytes (the contraction's arc set and both label
+    /// sets) are byte-identical across 1/2/3/7 workers — jittered and
+    /// fully tied regimes both.
     #[test]
     fn contraction_artifacts_are_thread_count_invariant(
         nx in 3usize..7,
@@ -402,25 +339,11 @@ proptest! {
             removal_prob: removal_milli as f64 / 1000.0,
             seed,
         }));
-        let reference = ContractionHierarchy::build_with(
-            net.clone(),
-            ChConfig { threads: 1, ..ChConfig::default() },
-        );
-        let ch_bytes = reference.to_store_bytes();
-        let hl_bytes = HubLabels::from_ch(&reference, 1).to_store_bytes();
+        let hl_bytes = HubLabels::build_with_threads(net.clone(), 1).to_store_bytes();
         for threads in [2usize, 3, 7] {
-            let multi = ContractionHierarchy::build_with(
-                net.clone(),
-                ChConfig { threads, ..ChConfig::default() },
-            );
-            prop_assert_eq!(
-                &ch_bytes,
-                &multi.to_store_bytes(),
-                "sp_ch.press bytes differ at {} workers", threads
-            );
             prop_assert_eq!(
                 &hl_bytes,
-                &HubLabels::from_ch(&multi, threads).to_store_bytes(),
+                &HubLabels::build_with_threads(net.clone(), threads).to_store_bytes(),
                 "sp_hl.press bytes differ at {} workers", threads
             );
         }

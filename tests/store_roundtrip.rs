@@ -7,9 +7,7 @@
 use press::core::query::QueryEngine;
 use press::core::spatial::HscModel;
 use press::core::TrajectoryStore;
-use press::network::{
-    grid_network, ContractionHierarchy, GridConfig, HubLabels, RoadNetwork, SpProvider, SpTable,
-};
+use press::network::{grid_network, GridConfig, HubLabels, RoadNetwork, SpProvider, SpTable};
 use press::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -115,8 +113,8 @@ fn link_payload(off: &[u32], edges: &[u32]) -> Vec<u8> {
 type Loaded = Result<Arc<dyn SpProvider>, press_store::StoreError>;
 
 /// The owned (`from_store_bytes`) and the mapped (`open_mapped`) load of
-/// a hierarchy (`which == 0`) or hub-label artifact.
-fn load_both(net: &Arc<RoadNetwork>, which: usize, bytes: &[u8]) -> [Loaded; 2] {
+/// a hub-label artifact.
+fn load_both(net: &Arc<RoadNetwork>, bytes: &[u8]) -> [Loaded; 2] {
     static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
         "press-sp-load-{}-{}.press",
@@ -124,72 +122,40 @@ fn load_both(net: &Arc<RoadNetwork>, which: usize, bytes: &[u8]) -> [Loaded; 2] 
         NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
     std::fs::write(&path, bytes).expect("write artifact");
-    let (owned, mapped): (Loaded, Loaded) = if which == 0 {
-        (
-            ContractionHierarchy::from_store_bytes(net.clone(), bytes.to_vec())
-                .map(|c| Arc::new(c) as _),
-            ContractionHierarchy::open_mapped(net.clone(), &path).map(|c| Arc::new(c) as _),
-        )
-    } else {
-        (
-            HubLabels::from_store_bytes(net.clone(), bytes.to_vec()).map(|h| Arc::new(h) as _),
-            HubLabels::open_mapped(net.clone(), &path).map(|h| Arc::new(h) as _),
-        )
-    };
+    let owned = HubLabels::from_store_bytes(net.clone(), bytes.to_vec()).map(|h| Arc::new(h) as _);
+    let mapped = HubLabels::open_mapped(net.clone(), &path).map(|h| Arc::new(h) as _);
     let _ = std::fs::remove_file(&path);
     [owned, mapped]
 }
 
-/// A seeded 4×4 network, the freshly built hierarchy (`which == 0`) or
-/// hub labels on it, and that provider's artifact with bit `bit` of
-/// byte `flip` (modulo its length) flipped.
+/// A seeded 4×4 network, the freshly built hub labels on it, and their
+/// artifact with bit `bit` of byte `flip` (modulo its length) flipped.
 fn corrupted_sp_artifact(
     seed: u64,
     flip: usize,
     bit: u8,
-    which: usize,
 ) -> (Arc<RoadNetwork>, Arc<dyn SpProvider>, Vec<u8>) {
     let net = net_from(4, 4, 0.1, seed);
-    let ch = ContractionHierarchy::build(net.clone());
-    let (fresh, mut bytes): (Arc<dyn SpProvider>, Vec<u8>) = if which == 0 {
-        let bytes = ch.to_store_bytes();
-        (Arc::new(ch), bytes)
-    } else {
-        let hl = HubLabels::from_ch(&ch, 1);
-        let bytes = hl.to_store_bytes();
-        (Arc::new(hl), bytes)
-    };
+    let hl = HubLabels::build_with_threads(net.clone(), 1);
+    let mut bytes = hl.to_store_bytes();
     let idx = flip % bytes.len();
     bytes[idx] ^= 1 << bit;
-    (net, fresh, bytes)
+    (net, Arc::new(hl), bytes)
 }
 
-/// The hierarchy and the hub labels of `net` as `(which, artifact bytes,
-/// the exact sections its writer emits, in order)`.
-fn sp_artifacts(net: &Arc<RoadNetwork>) -> [(usize, Vec<u8>, Vec<&'static str>); 2] {
-    let ch = ContractionHierarchy::build(net.clone());
-    let hl = HubLabels::from_ch(&ch, 1);
-    let ch_sections = "meta rank arcs_f fwd_index_f fwd_arcs_f bwd_index_f bwd_arcs_f";
-    let hl_sections = "meta arcs_f fwd_index_f fwd_hub_f fwd_dist_f fwd_parent_f \
-                       bwd_index_f bwd_hub_f bwd_dist_f bwd_parent_f";
-    [
-        (
-            0,
-            ch.to_store_bytes(),
-            ch_sections.split_whitespace().collect(),
-        ),
-        (
-            1,
-            hl.to_store_bytes(),
-            hl_sections.split_whitespace().collect(),
-        ),
-    ]
+/// The hub labels of `net` as `(artifact bytes, the exact sections its
+/// writer emits, in order)`.
+fn sp_artifact(net: &Arc<RoadNetwork>) -> (Vec<u8>, Vec<&'static str>) {
+    let hl = HubLabels::build_with_threads(net.clone(), 1);
+    let sections = "meta arcs_f fwd_index_f fwd_hub_f fwd_dist_f fwd_parent_f \
+                    bwd_index_f bwd_hub_f bwd_dist_f bwd_parent_f";
+    (hl.to_store_bytes(), sections.split_whitespace().collect())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// All three SP backends: the loaded structure answers node_dist /
+    /// Both SP backends: the loaded structure answers node_dist /
     /// pred_edge / sp_mbr bit-identically to the built one on random
     /// networks.
     #[test]
@@ -203,16 +169,11 @@ proptest! {
         let dense = SpTable::build(net.clone());
         let dense_loaded =
             SpTable::from_store_bytes(net.clone(), dense.to_store_bytes()).expect("dense load");
-        let ch = ContractionHierarchy::build(net.clone());
-        let ch_loaded =
-            ContractionHierarchy::from_store_bytes(net.clone(), ch.to_store_bytes())
-                .expect("ch load");
-        let hl = HubLabels::from_ch(&ch, 2);
+        let hl = HubLabels::build_with_threads(net.clone(), 2);
         let hl_loaded =
             HubLabels::from_store_bytes(net.clone(), hl.to_store_bytes()).expect("hl load");
         let pairs: Vec<ProviderPair> = vec![
             (Arc::new(dense), Arc::new(dense_loaded), "dense"),
-            (Arc::new(ch), Arc::new(ch_loaded), "ch"),
             (Arc::new(hl), Arc::new(hl_loaded), "hl"),
         ];
         for (fresh, warm, name) in &pairs {
@@ -286,7 +247,7 @@ proptest! {
         }
     }
 
-    /// Corrupting any single byte of a hierarchy or hub-label artifact
+    /// Corrupting any single byte of a hub-label artifact
     /// makes the owned load (`from_store_bytes`) fail with a typed error,
     /// or yield a provider answering bit-identically to the freshly built
     /// one (the flip hit an alignment gap) — never a panic, never a
@@ -296,10 +257,9 @@ proptest! {
         seed in 0u64..200,
         flip in 0usize..4096,
         bit in 0u8..8,
-        which in 0usize..2,
     ) {
-        let (net, fresh, bytes) = corrupted_sp_artifact(seed, flip, bit, which);
-        let [owned, _] = load_both(&net, which, &bytes);
+        let (net, fresh, bytes) = corrupted_sp_artifact(seed, flip, bit);
+        let [owned, _] = load_both(&net, &bytes);
         if let Ok(owned) = owned {
             for u in net.node_ids().take(6) {
                 for v in net.node_ids().take(6) {
@@ -314,7 +274,7 @@ proptest! {
     }
 
     /// The mapped open (`open_mapped`) of a single-byte-corrupted
-    /// hierarchy or hub-label artifact gives the same verdict as the
+    /// hub-label artifact gives the same verdict as the
     /// owned load: a typed error of the same variant from both, or two
     /// providers answering bit-identically to the freshly built one —
     /// never a panic, never a silently wrong structure.
@@ -323,10 +283,9 @@ proptest! {
         seed in 0u64..200,
         flip in 0usize..4096,
         bit in 0u8..8,
-        which in 0usize..2,
     ) {
-        let (net, fresh, bytes) = corrupted_sp_artifact(seed, flip, bit, which);
-        let [owned, mapped] = load_both(&net, which, &bytes);
+        let (net, fresh, bytes) = corrupted_sp_artifact(seed, flip, bit);
+        let [owned, mapped] = load_both(&net, &bytes);
         match (owned, mapped) {
             (Err(a), Err(b)) => prop_assert_eq!(
                 std::mem::discriminant(&a),
@@ -736,9 +695,9 @@ fn node_link_legacy_file_and_unchanged_sections() {
 }
 
 /// Mapped flat-section corruption matrix: a bit flip inside a flat
-/// section of the hierarchy, hub-label, or corpus artifact surfaces as a
-/// typed `StoreError::ChecksumMismatch` naming the section on first
-/// touch: inside `open_mapped` for the SP artifacts, which checks every
+/// section of the hub-label or corpus artifact surfaces as a typed
+/// `StoreError::ChecksumMismatch` naming the section on first touch:
+/// inside `open_mapped` for the hub labels, which checks every
 /// section before it returns, and at the first decode of the damaged
 /// block for the corpus. The last section of each file is flat, so
 /// flipping its final bytes deterministically lands in one.
@@ -749,30 +708,18 @@ fn mapped_flat_section_bit_flip_is_typed_checksum_error_on_first_touch() {
     let dir = std::env::temp_dir().join(format!("press-map-flip-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
 
-    // Contraction hierarchy and hub labels: the open names the section.
-    let ch = ContractionHierarchy::build(net.clone());
-    let hl = HubLabels::from_ch(&ch, 1);
-    for (name, mut bytes, last) in [
-        ("sp_ch.press", ch.to_store_bytes(), "bwd_arcs_f"),
-        ("sp_hl.press", hl.to_store_bytes(), "bwd_parent_f"),
-    ] {
-        let n = bytes.len();
-        bytes[n - 1] ^= 0x04;
-        let path = dir.join(name);
-        std::fs::write(&path, &bytes).expect("write");
-        let err = if name == "sp_ch.press" {
-            ContractionHierarchy::open_mapped(net.clone(), &path).err()
-        } else {
-            HubLabels::open_mapped(net.clone(), &path).err()
-        };
-        assert_eq!(
-            err,
-            Some(StoreError::ChecksumMismatch {
-                section: last.into()
-            }),
-            "{name}"
-        );
-    }
+    // Hub labels: the open names the section.
+    let mut bytes = HubLabels::build_with_threads(net.clone(), 1).to_store_bytes();
+    let n = bytes.len();
+    bytes[n - 1] ^= 0x04;
+    let path = dir.join("sp_hl.press");
+    std::fs::write(&path, &bytes).expect("write");
+    assert_eq!(
+        HubLabels::open_mapped(net.clone(), &path).err(),
+        Some(StoreError::ChecksumMismatch {
+            section: "bwd_parent_f".into()
+        })
+    );
 
     // Corpus: blocks decode lazily, so a flip in the last block is
     // reported by the first `get` that touches it — earlier blocks and
@@ -819,14 +766,13 @@ fn mapped_flat_section_bit_flip_is_typed_checksum_error_on_first_touch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Each SP writer emits exactly its flat family, in this order.
+/// The hub-label writer emits exactly its flat family, in this order.
 #[test]
 fn sp_writers_emit_exactly_their_flat_sections() {
     let net = net_from(5, 5, 0.12, 31);
-    for (_, bytes, sections) in sp_artifacts(&net) {
-        let file = press_store::StoreFile::from_bytes(bytes).expect("parse");
-        assert_eq!(file.section_names().collect::<Vec<_>>(), sections);
-    }
+    let (bytes, sections) = sp_artifact(&net);
+    let file = press_store::StoreFile::from_bytes(bytes).expect("parse");
+    assert_eq!(file.section_names().collect::<Vec<_>>(), sections);
 }
 
 /// Files written before the flat family became the only one also carry
@@ -846,48 +792,46 @@ fn retired_sp_sections_are_ignored_by_both_loads() {
         "fwd_parent",
         "bwd_parent",
     ];
-    for (which, bytes, _) in sp_artifacts(&net) {
-        let file = press_store::StoreFile::from_bytes(bytes.clone()).expect("parse");
-        let mut w = press_store::StoreWriter::new(file.kind());
-        for name in file.section_names() {
-            w.section_aligned(name, file.section(name).expect("section").to_vec());
-        }
-        for name in retired {
-            w.section(name, vec![0xA5; 13]);
-        }
-        let [clean, _] = load_both(&net, which, &bytes);
-        let clean = clean.expect("clean load");
-        for loaded in load_both(&net, which, &w.to_bytes()) {
-            let loaded = loaded.expect("retired sections are ignored");
-            for u in net.node_ids() {
-                for v in net.node_ids() {
-                    assert_eq!(
-                        clean.node_dist(u, v).to_bits(),
-                        loaded.node_dist(u, v).to_bits()
-                    );
-                    assert_eq!(clean.pred_edge(u, v), loaded.pred_edge(u, v));
-                }
+    let (bytes, _) = sp_artifact(&net);
+    let file = press_store::StoreFile::from_bytes(bytes.clone()).expect("parse");
+    let mut w = press_store::StoreWriter::new(file.kind());
+    for name in file.section_names() {
+        w.section_aligned(name, file.section(name).expect("section").to_vec());
+    }
+    for name in retired {
+        w.section(name, vec![0xA5; 13]);
+    }
+    let [clean, _] = load_both(&net, &bytes);
+    let clean = clean.expect("clean load");
+    for loaded in load_both(&net, &w.to_bytes()) {
+        let loaded = loaded.expect("retired sections are ignored");
+        for u in net.node_ids() {
+            for v in net.node_ids() {
+                assert_eq!(
+                    clean.node_dist(u, v).to_bits(),
+                    loaded.node_dist(u, v).to_bits()
+                );
+                assert_eq!(clean.pred_edge(u, v), loaded.pred_edge(u, v));
             }
         }
     }
 }
 
-/// Every section an SP writer emits is required: without any one of
-/// them, both loads fail with a typed `MissingSection` naming it.
+/// Every section the hub-label writer emits is required: without any
+/// one of them, both loads fail with a typed `MissingSection` naming it.
 #[test]
 fn sp_artifact_missing_any_section_is_typed_on_both_loads() {
     use press_store::StoreError;
     let net = net_from(4, 4, 0.1, 17);
-    for (which, bytes, sections) in sp_artifacts(&net) {
-        for gone in sections {
-            let dropped = rewrite_sections(&bytes, |name, p| (name != gone).then(|| p.to_vec()));
-            for loaded in load_both(&net, which, &dropped) {
-                assert_eq!(
-                    loaded.err(),
-                    Some(StoreError::MissingSection(gone.into())),
-                    "{gone}"
-                );
-            }
+    let (bytes, sections) = sp_artifact(&net);
+    for gone in sections {
+        let dropped = rewrite_sections(&bytes, |name, p| (name != gone).then(|| p.to_vec()));
+        for loaded in load_both(&net, &dropped) {
+            assert_eq!(
+                loaded.err(),
+                Some(StoreError::MissingSection(gone.into())),
+                "{gone}"
+            );
         }
     }
 }
