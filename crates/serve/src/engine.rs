@@ -18,38 +18,50 @@
 //!
 //! # Ack and durability contract
 //!
-//! [`IngestEngine::push`] vets each fix ([`Session::vet`]), journals the
-//! accepted ones in the owning shard, and only then buffers them. The
-//! configured [`DurabilityPolicy`] group-commits each shard's journal
-//! independently (byte / stream-time thresholds), and acks never
-//! overstate what happened: a fix is [`Ack::Accepted`] only when a
-//! completed fsync covers its frame, and [`Ack::Journaled`] (written,
-//! not yet synced) otherwise — the per-shard durability watermark says
-//! which journaled offsets have become durable since. Rejected and
-//! coalesced fixes are acked without journaling — replays reproduce the
-//! identical decisions because validation only depends on journaled
-//! state.
+//! [`IngestEngine::push`] vets each fix ([`crate::Session::vet`]),
+//! journals the accepted ones in the owning shard, and only then
+//! buffers them. The configured [`DurabilityPolicy`] group-commits each
+//! shard's journal independently (byte / stream-time thresholds), and
+//! acks never overstate what happened: a fix is [`Ack::Accepted`] only
+//! when a completed fsync covers its frame, and [`Ack::Journaled`]
+//! (written, not yet synced) otherwise — the per-shard durability
+//! watermark says which journaled offsets have become durable since.
+//! Rejected and coalesced fixes are acked without journaling — replays
+//! reproduce the identical decisions because validation only depends on
+//! journaled state.
+//!
+//! # One state machine per shard
+//!
+//! A shard is a pure core — sessions, idle index, segment counters,
+//! pending queue, budget share, counters, and its own journal-local
+//! clock and arrival counter — inside a shell that owns the journal,
+//! the durability accumulators, retry and fsync. The core changes only
+//! through `ShardCore::apply(&WalRecord)`: live ingest journals a record
+//! and then applies that same record, and recovery applies every
+//! replayed record in order. Recovery is the live path by construction.
 //!
 //! # Determinism across shard counts
 //!
 //! The stream clock (`max_time`) is global; every shard-scoped decision
-//! (idle sweeps, vetting) happens after catching the shard up to it, so
-//! segmentation is independent of the shard count. Finalized pieces
-//! carry a canonical merge key — `(vehicle, segment sequence, piece)` —
-//! and the published corpus is built in key order, so its bytes are
-//! identical for any shard count and any flush-worker count. Each
-//! shard's journal carries `Clock` frames whenever the global clock
-//! advanced past what the shard last journaled, so per-shard replay
-//! reproduces the same sweeps without reading any other shard's journal.
+//! (idle sweeps, vetting) happens after a read-ahead sweep catches the
+//! shard up to it, so segmentation is independent of the shard count.
+//! Finalized pieces carry a canonical merge key — `(vehicle, segment
+//! sequence, piece)` — and the published corpus is built in key order,
+//! so its bytes are identical for any shard count and any flush-worker
+//! count. A shard journals a `Clock` frame with the global clock
+//! whenever its own journal clock lags it and a decision depends on the
+//! difference: after a read-ahead sweep closed sessions, and before a
+//! fix that is already idle at the global clock. Per-shard replay then
+//! reproduces the same cuts without reading any other shard's journal.
 //!
 //! # Recovery
 //!
 //! [`IngestEngine::open`] reads the `MANIFEST` to find the committed
 //! generation and shard count, then recovers every shard **in
 //! parallel** on the shared work-steal loop: load the shard's
-//! checkpointed corpus slice (`corpus.<gen>.s<k>.press`), replay its
-//! journal through the exact same code path as live ingest, truncate
-//! any torn tail. Artifacts from any other generation are uncommitted
+//! checkpointed corpus slice (`corpus.<gen>.s<k>.press`), apply every
+//! record of its journal through `ShardCore::apply`, truncate any torn
+//! tail. Artifacts from any other generation are uncommitted
 //! checkpoint leftovers and are garbage-collected. The rebuilt engine
 //! is in the same state a clean run would reach after pushing exactly
 //! the acked prefix of each shard — the recovery proptests assert the
@@ -73,17 +85,17 @@
 
 use crate::durability::DurabilityPolicy;
 use crate::manifest;
-use crate::session::{Disposition, QuarantineReason, Session, SessionPolicy};
+use crate::session::{Disposition, QuarantineReason, SessionPolicy};
+use crate::shard::{PendingSegment, ShardCore};
 use crate::wal::{Wal, WalError, WalRecord};
 use press_core::reformat::{reformat, PathSample};
 use press_core::store::TrajectoryStore;
 use press_core::{parallel::work_steal_map, query::QueryEngine};
 use press_core::{CompressedTrajectory, HscModel, Press, PressError};
 use press_matcher::{GpsSample, MapMatcher, MatcherError};
-use press_network::Point;
 use press_store::io::{self as store_io, IoBackend};
 use press_store::{ByteReader, ByteWriter};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -252,8 +264,8 @@ pub struct IngestConfig {
     /// Memory budget: live session count (per-shard share, same LRU
     /// eviction). `0` disables.
     pub max_sessions: usize,
-    /// Most recent evicted vehicle ids kept for inspection (the
-    /// eviction-order determinism proptest reads this).
+    /// Most recent evicted vehicle ids each shard keeps for inspection
+    /// (the eviction-order determinism proptest reads this).
     pub eviction_log_cap: usize,
     /// Independent writer shards. Vehicles are routed by hash, and each
     /// shard owns its own journal, durability accumulators, sessions,
@@ -292,8 +304,8 @@ impl Default for IngestConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Ack {
     /// Fix journaled, buffered, **and durable**: a sync covering its
-    /// frame has succeeded (`offset <= durable_offset()`), so the fix
-    /// survives power loss, not just process death.
+    /// frame has succeeded (`offset <= shard_durable_offset(shard)`),
+    /// so the fix survives power loss, not just process death.
     Accepted { offset: u64 },
     /// Fix journaled and buffered, not yet synced. `offset` is the
     /// owning shard's journal length with this fix's frame included;
@@ -562,33 +574,12 @@ fn decode_ingest_section(
     Ok((keys, next_seg))
 }
 
-/// A finalized-but-unmatched segment awaiting [`IngestEngine::flush`],
-/// already stamped with its canonical merge identity.
-#[derive(Debug, Clone)]
-struct PendingSegment {
-    vehicle: u64,
-    /// Per-vehicle segment sequence number, assigned at cut time.
-    seg: u64,
-    samples: Vec<GpsSample>,
-}
-
 /// Per-segment outcome from the parallel matching stage.
 struct SegmentOutcome {
     compressed: Vec<CompressedTrajectory>,
     splits: u64,
     dropped: u64,
     shed: u64,
-}
-
-/// Maps a timestamp to a key that sorts like the timestamp (total order
-/// over all non-NaN floats), for the idle-session index.
-fn time_key(t: f64) -> u64 {
-    let bits = t.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    }
 }
 
 /// SplitMix64 finalizer — the vehicle-to-shard route. A fixed public
@@ -601,20 +592,12 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-shard budget share: `ceil(total / shards)`, `0` stays disabled.
-fn budget_share(total: usize, shards: usize) -> usize {
-    if total == 0 {
-        0
-    } else {
-        total.div_ceil(shards)
-    }
-}
-
-/// One independent writer shard: its own journal, durability
-/// accumulators, session map, memory-budget share, canonical-key
-/// corpus slice, and counters. All stream-clock decisions take the
-/// *global* clock as a parameter — the shard itself never owns time.
+/// One independent writer shard: its session state machine
+/// ([`ShardCore`]) inside the shell that touches the disk — the
+/// journal, the group-commit accumulators, retry and fsync — plus the
+/// shard's slice of the published corpus.
 struct Shard {
+    core: ShardCore,
     wal: Wal,
     /// Journal bytes appended since this shard's last successful fsync.
     unsynced_bytes: u64,
@@ -626,235 +609,128 @@ struct Shard {
     /// Durability watermark: every frame of this shard's journal ending
     /// at or before this offset is covered by a completed fsync.
     durable_offset: u64,
-    /// Highest stream time this shard's journal already encodes (via
-    /// `Clock` frames or its own `Point` timestamps) — the clock a
-    /// per-shard replay would have at the journal's tail.
-    journaled_clock: f64,
-    /// True when a pre-append sweep cut a session at a global clock the
-    /// journal doesn't encode yet: the next append must be preceded by
-    /// a `Clock` frame so replay performs the same cut before the same
-    /// record. Sweeps that cut nothing need no frame — a replay clock
-    /// lagging the global one sweeps the same (empty) set, because
-    /// expiry is monotone in the clock. With one shard the global clock
-    /// never outruns the journal, so the hot path never adds frames.
+    /// True when a read-ahead sweep closed sessions at a global clock
+    /// the journal does not encode yet (see [`Shard::journal`]).
     needs_clock: bool,
-    /// Points currently buffered across this shard's live sessions.
-    buffered: usize,
-    sessions: HashMap<u64, Session>,
-    /// Sessions ordered by last-accepted timestamp: `(time_key(last.t),
-    /// vehicle)`. Exactly the sessions with `last.is_some()`.
-    idle: BTreeSet<(u64, u64)>,
-    /// Per-vehicle segment sequence counters — the `seg` component of
-    /// the canonical merge key. Persisted in the corpus `ingest`
-    /// section so recovery numbers future segments exactly like an
-    /// uninterrupted run.
-    next_seg: HashMap<u64, u64>,
-    pending: Vec<PendingSegment>,
     /// Canonical merge keys, aligned index-for-index with `finished`
     /// and kept sorted.
     keys: Vec<TrajKey>,
     /// This shard's slice of the compressed corpus, in key order.
     finished: Vec<CompressedTrajectory>,
-    /// True when this shard cut a segment since the last checkpoint —
-    /// its corpus slice (trajectories and/or counters) needs a rewrite;
-    /// clean shards hard-link the previous generation's file instead.
+    /// True when a flush took segments from this shard since the last
+    /// checkpoint — its corpus slice (trajectories and/or counters)
+    /// needs a rewrite; clean shards hard-link the previous
+    /// generation's file instead.
     dirty: bool,
-    /// This shard's share of [`IngestConfig::max_buffered_points`].
-    budget_points: usize,
-    /// This shard's share of [`IngestConfig::max_sessions`].
-    budget_sessions: usize,
-    stats: IngestStats,
 }
 
 impl Shard {
-    fn new(
-        wal: Wal,
-        config: &IngestConfig,
-        keys: Vec<TrajKey>,
-        finished: Vec<CompressedTrajectory>,
-        next_seg: HashMap<u64, u64>,
-    ) -> Shard {
-        Shard {
-            wal,
-            unsynced_bytes: 0,
-            unsynced_frames: 0,
-            last_sync_time: f64::NEG_INFINITY,
-            durable_offset: 0,
-            journaled_clock: f64::NEG_INFINITY,
-            needs_clock: false,
-            buffered: 0,
-            sessions: HashMap::new(),
-            idle: BTreeSet::new(),
-            next_seg,
-            pending: Vec::new(),
-            keys,
-            finished,
-            dirty: false,
-            budget_points: budget_share(config.max_buffered_points, config.shards),
-            budget_sessions: budget_share(config.max_sessions, config.shards),
-            stats: IngestStats::default(),
-        }
-    }
-
-    fn vet(&self, policy: &SessionPolicy, vehicle: u64, sample: &GpsSample) -> Disposition {
-        match self.sessions.get(&vehicle) {
-            Some(sess) => sess.vet(policy, sample),
-            None => Session::new(vehicle).vet(policy, sample),
-        }
-    }
-
-    /// Queues a non-empty cut under the vehicle's next segment sequence
-    /// number and marks the shard's corpus slice dirty.
-    fn cut_segment(&mut self, vehicle: u64, samples: Vec<GpsSample>) {
-        if samples.is_empty() {
-            return;
-        }
-        let seg = self.next_seg.entry(vehicle).or_insert(0);
-        let s = *seg;
-        *seg += 1;
-        self.dirty = true;
-        self.pending.push(PendingSegment {
-            vehicle,
-            seg: s,
-            samples,
-        });
-    }
-
-    /// Applies an accepted fix: buffer, segment rollover, stream clock,
-    /// idle sweep, memory budget. Shared verbatim by live ingest and
-    /// journal replay; `clock` is the global stream clock live and the
-    /// journal-local clock on replay.
-    fn apply_accept(
+    /// Journals `rec`, then applies that same record to the core — the
+    /// step replay repeats record for record. The one catch-up rule:
+    /// when the core's clock lags the global `clock` and either a
+    /// read-ahead sweep cut sessions (`needs_clock`) or `rec` is a fix
+    /// already idle at `clock` (`late`), a `Clock` frame carrying
+    /// `clock` is journaled and applied first, so replay cuts the same
+    /// sessions at the same point without reading any other shard's
+    /// journal. Otherwise no frame is needed: idle expiry is monotone in
+    /// the clock, so the lagging journal clock sweeps the same sessions.
+    fn journal(
         &mut self,
-        config: &IngestConfig,
-        vehicle: u64,
-        sample: GpsSample,
-        arrival: u64,
-        clock: &mut f64,
-        eviction_log: &mut VecDeque<u64>,
-    ) {
-        self.stats.points_accepted += 1;
-        let sess = self
-            .sessions
-            .entry(vehicle)
-            .or_insert_with(|| Session::new(vehicle));
-        if let Some(prev) = sess.last {
-            self.idle.remove(&(time_key(prev.t), vehicle));
+        policy: &DurabilityPolicy,
+        clock: f64,
+        rec: &WalRecord,
+        late: bool,
+    ) -> Result<u64> {
+        if (self.needs_clock || late) && clock > self.core.clock {
+            let frame = WalRecord::Clock { t: clock };
+            self.append(policy, &frame)?;
+            self.core.apply(&frame);
         }
-        sess.accept(sample, arrival);
-        self.buffered += 1;
-        self.idle.insert((time_key(sample.t), vehicle));
-        if config.max_session_points > 0 && sess.samples.len() >= config.max_session_points {
-            let samples = self
-                .sessions
-                .get_mut(&vehicle)
-                .expect("session was just touched")
-                .take_segment();
-            self.buffered -= samples.len();
-            self.cut_segment(vehicle, samples);
-            self.stats.segments_cap += 1;
-        }
-        if sample.t > *clock {
-            *clock = sample.t;
-        }
-        self.sweep_idle(config, *clock);
-        self.enforce_memory_budget(config.eviction_log_cap, eviction_log);
+        self.needs_clock = false;
+        let offset = self.append(policy, rec)?;
+        self.core.apply(rec);
+        Ok(offset)
     }
 
-    /// Finalizes every session whose last accepted fix is more than
-    /// `idle_timeout` behind `clock` (the global stream clock live, the
-    /// journal-local clock on replay). Returns the number of sessions
-    /// closed, so the caller can tell whether replay needs the sweep
-    /// clock journaled.
-    fn sweep_idle(&mut self, config: &IngestConfig, clock: f64) -> usize {
-        if config.idle_timeout <= 0.0 {
-            return 0;
-        }
-        let mut closed = 0;
+    /// Runs one journal operation under the policy's retry/backoff.
+    /// Out-of-space is persistent (no retry, typed
+    /// [`ServeError::StorageFull`]); other I/O errors are transient and
+    /// retried with doubling backoff before surfacing as
+    /// [`ServeError::Backpressure`]; anything else passes through.
+    /// Retries are counted on this shard.
+    fn retrying<T>(
+        &mut self,
+        policy: &DurabilityPolicy,
+        mut op: impl FnMut(&mut Wal) -> std::result::Result<T, WalError>,
+    ) -> Result<T> {
+        let mut attempt = 0u32;
         loop {
-            let Some(&(_, vehicle)) = self.idle.iter().next() else {
-                return closed;
-            };
-            let last_t = self.sessions[&vehicle]
-                .last
-                .expect("idle-indexed session has a last fix")
-                .t;
-            if last_t + config.idle_timeout >= clock {
-                return closed;
-            }
-            self.close_session(vehicle);
-            self.stats.segments_idle += 1;
-            closed += 1;
-        }
-    }
-
-    /// LRU eviction for this shard's memory-budget share: while either
-    /// share is exceeded, the session with the oldest last-accepted fix
-    /// is finalized to the pending queue — exactly what the idle sweep
-    /// would eventually do, just earlier. Every input derives from
-    /// journaled state, so replay evicts the same sessions in the same
-    /// order, and eviction is invisible in the recovered corpus.
-    fn enforce_memory_budget(&mut self, log_cap: usize, eviction_log: &mut VecDeque<u64>) {
-        if self.budget_points == 0 && self.budget_sessions == 0 {
-            return;
-        }
-        loop {
-            let over_points = self.budget_points > 0 && self.buffered > self.budget_points;
-            let over_sessions =
-                self.budget_sessions > 0 && self.sessions.len() > self.budget_sessions;
-            if !(over_points || over_sessions) {
-                return;
-            }
-            // Every live session has a last fix and is idle-indexed, so
-            // the loop always makes progress while anything is over.
-            let Some(&(_, vehicle)) = self.idle.iter().next() else {
-                return;
-            };
-            self.close_session(vehicle);
-            self.stats.sessions_evicted += 1;
-            if log_cap > 0 {
-                if eviction_log.len() == log_cap {
-                    eviction_log.pop_front();
+            match op(&mut self.wal) {
+                Ok(v) => return Ok(v),
+                Err(WalError::Io(detail)) if attempt >= policy.max_retries => {
+                    return Err(ServeError::Backpressure {
+                        detail,
+                        retries: attempt,
+                    })
                 }
-                eviction_log.push_back(vehicle);
+                Err(WalError::Io(_)) => {
+                    attempt += 1;
+                    self.core.stats.io_retries += 1;
+                    // Wall-clock sleep is safe here: it delays the retry
+                    // but decides nothing — all decisions key off
+                    // journaled stream state.
+                    let ms = policy.backoff_ms(attempt);
+                    if ms > 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(ms));
+                    }
+                }
+                Err(e) => return Err(e.into()),
             }
         }
     }
 
-    /// Removes `vehicle`'s session, moving any buffered samples to the
-    /// pending queue. Returns true when a session existed.
-    fn close_session(&mut self, vehicle: u64) -> bool {
-        let Some(mut sess) = self.sessions.remove(&vehicle) else {
-            return false;
-        };
-        if let Some(last) = sess.last {
-            self.idle.remove(&(time_key(last.t), vehicle));
+    /// Appends one record. On success the group-commit accumulators
+    /// advance; a refusal is counted on this shard only.
+    fn append(&mut self, policy: &DurabilityPolicy, rec: &WalRecord) -> Result<u64> {
+        let before = self.wal.offset();
+        let result = self.retrying(policy, |wal| wal.append(rec));
+        match &result {
+            Ok(offset) => {
+                self.unsynced_bytes += offset - before;
+                self.unsynced_frames += 1;
+            }
+            Err(ServeError::StorageFull(_)) => self.core.stats.storage_full_rejections += 1,
+            Err(ServeError::Backpressure { .. }) => self.core.stats.backpressure_rejections += 1,
+            Err(_) => {}
         }
-        let samples = sess.take_segment();
-        self.buffered -= samples.len();
-        self.cut_segment(vehicle, samples);
-        true
+        result
     }
 
-    fn apply_finalize(&mut self, vehicle: u64) -> bool {
-        let closed = self.close_session(vehicle);
-        if closed {
-            self.stats.segments_explicit += 1;
+    /// Fsyncs the journal. On success the batch is counted and the
+    /// whole journal becomes durable as of stream time `clock`; a
+    /// failure is counted in `sync_failures` and leaves the frames
+    /// journaled for a later sync to cover.
+    fn sync(&mut self, policy: &DurabilityPolicy, clock: f64) -> Result<()> {
+        if let Err(e) = self.retrying(policy, Wal::sync) {
+            self.core.stats.sync_failures += 1;
+            return Err(e);
         }
-        closed
+        let stats = &mut self.core.stats;
+        stats.sync_calls += 1;
+        stats.synced_frames += self.unsynced_frames;
+        stats.max_sync_batch = stats.max_sync_batch.max(self.unsynced_frames);
+        self.mark_durable(clock);
+        Ok(())
     }
 
-    fn apply_finalize_all(&mut self) {
-        // Deterministic order: first buffered arrival, vehicle id as the
-        // tie-break (covers empty buffers) — identical live and on replay.
-        let mut order: Vec<(u64, u64)> = self
-            .sessions
-            .values()
-            .map(|s| (s.arrivals.first().copied().unwrap_or(u64::MAX), s.vehicle))
-            .collect();
-        order.sort_unstable();
-        for (_, vehicle) in order {
-            self.apply_finalize(vehicle);
+    /// Moves the durability watermark to the journal's end and restarts
+    /// the group-commit accumulators at stream time `clock`.
+    fn mark_durable(&mut self, clock: f64) {
+        self.durable_offset = self.wal.offset();
+        self.unsynced_bytes = 0;
+        self.unsynced_frames = 0;
+        if clock.is_finite() {
+            self.last_sync_time = clock;
         }
     }
 
@@ -876,70 +752,6 @@ impl Shard {
             self.finished.push(ct);
         }
     }
-
-    /// The rebuilt journal for the next generation: clock, resumes
-    /// (sessions whose state is only the last fix), then buffered
-    /// points in arrival order.
-    fn checkpoint_records(&self, clock: f64) -> Vec<WalRecord> {
-        let mut records = Vec::new();
-        if clock.is_finite() {
-            records.push(WalRecord::Clock { t: clock });
-        }
-        let mut resumes: Vec<&Session> = self
-            .sessions
-            .values()
-            .filter(|s| s.samples.is_empty() && s.last.is_some())
-            .collect();
-        resumes.sort_unstable_by_key(|s| s.vehicle);
-        for sess in resumes {
-            let last = sess.last.expect("filtered on last.is_some");
-            records.push(WalRecord::Resume {
-                vehicle: sess.vehicle,
-                x: last.point.x,
-                y: last.point.y,
-                t: last.t,
-            });
-        }
-        let mut points: Vec<(u64, u64, GpsSample)> = Vec::new();
-        for sess in self.sessions.values() {
-            for (&arrival, &sample) in sess.arrivals.iter().zip(&sess.samples) {
-                points.push((arrival, sess.vehicle, sample));
-            }
-        }
-        points.sort_unstable_by_key(|&(arrival, vehicle, _)| (arrival, vehicle));
-        for (_, vehicle, sample) in points {
-            records.push(WalRecord::Point {
-                vehicle,
-                x: sample.point.x,
-                y: sample.point.y,
-                t: sample.t,
-            });
-        }
-        records
-    }
-
-    /// Accepted points not yet in the corpus slice.
-    fn in_flight_points(&self) -> usize {
-        self.sessions
-            .values()
-            .map(|s| s.samples.len())
-            .sum::<usize>()
-            + self.pending.iter().map(|p| p.samples.len()).sum::<usize>()
-    }
-}
-
-/// One shard's recovered state plus the journal-local replay context
-/// the facade folds into its globals.
-struct ShardRecovery {
-    shard: Shard,
-    clock: f64,
-    next_arrival: u64,
-    evictions: VecDeque<u64>,
-    replayed_points: u64,
-    replayed_finalizes: u64,
-    torn_bytes: u64,
-    fresh: bool,
-    corpus_trajectories: usize,
 }
 
 /// One shard's corpus slice: trajectories, canonical merge keys, and
@@ -987,9 +799,10 @@ fn load_shard_corpus(path: &Path, model: &HscModel) -> Result<ShardCorpus> {
     }
 }
 
-/// Recovers shard `k` of a committed generation: corpus slice first,
-/// then a full journal replay through the live ingest path with a
-/// journal-local clock and arrival counter.
+/// Recovers shard `k` of a committed generation: its corpus slice, then
+/// every replayed journal record through [`ShardCore::apply`], the
+/// function live ingest applies them with. Returns the shard and its
+/// part of the [`RecoveryReport`].
 fn recover_shard(
     dir: &Path,
     config: &IngestConfig,
@@ -997,89 +810,39 @@ fn recover_shard(
     generation: u64,
     k: usize,
     model: &HscModel,
-) -> Result<ShardRecovery> {
+) -> Result<(Shard, RecoveryReport)> {
     let corpus_name = manifest::corpus_shard_file_name(generation, k as u32);
     let (keys, finished, next_seg) = load_shard_corpus(&dir.join(corpus_name), model)?;
-    let corpus_trajectories = finished.len();
     let wal_name = manifest::wal_shard_file_name(generation, k as u32);
     let (wal, replay) = Wal::open_with(&dir.join(wal_name), io)?;
-    let mut shard = Shard::new(wal, config, keys, finished, next_seg);
-    let mut clock = f64::NEG_INFINITY;
-    let mut next_arrival = 0u64;
-    let mut evictions = VecDeque::new();
-    let mut replayed_points = 0u64;
-    let mut replayed_finalizes = 0u64;
+    let mut core = ShardCore::new(config, next_seg);
     for rec in &replay.records {
-        match *rec {
-            WalRecord::Point { vehicle, x, y, t } => {
-                replayed_points += 1;
-                let sample = GpsSample {
-                    point: Point::new(x, y),
-                    t,
-                };
-                // Catch the shard up to the clock this frame was
-                // appended under (live ingest pre-sweeps with the
-                // global clock, which the preceding `Clock` frames
-                // reproduce here), then re-apply. Only accepted fixes
-                // were journaled, and validation depends only on
-                // journaled state, so the replayed verdict is Accept
-                // again by construction.
-                shard.sweep_idle(config, clock);
-                debug_assert_eq!(
-                    shard.vet(&config.policy, vehicle, &sample),
-                    Disposition::Accept,
-                    "journaled fix must replay as accepted"
-                );
-                let arrival = next_arrival;
-                next_arrival += 1;
-                shard.apply_accept(config, vehicle, sample, arrival, &mut clock, &mut evictions);
-            }
-            WalRecord::Finalize { vehicle } => {
-                replayed_finalizes += 1;
-                shard.sweep_idle(config, clock);
-                shard.apply_finalize(vehicle);
-            }
-            WalRecord::FinalizeAll => {
-                replayed_finalizes += 1;
-                shard.sweep_idle(config, clock);
-                shard.apply_finalize_all();
-            }
-            WalRecord::Resume { vehicle, x, y, t } => {
-                let mut sess = Session::new(vehicle);
-                sess.last = Some(GpsSample {
-                    point: Point::new(x, y),
-                    t,
-                });
-                shard.idle.insert((time_key(t), vehicle));
-                shard.sessions.insert(vehicle, sess);
-            }
-            WalRecord::Clock { t } => {
-                if t > clock {
-                    clock = t;
-                }
-            }
-        }
+        core.apply(rec);
     }
-    // Everything replayed was read back from the device, so the whole
-    // journal is the durability watermark; the group-commit
-    // accumulators start empty, and the journal-local clock is exactly
-    // what the journal encodes.
-    shard.durable_offset = shard.wal.offset();
-    shard.unsynced_bytes = 0;
-    shard.unsynced_frames = 0;
-    shard.last_sync_time = f64::NEG_INFINITY;
-    shard.journaled_clock = clock;
-    Ok(ShardRecovery {
-        clock,
-        next_arrival,
-        evictions,
-        replayed_points,
-        replayed_finalizes,
+    let report = RecoveryReport {
+        corpus_trajectories: finished.len(),
+        replayed_points: core.stats.points_accepted,
+        replayed_finalizes: replay.records.iter().filter(|r| r.is_finalize()).count() as u64,
         torn_bytes: replay.torn_bytes,
-        fresh: replay.fresh,
-        corpus_trajectories,
-        shard,
-    })
+        wal_was_fresh: replay.fresh,
+        sessions_rebuilt: core.sessions.len(),
+        points_in_flight: core.in_flight_points(),
+    };
+    // Everything replayed was read back from the device, so the whole
+    // journal is durable and the group-commit accumulators start empty.
+    let shard = Shard {
+        core,
+        durable_offset: wal.offset(),
+        wal,
+        unsynced_bytes: 0,
+        unsynced_frames: 0,
+        last_sync_time: f64::NEG_INFINITY,
+        needs_clock: false,
+        keys,
+        finished,
+        dirty: false,
+    };
+    Ok((shard, report))
 }
 
 /// Multi-vehicle streaming ingest over one directory, sharded into
@@ -1101,15 +864,6 @@ pub struct IngestEngine {
     /// stream clock that drives idle sweeps (never wall clock: replay
     /// must be identical).
     max_time: f64,
-    /// Global arrival counter (each accepted fix gets a unique,
-    /// stream-ordered sequence number; shard journals compact these to
-    /// local order on recovery, which preserves every per-shard
-    /// relative order).
-    arrival_seq: u64,
-    /// Ring of the most recently evicted vehicles (capacity
-    /// `config.eviction_log_cap`), oldest first; rebuilt shard-major on
-    /// recovery.
-    eviction_log: VecDeque<u64>,
     /// Ring of the most recent quarantined fixes (capacity
     /// `config.quarantine_log_cap`), oldest first.
     quarantine: VecDeque<QuarantineRecord>,
@@ -1119,7 +873,7 @@ pub struct IngestEngine {
 impl IngestEngine {
     /// Opens (or creates) the ingest directory, recovering any previous
     /// state: each shard's corpus slice first, then a full journal
-    /// replay through the live ingest path — all shards in parallel.
+    /// replay through `ShardCore::apply` — all shards in parallel.
     pub fn open(
         dir: &Path,
         matcher: Arc<MapMatcher>,
@@ -1186,41 +940,29 @@ impl IngestEngine {
         // All shard journals replay in parallel on the shared
         // work-steal loop, one worker per shard up to `threads`.
         let shard_ids: Vec<usize> = (0..config.shards).collect();
-        let recovered: Vec<Result<ShardRecovery>> =
-            work_steal_map(&shard_ids, config.threads, |_, &k| {
-                recover_shard(dir, &config, io.clone(), generation, k, press.model())
-            });
+        let recovered = work_steal_map(&shard_ids, config.threads, |_, &k| {
+            recover_shard(dir, &config, io.clone(), generation, k, press.model())
+        });
         let mut shards = Vec::with_capacity(config.shards);
         let mut max_time = f64::NEG_INFINITY;
-        let mut arrival_seq = 0u64;
-        let mut eviction_log = VecDeque::new();
         let mut report = RecoveryReport {
             wal_was_fresh: true,
             ..RecoveryReport::default()
         };
         for r in recovered {
-            let r = r?;
-            if r.clock > max_time {
-                max_time = r.clock;
-            }
-            arrival_seq = arrival_seq.max(r.next_arrival);
-            report.corpus_trajectories += r.corpus_trajectories;
-            report.replayed_points += r.replayed_points;
-            report.replayed_finalizes += r.replayed_finalizes;
-            report.torn_bytes += r.torn_bytes;
-            report.wal_was_fresh &= r.fresh;
-            report.sessions_rebuilt += r.shard.sessions.len();
-            for vehicle in r.evictions {
-                if config.eviction_log_cap > 0 {
-                    if eviction_log.len() == config.eviction_log_cap {
-                        eviction_log.pop_front();
-                    }
-                    eviction_log.push_back(vehicle);
-                }
-            }
-            shards.push(r.shard);
+            let (shard, part) = r?;
+            // Every accepted fix is journaled on its shard, so the
+            // largest journal clock is the global stream clock.
+            max_time = max_time.max(shard.core.clock);
+            report.corpus_trajectories += part.corpus_trajectories;
+            report.replayed_points += part.replayed_points;
+            report.replayed_finalizes += part.replayed_finalizes;
+            report.torn_bytes += part.torn_bytes;
+            report.wal_was_fresh &= part.wal_was_fresh;
+            report.sessions_rebuilt += part.sessions_rebuilt;
+            report.points_in_flight += part.points_in_flight;
+            shards.push(shard);
         }
-        report.points_in_flight = shards.iter().map(Shard::in_flight_points).sum();
         Ok(IngestEngine {
             dir: dir.to_path_buf(),
             config,
@@ -1230,8 +972,6 @@ impl IngestEngine {
             generation,
             shards,
             max_time,
-            arrival_seq,
-            eviction_log,
             quarantine: VecDeque::new(),
             recovery: report,
         })
@@ -1256,105 +996,32 @@ impl IngestEngine {
         }
     }
 
-    /// Catches shard `k` up to the global stream clock before any
-    /// decision about its sessions. On a single-shard engine the clock
-    /// cannot have moved since the shard's own last sweep, so this is a
-    /// no-op there — which is exactly why sharded segmentation matches
-    /// the single-writer engine's.
-    fn presweep(&mut self, k: usize) {
-        let clock = self.max_time;
-        if self.shards[k].sweep_idle(&self.config, clock) > 0
-            && clock > self.shards[k].journaled_clock
-        {
-            // The cut happened at a clock the shard's journal doesn't
-            // encode; the next append must journal it first. Sticky
-            // until then: a quarantined push between here and the next
-            // accepted one writes no record of its own.
-            self.shards[k].needs_clock = true;
-        }
-    }
-
-    fn presweep_all(&mut self) {
-        for k in 0..self.shards.len() {
-            self.presweep(k);
-        }
-    }
-
-    /// Appends one record to shard `k`'s journal, first journaling a
-    /// `Clock` frame when a pre-append sweep cut sessions at a global
-    /// clock the journal doesn't encode — per-shard replay then
-    /// reproduces the same cuts, at the same point, without reading any
-    /// other shard's journal. Sweeps that cut nothing need no frame
-    /// (expiry is monotone in the clock, so a lagging replay clock
-    /// sweeps the same empty set), which keeps the frame overhead
-    /// proportional to actual session churn, not to the push rate.
-    fn shard_append(&mut self, k: usize, rec: &WalRecord) -> Result<u64> {
-        if self.shards[k].needs_clock {
-            if self.max_time.is_finite() && self.max_time > self.shards[k].journaled_clock {
-                let t = self.max_time;
-                self.append_retrying(k, &WalRecord::Clock { t })?;
-                self.shards[k].journaled_clock = t;
-            }
-            self.shards[k].needs_clock = false;
-        }
-        let offset = self.append_retrying(k, rec)?;
-        if let WalRecord::Point { t, .. } = *rec {
-            let shard = &mut self.shards[k];
-            if t > shard.journaled_clock {
-                shard.journaled_clock = t;
-            }
-        }
-        Ok(offset)
-    }
-
-    /// Appends one record to shard `k` with the policy's retry/backoff,
-    /// classifying failures: out-of-space is persistent (no retry,
-    /// typed [`ServeError::StorageFull`]); other I/O errors are
-    /// transient and retried with doubling backoff before surfacing as
-    /// [`ServeError::Backpressure`]. On success the shard's
-    /// group-commit accumulators advance. Rejections are counted on the
-    /// failing shard only.
-    fn append_retrying(&mut self, k: usize, rec: &WalRecord) -> Result<u64> {
-        let policy = self.config.durability;
+    /// The live read-ahead: catches shard `k` up to the global stream
+    /// clock before any decision about its sessions. A sweep that cuts
+    /// sessions at a clock the shard's journal does not encode arms
+    /// `needs_clock`, sticky until the next append — a quarantined push
+    /// in between writes no record of its own. On a single-shard engine
+    /// the global clock is the journal's, so this never arms.
+    fn read_ahead(&mut self, k: usize) {
         let shard = &mut self.shards[k];
-        let mut attempt = 0u32;
-        loop {
-            let before = shard.wal.offset();
-            match shard.wal.append(rec) {
-                Ok(offset) => {
-                    shard.unsynced_bytes += offset - before;
-                    shard.unsynced_frames += 1;
-                    return Ok(offset);
-                }
-                Err(WalError::StorageFull(msg)) => {
-                    shard.stats.storage_full_rejections += 1;
-                    return Err(ServeError::StorageFull(msg));
-                }
-                Err(WalError::Io(detail)) => {
-                    if attempt >= policy.max_retries {
-                        shard.stats.backpressure_rejections += 1;
-                        return Err(ServeError::Backpressure {
-                            detail,
-                            retries: attempt,
-                        });
-                    }
-                    attempt += 1;
-                    shard.stats.io_retries += 1;
-                    Self::backoff(&policy, attempt);
-                }
-                Err(other) => return Err(other.into()),
-            }
+        if shard.core.sweep_idle(self.max_time) > 0 && self.max_time > shard.core.clock {
+            shard.needs_clock = true;
         }
     }
 
-    /// Sleeps the policy's doubling backoff before retry `attempt`.
-    /// Wall-clock sleep is safe here: it delays the retry but decides
-    /// nothing — all decisions key off journaled stream state.
-    fn backoff(policy: &DurabilityPolicy, attempt: u32) {
-        let ms = policy.backoff_ms(attempt);
-        if ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
+    fn read_ahead_all(&mut self) {
+        for k in 0..self.shards.len() {
+            self.read_ahead(k);
         }
+    }
+
+    /// [`Shard::journal`] on shard `k` at the global clock, with
+    /// failures wrapped as that shard's degradation.
+    fn journal(&mut self, k: usize, rec: &WalRecord, late: bool) -> Result<u64> {
+        let (policy, clock) = (self.config.durability, self.max_time);
+        self.shards[k]
+            .journal(&policy, clock, rec, late)
+            .map_err(|e| Self::degrade(self.config.shards, k, e))
     }
 
     /// Ingests one fix, routed to its owning shard. Accepted fixes are
@@ -1374,32 +1041,22 @@ impl IngestEngine {
     /// keep acking and the engine keeps serving queries either way.
     pub fn push(&mut self, vehicle: u64, sample: GpsSample) -> Result<Ack> {
         let k = self.shard_of(vehicle);
-        self.presweep(k);
-        match self.shards[k].vet(&self.config.policy, vehicle, &sample) {
+        self.read_ahead(k);
+        match self.shards[k].core.vet(vehicle, &sample) {
             Disposition::Accept => {
-                let offset = self
-                    .shard_append(
-                        k,
-                        &WalRecord::Point {
-                            vehicle,
-                            x: sample.point.x,
-                            y: sample.point.y,
-                            t: sample.t,
-                        },
-                    )
-                    .map_err(|e| Self::degrade(self.config.shards, k, e))?;
-                let arrival = self.arrival_seq;
-                self.arrival_seq += 1;
-                let mut clock = self.max_time;
-                self.shards[k].apply_accept(
-                    &self.config,
+                let rec = WalRecord::Point {
                     vehicle,
-                    sample,
-                    arrival,
-                    &mut clock,
-                    &mut self.eviction_log,
-                );
-                self.max_time = clock;
+                    x: sample.point.x,
+                    y: sample.point.y,
+                    t: sample.t,
+                };
+                // A fix already idle at the global clock is cut as soon
+                // as it is applied; replay must see that clock too.
+                let late = self.shards[k].core.is_idle(sample.t, self.max_time);
+                let offset = self.journal(k, &rec, late)?;
+                if sample.t > self.max_time {
+                    self.max_time = sample.t;
+                }
                 // A failed group sync is absorbed here (counted in the
                 // shard's `sync_failures`): the frame IS journaled, so
                 // the honest answer is Journaled, not an error.
@@ -1411,19 +1068,11 @@ impl IngestEngine {
                 }
             }
             Disposition::Coalesce => {
-                let shard = &mut self.shards[k];
-                if let Some(sess) = shard.sessions.get_mut(&vehicle) {
-                    sess.repaired += 1;
-                }
-                shard.stats.points_repaired += 1;
+                self.shards[k].core.stats.points_repaired += 1;
                 Ok(Ack::Repaired)
             }
             Disposition::Quarantine(reason) => {
-                let shard = &mut self.shards[k];
-                if let Some(sess) = shard.sessions.get_mut(&vehicle) {
-                    sess.quarantined[reason.index()] += 1;
-                }
-                shard.stats.points_quarantined[reason.index()] += 1;
+                self.shards[k].core.stats.points_quarantined[reason.index()] += 1;
                 if self.config.quarantine_log_cap > 0 {
                     if self.quarantine.len() == self.config.quarantine_log_cap {
                         self.quarantine.pop_front();
@@ -1453,66 +1102,21 @@ impl IngestEngine {
         // The per-shard journaled-but-not-durable window widens to
         // N·sync_interval accordingly; at one shard nothing changes.
         let interval = policy.sync_interval * self.config.shards as f64;
-        let tripped = {
-            let shard = &mut self.shards[k];
-            if shard.unsynced_frames == 0 {
-                return;
-            }
-            if interval > 0.0 && shard.last_sync_time == f64::NEG_INFINITY && max_time.is_finite() {
-                // Arm the interval trigger on the first observed stream
-                // time; the first timed sync lands one interval later.
-                shard.last_sync_time = max_time;
-            }
-            let by_bytes = policy.sync_bytes > 0 && shard.unsynced_bytes >= policy.sync_bytes;
-            let by_time = interval > 0.0
-                && shard.last_sync_time.is_finite()
-                && max_time - shard.last_sync_time >= interval;
-            by_bytes || by_time
-        };
-        if tripped && self.sync_shard_retrying(k).is_err() {
-            self.shards[k].stats.sync_failures += 1;
-        }
-    }
-
-    /// Fsyncs shard `k`'s journal with the policy's retry/backoff; on
-    /// success advances that shard's durability watermark and
-    /// group-commit counters.
-    fn sync_shard_retrying(&mut self, k: usize) -> Result<()> {
-        let policy = self.config.durability;
-        let max_time = self.max_time;
         let shard = &mut self.shards[k];
-        let mut attempt = 0u32;
-        loop {
-            match shard.wal.sync() {
-                Ok(()) => {
-                    shard.stats.sync_calls += 1;
-                    shard.stats.synced_frames += shard.unsynced_frames;
-                    shard.stats.max_sync_batch =
-                        shard.stats.max_sync_batch.max(shard.unsynced_frames);
-                    shard.unsynced_bytes = 0;
-                    shard.unsynced_frames = 0;
-                    shard.durable_offset = shard.wal.offset();
-                    if max_time.is_finite() {
-                        shard.last_sync_time = max_time;
-                    }
-                    return Ok(());
-                }
-                Err(WalError::StorageFull(msg)) => {
-                    return Err(ServeError::StorageFull(msg));
-                }
-                Err(WalError::Io(detail)) => {
-                    if attempt >= policy.max_retries {
-                        return Err(ServeError::Backpressure {
-                            detail,
-                            retries: attempt,
-                        });
-                    }
-                    attempt += 1;
-                    shard.stats.io_retries += 1;
-                    Self::backoff(&policy, attempt);
-                }
-                Err(other) => return Err(other.into()),
-            }
+        if shard.unsynced_frames == 0 {
+            return;
+        }
+        if interval > 0.0 && shard.last_sync_time == f64::NEG_INFINITY && max_time.is_finite() {
+            // Arm the interval trigger on the first observed stream
+            // time; the first timed sync lands one interval later.
+            shard.last_sync_time = max_time;
+        }
+        let by_bytes = policy.sync_bytes > 0 && shard.unsynced_bytes >= policy.sync_bytes;
+        let by_time = interval > 0.0
+            && shard.last_sync_time.is_finite()
+            && max_time - shard.last_sync_time >= interval;
+        if by_bytes || by_time {
+            let _ = shard.sync(&policy, max_time);
         }
     }
 
@@ -1521,13 +1125,12 @@ impl IngestEngine {
     /// true when a live session was closed.
     pub fn finalize(&mut self, vehicle: u64) -> Result<bool> {
         let k = self.shard_of(vehicle);
-        self.presweep(k);
-        if !self.shards[k].sessions.contains_key(&vehicle) {
+        self.read_ahead(k);
+        if !self.shards[k].core.sessions.contains_key(&vehicle) {
             return Ok(false);
         }
-        self.shard_append(k, &WalRecord::Finalize { vehicle })
-            .map_err(|e| Self::degrade(self.config.shards, k, e))?;
-        Ok(self.shards[k].apply_finalize(vehicle))
+        self.journal(k, &WalRecord::Finalize { vehicle }, false)?;
+        Ok(true)
     }
 
     /// Explicitly ends every live trajectory (journaled per shard, in
@@ -1536,14 +1139,11 @@ impl IngestEngine {
     /// finalized and shards after it untouched (their sessions stay
     /// live; call again once the shard heals).
     pub fn finalize_all(&mut self) -> Result<()> {
-        self.presweep_all();
+        self.read_ahead_all();
         for k in 0..self.shards.len() {
-            if self.shards[k].sessions.is_empty() {
-                continue;
+            if !self.shards[k].core.sessions.is_empty() {
+                self.journal(k, &WalRecord::FinalizeAll, false)?;
             }
-            self.shard_append(k, &WalRecord::FinalizeAll)
-                .map_err(|e| Self::degrade(self.config.shards, k, e))?;
-            self.shards[k].apply_finalize_all();
         }
         Ok(())
     }
@@ -1557,10 +1157,11 @@ impl IngestEngine {
     /// segments stay replayable until [`IngestEngine::checkpoint`]
     /// publishes them.
     pub fn flush(&mut self) -> Result<usize> {
-        self.presweep_all();
+        self.read_ahead_all();
         let mut tagged: Vec<(usize, PendingSegment)> = Vec::new();
         for (k, shard) in self.shards.iter_mut().enumerate() {
-            tagged.extend(shard.pending.drain(..).map(|seg| (k, seg)));
+            shard.dirty |= !shard.core.pending.is_empty();
+            tagged.extend(shard.core.pending.drain(..).map(|seg| (k, seg)));
         }
         if tagged.is_empty() {
             return Ok(0);
@@ -1612,10 +1213,11 @@ impl IngestEngine {
         for ((k, seg), out) in tagged.into_iter().zip(outcomes) {
             let shard = &mut self.shards[k];
             pieces += out.compressed.len();
-            shard.stats.pieces_compressed += out.compressed.len() as u64;
-            shard.stats.salvage_splits += out.splits;
-            shard.stats.pieces_dropped += out.dropped;
-            shard.stats.pieces_shed += out.shed;
+            let stats = &mut shard.core.stats;
+            stats.pieces_compressed += out.compressed.len() as u64;
+            stats.salvage_splits += out.splits;
+            stats.pieces_dropped += out.dropped;
+            stats.pieces_shed += out.shed;
             for (piece, ct) in out.compressed.into_iter().enumerate() {
                 shard.keys.push(TrajKey {
                     rank: 1,
@@ -1656,7 +1258,7 @@ impl IngestEngine {
             if shard.dirty || !prev_path.exists() {
                 let extra = vec![(
                     INGEST_SECTION.to_string(),
-                    encode_ingest_section(&shard.keys, &shard.next_seg),
+                    encode_ingest_section(&shard.keys, &shard.core.next_seg),
                 )];
                 let bytes = TrajectoryStore::to_store_bytes_with_extra(
                     &query,
@@ -1686,7 +1288,7 @@ impl IngestEngine {
         let max_time = self.max_time;
         let mut new_wals = Vec::with_capacity(self.shards.len());
         for k in 0..self.shards.len() {
-            let records = self.shards[k].checkpoint_records(max_time);
+            let records = self.shards[k].core.checkpoint_records(max_time);
             let wal = Wal::create_with(
                 &self.dir.join(manifest::wal_shard_file_name(next, k as u32)),
                 &records,
@@ -1703,21 +1305,12 @@ impl IngestEngine {
         manifest::commit_with(self.io.as_ref(), &self.dir, next, self.config.shards as u32)
             .map_err(|e| ServeError::Manifest(e.to_string()))?;
         self.generation = next;
-        for (k, wal) in new_wals.into_iter().enumerate() {
-            let shard = &mut self.shards[k];
+        for (shard, wal) in self.shards.iter_mut().zip(new_wals) {
+            // `Wal::create_with` synced the new journal, so all of it is
+            // durable; its clock is the `Clock` record it opens with.
             shard.wal = wal;
-            // `Wal::create_with` synced the new journal, so everything
-            // in it is durable; the group-commit accumulators restart
-            // empty.
-            shard.durable_offset = shard.wal.offset();
-            shard.unsynced_bytes = 0;
-            shard.unsynced_frames = 0;
-            if max_time.is_finite() {
-                shard.last_sync_time = max_time;
-                shard.journaled_clock = max_time;
-            } else {
-                shard.journaled_clock = f64::NEG_INFINITY;
-            }
+            shard.mark_durable(max_time);
+            shard.core.apply(&WalRecord::Clock { t: max_time });
             shard.needs_clock = false;
             shard.dirty = false;
         }
@@ -1740,17 +1333,11 @@ impl IngestEngine {
     pub fn sync(&mut self) -> Result<()> {
         let mut first_err = None;
         for k in 0..self.shards.len() {
-            if let Err(e) = self.sync_shard_retrying(k) {
-                self.shards[k].stats.sync_failures += 1;
-                if first_err.is_none() {
-                    first_err = Some(Self::degrade(self.config.shards, k, e));
-                }
+            if let Err(e) = self.shards[k].sync(&self.config.durability, self.max_time) {
+                first_err.get_or_insert(Self::degrade(self.config.shards, k, e));
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// The merged corpus index: `(shard, index-within-shard)` pairs in
@@ -1771,14 +1358,9 @@ impl IngestEngine {
     /// count (the shard-matrix proptests pin this).
     pub fn merged_corpus_bytes(&self) -> Result<Vec<u8>> {
         let query = QueryEngine::new(self.press.model());
-        let trajs: Vec<CompressedTrajectory> = self
-            .merged_order()
-            .into_iter()
-            .map(|(k, i)| self.shards[k].finished[i].clone())
-            .collect();
         Ok(TrajectoryStore::to_store_bytes(
             &query,
-            &trajs,
+            &self.finished(),
             self.config.block_size,
         )?)
     }
@@ -1798,16 +1380,10 @@ impl IngestEngine {
         self.shards.len()
     }
 
-    /// Path of shard 0's published corpus file (current generation).
-    /// With one shard this is the whole corpus; multi-shard readers
-    /// should walk [`IngestEngine::shard_corpus_path`] over
-    /// [`IngestEngine::num_shards`] or use
-    /// [`IngestEngine::merged_corpus_bytes`].
-    pub fn corpus_path(&self) -> PathBuf {
-        self.shard_corpus_path(0)
-    }
-
     /// Path of `shard`'s published corpus file (current generation).
+    /// With one shard this is the whole corpus; multi-shard readers
+    /// walk it over [`IngestEngine::num_shards`] or use
+    /// [`IngestEngine::merged_corpus_bytes`].
     pub fn shard_corpus_path(&self, shard: usize) -> PathBuf {
         self.dir.join(manifest::corpus_shard_file_name(
             self.generation,
@@ -1815,31 +1391,15 @@ impl IngestEngine {
         ))
     }
 
-    /// Path of shard 0's journal (current generation).
-    pub fn wal_path(&self) -> PathBuf {
-        self.shard_wal_path(0)
-    }
-
     /// Path of `shard`'s journal (current generation).
     pub fn shard_wal_path(&self, shard: usize) -> PathBuf {
         self.shards[shard].wal.path().to_path_buf()
     }
 
-    /// Shard 0's journal length — with one shard, the latest
-    /// ingested-fix ack offset.
-    pub fn wal_offset(&self) -> u64 {
-        self.shard_wal_offset(0)
-    }
-
-    /// `shard`'s journal length.
+    /// `shard`'s journal length — the latest ingested-fix ack offset
+    /// of a fix routed there.
     pub fn shard_wal_offset(&self, shard: usize) -> u64 {
         self.shards[shard].wal.offset()
-    }
-
-    /// Shard 0's durability watermark (see
-    /// [`IngestEngine::shard_durable_offset`]).
-    pub fn durable_offset(&self) -> u64 {
-        self.shard_durable_offset(0)
     }
 
     /// `shard`'s durability watermark: every frame of its journal
@@ -1854,14 +1414,17 @@ impl IngestEngine {
     /// what the memory budget ([`IngestConfig::max_buffered_points`])
     /// bounds.
     pub fn buffered_points(&self) -> usize {
-        self.shards.iter().map(|s| s.buffered).sum()
+        self.shards.iter().map(|s| s.core.buffered).sum()
     }
 
-    /// The bounded eviction log: the most recent
+    /// The eviction log: each shard's most recent
     /// [`IngestConfig::eviction_log_cap`] evicted vehicles, oldest
-    /// first (rebuilt shard-major on recovery).
-    pub fn eviction_log(&self) -> &VecDeque<u64> {
-        &self.eviction_log
+    /// first, shard-major — live and after recovery alike.
+    pub fn eviction_log(&self) -> VecDeque<u64> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.core.evictions.iter().copied())
+            .collect()
     }
 
     /// The engine configuration.
@@ -1876,13 +1439,7 @@ impl IngestEngine {
 
     /// Live sessions across all shards.
     pub fn session_count(&self) -> usize {
-        self.shards.iter().map(|s| s.sessions.len()).sum()
-    }
-
-    /// Finalized segments awaiting [`IngestEngine::flush`], across all
-    /// shards.
-    pub fn pending_segments(&self) -> usize {
-        self.shards.iter().map(|s| s.pending.len()).sum()
+        self.shards.iter().map(|s| s.core.sessions.len()).sum()
     }
 
     /// The in-memory compressed corpus (checkpointed + flushed), in
@@ -1899,7 +1456,7 @@ impl IngestEngine {
     pub fn stats(&self) -> IngestStats {
         let mut total = IngestStats::default();
         for shard in &self.shards {
-            total.accumulate(&shard.stats);
+            total.accumulate(&shard.core.stats);
         }
         total
     }
@@ -1907,7 +1464,7 @@ impl IngestEngine {
     /// One shard's ingest counters. A degraded shard's rejections land
     /// here and never in a healthy shard's counters.
     pub fn shard_stats(&self, shard: usize) -> &IngestStats {
-        &self.shards[shard].stats
+        &self.shards[shard].core.stats
     }
 
     /// The bounded quarantine log: the most recent

@@ -108,20 +108,9 @@ pub fn truncate_shard_wal(dir: &Path, shard: u32, offset: u64) -> io::Result<u64
     Ok(cut)
 }
 
-/// [`truncate_shard_wal`] for shard 0 — the whole journal of a
-/// single-shard directory.
-pub fn truncate_wal(dir: &Path, offset: u64) -> io::Result<u64> {
-    truncate_shard_wal(dir, 0, offset)
-}
-
 /// Committed length of `shard`'s journal, for choosing kill offsets.
 pub fn shard_wal_len(dir: &Path, shard: u32) -> io::Result<u64> {
     Ok(std::fs::metadata(crate::manifest::live_shard_wal_path(dir, shard)?)?.len())
-}
-
-/// [`shard_wal_len`] for shard 0.
-pub fn wal_len(dir: &Path) -> io::Result<u64> {
-    shard_wal_len(dir, 0)
 }
 
 #[cfg(test)]

@@ -37,12 +37,13 @@
 //!   as typed [`ServeError::ShardDegraded`] with per-shard counters —
 //!   while pushes routed to healthy shards keep acking and the
 //!   published corpus keeps serving.
-//! * **Recovery is deterministic.** Replay goes through the exact live
-//!   ingest path, per shard and in parallel, and everything that
-//!   influences segmentation (stream clock, session order, arrival
-//!   order) is journaled or derived from the journal — a recovered
-//!   engine's corpus is byte-identical to a clean run over the acked
-//!   prefix of each shard.
+//! * **Recovery is deterministic.** Each shard's session state changes
+//!   through one function, `ShardCore::apply`: live ingest journals a
+//!   record and applies it, replay applies every journaled record, per
+//!   shard and in parallel. Everything that influences segmentation
+//!   (stream clock, session order, arrival order) is journaled or
+//!   derived from the journal — a recovered engine's corpus is
+//!   byte-identical to a clean run over the acked prefix of each shard.
 //! * **The published corpus is shard-count invariant.** Trajectories
 //!   carry canonical merge keys (vehicle, segment sequence, piece), so
 //!   the merged corpus bytes are identical for any shard count and any
@@ -68,13 +69,14 @@ pub mod engine;
 pub mod fault;
 pub mod manifest;
 pub mod session;
+mod shard;
 pub mod wal;
 
 pub use durability::DurabilityPolicy;
 pub use engine::{
     Ack, IngestConfig, IngestEngine, IngestStats, QuarantineRecord, RecoveryReport, ServeError,
 };
-pub use fault::{shard_wal_len, truncate_shard_wal, truncate_wal, wal_len, Event, FaultPlan};
+pub use fault::{shard_wal_len, truncate_shard_wal, Event, FaultPlan};
 pub use manifest::{Manifest, MANIFEST_FILE};
 pub use session::{Disposition, QuarantineReason, Session, SessionPolicy};
 pub use wal::{Wal, WalError, WalRecord, WalReplay};

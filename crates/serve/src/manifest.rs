@@ -216,12 +216,6 @@ pub fn live_shard_wal_path(dir: &Path, shard: u32) -> io::Result<PathBuf> {
     Ok(dir.join(wal_shard_file_name(gen, shard)))
 }
 
-/// [`live_shard_wal_path`] for shard 0 — the whole journal of a
-/// single-shard engine.
-pub fn live_wal_path(dir: &Path) -> io::Result<PathBuf> {
-    live_shard_wal_path(dir, 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +268,7 @@ mod tests {
         assert!(dir.join(wal_shard_file_name(7, 2)).exists());
         assert!(dir.join("unrelated.txt").exists());
         assert_eq!(
-            live_wal_path(&dir).expect("live"),
+            live_shard_wal_path(&dir, 0).expect("live"),
             dir.join(wal_shard_file_name(7, 0))
         );
         assert_eq!(
@@ -301,7 +295,7 @@ mod tests {
             err.to_string().contains("unsupported manifest version 1"),
             "{err}"
         );
-        assert!(live_wal_path(&dir).is_err());
+        assert!(live_shard_wal_path(&dir, 0).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,7 +29,8 @@ pub enum QuarantineReason {
 }
 
 impl QuarantineReason {
-    /// All reasons, in counter-array order (see [`Session::quarantined`]).
+    /// All reasons, in counter-array order (see
+    /// [`crate::IngestStats::points_quarantined`]).
     pub const ALL: [QuarantineReason; 4] = [
         QuarantineReason::NonFinite,
         QuarantineReason::OutOfOrder,
@@ -93,24 +94,20 @@ pub enum Disposition {
 }
 
 /// One vehicle's in-flight state: the samples of the current segment
-/// (plus their global arrival numbers, so a checkpoint can rewrite the
-/// WAL in original arrival order) and the last accepted fix, which is
-/// kept across segment rollovers so ordering and teleport checks span
-/// segment boundaries.
+/// (plus their arrival numbers in the owning shard, so a checkpoint can
+/// rewrite the WAL in original arrival order) and the last accepted
+/// fix, which is kept across segment rollovers so ordering and teleport
+/// checks span segment boundaries.
 #[derive(Debug, Clone)]
 pub struct Session {
     /// The vehicle id this session belongs to.
     pub vehicle: u64,
     /// Buffered (accepted) samples of the current segment.
     pub samples: Vec<GpsSample>,
-    /// Global arrival sequence number of each buffered sample.
+    /// Shard-local arrival sequence number of each buffered sample.
     pub arrivals: Vec<u64>,
     /// Last accepted fix, surviving segment rollover.
     pub last: Option<GpsSample>,
-    /// Per-reason quarantine counters (index by [`QuarantineReason::index`]).
-    pub quarantined: [u64; 4],
-    /// Fixes repaired by coalescing.
-    pub repaired: u64,
 }
 
 impl Session {
@@ -121,8 +118,6 @@ impl Session {
             samples: Vec::new(),
             arrivals: Vec::new(),
             last: None,
-            quarantined: [0; 4],
-            repaired: 0,
         }
     }
 

@@ -106,10 +106,12 @@ impl From<std::io::Error> for WalError {
 pub type Result<T> = std::result::Result<T, WalError>;
 
 /// One journaled ingest event. `Point` frames are written on the hot
-/// path; `Resume`/`Clock` frames exist only in checkpoint-rewritten
-/// journals so a replay reconstructs cross-segment session state
-/// (last-accepted fix, stream clock) exactly as a clean run would have
-/// it.
+/// path; `Resume` frames exist only in checkpoint-rewritten journals so
+/// a replay reconstructs cross-segment session state (last-accepted
+/// fix) exactly as a clean run would have it. `Clock` frames open a
+/// checkpoint-rewritten journal, and on a multi-shard engine they also
+/// precede a record whenever the shard's journal clock lags a global
+/// clock that a decision depended on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WalRecord {
     /// An accepted GPS fix for `vehicle`.
@@ -131,7 +133,7 @@ pub enum WalRecord {
         y: f64,
         t: f64,
     },
-    /// (Checkpoint only) advance the observed stream clock to `t`.
+    /// Advance the observed stream clock to `t`.
     Clock { t: f64 },
 }
 
@@ -142,6 +144,12 @@ const TAG_RESUME: u8 = 4;
 const TAG_CLOCK: u8 = 5;
 
 impl WalRecord {
+    /// True for the explicit end-of-trajectory frames (`Finalize`,
+    /// `FinalizeAll`).
+    pub fn is_finalize(&self) -> bool {
+        matches!(self, WalRecord::Finalize { .. } | WalRecord::FinalizeAll)
+    }
+
     /// Serializes the record payload (no framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(33);

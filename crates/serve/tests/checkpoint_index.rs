@@ -162,7 +162,7 @@ fn indexed_equals_linear_equals_brute_force_after_checkpoint_and_recovery() {
     let engine = checkpointed(&dir);
     let finished = engine.finished();
     assert!(!finished.is_empty(), "fixture produced an empty corpus");
-    let corpus = engine.corpus_path();
+    let corpus = engine.shard_corpus_path(0);
     assert_range_paths_agree(&corpus, &f.press, &finished);
     drop(engine);
 
@@ -175,5 +175,5 @@ fn indexed_equals_linear_equals_brute_force_after_checkpoint_and_recovery() {
     .expect("recovery");
     assert_eq!(reopened.finished(), finished);
     assert_eq!(reopened.recovery().corpus_trajectories, finished.len());
-    assert_range_paths_agree(&reopened.corpus_path(), &f.press, &finished);
+    assert_range_paths_agree(&reopened.shard_corpus_path(0), &f.press, &finished);
 }

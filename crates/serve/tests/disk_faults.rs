@@ -19,8 +19,8 @@ use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
 use press_network::{grid_network, GridConfig, SpBackend};
 use press_serve::wal::WAL_HEADER_LEN;
 use press_serve::{
-    shard_wal_len, truncate_shard_wal, truncate_wal, wal_len, DiskFault, DurabilityPolicy, Event,
-    FaultKind, FaultyIo, IngestConfig, IngestEngine, ServeError, SessionPolicy,
+    shard_wal_len, truncate_shard_wal, DiskFault, DurabilityPolicy, Event, FaultKind, FaultyIo,
+    IngestConfig, IngestEngine, ServeError, SessionPolicy,
 };
 use press_workload::{Workload, WorkloadConfig};
 use proptest::prelude::*;
@@ -133,7 +133,7 @@ fn finish(engine: &mut IngestEngine) -> Vec<u8> {
     engine.finalize_all().expect("finalize_all");
     engine.flush().expect("flush");
     engine.checkpoint().expect("checkpoint");
-    std::fs::read(engine.corpus_path()).expect("corpus bytes")
+    std::fs::read(engine.shard_corpus_path(0)).expect("corpus bytes")
 }
 
 /// Pushes `events` through a fresh fault-free engine and finishes it,
@@ -224,18 +224,18 @@ fn run_fault_cell(
             "an injected fault that cost events must show up in the counters"
         );
     }
-    let durable = engine.durable_offset();
+    let durable = engine.shard_durable_offset(0);
     drop(engine); // crash with the fault still armed
 
     // Power loss can only lose bytes the engine never fsynced: any cut
     // in [durable_offset, file length] is a legitimate crash state
     // (the tail past wal_offset() is a torn frame a faulted append left
     // behind — recovery must shrug it off too).
-    let len = wal_len(&dir).expect("wal len");
+    let len = shard_wal_len(&dir, 0).expect("wal len");
     let lo = durable.max(WAL_HEADER_LEN);
     assert!(len >= lo, "durable watermark cannot exceed the journal");
     let cut = lo + ((len - lo) as f64 * kill_frac).round() as u64;
-    truncate_wal(&dir, cut).expect("truncate");
+    truncate_shard_wal(&dir, 0, cut).expect("truncate");
 
     let mut recovered = IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg)
         .expect("recovery must succeed on the real filesystem");
@@ -485,7 +485,7 @@ fn durability_policy_changes_neither_journal_nor_corpus() {
         }
         engine.sync().expect("covering sync");
         let syncs = engine.stats().sync_calls;
-        let journal = std::fs::read(engine.wal_path()).expect("journal bytes");
+        let journal = std::fs::read(engine.shard_wal_path(0)).expect("journal bytes");
         let corpus = finish(&mut engine);
         let _ = std::fs::remove_dir_all(&dir);
         (syncs, journal, corpus)

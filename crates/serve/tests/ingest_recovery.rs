@@ -13,8 +13,8 @@ use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
 use press_network::{grid_network, GridConfig, Mbr, RoadNetwork, SpBackend};
 use press_serve::wal::WAL_HEADER_LEN;
 use press_serve::{
-    shard_wal_len, truncate_shard_wal, truncate_wal, wal_len, Ack, Event, FaultPlan, IngestConfig,
-    IngestEngine, SessionPolicy,
+    shard_wal_len, truncate_shard_wal, Ack, Event, FaultPlan, IngestConfig, IngestEngine,
+    SessionPolicy,
 };
 use press_workload::{Workload, WorkloadConfig};
 use proptest::prelude::*;
@@ -139,7 +139,7 @@ fn finish(engine: &mut IngestEngine) -> Vec<u8> {
     engine.finalize_all().expect("finalize_all");
     engine.flush().expect("flush");
     engine.checkpoint().expect("checkpoint");
-    std::fs::read(engine.corpus_path()).expect("corpus bytes")
+    std::fs::read(engine.shard_corpus_path(0)).expect("corpus bytes")
 }
 
 #[test]
@@ -183,11 +183,11 @@ fn clean_ingest_equals_the_offline_pipeline() {
 
     // Checkpoint publishes exactly this corpus.
     engine.checkpoint().expect("checkpoint");
-    let store = TrajectoryStore::open(&engine.corpus_path()).expect("open corpus");
+    let store = TrajectoryStore::open(&engine.shard_corpus_path(0)).expect("open corpus");
     assert_eq!(store.len(), expected.len());
     assert_eq!(store.decode_all().expect("decode"), expected);
     // After checkpoint the WAL holds no points (all published).
-    let (_, replay) = press_serve::Wal::open(&engine.wal_path()).expect("wal");
+    let (_, replay) = press_serve::Wal::open(&engine.shard_wal_path(0)).expect("wal");
     assert!(
         !replay
             .records
@@ -206,8 +206,8 @@ fn assert_kill_recovers(tag: &str, cfg: IngestConfig, events: &[Event], cut: u64
     let dir_a = test_dir(&format!("kill-a-{tag}"));
     let (engine_a, acked) = run_clean(&dir_a, cfg, events);
     drop(engine_a); // crash: no finalize, no checkpoint, no sync
-    let cut = cut.min(wal_len(&dir_a).expect("wal len"));
-    truncate_wal(&dir_a, cut).expect("truncate");
+    let cut = cut.min(shard_wal_len(&dir_a, 0).expect("wal len"));
+    truncate_shard_wal(&dir_a, 0, cut).expect("truncate");
 
     let f = fleet();
     let mut recovered =
@@ -253,7 +253,7 @@ proptest! {
         // Probe the full journal: a dry run tells us its final length.
         let dir = test_dir("kill-probe");
         let (engine, _) = run_clean(&dir, cfg, &f.events);
-        let final_len = engine.wal_offset();
+        let final_len = engine.shard_wal_offset(0);
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
         let cut = (final_len as f64 * frac).round() as u64;
@@ -281,7 +281,7 @@ proptest! {
         };
         let dir = test_dir("mangle-probe");
         let (engine, _) = run_clean(&dir, cfg, &mangled);
-        let final_len = engine.wal_offset();
+        let final_len = engine.shard_wal_offset(0);
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
         // Derive the kill offset from the seed, spanning the journal.
@@ -295,11 +295,11 @@ fn torn_final_frame_is_recovered_not_fatal() {
     let f = fleet();
     let dir = test_dir("torn");
     let (engine, acked) = run_clean(&dir, config(), &f.events);
-    let final_len = engine.wal_offset();
+    let final_len = engine.shard_wal_offset(0);
     drop(engine);
     // Tear the last frame mid-payload (5 bytes short of complete).
     let cut = final_len - 5;
-    truncate_wal(&dir, cut).expect("truncate");
+    truncate_shard_wal(&dir, 0, cut).expect("truncate");
     let recovered =
         IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config()).expect("recover");
     let report = recovered.recovery();
@@ -332,19 +332,19 @@ fn checkpoint_then_kill_keeps_published_corpus_and_tail() {
         }
     }
     engine.checkpoint().expect("mid-run checkpoint");
-    let base_len = engine.wal_offset();
+    let base_len = engine.shard_wal_offset(0);
     let pre_checkpoint_accepted = acked.len();
     for (i, &(v, s)) in f.events[split..].iter().enumerate() {
         if let Some(offset) = engine.push(v, s).expect("push").offset() {
             acked.push((split + i, offset));
         }
     }
-    let final_len = engine.wal_offset();
+    let final_len = engine.shard_wal_offset(0);
     drop(engine); // crash after the checkpoint, mid-append
                   // A crash can only tear post-checkpoint appends: the rewritten base
                   // was synced and atomically renamed. Kill somewhere in the tail.
     let cut = base_len + (final_len - base_len) / 3;
-    truncate_wal(&dir_a, cut).expect("truncate");
+    truncate_shard_wal(&dir_a, 0, cut).expect("truncate");
 
     let mut recovered =
         IngestEngine::open(&dir_a, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
@@ -414,8 +414,8 @@ fn kill_inside_checkpoint_commit_window_recovers_equivalently() {
     copy_dir(&dir, &pre);
     engine.checkpoint().expect("checkpoint");
     assert_eq!(engine.generation(), 1, "checkpoint bumps the generation");
-    let new_corpus = engine.corpus_path();
-    let new_wal = engine.wal_path();
+    let new_corpus = engine.shard_corpus_path(0);
+    let new_wal = engine.shard_wal_path(0);
     let new_manifest = dir.join(press_serve::MANIFEST_FILE);
     drop(engine);
 
@@ -523,14 +523,14 @@ fn recovered_store_answers_queries_like_brute_force() {
     };
     let dir = test_dir("queries");
     let (engine, _) = run_clean(&dir, cfg, &f.events);
-    let final_len = engine.wal_offset();
+    let final_len = engine.shard_wal_offset(0);
     drop(engine);
-    truncate_wal(&dir, final_len * 2 / 3).expect("truncate");
+    truncate_shard_wal(&dir, 0, final_len * 2 / 3).expect("truncate");
     let mut recovered =
         IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
     finish(&mut recovered);
 
-    let store = TrajectoryStore::open(&recovered.corpus_path()).expect("open");
+    let store = TrajectoryStore::open(&recovered.shard_corpus_path(0)).expect("open");
     let decoded = store.decode_all().expect("decode");
     assert!(!decoded.is_empty());
     let query = QueryEngine::new(recovered.press().model());
@@ -629,7 +629,7 @@ proptest! {
             duplicate_prob: 0.08,
             reorder_prob: 0.05,
         };
-        let mangled = plan.mangle(&f.events);
+        let mut mangled = plan.mangle(&f.events);
         let cfg = IngestConfig {
             idle_timeout: 300.0,
             max_session_points: 16,
@@ -637,6 +637,14 @@ proptest! {
             shards,
             ..config()
         };
+        // A late uploader: a vehicle outside the fleet that sends vehicle
+        // 0's trace after the stream's last event, every fix more than
+        // `idle_timeout` behind the stream clock — so each one is idle at
+        // the global clock the moment it is accepted.
+        let trace: Vec<GpsSample> = f.events.iter().filter(|e| e.0 == 0).map(|e| e.1).collect();
+        let stream_end = f.events.last().expect("non-empty stream").1.t;
+        let lag = stream_end - 2.0 * cfg.idle_timeout - trace.last().expect("vehicle 0 fixes").t;
+        mangled.extend(trace.iter().map(|s| (1_000, GpsSample { t: s.t + lag, ..*s })));
         let dir = test_dir(&format!("shardmatrix-{seed}-{shards}"));
         let mut engine =
             IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");

@@ -14,7 +14,9 @@
 
 use press::matcher::hmm::GpsSample;
 use press::prelude::*;
-use press::serve::{truncate_wal, wal_len, DiskFault, Event, FaultKind, FaultyIo, ServeError};
+use press::serve::{
+    shard_wal_len, truncate_shard_wal, DiskFault, Event, FaultKind, FaultyIo, ServeError,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -131,9 +133,9 @@ fn main() {
     }
     drop(engine); // power cut: nothing finalized, flushed, or published
 
-    let full = wal_len(&dir).expect("wal length");
+    let full = shard_wal_len(&dir, 0).expect("wal length");
     let cut = full * 3 / 5;
-    truncate_wal(&dir, cut).expect("tear the journal");
+    truncate_shard_wal(&dir, 0, cut).expect("tear the journal");
     println!("\npower cut: journal torn at byte {cut} of {full}");
 
     // --- Recovery: replay the journal through the live ingest path. ------
@@ -157,11 +159,11 @@ fn main() {
     recovered.finalize_all().expect("finalize");
     let pieces = recovered.flush().expect("flush");
     recovered.checkpoint().expect("checkpoint");
-    let recovered_corpus = std::fs::read(recovered.corpus_path()).expect("corpus");
+    let recovered_corpus = std::fs::read(recovered.shard_corpus_path(0)).expect("corpus");
     println!(
         "published: {pieces} trajectory pieces, corpus {} KiB, WAL shrunk to {} bytes",
         recovered_corpus.len() / 1024,
-        recovered.wal_offset()
+        recovered.shard_wal_offset(0)
     );
 
     // --- The guarantee, checked: byte-identical to a clean run. ----------
@@ -184,7 +186,7 @@ fn main() {
     clean.finalize_all().expect("finalize");
     clean.flush().expect("flush");
     clean.checkpoint().expect("checkpoint");
-    let clean_corpus = std::fs::read(clean.corpus_path()).expect("corpus");
+    let clean_corpus = std::fs::read(clean.shard_corpus_path(0)).expect("corpus");
     assert_eq!(
         recovered_corpus, clean_corpus,
         "recovered corpus must be byte-identical to the clean run"
@@ -195,7 +197,8 @@ fn main() {
     );
 
     // The recovered store still answers queries.
-    let store = press::core::store::TrajectoryStore::open(&recovered.corpus_path()).expect("open");
+    let store =
+        press::core::store::TrajectoryStore::open(&recovered.shard_corpus_path(0)).expect("open");
     let query = QueryEngine::new(recovered.press().model());
     let decoded = store.decode_all().expect("decode");
     if let Some((t0, t1)) = decoded.first().and_then(|ct| ct.temporal.time_range()) {
