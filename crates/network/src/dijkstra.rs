@@ -118,46 +118,7 @@ pub fn dijkstra_with(net: &RoadNetwork, source: NodeId, weights: &[f64]) -> Shor
         net.num_edges(),
         "one weight per edge required"
     );
-    let n = net.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred_edge: Vec<Option<EdgeId>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[source.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: source,
-    });
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if settled[u.index()] {
-            continue;
-        }
-        settled[u.index()] = true;
-        for &e in net.out_edges(u) {
-            let w = weights[e.index()];
-            let edge = net.edge(e);
-            let v = edge.to;
-            let nd = d + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                pred_edge[v.index()] = Some(e);
-                heap.push(HeapEntry { dist: nd, node: v });
-            } else if nd == dist[v.index()]
-                && w > 0.0
-                && edge.from != edge.to
-                && pred_edge[v.index()].is_some_and(|p| e.0 < p.0)
-            {
-                // Canonical tie-break: among float-tight predecessors,
-                // keep the smallest edge id (see module docs).
-                pred_edge[v.index()] = Some(e);
-            }
-        }
-    }
-    ShortestPathTree {
-        source,
-        dist,
-        pred_edge,
-    }
+    dense_search(net, source, f64::INFINITY, |e| weights[e.index()])
 }
 
 /// Runs Dijkstra from `source`, abandoning nodes farther than `max_dist`.
@@ -176,6 +137,18 @@ pub fn dijkstra_with(net: &RoadNetwork, source: NodeId, weights: &[f64]) -> Shor
 /// full trees and as the oracle of [`dijkstra_sparse`], which runs the
 /// same loop at a cost that follows the ball instead of the graph.
 pub fn dijkstra_bounded(net: &RoadNetwork, source: NodeId, max_dist: f64) -> ShortestPathTree {
+    dense_search(net, source, max_dist, |e| net.edge(e).weight)
+}
+
+/// The dense settle/relax loop behind [`dijkstra_with`] and
+/// [`dijkstra_bounded`]: edge weights come from `weight`, and the search
+/// stops at the first node popped beyond `max_dist`.
+fn dense_search(
+    net: &RoadNetwork,
+    source: NodeId,
+    max_dist: f64,
+    weight: impl Fn(EdgeId) -> f64,
+) -> ShortestPathTree {
     let n = net.num_nodes();
     let mut dist = vec![f64::INFINITY; n];
     let mut pred_edge: Vec<Option<EdgeId>> = vec![None; n];
@@ -196,7 +169,8 @@ pub fn dijkstra_bounded(net: &RoadNetwork, source: NodeId, max_dist: f64) -> Sho
         }
         for &e in net.out_edges(u) {
             let edge = net.edge(e);
-            let nd = d + edge.weight;
+            let w = weight(e);
+            let nd = d + w;
             let v = edge.to;
             if nd < dist[v.index()] {
                 // Strict improvement: adopt the new distance and edge.
@@ -204,7 +178,7 @@ pub fn dijkstra_bounded(net: &RoadNetwork, source: NodeId, max_dist: f64) -> Sho
                 pred_edge[v.index()] = Some(e);
                 heap.push(HeapEntry { dist: nd, node: v });
             } else if nd == dist[v.index()]
-                && edge.weight > 0.0
+                && w > 0.0
                 && edge.from != edge.to
                 && pred_edge[v.index()].is_some_and(|p| e.0 < p.0)
             {

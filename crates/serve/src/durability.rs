@@ -21,7 +21,9 @@
 //! up to [`DurabilityPolicy::max_retries`] times with doubling
 //! backoff, then surface as [`crate::ServeError::Backpressure`];
 //! out-of-space is persistent — no retry can free the disk — and
-//! surfaces immediately as [`crate::ServeError::StorageFull`].
+//! surfaces immediately as [`crate::ServeError::StorageFull`]. Either
+//! arrives as the cause of the shard's
+//! [`crate::ServeError::ShardDegraded`].
 
 /// When the engine fsyncs the journal, and how it retries transient
 /// write failures. Carried inside [`crate::IngestConfig`].

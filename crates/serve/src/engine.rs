@@ -12,9 +12,8 @@
 //! [`ServeError::ShardDegraded`] naming *k*; pushes routed to healthy
 //! shards keep acking, the published corpus keeps serving, and the
 //! degraded shard's rejections never leak into healthy shards'
-//! counters. With `shards == 1` (the default) the engine behaves —
-//! journal bytes included — exactly like the historical single-writer
-//! engine, and errors stay un-wrapped.
+//! counters. The rule does not depend on the shard count: a
+//! single-shard engine reports its failures as shard 0's.
 //!
 //! # Ack and durability contract
 //!
@@ -128,13 +127,13 @@ pub enum ServeError {
         /// Retries performed before giving up.
         retries: u32,
     },
-    /// A shard-scoped durable write failed on a multi-shard engine:
-    /// only `shard` is degraded — pushes routed to other shards keep
-    /// acking and the published corpus keeps serving. `cause` is the
-    /// underlying typed failure ([`ServeError::StorageFull`],
-    /// [`ServeError::Backpressure`], …); the fix was **not** ingested
-    /// and the shard stays recoverable. Single-shard engines surface
-    /// the cause directly, un-wrapped.
+    /// A shard-scoped durable write failed: only `shard` is degraded —
+    /// pushes routed to other shards keep acking and the published
+    /// corpus keeps serving. `cause` is the underlying typed failure
+    /// ([`ServeError::StorageFull`], [`ServeError::Backpressure`], …);
+    /// the fix was **not** ingested and the shard stays recoverable.
+    /// Every shard-scoped write failure takes this form, at any shard
+    /// count.
     ShardDegraded {
         /// The shard whose journal refused the write.
         shard: usize,
@@ -165,11 +164,11 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 impl ServeError {
-    /// Unwraps [`ServeError::ShardDegraded`] layers down to the
-    /// underlying failure (identity for every other variant).
+    /// The underlying failure of a [`ServeError::ShardDegraded`]
+    /// (identity for every other variant).
     pub fn root_cause(&self) -> &ServeError {
         match self {
-            ServeError::ShardDegraded { cause, .. } => cause.root_cause(),
+            ServeError::ShardDegraded { cause, .. } => cause,
             other => other,
         }
     }
@@ -218,6 +217,13 @@ impl From<std::io::Error> for ServeError {
 /// Crate-local result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;
 
+/// Most recent quarantined fixes the engine keeps for inspection
+/// ([`IngestEngine::quarantine_log`]).
+pub const QUARANTINE_LOG_CAP: usize = 1024;
+/// Most recent evicted vehicle ids each shard keeps for inspection
+/// ([`IngestEngine::eviction_log`]).
+pub const EVICTION_LOG_CAP: usize = 1024;
+
 /// Engine configuration. Compression parameters (θ, BTC bounds,
 /// decomposer) come from the [`Press`] handle, not from here.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -245,8 +251,6 @@ pub struct IngestConfig {
     /// Degraded-mode salvage: how many times a segment may be split on
     /// `BrokenChain`/`InvalidSample` before the remainder is dropped.
     pub max_salvage_splits: usize,
-    /// Most recent quarantined fixes kept for inspection.
-    pub quarantine_log_cap: usize,
     /// When each shard fsyncs its journal and how it retries transient
     /// write failures (see [`DurabilityPolicy`]); every shard runs its
     /// own independent instance of this policy. Only sync *timing* —
@@ -264,9 +268,6 @@ pub struct IngestConfig {
     /// Memory budget: live session count (per-shard share, same LRU
     /// eviction). `0` disables.
     pub max_sessions: usize,
-    /// Most recent evicted vehicle ids each shard keeps for inspection
-    /// (the eviction-order determinism proptest reads this).
-    pub eviction_log_cap: usize,
     /// Independent writer shards. Vehicles are routed by hash, and each
     /// shard owns its own journal, durability accumulators, sessions,
     /// memory-budget share, and stats — a disk fault degrades one
@@ -287,11 +288,9 @@ impl Default for IngestConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             max_lattice_work: 2_000_000,
             max_salvage_splits: 8,
-            quarantine_log_cap: 1024,
             durability: DurabilityPolicy::default(),
             max_buffered_points: 0,
             max_sessions: 0,
-            eviction_log_cap: 1024,
             shards: 1,
         }
     }
@@ -363,7 +362,7 @@ pub struct IngestStats {
     /// Fixes repaired by coalescing.
     pub points_repaired: u64,
     /// Fixes quarantined, by [`QuarantineReason::index`].
-    pub points_quarantined: [u64; 4],
+    pub points_quarantined: [u64; 3],
     /// Segments finalized by the idle sweep.
     pub segments_idle: u64,
     /// Segments cut by the session-size rollover.
@@ -465,16 +464,13 @@ pub struct RecoveryReport {
     pub points_in_flight: usize,
 }
 
-/// Canonical merge key of one finalized piece: the published corpus is
-/// built in `(rank, vehicle, seg, piece)` order, which is independent
-/// of shard count, flush batching, and thread count. `rank 0` pins
-/// trajectories inherited from a pre-key corpus in their original
-/// position (their `vehicle` field is the original index); everything
-/// cut by this engine is `rank 1` with its real vehicle id, per-vehicle
-/// segment sequence number, and salvage piece index.
+/// Canonical merge key of one finalized piece: the vehicle id, its
+/// per-vehicle segment sequence number and the salvage piece index. The
+/// published corpus is built in key order, which is independent of
+/// shard count, flush batching, and thread count. Keys are unique
+/// across shards, because a vehicle routes to exactly one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct TrajKey {
-    rank: u8,
     vehicle: u64,
     seg: u64,
     piece: u32,
@@ -484,22 +480,25 @@ struct TrajKey {
 /// per-vehicle segment-sequence counters (see `encode_ingest_section`).
 const INGEST_SECTION: &str = "ingest";
 /// Version tag of the `ingest` section payload. Version 1 was the
-/// fixed-width layout (21 B per key, 16 B per counter).
-const INGEST_SECTION_VERSION: u32 = 2;
+/// fixed-width layout (21 B per key, 16 B per counter); version 2 led
+/// each key with a rank byte for keys adopted from a pre-sharding
+/// corpus. Both are refused.
+const INGEST_SECTION_VERSION: u32 = 3;
 
-/// Serializes a shard's merge keys (aligned with its trajectory order)
-/// and per-vehicle `next_seg` counters into the corpus `ingest`
-/// section. Keys arrive sorted by `(rank, vehicle, seg, piece)` and
-/// counters are sorted by vehicle here, so the bytes are canonical and
-/// the vehicle ids delta down to a byte (the delta wraps, so any order
-/// still round-trips).
-fn encode_ingest_section(keys: &[TrajKey], next_seg: &HashMap<u64, u64>) -> Vec<u8> {
+/// Serializes a shard's merge keys (in its trajectory order) and
+/// per-vehicle `next_seg` counters into the corpus `ingest` section.
+/// Keys arrive sorted and counters are sorted by vehicle here, so the
+/// bytes are canonical and the vehicle ids delta down to a byte (the
+/// delta wraps, so any order still round-trips).
+fn encode_ingest_section<'a>(
+    keys: impl ExactSizeIterator<Item = &'a TrajKey>,
+    next_seg: &HashMap<u64, u64>,
+) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(8 + keys.len() * 4 + next_seg.len() * 2);
     w.put_u32(INGEST_SECTION_VERSION);
     w.put_uvarint(keys.len() as u64);
     let mut prev = 0u64;
     for k in keys {
-        w.put_u8(k.rank);
         w.put_uvarint(k.vehicle.wrapping_sub(prev));
         w.put_uvarint(k.seg);
         w.put_uvarint(u64::from(k.piece));
@@ -517,17 +516,17 @@ fn encode_ingest_section(keys: &[TrajKey], next_seg: &HashMap<u64, u64>) -> Vec<
     w.into_bytes()
 }
 
-/// Parses the `ingest` section back. `n_trajs` is the number of
-/// trajectories in the corpus file — the key list must match it exactly
-/// or the sidecar is corrupt.
+/// Parses the `ingest` section back; a corpus without one is refused.
+/// `n_trajs` is the number of trajectories in the corpus file — the key
+/// list must match it exactly or the sidecar is corrupt.
 fn decode_ingest_section(
-    bytes: &[u8],
+    section: Option<&[u8]>,
     n_trajs: usize,
 ) -> Result<(Vec<TrajKey>, HashMap<u64, u64>)> {
     fn bad(e: impl fmt::Display) -> ServeError {
         ServeError::Manifest(format!("corpus ingest section: {e}"))
     }
-    let mut r = ByteReader::new(bytes);
+    let mut r = ByteReader::new(section.ok_or_else(|| bad("missing"))?);
     let version = r.get_u32().map_err(bad)?;
     if version != INGEST_SECTION_VERSION {
         return Err(bad(format_args!("unsupported version {version}")));
@@ -541,15 +540,10 @@ fn decode_ingest_section(
     let mut keys = Vec::with_capacity(n_trajs);
     let mut vehicle = 0u64;
     for _ in 0..n_trajs {
-        let rank = r.get_u8().map_err(bad)?;
-        if rank > 1 {
-            return Err(bad(format_args!("unknown key rank {rank}")));
-        }
         vehicle = vehicle.wrapping_add(r.get_uvarint().map_err(bad)?);
         let seg = r.get_uvarint().map_err(bad)?;
         let piece = r.get_uvarint().map_err(bad)?;
         keys.push(TrajKey {
-            rank,
             vehicle,
             seg,
             piece: u32::try_from(piece)
@@ -572,14 +566,6 @@ fn decode_ingest_section(
     }
     r.expect_end("ingest section").map_err(bad)?;
     Ok((keys, next_seg))
-}
-
-/// Per-segment outcome from the parallel matching stage.
-struct SegmentOutcome {
-    compressed: Vec<CompressedTrajectory>,
-    splits: u64,
-    dropped: u64,
-    shed: u64,
 }
 
 /// SplitMix64 finalizer — the vehicle-to-shard route. A fixed public
@@ -612,11 +598,9 @@ struct Shard {
     /// True when a read-ahead sweep closed sessions at a global clock
     /// the journal does not encode yet (see [`Shard::journal`]).
     needs_clock: bool,
-    /// Canonical merge keys, aligned index-for-index with `finished`
-    /// and kept sorted.
-    keys: Vec<TrajKey>,
-    /// This shard's slice of the compressed corpus, in key order.
-    finished: Vec<CompressedTrajectory>,
+    /// This shard's slice of the compressed corpus under its canonical
+    /// merge keys, sorted by key.
+    corpus: Vec<(TrajKey, CompressedTrajectory)>,
     /// True when a flush took segments from this shard since the last
     /// checkpoint — its corpus slice (trajectories and/or counters)
     /// needs a rewrite; clean shards hard-link the previous
@@ -733,39 +717,16 @@ impl Shard {
             self.last_sync_time = clock;
         }
     }
-
-    /// Re-establishes the sorted-by-key invariant after a flush
-    /// appended new pieces.
-    fn resort_finished(&mut self) {
-        if self.keys.windows(2).all(|w| w[0] <= w[1]) {
-            return;
-        }
-        let keys = std::mem::take(&mut self.keys);
-        let finished = std::mem::take(&mut self.finished);
-        let mut both: Vec<(TrajKey, CompressedTrajectory)> =
-            keys.into_iter().zip(finished).collect();
-        both.sort_unstable_by_key(|e| e.0);
-        self.keys.reserve(both.len());
-        self.finished.reserve(both.len());
-        for (k, ct) in both {
-            self.keys.push(k);
-            self.finished.push(ct);
-        }
-    }
 }
 
-/// One shard's corpus slice: trajectories, canonical merge keys, and
-/// per-vehicle segment counters.
-type ShardCorpus = (Vec<TrajKey>, Vec<CompressedTrajectory>, HashMap<u64, u64>);
+/// One shard's corpus slice under its merge keys, and its per-vehicle
+/// segment counters.
+type ShardCorpus = (Vec<(TrajKey, CompressedTrajectory)>, HashMap<u64, u64>);
 
 /// Loads one shard's corpus slice, which must have been coded under
-/// `model` (its spatial codes mean nothing under another code book). A
-/// pre-key corpus (no `ingest` section) gets synthetic rank-0 keys
-/// pinning its original order.
+/// `model` (its spatial codes mean nothing under another code book) and
+/// carry an `ingest` section.
 fn load_shard_corpus(path: &Path, model: &HscModel) -> Result<ShardCorpus> {
-    if !path.exists() {
-        return Ok((Vec::new(), Vec::new(), HashMap::new()));
-    }
     // Mapped open: recovery walks the block directory without pulling
     // the whole checkpoint into memory first; each block is faulted in
     // (and CRC-checked) once as `decode_all` visits it, and the answers
@@ -780,23 +741,9 @@ fn load_shard_corpus(path: &Path, model: &HscModel) -> Result<ShardCorpus> {
         )));
     }
     let finished = store.decode_all()?;
-    match store.extra_section(INGEST_SECTION)? {
-        Some(bytes) => {
-            let (keys, next_seg) = decode_ingest_section(bytes, finished.len())?;
-            Ok((keys, finished, next_seg))
-        }
-        None => {
-            let keys = (0..finished.len())
-                .map(|i| TrajKey {
-                    rank: 0,
-                    vehicle: i as u64,
-                    seg: 0,
-                    piece: 0,
-                })
-                .collect();
-            Ok((keys, finished, HashMap::new()))
-        }
-    }
+    let (keys, next_seg) =
+        decode_ingest_section(store.extra_section(INGEST_SECTION)?, finished.len())?;
+    Ok((keys.into_iter().zip(finished).collect(), next_seg))
 }
 
 /// Recovers shard `k` of a committed generation: its corpus slice, then
@@ -811,16 +758,30 @@ fn recover_shard(
     k: usize,
     model: &HscModel,
 ) -> Result<(Shard, RecoveryReport)> {
-    let corpus_name = manifest::corpus_shard_file_name(generation, k as u32);
-    let (keys, finished, next_seg) = load_shard_corpus(&dir.join(corpus_name), model)?;
-    let wal_name = manifest::wal_shard_file_name(generation, k as u32);
-    let (wal, replay) = Wal::open_with(&dir.join(wal_name), io)?;
+    let corpus_path = dir.join(manifest::corpus_shard_file_name(generation, k as u32));
+    let wal_path = dir.join(manifest::wal_shard_file_name(generation, k as u32));
+    // Every checkpoint writes both artifacts of every shard before its
+    // manifest rename. Generation 0 has no corpus yet, and its journal
+    // may be missing after a crash between the first manifest commit
+    // and the journal's creation.
+    let (corpus, next_seg) = if generation == 0 {
+        (Vec::new(), HashMap::new())
+    } else {
+        if let Some(missing) = [&corpus_path, &wal_path].into_iter().find(|p| !p.exists()) {
+            return Err(ServeError::Manifest(format!(
+                "{} is missing, but generation {generation} is committed",
+                missing.display()
+            )));
+        }
+        load_shard_corpus(&corpus_path, model)?
+    };
+    let (wal, replay) = Wal::open(&wal_path, io)?;
     let mut core = ShardCore::new(config, next_seg);
     for rec in &replay.records {
         core.apply(rec);
     }
     let report = RecoveryReport {
-        corpus_trajectories: finished.len(),
+        corpus_trajectories: corpus.len(),
         replayed_points: core.stats.points_accepted,
         replayed_finalizes: replay.records.iter().filter(|r| r.is_finalize()).count() as u64,
         torn_bytes: replay.torn_bytes,
@@ -838,8 +799,7 @@ fn recover_shard(
         unsynced_frames: 0,
         last_sync_time: f64::NEG_INFINITY,
         needs_clock: false,
-        keys,
-        finished,
+        corpus,
         dirty: false,
     };
     Ok((shard, report))
@@ -865,7 +825,7 @@ pub struct IngestEngine {
     /// must be identical).
     max_time: f64,
     /// Ring of the most recent quarantined fixes (capacity
-    /// `config.quarantine_log_cap`), oldest first.
+    /// [`QUARANTINE_LOG_CAP`]), oldest first.
     quarantine: VecDeque<QuarantineRecord>,
     recovery: RecoveryReport,
 }
@@ -932,7 +892,7 @@ impl IngestEngine {
                             "ingest artifacts present but MANIFEST is missing".into(),
                         ));
                     }
-                    manifest::commit_with(io.as_ref(), dir, 0, config.shards as u32)
+                    manifest::commit(io.as_ref(), dir, 0, config.shards as u32)
                         .map_err(|e| ServeError::Manifest(e.to_string()))?;
                     0
                 }
@@ -983,16 +943,11 @@ impl IngestEngine {
         (splitmix64(vehicle) % self.config.shards as u64) as usize
     }
 
-    /// Wraps a shard-scoped failure for multi-shard engines;
-    /// single-shard engines keep the historical un-wrapped errors.
-    fn degrade(shards: usize, shard: usize, e: ServeError) -> ServeError {
-        if shards > 1 {
-            ServeError::ShardDegraded {
-                shard,
-                cause: Box::new(e),
-            }
-        } else {
-            e
+    /// Wraps a failure on `shard` as that shard's degradation.
+    fn degrade(shard: usize, e: ServeError) -> ServeError {
+        ServeError::ShardDegraded {
+            shard,
+            cause: Box::new(e),
         }
     }
 
@@ -1021,7 +976,7 @@ impl IngestEngine {
         let (policy, clock) = (self.config.durability, self.max_time);
         self.shards[k]
             .journal(&policy, clock, rec, late)
-            .map_err(|e| Self::degrade(self.config.shards, k, e))
+            .map_err(|e| Self::degrade(k, e))
     }
 
     /// Ingests one fix, routed to its owning shard. Accepted fixes are
@@ -1032,13 +987,12 @@ impl IngestEngine {
     /// by a completed sync, [`Ack::Journaled`] otherwise.
     ///
     /// An `Err` means the fix was **not** ingested and engine state is
-    /// unchanged: [`ServeError::StorageFull`] for out-of-space
-    /// (persistent — re-push after freeing space),
+    /// unchanged: a [`ServeError::ShardDegraded`] naming the owning
+    /// shard, whose cause is [`ServeError::StorageFull`] for
+    /// out-of-space (persistent — re-push after freeing space) or
     /// [`ServeError::Backpressure`] when a transient failure survived
-    /// the retry budget — both wrapped in
-    /// [`ServeError::ShardDegraded`] on a multi-shard engine, where
-    /// they degrade **only the owning shard**: pushes routed elsewhere
-    /// keep acking and the engine keeps serving queries either way.
+    /// the retry budget. Only the owning shard degrades: pushes routed
+    /// elsewhere keep acking and the engine keeps serving queries.
     pub fn push(&mut self, vehicle: u64, sample: GpsSample) -> Result<Ack> {
         let k = self.shard_of(vehicle);
         self.read_ahead(k);
@@ -1073,16 +1027,14 @@ impl IngestEngine {
             }
             Disposition::Quarantine(reason) => {
                 self.shards[k].core.stats.points_quarantined[reason.index()] += 1;
-                if self.config.quarantine_log_cap > 0 {
-                    if self.quarantine.len() == self.config.quarantine_log_cap {
-                        self.quarantine.pop_front();
-                    }
-                    self.quarantine.push_back(QuarantineRecord {
-                        vehicle,
-                        sample,
-                        reason,
-                    });
+                if self.quarantine.len() == QUARANTINE_LOG_CAP {
+                    self.quarantine.pop_front();
                 }
+                self.quarantine.push_back(QuarantineRecord {
+                    vehicle,
+                    sample,
+                    reason,
+                });
                 Ok(Ack::Quarantined(reason))
             }
         }
@@ -1134,8 +1086,8 @@ impl IngestEngine {
     }
 
     /// Explicitly ends every live trajectory (journaled per shard, in
-    /// shard order). On a multi-shard engine a failing shard surfaces
-    /// as [`ServeError::ShardDegraded`] with shards before it already
+    /// shard order). A failing shard surfaces as
+    /// [`ServeError::ShardDegraded`] with shards before it already
     /// finalized and shards after it untouched (their sessions stay
     /// live; call again once the shard heals).
     pub fn finalize_all(&mut self) -> Result<()> {
@@ -1174,22 +1126,21 @@ impl IngestEngine {
         let press = &self.press;
         let max_work = self.config.max_lattice_work;
         let max_splits = self.config.max_salvage_splits;
-        let outcomes: Vec<SegmentOutcome> =
+        let outcomes: Vec<(Vec<CompressedTrajectory>, IngestStats)> =
             work_steal_map(&tagged, self.config.threads, |_, item| {
                 let seg = &item.1;
                 let report = matcher.match_trajectory_salvaging(&seg.samples, max_work, max_splits);
-                let mut out = SegmentOutcome {
-                    compressed: Vec::with_capacity(report.pieces.len()),
-                    splits: report.splits as u64,
-                    dropped: 0,
-                    shed: 0,
+                let mut delta = IngestStats {
+                    salvage_splits: report.splits as u64,
+                    ..IngestStats::default()
                 };
                 for err in &report.dropped {
-                    out.dropped += 1;
+                    delta.pieces_dropped += 1;
                     if matches!(err, MatcherError::BudgetExceeded { .. }) {
-                        out.shed += 1;
+                        delta.pieces_shed += 1;
                     }
                 }
+                let mut compressed = Vec::with_capacity(report.pieces.len());
                 for piece in report.pieces {
                     let path_samples: Vec<PathSample> = piece
                         .samples
@@ -1200,36 +1151,35 @@ impl IngestEngine {
                             t: m.t,
                         })
                         .collect();
-                    let compressed = reformat(matcher.network(), piece.edges, &path_samples)
-                        .and_then(|traj| press.compress(&traj));
-                    match compressed {
-                        Ok(ct) => out.compressed.push(ct),
-                        Err(_) => out.dropped += 1,
+                    match reformat(matcher.network(), piece.edges, &path_samples)
+                        .and_then(|traj| press.compress(&traj))
+                    {
+                        Ok(ct) => compressed.push(ct),
+                        Err(_) => delta.pieces_dropped += 1,
                     }
                 }
-                out
+                delta.pieces_compressed = compressed.len() as u64;
+                (compressed, delta)
             });
         let mut pieces = 0usize;
-        for ((k, seg), out) in tagged.into_iter().zip(outcomes) {
+        for ((k, seg), (compressed, delta)) in tagged.into_iter().zip(outcomes) {
             let shard = &mut self.shards[k];
-            pieces += out.compressed.len();
-            let stats = &mut shard.core.stats;
-            stats.pieces_compressed += out.compressed.len() as u64;
-            stats.salvage_splits += out.splits;
-            stats.pieces_dropped += out.dropped;
-            stats.pieces_shed += out.shed;
-            for (piece, ct) in out.compressed.into_iter().enumerate() {
-                shard.keys.push(TrajKey {
-                    rank: 1,
-                    vehicle: seg.vehicle,
-                    seg: seg.seg,
-                    piece: piece as u32,
-                });
-                shard.finished.push(ct);
-            }
+            pieces += compressed.len();
+            shard.core.stats.accumulate(&delta);
+            shard
+                .corpus
+                .extend(compressed.into_iter().enumerate().map(|(piece, ct)| {
+                    let key = TrajKey {
+                        vehicle: seg.vehicle,
+                        seg: seg.seg,
+                        piece: piece as u32,
+                    };
+                    (key, ct)
+                }));
         }
         for shard in &mut self.shards {
-            shard.resort_finished();
+            // Stable sort: linear on the sorted prefix plus the new run.
+            shard.corpus.sort_by_key(|e| e.0);
         }
         Ok(pieces)
     }
@@ -1258,11 +1208,13 @@ impl IngestEngine {
             if shard.dirty || !prev_path.exists() {
                 let extra = vec![(
                     INGEST_SECTION.to_string(),
-                    encode_ingest_section(&shard.keys, &shard.core.next_seg),
+                    encode_ingest_section(shard.corpus.iter().map(|e| &e.0), &shard.core.next_seg),
                 )];
+                let trajectories: Vec<CompressedTrajectory> =
+                    shard.corpus.iter().map(|e| e.1.clone()).collect();
                 let bytes = TrajectoryStore::to_store_bytes_with_extra(
                     &query,
-                    &shard.finished,
+                    &trajectories,
                     self.config.block_size,
                     extra,
                 )?;
@@ -1272,7 +1224,7 @@ impl IngestEngine {
                 // half-written artifact under a name a *later*
                 // checkpoint could collide with.
                 store_io::atomic_write_file(self.io.as_ref(), &next_path, &bytes)
-                    .map_err(|e| Self::degrade(self.config.shards, k, e.into()))?;
+                    .map_err(|e| Self::degrade(k, e.into()))?;
             } else {
                 // Clean shard: the previous generation's file *is* the
                 // next one — link it under the new name (a leftover from
@@ -1282,19 +1234,19 @@ impl IngestEngine {
                 let _ = self.io.remove_file(&next_path);
                 self.io
                     .hard_link(&prev_path, &next_path)
-                    .map_err(|e| Self::degrade(self.config.shards, k, e.into()))?;
+                    .map_err(|e| Self::degrade(k, e.into()))?;
             }
         }
         let max_time = self.max_time;
         let mut new_wals = Vec::with_capacity(self.shards.len());
         for k in 0..self.shards.len() {
             let records = self.shards[k].core.checkpoint_records(max_time);
-            let wal = Wal::create_with(
+            let wal = Wal::create(
                 &self.dir.join(manifest::wal_shard_file_name(next, k as u32)),
                 &records,
                 self.io.clone(),
             )
-            .map_err(|e| Self::degrade(self.config.shards, k, e.into()))?;
+            .map_err(|e| Self::degrade(k, e.into()))?;
             new_wals.push(wal);
         }
         // The commit point: one atomic rename flips recovery from the
@@ -1302,11 +1254,11 @@ impl IngestEngine {
         // here leaves the engine on its old generation, old journals,
         // fully consistent — the uncommitted new-generation files are
         // GC'd later.
-        manifest::commit_with(self.io.as_ref(), &self.dir, next, self.config.shards as u32)
+        manifest::commit(self.io.as_ref(), &self.dir, next, self.config.shards as u32)
             .map_err(|e| ServeError::Manifest(e.to_string()))?;
         self.generation = next;
         for (shard, wal) in self.shards.iter_mut().zip(new_wals) {
-            // `Wal::create_with` synced the new journal, so all of it is
+            // `Wal::create` synced the new journal, so all of it is
             // durable; its clock is the `Clock` record it opens with.
             shard.wal = wal;
             shard.mark_durable(max_time);
@@ -1319,37 +1271,25 @@ impl IngestEngine {
         // (and must not swap the journal handles back) — the next
         // open's GC finishes the job, and leftovers are inert meanwhile.
         let _ = manifest::gc(&self.dir, next);
-        Ok(self.shards.iter().map(|s| s.finished.len()).sum())
+        Ok(self.shards.iter().map(|s| s.corpus.len()).sum())
     }
 
     /// Forces every shard's journal bytes to stable storage (fsync)
     /// with the policy's retry/backoff, advancing each shard's
     /// durability watermark on success: afterwards every previously
     /// `Journaled` ack is durable. A failing shard is recorded in its
-    /// own `sync_failures` and reported (wrapped in
-    /// [`ServeError::ShardDegraded`] on multi-shard engines) — but
-    /// every *other* shard is still synced first; the frames stay
-    /// journaled and a later sync can cover them.
+    /// own `sync_failures` and reported as
+    /// [`ServeError::ShardDegraded`] — but every *other* shard is still
+    /// synced first; the frames stay journaled and a later sync can
+    /// cover them.
     pub fn sync(&mut self) -> Result<()> {
         let mut first_err = None;
         for k in 0..self.shards.len() {
             if let Err(e) = self.shards[k].sync(&self.config.durability, self.max_time) {
-                first_err.get_or_insert(Self::degrade(self.config.shards, k, e));
+                first_err.get_or_insert(Self::degrade(k, e));
             }
         }
         first_err.map_or(Ok(()), Err)
-    }
-
-    /// The merged corpus index: `(shard, index-within-shard)` pairs in
-    /// global canonical key order (key, then shard as the tiebreak for
-    /// inherited rank-0 keys).
-    fn merged_order(&self) -> Vec<(usize, usize)> {
-        let mut order: Vec<(TrajKey, usize, usize)> = Vec::new();
-        for (k, shard) in self.shards.iter().enumerate() {
-            order.extend(shard.keys.iter().enumerate().map(|(i, &key)| (key, k, i)));
-        }
-        order.sort_unstable_by_key(|&(key, k, _)| (key, k));
-        order.into_iter().map(|(_, k, i)| (k, i)).collect()
     }
 
     /// The published-corpus bytes a checkpoint of the current state
@@ -1418,7 +1358,7 @@ impl IngestEngine {
     }
 
     /// The eviction log: each shard's most recent
-    /// [`IngestConfig::eviction_log_cap`] evicted vehicles, oldest
+    /// [`EVICTION_LOG_CAP`] evicted vehicles, oldest
     /// first, shard-major — live and after recovery alike.
     pub fn eviction_log(&self) -> VecDeque<u64> {
         self.shards
@@ -1445,10 +1385,10 @@ impl IngestEngine {
     /// The in-memory compressed corpus (checkpointed + flushed), in
     /// canonical merge order across all shards.
     pub fn finished(&self) -> Vec<CompressedTrajectory> {
-        self.merged_order()
-            .into_iter()
-            .map(|(k, i)| self.shards[k].finished[i].clone())
-            .collect()
+        let mut merged: Vec<&(TrajKey, CompressedTrajectory)> =
+            self.shards.iter().flat_map(|s| &s.corpus).collect();
+        merged.sort_unstable_by_key(|e| e.0);
+        merged.into_iter().map(|e| e.1.clone()).collect()
     }
 
     /// Ingest counters, summed across all shards (see
@@ -1468,8 +1408,7 @@ impl IngestEngine {
     }
 
     /// The bounded quarantine log: the most recent
-    /// [`IngestConfig::quarantine_log_cap`] quarantined fixes, oldest
-    /// first.
+    /// [`QUARANTINE_LOG_CAP`] quarantined fixes, oldest first.
     pub fn quarantine_log(&self) -> &VecDeque<QuarantineRecord> {
         &self.quarantine
     }
@@ -1487,7 +1426,6 @@ mod tests {
 
     fn keyed(vehicle: u64, seg: u64, piece: u32) -> TrajKey {
         TrajKey {
-            rank: 1,
             vehicle,
             seg,
             piece,
@@ -1495,20 +1433,7 @@ mod tests {
     }
 
     fn sidecar() -> (Vec<TrajKey>, HashMap<u64, u64>) {
-        let mut keys = vec![
-            TrajKey {
-                rank: 0,
-                vehicle: 0,
-                seg: 0,
-                piece: 0,
-            },
-            TrajKey {
-                rank: 0,
-                vehicle: 1,
-                seg: 0,
-                piece: 0,
-            },
-        ];
+        let mut keys = Vec::new();
         let mut next_seg = HashMap::new();
         for v in 0..40u64 {
             let vehicle = 7 + v * 3;
@@ -1524,8 +1449,8 @@ mod tests {
         (keys, next_seg)
     }
 
-    fn error_of(bytes: &[u8], n_trajs: usize) -> String {
-        match decode_ingest_section(bytes, n_trajs) {
+    fn error_of(section: Option<&[u8]>, n_trajs: usize) -> String {
+        match decode_ingest_section(section, n_trajs) {
             Err(ServeError::Manifest(msg)) => msg,
             other => panic!("expected a typed sidecar error, got {other:?}"),
         }
@@ -1534,11 +1459,11 @@ mod tests {
     #[test]
     fn ingest_section_roundtrips_in_about_four_bytes_a_key() {
         let (keys, next_seg) = sidecar();
-        let bytes = encode_ingest_section(&keys, &next_seg);
-        let (k, n) = decode_ingest_section(&bytes, keys.len()).expect("decode");
+        let bytes = encode_ingest_section(keys.iter(), &next_seg);
+        let (k, n) = decode_ingest_section(Some(&bytes), keys.len()).expect("decode");
         assert_eq!((k, n), (keys.clone(), next_seg.clone()));
         assert!(
-            bytes.len() < keys.len() * 5 + next_seg.len() * 3,
+            bytes.len() < keys.len() * 4 + next_seg.len() * 3,
             "{} bytes for {} keys and {} counters",
             bytes.len(),
             keys.len(),
@@ -1547,61 +1472,66 @@ mod tests {
         // Unsorted keys still round-trip: the vehicle delta wraps.
         let mut shuffled = keys.clone();
         shuffled.reverse();
-        let bytes = encode_ingest_section(&shuffled, &next_seg);
+        let bytes = encode_ingest_section(shuffled.iter(), &next_seg);
         assert_eq!(
-            decode_ingest_section(&bytes, shuffled.len())
+            decode_ingest_section(Some(&bytes), shuffled.len())
                 .expect("decode")
                 .0,
             shuffled
         );
-        let empty = encode_ingest_section(&[], &HashMap::new());
+        let empty = encode_ingest_section([].iter(), &HashMap::new());
         assert_eq!(empty.len(), 6);
-        decode_ingest_section(&empty, 0).expect("empty");
+        decode_ingest_section(Some(&empty), 0).expect("empty");
     }
 
     #[test]
     fn ingest_section_malformations_are_typed() {
         let (keys, next_seg) = sidecar();
-        let good = encode_ingest_section(&keys, &next_seg);
-        // The fixed-width layout of version 1 is refused by its tag.
+        let good = encode_ingest_section(keys.iter(), &next_seg);
+        // A corpus without the section is refused, not adopted.
+        assert!(error_of(None, 0).contains("missing"));
+        // The fixed-width layout of version 1 and the rank-byte keys of
+        // version 2 are refused by their tags.
         let mut v1 = ByteWriter::new();
         v1.put_u32(1);
         v1.put_u64(0);
         v1.put_u64(0);
-        assert!(error_of(&v1.into_bytes(), 0).contains("unsupported version 1"));
-        assert!(error_of(&good, keys.len() + 1).contains("key count"));
-        let mut bad = good.clone();
-        assert!((128..1 << 14).contains(&keys.len()));
-        bad[6] = 2; // the first key's rank, after a u32 and a two-byte count
-        assert!(error_of(&bad, keys.len()).contains("unknown key rank 2"));
+        assert!(error_of(Some(&v1.into_bytes()), 0).contains("unsupported version 1"));
+        let mut v2 = ByteWriter::new();
+        v2.put_u32(2);
+        v2.put_uvarint(1);
+        v2.put_u8(1);
+        v2.put_bytes(&[7, 0, 0]);
+        v2.put_uvarint(0);
+        assert!(error_of(Some(&v2.into_bytes()), 1).contains("unsupported version 2"));
+        assert!(error_of(Some(&good), keys.len() + 1).contains("key count"));
         let mut long = good.clone();
         long.push(0);
-        assert!(error_of(&long, keys.len()).contains("trailing"));
+        assert!(error_of(Some(&long), keys.len()).contains("trailing"));
         for cut in 0..good.len() {
-            error_of(&good[..cut], keys.len());
+            error_of(Some(&good[..cut]), keys.len());
         }
         let section = |fill: &dyn Fn(&mut ByteWriter)| {
             let mut w = ByteWriter::new();
             w.put_u32(INGEST_SECTION_VERSION);
             w.put_uvarint(1);
-            w.put_u8(1);
             fill(&mut w);
             w.into_bytes()
         };
         let overflow = section(&|w| w.put_bytes(&[0xFF; 11]));
-        assert!(error_of(&overflow, 1).contains("varint"));
+        assert!(error_of(Some(&overflow), 1).contains("varint"));
         let piece = section(&|w| {
             w.put_uvarint(3);
             w.put_uvarint(0);
             w.put_uvarint(1 << 32);
         });
-        assert!(error_of(&piece, 1).contains("overflows u32"));
+        assert!(error_of(Some(&piece), 1).contains("overflows u32"));
         let counters = section(&|w| {
             w.put_uvarint(3);
             w.put_uvarint(0);
             w.put_uvarint(0);
             w.put_uvarint(1 << 50);
         });
-        assert!(error_of(&counters, 1).contains("counter count"));
+        assert!(error_of(Some(&counters), 1).contains("counter count"));
     }
 }

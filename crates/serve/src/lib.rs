@@ -10,7 +10,7 @@
 //!
 //! ```text
 //!  push(vehicle, fix) ── route: splitmix64(vehicle) % shards
-//!      │  vet: NaN/∞, out-of-order, duplicate, teleport → quarantine
+//!      │  vet: NaN/∞, out-of-order, teleport → quarantine; duplicate → coalesce
 //!      ▼
 //!  shard k ─ ingest.<gen>.s<k>.wal ── append CRC-framed record, ACK
 //!      │       (its own journal, durability accumulators, sessions,
@@ -19,7 +19,7 @@
 //!  Session{vehicle} ── buffer; idle-timeout / size-cap segmentation
 //!      │ finalize
 //!      ▼
-//!  pending ── flush(): parallel salvage-matching + online compression
+//!  pending ── flush(): parallel salvage-matching + Press::compress
 //!      │ checkpoint (incremental: clean shards hard-link)
 //!      ▼
 //!  corpus.<gen>.s<k>.press × N + ingest.<gen>.s<k>.wal × N ── block

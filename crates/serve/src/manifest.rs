@@ -45,7 +45,6 @@
 
 use press_store::crc32;
 use press_store::io::{self as store_io, IoBackend};
-use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -91,17 +90,6 @@ pub fn artifact_parts(name: &str) -> Option<(u64, u32)> {
         })?;
     let (gen, shard) = rest.split_once(".s")?;
     Some((gen.parse().ok()?, shard.parse().ok()?))
-}
-
-/// The generation of a generation-stamped artifact name; see
-/// [`artifact_parts`].
-pub fn artifact_generation(name: &str) -> Option<u64> {
-    artifact_parts(name).map(|(gen, _)| gen)
-}
-
-/// Fsyncs a directory so renames/creations inside it are durable.
-pub fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
 }
 
 /// Reads the committed manifest, `None` for a directory with no
@@ -152,14 +140,10 @@ pub fn read(dir: &Path) -> io::Result<Option<Manifest>> {
 /// returns, recovery will load `corpus.<gen>.s<k>.press` /
 /// `ingest.<gen>.s<k>.wal` for every shard `k` and GC everything else.
 /// Every step — including both fsyncs — surfaces its error; a failure
-/// anywhere leaves the previous manifest in force.
-pub fn commit(dir: &Path, gen: u64, shards: u32) -> io::Result<()> {
-    commit_with(&store_io::RealIo, dir, gen, shards)
-}
-
-/// [`commit`] through an explicit [`IoBackend`] (fault injection in
-/// tests, real filesystem in production).
-pub fn commit_with(io: &dyn IoBackend, dir: &Path, gen: u64, shards: u32) -> io::Result<()> {
+/// anywhere leaves the previous manifest in force. Every write goes
+/// through `io` (the real filesystem in production, a fault injector in
+/// tests).
+pub fn commit(io: &dyn IoBackend, dir: &Path, gen: u64, shards: u32) -> io::Result<()> {
     assert!(shards > 0, "a manifest must name at least one shard");
     let mut buf = Vec::with_capacity(MANIFEST_LEN);
     buf.extend_from_slice(&MANIFEST_MAGIC);
@@ -174,10 +158,7 @@ pub fn commit_with(io: &dyn IoBackend, dir: &Path, gen: u64, shards: u32) -> io:
 pub fn has_artifacts(dir: &Path) -> io::Result<bool> {
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name();
-        if name
-            .to_str()
-            .is_some_and(|n| artifact_generation(n).is_some())
-        {
+        if name.to_str().is_some_and(|n| artifact_parts(n).is_some()) {
             return Ok(true);
         }
     }
@@ -197,8 +178,8 @@ pub fn gc(dir: &Path, keep: u64) -> io::Result<()> {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let stale = match artifact_generation(name) {
-            Some(gen) => gen != keep,
+        let stale = match artifact_parts(name) {
+            Some((gen, _)) => gen != keep,
             None => name.ends_with(".tmp"),
         };
         if stale {
@@ -231,7 +212,7 @@ mod tests {
     fn commit_read_roundtrip_and_gc() {
         let dir = tmp_dir("roundtrip");
         assert_eq!(read(&dir).expect("read"), None);
-        commit(&dir, 0, 1).expect("commit 0");
+        commit(&store_io::RealIo, &dir, 0, 1).expect("commit 0");
         assert_eq!(
             read(&dir).expect("read"),
             Some(Manifest {
@@ -239,7 +220,7 @@ mod tests {
                 shards: 1
             })
         );
-        commit(&dir, 7, 3).expect("commit 7");
+        commit(&store_io::RealIo, &dir, 7, 3).expect("commit 7");
         assert_eq!(
             read(&dir).expect("read"),
             Some(Manifest {
@@ -302,7 +283,7 @@ mod tests {
     #[test]
     fn damaged_manifest_is_invalid_data_not_a_fresh_start() {
         let dir = tmp_dir("damage");
-        commit(&dir, 3, 2).expect("commit");
+        commit(&store_io::RealIo, &dir, 3, 2).expect("commit");
         let good = std::fs::read(dir.join(MANIFEST_FILE)).expect("read");
         // Flipped generation byte: checksum catches it.
         let mut bad = good.clone();
@@ -342,7 +323,6 @@ mod tests {
         // Un-suffixed (pre-sharding) names are not artifacts.
         assert_eq!(artifact_parts("corpus.0.press"), None);
         assert_eq!(artifact_parts("ingest.42.wal"), None);
-        assert_eq!(artifact_generation("corpus.7.s2.press"), Some(7));
         assert_eq!(artifact_parts("corpus.press"), None);
         assert_eq!(artifact_parts("ingest.x.wal"), None);
         assert_eq!(artifact_parts("ingest.1.sx.wal"), None);

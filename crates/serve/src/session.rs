@@ -2,9 +2,9 @@
 //!
 //! Every incoming fix is vetted against the session's last **accepted**
 //! fix before it is journaled: non-finite values, timestamps that do not
-//! advance, exact duplicate re-sends, and physically impossible jumps
-//! ("teleports") are diverted into a typed quarantine instead of
-//! panicking deep inside the matcher or compressor. Because only
+//! advance, and physically impossible jumps ("teleports") are diverted
+//! into a typed quarantine instead of panicking deep inside the matcher
+//! or compressor, and exact duplicate re-sends are coalesced. Because only
 //! accepted fixes reach the WAL, replaying the journal through the same
 //! validation reproduces the same decisions — quarantine is pure
 //! observability and never affects recovery determinism.
@@ -18,11 +18,9 @@ use std::fmt;
 pub enum QuarantineReason {
     /// A coordinate or timestamp was NaN or infinite.
     NonFinite,
-    /// The timestamp does not advance past the last accepted fix.
+    /// The timestamp does not advance past the last accepted fix (and
+    /// the fix is not an exact re-send of it, which is coalesced).
     OutOfOrder,
-    /// Byte-identical re-send of the last accepted fix (seen when a
-    /// device retries an ack it never received).
-    Duplicate,
     /// Implied speed from the last accepted fix exceeds
     /// [`SessionPolicy::max_speed_m_s`].
     Teleport,
@@ -31,10 +29,9 @@ pub enum QuarantineReason {
 impl QuarantineReason {
     /// All reasons, in counter-array order (see
     /// [`crate::IngestStats::points_quarantined`]).
-    pub const ALL: [QuarantineReason; 4] = [
+    pub const ALL: [QuarantineReason; 3] = [
         QuarantineReason::NonFinite,
         QuarantineReason::OutOfOrder,
-        QuarantineReason::Duplicate,
         QuarantineReason::Teleport,
     ];
 
@@ -43,8 +40,7 @@ impl QuarantineReason {
         match self {
             QuarantineReason::NonFinite => 0,
             QuarantineReason::OutOfOrder => 1,
-            QuarantineReason::Duplicate => 2,
-            QuarantineReason::Teleport => 3,
+            QuarantineReason::Teleport => 2,
         }
     }
 }
@@ -54,30 +50,27 @@ impl fmt::Display for QuarantineReason {
         let s = match self {
             QuarantineReason::NonFinite => "non-finite coordinate or timestamp",
             QuarantineReason::OutOfOrder => "timestamp not after last accepted fix",
-            QuarantineReason::Duplicate => "exact duplicate of last accepted fix",
             QuarantineReason::Teleport => "implied speed exceeds policy maximum",
         };
         f.write_str(s)
     }
 }
 
-/// Input-hardening policy applied to every fix before it is acked.
+/// Input-hardening policy applied to every fix before it is acked. An
+/// exact duplicate of the last accepted fix (a device retrying an ack it
+/// never received) is always *repaired* by coalescing: counted, acked as
+/// [`crate::Ack::Repaired`], not journaled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionPolicy {
     /// Teleport threshold in map units per second; `0.0` disables the
     /// check entirely.
     pub max_speed_m_s: f64,
-    /// When true, an exact duplicate of the last accepted fix is
-    /// *repaired* by coalescing (counted, acked as [`crate::Ack::Repaired`],
-    /// not journaled); when false it is quarantined like any other defect.
-    pub coalesce_duplicates: bool,
 }
 
 impl Default for SessionPolicy {
     fn default() -> Self {
         SessionPolicy {
             max_speed_m_s: 90.0,
-            coalesce_duplicates: true,
         }
     }
 }
@@ -135,14 +128,11 @@ impl Session {
             let exact = sample.point.x == last.point.x
                 && sample.point.y == last.point.y
                 && sample.t == last.t;
-            if exact {
-                return if policy.coalesce_duplicates {
-                    Disposition::Coalesce
-                } else {
-                    Disposition::Quarantine(QuarantineReason::Duplicate)
-                };
-            }
-            return Disposition::Quarantine(QuarantineReason::OutOfOrder);
+            return if exact {
+                Disposition::Coalesce
+            } else {
+                Disposition::Quarantine(QuarantineReason::OutOfOrder)
+            };
         }
         if policy.max_speed_m_s > 0.0 {
             let dx = sample.point.x - last.point.x;
@@ -222,19 +212,11 @@ mod tests {
 
     #[test]
     fn policy_toggles_change_dispositions() {
-        let strict = SessionPolicy {
-            max_speed_m_s: 0.0,
-            coalesce_duplicates: false,
-        };
+        let strict = SessionPolicy { max_speed_m_s: 0.0 };
         let mut sess = Session::new(2);
         sess.accept(s(0.0, 0.0, 10.0), 0);
         // Teleport check disabled: any finite jump is accepted.
         assert_eq!(sess.vet(&strict, &s(1.0e9, 0.0, 10.5)), Disposition::Accept);
-        // Duplicates quarantine instead of coalescing.
-        assert_eq!(
-            sess.vet(&strict, &s(0.0, 0.0, 10.0)),
-            Disposition::Quarantine(QuarantineReason::Duplicate)
-        );
     }
 
     #[test]

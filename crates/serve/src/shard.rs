@@ -16,7 +16,7 @@
 //! sweep — or the fix itself — depends on a clock the journal does not
 //! encode, the engine journals (and applies) a `Clock` frame first.
 
-use crate::engine::{IngestConfig, IngestStats};
+use crate::engine::{IngestConfig, IngestStats, EVICTION_LOG_CAP};
 use crate::session::{Disposition, Session};
 use crate::wal::WalRecord;
 use press_matcher::GpsSample;
@@ -82,7 +82,7 @@ pub(crate) struct ShardCore {
     /// This shard's share of [`IngestConfig::max_sessions`].
     budget_sessions: usize,
     /// Ring of the most recently evicted vehicles (capacity
-    /// `config.eviction_log_cap`), oldest first.
+    /// [`EVICTION_LOG_CAP`]), oldest first.
     pub(crate) evictions: VecDeque<u64>,
     pub(crate) stats: IngestStats,
 }
@@ -251,13 +251,10 @@ impl ShardCore {
             };
             self.close_session(vehicle);
             self.stats.sessions_evicted += 1;
-            let cap = self.config.eviction_log_cap;
-            if cap > 0 {
-                if self.evictions.len() == cap {
-                    self.evictions.pop_front();
-                }
-                self.evictions.push_back(vehicle);
+            if self.evictions.len() == EVICTION_LOG_CAP {
+                self.evictions.pop_front();
             }
+            self.evictions.push_back(vehicle);
         }
     }
 

@@ -28,13 +28,14 @@
 //!
 //! # Disk faults
 //!
-//! Every write-side operation goes through a
-//! [`press_store::IoBackend`] ([`Wal::open_with`]), so `ENOSPC`/`EIO`/
-//! short-write/fsync failures are injectable. A failed append journals
-//! nothing and returns a typed error — [`WalError::StorageFull`] for
-//! out-of-space (persistent; the caller must not retry), transient
-//! [`WalError::Io`] otherwise — and any partial frame the failure left
-//! is truncated away before the next append ([`Wal::dirty_tail`]).
+//! Every write-side operation goes through the
+//! [`press_store::IoBackend`] that [`Wal::open`] and [`Wal::create`]
+//! take, so `ENOSPC`/`EIO`/short-write/fsync failures are injectable.
+//! A failed append journals nothing and returns a typed error —
+//! [`WalError::StorageFull`] for out-of-space (persistent; the caller
+//! must not retry), transient [`WalError::Io`] otherwise — and any
+//! partial frame the failure left is truncated away before the next
+//! append ([`Wal::dirty_tail`]).
 
 use press_store::io::{self as store_io, IoBackend};
 use press_store::{crc32, ByteReader, ByteWriter};
@@ -150,12 +151,14 @@ impl WalRecord {
         matches!(self, WalRecord::Finalize { .. } | WalRecord::FinalizeAll)
     }
 
-    /// Serializes the record payload (no framing).
+    /// Serializes the record payload (no framing). `Point` and `Resume`
+    /// share one body layout and differ only in the tag.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(33);
         match *self {
-            WalRecord::Point { vehicle, x, y, t } => {
-                w.put_u8(TAG_POINT);
+            WalRecord::Point { vehicle, x, y, t } | WalRecord::Resume { vehicle, x, y, t } => {
+                let resume = matches!(self, WalRecord::Resume { .. });
+                w.put_u8(if resume { TAG_RESUME } else { TAG_POINT });
                 w.put_u64(vehicle);
                 w.put_f64(x);
                 w.put_f64(y);
@@ -166,13 +169,6 @@ impl WalRecord {
                 w.put_u64(vehicle);
             }
             WalRecord::FinalizeAll => w.put_u8(TAG_FINALIZE_ALL),
-            WalRecord::Resume { vehicle, x, y, t } => {
-                w.put_u8(TAG_RESUME);
-                w.put_u64(vehicle);
-                w.put_f64(x);
-                w.put_f64(y);
-                w.put_f64(t);
-            }
             WalRecord::Clock { t } => {
                 w.put_u8(TAG_CLOCK);
                 w.put_f64(t);
@@ -184,31 +180,32 @@ impl WalRecord {
     /// Decodes one record payload; the whole payload must be consumed.
     pub fn decode(payload: &[u8]) -> std::result::Result<WalRecord, String> {
         let mut r = ByteReader::new(payload);
-        let tag = r.get_u8().map_err(|e| e.to_string())?;
-        let rec = match tag {
-            TAG_POINT => WalRecord::Point {
-                vehicle: r.get_u64().map_err(|e| e.to_string())?,
-                x: r.get_f64().map_err(|e| e.to_string())?,
-                y: r.get_f64().map_err(|e| e.to_string())?,
-                t: r.get_f64().map_err(|e| e.to_string())?,
-            },
-            TAG_FINALIZE => WalRecord::Finalize {
-                vehicle: r.get_u64().map_err(|e| e.to_string())?,
-            },
-            TAG_FINALIZE_ALL => WalRecord::FinalizeAll,
-            TAG_RESUME => WalRecord::Resume {
-                vehicle: r.get_u64().map_err(|e| e.to_string())?,
-                x: r.get_f64().map_err(|e| e.to_string())?,
-                y: r.get_f64().map_err(|e| e.to_string())?,
-                t: r.get_f64().map_err(|e| e.to_string())?,
-            },
-            TAG_CLOCK => WalRecord::Clock {
-                t: r.get_f64().map_err(|e| e.to_string())?,
-            },
-            other => return Err(format!("unknown record tag {other}")),
+        let mut read = || -> press_store::Result<Option<WalRecord>> {
+            let rec = match r.get_u8()? {
+                tag @ (TAG_POINT | TAG_RESUME) => {
+                    let (vehicle, x, y, t) =
+                        (r.get_u64()?, r.get_f64()?, r.get_f64()?, r.get_f64()?);
+                    if tag == TAG_POINT {
+                        WalRecord::Point { vehicle, x, y, t }
+                    } else {
+                        WalRecord::Resume { vehicle, x, y, t }
+                    }
+                }
+                TAG_FINALIZE => WalRecord::Finalize {
+                    vehicle: r.get_u64()?,
+                },
+                TAG_FINALIZE_ALL => WalRecord::FinalizeAll,
+                TAG_CLOCK => WalRecord::Clock { t: r.get_f64()? },
+                _ => return Ok(None),
+            };
+            r.expect_end("wal record")?;
+            Ok(Some(rec))
         };
-        r.expect_end("wal record").map_err(|e| e.to_string())?;
-        Ok(rec)
+        match read() {
+            Ok(Some(rec)) => Ok(rec),
+            Ok(None) => Err(format!("unknown record tag {}", payload[0])),
+            Err(e) => Err(e.to_string()),
+        }
     }
 }
 
@@ -240,18 +237,22 @@ pub struct Wal {
     dirty_tail: bool,
 }
 
+/// Appends one CRC frame carrying `rec` to `buf` — the one frame
+/// writer behind [`Wal::create`] and [`Wal::append`].
+fn put_frame(buf: &mut Vec<u8>, rec: &WalRecord) {
+    let payload = rec.encode();
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
+    buf.extend_from_slice(&payload);
+}
+
 impl Wal {
     /// Opens (or creates) the journal at `path`, replaying acked records
     /// and truncating any torn tail. See the module docs for the exact
-    /// torn-tail-vs-corruption rule.
-    pub fn open(path: &Path) -> Result<(Wal, WalReplay)> {
-        Self::open_with(path, store_io::real_io())
-    }
-
-    /// [`Wal::open`] through an explicit [`IoBackend`] (fault injection
-    /// in tests, real filesystem in production). Reads are always
-    /// direct — the fault surface is the write side.
-    pub fn open_with(path: &Path, io: Arc<dyn IoBackend>) -> Result<(Wal, WalReplay)> {
+    /// torn-tail-vs-corruption rule. Every write goes through `io` (the
+    /// real filesystem in production, a fault injector in tests); reads
+    /// are always direct — the fault surface is the write side.
+    pub fn open(path: &Path, io: Arc<dyn IoBackend>) -> Result<(Wal, WalReplay)> {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -260,30 +261,13 @@ impl Wal {
         // Shorter than the header: either a fresh journal or a crash
         // during creation (header prefix). Both re-initialize.
         if (bytes.len() as u64) < WAL_HEADER_LEN {
-            let mut file = io.create(path)?;
-            let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
-            header.extend_from_slice(&WAL_MAGIC);
-            header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-            header.extend_from_slice(&0u32.to_le_bytes());
-            io.write_all(&mut file, &header)?;
-            io.sync_data(&file)?;
-            store_io::sync_parent_dir(io.as_ref(), path)?;
             let replay = WalReplay {
                 records: Vec::new(),
                 torn_bytes: bytes.len() as u64,
                 valid_len: WAL_HEADER_LEN,
                 fresh: bytes.is_empty(),
             };
-            return Ok((
-                Wal {
-                    io,
-                    file,
-                    path: path.to_path_buf(),
-                    offset: WAL_HEADER_LEN,
-                    dirty_tail: false,
-                },
-                replay,
-            ));
+            return Ok((Self::create(path, &[], io)?, replay));
         }
         if bytes[..8] != WAL_MAGIC {
             return Err(WalError::BadMagic);
@@ -380,21 +364,13 @@ impl Wal {
     /// uncommitted generation-stamped name and commits it — together
     /// with the matching corpus — via the manifest rename (see
     /// [`crate::manifest`]).
-    pub fn create(path: &Path, records: &[WalRecord]) -> Result<Wal> {
-        Self::create_with(path, records, store_io::real_io())
-    }
-
-    /// [`Wal::create`] through an explicit [`IoBackend`].
-    pub fn create_with(path: &Path, records: &[WalRecord], io: Arc<dyn IoBackend>) -> Result<Wal> {
+    pub fn create(path: &Path, records: &[WalRecord], io: Arc<dyn IoBackend>) -> Result<Wal> {
         let mut buf = Vec::with_capacity(WAL_HEADER_LEN as usize + records.len() * 48);
         buf.extend_from_slice(&WAL_MAGIC);
         buf.extend_from_slice(&WAL_VERSION.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         for rec in records {
-            let payload = rec.encode();
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-            buf.extend_from_slice(&payload);
+            put_frame(&mut buf, rec);
         }
         let mut file = io.create(path)?;
         io.write_all(&mut file, &buf)?;
@@ -423,11 +399,8 @@ impl Wal {
         if self.dirty_tail {
             self.repair_tail()?;
         }
-        let payload = rec.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::with_capacity(41);
+        put_frame(&mut frame, rec);
         if let Err(e) = self.io.write_all(&mut self.file, &frame) {
             self.dirty_tail = true;
             return Err(e.into());
@@ -521,7 +494,7 @@ mod tests {
         let path = dir.join("ingest.wal");
         let recs = sample_records();
         {
-            let (mut wal, replay) = Wal::open(&path).expect("create");
+            let (mut wal, replay) = Wal::open(&path, store_io::real_io()).expect("create");
             assert!(replay.fresh);
             assert!(replay.records.is_empty());
             let mut last = WAL_HEADER_LEN;
@@ -532,7 +505,7 @@ mod tests {
             }
             wal.sync().expect("sync");
         }
-        let (wal, replay) = Wal::open(&path).expect("reopen");
+        let (wal, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
         assert!(!replay.fresh);
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.records, recs);
@@ -547,7 +520,7 @@ mod tests {
         let recs = sample_records();
         let mut frame_ends = vec![WAL_HEADER_LEN];
         {
-            let (mut wal, _) = Wal::open(&path).expect("create");
+            let (mut wal, _) = Wal::open(&path, store_io::real_io()).expect("create");
             for r in &recs {
                 frame_ends.push(wal.append(r).expect("append"));
             }
@@ -556,7 +529,8 @@ mod tests {
         for cut in 0..=full.len() {
             let cut_path = dir.join("cut.wal");
             std::fs::write(&cut_path, &full[..cut]).expect("write");
-            let (_, replay) = Wal::open(&cut_path).expect("torn tails are not errors");
+            let (_, replay) =
+                Wal::open(&cut_path, store_io::real_io()).expect("torn tails are not errors");
             // Acked prefix: records whose frame end fits inside the cut.
             let expect: Vec<WalRecord> = recs
                 .iter()
@@ -578,7 +552,7 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let path = dir.join("ingest.wal");
         {
-            let (mut wal, _) = Wal::open(&path).expect("create");
+            let (mut wal, _) = Wal::open(&path, store_io::real_io()).expect("create");
             for r in sample_records() {
                 wal.append(&r).expect("append");
             }
@@ -589,13 +563,17 @@ mod tests {
         let mut bad = full.clone();
         bad[WAL_HEADER_LEN as usize + 8] ^= 0x01;
         std::fs::write(&path, &bad).expect("write");
-        assert!(matches!(Wal::open(&path), Err(WalError::Corrupt { .. })));
+        assert!(matches!(
+            Wal::open(&path, store_io::real_io()),
+            Err(WalError::Corrupt { .. })
+        ));
         // The same flip on the LAST frame is a torn tail: recovered.
         let mut torn = full.clone();
         let n = torn.len();
         torn[n - 1] ^= 0x01;
         std::fs::write(&path, &torn).expect("write");
-        let (_, replay) = Wal::open(&path).expect("final-frame damage is torn");
+        let (_, replay) =
+            Wal::open(&path, store_io::real_io()).expect("final-frame damage is torn");
         assert_eq!(replay.records.len(), sample_records().len() - 1);
         assert!(replay.torn_bytes > 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -606,19 +584,22 @@ mod tests {
         let dir = tmp_dir("magic");
         let path = dir.join("ingest.wal");
         {
-            let (mut wal, _) = Wal::open(&path).expect("create");
+            let (mut wal, _) = Wal::open(&path, store_io::real_io()).expect("create");
             wal.append(&WalRecord::FinalizeAll).expect("append");
         }
         let good = std::fs::read(&path).expect("read");
         let mut bad = good.clone();
         bad[0] = b'X';
         std::fs::write(&path, &bad).expect("write");
-        assert_eq!(Wal::open(&path).unwrap_err(), WalError::BadMagic);
+        assert_eq!(
+            Wal::open(&path, store_io::real_io()).unwrap_err(),
+            WalError::BadMagic
+        );
         let mut bad = good.clone();
         bad[8] = 99;
         std::fs::write(&path, &bad).expect("write");
         assert_eq!(
-            Wal::open(&path).unwrap_err(),
+            Wal::open(&path, store_io::real_io()).unwrap_err(),
             WalError::UnsupportedVersion {
                 found: 99,
                 supported: WAL_VERSION
@@ -630,7 +611,10 @@ mod tests {
         bad[WAL_HEADER_LEN as usize + 1] = 0xFF;
         bad[WAL_HEADER_LEN as usize + 2] = 0xFF;
         std::fs::write(&path, &bad).expect("write");
-        assert!(matches!(Wal::open(&path), Err(WalError::Corrupt { .. })));
+        assert!(matches!(
+            Wal::open(&path, store_io::real_io()),
+            Err(WalError::Corrupt { .. })
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -647,19 +631,19 @@ mod tests {
                 t: 98.0,
             },
         ];
-        let mut wal = Wal::create(&path, &kept).expect("create");
+        let mut wal = Wal::create(&path, &kept, store_io::real_io()).expect("create");
         let post = wal
             .append(&WalRecord::Finalize { vehicle: 7 })
             .expect("append");
         assert!(post > WAL_HEADER_LEN);
-        let (_, replay) = Wal::open(&path).expect("reopen");
+        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
         assert_eq!(replay.records.len(), 3);
         assert_eq!(replay.records[..2], kept[..]);
         assert_eq!(replay.records[2], WalRecord::Finalize { vehicle: 7 });
         // Overwrites whatever was there before.
-        let wal2 = Wal::create(&path, &kept[..1]).expect("recreate");
+        let wal2 = Wal::create(&path, &kept[..1], store_io::real_io()).expect("recreate");
         drop(wal2);
-        let (_, replay) = Wal::open(&path).expect("reopen");
+        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
         assert_eq!(replay.records, kept[..1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -670,7 +654,7 @@ mod tests {
         let dir = tmp_dir("fault-append");
         let path = dir.join("ingest.wal");
         let io = FaultyIo::new(Vec::new());
-        let (mut wal, _) = Wal::open_with(&path, io.clone()).expect("create");
+        let (mut wal, _) = Wal::open(&path, io.clone()).expect("create");
         let ok_off = wal
             .append(&WalRecord::Point {
                 vehicle: 1,
@@ -703,7 +687,7 @@ mod tests {
         assert!(off2 > ok_off);
         assert!(!wal.dirty_tail());
         drop(wal);
-        let (_, replay) = Wal::open(&path).expect("reopen");
+        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
         assert_eq!(replay.torn_bytes, 0, "repair removed the partial frame");
         assert_eq!(
             replay.records,
@@ -726,7 +710,7 @@ mod tests {
         let dir = tmp_dir("fault-repair-sync");
         let path = dir.join("ingest.wal");
         let io = FaultyIo::new(Vec::new());
-        let (mut wal, _) = Wal::open_with(&path, io.clone()).expect("create");
+        let (mut wal, _) = Wal::open(&path, io.clone()).expect("create");
         let ok_off = wal
             .append(&WalRecord::Point {
                 vehicle: 1,
@@ -762,7 +746,7 @@ mod tests {
         assert!(off2 > ok_off);
         assert!(!wal.dirty_tail());
         drop(wal);
-        let (_, replay) = Wal::open(&path).expect("reopen");
+        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(
             replay.records,
@@ -785,7 +769,7 @@ mod tests {
         let dir = tmp_dir("fault-eio");
         let path = dir.join("ingest.wal");
         let io = FaultyIo::new(Vec::new());
-        let (mut wal, _) = Wal::open_with(&path, io.clone()).expect("create");
+        let (mut wal, _) = Wal::open(&path, io.clone()).expect("create");
         io.arm(DiskFault {
             at_op: io.ops(),
             kind: FaultKind::Eio,
@@ -806,7 +790,7 @@ mod tests {
         assert!(matches!(wal.sync(), Err(WalError::Io(_))));
         wal.sync().expect("sync retry");
         drop(wal);
-        let (_, replay) = Wal::open(&path).expect("reopen");
+        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
         assert_eq!(replay.records, vec![WalRecord::FinalizeAll]);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -95,7 +95,6 @@ fn config() -> IngestConfig {
         threads: 2,
         max_lattice_work: 0,
         max_salvage_splits: 8,
-        quarantine_log_cap: 256,
         ..IngestConfig::default()
     }
 }

@@ -113,7 +113,6 @@ fn config() -> IngestConfig {
         threads: 2,
         max_lattice_work: 0,
         max_salvage_splits: 8,
-        quarantine_log_cap: 256,
         // Group commit with small thresholds so both batched syncs and
         // long journaled-not-durable windows occur inside the fixture
         // stream; zero backoff keeps retry loops instant.
@@ -209,7 +208,12 @@ fn run_fault_cell(
                     journaled.push((i, offset));
                 }
             }
-            Err(ServeError::StorageFull(_)) | Err(ServeError::Backpressure { .. }) => {}
+            Err(e)
+                if e.degraded_shard() == Some(0)
+                    && matches!(
+                        e.root_cause(),
+                        ServeError::StorageFull(_) | ServeError::Backpressure { .. }
+                    ) => {}
             Err(other) => panic!("push surfaced an untyped fault: {other}"),
         }
     }
@@ -535,7 +539,13 @@ fn seeded_fault_matrix_smoke() {
             for &(v, s) in events {
                 match engine.push(v, s) {
                     Ok(_) => {}
-                    Err(ServeError::StorageFull(_)) | Err(ServeError::Backpressure { .. }) => {
+                    Err(e)
+                        if e.degraded_shard() == Some(0)
+                            && matches!(
+                                e.root_cause(),
+                                ServeError::StorageFull(_) | ServeError::Backpressure { .. }
+                            ) =>
+                    {
                         errors += 1;
                     }
                     Err(other) => panic!("untyped fault {kind:?}@{delta}: {other}"),
@@ -610,7 +620,7 @@ fn disk_full_then_freed_resumes_ingest() {
     let mut refused = 0usize;
     for &(v, s) in &f.events[third..2 * third] {
         match engine.push(v, s) {
-            Err(ServeError::StorageFull(_)) => refused += 1,
+            Err(e) if e.degraded_shard() == Some(0) && e.is_storage_full() => refused += 1,
             Ok(ack) => assert!(
                 !ack.is_ingested(),
                 "an ingested ack while the disk is full would be a lie"
@@ -623,11 +633,10 @@ fn disk_full_then_freed_resumes_ingest() {
     // Degraded, not dead: matching/compression (no journal writes) and
     // explicit durability calls keep working with typed answers.
     engine.flush().expect("flush needs no disk");
-    assert!(matches!(engine.sync(), Err(ServeError::StorageFull(_))));
-    assert!(matches!(
-        engine.checkpoint(),
-        Err(ServeError::StorageFull(_)) | Err(ServeError::Manifest(_))
-    ));
+    assert!(engine.sync().is_err_and(|e| e.is_storage_full()));
+    assert!(engine
+        .checkpoint()
+        .is_err_and(|e| e.is_storage_full() || matches!(e, ServeError::Manifest(_))));
 
     // Space returns; ingest resumes without a restart.
     faulty.clear();
@@ -777,16 +786,12 @@ fn run_sharded_fault_cell(
                     ),
                     "push surfaced an untyped fault: {e}"
                 );
-                if shards > 1 {
-                    assert_eq!(
-                        e.degraded_shard(),
-                        Some(faulted),
-                        "a scoped fault must degrade exactly the faulted shard"
-                    );
-                    assert_eq!(k, faulted, "only the faulted shard's pushes may fail");
-                } else {
-                    assert_eq!(e.degraded_shard(), None, "single-shard errors stay bare");
-                }
+                assert_eq!(
+                    e.degraded_shard(),
+                    Some(faulted),
+                    "a scoped fault must degrade exactly the faulted shard"
+                );
+                assert_eq!(k, faulted, "only the faulted shard's pushes may fail");
             }
         }
     }

@@ -11,10 +11,11 @@ use press_core::store::TrajectoryStore;
 use press_core::{BtcBounds, CompressedTrajectory, Press, PressConfig};
 use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
 use press_network::{grid_network, GridConfig, Mbr, RoadNetwork, SpBackend};
+use press_serve::engine::QUARANTINE_LOG_CAP;
 use press_serve::wal::WAL_HEADER_LEN;
 use press_serve::{
-    shard_wal_len, truncate_shard_wal, Ack, Event, FaultPlan, IngestConfig, IngestEngine,
-    SessionPolicy,
+    shard_wal_len, truncate_shard_wal, Ack, Event, FaultPlan, IngestConfig, IngestEngine, RealIo,
+    ServeError, SessionPolicy,
 };
 use press_workload::{Workload, WorkloadConfig};
 use proptest::prelude::*;
@@ -110,7 +111,6 @@ fn config() -> IngestConfig {
         threads: 2,
         max_lattice_work: 0,
         max_salvage_splits: 8,
-        quarantine_log_cap: 256,
         ..IngestConfig::default()
     }
 }
@@ -187,7 +187,8 @@ fn clean_ingest_equals_the_offline_pipeline() {
     assert_eq!(store.len(), expected.len());
     assert_eq!(store.decode_all().expect("decode"), expected);
     // After checkpoint the WAL holds no points (all published).
-    let (_, replay) = press_serve::Wal::open(&engine.shard_wal_path(0)).expect("wal");
+    let (_, replay) =
+        press_serve::Wal::open(&engine.shard_wal_path(0), Arc::new(RealIo)).expect("wal");
     assert!(
         !replay
             .records
@@ -470,10 +471,78 @@ fn missing_manifest_over_artifacts_is_a_typed_refusal() {
     drop(engine);
     std::fs::remove_file(dir.join(press_serve::MANIFEST_FILE)).expect("remove manifest");
     match IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config()) {
-        Err(press_serve::ServeError::Manifest(_)) => {}
+        Err(ServeError::Manifest(_)) => {}
         Err(other) => panic!("expected ServeError::Manifest, got {other:?}"),
         Ok(_) => panic!("artifacts without a manifest must refuse, not restart fresh"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A committed generation >= 1 names one corpus file and one journal per
+/// shard, all written before the manifest rename. Losing any of them —
+/// or the corpus's `ingest` section — is a typed refusal naming the
+/// file, never a shard that silently recovers empty.
+#[test]
+fn committed_generation_missing_an_artifact_is_a_typed_refusal() {
+    let f = fleet();
+    let cfg = IngestConfig {
+        shards: 2,
+        ..config()
+    };
+    let dir = test_dir("missing-artifact");
+    let (mut engine, _) = run_clean(&dir, cfg, &f.events);
+    finish(&mut engine);
+    let generation = engine.generation();
+    assert!(generation >= 1);
+    let trajectories = engine.finished().len();
+    assert!(trajectories > 0);
+    let shard0 = engine.shard_corpus_path(0);
+    let mut artifacts = Vec::new();
+    for k in 0..cfg.shards {
+        artifacts.push(engine.shard_corpus_path(k));
+        artifacts.push(engine.shard_wal_path(k));
+    }
+    let finished = engine.finished();
+    drop(engine);
+    let open = |d: &std::path::Path| IngestEngine::open(d, Arc::clone(&f.matcher), f.press(), cfg);
+    for (i, artifact) in artifacts.iter().enumerate() {
+        let name = artifact.file_name().expect("file name");
+        let w = test_dir(&format!("missing-artifact-{i}"));
+        copy_dir(&dir, &w);
+        std::fs::remove_file(w.join(name)).expect("remove artifact");
+        match open(&w) {
+            Err(ServeError::Manifest(msg)) => {
+                assert!(msg.contains(name.to_str().expect("utf-8")), "{msg}")
+            }
+            Err(other) => panic!("{name:?}: expected ServeError::Manifest, got {other:?}"),
+            Ok(e) => panic!(
+                "{name:?}: reopened with {} of {trajectories} trajectories",
+                e.finished().len()
+            ),
+        }
+        let _ = std::fs::remove_dir_all(&w);
+    }
+    // A corpus file without its `ingest` section is refused too.
+    let w = test_dir("missing-artifact-section");
+    copy_dir(&dir, &w);
+    let name = shard0.file_name().expect("file name");
+    let stripped = TrajectoryStore::open(&shard0)
+        .expect("open corpus")
+        .decode_all()
+        .expect("decode");
+    let query = QueryEngine::new(f.press.model());
+    std::fs::remove_file(w.join(name)).expect("remove corpus");
+    TrajectoryStore::create(&w.join(name), &query, &stripped, cfg.block_size)
+        .expect("write corpus without the section");
+    match open(&w) {
+        Err(ServeError::Manifest(msg)) => assert!(msg.contains("ingest section"), "{msg}"),
+        Err(other) => panic!("expected ServeError::Manifest, got {other:?}"),
+        Ok(_) => panic!("a corpus without merge keys must not be adopted"),
+    }
+    // Untouched, the same directory recovers every trajectory.
+    let reopened = open(&dir).expect("reopen");
+    assert_eq!(reopened.finished(), finished);
+    let _ = std::fs::remove_dir_all(&w);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -481,18 +550,15 @@ fn missing_manifest_over_artifacts_is_a_typed_refusal() {
 fn quarantine_log_keeps_the_most_recent_records() {
     let f = fleet();
     let dir = test_dir("quarantine-ring");
-    let cfg = IngestConfig {
-        quarantine_log_cap: 4,
-        ..config()
-    };
     let mut engine =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config()).expect("open");
     let good = f.events[0];
     engine.push(good.0, good.1).expect("push");
-    // Ten out-of-order fixes, distinguishable by x: under sustained
-    // dirty input the ring must hold the most recent cap, not freeze on
-    // the first cap.
-    for i in 0..10u32 {
+    // Out-of-order fixes past the cap, distinguishable by x: under
+    // sustained dirty input the ring must hold the most recent cap, not
+    // freeze on the first cap.
+    let pushed = QUARANTINE_LOG_CAP + 6;
+    for i in 0..pushed {
         let bad = GpsSample {
             point: press_network::Point::new(i as f64, 0.0),
             t: good.1.t - 1.0,
@@ -502,14 +568,15 @@ fn quarantine_log_keeps_the_most_recent_records() {
             Ack::Quarantined(_)
         ));
     }
-    let log = engine.quarantine_log();
-    assert_eq!(log.len(), 4);
-    let xs: Vec<f64> = log.iter().map(|r| r.sample.point.x).collect();
-    assert_eq!(
-        xs,
-        vec![6.0, 7.0, 8.0, 9.0],
-        "oldest-first, most recent kept"
-    );
+    let xs: Vec<f64> = engine
+        .quarantine_log()
+        .iter()
+        .map(|r| r.sample.point.x)
+        .collect();
+    let expect: Vec<f64> = (pushed - QUARANTINE_LOG_CAP..pushed)
+        .map(|i| i as f64)
+        .collect();
+    assert_eq!(xs, expect, "oldest-first, most recent kept");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -765,7 +832,7 @@ fn corpus_of_another_model_is_a_typed_refusal() {
     let other = Press::train(sp, &paths, f.press.config()).expect("training");
     assert_ne!(other.model().fingerprint(), f.press.model().fingerprint());
     match IngestEngine::open(&dir, Arc::clone(&f.matcher), other, config()) {
-        Err(press_serve::ServeError::Config(msg)) => {
+        Err(ServeError::Config(msg)) => {
             assert!(msg.contains("was coded under model"), "{msg}")
         }
         Err(e) => panic!("expected a typed model mismatch, got {e:?}"),

@@ -14,9 +14,7 @@
 
 use press::matcher::hmm::GpsSample;
 use press::prelude::*;
-use press::serve::{
-    shard_wal_len, truncate_shard_wal, DiskFault, Event, FaultKind, FaultyIo, ServeError,
-};
+use press::serve::{shard_wal_len, truncate_shard_wal, DiskFault, Event, FaultKind, FaultyIo};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -240,14 +238,14 @@ fn main() {
     let mut refused = 0usize;
     for &(v, s) in &feed[third..2 * third] {
         match survivor.push(v, s) {
-            Err(ServeError::StorageFull(_)) => refused += 1,
+            Err(e) if e.is_storage_full() => refused += 1,
             Ok(ack) => assert!(!ack.is_ingested(), "no ingested acks on a full disk"),
             Err(e) => panic!("expected StorageFull, got {e}"),
         }
     }
     let _ = survivor.flush().expect("matching needs no disk");
     assert!(
-        matches!(survivor.sync(), Err(ServeError::StorageFull(_))),
+        survivor.sync().is_err_and(|e| e.is_storage_full()),
         "explicit sync reports the full disk, typed"
     );
     println!(
