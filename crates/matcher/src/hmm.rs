@@ -3,6 +3,7 @@
 use press_network::{
     dijkstra_sparse, EdgeId, EdgeSpatialIndex, NodeId, Point, Projection, RoadNetwork, SparseTree,
 };
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -187,17 +188,30 @@ fn validate_samples(samples: &[GpsSample]) -> Result<(), MatcherError> {
     Ok(())
 }
 
-/// A candidate state: a sample projected onto one nearby edge.
+/// A candidate state: a sample projected onto one nearby edge, with
+/// what a transition reads of it looked up once.
 #[derive(Clone, Copy, Debug)]
 struct Candidate {
     edge: EdgeId,
     proj: Projection,
+    /// Tail node of `edge`, where a route into it ends.
+    tail: NodeId,
+    /// `w(edge)`.
+    weight: f64,
+    /// `(1 − t) · w`: the rest of the edge after the projection.
+    rest: f64,
+    /// `t · w`: the part of the edge before the projection.
+    into: f64,
+    /// Rank of `edge` in its row's edge set sorted by id.
+    rank: usize,
 }
 
 /// The candidate lattice, flattened: row `i` — the candidates of the
 /// `i`-th kept sample, closest first — is `cands[row[i]..row[i + 1]]`.
 struct Lattice {
     cands: Vec<Candidate>,
+    /// Row `i`'s edge set sorted by id, at the same range as its row.
+    sorted: Vec<EdgeId>,
     row: Vec<usize>,
     /// Input index of each kept sample (samples without candidates are
     /// dropped), so errors can point back into the caller's slice.
@@ -211,6 +225,60 @@ impl Lattice {
 
     fn range(&self, step: usize) -> std::ops::Range<usize> {
         self.row[step]..self.row[step + 1]
+    }
+
+    fn edge_set(&self, step: usize) -> &[EdgeId] {
+        &self.sorted[self.range(step)]
+    }
+}
+
+/// The gaps `dist(head(p.edge) → tail(c.edge))` of one Viterbi step,
+/// `gap[rank(p) · cols + rank(c)]`, indexed by each candidate's rank in
+/// its row's sorted edge set.
+///
+/// A gap depends on the two edges alone — it is read from the memo tree
+/// of `head(p.edge)`, one search at one bound for the whole call — so
+/// while consecutive steps hold the same two edge *sets*, in whatever
+/// proximity order, the matrix carries over. Each predecessor's gaps
+/// are filled on its first finite-score use.
+#[derive(Default)]
+struct GapMatrix {
+    /// The step the matrix holds the gaps of (0: none yet).
+    step: usize,
+    cols: usize,
+    gap: Vec<f64>,
+    filled: Vec<bool>,
+}
+
+impl GapMatrix {
+    /// Points the matrix at `step`, keeping its gaps when both of the
+    /// step's rows hold the edge sets of the step it was filled for.
+    fn prepare(&mut self, lattice: &Lattice, step: usize) {
+        let held = self.step;
+        self.step = step;
+        if held > 0
+            && lattice.edge_set(held) == lattice.edge_set(step)
+            && lattice.edge_set(held - 1) == lattice.edge_set(step - 1)
+        {
+            return;
+        }
+        let rows = lattice.range(step - 1).len();
+        self.cols = lattice.range(step).len();
+        self.gap.clear();
+        self.gap.resize(rows * self.cols, f64::INFINITY);
+        self.filled.clear();
+        self.filled.resize(rows, false);
+    }
+
+    /// The gaps out of the predecessor of rank `rank`; `fill` writes
+    /// them on first use.
+    fn row(&mut self, rank: usize, fill: impl FnOnce(&mut [f64])) -> &[f64] {
+        let row = &mut self.gap[rank * self.cols..(rank + 1) * self.cols];
+        if !self.filled[rank] {
+            fill(row);
+            self.filled[rank] = true;
+        }
+        row
     }
 }
 
@@ -237,31 +305,61 @@ struct MemoEntry {
     tree: Option<SparseTree>,
 }
 
+/// A `|V|`-sized node → memo entry map, allocated once per worker and
+/// reset by bumping `version` (the `SparseScratch` idiom of
+/// `press_network::dijkstra_sparse`): `entry[v]` is meaningful only
+/// while `stamp[v] == version`.
+#[derive(Default)]
+struct NodeSlots {
+    version: u32,
+    stamp: Vec<u32>,
+    entry: Vec<u32>,
+}
+
+thread_local! {
+    static NODE_SLOTS: RefCell<NodeSlots> = RefCell::new(NodeSlots::default());
+}
+
 impl SourceMemo {
     /// `max_route[step]` bounds the transitions *into* `step` (one entry
-    /// per lattice step; entry 0 is unused).
+    /// per lattice step; entry 0 is unused). Entries come in order of
+    /// first use, which reaches no output: each is keyed by its node.
     fn new(net: &RoadNetwork, lattice: &Lattice, max_route: &[f64]) -> Self {
-        let mut heads: Vec<(NodeId, usize, f64)> = Vec::with_capacity(lattice.cands.len());
-        for (step, &bound) in max_route.iter().enumerate().skip(1) {
-            for c in lattice.range(step - 1) {
-                heads.push((net.edge(lattice.cands[c].edge).to, c, bound));
+        NODE_SLOTS.with(|cell| {
+            let map = &mut *cell.borrow_mut();
+            let n = net.num_nodes();
+            if map.stamp.len() < n {
+                map.stamp.resize(n, 0);
+                map.entry.resize(n, 0);
             }
-        }
-        heads.sort_unstable_by_key(|h| h.0);
-        let mut slot = vec![u32::MAX; lattice.cands.len()];
-        let mut entries: Vec<MemoEntry> = Vec::new();
-        for (source, c, bound) in heads {
-            match entries.last_mut() {
-                Some(last) if last.source == source => last.bound = last.bound.max(bound),
-                _ => entries.push(MemoEntry {
-                    source,
-                    bound,
-                    tree: None,
-                }),
+            if map.version == u32::MAX {
+                map.stamp.fill(0);
+                map.version = 0;
             }
-            slot[c] = (entries.len() - 1) as u32;
-        }
-        SourceMemo { slot, entries }
+            map.version += 1;
+            let mut slot = vec![u32::MAX; lattice.cands.len()];
+            let mut entries: Vec<MemoEntry> = Vec::new();
+            for (step, &bound) in max_route.iter().enumerate().skip(1) {
+                for c in lattice.range(step - 1) {
+                    let source = net.edge(lattice.cands[c].edge).to;
+                    let v = source.index();
+                    if map.stamp[v] == map.version {
+                        let entry = &mut entries[map.entry[v] as usize];
+                        entry.bound = entry.bound.max(bound);
+                    } else {
+                        map.stamp[v] = map.version;
+                        map.entry[v] = entries.len() as u32;
+                        entries.push(MemoEntry {
+                            source,
+                            bound,
+                            tree: None,
+                        });
+                    }
+                    slot[c] = map.entry[v];
+                }
+            }
+            SourceMemo { slot, entries }
+        })
     }
 
     /// The search from candidate `c`'s head node, run on first use.
@@ -282,13 +380,19 @@ pub struct MapMatcher {
 
 impl MapMatcher {
     /// Builds a matcher over `net` with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// If the candidate index cannot be built for
+    /// `config.candidate_radius` (see [`press_network::IndexError`]): a
+    /// negative, NaN or infinite radius, or per-cell candidate lists
+    /// beyond `u32` offsets.
     pub fn new(net: Arc<RoadNetwork>, config: MatcherConfig) -> Self {
-        // Cell size near the candidate radius keeps bucket scans short.
-        let cell = config.candidate_radius.max(25.0);
-        MapMatcher {
-            index: EdgeSpatialIndex::build(net, cell),
-            config,
-        }
+        // Cells near the candidate radius keep the per-cell lists short.
+        let radius = config.candidate_radius;
+        let index = EdgeSpatialIndex::build(net, radius, radius.max(25.0))
+            .unwrap_or_else(|e| panic!("matcher candidate index: {e}"));
+        MapMatcher { index, config }
     }
 
     /// The underlying network.
@@ -372,8 +476,11 @@ impl MapMatcher {
         let mut back = vec![usize::MAX; lattice.cands.len()];
         let first = lattice.range(0);
         score[first.clone()].copy_from_slice(&emission[first]);
+        let mut gaps = GapMatrix::default();
         for step in 1..steps {
             let cur = lattice.range(step);
+            let cur_cands = &lattice.cands[cur.clone()];
+            gaps.prepare(&lattice, step);
             for pi in lattice.range(step - 1) {
                 if score[pi] == f64::NEG_INFINITY {
                     continue;
@@ -381,9 +488,24 @@ impl MapMatcher {
                 // One bounded search from the previous candidate's head
                 // covers route distances to every current candidate.
                 let pc = &lattice.cands[pi];
-                let tree = memo.tree(net, pi);
+                let gap = gaps.row(pc.rank, |row| {
+                    let tree = memo.tree(net, pi);
+                    for c in cur_cands {
+                        row[c.rank] = tree.dist(c.tail);
+                    }
+                });
                 for ci in cur.clone() {
-                    let route = route_distance(net, pc, &lattice.cands[ci], tree);
+                    let cc = &lattice.cands[ci];
+                    let route = if pc.edge == cc.edge {
+                        // Same edge: forward progress is the fraction
+                        // delta; *backward* jitter (GPS noise pushing the
+                        // projection slightly back) is treated as
+                        // standing still rather than a loop around the
+                        // block — real matchers clamp this case too.
+                        (cc.proj.t - pc.proj.t).max(0.0) * pc.weight
+                    } else {
+                        pc.rest + gap[cc.rank] + cc.into
+                    };
                     if !route.is_finite() || route > max_route[step] {
                         continue;
                     }
@@ -429,25 +551,38 @@ impl MapMatcher {
     /// Projects every sample onto its nearby edges; samples without
     /// candidates are dropped.
     fn build_lattice(&self, samples: &[GpsSample]) -> Lattice {
+        let net: &RoadNetwork = self.index.network();
         let mut lattice = Lattice {
             cands: Vec::new(),
+            sorted: Vec::new(),
             row: Vec::with_capacity(samples.len() + 1),
             kept: Vec::with_capacity(samples.len()),
         };
         lattice.row.push(0);
         let mut found = Vec::new();
         for (i, s) in samples.iter().enumerate() {
-            self.index
-                .edges_near_into(&s.point, self.config.candidate_radius, &mut found);
+            self.index.edges_near_into(&s.point, &mut found);
             if found.is_empty() {
                 continue;
             }
-            lattice.cands.extend(
-                found
-                    .iter()
-                    .take(self.config.max_candidates)
-                    .map(|&(edge, proj)| Candidate { edge, proj }),
-            );
+            found.truncate(self.config.max_candidates);
+            let start = lattice.sorted.len();
+            lattice.sorted.extend(found.iter().map(|&(edge, _)| edge));
+            let set = &mut lattice.sorted[start..];
+            set.sort_unstable();
+            let set = &*set;
+            lattice.cands.extend(found.iter().map(|&(edge, proj)| {
+                let e = net.edge(edge);
+                Candidate {
+                    edge,
+                    proj,
+                    tail: e.from,
+                    weight: e.weight,
+                    rest: (1.0 - proj.t) * e.weight,
+                    into: proj.t * e.weight,
+                    rank: set.partition_point(|&x| x < edge),
+                }
+            }));
             lattice.row.push(lattice.cands.len());
             lattice.kept.push(i);
         }
@@ -507,11 +642,12 @@ impl MapMatcher {
             let cur = &lattice.cands[states[step]];
             if prev.edge == cur.edge {
                 // Same edge: nothing to append. Backward jitter is clamped
-                // to the previous position (the re-formatter's monotone
-                // clamp does the same for distances).
+                // to the last emitted position (the re-formatter's
+                // monotone clamp does the same for distances).
+                let last = samples[samples.len() - 1].frac;
                 samples.push(MatchedSample {
                     edge_idx: edges.len() - 1,
-                    frac: cur.proj.t.max(prev.proj.t),
+                    frac: cur.proj.t.max(last),
                     t: time_of(step),
                 });
                 continue;
@@ -612,27 +748,6 @@ fn salvage_into(
         }
         Err(e) => report.dropped.push(rebase_error(e, base)),
     }
-}
-
-/// On-network route distance from candidate `a` to candidate `b`, given the
-/// bounded search from `a`'s edge head.
-fn route_distance(
-    net: &RoadNetwork,
-    a: &Candidate,
-    b: &Candidate,
-    from_a_head: &SparseTree,
-) -> f64 {
-    if a.edge == b.edge {
-        // Same edge: forward progress is the fraction delta; *backward*
-        // jitter (GPS noise pushing the projection slightly back) is
-        // treated as standing still rather than a loop around the block —
-        // real matchers clamp this case too.
-        return (b.proj.t - a.proj.t).max(0.0) * net.weight(a.edge);
-    }
-    let rest_of_a = (1.0 - a.proj.t) * net.weight(a.edge);
-    let into_b = b.proj.t * net.weight(b.edge);
-    let gap = from_a_head.dist(net.edge(b.edge).from);
-    rest_of_a + gap + into_b
 }
 
 #[cfg(test)]
@@ -758,7 +873,7 @@ mod tests {
         for w in matched.samples.windows(2) {
             assert!(
                 w[1].edge_idx > w[0].edge_idx
-                    || (w[1].edge_idx == w[0].edge_idx && w[1].frac + 0.2 >= w[0].frac),
+                    || (w[1].edge_idx == w[0].edge_idx && w[1].frac >= w[0].frac),
                 "samples must advance along the path: {:?}",
                 w
             );
@@ -767,6 +882,35 @@ mod tests {
             assert!(s.edge_idx < matched.edges.len());
             assert!((0.0..=1.0).contains(&s.frac));
         }
+    }
+
+    #[test]
+    fn backward_jitter_is_clamped_to_the_last_emitted_position() {
+        // Three fixes on one one-way street at t = 0.5, 0.4, 0.45: the
+        // second is clamped up to 0.5, and so is the third, which lies
+        // ahead of the second's raw projection but behind its emitted one.
+        use press_network::RoadNetworkBuilder;
+        let mut b = RoadNetworkBuilder::new();
+        let nodes: Vec<NodeId> = (0..4)
+            .map(|i| b.add_node(Point::new(i as f64 * 100.0, 0.0)))
+            .collect();
+        for w in nodes.windows(2) {
+            b.add_edge(w[0], w[1], 100.0).unwrap();
+        }
+        let m = MapMatcher::new(Arc::new(b.build()), MatcherConfig::default());
+        let samples: Vec<GpsSample> = [150.0, 140.0, 145.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| GpsSample {
+                point: Point::new(x, 2.0),
+                t: i as f64 * 10.0,
+            })
+            .collect();
+        let matched = m.match_trajectory(&samples).unwrap();
+        assert_eq!(matched.edges.len(), 1);
+        let fracs: Vec<f64> = matched.samples.iter().map(|s| s.frac).collect();
+        assert_eq!(fracs, [0.5, 0.5, 0.5]);
+        assert_equals_reference(&m, &samples);
     }
 
     #[test]
@@ -1118,6 +1262,58 @@ mod tests {
         assert!(after.restarted_steps > before.restarted_steps);
         assert!(after.tentative_stitches > before.tentative_stitches);
         assert!(after.unbounded_stitches > before.unbounded_stitches);
+    }
+
+    #[test]
+    fn reused_gaps_follow_edge_rank_not_row_order() {
+        // A fully tied grid and slow, noisy fixes around intersections:
+        // consecutive rows keep the same edge set while ties and jitter
+        // reshuffle its proximity order, so the gap matrix is carried
+        // over between rows whose candidates sit at different positions.
+        let net = Arc::new(grid_network(&GridConfig {
+            nx: 6,
+            ny: 6,
+            ..GridConfig::default()
+        }));
+        let m = MapMatcher::new(net.clone(), MatcherConfig::default());
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut reordered = 0;
+        for (a, b) in [(0u32, 35u32), (5, 30), (7, 28), (12, 17)] {
+            let path = shortest_path(&net, a, b);
+            let mut samples = sample_path(&net, &path, 4.0, 7.0, &mut rng);
+            // Dwell at each intersection the path crosses, as at a
+            // light: fixes scattered around the node.
+            let mut t = samples.last().unwrap().t;
+            for &e in &path {
+                let node = net.edge_end(e);
+                for _ in 0..6 {
+                    t += 1.0;
+                    samples.push(GpsSample {
+                        point: Point::new(
+                            node.x + rng.gen_range(-9.0..9.0),
+                            node.y + rng.gen_range(-9.0..9.0),
+                        ),
+                        t,
+                    });
+                }
+            }
+            let lattice = m.build_lattice(&samples);
+            let order = |s: usize| -> Vec<EdgeId> {
+                lattice.cands[lattice.range(s)]
+                    .iter()
+                    .map(|c| c.edge)
+                    .collect()
+            };
+            for s in 2..lattice.steps() {
+                let same_sets = lattice.edge_set(s) == lattice.edge_set(s - 1)
+                    && lattice.edge_set(s - 1) == lattice.edge_set(s - 2);
+                if same_sets && (order(s) != order(s - 1) || order(s - 1) != order(s - 2)) {
+                    reordered += 1;
+                }
+            }
+            assert_equals_reference(&m, &samples);
+        }
+        assert!(reordered > 100, "only {reordered} reordered steps");
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! The matcher as it was before the sparse kernel, kept as a test
-//! oracle: one dense `dijkstra_bounded` per (step, previous candidate)
-//! and one more per edge change while stitching, each at exactly that
-//! step's bound, over a `Vec<Vec<_>>` lattice. The production matcher
-//! must reproduce its `MatchedTrajectory` / `MatcherError` exactly.
+//! oracle: candidates by a linear scan over every edge, one dense
+//! `dijkstra_bounded` per (step, previous candidate) and one more per
+//! edge change while stitching, each at exactly that step's bound, over
+//! a `Vec<Vec<_>>` lattice. The production matcher must reproduce its
+//! `MatchedTrajectory` / `MatcherError` exactly.
 
 use super::{
-    validate_samples, Candidate, GpsSample, MapMatcher, MatchedSample, MatchedTrajectory,
-    MatcherError, SalvageReport,
+    validate_samples, GpsSample, MapMatcher, MatchedSample, MatchedTrajectory, MatcherError,
+    SalvageReport,
 };
-use press_network::{dijkstra_bounded, EdgeId, RoadNetwork};
+use press_network::{
+    dijkstra_bounded, project_onto_segment, EdgeId, Point, Projection, RoadNetwork,
+};
 use std::cell::Cell;
 
 /// Which rare paths the reference took on this thread — how the
@@ -23,6 +26,30 @@ pub(super) struct Witness {
     pub tentative_stitches: usize,
     /// Stitches that fell back to the unbounded search.
     pub unbounded_stitches: usize,
+}
+
+/// A candidate state: a sample projected onto one nearby edge.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    edge: EdgeId,
+    proj: Projection,
+}
+
+/// Every edge within `radius` of `p`, by a scan over all edges, sorted
+/// by `(distance, edge id)` — independent of the spatial index.
+fn edges_near(net: &RoadNetwork, p: &Point, radius: f64) -> Vec<(EdgeId, Projection)> {
+    let mut found: Vec<(EdgeId, Projection)> = net
+        .edge_ids()
+        .map(|e| {
+            (
+                e,
+                project_onto_segment(p, &net.edge_start(e), &net.edge_end(e)),
+            )
+        })
+        .filter(|(_, proj)| proj.dist <= radius)
+        .collect();
+    found.sort_by(|a, b| a.1.dist.total_cmp(&b.1.dist).then(a.0.cmp(&b.0)));
+    found
 }
 
 thread_local! {
@@ -47,7 +74,7 @@ pub(super) fn match_budgeted(
         return Err(MatcherError::EmptyInput);
     }
     validate_samples(samples)?;
-    let net = m.index.network().clone();
+    let net = m.network().clone();
     // 1. Candidate generation (samples without candidates are dropped;
     //    `kept_idx` remembers each kept sample's input index so errors
     //    can point back into the caller's slice).
@@ -55,7 +82,7 @@ pub(super) fn match_budgeted(
     let mut kept_idx: Vec<usize> = Vec::with_capacity(samples.len());
     let mut lattice: Vec<Vec<Candidate>> = Vec::with_capacity(samples.len());
     for (i, s) in samples.iter().enumerate() {
-        let found = m.index.edges_near(&s.point, m.config.candidate_radius);
+        let found = edges_near(&net, &s.point, m.config.candidate_radius);
         if found.is_empty() {
             continue;
         }
@@ -195,11 +222,12 @@ fn build_output(
         let cur = &lattice[step][states[step]];
         if prev.edge == cur.edge {
             // Same edge: nothing to append. Backward jitter is clamped
-            // to the previous position (the re-formatter's monotone
+            // to the last emitted position (the re-formatter's monotone
             // clamp does the same for distances).
+            let last = samples[samples.len() - 1].frac;
             samples.push(MatchedSample {
                 edge_idx: edges.len() - 1,
-                frac: cur.proj.t.max(prev.proj.t),
+                frac: cur.proj.t.max(last),
                 t: kept[step].t,
             });
             continue;

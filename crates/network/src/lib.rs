@@ -15,7 +15,8 @@
 //!   backends — the eager dense [`SpTable`] and the 2-hop [`HubLabels`]
 //!   built from a contraction-hierarchy order — selected by
 //!   [`SpBackend`],
-//! * a uniform-grid [spatial index](crate::index) over edges, and
+//! * a uniform-grid [spatial index](crate::index) over edges for the map
+//!   matcher's candidate radius, and
 //! * [synthetic generators](crate::generators) (grid, ring-radial, random
 //!   geometric) standing in for the Singapore road network.
 //!
@@ -68,6 +69,6 @@ pub use geometry::{
 pub use graph::{Edge, Node, RoadNetwork, RoadNetworkBuilder};
 pub use hub_labels::HubLabels;
 pub use id::{EdgeId, NodeId};
-pub use index::EdgeSpatialIndex;
+pub use index::{EdgeSpatialIndex, IndexError};
 pub use provider::{SpBackend, SpProvider};
 pub use sp_table::SpTable;
