@@ -155,88 +155,6 @@ pub fn tokens_to_bytes(tokens: &[Token]) -> Vec<u8> {
     out
 }
 
-/// Serializes tokens with **varint** match distances: near matches (the
-/// common case even with a huge window) cost 1–2 bytes instead of a flat
-/// 4, which keeps the entropy coder's input compact. Used by the RAR-like
-/// codec.
-pub fn tokens_to_bytes_varint(tokens: &[Token]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(tokens.len() * 2 + 8);
-    out.extend_from_slice(&(tokens.len() as u64).to_le_bytes());
-    for group in tokens.chunks(8) {
-        let mut control = 0u8;
-        for (k, t) in group.iter().enumerate() {
-            if matches!(t, Token::Match { .. }) {
-                control |= 1 << k;
-            }
-        }
-        out.push(control);
-        for t in group {
-            match *t {
-                Token::Literal(b) => out.push(b),
-                Token::Match { len, dist } => {
-                    out.push((len as usize - MIN_MATCH) as u8);
-                    let mut v = dist;
-                    loop {
-                        let byte = (v & 0x7F) as u8;
-                        v >>= 7;
-                        if v == 0 {
-                            out.push(byte);
-                            break;
-                        }
-                        out.push(byte | 0x80);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Parses a varint-serialized token stream back.
-pub fn bytes_to_tokens_varint(bytes: &[u8]) -> Result<Vec<Token>, String> {
-    if bytes.len() < 8 {
-        return Err("token stream too short".into());
-    }
-    let count = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-    let mut tokens = Vec::with_capacity(count);
-    let mut pos = 8usize;
-    while tokens.len() < count {
-        let control = *bytes.get(pos).ok_or("missing control byte")?;
-        pos += 1;
-        for k in 0..8 {
-            if tokens.len() == count {
-                break;
-            }
-            if control & (1 << k) != 0 {
-                let len = *bytes.get(pos).ok_or("missing match length")? as usize + MIN_MATCH;
-                pos += 1;
-                let mut dist = 0u32;
-                let mut shift = 0u32;
-                loop {
-                    let byte = *bytes.get(pos).ok_or("missing distance byte")?;
-                    pos += 1;
-                    if shift >= 32 {
-                        return Err("distance varint overflow".into());
-                    }
-                    dist |= ((byte & 0x7F) as u32) << shift;
-                    shift += 7;
-                    if byte & 0x80 == 0 {
-                        break;
-                    }
-                }
-                tokens.push(Token::Match {
-                    len: len as u16,
-                    dist,
-                });
-            } else {
-                tokens.push(Token::Literal(*bytes.get(pos).ok_or("missing literal")?));
-                pos += 1;
-            }
-        }
-    }
-    Ok(tokens)
-}
-
 /// Parses a serialized token stream back.
 pub fn bytes_to_tokens(bytes: &[u8]) -> Result<Vec<Token>, String> {
     if bytes.len() < 8 {

@@ -136,27 +136,11 @@ impl Env {
     /// coded units for the temporal and query sweeps), a Zipf-skewed
     /// workload, PRESS trained at θ = 3 with lossless temporal bounds.
     pub fn standard(scale: Scale, seed: u64) -> Env {
-        Self::standard_with_backend(scale, seed, SpBackend::Dense)
+        Self::standard_sp_threads(scale, seed, SpBackend::Dense, StoreMode::None, 0)
     }
 
-    /// [`Env::standard`] over an explicit SP backend, so every experiment
-    /// can run on any of them.
-    pub fn standard_with_backend(scale: Scale, seed: u64, backend: SpBackend) -> Env {
-        Self::standard_with_store(scale, seed, backend, StoreMode::None)
-    }
-
-    /// [`Env::standard_with_backend`] with an explicit [`StoreMode`]
-    /// (artifacts live under `<dir>/standard/`).
-    pub fn standard_with_store(
-        scale: Scale,
-        seed: u64,
-        backend: SpBackend,
-        store: StoreMode<'_>,
-    ) -> Env {
-        Self::standard_sp_threads(scale, seed, backend, store, 0)
-    }
-
-    /// [`Env::standard_with_store`] with an explicit SP preprocessing
+    /// [`Env::standard`] over an explicit SP backend, [`StoreMode`]
+    /// (artifacts live under `<dir>/standard/`) and SP preprocessing
     /// worker count (0 = one per core). Thread count never changes any
     /// result — it only bounds build parallelism (e.g. on shared
     /// machines), so every experiment is reproducible regardless.
@@ -190,26 +174,11 @@ impl Env {
     /// skipping coded units, which needs trajectories long enough that the
     /// α·γ·β factors dominate the per-query constants.
     pub fn long_haul(scale: Scale, seed: u64) -> Env {
-        Self::long_haul_with_backend(scale, seed, SpBackend::Dense)
+        Self::long_haul_sp_threads(scale, seed, SpBackend::Dense, StoreMode::None, 0)
     }
 
-    /// [`Env::long_haul`] over an explicit SP backend.
-    pub fn long_haul_with_backend(scale: Scale, seed: u64, backend: SpBackend) -> Env {
-        Self::long_haul_with_store(scale, seed, backend, StoreMode::None)
-    }
-
-    /// [`Env::long_haul_with_backend`] with an explicit [`StoreMode`]
-    /// (artifacts live under `<dir>/long_haul/`).
-    pub fn long_haul_with_store(
-        scale: Scale,
-        seed: u64,
-        backend: SpBackend,
-        store: StoreMode<'_>,
-    ) -> Env {
-        Self::long_haul_sp_threads(scale, seed, backend, store, 0)
-    }
-
-    /// [`Env::long_haul_with_store`] with an explicit SP preprocessing
+    /// [`Env::long_haul`] over an explicit SP backend, [`StoreMode`]
+    /// (artifacts live under `<dir>/long_haul/`) and SP preprocessing
     /// worker count (0 = one per core); see [`Env::standard_sp_threads`].
     pub fn long_haul_sp_threads(
         scale: Scale,
@@ -412,7 +381,7 @@ mod tests {
         // Same seed, different backend: identical workload, identical
         // compression output.
         let dense = Env::standard(Scale::Small, 5);
-        let hl = Env::standard_with_backend(Scale::Small, 5, SpBackend::Hl);
+        let hl = Env::standard_sp_threads(Scale::Small, 5, SpBackend::Hl, StoreMode::None, 0);
         assert_eq!(dense.workload.records.len(), hl.workload.records.len());
         for (a, b) in dense.workload.records.iter().zip(&hl.workload.records) {
             assert_eq!(a.path, b.path);
@@ -448,9 +417,11 @@ mod tests {
     fn warm_start_rejects_mismatched_provenance() {
         let dir = std::env::temp_dir().join(format!("press-env-prov-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = Env::standard_with_store(Scale::Small, 5, SpBackend::Dense, StoreMode::Save(&dir));
+        let _ =
+            Env::standard_sp_threads(Scale::Small, 5, SpBackend::Dense, StoreMode::Save(&dir), 0);
         // Different seed: the artifacts on disk do not describe this run.
-        let _ = Env::standard_with_store(Scale::Small, 6, SpBackend::Dense, StoreMode::Load(&dir));
+        let _ =
+            Env::standard_sp_threads(Scale::Small, 6, SpBackend::Dense, StoreMode::Load(&dir), 0);
     }
 
     #[test]
@@ -458,9 +429,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("press-env-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         for backend in [SpBackend::Dense, SpBackend::Hl] {
-            let built = Env::standard_with_store(Scale::Small, 5, backend, StoreMode::Save(&dir));
-            let warm = Env::standard_with_store(Scale::Small, 5, backend, StoreMode::Load(&dir));
-            let mapped = Env::standard_with_store(Scale::Small, 5, backend, StoreMode::Map(&dir));
+            let built =
+                Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Save(&dir), 0);
+            let warm = Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Load(&dir), 0);
+            let mapped =
+                Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Map(&dir), 0);
             assert_eq!(built.workload.records.len(), warm.workload.records.len());
             assert_eq!(built.workload.records.len(), mapped.workload.records.len());
             for ((ta, tb), tc) in built

@@ -244,11 +244,6 @@ impl Huffman {
         self.fast = fast;
     }
 
-    /// Number of symbols.
-    pub fn num_symbols(&self) -> usize {
-        self.codes.len()
-    }
-
     /// Code length of a symbol in bits.
     #[inline]
     pub fn code_len(&self, sym: u32) -> u8 {

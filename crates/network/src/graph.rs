@@ -73,13 +73,6 @@ impl RoadNetwork {
         &self.edges[e.index()]
     }
 
-    /// Fallible node lookup.
-    pub fn try_node(&self, n: NodeId) -> Result<&Node, NetworkError> {
-        self.nodes
-            .get(n.index())
-            .ok_or(NetworkError::InvalidNode(n))
-    }
-
     /// Fallible edge lookup.
     pub fn try_edge(&self, e: EdgeId) -> Result<&Edge, NetworkError> {
         self.edges
@@ -333,15 +326,6 @@ impl RoadNetworkBuilder {
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { from, to, weight });
         Ok(id)
-    }
-
-    /// Adds a directed edge weighted by the geometric distance between its
-    /// endpoints.
-    pub fn add_edge_geometric(&mut self, from: NodeId, to: NodeId) -> Result<EdgeId, NetworkError> {
-        let w = self.nodes[from.index()]
-            .point
-            .dist(&self.nodes[to.index()].point);
-        self.add_edge(from, to, w)
     }
 
     /// Adds a pair of opposite directed edges (a two-way street), returning

@@ -44,7 +44,8 @@
 //!
 //! PRESS asks its questions in runs that share a source: `SPend(e_index,
 //! e_{i+1})` keeps `e_index` while a compression run lasts, and every
-//! probe of an `sp_interior` walk starts at the same node. The meet
+//! `pred_edge` of an `sp_interior` walk (the trait's one walk, see
+//! [`SpProvider::sp_interior`]) starts at the same node. The meet
 //! therefore does not merge two sorted labels; each querying thread keeps
 //! one **row** of `(forward distance, forward position)` indexed by hub
 //! id — the source's forward label scattered into a dense array, every
@@ -72,8 +73,8 @@
 //! down to `t`, and each arc expands to original edges via the arc table
 //! carried from the contraction.
 //!
-//! A **predecessor** (`pred_edge`, hence `SPend`, and each step of
-//! `sp_interior`) has two routes to the same answer.
+//! A **predecessor** (`pred_edge`, hence `SPend`, and each step of the
+//! trait's `sp_interior` walk) has two routes to the same answer.
 //!
 //! *The exact route* — the definition, and the reference every test
 //! compares against — walks the canonical tight-edge equation: the first
@@ -117,10 +118,9 @@
 //!    candidates `+∞` means no tail is reachable, i.e. `v` is not.
 //! 4. **What falls back.** Anything closer than `2τ`: exactly tied grids,
 //!    parallel edges of equal weight, sums that collide within a few ulps.
-//!    Those take the exact route unchanged. `sp_interior` walks the margin
-//!    pick backwards from the target under one pinned source and abandons
-//!    the walk for the exact one (the shared `probe::canonical_walk`
-//!    over a `SourceProbe`) at the first near-tie.
+//!    Those take the exact route unchanged, one predecessor at a time: a
+//!    gap's interior asks `pred_edge` per step, so only its near-tied
+//!    steps pay the exact route's unpacks.
 //!
 //! The exact route is thus both the fallback and the oracle the margin
 //! route is property-tested against (`margin == exact == dense`), per the
@@ -192,8 +192,8 @@ struct LabelScratch {
 
 thread_local! {
     static SCRATCH: RefCell<LabelScratch> = RefCell::new(LabelScratch::default());
-    /// Reusable (arc chain, edge) buffers for the distance-only query
-    /// path, so `node_dist` performs no per-lookup heap allocation.
+    /// Reusable (arc chain, edge) buffers of `HubLabels::with_path`, so
+    /// `node_dist` performs no per-lookup heap allocation.
     static QUERY_BUFS: RefCell<(Vec<u32>, Vec<EdgeId>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
     /// This thread's pinned-source row; see the module docs.
@@ -608,46 +608,31 @@ impl HubLabels {
         }
     }
 
-    /// Distance-only query — the hot path behind `node_dist` (and the
-    /// per-in-edge probes of the canonical walk). Identical semantics to
-    /// [`HubLabels::query`] but reuses thread-local unpack buffers, so a
-    /// lookup performs no heap allocation.
-    fn query_dist(&self, s: NodeId, t: NodeId) -> Option<f64> {
-        if s == t {
-            return Some(0.0);
-        }
+    /// Unpacks the winning up-down path `s → t` (`s != t`) into the
+    /// thread-local buffers and hands its original edges to `f`, so a
+    /// lookup performs no heap allocation. `None` when `t` is unreachable
+    /// from `s` (the labels share no hub).
+    fn with_path<R>(&self, s: NodeId, t: NodeId, f: impl FnOnce(&[EdgeId]) -> R) -> Option<R> {
         let (fi, bi) = self.meet(s, t)?;
         QUERY_BUFS.with(|cell| {
             let (chain, edges) = &mut *cell.borrow_mut();
             self.unpack_meet(s, t, fi, bi, chain, edges);
-            // Left-to-right re-accumulation — the exact float-addition
-            // order Dijkstra's `dist[v] = dist[p] + w(e)` recursion uses.
-            let mut dist = 0.0f64;
-            for &e in edges.iter() {
-                dist += self.net.weight(e);
-            }
-            Some(dist)
+            Some(f(edges))
         })
     }
 
-    /// The path-returning query. Returns the exact distance (re-accumulated
-    /// left-to-right over the unpacked original edges, bit-identical to
-    /// the canonical Dijkstra distance) and the unpacked edge path.
-    /// `None` when `t` is unreachable from `s` (the labels share no hub);
-    /// `Some((0.0, []))` when `s == t`.
-    fn query(&self, s: NodeId, t: NodeId) -> Option<(f64, Vec<EdgeId>)> {
+    /// The exact distance — the hot path behind `node_dist` and the
+    /// per-in-edge probes of the exact route: re-accumulated
+    /// left-to-right over the unpacked original edges, the exact
+    /// float-addition order Dijkstra's `dist[v] = dist[p] + w(e)`
+    /// recursion uses, so it is bit-identical to the canonical distance.
+    fn query_dist(&self, s: NodeId, t: NodeId) -> Option<f64> {
         if s == t {
-            return Some((0.0, Vec::new()));
+            return Some(0.0);
         }
-        let (fi, bi) = self.meet(s, t)?;
-        let mut chain = Vec::new();
-        let mut edges = Vec::new();
-        self.unpack_meet(s, t, fi, bi, &mut chain, &mut edges);
-        let mut dist = 0.0f64;
-        for &e in &edges {
-            dist += self.net.weight(e);
-        }
-        Some((dist, edges))
+        self.with_path(s, t, |edges| {
+            edges.iter().fold(0.0f64, |d, &e| d + self.net.weight(e))
+        })
     }
 
     /// The canonical predecessor of `v` in the tree rooted at `u` (same
@@ -678,38 +663,8 @@ impl HubLabels {
             // Unreachable in practice (the Dijkstra predecessor always
             // satisfies the float-tight equation); keep the unpacked
             // path's last edge as a safety net.
-            None => self.query(u, v)?.1.last().copied(),
+            None => self.with_path(u, v, |edges| edges.last().copied())?,
         }
-    }
-
-    /// The exact route of `sp_interior` for the gap `u → target`
-    /// (`u != target`): the reference definition, and the fallback for
-    /// near-ties.
-    fn exact_interior(&self, u: NodeId, target: NodeId) -> Option<Vec<EdgeId>> {
-        let d = self.query_dist(u, target)?;
-        // Walk the canonical tree backwards (the shared tight-edge loop,
-        // `crate::probe::canonical_walk`) with a one-shot
-        // [`SourceProbe`](crate::probe): the forward side of every
-        // `d(u, p)` probe — u's label and the re-accumulated distances to
-        // its hubs — is materialized once for the whole walk, so each
-        // tight-edge check costs one label merge plus the backward chain
-        // of its up-down path instead of a full query. A failed walk
-        // falls back to the unpacked up-down path, still a shortest path.
-        let (flo, fhi) = self.fwd.range(u);
-        let mut probe = crate::probe::SourceProbe::from_entries(
-            (flo..fhi).map(|k| (self.fwd.hub[k], self.fwd.dist[k], self.fwd.parent[k])),
-        );
-        let interior = crate::probe::canonical_walk(&self.net, u, target, d, |p| {
-            let (blo, bhi) = self.bwd.range(p);
-            probe.dist_to(
-                &self.net,
-                &self.arcs,
-                &self.bwd.hub[blo..bhi],
-                &self.bwd.dist[blo..bhi],
-                &self.bwd.parent[blo..bhi],
-            )
-        });
-        interior.or_else(|| Some(self.query(u, target)?.1))
     }
 
     /// The margin route for one predecessor (module docs, "Bit-identical
@@ -760,37 +715,6 @@ impl HubLabels {
         } else {
             Margin::NearTie
         }
-    }
-
-    /// The margin route for a whole gap: the canonical-tree path
-    /// `u → target` (`u != target`) as a backward walk of
-    /// [`Self::margin_pred`], every probe against the one pinned source.
-    /// `Decided(None)` when `target` is unreachable.
-    fn margin_walk(&self, u: NodeId, target: NodeId) -> Margin<Option<Vec<EdgeId>>> {
-        let tau = tie_margin(self.net.num_nodes());
-        self.with_row(u, |slots| {
-            let mut interior = Vec::new();
-            let mut cur = target;
-            while cur != u {
-                // Each decided step moves strictly closer to `u` in the
-                // oracle's tree, so a longer walk means `τ` was violated:
-                // let the exact route answer.
-                if interior.len() >= self.net.num_nodes() {
-                    return Margin::NearTie;
-                }
-                match self.margin_pred(slots, u, cur, tau) {
-                    Margin::Decided(Some(e)) => {
-                        interior.push(e);
-                        cur = self.net.edge(e).from;
-                    }
-                    // Only the first step can find nothing reachable.
-                    Margin::Decided(None) => return Margin::Decided(None),
-                    Margin::NearTie => return Margin::NearTie,
-                }
-            }
-            interior.reverse();
-            Margin::Decided(Some(interior))
-        })
     }
 
     // -----------------------------------------------------------------
@@ -1104,21 +1028,6 @@ impl SpProvider for HubLabels {
 
     fn approx_bytes(&self) -> usize {
         self.arcs.len() * std::mem::size_of::<ChArc>() + self.fwd.bytes() + self.bwd.bytes()
-    }
-
-    fn sp_interior(&self, ei: EdgeId, ej: EdgeId) -> Option<Vec<EdgeId>> {
-        if ei == ej {
-            return None;
-        }
-        let a = *self.net.edge(ei);
-        let b = *self.net.edge(ej);
-        if a.to == b.from {
-            return Some(Vec::new());
-        }
-        if let Margin::Decided(interior) = self.margin_walk(a.to, b.from) {
-            return interior;
-        }
-        self.exact_interior(a.to, b.from)
     }
 }
 
@@ -1810,16 +1719,29 @@ mod tests {
         }
     }
 
-    /// `sp_interior` by the exact route alone.
+    /// The labels with [`exact_pred`] as their `pred_edge`, so the
+    /// trait's derived methods walk the exact route alone.
+    struct ExactRoute<'a>(&'a HubLabels);
+
+    impl SpProvider for ExactRoute<'_> {
+        fn network(&self) -> &Arc<RoadNetwork> {
+            &self.0.net
+        }
+        fn node_dist(&self, u: NodeId, v: NodeId) -> f64 {
+            self.0.node_dist(u, v)
+        }
+        fn pred_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+            exact_pred(self.0, u, v)
+        }
+        fn approx_bytes(&self) -> usize {
+            self.0.approx_bytes()
+        }
+    }
+
+    /// `sp_interior` by the exact route alone: the trait's predecessor
+    /// walk over [`exact_pred`].
     fn exact_sp_interior(hl: &HubLabels, ei: EdgeId, ej: EdgeId) -> Option<Vec<EdgeId>> {
-        if ei == ej {
-            return None;
-        }
-        let (a, b) = (*hl.net.edge(ei), *hl.net.edge(ej));
-        if a.to == b.from {
-            return Some(Vec::new());
-        }
-        hl.exact_interior(a.to, b.from)
+        ExactRoute(hl).sp_interior(ei, ej)
     }
 
     /// `margin == exact == dense` on everything the provider answers:

@@ -48,7 +48,6 @@ pub mod hub_labels;
 pub mod id;
 pub mod index;
 pub mod parallel;
-mod probe;
 pub mod provider;
 pub mod sp_table;
 mod store_codec;

@@ -21,7 +21,9 @@
 //! shortest-path trees (see [`crate::dijkstra`](mod@crate::dijkstra) for the tie-break rule),
 //! so their answers are **bit-identical** (property-tested in
 //! `tests/properties.rs`) — the prefix-consistency that Theorem 1's
-//! optimality proof needs holds for any of them. [`SpBackend`] is the
+//! optimality proof needs holds for any of them. A backend answers only
+//! distances and predecessors; paths, interiors and MBRs are the trait's
+//! one predecessor walk for every backend. [`SpBackend`] is the
 //! value-level selector used by configuration surfaces (bench
 //! environments, examples).
 
@@ -37,8 +39,9 @@ use std::sync::Arc;
 /// algorithms consume (`SPend`, gap distances, path expansion, MBRs) is
 /// derived in default methods, so the derived semantics — including the
 /// SP-containment property Theorem 1 relies on — are shared by
-/// construction. Backends may still override the derived methods with a
-/// native walk (as the hub labels do for `sp_interior`).
+/// construction. Both built-in backends implement exactly those four:
+/// the interior of `SP(ei, ej)` is one predecessor walk
+/// ([`SpProvider::sp_interior`]) for every backend.
 pub trait SpProvider: Send + Sync {
     /// The underlying network.
     fn network(&self) -> &Arc<RoadNetwork>;
@@ -101,8 +104,12 @@ pub trait SpProvider: Send + Sync {
     }
 
     /// The edges strictly between `ei` and `ej` on `SP(ei, ej)`, in path
-    /// order. Empty when the edges are consecutive; `None` when
-    /// unreachable (or `ei == ej`, which has no defined interior).
+    /// order: the `SPend` walk of §3.1, one [`SpProvider::pred_edge`] per
+    /// edge from `ej` back to `ei`. Empty when the edges are consecutive;
+    /// `None` when unreachable (the first predecessor is already `None`),
+    /// when `ei == ej` (no defined interior), or when the predecessors do
+    /// not form a path — a walk that reaches `|V|` edges without arriving
+    /// is a cycle, which only a corrupt backend can answer.
     fn sp_interior(&self, ei: EdgeId, ej: EdgeId) -> Option<Vec<EdgeId>> {
         if ei == ej {
             return None;
@@ -113,12 +120,14 @@ pub trait SpProvider: Send + Sync {
         if a.to == b.from {
             return Some(Vec::new());
         }
-        if !self.node_dist(a.to, b.from).is_finite() {
-            return None;
-        }
         let mut interior = Vec::new();
         let mut cur = b.from;
         while cur != a.to {
+            // A simple path has fewer than |V| edges: a longer walk is a
+            // predecessor cycle, not a path.
+            if interior.len() >= net.num_nodes() {
+                return None;
+            }
             let e = self.pred_edge(a.to, cur)?;
             interior.push(e);
             cur = net.edge(e).from;
@@ -128,9 +137,10 @@ pub trait SpProvider: Send + Sync {
     }
 
     /// Reconstructs the full edge sequence of `SP(ei, ej)`, including `ei`
-    /// and `ej`. `None` when unreachable. Reconstruction walks `SPend`
-    /// backwards exactly as the decompression procedure of §3.1 describes,
-    /// so its cost is the length of the shortest path.
+    /// and `ej`. `None` exactly when [`SpProvider::sp_interior`] is.
+    /// Reconstruction walks `SPend` backwards exactly as the decompression
+    /// procedure of §3.1 describes, so its cost is the length of the
+    /// shortest path.
     fn sp_path(&self, ei: EdgeId, ej: EdgeId) -> Option<Vec<EdgeId>> {
         let mut interior = self.sp_interior(ei, ej)?;
         let mut path = Vec::with_capacity(interior.len() + 2);
@@ -141,7 +151,7 @@ pub trait SpProvider: Send + Sync {
     }
 
     /// MBR of the embedding of `SP(ei, ej)` (used by `whenat`/`range`
-    /// pruning, §5.2). `None` when unreachable.
+    /// pruning, §5.2). `None` exactly when [`SpProvider::sp_interior`] is.
     fn sp_mbr(&self, ei: EdgeId, ej: EdgeId) -> Option<Mbr> {
         let net = self.network();
         let path = self.sp_path(ei, ej)?;
@@ -164,9 +174,9 @@ pub trait SpProvider: Send + Sync {
 
 /// Forwarding impl so an `&Arc<dyn SpProvider>` (or `&Arc<SpTable>`)
 /// coerces straight into `&dyn SpProvider` at call sites. Every method —
-/// including the derived ones — forwards to the inner provider, so
-/// backend overrides (e.g. the hub labels' native `sp_interior`) are
-/// never bypassed by the trait defaults.
+/// including the derived ones — forwards to the inner provider, so a
+/// provider that overrides a derived method (a call-counting decorator,
+/// say) is never bypassed by the trait defaults.
 impl<P: SpProvider + ?Sized> SpProvider for Arc<P> {
     fn network(&self) -> &Arc<RoadNetwork> {
         (**self).network()

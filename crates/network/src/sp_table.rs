@@ -165,11 +165,22 @@ impl SpTable {
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect();
+        // A predecessor must be an edge *into* its cell's column node:
+        // anything else would send the interior walk round in place.
         for (i, &p) in pred.iter().enumerate() {
-            if p != NO_PRED && p as usize >= net.num_edges() {
+            if p == NO_PRED {
+                continue;
+            }
+            if p as usize >= net.num_edges() {
                 return Err(StoreError::Corrupt(format!(
                     "pred cell {i} references edge {p} outside the network's {} edges",
                     net.num_edges()
+                )));
+            }
+            let v = i % n;
+            if net.edge(EdgeId(p)).to.index() != v {
+                return Err(StoreError::Corrupt(format!(
+                    "pred cell {i} names edge {p}, which does not enter node {v}"
                 )));
             }
         }
@@ -381,6 +392,45 @@ mod tests {
             SpTable::from_store_bytes(tiny, built.to_store_bytes()),
             Err(press_store::StoreError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn store_pred_cells_must_enter_their_node_and_cycles_are_no_path() {
+        // s → u → v → t with a spur v ⇄ x: SP(e0, e4) has interior [e1].
+        let mut b = RoadNetworkBuilder::new();
+        for i in 0..5 {
+            b.add_node(Point::new(i as f64, 0.0));
+        }
+        for (from, to) in [(0, 1), (1, 2), (3, 2), (2, 3), (2, 4)] {
+            b.add_edge(NodeId(from), NodeId(to), 1.0).unwrap();
+        }
+        let net = Arc::new(b.build());
+        let built = SpTable::build(net.clone());
+        assert_eq!(
+            built.sp_interior(EdgeId(0), EdgeId(4)),
+            Some(vec![EdgeId(1)])
+        );
+        // A CRC-valid table with row u's cells `(column, edge)` rewritten.
+        let crafted = |cells: &[(usize, u32)]| {
+            let mut t = built.clone();
+            for &(v, e) in cells {
+                t.pred[t.n + v] = e;
+            }
+            SpTable::from_store_bytes(net.clone(), t.to_store_bytes())
+        };
+        // Cell (u, v) naming e4 = v → t, an edge *leaving* v: refused.
+        let err = crafted(&[(2, 4)]).unwrap_err();
+        assert!(
+            matches!(&err, press_store::StoreError::Corrupt(m) if m.contains("does not enter")),
+            "{err}"
+        );
+        // Cells (u, v) = e2 = x → v and (u, x) = e3 = v → x both enter
+        // their node, so the table loads; their walk is a cycle, not a
+        // path, and every derived question says so.
+        let t = crafted(&[(2, 2), (3, 3)]).unwrap();
+        assert_eq!(t.sp_interior(EdgeId(0), EdgeId(4)), None);
+        assert_eq!(t.sp_path(EdgeId(0), EdgeId(4)), None);
+        assert!(t.sp_mbr(EdgeId(0), EdgeId(4)).is_none());
     }
 
     #[test]
