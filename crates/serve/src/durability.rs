@@ -4,10 +4,12 @@
 //! [`crate::Ack::Accepted`] meant "journaled", and power-loss safety
 //! required an explicit [`crate::IngestEngine::sync`]. This module
 //! moves that decision into the engine as a [`DurabilityPolicy`]:
-//! appends accumulate in the OS page cache and the engine issues one
-//! covering fsync whenever the **unsynced-byte** or **stream-time**
-//! threshold trips — classic group commit, amortizing one fsync over
-//! many fixes.
+//! appends accumulate in each shard's in-memory journal buffer and the
+//! engine issues one covering write + fsync whenever the
+//! **unsynced-byte** or **stream-time** threshold trips — classic group
+//! commit, amortizing one `write(2)` and one fsync over many fixes. (A
+//! buffer that reaches [`crate::wal::WRITE_CAP`] first is written
+//! early, without a sync.)
 //!
 //! The ack contract stays honest under the batching (see
 //! [`crate::Ack`]): a fix whose covering sync has not happened yet is

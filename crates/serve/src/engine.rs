@@ -19,12 +19,16 @@
 //!
 //! [`IngestEngine::push`] vets each fix ([`crate::Session::vet`]),
 //! journals the accepted ones in the owning shard, and only then
-//! buffers them. The configured [`DurabilityPolicy`] group-commits each
-//! shard's journal independently (byte / stream-time thresholds), and
-//! acks never overstate what happened: a fix is [`Ack::Accepted`] only
-//! when a completed fsync covers its frame, and [`Ack::Journaled`]
-//! (written, not yet synced) otherwise — the per-shard durability
-//! watermark says which journaled offsets have become durable since.
+//! buffers them. A shard's journal frames collect in memory and reach
+//! the file in one write per group commit: the configured
+//! [`DurabilityPolicy`] group-commits each shard's journal
+//! independently (byte / stream-time thresholds), writing and then
+//! fsyncing its buffered frames. Acks never overstate what happened: a
+//! fix is [`Ack::Accepted`] only when a completed fsync covers its
+//! frame, and [`Ack::Journaled`] (sequenced in the journal, not yet
+//! synced — a process crash as well as a power cut can still lose it)
+//! otherwise — the per-shard durability watermark says which journaled
+//! offsets have become durable since.
 //! Rejected and coalesced fixes are acked without journaling — replays
 //! reproduce the identical decisions because validation only depends on
 //! journaled state.
@@ -310,9 +314,12 @@ pub enum Ack {
     /// owning shard's journal length with this fix's frame included;
     /// the fix becomes durable when a later group-commit sync, explicit
     /// [`IngestEngine::sync`], or checkpoint advances that shard's
-    /// durability watermark past it. A *process* crash cannot lose it
-    /// (the bytes are in the OS page cache); power loss before the
-    /// covering sync can.
+    /// durability watermark past it. Until then its frame may still sit
+    /// in the shard's in-memory journal buffer, so a process crash as
+    /// well as a power cut can lose it — and then every later frame of
+    /// that shard with it: recovery replays a prefix of the journal.
+    /// [`DurabilityPolicy::per_push`] makes every ingested fix
+    /// `Accepted` at the cost of one fsync per push.
     Journaled { offset: u64 },
     /// Harmless defect repaired per policy (duplicate coalesced); the
     /// fix is intentionally not journaled.
@@ -819,6 +826,11 @@ pub struct IngestEngine {
     /// Committed checkpoint generation — names the live corpus/journal
     /// shard set (see [`crate::manifest`]).
     generation: u64,
+    /// True while the manifest rename that committed `generation` is
+    /// not known durable (its directory fsync failed): power loss could
+    /// still bring back the previous generation, so no shard sync may
+    /// promote acks until a directory fsync succeeds.
+    manifest_unsynced: bool,
     shards: Vec<Shard>,
     /// Largest timestamp ever accepted on any shard — the observed
     /// stream clock that drives idle sweeps (never wall clock: replay
@@ -930,6 +942,7 @@ impl IngestEngine {
             press,
             io,
             generation,
+            manifest_unsynced: false,
             shards,
             max_time,
             quarantine: VecDeque::new(),
@@ -993,6 +1006,14 @@ impl IngestEngine {
     /// [`ServeError::Backpressure`] when a transient failure survived
     /// the retry budget. Only the owning shard degrades: pushes routed
     /// elsewhere keep acking and the engine keeps serving queries.
+    ///
+    /// A disk fault surfaces at the journal write it hits, not at the
+    /// push that sequenced the frame. A failed group-commit write is
+    /// absorbed (the fix is `Journaled`, the shard counts a sync
+    /// failure, and the frames stay buffered); the shard's next push
+    /// first repairs the journal tail, so on a disk that stays full
+    /// that push and every later one to the shard is refused until
+    /// space returns.
     pub fn push(&mut self, vehicle: u64, sample: GpsSample) -> Result<Ack> {
         let k = self.shard_of(vehicle);
         self.read_ahead(k);
@@ -1067,9 +1088,26 @@ impl IngestEngine {
         let by_time = interval > 0.0
             && shard.last_sync_time.is_finite()
             && max_time - shard.last_sync_time >= interval;
-        if by_bytes || by_time {
-            let _ = shard.sync(&policy, max_time);
+        if !(by_bytes || by_time) {
+            return;
         }
+        if self.sync_manifest().is_err() {
+            self.shards[k].core.stats.sync_failures += 1;
+            return;
+        }
+        let _ = self.shards[k].sync(&policy, max_time);
+    }
+
+    /// Makes a manifest rename whose directory fsync failed durable
+    /// (see `manifest_unsynced`); every sync that promotes acks runs
+    /// this first.
+    fn sync_manifest(&mut self) -> Result<()> {
+        if self.manifest_unsynced {
+            store_io::sync_parent_dir(self.io.as_ref(), &self.dir.join(manifest::MANIFEST_FILE))
+                .map_err(|e| ServeError::Manifest(e.to_string()))?;
+            self.manifest_unsynced = false;
+        }
+        Ok(())
     }
 
     /// Explicitly ends `vehicle`'s trajectory (journaled in its owning
@@ -1195,6 +1233,12 @@ impl IngestEngine {
     /// with dirty shards. After a checkpoint, recovery cost is
     /// proportional to the in-flight points, not the history. Returns
     /// the number of trajectories in the corpus.
+    ///
+    /// A failure before the manifest rename leaves the engine on its
+    /// old generation. A [`ServeError::Manifest`] from the directory
+    /// fsync *after* the rename leaves it on the new one — the one a
+    /// process crash recovers — with no ack promoted to `Accepted`
+    /// until a later sync makes the rename durable.
     pub fn checkpoint(&mut self) -> Result<usize> {
         self.flush()?;
         let next = self.generation + 1;
@@ -1250,12 +1294,24 @@ impl IngestEngine {
             new_wals.push(wal);
         }
         // The commit point: one atomic rename flips recovery from the
-        // old shard set to the new one. A typed failure anywhere up to
-        // here leaves the engine on its old generation, old journals,
+        // old shard set to the new one. A typed failure before the
+        // rename leaves the engine on its old generation, old journals,
         // fully consistent — the uncommitted new-generation files are
-        // GC'd later.
-        manifest::commit(self.io.as_ref(), &self.dir, next, self.config.shards as u32)
-            .map_err(|e| ServeError::Manifest(e.to_string()))?;
+        // GC'd later. A failure after it (the directory fsync) leaves
+        // the new manifest in place, which is what a process crash
+        // recovers: the engine moves to the new generation too, reports
+        // the error, and the next sync makes the rename durable first.
+        let mut unsynced = None;
+        if let Err(e) =
+            manifest::commit(self.io.as_ref(), &self.dir, next, self.config.shards as u32)
+        {
+            let e = ServeError::Manifest(e.to_string());
+            if !matches!(manifest::read(&self.dir), Ok(Some(m)) if m.generation == next) {
+                return Err(e);
+            }
+            self.manifest_unsynced = true;
+            unsynced = Some(e);
+        }
         self.generation = next;
         for (shard, wal) in self.shards.iter_mut().zip(new_wals) {
             // `Wal::create` synced the new journal, so all of it is
@@ -1271,6 +1327,9 @@ impl IngestEngine {
         // (and must not swap the journal handles back) — the next
         // open's GC finishes the job, and leftovers are inert meanwhile.
         let _ = manifest::gc(&self.dir, next);
+        if let Some(e) = unsynced {
+            return Err(e);
+        }
         Ok(self.shards.iter().map(|s| s.corpus.len()).sum())
     }
 
@@ -1281,8 +1340,11 @@ impl IngestEngine {
     /// own `sync_failures` and reported as
     /// [`ServeError::ShardDegraded`] — but every *other* shard is still
     /// synced first; the frames stay journaled and a later sync can
-    /// cover them.
+    /// cover them. A checkpoint's manifest rename whose directory fsync
+    /// failed is made durable before any shard syncs; while that fails,
+    /// the whole sync fails with [`ServeError::Manifest`].
     pub fn sync(&mut self) -> Result<()> {
+        self.sync_manifest()?;
         let mut first_err = None;
         for k in 0..self.shards.len() {
             if let Err(e) = self.shards[k].sync(&self.config.durability, self.max_time) {

@@ -9,36 +9,47 @@
 //! [u32 payload len][u32 crc32(payload)][payload]
 //! ```
 //!
-//! Each frame is laid down with a **single** `write_all`, so a crash
-//! leaves at worst a *prefix* of the final frame — never interleaved
-//! garbage in the middle of the journal.
+//! [`Wal::append`] encodes each frame into an in-memory buffer; the
+//! buffer reaches the file as **one** `write_all` of whole frames — in
+//! [`Wal::sync`] before its fsync, in the append that takes it to
+//! [`WRITE_CAP`], and best effort on drop. The file therefore always
+//! holds a *prefix* of the frame sequence: a crash leaves at worst a
+//! partial final frame — never interleaved garbage in the middle of the
+//! journal.
 //!
 //! # Durability and recovery contract
 //!
-//! * A record is **acked** only after its frame's `write_all` returns
-//!   (callers needing power-loss durability call [`Wal::sync`]).
+//! * [`Wal::append`] sequences a record: it returns the record's end
+//!   offset in the frame sequence. The record reaches the file at the
+//!   next buffer write and survives power loss once a [`Wal::sync`]
+//!   covering that offset returns. A process crash before the buffer
+//!   write loses it, and everything after it: the journal is cut at a
+//!   frame boundary, which recovery replays like any other cut.
 //! * [`Wal::open`] replays every complete, CRC-valid frame in order.
 //! * A **torn tail** — an incomplete frame at EOF, or a final frame whose
 //!   checksum fails — is the signature of a mid-write crash: it is
 //!   truncated away and reported ([`WalReplay::torn_bytes`]), never an
-//!   error. Only the unacked in-flight record can live there.
+//!   error. Only records no sync covered can live there.
 //! * A checksum failure (or malformed frame) **with more journal after
-//!   it** can only be real corruption of acked data, so it is a typed
-//!   [`WalError::Corrupt`] — acked records are never silently dropped.
+//!   it** can only be real corruption of synced or written data, so it
+//!   is a typed [`WalError::Corrupt`] — written records are never
+//!   silently dropped.
 //!
 //! # Disk faults
 //!
 //! Every write-side operation goes through the
 //! [`press_store::IoBackend`] that [`Wal::open`] and [`Wal::create`]
 //! take, so `ENOSPC`/`EIO`/short-write/fsync failures are injectable.
-//! A failed append journals nothing and returns a typed error —
+//! A failed buffer write returns a typed error —
 //! [`WalError::StorageFull`] for out-of-space (persistent; the caller
-//! must not retry), transient [`WalError::Io`] otherwise — and any
-//! partial frame the failure left is truncated away before the next
-//! append ([`Wal::dirty_tail`]).
+//! must not retry), transient [`WalError::Io`] otherwise — and keeps
+//! the buffered frames for the next attempt, except the frame of an
+//! append whose own cap write failed: that record is not sequenced.
+//! Any partial write the failure left is truncated away before the next
+//! write ([`Wal::dirty_tail`]).
 
 use press_store::io::{self as store_io, IoBackend};
-use press_store::{crc32, ByteReader, ByteWriter};
+use press_store::{crc32, ByteReader};
 use std::fmt;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -53,6 +64,10 @@ pub const WAL_HEADER_LEN: u64 = 16;
 /// Upper bound on a frame payload; anything larger is corruption, not a
 /// record (the largest real record is a few dozen bytes).
 pub const MAX_FRAME_LEN: u32 = 64 * 1024;
+/// Buffered journal bytes that make [`Wal::append`] write the buffer:
+/// the append that takes the buffer to this length or past it writes
+/// every buffered frame, its own included.
+pub const WRITE_CAP: usize = 64 * 1024;
 
 /// Errors raised by the journal. Torn tails are NOT errors (see the
 /// module docs); these are real I/O failures or acked-data corruption.
@@ -151,32 +166,6 @@ impl WalRecord {
         matches!(self, WalRecord::Finalize { .. } | WalRecord::FinalizeAll)
     }
 
-    /// Serializes the record payload (no framing). `Point` and `Resume`
-    /// share one body layout and differ only in the tag.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(33);
-        match *self {
-            WalRecord::Point { vehicle, x, y, t } | WalRecord::Resume { vehicle, x, y, t } => {
-                let resume = matches!(self, WalRecord::Resume { .. });
-                w.put_u8(if resume { TAG_RESUME } else { TAG_POINT });
-                w.put_u64(vehicle);
-                w.put_f64(x);
-                w.put_f64(y);
-                w.put_f64(t);
-            }
-            WalRecord::Finalize { vehicle } => {
-                w.put_u8(TAG_FINALIZE);
-                w.put_u64(vehicle);
-            }
-            WalRecord::FinalizeAll => w.put_u8(TAG_FINALIZE_ALL),
-            WalRecord::Clock { t } => {
-                w.put_u8(TAG_CLOCK);
-                w.put_f64(t);
-            }
-        }
-        w.into_bytes()
-    }
-
     /// Decodes one record payload; the whole payload must be consumed.
     pub fn decode(payload: &[u8]) -> std::result::Result<WalRecord, String> {
         let mut r = ByteReader::new(payload);
@@ -228,22 +217,50 @@ pub struct Wal {
     io: Arc<dyn IoBackend>,
     file: File,
     path: PathBuf,
+    /// End of the frame sequence: the bytes in the file plus `buf`.
     offset: u64,
-    /// A failed append may have left a *prefix* of its frame in the
-    /// file (short write). Until that tail is truncated back to
-    /// `offset`, another append would turn recoverable torn bytes into
-    /// mid-journal corruption — so appends first repair, and if repair
-    /// itself fails the flag stays set and the next append retries it.
+    /// Whole frames sequenced since the last buffer write, in journal
+    /// order; the file holds the first `offset - buf.len()` bytes.
+    buf: Vec<u8>,
+    /// A failed write may have left a *prefix* of the buffer in the
+    /// file (short write). Until that tail is truncated back to the
+    /// written length, another write would turn recoverable torn bytes
+    /// into mid-journal corruption — so writes and appends first
+    /// repair, and if repair itself fails the flag stays set and the
+    /// next one retries it.
     dirty_tail: bool,
 }
 
-/// Appends one CRC frame carrying `rec` to `buf` — the one frame
-/// writer behind [`Wal::create`] and [`Wal::append`].
+/// Appends one CRC frame carrying `rec` to `buf`, encoding the payload
+/// in place — the one frame writer behind [`Wal::create`] and
+/// [`Wal::append`]. `Point` and `Resume` share one body layout and
+/// differ only in the tag.
 fn put_frame(buf: &mut Vec<u8>, rec: &WalRecord) {
-    let payload = rec.encode();
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    match *rec {
+        WalRecord::Point { vehicle, x, y, t } | WalRecord::Resume { vehicle, x, y, t } => {
+            let resume = matches!(rec, WalRecord::Resume { .. });
+            buf.push(if resume { TAG_RESUME } else { TAG_POINT });
+            buf.extend_from_slice(&vehicle.to_le_bytes());
+            for v in [x, y, t] {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        WalRecord::Finalize { vehicle } => {
+            buf.push(TAG_FINALIZE);
+            buf.extend_from_slice(&vehicle.to_le_bytes());
+        }
+        WalRecord::FinalizeAll => buf.push(TAG_FINALIZE_ALL),
+        WalRecord::Clock { t } => {
+            buf.push(TAG_CLOCK);
+            buf.extend_from_slice(&t.to_le_bytes());
+        }
+    }
+    let payload = &buf[start + 8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 impl Wal {
@@ -346,6 +363,7 @@ impl Wal {
                 file,
                 path: path.to_path_buf(),
                 offset: valid_len,
+                buf: Vec::new(),
                 dirty_tail: false,
             },
             WalReplay {
@@ -381,66 +399,99 @@ impl Wal {
             file,
             path: path.to_path_buf(),
             offset: buf.len() as u64,
+            buf: Vec::new(),
             dirty_tail: false,
         })
     }
 
-    /// Appends one record; the returned offset is the journal length with
-    /// this frame included — the record is acked once this returns.
+    /// Sequences one record: encodes its frame into the buffer and
+    /// returns the journal length with this frame included. The frame
+    /// reaches the file at the next buffer write — in [`Wal::sync`], or
+    /// here once the buffer reaches [`WRITE_CAP`] — and survives power
+    /// loss once a sync covers it.
     ///
-    /// On failure the record is **not** journaled and the error is
+    /// On failure the record is **not** sequenced and the error is
     /// typed ([`WalError::StorageFull`] vs transient [`WalError::Io`]).
-    /// A failed write may leave a partial frame after the last good
-    /// offset; the journal remembers that ([`Wal::dirty_tail`]) and
-    /// truncates it away before the next append, so acked frames stay a
-    /// clean prefix and a crash in between still recovers (a synced
-    /// partial frame is exactly the torn tail [`Wal::open`] discards).
+    /// A failed cap write keeps the frames before this one buffered and
+    /// may leave a prefix of them in the file; the journal remembers
+    /// that ([`Wal::dirty_tail`]) and truncates it away before the next
+    /// write, so the file stays a clean prefix of the frame sequence and
+    /// a crash in between still recovers (a partial frame is exactly
+    /// the torn tail [`Wal::open`] discards).
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64> {
         if self.dirty_tail {
             self.repair_tail()?;
         }
-        let mut frame = Vec::with_capacity(41);
-        put_frame(&mut frame, rec);
-        if let Err(e) = self.io.write_all(&mut self.file, &frame) {
-            self.dirty_tail = true;
-            return Err(e.into());
+        let start = self.buf.len();
+        put_frame(&mut self.buf, rec);
+        let frame_len = (self.buf.len() - start) as u64;
+        if self.buf.len() >= WRITE_CAP {
+            if let Err(e) = self.write_buffer() {
+                self.buf.truncate(start);
+                return Err(e);
+            }
         }
-        self.offset += frame.len() as u64;
+        self.offset += frame_len;
         Ok(self.offset)
     }
 
-    /// Truncates a partial frame left by a failed append back to the
-    /// last acked offset and repositions the cursor there.
+    /// Writes every buffered frame with one `write_all`, repairing a
+    /// dirty tail first. A failure keeps the frames buffered and marks
+    /// the tail dirty: a prefix of them may have landed.
+    fn write_buffer(&mut self) -> Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        if self.dirty_tail {
+            self.repair_tail()?;
+        }
+        if let Err(e) = self.io.write_all(&mut self.file, &self.buf) {
+            self.dirty_tail = true;
+            return Err(e.into());
+        }
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Truncates a partial write back to the last written frame and
+    /// repositions the cursor there.
     ///
     /// The truncation follows the same fsync discipline as
     /// `atomic_write_file` (`set_len` + `sync_data` +
     /// `sync_parent_dir`): until it is durable, a power cut could
-    /// resurrect the partial frame *under* freshly appended bytes —
+    /// resurrect the partial frame *under* freshly written bytes —
     /// turning a recoverable torn tail into mid-journal corruption. A
-    /// failure at any step leaves `dirty_tail` set, so the next append
+    /// failure at any step leaves `dirty_tail` set, so the next write
     /// retries the whole repair.
     fn repair_tail(&mut self) -> Result<()> {
-        self.io.set_len(&self.file, self.offset)?;
+        let written = self.offset - self.buf.len() as u64;
+        self.io.set_len(&self.file, written)?;
         self.io.sync_data(&self.file)?;
         store_io::sync_parent_dir(self.io.as_ref(), &self.path)?;
-        store_io::seek_to(&mut self.file, self.offset)?;
+        store_io::seek_to(&mut self.file, written)?;
         self.dirty_tail = false;
         Ok(())
     }
 
-    /// True when a failed append left partial bytes that have not been
-    /// repaired yet (the next append will retry the repair first).
+    /// True when a failed write left partial bytes that have not been
+    /// repaired yet (the next append or write will retry the repair
+    /// first).
     pub fn dirty_tail(&self) -> bool {
         self.dirty_tail
     }
 
-    /// Flushes journal bytes to stable storage (fsync).
+    /// Writes the buffered frames, then flushes the journal to stable
+    /// storage (fsync): on success every frame up to [`Wal::offset`] is
+    /// durable. On failure the unwritten frames stay buffered for the
+    /// next sync.
     pub fn sync(&mut self) -> Result<()> {
+        self.write_buffer()?;
         self.io.sync_data(&self.file)?;
         Ok(())
     }
 
-    /// Current journal length (the last returned ack offset).
+    /// Current journal length (the last returned append offset),
+    /// buffered frames included.
     pub fn offset(&self) -> u64 {
         self.offset
     }
@@ -448,6 +499,14 @@ impl Wal {
     /// The journal's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+}
+
+impl Drop for Wal {
+    /// Writes the buffered frames, best effort and without a sync — the
+    /// `BufWriter` idiom. [`Wal::sync`] reports what this ignores.
+    fn drop(&mut self) {
+        let _ = self.write_buffer();
     }
 }
 
@@ -636,16 +695,48 @@ mod tests {
             .append(&WalRecord::Finalize { vehicle: 7 })
             .expect("append");
         assert!(post > WAL_HEADER_LEN);
+        // Until a sync (or a drop) writes it, the appended frame is
+        // only buffered: the file holds exactly what `create` wrote.
+        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
+        assert_eq!(replay.records, kept);
+        wal.sync().expect("sync");
         let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
         assert_eq!(replay.records.len(), 3);
         assert_eq!(replay.records[..2], kept[..]);
         assert_eq!(replay.records[2], WalRecord::Finalize { vehicle: 7 });
+        drop(wal);
         // Overwrites whatever was there before.
         let wal2 = Wal::create(&path, &kept[..1], store_io::real_io()).expect("recreate");
         drop(wal2);
         let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
         assert_eq!(replay.records, kept[..1]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).expect("meta").len()
+    }
+
+    /// Appends `FinalizeAll` records — the shortest frame, so none
+    /// reaches the cap before `next` would — to a journal whose file
+    /// holds `written` bytes, until appending `next` would reach
+    /// [`WRITE_CAP`] and so write the buffer. Returns the appended
+    /// records.
+    fn fill_to_cap(wal: &mut Wal, written: u64, next: &WalRecord) -> Vec<WalRecord> {
+        let mut next_frame = Vec::new();
+        put_frame(&mut next_frame, next);
+        let mut recs = Vec::new();
+        while (wal.offset() - written) as usize + next_frame.len() < WRITE_CAP {
+            wal.append(&WalRecord::FinalizeAll)
+                .expect("buffered append");
+            recs.push(WalRecord::FinalizeAll);
+        }
+        assert_eq!(
+            file_len(&wal.path),
+            written,
+            "appends below the cap only buffer"
+        );
+        recs
     }
 
     #[test]
@@ -655,52 +746,36 @@ mod tests {
         let path = dir.join("ingest.wal");
         let io = FaultyIo::new(Vec::new());
         let (mut wal, _) = Wal::open(&path, io.clone()).expect("create");
-        let ok_off = wal
-            .append(&WalRecord::Point {
-                vehicle: 1,
-                x: 1.0,
-                y: 2.0,
-                t: 3.0,
-            })
-            .expect("clean append");
-        // A short write leaves a partial frame and surfaces StorageFull.
+        let next = WalRecord::Finalize { vehicle: 1 };
+        let mut acked = fill_to_cap(&mut wal, WAL_HEADER_LEN, &next);
+        let ok_off = wal.offset();
+        // The append that reaches the cap writes the buffer: a short
+        // write leaves a partial frame and surfaces StorageFull.
         io.arm(DiskFault {
             at_op: io.ops(),
             kind: FaultKind::ShortWrite,
             sticky: false,
         });
-        let err = wal
-            .append(&WalRecord::Finalize { vehicle: 1 })
-            .expect_err("short write");
+        let err = wal.append(&next).expect_err("short write");
         assert!(matches!(err, WalError::StorageFull(_)));
         assert!(wal.dirty_tail());
-        assert_eq!(wal.offset(), ok_off, "failed append acked nothing");
+        assert_eq!(wal.offset(), ok_off, "failed append sequenced nothing");
         assert!(
-            std::fs::metadata(&path).expect("meta").len() > ok_off,
+            file_len(&path) > WAL_HEADER_LEN,
             "partial frame bytes really landed"
         );
-        // The next append repairs the tail first; the journal replays to
-        // exactly the acked records.
-        let off2 = wal
-            .append(&WalRecord::Finalize { vehicle: 1 })
-            .expect("repaired append");
+        // The next append repairs the tail first, then its cap write
+        // lands every frame still buffered; the journal replays to
+        // exactly the sequenced records.
+        let off2 = wal.append(&next).expect("repaired append");
         assert!(off2 > ok_off);
         assert!(!wal.dirty_tail());
+        assert_eq!(file_len(&path), off2, "the cap write emptied the buffer");
+        acked.push(next);
         drop(wal);
         let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
         assert_eq!(replay.torn_bytes, 0, "repair removed the partial frame");
-        assert_eq!(
-            replay.records,
-            vec![
-                WalRecord::Point {
-                    vehicle: 1,
-                    x: 1.0,
-                    y: 2.0,
-                    t: 3.0
-                },
-                WalRecord::Finalize { vehicle: 1 },
-            ]
-        );
+        assert_eq!(replay.records, acked);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -719,13 +794,16 @@ mod tests {
                 t: 3.0,
             })
             .expect("clean append");
+        // The sync's buffer write is short: the tail is dirty and the
+        // frame stays buffered, still sequenced.
         io.arm(DiskFault {
             at_op: io.ops(),
             kind: FaultKind::ShortWrite,
             sticky: false,
         });
-        assert!(wal.append(&WalRecord::FinalizeAll).is_err());
+        assert!(wal.sync().is_err());
         assert!(wal.dirty_tail());
+        assert_eq!(wal.offset(), ok_off);
         // Fail exactly the repair's fsync: the next append truncates
         // (set_len passes) but the sync trips, so the repair must not
         // be considered done — the tail stays dirty and nothing acks.
@@ -745,6 +823,8 @@ mod tests {
         let off2 = wal.append(&WalRecord::FinalizeAll).expect("repaired");
         assert!(off2 > ok_off);
         assert!(!wal.dirty_tail());
+        wal.sync().expect("sync");
+        assert_eq!(file_len(&path), off2);
         drop(wal);
         let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
         assert_eq!(replay.torn_bytes, 0);
@@ -770,28 +850,36 @@ mod tests {
         let path = dir.join("ingest.wal");
         let io = FaultyIo::new(Vec::new());
         let (mut wal, _) = Wal::open(&path, io.clone()).expect("create");
-        io.arm(DiskFault {
-            at_op: io.ops(),
-            kind: FaultKind::Eio,
-            sticky: false,
-        });
+        let eio = |io: &FaultyIo, kind| {
+            io.arm(DiskFault {
+                at_op: io.ops(),
+                kind,
+                sticky: false,
+            })
+        };
+        // EIO on the append that writes at the cap.
+        let mut acked = fill_to_cap(&mut wal, WAL_HEADER_LEN, &WalRecord::FinalizeAll);
+        eio(&io, FaultKind::Eio);
         assert!(matches!(
             wal.append(&WalRecord::FinalizeAll),
             Err(WalError::Io(_))
         ));
         // EIO writes nothing, but the journal still repairs defensively;
-        // the retry succeeds and recovery sees exactly one record.
+        // the retry succeeds.
         wal.append(&WalRecord::FinalizeAll).expect("retry");
-        io.arm(DiskFault {
-            at_op: io.ops(),
-            kind: FaultKind::SyncFail,
-            sticky: false,
-        });
+        acked.push(WalRecord::FinalizeAll);
+        // EIO on the buffer write inside a sync, then on its fsync.
+        wal.append(&WalRecord::FinalizeAll).expect("buffered");
+        acked.push(WalRecord::FinalizeAll);
+        eio(&io, FaultKind::Eio);
+        assert!(matches!(wal.sync(), Err(WalError::Io(_))));
+        wal.sync().expect("sync retry");
+        eio(&io, FaultKind::SyncFail);
         assert!(matches!(wal.sync(), Err(WalError::Io(_))));
         wal.sync().expect("sync retry");
         drop(wal);
         let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
-        assert_eq!(replay.records, vec![WalRecord::FinalizeAll]);
+        assert_eq!(replay.records, acked);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

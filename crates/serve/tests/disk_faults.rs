@@ -17,10 +17,10 @@
 use press_core::{BtcBounds, Press, PressConfig};
 use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
 use press_network::{grid_network, GridConfig, SpBackend};
-use press_serve::wal::WAL_HEADER_LEN;
+use press_serve::wal::{MAX_FRAME_LEN, WAL_HEADER_LEN, WRITE_CAP};
 use press_serve::{
-    shard_wal_len, truncate_shard_wal, DiskFault, DurabilityPolicy, Event, FaultKind, FaultyIo,
-    IngestConfig, IngestEngine, ServeError, SessionPolicy,
+    shard_wal_len, truncate_shard_wal, Ack, DiskFault, DurabilityPolicy, Event, FaultKind,
+    FaultyIo, IngestConfig, IngestEngine, ServeError, SessionPolicy,
 };
 use press_workload::{Workload, WorkloadConfig};
 use proptest::prelude::*;
@@ -151,15 +151,63 @@ fn reference_corpus(tag: &str, cfg: IngestConfig, events: &[Event]) -> Vec<u8> {
     corpus
 }
 
-/// One cell of the fault matrix: ingest the fixture stream through a
-/// `FaultyIo` armed with `fault` (op index relative to post-open state),
-/// optionally attempting a mid-run checkpoint, then kill at a
-/// legitimate power-loss offset (`kill_frac` across
-/// `[durable_offset, wal_len]`), recover on the real filesystem, and
-/// check the byte-identity contract over the journaled-surviving
-/// subsequence.
+/// Pushes `events` through a fault-free `FaultyIo` engine — with the
+/// fault cell's mid-run checkpoint when `mid_checkpoint` — and returns,
+/// per needle, how many backend operations on paths containing it that
+/// took after open (every path contains the empty needle). A cell draws
+/// its fault's operation index below this count, the way the kill tests
+/// draw their cut below a probe's journal length: the faulted run
+/// performs the same operations up to its fault, so every drawn fault
+/// fires.
+fn probe_ops(
+    tag: &str,
+    cfg: IngestConfig,
+    events: &[Event],
+    mid_checkpoint: bool,
+    needles: &[String],
+) -> Vec<u64> {
+    let f = fleet();
+    let dir = test_dir(&format!("probe-{tag}"));
+    let faulty = FaultyIo::new(Vec::new());
+    let mut engine =
+        IngestEngine::open_with_io(&dir, Arc::clone(&f.matcher), f.press(), cfg, faulty.clone())
+            .expect("open probe");
+    let start: Vec<u64> = needles.iter().map(|n| faulty.ops_on(n)).collect();
+    for (i, &(v, s)) in events.iter().enumerate() {
+        if mid_checkpoint && i == events.len() / 2 {
+            engine.checkpoint().expect("probe checkpoint");
+        }
+        engine.push(v, s).expect("probe push");
+    }
+    let ops = needles
+        .iter()
+        .zip(start)
+        .map(|(n, start)| faulty.ops_on(n) - start)
+        .collect();
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+    ops
+}
+
+/// [`probe_ops`] over every path.
+fn probe_all_ops(tag: &str, cfg: IngestConfig, events: &[Event], mid_checkpoint: bool) -> u64 {
+    let ops = probe_ops(tag, cfg, events, mid_checkpoint, &[String::new()])[0];
+    assert!(ops > 0, "the probe stream must reach the backend");
+    ops
+}
+
+/// One cell of the fault matrix: ingest `events` through a `FaultyIo`
+/// armed with `fault` (op index relative to post-open state, below the
+/// stream's [`probe_ops`] so the fault fires), optionally attempting a
+/// mid-run checkpoint, then kill at a legitimate power-loss offset
+/// (`kill_frac` across `[durable_offset, wal_len]`), recover on the
+/// real filesystem, and check the byte-identity contract over the
+/// journaled-surviving subsequence.
+#[allow(clippy::too_many_arguments)]
 fn run_fault_cell(
     tag: &str,
+    cfg: IngestConfig,
+    events: &[Event],
     delta: u64,
     kind: FaultKind,
     sticky: bool,
@@ -167,7 +215,6 @@ fn run_fault_cell(
     mid_checkpoint: bool,
 ) {
     let f = fleet();
-    let cfg = config();
     let dir = test_dir(&format!("cell-{tag}"));
     let faulty = FaultyIo::new(Vec::new());
     let mut engine =
@@ -182,10 +229,10 @@ fn run_fault_cell(
     // `journaled` records (event index, ack offset) for every push the
     // engine applied; errored pushes leave no trace at all and must be
     // absent from the reference feed.
-    let split = f.events.len() / 2;
+    let split = events.len() / 2;
     let mut journaled: Vec<(usize, u64)> = Vec::new();
     let mut safe_count = 0usize;
-    for (i, &(v, s)) in f.events.iter().enumerate() {
+    for (i, &(v, s)) in events.iter().enumerate() {
         if mid_checkpoint && i == split {
             match engine.checkpoint() {
                 // All pre-checkpoint journaled events are now safe for
@@ -194,11 +241,18 @@ fn run_fault_cell(
                 Ok(_) => safe_count = journaled.len(),
                 // A faulted checkpoint is typed and leaves the old
                 // generation fully live; the engine keeps ingesting.
+                // Only a fault after the manifest rename (its directory
+                // fsync) leaves the new generation live instead — the
+                // one recovery opens — and the engine on it.
                 Err(e) => {
                     assert!(
                         !e.to_string().is_empty(),
                         "checkpoint fault must carry a message"
                     );
+                    if engine.generation() > 0 {
+                        assert!(matches!(e, ServeError::Manifest(_)), "{e}");
+                        safe_count = journaled.len();
+                    }
                 }
             }
         }
@@ -217,8 +271,12 @@ fn run_fault_cell(
             Err(other) => panic!("push surfaced an untyped fault: {other}"),
         }
     }
+    assert!(
+        faulty.injected() > 0,
+        "fault {kind:?} delta {delta} sticky {sticky} never fired"
+    );
     let stats = engine.stats();
-    if faulty.injected() > 0 && journaled.len() < f.events.len() {
+    if journaled.len() < events.len() {
         assert!(
             stats.storage_full_rejections
                 + stats.backpressure_rejections
@@ -252,7 +310,7 @@ fn run_fault_cell(
         .iter()
         .enumerate()
         .filter(|&(k, &(_, off))| k < safe_count || off <= cut)
-        .map(|(_, &(idx, _))| f.events[idx])
+        .map(|(_, &(idx, _))| events[idx])
         .collect();
     let corpus_b = reference_corpus(&format!("cell-ref-{tag}"), cfg, &surviving);
     assert_eq!(
@@ -272,15 +330,24 @@ proptest! {
     /// fault window.
     #[test]
     fn any_disk_fault_plus_kill_preserves_the_acked_prefix(
-        delta in 0u64..160,
+        delta_frac in 0.0f64..1.0,
         kind_idx in 0usize..4,
         sticky in any::<bool>(),
         kill_frac in 0.0f64..=1.0,
         mid_checkpoint in any::<bool>(),
     ) {
         let kind = FaultKind::ALL[kind_idx];
+        let ops = probe_all_ops(
+            &format!("matrix-{mid_checkpoint}"),
+            config(),
+            &fleet().events,
+            mid_checkpoint,
+        );
+        let delta = (ops as f64 * delta_frac) as u64;
         run_fault_cell(
             &format!("{delta}-{kind_idx}-{sticky}-{mid_checkpoint}"),
+            config(),
+            &fleet().events,
             delta,
             kind,
             sticky,
@@ -470,9 +537,10 @@ fn published_corpus_is_flush_worker_count_invariant() {
     }
 }
 
-/// A durability policy decides *when* the journal is fsynced and nothing
-/// else: syncing after every push and the group-commit default write the
-/// same journal bytes and publish the same corpus bytes.
+/// A durability policy decides *when* the journal is written and
+/// fsynced and nothing else: syncing after every push, the group-commit
+/// default and never syncing before the final `sync` write the same
+/// journal bytes and publish the same corpus bytes.
 #[test]
 fn durability_policy_changes_neither_journal_nor_corpus() {
     let f = fleet();
@@ -496,30 +564,158 @@ fn durability_policy_changes_neither_journal_nor_corpus() {
     };
     let (syncs_pp, journal_pp, corpus_pp) = run("policy-per-push", DurabilityPolicy::per_push());
     let (syncs_gc, journal_gc, corpus_gc) = run("policy-group", DurabilityPolicy::group_commit());
+    let (syncs_mn, journal_mn, corpus_mn) = run("policy-manual", DurabilityPolicy::manual());
     assert!(
         syncs_pp > 10 * syncs_gc,
         "the policies must differ in what they control: {syncs_pp} vs {syncs_gc} fsyncs"
     );
+    assert_eq!(syncs_mn, 1, "manual syncs only when asked");
     assert_eq!(
         journal_pp, journal_gc,
         "sync policy leaked into the journal"
     );
+    assert_eq!(
+        journal_pp, journal_mn,
+        "buffering until the final sync leaked into the journal"
+    );
     assert_eq!(corpus_pp, corpus_gc, "sync policy leaked into the corpus");
+    assert_eq!(corpus_pp, corpus_mn, "sync policy leaked into the corpus");
+}
+
+/// The fixture stream played `replicas` times back to back, each copy
+/// shifted past the previous one's end plus an idle timeout (same
+/// vehicles, later times) — a stream whose journal outgrows
+/// [`WRITE_CAP`].
+fn repeated_events(replicas: usize) -> Vec<Event> {
+    let f = fleet();
+    let (first, last) = (f.events[0].1.t, f.events[f.events.len() - 1].1.t);
+    let period = last - first + 2.0 * config().idle_timeout;
+    (0..replicas)
+        .flat_map(|k| {
+            f.events.iter().map(move |&(v, s)| {
+                let t = s.t + k as f64 * period;
+                (v, GpsSample { t, ..s })
+            })
+        })
+        .collect()
+}
+
+/// [`config`] under [`DurabilityPolicy::manual`]: no group commit ever
+/// writes a journal, only the appends that reach [`WRITE_CAP`].
+fn manual_config() -> IngestConfig {
+    IngestConfig {
+        durability: DurabilityPolicy {
+            retry_backoff_ms: 0,
+            ..DurabilityPolicy::manual()
+        },
+        ..config()
+    }
+}
+
+/// Replicas of the fixture whose `Point` frames alone exceed `bytes`:
+/// a `Point` frame is 41 bytes (8-byte frame header, tag, vehicle,
+/// x, y, t).
+fn replicas_past(bytes: usize) -> usize {
+    bytes / (fleet().events.len() * 41) + 1
+}
+
+/// The buffer never holds more than one cap's worth of frames: under
+/// `manual()` — no group commit ever writes it — a stream that passes
+/// [`WRITE_CAP`] at least twice on every shard keeps each shard's
+/// buffered bytes (logical journal length minus file length) under
+/// the cap plus one frame after every push.
+#[test]
+fn buffered_journal_stays_within_the_cap() {
+    let f = fleet();
+    let cfg = IngestConfig {
+        shards: 2,
+        ..manual_config()
+    };
+    let bound = (WRITE_CAP + MAX_FRAME_LEN as usize + 8) as u64;
+    let dir = test_dir("cap-bound");
+    let mut engine =
+        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+    // Each shard takes a share of the vehicles; enough replicas that
+    // even a 1-in-10 share passes the cap twice.
+    for &(v, s) in &repeated_events(replicas_past(20 * WRITE_CAP)) {
+        engine.push(v, s).expect("push");
+        for k in 0..cfg.shards {
+            let file = shard_wal_len(&dir, k as u32).expect("wal len");
+            assert!(
+                engine.shard_wal_offset(k) - file < bound,
+                "shard {k}: {} bytes buffered",
+                engine.shard_wal_offset(k) - file
+            );
+        }
+    }
+    for k in 0..cfg.shards {
+        assert!(
+            shard_wal_len(&dir, k as u32).expect("wal len") >= 2 * WRITE_CAP as u64,
+            "shard {k}'s buffer must have reached the cap twice"
+        );
+    }
+    assert_eq!(
+        engine.stats().sync_calls,
+        0,
+        "only the cap wrote the journals"
+    );
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cap write's fault cells: under `manual()` only the appends that
+/// take a buffer to [`WRITE_CAP`] write the journal, so every fault the
+/// cells draw lands on a cap write (and the repairs after it). A push
+/// whose cap write fails is refused and its frame is not buffered: the
+/// recovered corpus equals a clean run over the journaled-surviving
+/// events only.
+#[test]
+fn buffered_cap_write_fault_keeps_the_acked_prefix() {
+    let cfg = manual_config();
+    let events = repeated_events(replicas_past(2 * WRITE_CAP));
+    let ops = probe_all_ops("cap", cfg, &events, false);
+    assert!(
+        ops >= 2,
+        "the stream must pass the cap twice, not {ops} times"
+    );
+    for (k, &kind) in [FaultKind::Enospc, FaultKind::Eio, FaultKind::ShortWrite]
+        .iter()
+        .enumerate()
+    {
+        for delta in 0..ops {
+            for sticky in [false, true] {
+                run_fault_cell(
+                    &format!("cap-{k}-{delta}-{sticky}"),
+                    cfg,
+                    &events,
+                    delta,
+                    kind,
+                    sticky,
+                    if sticky { 1.0 } else { 0.5 },
+                    false,
+                );
+            }
+        }
+    }
 }
 
 /// The deterministic seeded matrix the CI `disk-fault-smoke` job runs:
-/// every fault kind at several operation indices over a short stream.
-/// Cheap (no compression comparison — the proptest above owns
-/// byte-identity); asserts the typed-error taxonomy, that one-shot
+/// every fault kind at four operation indices spread over the fixture
+/// stream's backend operations (first, last, and two between), each of
+/// which fires. Cheap (no compression comparison — the proptest above
+/// owns byte-identity); asserts the typed-error taxonomy, that one-shot
 /// transient faults are absorbed by the retry budget, and that recovery
 /// and a final checkpoint always succeed.
 #[test]
 fn seeded_fault_matrix_smoke() {
     let f = fleet();
-    let events = &f.events[..60.min(f.events.len())];
+    let events = &f.events[..];
     let cfg = config();
+    let ops = probe_all_ops("smoke", cfg, events, false);
+    let mut deltas = vec![0, ops / 3, 2 * ops / 3, ops - 1];
+    deltas.dedup();
     for (k, &kind) in FaultKind::ALL.iter().enumerate() {
-        for &delta in &[0u64, 7, 23, 61] {
+        for &delta in &deltas {
             let dir = test_dir(&format!("smoke-{k}-{delta}"));
             let faulty = FaultyIo::new(Vec::new());
             let mut engine = IngestEngine::open_with_io(
@@ -551,6 +747,11 @@ fn seeded_fault_matrix_smoke() {
                     Err(other) => panic!("untyped fault {kind:?}@{delta}: {other}"),
                 }
             }
+            assert_eq!(
+                faulty.injected(),
+                1,
+                "{kind:?}@{delta}: the fault must fire"
+            );
             let stats = engine.stats();
             match kind {
                 // A single transient error is absorbed by the retry
@@ -558,26 +759,22 @@ fn seeded_fault_matrix_smoke() {
                 // either way no push is refused.
                 FaultKind::Eio | FaultKind::SyncFail => {
                     assert_eq!(errors, 0, "{kind:?}@{delta}: one-shot transient must heal");
-                    if faulty.injected() > 0 {
-                        assert!(
-                            stats.io_retries + stats.sync_failures > 0,
-                            "{kind:?}@{delta}: the absorbed fault must be counted"
-                        );
-                    }
+                    assert!(
+                        stats.io_retries + stats.sync_failures > 0,
+                        "{kind:?}@{delta}: the absorbed fault must be counted"
+                    );
                 }
                 // Out-of-space is persistent: exactly the faulted
                 // operation's push is refused, the rest proceed.
                 FaultKind::Enospc | FaultKind::ShortWrite => {
-                    if faulty.injected() > 0 {
-                        assert!(
-                            errors <= 1,
-                            "{kind:?}@{delta}: a one-shot ENOSPC refuses at most one push"
-                        );
-                        assert!(
-                            stats.storage_full_rejections + stats.sync_failures > 0,
-                            "{kind:?}@{delta}: rejection must be counted"
-                        );
-                    }
+                    assert!(
+                        errors <= 1,
+                        "{kind:?}@{delta}: a one-shot ENOSPC refuses at most one push"
+                    );
+                    assert!(
+                        stats.storage_full_rejections + stats.sync_failures > 0,
+                        "{kind:?}@{delta}: rejection must be counted"
+                    );
                 }
             }
             drop(engine);
@@ -589,10 +786,12 @@ fn seeded_fault_matrix_smoke() {
     }
 }
 
-/// Degraded mode end to end: the disk fills, every ingest push is
-/// refused with a typed `StorageFull` while flush/query keep working,
-/// then space returns and ingest resumes — and the final corpus
-/// contains exactly the fixes that were ever journaled.
+/// Degraded mode end to end: the disk fills; pushes are acked at most
+/// `Journaled` (their frames buffered) until the shard's next journal
+/// write fails, and from then on every ingest push is refused with a
+/// typed `StorageFull` while flush/query keep working; then space
+/// returns and ingest resumes — and the final corpus contains exactly
+/// the fixes that were ever journaled.
 #[test]
 fn disk_full_then_freed_resumes_ingest() {
     let f = fleet();
@@ -621,10 +820,19 @@ fn disk_full_then_freed_resumes_ingest() {
     for &(v, s) in &f.events[third..2 * third] {
         match engine.push(v, s) {
             Err(e) if e.degraded_shard() == Some(0) && e.is_storage_full() => refused += 1,
-            Ok(ack) => assert!(
-                !ack.is_ingested(),
-                "an ingested ack while the disk is full would be a lie"
-            ),
+            Ok(ack) => {
+                assert!(
+                    !matches!(ack, Ack::Accepted { .. }),
+                    "a durable ack while the disk is full would be a lie"
+                );
+                assert!(
+                    refused == 0 || !ack.is_ingested(),
+                    "once the full disk refused a push, an ingested ack would be a lie"
+                );
+                if ack.is_ingested() {
+                    journaled.push((v, s));
+                }
+            }
             Err(other) => panic!("expected StorageFull, got {other}"),
         }
     }
@@ -651,6 +859,76 @@ fn disk_full_then_freed_resumes_ingest() {
     assert_eq!(
         corpus_live, corpus_ref,
         "the published corpus must hold exactly the journaled fixes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint fault after the manifest rename — its directory fsync —
+/// cannot leave the engine on the old generation: the renamed manifest
+/// is what a process crash recovers. The checkpoint fails typed, the
+/// engine moves to the new generation, and a crash after the rest of
+/// the stream recovers every journaled fix.
+#[test]
+fn checkpoint_fault_after_the_manifest_rename_moves_the_engine_forward() {
+    let f = fleet();
+    let cfg = config();
+    let split = f.events.len() / 2;
+    let open_half = |tag: &str| {
+        let dir = test_dir(tag);
+        let faulty = FaultyIo::new(Vec::new());
+        let mut engine = IngestEngine::open_with_io(
+            &dir,
+            Arc::clone(&f.matcher),
+            f.press(),
+            cfg,
+            faulty.clone(),
+        )
+        .expect("open");
+        for &(v, s) in &f.events[..split] {
+            engine.push(v, s).expect("push");
+        }
+        // Synced, the superseded journal has nothing left to write when
+        // the checkpoint drops it.
+        engine.sync().expect("sync");
+        (dir, faulty, engine)
+    };
+    // A fault-free checkpoint's operations; its last is the manifest's
+    // directory fsync.
+    let (probe_dir, probe_io, mut probe) = open_half("rename-probe");
+    let start = probe_io.ops();
+    probe.checkpoint().expect("probe checkpoint");
+    let checkpoint_ops = probe_io.ops() - start;
+    drop(probe);
+    let _ = std::fs::remove_dir_all(&probe_dir);
+
+    let (dir, faulty, mut engine) = open_half("rename");
+    faulty.arm(DiskFault {
+        at_op: faulty.ops() + checkpoint_ops - 1,
+        kind: FaultKind::SyncFail,
+        sticky: false,
+    });
+    let err = engine.checkpoint().expect_err("manifest directory fsync");
+    assert!(matches!(err, ServeError::Manifest(_)), "{err}");
+    assert_eq!(faulty.injected(), 1);
+    assert_eq!(
+        engine.generation(),
+        1,
+        "the engine follows the renamed manifest"
+    );
+    for &(v, s) in &f.events[split..] {
+        engine.push(v, s).expect("push");
+    }
+    engine.sync().expect("sync");
+    drop(engine); // crash: no finalize, no checkpoint
+
+    let mut recovered =
+        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+    assert_eq!(recovered.generation(), 1);
+    let corpus = finish(&mut recovered);
+    assert_eq!(
+        corpus,
+        reference_corpus("rename-ref", cfg, &f.events),
+        "every journaled fix must survive the faulted checkpoint and the crash"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -730,7 +1008,8 @@ fn published_corpus_is_shard_count_invariant() {
 }
 
 /// One cell of the *sharded* fault matrix: a seeded disk fault scoped
-/// to exactly one shard's journal, composed with a kill tearing that
+/// to exactly one shard's journal (its index below that journal's
+/// [`probe_ops`] count, so it fires), composed with a kill tearing that
 /// shard's journal at a legitimate power-loss offset. Healthy shards
 /// must keep acking, the fault must surface as typed
 /// [`ServeError::ShardDegraded`] naming the faulted shard, rejections
@@ -810,6 +1089,10 @@ fn run_sharded_fault_cell(
             );
         }
     }
+    assert!(
+        faulty.injected() > 0,
+        "fault {kind:?} delta {delta} sticky {sticky} on shard {faulted}/{shards} never fired"
+    );
     let durable = engine.shard_durable_offset(faulted);
     drop(engine); // crash with the fault still armed
 
@@ -853,13 +1136,22 @@ proptest! {
     fn sharded_disk_fault_degrades_only_its_shard(
         shards_idx in 0usize..4,
         faulted_seed in 0usize..7,
-        delta in 0u64..80,
+        delta_frac in 0.0f64..1.0,
         kind_idx in 0usize..4,
         sticky in any::<bool>(),
         kill_frac in 0.0f64..=1.0,
     ) {
         let shards = [1usize, 2, 3, 7][shards_idx];
-        let faulted = faulted_seed % shards;
+        // The faulted shard is one whose journal the stream writes
+        // before the crash: a fault on a shard that never writes could
+        // not fire.
+        let needles: Vec<String> = (0..shards).map(|k| format!(".s{k}.wal")).collect();
+        let cfg = IngestConfig { shards, ..config() };
+        let ops = probe_ops(&format!("sharded-{shards}"), cfg, &fleet().events, false, &needles);
+        let writing: Vec<usize> = (0..shards).filter(|&k| ops[k] > 0).collect();
+        assert!(!writing.is_empty(), "some shard must write its journal");
+        let faulted = writing[faulted_seed % writing.len()];
+        let delta = (ops[faulted] as f64 * delta_frac) as u64;
         let kind = FaultKind::ALL[kind_idx];
         run_sharded_fault_cell(
             &format!("{shards}-{faulted}-{delta}-{kind_idx}-{sticky}"),
@@ -874,8 +1166,9 @@ proptest! {
 }
 
 /// Deterministic partial-fleet degraded mode: a sticky ENOSPC pins one
-/// shard of three, its pushes fail typed while both other shards keep
-/// acking, its rejections stay in its own counters, healing is
+/// shard of three; its pushes are acked at most `Journaled` until its
+/// next journal write fails, then fail typed while both other shards
+/// keep acking, its rejections stay in its own counters, healing is
 /// in-process via `clear()`, and the final merged corpus holds exactly
 /// the journaled fixes.
 #[test]
@@ -908,10 +1201,20 @@ fn sticky_fault_on_one_shard_leaves_the_fleet_ingesting() {
         let k = engine.shard_of(v);
         match engine.push(v, s) {
             Ok(ack) => {
-                assert_ne!(k, faulted, "the pinned shard cannot ack while full");
+                if k == faulted {
+                    assert!(
+                        !matches!(ack, Ack::Accepted { .. }),
+                        "the pinned shard cannot ack durably while full"
+                    );
+                    assert!(
+                        refused == 0 || !ack.is_ingested(),
+                        "the pinned shard cannot ingest once it refused a push"
+                    );
+                } else if ack.is_ingested() {
+                    healthy += 1;
+                }
                 if ack.is_ingested() {
                     journaled.push((v, s));
-                    healthy += 1;
                 }
             }
             Err(e) => {

@@ -14,8 +14,8 @@ use press_network::{grid_network, GridConfig, Mbr, RoadNetwork, SpBackend};
 use press_serve::engine::QUARANTINE_LOG_CAP;
 use press_serve::wal::WAL_HEADER_LEN;
 use press_serve::{
-    shard_wal_len, truncate_shard_wal, Ack, Event, FaultPlan, IngestConfig, IngestEngine, RealIo,
-    ServeError, SessionPolicy,
+    shard_wal_len, truncate_shard_wal, Ack, DurabilityPolicy, Event, FaultPlan, IngestConfig,
+    IngestEngine, RealIo, ServeError, SessionPolicy,
 };
 use press_workload::{Workload, WorkloadConfig};
 use proptest::prelude::*;
@@ -289,6 +289,59 @@ proptest! {
         let cut = WAL_HEADER_LEN + seed % (final_len - WAL_HEADER_LEN + 1);
         assert_kill_recovers(&format!("m{seed}"), cfg, &mangled, cut);
     }
+}
+
+/// A process crash loses the frames still in the journal buffer — and
+/// that is just another legal cut. Under group commit every frame up to
+/// the durability watermark is in the file; the frames sequenced since
+/// the last group commit are only in memory. Leaking the engine (no
+/// `Drop`, as under SIGKILL) leaves the journal cut at its file end,
+/// somewhere in `[durable offset, logical offset)`, and recovery equals
+/// a clean run over exactly the acks that fit under that cut.
+#[test]
+fn buffered_frames_lost_to_a_process_crash_are_a_legal_cut() {
+    let f = fleet();
+    let cfg = IngestConfig {
+        idle_timeout: 400.0,
+        max_session_points: 24,
+        durability: DurabilityPolicy {
+            sync_bytes: 1024,
+            ..DurabilityPolicy::group_commit()
+        },
+        ..config()
+    };
+    let dir = test_dir("buffered-crash");
+    let (engine, acked) = run_clean(&dir, cfg, &f.events);
+    let durable = engine.shard_durable_offset(0);
+    let logical = engine.shard_wal_offset(0);
+    std::mem::forget(engine); // SIGKILL: no Drop writes the buffer
+    let len = shard_wal_len(&dir, 0).expect("wal len");
+    assert!(
+        durable <= len && len < logical,
+        "the file must end inside [durable {durable}, logical {logical}), not at {len}"
+    );
+
+    let mut recovered =
+        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+    let report = *recovered.recovery();
+    assert_eq!(report.torn_bytes, 0, "buffer writes land whole frames");
+    let survivors = acked.iter().take_while(|&&(_, off)| off <= len).count();
+    assert!(survivors < acked.len(), "the crash must lose buffered acks");
+    assert_eq!(
+        report.replayed_points as usize, survivors,
+        "exactly the acks under the file end replay"
+    );
+    let corpus_a = finish(&mut recovered);
+    let prefix = &f.events[..=acked[survivors - 1].0];
+    let dir_b = test_dir("buffered-crash-clean");
+    let (mut clean, _) = run_clean(&dir_b, cfg, prefix);
+    assert_eq!(
+        corpus_a,
+        finish(&mut clean),
+        "recovered corpus must be byte-identical to the clean run over the surviving acks"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir_b);
 }
 
 #[test]

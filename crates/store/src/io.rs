@@ -202,6 +202,8 @@ pub struct FaultyIo {
     injected: AtomicU64,
     faults: Mutex<Vec<DiskFault>>,
     scoped: Mutex<Vec<ScopedFault>>,
+    /// Operations observed per path, for [`FaultyIo::ops_on`].
+    path_ops: Mutex<HashMap<PathBuf, u64>>,
     #[cfg(unix)]
     fd_paths: Mutex<HashMap<i32, PathBuf>>,
     #[cfg(not(unix))]
@@ -225,6 +227,7 @@ impl FaultyIo {
             injected: AtomicU64::new(0),
             faults: Mutex::new(faults),
             scoped: Mutex::new(Vec::new()),
+            path_ops: Mutex::new(HashMap::new()),
             fd_paths: Mutex::new(HashMap::new()),
         })
     }
@@ -261,6 +264,19 @@ impl FaultyIo {
     /// Faults actually injected so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
+    }
+
+    /// Operations observed so far on paths containing `needle` — the
+    /// index space a fault armed with [`FaultyIo::arm_scoped`] on that
+    /// needle counts in, so a fault-free probe run tells a test which
+    /// scoped indices its stream reaches.
+    pub fn ops_on(&self, needle: &str) -> u64 {
+        let path_ops = self.path_ops.lock().expect("fault lock");
+        path_ops
+            .iter()
+            .filter(|(path, _)| path.to_string_lossy().contains(needle))
+            .map(|(_, n)| n)
+            .sum()
     }
 
     /// Remembers which path a handle was opened on so later
@@ -327,6 +343,12 @@ impl FaultyIo {
             }
         }
         if let Some(path) = path {
+            *self
+                .path_ops
+                .lock()
+                .expect("fault lock")
+                .entry(path.to_path_buf())
+                .or_insert(0) += 1;
             let p = path.to_string_lossy().into_owned();
             let mut scoped = self.scoped.lock().expect("fault lock");
             let mut fired_one_shot = None;
@@ -625,6 +647,9 @@ mod tests {
         io.clear();
         io.write_all(&mut f, b"yes").expect("cleared");
         assert_eq!(io.injected(), 2);
+        assert_eq!(io.ops_on(".s1."), 4, "create, write, sync, write");
+        assert_eq!(io.ops_on(".s0."), 4, "create, write, write, sync");
+        assert_eq!(io.ops_on(".wal"), io.ops());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
