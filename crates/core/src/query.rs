@@ -14,21 +14,28 @@
 //! The speed-ups come from the auxiliary structures the trained
 //! [`HscModel`] carries: per-Trie-node decompressed distances (skip a whole
 //! coded unit by adding one number), per-Trie-node MBRs and shortest-path
-//! MBRs (skip a unit/gap by one rectangle test), and the shortest-path
-//! interior every gap comes with (skip an SP gap by adding its length).
-//! Only the units that can contain the answer are expanded, and nothing
-//! here calls the shortest-path layer: a unit's hidden gaps, and every
-//! gap between two units the training corpus ever put side by side, are
-//! read from the model's link arena; a gap between two edges it never
-//! saw together is read from the stream itself
-//! ([`crate::spatial::hsc`] § the stream).
+//! MBRs (skip a unit/gap by one rectangle test), and the length every gap
+//! comes with (skip an SP gap by adding it). Only the units that can
+//! contain the answer are expanded, and nothing here calls the
+//! shortest-path layer: a unit's hidden gaps, and every gap between two
+//! units the training corpus ever put side by side, are read from the
+//! model's link arena, their lengths from its link-length table; a gap
+//! between two edges it never saw together is read from the stream
+//! itself, its length summed by the walk that reads it
+//! ([`crate::spatial::hsc`] § the stream). No gap's length is refolded
+//! from its edges here, and a gap unit is evaluated straight from the
+//! interior the reader lends, never copied.
+//!
+//! [`QueryEngine::range`] is the store's per-record kernel: a range scan
+//! keeps one `UnitBuffers` (the reader's run buffer and a unit's
+//! expansion) for every record it evaluates. A window with a NaN bound
+//! is [`PressError::OutOfDomain`] — no timestamp compares to NaN.
 //!
 //! Every query also has a `_raw` twin operating on the uncompressed
 //! representation — the baseline the paper's Figs. 15–17 compare against.
 
 use crate::error::{PressError, Result};
 use crate::press::CompressedTrajectory;
-use crate::spatial::hsc::path_len;
 use crate::spatial::{CompressedSpatial, HscModel, TrieNodeId};
 use crate::types::{DtPoint, Trajectory};
 use press_network::{project_onto_segment, EdgeId, Mbr, Point};
@@ -87,6 +94,27 @@ enum Unit<'u> {
     Gap(EdgeId, EdgeId, &'u [EdgeId]),
 }
 
+/// The buffers a query's unit walk fills: the stream reader's gap run
+/// and a Trie unit's expansion. A caller answering query after query
+/// keeps one ([`QueryEngine::range_with`]), so the walk allocates only
+/// when a record outgrows them.
+#[derive(Default)]
+pub(crate) struct UnitBuffers {
+    run: Vec<EdgeId>,
+    edges: Vec<EdgeId>,
+}
+
+/// `[t1, t2]` in order, or [`PressError::OutOfDomain`] when either bound
+/// is NaN: no timestamp compares to NaN, so no answer could be right.
+pub(crate) fn time_window(t1: f64, t2: f64) -> Result<(f64, f64)> {
+    if t1.is_nan() || t2.is_nan() {
+        return Err(PressError::OutOfDomain(format!(
+            "time window [{t1}, {t2}] has a NaN bound"
+        )));
+    }
+    Ok(ordered(t1, t2))
+}
+
 /// A unit of [`QueryEngine::min_distance`], kept past the stream reader's
 /// visit: `node` is a Trie unit not expanded into `edges` yet.
 struct HeldUnit {
@@ -113,20 +141,20 @@ impl<'a> QueryEngine<'a> {
 
     /// Streams the coding units of a compressed spatial path in order,
     /// calling `f(unit, unit_length)` for each; `f` returns `true` to stop.
-    /// A node's length comes from the precomputed table, a gap's is the
-    /// left-to-right sum of its interior's weights (bit-equal to the
-    /// shortest-path layer's `gap_dist`: Dijkstra adds in that order).
+    /// A node's length comes from the precomputed table, a gap's with the
+    /// gap from the stream reader — the left-to-right sum of its
+    /// interior's weights (bit-equal to the shortest-path layer's
+    /// `gap_dist`: Dijkstra adds in that order). A run is read into `run`.
     fn for_each_unit(
         &self,
         cs: &CompressedSpatial,
+        run: &mut Vec<EdgeId>,
         mut f: impl FnMut(Unit<'_>, f64) -> Result<bool>,
     ) -> Result<()> {
         let trie = self.model.trie();
-        let net = self.model.sp().network();
-        self.model.for_each_unit(cs, |gap, node| {
+        self.model.for_each_unit(cs, run, |gap, node| {
             if let Some(gap) = gap {
-                let len = path_len(net, gap.interior);
-                if f(Unit::Gap(gap.a, gap.b, gap.interior), len)? {
+                if f(Unit::Gap(gap.a, gap.b, gap.interior), gap.len)? {
                     return Ok(true);
                 }
             }
@@ -141,16 +169,17 @@ impl<'a> QueryEngine<'a> {
         })
     }
 
-    /// Replaces `out` with the unit's full edge sequence. Callers keep
-    /// one buffer per query, so expanding a unit allocates nothing.
-    fn expand_unit_into(&self, unit: Unit<'_>, out: &mut Vec<EdgeId>) -> Result<()> {
-        out.clear();
+    /// The unit's full edge sequence: a gap's interior as the reader
+    /// lends it, a Trie node expanded into `buf`. Callers keep one buffer
+    /// per query, so expanding a unit allocates nothing.
+    fn unit_edges<'e>(&self, unit: Unit<'e>, buf: &'e mut Vec<EdgeId>) -> Result<&'e [EdgeId]> {
         match unit {
-            Unit::Node(n) => self.model.expand_node_into(n, out),
-            Unit::Gap(_, _, interior) => {
-                out.extend_from_slice(interior);
-                Ok(())
+            Unit::Node(n) => {
+                buf.clear();
+                self.model.expand_node_into(n, buf)?;
+                Ok(buf)
             }
+            Unit::Gap(_, _, interior) => Ok(interior),
         }
     }
 
@@ -218,7 +247,7 @@ impl<'a> QueryEngine<'a> {
         let mut dacu = 0.0f64;
         let mut answer: Option<Point> = None;
         let mut last_edge: Option<EdgeId> = None;
-        self.for_each_unit(cs, |unit, len| {
+        self.for_each_unit(cs, &mut Vec::new(), |unit, len| {
             if dacu + len >= d {
                 let offset = d - dacu;
                 answer = Some(match unit {
@@ -234,7 +263,7 @@ impl<'a> QueryEngine<'a> {
                             if let Some(p) = prev {
                                 if !net.consecutive(p, e) {
                                     let link = self.model.node_link(cur);
-                                    let gap = path_len(net, link);
+                                    let gap = self.model.node_link_len(cur);
                                     if local <= gap {
                                         found = Some(self.point_in_gap(p, e, link, gap, local));
                                         break;
@@ -354,14 +383,13 @@ impl<'a> QueryEngine<'a> {
         let mut dacu = 0.0f64;
         let mut found: Option<f64> = None;
         let mut edges = Vec::new();
-        self.for_each_unit(cs, |unit, len| {
+        self.for_each_unit(cs, &mut Vec::new(), |unit, len| {
             let mbr = self.unit_mbr(unit, len);
             // MBR test is a *may-contain* filter (paper: "the fact
             // (x,y) ∈ MBR(SP(ei,ej)) does not guarantee (x,y) ∈ SP(ei,ej)").
             if mbr.min_dist_to_point(&p) <= tolerance {
-                self.expand_unit_into(unit, &mut edges)?;
                 let mut local = 0.0f64;
-                for &e in &edges {
+                for &e in self.unit_edges(unit, &mut edges)? {
                     let proj = project_onto_segment(&p, &net.edge_start(e), &net.edge_end(e));
                     if proj.dist <= tolerance {
                         found = Some(dacu + local + proj.t * net.weight(e));
@@ -413,8 +441,24 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Boolean `range` over the compressed representation: unit-level MBR
-    /// pruning, expansion only of candidate units, early exit past `d2`.
+    /// pruning, expansion only of candidate Trie units (a gap unit is
+    /// evaluated from its interior in place), early exit past `d2`. A
+    /// NaN bound in `[t1, t2]` is [`PressError::OutOfDomain`].
     pub fn range(&self, ct: &CompressedTrajectory, t1: f64, t2: f64, region: &Mbr) -> Result<bool> {
+        self.range_with(ct, t1, t2, region, &mut UnitBuffers::default())
+    }
+
+    /// [`QueryEngine::range`] on the caller's buffers — the store's range
+    /// scan keeps one for all the records it evaluates.
+    pub(crate) fn range_with(
+        &self,
+        ct: &CompressedTrajectory,
+        t1: f64,
+        t2: f64,
+        region: &Mbr,
+        buffers: &mut UnitBuffers,
+    ) -> Result<bool> {
+        time_window(t1, t2)?;
         if ct.temporal.is_empty() {
             return Err(PressError::OutOfDomain("empty temporal sequence".into()));
         }
@@ -425,16 +469,15 @@ impl<'a> QueryEngine<'a> {
         );
         let mut dacu = 0.0f64;
         let mut hit = false;
-        let mut edges = Vec::new();
-        self.for_each_unit(&ct.spatial, |unit, len| {
+        let UnitBuffers { run, edges } = buffers;
+        self.for_each_unit(&ct.spatial, run, |unit, len| {
             if dacu > d2 {
                 return Ok(true);
             }
             let overlaps_window = dacu <= d2 && dacu + len >= d1;
             if overlaps_window && self.unit_mbr(unit, len).intersects(region) {
-                self.expand_unit_into(unit, &mut edges)?;
                 let mut local = dacu;
-                for &e in &edges {
+                for &e in self.unit_edges(unit, edges)? {
                     let w = net.weight(e);
                     if local <= d2
                         && local + w >= d1
@@ -477,16 +520,15 @@ impl<'a> QueryEngine<'a> {
         let mut dacu = 0.0f64;
         let mut hit = false;
         let mut edges = Vec::new();
-        self.for_each_unit(&ct.spatial, |unit, len| {
+        self.for_each_unit(&ct.spatial, &mut Vec::new(), |unit, len| {
             if dacu > d2 {
                 return Ok(true);
             }
             let overlaps_window = dacu <= d2 && dacu + len >= d1;
             // Skip a whole unit when its MBR is farther than `dist`.
             if overlaps_window && self.unit_mbr(unit, len).min_dist_to_point(&p) <= dist {
-                self.expand_unit_into(unit, &mut edges)?;
                 let mut local = dacu;
-                for &e in &edges {
+                for &e in self.unit_edges(unit, &mut edges)? {
                     let w = net.weight(e);
                     if local <= d2 && local + w >= d1 {
                         let proj = project_onto_segment(&p, &net.edge_start(e), &net.edge_end(e));
@@ -557,7 +599,7 @@ impl<'a> QueryEngine<'a> {
     /// blocks, never a missed hit.
     pub fn spatial_mbr(&self, cs: &CompressedSpatial) -> Result<Mbr> {
         let mut mbr = Mbr::empty();
-        self.for_each_unit(cs, |unit, len| {
+        self.for_each_unit(cs, &mut Vec::new(), |unit, len| {
             mbr.expand(&self.unit_mbr(unit, len));
             Ok(false)
         })?;
@@ -569,7 +611,7 @@ impl<'a> QueryEngine<'a> {
     /// interior is copied on the spot, a Trie node keeps its id.
     fn collect_units(&self, cs: &CompressedSpatial) -> Result<Vec<HeldUnit>> {
         let mut units = Vec::new();
-        self.for_each_unit(cs, |unit, len| {
+        self.for_each_unit(cs, &mut Vec::new(), |unit, len| {
             let (node, edges) = match unit {
                 Unit::Node(n) => (Some(n), Vec::new()),
                 Unit::Gap(_, _, interior) => (None, interior.to_vec()),

@@ -26,19 +26,24 @@
 //! whenever the typed one would not decode to the same bits.
 //!
 //! The `t` column comes first so a range query reads a record's time
-//! span and skips it before touching `d` or the bit stream
-//! (`decode_if_overlaps`), and every record is length-prefixed in the
-//! block's directory (`Block`) so a point query decodes the one record
-//! it names.
+//! span and skips it before touching `d` or the bit stream (the window
+//! of `decode_into`), and every record is length-prefixed in the block's
+//! directory (`Block`) so a point query decodes the one record it names.
+//!
+//! `decode_into` is the one decoder: it refills a caller-owned
+//! [`CompressedTrajectory`] — its tuple vector and its bit stream's words
+//! — so a range scan keeps one scratch record for all the records it
+//! reads and allocates only when one outgrows it; `decode` is that into a
+//! fresh trajectory.
 //!
 //! Decoding is defensive: every count is bounded by the bytes that remain
 //! before anything is allocated for it, reserved bits and padding must be
 //! zero, and a record must end exactly where the directory says — a
-//! malformed payload is a typed [`StoreError`], never a panic.
+//! malformed payload is a typed [`StoreError`], never a panic, and leaves
+//! the scratch fit for the next record.
 
 use crate::press::CompressedTrajectory;
-use crate::spatial::{BitStream, CompressedSpatial};
-use crate::types::{DtPoint, TemporalSequence};
+use crate::types::DtPoint;
 use press_store::{ByteReader, ByteWriter, Result, StoreError};
 
 /// Record-format number written into the corpus `meta` section. Format 1
@@ -199,21 +204,24 @@ pub(crate) fn encode(ct: &CompressedTrajectory, w: &mut ByteWriter) {
 
 /// Decodes one record.
 pub(crate) fn decode(rec: &[u8]) -> Result<CompressedTrajectory> {
-    Ok(decode_windowed(rec, None)?.expect("no window, no skip"))
+    let mut ct = CompressedTrajectory::default();
+    decode_into(rec, None, &mut ct)?;
+    Ok(ct)
 }
 
-/// Decodes one record unless its time span misses `[lo, hi]` (or it has
-/// no tuples, hence no span): then `None`, decided from the `t` column
-/// alone.
-pub(crate) fn decode_if_overlaps(
+/// Decodes one record into `out`, refilling its tuple vector and its bit
+/// stream's words in place — a caller that decodes record after record
+/// keeps one `out` and allocates only when a record outgrows it.
+///
+/// With a `window` `(lo, hi)`, a record whose time span misses `[lo, hi]`
+/// (or that has no tuples, hence no span) is `false`, decided from the
+/// `t` column alone; `out` then holds a partial record. So does it after
+/// an error, which leaves it fit for the next call.
+pub(crate) fn decode_into(
     rec: &[u8],
-    lo: f64,
-    hi: f64,
-) -> Result<Option<CompressedTrajectory>> {
-    decode_windowed(rec, Some((lo, hi)))
-}
-
-fn decode_windowed(rec: &[u8], window: Option<(f64, f64)>) -> Result<Option<CompressedTrajectory>> {
+    window: Option<(f64, f64)>,
+    out: &mut CompressedTrajectory,
+) -> Result<bool> {
     let mut r = ByteReader::new(rec);
     // Every tuple takes at least one byte of the `t` column, which bounds
     // the allocation by the record's own length.
@@ -227,10 +235,12 @@ fn decode_windowed(rec: &[u8], window: Option<(f64, f64)>) -> Result<Option<Comp
                 r.remaining()
             ))
         })?;
-    let mut points = Vec::with_capacity(m);
+    let points = &mut out.temporal.points;
+    points.clear();
+    points.reserve(m);
     if m == 0 {
         if window.is_some() {
-            return Ok(None);
+            return Ok(false);
         }
     } else {
         let code = r.get_u8()?;
@@ -272,11 +282,11 @@ fn decode_windowed(rec: &[u8], window: Option<(f64, f64)>) -> Result<Option<Comp
         }
         if let Some((lo, hi)) = window {
             if points[m - 1].t < lo || points[0].t > hi {
-                return Ok(None);
+                return Ok(false);
             }
         }
         if code & D_XOR == 0 {
-            for p in &mut points {
+            for p in points.iter_mut() {
                 p.d = r.get_f64()?;
             }
         } else {
@@ -309,12 +319,8 @@ fn decode_windowed(rec: &[u8], window: Option<(f64, f64)>) -> Result<Option<Comp
             "non-zero padding bits after the spatial code".into(),
         ));
     }
-    Ok(Some(CompressedTrajectory {
-        spatial: CompressedSpatial {
-            bits: BitStream::from_bytes(bytes, n_bits),
-        },
-        temporal: TemporalSequence::new_unchecked(points),
-    }))
+    out.spatial.bits.refill_from_bytes(bytes, n_bits);
+    Ok(true)
 }
 
 /// Encodes a block payload: the directory (one `uvarint` byte length per
@@ -406,7 +412,8 @@ pub(crate) fn stored_parts(ct: &CompressedTrajectory) -> [usize; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spatial::BitWriter;
+    use crate::spatial::{BitStream, BitWriter, CompressedSpatial};
+    use crate::types::TemporalSequence;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -420,6 +427,12 @@ mod tests {
             spatial: CompressedSpatial { bits: w.finish() },
             temporal: TemporalSequence::new_unchecked(points),
         }
+    }
+
+    /// The windowed decode into a fresh trajectory: `None` when skipped.
+    fn decode_if_overlaps(rec: &[u8], lo: f64, hi: f64) -> Result<Option<CompressedTrajectory>> {
+        let mut ct = CompressedTrajectory::default();
+        Ok(decode_into(rec, Some((lo, hi)), &mut ct)?.then_some(ct))
     }
 
     fn encoded(ct: &CompressedTrajectory) -> Vec<u8> {
@@ -556,6 +569,102 @@ mod tests {
                         prop_assert!(decode_if_overlaps(&rec, f64::MIN, a - a.abs() - 1.0).unwrap().is_none());
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// One scratch trajectory fed record after record — every time
+        /// kind against both kinds of `d` column (so every `TimeCode`,
+        /// with and without exceptions, and both `d` codes), a record
+        /// without tuples, longest first or in drawn order, some skipped
+        /// by a window that misses them, some mutated or cut — decodes
+        /// each exactly as a fresh `decode` does: the same bits, or the
+        /// same typed error; the record after an error decodes cleanly.
+        #[test]
+        fn record_scratch_reuse_is_bit_identical_to_a_fresh_decode(
+            seed in any::<u64>(),
+            max_m in 1usize..60,
+            longest_first in any::<bool>(),
+            bad_every in 2usize..7,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cts = Vec::new();
+            for t_kind in 0u8..8 {
+                for d_kind in 0u8..4 {
+                    let m = rng.gen_range(1..=max_m);
+                    let points = timestamps(t_kind, m, &mut rng)
+                        .into_iter()
+                        .zip(distances(d_kind, m, &mut rng))
+                        .map(|(t, d)| DtPoint::new(d, t))
+                        .collect();
+                    let bits: Vec<bool> = (0..rng.gen_range(0..200)).map(|_| rng.gen()).collect();
+                    cts.push(trajectory(points, &bits));
+                }
+            }
+            // Codes the drawn kinds may miss: whole milliseconds without
+            // and with one exception, whole seconds with one, and a raw
+            // `d` column.
+            let pts = |v: &[(f64, f64)]| v.iter().map(|&(d, t)| DtPoint::new(d, t)).collect();
+            let mut millis: Vec<(f64, f64)> =
+                (0..10).map(|i| (i as f64, (100_250 + 1500 * i) as f64 / 1000.0)).collect();
+            cts.push(trajectory(pts(&millis), &[true]));
+            millis[4].1 += 0.00025;
+            cts.push(trajectory(pts(&millis), &[true]));
+            cts.push(trajectory(pts(&[(0.0, 100.0), (17.25, 101.00037), (40.5, 130.0)]), &[false]));
+            cts.push(trajectory(pts(&[(-1.5, 1.0), (1.5e300, 2.0), (-2.5e-300, 3.0)]), &[]));
+            cts.push(trajectory(Vec::new(), &[true, false, true]));
+            let codes: std::collections::BTreeSet<u8> =
+                cts.iter().filter(|ct| !ct.temporal.is_empty()).map(code_byte).collect();
+            for time in [TimeCode::Raw as u8, TimeCode::Seconds as u8, TimeCode::Millis as u8] {
+                prop_assert!(codes.iter().any(|&c| c & !D_XOR == time), "{:?}", codes);
+            }
+            for excepted in [TimeCode::Seconds as u8, TimeCode::Millis as u8] {
+                prop_assert!(codes.contains(&(excepted | T_EXCEPTIONS | D_XOR)), "{:?}", codes);
+            }
+            prop_assert!(codes.iter().any(|&c| c & D_XOR == 0), "{:?}", codes);
+            if longest_first {
+                cts.sort_by_key(|ct| std::cmp::Reverse((ct.temporal.len(), ct.spatial.bits.len_bits())));
+            }
+            let mut scratch = CompressedTrajectory::default();
+            for (k, ct) in cts.iter().enumerate() {
+                let mut rec = encoded(ct);
+                if k % bad_every == bad_every - 1 {
+                    if rng.gen_bool(0.5) {
+                        rec.truncate(rng.gen_range(0..rec.len()));
+                    } else {
+                        let at = rng.gen_range(0..rec.len());
+                        rec[at] ^= rng.gen_range(1..=255u8);
+                    }
+                    let reused = decode_into(&rec, None, &mut scratch).map(|kept| (kept, bits_of(&scratch)));
+                    match (decode(&rec), reused) {
+                        (Ok(fresh), Ok((kept, reused))) => {
+                            prop_assert!(kept);
+                            prop_assert_eq!(bits_of(&fresh), reused);
+                        }
+                        (Err(fresh), Err(reused)) => {
+                            prop_assert_eq!(format!("{fresh:?}"), format!("{reused:?}"));
+                        }
+                        (fresh, reused) => prop_assert!(false, "fresh {:?}, reused {:?}", fresh, reused),
+                    }
+                    continue;
+                }
+                if let Some((a, z)) = ct.temporal.time_range().filter(|_| k % 3 == 0) {
+                    // A window past the span (when one exists) skips the
+                    // record from its `t` column, leaving a partial one.
+                    if a.is_finite() && z.is_finite() && a <= z {
+                        let past = z + z.abs() + 1.0;
+                        prop_assert!(!decode_into(&rec, Some((past, f64::MAX)), &mut scratch).unwrap());
+                    }
+                }
+                // Every record after a bad one (`bad_every` ≥ 2) is
+                // clean and lands here, on the scratch the error left.
+                prop_assert!(decode_into(&rec, None, &mut scratch).unwrap());
+                let fresh = decode(&rec).unwrap();
+                prop_assert_eq!(bits_of(&scratch), bits_of(&fresh));
+                prop_assert_eq!(bits_of(&scratch), bits_of(ct));
             }
         }
     }

@@ -62,17 +62,26 @@ impl BitStream {
     /// Rebuilds a stream from bytes produced by [`BitStream::to_bytes`]
     /// plus the exact bit length.
     pub fn from_bytes(bytes: &[u8], len_bits: u64) -> Self {
+        let mut stream = BitStream::default();
+        stream.refill_from_bytes(bytes, len_bits);
+        stream
+    }
+
+    /// [`BitStream::from_bytes`] into this stream, reusing its word
+    /// buffer: a reader that decodes stream after stream keeps one.
+    pub(crate) fn refill_from_bytes(&mut self, bytes: &[u8], len_bits: u64) {
         assert!(
             len_bits.div_ceil(8) as usize <= bytes.len(),
             "byte payload shorter than the declared bit length"
         );
-        let mut words = Vec::with_capacity(bytes.len().div_ceil(8));
+        self.words.clear();
+        self.words.reserve(bytes.len().div_ceil(8));
         for chunk in bytes.chunks(8) {
             let mut w = [0u8; 8];
             w[..chunk.len()].copy_from_slice(chunk);
-            words.push(u64::from_le_bytes(w));
+            self.words.push(u64::from_le_bytes(w));
         }
-        BitStream { words, len_bits }
+        self.len_bits = len_bits;
     }
 }
 

@@ -310,3 +310,79 @@ fn gap_run_streams_survive_every_bit_flip_and_truncation() {
     }
     assert!(runs > 0, "the fixture must carry runs");
 }
+
+/// Every gap length a reader is handed has the bits of `path_len` over
+/// the gap's interior — the table's value for each Trie node's link
+/// (every depth-2 node's arena gap among them, also through
+/// `known_gap`), the walk's running sum for each in-stream run on
+/// held-out walks — on the trained model, the one saved and loaded, and
+/// the one loaded over a mapped hub-label file; on jittered, fully tied
+/// and random-geometric nets.
+#[test]
+fn gap_len_is_bit_identical_to_path_len() {
+    use crate::spatial::hsc::path_len;
+    use press_network::HubLabels;
+    let dir = std::env::temp_dir().join(format!("press-gap-len-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for kind in 0..3 {
+        let net = net_of(kind, 9);
+        let (training, held_out) = (walks(&net, 0, 16), walks(&net, 3, 16));
+        let trained = HscModel::train(SpBackend::Hl.build(net.clone()), &training, 3).unwrap();
+        let loaded =
+            HscModel::from_store_bytes(trained.sp().clone(), trained.to_store_bytes()).unwrap();
+        let labels = dir.join(format!("sp_hl.{kind}.press"));
+        HubLabels::build(net.clone()).save_to(&labels).unwrap();
+        let mapped = HscModel::from_store_bytes(
+            Arc::new(HubLabels::open_mapped(net.clone(), &labels).unwrap()),
+            trained.to_store_bytes(),
+        )
+        .unwrap();
+        for model in [&trained, &loaded, &mapped] {
+            let trie = model.trie();
+            let mut arena_gaps = 0;
+            for node in trie.node_ids() {
+                let link = model.node_link(node);
+                assert_eq!(
+                    model.node_link_len(node).to_bits(),
+                    path_len(&net, link).to_bits(),
+                    "node {node}"
+                );
+                if trie.depth(node) != 2 {
+                    continue;
+                }
+                let (a, b) = (trie.last_edge(trie.parent(node)), trie.last_edge(node));
+                if let Some((len, interior)) = model.known_gap(a, b) {
+                    assert_eq!(interior, link);
+                    assert_eq!(len.to_bits(), path_len(&net, link).to_bits(), "({a}, {b})");
+                    arena_gaps += usize::from(!link.is_empty());
+                }
+            }
+            assert!(arena_gaps > 0, "kind {kind}: the arena must hold gaps");
+            let (mut stream_gaps, mut runs) = (0, 0);
+            for path in training.iter().chain(&held_out) {
+                let cs = model.compress(path).unwrap();
+                model
+                    .for_each_unit(&cs, &mut Vec::new(), |gap, _| {
+                        if let Some(gap) = gap {
+                            assert_eq!(
+                                gap.len.to_bits(),
+                                path_len(&net, gap.interior).to_bits(),
+                                "({}, {})",
+                                gap.a,
+                                gap.b
+                            );
+                            stream_gaps += 1;
+                            runs += usize::from(model.known_gap(gap.a, gap.b).is_none());
+                        }
+                        Ok(false)
+                    })
+                    .unwrap();
+            }
+            assert!(
+                runs > 0 && runs < stream_gaps,
+                "kind {kind}: {runs} of {stream_gaps}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

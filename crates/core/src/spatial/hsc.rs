@@ -13,7 +13,10 @@
 //! Training has to expand those gaps anyway to fill the §5.1 distances;
 //! keeping the expansion means decompression and the queries read a gap
 //! the corpus has shown before from the model
-//! ([`HscModel::expand_node_into`], [`HscModel::known_gap`]).
+//! ([`HscModel::expand_node_into`], [`HscModel::known_gap`]). Beside each
+//! link the model keeps its length, the fold `path_len` gives — filled
+//! by the pass that builds the arena at training and by the one that
+//! checks it at load — so no reader refolds a link it has seen before.
 //!
 //! # The stream
 //!
@@ -30,8 +33,9 @@
 //! silent), so no flag bit says whether a run follows. One grammar,
 //! `unit (run? unit)*` in path order, one writer (`HscModel::encode`)
 //! and one reader (`HscModel::for_each_unit`): decompression and every
-//! §5 query see a slice for **every** gap and never call the
-//! shortest-path layer. What
+//! §5 query see a slice and its length for **every** gap and never call
+//! the shortest-path layer — an arena gap's length from the table, a
+//! run's summed by the walk that reads it, in the same order. What
 //! the reader proves about a run is structure — each turn indexes a real
 //! out-edge, the walk arrives within `|V|` steps, the stream does not end
 //! inside it; that the run is the *shortest* path is the word of whatever
@@ -127,7 +131,8 @@ pub struct AuxiliarySizes {
     pub node_dist_bytes: usize,
     /// Per-Trie-node MBRs (§5.2 whenat/range support).
     pub node_mbr_bytes: usize,
-    /// Per-Trie-node link arena (offsets + hidden shortest-path gaps).
+    /// Per-Trie-node link arena (offsets + hidden shortest-path gaps)
+    /// and the links' lengths.
     pub node_link_bytes: usize,
     /// `SPend` index (per-source-node offsets + facts) and the stop facts
     /// it is built from.
@@ -233,12 +238,14 @@ fn turn_bits(out_degree: usize) -> u32 {
     out_degree.next_power_of_two().trailing_zeros()
 }
 
-/// The shortest-path gap in front of a unit: the two edges it joins and
-/// its interior, lent from the model's arena or from the reader's buffer
-/// for the length of one [`HscModel::for_each_unit`] callback.
+/// The shortest-path gap in front of a unit: the two edges it joins, its
+/// length (the bits of [`path_len`] over the interior) and its interior,
+/// lent from the model's arena or from the reader's buffer for the
+/// length of one [`HscModel::for_each_unit`] callback.
 pub(crate) struct Gap<'r> {
     pub(crate) a: EdgeId,
     pub(crate) b: EdgeId,
+    pub(crate) len: f64,
     pub(crate) interior: &'r [EdgeId],
 }
 
@@ -249,6 +256,19 @@ pub(crate) struct Gap<'r> {
 #[inline]
 fn extend_dist(parent: f64, gap: Option<f64>, weight: f64) -> f64 {
     gap.map_or(parent, |g| parent + g) + weight
+}
+
+/// The per-node tables a model carries beside its link arena, filled by
+/// one pass — [`HscModel::node_tables`] at training; at load the
+/// persisted `dist` and `mbr` with the `link_len` [`HscModel::check_links`]
+/// folds.
+pub(crate) struct NodeTables {
+    /// `Tsub(n).d` of §5.1.
+    pub(crate) dist: Vec<f64>,
+    /// `MBR(Tsub(n))` of §5.2.
+    pub(crate) mbr: Vec<Mbr>,
+    /// [`path_len`] of each node's link.
+    pub(crate) link_len: Vec<f64>,
 }
 
 /// "No stop fact" in [`HscModel`]'s `node_stop` table and its file
@@ -414,6 +434,9 @@ pub struct HscModel {
     /// `sp_interior(last_edge(parent), last_edge(node))`; empty when the
     /// two are consecutive or no path joins them.
     node_link: LinkArena,
+    /// `path_len` of each node's link, index = Trie node id (`0.0` where
+    /// the link is empty).
+    node_link_len: Vec<f64>,
     /// Per depth-2 node `(a, b)`, in node order: `pred_edge(a.to, b.to)`
     /// — the answer to the failing `SPend` test that ends a run at `b` —
     /// or [`NO_STOP`].
@@ -440,9 +463,9 @@ impl HscModel {
         let compressed = Self::sp_compress_corpus(sp.as_ref(), training_paths);
         let trie = Trie::build(&compressed, theta, sp.network().num_edges())?;
         let huffman = Huffman::from_freqs(&trie.symbol_freqs())?;
-        let (node_dist, node_mbr, node_link) = Self::node_tables(sp.as_ref(), &trie)?;
-        let node_stop = Self::stops_via_sp(sp.as_ref(), &trie, &node_dist);
-        Self::from_parts(sp, trie, huffman, node_dist, node_mbr, node_link, node_stop)
+        let (tables, node_link) = Self::node_tables(sp.as_ref(), &trie)?;
+        let node_stop = Self::stops_via_sp(sp.as_ref(), &trie, &tables.dist);
+        Self::from_parts(sp, trie, huffman, tables, node_link, node_stop)
             .map_err(|e| PressError::InvalidTraining(format!("node_link/node_stop: {e}")))
     }
 
@@ -475,18 +498,23 @@ impl HscModel {
     /// load path — see [`crate::store`]). The automaton is rebuilt from
     /// the trie by the same deterministic BFS construction training uses,
     /// so a loaded model is indistinguishable from the trained one. The
-    /// caller has run [`HscModel::check_links`] over the three tables;
-    /// the stop facts are checked here, as the `SPend` index is built
-    /// from them and the arena (the error says what disagreed).
+    /// caller has run [`HscModel::check_links`] over the tables (which
+    /// gave it `tables.link_len`); the stop facts are checked here, as
+    /// the `SPend` index is built from them and the arena (the error says
+    /// what disagreed).
     pub(crate) fn from_parts(
         sp: Arc<dyn SpProvider>,
         trie: Trie,
         huffman: Huffman,
-        node_dist: Vec<f64>,
-        node_mbr: Vec<Mbr>,
+        tables: NodeTables,
         node_link: LinkArena,
         node_stop: Vec<EdgeId>,
     ) -> std::result::Result<Self, String> {
+        let NodeTables {
+            dist: node_dist,
+            mbr: node_mbr,
+            link_len: node_link_len,
+        } = tables;
         let spend = SpendIndex::build(sp.network(), &trie, &node_dist, &node_link, &node_stop)?;
         Ok(HscModel {
             sp,
@@ -495,24 +523,26 @@ impl HscModel {
             node_dist,
             node_mbr,
             node_link,
+            node_link_len,
             node_stop,
             spend,
             fingerprint: std::sync::OnceLock::new(),
         })
     }
 
-    /// Computes the three per-node tables in one parents-first pass. A
-    /// node's sub-trajectory comes from SP-compressed text, so consecutive
-    /// edges may hide a shortest-path gap that must be expanded (§5.1: "we
-    /// need to decompress the sub-trajectory Tsub(n) based on SP
-    /// decompression in order to calculate the distance Tsub(n).d"); the
-    /// expansion is kept as the node's link, and its length and MBR feed
-    /// the other two tables.
-    fn node_tables(sp: &dyn SpProvider, trie: &Trie) -> Result<(Vec<f64>, Vec<Mbr>, LinkArena)> {
+    /// Computes the per-node tables in one parents-first pass. A node's
+    /// sub-trajectory comes from SP-compressed text, so consecutive edges
+    /// may hide a shortest-path gap that must be expanded (§5.1: "we need
+    /// to decompress the sub-trajectory Tsub(n) based on SP decompression
+    /// in order to calculate the distance Tsub(n).d"); the expansion is
+    /// kept as the node's link, and its length feeds the distance and
+    /// link-length tables, its edges the MBR table.
+    fn node_tables(sp: &dyn SpProvider, trie: &Trie) -> Result<(NodeTables, LinkArena)> {
         let net = sp.network();
         let n = trie.num_nodes();
         let mut dist = vec![0.0f64; n];
         let mut mbr = vec![Mbr::empty(); n];
+        let mut link_len = vec![0.0f64; n];
         let mut link = LinkArena::with_capacity(n);
         // The root's (empty) slot.
         link.seal_node()?;
@@ -534,6 +564,7 @@ impl HscModel {
                                 m.expand(&net.edge_mbr(g));
                             }
                             link.edges.extend(interior);
+                            link_len[node as usize] = len;
                             gap = Some(len);
                         }
                         // Disconnected training pair: poison the node, so
@@ -547,7 +578,14 @@ impl HscModel {
             dist[node as usize] = extend_dist(dist[parent as usize], gap, net.weight(e));
             mbr[node as usize] = m;
         }
-        Ok((dist, mbr, link))
+        Ok((
+            NodeTables {
+                dist,
+                mbr,
+                link_len,
+            },
+            link,
+        ))
     }
 
     /// The stop facts of `trie`, one `pred_edge` call per depth-2 node
@@ -576,16 +614,18 @@ impl HscModel {
     /// consecutive or the node is poisoned, and the distance is the bits
     /// [`HscModel::node_tables`] would have produced from its parent's.
     /// That the link is a *shortest* path is the section CRC's word, as
-    /// it is for `node_dist` itself.
+    /// it is for `node_dist` itself. Returns the link lengths the check
+    /// folded on the way — the table training keeps, at no extra pass.
     pub(crate) fn check_links(
         net: &RoadNetwork,
         trie: &Trie,
         node_dist: &[f64],
         node_link: &LinkArena,
-    ) -> std::result::Result<(), String> {
+    ) -> std::result::Result<Vec<f64>, String> {
         if node_dist[Trie::ROOT as usize].to_bits() != 0 || !node_link.link(Trie::ROOT).is_empty() {
             return Err("the root carries a distance or a link".into());
         }
+        let mut link_len = vec![0.0f64; trie.num_nodes()];
         for node in trie.node_ids() {
             let parent = trie.parent(node);
             let e = trie.last_edge(node);
@@ -609,7 +649,9 @@ impl HscModel {
                     }
                     prev = g;
                 }
-                Some(path_len(net, link))
+                let len = path_len(net, link);
+                link_len[node as usize] = len;
+                Some(len)
             };
             let want = extend_dist(node_dist[parent as usize], gap, net.weight(e));
             if node_dist[node as usize].to_bits() != want.to_bits() {
@@ -619,7 +661,7 @@ impl HscModel {
                 ));
             }
         }
-        Ok(())
+        Ok(link_len)
     }
 
     /// Compresses a raw spatial path: SP compression, greedy decomposition,
@@ -668,7 +710,7 @@ impl HscModel {
             self.huffman.encode_symbol(node_to_symbol(node), &mut w);
             if k > 0 {
                 let (a, b) = (spc[k - 1], spc[k]);
-                if !net.consecutive(a, b) && self.known_link(a, b).is_none() {
+                if !net.consecutive(a, b) && self.known_gap(a, b).is_none() {
                     let fetched;
                     // Every elided edge precedes its successor in the tree
                     // of `a`'s head, so a slice whose first step leaves
@@ -723,14 +765,16 @@ impl HscModel {
     /// out-edge of the node the walk stands on, and the walk reaches
     /// `b`'s tail within `|V|` steps (a simple path has fewer; the bound
     /// is also what stops a chain of zero-bit turns through out-degree-1
-    /// nodes, which consumes no input).
+    /// nodes, which consumes no input). Returns the run's length, summed
+    /// left to right from `0.0` as the walk goes — the bits of
+    /// [`path_len`] over `run`.
     fn read_run(
         &self,
         a: EdgeId,
         b: EdgeId,
         bits: &mut BitReader<'_>,
         run: &mut Vec<EdgeId>,
-    ) -> Result<()> {
+    ) -> Result<f64> {
         #[cfg(test)]
         witness(|w| w.gap_runs += 1);
         let net = self.sp.network();
@@ -739,6 +783,7 @@ impl HscModel {
         run.clear();
         let target = net.edge(b).from;
         let mut head = net.edge(a).to;
+        let mut len = 0.0f64;
         while head != target {
             if run.len() >= net.num_nodes() {
                 return Err(corrupt("has not arrived after |V| steps"));
@@ -754,40 +799,49 @@ impl HscModel {
                 .get(turn as usize)
                 .ok_or_else(|| corrupt("takes a turn beyond the node's out-degree"))?;
             run.push(g);
+            len += net.weight(g);
             head = net.edge(g).to;
         }
-        Ok(())
+        Ok(len)
     }
 
     /// The one reader of the stream grammar (module docs § the stream):
     /// calls `f(gap, node)` per unit in path order, `gap` being what lies
     /// in front of the unit when its first edge does not follow the
     /// previous unit's last; `f` returns `true` to stop. A run is decoded
-    /// into one buffer per call, reused gap after gap.
+    /// into `run`, the caller's buffer, reused gap after gap (and call
+    /// after call, by a caller that keeps one).
     pub(crate) fn for_each_unit(
         &self,
         cs: &CompressedSpatial,
+        run: &mut Vec<EdgeId>,
         mut f: impl FnMut(Option<Gap<'_>>, TrieNodeId) -> Result<bool>,
     ) -> Result<()> {
         let trie = self.ac.trie();
         let net = self.sp.network();
         let mut bits = cs.bits.reader();
-        let mut run = Vec::new();
         let mut prev_last = None;
         while !bits.is_exhausted() {
             let node = symbol_to_node(self.huffman.decode_symbol(&mut bits)?);
             let b = trie.first_edge(node);
             let gap = match prev_last.replace(trie.last_edge(node)) {
-                Some(a) if !net.consecutive(a, b) => {
-                    let interior = match self.known_link(a, b) {
-                        Some(link) => link,
-                        None => {
-                            self.read_run(a, b, &mut bits, &mut run)?;
-                            &run
+                Some(a) if !net.consecutive(a, b) => Some(match self.known_gap(a, b) {
+                    Some((len, interior)) => Gap {
+                        a,
+                        b,
+                        len,
+                        interior,
+                    },
+                    None => {
+                        let len = self.read_run(a, b, &mut bits, run)?;
+                        Gap {
+                            a,
+                            b,
+                            len,
+                            interior: run,
                         }
-                    };
-                    Some(Gap { a, b, interior })
-                }
+                    }
+                }),
                 _ => None,
             };
             if f(gap, node)? {
@@ -800,7 +854,7 @@ impl HscModel {
     /// Decodes the stream back to the Trie node sequence.
     pub fn decode_nodes(&self, cs: &CompressedSpatial) -> Result<Vec<TrieNodeId>> {
         let mut nodes = Vec::new();
-        self.for_each_unit(cs, |_, node| {
+        self.for_each_unit(cs, &mut Vec::new(), |_, node| {
             nodes.push(node);
             Ok(false)
         })?;
@@ -823,9 +877,9 @@ impl HscModel {
     /// symbols (everything else in it).
     pub fn run_cost(&self, cs: &CompressedSpatial) -> Result<(u64, usize)> {
         let (mut bits, mut edges) = (cs.bits.len_bits(), 0);
-        self.for_each_unit(cs, |gap, node| {
+        self.for_each_unit(cs, &mut Vec::new(), |gap, node| {
             bits -= u64::from(self.huffman.code_len(node_to_symbol(node)));
-            if let Some(gap) = gap.filter(|g| self.known_link(g.a, g.b).is_none()) {
+            if let Some(gap) = gap.filter(|g| self.known_gap(g.a, g.b).is_none()) {
                 edges += gap.interior.len();
             }
             Ok(false)
@@ -841,7 +895,7 @@ impl HscModel {
     /// or from the stream.
     pub fn decompress(&self, cs: &CompressedSpatial) -> Result<Vec<EdgeId>> {
         let mut out = Vec::new();
-        self.for_each_unit(cs, |gap, node| {
+        self.for_each_unit(cs, &mut Vec::new(), |gap, node| {
             if let Some(gap) = gap {
                 out.extend_from_slice(gap.interior);
             }
@@ -895,18 +949,13 @@ impl HscModel {
     /// The shortest-path gap between `a` and `b` when the training corpus
     /// ever put the two edges side by side: the Trie holds every such
     /// pair as a depth-2 node, whose link is the canonical
-    /// `sp_interior(a, b)`. The length is bit-equal to `gap_dist(a, b)`
-    /// (the left-to-right fold of the link's weights is Dijkstra's own
-    /// addition order). `None` for a pair training never saw, and for
-    /// one it saw across two components.
+    /// `sp_interior(a, b)`. The length is the link-length table's, bit-equal
+    /// to `gap_dist(a, b)` (the left-to-right fold of the link's weights is
+    /// Dijkstra's own addition order). `None` for a pair training never
+    /// saw, and for one it saw across two components. The test the
+    /// stream's writer and reader both make to decide whether a run
+    /// follows.
     pub fn known_gap(&self, a: EdgeId, b: EdgeId) -> Option<(f64, &[EdgeId])> {
-        let link = self.known_link(a, b)?;
-        Some((path_len(self.sp.network(), link), link))
-    }
-
-    /// The interior half of [`HscModel::known_gap`] — the test the stream's
-    /// writer and reader both make to decide whether a run follows.
-    fn known_link(&self, a: EdgeId, b: EdgeId) -> Option<&[EdgeId]> {
         let trie = self.ac.trie();
         let node = trie.child(trie.level1(a), b)?;
         if !self.node_dist[node as usize].is_finite() {
@@ -914,7 +963,7 @@ impl HscModel {
         }
         #[cfg(test)]
         witness(|w| w.arena_hits += 1);
-        Some(self.node_link.link(node))
+        Some((self.node_link_len[node as usize], self.node_link.link(node)))
     }
 
     /// The hidden shortest-path gap between a node's parent's last edge
@@ -922,6 +971,13 @@ impl HscModel {
     #[inline]
     pub(crate) fn node_link(&self, node: TrieNodeId) -> &[EdgeId] {
         self.node_link.link(node)
+    }
+
+    /// The length of [`HscModel::node_link`], from the table: the bits of
+    /// [`path_len`] over the link (`0.0` for an empty one).
+    #[inline]
+    pub(crate) fn node_link_len(&self, node: TrieNodeId) -> f64 {
+        self.node_link_len[node as usize]
     }
 
     /// The whole link arena, as persisted.
@@ -974,7 +1030,7 @@ impl HscModel {
             huffman_bytes: self.huffman.approx_bytes(),
             node_dist_bytes: self.node_dist.len() * 8,
             node_mbr_bytes: self.node_mbr.len() * std::mem::size_of::<Mbr>(),
-            node_link_bytes: self.node_link.approx_bytes(),
+            node_link_bytes: self.node_link.approx_bytes() + self.node_link_len.len() * 8,
             spend_index_bytes: self.spend.approx_bytes() + self.node_stop.len() * 4,
         }
     }

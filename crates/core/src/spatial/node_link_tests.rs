@@ -374,7 +374,7 @@ fn theta_one_reads_nothing_from_the_arena() {
     let model = HscModel::train(sp.clone(), &paths, 1).expect("train");
     assert_eq!(
         model.auxiliary_sizes().node_link_bytes,
-        (model.trie().num_nodes() + 1) * 4
+        (model.trie().num_nodes() + 1) * 4 + model.trie().num_nodes() * 8
     );
     for p in &paths {
         let cs = model.compress(p).unwrap();

@@ -64,9 +64,9 @@
 
 use crate::error::{PressError, Result};
 use crate::press::CompressedTrajectory;
-use crate::query::QueryEngine;
+use crate::query::{time_window, QueryEngine, UnitBuffers};
 use crate::record::{self, RECORD_FORMAT};
-use crate::spatial::hsc::LinkArena;
+use crate::spatial::hsc::{LinkArena, NodeTables};
 use crate::spatial::{HscModel, Huffman, Trie};
 use press_network::{EdgeId, Mbr, Point, SpProvider};
 use press_store::{
@@ -245,7 +245,7 @@ impl HscModel {
         let edges: Vec<EdgeId> = le_words(edges).map(EdgeId).collect();
         let node_link = LinkArena::from_raw(num_nodes, off, edges)
             .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?;
-        HscModel::check_links(sp.network(), &trie, &node_dist, &node_link)
+        let link_len = HscModel::check_links(sp.network(), &trie, &node_dist, &node_link)
             .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?;
         let raw = file.section("node_stop")?;
         if raw.len() % 4 != 0 {
@@ -255,7 +255,12 @@ impl HscModel {
             )));
         }
         let node_stop = le_words(raw).map(EdgeId).collect();
-        HscModel::from_parts(sp, trie, huffman, node_dist, node_mbr, node_link, node_stop)
+        let tables = NodeTables {
+            dist: node_dist,
+            mbr: node_mbr,
+            link_len,
+        };
+        HscModel::from_parts(sp, trie, huffman, tables, node_link, node_stop)
             .map_err(|e| StoreError::Corrupt(format!("node_link/node_stop: {e}")))
     }
 
@@ -759,7 +764,8 @@ impl TrajectoryStore {
     /// conservative union, the candidate set (and thus the answer)
     /// equals [`TrajectoryStore::range_linear`], which equals the
     /// brute-force scan over every trajectory; `io_stats` accounting is
-    /// identical too.
+    /// identical too. A NaN bound in `[t1, t2]` is
+    /// [`PressError::OutOfDomain`], on both paths.
     pub fn range(
         &self,
         engine: &QueryEngine<'_>,
@@ -767,7 +773,7 @@ impl TrajectoryStore {
         t2: f64,
         region: &Mbr,
     ) -> Result<Vec<usize>> {
-        let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
+        let (lo, hi) = time_window(t1, t2)?;
         let probe = IndexEntry::new(
             region.min_x,
             region.min_y,
@@ -782,8 +788,9 @@ impl TrajectoryStore {
             Ordering::Relaxed,
         );
         let mut hits = Vec::new();
+        let mut scratch = RangeScratch::default();
         for b in candidates {
-            self.range_in_block(engine, b, lo, hi, region, &mut hits)?;
+            self.range_in_block(engine, b, (lo, hi), region, &mut scratch, &mut hits)?;
         }
         Ok(hits)
     }
@@ -801,14 +808,15 @@ impl TrajectoryStore {
         t2: f64,
         region: &Mbr,
     ) -> Result<Vec<usize>> {
-        let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
+        let (lo, hi) = time_window(t1, t2)?;
         let mut hits = Vec::new();
+        let mut scratch = RangeScratch::default();
         for (b, syn) in self.blocks.iter().enumerate() {
             if syn.t1 < lo || syn.t0 > hi || !syn.mbr.intersects(region) {
                 self.blocks_skipped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            self.range_in_block(engine, b, lo, hi, region, &mut hits)?;
+            self.range_in_block(engine, b, (lo, hi), region, &mut scratch, &mut hits)?;
         }
         Ok(hits)
     }
@@ -816,22 +824,24 @@ impl TrajectoryStore {
     /// Appends block `b`'s qualifying trajectory indices — the shared
     /// per-block half of both range paths, so indexed and linear answers
     /// can only differ in which blocks they *consider*. A record whose
-    /// time span misses the window is skipped from its `t` column alone.
+    /// time span misses the window is skipped from its `t` column alone;
+    /// the others decode into the call's one scratch record.
     fn range_in_block(
         &self,
         engine: &QueryEngine<'_>,
         b: usize,
-        lo: f64,
-        hi: f64,
+        (lo, hi): (f64, f64),
         region: &Mbr,
+        scratch: &mut RangeScratch,
         hits: &mut Vec<usize>,
     ) -> Result<()> {
         let start = self.blocks[b].start;
+        let RangeScratch { record: ct, units } = scratch;
         for (i, rec) in self.block(b)?.records().enumerate() {
-            if let Some(ct) = record::decode_if_overlaps(rec, lo, hi)? {
-                if engine.range(&ct, lo, hi, region)? {
-                    hits.push(start + i);
-                }
+            if record::decode_into(rec, Some((lo, hi)), ct)?
+                && engine.range_with(ct, lo, hi, region, units)?
+            {
+                hits.push(start + i);
             }
         }
         self.blocks_decoded.fetch_add(1, Ordering::Relaxed);
@@ -853,6 +863,14 @@ impl TrajectoryStore {
         }
         Ok(Some(self.file.section(name)?))
     }
+}
+
+/// What one range call reuses record after record: the decoded record
+/// and the engine's unit buffers.
+#[derive(Default)]
+struct RangeScratch {
+    record: CompressedTrajectory,
+    units: UnitBuffers,
 }
 
 impl std::fmt::Debug for TrajectoryStore {
@@ -1504,6 +1522,54 @@ mod tests {
         let mem = engine.whenat(&compressed[2], probe, 0.5).unwrap();
         let disk = store.whenat(&engine, 2, probe, 0.5).unwrap();
         assert_eq!(mem.to_bits(), disk.to_bits());
+    }
+
+    /// A window with a NaN bound — first, second or both — has no answer:
+    /// the indexed and the linear range path and the engine all refuse it
+    /// as `OutOfDomain`, where unchecked the index prunes every block and
+    /// the linear walk keeps some, and a query batch answers it with a
+    /// miss.
+    #[test]
+    fn range_window_with_a_nan_bound_is_out_of_domain() {
+        use crate::batch::{QueryBatch, StoreAnswer, StoreQuery};
+        let (press, _, compressed) = fixture();
+        let engine = QueryEngine::new(press.model());
+        let store = TrajectoryStore::from_store_bytes(
+            TrajectoryStore::to_store_bytes(&engine, &compressed[..16], 4).unwrap(),
+        )
+        .unwrap();
+        let everything = Mbr::new(-1e9, -1e9, 1e9, 1e9);
+        let all: Vec<usize> = (0..16).collect();
+        assert_eq!(store.range(&engine, 0.0, 1e9, &everything).unwrap(), all);
+        assert_eq!(
+            store.range_linear(&engine, 1e9, 0.0, &everything).unwrap(),
+            all
+        );
+        let nan = f64::NAN;
+        for (t1, t2) in [(nan, 100.0), (100.0, nan), (nan, nan)] {
+            let refused = |r: Result<Vec<usize>>| matches!(r, Err(PressError::OutOfDomain(_)));
+            assert!(
+                refused(store.range(&engine, t1, t2, &everything)),
+                "({t1}, {t2})"
+            );
+            assert!(
+                refused(store.range_linear(&engine, t1, t2, &everything)),
+                "({t1}, {t2})"
+            );
+            for ct in &compressed[..16] {
+                assert!(matches!(
+                    engine.range(ct, t1, t2, &everything),
+                    Err(PressError::OutOfDomain(_))
+                ));
+            }
+            let batch = QueryBatch::from_queries(vec![StoreQuery::Range {
+                t1,
+                t2,
+                region: everything,
+            }]);
+            let answers = batch.run(&store, &engine, 1).unwrap();
+            assert!(matches!(answers[..], [StoreAnswer::Miss(_)]), "{answers:?}");
+        }
     }
 
     #[test]

@@ -293,9 +293,19 @@ impl Mbr {
     }
 
     /// True when the segment `(a, b)` intersects the rectangle (touching
-    /// the border counts).
+    /// the border counts). A segment whose bounding box misses the
+    /// rectangle is rejected by four comparisons, before the four
+    /// orientation tests against the rectangle's sides — the common case
+    /// of a range query's edge scan.
     pub fn intersects_segment(&self, a: &Point, b: &Point) -> bool {
         if self.is_empty() {
+            return false;
+        }
+        if a.x.max(b.x) < self.min_x
+            || a.x.min(b.x) > self.max_x
+            || a.y.max(b.y) < self.min_y
+            || a.y.min(b.y) > self.max_y
+        {
             return false;
         }
         if self.contains(a) || self.contains(b) {
@@ -487,6 +497,46 @@ mod tests {
         assert_eq!(z, 0.0);
     }
 
+    /// `intersects_segment` without its bounding-box reject: an endpoint
+    /// inside, or a crossing of one of the four sides.
+    pub(super) fn side_tests(r: &Mbr, a: &Point, b: &Point) -> bool {
+        let c = [
+            Point::new(r.min_x, r.min_y),
+            Point::new(r.max_x, r.min_y),
+            Point::new(r.max_x, r.max_y),
+            Point::new(r.min_x, r.max_y),
+        ];
+        r.contains(a)
+            || r.contains(b)
+            || (0..4).any(|i| segments_intersect(a, b, &c[i], &c[(i + 1) % 4]))
+    }
+
+    /// The bounding-box reject drops only what the side tests refuse:
+    /// every segment between two points of a half-step lattice around a
+    /// square, a segment-thin and a point-thin rectangle — touching,
+    /// collinear and corner cases included.
+    #[test]
+    fn mbr_segment_box_reject_agrees_with_the_side_tests_on_a_lattice() {
+        let lattice: Vec<Point> = (-2..=6)
+            .flat_map(|x| (-2..=6).map(move |y| Point::new(x as f64 / 2.0, y as f64 / 2.0)))
+            .collect();
+        for r in [
+            Mbr::new(0.0, 0.0, 2.0, 2.0),
+            Mbr::new(1.0, 0.0, 1.0, 2.0),
+            Mbr::new(1.0, 1.0, 1.0, 1.0),
+        ] {
+            for a in &lattice {
+                for b in &lattice {
+                    assert_eq!(
+                        r.intersects_segment(a, b),
+                        side_tests(&r, a, b),
+                        "{r:?} {a:?} {b:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn mbr_segment_intersection() {
         let r = Mbr::new(0.0, 0.0, 2.0, 2.0);
@@ -545,6 +595,19 @@ mod prop_tests {
             prop_assert!(points.iter().any(|p| (p.x - mbr.max_x).abs() < eps));
             prop_assert!(points.iter().any(|p| (p.y - mbr.min_y).abs() < eps));
             prop_assert!(points.iter().any(|p| (p.y - mbr.max_y).abs() < eps));
+        }
+
+        /// The bounding-box reject in `intersects_segment` only drops
+        /// segments the endpoint and side tests also refuse, on
+        /// arbitrary coordinates (the lattice sweep beside the unit
+        /// tests covers the touching and collinear cases).
+        #[test]
+        fn mbr_segment_box_reject_agrees_with_the_side_tests(
+            v in proptest::collection::vec(-6f64..6.0, 8..9),
+        ) {
+            let r = Mbr::new(v[0].min(v[1]), v[2].min(v[3]), v[0].max(v[1]), v[2].max(v[3]));
+            let (a, b) = (Point::new(v[4], v[5]), Point::new(v[6], v[7]));
+            prop_assert_eq!(r.intersects_segment(&a, &b), super::tests::side_tests(&r, &a, &b));
         }
 
         #[test]
