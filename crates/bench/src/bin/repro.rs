@@ -3,8 +3,8 @@
 //!
 //! Usage:
 //! ```text
-//! repro [EXPERIMENT…] [--full] [--seed N] [--hl]
-//!       [--threads N] [--save-dir DIR] [--load-dir DIR] [--map]
+//! repro [EXPERIMENT…] [--full] [--seed N] [--threads N]
+//!       [--hl [--save-dir DIR | --load-dir DIR [--map]]]
 //!
 //! EXPERIMENT: all (default) | fig10a | fig10b | fig11 | fig12a | fig12b |
 //!             fig13 | fig14 | fig15 | fig16 | fig17 | aux | ablations
@@ -15,16 +15,20 @@
 //! --threads N     SP preprocessing workers (default 0 = one per core);
 //!                 never changes any result — builds are bit-identical
 //!                 for every thread count — only how fast preprocessing runs
-//! --save-dir DIR  after building, persist network / SP structure / trained
-//!                 model under DIR (press-store artifacts)
-//! --load-dir DIR  warm-start from artifacts saved by a --save-dir run with
-//!                 the same seed and backend, skipping SP preprocessing and
-//!                 training; outputs are bit-identical to a fresh build
-//! --map           with --load-dir: open the SP structure through the
-//!                 zero-copy mapped tier (HL; the dense table falls
-//!                 back to the owned load) — same bit-identical outputs, O(page
+//! --save-dir DIR  with --hl: after building, persist network / hub labels /
+//!                 trained model under DIR (press-store artifacts)
+//! --load-dir DIR  with --hl: warm-start from artifacts saved by a
+//!                 --save-dir run with the same seed, skipping SP
+//!                 preprocessing and training; outputs are bit-identical to
+//!                 a fresh build
+//! --map           with --load-dir: open the hub labels through the
+//!                 zero-copy mapped tier — same bit-identical outputs, O(page
 //!                 faults) open cost instead of a full decode
 //! ```
+//!
+//! The dense table (the default backend) is an in-memory oracle with no
+//! artifact, so `--save-dir` / `--load-dir` without `--hl` is a usage
+//! error.
 
 use press_bench::{experiments, Env, Scale, StoreMode};
 use press_network::SpBackend;
@@ -82,6 +86,9 @@ fn main() {
     }
     if map && load_dir.is_none() {
         usage("--map opens saved artifacts; pass --load-dir with it");
+    }
+    if (save_dir.is_some() || load_dir.is_some()) && backend != SpBackend::Hl {
+        usage("--save-dir and --load-dir persist the hub labels; pass --hl with them");
     }
     let store = match (&save_dir, &load_dir) {
         (Some(d), _) => StoreMode::Save(std::path::Path::new(d)),
@@ -178,7 +185,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [all|fig10a|fig10b|fig11|fig12a|fig12b|fig13|fig14|fig15|fig16|fig17|aux|ablations]… \
-         [--full] [--seed N] [--hl] [--threads N] [--save-dir DIR] [--load-dir DIR] [--map]"
+         [--full] [--seed N] [--threads N] [--hl [--save-dir DIR | --load-dir DIR [--map]]]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -4,13 +4,15 @@
 //! (§6: "we take the trajectories corresponding to one day as a training
 //! dataset").
 //!
-//! Environments can also **warm-start** from the on-disk artifact tier
-//! ([`StoreMode`]): `Save` persists the network, the SP backend's
-//! structure, and the trained HSC model after building; `Load` restores
+//! Environments on the hub labels can also **warm-start** from the
+//! on-disk artifact tier ([`StoreMode`]): `Save` persists the network,
+//! the labels and the trained HSC model after building; `Load` restores
 //! them in a fresh process and skips the SP preprocessing and training
 //! entirely. Loaded artifacts are bit-identical to built ones, so every
 //! experiment produces the same numbers either way (the workload itself
-//! is regenerated — it is seeded and cheap).
+//! is regenerated — it is seeded and cheap). The dense table is the
+//! in-memory oracle and has no artifact: a dense environment is always
+//! built, and asking it to save, load or map panics.
 
 use press_core::{HscModel, Press, PressConfig, Trajectory};
 use press_network::{HubLabels, RoadNetwork, SpBackend, SpProvider, SpTable};
@@ -38,32 +40,28 @@ impl Scale {
     }
 }
 
-/// How an [`Env`] interacts with the on-disk artifact store.
+/// How an [`Env`] interacts with the on-disk artifact store. Every mode
+/// but `None` needs [`SpBackend::Hl`]: the hub labels are the one SP
+/// structure with an artifact.
 #[derive(Clone, Copy, Debug, Default)]
 pub enum StoreMode<'a> {
     /// Build everything in memory (the default).
     #[default]
     None,
-    /// Build, then persist network / SP structure / trained model under
+    /// Build, then persist network / hub labels / trained model under
     /// the directory (one subdirectory per environment flavor).
     Save(&'a Path),
     /// Warm-start: load the artifacts saved by a previous `Save` run.
     Load(&'a Path),
-    /// Warm-start through the zero-copy mapped tier: hub labels open as
-    /// read-only mappings whose flat sections are borrowed in
-    /// place (open cost is page faults, not decode), answering
-    /// bit-identically to `Load`. The dense table has no flat artifact
-    /// and falls back to the owned load.
+    /// Warm-start through the zero-copy mapped tier: the hub labels open
+    /// as read-only mappings whose flat sections are borrowed in place
+    /// (open cost is page faults, not decode), answering bit-identically
+    /// to `Load`.
     Map(&'a Path),
 }
 
-/// Artifact file names inside an environment's store subdirectory.
-fn sp_file_name(backend: SpBackend) -> &'static str {
-    match backend {
-        SpBackend::Dense => "sp_dense.press",
-        SpBackend::Hl => "sp_hl.press",
-    }
-}
+/// The hub labels' artifact inside an environment's store subdirectory.
+const SP_FILE: &str = "sp_hl.press";
 
 /// A ready-to-measure environment.
 pub struct Env {
@@ -75,59 +73,6 @@ pub struct Env {
     pub backend: SpBackend,
     /// Fraction of records used for FST training.
     pub train_fraction: f64,
-}
-
-/// An SP provider kept concretely typed so it can be persisted (the
-/// trait object cannot be downcast).
-enum ConcreteSp {
-    Dense(Arc<SpTable>),
-    Hl(Arc<HubLabels>),
-}
-
-impl ConcreteSp {
-    /// Builds the backend with `threads` preprocessing workers (0 = one
-    /// per core; bit-identical output for any value).
-    fn build(backend: SpBackend, net: Arc<RoadNetwork>, threads: usize) -> ConcreteSp {
-        match backend {
-            SpBackend::Dense => ConcreteSp::Dense(Arc::new(SpTable::build(net))),
-            SpBackend::Hl => ConcreteSp::Hl(Arc::new(HubLabels::build_with_threads(net, threads))),
-        }
-    }
-
-    fn load(backend: SpBackend, net: Arc<RoadNetwork>, path: &Path) -> press_store::Result<Self> {
-        Ok(match backend {
-            SpBackend::Dense => ConcreteSp::Dense(Arc::new(SpTable::load_from(net, path)?)),
-            SpBackend::Hl => ConcreteSp::Hl(Arc::new(HubLabels::load_from(net, path)?)),
-        })
-    }
-
-    /// [`ConcreteSp::load`] through the zero-copy mapped tier where one
-    /// exists (HL); the dense table has no flat artifact and falls back
-    /// to the owned load.
-    fn open_mapped(
-        backend: SpBackend,
-        net: Arc<RoadNetwork>,
-        path: &Path,
-    ) -> press_store::Result<Self> {
-        Ok(match backend {
-            SpBackend::Hl => ConcreteSp::Hl(Arc::new(HubLabels::open_mapped(net, path)?)),
-            SpBackend::Dense => return Self::load(SpBackend::Dense, net, path),
-        })
-    }
-
-    fn save(&self, path: &Path) -> press_store::Result<()> {
-        match self {
-            ConcreteSp::Dense(t) => t.save_to(path),
-            ConcreteSp::Hl(hl) => hl.save_to(path),
-        }
-    }
-
-    fn erased(&self) -> Arc<dyn SpProvider> {
-        match self {
-            ConcreteSp::Dense(t) => t.clone(),
-            ConcreteSp::Hl(hl) => hl.clone(),
-        }
-    }
 }
 
 impl Env {
@@ -213,11 +158,7 @@ impl Env {
     /// under. A `Load` whose requested configuration fingerprints
     /// differently would silently produce results from mismatched
     /// artifacts, so it is rejected instead.
-    fn provenance_bytes(
-        grid: &press_network::GridConfig,
-        wl: &WorkloadConfig,
-        backend: SpBackend,
-    ) -> Vec<u8> {
+    fn provenance_bytes(grid: &press_network::GridConfig, wl: &WorkloadConfig) -> Vec<u8> {
         let mut w = press_store::ByteWriter::with_capacity(96);
         w.put_u64(grid.nx as u64);
         w.put_u64(grid.ny as u64);
@@ -229,21 +170,18 @@ impl Env {
         w.put_u64(wl.seed);
         w.put_u64(wl.min_trip_edges as u64);
         w.put_f64(wl.sampling_interval);
-        // Tags 1 and 2 are retired (2 was the deleted contraction-
-        // hierarchy backend) and never reissued, and the second word, a
-        // retired backend parameter, is always 0: the bytes stay what
-        // they were, so directories saved earlier still load.
-        let tag = match backend {
-            SpBackend::Dense => 0u64,
-            SpBackend::Hl => 3,
-        };
-        w.put_u64(tag);
+        // The backend tag is 3, the hub labels. Tags 0–2 are retired (0
+        // was the dense table, 2 the deleted contraction-hierarchy
+        // backend) and never reissued, and the second word, a retired
+        // backend parameter, is always 0: the bytes stay what they were,
+        // so directories saved earlier still load.
+        w.put_u64(3);
         w.put_u64(0);
         w.into_bytes()
     }
 
     /// Shared construction: network → SP provider → workload → trained
-    /// PRESS, with the network / SP structure / model either built (and
+    /// PRESS, with the network / hub labels / model either built (and
     /// optionally saved) or warm-started from a store directory.
     fn build_env(
         grid: press_network::GridConfig,
@@ -256,8 +194,13 @@ impl Env {
         let fail = |what: &str, e: press_store::StoreError| -> ! {
             panic!("artifact store: cannot {what} for the {flavor} environment: {e}")
         };
-        let provenance = Self::provenance_bytes(&grid, &wl, backend);
-        let (net, concrete, loaded_model) = match store {
+        assert!(
+            matches!(store, StoreMode::None) || backend == SpBackend::Hl,
+            "artifact store: the dense SP table is built in memory only and has no \
+             artifact; save, load or map the {flavor} environment on the hub labels (--hl)"
+        );
+        let provenance = Self::provenance_bytes(&grid, &wl);
+        let (net, hl, loaded_model) = match store {
             StoreMode::Load(base) | StoreMode::Map(base) => {
                 let mapped = matches!(store, StoreMode::Map(_));
                 let dir = base.join(flavor);
@@ -278,25 +221,30 @@ impl Env {
                     RoadNetwork::load_from(&dir.join("network.press"))
                         .unwrap_or_else(|e| fail("load the network", e)),
                 );
-                let sp_path = dir.join(sp_file_name(backend));
-                let concrete = if mapped {
-                    ConcreteSp::open_mapped(backend, net.clone(), &sp_path)
-                        .unwrap_or_else(|e| fail("map the SP structure", e))
+                let sp_path = dir.join(SP_FILE);
+                let hl = Arc::new(if mapped {
+                    HubLabels::open_mapped(net.clone(), &sp_path)
+                        .unwrap_or_else(|e| fail("map the hub labels", e))
                 } else {
-                    ConcreteSp::load(backend, net.clone(), &sp_path)
-                        .unwrap_or_else(|e| fail("load the SP structure", e))
-                };
-                let model = HscModel::load_from(concrete.erased(), &dir.join("hsc.press"))
+                    HubLabels::load_from(net.clone(), &sp_path)
+                        .unwrap_or_else(|e| fail("load the hub labels", e))
+                });
+                let model = HscModel::load_from(hl.clone(), &dir.join("hsc.press"))
                     .unwrap_or_else(|e| fail("load the HSC model", e));
-                (net, concrete, Some(model))
+                (net, Some(hl), Some(model))
             }
             _ => {
                 let net = Arc::new(press_network::grid_network(&grid));
-                let concrete = ConcreteSp::build(backend, net.clone(), sp_threads);
-                (net, concrete, None)
+                let hl = (backend == SpBackend::Hl)
+                    .then(|| Arc::new(HubLabels::build_with_threads(net.clone(), sp_threads)));
+                (net, hl, None)
             }
         };
-        let sp = concrete.erased();
+        // `hl` is `None` exactly for the dense backend.
+        let sp: Arc<dyn SpProvider> = match &hl {
+            Some(hl) => hl.clone(),
+            None => Arc::new(SpTable::build(net.clone())),
+        };
         let workload = Workload::generate(net.clone(), sp.clone(), wl);
         let train_fraction = 0.3;
         let press = match loaded_model {
@@ -308,15 +256,14 @@ impl Env {
                 Press::train(sp.clone(), &training_paths, PressConfig::default()).expect("training")
             }
         };
-        if let StoreMode::Save(base) = store {
+        if let (StoreMode::Save(base), Some(hl)) = (store, &hl) {
             let dir = base.join(flavor);
             std::fs::create_dir_all(&dir)
                 .unwrap_or_else(|e| fail("create the store directory", e.into()));
             net.save_to(&dir.join("network.press"))
                 .unwrap_or_else(|e| fail("save the network", e));
-            concrete
-                .save(&dir.join(sp_file_name(backend)))
-                .unwrap_or_else(|e| fail("save the SP structure", e));
+            hl.save_to(&dir.join(SP_FILE))
+                .unwrap_or_else(|e| fail("save the hub labels", e));
             press
                 .model()
                 .save_to(&dir.join("hsc.press"))
@@ -417,44 +364,47 @@ mod tests {
     fn warm_start_rejects_mismatched_provenance() {
         let dir = std::env::temp_dir().join(format!("press-env-prov-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = Env::standard_sp_threads(Scale::Small, 5, SpBackend::Hl, StoreMode::Save(&dir), 0);
+        // Different seed: the artifacts on disk do not describe this run.
+        let _ = Env::standard_sp_threads(Scale::Small, 6, SpBackend::Hl, StoreMode::Load(&dir), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dense SP table is built in memory only")]
+    fn dense_env_has_no_artifact() {
+        let dir = std::env::temp_dir().join(format!("press-env-dense-{}", std::process::id()));
         let _ =
             Env::standard_sp_threads(Scale::Small, 5, SpBackend::Dense, StoreMode::Save(&dir), 0);
-        // Different seed: the artifacts on disk do not describe this run.
-        let _ =
-            Env::standard_sp_threads(Scale::Small, 6, SpBackend::Dense, StoreMode::Load(&dir), 0);
     }
 
     #[test]
     fn saved_then_loaded_env_is_bit_identical() {
         let dir = std::env::temp_dir().join(format!("press-env-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        for backend in [SpBackend::Dense, SpBackend::Hl] {
-            let built =
-                Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Save(&dir), 0);
-            let warm = Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Load(&dir), 0);
-            let mapped =
-                Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Map(&dir), 0);
-            assert_eq!(built.workload.records.len(), warm.workload.records.len());
-            assert_eq!(built.workload.records.len(), mapped.workload.records.len());
-            for ((ta, tb), tc) in built
-                .eval_trajectories()
-                .iter()
-                .zip(&warm.eval_trajectories())
-                .zip(&mapped.eval_trajectories())
-                .take(8)
-            {
-                assert_eq!(ta, tb, "workload must regenerate identically");
-                assert_eq!(ta, tc, "mapped workload must regenerate identically");
-                let ca = built.press.compress(ta).unwrap();
-                let cb = warm.press.compress(tb).unwrap();
-                let cc = mapped.press.compress(tc).unwrap();
-                assert_eq!(ca, cb, "{backend:?} warm-start must compress identically");
-                assert_eq!(ca, cc, "{backend:?} mapped start must compress identically");
-                assert_eq!(
-                    built.press.decompress(&ca).unwrap().path,
-                    warm.press.decompress(&cb).unwrap().path
-                );
-            }
+        let backend = SpBackend::Hl;
+        let built = Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Save(&dir), 0);
+        let warm = Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Load(&dir), 0);
+        let mapped = Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Map(&dir), 0);
+        assert_eq!(built.workload.records.len(), warm.workload.records.len());
+        assert_eq!(built.workload.records.len(), mapped.workload.records.len());
+        for ((ta, tb), tc) in built
+            .eval_trajectories()
+            .iter()
+            .zip(&warm.eval_trajectories())
+            .zip(&mapped.eval_trajectories())
+            .take(8)
+        {
+            assert_eq!(ta, tb, "workload must regenerate identically");
+            assert_eq!(ta, tc, "mapped workload must regenerate identically");
+            let ca = built.press.compress(ta).unwrap();
+            let cb = warm.press.compress(tb).unwrap();
+            let cc = mapped.press.compress(tc).unwrap();
+            assert_eq!(ca, cb, "warm-start must compress identically");
+            assert_eq!(ca, cc, "mapped start must compress identically");
+            assert_eq!(
+                built.press.decompress(&ca).unwrap().path,
+                warm.press.decompress(&cb).unwrap().path
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

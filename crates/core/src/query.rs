@@ -28,8 +28,9 @@
 //!
 //! [`QueryEngine::range`] is the store's per-record kernel: a range scan
 //! keeps one `UnitBuffers` (the reader's run buffer and a unit's
-//! expansion) for every record it evaluates. A window with a NaN bound
-//! is [`PressError::OutOfDomain`] — no timestamp compares to NaN.
+//! expansion) for every record it evaluates. A window with a NaN bound,
+//! like a `whereat` at a NaN time, is [`PressError::OutOfDomain`] — no
+//! timestamp compares to NaN.
 //!
 //! Every query also has a `_raw` twin operating on the uncompressed
 //! representation — the baseline the paper's Figs. 15–17 compare against.
@@ -113,6 +114,15 @@ pub(crate) fn time_window(t1: f64, t2: f64) -> Result<(f64, f64)> {
         )));
     }
     Ok(ordered(t1, t2))
+}
+
+/// [`PressError::OutOfDomain`] for a NaN `whereat` time: [`dis_linear`]
+/// fails every comparison on NaN and would answer the sequence's end.
+fn probe_time(t: f64) -> Result<f64> {
+    if t.is_nan() {
+        return Err(PressError::OutOfDomain("whereat time is NaN".into()));
+    }
+    Ok(t)
 }
 
 /// A unit of [`QueryEngine::min_distance`], kept past the stream reader's
@@ -216,7 +226,7 @@ impl<'a> QueryEngine<'a> {
         if traj.temporal.is_empty() {
             return Err(PressError::OutOfDomain("empty temporal sequence".into()));
         }
-        let d = dis_linear(&traj.temporal.points, t);
+        let d = dis_linear(&traj.temporal.points, probe_time(t)?);
         traj.path.point_at(self.model.sp().network(), d)
     }
 
@@ -229,7 +239,7 @@ impl<'a> QueryEngine<'a> {
         if ct.temporal.is_empty() {
             return Err(PressError::OutOfDomain("empty temporal sequence".into()));
         }
-        let d = dis_linear(&ct.temporal.points, t);
+        let d = dis_linear(&ct.temporal.points, probe_time(t)?);
         self.point_at_distance(&ct.spatial, d)
     }
 
@@ -775,6 +785,15 @@ mod tests {
         let after = engine.whereat(ct, 1e9).unwrap();
         let raw_after = engine.whereat_raw(traj, 1e9).unwrap();
         assert!(after.dist(&raw_after) < 1e-6);
+        // NaN is outside every time range, not clamped to an end.
+        assert!(matches!(
+            engine.whereat(ct, f64::NAN),
+            Err(PressError::OutOfDomain(_))
+        ));
+        assert!(matches!(
+            engine.whereat_raw(traj, f64::NAN),
+            Err(PressError::OutOfDomain(_))
+        ));
     }
 
     #[test]

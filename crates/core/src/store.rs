@@ -1528,7 +1528,8 @@ mod tests {
     /// the indexed and the linear range path and the engine all refuse it
     /// as `OutOfDomain`, where unchecked the index prunes every block and
     /// the linear walk keeps some, and a query batch answers it with a
-    /// miss.
+    /// miss. So is a `whereat` at a NaN time, which unchecked answers the
+    /// trajectory's end position.
     #[test]
     fn range_window_with_a_nan_bound_is_out_of_domain() {
         use crate::batch::{QueryBatch, StoreAnswer, StoreQuery};
@@ -1570,6 +1571,14 @@ mod tests {
             let answers = batch.run(&store, &engine, 1).unwrap();
             assert!(matches!(answers[..], [StoreAnswer::Miss(_)]), "{answers:?}");
         }
+        // A NaN `whereat` time is a miss too, not the trajectory's end.
+        assert!(matches!(
+            store.whereat(&engine, 3, nan),
+            Err(PressError::OutOfDomain(_))
+        ));
+        let batch = QueryBatch::from_queries(vec![StoreQuery::WhereAt { idx: 3, t: nan }]);
+        let answers = batch.run(&store, &engine, 1).unwrap();
+        assert!(matches!(answers[..], [StoreAnswer::Miss(_)]), "{answers:?}");
     }
 
     #[test]

@@ -1280,11 +1280,11 @@ mod tests {
         let mut bytes = built.to_store_bytes();
         bytes.truncate(bytes.len() / 2);
         assert!(HubLabels::from_store_bytes(net.clone(), bytes).is_err());
-        // Wrong artifact kind is typed — among them a `sp_ch.press` left
-        // on disk by an older build (the retired kind id 4), on the owned
-        // and the mapped load alike.
-        let retired = press_store::StoreWriter::new(4).to_bytes();
-        for bytes in [SpTable::build(net.clone()).to_store_bytes(), retired] {
+        // Wrong artifact kind is typed — among them a `sp_dense.press` or
+        // a `sp_ch.press` left on disk by an older build (the retired kind
+        // ids 2 and 4), on the owned and the mapped load alike.
+        for kind in [2, 4] {
+            let bytes = press_store::StoreWriter::new(kind).to_bytes();
             let (owned, mapped) = verdicts(
                 &bytes,
                 |b| HubLabels::from_store_bytes(net.clone(), b),

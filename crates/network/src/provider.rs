@@ -235,20 +235,57 @@ impl SpBackend {
     /// HL contraction rounds and label pass). Results are
     /// bit-identical for any worker count, so this is always safe.
     pub fn build(self, net: Arc<RoadNetwork>) -> Arc<dyn SpProvider> {
-        self.build_with_threads(net, 0)
-    }
-
-    /// [`SpBackend::build`] with an explicit preprocessing worker count
-    /// (`0` = one per available core; see
-    /// [`HubLabels::build_with_threads`](crate::HubLabels::build_with_threads)).
-    /// Purely a throughput knob — the built provider answers every query
-    /// bit-identically for any value.
-    pub fn build_with_threads(self, net: Arc<RoadNetwork>, threads: usize) -> Arc<dyn SpProvider> {
         match self {
             SpBackend::Dense => Arc::new(crate::sp_table::SpTable::build(net)),
-            SpBackend::Hl => Arc::new(crate::hub_labels::HubLabels::build_with_threads(
-                net, threads,
-            )),
+            SpBackend::Hl => Arc::new(crate::hub_labels::HubLabels::build(net)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::geometry::Point;
+    use crate::graph::RoadNetworkBuilder;
+
+    /// A provider whose predecessors all enter their node but form a
+    /// cycle: row 1 sends node 2 back through 3 and node 3 back through
+    /// 2, so no walk from 2 ever reaches the row's source.
+    struct CyclicPreds(Arc<RoadNetwork>);
+
+    impl SpProvider for CyclicPreds {
+        fn network(&self) -> &Arc<RoadNetwork> {
+            &self.0
+        }
+        fn node_dist(&self, _u: NodeId, _v: NodeId) -> f64 {
+            1.0
+        }
+        fn pred_edge(&self, _u: NodeId, v: NodeId) -> Option<EdgeId> {
+            match v.0 {
+                2 => Some(EdgeId(2)), // x → v
+                3 => Some(EdgeId(3)), // v → x
+                _ => None,
+            }
+        }
+        fn approx_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn a_predecessor_cycle_is_no_path() {
+        // s → u → v → t with a spur v ⇄ x: SP(e0, e4) walks back from v
+        // towards u, and the cyclic predecessors never arrive.
+        let mut b = RoadNetworkBuilder::new();
+        for i in 0..5 {
+            b.add_node(Point::new(i as f64, 0.0));
+        }
+        for (from, to) in [(0, 1), (1, 2), (3, 2), (2, 3), (2, 4)] {
+            b.add_edge(NodeId(from), NodeId(to), 1.0).unwrap();
+        }
+        let sp = CyclicPreds(Arc::new(b.build()));
+        assert_eq!(sp.sp_interior(EdgeId(0), EdgeId(4)), None);
+        assert_eq!(sp.sp_path(EdgeId(0), EdgeId(4)), None);
+        assert!(sp.sp_mbr(EdgeId(0), EdgeId(4)).is_none());
     }
 }

@@ -28,6 +28,9 @@
 //! against, and `repro`'s default on its small grids. Beyond that the
 //! quadratic RAM wall dominates — a 100k-node metro network would need
 //! ~120 GB — and the [`HubLabels`](crate::HubLabels) take over.
+//! The table lives only in memory and has no file format: it is rebuilt
+//! from the network wherever it is used, and the one persisted SP
+//! artifact is the hub labels' `sp_hl.press`.
 //! Derived queries (`SPend`, gaps, MBRs) live on the [`SpProvider`] trait
 //! so every backend shares one implementation; sp-path MBRs are computed
 //! on demand.
@@ -63,11 +66,12 @@ impl SpTable {
         let n = net.num_nodes();
         let mut dist = vec![f64::INFINITY; n * n];
         let mut pred = vec![NO_PRED; n * n];
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n.max(1));
-        let chunk = n.div_ceil(threads.max(1)).max(1);
+        if n == 0 {
+            // `chunks_mut(0)` panics; a network without nodes has no rows.
+            return SpTable { net, n, dist, pred };
+        }
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get().min(n));
+        let chunk = n.div_ceil(threads);
         let dist_chunks: Vec<&mut [f64]> = dist.chunks_mut(chunk * n).collect();
         let pred_chunks: Vec<&mut [u32]> = pred.chunks_mut(chunk * n).collect();
         std::thread::scope(|scope| {
@@ -88,111 +92,6 @@ impl SpTable {
             }
         });
         SpTable { net, n, dist, pred }
-    }
-
-    // -----------------------------------------------------------------
-    // Persistence (press-store artifact tier)
-    // -----------------------------------------------------------------
-
-    /// Serializes the table (distances as IEEE bit patterns, predecessors
-    /// as packed `u32`) into a [`press_store`] container. The network is
-    /// **not** embedded — it is persisted separately and supplied again
-    /// on [`SpTable::load_from`], which validates the node count.
-    pub fn to_store_bytes(&self) -> Vec<u8> {
-        let mut meta = press_store::ByteWriter::with_capacity(8);
-        meta.put_u64(self.n as u64);
-        let mut dist = press_store::ByteWriter::with_capacity(self.dist.len() * 8);
-        for &d in &self.dist {
-            dist.put_f64(d);
-        }
-        let mut pred = press_store::ByteWriter::with_capacity(self.pred.len() * 4);
-        for &p in &self.pred {
-            pred.put_u32(p);
-        }
-        let mut w = press_store::StoreWriter::new(press_store::kind::SP_TABLE);
-        w.section("meta", meta.into_bytes());
-        w.section("dist", dist.into_bytes());
-        w.section("pred", pred.into_bytes());
-        w.to_bytes()
-    }
-
-    /// Writes the table artifact to `path` atomically (tmp + fsync + rename).
-    pub fn save_to(&self, path: &std::path::Path) -> press_store::Result<()> {
-        press_store::atomic_write_file(&press_store::RealIo, path, &self.to_store_bytes())?;
-        Ok(())
-    }
-
-    /// Reconstructs a table over `net` from container bytes. The loaded
-    /// table is field-for-field identical to the one [`SpTable::build`]
-    /// produces, so every lookup is bit-identical.
-    pub fn from_store_bytes(net: Arc<RoadNetwork>, bytes: Vec<u8>) -> press_store::Result<SpTable> {
-        use press_store::StoreError;
-        let file = press_store::StoreFile::from_bytes(bytes)?;
-        file.expect_kind(press_store::kind::SP_TABLE)?;
-        let mut meta = file.reader("meta")?;
-        let n = meta.get_len(u32::MAX as usize, "node")?;
-        meta.expect_end("meta")?;
-        if n != net.num_nodes() {
-            return Err(StoreError::Corrupt(format!(
-                "table covers {n} nodes but the network has {}",
-                net.num_nodes()
-            )));
-        }
-        let cells = n
-            .checked_mul(n)
-            .ok_or_else(|| StoreError::Corrupt(format!("{n}x{n} table overflows usize")))?;
-        let dist_bytes = file.section("dist")?;
-        if dist_bytes.len() != cells * 8 {
-            return Err(StoreError::Corrupt(format!(
-                "dist section holds {} bytes, expected {}",
-                dist_bytes.len(),
-                cells * 8
-            )));
-        }
-        let dist: Vec<f64> = dist_bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-            .collect();
-        let pred_bytes = file.section("pred")?;
-        if pred_bytes.len() != cells * 4 {
-            return Err(StoreError::Corrupt(format!(
-                "pred section holds {} bytes, expected {}",
-                pred_bytes.len(),
-                cells * 4
-            )));
-        }
-        let pred: Vec<u32> = pred_bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        // A predecessor must be an edge *into* its cell's column node:
-        // anything else would send the interior walk round in place.
-        for (i, &p) in pred.iter().enumerate() {
-            if p == NO_PRED {
-                continue;
-            }
-            if p as usize >= net.num_edges() {
-                return Err(StoreError::Corrupt(format!(
-                    "pred cell {i} references edge {p} outside the network's {} edges",
-                    net.num_edges()
-                )));
-            }
-            let v = i % n;
-            if net.edge(EdgeId(p)).to.index() != v {
-                return Err(StoreError::Corrupt(format!(
-                    "pred cell {i} names edge {p}, which does not enter node {v}"
-                )));
-            }
-        }
-        Ok(SpTable { net, n, dist, pred })
-    }
-
-    /// Loads a table artifact from `path` (one contiguous read).
-    pub fn load_from(
-        net: Arc<RoadNetwork>,
-        path: &std::path::Path,
-    ) -> press_store::Result<SpTable> {
-        Self::from_store_bytes(net, std::fs::read(path)?)
     }
 }
 
@@ -373,64 +272,9 @@ mod tests {
     }
 
     #[test]
-    fn store_roundtrip_is_bit_identical() {
-        let net = line_with_detour();
-        let built = SpTable::build(net.clone());
-        let loaded = SpTable::from_store_bytes(net.clone(), built.to_store_bytes()).unwrap();
-        assert_eq!(loaded.n, built.n);
-        for (a, b) in built.dist.iter().zip(&loaded.dist) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(built.pred, loaded.pred);
-        // Wrong network size is a typed error, not a panic.
-        let tiny = {
-            let mut b = RoadNetworkBuilder::new();
-            b.add_node(Point::new(0.0, 0.0));
-            Arc::new(b.build())
-        };
-        assert!(matches!(
-            SpTable::from_store_bytes(tiny, built.to_store_bytes()),
-            Err(press_store::StoreError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn store_pred_cells_must_enter_their_node_and_cycles_are_no_path() {
-        // s → u → v → t with a spur v ⇄ x: SP(e0, e4) has interior [e1].
-        let mut b = RoadNetworkBuilder::new();
-        for i in 0..5 {
-            b.add_node(Point::new(i as f64, 0.0));
-        }
-        for (from, to) in [(0, 1), (1, 2), (3, 2), (2, 3), (2, 4)] {
-            b.add_edge(NodeId(from), NodeId(to), 1.0).unwrap();
-        }
-        let net = Arc::new(b.build());
-        let built = SpTable::build(net.clone());
-        assert_eq!(
-            built.sp_interior(EdgeId(0), EdgeId(4)),
-            Some(vec![EdgeId(1)])
-        );
-        // A CRC-valid table with row u's cells `(column, edge)` rewritten.
-        let crafted = |cells: &[(usize, u32)]| {
-            let mut t = built.clone();
-            for &(v, e) in cells {
-                t.pred[t.n + v] = e;
-            }
-            SpTable::from_store_bytes(net.clone(), t.to_store_bytes())
-        };
-        // Cell (u, v) naming e4 = v → t, an edge *leaving* v: refused.
-        let err = crafted(&[(2, 4)]).unwrap_err();
-        assert!(
-            matches!(&err, press_store::StoreError::Corrupt(m) if m.contains("does not enter")),
-            "{err}"
-        );
-        // Cells (u, v) = e2 = x → v and (u, x) = e3 = v → x both enter
-        // their node, so the table loads; their walk is a cycle, not a
-        // path, and every derived question says so.
-        let t = crafted(&[(2, 2), (3, 3)]).unwrap();
-        assert_eq!(t.sp_interior(EdgeId(0), EdgeId(4)), None);
-        assert_eq!(t.sp_path(EdgeId(0), EdgeId(4)), None);
-        assert!(t.sp_mbr(EdgeId(0), EdgeId(4)).is_none());
+    fn empty_network_builds_an_empty_table() {
+        let t = SpTable::build(Arc::new(RoadNetworkBuilder::new().build()));
+        assert_eq!((t.n, t.approx_bytes()), (0, 0));
     }
 
     #[test]

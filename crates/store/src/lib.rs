@@ -124,12 +124,12 @@ pub const MAX_SECTION_NAME: usize = 16;
 pub mod kind {
     /// A [`RoadNetwork`](../../press_network/graph/struct.RoadNetwork.html).
     pub const NETWORK: u32 = 1;
-    /// The dense all-pair `SpTable`.
-    pub const SP_TABLE: u32 = 2;
-    // Ids 3 and 4 are retired and must never be reissued: 3 named a
-    // deleted per-source tree-cache artifact, 4 the deleted
-    // contraction-hierarchy query backend's `sp_ch.press`. Files written
-    // with either must stay a typed kind mismatch, never a misread.
+    // Ids 2, 3 and 4 are retired and must never be reissued: 2 named the
+    // dense all-pair table's `sp_dense.press` (the table is now built in
+    // memory only), 3 a deleted per-source tree-cache artifact, 4 the
+    // deleted contraction-hierarchy query backend's `sp_ch.press`. Files
+    // written with any of them must stay a typed kind mismatch, never a
+    // misread.
     /// A trained HSC model (trie + Huffman + per-node tables).
     pub const HSC_MODEL: u32 = 5;
     /// A block-oriented compressed-trajectory store.

@@ -12,9 +12,6 @@ use press::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A (freshly built, loaded-from-store, label) provider triple.
-type ProviderPair = (Arc<dyn SpProvider>, Arc<dyn SpProvider>, &'static str);
-
 /// A small jittered grid from proptest-drawn parameters.
 fn net_from(nx: usize, ny: usize, jitter: f64, seed: u64) -> Arc<RoadNetwork> {
     Arc::new(grid_network(&GridConfig {
@@ -155,9 +152,9 @@ fn sp_artifact(net: &Arc<RoadNetwork>) -> (Vec<u8>, Vec<&'static str>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Both SP backends: the loaded structure answers node_dist /
-    /// pred_edge / sp_mbr bit-identically to the built one on random
-    /// networks.
+    /// The persisted SP backend (hub labels): the loaded structure
+    /// answers node_dist / pred_edge / sp_mbr bit-identically to the
+    /// built one on random networks.
     #[test]
     fn sp_backends_roundtrip_bit_identically(
         nx in 3usize..6,
@@ -166,37 +163,24 @@ proptest! {
         seed in 0u64..500,
     ) {
         let net = net_from(nx, ny, jitter, seed);
-        let dense = SpTable::build(net.clone());
-        let dense_loaded =
-            SpTable::from_store_bytes(net.clone(), dense.to_store_bytes()).expect("dense load");
-        let hl = HubLabels::build_with_threads(net.clone(), 2);
-        let hl_loaded =
-            HubLabels::from_store_bytes(net.clone(), hl.to_store_bytes()).expect("hl load");
-        let pairs: Vec<ProviderPair> = vec![
-            (Arc::new(dense), Arc::new(dense_loaded), "dense"),
-            (Arc::new(hl), Arc::new(hl_loaded), "hl"),
-        ];
-        for (fresh, warm, name) in &pairs {
-            for u in net.node_ids() {
-                for v in net.node_ids() {
-                    prop_assert_eq!(
-                        fresh.node_dist(u, v).to_bits(),
-                        warm.node_dist(u, v).to_bits(),
-                        "{} node_dist({}, {})", name, u, v
-                    );
-                    prop_assert_eq!(
-                        fresh.pred_edge(u, v),
-                        warm.pred_edge(u, v),
-                        "{} pred_edge({}, {})", name, u, v
-                    );
-                }
+        let fresh = HubLabels::build_with_threads(net.clone(), 2);
+        let warm =
+            HubLabels::from_store_bytes(net.clone(), fresh.to_store_bytes()).expect("hl load");
+        for u in net.node_ids() {
+            for v in net.node_ids() {
+                prop_assert_eq!(
+                    fresh.node_dist(u, v).to_bits(),
+                    warm.node_dist(u, v).to_bits(),
+                    "node_dist({}, {})", u, v
+                );
+                prop_assert_eq!(fresh.pred_edge(u, v), warm.pred_edge(u, v), "pred_edge({}, {})", u, v);
             }
-            let edges: Vec<EdgeId> = net.edge_ids().collect();
-            for &ei in edges.iter().step_by(7) {
-                for &ej in edges.iter().rev().step_by(11) {
-                    prop_assert_eq!(fresh.sp_end(ei, ej), warm.sp_end(ei, ej));
-                    prop_assert_eq!(fresh.sp_mbr(ei, ej), warm.sp_mbr(ei, ej));
-                }
+        }
+        let edges: Vec<EdgeId> = net.edge_ids().collect();
+        for &ei in edges.iter().step_by(7) {
+            for &ej in edges.iter().rev().step_by(11) {
+                prop_assert_eq!(fresh.sp_end(ei, ej), warm.sp_end(ei, ej));
+                prop_assert_eq!(fresh.sp_mbr(ei, ej), warm.sp_mbr(ei, ej));
             }
         }
     }
@@ -375,31 +359,30 @@ proptest! {
 fn corruption_modes_are_typed() {
     use press_store::StoreError;
     let net = net_from(4, 4, 0.12, 7);
-    let table = SpTable::build(net.clone());
-    let good = table.to_store_bytes();
+    let good = net.to_store_bytes();
 
     // Truncated file (every prefix).
     for cut in [0, 7, 23, good.len() / 2, good.len() - 1] {
-        let err = SpTable::from_store_bytes(net.clone(), good[..cut].to_vec());
+        let err = RoadNetwork::from_store_bytes(good[..cut].to_vec());
         assert!(err.is_err(), "cut at {cut} must fail");
     }
     // Bad magic.
     let mut bad = good.clone();
     bad[0] = b'X';
     assert!(matches!(
-        SpTable::from_store_bytes(net.clone(), bad),
+        RoadNetwork::from_store_bytes(bad),
         Err(StoreError::BadMagic)
     ));
     // Wrong version.
     let mut bad = good.clone();
     bad[8] = 77;
     assert!(matches!(
-        SpTable::from_store_bytes(net.clone(), bad),
+        RoadNetwork::from_store_bytes(bad),
         Err(StoreError::UnsupportedVersion { found: 77, .. })
     ));
-    // Wrong artifact kind: feed the network file to the table loader.
+    // Wrong artifact kind: feed a hub-label file to the network loader.
     assert!(matches!(
-        SpTable::from_store_bytes(net.clone(), net.to_store_bytes()),
+        RoadNetwork::from_store_bytes(HubLabels::build(net.clone()).to_store_bytes()),
         Err(StoreError::WrongKind { .. })
     ));
     // Payload bit flip: CRC catches it.
@@ -407,7 +390,7 @@ fn corruption_modes_are_typed() {
     let n = bad.len();
     bad[n - 10] ^= 0x08;
     assert!(matches!(
-        SpTable::from_store_bytes(net.clone(), bad),
+        RoadNetwork::from_store_bytes(bad),
         Err(StoreError::ChecksumMismatch { .. })
     ));
 }
