@@ -70,8 +70,8 @@ use crate::spatial::hsc::{LinkArena, NodeTables};
 use crate::spatial::{HscModel, Huffman, Trie};
 use press_network::{EdgeId, Mbr, Point, SpProvider};
 use press_store::{
-    crc32, kind, ByteWriter, IndexEntry, StoreError, StoreFile, StoreWriter, SynopsisIndex,
-    DEFAULT_BRANCHING,
+    crc32, kind, ByteReader, ByteWriter, IndexEntry, StoreError, StoreFile, StoreWriter,
+    SynopsisIndex, DEFAULT_BRANCHING,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -391,6 +391,88 @@ fn block_index(name: &str) -> Option<usize> {
     digits.parse().ok()
 }
 
+/// Bytes of one block's `synopsis` record.
+const SYNOPSIS_RECORD: usize = 64;
+
+/// Block `b`'s `synopsis` record, decoded from its place in the section:
+/// the MBR, `t0` and `t1` as six `f64`s, then the block's start and
+/// length as `u64`s, which must not exceed `len` and `block_size`.
+fn synopsis_record(
+    raw: &[u8],
+    b: usize,
+    len: usize,
+    block_size: usize,
+) -> press_store::Result<BlockSynopsis> {
+    let at = b * SYNOPSIS_RECORD;
+    let Some(record) = raw.get(at..at + SYNOPSIS_RECORD) else {
+        // Cut short: a field-by-field read names the error.
+        let mut r = ByteReader::new(raw.get(at..).unwrap_or_default());
+        return Ok(BlockSynopsis {
+            mbr: Mbr {
+                min_x: r.get_f64()?,
+                min_y: r.get_f64()?,
+                max_x: r.get_f64()?,
+                max_y: r.get_f64()?,
+            },
+            t0: r.get_f64()?,
+            t1: r.get_f64()?,
+            start: r.get_len(len, "block start")?,
+            len: r.get_len(block_size, "block length")?,
+        });
+    };
+    let f = |i: usize| f64::from_le_bytes(le(record, 8 * i));
+    let mut counts = ByteReader::new(&record[48..]);
+    Ok(BlockSynopsis {
+        mbr: Mbr {
+            min_x: f(0),
+            min_y: f(1),
+            max_x: f(2),
+            max_y: f(3),
+        },
+        t0: f(4),
+        t1: f(5),
+        start: counts.get_len(len, "block start")?,
+        len: counts.get_len(block_size, "block length")?,
+    })
+}
+
+/// Section-table slot of each `blk{b}`, `b < num_blocks`; see
+/// [`scan_block_slots`] for what a table that lacks a block gives.
+///
+/// The writer emits `blk0, blk1, …` back to back after its other
+/// sections. When the table's first block name is `blk0` and the run from
+/// it spells the counter ([`StoreFile::is_numbered_run`]), block `b` sits
+/// `b` slots after it and no name is parsed. Any other table takes the
+/// scan.
+fn block_slots(file: &StoreFile, num_blocks: usize) -> Vec<usize> {
+    let first = file
+        .section_names()
+        .position(|name| block_index(name).is_some());
+    match first {
+        Some(first) if file.is_numbered_run(first, "blk", num_blocks) => {
+            (first..first + num_blocks).collect()
+        }
+        _ => scan_block_slots(file, num_blocks),
+    }
+}
+
+/// Every block's section, resolved in one pass that parses each name in
+/// the table: file order, so the first of (malformed) duplicate names
+/// wins, as in `section_slot`. A block without a section reads
+/// `usize::MAX`, and a table shorter than the block count is cut to its
+/// length (it lacks some block either way).
+fn scan_block_slots(file: &StoreFile, num_blocks: usize) -> Vec<usize> {
+    let mut slots = vec![usize::MAX; num_blocks.min(file.section_count())];
+    for (slot, name) in file.section_names().enumerate() {
+        if let Some(s) = block_index(name).and_then(|b| slots.get_mut(b)) {
+            if *s == usize::MAX {
+                *s = slot;
+            }
+        }
+    }
+    slots
+}
+
 /// A block-oriented on-disk store of compressed trajectories; see the
 /// module docs for the skipping semantics.
 pub struct TrajectoryStore {
@@ -559,32 +641,12 @@ impl TrajectoryStore {
             ))
             .into());
         }
-        let mut r = file.reader("synopsis")?;
+        let synopsis = file.section("synopsis")?;
+        let block_slots = block_slots(&file, num_blocks);
         let mut blocks = Vec::with_capacity(num_blocks);
-        // Every block's section, resolved in one pass over the table (a
-        // lookup per block would be a binary search per block). File
-        // order, so the first of (malformed) duplicate names wins, as in
-        // `section_slot`; a table shorter than the block count is missing
-        // some block, which the loop below reports.
-        let mut block_slots = vec![usize::MAX; num_blocks.min(file.section_count())];
-        for (slot, name) in file.section_names().enumerate() {
-            if let Some(s) = block_index(name).and_then(|b| block_slots.get_mut(b)) {
-                if *s == usize::MAX {
-                    *s = slot;
-                }
-            }
-        }
         for b in 0..num_blocks {
-            let mbr = Mbr {
-                min_x: r.get_f64()?,
-                min_y: r.get_f64()?,
-                max_x: r.get_f64()?,
-                max_y: r.get_f64()?,
-            };
-            let t0 = r.get_f64()?;
-            let t1 = r.get_f64()?;
-            let start = r.get_len(len, "block start")?;
-            let blen = r.get_len(block_size, "block length")?;
+            let block = synopsis_record(synopsis, b, len, block_size)?;
+            let (start, blen) = (block.start, block.len);
             let expected_start = b * block_size;
             let expected_len = block_size.min(len - expected_start);
             if start != expected_start || blen != expected_len {
@@ -597,15 +659,15 @@ impl TrajectoryStore {
             if block_slots.get(b).is_none_or(|&s| s == usize::MAX) {
                 return Err(StoreError::MissingSection(block_name(b)).into());
             }
-            blocks.push(BlockSynopsis {
-                mbr,
-                t0,
-                t1,
-                start,
-                len: blen,
-            });
+            blocks.push(block);
         }
-        r.expect_end("synopsis")?;
+        if let Some(extra) = synopsis.len().checked_sub(num_blocks * SYNOPSIS_RECORD) {
+            if extra > 0 {
+                return Err(
+                    StoreError::Corrupt(format!("{extra} trailing bytes after synopsis")).into(),
+                );
+            }
+        }
         let index = SynopsisIndex::build(
             blocks.iter().map(|b| b.index_entry()).collect(),
             DEFAULT_BRANCHING,
@@ -1317,6 +1379,146 @@ mod tests {
         for name in ["blk", "blk01", "blk+1", "blk-0", "blk1x", "Blk1", "meta"] {
             assert_eq!(block_index(name), None, "{name}");
         }
+    }
+
+    /// Named section payloads, in table order.
+    type Layout = Vec<(String, Vec<u8>)>;
+
+    /// A container of `sections` in the given order; a name may repeat
+    /// (the writer refuses that, so a repeat is written under a stand-in of
+    /// the same length and renamed in the table, whose CRC is redone).
+    fn container(sections: &[(String, Vec<u8>)]) -> Vec<u8> {
+        let mut w = StoreWriter::new(kind::TRAJECTORY_STORE);
+        let mut renames = Vec::new();
+        for (i, (name, payload)) in sections.iter().enumerate() {
+            if sections[..i].iter().any(|(earlier, _)| earlier == name) {
+                let stand_in = format!("{i:0>width$}", width = name.len());
+                renames.push((stand_in.clone(), name));
+                w.section(&stand_in, payload.clone());
+            } else {
+                w.section(name, payload.clone());
+            }
+        }
+        let mut bytes = w.to_bytes();
+        let count = sections.len();
+        for (stand_in, name) in renames {
+            let at = (0..count)
+                .map(|i| 24 + 40 * i)
+                .find(|&at| bytes[at..at + 16].starts_with(stand_in.as_bytes()))
+                .unwrap();
+            bytes[at..at + name.len()].copy_from_slice(name.as_bytes());
+        }
+        let table_crc = crc32(&bytes[24..24 + 40 * count]);
+        bytes[20..24].copy_from_slice(&table_crc.to_le_bytes());
+        bytes
+    }
+
+    /// Block sections out of the writer's order — shuffled, interleaved
+    /// with another section, preceded by an out-of-range block name,
+    /// duplicated, misspelt or missing — resolve as the name scan resolves
+    /// them, so each corpus opens to the blocks and answers the scan
+    /// gives, or to the same typed error, owned and mapped. Block size 3
+    /// spreads the 40 trajectories over `blk0`…`blk13`, across the counter's
+    /// carry into two digits.
+    #[test]
+    fn block_sections_in_any_order_open_as_the_name_scan_reads_them() {
+        let (press, _, compressed) = fixture();
+        let engine = QueryEngine::new(press.model());
+        let good = TrajectoryStore::to_store_bytes(&engine, &compressed, 3).unwrap();
+        let canonical = StoreFile::from_bytes(good.clone()).unwrap();
+        let num_blocks = compressed.len().div_ceil(3);
+        assert_eq!(num_blocks, 14);
+        let section = |name: String| {
+            let payload = canonical.section(&name).unwrap().to_vec();
+            (name, payload)
+        };
+        let writer_order: Layout = ["meta".to_string(), "synopsis".to_string()]
+            .into_iter()
+            .chain((0..num_blocks).map(block_name))
+            .map(section)
+            .collect();
+        let with = |edit: &dyn Fn(&mut Layout)| {
+            let mut layout = writer_order.clone();
+            edit(&mut layout);
+            container(&layout)
+        };
+        let named = |name: &str, payload: &[u8]| (name.to_string(), payload.to_vec());
+        let answers = |store: &TrajectoryStore| {
+            let region = Mbr {
+                min_x: f64::NEG_INFINITY,
+                min_y: f64::NEG_INFINITY,
+                max_x: f64::INFINITY,
+                max_y: f64::INFINITY,
+            };
+            (
+                store.decode_all().unwrap(),
+                store.range(&engine, 0.0, 1e9, &region).unwrap(),
+            )
+        };
+        let want = answers(&TrajectoryStore::from_store_bytes(good.clone()).unwrap());
+        let filler = b"not a block";
+        // (layout, Ok: same answers as the writer's order | Err: the error)
+        let cases: Vec<(&str, Vec<u8>, std::result::Result<(), PressError>)> = vec![
+            ("writer order", with(&|_| {}), Ok(())),
+            ("reversed", with(&|l| l[2..].reverse()), Ok(())),
+            (
+                "a section inside the run",
+                with(&|l| l.insert(2 + 10, named("extra", filler))),
+                Ok(()),
+            ),
+            (
+                "an out-of-range block name first",
+                with(&|l| l.insert(2, named("blk999", filler))),
+                Ok(()),
+            ),
+            (
+                "a repeat after the run",
+                with(&|l| l.push(named("blk4", filler))),
+                Ok(()),
+            ),
+            (
+                "blk6 missing",
+                with(&|l| l.retain(|(n, _)| n != "blk6")),
+                Err(StoreError::MissingSection("blk6".into()).into()),
+            ),
+            (
+                "blk6 misspelt",
+                with(&|l| l[2 + 6].0 = "blk06".into()),
+                Err(StoreError::MissingSection("blk6".into()).into()),
+            ),
+        ];
+        for (what, bytes, expect) in cases {
+            let file = StoreFile::from_bytes(bytes.clone()).unwrap();
+            assert_eq!(
+                block_slots(&file, num_blocks),
+                scan_block_slots(&file, num_blocks),
+                "{what}"
+            );
+            let path = temp_corpus("block-order", &bytes);
+            let opened = [
+                TrajectoryStore::from_store_bytes(bytes),
+                TrajectoryStore::open_mapped(&path),
+            ];
+            std::fs::remove_file(&path).unwrap();
+            for store in opened {
+                match (&expect, store) {
+                    (Ok(()), Ok(store)) => assert_eq!(answers(&store), want, "{what}"),
+                    (Err(e), Err(got)) => assert_eq!(got.to_string(), e.to_string(), "{what}"),
+                    (_, got) => panic!("{what}: {:?}", got.err()),
+                }
+            }
+        }
+        // A repeat ahead of the run wins, as the scan's first match: block
+        // 4 then serves blk5's records.
+        let bytes = with(&|l| l.insert(2, named("blk4", &writer_order[2 + 5].1)));
+        let file = StoreFile::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(block_slots(&file, num_blocks)[4], 2);
+        assert_eq!(
+            block_slots(&file, num_blocks),
+            scan_block_slots(&file, num_blocks)
+        );
+        let store = TrajectoryStore::from_store_bytes(bytes).unwrap();
+        assert_eq!(store.get(4 * 3).unwrap(), compressed[5 * 3]);
     }
 
     /// A point read decodes the same trajectory `decode_all` puts at that

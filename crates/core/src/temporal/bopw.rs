@@ -40,18 +40,29 @@ fn segment_satisfies(a: DtPoint, b: DtPoint, p: DtPoint, bounds: BtcBounds) -> b
 /// Opening-window compression with full re-validation: the output of
 /// [`crate::temporal::btc::btc_compress`] computed the `O(|T|²)` way.
 pub fn bopw_compress(points: &[DtPoint], bounds: BtcBounds) -> Vec<DtPoint> {
+    bopw_compress_counted(points, bounds).0
+}
+
+/// [`bopw_compress`] and the number of window checks it made (one per
+/// skipped tuple re-validated against a candidate segment) — the work its
+/// `O(|T|²)` bound counts, against angular-range BTC's one slope-range
+/// test per tuple.
+pub fn bopw_compress_counted(points: &[DtPoint], bounds: BtcBounds) -> (Vec<DtPoint>, usize) {
     if points.len() <= 2 {
-        return points.to_vec();
+        return (points.to_vec(), 0);
     }
     let n = points.len();
     let mut out = Vec::with_capacity(n / 2 + 2);
     out.push(points[0]);
+    let mut checks = 0;
     let mut anchor_idx = 0usize;
     let mut i = 1usize;
     while i < n {
         // Can the segment anchor -> points[i] replace everything between?
-        let ok = (anchor_idx + 1..i)
-            .all(|j| segment_satisfies(points[anchor_idx], points[i], points[j], bounds));
+        let ok = (anchor_idx + 1..i).all(|j| {
+            checks += 1;
+            segment_satisfies(points[anchor_idx], points[i], points[j], bounds)
+        });
         if ok {
             i += 1;
         } else {
@@ -62,7 +73,7 @@ pub fn bopw_compress(points: &[DtPoint], bounds: BtcBounds) -> Vec<DtPoint> {
         }
     }
     out.push(points[n - 1]);
-    out
+    (out, checks)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ pub mod btc;
 pub mod metrics;
 pub mod online;
 
-pub use bopw::bopw_compress;
+pub use bopw::{bopw_compress, bopw_compress_counted};
 pub use btc::{btc_compress, btc_ratio, BtcBounds};
 pub use metrics::{dis_at, nstd, tim_at, tsnd};
 pub use online::OnlineBtc;

@@ -106,15 +106,78 @@ pub(crate) enum Unpack {
     Shortcut(u32, u32),
 }
 
-/// One arc of the augmented (original ∪ shortcut) graph. The hub labels
-/// carry the arc set so label parent pointers can unpack to original
-/// edges.
+/// One arc of the augmented (original ∪ shortcut) graph, laid out as its
+/// 24-byte `arcs_f` record: tail `u32`, head `u32`, weight as `f64` bits,
+/// then the two unpack ids — `(edge id, NO_ARC)` for an original, the
+/// child arc ids for a shortcut. The contraction builds these, and the
+/// hub labels carry them so label parent pointers can unpack to original
+/// edges; a loaded labeling borrows them straight out of the artifact.
 #[derive(Clone, Copy, Debug)]
+#[repr(C)]
 pub(crate) struct ChArc {
     pub(crate) tail: NodeId,
     pub(crate) head: NodeId,
     pub(crate) weight: f64,
-    pub(crate) unpack: Unpack,
+    first: u32,
+    second: u32,
+}
+
+// SAFETY: `#[repr(C)]` over two `#[repr(transparent)]` `u32` node ids, an
+// `f64` and two `u32`s: 4 + 4 + 8 + 4 + 4 = 24 bytes at 8-byte alignment,
+// so no padding; every bit pattern of each field is valid; and on a
+// little-endian host the in-memory form is the `arcs_f` record that
+// `from_le_chunk` decodes.
+unsafe impl press_store::FlatPod for ChArc {
+    fn from_le_chunk(chunk: &[u8]) -> Self {
+        let word = |at: usize| u32::from_le_bytes(chunk[at..at + 4].try_into().unwrap());
+        ChArc {
+            tail: NodeId(word(0)),
+            head: NodeId(word(4)),
+            weight: f64::from_bits(u64::from_le_bytes(chunk[8..16].try_into().unwrap())),
+            first: word(16),
+            second: word(20),
+        }
+    }
+}
+
+impl ChArc {
+    /// The arc of original edge `e`.
+    pub(crate) fn original(e: EdgeId, tail: NodeId, head: NodeId, weight: f64) -> Self {
+        ChArc {
+            tail,
+            head,
+            weight,
+            first: e.0,
+            second: NO_ARC,
+        }
+    }
+
+    /// A shortcut over arcs `first` then `second`.
+    pub(crate) fn shortcut(
+        first: u32,
+        second: u32,
+        tail: NodeId,
+        head: NodeId,
+        weight: f64,
+    ) -> Self {
+        ChArc {
+            tail,
+            head,
+            weight,
+            first,
+            second,
+        }
+    }
+
+    /// How this arc expands.
+    #[inline]
+    pub(crate) fn unpack(&self) -> Unpack {
+        if self.second == NO_ARC {
+            Unpack::Original(EdgeId(self.first))
+        } else {
+            Unpack::Shortcut(self.first, self.second)
+        }
+    }
 }
 
 /// Expands an arc (recursively, via an explicit stack) to the original
@@ -122,7 +185,7 @@ pub(crate) struct ChArc {
 pub(crate) fn expand_arc(arcs: &[ChArc], arc: u32, out: &mut Vec<EdgeId>) {
     let mut stack = vec![arc];
     while let Some(a) = stack.pop() {
-        match arcs[a as usize].unpack {
+        match arcs[a as usize].unpack() {
             Unpack::Original(e) => out.push(e),
             Unpack::Shortcut(first, second) => {
                 stack.push(second);
@@ -132,72 +195,45 @@ pub(crate) fn expand_arc(arcs: &[ChArc], arc: u32, out: &mut Vec<EdgeId>) {
     }
 }
 
-/// Encodes an arc set as the flat `arcs_f` section: 24 fixed-width bytes
-/// per arc — tail `u32`, head `u32`, weight as `f64` bits, then the two
-/// unpack ids (`(edge id, NO_ARC)` for an original, the child arc ids
-/// for a shortcut). Endpoints and weights are derivable from the network
-/// and the children; storing them anyway is what lets
-/// [`decode_arcs_flat`] cross-check every arc against the network.
+/// Encodes an arc set as the flat `arcs_f` section: each arc's 24-byte
+/// record (see [`ChArc`]). Endpoints and weights are derivable from the
+/// network and the children; storing them anyway is what lets
+/// [`check_arcs_flat`] cross-check every arc against the network.
 pub(crate) fn encode_arcs_flat(arcs: &[ChArc]) -> Vec<u8> {
     let mut out = Vec::with_capacity(arcs.len() * 24);
     for arc in arcs {
         out.extend_from_slice(&arc.tail.0.to_le_bytes());
         out.extend_from_slice(&arc.head.0.to_le_bytes());
         out.extend_from_slice(&arc.weight.to_bits().to_le_bytes());
-        let (a, b) = match arc.unpack {
-            Unpack::Original(e) => (e.0, NO_ARC),
-            Unpack::Shortcut(first, second) => (first, second),
-        };
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
+        out.extend_from_slice(&arc.first.to_le_bytes());
+        out.extend_from_slice(&arc.second.to_le_bytes());
     }
     out
 }
 
-/// Decodes the flat `arcs_f` section (see [`encode_arcs_flat`]):
+/// Checks a borrowed `arcs_f` arc set (see [`encode_arcs_flat`]):
 /// originals must match the network edge byte-for-byte, shortcuts must
 /// reference strictly earlier arcs, concatenate at the middle node, and
 /// carry the exact float sum of their children. The hub-label reader's
-/// first check.
-pub(crate) fn decode_arcs_flat(
-    net: &RoadNetwork,
-    bytes: &[u8],
-    num_arcs: usize,
-) -> press_store::Result<Vec<ChArc>> {
+/// first check; its caller has checked the section holds `arcs.len()`
+/// whole records.
+pub(crate) fn check_arcs_flat(net: &RoadNetwork, arcs: &[ChArc]) -> press_store::Result<()> {
     use press_store::StoreError;
-    if bytes.len() != num_arcs * 24 {
-        return Err(StoreError::Corrupt(format!(
-            "arcs_f: {} bytes does not match {num_arcs} arcs x 24 B",
-            bytes.len()
-        )));
-    }
     let num_original = net.num_edges();
-    let mut arcs: Vec<ChArc> = Vec::with_capacity(num_arcs);
-    for (id, rec) in bytes.chunks_exact(24).enumerate() {
-        let tail = NodeId(u32::from_le_bytes(rec[0..4].try_into().unwrap()));
-        let head = NodeId(u32::from_le_bytes(rec[4..8].try_into().unwrap()));
-        let weight = f64::from_bits(u64::from_le_bytes(rec[8..16].try_into().unwrap()));
-        let a = u32::from_le_bytes(rec[16..20].try_into().unwrap());
-        let b = u32::from_le_bytes(rec[20..24].try_into().unwrap());
+    for (id, arc) in arcs.iter().enumerate() {
+        let (a, b) = (arc.first, arc.second);
         if id < num_original {
-            let e = EdgeId(id as u32);
-            let edge = net.edge(e);
+            let edge = net.edge(EdgeId(id as u32));
             if a != id as u32
                 || b != NO_ARC
-                || edge.from != tail
-                || edge.to != head
-                || edge.weight.to_bits() != weight.to_bits()
+                || edge.from != arc.tail
+                || edge.to != arc.head
+                || edge.weight.to_bits() != arc.weight.to_bits()
             {
                 return Err(StoreError::Corrupt(format!(
                     "arcs_f: original arc {id} does not match network edge {id}"
                 )));
             }
-            arcs.push(ChArc {
-                tail,
-                head,
-                weight,
-                unpack: Unpack::Original(e),
-            });
         } else {
             if a as usize >= id || b as usize >= id {
                 return Err(StoreError::Corrupt(format!(
@@ -206,24 +242,18 @@ pub(crate) fn decode_arcs_flat(
             }
             let first = arcs[a as usize];
             let second = arcs[b as usize];
-            if first.tail != tail
-                || second.head != head
+            if first.tail != arc.tail
+                || second.head != arc.head
                 || first.head != second.tail
-                || (first.weight + second.weight).to_bits() != weight.to_bits()
+                || (first.weight + second.weight).to_bits() != arc.weight.to_bits()
             {
                 return Err(StoreError::Corrupt(format!(
                     "arcs_f: shortcut arc {id} does not concatenate its children ({a}, {b})"
                 )));
             }
-            arcs.push(ChArc {
-                tail,
-                head,
-                weight,
-                unpack: Unpack::Shortcut(a, b),
-            });
         }
     }
-    Ok(arcs)
+    Ok(())
 }
 
 /// Min-heap entry (reversed `Ord`, ties on node id — deterministic).
@@ -339,12 +369,7 @@ impl Overlay {
                 edge.weight
             );
             let id = arcs.len() as u32;
-            arcs.push(ChArc {
-                tail: edge.from,
-                head: edge.to,
-                weight: edge.weight,
-                unpack: Unpack::Original(e),
-            });
+            arcs.push(ChArc::original(e, edge.from, edge.to, edge.weight));
             if edge.from != edge.to {
                 out[edge.from.index()].push(id);
                 inn[edge.to.index()].push(id);
@@ -575,12 +600,7 @@ impl Overlay {
                 }
             }
             let id = self.arcs.len() as u32;
-            self.arcs.push(ChArc {
-                tail,
-                head,
-                weight,
-                unpack: Unpack::Shortcut(ia, oa),
-            });
+            self.arcs.push(ChArc::shortcut(ia, oa, tail, head, weight));
             self.dead.push(false);
             self.out[tail.index()].push(id);
             self.inn[head.index()].push(id);

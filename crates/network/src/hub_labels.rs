@@ -126,6 +126,27 @@
 //! route is property-tested against (`margin == exact == dense`), per the
 //! "accelerations are provably pure" invariant in `docs/ARCHITECTURE.md`.
 //!
+//! # Loading
+//!
+//! Every load path ([`HubLabels::open_mapped`], [`HubLabels::load_from`],
+//! [`HubLabels::from_store_bytes`]) runs one reader over the artifact's
+//! flat sections, and it **borrows** the arc table as it borrows the label
+//! arrays: `arcs_f` is a run of 24-byte records laid out as the in-memory
+//! arc, so nothing is decoded. The reader checks each arc against the
+//! network and each shortcut against its children. It then scans every
+//! label: hubs strictly ascending and in range, each parent arc in range
+//! and entering its hub, the self entry and only it parentless. The scan
+//! reads a parent arc's entering node from a per-direction `u32` table
+//! built once from the arcs, and walks a node's hubs and parents in one
+//! loop that only flags a broken rule. A flagged node is re-checked entry
+//! by entry, so the error names the rule a sequential pass names. The
+//! nine section CRCs, the arc check and node-range chunks of both label
+//! sets' scans run as one task list on every core. The verdict follows
+//! the sequential order: the arcs, then the forward set before the
+//! backward; within a set its section CRCs, its shape, then its lowest
+//! failing node. An owned load then verifies every stored distance
+//! against its parent chain (`docs/FORMATS.md`, "Integrity trade").
+//!
 //! Precondition: strictly positive edge weights (asserted by the
 //! contraction the labels are built from).
 
@@ -382,8 +403,9 @@ pub struct HubLabels {
     net: Arc<RoadNetwork>,
     /// The augmented arc set of the contraction the labels were built
     /// from (originals first, then shortcuts) — label parent pointers index
-    /// into it, and unpack through it to original edges.
-    arcs: Vec<ChArc>,
+    /// into it, and unpack through it to original edges. Owned after a
+    /// build, a borrow of the artifact's `arcs_f` records after a load.
+    arcs: FlatSlice<ChArc>,
     fwd: LabelSet,
     bwd: LabelSet,
 }
@@ -468,7 +490,7 @@ impl HubLabels {
         HubLabels {
             id: next_instance_id(),
             net,
-            arcs: ch.arcs,
+            arcs: ch.arcs.into(),
             fwd: assemble(|p| &p.0),
             bwd: assemble(|p| &p.1),
         }
@@ -777,25 +799,23 @@ impl HubLabels {
         Self::from_file(net, press_store::StoreFile::open(path)?, workers())
     }
 
-    /// Opens a label artifact as a read-only mapping whose label arrays
-    /// the labeling borrows in place (the mapping stays alive through
-    /// them). Before returning, every section is CRC-checked on first
-    /// touch, the arc set is decoded and cross-checked against the
-    /// network, and the label arrays are scanned: CSR shape, strictly
-    /// ascending in-bounds hubs, parent arcs in range and entering their
-    /// hub, the parentless self entry. Corrupt input is a typed
-    /// [`press_store::StoreError`]. What the open *trusts* under the
-    /// section CRCs — each distance, and that each parent chain stays in
-    /// its label and ends — is what [`Self::from_store_bytes`]
-    /// additionally verifies; `docs/FORMATS.md` states the trade.
+    /// Opens a label artifact as a read-only mapping whose arc table and
+    /// label arrays the labeling borrows in place (the mapping stays alive
+    /// through them). Before returning, every section is CRC-checked, the
+    /// arc set is cross-checked against the network, and the label arrays
+    /// are scanned: CSR shape, strictly ascending in-bounds hubs, parent
+    /// arcs in range and entering their hub, the parentless self entry.
+    /// Corrupt input is a typed [`press_store::StoreError`]. What the open
+    /// *trusts* under the section CRCs — each distance, and that each
+    /// parent chain stays in its label and ends — is what
+    /// [`Self::from_store_bytes`] additionally verifies; `docs/FORMATS.md`
+    /// states the trade.
     ///
-    /// The arcs come first; then the forward and the backward label set —
-    /// each its four section CRCs and its checks, independent of the
-    /// other — run side by side through
+    /// The checks run as one task list through
     /// [`work_steal_map`](crate::parallel::work_steal_map) on up to
-    /// `available_parallelism()` workers (one core: the two in sequence).
-    /// When both sets are corrupt, the forward set's error is the one
-    /// returned, as in a sequential pass.
+    /// `available_parallelism()` workers (module docs, "Loading"). When
+    /// several are broken, the error returned is the one a sequential pass
+    /// meets first.
     pub fn open_mapped(
         net: Arc<RoadNetwork>,
         path: &std::path::Path,
@@ -806,6 +826,18 @@ impl HubLabels {
     /// The one reader behind every load path, on `workers` workers: the
     /// checks of [`Self::open_mapped`], plus [`verify_dists`] when `file`
     /// is owned.
+    ///
+    /// After the metadata, every check runs as one task list on
+    /// [`work_steal_map`](crate::parallel::work_steal_map): the nine
+    /// section CRCs, the arc cross-check, and the structural scans of both
+    /// label sets in node-range chunks. The scans read the sections before
+    /// their CRCs finish ([`press_store::StoreFile::flat_section_unverified`]),
+    /// and the verdict is assembled in the sequential order: the arcs
+    /// (CRC, record count, cross-check), then the forward set before the
+    /// backward — within a set its index, hub, dist and parent section
+    /// (CRC, then element width), its CSR shape, then the lowest failing
+    /// node. An owned load then verifies the distances of each set that
+    /// passed, and a set's distance error ranks right after its structure.
     fn from_file(
         net: Arc<RoadNetwork>,
         file: press_store::StoreFile,
@@ -822,93 +854,114 @@ impl HubLabels {
         let fp = meta.get_u32()?;
         meta.expect_end("meta")?;
         crate::store_codec::check_meta(&net, fp, n, num_arcs, num_shortcuts)?;
-        let arcs = crate::ch::decode_arcs_flat(&net, file.section("arcs_f")?, num_arcs)?;
-        let read_set = |prefix: &str, entries: usize, forward: bool| {
-            let index: FlatSlice<u32> = file.flat_section(&format!("{prefix}_index_f"))?;
-            let hub: FlatSlice<u32> = file.flat_section(&format!("{prefix}_hub_f"))?;
-            let dist: FlatSlice<f64> = file.flat_section(&format!("{prefix}_dist_f"))?;
-            let parent: FlatSlice<u32> = file.flat_section(&format!("{prefix}_parent_f"))?;
-            crate::store_codec::check_flat_index(
-                &index,
-                n + 1,
-                entries as u64,
-                &format!("{prefix}_index_f"),
-            )?;
-            for (name, len) in [
-                ("hub", hub.len()),
-                ("dist", dist.len()),
-                ("parent", parent.len()),
-            ] {
-                if len != entries {
-                    return Err(StoreError::Corrupt(format!(
-                        "{prefix}_{name}_f: {len} entries instead of the declared {entries}"
-                    )));
-                }
-            }
-            for v in 0..n {
-                let lo = index[v] as usize;
-                let hi = index[v + 1] as usize;
-                let mut prev: Option<u32> = None;
-                let mut has_self = hi == lo;
-                for k in lo..hi {
-                    let h = hub[k];
-                    if h as usize >= n || prev.is_some_and(|p| p >= h) {
-                        return Err(StoreError::Corrupt(format!(
-                            "{prefix}_hub_f: hubs of node {v} are not strictly \
-                             ascending node ids"
-                        )));
-                    }
-                    prev = Some(h);
-                    let pa = parent[k];
-                    if pa == NO_ARC {
-                        if h != v as u32 {
-                            return Err(StoreError::Corrupt(format!(
-                                "{prefix}_parent_f: entry for hub {h} of node {v} \
-                                 has no parent arc"
-                            )));
-                        }
-                        has_self = true;
-                    } else {
-                        if pa as usize >= num_arcs {
-                            return Err(StoreError::Corrupt(format!(
-                                "{prefix}_parent_f: parent arc {pa} outside 0..{num_arcs}"
-                            )));
-                        }
-                        let arc = arcs[pa as usize];
-                        let enters = if forward { arc.head } else { arc.tail };
-                        if enters.0 != h {
-                            return Err(StoreError::Corrupt(format!(
-                                "{prefix}_parent_f: parent arc {pa} of node {v}'s \
-                                 hub {h} does not enter it"
-                            )));
-                        }
-                    }
-                }
-                if !has_self {
-                    return Err(StoreError::Corrupt(format!(
-                        "{prefix}_parent_f: label of node {v} lacks a parentless \
-                         self entry"
-                    )));
-                }
-            }
-            let set = LabelSet {
-                index,
-                hub,
-                dist,
-                parent,
-            };
-            if !file.is_mapped() {
-                verify_dists(&set, &arcs, forward, prefix)?;
-            }
-            Ok(set)
+
+        // The views the tasks scan, taken before any CRC: the arcs when
+        // the section holds `num_arcs` whole records, each set when its
+        // four sections lend and its CSR shape holds.
+        let arcs: press_store::Result<FlatSlice<ChArc>> = match file.section_len(ARCS) {
+            Some(len) if len != num_arcs * 24 => Err(StoreError::Corrupt(format!(
+                "arcs_f: {len} bytes does not match {num_arcs} arcs x 24 B"
+            ))),
+            _ => file.flat_section_unverified(ARCS),
         };
-        let sets = [("fwd", fwd_entries, true), ("bwd", bwd_entries, false)];
-        let mut checked =
-            crate::parallel::work_steal_map(&sets, workers, |_, &(p, e, f)| read_set(p, e, f))
-                .into_iter();
-        // In set order, so the forward error wins when both sets are corrupt.
-        let fwd = checked.next().expect("one result per label set")?;
-        let bwd = checked.next().expect("one result per label set")?;
+        let sets = [(0, fwd_entries), (1, bwd_entries)]
+            .map(|(d, entries)| lend_set(&file, d, n, entries, |_| Ok(())));
+        // Each parent arc's entering node, per direction: a label entry's
+        // hub is checked against 4 B here instead of a 24 B arc record.
+        let enters: [Vec<u32>; 2] = match &arcs {
+            Ok(arcs) => [
+                arcs.iter().map(|a| a.head.0).collect(),
+                arcs.iter().map(|a| a.tail.0).collect(),
+            ],
+            Err(_) => [Vec::new(), Vec::new()],
+        };
+
+        let mut tasks: Vec<OpenTask> = std::iter::once(ARCS)
+            .chain(SET_SECTIONS.into_iter().flatten())
+            .map(OpenTask::Crc)
+            .collect();
+        if arcs.is_ok() {
+            tasks.push(OpenTask::Arcs);
+            for (d, set) in sets.iter().enumerate() {
+                if let Ok(set) = set {
+                    tasks.extend(node_chunks(&set.index).map(|r| OpenTask::Scan(d, r)));
+                }
+            }
+        }
+        let verdicts = crate::parallel::work_steal_map(&tasks, workers, |_, task| match task {
+            OpenTask::Crc(name) => file.section(name).map(drop),
+            OpenTask::Arcs => crate::ch::check_arcs_flat(&net, arcs.as_ref().expect("tasked")),
+            OpenTask::Scan(d, nodes) => {
+                let set = sets[*d].as_ref().expect("tasked");
+                scan_nodes(set, &enters[*d], n, nodes.clone(), *d == 0)
+            }
+        });
+        let crc = |name: &str| -> press_store::Result<()> {
+            let at = tasks
+                .iter()
+                .position(|t| matches!(t, OpenTask::Crc(x) if *x == name))
+                .expect("one CRC task per section");
+            verdicts[at].clone()
+        };
+        let first_scan_error = |d: usize| {
+            tasks
+                .iter()
+                .zip(&verdicts)
+                .filter(|(t, _)| matches!(t, OpenTask::Scan(x, _) if *x == d))
+                .find_map(|(_, v)| v.clone().err())
+        };
+
+        crc(ARCS)?;
+        let arcs = arcs?;
+        if let Some((_, Err(e))) = tasks
+            .iter()
+            .zip(&verdicts)
+            .find(|(t, _)| matches!(t, OpenTask::Arcs))
+        {
+            return Err(e.clone());
+        }
+        // Each set's structural verdict, in set order up to the first
+        // failing one (no later verdict can be reported).
+        let mut structure = Vec::with_capacity(2);
+        for (d, set) in sets.into_iter().enumerate() {
+            let verdict = match set {
+                // Only a checksum or the scan can still refuse it.
+                Ok(set) => SET_SECTIONS[d]
+                    .into_iter()
+                    .try_for_each(crc)
+                    .and_then(|()| first_scan_error(d).map_or(Ok(set), Err)),
+                // The sequential order over the real CRC verdicts.
+                Err(_) => {
+                    let entries = [fwd_entries, bwd_entries][d];
+                    lend_set(&file, d, n, entries, |i| crc(SET_SECTIONS[d][i]))
+                }
+            };
+            let failed = verdict.is_err();
+            structure.push(verdict);
+            if failed {
+                break;
+            }
+        }
+        // The owned load's distance checks, on the sets whose structure
+        // passed; a set's distance error ranks right after its structure.
+        // (A mapped open trusts them under the CRCs: no pass, no threads.)
+        let dists = if file.is_mapped() {
+            vec![Ok(()); structure.len()]
+        } else {
+            crate::parallel::work_steal_map(&structure, workers, |d, set| match set {
+                Ok(set) => verify_dists(set, &arcs, d == 0, SET_PREFIXES[d]),
+                Err(_) => Ok(()),
+            })
+        };
+        let mut checked = structure
+            .into_iter()
+            .zip(dists)
+            .map(|(set, dists)| set.and_then(|set| dists.map(|()| set)))
+            .collect::<press_store::Result<Vec<_>>>()?
+            .into_iter();
+        let (Some(fwd), Some(bwd)) = (checked.next(), checked.next()) else {
+            unreachable!("both label sets passed")
+        };
         Ok(HubLabels {
             id: next_instance_id(),
             net,
@@ -917,6 +970,184 @@ impl HubLabels {
             bwd,
         })
     }
+}
+
+/// The arc table's section.
+const ARCS: &str = "arcs_f";
+
+/// The forward (`0`) and backward (`1`) label set's section-name prefix.
+const SET_PREFIXES: [&str; 2] = ["fwd", "bwd"];
+
+/// Each label set's sections, in the order the reader checks them.
+const SET_SECTIONS: [[&str; 4]; 2] = [
+    ["fwd_index_f", "fwd_hub_f", "fwd_dist_f", "fwd_parent_f"],
+    ["bwd_index_f", "bwd_hub_f", "bwd_dist_f", "bwd_parent_f"],
+];
+
+/// Label entries per structural-scan task of [`HubLabels::from_file`]:
+/// fixed, so the task list is a function of the file alone. Tests use a
+/// tiny chunk so that their small labelings span many.
+const SCAN_CHUNK_ENTRIES: usize = if cfg!(test) { 32 } else { 1 << 16 };
+
+/// One task of [`HubLabels::from_file`]'s check list.
+enum OpenTask {
+    /// A section's CRC.
+    Crc(&'static str),
+    /// The arc set's cross-check against the network.
+    Arcs,
+    /// The structural scan of a node range of label set `0` (forward) or
+    /// `1` (backward).
+    Scan(usize, std::ops::Range<usize>),
+}
+
+/// Label set `d`'s four sections as flat views, checked in the reader's
+/// order — per section `crc(i)` (its CRC verdict, `i` indexing
+/// [`SET_SECTIONS`]) then its element width; then the CSR index's shape
+/// and the declared entry count of the other three.
+fn lend_set(
+    file: &press_store::StoreFile,
+    d: usize,
+    n: usize,
+    entries: usize,
+    crc: impl Fn(usize) -> press_store::Result<()>,
+) -> press_store::Result<LabelSet> {
+    use press_store::StoreError;
+    let [index_f, hub_f, dist_f, parent_f] = SET_SECTIONS[d];
+    crc(0)?;
+    let index: FlatSlice<u32> = file.flat_section_unverified(index_f)?;
+    crc(1)?;
+    let hub: FlatSlice<u32> = file.flat_section_unverified(hub_f)?;
+    crc(2)?;
+    let dist: FlatSlice<f64> = file.flat_section_unverified(dist_f)?;
+    crc(3)?;
+    let parent: FlatSlice<u32> = file.flat_section_unverified(parent_f)?;
+    crate::store_codec::check_flat_index(&index, n + 1, entries as u64, index_f)?;
+    let prefix = SET_PREFIXES[d];
+    for (name, len) in [
+        ("hub", hub.len()),
+        ("dist", dist.len()),
+        ("parent", parent.len()),
+    ] {
+        if len != entries {
+            return Err(StoreError::Corrupt(format!(
+                "{prefix}_{name}_f: {len} entries instead of the declared {entries}"
+            )));
+        }
+    }
+    Ok(LabelSet {
+        index,
+        hub,
+        dist,
+        parent,
+    })
+}
+
+/// Consecutive node ranges of a CSR index (monotone, as its shape check
+/// proved) holding about [`SCAN_CHUNK_ENTRIES`] entries each.
+fn node_chunks(index: &[u32]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let n = index.len() - 1;
+    let mut lo = 0;
+    std::iter::from_fn(move || {
+        (lo < n).then(|| {
+            let target = index[lo] as usize + SCAN_CHUNK_ENTRIES;
+            let hi = index[..n]
+                .partition_point(|&x| (x as usize) < target)
+                .max(lo + 1);
+            std::mem::replace(&mut lo, hi)..hi
+        })
+    })
+}
+
+/// The structural scan of `nodes` in one label set: one branch-free pass
+/// per node that only flags a broken rule — hubs strictly ascending and
+/// below `n`, each parent arc entering its hub (`enters[a]` is arc `a`'s
+/// entering node in this direction), [`NO_ARC`] exactly on the self entry,
+/// which a non-empty label must have. A flagged node is re-checked by
+/// [`check_node`], whose error is the one returned; the first in node
+/// order wins.
+fn scan_nodes(
+    set: &LabelSet,
+    enters: &[u32],
+    n: usize,
+    nodes: std::ops::Range<usize>,
+    forward: bool,
+) -> press_store::Result<()> {
+    let (index, hub, parent) = (&set.index[..], &set.hub[..], &set.parent[..]);
+    let n32 = n as u32;
+    for v in nodes {
+        let (lo, hi) = (index[v] as usize, index[v + 1] as usize);
+        let mut bad = false;
+        let mut selfs = 0u32;
+        // The smallest hub the next entry may carry.
+        let mut floor = 0u32;
+        for (&h, &pa) in hub[lo..hi].iter().zip(&parent[lo..hi]) {
+            let want = if pa == NO_ARC {
+                v as u32
+            } else {
+                // `u32::MAX` is no hub (`h < n <= u32::MAX`).
+                enters.get(pa as usize).copied().unwrap_or(u32::MAX)
+            };
+            bad |= (h < floor) | (h >= n32) | (want != h);
+            selfs += u32::from(pa == NO_ARC);
+            floor = h.wrapping_add(1);
+        }
+        if bad || (selfs == 0 && hi > lo) {
+            check_node(set, enters, v, forward)?;
+        }
+    }
+    Ok(())
+}
+
+/// The per-entry structural check of node `v`'s label, which names the
+/// first broken rule in entry order — the reference [`scan_nodes`]
+/// flags against.
+fn check_node(set: &LabelSet, enters: &[u32], v: usize, forward: bool) -> press_store::Result<()> {
+    use press_store::StoreError;
+    let prefix = SET_PREFIXES[usize::from(!forward)];
+    let (n, num_arcs) = (set.index.len() - 1, enters.len());
+    let lo = set.index[v] as usize;
+    let hi = set.index[v + 1] as usize;
+    let mut prev: Option<u32> = None;
+    let mut has_self = hi == lo;
+    for k in lo..hi {
+        let h = set.hub[k];
+        if h as usize >= n || prev.is_some_and(|p| p >= h) {
+            return Err(StoreError::Corrupt(format!(
+                "{prefix}_hub_f: hubs of node {v} are not strictly \
+                 ascending node ids"
+            )));
+        }
+        prev = Some(h);
+        let pa = set.parent[k];
+        if pa == NO_ARC {
+            if h != v as u32 {
+                return Err(StoreError::Corrupt(format!(
+                    "{prefix}_parent_f: entry for hub {h} of node {v} \
+                     has no parent arc"
+                )));
+            }
+            has_self = true;
+        } else {
+            if pa as usize >= num_arcs {
+                return Err(StoreError::Corrupt(format!(
+                    "{prefix}_parent_f: parent arc {pa} outside 0..{num_arcs}"
+                )));
+            }
+            if enters[pa as usize] != h {
+                return Err(StoreError::Corrupt(format!(
+                    "{prefix}_parent_f: parent arc {pa} of node {v}'s \
+                     hub {h} does not enter it"
+                )));
+            }
+        }
+    }
+    if !has_self {
+        return Err(StoreError::Corrupt(format!(
+            "{prefix}_parent_f: label of node {v} lacks a parentless \
+             self entry"
+        )));
+    }
+    Ok(())
 }
 
 /// The worker count every load path validates the two label sets on.
@@ -1509,7 +1740,7 @@ mod tests {
         // `arcs_f` as u32 words, six per arc: tail, head, weight (2), a, b;
         // arc `e` is the first shortcut.
         let e = net.num_edges();
-        let Unpack::Shortcut(c1, c2) = arcs[e].unpack else {
+        let Unpack::Shortcut(c1, c2) = arcs[e].unpack() else {
             panic!("arc {e} is the first shortcut")
         };
         let concat =
@@ -1707,6 +1938,116 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         assert_eq!(one.fwd.hub, two.fwd.hub);
         assert_eq!(one.bwd.parent, two.bwd.parent);
+    }
+
+    /// The sequential reader the task list of [`HubLabels::from_file`]
+    /// replaced, kept as its reference: the arcs, then each label set in
+    /// turn — its four sections (CRC, then width), its CSR shape, the
+    /// per-entry structural check of every node in order (reading each
+    /// parent arc's record), and on an owned file its distances.
+    pub(super) fn reference_verdict(
+        net: &RoadNetwork,
+        file: &press_store::StoreFile,
+    ) -> press_store::Result<()> {
+        file.expect_kind(press_store::kind::HUB_LABELS)?;
+        let mut meta = file.reader("meta")?;
+        let n = meta.get_len(u32::MAX as usize, "node")?;
+        let num_arcs = meta.get_len(u32::MAX as usize, "arc")?;
+        let num_shortcuts = meta.get_len(u32::MAX as usize, "shortcut")?;
+        let fwd_entries = meta.get_len(u32::MAX as usize, "forward label entry")?;
+        let bwd_entries = meta.get_len(u32::MAX as usize, "backward label entry")?;
+        let fp = meta.get_u32()?;
+        meta.expect_end("meta")?;
+        crate::store_codec::check_meta(net, fp, n, num_arcs, num_shortcuts)?;
+        let raw = file.section("arcs_f")?;
+        if raw.len() != num_arcs * 24 {
+            return Err(StoreError::Corrupt(format!(
+                "arcs_f: {} bytes does not match {num_arcs} arcs x 24 B",
+                raw.len()
+            )));
+        }
+        let arcs: FlatSlice<ChArc> = file.flat_section("arcs_f")?;
+        crate::ch::check_arcs_flat(net, &arcs)?;
+        for (prefix, entries, forward) in [("fwd", fwd_entries, true), ("bwd", bwd_entries, false)]
+        {
+            let index: FlatSlice<u32> = file.flat_section(&format!("{prefix}_index_f"))?;
+            let hub: FlatSlice<u32> = file.flat_section(&format!("{prefix}_hub_f"))?;
+            let dist: FlatSlice<f64> = file.flat_section(&format!("{prefix}_dist_f"))?;
+            let parent: FlatSlice<u32> = file.flat_section(&format!("{prefix}_parent_f"))?;
+            crate::store_codec::check_flat_index(
+                &index,
+                n + 1,
+                entries as u64,
+                &format!("{prefix}_index_f"),
+            )?;
+            for (name, len) in [
+                ("hub", hub.len()),
+                ("dist", dist.len()),
+                ("parent", parent.len()),
+            ] {
+                if len != entries {
+                    return Err(StoreError::Corrupt(format!(
+                        "{prefix}_{name}_f: {len} entries instead of the declared {entries}"
+                    )));
+                }
+            }
+            for v in 0..n {
+                let lo = index[v] as usize;
+                let hi = index[v + 1] as usize;
+                let mut prev: Option<u32> = None;
+                let mut has_self = hi == lo;
+                for k in lo..hi {
+                    let h = hub[k];
+                    if h as usize >= n || prev.is_some_and(|p| p >= h) {
+                        return Err(StoreError::Corrupt(format!(
+                            "{prefix}_hub_f: hubs of node {v} are not strictly \
+                             ascending node ids"
+                        )));
+                    }
+                    prev = Some(h);
+                    let pa = parent[k];
+                    if pa == NO_ARC {
+                        if h != v as u32 {
+                            return Err(StoreError::Corrupt(format!(
+                                "{prefix}_parent_f: entry for hub {h} of node {v} \
+                                 has no parent arc"
+                            )));
+                        }
+                        has_self = true;
+                    } else {
+                        if pa as usize >= num_arcs {
+                            return Err(StoreError::Corrupt(format!(
+                                "{prefix}_parent_f: parent arc {pa} outside 0..{num_arcs}"
+                            )));
+                        }
+                        let arc = arcs[pa as usize];
+                        let enters = if forward { arc.head } else { arc.tail };
+                        if enters.0 != h {
+                            return Err(StoreError::Corrupt(format!(
+                                "{prefix}_parent_f: parent arc {pa} of node {v}'s \
+                                 hub {h} does not enter it"
+                            )));
+                        }
+                    }
+                }
+                if !has_self {
+                    return Err(StoreError::Corrupt(format!(
+                        "{prefix}_parent_f: label of node {v} lacks a parentless \
+                         self entry"
+                    )));
+                }
+            }
+            if !file.is_mapped() {
+                let set = LabelSet {
+                    index,
+                    hub,
+                    dist,
+                    parent,
+                };
+                verify_dists(&set, &arcs, forward, prefix)?;
+            }
+        }
+        Ok(())
     }
 
     /// `pred_edge` by the exact route alone — the reference the margin
@@ -2024,12 +2365,152 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
-    use super::tests::{assert_margin_exact_dense_agree, with_parallel_edges_and_loops};
+    use super::tests::{
+        assert_margin_exact_dense_agree, reference_verdict, with_parallel_edges_and_loops,
+    };
     use super::*;
     use crate::generators::{
         grid_network, random_geometric_network, GridConfig, RandomGeometricConfig,
     };
+    use crate::store_codec::encode_u32s_flat;
+    use crate::store_codec::tests::{section_u32s, with_section};
     use proptest::prelude::*;
+
+    /// The labeling every label-set mutation case edits, and its artifact.
+    fn label_fixture() -> &'static (Arc<RoadNetwork>, HubLabels, Vec<u8>) {
+        static FIXTURE: std::sync::OnceLock<(Arc<RoadNetwork>, HubLabels, Vec<u8>)> =
+            std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let net = Arc::new(grid_network(&GridConfig {
+                nx: 7,
+                ny: 7,
+                weight_jitter: 0.15,
+                removal_prob: 0.05,
+                seed: 9,
+                ..GridConfig::default()
+            }));
+            let hl = HubLabels::build_with_threads(net.clone(), 1);
+            let bytes = hl.to_store_bytes();
+            (net, hl, bytes)
+        })
+    }
+
+    /// `bytes` with one entry of label set `set` (`0` forward, `1`
+    /// backward) broken by rule `rule`; `pick` chooses the node, entry or
+    /// replacement. Rules: a hub out of range, repeated, or descending; a
+    /// parentless non-self entry; a parent arc out of range, not entering
+    /// its hub, or re-pointed at another arc that does; the self entry
+    /// given a parent; an index boundary shifted.
+    fn break_entry(bytes: &[u8], hl: &HubLabels, set: usize, rule: u32, pick: usize) -> Vec<u8> {
+        let prefix = ["fwd", "bwd"][set];
+        let (index_f, hub_f, parent_f) = (
+            format!("{prefix}_index_f"),
+            format!("{prefix}_hub_f"),
+            format!("{prefix}_parent_f"),
+        );
+        let index = section_u32s(bytes, &index_f);
+        let mut hub = section_u32s(bytes, &hub_f);
+        let mut parent = section_u32s(bytes, &parent_f);
+        let n = index.len() - 1;
+        let num_arcs = hl.arcs.len();
+        let enters = |a: usize| {
+            let arc = hl.arcs[a];
+            if set == 0 {
+                arc.head.0
+            } else {
+                arc.tail.0
+            }
+        };
+        // A node with at least two entries, and one of its non-self entries.
+        let nodes: Vec<usize> = (0..n).filter(|&v| index[v + 1] - index[v] >= 2).collect();
+        let v = nodes[pick % nodes.len()];
+        let (lo, hi) = (index[v] as usize, index[v + 1] as usize);
+        let own = (lo..hi).find(|&k| hub[k] == v as u32).unwrap();
+        let other = (lo..hi)
+            .filter(|&k| k != own)
+            .nth(pick % (hi - lo - 1))
+            .unwrap();
+        let later = lo + 1 + pick % (hi - lo - 1);
+        match rule {
+            0 => hub[other] = n as u32 + (pick % 3) as u32,
+            1 => hub[later] = hub[later - 1],
+            2 => hub.swap(later - 1, later),
+            3 => parent[other] = NO_ARC,
+            4 => parent[other] = (num_arcs + pick % 5) as u32,
+            5 => {
+                let stray = (0..num_arcs)
+                    .map(|a| (a + pick) % num_arcs)
+                    .find(|&a| enters(a) != hub[other])
+                    .unwrap();
+                parent[other] = stray as u32;
+            }
+            6 => {
+                let into = (0..num_arcs)
+                    .map(|a| (a + pick) % num_arcs)
+                    .find(|&a| enters(a) == hub[other] && a as u32 != parent[other]);
+                if let Some(a) = into {
+                    parent[other] = a as u32;
+                }
+            }
+            7 => {
+                let into_v = (0..num_arcs).find(|&a| enters(a) == v as u32).unwrap_or(0);
+                parent[own] = into_v as u32;
+            }
+            _ => {
+                let mut index = index.clone();
+                let i = 1 + pick % (n - 1);
+                index[i] = if pick.is_multiple_of(2) {
+                    index[i] + 1
+                } else {
+                    index[i].saturating_sub(1)
+                };
+                return with_section(bytes, &index_f, encode_u32s_flat(&index));
+            }
+        }
+        let bytes = with_section(bytes, &hub_f, encode_u32s_flat(&hub));
+        with_section(&bytes, &parent_f, encode_u32s_flat(&parent))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The task-list reader equals the sequential reference, error
+        /// for error, on one or two broken label entries in either set —
+        /// on 1, 2 and 3 workers, owned and mapped.
+        #[test]
+        fn label_set_check_equals_the_sequential_reference(
+            first in (0usize..2, 0u32..9, 0usize..100_000),
+            second in (0usize..2, 0u32..9, 0usize..100_000),
+            both in 0u8..2,
+        ) {
+            use press_store::StoreFile;
+            let (net, hl, good) = label_fixture();
+            let mut bytes = break_entry(good, hl, first.0, first.1, first.2);
+            if both == 1 {
+                bytes = break_entry(&bytes, hl, second.0, second.1, second.2);
+            }
+            let path = std::env::temp_dir().join(format!(
+                "press-hl-ref-{}-{}-{}.press",
+                std::process::id(),
+                first.2,
+                second.2
+            ));
+            std::fs::write(&path, &bytes).unwrap();
+            for mapped in [false, true] {
+                let file = || if mapped {
+                    StoreFile::open_mapped(&path).unwrap()
+                } else {
+                    StoreFile::from_bytes(bytes.clone()).unwrap()
+                };
+                let want = reference_verdict(net, &file()).err();
+                for workers in [1, 2, 3] {
+                    let got = HubLabels::from_file(net.clone(), file(), workers).err();
+                    prop_assert_eq!(&got, &want, "mapped {}, {} workers", mapped, workers);
+                }
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]

@@ -11,6 +11,7 @@ use std::fmt;
 
 /// Identifier of a vertex in the road network (an intersection).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[repr(transparent)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a directed edge in the road network (a road segment).

@@ -38,6 +38,8 @@
 //! baselines, workload generator) consumes the trait, not a concrete
 //! backend.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod ch;
 pub mod dijkstra;
 pub mod error;

@@ -545,6 +545,45 @@ impl StoreFile {
         self.table.iter().map(SectionEntry::name)
     }
 
+    /// True when slots `first..first + count` are named `{prefix}0`,
+    /// `{prefix}1`, …, `{prefix}{count - 1}` in that order — the run a
+    /// writer emits when it names sections by a decimal counter. The names
+    /// are compared with an incrementing counter, none is parsed.
+    pub fn is_numbered_run(&self, first: usize, prefix: &str, count: usize) -> bool {
+        let Some(run) = self.table.get(first..first.saturating_add(count)) else {
+            return false;
+        };
+        let base = prefix.len();
+        let mut want = [0u8; MAX_SECTION_NAME];
+        let mut len = base + 1;
+        if len > MAX_SECTION_NAME {
+            return run.is_empty();
+        }
+        want[..base].copy_from_slice(prefix.as_bytes());
+        want[base] = b'0';
+        for entry in run {
+            if entry.name_len as usize != len || entry.name[..len] != want[..len] {
+                return false;
+            }
+            // The next number: carry through trailing nines, and grow by
+            // a digit when they were all nines.
+            match want[base..len].iter().rposition(|&d| d != b'9') {
+                Some(at) => {
+                    want[base + at] += 1;
+                    want[base + at + 1..len].fill(b'0');
+                }
+                None if len < MAX_SECTION_NAME => {
+                    want[base] = b'1';
+                    want[base + 1..=len].fill(b'0');
+                    len += 1;
+                }
+                // No longer name fits: nothing may follow.
+                None => len = MAX_SECTION_NAME + 1,
+            }
+        }
+        true
+    }
+
     /// True when a section exists.
     pub fn has_section(&self, name: &str) -> bool {
         self.section_slot(name).is_some()
@@ -625,9 +664,24 @@ impl StoreFile {
     /// access mode (eager or first-touch), and a length that is not a
     /// whole number of elements is typed [`StoreError::Corrupt`].
     pub fn flat_section<T: FlatPod>(&self, name: &str) -> Result<FlatSlice<T>> {
-        let bytes = self.section(name)?;
+        self.section(name)?;
+        self.flat_section_unverified(name)
+    }
+
+    /// [`StoreFile::flat_section`] **before** the section's CRC check: the
+    /// typed view of the bytes as stored, for a reader that runs the
+    /// checksum ([`StoreFile::section`]) and its own scan of the view side
+    /// by side. Nothing derived from the view may be trusted until that
+    /// checksum passes. A missing section is [`StoreError::MissingSection`]
+    /// and a ragged length [`StoreError::Corrupt`], as in `flat_section`.
+    pub fn flat_section_unverified<T: FlatPod>(&self, name: &str) -> Result<FlatSlice<T>> {
+        let slot = self
+            .section_slot(name)
+            .ok_or_else(|| StoreError::MissingSection(name.to_string()))?;
+        let entry = &self.table[slot];
+        let bytes = &self.data.bytes()[entry.offset..entry.offset + entry.len];
         let width = std::mem::size_of::<T>();
-        if bytes.len() % width != 0 {
+        if !bytes.len().is_multiple_of(width) {
             return Err(StoreError::Corrupt(format!(
                 "section '{name}' length {} is not a multiple of element width {width}",
                 bytes.len()
@@ -890,10 +944,12 @@ pub struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     /// Reader over a payload slice.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
         if self.buf.len() - self.pos < n {
             return Err(StoreError::Truncated { what: what.into() });
@@ -904,21 +960,25 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a `u8`.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1, "u8")?[0])
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(self.take(2, "u16")?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4, "u32")?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().unwrap()))
     }
@@ -926,6 +986,7 @@ impl<'a> ByteReader<'a> {
     /// Reads a `u64` and converts it to `usize`, erroring on overflow
     /// (32-bit hosts) or on values beyond `limit` — a cheap way to reject
     /// absurd corrupted counts before allocating.
+    #[inline]
     pub fn get_len(&mut self, limit: usize, what: &str) -> Result<usize> {
         let v = self.get_u64()?;
         let v = usize::try_from(v)
@@ -939,6 +1000,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads an `f64` from its IEEE bit pattern.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.get_u64()?))
     }
@@ -1009,6 +1071,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes left to read.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
