@@ -661,12 +661,12 @@ impl TrajectoryStore {
             }
             blocks.push(block);
         }
-        if let Some(extra) = synopsis.len().checked_sub(num_blocks * SYNOPSIS_RECORD) {
-            if extra > 0 {
-                return Err(
-                    StoreError::Corrupt(format!("{extra} trailing bytes after synopsis")).into(),
-                );
-            }
+        // Every record was read whole, so this cannot underflow.
+        let extra = synopsis.len() - num_blocks * SYNOPSIS_RECORD;
+        if extra > 0 {
+            return Err(
+                StoreError::Corrupt(format!("{extra} trailing bytes after synopsis")).into(),
+            );
         }
         let index = SynopsisIndex::build(
             blocks.iter().map(|b| b.index_entry()).collect(),

@@ -944,12 +944,10 @@ pub struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     /// Reader over a payload slice.
-    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
-    #[inline]
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
         if self.buf.len() - self.pos < n {
             return Err(StoreError::Truncated { what: what.into() });
@@ -960,25 +958,21 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a `u8`.
-    #[inline]
     pub fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1, "u8")?[0])
     }
 
     /// Reads a little-endian `u16`.
-    #[inline]
     pub fn get_u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(self.take(2, "u16")?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u32`.
-    #[inline]
     pub fn get_u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4, "u32")?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
-    #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().unwrap()))
     }
@@ -986,7 +980,6 @@ impl<'a> ByteReader<'a> {
     /// Reads a `u64` and converts it to `usize`, erroring on overflow
     /// (32-bit hosts) or on values beyond `limit` — a cheap way to reject
     /// absurd corrupted counts before allocating.
-    #[inline]
     pub fn get_len(&mut self, limit: usize, what: &str) -> Result<usize> {
         let v = self.get_u64()?;
         let v = usize::try_from(v)
@@ -1000,7 +993,6 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads an `f64` from its IEEE bit pattern.
-    #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.get_u64()?))
     }
@@ -1071,7 +1063,6 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes left to read.
-    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -1100,6 +1091,39 @@ mod tests {
         w.section("meta", a.into_bytes());
         w.section("payload", vec![1, 2, 3, 4, 5]);
         w
+    }
+
+    /// A run of counter names is recognised across digit carries, and
+    /// any gap, offset, other prefix or overrun is not a run.
+    #[test]
+    fn numbered_runs_are_matched_against_a_counter() {
+        let file = |names: &[String]| {
+            let mut w = StoreWriter::new(kind::META);
+            for name in names {
+                w.section(name, vec![1]);
+            }
+            StoreFile::from_bytes(w.to_bytes()).unwrap()
+        };
+        let mut names: Vec<String> = vec!["meta".into()];
+        names.extend((0..105).map(|i| format!("x{i}")));
+        names.push("tail".into());
+        let f = file(&names);
+        assert!(f.is_numbered_run(1, "x", 105));
+        assert!(f.is_numbered_run(1, "x", 0));
+        assert!(f.is_numbered_run(107, "x", 0));
+        assert!(!f.is_numbered_run(2, "x", 3), "starts at x1");
+        assert!(!f.is_numbered_run(1, "x", 106), "tail is no x105");
+        assert!(!f.is_numbered_run(1, "x", 108), "past the table");
+        assert!(!f.is_numbered_run(1, "y", 3));
+        names.remove(1 + 10);
+        assert!(!file(&names).is_numbered_run(1, "x", 104), "x10 missing");
+        // At the name-length limit: `p…p9` is the last name that fits.
+        let prefix = "p".repeat(MAX_SECTION_NAME - 1);
+        let names: Vec<String> = (0..10).map(|i| format!("{prefix}{i}")).collect();
+        assert!(file(&names).is_numbered_run(0, &prefix, 10));
+        let too_long = "p".repeat(MAX_SECTION_NAME);
+        assert!(file(&names).is_numbered_run(0, &too_long, 0));
+        assert!(!file(&names).is_numbered_run(0, &too_long, 1));
     }
 
     #[test]
