@@ -14,16 +14,11 @@
 //!   ZIP and RAR binaries (LZ77+Huffman; RAR-like adds a bigger window and
 //!   order-1 context modelling, preserving the paper's ZIP < RAR ratio
 //!   ordering). [`lz`] holds the shared sliding-window machinery.
-//! * [`simplify`] — the Euclidean line-simplification kit of the related
-//!   work (§7.1): uniform sampling, Douglas–Peucker and opening-window
-//!   under the TSED metric.
 pub mod lz;
 pub mod mmtc;
 pub mod nonmaterial;
 pub mod rarx;
-pub mod simplify;
 pub mod zipx;
 
 pub use mmtc::{MmtcConfig, MmtcTrajectory};
 pub use nonmaterial::{NonmaterialConfig, NonmaterialTrajectory};
-pub use simplify::{douglas_peucker_tsed, opening_window_tsed, position_at, tsed, uniform_sample};

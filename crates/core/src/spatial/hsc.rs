@@ -13,10 +13,11 @@
 //! Training has to expand those gaps anyway to fill the §5.1 distances;
 //! keeping the expansion means decompression and the queries read a gap
 //! the corpus has shown before from the model
-//! ([`HscModel::expand_node_into`], [`HscModel::known_gap`]). Beside each
-//! link the model keeps its length, the fold `path_len` gives — filled
-//! by the pass that builds the arena at training and by the one that
-//! checks it at load — so no reader refolds a link it has seen before.
+//! ([`HscModel::expand_node_into`], [`HscModel::known_gap`]). The other
+//! per-node tables are folds of the arena — the distances, the MBRs and
+//! each link's length (what `path_len` gives, kept so no reader refolds
+//! a link it has seen before) — computed by one pass, `node_tables`,
+//! that training and load share.
 //!
 //! # The stream
 //!
@@ -251,24 +252,83 @@ pub(crate) struct Gap<'r> {
 
 /// `Tsub(n).d` from its parent's: the hidden gap between the two last
 /// edges (`None` when they are consecutive, `∞` when no path joins
-/// them), then the node's own edge. The one definition training and the
-/// load-time cross-check share, so they agree to the bit.
+/// them), then the node's own edge. Only [`node_tables`] calls it, for
+/// training and load alike, so the two agree to the bit.
 #[inline]
 fn extend_dist(parent: f64, gap: Option<f64>, weight: f64) -> f64 {
     gap.map_or(parent, |g| parent + g) + weight
 }
 
-/// The per-node tables a model carries beside its link arena, filled by
-/// one pass — [`HscModel::node_tables`] at training; at load the
-/// persisted `dist` and `mbr` with the `link_len` [`HscModel::check_links`]
-/// folds.
-pub(crate) struct NodeTables {
+/// The per-node tables a model carries beside its link arena, all
+/// folded from the arena by [`node_tables`].
+struct NodeTables {
     /// `Tsub(n).d` of §5.1.
-    pub(crate) dist: Vec<f64>,
+    dist: Vec<f64>,
     /// `MBR(Tsub(n))` of §5.2.
-    pub(crate) mbr: Vec<Mbr>,
+    mbr: Vec<Mbr>,
     /// [`path_len`] of each node's link.
-    pub(crate) link_len: Vec<f64>,
+    link_len: Vec<f64>,
+}
+
+/// Folds the §5.1–§5.2 tables out of a link arena in one parents-first
+/// pass with no shortest-path call: training runs it over the arena it
+/// just expanded, load over the arena it read. Per node it checks the
+/// chain `last_edge(parent) → link… → last_edge(node)` — link edges
+/// inside the alphabet, the chain connected, the link empty exactly when
+/// the pair is consecutive or poisoned (no path joins it: `dist` is `∞`)
+/// — and folds along it `dist` ([`extend_dist`]), the MBR (the parent's,
+/// widened by each chain edge's) and the link's [`path_len`].
+fn node_tables(
+    net: &RoadNetwork,
+    trie: &Trie,
+    arena: &LinkArena,
+) -> std::result::Result<NodeTables, String> {
+    if !arena.link(Trie::ROOT).is_empty() {
+        return Err("the root carries a link".into());
+    }
+    let n = trie.num_nodes();
+    let mut dist = vec![0.0f64; n];
+    let mut mbr = vec![Mbr::empty(); n];
+    let mut link_len = vec![0.0f64; n];
+    // Node ids are created parents-first, so each node extends its
+    // parent by one edge.
+    for node in trie.node_ids() {
+        let (parent, e) = (trie.parent(node), trie.last_edge(node));
+        let link = arena.link(node);
+        if let Some(g) = link.iter().find(|g| g.index() >= trie.alphabet_size()) {
+            return Err(format!("node {node} links through out-of-alphabet {g}"));
+        }
+        let consecutive = parent == Trie::ROOT || net.consecutive(trie.last_edge(parent), e);
+        let gap = if consecutive {
+            if !link.is_empty() {
+                return Err(format!("node {node} needs no link but carries one"));
+            }
+            None
+        } else if link.is_empty() {
+            Some(f64::INFINITY)
+        } else {
+            let mut prev = trie.last_edge(parent);
+            for &g in link.iter().chain([&e]) {
+                if !net.consecutive(prev, g) {
+                    return Err(format!("node {node} link breaks between {prev} and {g}"));
+                }
+                prev = g;
+            }
+            link_len[node as usize] = path_len(net, link);
+            Some(link_len[node as usize])
+        };
+        dist[node as usize] = extend_dist(dist[parent as usize], gap, net.weight(e));
+        let mut m = mbr[parent as usize];
+        for &g in link.iter().chain([&e]) {
+            m.expand(&net.edge_mbr(g));
+        }
+        mbr[node as usize] = m;
+    }
+    Ok(NodeTables {
+        dist,
+        mbr,
+        link_len,
+    })
 }
 
 /// "No stop fact" in [`HscModel`]'s `node_stop` table and its file
@@ -301,7 +361,7 @@ pub(crate) struct SpendIndex {
 impl SpendIndex {
     /// Collects the pass facts of `node_link` and the stop facts of
     /// `node_stop` (one per depth-2 node, in node order) into the index.
-    /// The arena has passed [`HscModel::check_links`]; the stop facts are
+    /// The arena has passed [`node_tables`]; the stop facts are
     /// checked here — one per depth-2 node, [`NO_STOP`] on a poisoned
     /// pair, otherwise inside the alphabet and an in-edge of the pair's
     /// head — and so is the property that makes the index an index: all
@@ -463,9 +523,9 @@ impl HscModel {
         let compressed = Self::sp_compress_corpus(sp.as_ref(), training_paths);
         let trie = Trie::build(&compressed, theta, sp.network().num_edges())?;
         let huffman = Huffman::from_freqs(&trie.symbol_freqs())?;
-        let (tables, node_link) = Self::node_tables(sp.as_ref(), &trie)?;
-        let node_stop = Self::stops_via_sp(sp.as_ref(), &trie, &tables.dist);
-        Self::from_parts(sp, trie, huffman, tables, node_link, node_stop)
+        let node_link = Self::links_via_sp(sp.as_ref(), &trie)?;
+        let node_stop = Self::stops_via_sp(sp.as_ref(), &trie, &node_link);
+        Self::from_parts(sp, trie, huffman, node_link, node_stop)
             .map_err(|e| PressError::InvalidTraining(format!("node_link/node_stop: {e}")))
     }
 
@@ -498,15 +558,14 @@ impl HscModel {
     /// load path — see [`crate::store`]). The automaton is rebuilt from
     /// the trie by the same deterministic BFS construction training uses,
     /// so a loaded model is indistinguishable from the trained one. The
-    /// caller has run [`HscModel::check_links`] over the tables (which
-    /// gave it `tables.link_len`); the stop facts are checked here, as
-    /// the `SPend` index is built from them and the arena (the error says
-    /// what disagreed).
+    /// per-node tables are folded out of `node_link` by [`node_tables`],
+    /// which checks the arena; the stop facts are checked as the `SPend`
+    /// index is built from them and the arena (the error says what
+    /// disagreed).
     pub(crate) fn from_parts(
         sp: Arc<dyn SpProvider>,
         trie: Trie,
         huffman: Huffman,
-        tables: NodeTables,
         node_link: LinkArena,
         node_stop: Vec<EdgeId>,
     ) -> std::result::Result<Self, String> {
@@ -514,7 +573,7 @@ impl HscModel {
             dist: node_dist,
             mbr: node_mbr,
             link_len: node_link_len,
-        } = tables;
+        } = node_tables(sp.network(), &trie, &node_link)?;
         let spend = SpendIndex::build(sp.network(), &trie, &node_dist, &node_link, &node_stop)?;
         Ok(HscModel {
             sp,
@@ -530,138 +589,52 @@ impl HscModel {
         })
     }
 
-    /// Computes the per-node tables in one parents-first pass. A node's
-    /// sub-trajectory comes from SP-compressed text, so consecutive edges
-    /// may hide a shortest-path gap that must be expanded (§5.1: "we need
-    /// to decompress the sub-trajectory Tsub(n) based on SP decompression
-    /// in order to calculate the distance Tsub(n).d"); the expansion is
-    /// kept as the node's link, and its length feeds the distance and
-    /// link-length tables, its edges the MBR table.
-    fn node_tables(sp: &dyn SpProvider, trie: &Trie) -> Result<(NodeTables, LinkArena)> {
+    /// The link arena of `trie`: the gap a node's SP-compressed
+    /// sub-trajectory hides between its last two edges, one `sp_interior`
+    /// call per pair that is not consecutive, in node order. A pair no
+    /// path joins keeps an empty link, which poisons the node, so
+    /// decompression and queries report the pair.
+    fn links_via_sp(sp: &dyn SpProvider, trie: &Trie) -> Result<LinkArena> {
         let net = sp.network();
-        let n = trie.num_nodes();
-        let mut dist = vec![0.0f64; n];
-        let mut mbr = vec![Mbr::empty(); n];
-        let mut link_len = vec![0.0f64; n];
-        let mut link = LinkArena::with_capacity(n);
+        let mut link = LinkArena::with_capacity(trie.num_nodes());
         // The root's (empty) slot.
         link.seal_node()?;
-        // Node ids are created parents-first, so each node extends its
-        // parent by one edge: the tables build incrementally in one pass.
         for node in trie.node_ids() {
-            let parent = trie.parent(node);
-            let e = trie.last_edge(node);
-            let mut m = mbr[parent as usize];
-            let mut gap = None;
-            if parent != Trie::ROOT {
-                let prev = trie.last_edge(parent);
-                if !net.consecutive(prev, e) {
-                    match sp.sp_interior(prev, e) {
-                        Some(interior) => {
-                            let len = path_len(net, &interior);
-                            debug_assert_eq!(len.to_bits(), sp.gap_dist(prev, e).to_bits());
-                            for &g in &interior {
-                                m.expand(&net.edge_mbr(g));
-                            }
-                            link.edges.extend(interior);
-                            link_len[node as usize] = len;
-                            gap = Some(len);
-                        }
-                        // Disconnected training pair: poison the node, so
-                        // decompression and queries report the pair.
-                        None => gap = Some(f64::INFINITY),
-                    }
+            let (parent, e) = (trie.parent(node), trie.last_edge(node));
+            let prev = trie.last_edge(parent);
+            if parent != Trie::ROOT && !net.consecutive(prev, e) {
+                if let Some(interior) = sp.sp_interior(prev, e) {
+                    debug_assert_eq!(
+                        path_len(net, &interior).to_bits(),
+                        sp.gap_dist(prev, e).to_bits()
+                    );
+                    link.edges.extend(interior);
                 }
             }
             link.seal_node()?;
-            m.expand(&net.edge_mbr(e));
-            dist[node as usize] = extend_dist(dist[parent as usize], gap, net.weight(e));
-            mbr[node as usize] = m;
         }
-        Ok((
-            NodeTables {
-                dist,
-                mbr,
-                link_len,
-            },
-            link,
-        ))
+        Ok(link)
     }
 
     /// The stop facts of `trie`, one `pred_edge` call per depth-2 node
     /// `(a, b)` that a path joins — training's last step. [`NO_STOP`]
-    /// where the pair is poisoned, where `a.to == b.to` (Algorithm 1 never
-    /// asks), or where the layer has no answer.
-    fn stops_via_sp(sp: &dyn SpProvider, trie: &Trie, node_dist: &[f64]) -> Vec<EdgeId> {
+    /// where the pair is poisoned (not consecutive, yet without a link),
+    /// where `a.to == b.to` (Algorithm 1 never asks), or where the layer
+    /// has no answer.
+    fn stops_via_sp(sp: &dyn SpProvider, trie: &Trie, node_link: &LinkArena) -> Vec<EdgeId> {
         let net = sp.network();
         trie.node_ids()
             .filter(|&n| trie.depth(n) == 2)
             .map(|n| {
-                let s = net.edge(trie.last_edge(trie.parent(n))).to;
-                let head = net.edge(trie.last_edge(n)).to;
-                if s == head || !node_dist[n as usize].is_finite() {
+                let (a, b) = (trie.last_edge(trie.parent(n)), trie.last_edge(n));
+                let (s, head) = (net.edge(a).to, net.edge(b).to);
+                let poisoned = !net.consecutive(a, b) && node_link.link(n).is_empty();
+                if s == head || poisoned {
                     return NO_STOP;
                 }
                 sp.pred_edge(s, head).unwrap_or(NO_STOP)
             })
             .collect()
-    }
-
-    /// Cross-checks a loaded `node_dist` table against a loaded link
-    /// arena, with no shortest-path call: per node the chain
-    /// `last_edge(parent) → link… → last_edge(node)` is connected and
-    /// inside the alphabet, the link is empty exactly when the pair is
-    /// consecutive or the node is poisoned, and the distance is the bits
-    /// [`HscModel::node_tables`] would have produced from its parent's.
-    /// That the link is a *shortest* path is the section CRC's word, as
-    /// it is for `node_dist` itself. Returns the link lengths the check
-    /// folded on the way — the table training keeps, at no extra pass.
-    pub(crate) fn check_links(
-        net: &RoadNetwork,
-        trie: &Trie,
-        node_dist: &[f64],
-        node_link: &LinkArena,
-    ) -> std::result::Result<Vec<f64>, String> {
-        if node_dist[Trie::ROOT as usize].to_bits() != 0 || !node_link.link(Trie::ROOT).is_empty() {
-            return Err("the root carries a distance or a link".into());
-        }
-        let mut link_len = vec![0.0f64; trie.num_nodes()];
-        for node in trie.node_ids() {
-            let parent = trie.parent(node);
-            let e = trie.last_edge(node);
-            let link = node_link.link(node);
-            if let Some(g) = link.iter().find(|g| g.index() >= trie.alphabet_size()) {
-                return Err(format!("node {node} links through out-of-alphabet {g}"));
-            }
-            let consecutive = parent == Trie::ROOT || net.consecutive(trie.last_edge(parent), e);
-            let gap = if consecutive {
-                if !link.is_empty() {
-                    return Err(format!("node {node} needs no link but carries one"));
-                }
-                None
-            } else if link.is_empty() {
-                Some(f64::INFINITY)
-            } else {
-                let mut prev = trie.last_edge(parent);
-                for &g in link.iter().chain(std::iter::once(&e)) {
-                    if !net.consecutive(prev, g) {
-                        return Err(format!("node {node} link breaks between {prev} and {g}"));
-                    }
-                    prev = g;
-                }
-                let len = path_len(net, link);
-                link_len[node as usize] = len;
-                Some(len)
-            };
-            let want = extend_dist(node_dist[parent as usize], gap, net.weight(e));
-            if node_dist[node as usize].to_bits() != want.to_bits() {
-                return Err(format!(
-                    "node {node} distance {} is not its chain's {want}",
-                    node_dist[node as usize]
-                ));
-            }
-        }
-        Ok(link_len)
     }
 
     /// Compresses a raw spatial path: SP compression, greedy decomposition,
@@ -1291,7 +1264,7 @@ mod tests {
         let (net, trie, dist, e) = diamond();
         let [a, _, g1, g2, h1, _, b] = e;
         let arena = diamond_arena([g1, g2], &e);
-        HscModel::check_links(&net, &trie, &dist, &arena).unwrap();
+        assert_eq!(node_tables(&net, &trie, &arena).unwrap().dist, dist);
         let index = SpendIndex::build(&net, &trie, &dist, &arena, &[b, b, g2]).unwrap();
         let (s, x, y, v, q) = (
             net.edge(a).to,
@@ -1311,7 +1284,7 @@ mod tests {
     }
 
     /// Facts out of one source that name two predecessors for one node
-    /// are an error — between two links (an arena `check_links` passes:
+    /// are an error — between two links (an arena [`node_tables`] passes:
     /// both chains connect and sum right), and between a link and a stop
     /// fact.
     #[test]
@@ -1319,7 +1292,7 @@ mod tests {
         let (net, trie, dist, e) = diamond();
         let [_, _, g1, g2, h1, h2, b] = e;
         let forked = diamond_arena([h1, h2], &e);
-        HscModel::check_links(&net, &trie, &dist, &forked).unwrap();
+        assert_eq!(node_tables(&net, &trie, &forked).unwrap().dist, dist);
         let err = SpendIndex::build(&net, &trie, &dist, &forked, &[b, b, NO_STOP]).unwrap_err();
         assert!(err.contains("disagree"), "{err}");
 

@@ -7,13 +7,18 @@
 //! [`HscModel`] training is a corpus-wide pass (SP compression of every
 //! training path, trie mining, Huffman construction, per-node tables);
 //! the result is small and static. `HscModel::save_to` persists the trie
-//! records, the canonical Huffman code lengths, and the three per-node
-//! tables — distances, MBRs, and the link arena (`node_link`; the
-//! distances are cross-checked against it at load) — and the stop facts
-//! of the `SPend` index (`node_stop`; the index itself is derived at load
-//! and checked to be a forest of trees). Every section is required: a
-//! file without one is [`StoreError::MissingSection`], and opening a
-//! model makes no shortest-path call. `HscModel::load_from` reassembles
+//! records, the canonical Huffman code lengths, the per-node distances
+//! (`node_dist`), the link arena (`node_link`) and the stop facts of the
+//! `SPend` index (`node_stop`). Load runs the pass training runs over the
+//! arena — it checks every chain and folds the distances, the MBRs and
+//! the link lengths — and refuses a file whose folded distances differ
+//! from the stored ones in any bit: `node_dist` is kept as the arena's
+//! witness. The MBRs are never read from disk (`node_mbr`, which older
+//! writers emitted, is a retired name readers ignore), and the `SPend`
+//! index is derived and checked to be a forest of trees. Every section
+//! the writer emits is required: a file without one is
+//! [`StoreError::MissingSection`], and opening a model makes no
+//! shortest-path call. `HscModel::load_from` reassembles
 //! the model over a shortest-path provider, rebuilding the Aho–Corasick
 //! automaton with the same deterministic construction training uses — so
 //! a loaded model compresses, decompresses and answers queries
@@ -66,7 +71,7 @@ use crate::error::{PressError, Result};
 use crate::press::CompressedTrajectory;
 use crate::query::{time_window, QueryEngine, UnitBuffers};
 use crate::record::{self, RECORD_FORMAT};
-use crate::spatial::hsc::{LinkArena, NodeTables};
+use crate::spatial::hsc::LinkArena;
 use crate::spatial::{HscModel, Huffman, Trie};
 use press_network::{EdgeId, Mbr, Point, SpProvider};
 use press_store::{
@@ -111,8 +116,7 @@ impl HscModel {
 
     /// Serializes the trained model into a [`press_store`] container: the
     /// trie's per-node records, the canonical Huffman code lengths, the
-    /// per-node distance/MBR tables of §5.1–§5.2, the link arena, and the
-    /// stop facts.
+    /// per-node distances of §5.1, the link arena, and the stop facts.
     pub fn to_store_bytes(&self) -> Vec<u8> {
         let trie = self.trie();
         let n = trie.num_nodes();
@@ -122,14 +126,8 @@ impl HscModel {
         meta.put_u64(n as u64);
         let lens = self.huffman().code_lengths();
         let mut dist = ByteWriter::with_capacity(n * 8);
-        let mut mbr = ByteWriter::with_capacity(n * 32);
         for id in 0..n as u32 {
             dist.put_f64(self.node_dist(id));
-            let m = self.node_mbr(id);
-            mbr.put_f64(m.min_x);
-            mbr.put_f64(m.min_y);
-            mbr.put_f64(m.max_x);
-            mbr.put_f64(m.max_y);
         }
         let (off, edges) = self.link_arena().as_raw();
         let mut link = ByteWriter::with_capacity((off.len() + edges.len()) * 4);
@@ -149,7 +147,6 @@ impl HscModel {
         w.section("trie", self.trie_section());
         w.section("hufflens", lens);
         w.section("node_dist", dist.into_bytes());
-        w.section("node_mbr", mbr.into_bytes());
         w.section("node_link", link.into_bytes());
         w.section("node_stop", stop.into_bytes());
         w.to_bytes()
@@ -164,11 +161,14 @@ impl HscModel {
     }
 
     /// Reassembles a model over `sp` from container bytes, validating the
-    /// trie structure, the Huffman code lengths (Kraft equality), the
-    /// table sizes, and `node_dist` against the link arena (connected
-    /// chains, bit-equal distances — no shortest-path call), and that the
-    /// arena's and the stop facts' `SPend` answers form one tree per
-    /// source node. The model's edge alphabet must match `sp`'s network.
+    /// trie structure, the Huffman code lengths (Kraft equality) and the
+    /// table sizes; folding the per-node tables out of the link arena
+    /// (connected chains, no shortest-path call) and requiring the folded
+    /// distances to equal the stored `node_dist` bit for bit; and checking
+    /// that the arena's and the stop facts' `SPend` answers form one tree
+    /// per source node. The model's edge alphabet must match `sp`'s
+    /// network. A `node_mbr` section, which older writers emitted, is
+    /// ignored: the rectangles are derived.
     pub fn from_store_bytes(
         sp: Arc<dyn SpProvider>,
         bytes: Vec<u8>,
@@ -216,22 +216,7 @@ impl HscModel {
         validate_code_lengths(&lens)?;
         let huffman = Huffman::from_code_lengths(lens)
             .map_err(|e| StoreError::Corrupt(format!("huffman: {e}")))?;
-        let node_dist: Vec<f64> = fixed_records(&file, "node_dist", num_nodes, 8)?
-            .chunks_exact(8)
-            .map(|d| f64::from_le_bytes(le(d, 0)))
-            .collect();
-        let node_mbr: Vec<Mbr> = fixed_records(&file, "node_mbr", num_nodes, 32)?
-            .chunks_exact(32)
-            .map(|m| {
-                let f = |k: usize| f64::from_le_bytes(le(m, 8 * k));
-                Mbr {
-                    min_x: f(0),
-                    min_y: f(1),
-                    max_x: f(2),
-                    max_y: f(3),
-                }
-            })
-            .collect();
+        let node_dist = fixed_records(&file, "node_dist", num_nodes, 8)?;
         let raw = file.section("node_link")?;
         if raw.len() % 4 != 0 || raw.len() / 4 <= num_nodes {
             return Err(StoreError::Corrupt(format!(
@@ -245,8 +230,6 @@ impl HscModel {
         let edges: Vec<EdgeId> = le_words(edges).map(EdgeId).collect();
         let node_link = LinkArena::from_raw(num_nodes, off, edges)
             .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?;
-        let link_len = HscModel::check_links(sp.network(), &trie, &node_dist, &node_link)
-            .map_err(|e| StoreError::Corrupt(format!("node_link: {e}")))?;
         let raw = file.section("node_stop")?;
         if raw.len() % 4 != 0 {
             return Err(StoreError::Corrupt(format!(
@@ -255,13 +238,18 @@ impl HscModel {
             )));
         }
         let node_stop = le_words(raw).map(EdgeId).collect();
-        let tables = NodeTables {
-            dist: node_dist,
-            mbr: node_mbr,
-            link_len,
-        };
-        HscModel::from_parts(sp, trie, huffman, tables, node_link, node_stop)
-            .map_err(|e| StoreError::Corrupt(format!("node_link/node_stop: {e}")))
+        let model = HscModel::from_parts(sp, trie, huffman, node_link, node_stop)
+            .map_err(|e| StoreError::Corrupt(format!("node_link/node_stop: {e}")))?;
+        // The stored distances are the arena's witness.
+        for (node, d) in (0..).zip(node_dist.chunks_exact(8)) {
+            let (stored, want) = (f64::from_le_bytes(le(d, 0)), model.node_dist(node));
+            if stored.to_bits() != want.to_bits() {
+                return Err(StoreError::Corrupt(format!(
+                    "node_link: node {node} distance {stored} is not its chain's {want}"
+                )));
+            }
+        }
+        Ok(model)
     }
 
     /// Loads a model artifact from `path` (one contiguous read).
@@ -1064,6 +1052,52 @@ mod tests {
             let again = loaded.compress(&traj.path.edges).unwrap();
             assert_eq!(ct.spatial, again);
             assert_eq!(loaded.decompress(&again).unwrap(), traj.path.edges);
+        }
+    }
+
+    /// A file the previous writer produced carries a `node_mbr` section
+    /// after `node_dist`: it loads to the trained tables, because the
+    /// rectangles are folded from the arena and the section is ignored —
+    /// also when it has been rewritten, CRC and all, to rectangles that
+    /// no longer cover their nodes' sub-trajectories.
+    #[test]
+    fn model_store_loads_parent_format_files() {
+        let (press, _, _) = fixture();
+        let model = press.model();
+        let file = StoreFile::from_bytes(model.to_store_bytes()).unwrap();
+        assert!(
+            !file.has_section("node_mbr"),
+            "the writer emits no node_mbr"
+        );
+        let bits = |m: &Mbr| [m.min_x, m.min_y, m.max_x, m.max_y].map(f64::to_bits);
+        let nodes = 0..model.trie().num_nodes() as u32;
+        for shrunk in [false, true] {
+            let mut mbr = ByteWriter::new();
+            for m in nodes.clone().map(|id| model.node_mbr(id)) {
+                let max = if shrunk {
+                    [m.min_x, m.min_y]
+                } else {
+                    [m.max_x, m.max_y]
+                };
+                for v in [m.min_x, m.min_y, max[0], max[1]] {
+                    mbr.put_f64(v);
+                }
+            }
+            let mbr = mbr.into_bytes();
+            let mut w = StoreWriter::new(file.kind());
+            for name in file.section_names() {
+                w.section(name, file.section(name).unwrap().to_vec());
+                if name == "node_dist" {
+                    w.section("node_mbr", mbr.clone());
+                }
+            }
+            let loaded = HscModel::from_store_bytes(model.sp().clone(), w.to_bytes()).unwrap();
+            for id in nodes.clone() {
+                let (a, b) = (model.node_dist(id), loaded.node_dist(id));
+                assert_eq!(a.to_bits(), b.to_bits(), "node {id}");
+                let (a, b) = (model.node_mbr(id), loaded.node_mbr(id));
+                assert_eq!(bits(a), bits(b), "node {id}, shrunk {shrunk}");
+            }
         }
     }
 

@@ -86,84 +86,6 @@ pub fn grid_network(cfg: &GridConfig) -> RoadNetwork {
     b.build()
 }
 
-/// Configuration for [`ring_radial_network`].
-#[derive(Clone, Debug)]
-pub struct RingRadialConfig {
-    /// Number of concentric rings.
-    pub rings: usize,
-    /// Number of radial spokes.
-    pub spokes: usize,
-    /// Radial distance between consecutive rings (meters).
-    pub ring_spacing: f64,
-    /// Multiplicative weight jitter in `[0, 1)`.
-    pub weight_jitter: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for RingRadialConfig {
-    fn default() -> Self {
-        RingRadialConfig {
-            rings: 4,
-            spokes: 8,
-            ring_spacing: 200.0,
-            weight_jitter: 0.05,
-            seed: 42,
-        }
-    }
-}
-
-/// Generates a ring-radial ("spider web") network — a common urban topology
-/// (center + orbitals) that yields very skewed route popularity, good for
-/// exercising FST mining.
-pub fn ring_radial_network(cfg: &RingRadialConfig) -> RoadNetwork {
-    assert!(
-        cfg.rings >= 1 && cfg.spokes >= 3,
-        "need >=1 ring and >=3 spokes"
-    );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut b = RoadNetworkBuilder::new();
-    let center = b.add_node(Point::new(0.0, 0.0));
-    // ring_nodes[r][s]
-    let mut ring_nodes = Vec::with_capacity(cfg.rings);
-    for r in 1..=cfg.rings {
-        let radius = r as f64 * cfg.ring_spacing;
-        let mut nodes = Vec::with_capacity(cfg.spokes);
-        for s in 0..cfg.spokes {
-            let angle = s as f64 / cfg.spokes as f64 * std::f64::consts::TAU;
-            nodes.push(b.add_node(Point::new(radius * angle.cos(), radius * angle.sin())));
-        }
-        ring_nodes.push(nodes);
-    }
-    let jittered = |rng: &mut StdRng, w: f64| {
-        if cfg.weight_jitter > 0.0 {
-            w * (1.0 + rng.gen_range(-cfg.weight_jitter..cfg.weight_jitter))
-        } else {
-            w
-        }
-    };
-    // Radials: center <-> first ring, ring r <-> ring r+1 along each spoke.
-    for s in 0..cfg.spokes {
-        let w = jittered(&mut rng, cfg.ring_spacing);
-        b.add_two_way(center, ring_nodes[0][s], w).unwrap();
-        for pair in ring_nodes.windows(2) {
-            let w = jittered(&mut rng, cfg.ring_spacing);
-            b.add_two_way(pair[0][s], pair[1][s], w).unwrap();
-        }
-    }
-    // Orbitals: consecutive spokes on the same ring.
-    for (r, nodes) in ring_nodes.iter().enumerate() {
-        let radius = (r + 1) as f64 * cfg.ring_spacing;
-        let arc = radius * std::f64::consts::TAU / cfg.spokes as f64;
-        for s in 0..cfg.spokes {
-            let w = jittered(&mut rng, arc);
-            b.add_two_way(nodes[s], nodes[(s + 1) % cfg.spokes], w)
-                .unwrap();
-        }
-    }
-    b.build()
-}
-
 /// Configuration for [`random_geometric_network`].
 #[derive(Clone, Debug)]
 pub struct RandomGeometricConfig {
@@ -271,15 +193,6 @@ mod tests {
             nx: 1,
             ..GridConfig::default()
         });
-    }
-
-    #[test]
-    fn ring_radial_counts_and_connectivity() {
-        let cfg = RingRadialConfig::default();
-        let net = ring_radial_network(&cfg);
-        assert_eq!(net.num_nodes(), 1 + cfg.rings * cfg.spokes);
-        let tree = dijkstra(&net, NodeId(0));
-        assert!(net.node_ids().all(|v| tree.reachable(v)));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   [`SpBackend`],
 //! * a uniform-grid [spatial index](crate::index) over edges for the map
 //!   matcher's candidate radius, and
-//! * [synthetic generators](crate::generators) (grid, ring-radial, random
-//!   geometric) standing in for the Singapore road network.
+//! * [synthetic generators](crate::generators) (grid, random geometric)
+//!   standing in for the Singapore road network.
 //!
 //! ## Choosing an SP backend
 //!
@@ -59,10 +59,7 @@ pub use dijkstra::{
     ShortestPathTree, SparseTree,
 };
 pub use error::NetworkError;
-pub use generators::{
-    grid_network, random_geometric_network, ring_radial_network, GridConfig, RandomGeometricConfig,
-    RingRadialConfig,
-};
+pub use generators::{grid_network, random_geometric_network, GridConfig, RandomGeometricConfig};
 pub use geometry::{
     dist_point_to_segment, dist_segment_to_segment, point_along_polyline, polyline_length,
     project_onto_segment, segments_intersect, Mbr, Point, Projection,

@@ -48,8 +48,9 @@ where
 /// buffers (the batched contraction's witness searches carry `O(|V|)`
 /// versioned distance arrays).
 ///
-/// **Worker rule:** `min(scratch.len(), items.len())` workers, and a
-/// plain sequential map over `scratch[0]` when that is at most 1. A
+/// **Worker rule:** `min(scratch.len(), items.len())` workers — worker 0
+/// on the calling thread, the others on scoped threads — and a plain
+/// sequential map over `scratch[0]` when that is at most 1. A
 /// handful of heavy items (per-shard journal replay) still gets one
 /// worker each. Worker `w` gets exclusive `&mut` access to `scratch[w]`
 /// for the whole call, so the pool survives across calls with no
@@ -79,28 +80,31 @@ where
         return items.iter().enumerate().map(|(i, t)| f(s, i, t)).collect();
     }
     let next = AtomicUsize::new(0);
+    let work = |s: &mut S| {
+        let mut local = Vec::with_capacity(items.len() / threads + 1);
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                break;
+            };
+            local.push((i, f(s, i, item)));
+        }
+        local
+    };
     let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = scratch[..threads]
+        // Workers 1.. run on spawned threads; worker 0 runs here, on the
+        // calling thread, which would otherwise only wait in the join.
+        let (first, rest) = scratch[..threads].split_at_mut(1);
+        let handles: Vec<_> = rest
             .iter_mut()
-            .map(|s| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local = Vec::with_capacity(items.len() / threads + 1);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
-                            break;
-                        };
-                        local.push((i, f(s, i, item)));
-                    }
-                    local
-                })
-            })
+            .map(|s| scope.spawn(move || work(s)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("work-stealing worker panicked"))
+        std::iter::once(work(&mut first[0]))
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("work-stealing worker panicked")),
+            )
             .collect()
     });
     let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
@@ -212,6 +216,24 @@ mod tests {
             x
         });
         assert_eq!(pool.iter().map(Vec::len).sum::<usize>(), 2 * items.len());
+    }
+
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread() {
+        // The barrier holds each worker at its first item until the other
+        // has taken its own, so each slot handles exactly one item.
+        let barrier = std::sync::Barrier::new(2);
+        let caller = std::thread::current().id();
+        let mut pool = vec![Vec::new(); 2];
+        let out = work_steal_map_indexed(&[10u32, 20], &mut pool, |ran_on, _, &x| {
+            barrier.wait();
+            ran_on.push(std::thread::current().id());
+            x + 1
+        });
+        assert_eq!(out, [11, 21]);
+        assert_eq!(pool[0], [caller]);
+        assert_eq!(pool[1].len(), 1);
+        assert_ne!(pool[1][0], caller);
     }
 
     #[test]

@@ -877,6 +877,11 @@ impl IngestEngine {
         if config.idle_timeout.is_nan() {
             return Err(ServeError::Config("idle_timeout must not be NaN".into()));
         }
+        if config.policy.max_speed_m_s.is_nan() {
+            return Err(ServeError::Config(
+                "policy.max_speed_m_s must not be NaN".into(),
+            ));
+        }
         config.durability.validate().map_err(ServeError::Config)?;
         std::fs::create_dir_all(dir)?;
         let generation =

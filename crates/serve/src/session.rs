@@ -62,8 +62,9 @@ impl fmt::Display for QuarantineReason {
 /// [`crate::Ack::Repaired`], not journaled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionPolicy {
-    /// Teleport threshold in map units per second; `0.0` disables the
-    /// check entirely.
+    /// Teleport threshold in map units per second; a value `<= 0.0`
+    /// disables the check entirely. NaN is refused by
+    /// [`crate::IngestEngine::open`] ([`crate::ServeError::Config`]).
     pub max_speed_m_s: f64,
 }
 

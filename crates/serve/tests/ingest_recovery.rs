@@ -862,6 +862,33 @@ fn checkpoint_reopen_preserves_finished_and_segment_counters() {
     }
 }
 
+/// A configuration the engine cannot run is refused at open as a typed
+/// `ServeError::Config`, before the directory is created. A NaN speed
+/// limit would otherwise turn teleport vetting off without a word.
+#[test]
+fn open_refuses_unrunnable_configs() {
+    let f = fleet();
+    let dir = test_dir("bad-config");
+    for what in ["block_size", "shards", "idle_timeout", "max_speed_m_s"] {
+        let mut cfg = config();
+        match what {
+            "block_size" => cfg.block_size = 0,
+            "shards" => cfg.shards = 0,
+            "idle_timeout" => cfg.idle_timeout = f64::NAN,
+            _ => cfg.policy.max_speed_m_s = f64::NAN,
+        }
+        match IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg) {
+            Err(ServeError::Config(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+            Err(e) => panic!("{what}: expected a typed config refusal, got {e:?}"),
+            Ok(_) => panic!("{what}: the engine opened"),
+        }
+        assert!(
+            !dir.exists(),
+            "{what}: the refused open created the directory"
+        );
+    }
+}
+
 /// A corpus names the model it was coded under; recovering it under a
 /// model with another code book is a typed refusal, not garbage paths.
 #[test]

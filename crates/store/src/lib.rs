@@ -47,11 +47,11 @@
 //! 8-byte boundary (zero gap bytes pad the previous payload — invisible
 //! to readers, which address sections only through the table). A
 //! [`StoreFile`] opens either **owned** ([`StoreFile::open`], one
-//! contiguous read, payload CRC checked on every access) or **mapped**
-//! ([`StoreFile::open_mapped`], `mmap`/aligned-arena via [`mapping`],
-//! open cost O(header + table), payload CRC checked lazily **once** on
-//! a section's first touch and the verdict cached). Either way every
-//! access is validated before bytes are handed out, and
+//! contiguous read) or **mapped** ([`StoreFile::open_mapped`],
+//! `mmap`/aligned-arena via [`mapping`], open cost O(header + table)).
+//! Either way a section's payload CRC is checked **once**, on its first
+//! touch, and the verdict cached — the bytes behind a file never change
+//! — so every access is validated before bytes are handed out, and
 //! [`StoreFile::flat_section`] lends fixed-width sections as typed
 //! [`FlatSlice`]s — zero-copy borrows of the backing when alignment
 //! permits, decoded copies otherwise. [`ByteWriter`]/[`ByteReader`]
@@ -384,8 +384,8 @@ impl fmt::Debug for Backing {
     }
 }
 
-/// Lazy per-section CRC verdicts (mapped opens only): one tri-state per
-/// table entry, flipped exactly once on the section's first touch.
+/// Per-section CRC verdicts: one tri-state per table entry, flipped
+/// exactly once on the section's first touch.
 const CRC_UNCHECKED: u8 = 0;
 const CRC_OK: u8 = 1;
 const CRC_BAD: u8 = 2;
@@ -402,18 +402,18 @@ pub struct StoreFile {
     // is ever hashed. Equal keys sort by position, so the first entry
     // wins on (malformed) duplicate names.
     lookup: Vec<(u128, u32)>,
-    /// `Some` for mapped opens: payload CRC is validated lazily, once
-    /// per section, on first touch (the whole point of a mapped open is
-    /// not reading every byte up front). `None` for owned loads, which
-    /// keep the historical eager semantics — CRC on **every** access.
-    lazy_crc: Option<Vec<AtomicU8>>,
+    /// Payload CRCs are validated lazily, once per section, on first
+    /// touch, owned and mapped alike: the bytes behind a `StoreFile` never
+    /// change, so a verdict holds for its lifetime, and an open does not
+    /// read every byte up front.
+    lazy_crc: Vec<AtomicU8>,
 }
 
 impl StoreFile {
     /// Ingests a container from raw bytes, validating magic, version,
     /// the section table's CRC, and every entry's bounds.
     pub fn from_bytes(data: Vec<u8>) -> Result<Self> {
-        Self::from_backing(Backing::Owned(data), false)
+        Self::from_backing(Backing::Owned(data))
     }
 
     /// Opens a container through [`map_file`] — `mmap` where available,
@@ -422,10 +422,10 @@ impl StoreFile {
     /// to each section's first touch and the verdict cached, so open
     /// cost is O(header + table), not O(file).
     pub fn open_mapped(path: &Path) -> Result<Self> {
-        Self::from_backing(Backing::Mapped(map_file(path)?), true)
+        Self::from_backing(Backing::Mapped(map_file(path)?))
     }
 
-    fn from_backing(backing: Backing, lazy: bool) -> Result<Self> {
+    fn from_backing(backing: Backing) -> Result<Self> {
         let data = backing.bytes();
         if data.len() < HEADER_BYTES {
             return Err(StoreError::Truncated {
@@ -493,11 +493,9 @@ impl StoreFile {
         // The stable sort merges natural runs, so the `blk0, blk1, …`
         // tables writers emit sort in linear time.
         lookup.sort();
-        let lazy_crc = lazy.then(|| {
-            (0..table.len())
-                .map(|_| AtomicU8::new(CRC_UNCHECKED))
-                .collect()
-        });
+        let lazy_crc = (0..table.len())
+            .map(|_| AtomicU8::new(CRC_UNCHECKED))
+            .collect();
         Ok(StoreFile {
             kind,
             data: Arc::new(backing),
@@ -512,10 +510,9 @@ impl StoreFile {
         Self::from_bytes(std::fs::read(path)?)
     }
 
-    /// True when this file was opened through [`StoreFile::open_mapped`]
-    /// (lazy per-section CRC semantics).
+    /// True when this file was opened through [`StoreFile::open_mapped`].
     pub fn is_mapped(&self) -> bool {
-        self.lazy_crc.is_some()
+        matches!(*self.data, Backing::Mapped(_))
     }
 
     /// Artifact kind from the header (see [`kind`]).
@@ -589,9 +586,9 @@ impl StoreFile {
         self.section_slot(name).is_some()
     }
 
-    /// CRC-checked payload of a section. Owned loads check the CRC on
-    /// every access; mapped opens check it once, on the section's first
-    /// touch, and cache the verdict (a cached failure keeps failing).
+    /// CRC-checked payload of a section. The CRC runs once, on the
+    /// section's first touch, and the verdict is cached (a cached failure
+    /// keeps failing).
     pub fn section(&self, name: &str) -> Result<&[u8]> {
         let slot = self
             .section_slot(name)
@@ -623,20 +620,18 @@ impl StoreFile {
     pub fn section_at(&self, slot: usize) -> Result<&[u8]> {
         let entry = &self.table[slot];
         let payload = &self.data.bytes()[entry.offset..entry.offset + entry.len];
-        let ok = match &self.lazy_crc {
-            None => crc32(payload) == entry.crc,
-            Some(states) => match states[slot].load(Ordering::Acquire) {
-                CRC_OK => true,
-                CRC_BAD => false,
-                _ => {
-                    // Concurrent first touches both compute the same
-                    // verdict over the same immutable bytes; the double
-                    // store is benign.
-                    let ok = crc32(payload) == entry.crc;
-                    states[slot].store(if ok { CRC_OK } else { CRC_BAD }, Ordering::Release);
-                    ok
-                }
-            },
+        let verdict = &self.lazy_crc[slot];
+        let ok = match verdict.load(Ordering::Acquire) {
+            CRC_OK => true,
+            CRC_BAD => false,
+            _ => {
+                // Concurrent first touches both compute the same verdict
+                // over the same immutable bytes; the double store is
+                // benign.
+                let ok = crc32(payload) == entry.crc;
+                verdict.store(if ok { CRC_OK } else { CRC_BAD }, Ordering::Release);
+                ok
+            }
         };
         if !ok {
             return Err(StoreError::ChecksumMismatch {
@@ -660,8 +655,8 @@ impl StoreFile {
     /// borrow of this file's backing when the payload is aligned for `T`
     /// (mapped flat sections are written 8-byte aligned, so this is the
     /// common case), a decoded copy otherwise — answers are identical
-    /// either way. The section is CRC-validated first under this file's
-    /// access mode (eager or first-touch), and a length that is not a
+    /// either way. The section is CRC-validated first (on its first
+    /// touch, as [`StoreFile::section`] does), and a length that is not a
     /// whole number of elements is typed [`StoreError::Corrupt`].
     pub fn flat_section<T: FlatPod>(&self, name: &str) -> Result<FlatSlice<T>> {
         self.section(name)?;
@@ -1457,22 +1452,31 @@ mod tests {
         let n = bytes.len();
         bytes[n - 2] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let f = StoreFile::open_mapped(&path).unwrap(); // open itself succeeds
-        assert!(f.is_mapped());
-        // First touch surfaces the typed error; so does every retry
-        // (the verdict is cached, not forgotten).
-        for _ in 0..2 {
-            assert_eq!(
-                f.section("payload").unwrap_err(),
-                StoreError::ChecksumMismatch {
-                    section: "payload".into()
-                }
-            );
+        // The owned open follows the mapped open's policy; the open itself
+        // succeeds either way.
+        let opened = [StoreFile::open_mapped(&path), StoreFile::open(&path)];
+        for (f, mapped) in opened.into_iter().zip([true, false]) {
+            let f = f.unwrap();
+            assert_eq!(f.is_mapped(), mapped);
+            let verdict = |name| f.lazy_crc[f.section_slot(name).unwrap()].load(Ordering::Acquire);
+            assert_eq!(verdict("payload"), CRC_UNCHECKED);
+            // First touch surfaces the typed error; so does every retry
+            // (the verdict is cached, not forgotten).
+            for _ in 0..2 {
+                assert_eq!(
+                    f.section("payload").unwrap_err(),
+                    StoreError::ChecksumMismatch {
+                        section: "payload".into()
+                    }
+                );
+                assert_eq!(verdict("payload"), CRC_BAD, "mapped {mapped}");
+            }
+            // The untouched section reads fine, and repeats served from
+            // the cached OK verdict stay fine.
+            let meta = f.section("meta").unwrap().to_vec();
+            assert_eq!(verdict("meta"), CRC_OK, "mapped {mapped}");
+            assert_eq!(f.section("meta").unwrap(), &meta[..]);
         }
-        // The untouched section reads fine, and repeats served from the
-        // cached OK verdict stay fine.
-        let meta = f.section("meta").unwrap().to_vec();
-        assert_eq!(f.section("meta").unwrap(), &meta[..]);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -615,8 +615,8 @@ fn node_link_corruption_matrix() {
 /// section existed is refused with a typed `MissingSection` (every file
 /// written since both exist carries them); the older sections of a
 /// freshly trained model are, byte for byte, what the writers before each
-/// addition produced (CRCs pinned from those builds); and a loaded model
-/// answers exactly as the trained one.
+/// addition produced (CRCs pinned from those builds), less the retired
+/// `node_mbr`; and a loaded model answers exactly as the trained one.
 #[test]
 fn node_link_legacy_file_and_unchanged_sections() {
     use press_store::{StoreError, StoreFile};
@@ -629,7 +629,6 @@ fn node_link_legacy_file_and_unchanged_sections() {
         ("trie", 0x873292d8),
         ("hufflens", 0x4c8b135a),
         ("node_dist", 0xf19b2274),
-        ("node_mbr", 0xad0f5652),
         ("node_link", 0x3af3f94e),
     ] {
         assert_eq!(
@@ -638,6 +637,10 @@ fn node_link_legacy_file_and_unchanged_sections() {
             "{name}"
         );
     }
+    assert!(
+        !file.has_section("node_mbr"),
+        "the MBRs are derived at load"
+    );
 
     for gone in ["node_link", "node_stop"] {
         let legacy = rewrite_sections(&good, |name, p| (name != gone).then(|| p.to_vec()));
