@@ -2,9 +2,11 @@
 //!
 //! Wires the five components together: map matching and re-formatting
 //! happen upstream (`press-matcher`, [`crate::reformat`](mod@crate::reformat)); this module owns
-//! the **paralleled** spatial + temporal compression (the "P" in PRESS —
-//! the two compressors are independent and run concurrently), the
-//! decompression path, and storage accounting.
+//! the spatial + temporal compression, the decompression path, and
+//! storage accounting. The two compressors are independent, which is the
+//! paper's *Paralleled* ("P" in PRESS); [`Press::compress_batch`] carries
+//! it by running whole trajectories on every worker, because a thread
+//! spawned per trajectory costs more than the work it would overlap.
 
 use crate::error::Result;
 use crate::spatial::{CompressedSpatial, Decomposer, HscModel};
@@ -109,24 +111,6 @@ impl Press {
             self.config.bounds,
         ));
         Ok(CompressedTrajectory { spatial, temporal })
-    }
-
-    /// Compresses one trajectory with the spatial and temporal compressors
-    /// running **in parallel** (the paper's framework name: *Paralleled*
-    /// road-network-based trajectory compression).
-    pub fn compress_parallel(&self, traj: &Trajectory) -> Result<CompressedTrajectory> {
-        std::thread::scope(|scope| {
-            let spatial_task = scope.spawn(|| {
-                self.model
-                    .compress_with(&traj.path.edges, self.config.decomposer)
-            });
-            let temporal = btc_compress(&traj.temporal.points, self.config.bounds);
-            let spatial = spatial_task.join().expect("spatial compressor panicked")?;
-            Ok(CompressedTrajectory {
-                spatial,
-                temporal: TemporalSequence::new_unchecked(temporal),
-            })
-        })
     }
 
     /// Compresses a batch across `threads` worker threads (dataset-scale
@@ -265,16 +249,6 @@ mod tests {
                 crate::temporal::tsnd(&traj.temporal.points, &back.temporal.points),
                 0.0
             );
-        }
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let (_, press, trajs) = setup();
-        for traj in trajs.iter().take(10) {
-            let a = press.compress(traj).unwrap();
-            let b = press.compress_parallel(traj).unwrap();
-            assert_eq!(a, b);
         }
     }
 

@@ -12,13 +12,15 @@
 //! Both compression and decompression are `O(|T|)` — every edge is visited
 //! a constant number of times.
 //!
-//! There is one copy of the scan (`SpScan`), generic over who answers
+//! There is one copy of the scan (`sp_scan`), generic over who answers
 //! `SPend` (`SpEnd`): a shortest-path provider, or a trained model that
 //! reads the answers training already walked before asking its provider
-//! (see [`crate::spatial::hsc`] § the `SPend` index). [`sp_compress`], the
-//! streaming [`OnlineSpCompressor`](crate::spatial::OnlineSpCompressor)
-//! and [`HscModel::compress`](crate::spatial::HscModel::compress) are all
-//! thin drivers of it.
+//! (see [`crate::spatial::hsc`] § the `SPend` index). [`sp_compress`] and
+//! [`HscModel::compress`](crate::spatial::HscModel::compress) both call
+//! it. It is one forward pass with two edges of state (the anchor and the
+//! latest edge), the paper's §7.1.2 reason PRESS could compress online.
+//! The ingest engine compresses each piece whole, so nothing drives the
+//! scan edge by edge.
 
 use crate::error::{PressError, Result};
 use press_network::{EdgeId, SpProvider};
@@ -42,81 +44,31 @@ impl<P: SpProvider + ?Sized> SpEnd for P {
     }
 }
 
-/// Algorithm 1 as a state machine — the only copy of the greedy scan:
-/// [`sp_compress`] drives it over a whole path, the streaming
-/// [`OnlineSpCompressor`](crate::spatial::OnlineSpCompressor) one edge
-/// at a time.
-///
-/// Invariant of `Run`: `⟨anchor, …, prev⟩` equals `SP(anchor, prev)`.
-/// Adjacent edges are trivially each other's shortest path, so it holds
-/// whenever a new anchor is set; the `SPend` check extends it one edge
-/// at a time (prefix consistency of the SP trees).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) enum SpScan {
-    /// No edge seen yet.
-    #[default]
-    Empty,
-    /// One edge seen: emitted, and the anchor of the first run.
-    First(EdgeId),
-    /// `anchor` is the last emitted edge, `prev` the undecided latest one.
-    Run { anchor: EdgeId, prev: EdgeId },
-}
-
-impl SpScan {
-    /// Feeds the next traversed edge; returns the edge this decides to
-    /// keep, if any — `e` itself for the first edge of a path, otherwise
-    /// the edge fed right before it.
-    #[inline]
-    pub(crate) fn push<O: SpEnd + ?Sized>(&mut self, oracle: &O, e: EdgeId) -> Option<EdgeId> {
-        match *self {
-            SpScan::Empty => {
-                *self = SpScan::First(e);
-                Some(e)
-            }
-            SpScan::First(anchor) => {
-                *self = SpScan::Run { anchor, prev: e };
-                None
-            }
-            SpScan::Run { anchor, prev } => {
-                if oracle.sp_end_edge(anchor, e) == Some(prev) {
-                    *self = SpScan::Run { anchor, prev: e };
-                    None
-                } else {
-                    *self = SpScan::Run {
-                        anchor: prev,
-                        prev: e,
-                    };
-                    Some(prev)
-                }
-            }
-        }
-    }
-
-    /// Closes the path: the final edge is always retained.
-    #[inline]
-    pub(crate) fn finish(self) -> Option<EdgeId> {
-        match self {
-            SpScan::Run { prev, .. } => Some(prev),
-            _ => None,
-        }
-    }
-}
-
-/// [`sp_compress`] over any `SPend` oracle, as the ascending positions in
+/// Algorithm 1 over any `SPend` oracle, as the ascending positions in
 /// `path` of the edges it keeps — so a caller holding `path` also holds
 /// every run the scan elided: `path[kept[k] + 1..kept[k + 1]]`.
+///
+/// `anchor` is the last kept edge and `prev` the undecided latest one;
+/// invariant: `⟨anchor, …, prev⟩` equals `SP(anchor, prev)`. Adjacent
+/// edges are trivially each other's shortest path, so it holds whenever
+/// a new anchor is set; the `SPend` check extends it one edge at a time
+/// (prefix consistency of the SP trees).
 pub(crate) fn sp_scan<O: SpEnd + ?Sized>(oracle: &O, path: &[EdgeId]) -> Vec<usize> {
+    let [mut anchor, mut prev, ..] = *path else {
+        return (0..path.len()).collect();
+    };
     let mut kept = Vec::with_capacity(path.len() / 2 + 2);
-    let mut scan = SpScan::default();
-    for (at, &e) in path.iter().enumerate() {
-        if scan.push(oracle, e).is_some() {
-            // The first edge decides itself, every later one its predecessor.
-            kept.push(at.saturating_sub(1));
+    kept.push(0);
+    for (at, &e) in path.iter().enumerate().skip(2) {
+        if oracle.sp_end_edge(anchor, e) != Some(prev) {
+            // `prev` (at `at - 1`) ends the run: keep it, and anchor on it.
+            kept.push(at - 1);
+            anchor = prev;
         }
+        prev = e;
     }
-    if scan.finish().is_some() {
-        kept.push(path.len() - 1);
-    }
+    // The final edge is always retained.
+    kept.push(path.len() - 1);
     kept
 }
 

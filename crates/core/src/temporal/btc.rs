@@ -20,8 +20,11 @@
 //!   bound is `+∞` when `p.t−η ≤ a.t` (the window reaches back to the
 //!   anchor, so arbitrarily steep segments pass).
 //!
-//! There is one copy of the scan (`BtcScan`): [`btc_compress`] and the
-//! streaming [`OnlineBtc`](crate::temporal::OnlineBtc) both drive it.
+//! There is one copy of the scan, the loop in [`btc_compress`], which
+//! `Press::compress` (and through it the ingest flush) runs. It is one
+//! forward pass with O(1) state, the paper's §7.1.2 reason PRESS could
+//! compress online. The ingest engine compresses each piece whole, so
+//! nothing drives the scan tuple by tuple.
 
 use crate::types::DtPoint;
 use serde::{Deserialize, Serialize};
@@ -30,8 +33,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BtcBounds {
     /// Maximum tolerated TSND `τ` (distance units, meters by default).
+    /// Must be non-negative and not NaN, as [`BtcBounds::new`] asserts: a
+    /// NaN set here directly drops the TSND window from the scan, so the
+    /// ingest engine refuses one at open.
     pub tsnd: f64,
-    /// Maximum tolerated NSTD `η` (seconds).
+    /// Maximum tolerated NSTD `η` (seconds). Must be non-negative and not
+    /// NaN, as [`BtcBounds::new`] asserts: a NaN set here directly drops
+    /// the NSTD window from the scan, so the ingest engine refuses one at
+    /// open.
     pub nstd: f64,
 }
 
@@ -103,81 +112,37 @@ impl SlopeRange {
     }
 }
 
-/// Algorithm 3 as a state machine — the only copy of BTC:
-/// [`btc_compress`] drives it over a whole sequence, the streaming
-/// [`OnlineBtc`](crate::temporal::OnlineBtc) one tuple at a time. State:
-/// the anchor (the last kept tuple), the latest tuple since it, and the
-/// angular range every tuple since the anchor admits.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct BtcScan {
-    anchor: Option<DtPoint>,
-    last: Option<DtPoint>,
-    range: SlopeRange,
-}
-
-impl Default for BtcScan {
-    fn default() -> Self {
-        BtcScan {
-            anchor: None,
-            last: None,
-            range: SlopeRange::full(),
-        }
-    }
-}
-
-impl BtcScan {
-    /// Feeds the next tuple (strictly increasing `t`); returns the tuple
-    /// this decides to keep, if any — `p` itself for the first tuple,
-    /// otherwise the tuple fed right before it.
-    #[inline]
-    pub(crate) fn push(&mut self, p: DtPoint, bounds: BtcBounds) -> Option<DtPoint> {
-        let (anchor, kept) = match (self.anchor, self.last) {
-            (None, _) => {
-                self.anchor = Some(p);
-                return Some(p);
-            }
-            // p cannot be reached within tolerance: keep its predecessor
-            // as the new anchor and take p under a fresh range (its own
-            // slope always falls inside the full one).
-            (Some(anchor), Some(prev)) if !self.range.contains_slope_to(anchor, p) => {
-                self.anchor = Some(prev);
-                self.range = SlopeRange::full();
-                (prev, Some(prev))
-            }
-            (Some(anchor), _) => (anchor, None),
-        };
-        self.range
-            .intersect(SlopeRange::of_point(anchor, p, bounds));
-        self.last = Some(p);
-        kept
-    }
-
-    /// Closes the sequence: the final tuple is always retained.
-    #[inline]
-    pub(crate) fn finish(self) -> Option<DtPoint> {
-        self.last
-    }
-}
-
 /// Compresses a temporal sequence with bounded TSND/NSTD error
 /// (Algorithm 3). The output is a subsequence of the input, always keeping
 /// the first and last tuples. `O(|T|)`.
+///
+/// State: the anchor (the last kept tuple), the latest tuple since it,
+/// and the angular range every tuple since the anchor admits.
 pub fn btc_compress(points: &[DtPoint], bounds: BtcBounds) -> Vec<DtPoint> {
+    let [first, second, ..] = *points else {
+        return points.to_vec();
+    };
     let mut out = Vec::with_capacity(points.len() / 2 + 2);
-    let mut scan = BtcScan::default();
-    for &p in points {
-        out.extend(scan.push(p, bounds));
+    out.push(first);
+    // The second tuple is taken untested, under the full range.
+    let (mut anchor, mut prev) = (first, second);
+    let mut range = SlopeRange::full();
+    range.intersect(SlopeRange::of_point(anchor, second, bounds));
+    for &p in &points[2..] {
+        if !range.contains_slope_to(anchor, p) {
+            // p cannot be reached within tolerance: keep its predecessor
+            // as the new anchor and take p under a fresh range (its own
+            // slope always falls inside the full one).
+            out.push(prev);
+            anchor = prev;
+            range = SlopeRange::full();
+        }
+        range.intersect(SlopeRange::of_point(anchor, p, bounds));
+        prev = p;
     }
-    out.extend(scan.finish());
+    // The final tuple is always retained.
+    out.push(prev);
     out
-}
-
-/// Compression ratio `|T| / |T'|` in tuple counts.
-pub fn btc_ratio(original: &[DtPoint], compressed: &[DtPoint]) -> f64 {
-    if compressed.is_empty() {
-        return 1.0;
-    }
-    original.len() as f64 / compressed.len() as f64
 }
 
 #[cfg(test)]
@@ -295,7 +260,6 @@ mod tests {
         let tight = btc_compress(&pts, BtcBounds::new(5.0, 5.0));
         let loose = btc_compress(&pts, BtcBounds::new(500.0, 500.0));
         assert!(loose.len() <= tight.len());
-        assert!((btc_ratio(&pts, &loose)) >= btc_ratio(&pts, &tight));
     }
 
     #[test]

@@ -882,6 +882,16 @@ impl IngestEngine {
                 "policy.max_speed_m_s must not be NaN".into(),
             ));
         }
+        // A NaN bound drops its window from BTC's angular range, so the
+        // corpus would silently break the bound the operator set.
+        let bounds = press.config().bounds;
+        for (name, bound) in [("tsnd", bounds.tsnd), ("nstd", bounds.nstd)] {
+            if bound.is_nan() || bound < 0.0 {
+                return Err(ServeError::Config(format!(
+                    "press bounds.{name} must be non-negative, not {bound}"
+                )));
+            }
+        }
         config.durability.validate().map_err(ServeError::Config)?;
         std::fs::create_dir_all(dir)?;
         let generation =

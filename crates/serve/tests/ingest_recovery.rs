@@ -864,27 +864,42 @@ fn checkpoint_reopen_preserves_finished_and_segment_counters() {
 
 /// A configuration the engine cannot run is refused at open as a typed
 /// `ServeError::Config`, before the directory is created. A NaN speed
-/// limit would otherwise turn teleport vetting off without a word.
+/// limit would otherwise turn teleport vetting off without a word, and a
+/// NaN BTC bound would drop its window from the scan.
 #[test]
 fn open_refuses_unrunnable_configs() {
     let f = fleet();
     let dir = test_dir("bad-config");
-    for what in ["block_size", "shards", "idle_timeout", "max_speed_m_s"] {
+    let cases = [
+        ("block_size", 0.0),
+        ("shards", 0.0),
+        ("idle_timeout", f64::NAN),
+        ("max_speed_m_s", f64::NAN),
+        ("bounds.tsnd", f64::NAN),
+        ("bounds.tsnd", -1.0),
+        ("bounds.nstd", f64::NAN),
+        ("bounds.nstd", -1.0),
+    ];
+    for (what, bad) in cases {
         let mut cfg = config();
+        let mut press_cfg = f.press.config();
         match what {
             "block_size" => cfg.block_size = 0,
             "shards" => cfg.shards = 0,
-            "idle_timeout" => cfg.idle_timeout = f64::NAN,
-            _ => cfg.policy.max_speed_m_s = f64::NAN,
+            "idle_timeout" => cfg.idle_timeout = bad,
+            "max_speed_m_s" => cfg.policy.max_speed_m_s = bad,
+            "bounds.tsnd" => press_cfg.bounds.tsnd = bad,
+            _ => press_cfg.bounds.nstd = bad,
         }
-        match IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg) {
-            Err(ServeError::Config(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
-            Err(e) => panic!("{what}: expected a typed config refusal, got {e:?}"),
-            Ok(_) => panic!("{what}: the engine opened"),
+        let press = f.press.reconfigured(press_cfg);
+        match IngestEngine::open(&dir, Arc::clone(&f.matcher), press, cfg) {
+            Err(ServeError::Config(msg)) => assert!(msg.contains(what), "{what} {bad}: {msg}"),
+            Err(e) => panic!("{what} {bad}: expected a typed config refusal, got {e:?}"),
+            Ok(_) => panic!("{what} {bad}: the engine opened"),
         }
         assert!(
             !dir.exists(),
-            "{what}: the refused open created the directory"
+            "{what} {bad}: the refused open created the directory"
         );
     }
 }

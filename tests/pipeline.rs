@@ -81,7 +81,7 @@ fn gps_to_compressed_and_back() {
             })
             .collect();
         let traj = reformat(&w.net, matched.edges.clone(), &path_samples).expect("reformat");
-        let compressed = w.press.compress_parallel(&traj).expect("compress");
+        let compressed = w.press.compress(&traj).expect("compress");
         let restored = w.press.decompress(&compressed).expect("decompress");
         // Spatial losslessness end-to-end.
         assert_eq!(restored.path.edges, matched.edges);

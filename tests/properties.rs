@@ -9,8 +9,8 @@
 //! * The temporal metrics are symmetric and zero on identical curves.
 
 use press::baselines::{rarx, zipx};
-use press::core::spatial::{sp_compress, sp_decompress, HscModel, OnlineSpCompressor};
-use press::core::temporal::{bopw_compress, btc_compress, nstd, tsnd, BtcBounds, OnlineBtc};
+use press::core::spatial::{sp_compress, sp_decompress, HscModel};
+use press::core::temporal::{bopw_compress, btc_compress, nstd, tsnd, BtcBounds};
 use press::core::DtPoint;
 use press::prelude::*;
 use proptest::prelude::*;
@@ -400,43 +400,12 @@ fn greedy_sp_is_optimal_exhaustively() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Streaming compressors under **arbitrary push chunking**: feeding
-    /// the stream one element at a time and closing it at ANY prefix — a
-    /// cloned encoder `finish()`ed mid-stream — is bit-identical to the
-    /// batch compressor over exactly that prefix, and the mid-stream
-    /// clone never perturbs the continuing encoder: a stream closed at
-    /// any cut (an idle timeout, a session cap, a crash) equals the batch
-    /// compression of what it saw. Each streaming form drives the batch
-    /// form's own state machine, so these pin the drivers.
-    #[test]
-    fn online_sp_equals_batch_at_every_cut(
-        start in 0u32..49,
-        choices in proptest::collection::vec(0u8..8, 0..24),
-    ) {
-        let f = fixture();
-        let path = walk_from_choices(&f.net, start, &choices);
-        let sp: Arc<dyn SpProvider> = f.sp.clone();
-        let mut enc = OnlineSpCompressor::new(sp.clone());
-        let mut emitted: Vec<EdgeId> = Vec::new();
-        // Empty stream: finish alone emits nothing, batch agrees.
-        prop_assert_eq!(OnlineSpCompressor::new(sp.clone()).finish(), sp_compress(&f.sp, &[]));
-        for (i, &e) in path.iter().enumerate() {
-            emitted.extend(enc.push(e));
-            // Cut here: emitted-so-far + a cloned finish == batch(prefix).
-            let mut cut = emitted.clone();
-            cut.extend(enc.clone().finish());
-            prop_assert_eq!(&cut, &sp_compress(&f.sp, &path[..=i]), "cut after edge {}", i);
-            // Already-emitted output is a committed prefix of every cut.
-            prop_assert!(cut.len() >= emitted.len());
-        }
-    }
-
     /// The hub-label predecessor kernel (margin pick on a jittered grid,
     /// exact fallback on a fully tied one) under the codec that consumes
-    /// it: `sp_compress` → `sp_decompress` and the streaming encoder at
-    /// every cut produce exactly what the dense backend produces.
+    /// it: `sp_compress` → `sp_decompress` produces exactly what the dense
+    /// backend produces.
     #[test]
-    fn hl_sp_codec_and_stream_match_dense_on_tied_and_jittered_grids(
+    fn hl_sp_codec_matches_dense_on_tied_and_jittered_grids(
         tied in any::<bool>(),
         start in 0u32..49,
         choices in proptest::collection::vec(0u8..8, 0..24),
@@ -466,35 +435,6 @@ proptest! {
             sp_decompress(hl, &compressed).unwrap(),
             sp_decompress(dense, &compressed).unwrap()
         );
-        let provider: Arc<dyn SpProvider> = hl.clone();
-        let mut enc = OnlineSpCompressor::new(provider);
-        let mut emitted: Vec<EdgeId> = Vec::new();
-        for (i, &e) in path.iter().enumerate() {
-            emitted.extend(enc.push(e));
-            let mut cut = emitted.clone();
-            cut.extend(enc.clone().finish());
-            prop_assert_eq!(&cut, &sp_compress(dense, &path[..=i]), "cut after edge {}", i);
-        }
-    }
-
-    #[test]
-    fn online_btc_equals_batch_at_every_cut(
-        incs in proptest::collection::vec((0u16..400, 0u16..200), 0..40),
-        tau in 0.0f64..60.0,
-        eta in 0.0f64..30.0,
-    ) {
-        let pts = temporal_from_increments(&incs);
-        let bounds = BtcBounds::new(tau, eta);
-        prop_assert!(OnlineBtc::new(bounds).finish().is_empty());
-        let mut enc = OnlineBtc::new(bounds);
-        let mut emitted: Vec<DtPoint> = Vec::new();
-        for (i, &p) in pts.iter().enumerate() {
-            emitted.extend(enc.push(p));
-            let mut cut = emitted.clone();
-            cut.extend(enc.clone().finish());
-            prop_assert_eq!(&cut, &btc_compress(&pts[..=i], bounds), "cut after tuple {}", i);
-            prop_assert!(cut.len() >= emitted.len());
-        }
     }
 }
 
