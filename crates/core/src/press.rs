@@ -8,7 +8,7 @@
 //! it by running whole trajectories on every worker, because a thread
 //! spawned per trajectory costs more than the work it would overlap.
 
-use crate::error::Result;
+use crate::error::{PressError, Result};
 use crate::spatial::{CompressedSpatial, Decomposer, HscModel};
 use crate::stats::{self, CompressionStats, DT_TUPLE_BYTES};
 use crate::temporal::{btc_compress, BtcBounds};
@@ -64,11 +64,17 @@ impl Press {
     /// Trains PRESS: builds the HSC model (Trie, automaton, Huffman tree)
     /// from the training spatial paths. The shortest-path provider is
     /// built once per network and shared across instances and threads.
+    /// Bounds [`BtcBounds::validate`] refuses are a
+    /// [`PressError::InvalidConfig`], before any training.
     pub fn train(
         sp: Arc<dyn SpProvider>,
         training_paths: &[Vec<EdgeId>],
         config: PressConfig,
     ) -> Result<Self> {
+        config
+            .bounds
+            .validate()
+            .map_err(PressError::InvalidConfig)?;
         let model = HscModel::train(sp, training_paths, config.theta)?;
         Ok(Press {
             model: Arc::new(model),
@@ -102,7 +108,14 @@ impl Press {
     }
 
     /// Compresses one trajectory, spatial and temporal parts sequentially.
+    /// Bounds [`BtcBounds::validate`] refuses are a
+    /// [`PressError::InvalidConfig`]: [`Press::with_model`] and
+    /// [`Press::reconfigured`] cannot refuse them, so the compressor does.
     pub fn compress(&self, traj: &Trajectory) -> Result<CompressedTrajectory> {
+        self.config
+            .bounds
+            .validate()
+            .map_err(PressError::InvalidConfig)?;
         let spatial = self
             .model
             .compress_with(&traj.path.edges, self.config.decomposer)?;
@@ -122,12 +135,18 @@ impl Press {
     /// trajectory costs vary wildly with length, so pre-chunking leaves
     /// threads idle behind the slowest slice, while stealing one index at
     /// a time keeps every worker busy until the batch is drained. All
-    /// workers share the model's single `SpProvider`.
+    /// workers share the model's single `SpProvider`. Bounds
+    /// [`BtcBounds::validate`] refuses are a [`PressError::InvalidConfig`],
+    /// for an empty batch too.
     pub fn compress_batch(
         &self,
         trajectories: &[Trajectory],
         threads: usize,
     ) -> Result<Vec<CompressedTrajectory>> {
+        self.config
+            .bounds
+            .validate()
+            .map_err(PressError::InvalidConfig)?;
         crate::parallel::work_steal_map(trajectories, threads, |_, t| self.compress(t))
             .into_iter()
             .collect()
@@ -315,6 +334,82 @@ mod tests {
             loose_total.accumulate(&loose.stats_network_form(traj, &cl));
         }
         assert!(loose_total.ratio() >= strict_total.ratio());
+    }
+
+    /// The bounds `BtcBounds::new` would assert on, set through the
+    /// public fields.
+    fn unrunnable_bounds() -> [(&'static str, BtcBounds); 4] {
+        let ok = BtcBounds::new(45.0, 15.0);
+        [
+            (
+                "bounds.tsnd",
+                BtcBounds {
+                    tsnd: f64::NAN,
+                    ..ok
+                },
+            ),
+            ("bounds.tsnd", BtcBounds { tsnd: -1.0, ..ok }),
+            (
+                "bounds.nstd",
+                BtcBounds {
+                    nstd: f64::NAN,
+                    ..ok
+                },
+            ),
+            ("bounds.nstd", BtcBounds { nstd: -1.0, ..ok }),
+        ]
+    }
+
+    fn assert_refused<T: std::fmt::Debug>(field: &str, result: Result<T>) {
+        match result {
+            Err(PressError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn train_refuses_unrunnable_bounds() {
+        let (net, _, trajs) = setup();
+        let sp = Arc::new(SpTable::build(net));
+        let paths: Vec<Vec<EdgeId>> = trajs.iter().map(|t| t.path.edges.clone()).collect();
+        for (field, bounds) in unrunnable_bounds() {
+            let config = PressConfig {
+                bounds,
+                ..PressConfig::default()
+            };
+            assert_refused(field, Press::train(sp.clone(), &paths, config));
+        }
+    }
+
+    #[test]
+    fn compress_refuses_unrunnable_bounds() {
+        let (_, press, trajs) = setup();
+        for (field, bounds) in unrunnable_bounds() {
+            let config = PressConfig {
+                bounds,
+                ..press.config()
+            };
+            // Neither constructor can refuse: the compressor does.
+            for bad in [
+                press.reconfigured(config),
+                Press::with_model(press.model.clone(), config),
+            ] {
+                assert_refused(field, bad.compress(&trajs[0]));
+            }
+        }
+    }
+
+    #[test]
+    fn compress_batch_refuses_unrunnable_bounds() {
+        let (_, press, trajs) = setup();
+        for (field, bounds) in unrunnable_bounds() {
+            let bad = press.reconfigured(PressConfig {
+                bounds,
+                ..press.config()
+            });
+            assert_refused(field, bad.compress_batch(&trajs, 2));
+            assert_refused(field, bad.compress_batch(&[], 2));
+        }
     }
 
     #[test]

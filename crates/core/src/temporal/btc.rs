@@ -34,13 +34,13 @@ use serde::{Deserialize, Serialize};
 pub struct BtcBounds {
     /// Maximum tolerated TSND `τ` (distance units, meters by default).
     /// Must be non-negative and not NaN, as [`BtcBounds::new`] asserts: a
-    /// NaN set here directly drops the TSND window from the scan, so the
-    /// ingest engine refuses one at open.
+    /// NaN set here directly would drop the TSND window from the scan, so
+    /// [`BtcBounds::validate`] refuses it wherever bounds are run.
     pub tsnd: f64,
     /// Maximum tolerated NSTD `η` (seconds). Must be non-negative and not
-    /// NaN, as [`BtcBounds::new`] asserts: a NaN set here directly drops
-    /// the NSTD window from the scan, so the ingest engine refuses one at
-    /// open.
+    /// NaN, as [`BtcBounds::new`] asserts: a NaN set here directly would
+    /// drop the NSTD window from the scan, so [`BtcBounds::validate`]
+    /// refuses it wherever bounds are run.
     pub nstd: f64,
 }
 
@@ -50,6 +50,23 @@ impl BtcBounds {
     pub fn new(tsnd: f64, nstd: f64) -> Self {
         assert!(tsnd >= 0.0 && nstd >= 0.0, "bounds must be non-negative");
         BtcBounds { tsnd, nstd }
+    }
+
+    /// Checks what [`BtcBounds::new`] asserts, for bounds built from the
+    /// public fields: each bound non-negative and not NaN. In
+    /// `SlopeRange`, `f64::max`/`min` drop a NaN operand, so a NaN τ
+    /// would leave only the NSTD window and a NaN η only the TSND one —
+    /// output that silently breaks the bound the caller set. The error
+    /// names the field (`bounds.tsnd` / `bounds.nstd`). `Press` runs
+    /// this in `train`, `compress` and `compress_batch`, and the ingest
+    /// engine at open.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, bound) in [("tsnd", self.tsnd), ("nstd", self.nstd)] {
+            if bound.is_nan() || bound < 0.0 {
+                return Err(format!("bounds.{name} must be non-negative, not {bound}"));
+            }
+        }
+        Ok(())
     }
 
     /// Zero-tolerance bounds: only exactly-collinear runs collapse.

@@ -9,23 +9,30 @@
 //! **unsynced-byte** or **stream-time** threshold trips — classic group
 //! commit, amortizing one `write(2)` and one fsync over many fixes. (A
 //! buffer that reaches [`crate::wal::WRITE_CAP`] first is written
-//! early, without a sync.)
+//! early, without a sync.) The write + fsync runs on the engine's
+//! journal-syncer thread: the push that trips a threshold hands the
+//! batch over and returns, and the batch settles at the shard's next
+//! trigger, before the push thread's own next disk operation, in
+//! [`crate::IngestEngine::sync`], or on drop.
 //!
 //! The ack contract stays honest under the batching (see
-//! [`crate::Ack`]): a fix whose covering sync has not happened yet is
-//! acked [`crate::Ack::Journaled`], and becomes durable — observable
-//! via [`crate::IngestEngine::shard_durable_offset`] — only when a later
-//! sync covers its frame. Only the sync *timing* is policy; which
+//! [`crate::Ack`]): a fix whose covering sync has not completed is
+//! acked [`crate::Ack::Journaled`] — the triggering push's fix included
+//! — and becomes durable, observable via
+//! [`crate::IngestEngine::shard_durable_offset`], when the batch
+//! covering its frame settles. Only the sync *timing* is policy; which
 //! bytes reach the journal, and therefore every recovered corpus, is
 //! byte-identical across policies.
 //!
 //! Retry semantics: transient I/O failures (`EIO`-class) are retried
 //! up to [`DurabilityPolicy::max_retries`] times with doubling
-//! backoff, then surface as [`crate::ServeError::Backpressure`];
-//! out-of-space is persistent — no retry can free the disk — and
-//! surfaces immediately as [`crate::ServeError::StorageFull`]. Either
-//! arrives as the cause of the shard's
-//! [`crate::ServeError::ShardDegraded`].
+//! backoff — a batch's on the syncer thread — then surface as
+//! [`crate::ServeError::Backpressure`]; out-of-space is persistent — no
+//! retry can free the disk — and surfaces immediately as
+//! [`crate::ServeError::StorageFull`]. Either arrives as the cause of
+//! the shard's [`crate::ServeError::ShardDegraded`]; a failed
+//! group-commit batch is counted in
+//! [`crate::IngestStats::sync_failures`] when it settles.
 
 /// When the engine fsyncs the journal, and how it retries transient
 /// write failures. Carried inside [`crate::IngestConfig`].
@@ -62,9 +69,11 @@ impl DurabilityPolicy {
         }
     }
 
-    /// Sync after every push — PR 6's explicit-sync behavior folded
-    /// into the policy. The honest baseline the group-commit benchmark
-    /// column compares against.
+    /// One fsync per push: every push trips the byte trigger and hands
+    /// its frame over as a batch of one, which the shard's next push
+    /// settles. The push still acks `Journaled`; a caller that needs a
+    /// durable answer calls [`crate::IngestEngine::sync`]. The honest
+    /// baseline the group-commit benchmark column compares against.
     pub fn per_push() -> Self {
         DurabilityPolicy {
             sync_bytes: 1,

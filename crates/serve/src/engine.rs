@@ -22,23 +22,44 @@
 //! buffers them. A shard's journal frames collect in memory and reach
 //! the file in one write per group commit: the configured
 //! [`DurabilityPolicy`] group-commits each shard's journal
-//! independently (byte / stream-time thresholds), writing and then
-//! fsyncing its buffered frames. Acks never overstate what happened: a
-//! fix is [`Ack::Accepted`] only when a completed fsync covers its
-//! frame, and [`Ack::Journaled`] (sequenced in the journal, not yet
-//! synced — a process crash as well as a power cut can still lose it)
-//! otherwise — the per-shard durability watermark says which journaled
-//! offsets have become durable since.
-//! Rejected and coalesced fixes are acked without journaling — replays
-//! reproduce the identical decisions because validation only depends on
-//! journaled state.
+//! independently (byte / stream-time thresholds).
+//!
+//! The group commit's write + fsync runs off the push thread. The push
+//! that trips a trigger hands its shard's journal file and buffered
+//! frames over as one batch to the engine's journal-syncer thread
+//! (spawned at the first trigger, joined on drop) and returns at once;
+//! the syncer runs batches strictly in the order they were queued, with
+//! the policy's retry and backoff. Each shard has at most one batch out.
+//! The push thread *settles* finished batches, in queue order, only at
+//! fixed points of the program, never at a moment the disk's speed
+//! picks: at that shard's next trigger, before any backend operation
+//! the push thread makes itself (a cap write, a tail repair, a
+//! checkpoint, a manifest sync), in [`IngestEngine::sync`], and on
+//! drop. Settling moves the shard's durability watermark and books the
+//! batch in [`IngestStats`]; a failed batch's unwritten frames go back
+//! in front of the buffer. Because the push thread never makes a
+//! backend operation while a batch is queued, the backend sees the
+//! operations of the inline group commit this replaces, in the same
+//! order.
+//!
+//! Acks never overstate what happened: a fix is [`Ack::Accepted`] only
+//! when a completed fsync covers its frame, and [`Ack::Journaled`]
+//! (sequenced in the journal, not yet synced — a process crash as well
+//! as a power cut can still lose it) otherwise. The push that trips a
+//! trigger acks `Journaled` too: its fix becomes durable when its
+//! batch settles, at the shard's next settle point, or at
+//! [`IngestEngine::sync`]. The per-shard durability watermark
+//! ([`IngestEngine::shard_durable_offset`]) says which journaled
+//! offsets have become durable since. Rejected and coalesced fixes are
+//! acked without journaling — replays reproduce the identical decisions
+//! because validation only depends on journaled state.
 //!
 //! # One state machine per shard
 //!
 //! A shard is a pure core — sessions, idle index, segment counters,
 //! pending queue, budget share, counters, and its own journal-local
 //! clock and arrival counter — inside a shell that owns the journal,
-//! the durability accumulators, retry and fsync. The core changes only
+//! the durability accumulators and the batch it has out. The core changes only
 //! through `ShardCore::apply(&WalRecord)`: live ingest journals a record
 //! and then applies that same record, and recovery applies every
 //! replayed record in order. Recovery is the live path by construction.
@@ -90,7 +111,7 @@ use crate::durability::DurabilityPolicy;
 use crate::manifest;
 use crate::session::{Disposition, QuarantineReason, SessionPolicy};
 use crate::shard::{PendingSegment, ShardCore};
-use crate::wal::{Wal, WalError, WalRecord};
+use crate::wal::{Batch, Wal, WalError, WalRecord};
 use press_core::reformat::{reformat, PathSample};
 use press_core::store::TrajectoryStore;
 use press_core::{parallel::work_steal_map, query::QueryEngine};
@@ -101,7 +122,7 @@ use press_store::{ByteReader, ByteWriter};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Errors surfaced by the ingest engine.
 #[derive(Debug)]
@@ -302,8 +323,8 @@ impl Default for IngestConfig {
 
 /// The engine's answer for one pushed fix. Acks never lie about
 /// durability: `Accepted` means the fix's frame is covered by a
-/// completed fsync; `Journaled` means it is written but its covering
-/// group-commit sync has not happened yet.
+/// completed fsync; `Journaled` means it is sequenced but its covering
+/// group-commit sync has not completed yet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Ack {
     /// Fix journaled, buffered, **and durable**: a sync covering its
@@ -312,14 +333,23 @@ pub enum Ack {
     Accepted { offset: u64 },
     /// Fix journaled and buffered, not yet synced. `offset` is the
     /// owning shard's journal length with this fix's frame included;
-    /// the fix becomes durable when a later group-commit sync, explicit
-    /// [`IngestEngine::sync`], or checkpoint advances that shard's
-    /// durability watermark past it. Until then its frame may still sit
-    /// in the shard's in-memory journal buffer, so a process crash as
-    /// well as a power cut can lose it — and then every later frame of
-    /// that shard with it: recovery replays a prefix of the journal.
-    /// [`DurabilityPolicy::per_push`] makes every ingested fix
-    /// `Accepted` at the cost of one fsync per push.
+    /// the fix becomes durable when a settled group-commit batch,
+    /// explicit [`IngestEngine::sync`], or checkpoint advances that
+    /// shard's durability watermark past it. Until then its frame may
+    /// still sit in the shard's in-memory journal buffer, so a process
+    /// crash as well as a power cut can lose it — and then every later
+    /// frame of that shard with it: recovery replays a prefix of the
+    /// journal.
+    ///
+    /// The push that trips a group-commit trigger acks `Journaled` as
+    /// well: it hands its shard's batch to the syncer thread and
+    /// returns before the fsync. Its fix becomes durable when that
+    /// batch settles — at the shard's next settle point (its next
+    /// trigger, a push-thread journal write, a checkpoint or drop) — or
+    /// at [`IngestEngine::sync`], which settles every batch and syncs
+    /// every shard before it returns. [`DurabilityPolicy::per_push`]
+    /// still issues one fsync per push, each one settled by the shard's
+    /// next push; a caller that needs a durable answer calls `sync`.
     Journaled { offset: u64 },
     /// Harmless defect repaired per policy (duplicate coalesced); the
     /// fix is intentionally not journaled.
@@ -384,7 +414,8 @@ pub struct IngestStats {
     pub pieces_dropped: u64,
     /// Of the dropped pieces, how many were shed by the lattice budget.
     pub pieces_shed: u64,
-    /// Successful journal fsyncs (group-commit, explicit, checkpoint).
+    /// Successful journal fsyncs: settled group-commit batches and
+    /// explicit syncs (a checkpoint's new journals are not counted).
     pub sync_calls: u64,
     /// Frames made durable by those syncs (group-commit batch total;
     /// average batch = `synced_frames / sync_calls`).
@@ -395,7 +426,8 @@ pub struct IngestStats {
     pub io_retries: u64,
     /// Sync attempts that failed even after retries (the engine stays
     /// up; the frames remain journaled-not-durable until a later sync
-    /// succeeds).
+    /// succeeds). A group-commit batch's failure is counted once, when
+    /// the batch settles.
     pub sync_failures: u64,
     /// Sessions evicted by the memory budget (LRU order).
     pub sessions_evicted: u64,
@@ -587,23 +619,27 @@ fn splitmix64(x: u64) -> u64 {
 
 /// One independent writer shard: its session state machine
 /// ([`ShardCore`]) inside the shell that touches the disk — the
-/// journal, the group-commit accumulators, retry and fsync — plus the
-/// shard's slice of the published corpus.
+/// journal, the group-commit accumulators and the batch it has out —
+/// plus the shard's slice of the published corpus.
 struct Shard {
     core: ShardCore,
     wal: Wal,
-    /// Journal bytes appended since this shard's last successful fsync.
+    /// Journal bytes appended since this shard's last batch was handed
+    /// over (or its last successful fsync).
     unsynced_bytes: u64,
-    /// Frames appended since this shard's last successful fsync.
+    /// Frames appended since then.
     unsynced_frames: u64,
-    /// Stream time of this shard's last successful fsync
-    /// (`NEG_INFINITY` arms the interval trigger).
+    /// Stream time of this shard's last batch handoff or successful
+    /// fsync (`NEG_INFINITY` arms the interval trigger).
     last_sync_time: f64,
     /// Durability watermark: every frame of this shard's journal ending
     /// at or before this offset is covered by a completed fsync.
     durable_offset: u64,
+    /// The group-commit batch this shard has on the syncer thread, if
+    /// any: what settling it books.
+    in_flight: Option<InFlight>,
     /// True when a read-ahead sweep closed sessions at a global clock
-    /// the journal does not encode yet (see [`Shard::journal`]).
+    /// the journal does not encode yet (see [`Shard::catch_up`]).
     needs_clock: bool,
     /// This shard's slice of the compressed corpus under its canonical
     /// merge keys, sorted by key.
@@ -615,25 +651,92 @@ struct Shard {
     dirty: bool,
 }
 
+/// A group-commit batch handed over and not settled yet: what it
+/// carries, and what a failure gives back.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    /// Frames and journal bytes in the batch.
+    frames: u64,
+    bytes: u64,
+    /// Journal offset at the batch's end: the watermark once it is
+    /// durable.
+    end: u64,
+    /// The shard's `last_sync_time` before the handoff, restored when
+    /// the batch fails so the next push triggers again.
+    since: f64,
+}
+
+/// Runs one journal operation under the policy's retry/backoff.
+/// Out-of-space is persistent (no retry, typed
+/// [`ServeError::StorageFull`]); other I/O errors are transient and
+/// retried with doubling backoff before surfacing as
+/// [`ServeError::Backpressure`]; anything else passes through. Each
+/// retry is counted in `retries`.
+fn retrying<T>(
+    policy: &DurabilityPolicy,
+    retries: &mut u64,
+    mut op: impl FnMut() -> std::result::Result<T, WalError>,
+) -> Result<T> {
+    let mut attempt = 0u32;
+    loop {
+        match op() {
+            Ok(v) => return Ok(v),
+            Err(WalError::Io(detail)) if attempt >= policy.max_retries => {
+                return Err(ServeError::Backpressure {
+                    detail,
+                    retries: attempt,
+                })
+            }
+            Err(WalError::Io(_)) => {
+                attempt += 1;
+                *retries += 1;
+                // Wall-clock sleep is safe here: it delays the retry
+                // but decides nothing — all decisions key off
+                // journaled stream state.
+                let ms = policy.backoff_ms(attempt);
+                if ms > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(ms));
+                }
+            }
+            Err(e) => return Err(e.into()),
+        }
+    }
+}
+
+/// Writes and fsyncs one group-commit batch under the policy's retry
+/// and backoff — the one batch runner, on the syncer thread and in
+/// [`IngestEngine::sync`] alike. Returns the outcome and the number of
+/// transient failures retried.
+fn commit(policy: &DurabilityPolicy, batch: &mut Batch) -> (Result<()>, u64) {
+    let mut retries = 0;
+    let outcome = retrying(policy, &mut retries, || batch.commit());
+    (outcome, retries)
+}
+
 impl Shard {
-    /// Journals `rec`, then applies that same record to the core — the
-    /// step replay repeats record for record. The one catch-up rule:
-    /// when the core's clock lags the global `clock` and either a
-    /// read-ahead sweep cut sessions (`needs_clock`) or `rec` is a fix
-    /// already idle at `clock` (`late`), a `Clock` frame carrying
-    /// `clock` is journaled and applied first, so replay cuts the same
-    /// sessions at the same point without reading any other shard's
-    /// journal. Otherwise no frame is needed: idle expiry is monotone in
-    /// the clock, so the lagging journal clock sweeps the same sessions.
+    /// The catch-up rule: when the core's clock lags the global `clock`
+    /// and either a read-ahead sweep cut sessions (`needs_clock`) or
+    /// the record to journal is a fix already idle at `clock` (`late`),
+    /// a `Clock` frame carrying `clock` is journaled and applied first,
+    /// so replay cuts the same sessions at the same point without
+    /// reading any other shard's journal. Otherwise no frame is needed:
+    /// idle expiry is monotone in the clock, so the lagging journal
+    /// clock sweeps the same sessions.
+    fn catch_up(&self, clock: f64, late: bool) -> Option<WalRecord> {
+        ((self.needs_clock || late) && clock > self.core.clock)
+            .then_some(WalRecord::Clock { t: clock })
+    }
+
+    /// Journals `tick` (the [`Shard::catch_up`] frame, if any) and
+    /// `rec`, applying each to the core right after its append — the
+    /// step replay repeats record for record.
     fn journal(
         &mut self,
         policy: &DurabilityPolicy,
-        clock: f64,
+        tick: Option<WalRecord>,
         rec: &WalRecord,
-        late: bool,
     ) -> Result<u64> {
-        if (self.needs_clock || late) && clock > self.core.clock {
-            let frame = WalRecord::Clock { t: clock };
+        if let Some(frame) = tick {
             self.append(policy, &frame)?;
             self.core.apply(&frame);
         }
@@ -643,48 +746,13 @@ impl Shard {
         Ok(offset)
     }
 
-    /// Runs one journal operation under the policy's retry/backoff.
-    /// Out-of-space is persistent (no retry, typed
-    /// [`ServeError::StorageFull`]); other I/O errors are transient and
-    /// retried with doubling backoff before surfacing as
-    /// [`ServeError::Backpressure`]; anything else passes through.
-    /// Retries are counted on this shard.
-    fn retrying<T>(
-        &mut self,
-        policy: &DurabilityPolicy,
-        mut op: impl FnMut(&mut Wal) -> std::result::Result<T, WalError>,
-    ) -> Result<T> {
-        let mut attempt = 0u32;
-        loop {
-            match op(&mut self.wal) {
-                Ok(v) => return Ok(v),
-                Err(WalError::Io(detail)) if attempt >= policy.max_retries => {
-                    return Err(ServeError::Backpressure {
-                        detail,
-                        retries: attempt,
-                    })
-                }
-                Err(WalError::Io(_)) => {
-                    attempt += 1;
-                    self.core.stats.io_retries += 1;
-                    // Wall-clock sleep is safe here: it delays the retry
-                    // but decides nothing — all decisions key off
-                    // journaled stream state.
-                    let ms = policy.backoff_ms(attempt);
-                    if ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
     /// Appends one record. On success the group-commit accumulators
     /// advance; a refusal is counted on this shard only.
     fn append(&mut self, policy: &DurabilityPolicy, rec: &WalRecord) -> Result<u64> {
         let before = self.wal.offset();
-        let result = self.retrying(policy, |wal| wal.append(rec));
+        let result = retrying(policy, &mut self.core.stats.io_retries, || {
+            self.wal.append(rec)
+        });
         match &result {
             Ok(offset) => {
                 self.unsynced_bytes += offset - before;
@@ -697,31 +765,97 @@ impl Shard {
         result
     }
 
-    /// Fsyncs the journal. On success the batch is counted and the
-    /// whole journal becomes durable as of stream time `clock`; a
-    /// failure is counted in `sync_failures` and leaves the frames
-    /// journaled for a later sync to cover.
-    fn sync(&mut self, policy: &DurabilityPolicy, clock: f64) -> Result<()> {
-        if let Err(e) = self.retrying(policy, Wal::sync) {
-            self.core.stats.sync_failures += 1;
-            return Err(e);
+    /// Detaches the journal file with every buffered frame as one
+    /// group-commit batch, and restarts the accumulators at stream time
+    /// `clock`.
+    fn begin_batch(&mut self, clock: f64) -> Batch {
+        debug_assert!(self.in_flight.is_none(), "one batch per shard");
+        self.in_flight = Some(InFlight {
+            frames: self.unsynced_frames,
+            bytes: self.unsynced_bytes,
+            end: self.wal.offset(),
+            since: self.last_sync_time,
+        });
+        self.unsynced_bytes = 0;
+        self.unsynced_frames = 0;
+        if clock.is_finite() {
+            self.last_sync_time = clock;
         }
+        self.wal.detach()
+    }
+
+    /// Books a finished batch and takes the journal file back. Success
+    /// moves the durability watermark to the batch's end and counts the
+    /// batch. Failure is counted in `sync_failures`; the frames the
+    /// batch could not write go back in front of the buffer (with the
+    /// tail marked dirty when its write failed), and the accumulators
+    /// take the batch back, so the next push triggers again.
+    fn settle(&mut self, batch: Batch, outcome: &Result<()>, retries: u64) {
+        let sent = self.in_flight.take().expect("a settled batch is in flight");
+        self.wal.attach(batch);
         let stats = &mut self.core.stats;
-        stats.sync_calls += 1;
-        stats.synced_frames += self.unsynced_frames;
-        stats.max_sync_batch = stats.max_sync_batch.max(self.unsynced_frames);
-        self.mark_durable(clock);
-        Ok(())
+        stats.io_retries += retries;
+        if outcome.is_ok() {
+            stats.sync_calls += 1;
+            stats.synced_frames += sent.frames;
+            stats.max_sync_batch = stats.max_sync_batch.max(sent.frames);
+            self.durable_offset = sent.end;
+        } else {
+            stats.sync_failures += 1;
+            self.unsynced_bytes += sent.bytes;
+            self.unsynced_frames += sent.frames;
+            self.last_sync_time = sent.since;
+        }
     }
 
     /// Moves the durability watermark to the journal's end and restarts
-    /// the group-commit accumulators at stream time `clock`.
+    /// the group-commit accumulators at stream time `clock` — for a
+    /// journal a checkpoint wrote and synced whole.
     fn mark_durable(&mut self, clock: f64) {
         self.durable_offset = self.wal.offset();
         self.unsynced_bytes = 0;
         self.unsynced_frames = 0;
         if clock.is_finite() {
             self.last_sync_time = clock;
+        }
+    }
+}
+
+/// One finished batch as the syncer hands it back: the shard, the batch
+/// (the journal's file and any frames it could not write), the outcome
+/// and the transient failures it retried.
+type Settled = (usize, Batch, Result<()>, u64);
+
+/// The engine's journal syncer: one thread that writes and fsyncs
+/// group-commit batches strictly in the order they were queued.
+struct Syncer {
+    jobs: mpsc::Sender<(usize, Batch)>,
+    done: mpsc::Receiver<Settled>,
+    thread: std::thread::JoinHandle<()>,
+    /// Batches queued and not settled yet.
+    queued: usize,
+}
+
+impl Syncer {
+    fn spawn(policy: DurabilityPolicy) -> Syncer {
+        let (jobs, inbox) = mpsc::channel::<(usize, Batch)>();
+        let (outbox, done) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("press-journal-sync".into())
+            .spawn(move || {
+                for (k, mut batch) in inbox {
+                    let (outcome, retries) = commit(&policy, &mut batch);
+                    if outbox.send((k, batch, outcome, retries)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn the journal syncer thread");
+        Syncer {
+            jobs,
+            done,
+            thread,
+            queued: 0,
         }
     }
 }
@@ -805,6 +939,7 @@ fn recover_shard(
         unsynced_bytes: 0,
         unsynced_frames: 0,
         last_sync_time: f64::NEG_INFINITY,
+        in_flight: None,
         needs_clock: false,
         corpus,
         dirty: false,
@@ -840,6 +975,9 @@ pub struct IngestEngine {
     /// [`QUARANTINE_LOG_CAP`]), oldest first.
     quarantine: VecDeque<QuarantineRecord>,
     recovery: RecoveryReport,
+    /// The journal-syncer thread, spawned at the first group-commit
+    /// trigger.
+    syncer: Option<Syncer>,
 }
 
 impl IngestEngine {
@@ -882,16 +1020,13 @@ impl IngestEngine {
                 "policy.max_speed_m_s must not be NaN".into(),
             ));
         }
-        // A NaN bound drops its window from BTC's angular range, so the
-        // corpus would silently break the bound the operator set.
-        let bounds = press.config().bounds;
-        for (name, bound) in [("tsnd", bounds.tsnd), ("nstd", bounds.nstd)] {
-            if bound.is_nan() || bound < 0.0 {
-                return Err(ServeError::Config(format!(
-                    "press bounds.{name} must be non-negative, not {bound}"
-                )));
-            }
-        }
+        // `Press::compress` refuses such bounds, so the flush would drop
+        // every piece: refuse the engine instead.
+        press
+            .config()
+            .bounds
+            .validate()
+            .map_err(|e| ServeError::Config(format!("press {e}")))?;
         config.durability.validate().map_err(ServeError::Config)?;
         std::fs::create_dir_all(dir)?;
         let generation =
@@ -962,6 +1097,7 @@ impl IngestEngine {
             max_time,
             quarantine: VecDeque::new(),
             recovery: report,
+            syncer: None,
         })
     }
 
@@ -999,20 +1135,30 @@ impl IngestEngine {
     }
 
     /// [`Shard::journal`] on shard `k` at the global clock, with
-    /// failures wrapped as that shard's degradation.
+    /// failures wrapped as that shard's degradation. When the appends
+    /// will write the journal — a dirty tail to repair, or a buffer
+    /// reaching the cap — every queued batch settles first, so the
+    /// backend sees this thread's operations in program order.
     fn journal(&mut self, k: usize, rec: &WalRecord, late: bool) -> Result<u64> {
         let (policy, clock) = (self.config.durability, self.max_time);
+        let tick = self.shards[k].catch_up(clock, late);
+        let bytes = tick.as_ref().map_or(0, WalRecord::frame_len) + rec.frame_len();
+        if self.shards[k].wal.append_writes(bytes) {
+            self.settle_all();
+        }
         self.shards[k]
-            .journal(&policy, clock, rec, late)
+            .journal(&policy, tick, rec)
             .map_err(|e| Self::degrade(k, e))
     }
 
     /// Ingests one fix, routed to its owning shard. Accepted fixes are
     /// journaled *before* they are buffered; the configured
     /// [`DurabilityPolicy`] decides when that shard's journal is
-    /// fsynced (group commit), and the ack reports honestly:
-    /// [`Ack::Accepted`] only when the fix's frame is already covered
-    /// by a completed sync, [`Ack::Journaled`] otherwise.
+    /// fsynced (group commit, off this thread), and the ack reports
+    /// honestly: [`Ack::Accepted`] only when the fix's frame is already
+    /// covered by a completed sync, [`Ack::Journaled`] otherwise —
+    /// including the push that trips a trigger, which hands the batch
+    /// over and returns before its fsync.
     ///
     /// An `Err` means the fix was **not** ingested and engine state is
     /// unchanged: a [`ServeError::ShardDegraded`] naming the owning
@@ -1023,12 +1169,12 @@ impl IngestEngine {
     /// elsewhere keep acking and the engine keeps serving queries.
     ///
     /// A disk fault surfaces at the journal write it hits, not at the
-    /// push that sequenced the frame. A failed group-commit write is
-    /// absorbed (the fix is `Journaled`, the shard counts a sync
-    /// failure, and the frames stay buffered); the shard's next push
-    /// first repairs the journal tail, so on a disk that stays full
-    /// that push and every later one to the shard is refused until
-    /// space returns.
+    /// push that sequenced the frame. A failed group-commit batch is
+    /// absorbed when it settles, at the shard's next trigger: the shard
+    /// counts a sync failure and its unwritten frames go back in front
+    /// of the buffer. After a failed write the shard's next push first
+    /// repairs the journal tail, so on a disk that stays full that push
+    /// and every later one to the shard is refused until space returns.
     pub fn push(&mut self, vehicle: u64, sample: GpsSample) -> Result<Ack> {
         let k = self.shard_of(vehicle);
         self.read_ahead(k);
@@ -1047,10 +1193,10 @@ impl IngestEngine {
                 if sample.t > self.max_time {
                     self.max_time = sample.t;
                 }
-                // A failed group sync is absorbed here (counted in the
-                // shard's `sync_failures`): the frame IS journaled, so
-                // the honest answer is Journaled, not an error.
-                self.maybe_group_sync(k);
+                // A group commit hands a batch over and returns; its
+                // failure is absorbed when it settles (counted in the
+                // shard's `sync_failures`).
+                self.group_commit(k);
                 if offset <= self.shards[k].durable_offset {
                     Ok(Ack::Accepted { offset })
                 } else {
@@ -1076,11 +1222,9 @@ impl IngestEngine {
         }
     }
 
-    /// Issues shard `k`'s group-commit fsync if a policy threshold has
-    /// tripped. Failures are absorbed into the shard's `sync_failures`
-    /// — the unsynced frames stay journaled and the next trigger
-    /// retries the sync.
-    fn maybe_group_sync(&mut self, k: usize) {
+    /// Hands shard `k`'s buffered frames to the syncer thread as one
+    /// group-commit batch if a policy threshold has tripped.
+    fn group_commit(&mut self, k: usize) {
         let policy = self.config.durability;
         let max_time = self.max_time;
         // Scale the timed trigger by the shard count so the *engine's*
@@ -1106,11 +1250,49 @@ impl IngestEngine {
         if !(by_bytes || by_time) {
             return;
         }
+        // The shard's previous batch settles here, at its next trigger:
+        // a fixed point of the stream, so waiting for it only costs the
+        // part of its fsync the pushes since did not cover.
+        while self.shards[k].in_flight.is_some() {
+            self.settle_next();
+        }
+        // A failed write left a dirty tail: the shard's next append
+        // repairs it on this thread — or refuses its fix — before the
+        // next trigger hands a batch over.
+        if self.shards[k].wal.dirty_tail() {
+            return;
+        }
         if self.sync_manifest().is_err() {
             self.shards[k].core.stats.sync_failures += 1;
             return;
         }
-        let _ = self.shards[k].sync(&policy, max_time);
+        let batch = self.shards[k].begin_batch(max_time);
+        let syncer = self.syncer.get_or_insert_with(|| Syncer::spawn(policy));
+        syncer.queued += 1;
+        syncer
+            .jobs
+            .send((k, batch))
+            .expect("the journal syncer thread stopped");
+    }
+
+    /// Settles the oldest queued batch on its shard, waiting for the
+    /// syncer to finish it.
+    fn settle_next(&mut self) {
+        let syncer = self.syncer.as_mut().expect("a batch is queued");
+        let (k, batch, outcome, retries) = syncer
+            .done
+            .recv()
+            .expect("the journal syncer thread stopped");
+        syncer.queued -= 1;
+        self.shards[k].settle(batch, &outcome, retries);
+    }
+
+    /// Settles every queued batch, in queue order: the step before any
+    /// backend operation this thread makes.
+    fn settle_all(&mut self) {
+        while self.syncer.as_ref().is_some_and(|s| s.queued > 0) {
+            self.settle_next();
+        }
     }
 
     /// Makes a manifest rename whose directory fsync failed durable
@@ -1118,6 +1300,7 @@ impl IngestEngine {
     /// this first.
     fn sync_manifest(&mut self) -> Result<()> {
         if self.manifest_unsynced {
+            self.settle_all();
             store_io::sync_parent_dir(self.io.as_ref(), &self.dir.join(manifest::MANIFEST_FILE))
                 .map_err(|e| ServeError::Manifest(e.to_string()))?;
             self.manifest_unsynced = false;
@@ -1255,6 +1438,7 @@ impl IngestEngine {
     /// process crash recovers — with no ack promoted to `Accepted`
     /// until a later sync makes the rename durable.
     pub fn checkpoint(&mut self) -> Result<usize> {
+        self.settle_all();
         self.flush()?;
         let next = self.generation + 1;
         let query = QueryEngine::new(self.press.model());
@@ -1348,21 +1532,27 @@ impl IngestEngine {
         Ok(self.shards.iter().map(|s| s.corpus.len()).sum())
     }
 
-    /// Forces every shard's journal bytes to stable storage (fsync)
-    /// with the policy's retry/backoff, advancing each shard's
-    /// durability watermark on success: afterwards every previously
-    /// `Journaled` ack is durable. A failing shard is recorded in its
-    /// own `sync_failures` and reported as
+    /// Settles every queued group-commit batch, then forces every
+    /// shard's journal bytes to stable storage (write + fsync, one batch
+    /// per shard run on this thread) with the policy's retry/backoff,
+    /// advancing each shard's durability watermark on success:
+    /// afterwards every previously `Journaled` ack is durable. A failing
+    /// shard is recorded in its own `sync_failures` and reported as
     /// [`ServeError::ShardDegraded`] — but every *other* shard is still
     /// synced first; the frames stay journaled and a later sync can
     /// cover them. A checkpoint's manifest rename whose directory fsync
     /// failed is made durable before any shard syncs; while that fails,
     /// the whole sync fails with [`ServeError::Manifest`].
     pub fn sync(&mut self) -> Result<()> {
+        self.settle_all();
         self.sync_manifest()?;
+        let (policy, clock) = (self.config.durability, self.max_time);
         let mut first_err = None;
-        for k in 0..self.shards.len() {
-            if let Err(e) = self.shards[k].sync(&self.config.durability, self.max_time) {
+        for (k, shard) in self.shards.iter_mut().enumerate() {
+            let mut batch = shard.begin_batch(clock);
+            let (outcome, retries) = commit(&policy, &mut batch);
+            shard.settle(batch, &outcome, retries);
+            if let Err(e) = outcome {
                 first_err.get_or_insert(Self::degrade(k, e));
             }
         }
@@ -1422,7 +1612,8 @@ impl IngestEngine {
     /// `shard`'s durability watermark: every frame of its journal
     /// ending at or before this offset is covered by a completed
     /// fsync. An ack with `offset <= shard_durable_offset(shard)` has
-    /// power-loss durability.
+    /// power-loss durability. A group-commit batch moves it when the
+    /// batch settles, not when its fsync returns on the syncer thread.
     pub fn shard_durable_offset(&self, shard: usize) -> u64 {
         self.shards[shard].durable_offset
     }
@@ -1494,6 +1685,26 @@ impl IngestEngine {
     /// shards.
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
+    }
+}
+
+impl Drop for IngestEngine {
+    /// Settles every queued batch, so its frames are written, and joins
+    /// the syncer thread; each journal's own drop then writes what is
+    /// still buffered, without a sync. Closing the queue first lets the
+    /// syncer finish it and end, so this never waits on a stopped
+    /// thread.
+    fn drop(&mut self) {
+        if let Some(Syncer {
+            jobs, done, thread, ..
+        }) = self.syncer.take()
+        {
+            drop(jobs);
+            for (k, batch, outcome, retries) in done {
+                self.shards[k].settle(batch, &outcome, retries);
+            }
+            let _ = thread.join();
+        }
     }
 }
 

@@ -11,20 +11,30 @@
 //!
 //! [`Wal::append`] encodes each frame into an in-memory buffer; the
 //! buffer reaches the file as **one** `write_all` of whole frames — in
-//! [`Wal::sync`] before its fsync, in the append that takes it to
-//! [`WRITE_CAP`], and best effort on drop. The file therefore always
-//! holds a *prefix* of the frame sequence: a crash leaves at worst a
-//! partial final frame — never interleaved garbage in the middle of the
-//! journal.
+//! a group-commit batch before its fsync, in the append that takes
+//! it to [`WRITE_CAP`], and best effort on drop. The file therefore
+//! always holds a *prefix* of the frame sequence: a crash leaves at
+//! worst a partial final frame — never interleaved garbage in the
+//! middle of the journal.
+//!
+//! A group commit detaches the journal's own file handle together with
+//! every buffered frame as one batch (`Wal::detach`), which the ingest
+//! engine's syncer thread writes and fsyncs while appends keep
+//! buffering; the batch is then attached back (`Wal::attach`). While it
+//! is detached the journal makes no backend call of its own: the engine
+//! settles the batch before an append that would have to write
+//! (`Wal::append_writes`). [`Wal::sync`] is the same batch, run on the
+//! calling thread.
 //!
 //! # Durability and recovery contract
 //!
 //! * [`Wal::append`] sequences a record: it returns the record's end
 //!   offset in the frame sequence. The record reaches the file at the
-//!   next buffer write and survives power loss once a [`Wal::sync`]
-//!   covering that offset returns. A process crash before the buffer
-//!   write loses it, and everything after it: the journal is cut at a
-//!   frame boundary, which recovery replays like any other cut.
+//!   next buffer write and survives power loss once a [`Wal::sync`] or
+//!   a group-commit batch covering that offset has completed. A process
+//!   crash before the buffer write loses it, and everything after it:
+//!   the journal is cut at a frame boundary, which recovery replays
+//!   like any other cut.
 //! * [`Wal::open`] replays every complete, CRC-valid frame in order.
 //! * A **torn tail** — an incomplete frame at EOF, or a final frame whose
 //!   checksum fails — is the signature of a mid-write crash: it is
@@ -166,6 +176,16 @@ impl WalRecord {
         matches!(self, WalRecord::Finalize { .. } | WalRecord::FinalizeAll)
     }
 
+    /// Length of the record's frame: the 8-byte length + CRC header and
+    /// the payload [`WalRecord::decode`] reads.
+    pub(crate) fn frame_len(&self) -> usize {
+        8 + match self {
+            WalRecord::Point { .. } | WalRecord::Resume { .. } => 33,
+            WalRecord::Finalize { .. } | WalRecord::Clock { .. } => 9,
+            WalRecord::FinalizeAll => 1,
+        }
+    }
+
     /// Decodes one record payload; the whole payload must be consumed.
     pub fn decode(payload: &[u8]) -> std::result::Result<WalRecord, String> {
         let mut r = ByteReader::new(payload);
@@ -214,21 +234,96 @@ pub struct WalReplay {
 /// The append-only journal handle. One per ingest directory.
 #[derive(Debug)]
 pub struct Wal {
-    io: Arc<dyn IoBackend>,
-    file: File,
     path: PathBuf,
     /// End of the frame sequence: the bytes in the file plus `buf`.
     offset: u64,
     /// Whole frames sequenced since the last buffer write, in journal
     /// order; the file holds the first `offset - buf.len()` bytes.
     buf: Vec<u8>,
-    /// A failed write may have left a *prefix* of the buffer in the
-    /// file (short write). Until that tail is truncated back to the
-    /// written length, another write would turn recoverable torn bytes
-    /// into mid-journal corruption — so writes and appends first
-    /// repair, and if repair itself fails the flag stays set and the
-    /// next one retries it.
+    /// The file side, holding no frames of its own; `None` while a
+    /// group-commit batch has it (between `Wal::detach` and
+    /// `Wal::attach`).
+    file: Option<Batch>,
+}
+
+/// What a `Wal` method that must touch the file says when a group-commit
+/// batch has it: the caller broke the rule that the batch is attached
+/// back before the journal writes again.
+const DETACHED: &str = "the journal file is out with a group-commit batch";
+
+/// A journal's file side: the handle every write goes through, where the
+/// written frames end, and the frames a group commit is writing.
+/// Attached to its [`Wal`] it carries no frames; detached
+/// (`Wal::detach`) it carries every frame that was buffered, and
+/// `Batch::commit` writes and fsyncs them on whichever thread holds it.
+/// The handle is the journal's own, not a `try_clone`: a fault injector
+/// resolves a handle's path by its descriptor, so a batch's writes count
+/// as that journal's operations like any other.
+#[derive(Debug)]
+pub(crate) struct Batch {
+    io: Arc<dyn IoBackend>,
+    file: File,
+    path: PathBuf,
+    /// Journal bytes in the file: where a repair truncates back to.
+    written: u64,
+    /// Frames not written yet, in journal order.
+    frames: Vec<u8>,
+    /// A failed write may have left a *prefix* of `frames` in the file
+    /// (short write). Until that tail is truncated back to `written`,
+    /// another write would turn recoverable torn bytes into mid-journal
+    /// corruption — so writes and appends first repair, and if repair
+    /// itself fails the flag stays set and the next one retries it.
     dirty_tail: bool,
+}
+
+impl Batch {
+    /// Truncates a partial write back to the last written frame and
+    /// repositions the cursor there.
+    ///
+    /// The truncation follows the same fsync discipline as
+    /// `atomic_write_file` (`set_len` + `sync_data` +
+    /// `sync_parent_dir`): until it is durable, a power cut could
+    /// resurrect the partial frame *under* freshly written bytes —
+    /// turning a recoverable torn tail into mid-journal corruption. A
+    /// failure at any step leaves `dirty_tail` set, so the next write
+    /// retries the whole repair.
+    fn repair_tail(&mut self) -> Result<()> {
+        self.io.set_len(&self.file, self.written)?;
+        self.io.sync_data(&self.file)?;
+        store_io::sync_parent_dir(self.io.as_ref(), &self.path)?;
+        store_io::seek_to(&mut self.file, self.written)?;
+        self.dirty_tail = false;
+        Ok(())
+    }
+
+    /// Writes every frame with one `write_all`, repairing a dirty tail
+    /// first. A failure keeps the frames and marks the tail dirty: a
+    /// prefix of them may have landed.
+    fn write(&mut self) -> Result<()> {
+        if self.frames.is_empty() {
+            return Ok(());
+        }
+        if self.dirty_tail {
+            self.repair_tail()?;
+        }
+        if let Err(e) = self.io.write_all(&mut self.file, &self.frames) {
+            self.dirty_tail = true;
+            return Err(e.into());
+        }
+        self.written += self.frames.len() as u64;
+        self.frames.clear();
+        Ok(())
+    }
+
+    /// Writes the frames, then flushes the journal to stable storage
+    /// (fsync): on success every frame up to the batch's end is durable.
+    /// On failure the frames not written stay in the batch, and
+    /// `Wal::attach` puts them back in front of the buffer.
+    pub(crate) fn commit(&mut self) -> Result<()> {
+        self.write()?;
+        self.io.sync_data(&self.file)?;
+        Ok(())
+    }
 }
 
 /// Appends one CRC frame carrying `rec` to `buf`, encoding the payload
@@ -257,6 +352,7 @@ fn put_frame(buf: &mut Vec<u8>, rec: &WalRecord) {
             buf.extend_from_slice(&t.to_le_bytes());
         }
     }
+    debug_assert_eq!(buf.len() - start, rec.frame_len());
     let payload = &buf[start + 8..];
     let (len, crc) = (payload.len() as u32, crc32(payload));
     buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
@@ -358,14 +454,7 @@ impl Wal {
         }
         store_io::seek_to(&mut file, valid_len)?;
         Ok((
-            Wal {
-                io,
-                file,
-                path: path.to_path_buf(),
-                offset: valid_len,
-                buf: Vec::new(),
-                dirty_tail: false,
-            },
+            Wal::new(io, file, path, valid_len),
             WalReplay {
                 records,
                 torn_bytes,
@@ -394,21 +483,31 @@ impl Wal {
         io.write_all(&mut file, &buf)?;
         io.sync_data(&file)?;
         store_io::sync_parent_dir(io.as_ref(), path)?;
-        Ok(Wal {
-            io,
-            file,
+        Ok(Wal::new(io, file, path, buf.len() as u64))
+    }
+
+    /// A journal whose file, positioned at its end, holds `len` bytes.
+    fn new(io: Arc<dyn IoBackend>, file: File, path: &Path, len: u64) -> Wal {
+        Wal {
             path: path.to_path_buf(),
-            offset: buf.len() as u64,
+            offset: len,
             buf: Vec::new(),
-            dirty_tail: false,
-        })
+            file: Some(Batch {
+                io,
+                file,
+                path: path.to_path_buf(),
+                written: len,
+                frames: Vec::new(),
+                dirty_tail: false,
+            }),
+        }
     }
 
     /// Sequences one record: encodes its frame into the buffer and
     /// returns the journal length with this frame included. The frame
-    /// reaches the file at the next buffer write — in [`Wal::sync`], or
-    /// here once the buffer reaches [`WRITE_CAP`] — and survives power
-    /// loss once a sync covers it.
+    /// reaches the file at the next buffer write — in a group-commit
+    /// batch, or here once the buffer reaches [`WRITE_CAP`] — and
+    /// survives power loss once a sync covers it.
     ///
     /// On failure the record is **not** sequenced and the error is
     /// typed ([`WalError::StorageFull`] vs transient [`WalError::Io`]).
@@ -418,15 +517,23 @@ impl Wal {
     /// write, so the file stays a clean prefix of the frame sequence and
     /// a crash in between still recovers (a partial frame is exactly
     /// the torn tail [`Wal::open`] discards).
+    ///
+    /// # Panics
+    ///
+    /// When the append has to write (a dirty tail, or a buffer at
+    /// [`WRITE_CAP`]) while a group-commit batch has the file.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64> {
-        if self.dirty_tail {
-            self.repair_tail()?;
+        if self.dirty_tail() {
+            self.file.as_mut().expect(DETACHED).repair_tail()?;
         }
         let start = self.buf.len();
         put_frame(&mut self.buf, rec);
         let frame_len = (self.buf.len() - start) as u64;
         if self.buf.len() >= WRITE_CAP {
-            if let Err(e) = self.write_buffer() {
+            let mut batch = self.detach();
+            let written = batch.write();
+            self.attach(batch);
+            if let Err(e) = written {
                 self.buf.truncate(start);
                 return Err(e);
             }
@@ -435,59 +542,52 @@ impl Wal {
         Ok(self.offset)
     }
 
-    /// Writes every buffered frame with one `write_all`, repairing a
-    /// dirty tail first. A failure keeps the frames buffered and marks
-    /// the tail dirty: a prefix of them may have landed.
-    fn write_buffer(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        if self.dirty_tail {
-            self.repair_tail()?;
-        }
-        if let Err(e) = self.io.write_all(&mut self.file, &self.buf) {
-            self.dirty_tail = true;
-            return Err(e.into());
-        }
-        self.buf.clear();
-        Ok(())
-    }
-
-    /// Truncates a partial write back to the last written frame and
-    /// repositions the cursor there.
-    ///
-    /// The truncation follows the same fsync discipline as
-    /// `atomic_write_file` (`set_len` + `sync_data` +
-    /// `sync_parent_dir`): until it is durable, a power cut could
-    /// resurrect the partial frame *under* freshly written bytes —
-    /// turning a recoverable torn tail into mid-journal corruption. A
-    /// failure at any step leaves `dirty_tail` set, so the next write
-    /// retries the whole repair.
-    fn repair_tail(&mut self) -> Result<()> {
-        let written = self.offset - self.buf.len() as u64;
-        self.io.set_len(&self.file, written)?;
-        self.io.sync_data(&self.file)?;
-        store_io::sync_parent_dir(self.io.as_ref(), &self.path)?;
-        store_io::seek_to(&mut self.file, written)?;
-        self.dirty_tail = false;
-        Ok(())
+    /// True when appending frames of `bytes` bytes in all would touch
+    /// the file: a dirty tail to repair first, or a buffer they take to
+    /// [`WRITE_CAP`].
+    pub(crate) fn append_writes(&self, bytes: usize) -> bool {
+        self.dirty_tail() || self.buf.len() + bytes >= WRITE_CAP
     }
 
     /// True when a failed write left partial bytes that have not been
     /// repaired yet (the next append or write will retry the repair
-    /// first).
+    /// first). False while a group-commit batch has the file: the batch
+    /// repairs its own tail before it writes.
     pub fn dirty_tail(&self) -> bool {
-        self.dirty_tail
+        self.file.as_ref().is_some_and(|f| f.dirty_tail)
+    }
+
+    /// Hands the file side over with every buffered frame as one
+    /// group-commit batch; appends go on filling an empty buffer until
+    /// `Wal::attach` brings the file back.
+    pub(crate) fn detach(&mut self) -> Batch {
+        let mut batch = self.file.take().expect(DETACHED);
+        std::mem::swap(&mut batch.frames, &mut self.buf);
+        batch
+    }
+
+    /// Takes a batch's file side back. Frames the batch did not write go
+    /// back in front of the buffer, ahead of everything appended
+    /// meanwhile, so the buffer stays in journal order.
+    pub(crate) fn attach(&mut self, mut batch: Batch) {
+        if !batch.frames.is_empty() {
+            batch.frames.extend_from_slice(&self.buf);
+            std::mem::swap(&mut batch.frames, &mut self.buf);
+        }
+        batch.frames.clear();
+        self.file = Some(batch);
     }
 
     /// Writes the buffered frames, then flushes the journal to stable
     /// storage (fsync): on success every frame up to [`Wal::offset`] is
     /// durable. On failure the unwritten frames stay buffered for the
-    /// next sync.
+    /// next sync. This is one group-commit batch, run on the calling
+    /// thread.
     pub fn sync(&mut self) -> Result<()> {
-        self.write_buffer()?;
-        self.io.sync_data(&self.file)?;
-        Ok(())
+        let mut batch = self.detach();
+        let synced = batch.commit();
+        self.attach(batch);
+        synced
     }
 
     /// Current journal length (the last returned append offset),
@@ -506,7 +606,11 @@ impl Drop for Wal {
     /// Writes the buffered frames, best effort and without a sync — the
     /// `BufWriter` idiom. [`Wal::sync`] reports what this ignores.
     fn drop(&mut self) {
-        let _ = self.write_buffer();
+        if self.file.is_some() {
+            let mut batch = self.detach();
+            let _ = batch.write();
+            self.attach(batch);
+        }
     }
 }
 

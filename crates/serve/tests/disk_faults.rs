@@ -152,13 +152,16 @@ fn reference_corpus(tag: &str, cfg: IngestConfig, events: &[Event]) -> Vec<u8> {
 }
 
 /// Pushes `events` through a fault-free `FaultyIo` engine — with the
-/// fault cell's mid-run checkpoint when `mid_checkpoint` — and returns,
-/// per needle, how many backend operations on paths containing it that
-/// took after open (every path contains the empty needle). A cell draws
-/// its fault's operation index below this count, the way the kill tests
-/// draw their cut below a probe's journal length: the faulted run
-/// performs the same operations up to its fault, so every drawn fault
-/// fires.
+/// fault cell's mid-run checkpoint when `mid_checkpoint` — drops it, and
+/// returns, per needle, how many backend operations on paths containing
+/// it that took after open (every path contains the empty needle). A
+/// cell draws its fault's operation index below this count, the way the
+/// kill tests draw their cut below a probe's journal length: the faulted
+/// run performs the same operations up to its fault, so every drawn
+/// fault fires. The count is read after the drop, a settle point: group
+/// commits run on the engine's syncer thread, and until a batch settles
+/// its operations may not have happened yet. So it includes the drop's
+/// own write of the last buffered frames.
 fn probe_ops(
     tag: &str,
     cfg: IngestConfig,
@@ -179,12 +182,12 @@ fn probe_ops(
         }
         engine.push(v, s).expect("probe push");
     }
+    drop(engine);
     let ops = needles
         .iter()
         .zip(start)
         .map(|(n, start)| faulty.ops_on(n) - start)
         .collect();
-    drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
     ops
 }
@@ -271,10 +274,6 @@ fn run_fault_cell(
             Err(other) => panic!("push surfaced an untyped fault: {other}"),
         }
     }
-    assert!(
-        faulty.injected() > 0,
-        "fault {kind:?} delta {delta} sticky {sticky} never fired"
-    );
     let stats = engine.stats();
     if journaled.len() < events.len() {
         assert!(
@@ -286,8 +285,17 @@ fn run_fault_cell(
             "an injected fault that cost events must show up in the counters"
         );
     }
+    // The watermark before the drop settles the last batches: a lower
+    // bound of the durable prefix, so every cut drawn above it is still
+    // a legitimate crash state.
     let durable = engine.shard_durable_offset(0);
     drop(engine); // crash with the fault still armed
+                  // Read after the drop, which settles every queued batch: a fault
+                  // drawn below the probe's count has fired by now.
+    assert!(
+        faulty.injected() > 0,
+        "fault {kind:?} delta {delta} sticky {sticky} never fired"
+    );
 
     // Power loss can only lose bytes the engine never fsynced: any cut
     // in [durable_offset, file length] is a legitimate crash state
@@ -705,7 +713,10 @@ fn buffered_cap_write_fault_keeps_the_acked_prefix() {
 /// which fires. Cheap (no compression comparison — the proptest above
 /// owns byte-identity); asserts the typed-error taxonomy, that one-shot
 /// transient faults are absorbed by the retry budget, and that recovery
-/// and a final checkpoint always succeed.
+/// and a final checkpoint always succeed. Each cell ends its stream
+/// with an explicit `sync`, the settle point that books every queued
+/// group-commit batch before the counters are read; it writes the
+/// frames the probe's drop writes, at the same operation index.
 #[test]
 fn seeded_fault_matrix_smoke() {
     let f = fleet();
@@ -747,6 +758,13 @@ fn seeded_fault_matrix_smoke() {
                     Err(other) => panic!("untyped fault {kind:?}@{delta}: {other}"),
                 }
             }
+            let synced = engine.sync();
+            if let Err(e) = &synced {
+                assert!(
+                    e.degraded_shard() == Some(0) && e.is_storage_full(),
+                    "{kind:?}@{delta}: only out-of-space fails the final sync, typed: {e}"
+                );
+            }
             assert_eq!(
                 faulty.injected(),
                 1,
@@ -759,6 +777,7 @@ fn seeded_fault_matrix_smoke() {
                 // either way no push is refused.
                 FaultKind::Eio | FaultKind::SyncFail => {
                     assert_eq!(errors, 0, "{kind:?}@{delta}: one-shot transient must heal");
+                    assert!(synced.is_ok(), "{kind:?}@{delta}: the final sync heals too");
                     assert!(
                         stats.io_retries + stats.sync_failures > 0,
                         "{kind:?}@{delta}: the absorbed fault must be counted"
@@ -768,8 +787,8 @@ fn seeded_fault_matrix_smoke() {
                 // operation's push is refused, the rest proceed.
                 FaultKind::Enospc | FaultKind::ShortWrite => {
                     assert!(
-                        errors <= 1,
-                        "{kind:?}@{delta}: a one-shot ENOSPC refuses at most one push"
+                        errors + usize::from(synced.is_err()) <= 1,
+                        "{kind:?}@{delta}: a one-shot ENOSPC refuses at most one push or sync"
                     );
                     assert!(
                         stats.storage_full_rejections + stats.sync_failures > 0,
@@ -1089,12 +1108,13 @@ fn run_sharded_fault_cell(
             );
         }
     }
+    let durable = engine.shard_durable_offset(faulted);
+    drop(engine); // crash with the fault still armed
+                  // Read after the drop, which settles every queued batch.
     assert!(
         faulty.injected() > 0,
         "fault {kind:?} delta {delta} sticky {sticky} on shard {faulted}/{shards} never fired"
     );
-    let durable = engine.shard_durable_offset(faulted);
-    drop(engine); // crash with the fault still armed
 
     let len = shard_wal_len(&dir, faulted as u32).expect("shard wal len");
     let lo = durable.max(WAL_HEADER_LEN);
@@ -1167,10 +1187,13 @@ proptest! {
 
 /// Deterministic partial-fleet degraded mode: a sticky ENOSPC pins one
 /// shard of three; its pushes are acked at most `Journaled` until its
-/// next journal write fails, then fail typed while both other shards
-/// keep acking, its rejections stay in its own counters, healing is
-/// in-process via `clear()`, and the final merged corpus holds exactly
-/// the journaled fixes.
+/// failed journal write settles, then fail typed while both other
+/// shards keep acking, its rejections stay in its own counters, healing
+/// is in-process via `clear()`, and the final merged corpus holds
+/// exactly the journaled fixes. The fixture gives the pinned shard one
+/// group-commit trigger in its first third, so the settle point here is
+/// an explicit `sync` after that third: it books the failed batch,
+/// fails typed on the pinned shard alone, and leaves its tail dirty.
 #[test]
 fn sticky_fault_on_one_shard_leaves_the_fleet_ingesting() {
     let f = fleet();
@@ -1193,11 +1216,16 @@ fn sticky_fault_on_one_shard_leaves_the_fleet_ingesting() {
         },
     );
 
-    let half = f.events.len() / 2;
+    let third = f.events.len() / 3;
     let mut journaled: Vec<Event> = Vec::new();
     let mut refused = 0usize;
     let mut healthy = 0usize;
-    for &(v, s) in &f.events[..half] {
+    for (i, &(v, s)) in f.events[..2 * third].iter().enumerate() {
+        if i == third {
+            let err = engine.sync().expect_err("the pinned shard cannot sync");
+            assert_eq!(err.degraded_shard(), Some(faulted));
+            assert!(err.is_storage_full(), "expected StorageFull, got {err}");
+        }
         let k = engine.shard_of(v);
         match engine.push(v, s) {
             Ok(ack) => {
@@ -1242,7 +1270,7 @@ fn sticky_fault_on_one_shard_leaves_the_fleet_ingesting() {
 
     // Space returns on the pinned shard; it heals in-process.
     faulty.clear();
-    for &(v, s) in &f.events[half..] {
+    for &(v, s) in &f.events[2 * third..] {
         if engine.push(v, s).expect("healed push").is_ingested() {
             journaled.push((v, s));
         }

@@ -298,6 +298,12 @@ proptest! {
 /// `Drop`, as under SIGKILL) leaves the journal cut at its file end,
 /// somewhere in `[durable offset, logical offset)`, and recovery equals
 /// a clean run over exactly the acks that fit under that cut.
+///
+/// The leak comes after a settle point with no batch queued behind it:
+/// an explicit `sync` ends the group-committed prefix, and the tail
+/// after it is too short to trip the byte trigger (the time trigger is
+/// off). A batch left on the syncer thread would still be written after
+/// the leak, racing the recovery below.
 #[test]
 fn buffered_frames_lost_to_a_process_crash_are_a_legal_cut() {
     let f = fleet();
@@ -306,12 +312,22 @@ fn buffered_frames_lost_to_a_process_crash_are_a_legal_cut() {
         max_session_points: 24,
         durability: DurabilityPolicy {
             sync_bytes: 1024,
+            sync_interval: 0.0,
             ..DurabilityPolicy::group_commit()
         },
         ..config()
     };
     let dir = test_dir("buffered-crash");
-    let (engine, acked) = run_clean(&dir, cfg, &f.events);
+    // Twelve `Point` frames (41 B each) stay below the 1,024-byte trigger.
+    let tail = f.events.len() - 12;
+    let (mut engine, mut acked) = run_clean(&dir, cfg, &f.events[..tail]);
+    assert!(engine.stats().sync_calls > 0, "the prefix group-commits");
+    engine.sync().expect("sync");
+    for (i, &(v, s)) in f.events.iter().enumerate().skip(tail) {
+        if let Some(offset) = engine.push(v, s).expect("push").offset() {
+            acked.push((i, offset));
+        }
+    }
     let durable = engine.shard_durable_offset(0);
     let logical = engine.shard_wal_offset(0);
     std::mem::forget(engine); // SIGKILL: no Drop writes the buffer

@@ -110,7 +110,10 @@ fn main() {
     // power loss), `Journaled` means it is sequenced in the journal but
     // its group-commit write + fsync is still pending (a process crash
     // or a power cut may take it, which is exactly what the tear below
-    // simulates).
+    // simulates). The write + fsync runs on the engine's syncer thread,
+    // so even the push that trips a group commit acks `Journaled`: its
+    // fix is durable once the batch settles, at that shard's next
+    // trigger, or at an explicit `sync()`.
     let mut acked: Vec<(usize, u64)> = Vec::new();
     for (i, &(v, s)) in feed.iter().enumerate() {
         if let Some(offset) = engine.push(v, s).expect("push").offset() {
@@ -236,10 +239,11 @@ fn main() {
         kind: FaultKind::Enospc,
         sticky: true, // a full disk stays full until space is freed
     });
-    // Frames are buffered in memory and written at group commit, so the
-    // full disk surfaces at the shard's next journal write: until then
-    // fixes are still acked `Journaled` (never `Accepted`), and from the
-    // first refusal on nothing is ingested until space returns.
+    // Frames are buffered in memory and written by the group commit on
+    // the syncer thread, so the full disk surfaces when that failed batch
+    // settles, at the shard's next trigger: until then fixes are still
+    // acked `Journaled` (never `Accepted`), and from the first refusal on
+    // nothing is ingested until space returns.
     let mut refused = 0usize;
     for &(v, s) in &feed[third..2 * third] {
         match survivor.push(v, s) {
@@ -313,8 +317,8 @@ fn main() {
     let mut stranded: Vec<Event> = Vec::new();
     for &(v, s) in &feed {
         match fleet.push(v, s) {
-            // The failed shard may still ack `Journaled` until its next
-            // journal write hits the full disk.
+            // The failed shard may still ack `Journaled` until its
+            // failed journal write settles.
             Ok(ack) => healthy_acks += (ack.is_ingested() && fleet.shard_of(v) != bad) as usize,
             Err(e) => {
                 assert_eq!(e.degraded_shard(), Some(bad), "fault stays on its shard");
