@@ -4,7 +4,7 @@
 //! Usage:
 //! ```text
 //! repro [EXPERIMENT…] [--full] [--seed N] [--threads N]
-//!       [--hl [--save-dir DIR | --load-dir DIR [--map]]]
+//!       [--hl [--save-dir DIR | --load-dir DIR]]
 //!
 //! EXPERIMENT: all (default) | fig10a | fig10b | fig11 | fig12a | fig12b |
 //!             fig13 | fig14 | fig15 | fig16 | fig17 | aux | ablations
@@ -19,11 +19,9 @@
 //!                 trained model under DIR (press-store artifacts)
 //! --load-dir DIR  with --hl: warm-start from artifacts saved by a
 //!                 --save-dir run with the same seed, skipping SP
-//!                 preprocessing and training; outputs are bit-identical to
-//!                 a fresh build
-//! --map           with --load-dir: open the hub labels through the
-//!                 zero-copy mapped tier — same bit-identical outputs, O(page
-//!                 faults) open cost instead of a full decode
+//!                 preprocessing and training; the artifacts are opened as
+//!                 read-only mappings, and outputs are bit-identical to a
+//!                 fresh build
 //! ```
 //!
 //! The dense table (the default backend) is an in-memory oracle with no
@@ -42,7 +40,6 @@ fn main() {
     let mut threads = 0usize;
     let mut save_dir: Option<String> = None;
     let mut load_dir: Option<String> = None;
-    let mut map = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
@@ -75,7 +72,6 @@ fn main() {
                         .clone(),
                 );
             }
-            "--map" => map = true,
             "--help" | "-h" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
             other => wanted.push(other.to_string()),
@@ -84,15 +80,11 @@ fn main() {
     if save_dir.is_some() && load_dir.is_some() {
         usage("--save-dir and --load-dir are mutually exclusive");
     }
-    if map && load_dir.is_none() {
-        usage("--map opens saved artifacts; pass --load-dir with it");
-    }
     if (save_dir.is_some() || load_dir.is_some()) && backend != SpBackend::Hl {
         usage("--save-dir and --load-dir persist the hub labels; pass --hl with them");
     }
     let store = match (&save_dir, &load_dir) {
         (Some(d), _) => StoreMode::Save(std::path::Path::new(d)),
-        (_, Some(d)) if map => StoreMode::Map(std::path::Path::new(d)),
         (_, Some(d)) => StoreMode::Load(std::path::Path::new(d)),
         _ => StoreMode::None,
     };
@@ -112,7 +104,6 @@ fn main() {
         t0.elapsed().as_secs_f64() * 1e3,
         match store {
             StoreMode::Load(_) => " (warm-start from artifact store)",
-            StoreMode::Map(_) => " (warm-start from mapped artifact store)",
             StoreMode::Save(_) => " (artifacts saved)",
             StoreMode::None => "",
         }
@@ -185,7 +176,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [all|fig10a|fig10b|fig11|fig12a|fig12b|fig13|fig14|fig15|fig16|fig17|aux|ablations]… \
-         [--full] [--seed N] [--threads N] [--hl [--save-dir DIR | --load-dir DIR [--map]]]"
+         [--full] [--seed N] [--threads N] [--hl [--save-dir DIR | --load-dir DIR]]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -6,13 +6,13 @@
 //!
 //! Environments on the hub labels can also **warm-start** from the
 //! on-disk artifact tier ([`StoreMode`]): `Save` persists the network,
-//! the labels and the trained HSC model after building; `Load` restores
+//! the labels and the trained HSC model after building; `Load` maps
 //! them in a fresh process and skips the SP preprocessing and training
 //! entirely. Loaded artifacts are bit-identical to built ones, so every
 //! experiment produces the same numbers either way (the workload itself
 //! is regenerated — it is seeded and cheap). The dense table is the
 //! in-memory oracle and has no artifact: a dense environment is always
-//! built, and asking it to save, load or map panics.
+//! built, and asking it to save or load panics.
 
 use press_core::{HscModel, Press, PressConfig, Trajectory};
 use press_network::{HubLabels, RoadNetwork, SpBackend, SpProvider, SpTable};
@@ -51,13 +51,10 @@ pub enum StoreMode<'a> {
     /// Build, then persist network / hub labels / trained model under
     /// the directory (one subdirectory per environment flavor).
     Save(&'a Path),
-    /// Warm-start: load the artifacts saved by a previous `Save` run.
+    /// Warm-start from the artifacts saved by a previous `Save` run, each
+    /// opened as a read-only mapping: the hub labels' flat sections are
+    /// borrowed in place (open cost is page faults, not decode).
     Load(&'a Path),
-    /// Warm-start through the zero-copy mapped tier: the hub labels open
-    /// as read-only mappings whose flat sections are borrowed in place
-    /// (open cost is page faults, not decode), answering bit-identically
-    /// to `Load`.
-    Map(&'a Path),
 }
 
 /// The hub labels' artifact inside an environment's store subdirectory.
@@ -197,14 +194,13 @@ impl Env {
         assert!(
             matches!(store, StoreMode::None) || backend == SpBackend::Hl,
             "artifact store: the dense SP table is built in memory only and has no \
-             artifact; save, load or map the {flavor} environment on the hub labels (--hl)"
+             artifact; save or load the {flavor} environment on the hub labels (--hl)"
         );
         let provenance = Self::provenance_bytes(&grid, &wl);
         let (net, hl, loaded_model) = match store {
-            StoreMode::Load(base) | StoreMode::Map(base) => {
-                let mapped = matches!(store, StoreMode::Map(_));
+            StoreMode::Load(base) => {
                 let dir = base.join(flavor);
-                let meta = press_store::StoreFile::open(&dir.join("env_meta.press"))
+                let meta = press_store::StoreFile::open_mapped(&dir.join("env_meta.press"))
                     .unwrap_or_else(|e| fail("read the environment provenance", e));
                 let saved = meta
                     .expect_kind(press_store::kind::META)
@@ -222,13 +218,10 @@ impl Env {
                         .unwrap_or_else(|e| fail("load the network", e)),
                 );
                 let sp_path = dir.join(SP_FILE);
-                let hl = Arc::new(if mapped {
+                let hl = Arc::new(
                     HubLabels::open_mapped(net.clone(), &sp_path)
-                        .unwrap_or_else(|e| fail("map the hub labels", e))
-                } else {
-                    HubLabels::load_from(net.clone(), &sp_path)
-                        .unwrap_or_else(|e| fail("load the hub labels", e))
-                });
+                        .unwrap_or_else(|e| fail("map the hub labels", e)),
+                );
                 let model = HscModel::load_from(hl.clone(), &dir.join("hsc.press"))
                     .unwrap_or_else(|e| fail("load the HSC model", e));
                 (net, Some(hl), Some(model))
@@ -384,23 +377,27 @@ mod tests {
         let backend = SpBackend::Hl;
         let built = Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Save(&dir), 0);
         let warm = Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Load(&dir), 0);
-        let mapped = Env::standard_sp_threads(Scale::Small, 5, backend, StoreMode::Map(&dir), 0);
+        // The same artifacts read from bytes (the hub labels' verifying
+        // load): mapped ≡ from_store_bytes ≡ built.
+        let sub = dir.join("standard");
+        let read = |name: &str| std::fs::read(sub.join(name)).unwrap();
+        let net = Arc::new(RoadNetwork::from_store_bytes(read("network.press")).unwrap());
+        let hl = Arc::new(HubLabels::from_store_bytes(net, read(SP_FILE)).unwrap());
+        let model = HscModel::from_store_bytes(hl, read("hsc.press")).unwrap();
+        let from_bytes = Press::with_model(Arc::new(model), PressConfig::default());
         assert_eq!(built.workload.records.len(), warm.workload.records.len());
-        assert_eq!(built.workload.records.len(), mapped.workload.records.len());
-        for ((ta, tb), tc) in built
+        for (ta, tb) in built
             .eval_trajectories()
             .iter()
             .zip(&warm.eval_trajectories())
-            .zip(&mapped.eval_trajectories())
             .take(8)
         {
             assert_eq!(ta, tb, "workload must regenerate identically");
-            assert_eq!(ta, tc, "mapped workload must regenerate identically");
             let ca = built.press.compress(ta).unwrap();
             let cb = warm.press.compress(tb).unwrap();
-            let cc = mapped.press.compress(tc).unwrap();
-            assert_eq!(ca, cb, "warm-start must compress identically");
-            assert_eq!(ca, cc, "mapped start must compress identically");
+            let cc = from_bytes.compress(ta).unwrap();
+            assert_eq!(ca, cb, "warm start must compress identically");
+            assert_eq!(ca, cc, "the bytes load must compress identically");
             assert_eq!(
                 built.press.decompress(&ca).unwrap().path,
                 warm.press.decompress(&cb).unwrap().path

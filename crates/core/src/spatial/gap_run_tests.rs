@@ -331,12 +331,11 @@ fn gap_len_is_bit_identical_to_path_len() {
         let loaded =
             HscModel::from_store_bytes(trained.sp().clone(), trained.to_store_bytes()).unwrap();
         let labels = dir.join(format!("sp_hl.{kind}.press"));
+        let model = dir.join(format!("hsc.{kind}.press"));
         HubLabels::build(net.clone()).save_to(&labels).unwrap();
-        let mapped = HscModel::from_store_bytes(
-            Arc::new(HubLabels::open_mapped(net.clone(), &labels).unwrap()),
-            trained.to_store_bytes(),
-        )
-        .unwrap();
+        trained.save_to(&model).unwrap();
+        let sp = Arc::new(HubLabels::open_mapped(net.clone(), &labels).unwrap());
+        let mapped = HscModel::load_from(sp, &model).unwrap();
         for model in [&trained, &loaded, &mapped] {
             let trie = model.trie();
             let mut arena_gaps = 0;

@@ -41,8 +41,8 @@
 //! * [`TrajectoryStore::whereat`]/[`TrajectoryStore::get`] decode only
 //!   the one **record** they name: a block payload is a directory of
 //!   record lengths followed by the records ([`crate::record`]), so a
-//!   point query slices its record out of the (owned or mapped) section
-//!   and a range query reads each record's time span from its `t`
+//!   point query slices its record out of the section in place and a
+//!   range query reads each record's time span from its `t`
 //!   column before decoding anything else of it.
 //!
 //! Synopses are conservative over-approximations: a skipped block can
@@ -160,20 +160,30 @@ impl HscModel {
         Ok(())
     }
 
-    /// Reassembles a model over `sp` from container bytes, validating the
-    /// trie structure, the Huffman code lengths (Kraft equality) and the
-    /// table sizes; folding the per-node tables out of the link arena
-    /// (connected chains, no shortest-path call) and requiring the folded
-    /// distances to equal the stored `node_dist` bit for bit; and checking
-    /// that the arena's and the stop facts' `SPend` answers form one tree
-    /// per source node. The model's edge alphabet must match `sp`'s
-    /// network. A `node_mbr` section, which older writers emitted, is
-    /// ignored: the rectangles are derived.
+    /// Reassembles a model over `sp` from container bytes, checked as
+    /// [`HscModel::load_from`] checks.
     pub fn from_store_bytes(
         sp: Arc<dyn SpProvider>,
         bytes: Vec<u8>,
     ) -> press_store::Result<HscModel> {
-        let file = StoreFile::from_bytes(bytes)?;
+        Self::from_file(sp, StoreFile::from_bytes(bytes)?)
+    }
+
+    /// Loads a model artifact from `path` through a read-only mapping
+    /// ([`StoreFile::open_mapped`]), validating the trie structure, the
+    /// Huffman code lengths (Kraft equality) and the table sizes; folding
+    /// the per-node tables out of the link arena (connected chains, no
+    /// shortest-path call) and requiring the folded distances to equal
+    /// the stored `node_dist` bit for bit; and checking that the arena's
+    /// and the stop facts' `SPend` answers form one tree per source node. The model's edge alphabet must match `sp`'s
+    /// network. A `node_mbr` section, which older writers emitted, is
+    /// ignored: the rectangles are derived.
+    pub fn load_from(sp: Arc<dyn SpProvider>, path: &Path) -> press_store::Result<HscModel> {
+        Self::from_file(sp, StoreFile::open_mapped(path)?)
+    }
+
+    /// The one reader behind both loads.
+    fn from_file(sp: Arc<dyn SpProvider>, file: StoreFile) -> press_store::Result<HscModel> {
         file.expect_kind(kind::HSC_MODEL)?;
         let mut meta = file.reader("meta")?;
         let theta = meta.get_len(u16::MAX as usize, "theta")?;
@@ -250,11 +260,6 @@ impl HscModel {
             }
         }
         Ok(model)
-    }
-
-    /// Loads a model artifact from `path` (one contiguous read).
-    pub fn load_from(sp: Arc<dyn SpProvider>, path: &Path) -> press_store::Result<HscModel> {
-        Self::from_store_bytes(sp, std::fs::read(path)?)
     }
 }
 
@@ -598,8 +603,8 @@ impl TrajectoryStore {
         Self::from_file(StoreFile::from_bytes(bytes)?)
     }
 
-    /// Opens a store over an already-opened container (owned or mapped):
-    /// the shared validation path of [`TrajectoryStore::from_store_bytes`]
+    /// Opens a store over an already-opened container: the shared
+    /// validation path of [`TrajectoryStore::from_store_bytes`]
     /// and [`TrajectoryStore::open_mapped`].
     fn from_file(file: StoreFile) -> Result<TrajectoryStore> {
         file.expect_kind(kind::TRAJECTORY_STORE)?;
@@ -673,27 +678,16 @@ impl TrajectoryStore {
         })
     }
 
-    /// Opens a store file (one contiguous read).
-    pub fn open(path: &Path) -> Result<TrajectoryStore> {
-        Self::from_store_bytes(std::fs::read(path).map_err(StoreError::from)?)
-    }
-
     /// Opens a store file through the zero-copy mapped tier: the corpus
     /// payload stays on disk behind a read-only mapping, so open cost is
     /// the metadata walk (header, block directory, synopsis index) —
     /// block payloads are faulted in and CRC-validated only when a query
     /// first decodes them, and a corrupted block surfaces then as a typed
     /// [`StoreError::ChecksumMismatch`], never a wrong answer. Answers
-    /// are bit-identical to [`TrajectoryStore::open`]; only the residency
-    /// model differs.
+    /// are bit-identical to [`TrajectoryStore::from_store_bytes`] over the
+    /// same bytes.
     pub fn open_mapped(path: &Path) -> Result<TrajectoryStore> {
         Self::from_file(StoreFile::open_mapped(path)?)
-    }
-
-    /// True when the store serves from a lazily-validated mapping
-    /// (see [`TrajectoryStore::open_mapped`]).
-    pub fn is_mapped(&self) -> bool {
-        self.file.is_mapped()
     }
 
     /// Number of trajectories in the store.
@@ -1451,9 +1445,9 @@ mod tests {
     /// with another section, preceded by an out-of-range block name,
     /// duplicated, misspelt or missing — resolve as the name scan resolves
     /// them, so each corpus opens to the blocks and answers the scan
-    /// gives, or to the same typed error, owned and mapped. Block size 3
-    /// spreads the 40 trajectories over `blk0`…`blk13`, across the counter's
-    /// carry into two digits.
+    /// gives, or to the same typed error, from bytes and mapped. Block
+    /// size 3 spreads the 40 trajectories over `blk0`…`blk13`, across the
+    /// counter's carry into two digits.
     #[test]
     fn block_sections_in_any_order_open_as_the_name_scan_reads_them() {
         let (press, _, compressed) = fixture();
@@ -1555,25 +1549,37 @@ mod tests {
         assert_eq!(store.get(4 * 3).unwrap(), compressed[5 * 3]);
     }
 
-    /// A point read decodes the same trajectory `decode_all` puts at that
-    /// index, from an owned and from a mapped file, for every index of a
-    /// multi-block corpus whose last block is short.
+    /// A mapped corpus answers bit-identically to the same bytes loaded
+    /// from memory: equal synopses, `whereat` and `range`, and a point read
+    /// decodes the trajectory `decode_all` puts at that index, for every
+    /// index of a multi-block corpus whose last block is short.
     #[test]
-    fn single_record_decode_equals_decode_all_owned_and_mapped() {
-        let (press, _, compressed) = fixture();
+    fn single_record_decode_equals_decode_all_bytes_and_mapped() {
+        let (press, trajs, compressed) = fixture();
         let engine = QueryEngine::new(press.model());
         let bytes = TrajectoryStore::to_store_bytes(&engine, &compressed, 7).unwrap();
         let path = temp_corpus("single-record", &bytes);
-        let owned = TrajectoryStore::from_store_bytes(bytes).unwrap();
+        let loaded = TrajectoryStore::from_store_bytes(bytes).unwrap();
         let mapped = TrajectoryStore::open_mapped(&path).unwrap();
-        assert!(owned.num_blocks() > 2 && !owned.len().is_multiple_of(7));
-        let all = owned.decode_all().unwrap();
+        assert!(loaded.num_blocks() > 2 && !loaded.len().is_multiple_of(7));
+        assert_eq!(mapped.num_blocks(), loaded.num_blocks());
+        for b in 0..loaded.num_blocks() {
+            assert_eq!(mapped.synopsis(b), loaded.synopsis(b));
+        }
+        let all = loaded.decode_all().unwrap();
         assert_eq!(all, compressed);
         assert_eq!(mapped.decode_all().unwrap(), all);
         for (i, ct) in all.iter().enumerate() {
-            assert_eq!(owned.get(i).unwrap(), *ct, "owned {i}");
+            assert_eq!(loaded.get(i).unwrap(), *ct, "bytes {i}");
             assert_eq!(mapped.get(i).unwrap(), *ct, "mapped {i}");
         }
+        let (a, b) = trajs[1].temporal.time_range().unwrap();
+        let t = (a + b) / 2.0;
+        let at = |s: &TrajectoryStore| s.whereat(&engine, 1, t).unwrap().x.to_bits();
+        assert_eq!(at(&loaded), at(&mapped));
+        let region = Mbr::new(0.0, 0.0, 2000.0, 2000.0);
+        let hits = |s: &TrajectoryStore| s.range(&engine, 0.0, 20_000.0, &region).unwrap();
+        assert_eq!(hits(&loaded), hits(&mapped));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1855,38 +1861,6 @@ mod tests {
             std::env::temp_dir().join(format!("press-corpus-{}-{name}.press", std::process::id()));
         std::fs::write(&path, bytes).unwrap();
         path
-    }
-
-    #[test]
-    fn mapped_store_answers_bit_identically_to_owned_open() {
-        let (press, trajs, compressed) = fixture();
-        let engine = QueryEngine::new(press.model());
-        let bytes = TrajectoryStore::to_store_bytes(&engine, &compressed, 6).unwrap();
-        let path = temp_corpus("identical", &bytes);
-        let owned = TrajectoryStore::from_store_bytes(bytes).unwrap();
-        let mapped = TrajectoryStore::open_mapped(&path).unwrap();
-        assert!(mapped.is_mapped());
-        assert!(!owned.is_mapped());
-        assert_eq!(mapped.len(), owned.len());
-        assert_eq!(mapped.num_blocks(), owned.num_blocks());
-        for b in 0..owned.num_blocks() {
-            assert_eq!(mapped.synopsis(b), owned.synopsis(b));
-        }
-        for (i, ct) in compressed.iter().enumerate() {
-            assert_eq!(mapped.get(i).unwrap(), *ct, "trajectory {i}");
-        }
-        let (a, b) = trajs[1].temporal.time_range().unwrap();
-        let t = (a + b) / 2.0;
-        assert_eq!(
-            owned.whereat(&engine, 1, t).unwrap().x.to_bits(),
-            mapped.whereat(&engine, 1, t).unwrap().x.to_bits()
-        );
-        let region = Mbr::new(0.0, 0.0, 2000.0, 2000.0);
-        assert_eq!(
-            owned.range(&engine, 0.0, 20_000.0, &region).unwrap(),
-            mapped.range(&engine, 0.0, 20_000.0, &region).unwrap()
-        );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -284,14 +284,6 @@ impl Mbr {
         (self.max_y - self.min_y).max(0.0)
     }
 
-    /// Center of the rectangle. Meaningless for the empty rectangle.
-    pub fn center(&self) -> Point {
-        Point::new(
-            (self.min_x + self.max_x) / 2.0,
-            (self.min_y + self.max_y) / 2.0,
-        )
-    }
-
     /// True when the segment `(a, b)` intersects the rectangle (touching
     /// the border counts). A segment whose bounding box misses the
     /// rectangle is rejected by four comparisons, before the four

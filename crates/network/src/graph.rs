@@ -230,11 +230,23 @@ impl RoadNetwork {
         Ok(())
     }
 
-    /// Reconstructs a network from container bytes, validating structural
-    /// invariants (endpoint ids in range, finite non-negative weights).
+    /// Reconstructs a network from container bytes, checked as
+    /// [`Self::load_from`] checks.
     pub fn from_store_bytes(bytes: Vec<u8>) -> press_store::Result<RoadNetwork> {
+        Self::from_file(press_store::StoreFile::from_bytes(bytes)?)
+    }
+
+    /// Loads a network artifact from `path` through a read-only mapping
+    /// ([`press_store::StoreFile::open_mapped`]), validating structural
+    /// invariants (endpoint ids in range, finite non-negative weights).
+    pub fn load_from(path: &std::path::Path) -> press_store::Result<RoadNetwork> {
+        Self::from_file(press_store::StoreFile::open_mapped(path)?)
+    }
+
+    /// The one reader behind both loads: decodes the node and edge arrays
+    /// out of `file` and rebuilds the CSR adjacency.
+    fn from_file(file: press_store::StoreFile) -> press_store::Result<RoadNetwork> {
         use press_store::StoreError;
-        let file = press_store::StoreFile::from_bytes(bytes)?;
         file.expect_kind(press_store::kind::NETWORK)?;
         let mut meta = file.reader("meta")?;
         let num_nodes = meta.get_len(u32::MAX as usize, "node")?;
@@ -268,11 +280,6 @@ impl RoadNetwork {
         }
         r.expect_end("edges")?;
         Ok(RoadNetworkBuilder { nodes, edges }.build())
-    }
-
-    /// Loads a network artifact from `path` (one contiguous read).
-    pub fn load_from(path: &std::path::Path) -> press_store::Result<RoadNetwork> {
-        Self::from_store_bytes(std::fs::read(path)?)
     }
 }
 
@@ -508,14 +515,23 @@ mod tests {
 
     #[test]
     fn store_roundtrip_is_field_identical() {
+        // built ≡ from_store_bytes ≡ the mapped load_from.
         let net = triangle();
-        let loaded = RoadNetwork::from_store_bytes(net.to_store_bytes()).unwrap();
-        assert_eq!(loaded.nodes, net.nodes);
-        assert_eq!(loaded.edges, net.edges);
-        assert_eq!(loaded.out_index, net.out_index);
-        assert_eq!(loaded.out_edges, net.out_edges);
-        assert_eq!(loaded.in_index, net.in_index);
-        assert_eq!(loaded.in_edges, net.in_edges);
+        let path = std::env::temp_dir().join(format!("press-net-{}.press", std::process::id()));
+        net.save_to(&path).unwrap();
+        let mapped = RoadNetwork::load_from(&path);
+        std::fs::remove_file(&path).unwrap();
+        for loaded in [
+            RoadNetwork::from_store_bytes(net.to_store_bytes()).unwrap(),
+            mapped.unwrap(),
+        ] {
+            assert_eq!(loaded.nodes, net.nodes);
+            assert_eq!(loaded.edges, net.edges);
+            assert_eq!(loaded.out_index, net.out_index);
+            assert_eq!(loaded.out_edges, net.out_edges);
+            assert_eq!(loaded.in_index, net.in_index);
+            assert_eq!(loaded.in_edges, net.in_edges);
+        }
     }
 
     #[test]

@@ -128,8 +128,8 @@
 //!
 //! # Loading
 //!
-//! Every load path ([`HubLabels::open_mapped`], [`HubLabels::load_from`],
-//! [`HubLabels::from_store_bytes`]) runs one reader over the artifact's
+//! Both load paths ([`HubLabels::open_mapped`] and
+//! [`HubLabels::from_store_bytes`]) run one reader over the artifact's
 //! flat sections, and it **borrows** the arc table as it borrows the label
 //! arrays: `arcs_f` is a run of 24-byte records laid out as the in-memory
 //! arc, so nothing is decoded. The reader checks each arc against the
@@ -144,7 +144,7 @@
 //! sets' scans run as one task list on every core. The verdict follows
 //! the sequential order: the arcs, then the forward set before the
 //! backward; within a set its section CRCs, its shape, then its lowest
-//! failing node. An owned load then verifies every stored distance
+//! failing node. The bytes load then verifies every stored distance
 //! against its parent chain (`docs/FORMATS.md`, "Integrity trade").
 //!
 //! Precondition: strictly positive edge weights (asserted by the
@@ -782,21 +782,14 @@ impl HubLabels {
 
     /// Reconstructs a labeling over `net` from container bytes: the
     /// checks of [`Self::open_mapped`], and on top of them every stored
-    /// distance verified against its parent chain.
+    /// distance verified against its parent chain — the verifying read
+    /// of `docs/FORMATS.md`'s "Integrity trade".
     pub fn from_store_bytes(
         net: Arc<RoadNetwork>,
         bytes: Vec<u8>,
     ) -> press_store::Result<HubLabels> {
-        Self::from_file(net, press_store::StoreFile::from_bytes(bytes)?, workers())
-    }
-
-    /// Loads a label artifact from `path` (one contiguous read), checked
-    /// as [`Self::from_store_bytes`] checks.
-    pub fn load_from(
-        net: Arc<RoadNetwork>,
-        path: &std::path::Path,
-    ) -> press_store::Result<HubLabels> {
-        Self::from_file(net, press_store::StoreFile::open(path)?, workers())
+        let file = press_store::StoreFile::from_bytes(bytes)?;
+        Self::from_file(net, file, workers(), true)
     }
 
     /// Opens a label artifact as a read-only mapping whose arc table and
@@ -820,12 +813,14 @@ impl HubLabels {
         net: Arc<RoadNetwork>,
         path: &std::path::Path,
     ) -> press_store::Result<HubLabels> {
-        Self::from_file(net, press_store::StoreFile::open_mapped(path)?, workers())
+        let file = press_store::StoreFile::open_mapped(path)?;
+        Self::from_file(net, file, workers(), false)
     }
 
-    /// The one reader behind every load path, on `workers` workers: the
-    /// checks of [`Self::open_mapped`], plus [`verify_dists`] when `file`
-    /// is owned.
+    /// The one reader behind both load paths, on `workers` workers: the
+    /// checks of [`Self::open_mapped`], plus [`verify_dists`] when
+    /// `check_dists` is set (the caller's choice: [`Self::from_store_bytes`]
+    /// verifies, [`Self::open_mapped`] trusts).
     ///
     /// After the metadata, every check runs as one task list on
     /// [`work_steal_map`](crate::parallel::work_steal_map): the nine
@@ -836,12 +831,14 @@ impl HubLabels {
     /// (CRC, record count, cross-check), then the forward set before the
     /// backward — within a set its index, hub, dist and parent section
     /// (CRC, then element width), its CSR shape, then the lowest failing
-    /// node. An owned load then verifies the distances of each set that
-    /// passed, and a set's distance error ranks right after its structure.
+    /// node. With `check_dists`, the distances of each set that passed
+    /// are verified next, and a set's distance error ranks right after its
+    /// structure.
     fn from_file(
         net: Arc<RoadNetwork>,
         file: press_store::StoreFile,
         workers: usize,
+        check_dists: bool,
     ) -> press_store::Result<HubLabels> {
         use press_store::StoreError;
         file.expect_kind(press_store::kind::HUB_LABELS)?;
@@ -942,10 +939,11 @@ impl HubLabels {
                 break;
             }
         }
-        // The owned load's distance checks, on the sets whose structure
-        // passed; a set's distance error ranks right after its structure.
-        // (A mapped open trusts them under the CRCs: no pass, no threads.)
-        let dists = if file.is_mapped() {
+        // The verifying load's distance checks, on the sets whose
+        // structure passed; a set's distance error ranks right after its
+        // structure. (A trusting open relies on the CRCs: no pass, no
+        // threads.)
+        let dists = if !check_dists {
             vec![Ok(()); structure.len()]
         } else {
             crate::parallel::work_steal_map(&structure, workers, |d, set| match set {
@@ -1513,19 +1511,19 @@ mod tests {
         assert!(HubLabels::from_store_bytes(net.clone(), bytes).is_err());
         // Wrong artifact kind is typed — among them a `sp_dense.press` or
         // a `sp_ch.press` left on disk by an older build (the retired kind
-        // ids 2 and 4), on the owned and the mapped load alike.
+        // ids 2 and 4), on the bytes load and the mapped open alike.
         for kind in [2, 4] {
             let bytes = press_store::StoreWriter::new(kind).to_bytes();
-            let (owned, mapped) = verdicts(
+            let (loaded, mapped) = verdicts(
                 &bytes,
                 |b| HubLabels::from_store_bytes(net.clone(), b),
                 |p| HubLabels::open_mapped(net.clone(), p),
             );
             assert!(
-                matches!(owned, Some(StoreError::WrongKind { .. })),
-                "{owned:?}"
+                matches!(loaded, Some(StoreError::WrongKind { .. })),
+                "{loaded:?}"
             );
-            assert_eq!(mapped, owned);
+            assert_eq!(mapped, loaded);
         }
     }
 
@@ -1558,7 +1556,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_open_is_bit_identical_to_owned_load() {
+    fn mapped_open_is_bit_identical_to_bytes_load() {
         let net = Arc::new(grid_network(&GridConfig {
             nx: 5,
             ny: 5,
@@ -1571,37 +1569,40 @@ mod tests {
         let path = temp_artifact("hl-identical", &built.to_store_bytes());
         let mapped = HubLabels::open_mapped(net.clone(), &path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        // Field-for-field identity, including the distances the owned
-        // load verifies but the mapped open trusts under their CRC.
-        assert_eq!(mapped.fwd.index, built.fwd.index);
-        assert_eq!(mapped.fwd.hub, built.fwd.hub);
-        assert_eq!(mapped.fwd.parent, built.fwd.parent);
-        assert_eq!(mapped.bwd.index, built.bwd.index);
-        assert_eq!(mapped.bwd.hub, built.bwd.hub);
-        assert_eq!(mapped.bwd.parent, built.bwd.parent);
-        for (a, b) in built.fwd.dist.iter().zip(mapped.fwd.dist.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in built.bwd.dist.iter().zip(mapped.bwd.dist.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(mapped.arcs.len(), built.arcs.len());
-        // The mapped arrays really are zero-copy views over the mapping,
-        // not decoded copies.
-        assert!(mapped.fwd.hub.is_borrowed());
-        assert!(mapped.fwd.dist.is_borrowed());
-        assert!(mapped.bwd.parent.is_borrowed());
-        for u in net.node_ids() {
-            for v in net.node_ids().step_by(3) {
-                assert_eq!(
-                    built.node_dist(u, v).to_bits(),
-                    mapped.node_dist(u, v).to_bits()
-                );
-                assert_eq!(built.pred_edge(u, v), mapped.pred_edge(u, v));
+        let loaded = HubLabels::from_store_bytes(net.clone(), built.to_store_bytes()).unwrap();
+        // mapped ≡ bytes ≡ built, field for field, including the distances
+        // the bytes load verifies but the mapped open trusts under their
+        // CRC. Both loads' arrays are zero-copy views over their backing
+        // (the mapping, or the aligned arena), not decoded copies.
+        for hl in [&mapped, &loaded] {
+            assert_eq!(hl.fwd.index, built.fwd.index);
+            assert_eq!(hl.fwd.hub, built.fwd.hub);
+            assert_eq!(hl.fwd.parent, built.fwd.parent);
+            assert_eq!(hl.bwd.index, built.bwd.index);
+            assert_eq!(hl.bwd.hub, built.bwd.hub);
+            assert_eq!(hl.bwd.parent, built.bwd.parent);
+            for (a, b) in built.fwd.dist.iter().zip(hl.fwd.dist.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-        for &(a, b) in &[(EdgeId(0), EdgeId(17)), (EdgeId(9), EdgeId(3))] {
-            assert_eq!(built.sp_interior(a, b), mapped.sp_interior(a, b));
+            for (a, b) in built.bwd.dist.iter().zip(hl.bwd.dist.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            assert_eq!(hl.arcs.len(), built.arcs.len());
+            assert!(hl.fwd.hub.is_borrowed());
+            assert!(hl.fwd.dist.is_borrowed());
+            assert!(hl.bwd.parent.is_borrowed());
+            for u in net.node_ids() {
+                for v in net.node_ids().step_by(3) {
+                    assert_eq!(
+                        built.node_dist(u, v).to_bits(),
+                        hl.node_dist(u, v).to_bits()
+                    );
+                    assert_eq!(built.pred_edge(u, v), hl.pred_edge(u, v));
+                }
+            }
+            for &(a, b) in &[(EdgeId(0), EdgeId(17)), (EdgeId(9), EdgeId(3))] {
+                assert_eq!(built.sp_interior(a, b), hl.sp_interior(a, b));
+            }
         }
     }
 
@@ -1685,10 +1686,10 @@ mod tests {
 
     /// One CRC-valid rewrite per rule the reader enforces. The structural
     /// rows are refused by both loads with the same typed `Corrupt`; the
-    /// parent-chain and distance rows by the owned load only — the mapped
+    /// parent-chain and distance rows by the bytes load only — the mapped
     /// open trusts those under the section CRC (`docs/FORMATS.md`).
     #[test]
-    fn mapped_open_and_owned_load_refuse_every_broken_rule() {
+    fn mapped_open_and_bytes_load_refuse_every_broken_rule() {
         let (net, hl, good) = refusal_fixture();
         let (n, num_arcs, arcs) = (net.num_nodes(), hl.arcs.len(), &hl.arcs);
         let (index, hub, parent) = (&hl.fwd.index, &hl.fwd.hub, &hl.fwd.parent);
@@ -1845,26 +1846,26 @@ mod tests {
                 true,
             ),
         ];
-        for (what, bytes, want, owned_only) in rows {
-            let (owned, mapped) = verdicts(
+        for (what, bytes, want, bytes_only) in rows {
+            let (loaded, mapped) = verdicts(
                 &bytes,
                 |b| HubLabels::from_store_bytes(net.clone(), b),
                 |p| HubLabels::open_mapped(net.clone(), p),
             );
             assert!(
-                matches!(&owned, Some(StoreError::Corrupt(m)) if m.starts_with(&want)),
-                "{what}: {owned:?}"
+                matches!(&loaded, Some(StoreError::Corrupt(m)) if m.starts_with(&want)),
+                "{what}: {loaded:?}"
             );
             assert_eq!(
                 mapped,
-                if owned_only { None } else { owned },
+                if bytes_only { None } else { loaded },
                 "{what}: mapped"
             );
         }
     }
 
     /// The forward and backward label sets are validated side by side;
-    /// the verdict is the sequential pass's for 1 worker and for 2, owned
+    /// the verdict is the sequential pass's for 1 worker and for 2, bytes
     /// and mapped: a flipped byte in a `bwd_*_f` section is that section's
     /// checksum mismatch, a CRC-valid structural fault there is the same
     /// typed `Corrupt`, and when both sets are faulty the forward one is
@@ -1916,14 +1917,14 @@ mod tests {
             let path = temp_artifact("hl-par", &corrupt);
             for workers in [1, 2] {
                 let mapped = StoreFile::open_mapped(&path).unwrap();
-                let got = HubLabels::from_file(net.clone(), mapped, workers);
+                let got = HubLabels::from_file(net.clone(), mapped, workers, false);
                 assert_eq!(got.err(), Some(want.clone()), "{what}, {workers} workers");
-                let owned = StoreFile::from_bytes(corrupt.clone()).unwrap();
-                let got = HubLabels::from_file(net.clone(), owned, workers);
+                let bytes = StoreFile::from_bytes(corrupt.clone()).unwrap();
+                let got = HubLabels::from_file(net.clone(), bytes, workers, true);
                 assert_eq!(
                     got.err(),
                     Some(want.clone()),
-                    "{what}, {workers} workers, owned"
+                    "{what}, {workers} workers, bytes"
                 );
             }
             std::fs::remove_file(&path).unwrap();
@@ -1931,8 +1932,8 @@ mod tests {
         // And the clean artifact validates to the same labels either way.
         let path = temp_artifact("hl-par-clean", &bytes);
         let open = |workers| {
-            HubLabels::from_file(net.clone(), StoreFile::open_mapped(&path).unwrap(), workers)
-                .unwrap()
+            let file = StoreFile::open_mapped(&path).unwrap();
+            HubLabels::from_file(net.clone(), file, workers, false).unwrap()
         };
         let (one, two) = (open(1), open(2));
         std::fs::remove_file(&path).unwrap();
@@ -1944,10 +1945,11 @@ mod tests {
     /// replaced, kept as its reference: the arcs, then each label set in
     /// turn — its four sections (CRC, then width), its CSR shape, the
     /// per-entry structural check of every node in order (reading each
-    /// parent arc's record), and on an owned file its distances.
+    /// parent arc's record), and with `check_dists` its distances.
     pub(super) fn reference_verdict(
         net: &RoadNetwork,
         file: &press_store::StoreFile,
+        check_dists: bool,
     ) -> press_store::Result<()> {
         file.expect_kind(press_store::kind::HUB_LABELS)?;
         let mut meta = file.reader("meta")?;
@@ -2037,7 +2039,7 @@ mod tests {
                     )));
                 }
             }
-            if !file.is_mapped() {
+            if check_dists {
                 let set = LabelSet {
                     index,
                     hub,
@@ -2291,13 +2293,13 @@ mod tests {
         let big_net = grid(7, 6, 9);
         let small = HubLabels::build(small_net.clone());
         let big = HubLabels::build(big_net.clone());
-        // An owned and a mapped load of one artifact: equal labels,
+        // A bytes load and a mapped open of one artifact: equal labels,
         // distinct instances.
         let path = temp_artifact("hl-hygiene", &big.to_store_bytes());
-        let owned = HubLabels::load_from(big_net.clone(), &path).unwrap();
+        let loaded = HubLabels::from_store_bytes(big_net.clone(), big.to_store_bytes()).unwrap();
         let mapped = HubLabels::open_mapped(big_net.clone(), &path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        let ids = [small.id, big.id, owned.id, mapped.id];
+        let ids = [small.id, big.id, loaded.id, mapped.id];
         for (i, a) in ids.iter().enumerate() {
             assert!(ids[i + 1..].iter().all(|b| a != b), "instance ids repeat");
         }
@@ -2309,7 +2311,7 @@ mod tests {
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             for t in 0..2u32 {
-                let (start, small, big, owned, mapped) = (&start, &small, &big, &owned, &mapped);
+                let (start, small, big, loaded, mapped) = (&start, &small, &big, &loaded, &mapped);
                 let (small_dense, big_dense) = (&small_dense, &big_dense);
                 let (ns, nb) = (small_net.num_nodes() as u32, big_net.num_nodes() as u32);
                 scope.spawn(move || {
@@ -2318,7 +2320,7 @@ mod tests {
                         let k = i * 7 + t * 3;
                         let (u, v) = (NodeId(k % ns), NodeId((k / 3 + 1) % ns));
                         assert_eq!(small.pred_edge(u, v), small_dense.pred_edge(u, v));
-                        for hl in [big, owned, mapped] {
+                        for hl in [big, loaded, mapped] {
                             // Same source as the small instance just pinned.
                             let v = NodeId((k / 2 + 5) % nb);
                             assert_eq!(hl.pred_edge(u, v), big_dense.pred_edge(u, v));
@@ -2476,7 +2478,7 @@ mod prop_tests {
 
         /// The task-list reader equals the sequential reference, error
         /// for error, on one or two broken label entries in either set —
-        /// on 1, 2 and 3 workers, owned and mapped.
+        /// on 1, 2 and 3 workers, bytes (distances verified) and mapped.
         #[test]
         fn label_set_check_equals_the_sequential_reference(
             first in (0usize..2, 0u32..9, 0usize..100_000),
@@ -2502,9 +2504,9 @@ mod prop_tests {
                 } else {
                     StoreFile::from_bytes(bytes.clone()).unwrap()
                 };
-                let want = reference_verdict(net, &file()).err();
+                let want = reference_verdict(net, &file(), !mapped).err();
                 for workers in [1, 2, 3] {
-                    let got = HubLabels::from_file(net.clone(), file(), workers).err();
+                    let got = HubLabels::from_file(net.clone(), file(), workers, !mapped).err();
                     prop_assert_eq!(&got, &want, "mapped {}, {} workers", mapped, workers);
                 }
             }

@@ -2,11 +2,12 @@
 //!
 //! The artifact stores every array as one fixed-width little-endian
 //! section (the `*_f` family), written through
-//! [`press_store::StoreWriter::section_aligned`] so that a mapped open
-//! borrows it in place as a `FlatSlice` and an owned load reads the very
-//! same bytes — one encoding, one reader. The sections carry no
-//! redundancy beyond their CRC, so the reader validates shape as it goes;
-//! the generic checks live here, and a violation is a typed
+//! [`press_store::StoreWriter::section_aligned`] so that every load
+//! borrows it in place as a `FlatSlice` — out of the file mapping for a
+//! mapped open, out of the aligned arena for a bytes load — one encoding,
+//! one reader. The sections carry no redundancy beyond their CRC, so the
+//! reader validates shape as it goes; the generic checks live here, and a
+//! violation is a typed
 //! [`press_store::StoreError::Corrupt`], never a panic.
 
 use crate::graph::RoadNetwork;
@@ -138,11 +139,11 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// The owned (`from_store_bytes`) and the mapped (`open_mapped`)
+    /// The bytes (`from_store_bytes`) and the mapped (`open_mapped`)
     /// verdict on `bytes`: the error, or `None` when the load succeeds.
     pub(crate) fn verdicts<T>(
         bytes: &[u8],
-        owned: impl FnOnce(Vec<u8>) -> Result<T>,
+        from_bytes: impl FnOnce(Vec<u8>) -> Result<T>,
         mapped: impl FnOnce(&std::path::Path) -> Result<T>,
     ) -> (Option<StoreError>, Option<StoreError>) {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -154,7 +155,7 @@ pub(crate) mod tests {
         std::fs::write(&path, bytes).unwrap();
         let mapped = mapped(&path).err();
         std::fs::remove_file(&path).unwrap();
-        (owned(bytes.to_vec()).err(), mapped)
+        (from_bytes(bytes.to_vec()).err(), mapped)
     }
 
     #[test]

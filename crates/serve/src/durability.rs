@@ -72,8 +72,9 @@ impl DurabilityPolicy {
     /// One fsync per push: every push trips the byte trigger and hands
     /// its frame over as a batch of one, which the shard's next push
     /// settles. The push still acks `Journaled`; a caller that needs a
-    /// durable answer calls [`crate::IngestEngine::sync`]. The honest
-    /// baseline the group-commit benchmark column compares against.
+    /// durable answer calls [`crate::IngestEngine::sync`]. Only tests use
+    /// this preset: the most fsync-heavy policy, under which the journal
+    /// and the corpus must come out as under [`Self::group_commit`].
     pub fn per_push() -> Self {
         DurabilityPolicy {
             sync_bytes: 1,

@@ -121,7 +121,7 @@ fn assert_range_paths_agree(
     press: &Press,
     expected: &[CompressedTrajectory],
 ) {
-    let store = TrajectoryStore::open(path).expect("open store");
+    let store = TrajectoryStore::open_mapped(path).expect("open store");
     let engine = QueryEngine::new(press.model());
     assert_eq!(store.decode_all().expect("decode_all"), expected);
     let mut probes = 0;

@@ -183,7 +183,7 @@ fn clean_ingest_equals_the_offline_pipeline() {
 
     // Checkpoint publishes exactly this corpus.
     engine.checkpoint().expect("checkpoint");
-    let store = TrajectoryStore::open(&engine.shard_corpus_path(0)).expect("open corpus");
+    let store = TrajectoryStore::open_mapped(&engine.shard_corpus_path(0)).expect("open corpus");
     assert_eq!(store.len(), expected.len());
     assert_eq!(store.decode_all().expect("decode"), expected);
     // After checkpoint the WAL holds no points (all published).
@@ -595,7 +595,7 @@ fn committed_generation_missing_an_artifact_is_a_typed_refusal() {
     let w = test_dir("missing-artifact-section");
     copy_dir(&dir, &w);
     let name = shard0.file_name().expect("file name");
-    let stripped = TrajectoryStore::open(&shard0)
+    let stripped = TrajectoryStore::open_mapped(&shard0)
         .expect("open corpus")
         .decode_all()
         .expect("decode");
@@ -666,7 +666,7 @@ fn recovered_store_answers_queries_like_brute_force() {
         IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
     finish(&mut recovered);
 
-    let store = TrajectoryStore::open(&recovered.shard_corpus_path(0)).expect("open");
+    let store = TrajectoryStore::open_mapped(&recovered.shard_corpus_path(0)).expect("open");
     let decoded = store.decode_all().expect("decode");
     assert!(!decoded.is_empty());
     let query = QueryEngine::new(recovered.press().model());

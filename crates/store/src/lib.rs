@@ -46,17 +46,18 @@
 //! `write`; [`StoreWriter::section_aligned`] starts a section on an
 //! 8-byte boundary (zero gap bytes pad the previous payload — invisible
 //! to readers, which address sections only through the table). A
-//! [`StoreFile`] opens either **owned** ([`StoreFile::open`], one
-//! contiguous read) or **mapped** ([`StoreFile::open_mapped`],
-//! `mmap`/aligned-arena via [`mapping`], open cost O(header + table)).
-//! Either way a section's payload CRC is checked **once**, on its first
-//! touch, and the verdict cached — the bytes behind a file never change
-//! — so every access is validated before bytes are handed out, and
-//! [`StoreFile::flat_section`] lends fixed-width sections as typed
-//! [`FlatSlice`]s — zero-copy borrows of the backing when alignment
-//! permits, decoded copies otherwise. [`ByteWriter`]/[`ByteReader`]
-//! provide the bounds- and endianness-checked primitive encoding used
-//! inside sections.
+//! [`StoreFile`] has one backing, a [`Mapping`]: a file is opened with
+//! [`StoreFile::open_mapped`] (`mmap`, or the aligned arena where the
+//! kernel refuses, via [`mapping`]; open cost O(header + table)), and
+//! bytes already in memory are copied into that same arena by
+//! [`StoreFile::from_bytes`]. A section's payload CRC is checked
+//! **once**, on its first touch, and the verdict cached — the bytes
+//! behind a file never change — so every access is validated before
+//! bytes are handed out, and [`StoreFile::flat_section`] lends
+//! fixed-width sections as typed [`FlatSlice`]s — zero-copy borrows of
+//! the backing when alignment permits, decoded copies otherwise.
+//! [`ByteWriter`]/[`ByteReader`] provide the bounds- and
+//! endianness-checked primitive encoding used inside sections.
 //!
 //! ```
 //! use press_store::{kind, ByteWriter, StoreFile, StoreWriter};
@@ -357,45 +358,20 @@ fn name_key(name: &[u8]) -> u128 {
     name.iter().fold(0, |k, &b| (k << 8) | u128::from(b))
 }
 
-/// The byte storage behind a [`StoreFile`]: a heap buffer for owned
-/// loads, a [`Mapping`] for zero-copy opens. Behind an `Arc` so typed
-/// [`FlatSlice`] views can keep the bytes alive independently of the
-/// `StoreFile` handle.
-enum Backing {
-    Owned(Vec<u8>),
-    Mapped(Box<dyn Mapping>),
-}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Backing::Owned(v) => v,
-            Backing::Mapped(m) => m.bytes(),
-        }
-    }
-}
-
-impl fmt::Debug for Backing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Backing::Owned(v) => write!(f, "Backing::Owned({} bytes)", v.len()),
-            Backing::Mapped(m) => write!(f, "Backing::Mapped({m:?})"),
-        }
-    }
-}
-
 /// Per-section CRC verdicts: one tri-state per table entry, flipped
 /// exactly once on the section's first touch.
 const CRC_UNCHECKED: u8 = 0;
 const CRC_OK: u8 = 1;
 const CRC_BAD: u8 = 2;
 
-/// A loaded container file: owns (or maps) the raw bytes, hands out
-/// CRC-checked payload slices.
+/// A loaded container file: maps the raw bytes (a file mapping or an
+/// arena copy), hands out CRC-checked payload slices. The mapping sits
+/// behind an `Arc` so typed [`FlatSlice`] views can keep the bytes alive
+/// independently of the `StoreFile` handle.
 #[derive(Debug)]
 pub struct StoreFile {
     kind: u32,
-    data: Arc<Backing>,
+    data: Arc<dyn Mapping>,
     table: Vec<SectionEntry>,
     // (name key, table position), sorted: a lookup is a binary search,
     // not a scan of a 10^5-entry directory, and no file-controlled name
@@ -403,30 +379,32 @@ pub struct StoreFile {
     // wins on (malformed) duplicate names.
     lookup: Vec<(u128, u32)>,
     /// Payload CRCs are validated lazily, once per section, on first
-    /// touch, owned and mapped alike: the bytes behind a `StoreFile` never
-    /// change, so a verdict holds for its lifetime, and an open does not
-    /// read every byte up front.
+    /// touch: the bytes behind a `StoreFile` never change, so a verdict
+    /// holds for its lifetime, and an open does not read every byte up
+    /// front.
     lazy_crc: Vec<AtomicU8>,
 }
 
 impl StoreFile {
-    /// Ingests a container from raw bytes, validating magic, version,
-    /// the section table's CRC, and every entry's bounds.
+    /// Ingests a container from raw bytes, copied into an
+    /// [`ArenaMapping`] (the backing [`map_file`] falls back to), and
+    /// validates it as [`StoreFile::open_mapped`] does.
     pub fn from_bytes(data: Vec<u8>) -> Result<Self> {
-        Self::from_backing(Backing::Owned(data))
+        Self::from_mapping(Arc::new(ArenaMapping::from_bytes(&data)))
     }
 
     /// Opens a container through [`map_file`] — `mmap` where available,
     /// the aligned arena otherwise. The header and section table are
-    /// validated eagerly (they are one page); payload CRCs are deferred
-    /// to each section's first touch and the verdict cached, so open
-    /// cost is O(header + table), not O(file).
+    /// validated eagerly (they are one page) and every entry's bounds
+    /// checked; payload CRCs are deferred to each section's first touch
+    /// and the verdict cached, so open cost is O(header + table), not
+    /// O(file).
     pub fn open_mapped(path: &Path) -> Result<Self> {
-        Self::from_backing(Backing::Mapped(map_file(path)?))
+        Self::from_mapping(Arc::from(map_file(path)?))
     }
 
-    fn from_backing(backing: Backing) -> Result<Self> {
-        let data = backing.bytes();
+    fn from_mapping(mapping: Arc<dyn Mapping>) -> Result<Self> {
+        let data = mapping.bytes();
         if data.len() < HEADER_BYTES {
             return Err(StoreError::Truncated {
                 what: "header".into(),
@@ -498,21 +476,11 @@ impl StoreFile {
             .collect();
         Ok(StoreFile {
             kind,
-            data: Arc::new(backing),
+            data: mapping,
             table,
             lookup,
             lazy_crc,
         })
-    }
-
-    /// Opens a container file (one contiguous read).
-    pub fn open(path: &Path) -> Result<Self> {
-        Self::from_bytes(std::fs::read(path)?)
-    }
-
-    /// True when this file was opened through [`StoreFile::open_mapped`].
-    pub fn is_mapped(&self) -> bool {
-        matches!(*self.data, Backing::Mapped(_))
     }
 
     /// Artifact kind from the header (see [`kind`]).
@@ -756,7 +724,7 @@ unsafe impl FlatPod for f64 {
 }
 
 /// A borrowed-or-owned typed array over a flat section: `Cow::Borrowed`
-/// straight into the file's mapped (or owned) backing when alignment
+/// straight into the file's mapping when alignment
 /// permits — the zero-copy serving tier — and `Cow::Owned` otherwise
 /// (including every slice built in memory). Dereferences to `[T]`, so
 /// call sites index it exactly like the `Vec` it replaces.
@@ -764,7 +732,7 @@ pub struct FlatSlice<T: FlatPod> {
     /// Keeps the backing bytes alive for the borrowed case (`None` for
     /// owned data); `data`'s 'static borrow is only valid while this
     /// handle holds the `Arc`.
-    _backing: Option<Arc<Backing>>,
+    _backing: Option<Arc<dyn Mapping>>,
     data: Cow<'static, [T]>,
 }
 
@@ -1148,17 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("press-store-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.press");
-        sample().write_to(&path).unwrap();
-        let f = StoreFile::open(&path).unwrap();
-        assert_eq!(f.section("payload").unwrap(), &[1, 2, 3, 4, 5]);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn bad_magic_is_typed() {
         let mut bytes = sample().to_bytes();
         bytes[0] ^= 0xFF;
@@ -1452,12 +1409,11 @@ mod tests {
         let n = bytes.len();
         bytes[n - 2] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        // The owned open follows the mapped open's policy; the open itself
+        // The bytes load follows the mapped open's policy; the open itself
         // succeeds either way.
-        let opened = [StoreFile::open_mapped(&path), StoreFile::open(&path)];
+        let opened = [StoreFile::open_mapped(&path), StoreFile::from_bytes(bytes)];
         for (f, mapped) in opened.into_iter().zip([true, false]) {
             let f = f.unwrap();
-            assert_eq!(f.is_mapped(), mapped);
             let verdict = |name| f.lazy_crc[f.section_slot(name).unwrap()].load(Ordering::Acquire);
             assert_eq!(verdict("payload"), CRC_UNCHECKED);
             // First touch surfaces the typed error; so does every retry
@@ -1481,20 +1437,28 @@ mod tests {
     }
 
     #[test]
-    fn mapped_open_reads_identically_to_owned() {
+    fn mapped_open_reads_identically_to_bytes() {
         let path = temp_path("mapped-eq.press");
         let mut w = StoreWriter::new(kind::META);
         w.section("a", vec![1, 2, 3]);
         w.section_aligned("b", (0u64..9).flat_map(|v| v.to_le_bytes()).collect());
         w.write_to(&path).unwrap();
-        let owned = StoreFile::open(&path).unwrap();
+        let bytes = StoreFile::from_bytes(w.to_bytes()).unwrap();
         let mapped = StoreFile::open_mapped(&path).unwrap();
-        assert!(!owned.is_mapped());
         for name in ["a", "b"] {
-            assert_eq!(owned.section(name).unwrap(), mapped.section(name).unwrap());
-            assert_eq!(owned.section_len(name), mapped.section_len(name));
+            assert_eq!(bytes.section(name).unwrap(), mapped.section(name).unwrap());
+            assert_eq!(bytes.section_len(name), mapped.section_len(name));
         }
-        assert_eq!(owned.section_len("nope"), None);
+        // The arena is aligned like a mapping: the flat section borrows.
+        assert!(bytes.flat_section::<u64>("b").unwrap().is_borrowed());
+        assert_eq!(bytes.section_len("nope"), None);
+        // A 0-byte file (a crash between create and first write) maps
+        // through the arena fallback to a typed truncation.
+        std::fs::write(&path, []).unwrap();
+        let truncated = StoreError::Truncated {
+            what: "header".into(),
+        };
+        assert_eq!(StoreFile::open_mapped(&path).unwrap_err(), truncated);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -12,8 +12,9 @@
 //! * [`ArenaMapping`] — the portable fallback: the file is read into a
 //!   `u64`-backed arena, so the base address is 8-byte aligned exactly
 //!   like a page-aligned mapping and every alignment guarantee the flat
-//!   sections rely on holds on non-mmap platforms (and in tests that
-//!   exercise the fallback deliberately).
+//!   sections rely on holds on non-mmap platforms. It is also the
+//!   backing of [`crate::StoreFile::from_bytes`], which copies bytes
+//!   already in memory into one.
 //!
 //! Both are `Send + Sync`: the region is immutable for its entire life.
 //!
@@ -23,9 +24,9 @@
 //! artifact by rename ([`crate::atomic_write_file`]), never by writing
 //! into it in place, so a live mapping keeps the old inode and its bytes
 //! stay valid until it is dropped. A process outside the workspace that
-//! truncates a mapped artifact in place is outside that contract; the
-//! arena fallback, which owns a copy, is what to use where that cannot
-//! be ruled out.
+//! truncates a mapped artifact in place is outside that contract; where
+//! that cannot be ruled out, read the file and open its bytes with
+//! [`crate::StoreFile::from_bytes`], whose arena owns a copy.
 
 use std::fmt;
 use std::path::Path;
@@ -174,8 +175,8 @@ impl ArenaMapping {
         Ok(ArenaMapping { arena, len })
     }
 
-    /// Wraps already-loaded bytes (copying them into the arena); used
-    /// when a caller has bytes but wants mapping-grade alignment.
+    /// Wraps already-loaded bytes (copying them into the arena): the
+    /// backing of [`crate::StoreFile::from_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> ArenaMapping {
         let mut arena = vec![0u64; bytes.len().div_ceil(8)];
         // SAFETY: a u64 slice viewed as initialized bytes; the arena holds
@@ -244,27 +245,12 @@ mod tests {
     }
 
     #[test]
-    fn from_bytes_copies_into_aligned_arena() {
-        let arena = ArenaMapping::from_bytes(&[1, 2, 3]);
-        assert_eq!(arena.bytes(), &[1, 2, 3]);
-        assert_eq!(arena.bytes().as_ptr() as usize % 8, 0);
-    }
-
-    #[test]
     fn map_file_agrees_with_arena() {
         let contents: Vec<u8> = (0..10_000).map(|i| (i % 255) as u8).collect();
         let path = temp_file("mmap", &contents);
         let mapped = map_file(&path).unwrap();
         assert_eq!(mapped.bytes(), &contents[..]);
         assert_eq!(mapped.bytes().as_ptr() as usize % 8, 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn empty_file_maps_to_empty_bytes() {
-        let path = temp_file("empty", b"");
-        let mapped = map_file(&path).unwrap();
-        assert!(mapped.bytes().is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 }

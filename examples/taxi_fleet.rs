@@ -199,8 +199,8 @@ fn main() {
     );
 
     // The recovered store still answers queries.
-    let store =
-        press::core::store::TrajectoryStore::open(&recovered.shard_corpus_path(0)).expect("open");
+    let store = press::core::store::TrajectoryStore::open_mapped(&recovered.shard_corpus_path(0))
+        .expect("open");
     let query = QueryEngine::new(recovered.press().model());
     let decoded = store.decode_all().expect("decode");
     if let Some((t0, t1)) = decoded.first().and_then(|ct| ct.temporal.time_range()) {

@@ -4,18 +4,14 @@
 //!
 //! The pipeline's dominant preprocessing costs (hub-label construction,
 //! HSC training) are paid in phase 1 and **skipped** in phase 2: a fresh
-//! "process" loads the network, the hub labels, the trained model, and
+//! "process" maps the network, the hub labels, the trained model, and
 //! the block-oriented trajectory store, then answers queries
-//! bit-identically to the builder.
+//! bit-identically to the builder. Every artifact opens through the
+//! **zero-copy mapped tier**: the files are `mmap`ed, the hub labels'
+//! arrays are borrowed in place, and the corpus defers each block's CRC
+//! to its first decode.
 //!
 //! Run with: `cargo run --release --example warm_start`
-//!
-//! Pass `--map` to run phase 2 through the **zero-copy mapped tier**:
-//! the hub labels and the corpus are `mmap`ed instead of decoded into
-//! owned memory — the open costs O(page faults), per-section CRCs run
-//! lazily on first touch, and the answers are still bit-identical:
-//!
-//! `cargo run --release --example warm_start -- --map`
 
 use press::core::query::QueryEngine;
 use press::core::spatial::HscModel;
@@ -25,7 +21,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let map = std::env::args().skip(1).any(|a| a == "--map");
     let dir = std::env::temp_dir().join("press-warm-start-example");
     std::fs::create_dir_all(&dir).expect("create store dir");
 
@@ -105,28 +100,13 @@ fn main() {
     let cold_answer = engine.whereat(&compressed[probe_idx], probe_t).unwrap();
 
     // ---- Phase 2: a "fresh process" warm-starts from disk. -------------
-    println!(
-        "phase 2: warm start{}",
-        if map { " (zero-copy mapped tier)" } else { "" }
-    );
+    println!("phase 2: warm start (zero-copy mapped tier)");
     let t0 = Instant::now();
     let net2 = Arc::new(RoadNetwork::load_from(&dir.join("network.press")).expect("load network"));
-    // With --map the labels' flat sections are borrowed straight out of
-    // the page cache and the corpus defers each block's CRC to its first
-    // decode; without it, both are fully decoded into owned memory.
-    let hl2 = Arc::new(if map {
-        HubLabels::open_mapped(net2.clone(), &dir.join("sp_hl.press")).expect("map hub labels")
-    } else {
-        HubLabels::load_from(net2.clone(), &dir.join("sp_hl.press")).expect("load hub labels")
-    });
-    let sp2: Arc<dyn SpProvider> = hl2;
+    let hl2 = HubLabels::open_mapped(net2.clone(), &dir.join("sp_hl.press")).expect("map labels");
+    let sp2: Arc<dyn SpProvider> = Arc::new(hl2);
     let model2 = HscModel::load_from(sp2, &dir.join("hsc.press")).expect("load model");
-    let store = if map {
-        TrajectoryStore::open_mapped(&dir.join("corpus.press")).expect("map corpus")
-    } else {
-        TrajectoryStore::open(&dir.join("corpus.press")).expect("open corpus")
-    };
-    assert_eq!(store.is_mapped(), map);
+    let store = TrajectoryStore::open_mapped(&dir.join("corpus.press")).expect("map corpus");
     let load_time = t0.elapsed();
     let speedup = (build_hl + train_time).as_secs_f64() / load_time.as_secs_f64().max(1e-9);
     println!(

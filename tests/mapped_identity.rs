@@ -1,9 +1,10 @@
 //! Property tests for the zero-copy mapped serving tier: every answer a
 //! mapped artifact gives — point distances, predecessor edges,
 //! decompression walks, and whole query batches at any worker count —
-//! must be **bit-identical** to the owned (fully decoded) load of the
-//! same file, on tied (jitter 0, maximal shortest-path ambiguity) and
-//! jittered grids alike. Plus a two-process smoke test: two processes
+//! must be **bit-identical** to the load of the same bytes from memory
+//! (`from_store_bytes`, which for the hub labels also verifies every
+//! stored distance), on tied (jitter 0, maximal shortest-path ambiguity)
+//! and jittered grids alike. Plus a two-process smoke test: two processes
 //! mapping the same artifact concurrently both answer correctly — the
 //! page-cache sharing that motivates the tier in the first place.
 
@@ -67,12 +68,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Hub labels: the mapped open answers `node_dist` / `pred_edge` /
-    /// `sp_interior` bit-identically to the owned load of the same file.
+    /// `sp_interior` bit-identically to the bytes load of the same file.
     /// `tied` forces jitter 0 — every grid edge the same weight, so the
     /// network is saturated with equal-length shortest paths and any
     /// tie-break divergence between the two load paths would surface.
     #[test]
-    fn mapped_sp_answers_are_bit_identical_to_owned(
+    fn mapped_sp_answers_are_bit_identical_to_the_bytes_load(
         nx in 3usize..6,
         ny in 3usize..6,
         tied in any::<bool>(),
@@ -86,17 +87,18 @@ proptest! {
         let hl_path = dir.join("sp_hl.press");
         hl.save_to(&hl_path).expect("save hl");
 
-        let owned = HubLabels::load_from(net.clone(), &hl_path).expect("load hl");
+        let bytes = std::fs::read(&hl_path).expect("read hl");
+        let loaded = HubLabels::from_store_bytes(net.clone(), bytes).expect("load hl");
         let mapped = HubLabels::open_mapped(net.clone(), &hl_path).expect("map hl");
         for u in net.node_ids() {
             for v in net.node_ids() {
                 prop_assert_eq!(
-                    owned.node_dist(u, v).to_bits(),
+                    loaded.node_dist(u, v).to_bits(),
                     mapped.node_dist(u, v).to_bits(),
                     "node_dist({}, {})", u, v
                 );
                 prop_assert_eq!(
-                    owned.pred_edge(u, v),
+                    loaded.pred_edge(u, v),
                     mapped.pred_edge(u, v),
                     "pred_edge({}, {})", u, v
                 );
@@ -105,9 +107,9 @@ proptest! {
         let edges: Vec<EdgeId> = net.edge_ids().collect();
         for &ei in edges.iter().step_by(5) {
             for &ej in edges.iter().rev().step_by(9) {
-                prop_assert_eq!(owned.sp_end(ei, ej), mapped.sp_end(ei, ej));
+                prop_assert_eq!(loaded.sp_end(ei, ej), mapped.sp_end(ei, ej));
                 prop_assert_eq!(
-                    owned.sp_interior(ei, ej),
+                    loaded.sp_interior(ei, ej),
                     mapped.sp_interior(ei, ej),
                     "sp_interior({}, {})", ei.0, ej.0
                 );
@@ -119,11 +121,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Query batches over a mapped corpus equal the owned corpus for
-    /// every worker count — the worker split must never interact with
-    /// which backing (mapped or owned) the blocks decode from.
+    /// Query batches over a mapped corpus equal the same corpus loaded
+    /// from bytes for every worker count — the worker split must never
+    /// interact with which backing (file mapping or arena) the blocks
+    /// decode from.
     #[test]
-    fn mapped_query_batches_match_owned_for_any_worker_count(
+    fn mapped_query_batches_match_the_bytes_load_for_any_worker_count(
         seed in 0u64..300,
         tied in any::<bool>(),
         starts in proptest::collection::vec(
@@ -160,9 +163,9 @@ proptest! {
         let dir = scratch("batch");
         let path = dir.join("corpus.press");
         TrajectoryStore::create(&path, &engine, &compressed, 4).expect("create");
-        let owned = TrajectoryStore::open(&path).expect("open owned");
+        let bytes = std::fs::read(&path).expect("read corpus");
+        let loaded = TrajectoryStore::from_store_bytes(bytes).expect("load from bytes");
         let mapped = TrajectoryStore::open_mapped(&path).expect("open mapped");
-        prop_assert!(mapped.is_mapped() && !owned.is_mapped());
 
         let bb = net.bounding_box();
         let mut batch = QueryBatch::new();
@@ -188,12 +191,12 @@ proptest! {
                 tolerance: 5.0,
             });
         }
-        let reference = batch.run(&owned, &engine, 1).expect("reference run");
+        let reference = batch.run(&loaded, &engine, 1).expect("reference run");
         for workers in [1usize, 2, 3, 7] {
             prop_assert_eq!(
-                &batch.run(&owned, &engine, workers).expect("owned run"),
+                &batch.run(&loaded, &engine, workers).expect("bytes run"),
                 &reference,
-                "owned answers drifted at {} workers", workers
+                "bytes-load answers drifted at {} workers", workers
             );
             prop_assert_eq!(
                 &batch.run(&mapped, &engine, workers).expect("mapped run"),

@@ -304,7 +304,7 @@ fn theorem2_tsnd_dominates_tsed() {
 fn every_backend_and_every_loaded_form_agrees_at_1024_nodes() {
     // Backend identity at a size the 6x6 and 10x10 fixtures cannot
     // reach: on one jittered 32x32 grid the dense table, fresh hub
-    // labels, and the labels read back from their saved file (owned
+    // labels, and the labels read back from their saved file (bytes
     // load and mapped open) must train the same model
     // bytes, compress to the same bits and decompress to the same paths,
     // and agree bit for bit on sampled distances and interior walks.
@@ -322,12 +322,10 @@ fn every_backend_and_every_loaded_form_agrees_at_1024_nodes() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let hl_path = dir.join("sp_hl.press");
     hl.save_to(&hl_path).expect("save hl");
+    let from_bytes = HubLabels::from_store_bytes(net.clone(), hl.to_store_bytes());
     let others: Vec<(&str, Arc<dyn SpProvider>)> = vec![
         ("hl", Arc::new(hl)),
-        (
-            "loaded hl",
-            Arc::new(HubLabels::load_from(net.clone(), &hl_path).expect("load hl")),
-        ),
+        ("bytes hl", Arc::new(from_bytes.expect("load hl"))),
         (
             "mapped hl",
             Arc::new(HubLabels::open_mapped(net.clone(), &hl_path).expect("map hl")),

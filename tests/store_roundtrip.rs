@@ -109,7 +109,7 @@ fn link_payload(off: &[u32], edges: &[u32]) -> Vec<u8> {
 /// What a load of an SP artifact yields: a provider or the typed error.
 type Loaded = Result<Arc<dyn SpProvider>, press_store::StoreError>;
 
-/// The owned (`from_store_bytes`) and the mapped (`open_mapped`) load of
+/// The bytes (`from_store_bytes`) and the mapped (`open_mapped`) load of
 /// a hub-label artifact.
 fn load_both(net: &Arc<RoadNetwork>, bytes: &[u8]) -> [Loaded; 2] {
     static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -119,10 +119,10 @@ fn load_both(net: &Arc<RoadNetwork>, bytes: &[u8]) -> [Loaded; 2] {
         NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
     std::fs::write(&path, bytes).expect("write artifact");
-    let owned = HubLabels::from_store_bytes(net.clone(), bytes.to_vec()).map(|h| Arc::new(h) as _);
+    let loaded = HubLabels::from_store_bytes(net.clone(), bytes.to_vec()).map(|h| Arc::new(h) as _);
     let mapped = HubLabels::open_mapped(net.clone(), &path).map(|h| Arc::new(h) as _);
     let _ = std::fs::remove_file(&path);
-    [owned, mapped]
+    [loaded, mapped]
 }
 
 /// A seeded 4×4 network, the freshly built hub labels on it, and their
@@ -231,37 +231,12 @@ proptest! {
         }
     }
 
-    /// Corrupting any single byte of a hub-label artifact
-    /// makes the owned load (`from_store_bytes`) fail with a typed error,
-    /// or yield a provider answering bit-identically to the freshly built
-    /// one (the flip hit an alignment gap) — never a panic, never a
-    /// silently wrong structure.
-    #[test]
-    fn single_byte_corruption_never_panics(
-        seed in 0u64..200,
-        flip in 0usize..4096,
-        bit in 0u8..8,
-    ) {
-        let (net, fresh, bytes) = corrupted_sp_artifact(seed, flip, bit);
-        let [owned, _] = load_both(&net, &bytes);
-        if let Ok(owned) = owned {
-            for u in net.node_ids().take(6) {
-                for v in net.node_ids().take(6) {
-                    prop_assert_eq!(
-                        fresh.node_dist(u, v).to_bits(),
-                        owned.node_dist(u, v).to_bits()
-                    );
-                    prop_assert_eq!(fresh.pred_edge(u, v), owned.pred_edge(u, v));
-                }
-            }
-        }
-    }
-
-    /// The mapped open (`open_mapped`) of a single-byte-corrupted
-    /// hub-label artifact gives the same verdict as the
-    /// owned load: a typed error of the same variant from both, or two
-    /// providers answering bit-identically to the freshly built one —
-    /// never a panic, never a silently wrong structure.
+    /// Corrupting any single byte of a hub-label artifact gives one
+    /// verdict from the bytes load (`from_store_bytes`) and the mapped
+    /// open (`open_mapped`): a typed error of the same variant from both,
+    /// or two providers answering bit-identically to the freshly built one
+    /// (the flip hit an alignment gap) — never a panic, never a silently
+    /// wrong structure.
     #[test]
     fn mapped_single_byte_corruption_never_panics(
         seed in 0u64..200,
@@ -269,17 +244,17 @@ proptest! {
         bit in 0u8..8,
     ) {
         let (net, fresh, bytes) = corrupted_sp_artifact(seed, flip, bit);
-        let [owned, mapped] = load_both(&net, &bytes);
-        match (owned, mapped) {
+        let [from_bytes, mapped] = load_both(&net, &bytes);
+        match (from_bytes, mapped) {
             (Err(a), Err(b)) => prop_assert_eq!(
                 std::mem::discriminant(&a),
                 std::mem::discriminant(&b),
-                "owned {:?}, mapped {:?}", a, b
+                "bytes {:?}, mapped {:?}", a, b
             ),
-            (Ok(owned), Ok(mapped)) => {
+            (Ok(from_bytes), Ok(mapped)) => {
                 for u in net.node_ids().take(6) {
                     for v in net.node_ids().take(6) {
-                        for loaded in [&owned, &mapped] {
+                        for loaded in [&from_bytes, &mapped] {
                             prop_assert_eq!(
                                 fresh.node_dist(u, v).to_bits(),
                                 loaded.node_dist(u, v).to_bits()
@@ -289,9 +264,9 @@ proptest! {
                     }
                 }
             }
-            (owned, mapped) => prop_assert!(
+            (from_bytes, mapped) => prop_assert!(
                 false,
-                "owned {:?} but mapped {:?}", owned.err(), mapped.err()
+                "bytes {:?} but mapped {:?}", from_bytes.err(), mapped.err()
             ),
         }
     }
@@ -740,7 +715,6 @@ fn mapped_flat_section_bit_flip_is_typed_checksum_error_on_first_touch() {
     let path = dir.join("corpus.press");
     std::fs::write(&path, &bytes).expect("write");
     let store = TrajectoryStore::open_mapped(&path).expect("mapped corpus open defers block CRCs");
-    assert!(store.is_mapped());
     assert_eq!(
         store.get(0).expect("first block is undamaged"),
         compressed[0]
@@ -822,10 +796,13 @@ fn sp_artifact_missing_any_section_is_typed_on_both_loads() {
     }
 }
 
-/// `TrajectoryStore::open` corruption matrix: the 0-byte file (a crash
-/// between `create` and the first write) and a file truncated in the
-/// middle of the section directory (a torn multi-sector write) must both
-/// yield typed errors — never a panic, never a partially-valid store.
+/// Cold-open corruption matrix, over every artifact that opens through
+/// a mapping: the corpus (`TrajectoryStore::open_mapped`), the network
+/// (`RoadNetwork::load_from`) and the model (`HscModel::load_from`). The
+/// 0-byte file (a crash between `create` and the first write) goes mmap →
+/// arena fallback → typed `Truncated`, and a file truncated in the middle
+/// of the section directory (a torn multi-sector write) is a typed store
+/// error — never a panic, never a partially-valid artifact.
 #[test]
 fn trajectory_store_open_rejects_empty_and_torn_directory() {
     use press_store::StoreError;
@@ -839,7 +816,7 @@ fn trajectory_store_open_rejects_empty_and_torn_directory() {
             training.push(p);
         }
     }
-    let model = HscModel::train(sp, &training, 3).expect("train");
+    let model = HscModel::train(sp.clone(), &training, 3).expect("train");
     let press = Press::with_model(Arc::new(model), PressConfig::default());
     let compressed: Vec<CompressedTrajectory> = training
         .iter()
@@ -854,43 +831,51 @@ fn trajectory_store_open_rejects_empty_and_torn_directory() {
         })
         .collect();
     let engine = QueryEngine::new(press.model());
-    let good = TrajectoryStore::to_store_bytes(&engine, &compressed, 4).expect("bytes");
+    let corpus = TrajectoryStore::to_store_bytes(&engine, &compressed, 4).expect("bytes");
+    let model = press.model().to_store_bytes();
+    // Each artifact's open, yielding what it holds or the typed error.
+    let open = |what: &str, p: &std::path::Path| match what {
+        "corpus" => match TrajectoryStore::open_mapped(p) {
+            Ok(store) => Ok(store.len()),
+            Err(PressError::Store(e)) => Err(e),
+            Err(e) => panic!("corpus open: untyped error {e}"),
+        },
+        "network" => RoadNetwork::load_from(p).map(|n| n.num_edges()),
+        _ => HscModel::load_from(sp.clone(), p).map(|m| m.to_store_bytes().len()),
+    };
+    let (corpus_len, net_len, model_len) = (compressed.len(), net.num_edges(), model.len());
+    let artifacts = [
+        ("corpus", corpus, corpus_len),
+        ("network", net.to_store_bytes(), net_len),
+        ("model", model, model_len),
+    ];
 
     let dir = std::env::temp_dir().join(format!("press-store-corrupt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
+    for (what, good, holds) in artifacts {
+        // 0-byte file: typed truncation, not a panic.
+        let empty = dir.join(format!("{what}-empty.press"));
+        std::fs::write(&empty, []).expect("write");
+        let truncated = matches!(open(what, &empty), Err(StoreError::Truncated { .. }));
+        assert!(truncated, "{what}: a 0-byte file is a typed truncation");
 
-    // 0-byte file: typed truncation, not a panic.
-    let empty = dir.join("empty.press");
-    std::fs::write(&empty, []).expect("write");
-    assert!(matches!(
-        TrajectoryStore::open(&empty),
-        Err(PressError::Store(StoreError::Truncated { .. }))
-    ));
+        // Truncation inside the section directory: the container header
+        // (24 bytes) survives, but the 40-byte directory entries are torn
+        // at every possible misalignment. Every cut is a typed error.
+        let torn = dir.join(format!("{what}-torn.press"));
+        for cut in [25, 24 + 13, 24 + 40, 24 + 40 + 39, 24 + 2 * 40 + 1] {
+            assert!(cut < good.len(), "{what}: the fixture must outsize {cut}");
+            std::fs::write(&torn, &good[..cut]).expect("write");
+            assert!(open(what, &torn).is_err(), "{what}: cut at byte {cut}");
+        }
 
-    // Truncation inside the section directory: the container header
-    // (24 bytes) survives, but the 40-byte directory entries are torn at
-    // every possible misalignment. Every cut is a typed error.
-    let torn = dir.join("torn.press");
-    for cut in [25, 24 + 13, 24 + 40, 24 + 40 + 39, 24 + 2 * 40 + 1] {
-        assert!(cut < good.len(), "fixture must outsize the cut at {cut}");
-        std::fs::write(&torn, &good[..cut]).expect("write");
-        let r = TrajectoryStore::open(&torn);
-        assert!(r.is_err(), "directory cut at byte {cut} must fail");
-        assert!(
-            matches!(r, Err(PressError::Store(_))),
-            "directory cut at byte {cut} must be a typed store error"
-        );
+        // The untruncated bytes still load (the matrix above tested the
+        // cuts, not a broken fixture).
+        std::fs::write(&torn, &good).expect("write");
+        assert_eq!(open(what, &torn), Ok(holds), "{what}");
     }
-
-    // The untruncated bytes still load (the matrix above tested the cuts,
-    // not a broken fixture).
-    std::fs::write(&torn, &good).expect("write");
-    assert_eq!(
-        TrajectoryStore::open(&torn).expect("full file loads").len(),
-        compressed.len()
-    );
     // decode_all returns the corpus in index order (the recovery path).
-    let store = TrajectoryStore::open(&torn).expect("open");
+    let store = TrajectoryStore::open_mapped(&dir.join("corpus-torn.press")).expect("open");
     assert_eq!(store.decode_all().expect("decode_all"), compressed);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1135,7 +1120,7 @@ fn trajectory_store_end_to_end() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("corpus.press");
     TrajectoryStore::create(&path, &engine, &compressed, 6).expect("create");
-    let store = TrajectoryStore::open(&path).expect("open");
+    let store = TrajectoryStore::open_mapped(&path).expect("open");
     assert_eq!(store.len(), compressed.len());
     for (i, ct) in compressed.iter().enumerate() {
         assert_eq!(&store.get(i).expect("get"), ct);
