@@ -373,7 +373,8 @@ impl SpendIndex {
         node_link: &LinkArena,
         node_stop: &[EdgeId],
     ) -> std::result::Result<Self, String> {
-        let mut raw: Vec<(NodeId, NodeId, EdgeId)> = Vec::with_capacity(node_link.edges.len());
+        let mut raw: Vec<(NodeId, NodeId, EdgeId)> =
+            Vec::with_capacity(node_link.edges.len() + node_stop.len());
         let mut stops = node_stop.iter();
         for node in trie.node_ids().filter(|&n| trie.depth(n) == 2) {
             let s = net.edge(trie.last_edge(trie.parent(node))).to;

@@ -986,19 +986,6 @@ mod tests {
         (press, trajs, compressed)
     }
 
-    /// `file` rewritten section by section — every CRC stays valid —
-    /// with each `(name, payload)` passed through `f`; `None` drops the
-    /// section.
-    fn rewrite_sections(file: &StoreFile, f: impl Fn(&str, &[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
-        let mut w = StoreWriter::new(file.kind());
-        for name in file.section_names() {
-            if let Some(payload) = f(name, file.section(name).unwrap()) {
-                w.section(name, payload);
-            }
-        }
-        w.to_bytes()
-    }
-
     #[test]
     fn model_store_roundtrip_is_bit_identical() {
         let (press, trajs, compressed) = fixture();
@@ -1096,21 +1083,11 @@ mod tests {
     }
 
     #[test]
-    fn model_store_rejects_corruption() {
+    fn model_store_rejects_a_different_network() {
         let (press, _, _) = fixture();
         let model = press.model();
-        let sp = model.sp().clone();
         let bytes = model.to_store_bytes();
-        // Truncation.
-        let r = HscModel::from_store_bytes(sp.clone(), bytes[..bytes.len() / 3].to_vec());
-        assert!(r.is_err());
-        // Wrong artifact kind.
-        let net_bytes = sp.network().to_store_bytes();
-        assert!(matches!(
-            HscModel::from_store_bytes(sp.clone(), net_bytes),
-            Err(StoreError::WrongKind { .. })
-        ));
-        // Wrong network (different edge alphabet).
+        // A different edge alphabet.
         let other = Arc::new(grid_network(&GridConfig {
             nx: 3,
             ny: 3,
@@ -1162,9 +1139,9 @@ mod tests {
             (&["node_link", "node_stop"], "node_link"),
         ] {
             let sp = CountingSp::over(model.sp().clone());
-            let bytes = rewrite_sections(&file, |name, p| {
-                (!dropped.contains(&name)).then(|| p.to_vec())
-            });
+            let bytes = file
+                .rewrite_sections(|name, p| (!dropped.contains(&name)).then(|| p.to_vec()))
+                .unwrap();
             match HscModel::from_store_bytes(sp.clone(), bytes) {
                 Err(StoreError::MissingSection(got)) => assert_eq!(got, named, "{dropped:?}"),
                 other => panic!("{dropped:?}: got {:?}", other.map(|_| "a model")),
@@ -1185,13 +1162,15 @@ mod tests {
         let with_stops = |words: &[u32], tail: &[u8]| {
             let mut payload: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
             payload.extend_from_slice(tail);
-            let bad = rewrite_sections(&file, |name, p| {
-                Some(if name == "node_stop" {
-                    payload.clone()
-                } else {
-                    p.to_vec()
+            let bad = file
+                .rewrite_sections(|name, p| {
+                    Some(if name == "node_stop" {
+                        payload.clone()
+                    } else {
+                        p.to_vec()
+                    })
                 })
-            });
+                .unwrap();
             HscModel::from_store_bytes(model.sp().clone(), bad)
         };
         with_stops(&stops, &[]).expect("the untouched rewrite loads");
@@ -1253,11 +1232,13 @@ mod tests {
                 payload.put_u64(freq);
             }
             let (meta, payload) = (meta.into_bytes(), payload.into_bytes());
-            let bytes = rewrite_sections(&file, |name, p| match name {
-                "meta" => Some(meta.clone()),
-                "trie" => Some(payload.clone()),
-                _ => Some(p.to_vec()),
-            });
+            let bytes = file
+                .rewrite_sections(|name, p| match name {
+                    "meta" => Some(meta.clone()),
+                    "trie" => Some(payload.clone()),
+                    _ => Some(p.to_vec()),
+                })
+                .unwrap();
             HscModel::from_store_bytes(model.sp().clone(), bytes)
         };
         let tight = records.iter().map(|r| r.2).max().unwrap();
@@ -1651,12 +1632,9 @@ mod tests {
 
     /// `meta` names the record format: the 24-byte `meta` of earlier
     /// builds and the parent's format 2 (same records, but spatial codes
-    /// without gap runs) are typed errors, never a mis-decode, and every
-    /// single-byte
-    /// mutation and every truncation of this build's `meta` — behind a
-    /// valid CRC — is a typed error or a store that decodes the same.
+    /// without gap runs) are typed errors, never a mis-decode.
     #[test]
-    fn record_format_is_checked_and_meta_mutations_are_typed() {
+    fn record_format_is_checked() {
         let (press, _, compressed) = fixture();
         let engine = QueryEngine::new(press.model());
         let bytes = TrajectoryStore::to_store_bytes(&engine, &compressed[..9], 4).unwrap();
@@ -1664,9 +1642,12 @@ mod tests {
         let meta = file.section("meta").unwrap().to_vec();
         assert_eq!(meta.len(), 32);
         let with_meta = |meta: &[u8]| {
-            TrajectoryStore::from_store_bytes(rewrite_sections(&file, |name, p| {
-                Some(if name == "meta" { meta } else { p }.to_vec())
-            }))
+            TrajectoryStore::from_store_bytes(
+                file.rewrite_sections(|name, p| {
+                    Some(if name == "meta" { meta } else { p }.to_vec())
+                })
+                .unwrap(),
+            )
         };
         assert_eq!(
             with_meta(&meta).unwrap().decode_all().unwrap(),
@@ -1685,22 +1666,6 @@ mod tests {
                 assert!(msg.starts_with("record format 2"), "{msg}")
             }
             other => panic!("a parent-format meta must be a typed error, got {other:?}"),
-        }
-        for cut in 0..meta.len() {
-            assert!(with_meta(&meta[..cut]).is_err(), "meta cut at {cut}");
-        }
-        for at in 0..meta.len() {
-            for value in 0..=255u8 {
-                let mut bad = meta.clone();
-                bad[at] = value;
-                if let Ok(store) = with_meta(&bad) {
-                    assert_eq!(
-                        store.decode_all().unwrap(),
-                        compressed[..9],
-                        "meta[{at}] = {value}"
-                    );
-                }
-            }
         }
     }
 
@@ -1824,22 +1789,9 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_store_corruption_is_typed() {
+    fn zero_block_size_is_refused_and_an_empty_store_serves() {
         let (press, _, compressed) = fixture();
         let engine = QueryEngine::new(press.model());
-        let bytes = TrajectoryStore::to_store_bytes(&engine, &compressed, 4).unwrap();
-        // Bit flip in the last block's payload.
-        let mut corrupted = bytes.clone();
-        let len = corrupted.len();
-        corrupted[len - 2] ^= 0x20;
-        let store = TrajectoryStore::from_store_bytes(corrupted).unwrap();
-        let last = compressed.len() - 1;
-        assert!(matches!(
-            store.get(last),
-            Err(PressError::Store(StoreError::ChecksumMismatch { .. }))
-        ));
-        // Truncated file.
-        assert!(TrajectoryStore::from_store_bytes(bytes[..40].to_vec()).is_err());
         // Zero block size on write.
         assert!(TrajectoryStore::to_store_bytes(&engine, &compressed, 0).is_err());
         // Empty store is fine.

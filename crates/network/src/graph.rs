@@ -252,8 +252,10 @@ impl RoadNetwork {
         let num_nodes = meta.get_len(u32::MAX as usize, "node")?;
         let num_edges = meta.get_len(u32::MAX as usize, "edge")?;
         meta.expect_end("meta")?;
+        // The counts are capped by what the sections can hold before
+        // anything is allocated for them.
         let mut r = file.reader("nodes")?;
-        let mut nodes = Vec::with_capacity(num_nodes);
+        let mut nodes = Vec::with_capacity(num_nodes.min(r.remaining() / 16));
         for _ in 0..num_nodes {
             nodes.push(Node {
                 point: Point::new(r.get_f64()?, r.get_f64()?),
@@ -261,7 +263,7 @@ impl RoadNetwork {
         }
         r.expect_end("nodes")?;
         let mut r = file.reader("edges")?;
-        let mut edges = Vec::with_capacity(num_edges);
+        let mut edges = Vec::with_capacity(num_edges.min(r.remaining() / 16));
         for i in 0..num_edges {
             let from = NodeId(r.get_u32()?);
             let to = NodeId(r.get_u32()?);

@@ -1483,7 +1483,7 @@ mod tests {
     }
 
     #[test]
-    fn store_load_rejects_mismatched_network_and_truncation() {
+    fn store_load_rejects_mismatched_network_and_wrong_kind() {
         let net = Arc::new(grid_network(&GridConfig {
             nx: 4,
             ny: 4,
@@ -1506,9 +1506,6 @@ mod tests {
             HubLabels::from_store_bytes(other.clone(), built.to_store_bytes()),
             Err(press_store::StoreError::Corrupt(_))
         ));
-        let mut bytes = built.to_store_bytes();
-        bytes.truncate(bytes.len() / 2);
-        assert!(HubLabels::from_store_bytes(net.clone(), bytes).is_err());
         // Wrong artifact kind is typed — among them a `sp_dense.press` or
         // a `sp_ch.press` left on disk by an older build (the retired kind
         // ids 2 and 4), on the bytes load and the mapped open alike.
@@ -1603,55 +1600,6 @@ mod tests {
             for &(a, b) in &[(EdgeId(0), EdgeId(17)), (EdgeId(9), EdgeId(3))] {
                 assert_eq!(built.sp_interior(a, b), hl.sp_interior(a, b));
             }
-        }
-    }
-
-    #[test]
-    fn mapped_open_surfaces_flat_corruption_as_typed_checksum_error() {
-        let net = Arc::new(grid_network(&GridConfig {
-            nx: 8,
-            ny: 8,
-            weight_jitter: 0.1,
-            seed: 6,
-            ..GridConfig::default()
-        }));
-        let bytes = HubLabels::build(net.clone()).to_store_bytes();
-        // One flip per region of the CRC kernel over a distance section
-        // that spans many 64 B fold blocks and ends in a sub-16 B tail:
-        // both loads must surface a typed checksum error naming the
-        // section — never a panic or a silently wrong label.
-        let file = press_store::StoreFile::from_bytes(bytes.clone()).unwrap();
-        let name = ["fwd_dist_f", "bwd_dist_f"]
-            .into_iter()
-            .find(|nm| file.section_len(nm).is_some_and(|len| len % 16 != 0))
-            .expect("a distance section with a sub-16 B tail");
-        let payload = file.section(name).unwrap();
-        let len = payload.len();
-        let at = bytes.windows(len).position(|w| w == payload).unwrap();
-        let four_lane_end = len / 64 * 64;
-        let one_lane_end = len / 16 * 16;
-        assert!(
-            four_lane_end >= 8 * 64 && one_lane_end > four_lane_end,
-            "{name} is {len} B"
-        );
-        let flips = [
-            ("first byte", 0),
-            ("4-lane fold", four_lane_end / 2 + 5),
-            ("16 B fold", four_lane_end + 3),
-            ("tail", len - 1),
-        ];
-        for (region, offset) in flips {
-            let mut flipped = bytes.clone();
-            flipped[at + offset] ^= 0x40;
-            let want = Some(press_store::StoreError::ChecksumMismatch {
-                section: name.into(),
-            });
-            let got = verdicts(
-                &flipped,
-                |b| HubLabels::from_store_bytes(net.clone(), b),
-                |p| HubLabels::open_mapped(net.clone(), p),
-            );
-            assert_eq!(got, (want.clone(), want), "{region}");
         }
     }
 

@@ -114,19 +114,18 @@ pub(crate) mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// `bytes` with section `name`'s payload replaced by `payload`, every
-    /// CRC valid and every section still 8-byte aligned.
+    /// CRC valid and every aligned section still 8-byte aligned.
     pub(crate) fn with_section(bytes: &[u8], name: &str, payload: Vec<u8>) -> Vec<u8> {
         let file = press_store::StoreFile::from_bytes(bytes.to_vec()).unwrap();
-        let mut w = press_store::StoreWriter::new(file.kind());
-        for nm in file.section_names() {
-            let p = if nm == name {
-                payload.clone()
+        let mut payload = Some(payload);
+        file.rewrite_sections(|nm, p| {
+            Some(if nm == name {
+                payload.take().unwrap()
             } else {
-                file.section(nm).unwrap().to_vec()
-            };
-            w.section_aligned(nm, p);
-        }
-        w.to_bytes()
+                p.to_vec()
+            })
+        })
+        .unwrap()
     }
 
     /// Section `name` of `bytes` read as little-endian `u32`s.

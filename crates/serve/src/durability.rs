@@ -1,7 +1,7 @@
 //! Group-commit durability policy for the ingest engine.
 //!
 //! PR 6's engine made the *caller* responsible for durability: every
-//! [`crate::Ack::Accepted`] meant "journaled", and power-loss safety
+//! ingested fix's ack meant "journaled", and power-loss safety
 //! required an explicit [`crate::IngestEngine::sync`]. This module
 //! moves that decision into the engine as a [`DurabilityPolicy`]:
 //! appends accumulate in each shard's in-memory journal buffer and the

@@ -42,17 +42,17 @@
 //! operations of the inline group commit this replaces, in the same
 //! order.
 //!
-//! Acks never overstate what happened: a fix is [`Ack::Accepted`] only
-//! when a completed fsync covers its frame, and [`Ack::Journaled`]
-//! (sequenced in the journal, not yet synced — a process crash as well
-//! as a power cut can still lose it) otherwise. The push that trips a
-//! trigger acks `Journaled` too: its fix becomes durable when its
-//! batch settles, at the shard's next settle point, or at
-//! [`IngestEngine::sync`]. The per-shard durability watermark
-//! ([`IngestEngine::shard_durable_offset`]) says which journaled
-//! offsets have become durable since. Rejected and coalesced fixes are
-//! acked without journaling — replays reproduce the identical decisions
-//! because validation only depends on journaled state.
+//! Acks never overstate what happened: every ingested fix is acked
+//! [`Ack::Journaled`] — sequenced in the journal, and appended after
+//! every batch that can have settled by the time its push returns, so
+//! not yet synced (a process crash as well as a power cut can still
+//! lose it). The push that trips a trigger acks `Journaled` too: its
+//! fix becomes durable when its batch settles, at the shard's next
+//! settle point, or at [`IngestEngine::sync`]. The per-shard durability
+//! watermark ([`IngestEngine::shard_durable_offset`]) says which
+//! journaled offsets have become durable since. Rejected and coalesced
+//! fixes are acked without journaling — replays reproduce the identical
+//! decisions because validation only depends on journaled state.
 //!
 //! # One state machine per shard
 //!
@@ -322,15 +322,13 @@ impl Default for IngestConfig {
 }
 
 /// The engine's answer for one pushed fix. Acks never lie about
-/// durability: `Accepted` means the fix's frame is covered by a
-/// completed fsync; `Journaled` means it is sequenced but its covering
-/// group-commit sync has not completed yet.
+/// durability: `Journaled` means the fix is sequenced but its covering
+/// group-commit sync has not completed yet — its frame is appended
+/// after every batch that can have settled by the time the push
+/// returns. Durability is read from
+/// [`IngestEngine::shard_durable_offset`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Ack {
-    /// Fix journaled, buffered, **and durable**: a sync covering its
-    /// frame has succeeded (`offset <= shard_durable_offset(shard)`),
-    /// so the fix survives power loss, not just process death.
-    Accepted { offset: u64 },
     /// Fix journaled and buffered, not yet synced. `offset` is the
     /// owning shard's journal length with this fix's frame included;
     /// the fix becomes durable when a settled group-commit batch,
@@ -359,11 +357,11 @@ pub enum Ack {
 }
 
 impl Ack {
-    /// The journal offset for ingested fixes (`Accepted`/`Journaled`),
-    /// `None` for repaired or quarantined ones.
+    /// The journal offset for ingested (`Journaled`) fixes, `None` for
+    /// repaired or quarantined ones.
     pub fn offset(&self) -> Option<u64> {
         match *self {
-            Ack::Accepted { offset } | Ack::Journaled { offset } => Some(offset),
+            Ack::Journaled { offset } => Some(offset),
             Ack::Repaired | Ack::Quarantined(_) => None,
         }
     }
@@ -1155,8 +1153,8 @@ impl IngestEngine {
     /// journaled *before* they are buffered; the configured
     /// [`DurabilityPolicy`] decides when that shard's journal is
     /// fsynced (group commit, off this thread), and the ack reports
-    /// honestly: [`Ack::Accepted`] only when the fix's frame is already
-    /// covered by a completed sync, [`Ack::Journaled`] otherwise —
+    /// honestly: [`Ack::Journaled`], since no sync that has completed by
+    /// the time this returns can cover a frame appended after it —
     /// including the push that trips a trigger, which hands the batch
     /// over and returns before its fsync.
     ///
@@ -1197,11 +1195,7 @@ impl IngestEngine {
                 // failure is absorbed when it settles (counted in the
                 // shard's `sync_failures`).
                 self.group_commit(k);
-                if offset <= self.shards[k].durable_offset {
-                    Ok(Ack::Accepted { offset })
-                } else {
-                    Ok(Ack::Journaled { offset })
-                }
+                Ok(Ack::Journaled { offset })
             }
             Disposition::Coalesce => {
                 self.shards[k].core.stats.points_repaired += 1;
@@ -1435,8 +1429,8 @@ impl IngestEngine {
     /// A failure before the manifest rename leaves the engine on its
     /// old generation. A [`ServeError::Manifest`] from the directory
     /// fsync *after* the rename leaves it on the new one — the one a
-    /// process crash recovers — with no ack promoted to `Accepted`
-    /// until a later sync makes the rename durable.
+    /// process crash recovers — with no shard's durability watermark
+    /// advanced until a later sync makes the rename durable.
     pub fn checkpoint(&mut self) -> Result<usize> {
         self.settle_all();
         self.flush()?;
@@ -1796,9 +1790,6 @@ mod tests {
         let mut long = good.clone();
         long.push(0);
         assert!(error_of(Some(&long), keys.len()).contains("trailing"));
-        for cut in 0..good.len() {
-            error_of(Some(&good[..cut]), keys.len());
-        }
         let section = |fill: &dyn Fn(&mut ByteWriter)| {
             let mut w = ByteWriter::new();
             w.put_u32(INGEST_SECTION_VERSION);

@@ -29,11 +29,11 @@
 //!
 //! # Guarantees
 //!
-//! * **No acked point is lost.** A fix is [`Ack::Accepted`] only when a
-//!   completed fsync covers its WAL frame, and [`Ack::Journaled`] until
-//!   a settled group-commit batch or a `sync` makes it durable; recovery
-//!   replays every complete frame and truncates at most the torn tail
-//!   no sync covered.
+//! * **No acked point is lost.** An ingested fix is acked
+//!   [`Ack::Journaled`]; a settled group-commit batch or a `sync` makes
+//!   it durable, which [`IngestEngine::shard_durable_offset`] reports;
+//!   recovery replays every complete frame and truncates at most the
+//!   torn tail no sync covered.
 //! * **Faults are shard-local.** A full disk, sticky I/O error, or
 //!   corrupt journal on one shard degrades only that shard — surfaced
 //!   as typed [`ServeError::ShardDegraded`] with per-shard counters —

@@ -281,42 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn damaged_manifest_is_invalid_data_not_a_fresh_start() {
-        let dir = tmp_dir("damage");
-        commit(&store_io::RealIo, &dir, 3, 2).expect("commit");
-        let good = std::fs::read(dir.join(MANIFEST_FILE)).expect("read");
-        // Flipped generation byte: checksum catches it.
-        let mut bad = good.clone();
-        bad[12] ^= 0x01;
-        std::fs::write(dir.join(MANIFEST_FILE), &bad).expect("write");
-        assert!(read(&dir).is_err());
-        // Truncated manifest.
-        std::fs::write(dir.join(MANIFEST_FILE), &good[..10]).expect("write");
-        assert!(read(&dir).is_err());
-        // A v2-length manifest claiming another version is typed, not
-        // misparsed.
-        let mut bad = good.clone();
-        bad[8] = 1;
-        let crc = crc32(&bad[..24]).to_le_bytes();
-        bad[24..28].copy_from_slice(&crc);
-        std::fs::write(dir.join(MANIFEST_FILE), &bad).expect("write");
-        assert!(read(&dir).is_err());
-        // Zero shards.
-        let mut bad = good.clone();
-        bad[20..24].copy_from_slice(&0u32.to_le_bytes());
-        let crc = crc32(&bad[..24]).to_le_bytes();
-        bad[24..28].copy_from_slice(&crc);
-        std::fs::write(dir.join(MANIFEST_FILE), &bad).expect("write");
-        assert!(read(&dir).is_err());
-        // Bad magic.
-        let mut bad = good;
-        bad[0] = b'X';
-        std::fs::write(dir.join(MANIFEST_FILE), &bad).expect("write");
-        assert!(read(&dir).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn artifact_names_parse_and_reject() {
         assert_eq!(artifact_parts("corpus.7.s2.press"), Some((7, 2)));
         assert_eq!(artifact_parts("ingest.0.s11.wal"), Some((0, 11)));

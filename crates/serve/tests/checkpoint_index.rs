@@ -5,85 +5,19 @@
 //! path over a checkpointed and over a recovered corpus equals the
 //! linear path and brute force.
 
+mod common;
+
+use common::{test_dir, Fleet};
 use press_core::query::QueryEngine;
 use press_core::store::TrajectoryStore;
-use press_core::{BtcBounds, CompressedTrajectory, Press, PressConfig};
-use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
-use press_network::{grid_network, GridConfig, Mbr, RoadNetwork, SpBackend};
-use press_serve::{Ack, Event, IngestConfig, IngestEngine, SessionPolicy};
-use press_workload::{Workload, WorkloadConfig};
-use std::path::PathBuf;
+use press_core::{CompressedTrajectory, Press};
+use press_network::Mbr;
+use press_serve::{Ack, IngestConfig, IngestEngine, SessionPolicy};
 use std::sync::{Arc, OnceLock};
-
-struct Fleet {
-    #[allow(dead_code)]
-    net: Arc<RoadNetwork>,
-    matcher: Arc<MapMatcher>,
-    press: Press,
-    events: Vec<Event>,
-}
 
 fn fleet() -> &'static Fleet {
     static FLEET: OnceLock<Fleet> = OnceLock::new();
-    FLEET.get_or_init(|| {
-        let net = Arc::new(grid_network(&GridConfig {
-            nx: 8,
-            ny: 8,
-            spacing: 150.0,
-            weight_jitter: 0.12,
-            removal_prob: 0.0,
-            seed: 33,
-        }));
-        let sp = SpBackend::Dense.build(net.clone());
-        let workload = Workload::generate(
-            net.clone(),
-            sp.clone(),
-            WorkloadConfig {
-                num_trajectories: 24,
-                seed: 33,
-                ..WorkloadConfig::default()
-            },
-        );
-        let (train, eval) = workload.split(0.5);
-        let training_paths: Vec<_> = train.iter().map(|r| r.path.clone()).collect();
-        let press = Press::train(
-            sp,
-            &training_paths,
-            PressConfig {
-                bounds: BtcBounds::new(45.0, 15.0),
-                ..PressConfig::default()
-            },
-        )
-        .expect("training");
-        let matcher = Arc::new(MapMatcher::new(net.clone(), MatcherConfig::default()));
-        let mut events: Vec<Event> = Vec::new();
-        for (v, record) in eval.iter().take(8).enumerate() {
-            let trace = record.gps_trace(&net, 8.0, 4.0);
-            for p in &trace.points {
-                events.push((
-                    v as u64,
-                    GpsSample {
-                        point: p.point,
-                        t: p.t + v as f64 * 41.0,
-                    },
-                ));
-            }
-        }
-        events.sort_by(|a, b| a.1.t.partial_cmp(&b.1.t).expect("finite timestamps"));
-        assert!(events.len() > 100, "fixture stream too small");
-        Fleet {
-            net,
-            matcher,
-            press,
-            events,
-        }
-    })
-}
-
-fn test_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("press-ckpt-index-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    FLEET.get_or_init(|| Fleet::new(33, 24, 8, 41.0))
 }
 
 fn config() -> IngestConfig {
@@ -102,7 +36,7 @@ fn config() -> IngestConfig {
 /// Ingests the fixture stream and checkpoints; returns the engine.
 fn checkpointed(dir: &std::path::Path) -> IngestEngine {
     let f = fleet();
-    let press = f.press.reconfigured(f.press.config());
+    let press = f.press();
     let mut engine =
         IngestEngine::open(dir, Arc::clone(&f.matcher), press, config()).expect("open");
     for &(v, s) in &f.events {
@@ -162,17 +96,12 @@ fn indexed_equals_linear_equals_brute_force_after_checkpoint_and_recovery() {
     let finished = engine.finished();
     assert!(!finished.is_empty(), "fixture produced an empty corpus");
     let corpus = engine.shard_corpus_path(0);
-    assert_range_paths_agree(&corpus, &f.press, &finished);
+    assert_range_paths_agree(&corpus, &f.press(), &finished);
     drop(engine);
 
-    let reopened = IngestEngine::open(
-        &dir,
-        Arc::clone(&f.matcher),
-        f.press.reconfigured(f.press.config()),
-        config(),
-    )
-    .expect("recovery");
+    let reopened =
+        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config()).expect("recovery");
     assert_eq!(reopened.finished(), finished);
     assert_eq!(reopened.recovery().corpus_trajectories, finished.len());
-    assert_range_paths_agree(&reopened.shard_corpus_path(0), &f.press, &finished);
+    assert_range_paths_agree(&reopened.shard_corpus_path(0), &f.press(), &finished);
 }

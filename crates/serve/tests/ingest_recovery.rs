@@ -5,12 +5,15 @@
 //! engine fed exactly the acked prefix of the stream — no acked point is
 //! ever lost, and nothing unacked sneaks in.
 
+mod common;
+
+use common::{finish, finish_merged, test_dir, Fleet};
 use press_core::query::QueryEngine;
 use press_core::reformat::{reformat, PathSample};
 use press_core::store::TrajectoryStore;
-use press_core::{BtcBounds, CompressedTrajectory, Press, PressConfig};
-use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
-use press_network::{grid_network, GridConfig, Mbr, RoadNetwork, SpBackend};
+use press_core::{CompressedTrajectory, Press};
+use press_matcher::GpsSample;
+use press_network::Mbr;
 use press_serve::engine::QUARANTINE_LOG_CAP;
 use press_serve::wal::WAL_HEADER_LEN;
 use press_serve::{
@@ -22,84 +25,11 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-/// Shared fixture: a network, a trained compressor, a matcher, and a
-/// clean interleaved multi-vehicle event stream.
-struct Fleet {
-    net: Arc<RoadNetwork>,
-    matcher: Arc<MapMatcher>,
-    press: Press,
-    events: Vec<Event>,
-}
-
-impl Fleet {
-    fn press(&self) -> Press {
-        self.press.reconfigured(self.press.config())
-    }
-}
-
+/// Shared fixture: ten vehicles, staggered starts, merged into one
+/// arrival stream ordered by timestamp.
 fn fleet() -> &'static Fleet {
     static FLEET: OnceLock<Fleet> = OnceLock::new();
-    FLEET.get_or_init(|| {
-        let net = Arc::new(grid_network(&GridConfig {
-            nx: 8,
-            ny: 8,
-            spacing: 150.0,
-            weight_jitter: 0.12,
-            removal_prob: 0.0,
-            seed: 21,
-        }));
-        let sp = SpBackend::Dense.build(net.clone());
-        let workload = Workload::generate(
-            net.clone(),
-            sp.clone(),
-            WorkloadConfig {
-                num_trajectories: 30,
-                seed: 21,
-                ..WorkloadConfig::default()
-            },
-        );
-        let (train, eval) = workload.split(0.5);
-        let training_paths: Vec<_> = train.iter().map(|r| r.path.clone()).collect();
-        let press = Press::train(
-            sp,
-            &training_paths,
-            PressConfig {
-                bounds: BtcBounds::new(45.0, 15.0),
-                ..PressConfig::default()
-            },
-        )
-        .expect("training");
-        let matcher = Arc::new(MapMatcher::new(net.clone(), MatcherConfig::default()));
-        // Eight vehicles, staggered starts, merged into one arrival
-        // stream ordered by timestamp.
-        let mut events: Vec<Event> = Vec::new();
-        for (v, record) in eval.iter().take(10).enumerate() {
-            let trace = record.gps_trace(&net, 8.0, 4.0);
-            for p in &trace.points {
-                events.push((
-                    v as u64,
-                    GpsSample {
-                        point: p.point,
-                        t: p.t + v as f64 * 37.0,
-                    },
-                ));
-            }
-        }
-        events.sort_by(|a, b| a.1.t.partial_cmp(&b.1.t).expect("finite timestamps"));
-        assert!(events.len() > 100, "fixture stream too small");
-        Fleet {
-            net,
-            matcher,
-            press,
-            events,
-        }
-    })
-}
-
-fn test_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("press-ingest-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    FLEET.get_or_init(|| Fleet::new(21, 30, 10, 37.0))
 }
 
 fn config() -> IngestConfig {
@@ -131,15 +61,6 @@ fn run_clean(
         }
     }
     (engine, acked)
-}
-
-/// Finishes an engine (finalize + flush + checkpoint) and returns the
-/// published corpus bytes.
-fn finish(engine: &mut IngestEngine) -> Vec<u8> {
-    engine.finalize_all().expect("finalize_all");
-    engine.flush().expect("flush");
-    engine.checkpoint().expect("checkpoint");
-    std::fs::read(engine.shard_corpus_path(0)).expect("corpus bytes")
 }
 
 #[test]
@@ -731,15 +652,6 @@ fn dirty_input_is_quarantined_with_typed_reasons() {
     engine.finalize_all().expect("finalize_all");
     assert!(engine.flush().expect("flush") > 0);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Finishes an engine and returns the merged (shard-count-invariant)
-/// corpus bytes.
-fn finish_merged(engine: &mut IngestEngine) -> Vec<u8> {
-    engine.finalize_all().expect("finalize_all");
-    engine.flush().expect("flush");
-    engine.checkpoint().expect("checkpoint");
-    engine.merged_corpus_bytes().expect("merged corpus")
 }
 
 proptest! {

@@ -5,7 +5,7 @@
 //! this binary holds one test.
 
 use press::core::spatial::HscModel;
-use press::network::{grid_network, GridConfig, RoadNetwork, SpProvider};
+use press::network::{dijkstra, grid_network, GridConfig, RoadNetwork, SpProvider};
 use press::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,20 +83,35 @@ fn cold_opens_allocate_less_than_the_file_they_open() {
     // give it long link chains, which only the file holds, and keep the two
     // apart (~18% on this fixture; the network's margin is ~21%).
     let workload = Workload::generate(net.clone(), sp.clone(), config);
-    let training: Vec<_> = workload.records.iter().map(|r| r.path.clone()).collect();
-    let model = HscModel::train(sp.clone(), &training, 3).expect("train");
+    let trips: Vec<_> = workload.records.iter().map(|r| r.path.clone()).collect();
+    // Whole shortest paths as training walks: nearly every depth-2 node
+    // then carries a stop fact beside its link, and the `SPend` index
+    // must size its fact list for both at once.
+    let n = net.num_nodes() as u32;
+    let whole: Vec<Vec<EdgeId>> = (0..300u32)
+        .filter_map(|i| {
+            dijkstra(&net, NodeId(i * 7 % n)).edge_path_to(&net, NodeId((i * 13 + 5) % n))
+        })
+        .filter(|p| !p.is_empty())
+        .collect();
 
     let dir = std::env::temp_dir().join(format!("press-cold-alloc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let (net_path, model_path) = (dir.join("network.press"), dir.join("hsc.press"));
+    let net_path = dir.join("network.press");
     net.save_to(&net_path).expect("save network");
-    model.save_to(&model_path).expect("save model");
     let (loaded, net_largest) = largest_allocation(|| RoadNetwork::load_from(&net_path));
     assert_eq!(loaded.expect("load network").num_edges(), net.num_edges());
-    let (loaded, model_largest) = largest_allocation(|| HscModel::load_from(sp, &model_path));
-    assert!(loaded.expect("load model").to_store_bytes() == model.to_store_bytes());
-    for (path, largest) in [(&net_path, net_largest), (&model_path, model_largest)] {
-        let file = std::fs::metadata(path).expect("metadata").len() as usize;
+    let mut opened = vec![(net_path, net_largest)];
+    for (name, training) in [("trips", trips), ("whole", whole)] {
+        let model = HscModel::train(sp.clone(), &training, 3).expect("train");
+        let model_path = dir.join(format!("hsc-{name}.press"));
+        model.save_to(&model_path).expect("save model");
+        let (loaded, largest) = largest_allocation(|| HscModel::load_from(sp.clone(), &model_path));
+        assert!(loaded.expect("load model").to_store_bytes() == model.to_store_bytes());
+        opened.push((model_path, largest));
+    }
+    for (path, largest) in opened {
+        let file = std::fs::metadata(&path).expect("metadata").len() as usize;
         let what = path.display();
         assert!(largest < file, "{what}: {largest} B at once, file {file} B");
     }

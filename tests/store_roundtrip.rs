@@ -9,6 +9,7 @@ use press::core::spatial::HscModel;
 use press::core::TrajectoryStore;
 use press::network::{grid_network, GridConfig, HubLabels, RoadNetwork, SpProvider, SpTable};
 use press::prelude::*;
+use press_store::StoreFile;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -75,21 +76,6 @@ fn link_fixture() -> (
     (net, sp, training, model)
 }
 
-/// Rewrites a model container section by section — each section CRC
-/// stays valid — passing every `(name, payload)` through `f`; `None`
-/// drops the section.
-fn rewrite_sections(bytes: &[u8], f: impl Fn(&str, &[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
-    use press_store::{StoreFile, StoreWriter};
-    let file = StoreFile::from_bytes(bytes.to_vec()).expect("parse");
-    let mut w = StoreWriter::new(file.kind());
-    for name in file.section_names() {
-        if let Some(payload) = f(name, file.section(name).expect("section")) {
-            w.section(name, payload);
-        }
-    }
-    w.to_bytes()
-}
-
 /// A `node_link` payload as `(offsets, edges)`, and back.
 fn parse_link(payload: &[u8], nodes: usize) -> (Vec<u32>, Vec<u32>) {
     let words: Vec<u32> = payload
@@ -123,21 +109,6 @@ fn load_both(net: &Arc<RoadNetwork>, bytes: &[u8]) -> [Loaded; 2] {
     let mapped = HubLabels::open_mapped(net.clone(), &path).map(|h| Arc::new(h) as _);
     let _ = std::fs::remove_file(&path);
     [loaded, mapped]
-}
-
-/// A seeded 4×4 network, the freshly built hub labels on it, and their
-/// artifact with bit `bit` of byte `flip` (modulo its length) flipped.
-fn corrupted_sp_artifact(
-    seed: u64,
-    flip: usize,
-    bit: u8,
-) -> (Arc<RoadNetwork>, Arc<dyn SpProvider>, Vec<u8>) {
-    let net = net_from(4, 4, 0.1, seed);
-    let hl = HubLabels::build_with_threads(net.clone(), 1);
-    let mut bytes = hl.to_store_bytes();
-    let idx = flip % bytes.len();
-    bytes[idx] ^= 1 << bit;
-    (net, Arc::new(hl), bytes)
 }
 
 /// The hub labels of `net` as `(artifact bytes, the exact sections its
@@ -230,148 +201,11 @@ proptest! {
             }
         }
     }
-
-    /// Corrupting any single byte of a hub-label artifact gives one
-    /// verdict from the bytes load (`from_store_bytes`) and the mapped
-    /// open (`open_mapped`): a typed error of the same variant from both,
-    /// or two providers answering bit-identically to the freshly built one
-    /// (the flip hit an alignment gap) — never a panic, never a silently
-    /// wrong structure.
-    #[test]
-    fn mapped_single_byte_corruption_never_panics(
-        seed in 0u64..200,
-        flip in 0usize..4096,
-        bit in 0u8..8,
-    ) {
-        let (net, fresh, bytes) = corrupted_sp_artifact(seed, flip, bit);
-        let [from_bytes, mapped] = load_both(&net, &bytes);
-        match (from_bytes, mapped) {
-            (Err(a), Err(b)) => prop_assert_eq!(
-                std::mem::discriminant(&a),
-                std::mem::discriminant(&b),
-                "bytes {:?}, mapped {:?}", a, b
-            ),
-            (Ok(from_bytes), Ok(mapped)) => {
-                for u in net.node_ids().take(6) {
-                    for v in net.node_ids().take(6) {
-                        for loaded in [&from_bytes, &mapped] {
-                            prop_assert_eq!(
-                                fresh.node_dist(u, v).to_bits(),
-                                loaded.node_dist(u, v).to_bits()
-                            );
-                            prop_assert_eq!(fresh.pred_edge(u, v), loaded.pred_edge(u, v));
-                        }
-                    }
-                }
-            }
-            (from_bytes, mapped) => prop_assert!(
-                false,
-                "bytes {:?} but mapped {:?}", from_bytes.err(), mapped.err()
-            ),
-        }
-    }
-
-    /// Any single-word change to a CRC-valid `node_link` section is a
-    /// typed error, or a load that still decompresses every training
-    /// path exactly — never a panic, never a silently different path.
-    #[test]
-    fn node_link_word_corruption_never_panics(word in 0usize..100_000, value in 0u32..2_000, add in 0usize..2) {
-        let (_, sp, training, model) = link_fixture();
-        let good = model.to_store_bytes();
-        let bad = rewrite_sections(&good, |name, payload| {
-            let mut payload = payload.to_vec();
-            if name == "node_link" {
-                let at = (word % (payload.len() / 4)) * 4;
-                let old = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
-                let new = if add == 0 { value } else { old.wrapping_add(value + 1) };
-                payload[at..at + 4].copy_from_slice(&new.to_le_bytes());
-            }
-            Some(payload)
-        });
-        match HscModel::from_store_bytes(sp, bad) {
-            Err(_) => {}
-            Ok(loaded) => {
-                for path in &training {
-                    let cs = model.compress(path).expect("compress");
-                    prop_assert_eq!(&loaded.decompress(&cs).expect("decompress"), path);
-                }
-            }
-        }
-    }
-
-    /// Any single-word change to a CRC-valid `node_stop` section is a
-    /// typed error or a model that loads and runs — never a panic. A
-    /// stop fact is an `SPend` answer taken on the CRC's word (a wrong
-    /// in-edge that forks no tree cannot be told from a right one), so
-    /// what a surviving model still owes is only what does not read it:
-    /// exact decompression.
-    #[test]
-    fn node_stop_word_corruption_never_panics(word in 0usize..100_000, value in 0u32..2_000, add in 0usize..2) {
-        let (_, sp, training, model) = link_fixture();
-        let good = model.to_store_bytes();
-        let bad = rewrite_sections(&good, |name, payload| {
-            let mut payload = payload.to_vec();
-            if name == "node_stop" {
-                let at = (word % (payload.len() / 4)) * 4;
-                let old = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
-                let new = if add == 0 { value } else { old.wrapping_add(value + 1) };
-                payload[at..at + 4].copy_from_slice(&new.to_le_bytes());
-            }
-            Some(payload)
-        });
-        if let Ok(loaded) = HscModel::from_store_bytes(sp, bad) {
-            for path in &training {
-                loaded.compress(path).expect("compress");
-                let cs = model.compress(path).expect("compress");
-                prop_assert_eq!(&loaded.decompress(&cs).expect("decompress"), path);
-            }
-        }
-    }
 }
 
-/// Non-proptest corruption matrix: the exact typed error per mode.
-#[test]
-fn corruption_modes_are_typed() {
-    use press_store::StoreError;
-    let net = net_from(4, 4, 0.12, 7);
-    let good = net.to_store_bytes();
-
-    // Truncated file (every prefix).
-    for cut in [0, 7, 23, good.len() / 2, good.len() - 1] {
-        let err = RoadNetwork::from_store_bytes(good[..cut].to_vec());
-        assert!(err.is_err(), "cut at {cut} must fail");
-    }
-    // Bad magic.
-    let mut bad = good.clone();
-    bad[0] = b'X';
-    assert!(matches!(
-        RoadNetwork::from_store_bytes(bad),
-        Err(StoreError::BadMagic)
-    ));
-    // Wrong version.
-    let mut bad = good.clone();
-    bad[8] = 77;
-    assert!(matches!(
-        RoadNetwork::from_store_bytes(bad),
-        Err(StoreError::UnsupportedVersion { found: 77, .. })
-    ));
-    // Wrong artifact kind: feed a hub-label file to the network loader.
-    assert!(matches!(
-        RoadNetwork::from_store_bytes(HubLabels::build(net.clone()).to_store_bytes()),
-        Err(StoreError::WrongKind { .. })
-    ));
-    // Payload bit flip: CRC catches it.
-    let mut bad = good.clone();
-    let n = bad.len();
-    bad[n - 10] ^= 0x08;
-    assert!(matches!(
-        RoadNetwork::from_store_bytes(bad),
-        Err(StoreError::ChecksumMismatch { .. })
-    ));
-}
-
-/// `node_link` / `node_stop` corruption matrix: a bit flip is the
-/// section CRC's; a CRC-valid but inconsistent section — truncated,
+/// `node_link` / `node_stop` corruption matrix (a bit flip is the
+/// section CRC's: the decoder fuzzer's model row): a CRC-valid but
+/// inconsistent section — truncated,
 /// non-monotone offsets, an edge outside the alphabet, a chain that does
 /// not connect, a link dropped or invented, a `node_dist` one ulp off
 /// its chain; a stop fact missing, extra, outside the alphabet, into the
@@ -379,7 +213,7 @@ fn corruption_modes_are_typed() {
 /// `Corrupt`, never a model that decompresses or measures wrongly.
 #[test]
 fn node_link_corruption_matrix() {
-    use press_store::{StoreError, StoreFile};
+    use press_store::StoreError;
     let (net, sp, _, model) = link_fixture();
     let good = model.to_store_bytes();
     let nodes = model.trie().num_nodes();
@@ -390,13 +224,14 @@ fn node_link_corruption_matrix() {
     let load = |bytes: Vec<u8>| HscModel::from_store_bytes(sp.clone(), bytes);
     let with_link = |off: &[u32], edges: &[u32]| {
         let replacement = link_payload(off, edges);
-        rewrite_sections(&good, |name, p| {
+        file.rewrite_sections(|name, p| {
             Some(if name == "node_link" {
                 replacement.clone()
             } else {
                 p.to_vec()
             })
         })
+        .expect("rewrite")
     };
     let corrupt = |bytes: Vec<u8>, what: &str| match load(bytes) {
         Err(StoreError::Corrupt(_)) => {}
@@ -407,36 +242,21 @@ fn node_link_corruption_matrix() {
     };
     load(with_link(&off, &edges)).expect("the untouched rewrite loads");
 
-    // Bit flip in the stored payload: the section CRC names it.
-    let at = good
-        .windows(payload.len())
-        .position(|w| w == payload)
-        .expect("payload is in the file");
-    let mut flipped = good.clone();
-    flipped[at + payload.len() / 2] ^= 0x04;
-    match load(flipped) {
-        Err(StoreError::ChecksumMismatch { section }) => assert_eq!(section, "node_link"),
-        other => panic!(
-            "expected a checksum mismatch, got {:?}",
-            other.map(|_| "a model")
-        ),
-    }
-
-    // Truncations: whole words, a ragged tail, and the file itself.
+    // Truncations: whole words and a ragged tail.
     corrupt(with_link(&off, &edges[..edges.len() - 1]), "last edge cut");
     corrupt(with_link(&off[..nodes], &[]), "offsets cut");
     let ragged = payload[..payload.len() - 2].to_vec();
     corrupt(
-        rewrite_sections(&good, |name, p| {
+        file.rewrite_sections(|name, p| {
             Some(if name == "node_link" {
                 ragged.clone()
             } else {
                 p.to_vec()
             })
-        }),
+        })
+        .expect("rewrite"),
         "ragged tail",
     );
-    assert!(load(good[..good.len() - 3].to_vec()).is_err());
 
     // The first node that hides a gap, and one that does not.
     let linked = (0..nodes)
@@ -487,14 +307,17 @@ fn node_link_corruption_matrix() {
     // `node_dist` one ulp off — on a linked node, a bare one, a level-1
     // node and the root.
     for n in [linked, bare, 1, 0] {
-        let bad = rewrite_sections(&good, |name, p| {
-            let mut p = p.to_vec();
-            if name == "node_dist" {
-                let d = f64::from_le_bytes(p[n * 8..n * 8 + 8].try_into().expect("8 bytes"));
-                p[n * 8..n * 8 + 8].copy_from_slice(&f64::from_bits(d.to_bits() + 1).to_le_bytes());
-            }
-            Some(p)
-        });
+        let bad = file
+            .rewrite_sections(|name, p| {
+                let mut p = p.to_vec();
+                if name == "node_dist" {
+                    let d = f64::from_le_bytes(p[n * 8..n * 8 + 8].try_into().expect("8 bytes"));
+                    p[n * 8..n * 8 + 8]
+                        .copy_from_slice(&f64::from_bits(d.to_bits() + 1).to_le_bytes());
+                }
+                Some(p)
+            })
+            .expect("rewrite");
         corrupt(bad, &format!("node_dist[{n}] one ulp off"));
     }
 
@@ -515,28 +338,16 @@ fn node_link_corruption_matrix() {
         .collect();
     assert_eq!(stops.len(), pairs.len());
     let with_stops = |payload: Vec<u8>| {
-        rewrite_sections(&good, |name, p| {
+        file.rewrite_sections(|name, p| {
             Some(if name == "node_stop" {
                 payload.clone()
             } else {
                 p.to_vec()
             })
         })
+        .expect("rewrite")
     };
     load(with_stops(link_payload(&stops, &[]))).expect("the untouched rewrite loads");
-    let at = good
-        .windows(payload.len())
-        .position(|w| w == payload)
-        .expect("payload is in the file");
-    let mut flipped = good.clone();
-    flipped[at + payload.len() / 2] ^= 0x04;
-    match load(flipped) {
-        Err(StoreError::ChecksumMismatch { section }) => assert_eq!(section, "node_stop"),
-        other => panic!(
-            "expected a checksum mismatch, got {:?}",
-            other.map(|_| "a model")
-        ),
-    }
     corrupt(
         with_stops(link_payload(&stops[1..], &[])),
         "a stop fact short",
@@ -594,7 +405,7 @@ fn node_link_corruption_matrix() {
 /// `node_mbr`; and a loaded model answers exactly as the trained one.
 #[test]
 fn node_link_legacy_file_and_unchanged_sections() {
-    use press_store::{StoreError, StoreFile};
+    use press_store::StoreError;
     let (net, sp, training, model) = link_fixture();
     let good = model.to_store_bytes();
     let file = StoreFile::from_bytes(good.clone()).expect("parse");
@@ -618,7 +429,9 @@ fn node_link_legacy_file_and_unchanged_sections() {
     );
 
     for gone in ["node_link", "node_stop"] {
-        let legacy = rewrite_sections(&good, |name, p| (name != gone).then(|| p.to_vec()));
+        let legacy = file
+            .rewrite_sections(|name, p| (name != gone).then(|| p.to_vec()))
+            .expect("rewrite");
         match HscModel::from_store_bytes(sp.clone(), legacy) {
             Err(StoreError::MissingSection(name)) => assert_eq!(name, gone),
             other => panic!("a file without {gone}: got {:?}", other.map(|_| "a model")),
@@ -731,7 +544,7 @@ fn mapped_flat_section_bit_flip_is_typed_checksum_error_on_first_touch() {
 fn sp_writers_emit_exactly_their_flat_sections() {
     let net = net_from(5, 5, 0.12, 31);
     let (bytes, sections) = sp_artifact(&net);
-    let file = press_store::StoreFile::from_bytes(bytes).expect("parse");
+    let file = StoreFile::from_bytes(bytes).expect("parse");
     assert_eq!(file.section_names().collect::<Vec<_>>(), sections);
 }
 
@@ -753,7 +566,7 @@ fn retired_sp_sections_are_ignored_by_both_loads() {
         "bwd_parent",
     ];
     let (bytes, _) = sp_artifact(&net);
-    let file = press_store::StoreFile::from_bytes(bytes.clone()).expect("parse");
+    let file = StoreFile::from_bytes(bytes.clone()).expect("parse");
     let mut w = press_store::StoreWriter::new(file.kind());
     for name in file.section_names() {
         w.section_aligned(name, file.section(name).expect("section").to_vec());
@@ -784,8 +597,11 @@ fn sp_artifact_missing_any_section_is_typed_on_both_loads() {
     use press_store::StoreError;
     let net = net_from(4, 4, 0.1, 17);
     let (bytes, sections) = sp_artifact(&net);
+    let file = StoreFile::from_bytes(bytes).expect("parse");
     for gone in sections {
-        let dropped = rewrite_sections(&bytes, |name, p| (name != gone).then(|| p.to_vec()));
+        let dropped = file
+            .rewrite_sections(|name, p| (name != gone).then(|| p.to_vec()))
+            .expect("rewrite");
         for loaded in load_both(&net, &dropped) {
             assert_eq!(
                 loaded.err(),
@@ -883,8 +699,9 @@ fn trajectory_store_open_rejects_empty_and_torn_directory() {
 /// Corpus matrix over spatial codes that carry **gap runs** (held-out
 /// walks: the other fixtures here store their own training paths, whose
 /// gaps the model knows). Clean: the corpus round-trips, every stream
-/// reads back to its walk, indexed == linear == brute force. A bit flip
-/// in a block is the block CRC's. Behind a valid CRC, every single-bit
+/// reads back to its walk, indexed == linear == brute force (a bit flip
+/// in a block is the block CRC's: the decoder fuzzer's corpus row).
+/// Behind a valid CRC, every single-bit
 /// change and every truncation of a run-carrying stream is a typed error
 /// (the record's padding check, or the stream reader's structure checks)
 /// or some other well-formed path — never a panic, never an unbounded
@@ -964,15 +781,6 @@ fn gap_run_corpus_corruption_matrix() {
         );
     }
 
-    // A flipped payload bit without the CRC to match.
-    let mut flipped = good.clone();
-    let n = flipped.len();
-    flipped[n - 3] ^= 0x04;
-    assert!(matches!(
-        TrajectoryStore::from_store_bytes(flipped).and_then(|s| s.get(compressed.len() - 1)),
-        Err(PressError::Store(StoreError::ChecksumMismatch { .. }))
-    ));
-
     // Behind a valid CRC: the first run-carrying trajectory.
     let victim = (0..compressed.len())
         .find(|&i| model.run_cost(&compressed[i].spatial).expect("cost").0 > 0)
@@ -980,26 +788,25 @@ fn gap_run_corpus_corruption_matrix() {
     let block = format!("blk{}", victim / 3);
     let stream = compressed[victim].spatial.bits.to_bytes();
     let len_bits = compressed[victim].spatial.bits.len_bits();
-    let payload = press_store::StoreFile::from_bytes(good.clone())
-        .expect("parse")
-        .section(&block)
-        .expect("the victim's block")
-        .to_vec();
+    let file = StoreFile::from_bytes(good.clone()).expect("parse");
+    let payload = file.section(&block).expect("the victim's block").to_vec();
     let at = payload
         .windows(stream.len())
         .position(|w| w == stream)
         .expect("the stream's bytes appear in its block");
     let with_stream = |bytes: &[u8], len_byte: Option<u8>| {
-        let rewritten = rewrite_sections(&good, |name, payload| {
-            let mut payload = payload.to_vec();
-            if name == block {
-                payload[at..at + stream.len()].copy_from_slice(bytes);
-                if let Some(b) = len_byte {
-                    payload[at - 1] = b;
+        let rewritten = file
+            .rewrite_sections(|name, payload| {
+                let mut payload = payload.to_vec();
+                if name == block {
+                    payload[at..at + stream.len()].copy_from_slice(bytes);
+                    if let Some(b) = len_byte {
+                        payload[at - 1] = b;
+                    }
                 }
-            }
-            Some(payload)
-        });
+                Some(payload)
+            })
+            .expect("rewrite");
         TrajectoryStore::from_store_bytes(rewritten).expect("meta and synopsis are untouched")
     };
     assert_eq!(
@@ -1064,13 +871,15 @@ fn gap_run_corpus_corruption_matrix() {
     );
 
     // The parent wrote record format 2: same records, no runs.
-    let parent = rewrite_sections(&good, |name, payload| {
-        let mut payload = payload.to_vec();
-        if name == "meta" {
-            payload[24..28].copy_from_slice(&2u32.to_le_bytes());
-        }
-        Some(payload)
-    });
+    let parent = file
+        .rewrite_sections(|name, payload| {
+            let mut payload = payload.to_vec();
+            if name == "meta" {
+                payload[24..28].copy_from_slice(&2u32.to_le_bytes());
+            }
+            Some(payload)
+        })
+        .expect("rewrite");
     match TrajectoryStore::from_store_bytes(parent) {
         Err(PressError::Store(StoreError::Corrupt(msg))) => {
             assert!(msg.starts_with("record format 2"), "{msg}")
