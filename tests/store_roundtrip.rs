@@ -201,6 +201,59 @@ proptest! {
             }
         }
     }
+
+    /// Any single-word change to a CRC-valid `node_link` section is a
+    /// typed error, or a load that still decompresses every training
+    /// path exactly — never a panic, never a silently different path.
+    #[test]
+    fn node_link_word_corruption_never_panics(word in 0usize..100_000, value in 0u32..2_000, add in 0usize..2) {
+        let (_, sp, training, model) = link_fixture();
+        let bad = change_word(&model.to_store_bytes(), "node_link", word, value, add);
+        if let Ok(loaded) = HscModel::from_store_bytes(sp, bad) {
+            for path in &training {
+                let cs = model.compress(path).expect("compress");
+                prop_assert_eq!(&loaded.decompress(&cs).expect("decompress"), path);
+            }
+        }
+    }
+
+    /// Any single-word change to a CRC-valid `node_stop` section is a
+    /// typed error or a model that loads and runs — never a panic. A
+    /// stop fact is an `SPend` answer taken on the CRC's word (a wrong
+    /// in-edge that forks no tree cannot be told from a right one), so
+    /// what a surviving model still owes is only what does not read it:
+    /// exact decompression.
+    #[test]
+    fn node_stop_word_corruption_never_panics(word in 0usize..100_000, value in 0u32..2_000, add in 0usize..2) {
+        let (_, sp, training, model) = link_fixture();
+        let bad = change_word(&model.to_store_bytes(), "node_stop", word, value, add);
+        if let Ok(loaded) = HscModel::from_store_bytes(sp, bad) {
+            for path in &training {
+                loaded.compress(path).expect("compress");
+                let cs = model.compress(path).expect("compress");
+                prop_assert_eq!(&loaded.decompress(&cs).expect("decompress"), path);
+            }
+        }
+    }
+}
+
+/// `bytes` with one little-endian word of section `section` set to
+/// `value` (`add == 0`) or moved by `value + 1`, the section CRC
+/// re-sealed.
+fn change_word(bytes: &[u8], section: &str, word: usize, value: u32, add: usize) -> Vec<u8> {
+    StoreFile::from_bytes(bytes.to_vec())
+        .expect("parse")
+        .rewrite_sections(|name, payload| {
+            let mut payload = payload.to_vec();
+            if name == section {
+                let at = (word % (payload.len() / 4)) * 4;
+                let old = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
+                let new = if add == 0 { value } else { old.wrapping_add(value + 1) };
+                payload[at..at + 4].copy_from_slice(&new.to_le_bytes());
+            }
+            Some(payload)
+        })
+        .expect("rewrite")
 }
 
 /// `node_link` / `node_stop` corruption matrix (a bit flip is the
