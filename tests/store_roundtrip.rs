@@ -248,7 +248,11 @@ fn change_word(bytes: &[u8], section: &str, word: usize, value: u32, add: usize)
             if name == section {
                 let at = (word % (payload.len() / 4)) * 4;
                 let old = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
-                let new = if add == 0 { value } else { old.wrapping_add(value + 1) };
+                let new = if add == 0 {
+                    value
+                } else {
+                    old.wrapping_add(value + 1)
+                };
                 payload[at..at + 4].copy_from_slice(&new.to_le_bytes());
             }
             Some(payload)
