@@ -44,9 +44,9 @@
 //!   it** can only be real corruption of synced or written data, so it
 //!   is a typed [`WalError::Corrupt`] — written records are never
 //!   silently dropped. So is a length field that disagrees with the
-//!   frame's tag while the tag's frame fits with journal after it, even
-//!   where the length reaches to or past EOF: a torn frame keeps its
-//!   tag's length.
+//!   frame's tag while the tag's frame fits with journal after it and
+//!   passes the frame's CRC, even where the length reaches to or past
+//!   EOF: a torn frame keeps its tag's length.
 //!
 //! # Disk faults
 //!
@@ -436,13 +436,19 @@ impl Wal {
             }
             // A torn frame is a prefix of a whole one, so its length is
             // its tag's. A length that disagrees, on a frame whose
-            // tag-sized body fits with more journal after it, is a
-            // damaged length field in front of acked records — whether it
-            // reaches past EOF or exactly to it.
+            // tag-sized body fits with more journal after it and passes
+            // the frame's CRC, is a damaged length field in front of
+            // acked records — whether it reaches past EOF or exactly to
+            // it. A body that fails the CRC is a damaged tag or payload,
+            // judged below like any other checksum failure.
             let tagged = bytes
                 .get(off + 8)
                 .and_then(|&tag| WalRecord::payload_len(tag));
-            if let Some(want) = tagged.filter(|&want| want != len && 8 + (want as usize) < rem) {
+            let damaged_len = |want: u32| {
+                let end = off + 8 + want as usize;
+                want != len && end < bytes.len() && crc32(&bytes[off + 8..end]) == crc
+            };
+            if let Some(want) = tagged.filter(|&want| damaged_len(want)) {
                 return Err(WalError::Corrupt {
                     offset: off as u64,
                     detail: format!("frame length {len} but its tag's record is {want} bytes"),

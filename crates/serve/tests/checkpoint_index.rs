@@ -7,13 +7,13 @@
 
 mod common;
 
-use common::{test_dir, Fleet};
+use common::{finish, test_dir, Fleet};
 use press_core::query::QueryEngine;
 use press_core::store::TrajectoryStore;
 use press_core::{CompressedTrajectory, Press};
 use press_network::Mbr;
 use press_serve::{Ack, IngestConfig, IngestEngine, SessionPolicy};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 fn fleet() -> &'static Fleet {
     static FLEET: OnceLock<Fleet> = OnceLock::new();
@@ -36,15 +36,11 @@ fn config() -> IngestConfig {
 /// Ingests the fixture stream and checkpoints; returns the engine.
 fn checkpointed(dir: &std::path::Path) -> IngestEngine {
     let f = fleet();
-    let press = f.press();
-    let mut engine =
-        IngestEngine::open(dir, Arc::clone(&f.matcher), press, config()).expect("open");
+    let mut engine = f.open(dir, config()).expect("open");
     for &(v, s) in &f.events {
         let _ack: Ack = engine.push(v, s).expect("push");
     }
-    engine.finalize_all().expect("finalize_all");
-    engine.flush().expect("flush");
-    engine.checkpoint().expect("checkpoint");
+    finish(&mut engine);
     engine
 }
 
@@ -99,8 +95,7 @@ fn indexed_equals_linear_equals_brute_force_after_checkpoint_and_recovery() {
     assert_range_paths_agree(&corpus, &f.press(), &finished);
     drop(engine);
 
-    let reopened =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config()).expect("recovery");
+    let reopened = f.open(&dir, config()).expect("recovery");
     assert_eq!(reopened.finished(), finished);
     assert_eq!(reopened.recovery().corpus_trajectories, finished.len());
     assert_range_paths_agree(&reopened.shard_corpus_path(0), &f.press(), &finished);

@@ -10,9 +10,10 @@
 use press_core::{BtcBounds, Press, PressConfig};
 use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
 use press_network::{dijkstra, grid_network, GridConfig, NodeId, Point, RoadNetwork, SpBackend};
-use press_serve::{DurabilityPolicy, Event, IngestConfig, IngestEngine};
+use press_serve::{DurabilityPolicy, Event, IngestConfig, IngestEngine, ServeError};
+use press_store::IoBackend;
 use press_workload::{Workload, WorkloadConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 /// A network, a compressor trained on half of a seeded workload, a
@@ -86,6 +87,22 @@ impl Fleet {
     /// A compressor sharing the trained model, one per engine.
     pub fn press(&self) -> Press {
         self.press.reconfigured(self.press.config())
+    }
+
+    /// Opens (or recovers) an engine at `dir` on the fleet's matcher and
+    /// model, its writes through `io`.
+    pub fn open_with_io(
+        &self,
+        dir: &Path,
+        cfg: IngestConfig,
+        io: Arc<dyn IoBackend>,
+    ) -> Result<IngestEngine, ServeError> {
+        IngestEngine::open_with_io(dir, Arc::clone(&self.matcher), self.press(), cfg, io)
+    }
+
+    /// [`Fleet::open_with_io`] on the real filesystem.
+    pub fn open(&self, dir: &Path, cfg: IngestConfig) -> Result<IngestEngine, ServeError> {
+        IngestEngine::open(dir, Arc::clone(&self.matcher), self.press(), cfg)
     }
 }
 

@@ -24,7 +24,7 @@ use press_serve::{
     IngestConfig, IngestEngine, ServeError, SessionPolicy,
 };
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Shared fixture: the `ingest_recovery` fleet stream.
 fn fleet() -> &'static Fleet {
@@ -54,18 +54,22 @@ fn config() -> IngestConfig {
     }
 }
 
-/// Pushes `events` through a fresh fault-free engine and finishes it,
-/// returning the corpus bytes. The reference side of every
-/// byte-identity assertion.
-fn reference_corpus(tag: &str, cfg: IngestConfig, events: &[Event]) -> Vec<u8> {
+/// Pushes `events` through a fresh fault-free engine and finishes it
+/// with `done` ([`finish`] or [`finish_merged`]), returning its corpus
+/// bytes. The reference side of every byte-identity assertion.
+fn reference_corpus(
+    tag: &str,
+    cfg: IngestConfig,
+    events: &[Event],
+    done: fn(&mut IngestEngine) -> Vec<u8>,
+) -> Vec<u8> {
     let f = fleet();
     let dir = test_dir(tag);
-    let mut engine =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open reference");
+    let mut engine = f.open(&dir, cfg).expect("open reference");
     for &(v, s) in events {
         engine.push(v, s).expect("reference push");
     }
-    let corpus = finish(&mut engine);
+    let corpus = done(&mut engine);
     let _ = std::fs::remove_dir_all(&dir);
     corpus
 }
@@ -91,9 +95,9 @@ fn probe_ops(
     let f = fleet();
     let dir = test_dir(&format!("probe-{tag}"));
     let faulty = FaultyIo::new(Vec::new());
-    let mut engine =
-        IngestEngine::open_with_io(&dir, Arc::clone(&f.matcher), f.press(), cfg, faulty.clone())
-            .expect("open probe");
+    let mut engine = f
+        .open_with_io(&dir, cfg, faulty.clone())
+        .expect("open probe");
     let start: Vec<u64> = needles.iter().map(|n| faulty.ops_on(n)).collect();
     for (i, &(v, s)) in events.iter().enumerate() {
         if mid_checkpoint && i == events.len() / 2 {
@@ -139,9 +143,9 @@ fn run_fault_cell(
     let f = fleet();
     let dir = test_dir(&format!("cell-{tag}"));
     let faulty = FaultyIo::new(Vec::new());
-    let mut engine =
-        IngestEngine::open_with_io(&dir, Arc::clone(&f.matcher), f.press(), cfg, faulty.clone())
-            .expect("open with clean io");
+    let mut engine = f
+        .open_with_io(&dir, cfg, faulty.clone())
+        .expect("open with clean io");
     faulty.arm(DiskFault {
         at_op: faulty.ops() + delta,
         kind,
@@ -226,7 +230,8 @@ fn run_fault_cell(
     let cut = lo + ((len - lo) as f64 * kill_frac).round() as u64;
     truncate_shard_wal(&dir, 0, cut).expect("truncate");
 
-    let mut recovered = IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg)
+    let mut recovered = f
+        .open(&dir, cfg)
         .expect("recovery must succeed on the real filesystem");
     let corpus_a = finish(&mut recovered);
 
@@ -239,7 +244,7 @@ fn run_fault_cell(
         .filter(|&(k, &(_, off))| k < safe_count || off <= cut)
         .map(|(_, &(idx, _))| events[idx])
         .collect();
-    let corpus_b = reference_corpus(&format!("cell-ref-{tag}"), cfg, &surviving);
+    let corpus_b = reference_corpus(&format!("cell-ref-{tag}"), cfg, &surviving, finish);
     assert_eq!(
         corpus_a, corpus_b,
         "fault {kind:?} delta {delta} sticky {sticky} cut {cut}: recovered corpus \
@@ -304,13 +309,9 @@ fn eviction_baseline(trigger: bool) -> &'static (Vec<u64>, Vec<u8>) {
     BASE[usize::from(trigger)].get_or_init(|| {
         let f = fleet();
         let dir = test_dir(&format!("evict-base-{trigger}"));
-        let mut engine = IngestEngine::open(
-            &dir,
-            Arc::clone(&f.matcher),
-            f.press(),
-            eviction_cfg(1, trigger),
-        )
-        .expect("open baseline");
+        let mut engine = f
+            .open(&dir, eviction_cfg(1, trigger))
+            .expect("open baseline");
         for &(v, s) in &f.events {
             engine.push(v, s).expect("push");
         }
@@ -339,7 +340,7 @@ proptest! {
         let cfg = eviction_cfg(threads, trigger);
         let dir = test_dir(&format!("evict-{threads}-{trigger}"));
         let mut engine =
-            IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+            f.open(&dir, cfg).expect("open");
         for &(v, s) in &f.events {
             engine.push(v, s).expect("push");
         }
@@ -354,7 +355,7 @@ proptest! {
         drop(engine); // crash: no finalize, no checkpoint
 
         let mut recovered =
-            IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+            f.open(&dir, cfg).expect("recover");
         let log_replayed: Vec<u64> = recovered.eviction_log().iter().copied().collect();
         prop_assert_eq!(
             &log_replayed,
@@ -408,8 +409,7 @@ fn fleet_larger_than_memory_stays_bounded_and_recovers() {
     };
 
     let dir = test_dir("big-fleet");
-    let mut engine =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+    let mut engine = f.open(&dir, cfg).expect("open");
     for &(v, s) in &events {
         engine.push(v, s).expect("push");
         assert!(
@@ -428,12 +428,11 @@ fn fleet_larger_than_memory_stays_bounded_and_recovers() {
     let log_live: Vec<u64> = engine.eviction_log().iter().copied().collect();
     drop(engine); // crash mid-run
 
-    let mut recovered =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+    let mut recovered = f.open(&dir, cfg).expect("recover");
     let log_replayed: Vec<u64> = recovered.eviction_log().iter().copied().collect();
     assert_eq!(log_replayed, log_live, "replay reproduces eviction order");
     let corpus_recovered = finish(&mut recovered);
-    let corpus_clean = reference_corpus("big-fleet-ref", cfg, &events);
+    let corpus_clean = reference_corpus("big-fleet-ref", cfg, &events, finish);
     assert_eq!(
         corpus_recovered, corpus_clean,
         "eviction and the crash must be invisible in the corpus bytes"
@@ -452,7 +451,7 @@ fn published_corpus_is_flush_worker_count_invariant() {
             threads,
             ..config()
         };
-        reference_corpus(&format!("threads-{threads}"), cfg, &f.events)
+        reference_corpus(&format!("threads-{threads}"), cfg, &f.events, finish)
     };
     let single = run(1);
     for threads in [2usize, 3, 7] {
@@ -477,8 +476,7 @@ fn durability_policy_changes_neither_journal_nor_corpus() {
             durability,
             ..config()
         };
-        let mut engine =
-            IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+        let mut engine = f.open(&dir, cfg).expect("open");
         for &(v, s) in &f.events {
             engine.push(v, s).expect("push");
         }
@@ -560,8 +558,7 @@ fn buffered_journal_stays_within_the_cap() {
     };
     let bound = (WRITE_CAP + MAX_FRAME_LEN as usize + 8) as u64;
     let dir = test_dir("cap-bound");
-    let mut engine =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+    let mut engine = f.open(&dir, cfg).expect("open");
     // Each shard takes a share of the vehicles; enough replicas that
     // even a 1-in-10 share passes the cap twice.
     for &(v, s) in &repeated_events(replicas_past(20 * WRITE_CAP)) {
@@ -648,14 +645,7 @@ fn seeded_fault_matrix_smoke() {
         for &delta in &deltas {
             let dir = test_dir(&format!("smoke-{k}-{delta}"));
             let faulty = FaultyIo::new(Vec::new());
-            let mut engine = IngestEngine::open_with_io(
-                &dir,
-                Arc::clone(&f.matcher),
-                f.press(),
-                cfg,
-                faulty.clone(),
-            )
-            .expect("open");
+            let mut engine = f.open_with_io(&dir, cfg, faulty.clone()).expect("open");
             faulty.arm(DiskFault {
                 at_op: faulty.ops() + delta,
                 kind,
@@ -716,8 +706,7 @@ fn seeded_fault_matrix_smoke() {
                 }
             }
             drop(engine);
-            let mut recovered = IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg)
-                .expect("recovery after one-shot fault");
+            let mut recovered = f.open(&dir, cfg).expect("recovery after one-shot fault");
             let _ = finish(&mut recovered);
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -736,9 +725,7 @@ fn disk_full_then_freed_resumes_ingest() {
     let cfg = config();
     let dir = test_dir("disk-full");
     let faulty = FaultyIo::new(Vec::new());
-    let mut engine =
-        IngestEngine::open_with_io(&dir, Arc::clone(&f.matcher), f.press(), cfg, faulty.clone())
-            .expect("open");
+    let mut engine = f.open_with_io(&dir, cfg, faulty.clone()).expect("open");
 
     let third = f.events.len() / 3;
     let mut journaled: Vec<Event> = Vec::new();
@@ -789,7 +776,7 @@ fn disk_full_then_freed_resumes_ingest() {
     }
     let corpus_live = finish(&mut engine);
     drop(engine);
-    let corpus_ref = reference_corpus("disk-full-ref", cfg, &journaled);
+    let corpus_ref = reference_corpus("disk-full-ref", cfg, &journaled, finish);
     assert_eq!(
         corpus_live, corpus_ref,
         "the published corpus must hold exactly the journaled fixes"
@@ -810,14 +797,7 @@ fn checkpoint_fault_after_the_manifest_rename_moves_the_engine_forward() {
     let open_half = |tag: &str| {
         let dir = test_dir(tag);
         let faulty = FaultyIo::new(Vec::new());
-        let mut engine = IngestEngine::open_with_io(
-            &dir,
-            Arc::clone(&f.matcher),
-            f.press(),
-            cfg,
-            faulty.clone(),
-        )
-        .expect("open");
+        let mut engine = f.open_with_io(&dir, cfg, faulty.clone()).expect("open");
         for &(v, s) in &f.events[..split] {
             engine.push(v, s).expect("push");
         }
@@ -855,38 +835,22 @@ fn checkpoint_fault_after_the_manifest_rename_moves_the_engine_forward() {
     engine.sync().expect("sync");
     drop(engine); // crash: no finalize, no checkpoint
 
-    let mut recovered =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+    let mut recovered = f.open(&dir, cfg).expect("recover");
     assert_eq!(recovered.generation(), 1);
     let corpus = finish(&mut recovered);
     assert_eq!(
         corpus,
-        reference_corpus("rename-ref", cfg, &f.events),
+        reference_corpus("rename-ref", cfg, &f.events, finish),
         "every journaled fix must survive the faulted checkpoint and the crash"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Pushes `events` through a fresh fault-free engine with `cfg` and
-/// returns the merged corpus bytes.
-fn merged_reference(tag: &str, cfg: IngestConfig, events: &[Event]) -> Vec<u8> {
-    let f = fleet();
-    let dir = test_dir(tag);
-    let mut engine =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open reference");
-    for &(v, s) in events {
-        engine.push(v, s).expect("reference push");
-    }
-    let merged = finish_merged(&mut engine);
-    let _ = std::fs::remove_dir_all(&dir);
-    merged
 }
 
 /// Single-shard merged corpus over the full fixture stream — the
 /// baseline every shard count must reproduce byte-for-byte.
 fn shard_invariance_baseline() -> &'static Vec<u8> {
     static BASE: OnceLock<Vec<u8>> = OnceLock::new();
-    BASE.get_or_init(|| merged_reference("shard-base", config(), &fleet().events))
+    BASE.get_or_init(|| reference_corpus("shard-base", config(), &fleet().events, finish_merged))
 }
 
 /// The published corpus is shard-count invariant: for every shard count
@@ -899,15 +863,13 @@ fn published_corpus_is_shard_count_invariant() {
     for &shards in &[2usize, 3, 7] {
         let cfg = IngestConfig { shards, ..config() };
         let dir = test_dir(&format!("shard-inv-{shards}"));
-        let mut engine =
-            IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+        let mut engine = f.open(&dir, cfg).expect("open");
         for &(v, s) in &f.events {
             engine.push(v, s).expect("push");
         }
         drop(engine); // crash: no finalize, no checkpoint
 
-        let mut recovered =
-            IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+        let mut recovered = f.open(&dir, cfg).expect("recover");
         assert_eq!(recovered.num_shards(), shards);
         let merged = finish_merged(&mut recovered);
         assert_eq!(
@@ -954,9 +916,9 @@ fn run_sharded_fault_cell(
     let cfg = IngestConfig { shards, ..config() };
     let dir = test_dir(&format!("scell-{tag}"));
     let faulty = FaultyIo::new(Vec::new());
-    let mut engine =
-        IngestEngine::open_with_io(&dir, Arc::clone(&f.matcher), f.press(), cfg, faulty.clone())
-            .expect("open with clean io");
+    let mut engine = f
+        .open_with_io(&dir, cfg, faulty.clone())
+        .expect("open with clean io");
     // Degrade exactly one shard: the fault fires only on operations
     // touching that shard's journal file (any generation).
     faulty.arm_scoped(
@@ -1027,7 +989,8 @@ fn run_sharded_fault_cell(
     let cut = lo + ((len - lo) as f64 * kill_frac).round() as u64;
     truncate_shard_wal(&dir, faulted as u32, cut).expect("truncate");
 
-    let mut recovered = IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg)
+    let mut recovered = f
+        .open(&dir, cfg)
         .expect("recovery must succeed on the real filesystem");
     let merged_a = finish_merged(&mut recovered);
 
@@ -1040,7 +1003,12 @@ fn run_sharded_fault_cell(
         .collect();
     // The reference deliberately runs at ONE shard: byte-identity here
     // proves isolation and shard-count invariance at once.
-    let merged_b = merged_reference(&format!("scell-ref-{tag}"), config(), &surviving);
+    let merged_b = reference_corpus(
+        &format!("scell-ref-{tag}"),
+        config(),
+        &surviving,
+        finish_merged,
+    );
     assert_eq!(
         merged_a, merged_b,
         "fault {kind:?} delta {delta} sticky {sticky} on shard {faulted}/{shards} cut {cut}: \
@@ -1108,9 +1076,7 @@ fn sticky_fault_on_one_shard_leaves_the_fleet_ingesting() {
     };
     let dir = test_dir("sticky-shard");
     let faulty = FaultyIo::new(Vec::new());
-    let mut engine =
-        IngestEngine::open_with_io(&dir, Arc::clone(&f.matcher), f.press(), cfg, faulty.clone())
-            .expect("open");
+    let mut engine = f.open_with_io(&dir, cfg, faulty.clone()).expect("open");
     let faulted = engine.shard_of(f.events[0].0);
     faulty.arm_scoped(
         &format!(".s{faulted}.wal"),
@@ -1178,7 +1144,7 @@ fn sticky_fault_on_one_shard_leaves_the_fleet_ingesting() {
     }
     let merged_live = finish_merged(&mut engine);
     drop(engine);
-    let merged_ref = merged_reference("sticky-shard-ref", config(), &journaled);
+    let merged_ref = reference_corpus("sticky-shard-ref", config(), &journaled, finish_merged);
     assert_eq!(
         merged_live, merged_ref,
         "the merged corpus must hold exactly the journaled fixes"
@@ -1202,9 +1168,7 @@ fn incremental_checkpoint_links_clean_shards_and_commits_atomically() {
     };
     let dir = test_dir("incr-ckpt");
     let faulty = FaultyIo::new(Vec::new());
-    let mut engine =
-        IngestEngine::open_with_io(&dir, Arc::clone(&f.matcher), f.press(), cfg, faulty.clone())
-            .expect("open");
+    let mut engine = f.open_with_io(&dir, cfg, faulty.clone()).expect("open");
     for &(v, s) in &f.events {
         engine.push(v, s).expect("push");
     }
@@ -1270,8 +1234,7 @@ fn incremental_checkpoint_links_clean_shards_and_commits_atomically() {
     }
     // The recovered engine serves the updated merged corpus.
     drop(engine);
-    let recovered =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+    let recovered = f.open(&dir, cfg).expect("recover");
     assert_eq!(recovered.generation(), gen2);
     recovered
         .merged_corpus_bytes()

@@ -53,7 +53,7 @@ fn run_clean(
     events: &[Event],
 ) -> (IngestEngine, Vec<(usize, u64)>) {
     let f = fleet();
-    let mut engine = IngestEngine::open(dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+    let mut engine = f.open(dir, cfg).expect("open");
     let mut acked = Vec::new();
     for (i, &(v, s)) in events.iter().enumerate() {
         if let Some(offset) = engine.push(v, s).expect("push").offset() {
@@ -132,8 +132,7 @@ fn assert_kill_recovers(tag: &str, cfg: IngestConfig, events: &[Event], cut: u64
     truncate_shard_wal(&dir_a, 0, cut).expect("truncate");
 
     let f = fleet();
-    let mut recovered =
-        IngestEngine::open(&dir_a, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+    let mut recovered = f.open(&dir_a, cfg).expect("recover");
     let report = *recovered.recovery();
     // Acked prefix: events whose frame survived the cut entirely.
     let survivors = acked.iter().take_while(|&&(_, off)| off <= cut).count();
@@ -258,8 +257,7 @@ fn buffered_frames_lost_to_a_process_crash_are_a_legal_cut() {
         "the file must end inside [durable {durable}, logical {logical}), not at {len}"
     );
 
-    let mut recovered =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+    let mut recovered = f.open(&dir, cfg).expect("recover");
     let report = *recovered.recovery();
     assert_eq!(report.torn_bytes, 0, "buffer writes land whole frames");
     let survivors = acked.iter().take_while(|&&(_, off)| off <= len).count();
@@ -291,8 +289,7 @@ fn torn_final_frame_is_recovered_not_fatal() {
     // Tear the last frame mid-payload (5 bytes short of complete).
     let cut = final_len - 5;
     truncate_shard_wal(&dir, 0, cut).expect("truncate");
-    let recovered =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config()).expect("recover");
+    let recovered = f.open(&dir, config()).expect("recover");
     let report = recovered.recovery();
     assert!(report.torn_bytes > 0, "torn tail must be detected");
     assert_eq!(report.replayed_points as usize, acked.len() - 1);
@@ -313,8 +310,7 @@ fn checkpoint_then_kill_keeps_published_corpus_and_tail() {
         ..config()
     };
     let dir_a = test_dir("ckpt-a");
-    let mut engine =
-        IngestEngine::open(&dir_a, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+    let mut engine = f.open(&dir_a, cfg).expect("open");
     let split = f.events.len() * 3 / 5;
     let mut acked: Vec<(usize, u64)> = Vec::new();
     for (i, &(v, s)) in f.events[..split].iter().enumerate() {
@@ -337,8 +333,7 @@ fn checkpoint_then_kill_keeps_published_corpus_and_tail() {
     let cut = base_len + (final_len - base_len) / 3;
     truncate_shard_wal(&dir_a, 0, cut).expect("truncate");
 
-    let mut recovered =
-        IngestEngine::open(&dir_a, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+    let mut recovered = f.open(&dir_a, cfg).expect("recover");
     assert!(
         recovered.recovery().corpus_trajectories > 0,
         "published corpus must survive the crash"
@@ -392,8 +387,7 @@ fn kill_inside_checkpoint_commit_window_recovers_equivalently() {
         ..config()
     };
     let dir = test_dir("ckpt-window");
-    let mut engine =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+    let mut engine = f.open(&dir, cfg).expect("open");
     let split = f.events.len() * 3 / 5;
     for &(v, s) in &f.events[..split] {
         engine.push(v, s).expect("push");
@@ -436,8 +430,7 @@ fn kill_inside_checkpoint_commit_window_recovers_equivalently() {
             let name = file.file_name().expect("file name");
             std::fs::copy(file, w.join(name)).expect("copy artifact");
         }
-        let mut recovered =
-            IngestEngine::open(&w, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+        let mut recovered = f.open(&w, cfg).expect("recover");
         for &(v, s) in &f.events[split..] {
             recovered.push(v, s).expect("push");
         }
@@ -460,7 +453,7 @@ fn missing_manifest_over_artifacts_is_a_typed_refusal() {
     let (engine, _) = run_clean(&dir, config(), &f.events[..20]);
     drop(engine);
     std::fs::remove_file(dir.join(press_serve::MANIFEST_FILE)).expect("remove manifest");
-    match IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config()) {
+    match f.open(&dir, config()) {
         Err(ServeError::Manifest(_)) => {}
         Err(other) => panic!("expected ServeError::Manifest, got {other:?}"),
         Ok(_) => panic!("artifacts without a manifest must refuse, not restart fresh"),
@@ -494,7 +487,7 @@ fn committed_generation_missing_an_artifact_is_a_typed_refusal() {
     }
     let finished = engine.finished();
     drop(engine);
-    let open = |d: &std::path::Path| IngestEngine::open(d, Arc::clone(&f.matcher), f.press(), cfg);
+    let open = |d: &std::path::Path| f.open(d, cfg);
     for (i, artifact) in artifacts.iter().enumerate() {
         let name = artifact.file_name().expect("file name");
         let w = test_dir(&format!("missing-artifact-{i}"));
@@ -540,8 +533,7 @@ fn committed_generation_missing_an_artifact_is_a_typed_refusal() {
 fn quarantine_log_keeps_the_most_recent_records() {
     let f = fleet();
     let dir = test_dir("quarantine-ring");
-    let mut engine =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config()).expect("open");
+    let mut engine = f.open(&dir, config()).expect("open");
     let good = f.events[0];
     engine.push(good.0, good.1).expect("push");
     // Out-of-order fixes past the cap, distinguishable by x: under
@@ -583,8 +575,7 @@ fn recovered_store_answers_queries_like_brute_force() {
     let final_len = engine.shard_wal_offset(0);
     drop(engine);
     truncate_shard_wal(&dir, 0, final_len * 2 / 3).expect("truncate");
-    let mut recovered =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+    let mut recovered = f.open(&dir, cfg).expect("recover");
     finish(&mut recovered);
 
     let store = TrajectoryStore::open_mapped(&recovered.shard_corpus_path(0)).expect("open");
@@ -695,7 +686,7 @@ proptest! {
         mangled.extend(trace.iter().map(|s| (1_000, GpsSample { t: s.t + lag, ..*s })));
         let dir = test_dir(&format!("shardmatrix-{seed}-{shards}"));
         let mut engine =
-            IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("open");
+            f.open(&dir, cfg).expect("open");
         // (event index, owning shard, ack offset) per journaled fix.
         let mut acked: Vec<(usize, usize, u64)> = Vec::new();
         for (i, &(v, s)) in mangled.iter().enumerate() {
@@ -712,7 +703,7 @@ proptest! {
         truncate_shard_wal(&dir, victim as u32, cut).expect("truncate");
 
         let mut recovered =
-            IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("recover");
+            f.open(&dir, cfg).expect("recover");
         let merged_a = finish_merged(&mut recovered);
 
         // Survivors: intact shards keep everything they acked; the
@@ -767,8 +758,7 @@ fn checkpoint_reopen_preserves_finished_and_segment_counters() {
         );
         drop(engine);
 
-        let mut reopened =
-            IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), cfg).expect("reopen");
+        let mut reopened = f.open(&dir, cfg).expect("reopen");
         assert_eq!(reopened.recovery().corpus_trajectories, finished.len());
         assert_eq!(reopened.finished(), finished);
         for &(v, s) in &f.events[split..] {
@@ -861,7 +851,7 @@ fn corpus_of_another_model_is_a_typed_refusal() {
         Err(e) => panic!("expected a typed model mismatch, got {e:?}"),
         Ok(_) => panic!("a corpus of another model must not be adopted"),
     }
-    IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config())
+    f.open(&dir, config())
         .expect("the writing model still recovers it");
     let _ = std::fs::remove_dir_all(&dir);
 }

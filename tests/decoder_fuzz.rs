@@ -1,32 +1,24 @@
 //! One structure-aware decoder fuzzer over every on-disk format of
-//! `docs/FORMATS.md`: the PRSSTORE container as the road network, the
-//! hub labels, the HSC model and the trajectory corpus (its records
-//! carrying gap runs) use it, the `ingest` sidecar of a checkpointed
-//! corpus, the PRESSWAL journal and the MANIFEST.
-//!
-//! A row is a small valid artifact, its public open and its oracle. The
-//! one driver, [`sweep`], makes every single-byte change (all 256 values
-//! on an artifact of at most [`SMALL`] bytes, [`fixed_values`] on a
-//! larger one) and every truncation, twice:
-//! - on the raw file, where a checksum must catch it: the typed error
-//!   names the region the change hit (a section's payload, the section
-//!   table, a header field), or the byte is one nothing reads and the
-//!   open answers as the clean artifact does;
-//! - inside each section with its CRC sealed again, so the change
-//!   reaches that section's own parser: a typed error, the clean answer
-//!   bit for bit, or — for bytes FORMATS.md guards with nothing but the
-//!   CRC — the row's bound.
-//!
-//! It is never a panic: a failing case names its format, its mode, the
-//! region, the offset and the value. Deterministic: fixed seeds, no
-//! random draws.
+//! `docs/FORMATS.md`: the PRSSTORE container as the road network, hub
+//! labels, HSC model, gap-run corpus and `ingest` sidecar use it, the
+//! PRESSWAL journal and the MANIFEST. A row is a small valid artifact,
+//! its public open and its oracle. The one driver, [`sweep`], makes
+//! every single-byte change (all 256 values up to [`SMALL`] bytes,
+//! [`fixed_values`] beyond) and every truncation, twice: on the raw
+//! file, where a checksum or header check must name the region hit (or
+//! nothing reads the byte and the open answers clean); and inside each
+//! section behind a re-sealed CRC, where the verdict is a typed error,
+//! the clean answer bit for bit, or — for bytes FORMATS.md guards with
+//! the CRC alone — the row's bound. Never a panic: a failing case names
+//! format, mode, region, offset and value. Deterministic: no random
+//! draws.
 
 use press::core::spatial::HscModel;
 use press::core::CompressedSpatial;
 use press::matcher::GpsSample;
 use press::prelude::*;
 use press::serve::manifest;
-use press::serve::wal::{Wal, WalError, WalRecord};
+use press::serve::wal::{Wal, WalError, WalRecord, MAX_FRAME_LEN};
 use press_store::{crc32, StoreError, StoreFile};
 use std::cell::Cell;
 use std::ops::Range;
@@ -478,26 +470,24 @@ fn corpus_decoder_fuzz() {
 
 #[test]
 fn journal_decoder_fuzz() {
-    let point = |tag: u8, vehicle, t| match tag {
-        1 => WalRecord::Point {
-            vehicle,
-            x: 10.0,
-            y: -0.5,
-            t,
-        },
-        _ => WalRecord::Resume {
-            vehicle,
-            x: 7.25,
-            y: 20.0,
-            t,
-        },
-    };
+    // Short frames mid-journal, and a 33-byte `Point` last: a damaged
+    // tag there leaves a tag-sized body that fits inside the frame.
     let records = [
         WalRecord::Clock { t: 3.0 },
-        point(1, 1, 30.0),
-        point(4, 2, 31.0),
-        WalRecord::Finalize { vehicle: 1 },
+        WalRecord::Resume {
+            vehicle: 2,
+            x: 7.25,
+            y: 20.0,
+            t: 31.0,
+        },
+        WalRecord::Finalize { vehicle: 2 },
         WalRecord::FinalizeAll,
+        WalRecord::Point {
+            vehicle: 1,
+            x: 10.0,
+            y: -0.5,
+            t: 30.0,
+        },
     ];
     let dir = scratch("wal");
     let (path, io) = (dir.join("ingest.wal"), press_store::io::real_io());
@@ -532,6 +522,15 @@ fn journal_decoder_fuzz() {
         ]
         .concat()
     };
+    // A raw change to the final frame is a torn tail, except a length
+    // field no torn frame has: 0, above `MAX_FRAME_LEN`, or shorter than
+    // the frame, which leaves bytes after it.
+    let final_len =
+        |bytes: &[u8]| u32::from_le_bytes(bytes[last..last + 4].try_into().expect("4 B"));
+    let torn_final = |c: &Case| {
+        let len = final_len(c.bytes);
+        c.at >= last + 4 || (len > final_len(&clean) && len <= MAX_FRAME_LEN)
+    };
     let check = |c: &Case| {
         std::fs::write(&path, c.bytes).expect("write");
         let replay = match Wal::open(&path, io.clone()) {
@@ -544,7 +543,8 @@ fn journal_decoder_fuzz() {
                     (false, "version") => matches!(e, WalError::UnsupportedVersion { .. }),
                     _ => matches!(e, WalError::Corrupt { .. }),
                 };
-                return assert!(named && (c.sealed || !c.cut), "refused with {e:?}");
+                let raw_torn = !c.sealed && (c.cut || (c.at >= last && torn_final(c)));
+                return assert!(named && !raw_torn, "refused with {e:?}");
             }
         };
         let on_disk = std::fs::metadata(&path).expect("meta").len();
@@ -564,11 +564,8 @@ fn journal_decoder_fuzz() {
             let whole = frames.iter().take_while(|f| f.range.end <= c.at).count();
             assert_eq!(got, &records[..whole]);
         } else if c.at >= last {
-            // Damage to the final frame is a torn tail, or nothing.
-            assert!(
-                got == records || got == &records[..records.len() - 1],
-                "{got:?}"
-            );
+            assert!(torn_final(c), "a malformed final frame replayed");
+            assert_eq!(got, &records[..records.len() - 1], "not a torn tail");
         } else {
             assert_eq!(got, records, "acked records dropped or changed");
         }
@@ -596,8 +593,11 @@ fn manifest_decoder_fuzz() {
         match manifest::read(&dir) {
             Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
             // Generation and shard count have no guard but the CRC.
+            // Magic and version (bytes 0..12) are checked, so only a
+            // re-sealed change to the fields after them can load.
             Ok(m) => {
-                assert!(c.sealed && !c.cut, "a damaged manifest read as {m:?}");
+                let unguarded = c.sealed && !c.cut && c.at >= 12;
+                assert!(unguarded, "a damaged manifest read as {m:?}");
                 let m = m.expect("a manifest is present");
                 let said = (field(c.bytes, 12..20), field(c.bytes, 20..24));
                 assert!(
