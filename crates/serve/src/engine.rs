@@ -84,12 +84,13 @@
 //! generation and shard count, then recovers every shard **in
 //! parallel** on the shared work-steal loop: load the shard's
 //! checkpointed corpus slice (`corpus.<gen>.s<k>.press`), apply every
-//! record of its journal through `ShardCore::apply`, truncate any torn
-//! tail. Artifacts from any other generation are uncommitted
-//! checkpoint leftovers and are garbage-collected. The rebuilt engine
-//! is in the same state a clean run would reach after pushing exactly
-//! the acked prefix of each shard — the recovery proptests assert the
-//! resulting corpora are byte-identical. Opening a directory with a
+//! record of its journal through `ShardCore::apply` as its frame is read
+//! from a mapping of the file, truncate any torn tail. Artifacts from
+//! any other generation are uncommitted checkpoint leftovers and are
+//! garbage-collected. The rebuilt engine is in the same state a clean
+//! run would reach after pushing exactly the acked prefix of each shard
+//! — the recovery proptests assert the resulting corpora are
+//! byte-identical. Opening a directory with a
 //! shard count other than the one its manifest commits is a typed
 //! [`ServeError::Config`] (resharding is not supported).
 //!
@@ -711,6 +712,10 @@ fn commit(policy: &DurabilityPolicy, batch: &mut Batch) -> (Result<()>, u64) {
     (outcome, retries)
 }
 
+/// Why a record live ingest applies cannot be refused: `ShardCore::apply`
+/// refuses only a `Resume`, which only a checkpoint's new journal holds.
+const LIVE_APPLY: &str = "live ingest journals no Resume";
+
 impl Shard {
     /// The catch-up rule: when the core's clock lags the global `clock`
     /// and either a read-ahead sweep cut sessions (`needs_clock`) or
@@ -736,11 +741,11 @@ impl Shard {
     ) -> Result<u64> {
         if let Some(frame) = tick {
             self.append(policy, &frame)?;
-            self.core.apply(&frame);
+            self.core.apply(&frame).expect(LIVE_APPLY);
         }
         self.needs_clock = false;
         let offset = self.append(policy, rec)?;
-        self.core.apply(rec);
+        self.core.apply(rec).expect(LIVE_APPLY);
         Ok(offset)
     }
 
@@ -886,9 +891,10 @@ fn load_shard_corpus(path: &Path, model: &HscModel) -> Result<ShardCorpus> {
 }
 
 /// Recovers shard `k` of a committed generation: its corpus slice, then
-/// every replayed journal record through [`ShardCore::apply`], the
-/// function live ingest applies them with. Returns the shard and its
-/// part of the [`RecoveryReport`].
+/// every journal record through [`ShardCore::apply`], the function live
+/// ingest applies them with, as [`Wal::open`] reads its frame. A record
+/// the core refuses is [`WalError::Corrupt`] at its frame. Returns the
+/// shard and its part of the [`RecoveryReport`].
 fn recover_shard(
     dir: &Path,
     config: &IngestConfig,
@@ -914,15 +920,16 @@ fn recover_shard(
         }
         load_shard_corpus(&corpus_path, model)?
     };
-    let (wal, replay) = Wal::open(&wal_path, io)?;
     let mut core = ShardCore::new(config, next_seg);
-    for rec in &replay.records {
-        core.apply(rec);
-    }
+    let mut replayed_finalizes = 0;
+    let (wal, replay) = Wal::open(&wal_path, io, |rec| {
+        replayed_finalizes += u64::from(rec.is_finalize());
+        core.apply(rec)
+    })?;
     let report = RecoveryReport {
         corpus_trajectories: corpus.len(),
         replayed_points: core.stats.points_accepted,
-        replayed_finalizes: replay.records.iter().filter(|r| r.is_finalize()).count() as u64,
+        replayed_finalizes,
         torn_bytes: replay.torn_bytes,
         wal_was_fresh: replay.fresh,
         sessions_rebuilt: core.sessions.len(),
@@ -1511,7 +1518,10 @@ impl IngestEngine {
             // durable; its clock is the `Clock` record it opens with.
             shard.wal = wal;
             shard.mark_durable(max_time);
-            shard.core.apply(&WalRecord::Clock { t: max_time });
+            shard
+                .core
+                .apply(&WalRecord::Clock { t: max_time })
+                .expect(LIVE_APPLY);
             shard.needs_clock = false;
             shard.dirty = false;
         }

@@ -21,6 +21,7 @@ use crate::session::{Disposition, Session};
 use crate::wal::WalRecord;
 use press_matcher::GpsSample;
 use press_network::Point;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// A finalized-but-unmatched segment awaiting the flush, already
@@ -42,6 +43,22 @@ fn time_key(t: f64) -> u64 {
     } else {
         bits | (1 << 63)
     }
+}
+
+/// The timestamp `key` was made from: the inverse of [`time_key`].
+fn key_time(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// A live session and the key of its idle-index entry.
+pub(crate) struct Live {
+    pub(crate) session: Session,
+    /// `time_key` of a time no later than the session's last fix.
+    idle_key: u64,
 }
 
 /// Per-shard budget share: `ceil(total / shards)`, `0` stays disabled.
@@ -67,9 +84,16 @@ pub(crate) struct ShardCore {
     next_arrival: u64,
     /// Points currently buffered across this shard's live sessions.
     pub(crate) buffered: usize,
-    pub(crate) sessions: HashMap<u64, Session>,
-    /// Sessions ordered by last-accepted timestamp: `(time_key(last.t),
-    /// vehicle)`. Exactly the sessions with `last.is_some()`.
+    pub(crate) sessions: HashMap<u64, Live>,
+    /// The idle index: one `(idle_key, vehicle)` entry per live session
+    /// (every live session has a last fix). A fix does not re-key its
+    /// session's entry, so a key may trail its session's last fix but
+    /// never runs ahead of it. So a first entry that is not idle proves
+    /// that no session is, and a first entry whose key is current is the
+    /// least `(last.t, vehicle)` of all sessions: the order a fully
+    /// re-keyed index would give. The sweep re-keys a trailing first
+    /// entry only when it looks idle; the eviction, which takes the
+    /// least session idle or not, whenever it trails.
     idle: BTreeSet<(u64, u64)>,
     /// Per-vehicle segment sequence counters — the `seg` component of
     /// the canonical merge key. Persisted in the corpus `ingest`
@@ -109,7 +133,7 @@ impl ShardCore {
     /// live). Pure.
     pub(crate) fn vet(&self, vehicle: u64, sample: &GpsSample) -> Disposition {
         match self.sessions.get(&vehicle) {
-            Some(sess) => sess.vet(&self.config.policy, sample),
+            Some(live) => live.session.vet(&self.config.policy, sample),
             None => Session::new(vehicle).vet(&self.config.policy, sample),
         }
     }
@@ -127,7 +151,12 @@ impl ShardCore {
     /// is idle on arrival — so between records no session is idle at
     /// the core's clock, and each record acts on the sessions a sweep at
     /// that clock leaves.
-    pub(crate) fn apply(&mut self, rec: &WalRecord) {
+    ///
+    /// Refuses, changing nothing, a `Resume` for a vehicle whose session
+    /// is live: a checkpoint writes one `Resume` per vehicle, before any
+    /// `Point`, so only a damaged journal whose CRCs still pass has one.
+    /// Live ingest journals no `Resume`.
+    pub(crate) fn apply(&mut self, rec: &WalRecord) -> Result<(), String> {
         match *rec {
             WalRecord::Point { vehicle, x, y, t } => {
                 let sample = GpsSample {
@@ -155,7 +184,10 @@ impl ShardCore {
                 let mut order: Vec<(u64, u64)> = self
                     .sessions
                     .values()
-                    .map(|s| (s.arrivals.first().copied().unwrap_or(u64::MAX), s.vehicle))
+                    .map(|l| {
+                        let s = &l.session;
+                        (s.arrivals.first().copied().unwrap_or(u64::MAX), s.vehicle)
+                    })
                     .collect();
                 order.sort_unstable();
                 for (_, vehicle) in order {
@@ -164,13 +196,19 @@ impl ShardCore {
                 }
             }
             WalRecord::Resume { vehicle, x, y, t } => {
-                let mut sess = Session::new(vehicle);
-                sess.last = Some(GpsSample {
+                let Entry::Vacant(slot) = self.sessions.entry(vehicle) else {
+                    return Err(format!(
+                        "a resume for vehicle {vehicle}, whose session is live"
+                    ));
+                };
+                let mut session = Session::new(vehicle);
+                session.last = Some(GpsSample {
                     point: Point::new(x, y),
                     t,
                 });
-                self.idle.insert((time_key(t), vehicle));
-                self.sessions.insert(vehicle, sess);
+                let idle_key = time_key(t);
+                self.idle.insert((idle_key, vehicle));
+                slot.insert(Live { session, idle_key });
             }
             WalRecord::Clock { t } => {
                 if t > self.clock {
@@ -179,23 +217,26 @@ impl ShardCore {
                 }
             }
         }
+        Ok(())
     }
 
     /// Buffers an accepted fix, then rolls the segment over at the size
     /// cap, advances the clock, sweeps, and enforces the memory budget.
+    /// Only a new session gets an idle entry; a live one keeps its key.
     fn accept(&mut self, vehicle: u64, sample: GpsSample) {
         self.stats.points_accepted += 1;
-        let sess = self
-            .sessions
-            .entry(vehicle)
-            .or_insert_with(|| Session::new(vehicle));
-        if let Some(prev) = sess.last {
-            self.idle.remove(&(time_key(prev.t), vehicle));
-        }
+        let sess = match self.sessions.entry(vehicle) {
+            Entry::Occupied(live) => &mut live.into_mut().session,
+            Entry::Vacant(slot) => {
+                let idle_key = time_key(sample.t);
+                self.idle.insert((idle_key, vehicle));
+                let session = Session::new(vehicle);
+                &mut slot.insert(Live { session, idle_key }).session
+            }
+        };
         sess.accept(sample, self.next_arrival);
         self.next_arrival += 1;
         self.buffered += 1;
-        self.idle.insert((time_key(sample.t), vehicle));
         if self.config.max_session_points > 0
             && sess.samples.len() >= self.config.max_session_points
         {
@@ -216,12 +257,12 @@ impl ShardCore {
     /// the live read-ahead. Returns the number of sessions closed.
     pub(crate) fn sweep_idle(&mut self, clock: f64) -> usize {
         let mut closed = 0;
-        while let Some(&(_, vehicle)) = self.idle.first() {
-            let last = self.sessions[&vehicle]
-                .last
-                .expect("idle-indexed session has a last fix");
-            if !self.is_idle(last.t, clock) {
+        while let Some(&(key, vehicle)) = self.idle.first() {
+            if !self.is_idle(key_time(key), clock) {
                 break;
+            }
+            if self.rekey_first(key, vehicle) {
+                continue;
             }
             self.close_session(vehicle);
             self.stats.segments_idle += 1;
@@ -244,11 +285,14 @@ impl ShardCore {
             if !(over_points || over_sessions) {
                 return;
             }
-            // Every live session has a last fix and is idle-indexed, so
-            // the loop always makes progress while anything is over.
-            let Some(&(_, vehicle)) = self.idle.first() else {
+            // Every live session is idle-indexed, so the loop always
+            // makes progress while anything is over.
+            let Some(&(key, vehicle)) = self.idle.first() else {
                 return;
             };
+            if self.rekey_first(key, vehicle) {
+                continue;
+            }
             self.close_session(vehicle);
             self.stats.sessions_evicted += 1;
             if self.evictions.len() == EVICTION_LOG_CAP {
@@ -258,16 +302,37 @@ impl ShardCore {
         }
     }
 
+    /// Re-keys the first idle entry, `(key, vehicle)`, to its session's
+    /// last fix when it trails it. Returns true when it did: the entry
+    /// moved, and another may be first now.
+    fn rekey_first(&mut self, key: u64, vehicle: u64) -> bool {
+        let live = self
+            .sessions
+            .get_mut(&vehicle)
+            .expect("an idle entry's session is live");
+        let last = live.session.last.expect("a live session has a last fix");
+        let current = time_key(last.t);
+        if current == key {
+            return false;
+        }
+        self.idle.pop_first();
+        self.idle.insert((current, vehicle));
+        live.idle_key = current;
+        true
+    }
+
     /// Removes `vehicle`'s session, queueing any buffered samples as a
     /// segment under the vehicle's next sequence number. Returns true
     /// when a session existed.
     fn close_session(&mut self, vehicle: u64) -> bool {
-        let Some(mut sess) = self.sessions.remove(&vehicle) else {
+        let Some(Live {
+            session: mut sess,
+            idle_key,
+        }) = self.sessions.remove(&vehicle)
+        else {
             return false;
         };
-        if let Some(last) = sess.last {
-            self.idle.remove(&(time_key(last.t), vehicle));
-        }
+        self.idle.remove(&(idle_key, vehicle));
         let samples = sess.take_segment();
         self.buffered -= samples.len();
         self.cut_segment(vehicle, samples);
@@ -300,6 +365,7 @@ impl ShardCore {
         let mut resumes: Vec<&Session> = self
             .sessions
             .values()
+            .map(|l| &l.session)
             .filter(|s| s.samples.is_empty() && s.last.is_some())
             .collect();
         resumes.sort_unstable_by_key(|s| s.vehicle);
@@ -313,7 +379,7 @@ impl ShardCore {
             });
         }
         let mut points: Vec<(u64, u64, GpsSample)> = Vec::new();
-        for sess in self.sessions.values() {
+        for sess in self.sessions.values().map(|l| &l.session) {
             for (&arrival, &sample) in sess.arrivals.iter().zip(&sess.samples) {
                 points.push((arrival, sess.vehicle, sample));
             }
@@ -333,5 +399,286 @@ impl ShardCore {
     /// Accepted points not yet in the corpus slice.
     pub(crate) fn in_flight_points(&self) -> usize {
         self.buffered + self.pending.iter().map(|p| p.samples.len()).sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::SessionPolicy;
+    use proptest::prelude::*;
+
+    /// The brute-force reference: the core's rules, with the live
+    /// sessions in a `Vec` and the least `(last.t, vehicle)` found by a
+    /// scan instead of an index.
+    struct Reference {
+        config: IngestConfig,
+        clock: f64,
+        next_arrival: u64,
+        buffered: usize,
+        sessions: Vec<Session>,
+        next_seg: HashMap<u64, u64>,
+        pending: Vec<PendingSegment>,
+        evictions: VecDeque<u64>,
+        stats: IngestStats,
+    }
+
+    impl Reference {
+        fn new(config: &IngestConfig) -> Reference {
+            Reference {
+                config: *config,
+                clock: f64::NEG_INFINITY,
+                next_arrival: 0,
+                buffered: 0,
+                sessions: Vec::new(),
+                next_seg: HashMap::new(),
+                pending: Vec::new(),
+                evictions: VecDeque::new(),
+                stats: IngestStats::default(),
+            }
+        }
+
+        fn apply(&mut self, rec: &WalRecord) -> Result<(), String> {
+            match *rec {
+                WalRecord::Point { vehicle, x, y, t } => {
+                    let point = Point::new(x, y);
+                    self.accept(vehicle, GpsSample { point, t });
+                }
+                WalRecord::Finalize { vehicle } => {
+                    if self.close(vehicle) {
+                        self.stats.segments_explicit += 1;
+                    }
+                }
+                WalRecord::FinalizeAll => {
+                    let mut order: Vec<(u64, u64)> = (self.sessions.iter())
+                        .map(|s| (s.arrivals.first().copied().unwrap_or(u64::MAX), s.vehicle))
+                        .collect();
+                    order.sort_unstable();
+                    for (_, vehicle) in order {
+                        self.close(vehicle);
+                        self.stats.segments_explicit += 1;
+                    }
+                }
+                WalRecord::Resume { vehicle, x, y, t } => {
+                    if self.sessions.iter().any(|s| s.vehicle == vehicle) {
+                        return Err("live".into());
+                    }
+                    let mut session = Session::new(vehicle);
+                    let point = Point::new(x, y);
+                    session.last = Some(GpsSample { point, t });
+                    self.sessions.push(session);
+                }
+                WalRecord::Clock { t } => {
+                    if t > self.clock {
+                        self.clock = t;
+                        self.sweep(t);
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn accept(&mut self, vehicle: u64, sample: GpsSample) {
+            self.stats.points_accepted += 1;
+            let i = match self.sessions.iter().position(|s| s.vehicle == vehicle) {
+                Some(i) => i,
+                None => {
+                    self.sessions.push(Session::new(vehicle));
+                    self.sessions.len() - 1
+                }
+            };
+            self.sessions[i].accept(sample, self.next_arrival);
+            self.next_arrival += 1;
+            self.buffered += 1;
+            let cap = self.config.max_session_points;
+            if cap > 0 && self.sessions[i].samples.len() >= cap {
+                let samples = self.sessions[i].take_segment();
+                self.buffered -= samples.len();
+                self.cut(vehicle, samples);
+                self.stats.segments_cap += 1;
+            }
+            self.clock = self.clock.max(sample.t);
+            self.sweep(self.clock);
+            let (points, sessions) = (self.config.max_buffered_points, self.config.max_sessions);
+            while (points > 0 && self.buffered > points)
+                || (sessions > 0 && self.sessions.len() > sessions)
+            {
+                let (_, vehicle) = self.least().expect("over budget with no session");
+                self.close(vehicle);
+                self.stats.sessions_evicted += 1;
+                if self.evictions.len() == EVICTION_LOG_CAP {
+                    self.evictions.pop_front();
+                }
+                self.evictions.push_back(vehicle);
+            }
+        }
+
+        /// The least `(last.t, vehicle)` of the live sessions, by a scan.
+        fn least(&self) -> Option<(f64, u64)> {
+            (self.sessions.iter())
+                .map(|s| (s.last.expect("a live session has a last fix").t, s.vehicle))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        }
+
+        fn sweep(&mut self, clock: f64) -> usize {
+            let timeout = self.config.idle_timeout;
+            let mut closed = 0;
+            while let Some((t, vehicle)) = self.least() {
+                if !(timeout > 0.0 && t + timeout < clock) {
+                    break;
+                }
+                self.close(vehicle);
+                self.stats.segments_idle += 1;
+                closed += 1;
+            }
+            closed
+        }
+
+        fn close(&mut self, vehicle: u64) -> bool {
+            let Some(i) = self.sessions.iter().position(|s| s.vehicle == vehicle) else {
+                return false;
+            };
+            let samples = self.sessions.remove(i).take_segment();
+            self.buffered -= samples.len();
+            self.cut(vehicle, samples);
+            true
+        }
+
+        fn cut(&mut self, vehicle: u64, samples: Vec<GpsSample>) {
+            if samples.is_empty() {
+                return;
+            }
+            let seg = self.next_seg.entry(vehicle).or_insert(0);
+            self.pending.push(PendingSegment {
+                vehicle,
+                seg: *seg,
+                samples,
+            });
+            *seg += 1;
+        }
+    }
+
+    type SessionView = (u64, Vec<GpsSample>, Vec<u64>, Option<GpsSample>);
+
+    fn sessions_of<'a>(sessions: impl Iterator<Item = &'a Session>) -> Vec<SessionView> {
+        let mut view: Vec<SessionView> = sessions
+            .map(|s| (s.vehicle, s.samples.clone(), s.arrivals.clone(), s.last))
+            .collect();
+        view.sort_unstable_by_key(|s| s.0);
+        view
+    }
+
+    fn pending_of(pending: &[PendingSegment]) -> Vec<(u64, u64, &[GpsSample])> {
+        (pending.iter())
+            .map(|p| (p.vehicle, p.seg, &p.samples[..]))
+            .collect()
+    }
+
+    /// The core and the reference agree on everything a record can
+    /// change, and every idle entry is its session's and no later than
+    /// its last fix.
+    fn agree(core: &ShardCore, reference: &Reference) -> Result<(), TestCaseError> {
+        prop_assert_eq!(pending_of(&core.pending), pending_of(&reference.pending));
+        prop_assert_eq!(&core.evictions, &reference.evictions);
+        prop_assert_eq!(core.stats, reference.stats);
+        prop_assert_eq!(core.buffered, reference.buffered);
+        prop_assert_eq!(core.clock.to_bits(), reference.clock.to_bits());
+        prop_assert_eq!(
+            sessions_of(core.sessions.values().map(|l| &l.session)),
+            sessions_of(reference.sessions.iter())
+        );
+        prop_assert_eq!(core.idle.len(), core.sessions.len());
+        for &(key, vehicle) in &core.idle {
+            let live = &core.sessions[&vehicle];
+            let last = live.session.last.expect("a live session has a last fix");
+            prop_assert_eq!(live.idle_key, key);
+            prop_assert!(
+                key_time(key) <= last.t,
+                "vehicle {vehicle}'s idle key {} runs ahead of its last fix {}",
+                key_time(key),
+                last.t
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn key_time_inverts_time_key() {
+        for t in [
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            1e-300,
+            2.25,
+            1e300,
+            f64::INFINITY,
+        ] {
+            assert_eq!(key_time(time_key(t)).to_bits(), t.to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random journals through the core and the brute-force
+        /// reference: interleaved vehicles, late fixes, `Clock` jumps
+        /// past the idle timeout, finalizes, resumes, size-cap rollovers,
+        /// memory budgets of 1–3 and the live read-ahead sweep.
+        #[test]
+        fn idle_index_equals_a_brute_force_scan(
+            limits in (0usize..4, 0usize..4, 0usize..4, 0usize..4),
+            ops in proptest::collection::vec((0u8..10, 0u64..5, 0.0f64..1.0), 1..160),
+        ) {
+            let (timeout, cap, points, sessions) = limits;
+            let config = IngestConfig {
+                policy: SessionPolicy { max_speed_m_s: 0.0 },
+                idle_timeout: [0.0, 5.0, 10.0, 30.0][timeout],
+                max_session_points: cap,
+                max_buffered_points: points,
+                max_sessions: sessions,
+                shards: 1,
+                ..IngestConfig::default()
+            };
+            let mut core = ShardCore::new(&config, HashMap::new());
+            let mut reference = Reference::new(&config);
+            for (step, &(kind, vehicle, f)) in ops.iter().enumerate() {
+                let clock = if core.clock.is_finite() { core.clock } else { 0.0 };
+                let last = core.sessions.get(&vehicle).and_then(|l| l.session.last).map(|s| s.t);
+                let at = |t: f64| WalRecord::Point { vehicle, x: t, y: vehicle as f64, t };
+                let rec = match kind {
+                    0 | 1 | 9 => at(clock.max(last.unwrap_or(clock)) + 4.0 * f),
+                    // Late: behind the clock, so possibly idle on arrival.
+                    2 => at(last.unwrap_or(clock - 40.0) + 8.0 * f),
+                    3 => at(clock.max(last.unwrap_or(clock)) + 40.0 * f),
+                    4 => WalRecord::Clock { t: clock + 60.0 * f },
+                    5 => WalRecord::Finalize { vehicle },
+                    6 => {
+                        // The live read-ahead at a global clock; the engine
+                        // journals that clock when the sweep closed any.
+                        let global = clock + 60.0 * f;
+                        let closed = core.sweep_idle(global);
+                        prop_assert_eq!(closed, reference.sweep(global), "step {}", step);
+                        agree(&core, &reference)?;
+                        if closed == 0 || global <= core.clock {
+                            continue;
+                        }
+                        WalRecord::Clock { t: global }
+                    }
+                    7 => WalRecord::Resume { vehicle, x: 0.0, y: 0.0, t: last.unwrap_or(clock) - 5.0 * f },
+                    _ if f < 0.3 => WalRecord::FinalizeAll,
+                    _ => at(clock.max(last.unwrap_or(clock)) + f),
+                };
+                if let WalRecord::Point { x, y, t, .. } = rec {
+                    let sample = GpsSample { point: Point::new(x, y), t };
+                    if core.vet(vehicle, &sample) != Disposition::Accept {
+                        continue;
+                    }
+                }
+                let (got, want) = (core.apply(&rec), reference.apply(&rec));
+                prop_assert_eq!(got.is_err(), want.is_err(), "step {}: {:?}", step, rec);
+                agree(&core, &reference)?;
+            }
+        }
     }
 }

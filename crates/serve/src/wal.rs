@@ -35,7 +35,8 @@
 //!   crash before the buffer write loses it, and everything after it:
 //!   the journal is cut at a frame boundary, which recovery replays
 //!   like any other cut.
-//! * [`Wal::open`] replays every complete, CRC-valid frame in order.
+//! * [`Wal::open`] replays every complete, CRC-valid frame in order,
+//!   one at a time, from a read-only mapping of the file.
 //! * A **torn tail** — an incomplete frame at EOF, or a final frame whose
 //!   checksum fails — is the signature of a mid-write crash: it is
 //!   truncated away and reported ([`WalReplay::torn_bytes`]), never an
@@ -235,11 +236,10 @@ impl WalRecord {
     }
 }
 
-/// What [`Wal::open`] found and did.
+/// What [`Wal::open`] found and did; the records themselves went to
+/// its `apply`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WalReplay {
-    /// Every acked record, in journal order.
-    pub records: Vec<WalRecord>,
     /// Bytes discarded from the torn tail (0 on a clean shutdown).
     pub torn_bytes: u64,
     /// Journal length after truncation (where appends resume).
@@ -376,27 +376,112 @@ fn put_frame(buf: &mut Vec<u8>, rec: &WalRecord) {
     buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// Reads the frames after the header of `bytes`, a whole journal, in
+/// order, handing each CRC-checked record to `apply`. Returns where the
+/// valid frames end and the torn-tail length. See the module docs for
+/// the torn-tail-vs-corruption rule; a record `apply` refuses is
+/// `Corrupt` at its frame, wherever that frame sits.
+fn replay_frames(
+    bytes: &[u8],
+    apply: &mut impl FnMut(&WalRecord) -> std::result::Result<(), String>,
+) -> Result<(u64, u64)> {
+    let mut off = WAL_HEADER_LEN as usize;
+    let mut torn_bytes = 0u64;
+    while off < bytes.len() {
+        let rem = bytes.len() - off;
+        if rem < 8 {
+            torn_bytes = rem as u64;
+            break;
+        }
+        let len = u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]]);
+        let crc = u32::from_le_bytes([
+            bytes[off + 4],
+            bytes[off + 5],
+            bytes[off + 6],
+            bytes[off + 7],
+        ]);
+        let corrupt = |detail: String| WalError::Corrupt {
+            offset: off as u64,
+            detail,
+        };
+        if len == 0 || len > MAX_FRAME_LEN {
+            // Frames are single-write, so a partial frame is a strict
+            // prefix; a *complete* length field this wrong is damage.
+            return Err(corrupt(format!("impossible frame length {len}")));
+        }
+        // A torn frame is a prefix of a whole one, so its length is its
+        // tag's. A length that disagrees, on a frame whose tag-sized body
+        // fits with more journal after it and passes the frame's CRC, is
+        // a damaged length field in front of acked records — whether it
+        // reaches past EOF or exactly to it. A body that fails the CRC is
+        // a damaged tag or payload, judged below like any other checksum
+        // failure.
+        let tagged = bytes
+            .get(off + 8)
+            .and_then(|&tag| WalRecord::payload_len(tag));
+        let damaged_len = |want: u32| {
+            let end = off + 8 + want as usize;
+            want != len && end < bytes.len() && crc32(&bytes[off + 8..end]) == crc
+        };
+        if let Some(want) = tagged.filter(|&want| damaged_len(want)) {
+            return Err(corrupt(format!(
+                "frame length {len} but its tag's record is {want} bytes"
+            )));
+        }
+        let frame_len = 8 + len as usize;
+        if rem < frame_len {
+            torn_bytes = rem as u64;
+            break;
+        }
+        let payload = &bytes[off + 8..off + frame_len];
+        if crc32(payload) != crc {
+            if off + frame_len == bytes.len() {
+                // Torn final frame: all bytes present but the write was
+                // interrupted before they were all durable.
+                torn_bytes = frame_len as u64;
+                break;
+            }
+            return Err(corrupt("checksum mismatch mid-journal".into()));
+        }
+        WalRecord::decode(payload)
+            .and_then(|rec| apply(&rec))
+            .map_err(corrupt)?;
+        off += frame_len;
+    }
+    Ok((off as u64, torn_bytes))
+}
+
 impl Wal {
-    /// Opens (or creates) the journal at `path`, replaying acked records
-    /// and truncating any torn tail. See the module docs for the exact
+    /// Opens (or creates) the journal at `path`, handing every acked
+    /// record to `apply` in journal order as its frame is read, and
+    /// truncating any torn tail. The journal is read through a
+    /// read-only mapping ([`press_store::map_file`]), dropped before any
+    /// truncation; no record outlives its call. A record `apply` refuses
+    /// (an `Err` carrying why) makes the open a [`WalError::Corrupt`] at
+    /// that frame. See the module docs for the exact
     /// torn-tail-vs-corruption rule. Every write goes through `io` (the
     /// real filesystem in production, a fault injector in tests); reads
     /// are always direct — the fault surface is the write side.
-    pub fn open(path: &Path, io: Arc<dyn IoBackend>) -> Result<(Wal, WalReplay)> {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+    pub fn open(
+        path: &Path,
+        io: Arc<dyn IoBackend>,
+        mut apply: impl FnMut(&WalRecord) -> std::result::Result<(), String>,
+    ) -> Result<(Wal, WalReplay)> {
+        let map = match press_store::map_file(path) {
+            Ok(map) => Some(map),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
         };
+        let bytes = map.as_ref().map_or(&[][..], |m| m.bytes());
         // Shorter than the header: either a fresh journal or a crash
         // during creation (header prefix). Both re-initialize.
         if (bytes.len() as u64) < WAL_HEADER_LEN {
             let replay = WalReplay {
-                records: Vec::new(),
                 torn_bytes: bytes.len() as u64,
                 valid_len: WAL_HEADER_LEN,
                 fresh: bytes.is_empty(),
             };
+            drop(map);
             return Ok((Self::create(path, &[], io)?, replay));
         }
         if bytes[..8] != WAL_MAGIC {
@@ -409,77 +494,9 @@ impl Wal {
                 supported: WAL_VERSION,
             });
         }
-        let mut records = Vec::new();
-        let mut off = WAL_HEADER_LEN as usize;
-        let mut torn_bytes = 0u64;
-        while off < bytes.len() {
-            let rem = bytes.len() - off;
-            if rem < 8 {
-                torn_bytes = rem as u64;
-                break;
-            }
-            let len =
-                u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]]);
-            let crc = u32::from_le_bytes([
-                bytes[off + 4],
-                bytes[off + 5],
-                bytes[off + 6],
-                bytes[off + 7],
-            ]);
-            if len == 0 || len > MAX_FRAME_LEN {
-                // Frames are single-write, so a partial frame is a strict
-                // prefix; a *complete* length field this wrong is damage.
-                return Err(WalError::Corrupt {
-                    offset: off as u64,
-                    detail: format!("impossible frame length {len}"),
-                });
-            }
-            // A torn frame is a prefix of a whole one, so its length is
-            // its tag's. A length that disagrees, on a frame whose
-            // tag-sized body fits with more journal after it and passes
-            // the frame's CRC, is a damaged length field in front of
-            // acked records — whether it reaches past EOF or exactly to
-            // it. A body that fails the CRC is a damaged tag or payload,
-            // judged below like any other checksum failure.
-            let tagged = bytes
-                .get(off + 8)
-                .and_then(|&tag| WalRecord::payload_len(tag));
-            let damaged_len = |want: u32| {
-                let end = off + 8 + want as usize;
-                want != len && end < bytes.len() && crc32(&bytes[off + 8..end]) == crc
-            };
-            if let Some(want) = tagged.filter(|&want| damaged_len(want)) {
-                return Err(WalError::Corrupt {
-                    offset: off as u64,
-                    detail: format!("frame length {len} but its tag's record is {want} bytes"),
-                });
-            }
-            let frame_len = 8 + len as usize;
-            if rem < frame_len {
-                torn_bytes = rem as u64;
-                break;
-            }
-            let payload = &bytes[off + 8..off + frame_len];
-            if crc32(payload) != crc {
-                if off + frame_len == bytes.len() {
-                    // Torn final frame: all bytes present but the write
-                    // was interrupted before they were all durable.
-                    torn_bytes = frame_len as u64;
-                    break;
-                }
-                return Err(WalError::Corrupt {
-                    offset: off as u64,
-                    detail: "checksum mismatch mid-journal".into(),
-                });
-            }
-            let rec = WalRecord::decode(payload).map_err(|detail| WalError::Corrupt {
-                offset: off as u64,
-                detail,
-            })?;
-            records.push(rec);
-            off += frame_len;
-        }
-        let valid_len = off as u64;
+        let (valid_len, torn_bytes) = replay_frames(bytes, &mut apply)?;
+        // Unmapped before the file can shrink under the mapping.
+        drop(map);
         let mut file = io.open_rw(path)?;
         if torn_bytes > 0 {
             // Same fsync discipline as `atomic_write_file`: truncation
@@ -493,7 +510,6 @@ impl Wal {
         Ok((
             Wal::new(io, file, path, valid_len),
             WalReplay {
-                records,
                 torn_bytes,
                 valid_len,
                 fresh: false,
@@ -662,6 +678,17 @@ mod tests {
         dir
     }
 
+    /// Opens the journal at `path`, collecting the records it replays.
+    fn open_collect(path: &Path, io: Arc<dyn IoBackend>) -> (Wal, WalReplay, Vec<WalRecord>) {
+        let mut records = Vec::new();
+        let (wal, replay) = Wal::open(path, io, |rec| {
+            records.push(*rec);
+            Ok(())
+        })
+        .expect("open");
+        (wal, replay, records)
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Clock { t: 12.5 },
@@ -694,9 +721,9 @@ mod tests {
         let path = dir.join("ingest.wal");
         let recs = sample_records();
         {
-            let (mut wal, replay) = Wal::open(&path, store_io::real_io()).expect("create");
+            let (mut wal, replay, records) = open_collect(&path, store_io::real_io());
             assert!(replay.fresh);
-            assert!(replay.records.is_empty());
+            assert!(records.is_empty());
             let mut last = WAL_HEADER_LEN;
             for r in &recs {
                 let off = wal.append(r).expect("append");
@@ -705,10 +732,10 @@ mod tests {
             }
             wal.sync().expect("sync");
         }
-        let (wal, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
+        let (wal, replay, records) = open_collect(&path, store_io::real_io());
         assert!(!replay.fresh);
         assert_eq!(replay.torn_bytes, 0);
-        assert_eq!(replay.records, recs);
+        assert_eq!(records, recs);
         assert_eq!(wal.offset(), replay.valid_len);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -733,19 +760,19 @@ mod tests {
         assert!(post > WAL_HEADER_LEN);
         // Until a sync (or a drop) writes it, the appended frame is
         // only buffered: the file holds exactly what `create` wrote.
-        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
-        assert_eq!(replay.records, kept);
+        let (_, _, records) = open_collect(&path, store_io::real_io());
+        assert_eq!(records, kept);
         wal.sync().expect("sync");
-        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
-        assert_eq!(replay.records.len(), 3);
-        assert_eq!(replay.records[..2], kept[..]);
-        assert_eq!(replay.records[2], WalRecord::Finalize { vehicle: 7 });
+        let (_, _, records) = open_collect(&path, store_io::real_io());
+        assert_eq!(records.len(), 3);
+        assert_eq!(records[..2], kept[..]);
+        assert_eq!(records[2], WalRecord::Finalize { vehicle: 7 });
         drop(wal);
         // Overwrites whatever was there before.
         let wal2 = Wal::create(&path, &kept[..1], store_io::real_io()).expect("recreate");
         drop(wal2);
-        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
-        assert_eq!(replay.records, kept[..1]);
+        let (_, _, records) = open_collect(&path, store_io::real_io());
+        assert_eq!(records, kept[..1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -781,7 +808,7 @@ mod tests {
         let dir = tmp_dir("fault-append");
         let path = dir.join("ingest.wal");
         let io = FaultyIo::new(Vec::new());
-        let (mut wal, _) = Wal::open(&path, io.clone()).expect("create");
+        let (mut wal, _, _) = open_collect(&path, io.clone());
         let next = WalRecord::Finalize { vehicle: 1 };
         let mut acked = fill_to_cap(&mut wal, WAL_HEADER_LEN, &next);
         let ok_off = wal.offset();
@@ -809,9 +836,9 @@ mod tests {
         assert_eq!(file_len(&path), off2, "the cap write emptied the buffer");
         acked.push(next);
         drop(wal);
-        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
+        let (_, replay, records) = open_collect(&path, store_io::real_io());
         assert_eq!(replay.torn_bytes, 0, "repair removed the partial frame");
-        assert_eq!(replay.records, acked);
+        assert_eq!(records, acked);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -821,7 +848,7 @@ mod tests {
         let dir = tmp_dir("fault-repair-sync");
         let path = dir.join("ingest.wal");
         let io = FaultyIo::new(Vec::new());
-        let (mut wal, _) = Wal::open(&path, io.clone()).expect("create");
+        let (mut wal, _, _) = open_collect(&path, io.clone());
         let ok_off = wal
             .append(&WalRecord::Point {
                 vehicle: 1,
@@ -862,10 +889,10 @@ mod tests {
         wal.sync().expect("sync");
         assert_eq!(file_len(&path), off2);
         drop(wal);
-        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
+        let (_, replay, records) = open_collect(&path, store_io::real_io());
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(
-            replay.records,
+            records,
             vec![
                 WalRecord::Point {
                     vehicle: 1,
@@ -885,7 +912,7 @@ mod tests {
         let dir = tmp_dir("fault-eio");
         let path = dir.join("ingest.wal");
         let io = FaultyIo::new(Vec::new());
-        let (mut wal, _) = Wal::open(&path, io.clone()).expect("create");
+        let (mut wal, _, _) = open_collect(&path, io.clone());
         let eio = |io: &FaultyIo, kind| {
             io.arm(DiskFault {
                 at_op: io.ops(),
@@ -914,8 +941,8 @@ mod tests {
         assert!(matches!(wal.sync(), Err(WalError::Io(_))));
         wal.sync().expect("sync retry");
         drop(wal);
-        let (_, replay) = Wal::open(&path, store_io::real_io()).expect("reopen");
-        assert_eq!(replay.records, acked);
+        let (_, _, records) = open_collect(&path, store_io::real_io());
+        assert_eq!(records, acked);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

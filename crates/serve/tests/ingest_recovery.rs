@@ -18,7 +18,7 @@ use press_serve::engine::QUARANTINE_LOG_CAP;
 use press_serve::wal::WAL_HEADER_LEN;
 use press_serve::{
     shard_wal_len, truncate_shard_wal, Ack, DurabilityPolicy, Event, FaultPlan, IngestConfig,
-    IngestEngine, RealIo, ServeError, SessionPolicy,
+    IngestEngine, RealIo, ServeError, SessionPolicy, Wal, WalError, WalRecord,
 };
 use press_workload::{Workload, WorkloadConfig};
 use proptest::prelude::*;
@@ -108,15 +108,13 @@ fn clean_ingest_equals_the_offline_pipeline() {
     assert_eq!(store.len(), expected.len());
     assert_eq!(store.decode_all().expect("decode"), expected);
     // After checkpoint the WAL holds no points (all published).
-    let (_, replay) =
-        press_serve::Wal::open(&engine.shard_wal_path(0), Arc::new(RealIo)).expect("wal");
-    assert!(
-        !replay
-            .records
-            .iter()
-            .any(|r| matches!(r, press_serve::WalRecord::Point { .. })),
-        "checkpoint should leave no in-flight points"
-    );
+    let mut points = 0;
+    Wal::open(&engine.shard_wal_path(0), Arc::new(RealIo), |r| {
+        points += usize::from(matches!(r, WalRecord::Point { .. }));
+        Ok(())
+    })
+    .expect("wal");
+    assert_eq!(points, 0, "checkpoint should leave no in-flight points");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -298,6 +296,42 @@ fn torn_final_frame_is_recovered_not_fatal() {
         acked.len() - 1,
         "all surviving points still in flight (no checkpoint yet)"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint writes one `Resume` per vehicle, before any `Point`, so
+/// a second `Resume` for a live vehicle is damage its CRC did not catch.
+/// Recovery refuses it as corruption at that frame, not a panic in the
+/// next idle sweep.
+#[test]
+fn a_resume_for_a_live_session_is_corrupt_at_its_frame() {
+    let f = fleet();
+    let dir = test_dir("resume-live");
+    let cfg = IngestConfig {
+        idle_timeout: 10.0,
+        ..config()
+    };
+    let wal = f.open(&dir, cfg).expect("fresh").shard_wal_path(0);
+    let resume = |t| WalRecord::Resume {
+        vehicle: 7,
+        x: 0.0,
+        y: 0.0,
+        t,
+    };
+    let records = [
+        WalRecord::Clock { t: 0.0 },
+        resume(1.0),
+        resume(2.0),
+        WalRecord::Clock { t: 100.0 },
+    ];
+    drop(Wal::create(&wal, &records[..2], Arc::new(RealIo)).expect("journal"));
+    let second = std::fs::metadata(&wal).expect("journal").len();
+    drop(Wal::create(&wal, &records, Arc::new(RealIo)).expect("journal"));
+    match f.open(&dir, cfg) {
+        Err(ServeError::Wal(WalError::Corrupt { offset, .. })) => assert_eq!(offset, second),
+        Err(e) => panic!("expected Corrupt at byte {second}, got {e:?}"),
+        Ok(_) => panic!("a second resume for a live session recovered"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -533,7 +533,12 @@ fn journal_decoder_fuzz() {
     };
     let check = |c: &Case| {
         std::fs::write(&path, c.bytes).expect("write");
-        let replay = match Wal::open(&path, io.clone()) {
+        let mut got = Vec::new();
+        let replay = Wal::open(&path, io.clone(), |rec| {
+            got.push(*rec);
+            Ok(())
+        });
+        let replay = match replay {
             Ok((_, replay)) => replay,
             // A cut is a torn tail, never an error; a raw change names
             // the header field it hit, or is corruption of a frame.
@@ -549,7 +554,7 @@ fn journal_decoder_fuzz() {
         };
         let on_disk = std::fs::metadata(&path).expect("meta").len();
         assert_eq!(on_disk, replay.valid_len, "torn bytes left behind");
-        let got = &replay.records[..];
+        let got = &got[..];
         if c.sealed {
             // A re-sealed payload that decodes changes its own record, and
             // only that: record values have no guard but the CRC.
