@@ -581,20 +581,9 @@ impl TrajectoryStore {
         trajectories: &[CompressedTrajectory],
         block_size: usize,
     ) -> Result<()> {
-        Self::create_with(&press_store::RealIo, path, engine, trajectories, block_size)
-    }
-
-    /// [`TrajectoryStore::create`] through an explicit
-    /// [`press_store::IoBackend`], so disk faults are injectable.
-    pub fn create_with(
-        io: &dyn press_store::IoBackend,
-        path: &Path,
-        engine: &QueryEngine<'_>,
-        trajectories: &[CompressedTrajectory],
-        block_size: usize,
-    ) -> Result<()> {
         let bytes = Self::to_store_bytes(engine, trajectories, block_size)?;
-        press_store::atomic_write_file(io, path, &bytes).map_err(StoreError::from)?;
+        press_store::atomic_write_file(&press_store::RealIo, path, &bytes)
+            .map_err(StoreError::from)?;
         Ok(())
     }
 

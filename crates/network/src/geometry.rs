@@ -28,14 +28,6 @@ impl Point {
         (self.x - other.x).hypot(self.y - other.y)
     }
 
-    /// Squared Euclidean distance (avoids the `sqrt` when only comparing).
-    #[inline]
-    pub fn dist_sq(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
     /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
     #[inline]
     pub fn lerp(&self, other: &Point, t: f64) -> Point {
@@ -185,15 +177,6 @@ impl Mbr {
         }
     }
 
-    /// The bounding rectangle of a set of points.
-    pub fn of_points(points: &[Point]) -> Self {
-        let mut mbr = Mbr::empty();
-        for p in points {
-            mbr.expand_point(p);
-        }
-        mbr
-    }
-
     /// A rectangle from explicit corners; panics if min > max.
     pub fn new(min_x: f64, min_y: f64, max_x: f64, max_y: f64) -> Self {
         assert!(min_x <= max_x && min_y <= max_y, "inverted MBR corners");
@@ -329,7 +312,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
         assert!((a.dist(&b) - 5.0).abs() < 1e-12);
-        assert!((a.dist_sq(&b) - 25.0).abs() < 1e-12);
     }
 
     #[test]
@@ -570,23 +552,6 @@ mod prop_tests {
                 let q = a.lerp(&b, k as f64 / 10.0);
                 prop_assert!(proj.dist <= p.dist(&q) + 1e-9);
             }
-        }
-
-        #[test]
-        fn mbr_of_points_contains_them_and_is_minimal(
-            pts in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..20)
-        ) {
-            let points: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-            let mbr = Mbr::of_points(&points);
-            for p in &points {
-                prop_assert!(mbr.contains(p));
-            }
-            // Minimality: every face touches some point.
-            let eps = 1e-9;
-            prop_assert!(points.iter().any(|p| (p.x - mbr.min_x).abs() < eps));
-            prop_assert!(points.iter().any(|p| (p.x - mbr.max_x).abs() < eps));
-            prop_assert!(points.iter().any(|p| (p.y - mbr.min_y).abs() < eps));
-            prop_assert!(points.iter().any(|p| (p.y - mbr.max_y).abs() < eps));
         }
 
         /// The bounding-box reject in `intersects_segment` only drops

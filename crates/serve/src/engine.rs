@@ -1515,7 +1515,7 @@ impl IngestEngine {
         self.generation = next;
         for (shard, wal) in self.shards.iter_mut().zip(new_wals) {
             // `Wal::create` synced the new journal, so all of it is
-            // durable; its clock is the `Clock` record it opens with.
+            // durable; its clock is the `Clock` record it ends with.
             shard.wal = wal;
             shard.mark_durable(max_time);
             shard

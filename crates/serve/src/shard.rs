@@ -354,14 +354,16 @@ impl ShardCore {
         *seg += 1;
     }
 
-    /// The rebuilt journal for the next generation: clock, resumes
-    /// (sessions whose state is only the last fix), then buffered
-    /// points in arrival order.
+    /// The rebuilt journal for the next generation: resumes (sessions
+    /// whose state is only the last fix), buffered points in arrival
+    /// order, then the clock. The clock goes last. Points replayed after
+    /// it would meet a clock that can be past a session's first fix by
+    /// more than the idle timeout, and cut that fix alone where live
+    /// ingest kept it with the rest. Replayed first, the points rebuild
+    /// each session at clocks no later than live ingest's, and the
+    /// clock then sweeps what the checkpoint's own `Clock` sweeps live.
     pub(crate) fn checkpoint_records(&self, clock: f64) -> Vec<WalRecord> {
         let mut records = Vec::new();
-        if clock.is_finite() {
-            records.push(WalRecord::Clock { t: clock });
-        }
         let mut resumes: Vec<&Session> = self
             .sessions
             .values()
@@ -392,6 +394,9 @@ impl ShardCore {
                 y: sample.point.y,
                 t: sample.t,
             });
+        }
+        if clock.is_finite() {
+            records.push(WalRecord::Clock { t: clock });
         }
         records
     }

@@ -1,18 +1,24 @@
-//! Disk-fault injection tests for the ingest engine.
+//! Crash and disk-fault tests for the ingest engine.
 //!
-//! The central matrix: an arbitrary seeded disk fault (ENOSPC / EIO /
-//! short write / fsync failure, one-shot or sticky, at any operation
-//! index) composed with a kill at any legitimate power-loss offset.
-//! Under every combination the engine must fail *typed* — never panic,
-//! never silently drop — and the recovered corpus must be
-//! byte-identical to a clean run over exactly the journaled-surviving
-//! subsequence of the stream.
+//! The central property, [`any_crash_cell_recovers_the_surviving_acks`],
+//! draws cells for one driver, [`run_cell`]. A cell is a config and a
+//! stream (clean, or mangled with a late uploader), a shard count, an
+//! optional disk fault (ENOSPC / EIO / short write / fsync failure,
+//! one-shot or sticky, on one shard's journal or on any path), an
+//! optional mid-run checkpoint, an end by `drop` or by `sync` then
+//! `drop`, and a journal cut on one shard. Under every cell the engine
+//! must fail *typed*, never panic and never drop an acked fix, and the
+//! recovered corpus must be byte-identical to a clean single-shard run
+//! over exactly the surviving acked fixes. Two fixed lists of cells go
+//! through the same driver: every fault kind at seeded operation
+//! indices, and every operation of a stream whose journal only the
+//! buffer's cap writes.
 //!
 //! Also here: the memory-budget/eviction determinism proptest (eviction
 //! order and corpus bytes identical across flush-worker counts, and
 //! reproduced exactly by journal replay), the fleets-larger-than-memory
-//! budget test, and the two clean-run invariances (flush-worker count,
-//! durability policy).
+//! budget test, and the clean-run invariances (flush-worker count,
+//! durability policy, shard count).
 
 mod common;
 
@@ -20,13 +26,14 @@ use common::{finish, finish_merged, test_dir, Fleet};
 use press_matcher::GpsSample;
 use press_serve::wal::{MAX_FRAME_LEN, WAL_HEADER_LEN, WRITE_CAP};
 use press_serve::{
-    shard_wal_len, truncate_shard_wal, DiskFault, DurabilityPolicy, Event, FaultKind, FaultyIo,
-    IngestConfig, IngestEngine, ServeError, SessionPolicy,
+    shard_wal_len, truncate_shard_wal, DiskFault, DurabilityPolicy, Event, FaultKind, FaultPlan,
+    FaultyIo, IngestConfig, IngestEngine, ServeError, SessionPolicy,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// Shared fixture: the `ingest_recovery` fleet stream.
+/// Shared fixture: ten vehicles, staggered starts, merged into one
+/// arrival stream ordered by timestamp.
 fn fleet() -> &'static Fleet {
     static FLEET: OnceLock<Fleet> = OnceLock::new();
     FLEET.get_or_init(|| Fleet::new(21, 30, 10, 37.0))
@@ -54,6 +61,68 @@ fn config() -> IngestConfig {
     }
 }
 
+/// The configs a drawn cell runs under, at `shards` shards: [`config`];
+/// [`config`] with a batch every dozen frames, so a failed batch
+/// settles while its shard still has pushes to refuse; the production
+/// group-commit thresholds under [`config`]'s session rules; and those
+/// thresholds under the mangled-stream rules (shorter idle cuts and
+/// rollovers, bounded lattice work). Idle cuts and rollovers are on in
+/// all four, so recovery replays segmentation.
+fn cell_config(i: usize, shards: usize) -> IngestConfig {
+    let production = IngestConfig {
+        durability: DurabilityPolicy {
+            retry_backoff_ms: 0,
+            ..DurabilityPolicy::group_commit()
+        },
+        ..config()
+    };
+    let cfg = match i {
+        0 => config(),
+        1 => IngestConfig {
+            durability: DurabilityPolicy {
+                sync_bytes: 512,
+                ..config().durability
+            },
+            ..config()
+        },
+        2 => production,
+        _ => IngestConfig {
+            idle_timeout: 300.0,
+            max_session_points: 16,
+            max_lattice_work: 200_000,
+            ..production
+        },
+    };
+    IngestConfig { shards, ..cfg }
+}
+
+/// The fixture stream mangled by a seeded [`FaultPlan`] (dropped,
+/// corrupted, duplicated and reordered fixes), then a late uploader: a
+/// vehicle outside the fleet that sends vehicle 0's trace after the
+/// stream's last event, every fix more than `idle_timeout` behind the
+/// stream clock — so each one is idle at the global clock the moment
+/// it is accepted.
+fn mangled(seed: u64, idle_timeout: f64) -> Vec<Event> {
+    let f = fleet();
+    let plan = FaultPlan {
+        seed,
+        drop_prob: 0.05,
+        corrupt_prob: 0.08,
+        duplicate_prob: 0.08,
+        reorder_prob: 0.05,
+    };
+    let mut events = plan.mangle(&f.events);
+    let trace: Vec<GpsSample> = f.events.iter().filter(|e| e.0 == 0).map(|e| e.1).collect();
+    let stream_end = f.events.last().expect("non-empty stream").1.t;
+    let lag = stream_end - 2.0 * idle_timeout - trace.last().expect("vehicle 0 fixes").t;
+    events.extend(
+        trace
+            .iter()
+            .map(|s| (1_000, GpsSample { t: s.t + lag, ..*s })),
+    );
+    events
+}
+
 /// Pushes `events` through a fresh fault-free engine and finishes it
 /// with `done` ([`finish`] or [`finish_merged`]), returning its corpus
 /// bytes. The reference side of every byte-identity assertion.
@@ -74,218 +143,404 @@ fn reference_corpus(
     corpus
 }
 
-/// Pushes `events` through a fault-free `FaultyIo` engine — with the
-/// fault cell's mid-run checkpoint when `mid_checkpoint` — drops it, and
-/// returns, per needle, how many backend operations on paths containing
-/// it that took after open (every path contains the empty needle). A
-/// cell draws its fault's operation index below this count, the way the
-/// kill tests draw their cut below a probe's journal length: the faulted
-/// run performs the same operations up to its fault, so every drawn
-/// fault fires. The count is read after the drop, a settle point: group
-/// commits run on the engine's syncer thread, and until a batch settles
-/// its operations may not have happened yet. So it includes the drop's
-/// own write of the last buffered frames.
-fn probe_ops(
-    tag: &str,
-    cfg: IngestConfig,
-    events: &[Event],
-    mid_checkpoint: bool,
-    needles: &[String],
-) -> Vec<u64> {
-    let f = fleet();
-    let dir = test_dir(&format!("probe-{tag}"));
-    let faulty = FaultyIo::new(Vec::new());
-    let mut engine = f
-        .open_with_io(&dir, cfg, faulty.clone())
-        .expect("open probe");
-    let start: Vec<u64> = needles.iter().map(|n| faulty.ops_on(n)).collect();
-    for (i, &(v, s)) in events.iter().enumerate() {
-        if mid_checkpoint && i == events.len() / 2 {
-            engine.checkpoint().expect("probe checkpoint");
-        }
-        engine.push(v, s).expect("probe push");
-    }
-    drop(engine);
-    let ops = needles
-        .iter()
-        .zip(start)
-        .map(|(n, start)| faulty.ops_on(n) - start)
-        .collect();
-    let _ = std::fs::remove_dir_all(&dir);
-    ops
-}
-
-/// [`probe_ops`] over every path.
-fn probe_all_ops(tag: &str, cfg: IngestConfig, events: &[Event], mid_checkpoint: bool) -> u64 {
-    let ops = probe_ops(tag, cfg, events, mid_checkpoint, &[String::new()])[0];
-    assert!(ops > 0, "the probe stream must reach the backend");
-    ops
-}
-
-/// One cell of the fault matrix: ingest `events` through a `FaultyIo`
-/// armed with `fault` (op index relative to post-open state, below the
-/// stream's [`probe_ops`] so the fault fires), optionally attempting a
-/// mid-run checkpoint, then kill at a legitimate power-loss offset
-/// (`kill_frac` across `[durable_offset, wal_len]`), recover on the
-/// real filesystem, and check the byte-identity contract over the
-/// journaled-surviving subsequence.
-#[allow(clippy::too_many_arguments)]
-fn run_fault_cell(
-    tag: &str,
-    cfg: IngestConfig,
-    events: &[Event],
-    delta: u64,
+/// A cell's disk fault: `kind`, one-shot or `sticky`, at operation
+/// `at_op` after the engine's open, counted over the operations on
+/// `shard`'s journal files (any generation) or, when `None`, over every
+/// operation.
+#[derive(Debug, Clone, Copy)]
+struct Fault {
     kind: FaultKind,
     sticky: bool,
-    kill_frac: f64,
-    mid_checkpoint: bool,
-) {
+    shard: Option<usize>,
+    at_op: u64,
+}
+
+/// Is `e` a typed journal refusal: out of space, or a transient failure
+/// that outlived the retry budget?
+fn refusal(e: &ServeError) -> bool {
+    matches!(
+        e.root_cause(),
+        ServeError::StorageFull(_) | ServeError::Backpressure { .. }
+    )
+}
+
+/// One crash cell: `events` pushed under `cfg` (its shard count
+/// included) through a `FaultyIo` armed with `fault`, a checkpoint
+/// attempted halfway when `checkpoint`, an end by `sync` then `drop`
+/// when `sync` (else `drop` alone, a crash with batches and buffers
+/// left to the drop), and shard `victim`'s journal cut at `cut` of the
+/// legitimate crash offsets.
+#[derive(Clone, Copy)]
+struct Cell<'a> {
+    cfg: IngestConfig,
+    events: &'a [Event],
+    fault: Option<Fault>,
+    checkpoint: bool,
+    sync: bool,
+    victim: usize,
+    cut: f64,
+}
+
+/// Backend operations a cell's run made between its open and its drop:
+/// over every path, and on each shard's journal files — the index
+/// spaces a fault draws its operation from.
+struct Ops {
+    all: u64,
+    journal: Vec<u64>,
+}
+
+/// The cell driver. Runs `cell`, checks every rule a crash and a disk
+/// fault must keep, recovers on the real filesystem and compares the
+/// corpus with a clean run, then returns the operations the run made.
+///
+/// A fix survives the crash when it was journaled before a committed
+/// checkpoint (published corpus plus a synced rewritten journal), or
+/// when its ack offset is at most its shard's journal length after the
+/// drop and the cut: the drop writes what a failed or unsettled batch
+/// left buffered only when the disk lets it, on any shard.
+fn run_cell(tag: &str, cell: &Cell) -> Ops {
     let f = fleet();
+    let shards = cell.cfg.shards;
+    let what = format!(
+        "{shards} shards, {} events, fault {:?}, checkpoint {}, sync {}, cut {} at {}",
+        cell.events.len(),
+        cell.fault,
+        cell.checkpoint,
+        cell.sync,
+        cell.victim,
+        cell.cut
+    );
     let dir = test_dir(&format!("cell-{tag}"));
     let faulty = FaultyIo::new(Vec::new());
     let mut engine = f
-        .open_with_io(&dir, cfg, faulty.clone())
+        .open_with_io(&dir, cell.cfg, faulty.clone())
         .expect("open with clean io");
-    faulty.arm(DiskFault {
-        at_op: faulty.ops() + delta,
-        kind,
-        sticky,
-    });
+    let needles: Vec<String> = (0..shards).map(|k| format!(".s{k}.wal")).collect();
+    let start = faulty.ops();
+    let start_on: Vec<u64> = needles.iter().map(|n| faulty.ops_on(n)).collect();
+    if let Some(fault) = cell.fault {
+        let armed = DiskFault {
+            at_op: fault.at_op,
+            kind: fault.kind,
+            sticky: fault.sticky,
+        };
+        match fault.shard {
+            None => faulty.arm(DiskFault {
+                at_op: start + fault.at_op,
+                ..armed
+            }),
+            Some(k) => faulty.arm_scoped(&needles[k], armed),
+        }
+    }
+    let scoped = cell.fault.and_then(|f| f.shard);
 
-    // `journaled` records (event index, ack offset) for every push the
-    // engine applied; errored pushes leave no trace at all and must be
-    // absent from the reference feed.
-    let split = events.len() / 2;
-    let mut journaled: Vec<(usize, u64)> = Vec::new();
-    let mut safe_count = 0usize;
-    for (i, &(v, s)) in events.iter().enumerate() {
-        if mid_checkpoint && i == split {
-            match engine.checkpoint() {
-                // All pre-checkpoint journaled events are now safe for
-                // ANY later cut: published corpus + synced rewritten
-                // journal.
-                Ok(_) => safe_count = journaled.len(),
+    // (event index, shard, ack offset) of every journaled fix. The
+    // first `safe` were journaled before a committed checkpoint, which
+    // rewrote `base_points` of them into the new journals.
+    let mut acked: Vec<(usize, usize, u64)> = Vec::new();
+    let (mut safe, mut base_points) = (0, 0);
+    // Faults that fired inside the checkpoint call, where the dropped
+    // superseded journal writes its buffer best effort.
+    let mut spent_at_checkpoint = 0;
+    let mut refused = vec![0usize; shards];
+    for (i, &(v, s)) in cell.events.iter().enumerate() {
+        if cell.checkpoint && i == cell.events.len() / 2 {
+            let before = faulty.injected();
+            let result = engine.checkpoint();
+            spent_at_checkpoint = faulty.injected() - before;
+            let committed = match result {
+                Ok(_) => true,
                 // A faulted checkpoint is typed and leaves the old
-                // generation fully live; the engine keeps ingesting.
-                // Only a fault after the manifest rename (its directory
-                // fsync) leaves the new generation live instead — the
-                // one recovery opens — and the engine on it.
+                // generation live. Only a fault after the manifest
+                // rename (its directory fsync) leaves the new one live
+                // instead — the one recovery opens — and the engine on
+                // it.
                 Err(e) => {
+                    assert!(cell.fault.is_some(), "{what}: checkpoint failed: {e}");
+                    assert!(!e.to_string().is_empty(), "{what}: an empty message");
+                    let moved = engine.generation() > 0;
                     assert!(
-                        !e.to_string().is_empty(),
-                        "checkpoint fault must carry a message"
+                        !moved || matches!(e, ServeError::Manifest(_)),
+                        "{what}: {e}"
                     );
-                    if engine.generation() > 0 {
-                        assert!(matches!(e, ServeError::Manifest(_)), "{e}");
-                        safe_count = journaled.len();
-                    }
+                    moved
                 }
+            };
+            if committed {
+                safe = acked.len();
+                base_points = engine.buffered_points();
             }
         }
+        let k = engine.shard_of(v);
         match engine.push(v, s) {
             Ok(ack) => {
                 if let Some(offset) = ack.offset() {
-                    journaled.push((i, offset));
+                    acked.push((i, k, offset));
                 }
             }
-            Err(e)
-                if e.degraded_shard() == Some(0)
-                    && matches!(
-                        e.root_cause(),
-                        ServeError::StorageFull(_) | ServeError::Backpressure { .. }
-                    ) => {}
-            Err(other) => panic!("push surfaced an untyped fault: {other}"),
+            Err(e) => {
+                assert!(cell.fault.is_some(), "{what}: push refused: {e}");
+                assert!(refusal(&e), "{what}: push surfaced an untyped fault: {e}");
+                assert_eq!(
+                    e.degraded_shard(),
+                    Some(k),
+                    "{what}: a refusal degrades the fix's own shard"
+                );
+                assert!(
+                    scoped.is_none_or(|j| j == k),
+                    "{what}: a scoped fault degrades exactly the faulted shard: {e}"
+                );
+                refused[k] += 1;
+            }
         }
     }
-    let stats = engine.stats();
-    if journaled.len() < events.len() {
+    let synced = cell.sync.then(|| engine.sync());
+    if let Some(Err(e)) = &synced {
+        assert!(cell.fault.is_some(), "{what}: sync failed: {e}");
         assert!(
-            stats.storage_full_rejections
-                + stats.backpressure_rejections
-                + stats.io_retries
-                + stats.sync_failures
-                > 0,
-            "an injected fault that cost events must show up in the counters"
+            refusal(e) || matches!(e, ServeError::Manifest(_)),
+            "{what}: sync surfaced an untyped fault: {e}"
+        );
+        if let Some(k) = scoped {
+            assert_eq!(e.degraded_shard(), Some(k), "{what}: {e}");
+        }
+    }
+    if let Some(k) = scoped.filter(|_| shards > 1) {
+        assert!(
+            acked.iter().any(|a| a.1 != k),
+            "{what}: shards other than the faulted one must keep acking"
         );
     }
-    // The watermark before the drop settles the last batches: a lower
-    // bound of the durable prefix, so every cut drawn above it is still
-    // a legitimate crash state.
-    let durable = engine.shard_durable_offset(0);
+    // Rejections are shard-local: each shard counts exactly the pushes
+    // it refused, so a healthy shard's counters stay zero.
+    for (k, &n) in refused.iter().enumerate() {
+        let s = engine.shard_stats(k);
+        assert_eq!(
+            (s.storage_full_rejections + s.backpressure_rejections) as usize,
+            n,
+            "{what}: shard {k}'s rejection counters"
+        );
+    }
+    // A one-shot fault heals: a transient one inside the retry budget,
+    // out-of-space after refusing at most the one push or sync it hit.
+    // The counters are read at the closing sync, a settle point, unless
+    // the checkpoint spent the fault.
+    if let Some(fault) = cell.fault.filter(|f| !f.sticky) {
+        let refusals = refused.iter().sum::<usize>();
+        let sync_failed = matches!(synced, Some(Err(_)));
+        let stats = engine.stats();
+        let settled = cell.sync && spent_at_checkpoint == 0;
+        if settled {
+            assert_eq!(faulty.injected(), 1, "{what}: the fault fires by the sync");
+        }
+        match fault.kind {
+            FaultKind::Eio | FaultKind::SyncFail => {
+                assert!(
+                    refusals == 0 && !sync_failed,
+                    "{what}: a one-shot transient fault must heal"
+                );
+                assert!(
+                    !settled || (stats.io_retries > 0 && stats.sync_failures == 0),
+                    "{what}: the retry budget absorbs it: {stats:?}"
+                );
+            }
+            FaultKind::Enospc | FaultKind::ShortWrite => {
+                assert!(
+                    refusals + usize::from(sync_failed) <= 1,
+                    "{what}: a one-shot ENOSPC refuses at most one push or sync"
+                );
+                assert!(
+                    !settled || stats.storage_full_rejections + stats.sync_failures > 0,
+                    "{what}: the refusal is counted: {stats:?}"
+                );
+            }
+        }
+    }
+    let durable: Vec<u64> = (0..shards)
+        .map(|k| engine.shard_durable_offset(k))
+        .collect();
+    let generation = engine.generation();
     drop(engine); // crash with the fault still armed
-                  // Read after the drop, which settles every queued batch: a fault
-                  // drawn below the probe's count has fired by now.
+                  // Read after the drop, which settles every queued batch.
     assert!(
-        faulty.injected() > 0,
-        "fault {kind:?} delta {delta} sticky {sticky} never fired"
+        cell.fault.is_none() || faulty.injected() > 0,
+        "{what}: the fault never fired"
     );
+    let ops = Ops {
+        all: faulty.ops() - start,
+        journal: needles
+            .iter()
+            .zip(start_on)
+            .map(|(n, start)| faulty.ops_on(n) - start)
+            .collect(),
+    };
 
-    // Power loss can only lose bytes the engine never fsynced: any cut
-    // in [durable_offset, file length] is a legitimate crash state
-    // (the tail past wal_offset() is a torn frame a faulted append left
-    // behind — recovery must shrug it off too).
-    let len = shard_wal_len(&dir, 0).expect("wal len");
-    let lo = durable.max(WAL_HEADER_LEN);
-    assert!(len >= lo, "durable watermark cannot exceed the journal");
-    let cut = lo + ((len - lo) as f64 * kill_frac).round() as u64;
-    truncate_shard_wal(&dir, 0, cut).expect("truncate");
+    // The cut: any offset of a generation-0 journal, header included;
+    // after a committed checkpoint, at or past the victim's durability
+    // watermark, since the rewritten journal was synced whole.
+    let mut len: Vec<u64> = (0..shards)
+        .map(|k| shard_wal_len(&dir, k as u32).expect("wal len"))
+        .collect();
+    for k in 0..shards {
+        assert!(
+            durable[k] <= len[k],
+            "{what}: shard {k}'s durable watermark exceeds its journal"
+        );
+    }
+    let lo = if generation > 0 {
+        durable[cell.victim].max(WAL_HEADER_LEN)
+    } else {
+        0
+    };
+    let cut = lo + ((len[cell.victim] - lo) as f64 * cell.cut).round() as u64;
+    len[cell.victim] = truncate_shard_wal(&dir, cell.victim as u32, cut).expect("truncate");
 
     let mut recovered = f
-        .open(&dir, cfg)
+        .open(&dir, cell.cfg)
         .expect("recovery must succeed on the real filesystem");
-    let corpus_a = finish(&mut recovered);
-
-    // Survivors: everything journaled before a successful checkpoint,
-    // plus later frames that fit under the cut (offsets are monotonic
-    // per journal generation).
-    let surviving: Vec<Event> = journaled
+    let survives = |&(_, k, off): &(usize, usize, u64)| off <= len[k];
+    assert_eq!(
+        recovered.recovery().replayed_points as usize,
+        base_points + acked[safe..].iter().filter(|a| survives(a)).count(),
+        "{what}: every surviving acked point replays, nothing more"
+    );
+    let surviving: Vec<Event> = acked
         .iter()
         .enumerate()
-        .filter(|&(k, &(_, off))| k < safe_count || off <= cut)
-        .map(|(_, &(idx, _))| events[idx])
+        .filter(|&(j, a)| j < safe || survives(a))
+        .map(|(_, &(i, _, _))| cell.events[i])
         .collect();
-    let corpus_b = reference_corpus(&format!("cell-ref-{tag}"), cfg, &surviving, finish);
-    assert_eq!(
-        corpus_a, corpus_b,
-        "fault {kind:?} delta {delta} sticky {sticky} cut {cut}: recovered corpus \
-         must be byte-identical to a clean run over the surviving events"
+    // The reference runs at ONE shard: byte-identity proves isolation
+    // and shard-count invariance at once. At one shard the corpus
+    // file's bytes, `ingest` sidecar included, must match too.
+    let done = if shards == 1 { finish } else { finish_merged };
+    let single = IngestConfig {
+        shards: 1,
+        ..cell.cfg
+    };
+    assert!(
+        done(&mut recovered)
+            == reference_corpus(&format!("cell-{tag}-ref"), single, &surviving, done),
+        "{what}: the recovered corpus must be byte-identical to a clean run over the \
+         surviving acks"
     );
     let _ = std::fs::remove_dir_all(&dir);
+    ops
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The fault matrix: any fault kind at any operation index,
-    /// one-shot or sticky, composed with a kill at any legitimate
-    /// power-loss offset, with and without a mid-run checkpoint in the
-    /// fault window.
+    /// The crash-and-fault property: every drawn cell first runs
+    /// fault-free (a kill cell of its own, whose operation counts are
+    /// the index space of the fault), then, when a fault is drawn, with
+    /// the fault at a drawn operation below that count — the faulted
+    /// run makes the same operations up to its fault, so every fault
+    /// fires. Half the faults are on any path, half on the journal of
+    /// one shard the stream writes. A sync failure waits for a sync, so
+    /// its cells end by one.
     #[test]
-    fn any_disk_fault_plus_kill_preserves_the_acked_prefix(
-        delta_frac in 0.0f64..1.0,
-        kind_idx in 0usize..4,
+    fn any_crash_cell_recovers_the_surviving_acks(
+        config_idx in 0usize..4,
+        mangle in any::<bool>(),
+        seed in 0u64..1_000_000,
+        shards_idx in 0usize..4,
+        kind_idx in 0usize..5,
         sticky in any::<bool>(),
-        kill_frac in 0.0f64..=1.0,
-        mid_checkpoint in any::<bool>(),
+        scope in 0usize..14,
+        at in 0.0f64..1.0,
+        checkpoint in any::<bool>(),
+        sync in any::<bool>(),
+        victim in 0usize..7,
+        cut in 0.0f64..=1.0,
     ) {
-        let kind = FaultKind::ALL[kind_idx];
-        let ops = probe_all_ops(
-            &format!("matrix-{mid_checkpoint}"),
-            config(),
-            &fleet().events,
-            mid_checkpoint,
-        );
-        let delta = (ops as f64 * delta_frac) as u64;
-        run_fault_cell(
-            &format!("{delta}-{kind_idx}-{sticky}-{mid_checkpoint}"),
-            config(),
-            &fleet().events,
-            delta,
-            kind,
-            sticky,
-            kill_frac,
-            mid_checkpoint,
-        );
+        let shards = [1usize, 2, 3, 7][shards_idx];
+        let cfg = cell_config(config_idx, shards);
+        let events = if mangle {
+            mangled(seed, cfg.idle_timeout)
+        } else {
+            fleet().events.clone()
+        };
+        let kind = kind_idx.checked_sub(1).map(|k| FaultKind::ALL[k]);
+        let mut cell = Cell {
+            cfg,
+            events: &events,
+            fault: None,
+            checkpoint,
+            sync: sync || kind == Some(FaultKind::SyncFail),
+            victim: victim % shards,
+            cut,
+        };
+        let ops = run_cell("prop", &cell);
+        if let Some(kind) = kind {
+            let writing: Vec<usize> = (0..shards).filter(|&k| ops.journal[k] > 0).collect();
+            let shard = (scope % 2 == 1).then(|| writing[scope / 2 % writing.len()]);
+            let n = shard.map_or(ops.all, |k| ops.journal[k]);
+            cell.fault = Some(Fault {
+                kind,
+                sticky,
+                shard,
+                at_op: (n as f64 * at) as u64,
+            });
+            run_cell("prop-fault", &cell);
+        }
+    }
+}
+
+/// A checkpoint over a session older than the idle timeout: seed
+/// 925818 rolls one vehicle's first fix back 10⁶ s, and live
+/// ingest keeps that fix at the head of the vehicle's session, which
+/// the mid-run checkpoint rewrites into the journal. A rewritten journal
+/// that opened with the checkpoint's `Clock` replayed the fix after that
+/// clock and cut it off alone.
+#[test]
+fn checkpoint_replay_keeps_a_session_older_than_the_idle_timeout() {
+    let cfg = cell_config(2, 3);
+    let events = mangled(925818, cfg.idle_timeout);
+    run_cell(
+        "old-session",
+        &Cell {
+            cfg,
+            events: &events,
+            fault: None,
+            checkpoint: true,
+            sync: true,
+            victim: 0,
+            cut: 0.0,
+        },
+    );
+}
+
+/// The deterministic seeded matrix: every fault kind, one-shot and on
+/// any path, at four operation indices spread over the fixture stream's
+/// backend operations (first, last, and two between), each cell ending
+/// by `sync` — the settle point at which [`run_cell`] checks that the
+/// fault fired, that a transient one was absorbed by the retry budget
+/// and that out-of-space refused at most one push or sync.
+#[test]
+fn seeded_fault_matrix_smoke() {
+    let mut cell = Cell {
+        cfg: config(),
+        events: &fleet().events,
+        fault: None,
+        checkpoint: false,
+        sync: true,
+        victim: 0,
+        cut: 1.0,
+    };
+    let ops = run_cell("smoke", &cell).all;
+    let mut deltas = vec![0, ops / 3, 2 * ops / 3, ops - 1];
+    deltas.dedup();
+    for kind in FaultKind::ALL {
+        for &at_op in &deltas {
+            cell.fault = Some(Fault {
+                kind,
+                sticky: false,
+                shard: None,
+                at_op,
+            });
+            run_cell("smoke-fault", &cell);
+        }
     }
 }
 
@@ -588,127 +843,40 @@ fn buffered_journal_stays_within_the_cap() {
 }
 
 /// The cap write's fault cells: under `manual()` only the appends that
-/// take a buffer to [`WRITE_CAP`] write the journal, so every fault the
-/// cells draw lands on a cap write (and the repairs after it). A push
-/// whose cap write fails is refused and its frame is not buffered: the
-/// recovered corpus equals a clean run over the journaled-surviving
-/// events only.
+/// take a buffer to [`WRITE_CAP`] write the journal, so every fault
+/// these cells put at each of the stream's operations lands on a cap
+/// write (or the repairs after it). A push whose cap write fails is
+/// refused and its frame is not buffered: the recovered corpus equals a
+/// clean run over the journaled-surviving events only.
 #[test]
 fn buffered_cap_write_fault_keeps_the_acked_prefix() {
-    let cfg = manual_config();
     let events = repeated_events(replicas_past(2 * WRITE_CAP));
-    let ops = probe_all_ops("cap", cfg, &events, false);
+    let mut cell = Cell {
+        cfg: manual_config(),
+        events: &events,
+        fault: None,
+        checkpoint: false,
+        sync: false,
+        victim: 0,
+        cut: 1.0,
+    };
+    let ops = run_cell("cap", &cell).all;
     assert!(
         ops >= 2,
         "the stream must pass the cap twice, not {ops} times"
     );
-    for (k, &kind) in [FaultKind::Enospc, FaultKind::Eio, FaultKind::ShortWrite]
-        .iter()
-        .enumerate()
-    {
-        for delta in 0..ops {
+    for kind in [FaultKind::Enospc, FaultKind::Eio, FaultKind::ShortWrite] {
+        for at_op in 0..ops {
             for sticky in [false, true] {
-                run_fault_cell(
-                    &format!("cap-{k}-{delta}-{sticky}"),
-                    cfg,
-                    &events,
-                    delta,
+                cell.fault = Some(Fault {
                     kind,
                     sticky,
-                    if sticky { 1.0 } else { 0.5 },
-                    false,
-                );
+                    shard: None,
+                    at_op,
+                });
+                cell.cut = if sticky { 1.0 } else { 0.5 };
+                run_cell("cap-fault", &cell);
             }
-        }
-    }
-}
-
-/// The deterministic seeded matrix the CI `disk-fault-smoke` job runs:
-/// every fault kind at four operation indices spread over the fixture
-/// stream's backend operations (first, last, and two between), each of
-/// which fires. Cheap (no compression comparison — the proptest above
-/// owns byte-identity); asserts the typed-error taxonomy, that one-shot
-/// transient faults are absorbed by the retry budget, and that recovery
-/// and a final checkpoint always succeed. Each cell ends its stream
-/// with an explicit `sync`, the settle point that books every queued
-/// group-commit batch before the counters are read; it writes the
-/// frames the probe's drop writes, at the same operation index.
-#[test]
-fn seeded_fault_matrix_smoke() {
-    let f = fleet();
-    let events = &f.events[..];
-    let cfg = config();
-    let ops = probe_all_ops("smoke", cfg, events, false);
-    let mut deltas = vec![0, ops / 3, 2 * ops / 3, ops - 1];
-    deltas.dedup();
-    for (k, &kind) in FaultKind::ALL.iter().enumerate() {
-        for &delta in &deltas {
-            let dir = test_dir(&format!("smoke-{k}-{delta}"));
-            let faulty = FaultyIo::new(Vec::new());
-            let mut engine = f.open_with_io(&dir, cfg, faulty.clone()).expect("open");
-            faulty.arm(DiskFault {
-                at_op: faulty.ops() + delta,
-                kind,
-                sticky: false,
-            });
-            let mut errors = 0usize;
-            for &(v, s) in events {
-                match engine.push(v, s) {
-                    Ok(_) => {}
-                    Err(e)
-                        if e.degraded_shard() == Some(0)
-                            && matches!(
-                                e.root_cause(),
-                                ServeError::StorageFull(_) | ServeError::Backpressure { .. }
-                            ) =>
-                    {
-                        errors += 1;
-                    }
-                    Err(other) => panic!("untyped fault {kind:?}@{delta}: {other}"),
-                }
-            }
-            let synced = engine.sync();
-            if let Err(e) = &synced {
-                assert!(
-                    e.degraded_shard() == Some(0) && e.is_storage_full(),
-                    "{kind:?}@{delta}: only out-of-space fails the final sync, typed: {e}"
-                );
-            }
-            assert_eq!(
-                faulty.injected(),
-                1,
-                "{kind:?}@{delta}: the fault must fire"
-            );
-            let stats = engine.stats();
-            match kind {
-                // A single transient error is absorbed by the retry
-                // budget (appends) or by sync-failure degradation:
-                // either way no push is refused.
-                FaultKind::Eio | FaultKind::SyncFail => {
-                    assert_eq!(errors, 0, "{kind:?}@{delta}: one-shot transient must heal");
-                    assert!(synced.is_ok(), "{kind:?}@{delta}: the final sync heals too");
-                    assert!(
-                        stats.io_retries + stats.sync_failures > 0,
-                        "{kind:?}@{delta}: the absorbed fault must be counted"
-                    );
-                }
-                // Out-of-space is persistent: exactly the faulted
-                // operation's push is refused, the rest proceed.
-                FaultKind::Enospc | FaultKind::ShortWrite => {
-                    assert!(
-                        errors + usize::from(synced.is_err()) <= 1,
-                        "{kind:?}@{delta}: a one-shot ENOSPC refuses at most one push or sync"
-                    );
-                    assert!(
-                        stats.storage_full_rejections + stats.sync_failures > 0,
-                        "{kind:?}@{delta}: rejection must be counted"
-                    );
-                }
-            }
-            drop(engine);
-            let mut recovered = f.open(&dir, cfg).expect("recovery after one-shot fault");
-            let _ = finish(&mut recovered);
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -890,171 +1058,6 @@ fn published_corpus_is_shard_count_invariant() {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// One cell of the *sharded* fault matrix: a seeded disk fault scoped
-/// to exactly one shard's journal (its index below that journal's
-/// [`probe_ops`] count, so it fires), composed with a kill tearing that
-/// shard's journal at a legitimate power-loss offset. Healthy shards
-/// must keep acking, the fault must surface as typed
-/// [`ServeError::ShardDegraded`] naming the faulted shard, rejections
-/// must never leak into healthy shards' counters, and the recovered
-/// merged corpus must be byte-identical to a clean **single-shard** run
-/// over the surviving events (isolation + shard-count invariance in
-/// one assertion).
-fn run_sharded_fault_cell(
-    tag: &str,
-    shards: usize,
-    faulted: usize,
-    delta: u64,
-    kind: FaultKind,
-    sticky: bool,
-    kill_frac: f64,
-) {
-    let f = fleet();
-    let cfg = IngestConfig { shards, ..config() };
-    let dir = test_dir(&format!("scell-{tag}"));
-    let faulty = FaultyIo::new(Vec::new());
-    let mut engine = f
-        .open_with_io(&dir, cfg, faulty.clone())
-        .expect("open with clean io");
-    // Degrade exactly one shard: the fault fires only on operations
-    // touching that shard's journal file (any generation).
-    faulty.arm_scoped(
-        &format!(".s{faulted}.wal"),
-        DiskFault {
-            at_op: delta,
-            kind,
-            sticky,
-        },
-    );
-
-    let mut journaled: Vec<(usize, usize, u64)> = Vec::new(); // (event, shard, ack offset)
-    let mut healthy_acks = 0usize;
-    for (i, &(v, s)) in f.events.iter().enumerate() {
-        let k = engine.shard_of(v);
-        match engine.push(v, s) {
-            Ok(ack) => {
-                if let Some(offset) = ack.offset() {
-                    journaled.push((i, k, offset));
-                    if k != faulted {
-                        healthy_acks += 1;
-                    }
-                }
-            }
-            Err(e) => {
-                assert!(
-                    matches!(
-                        e.root_cause(),
-                        ServeError::StorageFull(_) | ServeError::Backpressure { .. }
-                    ),
-                    "push surfaced an untyped fault: {e}"
-                );
-                assert_eq!(
-                    e.degraded_shard(),
-                    Some(faulted),
-                    "a scoped fault must degrade exactly the faulted shard"
-                );
-                assert_eq!(k, faulted, "only the faulted shard's pushes may fail");
-            }
-        }
-    }
-    assert!(
-        healthy_acks > 0 || shards == 1,
-        "shards other than the faulted one must keep acking"
-    );
-    // Rejections are shard-local: healthy shards' counters stay clean.
-    for k in 0..shards {
-        if k != faulted {
-            let s = engine.shard_stats(k);
-            assert_eq!(
-                s.storage_full_rejections + s.backpressure_rejections,
-                0,
-                "shard {k} is healthy; the faulted shard's rejections must not leak into it"
-            );
-        }
-    }
-    let durable = engine.shard_durable_offset(faulted);
-    drop(engine); // crash with the fault still armed
-                  // Read after the drop, which settles every queued batch.
-    assert!(
-        faulty.injected() > 0,
-        "fault {kind:?} delta {delta} sticky {sticky} on shard {faulted}/{shards} never fired"
-    );
-
-    let len = shard_wal_len(&dir, faulted as u32).expect("shard wal len");
-    let lo = durable.max(WAL_HEADER_LEN);
-    assert!(len >= lo, "durable watermark cannot exceed the journal");
-    let cut = lo + ((len - lo) as f64 * kill_frac).round() as u64;
-    truncate_shard_wal(&dir, faulted as u32, cut).expect("truncate");
-
-    let mut recovered = f
-        .open(&dir, cfg)
-        .expect("recovery must succeed on the real filesystem");
-    let merged_a = finish_merged(&mut recovered);
-
-    // Survivors: every journaled event on a healthy shard (its journal
-    // is intact), plus the faulted shard's frames under the cut.
-    let surviving: Vec<Event> = journaled
-        .iter()
-        .filter(|&&(_, k, off)| k != faulted || off <= cut)
-        .map(|&(idx, _, _)| f.events[idx])
-        .collect();
-    // The reference deliberately runs at ONE shard: byte-identity here
-    // proves isolation and shard-count invariance at once.
-    let merged_b = reference_corpus(
-        &format!("scell-ref-{tag}"),
-        config(),
-        &surviving,
-        finish_merged,
-    );
-    assert_eq!(
-        merged_a, merged_b,
-        "fault {kind:?} delta {delta} sticky {sticky} on shard {faulted}/{shards} cut {cut}: \
-         recovered merged corpus must be byte-identical to a clean single-shard run \
-         over the surviving events"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The sharded fault matrix: fault kind × faulted shard × shard
-    /// count × kill fraction (ISSUE 10 satellite). One shard's disk
-    /// fault plus a torn journal on that shard must stay invisible
-    /// outside its failure domain.
-    #[test]
-    fn sharded_disk_fault_degrades_only_its_shard(
-        shards_idx in 0usize..4,
-        faulted_seed in 0usize..7,
-        delta_frac in 0.0f64..1.0,
-        kind_idx in 0usize..4,
-        sticky in any::<bool>(),
-        kill_frac in 0.0f64..=1.0,
-    ) {
-        let shards = [1usize, 2, 3, 7][shards_idx];
-        // The faulted shard is one whose journal the stream writes
-        // before the crash: a fault on a shard that never writes could
-        // not fire.
-        let needles: Vec<String> = (0..shards).map(|k| format!(".s{k}.wal")).collect();
-        let cfg = IngestConfig { shards, ..config() };
-        let ops = probe_ops(&format!("sharded-{shards}"), cfg, &fleet().events, false, &needles);
-        let writing: Vec<usize> = (0..shards).filter(|&k| ops[k] > 0).collect();
-        assert!(!writing.is_empty(), "some shard must write its journal");
-        let faulted = writing[faulted_seed % writing.len()];
-        let delta = (ops[faulted] as f64 * delta_frac) as u64;
-        let kind = FaultKind::ALL[kind_idx];
-        run_sharded_fault_cell(
-            &format!("{shards}-{faulted}-{delta}-{kind_idx}-{sticky}"),
-            shards,
-            faulted,
-            delta,
-            kind,
-            sticky,
-            kill_frac,
-        );
     }
 }
 

@@ -1,9 +1,10 @@
-//! Crash-recovery and fault-injection tests for the ingest engine.
+//! Crash-recovery tests for the ingest engine: the offline pipeline,
+//! the buffer a process crash loses, torn frames, checkpoint commit
+//! windows, missing artifacts, and typed refusals.
 //!
-//! The central property: for ANY kill offset into the journal, the
-//! recovered engine finishes with a corpus byte-identical to a clean
-//! engine fed exactly the acked prefix of the stream — no acked point is
-//! ever lost, and nothing unacked sneaks in.
+//! The kill-at-any-offset property itself — on clean and mangled
+//! streams, at every shard count, composed with disk faults — is
+//! `disk_faults.rs`'s `any_crash_cell_recovers_the_surviving_acks`.
 
 mod common;
 
@@ -15,13 +16,11 @@ use press_core::{CompressedTrajectory, Press};
 use press_matcher::GpsSample;
 use press_network::Mbr;
 use press_serve::engine::QUARANTINE_LOG_CAP;
-use press_serve::wal::WAL_HEADER_LEN;
 use press_serve::{
     shard_wal_len, truncate_shard_wal, Ack, DurabilityPolicy, Event, FaultPlan, IngestConfig,
     IngestEngine, RealIo, ServeError, SessionPolicy, Wal, WalError, WalRecord,
 };
 use press_workload::{Workload, WorkloadConfig};
-use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -116,97 +115,6 @@ fn clean_ingest_equals_the_offline_pipeline() {
     .expect("wal");
     assert_eq!(points, 0, "checkpoint should leave no in-flight points");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Core crash property, driven at specific cut points by the proptest
-/// below: kill run A at `cut` bytes of journal, recover, finish; a clean
-/// run B over exactly the acked prefix must produce byte-identical
-/// artifacts.
-fn assert_kill_recovers(tag: &str, cfg: IngestConfig, events: &[Event], cut: u64) {
-    let dir_a = test_dir(&format!("kill-a-{tag}"));
-    let (engine_a, acked) = run_clean(&dir_a, cfg, events);
-    drop(engine_a); // crash: no finalize, no checkpoint, no sync
-    let cut = cut.min(shard_wal_len(&dir_a, 0).expect("wal len"));
-    truncate_shard_wal(&dir_a, 0, cut).expect("truncate");
-
-    let f = fleet();
-    let mut recovered = f.open(&dir_a, cfg).expect("recover");
-    let report = *recovered.recovery();
-    // Acked prefix: events whose frame survived the cut entirely.
-    let survivors = acked.iter().take_while(|&&(_, off)| off <= cut).count();
-    assert_eq!(
-        report.replayed_points as usize, survivors,
-        "cut {cut}: every surviving acked point replays, nothing more"
-    );
-    let prefix = match acked[..survivors].last() {
-        Some(&(idx, _)) => &events[..=idx],
-        None => &events[..0],
-    };
-    let corpus_a = finish(&mut recovered);
-
-    let dir_b = test_dir(&format!("kill-b-{tag}"));
-    let (mut engine_b, _) = run_clean(&dir_b, cfg, prefix);
-    let corpus_b = finish(&mut engine_b);
-    assert_eq!(
-        corpus_a, corpus_b,
-        "cut {cut}: recovered corpus must be byte-identical to the clean run"
-    );
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Kill at an arbitrary journal byte offset — including inside the
-    /// header, mid-frame, and exactly on frame boundaries.
-    #[test]
-    fn kill_at_any_offset_loses_no_acked_point(frac in 0.0f64..=1.0) {
-        let f = fleet();
-        // Idle + rollover active so recovery also replays segmentation.
-        let cfg = IngestConfig {
-            idle_timeout: 400.0,
-            max_session_points: 24,
-            ..config()
-        };
-        // Probe the full journal: a dry run tells us its final length.
-        let dir = test_dir("kill-probe");
-        let (engine, _) = run_clean(&dir, cfg, &f.events);
-        let final_len = engine.shard_wal_offset(0);
-        drop(engine);
-        let _ = std::fs::remove_dir_all(&dir);
-        let cut = (final_len as f64 * frac).round() as u64;
-        assert_kill_recovers(&format!("{frac:.6}"), cfg, &f.events, cut);
-    }
-
-    /// Same property on a fault-mangled stream: dirty input quarantines
-    /// deterministically, so the acked-prefix equivalence still holds.
-    #[test]
-    fn mangled_stream_recovers_deterministically(seed in 0u64..1_000_000) {
-        let f = fleet();
-        let plan = FaultPlan {
-            seed,
-            drop_prob: 0.05,
-            corrupt_prob: 0.08,
-            duplicate_prob: 0.08,
-            reorder_prob: 0.05,
-        };
-        let mangled = plan.mangle(&f.events);
-        let cfg = IngestConfig {
-            idle_timeout: 300.0,
-            max_session_points: 16,
-            max_lattice_work: 200_000,
-            ..config()
-        };
-        let dir = test_dir("mangle-probe");
-        let (engine, _) = run_clean(&dir, cfg, &mangled);
-        let final_len = engine.shard_wal_offset(0);
-        drop(engine);
-        let _ = std::fs::remove_dir_all(&dir);
-        // Derive the kill offset from the seed, spanning the journal.
-        let cut = WAL_HEADER_LEN + seed % (final_len - WAL_HEADER_LEN + 1);
-        assert_kill_recovers(&format!("m{seed}"), cfg, &mangled, cut);
-    }
 }
 
 /// A process crash loses the frames still in the journal buffer — and
@@ -677,93 +585,6 @@ fn dirty_input_is_quarantined_with_typed_reasons() {
     engine.finalize_all().expect("finalize_all");
     assert!(engine.flush().expect("flush") > 0);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The seeded-fault + kill-at-any-offset property over the shard
-    /// matrix: mangle the stream with a seeded [`FaultPlan`], ingest at
-    /// N shards, tear ONE seed-chosen shard's journal at an arbitrary
-    /// byte offset, recover (parallel per-shard replay), finish — the
-    /// merged corpus must be byte-identical to a clean single-shard run
-    /// over exactly the surviving acked events.
-    #[test]
-    fn mangled_stream_with_a_shard_kill_recovers_across_the_matrix(
-        seed in 0u64..1_000_000,
-        shards_idx in 0usize..4,
-    ) {
-        let shards = [1usize, 2, 3, 7][shards_idx];
-        let f = fleet();
-        let plan = FaultPlan {
-            seed,
-            drop_prob: 0.05,
-            corrupt_prob: 0.08,
-            duplicate_prob: 0.08,
-            reorder_prob: 0.05,
-        };
-        let mut mangled = plan.mangle(&f.events);
-        let cfg = IngestConfig {
-            idle_timeout: 300.0,
-            max_session_points: 16,
-            max_lattice_work: 200_000,
-            shards,
-            ..config()
-        };
-        // A late uploader: a vehicle outside the fleet that sends vehicle
-        // 0's trace after the stream's last event, every fix more than
-        // `idle_timeout` behind the stream clock — so each one is idle at
-        // the global clock the moment it is accepted.
-        let trace: Vec<GpsSample> = f.events.iter().filter(|e| e.0 == 0).map(|e| e.1).collect();
-        let stream_end = f.events.last().expect("non-empty stream").1.t;
-        let lag = stream_end - 2.0 * cfg.idle_timeout - trace.last().expect("vehicle 0 fixes").t;
-        mangled.extend(trace.iter().map(|s| (1_000, GpsSample { t: s.t + lag, ..*s })));
-        let dir = test_dir(&format!("shardmatrix-{seed}-{shards}"));
-        let mut engine =
-            f.open(&dir, cfg).expect("open");
-        // (event index, owning shard, ack offset) per journaled fix.
-        let mut acked: Vec<(usize, usize, u64)> = Vec::new();
-        for (i, &(v, s)) in mangled.iter().enumerate() {
-            let k = engine.shard_of(v);
-            if let Some(offset) = engine.push(v, s).expect("push").offset() {
-                acked.push((i, k, offset));
-            }
-        }
-        let victim = (seed as usize) % shards;
-        drop(engine); // crash: no finalize, no checkpoint, no sync
-
-        let len = shard_wal_len(&dir, victim as u32).expect("shard wal len");
-        let cut = WAL_HEADER_LEN + seed % (len - WAL_HEADER_LEN + 1);
-        truncate_shard_wal(&dir, victim as u32, cut).expect("truncate");
-
-        let mut recovered =
-            f.open(&dir, cfg).expect("recover");
-        let merged_a = finish_merged(&mut recovered);
-
-        // Survivors: intact shards keep everything they acked; the
-        // victim keeps its frames under the cut.
-        let surviving: Vec<Event> = acked
-            .iter()
-            .filter(|&&(_, k, off)| k != victim || off <= cut)
-            .map(|&(idx, _, _)| mangled[idx])
-            .collect();
-        let ref_dir = test_dir(&format!("shardmatrix-ref-{seed}-{shards}"));
-        let single = IngestConfig { shards: 1, ..cfg };
-        let (mut reference, _) = run_clean(&ref_dir, single, &surviving);
-        let merged_b = finish_merged(&mut reference);
-        prop_assert_eq!(
-            merged_a,
-            merged_b,
-            "seed {} at {} shards, victim {}, cut {}: recovered merged corpus must equal \
-             the clean single-shard run over the surviving events",
-            seed,
-            shards,
-            victim,
-            cut
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&ref_dir);
-    }
 }
 
 /// Checkpoint → reopen hands back the very trajectories that were

@@ -169,11 +169,6 @@ impl SynopsisIndex {
         self.branching
     }
 
-    /// Number of leaves (= blocks indexed).
-    pub fn num_leaves(&self) -> usize {
-        self.levels[0].len()
-    }
-
     /// Number of levels, including the leaf level (1 for ≤ `branching`
     /// leaves — the hierarchy degenerates to the directory itself).
     pub fn num_levels(&self) -> usize {
@@ -186,18 +181,11 @@ impl SynopsisIndex {
     /// visiting their children.
     pub fn candidates(&self, probe: &IndexEntry) -> Vec<usize> {
         let mut out = Vec::new();
-        self.candidates_into(probe, &mut out);
-        out
-    }
-
-    /// [`Self::candidates`] into a caller-owned buffer (cleared first),
-    /// so a batch executor can reuse one allocation per worker.
-    pub fn candidates_into(&self, probe: &IndexEntry, out: &mut Vec<usize>) {
-        out.clear();
         let top = self.levels.len() - 1;
         for i in 0..self.levels[top].len() {
-            self.descend(top, i, probe, out);
+            self.descend(top, i, probe, &mut out);
         }
+        out
     }
 
     fn descend(&self, level: usize, node: usize, probe: &IndexEntry, out: &mut Vec<usize>) {
@@ -317,7 +305,7 @@ mod tests {
     fn degenerate_shapes() {
         // Empty index: no candidates, one (empty) level.
         let empty = SynopsisIndex::build(Vec::new(), 16);
-        assert_eq!(empty.num_leaves(), 0);
+        assert!(empty.levels[0].is_empty());
         assert_eq!(empty.num_levels(), 1);
         assert!(empty
             .candidates(&IndexEntry::new(0.0, 0.0, 1.0, 1.0, 0.0, 1.0))

@@ -314,13 +314,7 @@ impl StoreWriter {
     /// and every failure — including the fsyncs — surfaces as a typed
     /// [`StoreError::Io`].
     pub fn write_to(&self, path: &Path) -> Result<()> {
-        self.write_to_with(&RealIo, path)
-    }
-
-    /// [`StoreWriter::write_to`] through an explicit [`IoBackend`]
-    /// (fault injection in tests, real filesystem in production).
-    pub fn write_to_with(&self, io: &dyn IoBackend, path: &Path) -> Result<()> {
-        atomic_write_file(io, path, &self.to_bytes())?;
+        atomic_write_file(&RealIo, path, &self.to_bytes())?;
         Ok(())
     }
 }

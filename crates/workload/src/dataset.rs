@@ -241,14 +241,6 @@ impl Workload {
         }
     }
 
-    /// Ground-truth trajectories at the configured sampling interval.
-    pub fn truth_trajectories(&self) -> Vec<Trajectory> {
-        self.records
-            .iter()
-            .map(|r| r.truth_trajectory(self.config.sampling_interval))
-            .collect()
-    }
-
     /// Spatial paths only (training input for HSC).
     pub fn paths(&self) -> Vec<Vec<press_network::EdgeId>> {
         self.records.iter().map(|r| r.path.clone()).collect()
@@ -369,20 +361,6 @@ mod tests {
         for (ra, rb) in a.records.iter().zip(&b.records) {
             assert_eq!(ra.path, rb.path);
             assert_eq!(ra.profile, rb.profile);
-        }
-    }
-
-    #[test]
-    fn truth_trajectories_are_valid() {
-        let w = small();
-        for t in w.truth_trajectories() {
-            assert!(!t.path.is_empty());
-            assert!(t.temporal.len() >= 2);
-            // Validation: reconstructing through the checked constructor.
-            TemporalSequence::new(t.temporal.points.clone()).unwrap();
-            // The final d matches the path weight.
-            let (_, dmax) = t.temporal.dist_range().unwrap();
-            assert!((dmax - t.path.weight(&w.net)).abs() < 1e-6);
         }
     }
 
