@@ -141,8 +141,7 @@
 //! loop that only flags a broken rule. A flagged node is re-checked entry
 //! by entry, so the error names the rule a sequential pass names. The
 //! nine section CRCs, the arc check and node-range chunks of both label
-//! sets' scans run as one task list on every core, or on the calling
-//! thread when each set is a single chunk. The verdict follows
+//! sets' scans run as one task list on every core. The verdict follows
 //! the sequential order: the arcs, then the forward set before the
 //! backward; within a set its section CRCs, its shape, then its lowest
 //! failing node. The bytes load then verifies every stored distance
@@ -807,10 +806,9 @@ impl HubLabels {
     ///
     /// The checks run as one task list through
     /// [`work_steal_map`](crate::parallel::work_steal_map) on up to
-    /// `available_parallelism()` workers, or on the calling thread alone
-    /// when each label set fits one scan chunk (module docs, "Loading").
-    /// When several are broken, the error returned is the one a
-    /// sequential pass meets first.
+    /// `available_parallelism()` workers (module docs, "Loading"). When
+    /// several are broken, the error returned is the one a sequential pass
+    /// meets first.
     pub fn open_mapped(
         net: Arc<RoadNetwork>,
         path: &std::path::Path,
@@ -819,11 +817,10 @@ impl HubLabels {
         Self::from_file(net, file, workers(), false)
     }
 
-    /// The one reader behind both load paths, on `workers` workers (one
-    /// when each label set fits one scan chunk): the checks of
-    /// [`Self::open_mapped`], plus [`verify_dists`] when `check_dists` is
-    /// set (the caller's choice: [`Self::from_store_bytes`] verifies,
-    /// [`Self::open_mapped`] trusts).
+    /// The one reader behind both load paths, on `workers` workers: the
+    /// checks of [`Self::open_mapped`], plus [`verify_dists`] when
+    /// `check_dists` is set (the caller's choice: [`Self::from_store_bytes`]
+    /// verifies, [`Self::open_mapped`] trusts).
     ///
     /// After the metadata, every check runs as one task list on
     /// [`work_steal_map`](crate::parallel::work_steal_map): the nine
@@ -854,13 +851,6 @@ impl HubLabels {
         let fp = meta.get_u32()?;
         meta.expect_end("meta")?;
         crate::store_codec::check_meta(&net, fp, n, num_arcs, num_shortcuts)?;
-        // When each set is one scan chunk the checks are cheaper than a
-        // spawned worker: they run on the calling thread.
-        let workers = if fwd_entries.max(bwd_entries) <= SCAN_CHUNK_ENTRIES {
-            1
-        } else {
-            workers
-        };
 
         // The views the tasks scan, taken before any CRC: the arcs when
         // the section holds `num_arcs` whole records, each set when its

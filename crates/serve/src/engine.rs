@@ -1515,8 +1515,10 @@ impl IngestEngine {
         self.generation = next;
         for (shard, wal) in self.shards.iter_mut().zip(new_wals) {
             // `Wal::create` synced the new journal, so all of it is
-            // durable; its clock is the `Clock` record it ends with.
-            shard.wal = wal;
+            // durable; its clock is the `Clock` record it ends with. The
+            // old journal's buffered frames are only `Journaled`: the
+            // new one holds their state, so they are not written.
+            std::mem::replace(&mut shard.wal, wal).discard();
             shard.mark_durable(max_time);
             shard
                 .core

@@ -12,7 +12,8 @@
 //! [`Wal::append`] encodes each frame into an in-memory buffer; the
 //! buffer reaches the file as **one** `write_all` of whole frames — in
 //! a group-commit batch before its fsync, in the append that takes
-//! it to [`WRITE_CAP`], and best effort on drop. The file therefore
+//! it to [`WRITE_CAP`], and best effort on drop (not for a journal a
+//! checkpoint superseded, `Wal::discard`). The file therefore
 //! always holds a *prefix* of the frame sequence: a crash leaves at
 //! worst a partial final frame — never interleaved garbage in the
 //! middle of the journal.
@@ -652,6 +653,13 @@ impl Wal {
     /// The journal's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Closes a journal a checkpoint superseded without writing its
+    /// buffered frames: the rewritten journal holds their state, and
+    /// this file is garbage once the new generation is live.
+    pub(crate) fn discard(mut self) {
+        self.buf.clear();
     }
 }
 

@@ -9,10 +9,13 @@
 //! `drop`, and a journal cut on one shard. Under every cell the engine
 //! must fail *typed*, never panic and never drop an acked fix, and the
 //! recovered corpus must be byte-identical to a clean single-shard run
-//! over exactly the surviving acked fixes. Two fixed lists of cells go
-//! through the same driver: every fault kind at seeded operation
-//! indices, and every operation of a stream whose journal only the
-//! buffer's cap writes.
+//! over exactly the surviving acked fixes — over the stream up to the
+//! last of them, refused pushes left out, when they are a prefix of the
+//! acks, so coalesced and quarantined fixes must leave no trace. Two
+//! fixed lists of cells go through the same driver: every fault kind at
+//! seeded operation indices, and every operation of a stream whose
+//! journal only the buffer's cap writes. A third, named list puts a
+//! one-shot short write at each journal operation of a checkpoint.
 //!
 //! Also here: the memory-budget/eviction determinism proptest (eviction
 //! order and corpus bytes identical across flush-worker counts, and
@@ -183,10 +186,12 @@ struct Cell<'a> {
 
 /// Backend operations a cell's run made between its open and its drop:
 /// over every path, and on each shard's journal files — the index
-/// spaces a fault draws its operation from.
+/// spaces a fault draws its operation from — and the span of each
+/// shard's journal operations the checkpoint call covered.
 struct Ops {
     all: u64,
     journal: Vec<u64>,
+    checkpoint: Vec<std::ops::Range<u64>>,
 }
 
 /// The cell driver. Runs `cell`, checks every rule a crash and a disk
@@ -197,7 +202,9 @@ struct Ops {
 /// checkpoint (published corpus plus a synced rewritten journal), or
 /// when its ack offset is at most its shard's journal length after the
 /// drop and the cut: the drop writes what a failed or unsettled batch
-/// left buffered only when the disk lets it, on any shard.
+/// left buffered only when the disk lets it, on any shard. A one-shot
+/// fault leaves a trace by the closing sync: a failed checkpoint, or the
+/// counters of the push or sync it hit.
 fn run_cell(tag: &str, cell: &Cell) -> Ops {
     let f = fleet();
     let shards = cell.cfg.shards;
@@ -239,15 +246,28 @@ fn run_cell(tag: &str, cell: &Cell) -> Ops {
     // rewrote `base_points` of them into the new journals.
     let mut acked: Vec<(usize, usize, u64)> = Vec::new();
     let (mut safe, mut base_points) = (0, 0);
-    // Faults that fired inside the checkpoint call, where the dropped
-    // superseded journal writes its buffer best effort.
-    let mut spent_at_checkpoint = 0;
+    // The checkpoint's typed failure, the trace of a fault it spent.
+    let mut checkpoint_failed = false;
+    // Event indices of the refused pushes, and their count per shard.
+    let mut refused_at: Vec<usize> = Vec::new();
     let mut refused = vec![0usize; shards];
+    let journal_ops = || -> Vec<u64> {
+        needles
+            .iter()
+            .zip(&start_on)
+            .map(|(n, start)| faulty.ops_on(n) - start)
+            .collect()
+    };
+    let mut checkpoint_ops = Vec::new();
     for (i, &(v, s)) in cell.events.iter().enumerate() {
         if cell.checkpoint && i == cell.events.len() / 2 {
-            let before = faulty.injected();
+            let before = journal_ops();
             let result = engine.checkpoint();
-            spent_at_checkpoint = faulty.injected() - before;
+            checkpoint_ops = before
+                .into_iter()
+                .zip(journal_ops())
+                .map(|(a, b)| a..b)
+                .collect();
             let committed = match result {
                 Ok(_) => true,
                 // A faulted checkpoint is typed and leaves the old
@@ -258,6 +278,7 @@ fn run_cell(tag: &str, cell: &Cell) -> Ops {
                 Err(e) => {
                     assert!(cell.fault.is_some(), "{what}: checkpoint failed: {e}");
                     assert!(!e.to_string().is_empty(), "{what}: an empty message");
+                    checkpoint_failed = true;
                     let moved = engine.generation() > 0;
                     assert!(
                         !moved || matches!(e, ServeError::Manifest(_)),
@@ -291,18 +312,32 @@ fn run_cell(tag: &str, cell: &Cell) -> Ops {
                     "{what}: a scoped fault degrades exactly the faulted shard: {e}"
                 );
                 refused[k] += 1;
+                refused_at.push(i);
             }
         }
     }
     let synced = cell.sync.then(|| engine.sync());
+    // A failed sync is a typed refusal that names its shard — the
+    // faulted one when the fault is scoped — or, after a checkpoint, a
+    // manifest rename it could not make durable.
     if let Some(Err(e)) = &synced {
         assert!(cell.fault.is_some(), "{what}: sync failed: {e}");
-        assert!(
-            refusal(e) || matches!(e, ServeError::Manifest(_)),
-            "{what}: sync surfaced an untyped fault: {e}"
-        );
-        if let Some(k) = scoped {
-            assert_eq!(e.degraded_shard(), Some(k), "{what}: {e}");
+        if matches!(e, ServeError::Manifest(_)) {
+            assert!(
+                cell.checkpoint,
+                "{what}: a manifest error with no checkpoint: {e}"
+            );
+        } else {
+            assert!(refusal(e), "{what}: sync surfaced an untyped fault: {e}");
+            let named = e.degraded_shard();
+            assert!(
+                named.is_some(),
+                "{what}: a sync refusal names no shard: {e}"
+            );
+            assert!(
+                scoped.is_none() || named == scoped,
+                "{what}: a scoped fault fails only its shard's sync: {e}"
+            );
         }
     }
     if let Some(k) = scoped.filter(|_| shards > 1) {
@@ -322,15 +357,14 @@ fn run_cell(tag: &str, cell: &Cell) -> Ops {
         );
     }
     // A one-shot fault heals: a transient one inside the retry budget,
-    // out-of-space after refusing at most the one push or sync it hit.
-    // The counters are read at the closing sync, a settle point, unless
-    // the checkpoint spent the fault.
+    // out-of-space after refusing at most the one push, sync or
+    // checkpoint it hit. By the closing sync, a settle point, it has
+    // fired and left a trace: the checkpoint's error or the counters.
     if let Some(fault) = cell.fault.filter(|f| !f.sticky) {
         let refusals = refused.iter().sum::<usize>();
         let sync_failed = matches!(synced, Some(Err(_)));
         let stats = engine.stats();
-        let settled = cell.sync && spent_at_checkpoint == 0;
-        if settled {
+        if cell.sync {
             assert_eq!(faulty.injected(), 1, "{what}: the fault fires by the sync");
         }
         match fault.kind {
@@ -340,17 +374,27 @@ fn run_cell(tag: &str, cell: &Cell) -> Ops {
                     "{what}: a one-shot transient fault must heal"
                 );
                 assert!(
-                    !settled || (stats.io_retries > 0 && stats.sync_failures == 0),
+                    !cell.sync
+                        || (stats.sync_failures == 0
+                            && (stats.io_retries > 0 || checkpoint_failed)),
                     "{what}: the retry budget absorbs it: {stats:?}"
                 );
             }
             FaultKind::Enospc | FaultKind::ShortWrite => {
                 assert!(
-                    refusals + usize::from(sync_failed) <= 1,
-                    "{what}: a one-shot ENOSPC refuses at most one push or sync"
+                    refusals + usize::from(sync_failed) + usize::from(checkpoint_failed) <= 1,
+                    "{what}: a one-shot ENOSPC refuses at most one push, sync or checkpoint"
                 );
+                if let Some(Err(e)) = &synced {
+                    assert!(
+                        e.is_storage_full(),
+                        "{what}: only out-of-space fails the sync: {e}"
+                    );
+                }
                 assert!(
-                    !settled || stats.storage_full_rejections + stats.sync_failures > 0,
+                    !cell.sync
+                        || stats.storage_full_rejections + stats.sync_failures > 0
+                        || checkpoint_failed,
                     "{what}: the refusal is counted: {stats:?}"
                 );
             }
@@ -368,11 +412,8 @@ fn run_cell(tag: &str, cell: &Cell) -> Ops {
     );
     let ops = Ops {
         all: faulty.ops() - start,
-        journal: needles
-            .iter()
-            .zip(start_on)
-            .map(|(n, start)| faulty.ops_on(n) - start)
-            .collect(),
+        journal: journal_ops(),
+        checkpoint: checkpoint_ops,
     };
 
     // The cut: any offset of a generation-0 journal, header included;
@@ -404,12 +445,26 @@ fn run_cell(tag: &str, cell: &Cell) -> Ops {
         base_points + acked[safe..].iter().filter(|a| survives(a)).count(),
         "{what}: every surviving acked point replays, nothing more"
     );
-    let surviving: Vec<Event> = acked
-        .iter()
-        .enumerate()
-        .filter(|&(j, a)| j < safe || survives(a))
-        .map(|(_, &(i, _, _))| cell.events[i])
+    let kept: Vec<bool> = (0..acked.len())
+        .map(|j| j < safe || survives(&acked[j]))
         .collect();
+    let m = kept.iter().take_while(|&&k| k).count();
+    // When the survivors are a prefix of the acks, the reference gets
+    // the stream up to the last of them, refused pushes left out: the
+    // coalesced and quarantined fixes among it must leave no trace.
+    // Otherwise it gets the surviving acks alone.
+    let surviving: Vec<Event> = if kept[m..].iter().all(|&k| !k) {
+        let end = acked[..m].last().map_or(0, |a| a.0 + 1);
+        (0..end)
+            .filter(|i| refused_at.binary_search(i).is_err())
+            .map(|i| cell.events[i])
+            .collect()
+    } else {
+        (0..acked.len())
+            .filter(|&j| kept[j])
+            .map(|j| cell.events[acked[j].0])
+            .collect()
+    };
     // The reference runs at ONE shard: byte-identity proves isolation
     // and shard-count invariance at once. At one shard the corpus
     // file's bytes, `ingest` sidecar included, must match too.
@@ -509,6 +564,35 @@ fn checkpoint_replay_keeps_a_session_older_than_the_idle_timeout() {
             cut: 0.0,
         },
     );
+}
+
+/// A one-shot short write on shard 1's journal at each of its operations
+/// in a mid-run checkpoint, which ends by `sync`. Every one must leave
+/// a trace: a failed checkpoint, or a refusal the counters show. A
+/// checkpoint that wrote the superseded journal's buffer best effort
+/// spent one such fault there without either.
+#[test]
+fn short_write_in_a_checkpoint_leaves_a_trace() {
+    let mut cell = Cell {
+        cfg: cell_config(0, 2),
+        events: &fleet().events,
+        fault: None,
+        checkpoint: true,
+        sync: true,
+        victim: 1,
+        cut: 1.0,
+    };
+    let span = run_cell("checkpoint-span", &cell).checkpoint[1].clone();
+    assert!(!span.is_empty(), "the checkpoint writes shard 1's journal");
+    for at_op in span {
+        cell.fault = Some(Fault {
+            kind: FaultKind::ShortWrite,
+            sticky: false,
+            shard: Some(1),
+            at_op,
+        });
+        run_cell("checkpoint-fault", &cell);
+    }
 }
 
 /// The deterministic seeded matrix: every fault kind, one-shot and on
