@@ -94,19 +94,16 @@
 //! shard count other than the one its manifest commits is a typed
 //! [`ServeError::Config`] (resharding is not supported).
 //!
-//! # Incremental checkpoints
+//! # Checkpoints
 //!
 //! [`IngestEngine::checkpoint`] flushes pending segments, then commits
 //! the corpus shard files and the shrunk per-shard journals as **one
-//! atomic set**: everything is written under the next generation number
+//! atomic set**: every file is written and synced under its final
+//! next-generation name, one directory fsync makes the names durable,
 //! and a single [`crate::manifest`] rename flips recovery to the new
-//! set. A shard with no new finalized segments since the last
-//! generation does not rewrite its corpus slice — the previous
-//! generation's file is hard-linked under the next generation's name —
-//! so checkpoint cost and crash blast-radius scale with *dirty* shards,
-//! not corpus size. A crash at any byte of the checkpoint lands on a
-//! complete generation: the old shard set with the full old journals,
-//! or the new set with exactly its in-flight tails.
+//! set. A crash at any byte of the checkpoint lands on a complete
+//! generation: the old shard set with the full old journals, or the new
+//! set with exactly its in-flight tails.
 
 use crate::durability::DurabilityPolicy;
 use crate::manifest;
@@ -419,8 +416,6 @@ pub struct IngestStats {
     /// Frames made durable by those syncs (group-commit batch total;
     /// average batch = `synced_frames / sync_calls`).
     pub synced_frames: u64,
-    /// Largest single group-commit batch, in frames.
-    pub max_sync_batch: u64,
     /// Transient I/O failures that were retried (append or sync).
     pub io_retries: u64,
     /// Sync attempts that failed even after retries (the engine stays
@@ -451,8 +446,7 @@ impl IngestStats {
         }
     }
 
-    /// Adds `other`'s counters into `self` (the summed fleet-wide view;
-    /// `max_sync_batch` takes the max).
+    /// Adds `other`'s counters into `self` (the summed fleet-wide view).
     pub fn accumulate(&mut self, other: &IngestStats) {
         self.points_accepted += other.points_accepted;
         self.points_repaired += other.points_repaired;
@@ -472,7 +466,6 @@ impl IngestStats {
         self.pieces_shed += other.pieces_shed;
         self.sync_calls += other.sync_calls;
         self.synced_frames += other.synced_frames;
-        self.max_sync_batch = self.max_sync_batch.max(other.max_sync_batch);
         self.io_retries += other.io_retries;
         self.sync_failures += other.sync_failures;
         self.sessions_evicted += other.sessions_evicted;
@@ -489,8 +482,6 @@ pub struct RecoveryReport {
     pub corpus_trajectories: usize,
     /// `Point` frames replayed from the journals.
     pub replayed_points: u64,
-    /// `Finalize`/`FinalizeAll` frames replayed.
-    pub replayed_finalizes: u64,
     /// Bytes truncated from the journals' torn tails.
     pub torn_bytes: u64,
     /// True when no journal existed on any shard (fresh directory).
@@ -643,11 +634,6 @@ struct Shard {
     /// This shard's slice of the compressed corpus under its canonical
     /// merge keys, sorted by key.
     corpus: Vec<(TrajKey, CompressedTrajectory)>,
-    /// True when a flush took segments from this shard since the last
-    /// checkpoint — its corpus slice (trajectories and/or counters)
-    /// needs a rewrite; clean shards hard-link the previous
-    /// generation's file instead.
-    dirty: bool,
 }
 
 /// A group-commit batch handed over and not settled yet: what it
@@ -801,7 +787,6 @@ impl Shard {
         if outcome.is_ok() {
             stats.sync_calls += 1;
             stats.synced_frames += sent.frames;
-            stats.max_sync_batch = stats.max_sync_batch.max(sent.frames);
             self.durable_offset = sent.end;
         } else {
             stats.sync_failures += 1;
@@ -921,15 +906,10 @@ fn recover_shard(
         load_shard_corpus(&corpus_path, model)?
     };
     let mut core = ShardCore::new(config, next_seg);
-    let mut replayed_finalizes = 0;
-    let (wal, replay) = Wal::open(&wal_path, io, |rec| {
-        replayed_finalizes += u64::from(rec.is_finalize());
-        core.apply(rec)
-    })?;
+    let (wal, replay) = Wal::open(&wal_path, io, |rec| core.apply(rec))?;
     let report = RecoveryReport {
         corpus_trajectories: corpus.len(),
         replayed_points: core.stats.points_accepted,
-        replayed_finalizes,
         torn_bytes: replay.torn_bytes,
         wal_was_fresh: replay.fresh,
         sessions_rebuilt: core.sessions.len(),
@@ -947,7 +927,6 @@ fn recover_shard(
         in_flight: None,
         needs_clock: false,
         corpus,
-        dirty: false,
     };
     Ok((shard, report))
 }
@@ -1083,7 +1062,6 @@ impl IngestEngine {
             max_time = max_time.max(shard.core.clock);
             report.corpus_trajectories += part.corpus_trajectories;
             report.replayed_points += part.replayed_points;
-            report.replayed_finalizes += part.replayed_finalizes;
             report.torn_bytes += part.torn_bytes;
             report.wal_was_fresh &= part.wal_was_fresh;
             report.sessions_rebuilt += part.sessions_rebuilt;
@@ -1302,11 +1280,17 @@ impl IngestEngine {
     fn sync_manifest(&mut self) -> Result<()> {
         if self.manifest_unsynced {
             self.settle_all();
-            store_io::sync_parent_dir(self.io.as_ref(), &self.dir.join(manifest::MANIFEST_FILE))
-                .map_err(|e| ServeError::Manifest(e.to_string()))?;
+            self.sync_dir()?;
             self.manifest_unsynced = false;
         }
         Ok(())
+    }
+
+    /// Fsyncs the ingest directory, so the names created or renamed in
+    /// it are durable; a failure is [`ServeError::Manifest`].
+    fn sync_dir(&self) -> Result<()> {
+        store_io::sync_parent_dir(self.io.as_ref(), &self.dir.join(manifest::MANIFEST_FILE))
+            .map_err(|e| ServeError::Manifest(e.to_string()))
     }
 
     /// Explicitly ends `vehicle`'s trajectory (journaled in its owning
@@ -1349,7 +1333,6 @@ impl IngestEngine {
         self.read_ahead_all();
         let mut tagged: Vec<(usize, PendingSegment)> = Vec::new();
         for (k, shard) in self.shards.iter_mut().enumerate() {
-            shard.dirty |= !shard.core.pending.is_empty();
             tagged.extend(shard.core.pending.drain(..).map(|seg| (k, seg)));
         }
         if tagged.is_empty() {
@@ -1423,15 +1406,14 @@ impl IngestEngine {
 
     /// Flushes, then commits the published corpus shard files and the
     /// per-shard journals — each shrunk down to just its in-flight
-    /// state — as **one atomic set**: everything is written under the
-    /// next generation number and flipped live by a single manifest
-    /// rename (see [`crate::manifest`]), so a crash at any byte of the
-    /// checkpoint recovers a consistent generation. **Incremental**: a
-    /// shard that cut no segment since the last checkpoint hard-links
-    /// its previous corpus file instead of rewriting it, so cost scales
-    /// with dirty shards. After a checkpoint, recovery cost is
-    /// proportional to the in-flight points, not the history. Returns
-    /// the number of trajectories in the corpus.
+    /// state — as **one atomic set**: every file is written and synced
+    /// under its next-generation name, one directory fsync makes the
+    /// names durable, and a single manifest rename flips them live (see
+    /// [`crate::manifest`]), so a crash at any byte of the checkpoint
+    /// recovers a consistent generation. Every shard's corpus file is
+    /// rewritten. After a checkpoint, recovery cost is proportional to
+    /// the in-flight points, not the history. Returns the number of
+    /// trajectories in the corpus.
     ///
     /// A failure before the manifest rename leaves the engine on its
     /// old generation. A [`ServeError::Manifest`] from the directory
@@ -1443,43 +1425,24 @@ impl IngestEngine {
         self.flush()?;
         let next = self.generation + 1;
         let query = QueryEngine::new(self.press.model());
-        for k in 0..self.shards.len() {
-            let next_path = self
+        for (k, shard) in self.shards.iter().enumerate() {
+            let extra = vec![(
+                INGEST_SECTION.to_string(),
+                encode_ingest_section(shard.corpus.iter().map(|e| &e.0), &shard.core.next_seg),
+            )];
+            let trajectories: Vec<CompressedTrajectory> =
+                shard.corpus.iter().map(|e| e.1.clone()).collect();
+            let bytes = TrajectoryStore::to_store_bytes_with_extra(
+                &query,
+                &trajectories,
+                self.config.block_size,
+                extra,
+            )?;
+            let path = self
                 .dir
                 .join(manifest::corpus_shard_file_name(next, k as u32));
-            let prev_path = self.shard_corpus_path(k);
-            let shard = &self.shards[k];
-            if shard.dirty || !prev_path.exists() {
-                let extra = vec![(
-                    INGEST_SECTION.to_string(),
-                    encode_ingest_section(shard.corpus.iter().map(|e| &e.0), &shard.core.next_seg),
-                )];
-                let trajectories: Vec<CompressedTrajectory> =
-                    shard.corpus.iter().map(|e| e.1.clone()).collect();
-                let bytes = TrajectoryStore::to_store_bytes_with_extra(
-                    &query,
-                    &trajectories,
-                    self.config.block_size,
-                    extra,
-                )?;
-                // The generation-stamped name is invisible to recovery
-                // until the manifest commit; the atomic write
-                // additionally keeps a faulted checkpoint from leaving a
-                // half-written artifact under a name a *later*
-                // checkpoint could collide with.
-                store_io::atomic_write_file(self.io.as_ref(), &next_path, &bytes)
-                    .map_err(|e| Self::degrade(k, e.into()))?;
-            } else {
-                // Clean shard: the previous generation's file *is* the
-                // next one — link it under the new name (a leftover from
-                // an uncommitted checkpoint may occupy it). Generation GC
-                // only ever removes names, so the shared inode lives
-                // until the last generation referencing it is collected.
-                let _ = self.io.remove_file(&next_path);
-                self.io
-                    .hard_link(&prev_path, &next_path)
-                    .map_err(|e| Self::degrade(k, e.into()))?;
-            }
+            store_io::write_synced(self.io.as_ref(), &path, &bytes)
+                .map_err(|e| Self::degrade(k, e.into()))?;
         }
         let max_time = self.max_time;
         let mut new_wals = Vec::with_capacity(self.shards.len());
@@ -1493,6 +1456,12 @@ impl IngestEngine {
             .map_err(|e| Self::degrade(k, e.into()))?;
             new_wals.push(wal);
         }
+        // A new-generation file is garbage until the manifest names it:
+        // `create` truncated any leftover of an uncommitted checkpoint,
+        // and open's GC removes one. So no file needs a rename of its
+        // own; one directory fsync makes every new name durable before
+        // the manifest can name them.
+        self.sync_dir()?;
         // The commit point: one atomic rename flips recovery from the
         // old shard set to the new one. A typed failure before the
         // rename leaves the engine on its old generation, old journals,
@@ -1525,7 +1494,6 @@ impl IngestEngine {
                 .apply(&WalRecord::Clock { t: max_time })
                 .expect(LIVE_APPLY);
             shard.needs_clock = false;
-            shard.dirty = false;
         }
         // The superseded generation is dead weight now. Best-effort
         // only: a cleanup fault must not fail a *committed* checkpoint

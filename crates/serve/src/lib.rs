@@ -20,7 +20,7 @@
 //!      │ finalize
 //!      ▼
 //!  pending ── flush(): parallel salvage-matching + Press::compress
-//!      │ checkpoint (incremental: clean shards hard-link)
+//!      │ checkpoint: every file written in place, one directory fsync
 //!      ▼
 //!  corpus.<gen>.s<k>.press × N + ingest.<gen>.s<k>.wal × N ── block
 //!      stores + shrunk WALs, committed as one SET by a single atomic
@@ -50,13 +50,12 @@
 //!   carry canonical merge keys (vehicle, segment sequence, piece), so
 //!   the merged corpus bytes are identical for any shard count and any
 //!   flush-worker count.
-//! * **Checkpoints commit atomically and incrementally.** All N corpus
-//!   shard files and N shrunk journals are flipped live as one set by a
-//!   single [`manifest`] rename (fsynced through the directory), so a
-//!   crash at any byte of a checkpoint recovers either the complete old
-//!   set or the complete new one. Shards that cut nothing since the
-//!   last checkpoint hard-link their previous corpus file instead of
-//!   rewriting it.
+//! * **Checkpoints commit atomically.** All N corpus shard files and N
+//!   shrunk journals are written and synced under their final
+//!   next-generation names, and flipped live as one set by a single
+//!   [`manifest`] rename (fsynced through the directory), so a crash at
+//!   any byte of a checkpoint recovers either the complete old set or
+//!   the complete new one.
 //! * **Bad input degrades, never panics.** Defective fixes land in a
 //!   typed quarantine; unmatchable stretches split into salvaged
 //!   pieces; pathological sessions are shed by a deterministic matcher

@@ -19,16 +19,14 @@
 //! interrupted) and are garbage-collected. A crash at **any** byte of
 //! a checkpoint therefore lands on a complete, consistent generation:
 //! the old one if the rename did not happen, the new one if it did.
-//! Incremental checkpoints exploit the same protocol: a clean shard's
-//! corpus file is **hard-linked** from the previous generation's name
-//! to the next one's, so the link is just another uncommitted artifact
-//! until the rename — and GC by generation number still works, because
-//! removing a superseded name only drops one reference to the shared
-//! inode.
 //!
-//! After the rename (and after creating a journal) the parent directory
-//! is fsynced so the commit survives power loss, not just process
-//! death.
+//! The rename is the **only** commit point. An artifact is written and
+//! `sync_data`ed under its final name with no staging file and no
+//! rename of its own: until the manifest names its generation it is
+//! garbage, which the next checkpoint's `create` truncates and open's
+//! GC removes. One directory fsync after the last artifact makes every
+//! new name durable before the rename; a second one after the rename
+//! makes the commit survive power loss, not just process death.
 //!
 //! # Manifest format
 //!
@@ -168,11 +166,11 @@ pub fn has_artifacts(dir: &Path) -> io::Result<bool> {
 /// Removes every artifact not belonging to `keep` (uncommitted
 /// leftovers of a crashed checkpoint, superseded generations whose
 /// cleanup was interrupted) plus any stranded `*.tmp` staging file
-/// (atomic writes stage through sibling temp files; one survives only
-/// if the writer crashed or faulted mid-stage, and it is inert).
-/// Hard-linked incremental-checkpoint corpora are safe under this
-/// rule: removing a superseded generation's name only drops one link
-/// to the inode the kept generation still names.
+/// (the manifest's atomic write stages through a sibling temp file; one
+/// survives only if the writer crashed or faulted mid-stage, and it is
+/// inert). Removal goes through `std::fs`, not an [`IoBackend`]: a
+/// failed removal leaves an inert file and changes nothing recovery
+/// reads.
 pub fn gc(dir: &Path, keep: u64) -> io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;

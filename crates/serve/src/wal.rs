@@ -36,6 +36,11 @@
 //!   crash before the buffer write loses it, and everything after it:
 //!   the journal is cut at a frame boundary, which recovery replays
 //!   like any other cut.
+//! * [`Wal::create`] writes a whole journal and syncs its data, not
+//!   its name. A checkpoint creates every new journal under its final
+//!   generation-stamped name and fsyncs the directory once before the
+//!   manifest rename commits them; [`Wal::open`] fsyncs the directory
+//!   after creating a fresh journal.
 //! * [`Wal::open`] replays every complete, CRC-valid frame in order,
 //!   one at a time, from a read-only mapping of the file.
 //! * A **torn tail** — an incomplete frame at EOF, or a final frame whose
@@ -175,12 +180,6 @@ const TAG_RESUME: u8 = 4;
 const TAG_CLOCK: u8 = 5;
 
 impl WalRecord {
-    /// True for the explicit end-of-trajectory frames (`Finalize`,
-    /// `FinalizeAll`).
-    pub fn is_finalize(&self) -> bool {
-        matches!(self, WalRecord::Finalize { .. } | WalRecord::FinalizeAll)
-    }
-
     /// Length of the record's frame: the 8-byte length + CRC header and
     /// the payload [`WalRecord::decode`] reads.
     pub(crate) fn frame_len(&self) -> usize {
@@ -483,7 +482,9 @@ impl Wal {
                 fresh: bytes.is_empty(),
             };
             drop(map);
-            return Ok((Self::create(path, &[], io)?, replay));
+            let wal = Self::create(path, &[], Arc::clone(&io))?;
+            store_io::sync_parent_dir(io.as_ref(), path)?;
+            return Ok((wal, replay));
         }
         if bytes[..8] != WAL_MAGIC {
             return Err(WalError::BadMagic);
@@ -519,12 +520,11 @@ impl Wal {
     }
 
     /// Writes a brand-new journal containing `records` at `path`
-    /// (overwriting anything there) and syncs it, file and directory.
-    /// This is **not** an atomic replacement of a live journal: the
-    /// checkpoint protocol writes the new journal under a fresh,
-    /// uncommitted generation-stamped name and commits it — together
-    /// with the matching corpus — via the manifest rename (see
-    /// [`crate::manifest`]).
+    /// (overwriting anything there) and syncs its data. Its name is not
+    /// durable until the caller fsyncs the directory: a checkpoint does
+    /// once for its whole generation before the manifest rename commits
+    /// it (see [`crate::manifest`]), [`Wal::open`] for a fresh journal.
+    /// This is **not** an atomic replacement of a live journal.
     pub fn create(path: &Path, records: &[WalRecord], io: Arc<dyn IoBackend>) -> Result<Wal> {
         let mut buf = Vec::with_capacity(WAL_HEADER_LEN as usize + records.len() * 48);
         buf.extend_from_slice(&WAL_MAGIC);
@@ -533,10 +533,7 @@ impl Wal {
         for rec in records {
             put_frame(&mut buf, rec);
         }
-        let mut file = io.create(path)?;
-        io.write_all(&mut file, &buf)?;
-        io.sync_data(&file)?;
-        store_io::sync_parent_dir(io.as_ref(), path)?;
+        let file = store_io::write_synced(io.as_ref(), path, &buf)?;
         Ok(Wal::new(io, file, path, buf.len() as u64))
     }
 

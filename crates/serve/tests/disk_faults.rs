@@ -1239,21 +1239,21 @@ fn sticky_fault_on_one_shard_leaves_the_fleet_ingesting() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Incremental checkpoints: with 8 shards and one dirty vehicle, the
-/// next checkpoint rewrites only the dirty shard's corpus file —
-/// every clean shard's file is a hard link to its previous generation
-/// (same inode) — and the whole set still commits through the single
-/// MANIFEST rename: a fault before the rename leaves the old
-/// generation fully live.
+/// A checkpoint writes every shard's corpus file in place and commits
+/// the whole set through the single MANIFEST rename. With 8 shards and
+/// one dirty vehicle, each clean shard's file at the next generation
+/// equals its previous generation's byte for byte and the dirty shard's
+/// does not; a fault before the rename leaves the old generation live;
+/// and a fault-free checkpoint makes `6N + 6` backend operations: per
+/// shard a create, write and `sync_data` of its corpus file and of its
+/// journal, one directory fsync, then the manifest's atomic write
+/// (create, write, `sync_data`, rename, directory fsync).
 #[test]
-fn incremental_checkpoint_links_clean_shards_and_commits_atomically() {
-    use std::os::unix::fs::MetadataExt;
+fn checkpoint_rewrites_clean_shards_unchanged_and_commits_in_one_rename() {
     let f = fleet();
-    let cfg = IngestConfig {
-        shards: 8,
-        ..config()
-    };
-    let dir = test_dir("incr-ckpt");
+    let shards = 8;
+    let cfg = IngestConfig { shards, ..config() };
+    let dir = test_dir("ckpt-rewrite");
     let faulty = FaultyIo::new(Vec::new());
     let mut engine = f.open_with_io(&dir, cfg, faulty.clone()).expect("open");
     for &(v, s) in &f.events {
@@ -1262,12 +1262,8 @@ fn incremental_checkpoint_links_clean_shards_and_commits_atomically() {
     engine.finalize_all().expect("finalize_all");
     engine.checkpoint().expect("first checkpoint");
     let gen1 = engine.generation();
-    let inodes1: Vec<u64> = (0..8)
-        .map(|k| {
-            std::fs::metadata(engine.shard_corpus_path(k))
-                .expect("gen1 shard corpus")
-                .ino()
-        })
+    let corpus1: Vec<Vec<u8>> = (0..shards)
+        .map(|k| std::fs::read(engine.shard_corpus_path(k)).expect("gen1 shard corpus"))
         .collect();
 
     // Dirty exactly one shard: new fixes for vehicle 0 only.
@@ -1284,38 +1280,47 @@ fn incremental_checkpoint_links_clean_shards_and_commits_atomically() {
             .expect("dirty push");
     }
     engine.finalize(0).expect("finalize vehicle 0");
+    // No batch left on the syncer: every operation from here on is the
+    // checkpoint's own.
+    engine.sync().expect("sync");
 
-    // Crash window: a checkpoint faulted before its manifest rename
-    // leaves the old generation fully live.
-    faulty.arm(DiskFault {
-        at_op: faulty.ops() + 3,
-        kind: FaultKind::Enospc,
-        sticky: true,
-    });
-    assert!(
-        engine.checkpoint().is_err(),
-        "faulted checkpoint fails typed"
-    );
-    assert_eq!(
-        engine.generation(),
-        gen1,
-        "a failed checkpoint commits nothing"
-    );
-    faulty.clear();
+    // Crash windows: a checkpoint faulted before its manifest rename —
+    // in the second shard's corpus file, or at the one directory fsync
+    // before the rename — leaves the old generation fully live.
+    for (at, shard) in [(3, Some(1)), (6 * shards as u64, None)] {
+        faulty.arm(DiskFault {
+            at_op: faulty.ops() + at,
+            kind: FaultKind::Enospc,
+            sticky: true,
+        });
+        let err = engine.checkpoint().expect_err("faulted checkpoint");
+        assert_eq!(err.degraded_shard(), shard, "fault at op {at}: {err}");
+        assert_eq!(shard.is_none(), matches!(err, ServeError::Manifest(_)));
+        assert_eq!(
+            engine.generation(),
+            gen1,
+            "a failed checkpoint commits nothing"
+        );
+        faulty.clear();
+    }
 
+    let before = faulty.ops();
     engine.checkpoint().expect("second checkpoint");
+    assert_eq!(
+        faulty.ops() - before,
+        6 * shards as u64 + 6,
+        "backend operations of a fault-free checkpoint"
+    );
     let gen2 = engine.generation();
     assert!(gen2 > gen1);
-    for (k, &ino1) in inodes1.iter().enumerate() {
-        let ino2 = std::fs::metadata(engine.shard_corpus_path(k))
-            .expect("gen2 shard corpus")
-            .ino();
+    for (k, bytes1) in corpus1.iter().enumerate() {
+        let bytes2 = std::fs::read(engine.shard_corpus_path(k)).expect("gen2 shard corpus");
         if k == dirty_shard {
-            assert_ne!(ino2, ino1, "the dirty shard's corpus must be rewritten");
+            assert_ne!(&bytes2, bytes1, "the dirty shard's corpus must change");
         } else {
             assert_eq!(
-                ino2, ino1,
-                "clean shard {k} must hard-link its previous corpus file"
+                &bytes2, bytes1,
+                "clean shard {k}'s corpus must equal its previous generation's"
             );
         }
     }

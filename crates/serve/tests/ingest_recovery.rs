@@ -243,6 +243,52 @@ fn a_resume_for_a_live_session_is_corrupt_at_its_frame() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint keeps the last fix of a vehicle whose session holds no
+/// samples as a `Resume` frame. Here the size cap has just cut the
+/// session, and the fix is too recent for the checkpoint's clock to
+/// sweep it. After a reopen the vehicle re-sends that fix: it must be
+/// coalesced (`Ack::Repaired`) as in a never-crashed engine, and the
+/// two merged corpora must be equal.
+#[test]
+fn a_resent_last_fix_after_a_checkpoint_is_repaired_like_a_never_crashed_run() {
+    let f = fleet();
+    let cap = 10;
+    let cfg = IngestConfig {
+        idle_timeout: 350.0,
+        max_session_points: cap,
+        ..config()
+    };
+    // The event that brings vehicle 0's session to the cap.
+    let cut = (0..f.events.len())
+        .filter(|&i| f.events[i].0 == 0)
+        .nth(cap - 1)
+        .expect("vehicle 0 has a capped session");
+    let resent = f.events[cut];
+    let run = |tag: &str, crash: bool| {
+        let dir = test_dir(tag);
+        let (mut engine, _) = run_clean(&dir, cfg, &f.events[..=cut]);
+        if crash {
+            engine.checkpoint().expect("checkpoint");
+            drop(engine);
+            engine = f.open(&dir, cfg).expect("reopen");
+        }
+        let ack = engine.push(resent.0, resent.1).expect("re-sent fix");
+        assert_eq!(ack, Ack::Repaired, "{tag}: the re-sent last fix");
+        for &(v, s) in &f.events[cut + 1..] {
+            engine.push(v, s).expect("push");
+        }
+        let corpus = finish_merged(&mut engine);
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+        corpus
+    };
+    assert_eq!(
+        run("resume-ckpt", true),
+        run("resume-clean", false),
+        "the merged corpus after the reopen"
+    );
+}
+
 #[test]
 fn checkpoint_then_kill_keeps_published_corpus_and_tail() {
     let f = fleet();
@@ -314,12 +360,12 @@ fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
 }
 
 /// The checkpoint commit window: a checkpoint writes a new corpus and a
-/// new (shrunk) journal, then commits both with one manifest rename. A
-/// kill *between* those steps must never yield the new corpus paired
-/// with the old journal — that replay would compress the flushed
-/// trajectories a second time. Each window below reconstructs the exact
-/// directory a kill at that point leaves behind and asserts recovery is
-/// byte-identical to a clean, never-checkpointed run.
+/// new (shrunk) journal under their final names, then commits both with
+/// one manifest rename. A kill *between* those steps must never yield
+/// the new corpus paired with the old journal — that replay would
+/// compress the flushed trajectories a second time — nor a file cut
+/// short. Each window below rebuilds the directory a kill there leaves
+/// and asserts recovery is byte-identical to a clean, never-checkpointed run.
 #[test]
 fn kill_inside_checkpoint_commit_window_recovers_equivalently() {
     let f = fleet();
@@ -351,26 +397,33 @@ fn kill_inside_checkpoint_commit_window_recovers_equivalently() {
     let (mut clean, _) = run_clean(&dir_b, cfg, &f.events);
     let expect = finish(&mut clean);
 
-    let windows: [(&str, Vec<&PathBuf>); 3] = [
+    // (tag, new files the kill leaves, whether it cut each one short)
+    let windows: [(&str, Vec<&PathBuf>, bool); 4] = [
         // Kill after the new corpus was written, before the new journal
         // and the manifest rename.
-        ("corpus-only", vec![&new_corpus]),
+        ("corpus-only", vec![&new_corpus], false),
+        // Kill while both new artifacts were being written: each holds
+        // a prefix of its bytes under its final name.
+        ("torn-corpus-and-wal", vec![&new_corpus, &new_wal], true),
         // Kill after both new artifacts, before the manifest rename —
         // the exact new-corpus + old-journal double-compression window.
-        ("corpus-and-wal", vec![&new_corpus, &new_wal]),
+        ("corpus-and-wal", vec![&new_corpus, &new_wal], false),
         // Kill after the manifest rename, before the old generation's
         // cleanup.
         (
             "manifest-flipped",
             vec![&new_corpus, &new_wal, &new_manifest],
+            false,
         ),
     ];
-    for (tag, files) in windows {
+    for (tag, files, torn) in windows {
         let w = test_dir(&format!("ckpt-window-{tag}"));
         copy_dir(&pre, &w);
         for file in files {
             let name = file.file_name().expect("file name");
-            std::fs::copy(file, w.join(name)).expect("copy artifact");
+            let bytes = std::fs::read(file).expect("artifact");
+            let len = if torn { bytes.len() / 2 } else { bytes.len() };
+            std::fs::write(w.join(name), &bytes[..len]).expect("copy artifact");
         }
         let mut recovered = f.open(&w, cfg).expect("recover");
         for &(v, s) in &f.events[split..] {

@@ -3,9 +3,12 @@
 //! real implementation and a deterministic fault injector.
 //!
 //! Every byte PRESS makes durable flows through an [`IoBackend`]:
-//! journal appends and fsyncs, checkpoint artifact writes, manifest
-//! renames, torn-tail truncation, and garbage collection. The
-//! production backend ([`RealIo`]) delegates straight to `std::fs`;
+//! journal appends and fsyncs, checkpoint artifact writes, directory
+//! fsyncs, manifest renames, and torn-tail truncation. Garbage
+//! collection of superseded generations does not: it removes files
+//! through `std::fs` directly, and a removal that fails changes no
+//! state recovery reads. The production backend ([`RealIo`])
+//! delegates straight to `std::fs`;
 //! the test backend ([`FaultyIo`]) wraps it and injects `ENOSPC`,
 //! `EIO`, short writes, and fsync failures at chosen **operation
 //! indices** — the disk-side analogue of the kill-at-any-byte-offset
@@ -61,11 +64,6 @@ pub trait IoBackend: Send + Sync + fmt::Debug {
     fn set_len(&self, file: &File, len: u64) -> io::Result<()>;
     /// Removes a file.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
-    /// Creates a second directory entry `dst` for the existing file
-    /// `src` (`std::fs::hard_link`) — the cheap re-link incremental
-    /// checkpoints use to carry an unchanged corpus shard into the next
-    /// generation without rewriting its bytes.
-    fn hard_link(&self, src: &Path, dst: &Path) -> io::Result<()>;
 }
 
 /// The production backend: every call delegates to `std::fs`.
@@ -101,9 +99,6 @@ impl IoBackend for RealIo {
     }
     fn remove_file(&self, path: &Path) -> io::Result<()> {
         std::fs::remove_file(path)
-    }
-    fn hard_link(&self, src: &Path, dst: &Path) -> io::Result<()> {
-        std::fs::hard_link(src, dst)
     }
 }
 
@@ -450,12 +445,6 @@ impl IoBackend for FaultyIo {
             None => self.inner.remove_file(path),
         }
     }
-    fn hard_link(&self, src: &Path, dst: &Path) -> io::Result<()> {
-        match self.check(OpClass::Other, Some(dst)) {
-            Some(kind) => Err(Self::fail(kind)),
-            None => self.inner.hard_link(src, dst),
-        }
-    }
 }
 
 /// Fsyncs `path`'s parent directory (if it has a non-empty one) so the
@@ -481,6 +470,16 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// Creates (truncating) `path`, writes `bytes` and `sync_data`s them;
+/// returns the handle, positioned at the end. The data is durable, the
+/// name is not: the caller fsyncs the parent directory, or renames.
+pub fn write_synced(io: &dyn IoBackend, path: &Path, bytes: &[u8]) -> io::Result<File> {
+    let mut f = io.create(path)?;
+    io.write_all(&mut f, bytes)?;
+    io.sync_data(&f)?;
+    Ok(f)
+}
+
 /// Atomically replaces `path` with `bytes`: write a sibling temp file,
 /// fsync it, rename over the target, fsync the parent directory. A
 /// crash or failure at any step leaves either the complete old file or
@@ -489,13 +488,7 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
 /// removes the temp file best-effort; a leftover `*.tmp` is inert.
 pub fn atomic_write_file(io: &dyn IoBackend, path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = tmp_sibling(path);
-    let staged = (|| {
-        let mut f = io.create(&tmp)?;
-        io.write_all(&mut f, bytes)?;
-        io.sync_data(&f)?;
-        Ok(())
-    })();
-    if let Err(e) = staged {
+    if let Err(e) = write_synced(io, &tmp, bytes) {
         let _ = io.remove_file(&tmp);
         return Err(e);
     }
@@ -650,26 +643,6 @@ mod tests {
         assert_eq!(io.ops_on(".s1."), 4, "create, write, sync, write");
         assert_eq!(io.ops_on(".s0."), 4, "create, write, write, sync");
         assert_eq!(io.ops_on(".wal"), io.ops());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn hard_link_shares_content_and_is_faultable() {
-        let dir = tmp_dir("link");
-        let src = dir.join("corpus.1.s0.press");
-        std::fs::write(&src, b"shard bytes").expect("seed");
-        let dst = dir.join("corpus.2.s0.press");
-        RealIo.hard_link(&src, &dst).expect("link");
-        assert_eq!(std::fs::read(&dst).expect("read"), b"shard bytes");
-        let io = FaultyIo::new(vec![DiskFault {
-            at_op: 0,
-            kind: FaultKind::Eio,
-            sticky: false,
-        }]);
-        let dst2 = dir.join("corpus.3.s0.press");
-        assert!(io.hard_link(&src, &dst2).is_err());
-        assert!(!dst2.exists());
-        io.hard_link(&src, &dst2).expect("disarmed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,6 +13,9 @@
 //! format, mode, region, offset and value. Deterministic: no random
 //! draws.
 
+mod common;
+
+use common::scratch;
 use press::core::spatial::HscModel;
 use press::core::CompressedSpatial;
 use press::matcher::GpsSample;
@@ -23,7 +26,7 @@ use press_store::{crc32, StoreError, StoreFile};
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// An artifact of at most this many bytes gets every byte value.
@@ -216,14 +219,6 @@ fn container_row<'a>(
         reseal: Box::new(reseal),
         check: Box::new(check),
     }
-}
-
-/// A fresh scratch directory for one row's files.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("press-fuzz-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
 }
 
 fn grid(n: usize, seed: u64) -> Arc<RoadNetwork> {

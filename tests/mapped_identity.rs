@@ -8,61 +8,16 @@
 //! mapping the same artifact concurrently both answer correctly — the
 //! page-cache sharing that motivates the tier in the first place.
 
+mod common;
+
+use common::{net_from, scratch, walk_from_choices};
 use press::core::query::QueryEngine;
 use press::core::spatial::HscModel;
 use press::core::TrajectoryStore;
-use press::network::{grid_network, GridConfig, RoadNetwork, SpProvider, SpTable};
+use press::network::{RoadNetwork, SpProvider, SpTable};
 use press::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// A small jittered grid from proptest-drawn parameters.
-fn net_from(nx: usize, ny: usize, jitter: f64, seed: u64) -> Arc<RoadNetwork> {
-    Arc::new(grid_network(&GridConfig {
-        nx,
-        ny,
-        spacing: 120.0,
-        weight_jitter: jitter,
-        removal_prob: 0.05,
-        seed,
-    }))
-}
-
-/// Deterministically turns choice bytes into a valid connected path.
-fn walk_from_choices(net: &RoadNetwork, start: u32, choices: &[u8]) -> Vec<EdgeId> {
-    let mut node = NodeId(start % net.num_nodes() as u32);
-    let mut path: Vec<EdgeId> = Vec::with_capacity(choices.len());
-    for &c in choices {
-        let out = net.out_edges(node);
-        if out.is_empty() {
-            break;
-        }
-        let candidates: Vec<EdgeId> = out
-            .iter()
-            .copied()
-            .filter(|&e| {
-                path.last()
-                    .is_none_or(|&p| net.edge(e).to != net.edge(p).from)
-            })
-            .collect();
-        let pool = if candidates.is_empty() {
-            out.to_vec()
-        } else {
-            candidates
-        };
-        let e = pool[c as usize % pool.len()];
-        path.push(e);
-        node = net.edge(e).to;
-    }
-    path
-}
-
-/// A scratch directory unique to this test binary's process.
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("press-mapped-id-{}-{name}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]

@@ -8,6 +8,9 @@
 //! * The ZIP/RAR-like byte codecs round-trip arbitrary bytes.
 //! * The temporal metrics are symmetric and zero on identical curves.
 
+mod common;
+
+use common::walk_from_choices;
 use press::baselines::{rarx, zipx};
 use press::core::spatial::{sp_compress, sp_decompress, HscModel};
 use press::core::temporal::{bopw_compress, btc_compress, nstd, tsnd, BtcBounds};
@@ -50,37 +53,6 @@ fn fixture() -> &'static Fixture {
         let model = Arc::new(HscModel::train(sp.clone(), &training, 3).expect("train"));
         Fixture { net, sp, model }
     })
-}
-
-/// Deterministically turns a byte sequence into a valid connected path:
-/// each byte picks among the current node's outgoing edges, skipping
-/// immediate backtracking when possible.
-fn walk_from_choices(net: &RoadNetwork, start: u32, choices: &[u8]) -> Vec<EdgeId> {
-    let mut node = NodeId(start % net.num_nodes() as u32);
-    let mut path = Vec::with_capacity(choices.len());
-    for &c in choices {
-        let outs = net.out_edges(node);
-        if outs.is_empty() {
-            break;
-        }
-        let non_backtracking: Vec<EdgeId> = outs
-            .iter()
-            .copied()
-            .filter(|&e| {
-                path.last()
-                    .is_none_or(|&p: &EdgeId| net.edge(e).to != net.edge(p).from)
-            })
-            .collect();
-        let pool = if non_backtracking.is_empty() {
-            outs
-        } else {
-            &non_backtracking[..]
-        };
-        let e = pool[c as usize % pool.len()];
-        path.push(e);
-        node = net.edge(e).to;
-    }
-    path
 }
 
 /// Turns proptest-generated increments into a valid temporal sequence

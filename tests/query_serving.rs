@@ -7,41 +7,15 @@
 //! brute-force scan over the in-memory compressed trajectories, and the
 //! indexed `range` must equal the linear directory walk bit-for-bit.
 
+mod common;
+
+use common::walk_from_choices;
 use press::core::query::QueryEngine;
 use press::core::{QueryBatch, StoreAnswer, StoreQuery, TrajectoryStore};
 use press::prelude::*;
 use press::workload::{query_mix, QueryMixConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Deterministically turns choice bytes into a valid connected path.
-fn walk_from_choices(net: &RoadNetwork, start: u32, choices: &[u8]) -> Vec<EdgeId> {
-    let mut node = NodeId(start % net.num_nodes() as u32);
-    let mut path: Vec<EdgeId> = Vec::with_capacity(choices.len());
-    for &c in choices {
-        let out = net.out_edges(node);
-        if out.is_empty() {
-            break;
-        }
-        let candidates: Vec<EdgeId> = out
-            .iter()
-            .copied()
-            .filter(|&e| {
-                path.last()
-                    .is_none_or(|&p| net.edge(e).to != net.edge(p).from)
-            })
-            .collect();
-        let pool = if candidates.is_empty() {
-            out.to_vec()
-        } else {
-            candidates
-        };
-        let e = pool[c as usize % pool.len()];
-        path.push(e);
-        node = net.edge(e).to;
-    }
-    path
-}
 
 /// Builds a corpus of `n` trajectories. `tied` repeats one path and one
 /// time span for every trajectory (all-tied MBRs and spans — the worst

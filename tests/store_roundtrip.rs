@@ -4,55 +4,17 @@
 //! bit flips, wrong magic/version/kind) must yield a typed error — never
 //! a panic, never a silently wrong structure.
 
+mod common;
+
+use common::{net_from, walk_from_choices};
 use press::core::query::QueryEngine;
 use press::core::spatial::HscModel;
 use press::core::TrajectoryStore;
-use press::network::{grid_network, GridConfig, HubLabels, RoadNetwork, SpProvider, SpTable};
+use press::network::{HubLabels, RoadNetwork, SpProvider, SpTable};
 use press::prelude::*;
 use press_store::StoreFile;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// A small jittered grid from proptest-drawn parameters.
-fn net_from(nx: usize, ny: usize, jitter: f64, seed: u64) -> Arc<RoadNetwork> {
-    Arc::new(grid_network(&GridConfig {
-        nx,
-        ny,
-        spacing: 120.0,
-        weight_jitter: jitter,
-        removal_prob: 0.05,
-        seed,
-    }))
-}
-
-/// Deterministically turns choice bytes into a valid connected path.
-fn walk_from_choices(net: &RoadNetwork, start: u32, choices: &[u8]) -> Vec<EdgeId> {
-    let mut node = NodeId(start % net.num_nodes() as u32);
-    let mut path: Vec<EdgeId> = Vec::with_capacity(choices.len());
-    for &c in choices {
-        let out = net.out_edges(node);
-        if out.is_empty() {
-            break;
-        }
-        let candidates: Vec<EdgeId> = out
-            .iter()
-            .copied()
-            .filter(|&e| {
-                path.last()
-                    .is_none_or(|&p| net.edge(e).to != net.edge(p).from)
-            })
-            .collect();
-        let pool = if candidates.is_empty() {
-            out.to_vec()
-        } else {
-            candidates
-        };
-        let e = pool[c as usize % pool.len()];
-        path.push(e);
-        node = net.edge(e).to;
-    }
-    path
-}
 
 /// The fixture of the `node_link` tests: a model trained on a fixed set
 /// of walks over a fixed jittered grid.
